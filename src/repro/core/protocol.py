@@ -44,6 +44,9 @@ _ROLE_SPINE = Role.SPINE
 _ROLE_GATEWAY_TOR = Role.GATEWAY_TOR
 _ROLE_GATEWAY_SPINE = Role.GATEWAY_SPINE
 
+#: Learning-stream values drawn per refill of ``SwitchV2P``'s buffer.
+_LEARN_BLOCK = 512
+
 
 class _CacheTable(dict):
     """``switch_id -> cache`` dict that keeps the owner's hot table fresh.
@@ -121,6 +124,13 @@ class SwitchV2P(CachingScheme):
         self._hot: dict[int, tuple[Role, object]] = {}
         self._collector = None
         self._learn_rng = None
+        #: Block-refilled read buffer over ``_learn_rng`` and the index
+        #: of the next unread value.  ``Generator.random(n)`` yields the
+        #: same values as ``n`` scalar calls, so buffering changes no
+        #: draw; it makes one draw a list index and lets the fluid
+        #: replay look ahead (:meth:`clean_learning_draws`).
+        self._learn_buf: list[float] = []
+        self._learn_pos = 0
         self._control_flow_seq = _CONTROL_FLOW_BASE
         #: Per-ToR timestamp vector: ToR id -> (target switch id -> last
         #: invalidation send time).  Local timestamps only (§3.3).
@@ -148,9 +158,10 @@ class SwitchV2P(CachingScheme):
         self.rng_draws = 0
         #: Hybrid-fidelity hook: when set, called as ``(switch, packet)``
         #: immediately before every learning-RNG draw.  The fluid probe
-        #: walk installs it to capture draw sites so commits can replay
-        #: the draws via :meth:`replay_learning_draw`; always None in
-        #: pure-packet mode (one predicted-None branch per draw).
+        #: walk installs it to capture draw sites so the analytic
+        #: packets' draws can be replayed (:meth:`clean_learning_draws`,
+        #: :meth:`replay_learning_draw`); always None in pure-packet
+        #: mode (one predicted-None branch per draw).
         self.learning_draw_observer = None
 
     def make_cache(self, num_slots: int, salt: int):
@@ -166,6 +177,9 @@ class SwitchV2P(CachingScheme):
         """Assign roles and protocol state before caches are built."""
         self.roles = assign_roles(network.fabric)
         self._learn_rng = network.streams.stream("switchv2p-learning")
+        # Buffered values belong to the stream they were drawn from.
+        self._learn_buf = []
+        self._learn_pos = 0
         self._timestamp_vectors = {}
         self._gateway_pips = network.gateway_pip_set()
 
@@ -410,7 +424,13 @@ class SwitchV2P(CachingScheme):
         if obs is not None:
             obs(switch, packet)
         self.rng_draws += 1
-        if self._learn_rng.random() >= self.config.p_learn:
+        pos = self._learn_pos
+        buf = self._learn_buf
+        if pos == len(buf):
+            buf = self._learn_buf = self._learn_rng.random(_LEARN_BLOCK).tolist()
+            pos = 0
+        self._learn_pos = pos + 1
+        if buf[pos] >= self.config.p_learn:
             return
         sender_pip = packet.outer_src
         if sender_pip in self._gateway_pips or sender_pip < 0:
@@ -447,9 +467,42 @@ class SwitchV2P(CachingScheme):
         (``outer_src``, ``dst_vip``, ``outer_dst``) — identical for every
         packet of a warm flow, which is what makes replay exact.  A draw
         that triggers emits the real learning traffic (or performs the
-        real ToR install) through the normal code paths.
+        real ToR install) through the normal code paths.  The fluid
+        engine calls this only for draws :meth:`clean_learning_draws`
+        did not clear; those it clears it consumes in bulk.
         """
         self._maybe_send_learning_packet(switch, template)
+
+    def clean_learning_draws(self, count: int) -> int:
+        """How many of the next ``count`` draws trigger nothing.
+
+        Pure look-ahead: the stream position, ``rng_draws`` and the
+        values later draws return are unchanged.  Returns ``count``
+        when none of them would send a learning packet, else the number
+        of clean draws before the first triggering one.  Returns 0 —
+        "replay them one by one" — while a draw observer is installed
+        or learning packets are off, where a draw is not just a stream
+        read.
+        """
+        if (self.learning_draw_observer is not None
+                or not self.config.enable_learning_packets):
+            return 0
+        pos = self._learn_pos
+        buf = self._learn_buf
+        if len(buf) - pos < count:
+            buf = self._learn_buf = buf[pos:] + self._learn_rng.random(
+                max(count, _LEARN_BLOCK)).tolist()
+            pos = self._learn_pos = 0
+        p_learn = self.config.p_learn
+        ahead = buf[pos:pos + count]
+        if min(ahead) >= p_learn:
+            return count
+        return next(i for i, value in enumerate(ahead) if value < p_learn)
+
+    def skip_learning_draws(self, count: int) -> None:
+        """Consume ``count`` draws :meth:`clean_learning_draws` found clean."""
+        self._learn_pos += count
+        self.rng_draws += count
 
     def _on_learning_packet(self, switch: Switch, packet: Packet) -> bool:
         """ToRs absorb learning packets addressed to their rack."""

@@ -334,7 +334,7 @@ class Switch(Node):
         busy = egress._busy_until
         size = packet._wire_bytes
         pending_ns = busy - now
-        backlog = int(pending_ns * egress.rate_bps / 8e9) if pending_ns > 0 else 0
+        backlog = int(pending_ns * egress._rate_bps / 8e9) if pending_ns > 0 else 0
         if backlog + size > egress.buffer_bytes:
             lstats.drops += 1
             stats.drops += 1
@@ -342,7 +342,7 @@ class Switch(Node):
         start = busy if busy > now else now
         ser_ns = egress._ser_cache.get(size)
         if ser_ns is None:
-            ser_ns = int(round(size * 8e9 / egress.rate_bps))
+            ser_ns = int(round(size * 8e9 / egress._rate_bps))
             egress._ser_cache[size] = ser_ns
         finish = start + ser_ns
         egress._busy_until = finish

@@ -23,14 +23,20 @@ Exactness contract (see docs/simulator.md "Hybrid fidelity"):
   tag, and delivery at the expected destination host;
 * learning-RNG draws are the one stateful effect that *is* replayed
   rather than escalated: the probe records every draw site through
-  ``SwitchV2P.learning_draw_observer``, each analytic packet's draws
-  are queued at the packet's virtual send time on a global heap, and
-  every fluid boundary (round begin/commit/escalation) replays the
-  due entries in virtual-time order across *all* flows
-  (``replay_learning_draw``), so the shared RNG stream advances in
-  the same global order as in packet mode — a replayed draw that
-  triggers emits real learning traffic and can itself escalate flows
-  through the cache observer;
+  ``SwitchV2P.learning_draw_observer``, and each armed round enters
+  the :class:`_DrawLedger` as ONE run-length record (first due time,
+  interval, packet range, sites) standing for its ``packets x sites``
+  draws.  Every fluid boundary (round begin/commit/escalation) counts
+  by arithmetic the draws due across *all* flows and asks the scheme's
+  buffered stream whether any of them triggers; if none does — 199 in
+  200 draws at the paper's ``p_learn`` — they are consumed in one
+  step, since the order of draws that do nothing is immaterial.  Only
+  a triggering draw makes the ledger walk the exact global
+  ``(due, arm order, packet, site)`` order up to it and fire it
+  through ``replay_learning_draw``, so the shared RNG stream advances
+  exactly as in packet mode and the trigger emits real learning
+  traffic that can itself escalate flows through the cache observer.
+  Cost: O(rounds + triggers), not O(packets x sites);
 * a flow whose (src, dst) pair has walked clean twice in a row gets
   its path signature (the set of on-path switches) memoized; while
   the signature stays valid the flow may arm rounds *without*
@@ -76,7 +82,7 @@ for any module that declares ``FLUID_PATH_MODULE = True``.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heapreplace
 from typing import TYPE_CHECKING, Any
 
 from repro.net.addresses import UNRESOLVED
@@ -114,6 +120,9 @@ _UDP = 1
 
 #: Forwarding-loop guard, mirroring the oracle hop bound.
 _HOP_CAP = 32
+
+#: Due time of "no pending draw": later than any simulated instant.
+_NEVER = 1 << 62
 
 #: Collector counters a clean walk may touch; diffed and replayed.
 _COLLECTOR_INTS = (
@@ -192,7 +201,7 @@ class _WalkContext:
         self.cache_before: dict[Any, tuple[int, ...]] = {}
         self.mutated = False
         #: ``(switch, template)`` learning-RNG draw sites the probe hit,
-        #: in draw order; commits replay each site per analytic packet.
+        #: in draw order; every analytic packet draws once at each.
         self.draw_sites: list[tuple[Any, Any]] = []
 
 
@@ -210,6 +219,173 @@ class _DrawTemplate:
         self.outer_src = outer_src
         self.dst_vip = dst_vip
         self.outer_dst = outer_dst
+
+
+class _DrawRun:
+    """The analytic learning draws of one armed round, run-length coded.
+
+    Stands for the draws of packets ``k .. end-1`` at every site in
+    ``sites``: packet ``i`` is due at ``t0 + i * interval`` and draws
+    at each site in order.  ``(k, s)`` is the next unreplayed draw.
+    """
+
+    __slots__ = ("t0", "interval", "k", "s", "end", "due_k", "sites", "seq")
+
+    def __init__(self, t0: int, interval: int, first: int, end: int,
+                 sites: list[tuple[Any, Any]], seq: int) -> None:
+        self.t0 = t0
+        self.interval = interval
+        self.k = first
+        self.s = 0
+        self.end = end
+        #: Scratch of the drain in progress: packets below it are due.
+        self.due_k = first
+        self.sites = sites
+        #: Arm order; breaks ties between runs with equal due times.
+        self.seq = seq
+
+    def truncate(self, cutoff: int) -> None:
+        """Drop the draws due after ``cutoff`` (the round was cancelled).
+
+        Packets credited by a mid-round escalation — exactly those due
+        by the escalation instant — keep their draws, whether an
+        enclosing drain or a later one replays them.
+        """
+        end = (cutoff - self.t0) // self.interval + 1
+        if end < self.end:
+            self.end = end
+
+
+class _DrawLedger:
+    """Pending analytic learning draws of all flows, one record per round.
+
+    Replays them against the scheme's learning stream in the global
+    order packet mode would have drawn them: by due time, then by the
+    order rounds were armed, then packet, then site.
+    """
+
+    __slots__ = ("scheme", "_runs", "_seq", "_next_due", "_draining")
+
+    def __init__(self, scheme: Any) -> None:
+        self.scheme = scheme
+        self._runs: list[_DrawRun] = []
+        self._seq = 0
+        #: No pending draw is due before this time, so a drain before
+        #: it returns without looking at the runs.
+        self._next_due = _NEVER
+        self._draining = False
+
+    def add_run(self, t0: int, interval: int, first: int, end: int,
+                sites: list[tuple[Any, Any]]) -> _DrawRun | None:
+        """Record a round's draws: packets ``first .. end-1`` at ``sites``.
+
+        Returns the record (to :meth:`_DrawRun.truncate` if the round
+        is cancelled), or None when the round draws nothing.
+        """
+        if first >= end or not sites:
+            return None
+        self._seq += 1
+        run = _DrawRun(t0, interval, first, end, sites, self._seq)
+        self._runs.append(run)
+        due = t0 + first * interval
+        if due < self._next_due:
+            self._next_due = due
+        return run
+
+    def commit_due(self, now: int) -> None:
+        """Replay every pending draw due by ``now``, in global order.
+
+        Each analytic packet must consume exactly the draws its real
+        counterpart would have (same sites, same order) or the shared
+        learning RNG — and every later draw in the run — diverges from
+        packet mode.  The due draws are counted by arithmetic per run
+        and, when the scheme's look-ahead finds none that triggers,
+        consumed in one step: draws that do nothing commute.  A
+        triggering draw runs through the real scheme entry point, so
+        it emits real learning traffic or performs a real ToR install,
+        whose effects (including cache mutations that escalate flows
+        via ``on_mutate``) land through the normal code paths at the
+        next fluid boundary after the packet's virtual send time.
+
+        Escalation mid-drain is safe: the reentrancy guard keeps the
+        nested call a no-op, the escalated round's run is truncated to
+        its credited packets, and what is due is counted afresh after
+        every triggering draw.
+        """
+        if now < self._next_due or self._draining:
+            return
+        self._draining = True
+        try:
+            runs = self._runs
+            scheme = self.scheme
+            while True:
+                total = 0
+                for run in runs:
+                    due_k = (now - run.t0) // run.interval + 1
+                    if due_k > run.end:
+                        due_k = run.end
+                    run.due_k = due_k
+                    if due_k > run.k:
+                        total += (due_k - run.k) * len(run.sites) - run.s
+                if not total:
+                    break
+                clean = scheme.clean_learning_draws(total)
+                if clean == total:
+                    scheme.skip_learning_draws(total)
+                    for run in runs:
+                        if run.due_k > run.k:
+                            run.k = run.due_k
+                            run.s = 0
+                    break
+                self._commit_through_trigger(clean)
+            next_due = _NEVER
+            exhausted = False
+            for run in runs:
+                if run.k < run.end:
+                    due = run.t0 + run.k * run.interval
+                    if due < next_due:
+                        next_due = due
+                else:
+                    exhausted = True
+            if exhausted:
+                self._runs = [run for run in runs if run.k < run.end]
+            self._next_due = next_due
+        finally:
+            self._draining = False
+
+    def _commit_through_trigger(self, clean: int) -> None:
+        """Consume ``clean`` due draws in exact order, then fire the next.
+
+        The next draw triggers (or may, when the scheme asked for
+        per-draw replay): it goes through ``replay_learning_draw`` like
+        a packet-mode draw.  Which run and site it falls on decides the
+        learning packet's content, hence the exact merge of the runs'
+        ``(due, arm order)`` heads.
+        """
+        heads = [(run.t0 + run.k * run.interval, run.seq, run)
+                 for run in self._runs if run.due_k > run.k]
+        heapify(heads)
+        self.scheme.skip_learning_draws(clean)
+        for _ in range(clean):
+            self._commit_advance(heads)
+        run = heads[0][2]
+        switch, template = run.sites[run.s]
+        self._commit_advance(heads)
+        self.scheme.replay_learning_draw(switch, template)
+
+    @staticmethod
+    def _commit_advance(heads: list[tuple[int, int, _DrawRun]]) -> None:
+        """Step the earliest head past one draw, keeping ``heads`` a heap."""
+        run = heads[0][2]
+        run.s += 1
+        if run.s < len(run.sites):
+            return
+        run.s = 0
+        run.k += 1
+        if run.k < run.due_k:
+            heapreplace(heads, (run.t0 + run.k * run.interval, run.seq, run))
+        else:
+            heappop(heads)
 
 
 class _FluidFlow:
@@ -239,7 +415,7 @@ class _FluidFlow:
         "sig",
         "links",
         "wire_bytes",
-        "round_token",
+        "round_run",
         "deltas",
         "counter_deltas",
         "switch_ids",
@@ -286,9 +462,8 @@ class _FluidFlow:
         self.links: tuple[Link, ...] = ()
         #: Wire bytes per data packet (fair-share demand numerator).
         self.wire_bytes = 0
-        #: Liveness token of the queued draws of the current round:
-        #: ``[alive, credited_cutoff_ns]`` (see ``_queue_draws``).
-        self.round_token: list | None = None
+        #: Ledger record of the current round's queued draws, if any.
+        self.round_run: _DrawRun | None = None
         self.deltas: list[tuple[Any, str, int]] = []
         self.counter_deltas: list[tuple[Any, Any, int]] = []
         self.switch_ids: set[int] = set()
@@ -357,11 +532,8 @@ class FluidScheduler:
         #: Fair-share allocation is stale (active set changed) and must
         #: be recomputed before the next round is armed.
         self._alloc_dirty = False
-        #: Global virtual-time heap of pending analytic learning
-        #: draws: ``(due_ns, seq, switch, template, round_token)``.
-        self._draw_heap: list = []
-        self._draw_seq = 0
-        self._draining = False
+        #: Pending analytic learning draws of every flow.
+        self._draws = _DrawLedger(self.scheme)
         self._walking = False
         self._walking_ctx: _WalkContext | None = None
         self._deferred: list[int] = []
@@ -565,7 +737,7 @@ class FluidScheduler:
         walk entirely (bounded by ``probe_every``) and replays the
         previous probe's deltas for the whole round.
         """
-        self._commit_due_draws()
+        self._draws.commit_due(self.engine._now)
         if not adopting and flow.flow_id not in self._flows:
             # A drained draw triggered a mutation that escalated this
             # very flow; its transport is already restored and running.
@@ -665,8 +837,11 @@ class FluidScheduler:
         flow.timer = self.engine.schedule_timer(n * interval,
                                                 self._commit, flow)
         self.rounds += 1
-        if flow.draw_sites:
-            self._queue_draws(flow, n, probed)
+        # The probe packet (when real) drew live during its walk, so a
+        # probed round queues packets ``1..n-1``; a skipped round's
+        # packets are all analytic (``0..n-1``).
+        flow.round_run = self._draws.add_run(
+            flow.t0, interval, 1 if probed else 0, n, flow.draw_sites)
 
     def _shared_interval(self, flow: _FluidFlow) -> int:
         """Per-packet pacing for the next round, contention included."""
@@ -757,32 +932,6 @@ class FluidScheduler:
                 if interval > flow.iso_interval:
                     flow.share_interval = interval
 
-    def _queue_draws(self, flow: _FluidFlow, n: int, probed: bool) -> None:
-        """Queue the round's analytic draws at their virtual due times.
-
-        The probe packet (when real) drew live during its walk, so a
-        probed round queues packets ``1..n-1``; a skipped round's
-        packets are all analytic (``0..n-1``).  Entries replay in
-        global virtual-time order across flows at the next fluid
-        boundary (:meth:`_commit_due_draws`) — per-flow draw order is
-        preserved, and cross-flow draws now interleave as their
-        packet-mode counterparts would, instead of clustering at each
-        flow's commit instant.
-        """
-        token = [True, -1]
-        flow.round_token = token
-        heap = self._draw_heap
-        seq = self._draw_seq
-        t0 = flow.t0
-        interval = flow.interval
-        sites = flow.draw_sites
-        for k in range(1 if probed else 0, n):
-            due = t0 + k * interval
-            for switch, template in sites:
-                seq += 1
-                heappush(heap, (due, seq, switch, template, token))
-        self._draw_seq = seq
-
     def _commit(self, flow: _FluidFlow) -> None:
         """Round timer fired: replay the probe's deltas for the round."""
         with self._fluid_phase():
@@ -792,8 +941,8 @@ class FluidScheduler:
             # the recorded deltas for all n packets instead of n - 1.
             self._commit_deltas(flow, n - 1 if flow.probed else n)
             flow.sent += n
-            flow.round_token = None
-            self._commit_due_draws()
+            flow.round_run = None
+            self._draws.commit_due(self.engine._now)
             if flow.flow_id not in self._flows:
                 # A replayed draw triggered a real cache insert and
                 # the mutation observer escalated this very flow;
@@ -820,38 +969,6 @@ class FluidScheduler:
         for counter, key, amount in flow.counter_deltas:
             counter[key] += amount * times
         self.fluid_packets += times
-
-    def _commit_due_draws(self) -> None:
-        """Replay every queued draw due by now, in virtual-time order.
-
-        Each analytic packet must consume exactly the draws its real
-        counterpart would have (same sites, same order) or the shared
-        learning RNG — and every later draw in the run — diverges from
-        packet mode.  Draws run through the real scheme entry point,
-        so a draw that triggers emits real learning traffic or
-        performs a real ToR install, whose effects (including cache
-        mutations that escalate flows via ``on_mutate``) land through
-        the normal code paths at the next fluid boundary after the
-        packet's virtual send time.
-
-        Escalation mid-drain is safe: the reentrancy guard keeps the
-        nested call a no-op, and the escalated round's token records a
-        credited-cutoff timestamp so its already-due entries still
-        replay while future-dated ones are discarded on arrival.
-        """
-        heap = self._draw_heap
-        if not heap or self._draining:
-            return
-        self._draining = True
-        try:
-            now = self.engine._now
-            replay = self.scheme.replay_learning_draw
-            while heap and heap[0][0] <= now:
-                due, _seq, switch, template, token = heappop(heap)
-                if token[0] or due <= token[1]:
-                    replay(switch, template)
-        finally:
-            self._draining = False
 
     # ------------------------------------------------------------------
     # escalation core
@@ -882,8 +999,8 @@ class FluidScheduler:
                 # after the last credited one (strictly in the future
                 # by the floor-division above).
                 resume_at = flow.t0 + partial * flow.interval
-            token = flow.round_token
-            flow.round_token = None
+            run = flow.round_run
+            flow.round_run = None
             self._escalate_finish(flow, reason, 0, registered=True,
                                   udp_resume_at=resume_at)
             # Credited packets' RNG draws replay only after the flow is
@@ -891,14 +1008,12 @@ class FluidScheduler:
             # through the cache observer but can no longer re-enter
             # this one.  The resumed transport's own packets draw later
             # (at switch-arrival events), preserving packet-mode order.
-            # Future-dated entries of the cancelled round die: the
-            # token is marked dead with a credited cutoff — entries due
+            # Future-dated draws of the cancelled round die; those due
             # by now (exactly the ``partial`` credited packets) still
             # replay, whether drained here or by an enclosing drain.
-            if token is not None:
-                token[0] = False
-                token[1] = self.engine._now
-            self._commit_due_draws()
+            if run is not None:
+                run.truncate(self.engine._now)
+            self._draws.commit_due(self.engine._now)
 
     def _escalate_finish(self, flow: _FluidFlow, reason: str,
                          inflight: int, registered: bool,
@@ -1209,10 +1324,11 @@ class FluidScheduler:
                 continue
             if name == "rng_draws" and after - before == len(ctx.draw_sites):
                 # Replayable: every draw's site was captured by the
-                # observer, and _commit_draws repeats the real draw per
-                # analytic packet, keeping the RNG stream exact.  Draws
-                # that *triggered* moved learning_packets_sent (or a
-                # cache insert fired on_mutate) and stay mutating.
+                # observer, and the draw ledger consumes one stream
+                # value per site per analytic packet, keeping the RNG
+                # stream exact.  Draws that *triggered* moved
+                # learning_packets_sent (or a cache insert fired
+                # on_mutate) and stay mutating.
                 continue
             ctx.mutated = True
         replicable = len(_CACHE_REPLICABLE)

@@ -1,0 +1,428 @@
+"""The buffered learning stream and the fluid engine's run-length draw ledger.
+
+Two layers keep hybrid runs on the same ``switchv2p-learning`` stream as
+packet mode (docs/simulator.md "Hybrid fidelity"):
+
+* ``SwitchV2P`` reads the stream through a block-refilled buffer with a
+  look-ahead (``clean_learning_draws`` / ``skip_learning_draws``);
+* ``repro.sim.fluid._DrawLedger`` keeps one record per armed round and
+  replays the draws of all flows in global ``(due, arm order, packet,
+  site)`` order, consuming stretches of draws that trigger nothing in
+  one step.
+
+The ledger is differential-tested against :class:`_NaiveDraws`, a
+deliberately slow reference that expands every round into one heap
+entry per draw and takes one scalar ``Generator.random()`` per entry.
+"""
+
+from __future__ import annotations
+
+import random
+from heapq import heappop, heappush
+
+import numpy as np
+import pytest
+
+from repro.core import SwitchV2P
+from repro.core.config import SwitchV2PConfig
+from repro.core.multitenant import MultiTenantSwitchV2P, TenantRegistry
+from repro.core.protocol import _LEARN_BLOCK
+from repro.experiments.runner import build_network, run_flows
+from repro.net.topology import FatTreeSpec
+from repro.sim.fluid import _DrawLedger
+
+from test_hybrid_fidelity import _cache_metrics, _steady_flows
+
+
+class _Template:
+    """A draw site's packet stand-in that notices a triggering draw.
+
+    ``_maybe_send_learning_packet`` reads ``outer_src`` only after the
+    ``p_learn`` gate let the draw through; the negative address then
+    ends the call before it needs a network.
+    """
+
+    def __init__(self, site: int) -> None:
+        self.site = site
+        self.dst_vip = site
+        self.outer_dst = 0
+        self.fired = 0
+
+    @property
+    def outer_src(self) -> int:
+        self.fired += 1
+        return -1
+
+
+def _bare_scheme(p_learn: float, seed: int, cls=SwitchV2P,
+                 **config) -> SwitchV2P:
+    """A SwitchV2P bound to a learning stream but to no network."""
+    scheme = cls(0, config=SwitchV2PConfig(p_learn=p_learn, **config))
+    scheme._learn_rng = np.random.default_rng(seed)
+    scheme._gateway_pips = frozenset()
+    return scheme
+
+
+# ----------------------------------------------------------------------
+# buffered learning stream
+# ----------------------------------------------------------------------
+def test_block_draw_equals_scalar_draws():
+    """The numpy guarantee the buffer rests on: ``random(n)`` is ``n``
+    consecutive scalar draws, and the generator ends in the same state."""
+    block_rng = np.random.default_rng(42)
+    scalar_rng = np.random.default_rng(42)
+    block = block_rng.random(3 * _LEARN_BLOCK + 7).tolist()
+    assert block == [scalar_rng.random() for _ in range(len(block))]
+    assert block_rng.random() == scalar_rng.random()
+
+
+def test_buffered_draws_cross_refill_boundaries():
+    """Draw by draw, the scheme sees the scalar sequence — across two
+    refills, at the paper's ``p_learn`` and at one that fires often."""
+    for p_learn in (0.005, 0.3):
+        scheme = _bare_scheme(p_learn, seed=9)
+        scalar = np.random.default_rng(9)
+        template = _Template(0)
+        for index in range(2 * _LEARN_BLOCK + 50):
+            fired_before = template.fired
+            scheme._maybe_send_learning_packet(None, template)
+            fired = template.fired - fired_before
+            assert fired == (scalar.random() < p_learn), index
+        assert scheme.rng_draws == 2 * _LEARN_BLOCK + 50
+
+
+def test_look_ahead_consumes_nothing():
+    scheme = _bare_scheme(0.05, seed=3)
+    expected = np.random.default_rng(3).random(4 * _LEARN_BLOCK).tolist()
+    first_hit = next(i for i, v in enumerate(expected) if v < 0.05)
+    # Repeated look-ahead, also past the buffered block, moves nothing.
+    for count in (1, first_hit, first_hit + 1, 3 * _LEARN_BLOCK):
+        clean = scheme.clean_learning_draws(count)
+        assert clean == min(count, first_hit)
+        assert scheme.rng_draws == 0
+    template = _Template(0)
+    for index in range(first_hit + 1):
+        scheme._maybe_send_learning_packet(None, template)
+        assert template.fired == (index == first_hit)
+    # Skipping consumes exactly the clean stretch it was told to.
+    rest = expected[first_hit + 1:]
+    next_hit = next(i for i, v in enumerate(rest) if v < 0.05)
+    assert scheme.clean_learning_draws(next_hit + 5) == next_hit
+    scheme.skip_learning_draws(next_hit)
+    assert scheme.rng_draws == first_hit + 1 + next_hit
+    scheme._maybe_send_learning_packet(None, template)
+    assert template.fired == 2
+
+
+def test_look_ahead_defers_to_per_draw_replay():
+    """With a draw observer installed, or learning packets off, a draw
+    is more (or less) than a stream read: nothing may be skipped."""
+    observed = _bare_scheme(0.005, seed=1)
+    observed.learning_draw_observer = lambda switch, packet: None
+    assert observed.clean_learning_draws(10) == 0
+    disabled = _bare_scheme(0.005, seed=1, enable_learning_packets=False)
+    assert disabled.clean_learning_draws(10) == 0
+    disabled._maybe_send_learning_packet(None, _Template(0))
+    assert disabled.rng_draws == 0
+
+
+def _learning_trace(scheme, seed):
+    """Run a gateway-heavy workload; return what the learning stream did."""
+    network = build_network(FatTreeSpec(), scheme, 64, seed=seed)
+    result = run_flows(network, _steady_flows(n_pairs=12, size=150_000),
+                       trace_name="steady", keep_network=True)
+    return (scheme.rng_draws, scheme.learning_packets_sent,
+            _cache_metrics(result))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SwitchV2P(16384, config=SwitchV2PConfig(p_learn=0.2)),
+    lambda: MultiTenantSwitchV2P(
+        16384, _registry(), config=SwitchV2PConfig(p_learn=0.2)),
+], ids=["SwitchV2P", "MultiTenantSwitchV2P"])
+def test_reused_scheme_never_serves_previous_networks_draws(make):
+    """Binding a scheme to a second network drops the values buffered
+    (and looked ahead) from the first network's stream."""
+    fresh = [_learning_trace(make(), seed) for seed in (5, 6)]
+    assert fresh[0][0] > 0 and fresh[0] != fresh[1]
+    reused = make()
+    first = _learning_trace(reused, 5)
+    # Leave look-ahead values behind, as an interrupted hybrid run would.
+    reused.clean_learning_draws(2 * _LEARN_BLOCK)
+    draws_before = reused.rng_draws
+    second = _learning_trace(reused, 6)
+    assert first == fresh[0]
+    assert second[0] - draws_before == fresh[1][0]
+    assert second[2] == fresh[1][2]
+
+
+def _registry() -> TenantRegistry:
+    registry = TenantRegistry()
+    registry.add_tenant(0, 64)
+    return registry
+
+
+# ----------------------------------------------------------------------
+# differential test of the ledger
+# ----------------------------------------------------------------------
+class _NaiveDraws:
+    """Reference: one heap entry and one scalar RNG call per draw.
+
+    Entries are ``(due, seq, run id, site, token)`` with a globally
+    increasing ``seq``; a token is ``[alive, cutoff]`` and a dead
+    round's entries still replay when due by its cutoff.
+    """
+
+    def __init__(self, p_learn: float, seed: int, on_fire) -> None:
+        self.p_learn = p_learn
+        self.rng = np.random.default_rng(seed)
+        self.on_fire = on_fire
+        self.heap: list = []
+        self.seq = 0
+        self.draws = 0
+        self.log: list[tuple[int, int, bool]] = []
+        self.consumed: list[int] = []
+        self.draining = False
+
+    def arm(self, t0, interval, first, end, sites):
+        token = [True, -1]
+        run_id = len(self.consumed)
+        self.consumed.append(0)
+        for k in range(first, end):
+            for template in sites:
+                self.seq += 1
+                heappush(self.heap, (t0 + k * interval, self.seq, run_id,
+                                     template.site, token))
+        return token
+
+    def kill(self, token, cutoff):
+        token[0] = False
+        token[1] = cutoff
+
+    def drain(self, now):
+        if self.draining:
+            return
+        self.draining = True
+        try:
+            while self.heap and self.heap[0][0] <= now:
+                due, _seq, run_id, site, token = heappop(self.heap)
+                if token[0] or due <= token[1]:
+                    fired = bool(self.rng.random() < self.p_learn)
+                    self.log.append((site, self.draws, fired))
+                    self.draws += 1
+                    self.consumed[run_id] += 1
+                    if fired:
+                        self.on_fire(self, now)
+        finally:
+            self.draining = False
+
+    def progress(self):
+        return list(self.consumed)
+
+    def pending(self):
+        return sum(1 for due, _seq, _run, _site, token in self.heap
+                   if token[0] or due <= token[1])
+
+
+class _LedgerDraws:
+    """The real ledger on a real scheme, behind the reference's interface."""
+
+    def __init__(self, p_learn: float, seed: int, on_fire,
+                 observed: bool = False) -> None:
+        world = self
+
+        class Recording(SwitchV2P):
+            def replay_learning_draw(self, switch, template):
+                index = self.rng_draws
+                fired_before = template.fired
+                super().replay_learning_draw(switch, template)
+                fired = template.fired > fired_before
+                world.log.append((template.site, index, fired))
+                if fired:
+                    on_fire(world, world.now)
+
+        scheme = _bare_scheme(p_learn, seed, cls=Recording)
+        if observed:
+            scheme.learning_draw_observer = lambda switch, packet: None
+        self.scheme = scheme
+        self.ledger = _DrawLedger(scheme)
+        self.log: list[tuple[int, int, bool]] = []
+        self.runs: list = []
+        self.now = 0
+
+    def arm(self, t0, interval, first, end, sites):
+        run = self.ledger.add_run(t0, interval, first, end,
+                                  [(None, template) for template in sites])
+        self.runs.append((run, first, len(sites)))
+        return run
+
+    def kill(self, run, cutoff):
+        if run is not None:
+            run.truncate(cutoff)
+
+    def drain(self, now):
+        self.now = now
+        self.ledger.commit_due(now)
+
+    @property
+    def draws(self):
+        return self.scheme.rng_draws
+
+    def progress(self):
+        return [0 if run is None else (run.k - first) * nsites + run.s
+                for run, first, nsites in self.runs]
+
+    def pending(self):
+        return sum((run.end - run.k) * len(run.sites) - run.s
+                   for run in self.ledger._runs if run.k < run.end)
+
+
+def _play(make_world, seed: int):
+    """Drive one world through the randomized schedule ``seed`` names.
+
+    Returns the world and its checkpoints: per-run replayed-draw counts
+    and the stream position at every triggering draw and after every
+    drain.  Both worlds consume the two script RNGs identically as long
+    as they trigger on the same draws in the same order.
+    """
+    script = random.Random(seed)
+    fire_script = random.Random(seed + 1_000_003)
+    templates = [_Template(site) for site in range(6)]
+    handles: list = []
+    checkpoints: list = []
+
+    def arm(world, now):
+        sites = script.sample(templates, script.randint(0, 3))
+        handles.append(world.arm(
+            now, script.choice((1, 1, 2, 3, 7)),
+            script.randint(0, 1), script.randint(1, 40), sites))
+
+    def kill(world, now, rng):
+        if handles:
+            world.kill(handles.pop(rng.randrange(len(handles))), now)
+
+    def on_fire(world, now):
+        checkpoints.append(("fire", world.draws, world.progress()))
+        # A trigger escalates flows (killing rounds at the drain's
+        # instant), may arm one, and re-enters the drain (a no-op).
+        action = fire_script.random()
+        if action < 0.35:
+            kill(world, now, fire_script)
+        elif action < 0.6:
+            sites = fire_script.sample(templates, fire_script.randint(1, 3))
+            handles.append(world.arm(
+                now - fire_script.choice((0, 0, 3)),
+                fire_script.choice((1, 2, 5)), fire_script.randint(0, 1),
+                fire_script.randint(1, 20), sites))
+        if fire_script.random() < 0.3:
+            world.drain(now)
+
+    world = make_world(on_fire)
+    now = 0
+    for _ in range(60):
+        now += script.choice((0, 0, 1, 2, 5, 13, 40))
+        action = script.random()
+        if action < 0.55:
+            arm(world, now)
+        elif action < 0.7:
+            kill(world, now, script)
+        if script.random() < 0.8:
+            world.drain(now)
+            checkpoints.append(("drain", world.draws, world.progress()))
+    world.drain(now + 10_000)
+    checkpoints.append(("end", world.draws, world.progress()))
+    return world, checkpoints
+
+
+SCHEDULES = 70
+
+
+@pytest.mark.parametrize("p_learn", [0.005, 0.2, 1.0])
+def test_ledger_matches_per_draw_heap(p_learn):
+    """>= 200 randomized schedules (70 per ``p_learn``): same triggering
+    draws at the same sites and stream indices, same draws attributed
+    to every round at every trigger and drain, same ``rng_draws``."""
+    fired_total = 0
+    batched_total = 0
+    for seed in range(SCHEDULES):
+        naive, expected = _play(
+            lambda on_fire: _NaiveDraws(p_learn, seed, on_fire), seed)
+        real, got = _play(
+            lambda on_fire: _LedgerDraws(p_learn, seed, on_fire), seed)
+        assert got == expected, seed
+        assert real.draws == naive.draws
+        fired = [entry for entry in naive.log if entry[2]]
+        # Draws the ledger hands to the scheme one by one are exactly
+        # the triggering ones, in the reference's order.
+        assert real.log == fired, seed
+        # What the last trigger armed for later is all that is left.
+        assert real.pending() == naive.pending()
+        fired_total += len(fired)
+        batched_total += naive.draws - len(real.log)
+    assert fired_total > 50
+    if p_learn == 1.0:
+        assert batched_total == 0
+    else:
+        assert batched_total > fired_total
+
+
+def test_ledger_replays_per_draw_under_an_observer():
+    """With a draw observer installed nothing is batched: the full
+    ``(site, stream index, fired?)`` sequence equals the reference's."""
+    for seed in range(20):
+        naive, expected = _play(
+            lambda on_fire: _NaiveDraws(0.2, seed, on_fire), seed)
+        real, got = _play(
+            lambda on_fire: _LedgerDraws(0.2, seed, on_fire, observed=True),
+            seed)
+        assert got == expected, seed
+        assert real.log == naive.log, seed
+
+
+def test_watermark_skips_drains_before_the_first_due_draw():
+    scheme = _bare_scheme(0.0, seed=0)
+    ledger = _DrawLedger(scheme)
+    ledger.commit_due(5)
+    assert ledger.add_run(100, 10, 1, 1, [(None, _Template(0))]) is None
+    assert ledger.add_run(100, 10, 0, 4, []) is None
+    run = ledger.add_run(100, 10, 1, 4, [(None, _Template(0))])
+    ledger.commit_due(109)
+    assert (scheme.rng_draws, run.k) == (0, 1)
+    ledger.commit_due(110)
+    assert (scheme.rng_draws, run.k) == (1, 2)
+    run.truncate(120)
+    ledger.commit_due(1000)
+    assert (scheme.rng_draws, run.k) == (2, 3)
+    assert not ledger._runs
+
+
+# ----------------------------------------------------------------------
+# end to end: triggers inside batches, hundreds of times
+# ----------------------------------------------------------------------
+def test_packet_equals_hybrid_with_frequent_triggers():
+    """Same-pair flows through gateway ToRs at ``p_learn = 0.2``: every
+    fifth replayed draw fires from inside a batch, and the cache
+    metrics must still equal packet mode exactly."""
+    flows = _steady_flows(n_pairs=12)
+    results = {}
+    fired = 0
+    for fidelity in ("packet", "hybrid"):
+        scheme = SwitchV2P(16384, config=SwitchV2PConfig(p_learn=0.2))
+        if fidelity == "hybrid":
+            replay = scheme.replay_learning_draw
+
+            def counting_replay(switch, template, replay=replay):
+                nonlocal fired
+                fired += 1
+                replay(switch, template)
+
+            scheme.replay_learning_draw = counting_replay
+        network = build_network(FatTreeSpec(), scheme, 64, seed=7,
+                                fidelity=fidelity)
+        results[fidelity] = run_flows(network, list(flows),
+                                      trace_name="steady", keep_network=True)
+    packet, hybrid = results["packet"], results["hybrid"]
+    assert hybrid.fluid_packets > 0
+    assert fired > 300
+    assert packet.network.scheme.rng_draws == hybrid.network.scheme.rng_draws
+    assert _cache_metrics(packet) == _cache_metrics(hybrid)

@@ -108,3 +108,57 @@ def test_switch_repr_mentions_role_coordinates():
     network = small_network(NoCache(), num_vms=8)
     text = repr(network.fabric.tor_of(0, 1))
     assert "TOR" in text and "pod=0" in text
+
+
+def test_rate_bps_setter_changes_forwarding_delay_through_switch():
+    """``Switch.receive`` inlines ``Link.transmit`` and reads the rate
+    through its private slot; the public setter must still govern both
+    the serialization time and the backlog of a busy egress link."""
+    network = small_network(NoCache(), num_vms=8)
+    engine = network.engine
+    dst = network.hosts[0]
+    vip = next(iter(dst.vms))
+    tor = network.fabric.tor_of(0, 0)
+    downlink = tor.host_links[dst.pip]
+    arrivals = []
+    dst.on_deliver = lambda packet: arrivals.append(engine.now)
+
+    def delay_of_two(payload_bytes):
+        """Forward two packets back to back (the second finds the
+        egress busy); return each one's ToR-to-host delay."""
+        arrivals.clear()
+        start = engine.now
+        for seq in range(2):
+            tor.receive(make_packet(seq=seq, payload_bytes=payload_bytes,
+                                    dst_vip=vip, outer_dst=dst.pip))
+        engine.run()
+        assert len(arrivals) == 2
+        return [at - start for at in arrivals]
+
+    rate = downlink.rate_bps
+    fast = delay_of_two(1000)
+    downlink.rate_bps = rate / 10
+    # A size the throttled link has not serialized before (cold path)
+    # and the same size again (per-rate memo): both ten times slower.
+    slow_cold = delay_of_two(1001)
+    slow_warm = delay_of_two(1000)
+    prop = downlink.propagation_ns
+    ser_fast = fast[0] - prop
+    assert ser_fast > 0
+    for slow in (slow_cold, slow_warm):
+        ser_slow = slow[0] - prop
+        assert 9 * ser_fast < ser_slow < 11 * ser_fast
+        # The queued packet waits one full serialization of the first.
+        assert slow[1] - slow[0] == ser_slow
+    # Backlog accounting uses the new rate too: queued nanoseconds
+    # convert back to exactly the bytes queued, so a buffer sized for
+    # two packets admits two of a four-packet burst (a stale, ten times
+    # faster rate would count ten packets queued behind the first).
+    probe = make_packet(payload_bytes=1000, dst_vip=vip, outer_dst=dst.pip)
+    downlink.buffer_bytes = 2 * probe.wire_bytes + 10
+    drops = downlink.stats.drops
+    for seq in range(4):
+        tor.receive(make_packet(seq=seq, payload_bytes=1000, dst_vip=vip,
+                                outer_dst=dst.pip))
+    engine.run()
+    assert downlink.stats.drops == drops + 2
