@@ -77,6 +77,41 @@ def test_engine_event_throughput(benchmark):
     _check_budget(benchmark, "test_engine_event_throughput")
 
 
+def test_engine_rto_rearm_throughput(benchmark):
+    """The reliable transport's timer shape: every ACK re-arms an RTO.
+
+    64 flows each run a chain of 300 calendar events 12.8 us apart,
+    interleaved 200 ns from one another; every event cancels its flow's
+    timer and re-arms it 100 us - 1 ms out.  Live timers are therefore
+    always parked slots ahead of the clock with dead ones behind them —
+    the case where a timer bound that is not tight sends every event
+    through the wheel.  Only each flow's last timer fires.
+    """
+    flows, acks_per_flow = 64, 300
+
+    def run_flows_of_acks():
+        engine = Engine()
+        timers = [None] * flows
+        timeouts = []
+
+        def ack(flow, remaining):
+            engine.cancel_timer(timers[flow])
+            timers[flow] = engine.schedule_timer(
+                100_000 + flow * 14_000, timeouts.append, flow)
+            if remaining:
+                engine.schedule_after(flows * 200, ack, flow, remaining - 1)
+
+        for flow in range(flows):
+            engine.schedule(flow * 200, ack, flow, acks_per_flow - 1)
+        engine.run()
+        return engine.events_processed, sorted(timeouts)
+
+    events, timeouts = benchmark(run_flows_of_acks)
+    assert events == flows * acks_per_flow + flows
+    assert timeouts == list(range(flows))
+    _check_budget(benchmark, "test_engine_rto_rearm_throughput")
+
+
 def test_cache_lookup_insert_throughput(benchmark):
     cache = DirectMappedCache(4096, salt=3)
     vips = list(range(10_000))

@@ -143,7 +143,17 @@ def _digest(obj) -> str:
 
 
 def flows_digest(flows) -> str:
-    """Content digest of a materialized flow list."""
+    """Content digest of a materialized flow list.
+
+    Memoized on the flow tuple's value: a sweep derives one key per
+    grid point from the same flows, and encoding them dominates key
+    derivation.  A repeat costs one hash of the (frozen) flow specs.
+    """
+    return _flow_tuple_digest(tuple(flows))
+
+
+@lru_cache(maxsize=2)
+def _flow_tuple_digest(flows: tuple) -> str:
     return _digest(["flows", [_encode(flow) for flow in flows]])
 
 
@@ -154,7 +164,7 @@ def _trace_spec_digest(trace: TraceSpec) -> str:
     Hashing the content rather than the spec makes spec-form and
     flows-form descriptions of the same workload share cache entries.
     """
-    return flows_digest(tuple(trace.materialize()))
+    return flows_digest(trace.materialize())
 
 
 def run_key(spec, scheme_name: str, num_vms: int, cache_ratio: float,
@@ -186,7 +196,7 @@ def run_key(spec, scheme_name: str, num_vms: int, cache_ratio: float,
         "trace_name": trace_name,
         "fidelity": fidelity,
         "flows": (_trace_spec_digest(trace) if trace is not None
-                  else flows_digest(tuple(flows))),
+                  else flows_digest(flows)),
     }
     return _digest(payload)
 

@@ -345,28 +345,13 @@ class OracleSuite:
     def _in_flight(self) -> int:
         """Packets referenced by pending events (still on the wire).
 
-        Walks the engine's calendar heap and timer wheel: link
-        deliveries, gateway pipelines and misdelivery re-forward delays
-        all hold their packet in the event args; transport/probe timers
-        hold none.
+        Link deliveries, gateway pipelines and misdelivery re-forward
+        delays all hold their packet in the event args; transport/probe
+        timers hold none.
         """
-        engine = self.network.engine
-        count = 0
-        for entry in engine._queue:
-            for arg in entry[3]:
-                if isinstance(arg, Packet):
-                    count += 1
-                    break
-        for bucket in engine._wheel:
-            for timer in bucket:
-                if timer.alive and any(isinstance(arg, Packet)
-                                       for arg in timer.args):
-                    count += 1
-        for timer in engine._due:
-            if timer.alive and any(isinstance(arg, Packet)
-                                   for arg in timer.args):
-                count += 1
-        return count
+        return sum(1 for _at, _callback, args
+                   in self.network.engine.iter_pending()
+                   if any(isinstance(arg, Packet) for arg in args))
 
     def _corruption_pairs(self) -> set[tuple[int, int]]:
         """(vip, pip) pairs injected by CACHE_BITFLIP events so far."""

@@ -16,6 +16,14 @@ bulk when their bucket is swept, so they never churn the main heap.
 Live timers still fire in exact ``(time, sequence)`` order relative to
 heap events, keeping runs bit-deterministic.
 
+The two sides meet in one number, the *timer bound*: a lower bound on
+the deadline of every live timer.  A heap event earlier than the bound
+runs without looking at the wheel at all; only an event at or past it
+makes the run loop sweep the wheel, and each sweep pushes the bound to
+the next live timer or the next unswept slot.  The wheel therefore
+costs one sweep per 65 us slot the clock crosses plus one per timer
+that fires — not one per event.
+
 The engine is deliberately minimal; all protocol behaviour lives in the
 network objects (:mod:`repro.net`, :mod:`repro.vnet`, :mod:`repro.core`)
 that schedule events on it.
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 import gc
 import heapq
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import Any
 
 # Unit helpers: all simulation timestamps are integers in nanoseconds.
@@ -39,6 +47,13 @@ SECOND = 1_000_000_000
 #: is examined at most a couple of times before it fires or dies.
 _WHEEL_SLOT_NS = 1 << 16
 _WHEEL_SLOTS = 512
+
+#: "No such time": the timer bound while no timer is live, and the run
+#: horizon / event budget when ``run`` is given none.
+_NEVER = 1 << 62
+
+#: A pending calendar event or live timer: ``(time, callback, args)``.
+_Item = tuple[int, Callable[..., None], tuple]
 
 
 def usec(value: float) -> int:
@@ -60,8 +75,7 @@ class Timer:
 
     ``deadline``/``seq`` form the same ordering key heap events use, so
     a fired timer interleaves with same-time events exactly as if it had
-    been pushed onto the heap.  Timers order by that key directly, which
-    lets the engine's due list be a heap of Timer objects.
+    been pushed onto the heap.
     """
 
     __slots__ = ("deadline", "seq", "callback", "args", "alive")
@@ -73,11 +87,6 @@ class Timer:
         self.callback = callback
         self.args = args
         self.alive = True
-
-    def __lt__(self, other: Timer) -> bool:
-        if self.deadline != other.deadline:
-            return self.deadline < other.deadline
-        return self.seq < other.seq
 
 
 class PeriodicTask:
@@ -110,6 +119,17 @@ class Engine:
     are broken by insertion order, making runs fully deterministic for a
     fixed seed and fixed scheduling order.
 
+    Invariant the run loop rests on: ``_timer_bound`` is never later
+    than the deadline of any live timer, wherever it sits (a wheel
+    bucket or the due heap); with no live timer it is ``_NEVER``.
+    Anyone may lower it — :meth:`schedule_timer` for a new earliest
+    deadline, :meth:`stop` and ``run(until=...)`` to end a run — and a
+    bound that is too low only costs a sweep.  Only the slow path of
+    :meth:`run` raises it, and only to what a sweep has just proved.
+    A calendar event strictly earlier than the bound therefore precedes
+    every timer and may run without consulting the wheel, the due heap
+    or the live-timer count.
+
     Example:
         >>> engine = Engine()
         >>> fired = []
@@ -135,12 +155,14 @@ class Engine:
         self._wheel_slots = wheel_slots
         self._wheel: list[list[Timer]] = [[] for _ in range(wheel_slots)]
         self._live_timers = 0
-        #: Absolute slot index up to which buckets have been swept.
+        #: Absolute slot index the next sweep starts at: every timer in
+        #: a bucket has a deadline in this slot or a later one.
         self._wheel_cursor = 0
-        #: Lower bound on the earliest live timer deadline; lets the run
-        #: loop skip the wheel entirely while no timer can be due.
-        self._timer_bound = 0
-        self._due: list[Timer] = []
+        #: Lower bound on every live timer's deadline (class docstring).
+        self._timer_bound = _NEVER
+        #: Heap of ``(deadline, seq, timer)`` for timers swept out of
+        #: the wheel (or armed behind the cursor) and not yet fired.
+        self._due: list[tuple[int, int, Timer]] = []
 
     @property
     def now(self) -> int:
@@ -161,6 +183,24 @@ class Engine:
     def pending_timers(self) -> int:
         """Number of armed (not cancelled, not fired) timers."""
         return self._live_timers
+
+    def iter_pending(self) -> Iterator[_Item]:
+        """Yield ``(time, callback, args)`` for everything still waiting.
+
+        Covers calendar events and live timers (:attr:`pending_events`
+        items in all), in no particular order.  Read-only: meant for
+        oracles and debugging that need to see what is in flight
+        without depending on how the calendar is laid out.
+        """
+        for at, _seq, callback, args in self._queue:
+            yield at, callback, args
+        for bucket in self._wheel:
+            for timer in bucket:
+                if timer.alive:
+                    yield timer.deadline, timer.callback, timer.args
+        for deadline, _seq, timer in self._due:
+            if timer.alive:
+                yield deadline, timer.callback, timer.args
 
     def schedule(self, at: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute time ``at``.
@@ -231,75 +271,137 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         deadline = self._now + delay
-        timer = Timer(deadline, self._sequence, callback, args)
-        self._sequence += 1
+        seq = self._sequence
+        self._sequence = seq + 1
+        timer = Timer(deadline, seq, callback, args)
         slot = deadline // _WHEEL_SLOT_NS
         if slot < self._wheel_cursor:
-            # Deadline falls in the already-swept part of the current
-            # bucket sweep window: deliver via the due heap directly.
-            heapq.heappush(self._due, timer)
+            # Behind the sweep cursor: no later sweep would visit its
+            # bucket in time, so it joins the due heap directly.
+            heapq.heappush(self._due, (deadline, seq, timer))
         else:
             self._wheel[slot % self._wheel_slots].append(timer)
-        if self._live_timers == 0 or deadline < self._timer_bound:
+        if deadline < self._timer_bound:
             self._timer_bound = deadline
         self._live_timers += 1
         return timer
 
     def cancel_timer(self, timer: Timer | None) -> None:
-        """Disarm ``timer``; a no-op for None, fired or cancelled timers."""
+        """Disarm ``timer``; a no-op for None, fired or cancelled timers.
+
+        The timer bound is left alone: it stays a valid (if no longer
+        tight) lower bound, and the next sweep that reaches the dead
+        timer drops it and re-tightens.
+        """
         if timer is not None and timer.alive:
             timer.alive = False
             self._live_timers -= 1
 
-    def _sweep_wheel(self, limit: int) -> None:
-        """Collect timers with ``deadline < limit`` into the due list.
+    def _sweep_wheel(self, limit: int) -> int:
+        """Move every live timer with ``deadline < limit`` to the due heap.
 
-        Sweeps buckets from the cursor up to ``limit``'s slot, dropping
-        cancelled timers and keeping not-yet-due ones (future wheel
-        revolutions) in place.  Also tightens the timer bound so the
-        run loop can skip the wheel until the next candidate deadline.
+        Visits the buckets of the slots from the cursor up to ``limit``'s
+        (at most one revolution, which is every bucket), dropping
+        cancelled timers and leaving later ones — including later
+        revolutions of a visited bucket — in place.
+
+        Returns a lower bound, never below ``limit``, on every timer
+        still in the wheel: the earliest timer kept in a visited bucket
+        or the start of the first unvisited slot, whichever is earlier.
+        An unvisited bucket can only hold timers of slots past the last
+        one visited, so taking the kept minimum alone would be wrong.
+        ``_NEVER`` if no live timer is left anywhere.
         """
+        if not self._live_timers:
+            return _NEVER
         wheel = self._wheel
         due = self._due
-        limit_slot = limit // _WHEEL_SLOT_NS
+        slots = self._wheel_slots
+        heappush = heapq.heappush
         first = self._wheel_cursor
-        # One full revolution visits every bucket; going further would
-        # revisit them.
-        last = min(limit_slot, first + self._wheel_slots - 1)
-        next_bound = None
-        for abs_slot in range(first, last + 1):
-            bucket = wheel[abs_slot % self._wheel_slots]
+        last = max(first, limit // _WHEEL_SLOT_NS)
+        if last - first + 1 >= slots:
+            visited = range(slots)
+            bound = _NEVER
+        else:
+            visited = range(first, last + 1)
+            bound = (last + 1) * _WHEEL_SLOT_NS
+        for slot in visited:
+            bucket = wheel[slot % slots]
             if not bucket:
                 continue
-            keep = None
+            keep = []
             for timer in bucket:
                 if not timer.alive:
                     continue
-                if timer.deadline < limit:
-                    due.append(timer)
+                deadline = timer.deadline
+                if deadline < limit:
+                    heappush(due, (deadline, timer.seq, timer))
                 else:
-                    if keep is None:
-                        keep = []
                     keep.append(timer)
-                    if next_bound is None or timer.deadline < next_bound:
-                        next_bound = timer.deadline
-            bucket.clear()
-            if keep:
-                bucket.extend(keep)
-        self._wheel_cursor = last if last > first else first
-        if due:
-            heapq.heapify(due)
-            self._timer_bound = due[0].deadline
-        elif next_bound is not None:
-            self._timer_bound = next_bound
-        else:
-            # No live timer found within the swept window; the earliest
-            # possible deadline is the start of the unswept region.
-            self._timer_bound = max(limit, self._wheel_cursor * _WHEEL_SLOT_NS)
+                    if deadline < bound:
+                        bound = deadline
+            bucket[:] = keep
+        self._wheel_cursor = last
+        return bound
+
+    def _pop_next(self, horizon: int) -> _Item | None:
+        """Slow path of :meth:`run`: take the next item in global order.
+
+        Compares the calendar head with the earliest live timer by the
+        shared ``(time, seq)`` key, removes the winner and returns it as
+        ``(time, callback, args)``; returns None when nothing is left at
+        or before ``horizon``.  Either way it leaves ``_timer_bound`` as
+        tight as what it just learned allows: the earliest of the due
+        heap's top, the wheel bound the sweep returned, and just past
+        the horizon — so that the fast path's one comparison also ends
+        the run there.
+        """
+        queue = self._queue
+        due = self._due
+        heappop = heapq.heappop
+        while True:
+            # Timers matter up to the calendar head (ties included) or
+            # the horizon.  With neither, look one revolution past the
+            # bound: each pass finds the earliest timer or raises the
+            # bound by a revolution, so the search terminates.
+            if queue:
+                limit = min(queue[0][0], horizon) + 1
+            elif horizon != _NEVER:
+                limit = horizon + 1
+            elif self._live_timers:
+                limit = self._timer_bound + self._wheel_slots * _WHEEL_SLOT_NS
+            else:
+                return None
+            bound = self._timer_bound
+            if bound < limit:
+                bound = self._sweep_wheel(limit)
+            while due and not due[0][2].alive:
+                heappop(due)
+            item: _Item | None = None
+            if due and (not queue or due[0][:2] < queue[0][:2]):
+                if due[0][0] <= horizon:
+                    deadline, _seq, timer = heappop(due)
+                    timer.alive = False
+                    self._live_timers -= 1
+                    item = deadline, timer.callback, timer.args
+            elif queue and queue[0][0] <= horizon:
+                at, _seq, callback, args = heappop(queue)
+                item = at, callback, args
+            self._timer_bound = min(bound, horizon + 1,
+                                    due[0][0] if due else _NEVER)
+            if item is not None or queue or horizon != _NEVER:
+                return item
 
     def stop(self) -> None:
-        """Stop the run loop after the current event finishes."""
+        """Stop the run loop after the current event finishes.
+
+        Dropping the timer bound below every event time sends the next
+        event down the run loop's slow path, which is where the flag is
+        looked at; the first sweep of the next run restores the bound.
+        """
         self._stopped = True
+        self._timer_bound = -1
 
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Run events in time order.
@@ -310,7 +412,19 @@ class Engine:
             max_events: safety valve; stop after this many events.
 
         Returns:
-            The simulation time when the run loop exited.
+            The simulation time when the run loop exited.  With
+            ``until`` that is ``until`` itself unless :meth:`stop` or
+            ``max_events`` ended the run with something still pending.
+
+        The fast path is one comparison per event: pop the calendar
+        head and, if it is earlier than the timer bound, it precedes
+        every live timer — set the clock and call it.  Everything else
+        happens only when that test fails: the event is pushed back
+        (its ``(time, seq)`` key is unique, so the heap order is
+        restored exactly) and :meth:`_pop_next` merges calendar and
+        timers.  ``stop()`` and ``until`` fail the test by lowering the
+        bound, and ``max_events`` is the length of the loop's range, so
+        none of the three costs anything per event.
 
         Automatic garbage collection is paused while the loop runs (and
         restored on exit): per-event garbage — calendar tuples, expired
@@ -323,110 +437,44 @@ class Engine:
         # Bind the loop's hot names to locals: each lookup saved here is
         # saved once per simulated event.
         queue = self._queue
-        due = self._due
         heappop = heapq.heappop
+        heappush = heapq.heappush
+        horizon = _NEVER if until is None else until
         processed = self._events_processed
-        processed_limit = None
-        if max_events is not None:
-            processed_limit = processed + max_events
-        exhausted = False
+        budget_end = _NEVER if max_events is None else processed + max_events
+        drained = False
+        if self._timer_bound > horizon:
+            self._timer_bound = horizon + 1
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            heappush = heapq.heappush
-            while not self._stopped:
+            # One iteration per executed event; ``processed`` counts
+            # the events executed before the current one.
+            for processed in range(processed, budget_end):
                 if queue:
-                    # Fast path: pop optimistically; nothing on the due
-                    # list and every live timer provably fires after the
-                    # heap head (``_timer_bound`` is a lower bound), so
-                    # the head event runs without consulting the wheel.
-                    # The rare slow path pushes the event back — its
-                    # (time, seq) key is unique, so the heap order is
-                    # restored exactly.
                     head = heappop(queue)
                     at = head[0]
-                    if not due and (not self._live_timers
-                                    or self._timer_bound > at):
-                        if until is not None and at > until:
-                            heappush(queue, head)
-                            self._now = until
-                            self._events_processed = processed
-                            return until
+                    if at < self._timer_bound:
                         self._now = at
                         head[2](*head[3])
-                        processed += 1
-                        if processed_limit is not None \
-                                and processed >= processed_limit:
-                            break
                         continue
                     heappush(queue, head)
-                    head = queue[0]
-                else:
-                    head = None
-                if self._live_timers or due:
-                    # Make every timer that must fire before (or tied
-                    # after) the heap head visible on the due list, then
-                    # pick the earlier of the two by the shared
-                    # (time, seq) key.
-                    sweep_limit = head[0] + 1 if head is not None else (
-                        until + 1 if until is not None
-                        else self._timer_bound + _WHEEL_SLOT_NS)
-                    if not due and self._timer_bound < sweep_limit:
-                        self._sweep_wheel(sweep_limit)
-                        while due and not due[0].alive:
-                            heappop(due)
-                    if due:
-                        timer = due[0]
-                        if not timer.alive:
-                            heappop(due)
-                            continue
-                        if head is None or (timer.deadline, timer.seq) < head[:2]:
-                            at = timer.deadline
-                            if until is not None and at > until:
-                                self._now = until
-                                self._events_processed = processed
-                                return until
-                            heappop(due)
-                            timer.alive = False
-                            self._live_timers -= 1
-                            self._now = at
-                            timer.callback(*timer.args)
-                            processed += 1
-                            if processed_limit is not None \
-                                    and processed >= processed_limit:
-                                break
-                            continue
-                if head is None:
-                    if self._live_timers and until is None:
-                        # Heap empty and nothing due within the swept
-                        # window, but live timers remain in later wheel
-                        # revolutions.  Keep sweeping forward — the
-                        # timer bound advances monotonically each pass,
-                        # so the earliest timer comes due in finitely
-                        # many sweeps.  (With `until` set this cannot
-                        # happen: the sweep to `until + 1` visits every
-                        # bucket, so an empty due list proves all
-                        # remaining timers are later than `until`.)
-                        continue
-                    exhausted = True
+                if self._stopped:
                     break
-                at = head[0]
-                if until is not None and at > until:
-                    self._now = until
-                    self._events_processed = processed
-                    return until
-                _at, _seq, callback, args = heappop(queue)
-                self._now = at
-                callback(*args)
-                processed += 1
-                if processed_limit is not None and processed >= processed_limit:
+                item = self._pop_next(horizon)
+                if item is None:
+                    drained = True
                     break
+                self._now = item[0]
+                item[1](*item[2])
+            else:
+                processed = budget_end
         finally:
+            self._events_processed = processed
             if gc_was_enabled:
                 gc.enable()
-        self._events_processed = processed
         if until is not None and self._now < until \
-                and (exhausted or (not queue and not due and not self._live_timers)):
+                and (drained or not self.pending_events):
             self._now = until
         return self._now

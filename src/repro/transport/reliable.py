@@ -186,9 +186,13 @@ class ReliableSender:
 
     # ------------------------------------------------------------------
     def _arm_timer(self) -> None:
-        # Re-arming cancels the previous timer in O(1); the dead entry
-        # is discarded in bulk when its wheel bucket is swept instead of
-        # churning through the main event heap.
+        # Re-arming cancels the previous timer in O(1) and parks the
+        # new one further out.  Neither moves the engine's timer bound
+        # (the new deadline lies past it, a cancel never raises it),
+        # so the run loop stays on its fast path; the dead timer is
+        # dropped the next time a sweep reaches its bucket, which
+        # happens once per wheel slot the clock crosses, not once per
+        # event.
         engine = self.engine
         engine.cancel_timer(self._timer)
         self._timer = engine.schedule_timer(self.rto_ns, self._on_timeout,

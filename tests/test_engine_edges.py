@@ -1,14 +1,30 @@
 """Edge cases of the engine run loop and the hashed timer wheel.
 
-The run loop has a pop-first fast path (events run without consulting
-the wheel while no timer can be due) plus slow paths for the ``until``
-horizon, ``stop()``, ``max_events`` and timer interleaving.  These
-tests pin the semantics at the seams between those paths.
+The run loop has a pop-first fast path (an event earlier than the timer
+bound runs without consulting the wheel) and one slow path that merges
+calendar and timers and is where the ``until`` horizon, ``stop()`` and
+``max_events`` end a run.  These tests pin the semantics at the seams
+between the two, and the bound arithmetic that decides which one an
+event takes.
 """
 
 import pytest
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import _WHEEL_SLOT_NS, Engine, SimulationError
+
+#: One wheel slot, in ns.
+S = _WHEEL_SLOT_NS
+
+
+class CountingEngine(Engine):
+    """Counts wheel sweeps, i.e. how often the run loop left its fast path
+    for a reason other than the end of the run."""
+
+    sweeps = 0
+
+    def _sweep_wheel(self, limit):
+        self.sweeps += 1
+        return super()._sweep_wheel(limit)
 
 
 # ----------------------------------------------------------------------
@@ -225,3 +241,100 @@ def test_pending_events_counts_calendar_and_timers():
     assert engine.pending_events == 1
     engine.run()
     assert engine.pending_events == 0
+
+
+# ----------------------------------------------------------------------
+# timer bound: true (no late timer) and tight (no per-event sweeps)
+# ----------------------------------------------------------------------
+
+def test_timer_in_unswept_bucket_is_not_overtaken_by_a_later_revolution():
+    # The sweep for ev3 visits buckets 0..3.  Bucket 2 holds A, a timer
+    # of the *next* revolution (slot 514 = 2 mod 512); B sits in bucket
+    # 5, not yet visited.  Taking A as the new bound would let ev6..ev8
+    # run before B and then fire B with the clock going backwards.
+    engine = Engine()
+    fired = []
+
+    def record(name):
+        fired.append((name, engine.now))
+
+    decoy = engine.schedule_timer(1 * S, record, "C")
+    engine.schedule_timer(514 * S + 5, record, "A")
+    engine.schedule_timer(5 * S + 5, record, "B")
+    engine.cancel_timer(decoy)
+    for slot in (3, 6, 7, 8):
+        engine.schedule(slot * S + 10, record, f"ev{slot}")
+    engine.run()
+    assert [name for name, _ in fired] == ["ev3", "B", "ev6", "ev7", "ev8", "A"]
+    times = [now for _, now in fired]
+    assert times == sorted(times)
+    assert times[1] == 5 * S + 5
+
+
+def test_parked_timer_costs_sweeps_per_slot_not_per_event():
+    # The RTO re-arm shape: the early timer that set the bound is
+    # cancelled, the live one is parked three slots ahead, and 1 000
+    # calendar events run before it.  An empty swept window must push
+    # the bound to the next slot, not merely past the current event.
+    engine = CountingEngine()
+    fired = []
+    engine.schedule_timer(3 * S + 500, fired.append, "rto")
+    engine.cancel_timer(engine.schedule_timer(10, fired.append, "early"))
+    step = (3 * S) // 1_000
+    for i in range(1_000):
+        engine.schedule(20 + i * step, fired.append, i)
+    engine.schedule(4 * S, fired.append, "after")
+    engine.run()
+    assert fired == [*range(1_000), "rto", "after"]
+    assert engine.events_processed == 1_002
+    # One sweep per slot crossed plus a couple around the firing.
+    assert engine.sweeps <= 8
+
+
+def test_timerless_run_never_sweeps():
+    engine = CountingEngine()
+    for i in range(100):
+        engine.schedule(i * S, lambda: None)
+    engine.run()
+    assert engine.sweeps == 0
+
+
+def test_stop_from_the_fast_path_then_resume_keeps_timer_order():
+    # stop() works by lowering the timer bound; the next run must
+    # restore a true bound rather than trust the lowered one or the
+    # one it replaced.
+    engine = Engine()
+    fired = []
+    engine.schedule_timer(2 * S, fired.append, "timer")
+    engine.schedule(10, lambda: (fired.append("a"), engine.stop()))
+    engine.schedule(3 * S, fired.append, "b")
+    assert engine.run() == 10
+    assert fired == ["a"]
+    assert engine.run() == 3 * S
+    assert fired == ["a", "timer", "b"]
+
+
+# ----------------------------------------------------------------------
+# iter_pending: the calendar as (time, callback, args), layout-free
+# ----------------------------------------------------------------------
+
+def test_iter_pending_lists_events_and_live_timers_wherever_they_sit():
+    engine = Engine(wheel_slots=4)
+    sink = []
+    engine.schedule(3 * S, sink.append, "event")
+    engine.schedule_timer(2 * S, sink.append, "near")
+    engine.schedule_timer(9 * S, sink.append, "next-revolution")
+    engine.cancel_timer(engine.schedule_timer(S, sink.append, "dead"))
+    expected = [(2 * S, sink.append, ("near",)),
+                (3 * S, sink.append, ("event",)),
+                (9 * S, sink.append, ("next-revolution",))]
+    assert sorted(engine.iter_pending(), key=lambda item: item[0]) == expected
+
+    # Mid-run the 2*S-tied timer below has been swept to the due heap
+    # while the first one fires; it must still be listed.
+    seen = []
+    engine.schedule_timer(2 * S, lambda: seen.extend(engine.iter_pending()))
+    engine.run(until=2 * S)
+    assert sorted(item[0] for item in seen) == [3 * S, 9 * S]
+    assert sink == ["near"]
+    assert len(list(engine.iter_pending())) == engine.pending_events == 2

@@ -16,6 +16,7 @@ import pytest
 from repro.experiments.parallel import ExperimentJob
 from repro.experiments.runcache import (
     RunCache,
+    _flow_tuple_digest,
     canonical_items,
     default_cache,
     flows_digest,
@@ -117,6 +118,17 @@ def test_job_key_matches_run_key():
 def test_flows_digest_is_content_addressed():
     assert flows_digest(_flows()) == flows_digest(list(_flows()))
     assert flows_digest(_flows()) != flows_digest(_flows(seed_shift=2))
+
+
+def test_flows_digest_memo_returns_the_unmemoized_digest():
+    # A sweep keys every grid point off the same flows; the repeats
+    # must be memo hits, and a hit must equal a fresh computation.
+    flows = _flows()
+    _flow_tuple_digest.cache_clear()
+    first = flows_digest(flows)
+    assert flows_digest(list(flows)) == first
+    assert _flow_tuple_digest.cache_info().hits == 1
+    assert first == _flow_tuple_digest.__wrapped__(flows)
 
 
 def test_freeze_thaw_round_trip():
