@@ -161,12 +161,12 @@ def test_sweep_orchestration(benchmark, tmp_path):
     The pytest-benchmark statistic (and the BENCH_sim.json budget)
     covers the *warm replay* — the everyday "re-print the figure" path
     that the run cache turns into disk reads.  The cold sequential and
-    cold parallel passes are measured once each via repro.perf and
-    compared as speedup assertions: warm must beat cold by >= 5x, and
-    4-worker cold must beat sequential by >= 2x on machines that
-    actually have multiple cores (process pools cannot beat sequential
-    on a 1-CPU box, so that check is gated on os.cpu_count()).  All
-    three paths must produce byte-identical rows.
+    cold 2- and 4-worker passes are measured once each via repro.perf
+    and compared as speedup assertions: warm must beat cold by >= 5x,
+    and a pool must beat sequential by the floor BENCH_sim.json derives
+    from its measured runs, which scales with the workers that have a
+    core to run on (:func:`_parallel_speedup_floor`).  All paths must
+    produce byte-identical rows.
     """
     spec = FatTreeSpec(pods=2, racks_per_pod=2, servers_per_rack=2,
                        spines_per_pod=2, num_cores=2,
@@ -180,8 +180,9 @@ def test_sweep_orchestration(benchmark, tmp_path):
 
     cold_rows, cold_ns = timed_call(
         cache_size_sweep, workers=0, cache=None, **sweep_kwargs)
-    parallel_rows, parallel_ns = timed_call(
-        cache_size_sweep, workers=4, cache=None, **sweep_kwargs)
+    parallel = {workers: timed_call(cache_size_sweep, workers=workers,
+                                    cache=None, **sweep_kwargs)
+                for workers in (2, 4)}
 
     prime_store = RunCache(tmp_path)
     primed_rows = cache_size_sweep(workers=0, cache=prime_store,
@@ -197,7 +198,8 @@ def test_sweep_orchestration(benchmark, tmp_path):
     warm_rows = benchmark.pedantic(warm_replay, rounds=3, iterations=1)
 
     fingerprint = _row_fingerprint(cold_rows)
-    assert _row_fingerprint(parallel_rows) == fingerprint
+    for parallel_rows, _ in parallel.values():
+        assert _row_fingerprint(parallel_rows) == fingerprint
     assert _row_fingerprint(primed_rows) == fingerprint
     assert _row_fingerprint(warm_rows) == fingerprint
 
@@ -205,9 +207,25 @@ def test_sweep_orchestration(benchmark, tmp_path):
     if stats is not None:  # absent under --benchmark-disable
         warm_ns = stats.stats.min * 1e9
         _check_speedup("warm cache replay", cold_ns / warm_ns, 5.0)
-    if (os.cpu_count() or 1) >= 2:
-        _check_speedup("4-worker parallel sweep", cold_ns / parallel_ns, 2.0)
+    for workers, (_, parallel_ns) in parallel.items():
+        _check_speedup(f"{workers}-worker parallel sweep",
+                       cold_ns / parallel_ns, _parallel_speedup_floor(workers))
     _check_budget(benchmark, "test_sweep_orchestration")
+
+
+def _parallel_speedup_floor(workers: int) -> float:
+    """Advisory floor for a cold pool run's speed-up over sequential.
+
+    Workers beyond the cores only add fork cost, so what counts is
+    ``min(workers, os.cpu_count())``; BENCH_sim.json holds the speed-up
+    asked of each such worker, set from its measured 2- and 4-worker
+    runs on 2 vCPUs.  On one core the floor is below 1: a pool cannot
+    win there, it must only not cost much.
+    """
+    entry = json.loads(BASELINE_PATH.read_text())["benchmarks"][
+        "test_sweep_orchestration"]
+    effective = min(workers, os.cpu_count() or 1)
+    return entry["parallel_speedup_floor_per_effective_worker"] * effective
 
 
 def _check_speedup(label: str, speedup: float, floor: float) -> None:
@@ -215,7 +233,7 @@ def _check_speedup(label: str, speedup: float, floor: float) -> None:
     if speedup >= floor:
         return
     message = (f"{label}: observed speedup {speedup:.2f}x is below the "
-               f"{floor:.1f}x floor")
+               f"{floor:.2f}x floor")
     if os.environ.get("REPRO_BENCH_ENFORCE") == "1":
         raise AssertionError(message)
     warnings.warn(message, stacklevel=2)

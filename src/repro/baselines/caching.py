@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.baselines.base import TranslationScheme
-from repro.cache.direct_mapped import DirectMappedCache, InsertResult
+from repro.cache.direct_mapped import DirectMappedCache
 from repro.net.packet import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -120,6 +120,26 @@ class CachingScheme(TranslationScheme):
         self.caches[switch.switch_id] = fresh
 
     # ------------------------------------------------------------------
+    # switch hook
+    # ------------------------------------------------------------------
+    def on_switch(self, switch: Switch, packet: Packet, ingress) -> bool:
+        """Default data plane: serve a lookup, else learn the destination.
+
+        A switch this scheme gave no cache is a plain forwarder, which
+        is most hops of a scheme that caches on few switches (GwCache:
+        4 of FT8's 80), so that case returns before any other call.
+        Otherwise an unresolved data/ack packet is looked up, and a
+        packet something upstream resolved (a gateway, an earlier hit)
+        teaches this cache its ``dst VIP -> outer dst`` mapping.
+        """
+        cache = self.caches.get(switch.switch_id)
+        if cache is None or not self.is_traffic(packet):
+            return True
+        if not self.try_resolve(switch, packet, cache) and packet.resolved:
+            cache.insert(packet.dst_vip, packet.outer_dst)
+        return True
+
+    # ------------------------------------------------------------------
     # data-plane building blocks
     # ------------------------------------------------------------------
     #: Sentinel distinguishing "not passed" from "switch has no cache".
@@ -166,24 +186,6 @@ class CachingScheme(TranslationScheme):
         self.network.collector.record_hit(
             switch.layer, packet.kind is PacketKind.DATA and packet.seq == 0)
         return True
-
-    def learn_destination(self, switch: Switch, packet: Packet,
-                          only_if_clear: bool = False) -> InsertResult | None:
-        """Destination learning: cache (dst VIP -> outer dst) if resolved."""
-        if not packet.resolved:
-            return None
-        cache = self.cache_of(switch)
-        if cache is None:
-            return None
-        return cache.insert(packet.dst_vip, packet.outer_dst, only_if_clear)
-
-    def learn_source(self, switch: Switch, packet: Packet,
-                     only_if_clear: bool = False) -> InsertResult | None:
-        """Source learning: cache (src VIP -> outer src); always valid."""
-        cache = self.cache_of(switch)
-        if cache is None:
-            return None
-        return cache.insert(packet.src_vip, packet.outer_src, only_if_clear)
 
     def is_traffic(self, packet: Packet) -> bool:
         """Data-plane traffic that carries learnable headers."""

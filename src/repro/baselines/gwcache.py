@@ -12,7 +12,6 @@ cache hit rate").
 from __future__ import annotations
 
 from repro.baselines.caching import CachingScheme
-from repro.net.packet import Packet
 from repro.vnet.network import VirtualNetwork
 
 
@@ -23,11 +22,3 @@ class GwCache(CachingScheme):
 
     def caching_switch_ids(self, network: VirtualNetwork):
         return sorted(network.fabric.gateway_tor_ids())
-
-    def on_switch(self, switch, packet: Packet, ingress) -> bool:
-        if not self.is_traffic(packet):
-            return True
-        if self.try_resolve(switch, packet):
-            return True
-        self.learn_destination(switch, packet)
-        return True

@@ -10,18 +10,9 @@ never traverse, and ToRs thrash under admit-all pressure.
 from __future__ import annotations
 
 from repro.baselines.caching import CachingScheme
-from repro.net.packet import Packet
 
 
 class LocalLearning(CachingScheme):
     """Greedy destination learning with admit-all on every switch."""
 
     name = "LocalLearning"
-
-    def on_switch(self, switch, packet: Packet, ingress) -> bool:
-        if not self.is_traffic(packet):
-            return True
-        if self.try_resolve(switch, packet):
-            return True
-        self.learn_destination(switch, packet)
-        return True

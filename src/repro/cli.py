@@ -166,9 +166,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         print(render_table(["scheme"] + [f"pod{p + 1}" for p in range(pods)]
                            + ["stretch"], table))
     elif artifact == "fig9":
-        _print_sweep(figure9(scale))
+        _print_sweep(figure9(scale, workers=workers, progress=progress))
     elif artifact == "fig10":
-        _print_sweep(figure10(scale))
+        _print_sweep(figure10(scale, workers=workers, progress=progress))
     elif artifact == "table5":
         rows = table5(scale, cache_ratio=4.0)
         table = [[r.trace] + [f"{r.total[layer]:.1%}" for layer in Layer]

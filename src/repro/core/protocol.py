@@ -248,8 +248,8 @@ class SwitchV2P(CachingScheme):
         # packet option fields are read through their private slots
         # (the properties exist for their setters' wire-size
         # invalidation), and the Table 1 learning policies are inlined
-        # here instead of dispatching through learn_destination()/
-        # learn_source() — same semantics, a third of the calls.
+        # here instead of dispatching through per-policy helpers — a
+        # third of the calls.
         kind = packet.kind
         if kind > _ACK:
             if kind is _LEARNING:

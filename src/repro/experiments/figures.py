@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.experiments.parallel import ExperimentJob
 from repro.experiments.runner import RunResult, run_experiment
 from repro.experiments.sweeps import (
     SweepRow,
     cache_size_sweep,
     gateway_count_sweep,
+    run_sweep_jobs,
     topology_scale_sweep,
 )
 from repro.net.node import Layer
@@ -213,7 +215,8 @@ def figure9(scale: FigureScale | None = None, cache_ratio: float = 8.0,
             gateways_per_pod: tuple[int, ...] = (10, 5, 2, 1),
             schemes: tuple[str, ...] = ("SwitchV2P", "GwCache",
                                         "LocalLearning", "NoCache"),
-            ) -> list[SweepRow]:
+            workers: int | None = None, cache="auto",
+            progress=None) -> list[SweepRow]:
     """FCT / first-packet latency as gateways shrink 40 -> 4."""
     scale = scale or FigureScale()
 
@@ -223,7 +226,8 @@ def figure9(scale: FigureScale | None = None, cache_ratio: float = 8.0,
 
     return gateway_count_sweep(
         ft8_spec(), trace_factory, scale.num_vms, gateways_per_pod, schemes,
-        cache_ratio, seed=scale.seed, trace_name="hadoop")
+        cache_ratio, seed=scale.seed, trace_name="hadoop",
+        workers=workers, cache=cache, progress=progress)
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +237,8 @@ def figure10(scale: FigureScale | None = None, cache_ratio: float = 8.0,
              pods_values: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
              schemes: tuple[str, ...] = ("SwitchV2P", "GwCache",
                                          "LocalLearning"),
-             ) -> list[SweepRow]:
+             workers: int | None = None, cache="auto",
+             progress=None) -> list[SweepRow]:
     """FCT improvement across pod counts at constant server count."""
     scale = scale or FigureScale()
 
@@ -244,7 +249,8 @@ def figure10(scale: FigureScale | None = None, cache_ratio: float = 8.0,
     return topology_scale_sweep(
         pods_values, total_servers=128, racks_per_pod=4,
         trace_factory=trace_factory, num_vms=scale.num_vms, schemes=schemes,
-        cache_ratio=cache_ratio, seed=scale.seed, trace_name="hadoop")
+        cache_ratio=cache_ratio, seed=scale.seed, trace_name="hadoop",
+        workers=workers, cache=cache, progress=progress)
 
 
 # ----------------------------------------------------------------------
@@ -293,31 +299,26 @@ def appendix_controller(scale: FigureScale | None = None,
     """Controller-vs-SwitchV2P on WebSearch across cache sizes."""
     scale = scale or FigureScale()
     tspec = trace_spec_for("websearch", scale)
-    flows, num_vms = tspec.materialize(), tspec.num_vms
-    schemes = ["SwitchV2P"] + [f"Controller@{p}us" for p in periods_us]
-    scheme_kwargs = {
-        f"Controller@{p}us": {"period_ns": p * 1000} for p in periods_us
-    }
-    transport = _transport_for("websearch", scale)
-    baseline = run_experiment(ft8_spec(), "NoCache", flows, num_vms, 0.0,
-                              scale.seed, transport=transport,
-                              trace_name="websearch", cache=cache)
-    from repro.experiments.parallel import (
-        ExperimentJob,
-        parallel_run_experiments,
-    )
-    from repro.experiments.sweeps import _normalized_row
-    jobs, labels = [], []
-    for ratio in scale.ratios:
-        for scheme in schemes:
-            actual = "Controller" if scheme.startswith("Controller") else scheme
-            jobs.append(ExperimentJob(
-                spec=ft8_spec(), scheme_name=actual, trace=tspec,
-                num_vms=num_vms, cache_ratio=ratio, seed=scale.seed,
-                transport=transport, trace_name="websearch",
-                scheme_kwargs=scheme_kwargs.get(scheme) or {}))
-            labels.append((ratio, scheme))
-    results = parallel_run_experiments(jobs, workers=workers, cache=cache,
-                                       progress=progress)
-    return [_normalized_row(replace(result, scheme=scheme), baseline, ratio)
-            for (ratio, scheme), result in zip(labels, results)]
+
+    #: Row label -> (scheme, scheme kwargs): Controller once per period.
+    variants: dict[str, tuple[str, dict]] = {"SwitchV2P": ("SwitchV2P", {})}
+    for period_us in periods_us:
+        variants[f"Controller@{period_us}us"] = (
+            "Controller", {"period_ns": period_us * 1000})
+
+    def job(scheme: str, ratio: float, scheme_kwargs: dict) -> ExperimentJob:
+        return ExperimentJob(
+            spec=ft8_spec(), scheme_name=scheme, trace=tspec,
+            num_vms=tspec.num_vms, cache_ratio=ratio, seed=scale.seed,
+            transport=_transport_for("websearch", scale),
+            trace_name="websearch", scheme_kwargs=scheme_kwargs)
+
+    points = [(ratio, job(scheme, ratio, scheme_kwargs), 0)
+              for ratio in scale.ratios
+              for scheme, scheme_kwargs in variants.values()]
+    rows = run_sweep_jobs([job("NoCache", 0.0, {})], points, workers=workers,
+                          cache=cache, progress=progress)
+    labels = list(variants) * len(scale.ratios)
+    return [replace(row, scheme=label,
+                    result=replace(row.result, scheme=label))
+            for row, label in zip(rows, labels)]

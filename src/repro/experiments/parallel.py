@@ -1,10 +1,11 @@
 """Streaming parallel execution of independent experiment runs.
 
-Cache-size sweeps are embarrassingly parallel: every (scheme, ratio)
-point is an independent simulation.  This module fans runs out over a
-process pool while preserving determinism — each run's inputs are
-explicit and self-contained, so results are bit-identical to sequential
-execution regardless of completion order.
+Sweeps are embarrassingly parallel: the reference run and every grid
+point are independent simulations.  A sweep hands this module *all* of
+them as one flat job list; the runs fan out over a process pool while
+preserving determinism — each run's inputs are explicit and
+self-contained, so results are bit-identical to sequential execution
+regardless of completion order.
 
 Design points of the orchestrator:
 
@@ -13,15 +14,22 @@ Design points of the orchestrator:
   seed, a few hundred bytes) instead of a materialized
   ``tuple[FlowSpec, ...]``; the worker regenerates the flows locally
   and deterministically (:mod:`repro.sim.randomness`).
+* **One simulation per distinct job** — jobs are hashable, so a job
+  listed twice (NoCache as both the reference and a scheme of Figure 9)
+  is simulated once and both positions share the one ``RunResult``.
 * **Result memoization** — before dispatch, every job is looked up in
   the content-addressed run cache
   (:mod:`repro.experiments.runcache`); hits never reach the pool, and
   completed misses are stored by the parent, making sweeps resumable.
-* **Streaming dispatch** — jobs are submitted in chunks and collected
-  ``imap_unordered``-style as they finish, with deterministic
-  reassembly by job index; a ``progress`` callback fires on every
-  completion and per-job wall-clock times feed a
+* **Streaming dispatch** — one job per pool task (a payload pickles in
+  about a millisecond against hundreds of simulation), at most
+  ``workers`` in the pool at a time, collected as they finish with
+  deterministic reassembly by job index; a ``progress`` callback fires
+  on every completion and per-job wall-clock times feed a
   :class:`repro.perf.PhaseTimer` under the ``"jobs"`` phase.
+* **Loud failure** — a job that raises stops the run: nothing further
+  is dispatched and the error names the job
+  (:class:`ExperimentJobError`).
 
 Worker count: pass ``workers=`` explicitly (the CLI threads its
 ``--workers`` flag through); the ``REPRO_PARALLEL`` environment
@@ -32,8 +40,14 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
+from dataclasses import dataclass, fields
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro.experiments.runcache import (
@@ -99,6 +113,15 @@ class ExperimentJob:
         if self.num_vms <= 0:
             raise ValueError("ExperimentJob.num_vms must be positive")
 
+    def __hash__(self) -> int:
+        # The flows' count stands in for their content: the orchestrator
+        # hashes every listed job to find duplicates, and walking a
+        # thousand-flow tuple per job costs as much as replaying the job
+        # from a warm cache.  ``__eq__`` still compares the flows.
+        return hash((len(self.flows or ()),
+                     *(getattr(self, field.name) for field in fields(self)
+                       if field.name != "flows")))
+
     def resolve_flows(self) -> tuple[FlowSpec, ...]:
         """The flow list, regenerating from the trace spec if needed."""
         if self.flows is not None:
@@ -109,31 +132,39 @@ class ExperimentJob:
         """The canonical kwargs back as a plain dict for the factory."""
         return kwargs_dict(self.scheme_kwargs)
 
+    def describe(self) -> str:
+        """What a failure report calls this job."""
+        trace = self.trace_name or (
+            self.trace.name if self.trace is not None else "unnamed")
+        return (f"{self.scheme_name} (cache ratio {self.cache_ratio:g}, "
+                f"trace {trace}, seed {self.seed})")
+
+
+class ExperimentJobError(RuntimeError):
+    """A job raised while simulating; the message names the job."""
+
 
 def _execute_job(job: ExperimentJob) -> tuple[RunResult, int]:
-    """Run one job; returns (result, wall_ns).
+    """Run one job (the pool's task); returns (result, wall_ns).
 
     The inner run bypasses the run cache (``cache=None``): the
     orchestrating parent already resolved hits and is the single
     writer, so workers never race on the store.
     """
-    return timed_call(
-        run_experiment,
-        job.spec, job.scheme_name, job.resolve_flows(), job.num_vms,
-        job.cache_ratio, job.seed, job.transport, job.horizon_ns,
-        keep_network=False, trace_name=job.trace_name,
-        scheme_kwargs=job.scheme_kwargs_dict() or None, cache=None,
-        fidelity=job.fidelity)
-
-
-def _run_chunk(items: list[tuple[int, ExperimentJob]]
-               ) -> list[tuple[int, RunResult, int]]:
-    """Worker entry point: run a chunk, tagging results by job index."""
-    out = []
-    for index, job in items:
-        result, wall_ns = _execute_job(job)
-        out.append((index, result, wall_ns))
-    return out
+    try:
+        return timed_call(
+            run_experiment,
+            job.spec, job.scheme_name, job.resolve_flows(), job.num_vms,
+            job.cache_ratio, job.seed, job.transport, job.horizon_ns,
+            keep_network=False, trace_name=job.trace_name,
+            scheme_kwargs=job.scheme_kwargs_dict() or None, cache=None,
+            fidelity=job.fidelity)
+    except Exception as exc:
+        # Re-raised with the job's name: across the pool boundary the
+        # original arrives without it, and a sweep has dozens of jobs.
+        raise ExperimentJobError(
+            f"job {job.describe()} failed: "
+            f"{type(exc).__name__}: {exc}") from exc
 
 
 def default_workers() -> int:
@@ -151,19 +182,8 @@ def default_workers() -> int:
             f"REPRO_PARALLEL={value!r} is not an integer") from None
 
 
-def default_chunksize(pending: int, workers: int) -> int:
-    """Jobs per pool task: amortize pickling without starving the pool.
-
-    Aim for ~4 tasks per worker so completion streaming stays granular,
-    capped at 8 jobs per task so one straggler chunk cannot serialize a
-    large tail.
-    """
-    return max(1, min(8, -(-pending // (workers * 4))))
-
-
 def parallel_run_experiments(jobs: Sequence[ExperimentJob],
                              workers: int | None = None, *,
-                             chunksize: int | None = None,
                              cache="auto",
                              progress: ProgressFn | None = None,
                              perf: PhaseTimer | None = None,
@@ -172,32 +192,39 @@ def parallel_run_experiments(jobs: Sequence[ExperimentJob],
 
     Results are returned in job order regardless of completion order,
     and are bit-identical to sequential execution (simulations are
-    deterministic given their explicit inputs).
+    deterministic given their explicit inputs).  Equal jobs are one
+    simulation: their positions hold the same ``RunResult`` object, and
+    ``progress``/``perf`` count distinct jobs.
 
     Args:
         workers: process count; ``None`` falls back to
             :func:`default_workers` (the ``REPRO_PARALLEL`` variable),
             and ``0``/``1`` runs inline.
-        chunksize: jobs per pool task (default
-            :func:`default_chunksize`).
         cache: a :class:`~repro.experiments.runcache.RunCache`,
             ``None`` to disable memoization, or ``"auto"`` (default)
             for the environment-configured store.
         progress: ``progress(done, total, cached)`` per resolved job.
         perf: optional :class:`~repro.perf.PhaseTimer`; each job's
             wall-clock time accumulates under the ``"jobs"`` phase.
+
+    Raises:
+        ExperimentJobError: a job raised.  Jobs not yet started are
+            dropped; with a pool, the up to ``workers - 1`` jobs already
+            running finish first.
     """
-    jobs = list(jobs)
-    total = len(jobs)
     if workers is None:
         workers = default_workers()
     store = resolve_cache(cache)
-    results: list[RunResult | None] = [None] * total
-    keys: list[str | None] = [None] * total
+    slot_of: dict[ExperimentJob, int] = {}
+    slots = [slot_of.setdefault(job, len(slot_of)) for job in jobs]
+    distinct = list(slot_of)
+    total = len(distinct)
+    results: dict[int, RunResult] = {}
+    keys: dict[int, str] = {}
     done = 0
 
     if store is not None:
-        for index, job in enumerate(jobs):
+        for index, job in enumerate(distinct):
             keys[index] = job_key(job)
             hit = store.get(keys[index])
             if hit is not None:
@@ -206,7 +233,7 @@ def parallel_run_experiments(jobs: Sequence[ExperimentJob],
                 if progress is not None:
                     progress(done, total, True)
 
-    pending = [index for index in range(total) if results[index] is None]
+    pending = [index for index in range(total) if index not in results]
 
     def record(index: int, result: RunResult, wall_ns: int) -> None:
         nonlocal done
@@ -221,19 +248,30 @@ def parallel_run_experiments(jobs: Sequence[ExperimentJob],
 
     if workers <= 1 or len(pending) <= 1:
         for index in pending:
-            result, wall_ns = _execute_job(jobs[index])
-            record(index, result, wall_ns)
-        return results
+            record(index, *_execute_job(distinct[index]))
+    else:
+        # At most `workers` jobs are in the pool at a time, so a failure
+        # leaves nothing queued behind it: shutdown drops the rest and
+        # waits only for the jobs the other workers are already running.
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
+        running: dict[Future, int] = {}
+        waiting = iter(pending)
 
-    if chunksize is None:
-        chunksize = default_chunksize(len(pending), workers)
-    chunks = [pending[i:i + chunksize]
-              for i in range(0, len(pending), chunksize)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_chunk,
-                               [(index, jobs[index]) for index in chunk])
-                   for chunk in chunks]
-        for future in as_completed(futures):
-            for index, result, wall_ns in future.result():
-                record(index, result, wall_ns)
-    return results
+        def submit(index: int) -> None:
+            running[pool.submit(_execute_job, distinct[index])] = index
+
+        try:
+            for index in islice(waiting, workers):
+                submit(index)
+            while running:
+                finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    index = running.pop(future)
+                    outcome = future.result()
+                    following = next(waiting, None)
+                    if following is not None:
+                        submit(following)
+                    record(index, *outcome)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [results[slot] for slot in slots]

@@ -3,18 +3,34 @@
 These implement the x-axes of the paper's figures.  Results are
 normalized against the NoCache baseline run with identical trace and
 topology, exactly as the paper normalizes Figures 5/6/9/10.
+
+A sweep never simulates anything itself.  It describes every run it
+needs — the NoCache reference(s) and each grid point — as an
+:class:`~repro.experiments.parallel.ExperimentJob`, hands them to
+:func:`~repro.experiments.parallel.parallel_run_experiments` as one
+flat list (references first) and normalizes once the results are back
+(:func:`run_sweep_jobs`).  So every sweep honours ``workers=``,
+``cache=`` and ``progress=`` for *all* of its simulations, and a run
+that several rows need (NoCache at every cache size, or as both
+reference and scheme) is listed per row but simulated once, its rows
+sharing the one ``RunResult``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.experiments.runner import RunResult, run_experiment
+from repro.experiments.parallel import ExperimentJob, parallel_run_experiments
+from repro.experiments.runner import RunResult
 from repro.metrics.reporting import improvement
 from repro.net.topology import FatTreeSpec
 from repro.transport.flow import FlowSpec
 from repro.transport.reliable import TransportConfig
+
+#: Schemes without in-switch caches: the cache budget cannot reach
+#: them, so a cache-size sweep runs each at ratio 0 for every size.
+RATIO_INDEPENDENT = ("NoCache", "Direct", "OnDemand")
 
 
 @dataclass
@@ -31,6 +47,33 @@ class SweepRow:
     def as_row(self) -> list:
         return [self.scheme, self.x_value, self.hit_rate,
                 self.fct_improvement, self.first_packet_improvement]
+
+
+def run_sweep_jobs(
+    references: Sequence[ExperimentJob],
+    points: Sequence[tuple[float, ExperimentJob, int]],
+    workers: int | None = None,
+    cache="auto",
+    progress=None,
+    perf=None,
+) -> list[SweepRow]:
+    """Simulate a sweep's jobs as one flat list, then normalize.
+
+    Args:
+        references: the NoCache job(s) rows are normalized against.
+        points: one ``(x_value, job, index into references)`` per row,
+            in row order.
+        workers, cache, progress, perf: as for
+            :func:`~repro.experiments.parallel.parallel_run_experiments`;
+            ``progress`` totals count distinct simulations, references
+            included.
+    """
+    results = parallel_run_experiments(
+        [*references, *(job for _, job, _ in points)],
+        workers=workers, cache=cache, progress=progress, perf=perf)
+    grid = results[len(references):]
+    return [_normalized_row(result, results[reference], x_value)
+            for (x_value, _, reference), result in zip(points, grid)]
 
 
 def cache_size_sweep(
@@ -52,67 +95,38 @@ def cache_size_sweep(
 ) -> list[SweepRow]:
     """The Figure 5/6 sweep: schemes x aggregate cache sizes.
 
-    The NoCache reference is simulated once (its behaviour does not
-    depend on the cache budget) and reused to normalize every point.
+    The NoCache reference normalizes every point.  It and the other
+    :data:`RATIO_INDEPENDENT` schemes behave the same at every cache
+    budget, so each is one simulation whose row is replicated.
 
     Args:
         trace_spec: optional :class:`~repro.traces.spec.TraceSpec`
             describing the same workload as ``flows``; when given,
-            parallel jobs carry the lightweight spec and workers
-            regenerate the flows locally instead of unpickling them.
-        workers: process count for the grid points (``None`` defers to
+            jobs carry the lightweight spec and workers regenerate the
+            flows locally instead of unpickling them.
+        workers: process count for the simulations (``None`` defers to
             the ``REPRO_PARALLEL`` fallback).
         cache: run-cache handle (``"auto"``/``None``/RunCache); a warm
             cache turns the whole sweep into disk reads.
-        progress: ``progress(done, total, cached)`` per grid job.
+        progress: ``progress(done, total, cached)`` per simulation.
         perf: optional :class:`~repro.perf.PhaseTimer` accumulating
             per-job wall-clock under the ``"jobs"`` phase.
     """
-    from repro.experiments.parallel import (
-        ExperimentJob,
-        parallel_run_experiments,
-    )
-
     kwargs_by_scheme = scheme_kwargs or {}
-    baseline = run_experiment(spec, "NoCache", flows, num_vms, 0.0, seed,
-                              transport, horizon_ns, trace_name=trace_name,
-                              cache=cache)
-    # Schemes without in-switch caches produce identical results at
-    # every ratio; simulate them once and replicate the row.
-    ratio_independent = {"NoCache": baseline}
-    for scheme in schemes:
-        if scheme in ("Direct", "OnDemand"):
-            ratio_independent[scheme] = run_experiment(
-                spec, scheme, flows, num_vms, 0.0, seed, transport,
-                horizon_ns, trace_name=trace_name,
-                scheme_kwargs=kwargs_by_scheme.get(scheme), cache=cache)
-
-    # The remaining (scheme, ratio) points are independent simulations;
-    # they run through the streaming parallel executor (sequential
-    # unless `workers` or REPRO_PARALLEL asks otherwise), with cache
-    # hits resolved before anything is dispatched.
     flow_tuple = None if trace_spec is not None else tuple(flows)
-    jobs: list[ExperimentJob] = []
-    grid: list[tuple[float, str]] = []
-    for ratio in ratios:
-        for scheme in schemes:
-            grid.append((ratio, scheme))
-            if scheme not in ratio_independent:
-                jobs.append(ExperimentJob(
-                    spec=spec, scheme_name=scheme, flows=flow_tuple,
-                    num_vms=num_vms, cache_ratio=ratio, seed=seed,
-                    transport=transport, horizon_ns=horizon_ns,
-                    trace_name=trace_name, trace=trace_spec,
-                    scheme_kwargs=kwargs_by_scheme.get(scheme) or {}))
-    job_results = iter(parallel_run_experiments(
-        jobs, workers=workers, cache=cache, progress=progress, perf=perf))
-    rows: list[SweepRow] = []
-    for ratio, scheme in grid:
-        result = ratio_independent.get(scheme)
-        if result is None:
-            result = next(job_results)
-        rows.append(_normalized_row(result, baseline, ratio))
-    return rows
+
+    def job(scheme: str, ratio: float) -> ExperimentJob:
+        return ExperimentJob(
+            spec=spec, scheme_name=scheme, num_vms=num_vms,
+            cache_ratio=0.0 if scheme in RATIO_INDEPENDENT else ratio,
+            seed=seed, transport=transport, horizon_ns=horizon_ns,
+            trace_name=trace_name, flows=flow_tuple, trace=trace_spec,
+            scheme_kwargs=kwargs_by_scheme.get(scheme) or {})
+
+    points = [(ratio, job(scheme, ratio), 0)
+              for ratio in ratios for scheme in schemes]
+    return run_sweep_jobs([job("NoCache", 0.0)], points, workers=workers,
+                          cache=cache, progress=progress, perf=perf)
 
 
 def gateway_count_sweep(
@@ -126,6 +140,8 @@ def gateway_count_sweep(
     trace_name: str = "",
     horizon_ns: int | None = None,
     cache="auto",
+    workers: int | None = None,
+    progress=None,
 ) -> list[SweepRow]:
     """The Figure 9 sweep: vary deployed gateways, fixed cache budget.
 
@@ -137,39 +153,18 @@ def gateway_count_sweep(
     gateway deployment, so the degradation of gateway-bound schemes as
     the fleet shrinks is visible — the comparison Figure 9 makes.
     """
-    rows: list[SweepRow] = []
-    reference: RunResult | None = None
+    references: list[ExperimentJob] = []
+    points: list[tuple[float, ExperimentJob, int]] = []
     for per_pod in gateways_per_pod_values:
-        spec = FatTreeSpec(
-            pods=base_spec.pods,
-            racks_per_pod=base_spec.racks_per_pod,
-            servers_per_rack=base_spec.servers_per_rack,
-            spines_per_pod=base_spec.spines_per_pod,
-            num_cores=base_spec.num_cores,
-            gateway_pods=base_spec.gateway_pods,
-            gateways_per_pod=per_pod,
-            host_link_bps=base_spec.host_link_bps,
-            fabric_link_bps=base_spec.fabric_link_bps,
-            propagation_ns=base_spec.propagation_ns,
-            buffer_bytes=base_spec.buffer_bytes,
-        )
-        flows = trace_factory(spec)
-        num_gateways = spec.num_gateways
-        baseline = run_experiment(spec, "NoCache", flows, num_vms, 0.0, seed,
-                                  horizon_ns=horizon_ns, trace_name=trace_name,
-                                  cache=cache)
-        if reference is None:
-            reference = baseline
-        for scheme in schemes:
-            if scheme == "NoCache":
-                result = baseline
-            else:
-                result = run_experiment(spec, scheme, flows, num_vms,
-                                        cache_ratio, seed,
-                                        horizon_ns=horizon_ns,
-                                        trace_name=trace_name, cache=cache)
-            rows.append(_normalized_row(result, reference, float(num_gateways)))
-    return rows
+        spec = replace(base_spec, gateways_per_pod=per_pod)
+        jobs = _scheme_jobs(spec, trace_factory(spec), num_vms, schemes,
+                            cache_ratio, seed, trace_name, horizon_ns)
+        if not references:
+            references.append(jobs["NoCache"])
+        points.extend((float(spec.num_gateways), jobs[scheme], 0)
+                      for scheme in schemes)
+    return run_sweep_jobs(references, points, workers=workers, cache=cache,
+                          progress=progress)
 
 
 def topology_scale_sweep(
@@ -184,9 +179,15 @@ def topology_scale_sweep(
     trace_name: str = "",
     horizon_ns: int | None = None,
     cache="auto",
+    workers: int | None = None,
+    progress=None,
 ) -> list[SweepRow]:
-    """The Figure 10 sweep: scale pods while keeping servers constant."""
-    rows: list[SweepRow] = []
+    """The Figure 10 sweep: scale pods while keeping servers constant.
+
+    Each pod count is normalized against NoCache on the same fabric.
+    """
+    references: list[ExperimentJob] = []
+    points: list[tuple[float, ExperimentJob, int]] = []
     for pods in pods_values:
         servers_per_rack = total_servers // (pods * racks_per_pod)
         if servers_per_rack < 1:
@@ -201,20 +202,28 @@ def topology_scale_sweep(
             gateway_pods=gateway_pods,
             gateways_per_pod=max(1, 40 // max(1, len(gateway_pods))),
         )
-        flows = trace_factory(spec)
-        baseline = run_experiment(spec, "NoCache", flows, num_vms, 0.0, seed,
-                                  horizon_ns=horizon_ns, trace_name=trace_name,
-                                  cache=cache)
-        for scheme in schemes:
-            if scheme == "NoCache":
-                result = baseline
-            else:
-                result = run_experiment(spec, scheme, flows, num_vms,
-                                        cache_ratio, seed,
-                                        horizon_ns=horizon_ns,
-                                        trace_name=trace_name, cache=cache)
-            rows.append(_normalized_row(result, baseline, float(pods)))
-    return rows
+        jobs = _scheme_jobs(spec, trace_factory(spec), num_vms, schemes,
+                            cache_ratio, seed, trace_name, horizon_ns)
+        points.extend((float(pods), jobs[scheme], len(references))
+                      for scheme in schemes)
+        references.append(jobs["NoCache"])
+    return run_sweep_jobs(references, points, workers=workers, cache=cache,
+                          progress=progress)
+
+
+def _scheme_jobs(spec: FatTreeSpec, flows: Sequence[FlowSpec], num_vms: int,
+                 schemes: Sequence[str], cache_ratio: float, seed: int,
+                 trace_name: str, horizon_ns: int | None,
+                 ) -> dict[str, ExperimentJob]:
+    """One fabric's jobs by scheme: NoCache (budget 0) and ``schemes``."""
+    flow_tuple = tuple(flows)
+    return {
+        scheme: ExperimentJob(
+            spec=spec, scheme_name=scheme, flows=flow_tuple, num_vms=num_vms,
+            cache_ratio=0.0 if scheme == "NoCache" else cache_ratio,
+            seed=seed, horizon_ns=horizon_ns, trace_name=trace_name)
+        for scheme in ("NoCache", *schemes)
+    }
 
 
 def _normalized_row(result: RunResult, baseline: RunResult,

@@ -14,6 +14,7 @@ import pytest
 os.environ.setdefault("REPRO_RUNCACHE", "0")
 
 from repro.net.topology import FatTreeSpec
+from repro.perf import PhaseTimer
 from repro.vnet.network import NetworkConfig, VirtualNetwork
 
 
@@ -44,6 +45,21 @@ def small_network(scheme, num_vms: int = 8, seed: int = 0,
         scheme)
     network.place_vms(num_vms)
     return network
+
+
+class CountingTimer(PhaseTimer):
+    """A PhaseTimer that also lists each ``add`` it receives: the sweep
+    orchestrator reports one ``"jobs"`` entry per simulation it ran."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.entries: list[str] = []
+
+    def add(self, name: str, elapsed_ns: int) -> None:
+        super().add(name, elapsed_ns)
+        self.entries.append(name)
 
 
 @pytest.fixture

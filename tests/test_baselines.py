@@ -128,6 +128,59 @@ def test_gwcache_second_flow_hits_at_gateway_tor():
     assert network.collector.hit_rate > 0
 
 
+def test_hop_through_cacheless_switch_touches_nothing(monkeypatch):
+    """Most GwCache hops cross a switch that holds no cache: such a hop
+    is plain forwarding — no lookup, no learning, no collector call."""
+    from repro.net.packet import Packet, PacketKind
+    scheme = GwCache(total_cache_slots=64)
+    network = small_network(scheme, num_vms=8)
+    bare = next(s for s in network.fabric.switches
+                if s.switch_id not in scheme.caches)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cache-less hop reached the cache path")
+
+    for name in ("is_traffic", "try_resolve", "cache_of"):
+        monkeypatch.setattr(scheme, name, forbidden)
+    monkeypatch.setattr(network.collector, "record_hit", forbidden)
+    host = network.hosts[0]
+    for resolved in (False, True):
+        packet = Packet(PacketKind.DATA, flow_id=1, seq=0, payload_bytes=64,
+                        src_vip=0, dst_vip=5, outer_src=host.pip,
+                        outer_dst=network.hosts[1].pip)
+        packet.resolved = resolved
+        before = (packet.outer_dst, packet.resolved, packet.hit_switch)
+        assert scheme.on_switch(bare, packet, None) is True
+        assert (packet.outer_dst, packet.resolved, packet.hit_switch) == before
+
+
+def test_caching_switch_still_looks_up_and_learns():
+    """The other side of the shared default: a switch that does hold a
+    cache learns from resolved traffic and serves the next lookup."""
+    from repro.net.packet import Packet, PacketKind
+    scheme = GwCache(total_cache_slots=64)
+    network = small_network(scheme, num_vms=8)
+    tor = next(s for s in network.fabric.switches
+               if s.switch_id in scheme.caches)
+    cache = scheme.caches[tor.switch_id]
+    host, target = network.hosts[0], network.hosts[1]
+
+    def data(outer_dst, resolved):
+        packet = Packet(PacketKind.DATA, flow_id=1, seq=0, payload_bytes=64,
+                        src_vip=0, dst_vip=5, outer_src=host.pip,
+                        outer_dst=outer_dst)
+        packet.resolved = resolved
+        return packet
+
+    assert scheme.on_switch(tor, data(target.pip, True), None) is True
+    assert cache.stats.insertions == 1 and cache.stats.lookups == 0
+    packet = data(network.gateways[0].pip, False)
+    assert scheme.on_switch(tor, packet, None) is True
+    assert packet.resolved and packet.outer_dst == target.pip
+    assert packet.hit_switch == tor.switch_id
+    assert cache.stats.hits == 1 and cache.stats.insertions == 1
+
+
 # ----------------------------------------------------------------------
 # LocalLearning
 # ----------------------------------------------------------------------

@@ -16,9 +16,11 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.core import SwitchV2P
 from repro.experiments.faults import ChaosParams, run_chaos_experiment
+from repro.experiments.figures import FigureScale, appendix_controller
 from repro.experiments.parallel import ExperimentJob, parallel_run_experiments
 from repro.experiments.runcache import RunCache
 from repro.experiments.runner import (
@@ -27,7 +29,11 @@ from repro.experiments.runner import (
     run_experiment,
     run_flows,
 )
-from repro.experiments.sweeps import cache_size_sweep
+from repro.experiments.sweeps import (
+    cache_size_sweep,
+    gateway_count_sweep,
+    topology_scale_sweep,
+)
 from repro.net.topology import FatTreeSpec
 from repro.sim.engine import msec
 from repro.traces.hadoop import HadoopTraceParams, generate
@@ -132,33 +138,18 @@ def test_chaos_experiment_is_deterministic():
     assert first == second
 
 
-def test_sweep_identical_across_execution_modes(tmp_path):
-    """One sweep, three execution paths, byte-identical rows.
-
-    The same small cache-size sweep runs sequentially, over a 4-worker
-    process pool, and as a warm-cache replay; every SweepRow (including
-    the embedded RunResult scalars) must match exactly.  This is the
-    orchestrator's core contract: parallelism and memoization are pure
-    performance features, invisible in the results.
-    """
-    spec = FatTreeSpec(pods=2, racks_per_pod=2, servers_per_rack=2,
-                       spines_per_pod=2, num_cores=2,
-                       gateway_pods=(1,), gateways_per_pod=1)
-    trace = TraceSpec.create("hadoop", 7, num_vms=16, num_flows=40)
-    flows = trace.materialize()
-    kwargs = dict(spec=spec, flows=flows, num_vms=16, ratios=(0.5, 4.0),
-                  schemes=("SwitchV2P", "GwCache"), seed=7,
-                  trace_name="hadoop", trace_spec=trace)
-
-    store = RunCache(tmp_path)
-    sequential = cache_size_sweep(workers=0, cache=store, **kwargs)
-    parallel = cache_size_sweep(workers=4, cache=None, **kwargs)
+def _assert_identical_across_execution_modes(sweep, tmp_path):
+    """``sweep(workers=, cache=)`` three ways, byte-identical rows:
+    sequential into a cold store, a 2-worker pool without one, and a
+    warm replay that must not simulate at all."""
+    sequential = sweep(workers=0, cache=RunCache(tmp_path))
+    parallel = sweep(workers=2, cache=None)
     replay_store = RunCache(tmp_path)
-    replayed = cache_size_sweep(workers=0, cache=replay_store, **kwargs)
+    replayed = sweep(workers=0, cache=replay_store)
 
     assert replay_store.stats.misses == 0, "warm replay must be all hits"
     assert replay_store.stats.hits > 0
-    assert len(sequential) == len(parallel) == len(replayed)
+    assert len(sequential) == len(parallel) == len(replayed) > 0
     for seq, par, rep in zip(sequential, parallel, replayed):
         assert (seq.scheme, seq.x_value) == (par.scheme, par.x_value)
         assert (seq.scheme, seq.x_value) == (rep.scheme, rep.x_value)
@@ -168,6 +159,62 @@ def test_sweep_identical_across_execution_modes(tmp_path):
                 == rep.first_packet_improvement)
         assert _result_dict(seq.result) == _result_dict(par.result)
         assert _result_dict(seq.result) == _result_dict(rep.result)
+
+
+_TINY_SPEC = FatTreeSpec(pods=2, racks_per_pod=2, servers_per_rack=2,
+                         spines_per_pod=2, num_cores=2,
+                         gateway_pods=(1,), gateways_per_pod=1)
+
+
+def test_sweep_identical_across_execution_modes(tmp_path):
+    """One sweep, three execution paths, byte-identical rows.
+
+    The same small cache-size sweep runs sequentially, over a process
+    pool, and as a warm-cache replay; every SweepRow (including the
+    embedded RunResult scalars) must match exactly.  This is the
+    orchestrator's core contract: parallelism and memoization are pure
+    performance features, invisible in the results.
+    """
+    trace = TraceSpec.create("hadoop", 7, num_vms=16, num_flows=40)
+
+    def sweep(**mode):
+        return cache_size_sweep(
+            spec=_TINY_SPEC, flows=trace.materialize(), num_vms=16,
+            ratios=(0.5, 4.0), schemes=("SwitchV2P", "GwCache"), seed=7,
+            trace_name="hadoop", trace_spec=trace, **mode)
+
+    _assert_identical_across_execution_modes(sweep, tmp_path)
+
+
+def _gateway_sweep(**mode):
+    return gateway_count_sweep(
+        dataclasses.replace(_TINY_SPEC, gateways_per_pod=2),
+        lambda spec: _hadoop_flows(16, 40, seed=7), num_vms=16,
+        gateways_per_pod_values=(2, 1),
+        schemes=("SwitchV2P", "GwCache", "NoCache"), cache_ratio=4.0,
+        seed=7, trace_name="hadoop", **mode)
+
+
+def _topology_sweep(**mode):
+    return topology_scale_sweep(
+        (1, 2), total_servers=8, racks_per_pod=2,
+        trace_factory=lambda spec: _hadoop_flows(16, 40, seed=7),
+        num_vms=16, schemes=("SwitchV2P", "GwCache"), cache_ratio=4.0,
+        seed=7, trace_name="hadoop", **mode)
+
+
+def _appendix_sweep(**mode):
+    scale = FigureScale(num_vms=32, websearch_flows=6, ratios=(0.5, 4.0),
+                        seed=7)
+    return appendix_controller(scale, periods_us=(150,), **mode)
+
+
+@pytest.mark.parametrize("sweep", [_gateway_sweep, _topology_sweep,
+                                   _appendix_sweep])
+def test_other_sweeps_identical_across_execution_modes(sweep, tmp_path):
+    """Figures 9 and 10 and the appendix keep the same contract: they
+    too run every simulation through the orchestrator."""
+    _assert_identical_across_execution_modes(sweep, tmp_path)
 
 
 def test_hybrid_k16_matches_packet_cache_metrics():

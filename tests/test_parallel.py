@@ -1,21 +1,26 @@
 """Tests for the streaming parallel experiment orchestrator."""
 
 import dataclasses
+import multiprocessing
+import os
+import time
 
 import pytest
 
+from repro.baselines import NoCache
 from repro.experiments.parallel import (
     ExperimentJob,
-    default_chunksize,
+    ExperimentJobError,
     default_workers,
     parallel_run_experiments,
 )
 from repro.experiments.runcache import RunCache
+from repro.experiments.runner import SCHEME_FACTORIES
 from repro.perf import PhaseTimer
 from repro.traces.spec import TraceSpec
 from repro.transport.flow import FlowSpec
 
-from conftest import tiny_spec
+from conftest import CountingTimer, tiny_spec
 
 
 def _flows(count: int = 20):
@@ -138,7 +143,7 @@ def test_job_requires_positive_vm_count():
 
 
 # ----------------------------------------------------------------------
-# Orchestration: progress, perf, chunking, memoization
+# Orchestration: progress, perf, memoization, duplicates, failure
 # ----------------------------------------------------------------------
 def test_progress_callback_fires_per_job():
     ticks = []
@@ -149,7 +154,7 @@ def test_progress_callback_fires_per_job():
 
 def test_progress_callback_streams_in_parallel():
     ticks = []
-    parallel_run_experiments(jobs(3), workers=2, chunksize=1,
+    parallel_run_experiments(jobs(3), workers=2,
                              progress=lambda d, t, c: ticks.append((d, t, c)))
     assert [d for d, _, _ in ticks] == [1, 2, 3]
     assert all(t == 3 and c is False for _, t, c in ticks)
@@ -159,14 +164,6 @@ def test_perf_timer_accumulates_job_wall_clock():
     timer = PhaseTimer()
     parallel_run_experiments(jobs(2), workers=0, perf=timer)
     assert timer.phases_ns.get("jobs", 0) > 0
-
-
-def test_default_chunksize_bounds():
-    assert default_chunksize(1, 4) == 1
-    assert default_chunksize(16, 4) == 1
-    assert default_chunksize(64, 4) == 4
-    assert default_chunksize(1_000, 4) == 8
-    assert default_chunksize(0, 4) == 1
 
 
 def test_cache_short_circuits_dispatch(tmp_path):
@@ -198,3 +195,80 @@ def test_partial_cache_runs_only_misses(tmp_path):
     assert store.stats.stores == 3
     alone = parallel_run_experiments([batch[1]], workers=0, cache=None)
     assert _result_dict(results[1]) == _result_dict(alone[0])
+
+
+# ----------------------------------------------------------------------
+# Duplicate jobs and failing jobs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("workers", [0, 2])
+def test_duplicated_job_is_simulated_once(workers, tmp_path):
+    first, second = jobs(2)
+    twin = dataclasses.replace(first)
+    assert twin is not first and twin == first
+    timer, ticks, store = CountingTimer(), [], RunCache(tmp_path)
+    results = parallel_run_experiments(
+        [first, second, twin, first], workers=workers, cache=store,
+        perf=timer, progress=lambda d, t, c: ticks.append((d, t, c)))
+    assert len(results) == 4
+    assert results[0] is results[2] is results[3]
+    assert results[1] is not results[0]
+    assert timer.entries == ["jobs", "jobs"]
+    assert ticks == [(1, 2, False), (2, 2, False)]
+    assert store.stats.stores == 2
+
+
+def test_jobs_differing_only_in_flow_content_stay_apart():
+    """The job hash skips the flows' content (only their count); equality
+    does not, so same-length workloads are never merged."""
+    first = jobs(1)[0]
+    bigger = dataclasses.replace(first, flows=tuple(
+        dataclasses.replace(flow, size_bytes=3 * flow.size_bytes)
+        for flow in first.flows))
+    assert hash(bigger) == hash(first) and bigger != first
+    a, b = parallel_run_experiments([first, bigger], workers=0, cache=None)
+    assert a is not b
+    assert _result_dict(a) != _result_dict(b)
+
+
+def _slow_marked_nocache(slots, marker):
+    """Scheme factory for the failure test: leave a marker, dawdle."""
+    with open(marker, "w"):
+        pass
+    time.sleep(0.3)
+    return NoCache()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched scheme registry")
+def test_failing_job_stops_dispatch_and_is_named(tmp_path, monkeypatch):
+    """A job that raises surfaces at once, by name: what has not
+    started is dropped instead of run to completion first."""
+    monkeypatch.setitem(SCHEME_FACTORIES, "SlowMarked", _slow_marked_nocache)
+    workers = 2
+
+    def slow(index):
+        return ExperimentJob(
+            spec=tiny_spec(), scheme_name="SlowMarked", flows=_flows(4),
+            num_vms=8, seed=index, trace_name="hadoop",
+            scheme_kwargs={"marker": str(tmp_path / f"started-{index}")})
+
+    broken = ExperimentJob(spec=tiny_spec(), scheme_name="NoSuchScheme",
+                           flows=_flows(4), num_vms=8, cache_ratio=4.0,
+                           seed=9, trace_name="hadoop")
+    batch = [slow(0), broken] + [slow(index) for index in range(1, 9)]
+    with pytest.raises(ExperimentJobError) as failure:
+        parallel_run_experiments(batch, workers=workers, cache=None)
+    message = str(failure.value)
+    assert "NoSuchScheme" in message
+    assert "cache ratio 4" in message and "trace hadoop" in message
+    assert "unknown scheme" in message, "the worker's own error is kept"
+    started = sorted(os.listdir(tmp_path))
+    assert "started-0" in started
+    assert len(started) <= workers, started
+
+
+def test_failing_job_is_named_when_run_inline():
+    broken = ExperimentJob(spec=tiny_spec(), scheme_name="NoSuchScheme",
+                           flows=_flows(4), num_vms=8, cache_ratio=0.5)
+    with pytest.raises(ExperimentJobError, match="NoSuchScheme.*ratio 0.5"):
+        parallel_run_experiments([broken], workers=0, cache=None)

@@ -5,8 +5,14 @@ hybrid (Hoverboard) design: no offloading, and immediate offloading.
 These tests pin those relationships in code.
 """
 
-from repro.baselines import Hoverboard, NoCache, OnDemand
+import dataclasses
+
+import pytest
+
+from repro.baselines import GwCache, Hoverboard, LocalLearning, NoCache, OnDemand
 from repro.core import SwitchV2P, SwitchV2PConfig
+from repro.experiments.runner import build_network, run_flows
+from repro.net.topology import FatTreeSpec
 from repro.sim.engine import msec, usec
 from repro.transport.flow import FlowSpec
 from repro.transport.player import TrafficPlayer
@@ -69,3 +75,44 @@ def test_identical_seeds_identical_results_across_scheme_instances():
     b = run(Hoverboard(offload_threshold=5), seed=3)
     assert a.average_fct_ns() == b.average_fct_ns()
     assert a.gateway_arrivals == b.gateway_arrivals
+
+
+class _StepByStepHook:
+    """Reference switch hook: every step on every hop, cache or not.
+
+    This is what GwCache and LocalLearning each spelled out before
+    ``CachingScheme.on_switch`` (which skips cache-less switches up
+    front and fetches the cache once) replaced both copies.
+    """
+
+    def on_switch(self, switch, packet, ingress):
+        if not self.is_traffic(packet):
+            return True
+        if self.try_resolve(switch, packet):
+            return True
+        cache = self.cache_of(switch)
+        if packet.resolved and cache is not None:
+            cache.insert(packet.dst_vip, packet.outer_dst)
+        return True
+
+
+@pytest.mark.parametrize("scheme_class", [GwCache, LocalLearning])
+def test_shared_switch_hook_equals_step_by_step_reference(scheme_class):
+    """Same RunResult and same per-cache counters, hop for hop."""
+    reference_class = type("Reference", (_StepByStepHook, scheme_class), {})
+    flows = [FlowSpec(src_vip=i % 24, dst_vip=(7 * i + 3) % 24,
+                      size_bytes=1_500 + 700 * (i % 5), start_ns=i * usec(9))
+             for i in range(120)]
+
+    def outcome(cls):
+        scheme = cls(total_cache_slots=96)
+        network = build_network(FatTreeSpec(), scheme, 24, seed=5)
+        result = run_flows(network, flows, trace_name="mix")
+        stats = {switch_id: [getattr(cache.stats, name)
+                             for name in cache.stats.__slots__]
+                 for switch_id, cache in scheme.caches.items()}
+        return dataclasses.asdict(result), stats
+
+    shared, reference = outcome(scheme_class), outcome(reference_class)
+    assert shared[0]["hit_rate"] > 0, "the workload never hit a cache"
+    assert shared == reference

@@ -1,7 +1,10 @@
-"""Tests for the sweep helpers' normalization semantics."""
+"""Tests for the sweep helpers: normalization, and every run a pool job."""
 
 import pytest
 
+from repro.experiments import sweeps
+from repro.experiments.runcache import RunCache
+from repro.experiments.runner import run_experiment
 from repro.experiments.sweeps import (
     cache_size_sweep,
     gateway_count_sweep,
@@ -9,7 +12,7 @@ from repro.experiments.sweeps import (
 )
 from repro.transport.flow import FlowSpec
 
-from conftest import tiny_spec
+from conftest import CountingTimer, tiny_spec
 
 
 def flows(count=25, vms=8):
@@ -65,6 +68,90 @@ def test_topology_sweep_varies_specs():
                          trace_factory=factory, num_vms=8,
                          schemes=("NoCache",), cache_ratio=0.0)
     assert captured == [(1, 4), (2, 2)]
+
+
+# ----------------------------------------------------------------------
+# One flat job list per sweep: the parent simulates nothing
+# ----------------------------------------------------------------------
+#: The shape of the benchmark's sweep-fig5 workload: 3 ratios x
+#: (SwitchV2P, GwCache) + NoCache, which is also the reference.
+BENCH_RATIOS = (0.5, 4.0, 32.0)
+BENCH_SCHEMES = ("SwitchV2P", "GwCache", "NoCache")
+
+
+def test_parent_simulates_nothing_with_workers(monkeypatch):
+    """Reference run included, every simulation reaches the pool."""
+    def parent_simulated(*args, **kwargs):
+        raise AssertionError("the sweep simulated in the parent process")
+
+    monkeypatch.setattr(sweeps, "run_experiment", parent_simulated,
+                        raising=False)
+    timer, ticks = CountingTimer(), []
+    rows = cache_size_sweep(tiny_spec(), flows(), num_vms=8,
+                            ratios=BENCH_RATIOS, schemes=BENCH_SCHEMES,
+                            workers=2, cache=None, perf=timer,
+                            progress=lambda d, t, c: ticks.append((d, t)))
+    assert len(rows) == 9
+    assert timer.entries == ["jobs"] * 7
+    assert ticks == [(done, 7) for done in range(1, 8)]
+
+
+def test_replicated_rows_share_one_result_object():
+    rows = cache_size_sweep(tiny_spec(), flows(), num_vms=8,
+                            ratios=BENCH_RATIOS,
+                            schemes=BENCH_SCHEMES + ("Direct",), cache=None)
+    for scheme in ("NoCache", "Direct"):
+        results = [row.result for row in rows if row.scheme == scheme]
+        assert len(results) == 3
+        assert all(result is results[0] for result in results)
+        assert all(result.cache_ratio == 0.0 for result in results)
+    assert len({id(row.result) for row in rows}) == 8
+    nocache = [row for row in rows if row.scheme == "NoCache"]
+    assert [row.x_value for row in nocache] == list(BENCH_RATIOS)
+    assert all(row.fct_improvement == 1.0 for row in nocache)
+
+
+def test_reference_job_hits_entry_stored_by_run_experiment(tmp_path):
+    """The reference job's key is ``run_key`` of the same inputs, so a
+    store written by the old in-parent reference run still hits."""
+    store = RunCache(tmp_path)
+    reference = run_experiment(tiny_spec(), "NoCache", flows(), 8, 0.0, 3,
+                               trace_name="hadoop", cache=store)
+    assert (store.stats.stores, store.stats.hits) == (1, 0)
+    rows = cache_size_sweep(tiny_spec(), flows(), num_vms=8, ratios=(4.0,),
+                            schemes=("SwitchV2P", "NoCache"), seed=3,
+                            trace_name="hadoop", cache=store)
+    assert (store.stats.stores, store.stats.hits) == (2, 1)
+    assert rows[1].result == reference
+
+
+def test_gateway_sweep_lists_nocache_twice_and_simulates_it_once():
+    ticks = []
+    rows = gateway_count_sweep(tiny_spec(gateways_per_pod=2), lambda _: flows(),
+                               num_vms=8, gateways_per_pod_values=(2, 1),
+                               schemes=("GwCache", "NoCache"), cache_ratio=4.0,
+                               cache=None,
+                               progress=lambda d, t, c: ticks.append((d, t)))
+    # 2 fleets x 2 schemes; the reference is the first fleet's NoCache.
+    assert ticks == [(done, 4) for done in range(1, 5)]
+    assert [row.scheme for row in rows] == ["GwCache", "NoCache"] * 2
+    assert rows[1].fct_improvement == 1.0
+    assert rows[1].result.cache_ratio == 0.0
+    assert rows[0].result.cache_ratio == 4.0
+
+
+def test_topology_sweep_normalizes_each_fabric_to_its_own_nocache():
+    ticks = []
+    rows = topology_scale_sweep((1, 2), total_servers=8, racks_per_pod=2,
+                                trace_factory=lambda _: flows(), num_vms=8,
+                                schemes=("NoCache", "GwCache"),
+                                cache_ratio=4.0, cache=None, workers=2,
+                                progress=lambda d, t, c: ticks.append((d, t)))
+    assert ticks == [(done, 4) for done in range(1, 5)]
+    assert [(row.scheme, row.x_value) for row in rows] == [
+        ("NoCache", 1.0), ("GwCache", 1.0), ("NoCache", 2.0), ("GwCache", 2.0)]
+    assert rows[0].fct_improvement == rows[2].fct_improvement == 1.0
+    assert rows[0].result is not rows[2].result
 
 
 def test_public_api_exports_resolve():
