@@ -110,10 +110,11 @@ DEFAULT_MEMO_PAIRINGS: tuple[MemoPairing, ...] = (
     # fabric's fault count (which gates ECMP memo trust) in sync.
     MemoPairing("repro.net.node", "Switch", ("fail", "recover"),
                 ("note_fault", "_flush_scheme_state")),
-    # Every fault transition must flush the per-switch ECMP memos:
-    # memoized next hops are only valid on a fault-free fabric.
+    # Every fault transition must flush the per-switch routing memos:
+    # memoized ECMP choices are only valid on a fault-free fabric, and
+    # Switch.receive reads both memos without a fault test.
     MemoPairing("repro.net.topology", "Fabric", ("note_fault",),
-                ("_ecmp_memo",)),
+                ("_ecmp_memo", "_route_memo")),
     MemoPairing("repro.net.topology", "Fabric", ("set_link_state",),
                 ("note_fault",)),
     # Gateway-pool mutations must clear the per-flow gateway memo.
@@ -164,10 +165,15 @@ class LintConfig:
     # ------------------------------------------------------------------
     #: Data-plane entry points (fnmatch on qualified function names);
     #: W402 checks every function reachable from them.
+    #: A switch calls its scheme through a bound hook (a closure or a
+    #: ``partial`` the call graph cannot see through), so the functions
+    #: that build or are the hooks are roots in their own right.
     flow_entry_points: tuple[str, ...] = (
         "repro.net.node.Switch.receive",
         "repro.vnet.hypervisor.Host.receive",
         "repro.vnet.gateway.Gateway.receive",
+        "repro.*.bind_hook",
+        "repro.*.on_switch",
     )
     #: Attribute names holding cache/mapping/gateway state; mutating
     #: them on a data-plane path requires an escalation notification.
@@ -183,19 +189,9 @@ class LintConfig:
                                      "learning_draw_observer")
     #: Qualified-name patterns exempt from W402 (audited in
     #: docs/linting.md#w402; keep this list as short as you can).
-    #: The unobserved cache base classes are exempt by design:
-    #: ``attach_observer`` swaps live instances to the ``_Observed*``
-    #: subclasses (which notify and are NOT exempt) before any fluid
-    #: flow is adopted, so the base mutators only ever run in
-    #: pure-packet mode where no scheduler consumes notifications.
-    escalation_exempt: tuple[str, ...] = (
-        "repro.cache.direct_mapped.DirectMappedCache.lookup",
-        "repro.cache.direct_mapped.DirectMappedCache.insert",
-        "repro.cache.direct_mapped.DirectMappedCache.invalidate",
-        "repro.cache.set_associative.SetAssociativeCache.lookup",
-        "repro.cache.set_associative.SetAssociativeCache.insert",
-        "repro.cache.set_associative.SetAssociativeCache.invalidate",
-    )
+    #: Empty: the one cache core fires ``on_mutate`` from the bodies
+    #: that mutate, so nothing on the data plane needs excusing.
+    escalation_exempt: tuple[str, ...] = ()
     #: Container-method names treated as mutating their receiver.
     mutating_methods: tuple[str, ...] = (
         "pop", "popitem", "clear", "update", "setdefault", "append",

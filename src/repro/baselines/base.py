@@ -9,7 +9,8 @@ the ToR control plane (Bluebird), by an omniscient controller
 All schemes plug into the same three hook points:
 
 * ``on_host_send`` — the sender's hypervisor chooses the outer header;
-* ``on_switch`` — every switch runs this before forwarding;
+* ``switch_hook`` — the function each switch runs before forwarding,
+  bound per switch at set-up (None where there is nothing to do);
 * ``on_misdelivery`` — the old host re-forwards packets for moved VMs.
 
 The base class implements the common gateway-driven behaviour so
@@ -18,6 +19,7 @@ subclasses override only what differs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.net.addresses import UNRESOLVED
@@ -25,7 +27,7 @@ from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.link import Link
-    from repro.net.node import Switch
+    from repro.net.node import Switch, SwitchHook
     from repro.vnet.hypervisor import Host
     from repro.vnet.network import VirtualNetwork
 
@@ -73,10 +75,33 @@ class TranslationScheme:
         packet.outer_dst = gateway.pip
         packet.resolved = False
 
+    def switch_hook(self, switch: Switch) -> SwitchHook | None:
+        """The function ``switch`` runs on every packet, or None.
+
+        Asked once per switch when the network wires the scheme in
+        (after :meth:`setup`) and again whenever the scheme calls
+        ``switch.bind_hook()``.  A subclass that spells its data plane
+        as an :meth:`on_switch` override gets that method bound to the
+        switch; otherwise :meth:`bind_hook` decides, and None — nothing
+        to do here, the switch makes no call at all — is the default.
+        """
+        if type(self).on_switch is not TranslationScheme.on_switch:
+            return partial(self.on_switch, switch)
+        return self.bind_hook(switch)
+
+    def bind_hook(self, switch: Switch) -> SwitchHook | None:
+        """Build ``switch``'s hook; default: plain forwarding."""
+        return None
+
     def on_switch(self, switch: Switch, packet: Packet,
                   ingress: Link | None) -> bool:
-        """Default: plain forwarding, no in-network state."""
-        return True
+        """Run ``switch``'s hook on ``packet``: False consumes it.
+
+        The data plane calls the hook directly; this is the same step
+        for callers holding the scheme (tests, tools).
+        """
+        hook = switch.hook
+        return True if hook is None else hook(packet, ingress)
 
     def on_misdelivery(self, host: Host, packet: Packet) -> None:
         """Default: Andromeda-style follow-me redirection at the old host."""

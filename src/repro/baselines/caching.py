@@ -1,9 +1,9 @@
 """Shared machinery for schemes that cache mappings inside switches.
 
 GwCache, LocalLearning and SwitchV2P all place
-:class:`~repro.cache.direct_mapped.DirectMappedCache` instances on some
-subset of switches, perform lookups for unresolved packets and learn
-mappings from passing traffic.  This module centralizes that plumbing —
+:class:`~repro.cache.core.SwitchCache` instances on some subset of
+switches, perform lookups for unresolved packets and learn mappings
+from passing traffic.  This module centralizes that plumbing —
 including the paper's cache-budget convention (one aggregate budget
 divided equally across the caching switches) and the misdelivery-tag
 semantics every cached lookup must respect (§3.3).
@@ -15,17 +15,37 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.baselines.base import TranslationScheme
-from repro.cache.direct_mapped import DirectMappedCache
+from repro.cache.core import SwitchCache
 from repro.net.packet import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.node import Switch
+    from repro.net.node import Switch, SwitchHook
     from repro.vnet.network import VirtualNetwork
 
 
 def is_first_packet(packet: Packet) -> bool:
     """True for the opening data packet of a flow (first-packet metrics)."""
     return packet.kind == PacketKind.DATA and packet.seq == 0
+
+
+class _BoundCaches(dict):
+    """``switch_id -> cache``; replacing an entry rebinds that switch.
+
+    A switch's hook closes over its cache, so whoever swaps one —
+    ``on_switch_reset`` after a fault, a test shrinking one ToR's cache
+    — must have the hook follow.  Assignment is the only mutation the
+    table supports after set-up.
+    """
+
+    __slots__ = ("_scheme",)
+
+    def __init__(self, scheme: CachingScheme, caches: dict) -> None:
+        super().__init__(caches)
+        self._scheme = scheme
+
+    def __setitem__(self, switch_id: int, cache) -> None:
+        super().__setitem__(switch_id, cache)
+        self._scheme.rebind_hooks(switch_id)
 
 
 class CachingScheme(TranslationScheme):
@@ -44,7 +64,7 @@ class CachingScheme(TranslationScheme):
         if total_cache_slots < 0:
             raise ValueError(f"negative cache budget: {total_cache_slots}")
         self.total_cache_slots = total_cache_slots
-        self.caches: dict[int, DirectMappedCache] = {}
+        self.caches: dict[int, SwitchCache] = {}
         #: ``switch_id -> zero-arg callback`` factory installed by the
         #: fluid scheduler; every cache (including fault-reset rebuilds)
         #: gets its observer attached from it.
@@ -62,11 +82,11 @@ class CachingScheme(TranslationScheme):
         self.prepare(network)
         ids = list(self.caching_switch_ids(network))
         slots = self.slots_by_switch(network, ids)
-        self.caches = {
+        self.caches = _BoundCaches(self, {
             switch_id: self.make_cache(slots[switch_id],
                                        salt=switch_id * 0x9E3779B1)
             for switch_id in ids
-        }
+        })
         if self.cache_observer is not None:
             self.set_cache_observer(self.cache_observer)
 
@@ -74,10 +94,10 @@ class CachingScheme(TranslationScheme):
         """Attach mutation observers to every cache (hybrid fidelity).
 
         ``factory(switch_id)`` returns the zero-arg callback handed to
-        each cache's ``attach_observer`` (which swaps the instance to
-        its observed subclass).  Caches without the method (alternative
-        geometries) are skipped; the fluid scheduler separately refuses
-        adoption when any cache lacks it.
+        each cache's ``attach_observer``.  Caches without the method
+        (the multi-tenant partitioned cache) are skipped; the fluid
+        scheduler separately refuses adoption when any cache lacks
+        it.
         """
         self.cache_observer = factory
         for switch_id, cache in self.caches.items():
@@ -85,9 +105,9 @@ class CachingScheme(TranslationScheme):
             if attach is not None:
                 attach(factory(switch_id))
 
-    def make_cache(self, num_slots: int, salt: int) -> DirectMappedCache:
+    def make_cache(self, num_slots: int, salt: int) -> SwitchCache:
         """Cache constructor; subclasses may swap the geometry."""
-        return DirectMappedCache(num_slots, salt=salt)
+        return SwitchCache(num_slots, salt=salt)
 
     def prepare(self, network: VirtualNetwork) -> None:
         """Hook run before cache construction (roles, RNGs, ...)."""
@@ -98,7 +118,7 @@ class CachingScheme(TranslationScheme):
         per_switch = self.total_cache_slots // len(ids) if ids else 0
         return {switch_id: per_switch for switch_id in ids}
 
-    def cache_of(self, switch: Switch) -> DirectMappedCache | None:
+    def cache_of(self, switch: Switch) -> SwitchCache | None:
         return self.caches.get(switch.switch_id)
 
     def on_switch_reset(self, switch: Switch) -> None:
@@ -122,31 +142,48 @@ class CachingScheme(TranslationScheme):
     # ------------------------------------------------------------------
     # switch hook
     # ------------------------------------------------------------------
-    def on_switch(self, switch: Switch, packet: Packet, ingress) -> bool:
+    def rebind_hooks(self, switch_id: int | None = None) -> None:
+        """Have one switch (default: all) re-derive its hook.
+
+        For after set-up, when something a hook closed over has been
+        replaced.  Switches this scheme does not (yet) handle are left
+        alone, so it is a no-op until the network has wired it in.
+        """
+        if self.network is None:
+            return
+        fabric = self.network.fabric
+        switches = (fabric.switches if switch_id is None
+                    else [fabric.switch_by_id[switch_id]])
+        for switch in switches:
+            if switch.handler is self:
+                switch.bind_hook()
+
+    def bind_hook(self, switch: Switch) -> SwitchHook | None:
         """Default data plane: serve a lookup, else learn the destination.
 
         A switch this scheme gave no cache is a plain forwarder, which
         is most hops of a scheme that caches on few switches (GwCache:
-        4 of FT8's 80), so that case returns before any other call.
-        Otherwise an unresolved data/ack packet is looked up, and a
-        packet something upstream resolved (a gateway, an earlier hit)
-        teaches this cache its ``dst VIP -> outer dst`` mapping.
+        4 of FT8's 80): it gets no hook.  Elsewhere an unresolved
+        data/ack packet is looked up, and a packet something upstream
+        resolved (a gateway, an earlier hit) teaches this cache its
+        ``dst VIP -> outer dst`` mapping.
         """
         cache = self.caches.get(switch.switch_id)
-        if cache is None or not self.is_traffic(packet):
+        if cache is None:
+            return None
+
+        def hook(packet: Packet, ingress) -> bool:
+            if self.is_traffic(packet) \
+                    and not self.try_resolve(switch, packet, cache) \
+                    and packet.resolved:
+                cache.insert(packet.dst_vip, packet.outer_dst)
             return True
-        if not self.try_resolve(switch, packet, cache) and packet.resolved:
-            cache.insert(packet.dst_vip, packet.outer_dst)
-        return True
+        return hook
 
     # ------------------------------------------------------------------
     # data-plane building blocks
     # ------------------------------------------------------------------
-    #: Sentinel distinguishing "not passed" from "switch has no cache".
-    _UNSET_CACHE = object()
-
-    def try_resolve(self, switch: Switch, packet: Packet,
-                    cache=_UNSET_CACHE) -> bool:
+    def try_resolve(self, switch: Switch, packet: Packet, cache=None) -> bool:
         """Look up an unresolved packet in ``switch``'s cache.
 
         Handles the misdelivery-tag protocol: a tagged packet carries
@@ -155,13 +192,13 @@ class CachingScheme(TranslationScheme):
         a *different* (fresher) value may still serve the packet.
 
         Args:
-            cache: hot-path callers that already fetched the switch's
-                cache may pass it (or None) to skip the second lookup.
+            cache: the switch's cache, for callers that hold it (the
+                bound hooks); looked up in ``caches`` when omitted.
 
         Returns:
             True if the packet was resolved by this switch.
         """
-        if cache is CachingScheme._UNSET_CACHE:
+        if cache is None:
             cache = self.caches.get(switch.switch_id)
         if cache is None or packet.resolved:
             return False

@@ -1,10 +1,14 @@
 """In-switch cache structures and sizing conventions."""
 
-from repro.cache.direct_mapped import CacheStats, DirectMappedCache, InsertResult
-from repro.cache.set_associative import SetAssociativeCache
+from repro.cache.core import CacheStats, InsertResult, SwitchCache
 from repro.cache.sizing import aggregate_slots, per_switch_slots
 
+#: The names the two geometries had while they were separate classes;
+#: both construct the one core (``ways`` defaults to 1).
+DirectMappedCache = SetAssociativeCache = SwitchCache
+
 __all__ = [
+    "SwitchCache",
     "DirectMappedCache",
     "SetAssociativeCache",
     "InsertResult",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 
-from repro.cache.direct_mapped import CacheStats, DirectMappedCache, InsertResult
+from repro.cache.core import CacheStats, InsertResult, SwitchCache
 from repro.core.allocation import UNIFORM, AllocationPolicy
 from repro.core.config import SwitchV2PConfig
 from repro.core.protocol import SwitchV2P
@@ -78,8 +78,8 @@ class PartitionedCache:
                  slots_per_tenant: dict[int, int], salt: int = 0) -> None:
         self.registry = registry
         self.salt = salt
-        self.partitions: dict[int, DirectMappedCache] = {
-            tenant: DirectMappedCache(slots, salt=salt ^ (tenant * 0x85EBCA6B))
+        self.partitions: dict[int, SwitchCache] = {
+            tenant: SwitchCache(slots, salt=salt ^ (tenant * 0x85EBCA6B))
             for tenant, slots in slots_per_tenant.items()
         }
         self.stats = CacheStats()
@@ -88,7 +88,7 @@ class PartitionedCache:
     def num_slots(self) -> int:
         return sum(p.num_slots for p in self.partitions.values())
 
-    def _partition(self, vip: int) -> DirectMappedCache | None:
+    def _partition(self, vip: int) -> SwitchCache | None:
         tenant = self.registry.tenant_of(vip)
         if tenant is None:
             return None
@@ -155,7 +155,7 @@ class PartitionedCache:
         """Enable caching for a tenant at runtime."""
         if tenant in self.partitions:
             raise ValueError(f"tenant {tenant} already enabled")
-        self.partitions[tenant] = DirectMappedCache(
+        self.partitions[tenant] = SwitchCache(
             slots, salt=self.salt ^ (tenant * 0x85EBCA6B))
 
     def remove_partition(self, tenant: int) -> None:
@@ -206,12 +206,10 @@ class MultiTenantSwitchV2P(SwitchV2P):
         super().setup(network)
         # Replace each switch's flat cache with tenant partitions of
         # the same aggregate size.
-        self.caches = {
-            switch_id: PartitionedCache(self.registry,
-                                        self._tenant_split(cache.num_slots),
-                                        salt=switch_id * 0x9E3779B1)
-            for switch_id, cache in self.caches.items()
-        }
+        for switch_id, cache in list(self.caches.items()):
+            self.caches[switch_id] = PartitionedCache(
+                self.registry, self._tenant_split(cache.num_slots),
+                salt=switch_id * 0x9E3779B1)
 
     def tenant_hit_stats(self) -> dict[int, tuple[int, int]]:
         """Per-tenant (lookups, hits) aggregated across all switches."""

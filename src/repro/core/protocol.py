@@ -19,11 +19,12 @@ cache with per-role admission policies and four special functions:
 from __future__ import annotations
 
 from repro.baselines.caching import CachingScheme
+from repro.cache.core import HASH_MIX, SwitchCache
 from repro.core.allocation import UNIFORM, AllocationPolicy, distribute_slots
 from repro.core.config import SwitchV2PConfig
 from repro.core.roles import Role, assign_roles
 from repro.net.addresses import pip_pod, pip_rack
-from repro.net.node import Layer, Switch
+from repro.net.node import Layer, Switch, SwitchHook
 from repro.net.packet import Packet, PacketKind
 from repro.vnet.hypervisor import Host
 from repro.vnet.network import VirtualNetwork
@@ -32,62 +33,28 @@ from repro.vnet.network import VirtualNetwork
 #: data flow so ECMP hashing and flow bookkeeping never collide.
 _CONTROL_FLOW_BASE = 1 << 40
 
-# Enum members pre-bound as module globals: ``on_switch`` compares
+# Enum members pre-bound as module globals: the switch hooks compare
 # against these once per switch hop, and a LOAD_GLOBAL is measurably
 # cheaper than LOAD_GLOBAL + LOAD_ATTR at that frequency.
 _DATA = PacketKind.DATA
 _ACK = PacketKind.ACK
 _LEARNING = PacketKind.LEARNING
-_LAYER_TOR = Layer.TOR
-_ROLE_TOR = Role.TOR
-_ROLE_SPINE = Role.SPINE
-_ROLE_GATEWAY_TOR = Role.GATEWAY_TOR
-_ROLE_GATEWAY_SPINE = Role.GATEWAY_SPINE
 
 #: Learning-stream values drawn per refill of ``SwitchV2P``'s buffer.
 _LEARN_BLOCK = 512
 
 
-class _CacheTable(dict):
-    """``switch_id -> cache`` dict that keeps the owner's hot table fresh.
+def _owner_lines(cache) -> tuple[list[int], list[int], int, int]:
+    """``cache.owner_lines()``, or one line that no VIP ever owns.
 
-    Tests and subclasses swap individual caches after setup (e.g. the
-    Figure 4 walkthrough shrinks one ToR cache, ``on_switch_reset``
-    rebuilds a failed switch's cache); the derived ``_hot`` view must
-    follow every such mutation.
+    The hooks below settle the commonest learning outcome — the VIP
+    already owns its line, so the value is overwritten and nothing
+    else moves — with one compare on these arrays instead of a call to
+    ``cache.insert``.  A cache without such lines (set-associative,
+    partitioned, empty) gets a dummy that always says "not the owner".
     """
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, owner: SwitchV2P, *args) -> None:
-        super().__init__(*args)
-        self._owner = owner
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self._owner._rebuild_hot_table()
-
-    def __delitem__(self, key) -> None:
-        super().__delitem__(key)
-        self._owner._rebuild_hot_table()
-
-    def update(self, *args, **kwargs) -> None:
-        super().update(*args, **kwargs)
-        self._owner._rebuild_hot_table()
-
-    def clear(self) -> None:
-        super().clear()
-        self._owner._rebuild_hot_table()
-
-    def pop(self, *args):
-        value = super().pop(*args)
-        self._owner._rebuild_hot_table()
-        return value
-
-    def setdefault(self, key, default=None):
-        value = super().setdefault(key, default)
-        self._owner._rebuild_hot_table()
-        return value
+    lines = getattr(cache, "owner_lines", None)
+    return (lines() if lines is not None else None) or ([-1], [0], 0, 1)
 
 
 class SwitchV2P(CachingScheme):
@@ -117,11 +84,6 @@ class SwitchV2P(CachingScheme):
             raise ValueError(f"associativity must be >= 1, got {cache_ways}")
         self.cache_ways = cache_ways
         self.roles: dict[int, Role] = {}
-        #: Derived view joining ``roles`` and ``caches`` so the per-hop
-        #: hot path does one dict lookup instead of two.  Rebuilt by
-        #: ``setup``/``on_switch_reset``/``reassign_roles`` whenever
-        #: either source table changes.
-        self._hot: dict[int, tuple[Role, object]] = {}
         self._collector = None
         self._learn_rng = None
         #: Block-refilled read buffer over ``_learn_rng`` and the index
@@ -164,11 +126,8 @@ class SwitchV2P(CachingScheme):
         #: mode (one predicted-None branch per draw).
         self.learning_draw_observer = None
 
-    def make_cache(self, num_slots: int, salt: int):
-        if self.cache_ways == 1:
-            return super().make_cache(num_slots, salt)
-        from repro.cache.set_associative import SetAssociativeCache
-        return SetAssociativeCache(num_slots, ways=self.cache_ways, salt=salt)
+    def make_cache(self, num_slots: int, salt: int) -> SwitchCache:
+        return SwitchCache(num_slots, self.cache_ways, salt=salt)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -191,29 +150,6 @@ class SwitchV2P(CachingScheme):
     def setup(self, network: VirtualNetwork) -> None:
         super().setup(network)
         self._collector = network.collector
-        self._rebuild_hot_table()
-
-    def on_switch_reset(self, switch: Switch) -> None:
-        super().on_switch_reset(switch)
-        self._rebuild_hot_table()
-
-    #: ``caches`` is intercepted so *any* mutation — rebinding the whole
-    #: table (MultiTenantSwitchV2P.setup) or swapping one entry — keeps
-    #: ``_hot`` in sync without the data plane ever checking.
-    @property
-    def caches(self):
-        return self._caches
-
-    @caches.setter
-    def caches(self, table) -> None:
-        self._caches = _CacheTable(self, table)
-        if hasattr(self, "roles"):
-            self._rebuild_hot_table()
-
-    def _rebuild_hot_table(self) -> None:
-        caches = self._caches
-        self._hot = {switch_id: (role, caches.get(switch_id))
-                     for switch_id, role in self.roles.items()}
 
     def reassign_roles(self) -> None:
         """Recompute switch roles after a gateway move (paper §4).
@@ -226,7 +162,7 @@ class SwitchV2P(CachingScheme):
         self.roles = assign_roles(self.network.fabric,
                                   self.network.gateway_pip_set())
         self._gateway_pips = self.network.gateway_pip_set()
-        self._rebuild_hot_table()
+        self.rebind_hooks()
 
     def _next_control_flow(self) -> int:
         self._control_flow_seq += 1
@@ -240,122 +176,224 @@ class SwitchV2P(CachingScheme):
         self.send_misdelivered_via_gateway(host, packet)
 
     # ------------------------------------------------------------------
-    # switch hook
+    # switch hooks: one function per Table 1 role
     # ------------------------------------------------------------------
-    def on_switch(self, switch: Switch, packet: Packet, ingress) -> bool:
-        # Per-hop hot path: every data/ack packet runs this body at
-        # every switch it crosses.  The cache is fetched exactly once,
-        # packet option fields are read through their private slots
-        # (the properties exist for their setters' wire-size
-        # invalidation), and the Table 1 learning policies are inlined
-        # here instead of dispatching through per-policy helpers — a
-        # third of the calls.
-        kind = packet.kind
-        if kind > _ACK:
-            if kind is _LEARNING:
-                return self._on_learning_packet(switch, packet)
-            self._apply_invalidation(switch, packet)
-            return True
-
+    # Every data/ack packet runs its switch's hook at every hop, so each
+    # role gets its own straight-line function with the switch's cache
+    # and the (frozen) config flags bound, instead of one body that
+    # re-derives the role per packet.  The steps they share, in order:
+    #
+    # 1. control packets (learning, invalidation) leave at once;
+    # 2. ToRs tag misdelivered packets (§3.3): a packet arriving from a
+    #    host port whose outer source is not the attached server was
+    #    re-forwarded by the hypervisor.  Gateways also attach to host
+    #    ports but are excluded (their node type differs).  A
+    #    re-forwarded packet whose original sender is colocated with
+    #    the old VM location has outer_src == the attached server, so
+    #    the source check alone misses it — the stale mapping it
+    #    carries in-band is the tell; without it the ToR's own stale
+    #    entry bounces the packet back to the same host indefinitely;
+    # 3. in-band metadata is picked up: spilled entries (any non-core
+    #    switch) and promotions (cores only);
+    # 4. an unresolved packet is looked up — untagged, which is every
+    #    lookup except the short window after a migration, that is the
+    #    body of try_resolve() minus the misdelivery-tag protocol;
+    # 5. the role's learning rule (Table 1).  "This VIP already owns
+    #    its line" is settled on the cache's own arrays (_owner_lines).
+    def bind_hook(self, switch: Switch) -> SwitchHook:
+        cache = self.caches[switch.switch_id]  # every switch has one
         config = self.config
-        role, cache = self._hot[switch.switch_id]
         if not config.role_aware:
-            role = None
+            return self._admit_all_hook(switch, cache, gateway=False)
+        role = self.roles[switch.switch_id]
+        if role is Role.TOR:
+            return self._tor_hook(switch, cache)
+        if role is Role.GATEWAY_TOR:
+            return self._admit_all_hook(switch, cache, gateway=True)
+        if role is Role.CORE:
+            return self._core_hook(switch, cache)
+        return self._spine_hook(
+            switch, cache,
+            promotes=role is Role.SPINE and config.enable_promotion)
 
-        # 1. Misdelivery tagging at ToRs (§3.3): a packet arriving from
-        #    a host port whose outer source is not the attached server
-        #    was re-forwarded by the hypervisor.  Gateways also attach
-        #    to host ports but are excluded (their node type differs).
-        #    A re-forwarded packet whose original sender is colocated
-        #    with the old VM location has outer_src == the attached
-        #    server, so the source check alone misses it — the stale
-        #    mapping it carries in-band (§3.3) is the tell; without it
-        #    the ToR's own stale entry bounces the packet back to the
-        #    same host indefinitely.
-        if (
-            switch.layer is _LAYER_TOR
-            and ingress is not None
-            and ingress._src_is_host
-            and not packet._misdelivery_tag
-            and (packet.outer_src != ingress.src.pip
-                 or packet._carried_mapping is not None)
-        ):
-            self._tag_misdelivered(switch, packet)
+    def _tor_hook(self, switch: Switch, cache) -> SwitchHook:
+        """ToR: learn the *source* of everything that passes."""
+        spillover = self.config.enable_spillover
+        keys, values, salt, sets = _owner_lines(cache)
+        record_hit = self._collector.record_hit
+        switch_id, layer = switch.switch_id, switch.layer
 
-        # 2. Pick up in-band metadata: spilled entries (any non-core
-        #    switch) and promotions (cores only).
-        if packet._spill_entry is not None and config.enable_spillover:
-            self._try_pickup_spill(switch, packet, role, cache)
-        if packet._promote_entry is not None and (role == Role.CORE
-                                                  or not config.role_aware):
-            self._admit_promotion(switch, packet, cache)
-
-        # 3. Lookup for unresolved packets, with spine promotion on a
-        #    hot hit (access bit already set) for pod-leaving packets.
-        #    The untagged case — every lookup except the short window
-        #    after a migration — is the body of try_resolve() minus the
-        #    misdelivery-tag protocol; tagged packets take the full
-        #    method.
-        if not packet.resolved and cache is not None:
-            hot_before = (
-                role is _ROLE_SPINE
-                and config.enable_promotion
-                and cache.access_bit(packet.dst_vip) == 1
-            )
-            if packet._misdelivery_tag and packet._carried_mapping is not None:
-                resolved_here = self.try_resolve(switch, packet, cache)
-            else:
-                pip = cache.lookup(packet.dst_vip)
-                if pip is None:
-                    resolved_here = False
+        def hook(packet: Packet, ingress) -> bool:
+            kind = packet.kind
+            if kind > _ACK:
+                return self._on_control(switch, packet)
+            if (
+                ingress is not None
+                and ingress._src_is_host
+                and not packet._misdelivery_tag
+                and (packet.outer_src != ingress.src.pip
+                     or packet._carried_mapping is not None)
+            ):
+                self._tag_misdelivered(switch, packet)
+            if packet._spill_entry is not None and spillover:
+                self._try_pickup_spill(packet, cache, False)
+            if not packet.resolved:
+                if packet._misdelivery_tag:
+                    self.try_resolve(switch, packet, cache)
                 else:
-                    packet.outer_dst = pip
-                    packet.resolved = True
-                    packet.hit_switch = switch.switch_id
-                    self._collector.record_hit(
-                        switch.layer, kind is _DATA and packet.seq == 0)
-                    resolved_here = True
-            if resolved_here and hot_before \
-                    and pip_pod(packet.outer_dst) != switch.pod:
-                packet.promote_entry = (packet.dst_vip, packet.outer_dst)
-                self.promotions_sent += 1
+                    pip = cache.lookup(packet.dst_vip)
+                    if pip is not None:
+                        packet.outer_dst = pip
+                        packet.resolved = True
+                        packet.hit_switch = switch_id
+                        record_hit(layer, kind is _DATA and packet.seq == 0)
+            vip = packet.src_vip
+            slot = (((vip ^ salt) * HASH_MIX) & 0xFFFFFFFF) % sets
+            if keys[slot] == vip:
+                values[slot] = packet.outer_src
+            else:
+                evicted = cache.insert(vip, packet.outer_src).evicted
+                if evicted is not None and spillover:
+                    packet.spill_entry = evicted
+            return True
+        return hook
 
-        # 4. Learning (Table 1), one policy per role.  Cores learn only
-        #    from promotions (handled in the pickup above).
-        if role is _ROLE_TOR:
-            if cache is not None:
-                result = cache.insert(packet.src_vip, packet.outer_src)
-                if result.evicted is not None and config.enable_spillover:
-                    packet.spill_entry = result.evicted
-        elif role is _ROLE_SPINE or role is _ROLE_GATEWAY_SPINE:
-            # Conservative admission: never evict a hot line.
-            if packet.resolved and cache is not None and not (
-                    self._negative
-                    and self._negative_blocks(packet.dst_vip, packet.outer_dst)):
-                result = cache.insert(packet.dst_vip, packet.outer_dst, True)
-                if result.evicted is not None and config.enable_spillover:
-                    packet.spill_entry = result.evicted
-        elif role is _ROLE_GATEWAY_TOR:
-            resolved = packet.resolved
-            already_known = False
-            if config.learning_packet_on_new_only and resolved \
-                    and cache is not None:
-                already_known = cache.peek(packet.dst_vip) == packet.outer_dst
-            if resolved and cache is not None and not (
-                    self._negative
-                    and self._negative_blocks(packet.dst_vip, packet.outer_dst)):
-                result = cache.insert(packet.dst_vip, packet.outer_dst)
-                if result.evicted is not None and config.enable_spillover:
-                    packet.spill_entry = result.evicted
-            if resolved and not already_known:
-                self._maybe_send_learning_packet(switch, packet)
-        elif role is None and packet.resolved and cache is not None and not (
-                self._negative
-                and self._negative_blocks(packet.dst_vip, packet.outer_dst)):
-            # Role-unaware ablation: greedy destination learning.
-            result = cache.insert(packet.dst_vip, packet.outer_dst)
-            if result.evicted is not None and config.enable_spillover:
-                packet.spill_entry = result.evicted
+    def _admit_all_hook(self, switch: Switch, cache,
+                        gateway: bool) -> SwitchHook:
+        """Gateway ToR: learn every resolved destination, and tell the
+        sender's ToR about it with probability ``p_learn``.  With
+        ``role_aware`` off (the ablation) every switch runs this minus
+        the announcement, plus the core's promotion pickup."""
+        config = self.config
+        spillover = config.enable_spillover
+        announces = gateway and config.enable_learning_packets
+        new_only = gateway and config.learning_packet_on_new_only
+        is_tor = switch.layer is Layer.TOR
+        negative = self._negative
+        keys, values, salt, sets = _owner_lines(cache)
+        record_hit = self._collector.record_hit
+        switch_id, layer = switch.switch_id, switch.layer
+
+        def hook(packet: Packet, ingress) -> bool:
+            kind = packet.kind
+            if kind > _ACK:
+                return self._on_control(switch, packet)
+            if (
+                ingress is not None
+                and ingress._src_is_host
+                and not packet._misdelivery_tag
+                and is_tor
+                and (packet.outer_src != ingress.src.pip
+                     or packet._carried_mapping is not None)
+            ):
+                self._tag_misdelivered(switch, packet)
+            if packet._spill_entry is not None and spillover:
+                self._try_pickup_spill(packet, cache, False)
+            if packet._promote_entry is not None and not gateway:
+                self._admit_promotion(packet, cache)
+            if not packet.resolved:
+                if packet._misdelivery_tag:
+                    self.try_resolve(switch, packet, cache)
+                else:
+                    pip = cache.lookup(packet.dst_vip)
+                    if pip is not None:
+                        packet.outer_dst = pip
+                        packet.resolved = True
+                        packet.hit_switch = switch_id
+                        record_hit(layer, kind is _DATA and packet.seq == 0)
+            if packet.resolved:
+                vip = packet.dst_vip
+                pip = packet.outer_dst
+                known = new_only and cache.peek(vip) == pip
+                if not (negative and self._negative_blocks(vip, pip)):
+                    slot = (((vip ^ salt) * HASH_MIX) & 0xFFFFFFFF) % sets
+                    if keys[slot] == vip:
+                        values[slot] = pip
+                    else:
+                        evicted = cache.insert(vip, pip).evicted
+                        if evicted is not None and spillover:
+                            packet.spill_entry = evicted
+                if announces and not known:
+                    self._maybe_send_learning_packet(switch, packet)
+            return True
+        return hook
+
+    def _spine_hook(self, switch: Switch, cache, promotes: bool) -> SwitchHook:
+        """Spine and gateway spine: conservative destination learning
+        (never evict a hot line).  A regular spine also promotes: a hit
+        on an already-hot line, for a packet leaving the pod, rides up
+        to the core."""
+        spillover = self.config.enable_spillover
+        negative = self._negative
+        keys, values, salt, sets = _owner_lines(cache)
+        record_hit = self._collector.record_hit
+        switch_id, layer, pod = switch.switch_id, switch.layer, switch.pod
+
+        def hook(packet: Packet, ingress) -> bool:
+            kind = packet.kind
+            if kind > _ACK:
+                return self._on_control(switch, packet)
+            if packet._spill_entry is not None and spillover:
+                self._try_pickup_spill(packet, cache, True)
+            if not packet.resolved:
+                vip = packet.dst_vip
+                hot = promotes and cache.access_bit(vip) == 1
+                if packet._misdelivery_tag:
+                    self.try_resolve(switch, packet, cache)
+                else:
+                    pip = cache.lookup(vip)
+                    if pip is not None:
+                        packet.outer_dst = pip
+                        packet.resolved = True
+                        packet.hit_switch = switch_id
+                        record_hit(layer, kind is _DATA and packet.seq == 0)
+                if hot and packet.resolved \
+                        and pip_pod(packet.outer_dst) != pod:
+                    packet.promote_entry = (vip, packet.outer_dst)
+                    self.promotions_sent += 1
+            if packet.resolved:
+                vip = packet.dst_vip
+                pip = packet.outer_dst
+                if not (negative and self._negative_blocks(vip, pip)):
+                    slot = (((vip ^ salt) * HASH_MIX) & 0xFFFFFFFF) % sets
+                    if keys[slot] == vip:
+                        values[slot] = pip
+                    else:
+                        evicted = cache.insert(vip, pip, True).evicted
+                        if evicted is not None and spillover:
+                            packet.spill_entry = evicted
+            return True
+        return hook
+
+    def _core_hook(self, switch: Switch, cache) -> SwitchHook:
+        """Core: learns from promotions only, into cold lines."""
+        record_hit = self._collector.record_hit
+        switch_id, layer = switch.switch_id, switch.layer
+
+        def hook(packet: Packet, ingress) -> bool:
+            kind = packet.kind
+            if kind > _ACK:
+                return self._on_control(switch, packet)
+            if packet._promote_entry is not None:
+                self._admit_promotion(packet, cache)
+            if not packet.resolved:
+                if packet._misdelivery_tag:
+                    self.try_resolve(switch, packet, cache)
+                else:
+                    pip = cache.lookup(packet.dst_vip)
+                    if pip is not None:
+                        packet.outer_dst = pip
+                        packet.resolved = True
+                        packet.hit_switch = switch_id
+                        record_hit(layer, kind is _DATA and packet.seq == 0)
+            return True
+        return hook
+
+    def _on_control(self, switch: Switch, packet: Packet) -> bool:
+        """Learning and invalidation packets, the same at every role."""
+        if packet.kind is _LEARNING:
+            return self._on_learning_packet(switch, packet)
+        self._apply_invalidation(switch, packet)
         return True
 
     # ------------------------------------------------------------------
@@ -385,25 +423,21 @@ class SwitchV2P(CachingScheme):
     # ------------------------------------------------------------------
     # learning policies
     # ------------------------------------------------------------------
-    def _try_pickup_spill(self, switch: Switch, packet: Packet,
-                          role: Role | None, cache) -> None:
-        """Downstream switches attempt to re-admit a spilled entry."""
-        if role == Role.CORE or cache is None:
-            return  # Cores learn from promotions only (Table 1).
+    def _try_pickup_spill(self, packet: Packet, cache,
+                          conservative: bool) -> None:
+        """A non-core switch attempts to re-admit a spilled entry;
+        spines do so conservatively (Table 1)."""
         vip, pip = packet._spill_entry
         if self._negative and self._negative_blocks(vip, pip):
             return
-        conservative = role in (Role.SPINE, Role.GATEWAY_SPINE)
         result = cache.insert(vip, pip, only_if_clear=conservative)
         if result.admitted:
             packet.spill_entry = result.evicted
             self.spillovers_reinserted += 1
             self._collector.spillover_inserts += 1
 
-    def _admit_promotion(self, switch: Switch, packet: Packet, cache) -> None:
+    def _admit_promotion(self, packet: Packet, cache) -> None:
         """Core switches admit promoted entries if the line is cold."""
-        if cache is None:
-            return
         vip, pip = packet._promote_entry
         if self._negative and self._negative_blocks(vip, pip):
             packet.promote_entry = None

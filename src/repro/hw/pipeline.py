@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.hw.tofino import STAMP_BITS
+
 #: Tofino-1-like envelope: 12 match-action stages, 4 stateful ALUs per
 #: stage, ~128 KB of register-usable SRAM per stage per pipe.
 DEFAULT_STAGES = 12
@@ -142,36 +144,65 @@ SWITCHV2P_OPERATIONS: dict[str, list[str]] = {
 }
 
 
+def _way_arrays(name: str, ways: int) -> list[str]:
+    """The ``ways`` parallel copies of one cache array."""
+    return [name] if ways == 1 else [f"{name}_w{way}" for way in range(ways)]
+
+
+def operation_accesses(operation: str, ways: int = 1) -> list[str]:
+    """One operation's register accesses on a ``ways``-way layout.
+
+    Every way's copy of an array is read side by side in that array's
+    stage.  Above one way, whatever reaches the access bits first reads
+    the recency stamps — a hit or a learn to refresh its line's, a miss
+    to find the set's LRU line; an invalidation touches no stamp.
+    """
+    accesses: list[str] = []
+    for name in SWITCHV2P_OPERATIONS[operation]:
+        if name == "cache_abits" and ways > 1 and operation != "invalidate":
+            accesses += _way_arrays("cache_stamps", ways)
+        accesses += (_way_arrays(name, ways) if name.startswith("cache_")
+                     else [name])
+    return accesses
+
+
 def build_switchv2p_pipeline(entries_per_switch: int,
-                             num_switches_in_topology: int = 80) -> Pipeline:
+                             num_switches_in_topology: int = 80,
+                             ways: int = 1) -> Pipeline:
     """Lay the SwitchV2P prototype onto a Tofino-like pipeline.
 
     The three cache arrays occupy consecutive stages (the value and
     access-bit arrays must come at or after the key compare); the
     timestamp vector (one 32-bit slot per switch in the topology, §3.3)
     sits in a later stage, after the role/tag logic has decided whether
-    an invalidation is needed.
+    an invalidation is needed.  A ``ways``-way cache is ``ways``
+    parallel copies of each array in that array's stage — one stateful
+    ALU apiece, which is what bounds the associativity — plus a stage
+    of recency stamps ahead of the access bits.
     """
     if entries_per_switch < 0:
         raise PipelineError("negative cache size")
+    if ways < 1:
+        raise PipelineError(f"associativity must be >= 1, got {ways}")
+    layout = [("cache_keys", 32), ("cache_values", 32)]
+    if ways > 1:
+        layout.append(("cache_stamps", STAMP_BITS))
+    layout.append(("cache_abits", 1))
     pipeline = Pipeline()
-    pipeline.add_array(RegisterArray("cache_keys", stage=2,
-                                     entries=entries_per_switch,
-                                     bits_per_entry=32))
-    pipeline.add_array(RegisterArray("cache_values", stage=3,
-                                     entries=entries_per_switch,
-                                     bits_per_entry=32))
-    pipeline.add_array(RegisterArray("cache_abits", stage=4,
-                                     entries=entries_per_switch,
-                                     bits_per_entry=1))
-    pipeline.add_array(RegisterArray("timestamp_vector", stage=5,
+    for stage, (name, bits) in enumerate(layout, start=2):
+        for array in _way_arrays(name, ways):
+            pipeline.add_array(RegisterArray(
+                array, stage=stage, entries=entries_per_switch // ways,
+                bits_per_entry=bits))
+    pipeline.add_array(RegisterArray("timestamp_vector", stage=stage + 1,
                                      entries=num_switches_in_topology,
                                      bits_per_entry=32))
     return pipeline
 
 
 def validate_feasibility(entries_per_switch: int,
-                         num_switches_in_topology: int = 80) -> dict[str, list]:
+                         num_switches_in_topology: int = 80,
+                         ways: int = 1) -> dict[str, list]:
     """Check every SwitchV2P operation fits in one pipeline pass.
 
     Returns:
@@ -181,9 +212,9 @@ def validate_feasibility(entries_per_switch: int,
         PipelineError: if the configuration does not fit.
     """
     pipeline = build_switchv2p_pipeline(entries_per_switch,
-                                        num_switches_in_topology)
-    return {operation: pipeline.execute(accesses)
-            for operation, accesses in SWITCHV2P_OPERATIONS.items()}
+                                        num_switches_in_topology, ways)
+    return {operation: pipeline.execute(operation_accesses(operation, ways))
+            for operation in SWITCHV2P_OPERATIONS}
 
 
 def max_entries_per_stage(register_kb_per_stage: float = DEFAULT_REGISTER_KB_PER_STAGE,

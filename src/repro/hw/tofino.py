@@ -30,6 +30,10 @@ TABLE6_ENTRIES_PER_SWITCH = 5_120
 #: access bit.
 ENTRY_BITS = 32 + 32 + 1
 
+#: Width of the per-line recency stamp a set-associative layout adds
+#: (LRU by stamp; a one-line set has no order to keep).
+STAMP_BITS = 16
+
 
 @dataclass(frozen=True)
 class ResourceModel:
@@ -93,8 +97,17 @@ def max_entries(headroom_percent: float = 100.0) -> int:
     return best
 
 
-def register_bits(entries_per_switch: int) -> int:
-    """Raw register bits consumed by the three cache arrays."""
+def register_bits(entries_per_switch: int, ways: int = 1) -> int:
+    """Raw register bits consumed by the cache arrays.
+
+    A ``ways``-way layout is ``ways`` parallel copies of the three
+    arrays, each ``entries_per_switch // ways`` lines long (a remainder
+    is dropped, as :class:`repro.cache.SwitchCache` drops it); above
+    one way every line also carries its LRU recency stamp.
+    """
     if entries_per_switch < 0:
         raise ValueError(f"negative entry count: {entries_per_switch}")
-    return entries_per_switch * ENTRY_BITS
+    if ways < 1:
+        raise ValueError(f"associativity must be >= 1, got {ways}")
+    line_bits = ENTRY_BITS + (STAMP_BITS if ways > 1 else 0)
+    return entries_per_switch // ways * ways * line_bits

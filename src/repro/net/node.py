@@ -10,7 +10,9 @@ the paper's methodology of comparing schemes inside one simulator.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import IntEnum
+from functools import partial
 from heapq import heappush
 from typing import TYPE_CHECKING, Protocol
 
@@ -32,10 +34,13 @@ class Layer(IntEnum):
 
 # Pre-bound enum members for the per-hop fast path (one LOAD_GLOBAL
 # instead of LOAD_GLOBAL + LOAD_ATTR at every switch hop).
-_TOR = Layer.TOR
-_SPINE = Layer.SPINE
+_ACK = PacketKind.ACK
 _INVALIDATION = PacketKind.INVALIDATION
-_LEARNING = PacketKind.LEARNING
+
+#: What a switch runs on each packet before forwarding it, bound to the
+#: switch at scheme set-up: ``hook(packet, ingress)`` returns False to
+#: consume the packet.  None means plain forwarding — no call at all.
+SwitchHook = Callable[[Packet, "Link | None"], bool]
 
 
 class Node:
@@ -60,6 +65,11 @@ class SwitchHandler(Protocol):
     ``on_switch`` runs for every packet entering a switch, *before*
     forwarding; it may rewrite the outer header (translation), learn
     mappings, or absorb the packet entirely (returning False).
+
+    A handler may also define ``switch_hook(switch) -> SwitchHook |
+    None`` to hand each switch its own function (or None: nothing to do
+    there) when it is assigned; without it a switch binds ``on_switch``
+    (see :meth:`Switch.bind_hook`).
     """
 
     def on_switch(self, switch: Switch, packet: Packet,
@@ -74,6 +84,9 @@ class _NullHandler:
     def on_switch(self, switch: Switch, packet: Packet,
                   ingress: Link | None) -> bool:
         return True
+
+    def switch_hook(self, switch: Switch) -> SwitchHook | None:
+        return None
 
 
 NULL_HANDLER = _NullHandler()
@@ -133,13 +146,15 @@ class Switch(Node):
         "up_links",
         "down_links",
         "pod_links",
-        "handler",
+        "_handler",
+        "hook",
         "stats",
         "attached_pips",
         "fabric",
         "_failed",
         "_slow_ns",
         "_ecmp_memo",
+        "_route_memo",
     )
 
     def __init__(self, name: str, switch_id: int, layer: Layer, pod: int, rack: int) -> None:
@@ -152,7 +167,11 @@ class Switch(Node):
         self.up_links: list[Link] = []
         self.down_links: list[Link | None] = []
         self.pod_links: list[Link | None] = []
-        self.handler: SwitchHandler = NULL_HANDLER
+        self._handler: SwitchHandler = NULL_HANDLER
+        #: The handler's per-packet function for this switch (see
+        #: :data:`SwitchHook`); :meth:`receive`, the invalidation path
+        #: and the fluid walk all call this and nothing else.
+        self.hook: SwitchHook | None = None
         self.stats = SwitchStats()
         #: Owning fabric (set at construction by the topology builder);
         #: used to learn whether any faults are active so the fast
@@ -167,9 +186,39 @@ class Switch(Node):
         #: function of the key then); flushed by the fabric on every
         #: fault transition (see :meth:`Fabric.note_fault`).
         self._ecmp_memo: dict[int, Link] = {}
+        #: Memoized exact routes: outer_dst -> the one link toward it
+        #: (host port, rack down-link, pod link).  A pure function of
+        #: the destination — liveness never enters it — written by
+        #: :meth:`next_hop`; flushed with the ECMP memo all the same.
+        self._route_memo: dict[int, Link] = {}
         #: PIPs of directly attached servers (ToRs only) — used for
         #: misdelivery tagging (paper §3.3).
         self.attached_pips: set[int] = set()
+
+    # ------------------------------------------------------------------
+    # scheme binding
+    # ------------------------------------------------------------------
+    @property
+    def handler(self) -> SwitchHandler:
+        """The scheme (or test double) whose hook this switch runs."""
+        return self._handler
+
+    @handler.setter
+    def handler(self, handler: SwitchHandler) -> None:
+        self._handler = handler
+        self.bind_hook()
+
+    def bind_hook(self) -> None:
+        """Derive :attr:`hook` from the handler, again.
+
+        Runs when a handler is assigned; a scheme calls it whenever
+        something its hook closed over was replaced (a rebuilt cache, a
+        new role).
+        """
+        handler = self._handler
+        bind = getattr(handler, "switch_hook", None)
+        self.hook = (partial(handler.on_switch, self) if bind is None
+                     else bind(self))
 
     # ------------------------------------------------------------------
     # failure / recovery (control plane)
@@ -240,10 +289,8 @@ class Switch(Node):
         # Hot path: this body runs once per switch hop for every packet
         # in the simulation.  ``wire_bytes`` is read through its cache
         # slot (computed at most once per hop, reused by the egress
-        # link), and the common forwarding case below inlines
-        # :meth:`next_hop` — which remains a public method for probes
-        # and scheme code — with the pod/rack bit arithmetic of
-        # :mod:`repro.net.addresses` unrolled.
+        # link); routing is two memo reads in front of
+        # :meth:`next_hop`, which is the only routing logic there is.
         if self._failed:
             self.stats.drops += 1
             return
@@ -252,9 +299,8 @@ class Switch(Node):
         stats.packets += 1
         stats.bytes += packet._wire_bytes
 
-        kind = packet.kind
-        if kind is _INVALIDATION:
-            self._receive_invalidation(packet, link)
+        if packet.kind > _ACK:
+            self._receive_control(packet, link)
             return
 
         if packet.route_path is not None:
@@ -267,7 +313,8 @@ class Switch(Node):
             packet.route_path = None
             packet.target_switch = None
 
-        if not self.handler.on_switch(self, packet, link):
+        hook = self.hook
+        if hook is not None and not hook(packet, link):
             return
         slow = self._slow_ns
         if slow:
@@ -276,53 +323,23 @@ class Switch(Node):
             # landing inside the hold is still honoured.
             self.fabric.engine.schedule_after(slow, self.forward, packet)
             return
-        # Inlined forward()/next_hop(): ECMP up, exact down, host
-        # delivery at ToRs (see next_hop() for the commented version).
         dst = packet.outer_dst
-        dst_pod = (dst >> 22) & 0x3FFF
-        layer = self.layer
-        if layer is _TOR:
-            if dst_pod == self.pod and ((dst >> 12) & 0x3FF) == self.rack:
-                if kind is _LEARNING:
-                    # Unconsumed learning packet: terminates here.
+        egress = self._route_memo.get(dst)
+        if egress is None:
+            # Not an exact route (yet): an ECMP choice made on a
+            # fault-free fabric, re-validated for liveness because
+            # tests and ad-hoc scripts flip link/switch state without
+            # fault accounting.  The memo is empty while a fault is
+            # active (see _ecmp_up), so no fault test is needed here.
+            egress = self._ecmp_memo.get(packet.flow_id ^ dst)
+            if egress is None or not egress.up or egress.dst._failed:
+                egress = self.next_hop(packet)
+                if egress is None:
                     stats.drops += 1
                     return
-                egress = self.host_links.get(dst)
-            else:
-                # Inlined _ecmp_up() memo hit (the overwhelmingly
-                # common case on a fault-free fabric); misses and
-                # faulty fabrics take the full method.
-                fabric = self.fabric
-                if fabric is None or fabric.fault_count == 0:
-                    egress = self._ecmp_memo.get(packet.flow_id ^ dst)
-                    if egress is None or not egress.up \
-                            or egress.dst._failed:
-                        egress = self._ecmp_up(packet, dst)
-                else:
-                    egress = self._ecmp_up(packet, dst)
-        elif layer is _SPINE:
-            if dst_pod == self.pod:
-                rack = (dst >> 12) & 0x3FF
-                downs = self.down_links
-                egress = downs[rack] if rack < len(downs) else None
-            else:
-                fabric = self.fabric
-                if fabric is None or fabric.fault_count == 0:
-                    egress = self._ecmp_memo.get(packet.flow_id ^ dst)
-                    if egress is None or not egress.up \
-                            or egress.dst._failed:
-                        egress = self._ecmp_up(packet, dst)
-                else:
-                    egress = self._ecmp_up(packet, dst)
-        else:
-            pods = self.pod_links
-            egress = pods[dst_pod] if dst_pod < len(pods) else None
-        if egress is None:
-            stats.drops += 1
-            return
         # Inlined Link.transmit() (see link.py for the commented
         # version): one method call saved per switch hop.  The wire
-        # size is re-read because on_switch may have attached or
+        # size is re-read because the hook may have attached or
         # stripped option words above.
         lstats = egress.stats
         if not egress.up:
@@ -367,9 +384,24 @@ class Switch(Node):
         if not route[index].transmit(packet):
             self.stats.drops += 1
 
-    def _receive_invalidation(self, packet: Packet, link: Link | None) -> None:
-        """Process an invalidation en route (handler hook at every hop)."""
-        self.handler.on_switch(self, packet, link)
+    def _receive_control(self, packet: Packet, link: Link | None) -> None:
+        """Learning and invalidation packets: rare, so spelled plainly."""
+        hook = self.hook
+        if packet.kind is not _INVALIDATION:
+            # A learning packet routes like data, except that one the
+            # scheme left unconsumed ends at its ToR (see next_hop),
+            # which is why it may not read the exact-route memo.
+            if hook is not None and not hook(packet, link):
+                return
+            if self._slow_ns:
+                self.fabric.engine.schedule_after(self._slow_ns,
+                                                  self.forward, packet)
+            else:
+                self.forward(packet)
+            return
+        # An invalidation: the hook runs at every hop of its route.
+        if hook is not None:
+            hook(packet, link)
         if packet.target_switch == self.switch_id:
             return
         route = packet.route_path
@@ -379,8 +411,7 @@ class Switch(Node):
         if index >= len(route):
             return
         packet.route_index = index
-        link = route[index]
-        if not link.transmit(packet):
+        if not route[index].transmit(packet):
             self.stats.drops += 1
 
     def forward(self, packet: Packet) -> None:
@@ -404,20 +435,26 @@ class Switch(Node):
         dst_pod = pip_pod(dst)
         layer = self.layer
         if layer == Layer.TOR:
-            if dst_pod == self.pod and pip_rack(dst) == self.rack:
-                if packet.kind == PacketKind.LEARNING:
-                    # Learning packets terminate at the destination ToR
-                    # (handled by the scheme hook); reaching here means
-                    # the scheme left it unconsumed — drop quietly.
-                    return None
-                return self.host_links.get(dst)
-            return self._ecmp_up(packet, dst)
-        if layer == Layer.SPINE:
-            if dst_pod == self.pod:
-                return _indexed(self.down_links, pip_rack(dst))
-            return self._ecmp_up(packet, dst)
-        # Core: one link per pod.
-        return _indexed(self.pod_links, dst_pod)
+            if dst_pod != self.pod or pip_rack(dst) != self.rack:
+                return self._ecmp_up(packet, dst)
+            if packet.kind == PacketKind.LEARNING:
+                # Learning packets terminate at the destination ToR
+                # (handled by the scheme hook); reaching here means
+                # the scheme left it unconsumed — drop quietly.
+                return None
+            link = self.host_links.get(dst)
+        elif layer == Layer.SPINE:
+            if dst_pod != self.pod:
+                return self._ecmp_up(packet, dst)
+            link = _indexed(self.down_links, pip_rack(dst))
+        else:
+            # Core: one link per pod.
+            link = _indexed(self.pod_links, dst_pod)
+        if link is not None:
+            # Exact routes depend on the destination alone; receive()
+            # reads them back without coming here.
+            self._route_memo[dst] = link
+        return link
 
     def _ecmp_up(self, packet: Packet, dst: int) -> Link | None:
         ups = self.up_links

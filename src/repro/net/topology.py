@@ -112,17 +112,23 @@ class Fabric:
     def note_fault(self, delta: int) -> None:
         """Record a fault appearing (+1) or clearing (-1).
 
-        Every transition also flushes the per-switch ECMP memo tables:
-        memoized next hops are only valid for a fault-free fabric, and
-        after recovery they must be re-derived rather than trusted.
+        Every transition also flushes the per-switch routing memos:
+        memoized ECMP choices are only valid for a fault-free fabric
+        (and are not written while a fault is active, which is what
+        lets ``Switch.receive`` trust a hit without reading
+        ``fault_count``), and after recovery they must be re-derived
+        rather than trusted.  Exact routes do not depend on liveness;
+        they go too, so "a memo never outlives a fault transition" has
+        no exception to remember.
         """
         self.fault_count += delta
         if self.fault_count < 0:  # defensive: unmatched recover calls
             self.fault_count = 0
         for switch in self.switches:
-            memo = switch._ecmp_memo
-            if memo:
-                memo.clear()
+            if switch._ecmp_memo:
+                switch._ecmp_memo.clear()
+            if switch._route_memo:
+                switch._route_memo.clear()
         cb = self.on_fault
         if cb is not None:
             cb()

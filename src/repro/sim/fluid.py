@@ -1260,7 +1260,8 @@ class FluidScheduler:
             deltas.append((sstats, "bytes", size))
             ctx.switches.add(switch.switch_id)
             self._walk_note_cache(ctx, switch)
-            if not switch.handler.on_switch(switch, packet, link):
+            hook = switch.hook
+            if hook is not None and not hook(packet, link):
                 ctx.mutated = True
                 return _CONSUMED, elapsed, None
             if packet._misdelivery_tag:

@@ -157,11 +157,14 @@ class VirtualNetwork:
         self.live_gateways = list(self.gateways)
 
     def _wire_scheme(self) -> None:
+        # Set-up first: assigning a switch its handler binds the
+        # switch's hook, which closes over what set-up built (caches,
+        # roles).
+        self.scheme.setup(self)
         for switch in self.fabric.switches:
             switch.handler = self.scheme
         for host in self.hosts:
             host.handler = self.scheme
-        self.scheme.setup(self)
 
     def _on_host_deliver(self, packet: Packet) -> None:
         # Body of Collector.record_delivery, inlined: one call per

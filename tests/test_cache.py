@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.direct_mapped import DirectMappedCache
+from repro.cache import DirectMappedCache
 from repro.cache.sizing import aggregate_slots, per_switch_slots
 
 
@@ -11,7 +11,7 @@ def find_conflicting_vips(cache: DirectMappedCache, count: int = 2) -> list[int]
     by_slot: dict[int, list[int]] = {}
     vip = 0
     while True:
-        slot = cache._slot(vip)
+        slot = cache._set_of(vip)
         group = by_slot.setdefault(slot, [])
         group.append(vip)
         if len(group) >= count:
@@ -25,7 +25,7 @@ def find_nonconflicting_vips(cache: DirectMappedCache, count: int) -> list[int]:
     result = []
     vip = 0
     while len(result) < count:
-        slot = cache._slot(vip)
+        slot = cache._set_of(vip)
         if slot not in used:
             used.add(slot)
             result.append(vip)
@@ -163,8 +163,8 @@ def test_clear_preserves_stats():
 def test_different_salts_give_different_slots():
     a = DirectMappedCache(64, salt=1)
     b = DirectMappedCache(64, salt=999)
-    slots_a = [a._slot(v) for v in range(32)]
-    slots_b = [b._slot(v) for v in range(32)]
+    slots_a = [a._set_of(v) for v in range(32)]
+    slots_b = [b._set_of(v) for v in range(32)]
     assert slots_a != slots_b
 
 

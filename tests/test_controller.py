@@ -119,3 +119,35 @@ def test_unknown_solver_rejected():
     import pytest
     with pytest.raises(ValueError):
         Controller(10, solver="magic")
+
+
+def test_reinstall_that_empties_a_cache_escalates_adopted_flows():
+    """Hybrid fidelity: ``_install`` clears every cache each period.  A
+    placement that shrinks to nothing inserts nothing afterwards, so
+    ``clear`` itself must tell the fluid scheduler the line is gone."""
+    from repro.experiments.runner import build_network
+    from repro.net.topology import FatTreeSpec
+
+    scheme = Controller(4096, period_ns=msec(500))  # never fires here
+    network = build_network(FatTreeSpec(), scheme, 64, seed=7,
+                            fidelity="hybrid")
+    src_tor = network.fabric.tors[(0, 0)]
+    assert network.host_of(0).pip in src_tor.attached_pips
+    placement = {src_tor.switch_id: [(1, network.host_of(1).pip),
+                                     (0, network.host_of(0).pip)]}
+    scheme._install(placement)
+    player = TrafficPlayer(network)
+    player.add_flows([FlowSpec(src_vip=0, dst_vip=1, size_bytes=30_000_000,
+                               start_ns=0)])
+    fluid = network.fluid
+    network.run(until=usec(150))
+    assert fluid.stats_dict()["active_flows"] == 1, "the flow never went fluid"
+    assert scheme.caches[src_tor.switch_id].stats.hits > 0
+    before = fluid.escalations
+
+    scheme._install({})
+
+    assert scheme.caches[src_tor.switch_id].occupancy() == 0
+    assert fluid.escalations == before + 1
+    assert fluid.stats_dict()["active_flows"] == 0
+    assert fluid.escalations_by_reason["cache-mutation"] >= 1

@@ -11,8 +11,8 @@ the bounded-staleness runtime oracle end to end.
 import pytest
 
 from repro.baselines import NoCache
-from repro.cache.direct_mapped import DirectMappedCache
-from repro.cache.set_associative import SetAssociativeCache
+from repro.cache import DirectMappedCache
+from repro.cache import SetAssociativeCache
 from repro.core import AntiEntropyAuditor, SwitchV2P, SwitchV2PConfig
 from repro.faults import FaultSchedule, OracleSuite
 from repro.sim.engine import msec, usec

@@ -54,6 +54,18 @@ def test_register_bits():
     assert register_bits(10) == 10 * ENTRY_BITS
 
 
+def test_register_bits_per_geometry():
+    """k ways: k parallel arrays of entries // k lines, each line with
+    a recency stamp on top of key, value and access bit."""
+    from repro.hw.tofino import STAMP_BITS
+    assert register_bits(5_120, ways=1) == 5_120 * ENTRY_BITS
+    for ways in (2, 4):
+        assert register_bits(5_120, ways) == 5_120 * (ENTRY_BITS + STAMP_BITS)
+    assert register_bits(10, ways=4) == 8 * (ENTRY_BITS + STAMP_BITS)
+    with pytest.raises(ValueError):
+        register_bits(10, ways=0)
+
+
 def test_negative_entries_rejected():
     with pytest.raises(ValueError):
         estimate_utilization(-1)

@@ -206,21 +206,18 @@ def test_dropping_fidelity_from_job_key_is_caught():
 
 
 def test_removing_cache_escalation_hook_is_caught():
-    # Treat the observed cache's own mutators as roots so this stays a
-    # two-file project instead of a full-tree walk.  The unobserved
-    # base class is escalation-exempt by design (attach_observer swaps
-    # instances to the observed subclass before any fluid adoption);
-    # the observed overrides are what W402 must hold to the contract.
+    # Treat the cache core's own mutators as roots so this stays a
+    # one-file project instead of a full-tree walk.  Nothing in the
+    # core is escalation-exempt: every body that mutates fires
+    # on_mutate itself, and W402 must hold each of them to that.
     config = replace(
         load_config(REPO_ROOT / "pyproject.toml"),
-        flow_entry_points=(
-            "repro.cache.set_associative._ObservedSetAssociativeCache"
-            ".insert",
-            "repro.cache.set_associative._ObservedSetAssociativeCache"
-            ".invalidate",
-            "repro.cache.set_associative._ObservedSetAssociativeCache"
-            ".lookup"))
-    path = "repro/cache/set_associative.py"
+        flow_entry_points=("repro.cache.core.*.insert",
+                           "repro.cache.core.*.invalidate",
+                           "repro.cache.core.*.lookup",
+                           "repro.cache.core.*.clear"))
+    assert config.escalation_exempt == ()
+    path = "repro/cache/core.py"
     clean = run_project_rules(
         _repo_modules(config, path), [get_rule("W402")], config)
     assert [f.message for f in clean if not f.suppressed] == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.direct_mapped import DirectMappedCache
+from repro.cache import DirectMappedCache
 from repro.core import MultiTenantSwitchV2P, PartitionedCache, TenantRegistry
 from repro.sim.engine import msec, usec
 from repro.transport.flow import FlowSpec

@@ -96,3 +96,28 @@ def test_bluebird_scale_fits():
 def test_negative_entries_rejected():
     with pytest.raises(PipelineError):
         build_switchv2p_pipeline(-1)
+
+
+@pytest.mark.parametrize("ways", [1, 2, 4])
+def test_every_geometry_of_the_ablation_is_priced(ways):
+    """benchmarks/test_ablation_cache_geometry runs 1, 2 and 4 ways:
+    each is k parallel copies of the arrays, one stateful ALU apiece,
+    and every operation still makes one pass."""
+    pipeline = build_switchv2p_pipeline(5_120, ways=ways)
+    copies = [name for name in pipeline.arrays if name.startswith("cache_keys")]
+    assert len(copies) == ways
+    assert {pipeline.arrays[name].entries for name in copies} == {5_120 // ways}
+    assert ("cache_stamps_w0" in pipeline.arrays) == (ways > 1)
+    traces = validate_feasibility(5_120, ways=ways)
+    for operation, trace in traces.items():
+        stages = [stage for stage, _array in trace]
+        assert stages == sorted(stages), operation
+    assert len(traces["lookup_hit"]) == (3 if ways == 1 else 4 * ways)
+    assert len(traces["invalidate"]) == 2 * ways
+
+
+def test_associativity_is_bounded_by_the_stateful_alus():
+    with pytest.raises(PipelineError, match="ALU"):
+        build_switchv2p_pipeline(5_120, ways=8)
+    with pytest.raises(PipelineError, match="associativity"):
+        build_switchv2p_pipeline(5_120, ways=0)

@@ -5,7 +5,7 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.direct_mapped import DirectMappedCache
+from repro.cache import DirectMappedCache
 from repro.net.addresses import (
     MAX_HOSTS_PER_RACK,
     MAX_PODS,

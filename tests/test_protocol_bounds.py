@@ -3,7 +3,7 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.set_associative import SetAssociativeCache
+from repro.cache import SetAssociativeCache
 from repro.core import SwitchV2P, SwitchV2PConfig
 from repro.sim.engine import msec, usec
 from repro.transport.flow import FlowSpec

@@ -1,0 +1,126 @@
+"""``Switch.receive`` routes through two memos; ``next_hop`` is the logic.
+
+Two identical FT8 networks go through the same faults.  On one, every
+switch keeps forwarding packets — its memos stay as warm as a running
+simulation would leave them.  On the other, ``next_hop`` answers with
+both memos wiped before every call.  For every (switch, destination
+PIP) they must name the same link: before, during and after a link
+fault and a switch fault, and with a link's ``up`` flag flipped behind
+the fabric's back (no fault accounting, so nothing flushes).
+"""
+
+from repro.baselines import NoCache
+from repro.net.packet import Packet, PacketKind
+from repro.net.topology import FatTreeSpec
+
+from conftest import small_network
+
+FLOWS = (3, 1 << 20)
+
+
+def packet_to(dst, flow_id):
+    return Packet(PacketKind.DATA, flow_id=flow_id, seq=0, payload_bytes=64,
+                  src_vip=0, dst_vip=1, outer_src=0, outer_dst=dst)
+
+
+def name_of(link):
+    return None if link is None else (link.src.name, link.dst.name)
+
+
+def forwarded(switch, packet):
+    """The link ``receive`` put ``packet`` on (None: it was dropped)."""
+    queue = switch.fabric.engine._queue
+    queue.clear()
+    switch.receive(packet)
+    if not queue:
+        return None
+    (_, _, _, (sent, link)), = queue
+    assert sent is packet
+    return link
+
+
+def reference(switch, packet):
+    switch._route_memo.clear()
+    switch._ecmp_memo.clear()
+    return switch.next_hop(packet)
+
+
+def check_every_pair(live, plain):
+    destinations = [node.pip for node in (*live.hosts, *live.gateways)]
+    compared = 0
+    for switch, twin in zip(live.fabric.switches, plain.fabric.switches):
+        if switch.failed:
+            continue
+        for dst in destinations:
+            for flow_id in FLOWS:
+                expected = reference(twin, packet_to(dst, flow_id))
+                if expected is not None and not expected.up:
+                    expected = None  # transmit() refuses a down link
+                for _ in ("memo cold or stale", "memo warm"):
+                    got = forwarded(switch, packet_to(dst, flow_id))
+                    assert name_of(got) == name_of(expected), \
+                        (switch.name, hex(dst), flow_id)
+                compared += 1
+    assert compared > 20_000
+    return compared
+
+
+def test_memoised_routing_equals_next_hop_through_faults():
+    spec = FatTreeSpec()
+    live, plain = (small_network(NoCache(), num_vms=8, seed=3, spec=spec)
+                   for _ in range(2))
+
+    def both(action):
+        for network in (live, plain):
+            action(network.fabric)
+
+    check_every_pair(live, plain)
+    assert all(s._route_memo for s in live.fabric.switches)
+
+    # An accounted link fault (flushes), then its repair.
+    def uplink(fabric):
+        return fabric.tors[(0, 0)].up_links[1]
+    both(lambda fabric: fabric.set_link_state(uplink(fabric), False))
+    assert not any(s._route_memo or s._ecmp_memo
+                   for s in live.fabric.switches)
+    check_every_pair(live, plain)
+    assert not any(s._ecmp_memo for s in live.fabric.switches), \
+        "an ECMP choice was memoised while a fault was active"
+    both(lambda fabric: fabric.set_link_state(uplink(fabric), True))
+    check_every_pair(live, plain)
+
+    # A switch fault: a spine of the gateway pod, then a core.
+    for pick in (lambda fabric: fabric.spines[(2, 1)],
+                 lambda fabric: fabric.cores[5]):
+        both(lambda fabric, pick=pick: pick(fabric).fail())
+        check_every_pair(live, plain)
+        both(lambda fabric, pick=pick: pick(fabric).recover())
+        check_every_pair(live, plain)
+
+    # Flags flipped directly: fault_count stays 0 and the memos stay
+    # full, so a hit has to notice on its own.
+    def flip(fabric, up):
+        fabric.tors[(1, 2)].up_links[0].up = up
+        fabric.spines[(4, 3)].up_links[2].up = up
+        fabric.spines[(6, 0)]._failed = not up
+    both(lambda fabric: flip(fabric, False))
+    assert live.fabric.fault_count == 0
+    assert any(s._ecmp_memo for s in live.fabric.switches)
+    check_every_pair(live, plain)
+    both(lambda fabric: flip(fabric, True))
+    check_every_pair(live, plain)
+
+
+def test_unconsumed_learning_packet_never_reads_the_exact_memo():
+    """A ToR's exact memo maps a local PIP to its host port; a learning
+    packet for that PIP must still end at the ToR."""
+    network = small_network(NoCache(), num_vms=8)
+    tor = network.fabric.tor_of(0, 0)
+    dst = network.hosts[0].pip
+    assert forwarded(tor, packet_to(dst, 1)) is tor.host_links[dst]
+    assert tor._route_memo[dst] is tor.host_links[dst]
+    learning = Packet(PacketKind.LEARNING, flow_id=1, seq=0, payload_bytes=0,
+                      src_vip=0, dst_vip=1, outer_src=0, outer_dst=dst)
+    drops = tor.stats.drops
+    assert forwarded(tor, learning) is None
+    assert tor.stats.drops == drops + 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.set_associative import SetAssociativeCache
+from repro.cache import SetAssociativeCache
 
 
 def fill_one_set(cache: SetAssociativeCache, count: int) -> list[int]:
@@ -10,7 +10,7 @@ def fill_one_set(cache: SetAssociativeCache, count: int) -> list[int]:
     target = cache._set_of(0)
     vips, vip = [], 0
     while len(vips) < count:
-        if cache._set_of(vip) is target:
+        if cache._set_of(vip) == target:
             cache.insert(vip, vip * 10)
             vips.append(vip)
         vip += 1
@@ -45,7 +45,7 @@ def test_lru_eviction_order():
     cache.lookup(a)  # refresh a; b becomes LRU
     target = cache._set_of(0)
     vip = max(a, b) + 1
-    while cache._set_of(vip) is not target:
+    while cache._set_of(vip) != target:
         vip += 1
     result = cache.insert(vip, 99)
     assert result.admitted
@@ -60,7 +60,7 @@ def test_only_if_clear_refuses_fully_hot_set():
     cache.lookup(b)
     target = cache._set_of(0)
     vip = max(a, b) + 1
-    while cache._set_of(vip) is not target:
+    while cache._set_of(vip) != target:
         vip += 1
     assert not cache.insert(vip, 99, only_if_clear=True).admitted
     assert cache.stats.rejections == 1
@@ -72,7 +72,7 @@ def test_only_if_clear_evicts_cold_entry():
     cache.lookup(b)  # a stays cold
     target = cache._set_of(0)
     vip = max(a, b) + 1
-    while cache._set_of(vip) is not target:
+    while cache._set_of(vip) != target:
         vip += 1
     result = cache.insert(vip, 99, only_if_clear=True)
     assert result.admitted
@@ -87,7 +87,7 @@ def test_miss_in_full_set_ages_lru():
     # A miss mapped to this set clears the LRU entry's bit.
     target = cache._set_of(0)
     vip = max(a, b) + 1
-    while cache._set_of(vip) is not target:
+    while cache._set_of(vip) != target:
         vip += 1
     assert cache.lookup(vip) is None
     assert cache.access_bit(a) == 0
