@@ -2,12 +2,12 @@
 
 The scale tentpole's committed contract: a fat-tree k=32-class fabric
 (32 pods x 16 racks x 16 servers, 1280 switches) carrying 100 000 VMs
-must *build* in well under a CI-second-scale budget and *run* a
-96-flow hybrid workload to completion within twice its measured median,
-with resident memory staying bounded — the compact topology state
-(array port tables, interned addresses, shared serialization caches)
-and the escalation batching / probe skipping / contention model are
-what make this hold.
+must *build* and *run* a 96-flow hybrid workload to completion, each
+within twice its measured median, with resident memory staying bounded
+— the compact topology state (array port tables, interned addresses,
+shared serialization caches), a set-up that does not rescan what it
+builds, and the escalation batching / probe skipping / contention model
+are what make this hold.
 
 Wall-clock and peak-RSS are checked against the ``test_scale_*``
 entries in ``BENCH_sim.json`` (repo root).  Like the other simulator
@@ -52,9 +52,11 @@ def _check(name: str, wall_ms: float, rss_mb: float) -> None:
         return
     problems = []
     if wall_ms > entry["budget_ms"]:
+        baseline = entry["after_ms"]
+        kind = "median" if "median" in baseline else "min"
         problems.append(
             f"wall {wall_ms:.0f} ms exceeds budget {entry['budget_ms']:.0f} "
-            f"ms (baseline {entry['after_ms']['min']:.0f} ms)")
+            f"ms (baseline {kind} {baseline[kind]:.0f} ms)")
     budget_rss = entry.get("budget_rss_mb")
     if budget_rss is not None and rss_mb > budget_rss:
         problems.append(

@@ -11,6 +11,7 @@ e.g. Bluebird dropping everything — still terminate).
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.baselines import (
@@ -74,21 +75,11 @@ def make_scheme(name: str, address_space: int, cache_ratio: float, **kwargs):
     return factory(aggregate_slots(address_space, cache_ratio), **kwargs)
 
 
-class _NullContext:
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
 class _NullTimer:
     """Zero-overhead stand-in when no PhaseTimer is supplied."""
 
     __slots__ = ()
-    _ctx = _NullContext()
+    _ctx = nullcontext()
 
     def phase(self, name):
         return self._ctx

@@ -123,10 +123,9 @@ class Switch(Node):
       ``up_links`` (to this spine's core group).
     * Core: ``pod_links`` (pod-indexed array of links to peer spines).
 
-    ``down_links``/``pod_links`` are flat lists presized by the fabric
-    builder (the index domains are bounded by the topology spec, and
-    valid PIPs can only encode in-range coordinates), with ``None`` in
-    slots the lazy per-pod wiring has not reached yet.
+    ``down_links``/``pod_links`` are flat lists, filled completely when
+    the fabric is constructed (the topology spec bounds the index
+    domains, and valid PIPs can only encode in-range coordinates).
 
     Attributes:
         switch_id: globally unique integer (also used as the identifier
@@ -165,8 +164,8 @@ class Switch(Node):
         self.rack = rack
         self.host_links: dict[int, Link] = {}
         self.up_links: list[Link] = []
-        self.down_links: list[Link | None] = []
-        self.pod_links: list[Link | None] = []
+        self.down_links: list[Link] = []
+        self.pod_links: list[Link] = []
         self._handler: SwitchHandler = NULL_HANDLER
         #: The handler's per-packet function for this switch (see
         #: :data:`SwitchHook`); :meth:`receive`, the invalidation path
@@ -507,7 +506,7 @@ class Switch(Node):
         if peer._failed:
             return False
         fabric = self.fabric
-        if fabric is None or not fabric.faults_active:
+        if fabric is None or fabric.fault_count == 0:
             return True
         dst_pod = pip_pod(dst)
         if self.layer == Layer.TOR:
@@ -537,8 +536,8 @@ class Switch(Node):
         )
 
 
-def _indexed(links: list[Link | None], index: int) -> Link | None:
-    """Bounds-safe read of a presized port array (None when absent)."""
+def _indexed(links: list[Link], index: int) -> Link | None:
+    """Bounds-safe read of a port array (None for a port it lacks)."""
     return links[index] if 0 <= index < len(links) else None
 
 

@@ -89,13 +89,6 @@ class Fabric:
         self.switches: list[Switch] = []
         self.switch_by_id: dict[int, Switch] = {}
         self._switch_links: dict[tuple[int, int], Link] = {}
-        self._next_switch_id = 0
-        #: Pods whose ToR<->spine mesh and spine<->core uplinks have
-        #: been wired.  Link objects dominate a large fabric's memory
-        #: and construction time, so cables are created lazily per pod
-        #: on first attachment or path computation; a pod that never
-        #: sees traffic never allocates its links.
-        self._wired_pods: set[int] = set()
         #: Count of currently-active faults (failed switches, downed
         #: links).  While zero, forwarding skips the deeper down-path
         #: liveness checks, keeping the fault-free hot path cheap.
@@ -104,10 +97,6 @@ class Fabric:
         #: fidelity: path validity may have changed for any fluid flow).
         self.on_fault = None
         self._build()
-
-    @property
-    def faults_active(self) -> bool:
-        return self.fault_count > 0
 
     def note_fault(self, delta: int) -> None:
         """Record a fault appearing (+1) or clearing (-1).
@@ -144,9 +133,8 @@ class Fabric:
     # construction
     # ------------------------------------------------------------------
     def _new_switch(self, name: str, layer: Layer, pod: int, index: int) -> Switch:
-        switch = Switch(name, self._next_switch_id, layer, pod, index)
+        switch = Switch(name, len(self.switches), layer, pod, index)
         switch.fabric = self
-        self._next_switch_id += 1
         self.switches.append(switch)
         self.switch_by_id[switch.switch_id] = switch
         return switch
@@ -163,13 +151,13 @@ class Fabric:
         return forward, backward
 
     def _build(self) -> None:
-        """Create every switch; cables are wired lazily per pod.
+        """Create every switch, then cable the fabric pod by pod.
 
-        Switch port tables are presized, list-indexed arrays (rack ->
-        link at spines, pod -> link at cores): the index domains are
-        bounded by the spec, so a flat array replaces the hash table on
-        the per-hop forwarding path and per-switch memory stays compact
-        at large ``k``.
+        Switch port tables are flat lists (rack -> link at spines, pod
+        -> link at cores): the index domains are bounded by the spec,
+        so a list replaces the hash table on the per-hop forwarding
+        path.  Cabling appends in rack order within a pod and pod by
+        pod, which makes a link's position its index.
         """
         spec = self.spec
         for pod in range(spec.pods):
@@ -177,48 +165,26 @@ class Fabric:
                 self.tors[(pod, rack)] = self._new_switch(
                     f"tor-p{pod}r{rack}", Layer.TOR, pod, rack)
             for j in range(spec.spines_per_pod):
-                spine = self._new_switch(f"spine-p{pod}s{j}", Layer.SPINE, pod, j)
-                spine.down_links = [None] * spec.racks_per_pod
-                self.spines[(pod, j)] = spine
+                self.spines[(pod, j)] = self._new_switch(
+                    f"spine-p{pod}s{j}", Layer.SPINE, pod, j)
         for c in range(spec.num_cores):
-            core = self._new_switch(f"core-{c}", Layer.CORE, -1, c)
-            core.pod_links = [None] * spec.pods
-            self.cores.append(core)
-
-    def _ensure_pod(self, pod: int) -> None:
-        """Wire pod ``pod``'s internal mesh and core uplinks on demand.
-
-        Traffic can only originate at or target attached hosts, and
-        attachment wires the pod, so forwarding never encounters an
-        unwired link table; cross-pod transit uses only the two end
-        pods' cables (ToR->spine->core->spine->ToR).
-        """
-        if pod in self._wired_pods or not 0 <= pod < self.spec.pods:
-            return
-        self._wired_pods.add(pod)
-        spec = self.spec
-        # ToR <-> spine full mesh within the pod.
-        for rack in range(spec.racks_per_pod):
-            tor = self.tors[(pod, rack)]
-            for j in range(spec.spines_per_pod):
-                spine = self.spines[(pod, j)]
-                up, down = self._wire(tor, spine)
-                tor.up_links.append(up)
-                spine.down_links[rack] = down
-        # Spine j <-> its core group.
+            self.cores.append(self._new_switch(f"core-{c}", Layer.CORE, -1, c))
         group_size = spec.num_cores // spec.spines_per_pod if spec.spines_per_pod else 0
-        for j in range(spec.spines_per_pod):
-            spine = self.spines[(pod, j)]
-            for g in range(group_size):
-                core = self.cores[j * group_size + g]
-                up, down = self._wire(spine, core)
-                spine.up_links.append(up)
-                core.pod_links[pod] = down
-
-    def ensure_wired(self) -> None:
-        """Eagerly wire every pod (structural validation, link sweeps)."""
-        for pod in range(self.spec.pods):
-            self._ensure_pod(pod)
+        for pod in range(spec.pods):
+            pod_spines = [self.spines[(pod, j)] for j in range(spec.spines_per_pod)]
+            # ToR <-> spine full mesh within the pod.
+            for rack in range(spec.racks_per_pod):
+                tor = self.tors[(pod, rack)]
+                for spine in pod_spines:
+                    up, down = self._wire(tor, spine)
+                    tor.up_links.append(up)
+                    spine.down_links.append(down)
+            # Spine j <-> its core group.
+            for j, spine in enumerate(pod_spines):
+                for core in self.cores[j * group_size:(j + 1) * group_size]:
+                    up, down = self._wire(spine, core)
+                    spine.up_links.append(up)
+                    core.pod_links.append(down)
 
     # ------------------------------------------------------------------
     # host / gateway attachment
@@ -231,7 +197,6 @@ class Fabric:
             The assigned PIP and the node's uplink to its ToR.
         """
         spec = self.spec
-        self._ensure_pod(pod)
         pip = make_pip(pod, rack, host_index)
         tor = self.tors[(pod, rack)]
         if pip in tor.host_links:
@@ -254,12 +219,7 @@ class Fabric:
 
     def link_between(self, a: Switch, b: Switch) -> Link:
         """The directed link from switch ``a`` to switch ``b``."""
-        link = self._switch_links.get((a.switch_id, b.switch_id))
-        if link is None:
-            self._ensure_pod(a.pod)
-            self._ensure_pod(b.pod)
-            link = self._switch_links[(a.switch_id, b.switch_id)]
-        return link
+        return self._switch_links[(a.switch_id, b.switch_id)]
 
     def gateway_tor_ids(self) -> set[int]:
         """Switch ids of gateway ToRs (paper §3.2: role assignment)."""
@@ -268,11 +228,9 @@ class Fabric:
 
     def gateway_spine_ids(self) -> set[int]:
         """Switch ids of spines directly attached to a gateway ToR."""
-        ids = set()
-        for pod in self.spec.gateway_pods:
-            for j in range(self.spec.spines_per_pod):
-                ids.add(self.spines[(pod, j)].switch_id)
-        return ids
+        return {self.spines[(pod, j)].switch_id
+                for pod in self.spec.gateway_pods
+                for j in range(self.spec.spines_per_pod)}
 
     # ------------------------------------------------------------------
     # switch-to-switch paths (invalidation packet routing, §3.3)
@@ -288,8 +246,6 @@ class Fabric:
             raise ValueError(f"paths originate at ToRs, got {tor}")
         if target is tor:
             return []
-        self._ensure_pod(tor.pod)
-        self._ensure_pod(target.pod)
         spec = self.spec
         group_size = spec.num_cores // spec.spines_per_pod
 

@@ -24,6 +24,7 @@ run cannot change its result.
 from __future__ import annotations
 
 import cProfile
+import gc
 import io
 import pstats
 import time
@@ -60,21 +61,31 @@ class PhaseTimer:
         True
     """
 
-    __slots__ = ("phases_ns",)
+    __slots__ = ("phases_ns", "full_collections")
 
     def __init__(self) -> None:
         #: Phase name -> accumulated wall-clock nanoseconds.
         self.phases_ns: dict[str, int] = {}
+        #: Phase name -> full (oldest-generation) collector passes in it.
+        self.full_collections: dict[str, int] = {}
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
         """Time the enclosed block under ``name`` (re-entrant by sum)."""
+        # A phase entered with the collector off (the fluid scheduler's
+        # thousands per run, inside ``Engine.run``'s pause) can trigger
+        # no pass and skips the read, the costliest call here.
+        counting = gc.isenabled()
+        before = gc.get_stats()[2]["collections"] if counting else 0
         start = time.perf_counter_ns()
         try:
             yield
         finally:
             elapsed = time.perf_counter_ns() - start
             self.phases_ns[name] = self.phases_ns.get(name, 0) + elapsed
+            if counting:
+                passes = gc.get_stats()[2]["collections"] - before
+                self.full_collections[name] = self.full_collections.get(name, 0) + passes
 
     def add(self, name: str, elapsed_ns: int) -> None:
         """Fold an externally measured duration into phase ``name``.
@@ -85,10 +96,6 @@ class PhaseTimer:
         the jobs ran elsewhere.
         """
         self.phases_ns[name] = self.phases_ns.get(name, 0) + int(elapsed_ns)
-
-    @property
-    def total_ns(self) -> int:
-        return sum(self.phases_ns.values())
 
 
 class PhaseMemoryTimer(PhaseTimer):
@@ -116,12 +123,10 @@ class PhaseMemoryTimer(PhaseTimer):
     def phase(self, name: str) -> Iterator[None]:
         if tracemalloc.is_tracing():
             tracemalloc.reset_peak()
-        start = time.perf_counter_ns()
         try:
-            yield
+            with super().phase(name):
+                yield
         finally:
-            elapsed = time.perf_counter_ns() - start
-            self.phases_ns[name] = self.phases_ns.get(name, 0) + elapsed
             current, peak = (tracemalloc.get_traced_memory()
                              if tracemalloc.is_tracing() else (0, 0))
             entry = self.memory_by_phase.setdefault(
@@ -155,6 +160,8 @@ class RunProfile:
     events: int
     packets: int
     phases_ns: dict[str, int] = field(default_factory=dict)
+    #: Full collector passes per phase (:attr:`PhaseTimer.full_collections`).
+    full_collections: dict[str, int] = field(default_factory=dict)
     #: Packet-pool effectiveness (recycled / (recycled + allocated)).
     pool_recycle_rate: float = 0.0
     #: Simulation fidelity ("packet" or "hybrid") and, for hybrid runs,
@@ -200,6 +207,7 @@ class RunProfile:
             "fidelity": self.fidelity,
             "phases_ms": {name: ns / 1e6
                           for name, ns in sorted(self.phases_ns.items())},
+            "full_collections": dict(sorted(self.full_collections.items())),
         }
         if self.memory_by_phase:
             data["memory_by_phase"] = {
@@ -228,7 +236,8 @@ class RunProfile:
             f"pool recycle     {self.pool_recycle_rate:12.1%}",
         ]
         for name, ns in sorted(self.phases_ns.items()):
-            lines.append(f"phase {name:<10} {ns / 1e6:12.2f} ms")
+            lines.append(f"phase {name:<10} {ns / 1e6:12.2f} ms"
+                         f"  full gc {self.full_collections.get(name, 0)}")
         for name, entry in sorted(self.memory_by_phase.items()):
             lines.append(
                 f"mem   {name:<10} rss-peak {entry['rss_peak_kb'] / 1024:8.1f}"
@@ -316,6 +325,7 @@ def profile_experiment(spec, scheme_name: str, flows, num_vms: int,
         events=network.engine.events_processed,
         packets=result.packets_sent,
         phases_ns=dict(timer.phases_ns),
+        full_collections=dict(timer.full_collections),
         pool_recycle_rate=pool.recycled / served if served else 0.0,
         fidelity=result.fidelity,
         fluid_adoptions=result.fluid_adoptions,

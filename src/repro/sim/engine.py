@@ -34,6 +34,7 @@ from __future__ import annotations
 import gc
 import heapq
 from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from typing import Any
 
 # Unit helpers: all simulation timestamps are integers in nanoseconds.
@@ -64,6 +65,24 @@ def usec(value: float) -> int:
 def msec(value: float) -> int:
     """Convert milliseconds to integer nanoseconds."""
     return round(value * MILLISECOND)
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector from running inside the block.
+
+    For code whose objects all stay alive (building a network) or die
+    by reference count (the event loop), where a scan frees nothing.
+    Nests: a block re-enables only the collector it disabled itself, so
+    a caller that runs with the collector off keeps it off.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class SimulationError(RuntimeError):
@@ -426,12 +445,9 @@ class Engine:
         bound, and ``max_events`` is the length of the loop's range, so
         none of the three costs anything per event.
 
-        Automatic garbage collection is paused while the loop runs (and
-        restored on exit): per-event garbage — calendar tuples, expired
-        packets — is reference-counted away immediately, so the cyclic
-        collector's periodic scans only add latency.  Anything cyclic
-        produced during a run is reclaimed by the first collection after
-        the loop returns.
+        The loop runs under :func:`collector_paused`: per-event garbage
+        (calendar tuples, expired packets) is reference-counted away at
+        once, so the cyclic collector's scans would only add latency.
         """
         self._stopped = False
         # Bind the loop's hot names to locals: each lookup saved here is
@@ -445,35 +461,31 @@ class Engine:
         drained = False
         if self._timer_bound > horizon:
             self._timer_bound = horizon + 1
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            # One iteration per executed event; ``processed`` counts
-            # the events executed before the current one.
-            for processed in range(processed, budget_end):
-                if queue:
-                    head = heappop(queue)
-                    at = head[0]
-                    if at < self._timer_bound:
-                        self._now = at
-                        head[2](*head[3])
-                        continue
-                    heappush(queue, head)
-                if self._stopped:
-                    break
-                item = self._pop_next(horizon)
-                if item is None:
-                    drained = True
-                    break
-                self._now = item[0]
-                item[1](*item[2])
-            else:
-                processed = budget_end
-        finally:
-            self._events_processed = processed
-            if gc_was_enabled:
-                gc.enable()
+        with collector_paused():
+            try:
+                # One iteration per executed event; ``processed`` counts
+                # the events executed before the current one.
+                for processed in range(processed, budget_end):
+                    if queue:
+                        head = heappop(queue)
+                        at = head[0]
+                        if at < self._timer_bound:
+                            self._now = at
+                            head[2](*head[3])
+                            continue
+                        heappush(queue, head)
+                    if self._stopped:
+                        break
+                    item = self._pop_next(horizon)
+                    if item is None:
+                        drained = True
+                        break
+                    self._now = item[0]
+                    item[1](*item[2])
+                else:
+                    processed = budget_end
+            finally:
+                self._events_processed = processed
         if until is not None and self._now < until \
                 and (drained or not self.pending_events):
             self._now = until

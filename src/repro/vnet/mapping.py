@@ -9,7 +9,7 @@ correctness is restored lazily via misdelivery handling (§3.3).
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from repro.net.addresses import format_vip
 
@@ -65,6 +65,25 @@ class MappingDatabase:
         self._generations[vip] = self._generations.get(vip, 0) + 1
         for listener in self._listeners:
             listener(vip, old, pip)
+
+    def load(self, mappings: Iterable[tuple[int, int]]) -> None:
+        """Install ``(vip, pip)`` pairs of distinct VIPs in one step.
+
+        Leaves what one :meth:`set` per pair leaves in a database never
+        written before (the only kind accepted), without a call each;
+        listeners hear every ``(vip, -1, pip)`` once the table is full.
+        """
+        if self.version:
+            raise ValueError("load() needs a database that was never written")
+        table = self._table
+        table.update(mappings)
+        self.version = self.updates = len(table)
+        self._generations = dict.fromkeys(table, 1)
+        listeners = self._listeners
+        if listeners:
+            for vip, pip in table.items():
+                for listener in listeners:
+                    listener(vip, -1, pip)
 
     def remove(self, vip: int) -> None:
         """Retire a mapping (VM departure); notifies removal listeners."""

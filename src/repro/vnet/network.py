@@ -11,12 +11,13 @@ hooks.  Transports and trace players then drive traffic through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import cycle
 
 from repro.metrics.collector import Collector
 from repro.net.node import ecmp_index
 from repro.net.packet import Packet, PacketKind, PacketPool
 from repro.net.topology import Fabric, FatTreeSpec
-from repro.sim.engine import Engine, msec, usec
+from repro.sim.engine import Engine, collector_paused, msec, usec
 from repro.sim.randomness import RandomStreams
 from repro.vnet.failover import GatewayFailureDetector
 from repro.vnet.gateway import Gateway
@@ -80,9 +81,7 @@ class VirtualNetwork:
         wheel_slots = 512
         while wheel_slots < servers and wheel_slots < 8192:
             wheel_slots *= 2
-        self.engine = Engine(wheel_slots=wheel_slots)
         self.streams = RandomStreams(config.seed)
-        self.fabric = Fabric(self.engine, config.spec)
         self.database = MappingDatabase()
         #: Shared freelist recycling DATA/ACK packets across all hosts;
         #: steady-state traffic allocates no new packet objects.
@@ -105,15 +104,20 @@ class VirtualNetwork:
         #: until the live pool changes (failover/commissioning), which
         #: clears the memo.
         self._gateway_memo: dict[int, Gateway] = {}
-        self._build_hosts()
-        self._build_gateways()
-        self._wire_scheme()
         #: Hybrid-fidelity fluid scheduler; None in pure-packet mode so
         #: every hot-path hook reduces to one attribute test.
         self.fluid = None
-        if config.fidelity == "hybrid":
-            from repro.sim.fluid import FluidScheduler
-            self.fluid = FluidScheduler(self)
+        # All of this lives as long as the network: a collector scan
+        # in between frees nothing, and at k=32 rescans 200 000 objects.
+        with collector_paused():
+            self.engine = Engine(wheel_slots=wheel_slots)
+            self.fabric = Fabric(self.engine, config.spec)
+            self._build_hosts()
+            self._build_gateways()
+            self._wire_scheme()
+            if config.fidelity == "hybrid":
+                from repro.sim.fluid import FluidScheduler
+                self.fluid = FluidScheduler(self)
 
     # ------------------------------------------------------------------
     # construction
@@ -127,34 +131,37 @@ class VirtualNetwork:
                 for index in range(spec.servers_per_rack):
                     host = Host(f"host-p{pod}r{rack}h{index}", self.engine,
                                 self.config.host_forward_delay_ns)
-                    pip, uplink = self.fabric.attach_host(host, pod, rack, index)
-                    host.pip = pip
-                    host.uplink = uplink
-                    uplink._src_is_host = True
+                    host.pip, host.uplink = self.fabric.attach_host(
+                        host, pod, rack, index)
+                    host.uplink._src_is_host = True
                     host.on_deliver = deliver
                     host.on_misdeliver = misdeliver
                     host.pool = self.packet_pool
                     self.hosts.append(host)
-                    self.host_by_pip[pip] = host
+                    self.host_by_pip[host.pip] = host
 
     def _build_gateways(self) -> None:
         spec = self.config.spec
         rack = spec.gateway_rack
         for pod in spec.gateway_pods:
             for index in range(spec.gateways_per_pod):
-                gateway = Gateway(f"gw-p{pod}g{index}", self.engine, self.database,
-                                  self.config.gateway_processing_ns,
-                                  self.config.gateway_service_ns)
-                pip, uplink = self.fabric.attach_host(
-                    gateway, pod, rack, spec.servers_per_rack + index)
-                gateway.pip = pip
-                gateway.uplink = uplink
-                gateway.on_packet = self.collector.record_gateway_arrival
-                self.gateways.append(gateway)
+                self._attach_gateway(f"gw-p{pod}g{index}", pod, rack,
+                                     spec.servers_per_rack + index)
         if not self.gateways:
             raise ValueError("topology has no gateways; every scheme needs at "
                              "least one translation gateway")
         self.live_gateways = list(self.gateways)
+
+    def _attach_gateway(self, name: str, pod: int, rack: int,
+                        host_index: int) -> Gateway:
+        gateway = Gateway(name, self.engine, self.database,
+                          self.config.gateway_processing_ns,
+                          self.config.gateway_service_ns)
+        gateway.pip, gateway.uplink = self.fabric.attach_host(
+            gateway, pod, rack, host_index)
+        gateway.on_packet = self.collector.record_gateway_arrival
+        self.gateways.append(gateway)
+        return gateway
 
     def _wire_scheme(self) -> None:
         # Set-up first: assigning a switch its handler binds the
@@ -188,9 +195,22 @@ class VirtualNetwork:
 
         VIP ``v`` lands on server ``v % num_servers``, which yields the
         uniform VMs-per-server placement the paper's trace setup uses.
+        The first placement costs no call per VM: the database loads
+        the mappings in one step and the hosts take their VIPs from it,
+        so a VIP is one ``int`` object however many tables name it.
         """
-        for vip in range(count):
-            self.place_vm(vip, self.hosts[vip % len(self.hosts)])
+        hosts = self.hosts
+        database = self.database
+        if database.version:
+            for vip in range(count):
+                self.place_vm(vip, hosts[vip % len(hosts)])
+            return
+        if count and not hosts:
+            raise ValueError("topology has no servers to place VMs on")
+        with collector_paused():
+            database.load(zip(range(count), cycle([host.pip for host in hosts])))
+            for (vip, _), host in zip(database.items(), cycle(hosts)):
+                host.vms.add(vip)
 
     def place_vm(self, vip: int, host: Host) -> None:
         host.add_vm(vip)
@@ -274,14 +294,8 @@ class VirtualNetwork:
         tor = self.fabric.tor_of(pod, rack)
         taken = {pip_host(pip) for pip in tor.attached_pips}
         host_index = max(taken, default=-1) + 1
-        gateway = Gateway(f"gw-p{pod}r{rack}h{host_index}", self.engine,
-                          self.database, self.config.gateway_processing_ns,
-                          self.config.gateway_service_ns)
-        pip, uplink = self.fabric.attach_host(gateway, pod, rack, host_index)
-        gateway.pip = pip
-        gateway.uplink = uplink
-        gateway.on_packet = self.collector.record_gateway_arrival
-        self.gateways.append(gateway)
+        gateway = self._attach_gateway(f"gw-p{pod}r{rack}h{host_index}",
+                                       pod, rack, host_index)
         self.live_gateways.append(gateway)
         self._gateway_memo.clear()
         if self.fluid is not None:

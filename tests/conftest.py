@@ -37,6 +37,14 @@ def tiny_spec(**overrides) -> FatTreeSpec:
     return FatTreeSpec(**params)
 
 
+def ft32_spec() -> FatTreeSpec:
+    """The k=32-class fabric the scale benchmarks run on."""
+    return FatTreeSpec(pods=32, racks_per_pod=16, servers_per_rack=16,
+                       spines_per_pod=16, num_cores=256,
+                       gateway_pods=tuple(range(0, 32, 2)),
+                       gateways_per_pod=4)
+
+
 def small_network(scheme, num_vms: int = 8, seed: int = 0,
                   spec: FatTreeSpec | None = None) -> VirtualNetwork:
     """A tiny network with VMs placed, ready for traffic."""

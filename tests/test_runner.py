@@ -92,3 +92,39 @@ def test_warmup_split_times_two_run_phases():
     # always available on Linux even when tracemalloc is off.
     assert timer.memory_by_phase["run-warmup"]["rss_peak_kb"] > 0
     assert timer.memory_by_phase["run-steady"]["rss_peak_kb"] > 0
+
+
+def test_phase_timer_counts_full_collections_per_phase():
+    """``python -m repro profile`` prints the count beside each phase:
+    it is what shows a set-up that keeps rescanning its own objects."""
+    import gc
+
+    from repro.perf import PhaseMemoryTimer, PhaseTimer, RunProfile
+    for timer in (PhaseTimer(), PhaseMemoryTimer()):
+        with timer.phase("build"):
+            gc.collect()
+            gc.collect()
+        with timer.phase("build"):
+            gc.collect()
+        with timer.phase("setup"):
+            pass
+        assert timer.full_collections == {"build": 3, "setup": 0}
+        assert set(timer.phases_ns) == {"build", "setup"}
+    profile = RunProfile("t", "s", 1, 0, 0, phases_ns=dict(timer.phases_ns),
+                         full_collections=dict(timer.full_collections))
+    assert any(line.startswith("phase build") and line.endswith("full gc 3")
+               for line in profile.render().splitlines())
+    assert profile.as_dict()["full_collections"] == {"build": 3, "setup": 0}
+
+
+def test_phase_entered_with_the_collector_off_is_not_counted():
+    """No pass can start by itself there, so the fluid scheduler's
+    phases (inside ``Engine.run``'s pause) skip the costly read."""
+    from repro.perf import PhaseTimer
+    from repro.sim.engine import collector_paused
+    timer = PhaseTimer()
+    with collector_paused():
+        with timer.phase("fluid"):
+            pass
+    assert "fluid" in timer.phases_ns
+    assert timer.full_collections == {}

@@ -7,7 +7,7 @@ from repro.net.node import Layer, Node
 from repro.net.topology import Fabric, FatTreeSpec
 from repro.sim.engine import Engine
 
-from conftest import tiny_spec
+from conftest import ft32_spec, tiny_spec
 
 
 class Stub(Node):
@@ -40,7 +40,6 @@ def test_switch_ids_unique_and_indexed():
 
 def test_tor_spine_full_mesh():
     fabric = build()
-    fabric.ensure_wired()
     spec = fabric.spec
     for (pod, rack), tor in fabric.tors.items():
         assert len(tor.up_links) == spec.spines_per_pod
@@ -52,7 +51,6 @@ def test_tor_spine_full_mesh():
 
 def test_core_groups_connect_every_pod():
     fabric = build()
-    fabric.ensure_wired()
     spec = fabric.spec
     for core in fabric.cores:
         assert len(core.pod_links) == spec.pods
@@ -145,14 +143,6 @@ def test_spec_derived_quantities():
     assert spec.gateway_rack == 1
 
 
-def ft32_spec():
-    """The k=32-class fabric the scale benchmarks run on."""
-    return FatTreeSpec(pods=32, racks_per_pod=16, servers_per_rack=16,
-                       spines_per_pod=16, num_cores=256,
-                       gateway_pods=tuple(range(0, 32, 2)),
-                       gateways_per_pod=4)
-
-
 def test_ft32_structural_invariants():
     spec = ft32_spec()
     assert spec.num_servers == 8192
@@ -162,61 +152,32 @@ def test_ft32_structural_invariants():
     assert len(fabric.spines) == 32 * 16
     assert len(fabric.cores) == 256
     assert len(fabric.switches) == 1280
-    # Lazy wiring: construction allocates no cables at all.
-    assert fabric._switch_links == {}
-    assert all(not tor.up_links for tor in fabric.tors.values())
-    # Attaching one host wires exactly its pod: the full ToR<->spine
-    # mesh plus each spine's core group, both directions.
-    fabric.attach_host(Stub("h"), 3, 5, 0)
-    assert fabric._wired_pods == {3}
+    # Construction cables the whole fabric: the full ToR<->spine mesh
+    # of every pod plus each spine's core group, both directions.
     group = spec.num_cores // spec.spines_per_pod
-    cables = (spec.racks_per_pod * spec.spines_per_pod
-              + spec.spines_per_pod * group)
-    assert len(fabric._switch_links) == 2 * cables
-    for rack in range(spec.racks_per_pod):
-        assert len(fabric.tor_of(3, rack).up_links) == spec.spines_per_pod
-    for j in range(spec.spines_per_pod):
-        spine = fabric.spines[(3, j)]
+    cables = spec.pods * (spec.racks_per_pod * spec.spines_per_pod
+                          + spec.spines_per_pod * group)
+    assert len(fabric._switch_links) == 2 * cables == 32_768
+    for tor in fabric.tors.values():
+        assert len(tor.up_links) == spec.spines_per_pod == 16
+    for spine in fabric.spines.values():
         assert len(spine.up_links) == group  # ECMP group size
-        assert all(link is not None for link in spine.down_links)
+        assert len(spine.down_links) == spec.racks_per_pod
+        assert None not in spine.down_links
     for core in fabric.cores:
-        assert core.pod_links[3] is not None
-        assert all(core.pod_links[pod] is None
-                   for pod in range(spec.pods) if pod != 3)
-    # Pod symmetry: every further pod adds an identical cable count.
+        assert len(core.pod_links) == spec.pods
+        assert None not in core.pod_links
+    # Attaching hosts adds edge links only.
+    fabric.attach_host(Stub("h"), 3, 5, 0)
     fabric.attach_host(Stub("g"), 17, 0, 2)
-    assert fabric._wired_pods == {3, 17}
-    assert len(fabric._switch_links) == 4 * cables
+    assert len(fabric._switch_links) == 2 * cables
 
 
-@pytest.mark.parametrize("spec_factory", [tiny_spec, FatTreeSpec])
-def test_lazy_build_matches_eager_golden_shapes(spec_factory):
-    """Lazily-wired fabrics converge to the eager golden shape."""
-    eager = Fabric(Engine(), spec_factory())
-    eager.ensure_wired()
-    lazy = Fabric(Engine(), spec_factory())
-    # Touch pods out of order through the public entry points first so
-    # the final shape cannot depend on wiring order.
-    lazy.link_between(lazy.tor_of(1, 0), lazy.spines[(1, 1)])
-    lazy.attach_host(Stub("h"), 0, 0, 0)
-    lazy.ensure_wired()
-    assert set(lazy._switch_links) == set(eager._switch_links)
-    for (a, b), link in lazy._switch_links.items():
-        assert link.src.switch_id == a
-        assert link.dst.switch_id == b
-        twin = eager._switch_links[(a, b)]
-        assert (link.src.name, link.dst.name) == (twin.src.name,
-                                                  twin.dst.name)
-    for key, tor in lazy.tors.items():
-        assert len(tor.up_links) == len(eager.tors[key].up_links)
-    for key, spine in lazy.spines.items():
-        golden = eager.spines[key]
-        assert [link.dst.name for link in spine.down_links] == \
-            [link.dst.name for link in golden.down_links]
-        assert [link.dst.name for link in spine.up_links] == \
-            [link.dst.name for link in golden.up_links]
-    for core, golden in zip(lazy.cores, eager.cores):
-        assert [None if link is None else link.dst.name
-                for link in core.pod_links] == \
-            [None if link is None else link.dst.name
-             for link in golden.pod_links]
+def test_switch_links_are_listed_pod_major():
+    """``vnet/validation.py`` walks ``_switch_links`` in insertion order."""
+    fabric = build()
+    pods = [max(link.src.pod, link.dst.pod)
+            for link in fabric._switch_links.values()]
+    assert pods == sorted(pods)
+    for (a, b), link in fabric._switch_links.items():
+        assert (link.src.switch_id, link.dst.switch_id) == (a, b)
