@@ -1,9 +1,10 @@
 """Shared benchmark configuration and reporting.
 
-Each benchmark regenerates one table/figure of the paper and renders it
-as an ASCII table, printed to stdout (visible with ``pytest -s``) and
-saved under ``benchmarks/results/`` so EXPERIMENTS.md comparisons can
-be re-derived from artifacts.
+Each benchmark runs one entry of the artifact registry
+(``repro.experiments.artifacts``), prints its table to stdout (visible
+with ``pytest -s``), saves it under ``benchmarks/results/`` so
+EXPERIMENTS.md comparisons can be re-derived from artifacts, and then
+asserts the paper's shape on the result.
 
 Scale is controlled by the ``REPRO_BENCH_SCALE`` environment variable:
 
@@ -17,8 +18,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from repro.experiments.artifacts import ARTIFACTS
 from repro.experiments.figures import FigureScale
-from repro.metrics.reporting import render_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -49,9 +50,9 @@ def bench_scale() -> FigureScale:
             f"REPRO_BENCH_SCALE={name!r}; expected one of {known}") from None
 
 
-def report(name: str, headers, rows, title: str) -> str:
-    """Render, print, and persist one reproduced artifact."""
-    text = render_table(headers, rows, title=title)
+def report(name: str, result) -> str:
+    """Render, print, and persist one registry artifact's table."""
+    text = ARTIFACTS[name].render(result)
     print()
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -59,15 +60,15 @@ def report(name: str, headers, rows, title: str) -> str:
     return text
 
 
-def sweep_rows_table(rows):
-    """Standard formatting for cache-size sweep rows."""
-    return [
-        [row.scheme, row.x_value, f"{row.hit_rate:.3f}",
-         f"{row.fct_improvement:.2f}", f"{row.first_packet_improvement:.2f}",
-         row.result.drops]
-        for row in rows
-    ]
+def run_artifact(benchmark, name: str, *also: str):
+    """Run one registry artifact at the bench scale and report it.
 
-
-SWEEP_HEADERS = ["scheme", "cache(x addr space)", "hit rate",
-                 "FCT impr.", "first-pkt impr.", "drops"]
+    ``also`` names further artifacts rendered from the same run (Figure
+    7's heatmap).  Returns what the artifact's ``run`` returned, for
+    the shape assertions.
+    """
+    result = benchmark.pedantic(ARTIFACTS[name].run, args=(bench_scale(),),
+                                rounds=1, iterations=1)
+    for stem in (name, *also):
+        report(stem, result)
+    return result

@@ -6,40 +6,11 @@ topology), leaving allocation policies as future work.  This bench
 measures the design space: uniform, ToR-only, edge-heavy, core-heavy.
 """
 
-from common import bench_scale, report
-from repro.core.allocation import NAMED_POLICIES
-from repro.experiments import build_trace, ft8_spec
-from repro.experiments.runner import run_experiment
-
-
-def run():
-    scale = bench_scale()
-    flows, num_vms = build_trace("hadoop", scale)
-    baseline = run_experiment(ft8_spec(), "NoCache", flows, num_vms, 0.0,
-                              scale.seed, trace_name="hadoop")
-    results = {}
-    for name, policy in NAMED_POLICIES.items():
-        results[name] = run_experiment(
-            ft8_spec(), "SwitchV2P", flows, num_vms, cache_ratio=2.0,
-            seed=scale.seed, trace_name="hadoop",
-            scheme_kwargs={"allocation": policy})
-    return baseline, results
+from common import run_artifact
 
 
 def test_ablation_allocation(benchmark):
-    baseline, results = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = []
-    for name, result in results.items():
-        table.append([
-            name,
-            f"{result.hit_rate:.3f}",
-            f"{baseline.avg_fct_ns / result.avg_fct_ns:.2f}",
-            f"{baseline.avg_first_packet_ns / result.avg_first_packet_ns:.2f}",
-            f"{result.avg_stretch:.2f}",
-        ])
-    report("ablation_allocation",
-           ["policy", "hit rate", "FCT impr.", "first-pkt impr.", "stretch"],
-           table, "Ablation — memory allocation policies (Hadoop, cache=2x)")
+    baseline, results = run_artifact(benchmark, "ablation_allocation")
     uniform = results["uniform"]
     tor_only = results["tor-only"]
     # §4's observation: ToR-only still improves FCT over NoCache...

@@ -7,33 +7,11 @@ constraint by running SwitchV2P with 1/2/4-way caches of equal total
 size (associativity beyond 1 is not implementable at line rate).
 """
 
-from common import bench_scale, report
-from repro.experiments import build_trace, ft8_spec
-from repro.experiments.runner import run_experiment
-
-WAYS = (1, 2, 4)
-
-
-def run():
-    scale = bench_scale()
-    flows, num_vms = build_trace("hadoop", scale)
-    results = {}
-    for ways in WAYS:
-        results[ways] = run_experiment(
-            ft8_spec(), "SwitchV2P", flows, num_vms, cache_ratio=2.0,
-            seed=scale.seed, trace_name="hadoop",
-            scheme_kwargs={"cache_ways": ways})
-    return results
+from common import run_artifact
 
 
 def test_ablation_cache_geometry(benchmark):
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = [[f"{ways}-way", f"{r.hit_rate:.3f}",
-              f"{r.avg_fct_ns / 1000:.1f}", f"{r.avg_stretch:.2f}"]
-             for ways, r in results.items()]
-    report("ablation_cache_geometry",
-           ["geometry", "hit rate", "avg FCT [us]", "stretch"],
-           table, "Ablation — cache geometry (Hadoop, cache=2x)")
+    results = run_artifact(benchmark, "ablation_cache_geometry")
     # Associativity should not *hurt* much; the interesting output is
     # how small the direct-mapped penalty actually is (the paper's
     # hardware-friendly choice being nearly free).

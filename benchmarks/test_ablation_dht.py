@@ -7,36 +7,11 @@ en-route caching disappears, and resolver switches become critical
 infrastructure.
 """
 
-from common import bench_scale, report
-from repro.experiments import build_trace, ft8_spec
-from repro.experiments.runner import run_experiment
-
-SCHEMES = ("SwitchV2P", "DhtStore", "NoCache", "Direct")
-
-
-def run():
-    scale = bench_scale()
-    flows, num_vms = build_trace("hadoop", scale)
-    results = {}
-    for scheme in SCHEMES:
-        results[scheme] = run_experiment(
-            ft8_spec(), scheme, flows, num_vms, cache_ratio=16.0,
-            seed=scale.seed, trace_name="hadoop")
-    return results
+from common import run_artifact
 
 
 def test_ablation_dht(benchmark):
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    base = results["NoCache"]
-    table = [[name,
-              f"{r.hit_rate:.3f}",
-              f"{base.avg_fct_ns / r.avg_fct_ns:.2f}",
-              f"{r.avg_stretch:.2f}",
-              r.gateway_arrivals]
-             for name, r in results.items()]
-    report("ablation_dht",
-           ["scheme", "hit rate", "FCT impr.", "stretch", "gateway pkts"],
-           table, "Ablation — in-switch DHT vs caching (Hadoop, cache=16x)")
+    results = run_artifact(benchmark, "ablation_dht")
     dht = results["DhtStore"]
     v2p = results["SwitchV2P"]
     direct = results["Direct"]

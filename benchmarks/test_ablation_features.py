@@ -7,41 +7,11 @@ hit rate and FCT for the Hadoop workload.  The paper's Table 2 summary
 role-aware ablation.
 """
 
-from common import bench_scale, report
-from repro.core import SwitchV2PConfig
-from repro.experiments import build_trace, ft8_spec
-from repro.experiments.runner import run_experiment
-
-ABLATIONS = (
-    ("full protocol", SwitchV2PConfig()),
-    ("no learning packets", SwitchV2PConfig(enable_learning_packets=False)),
-    ("no spillover", SwitchV2PConfig(enable_spillover=False)),
-    ("no promotion", SwitchV2PConfig(enable_promotion=False)),
-    ("role-unaware (greedy)", SwitchV2PConfig(role_aware=False)),
-)
-
-
-def run():
-    scale = bench_scale()
-    flows, num_vms = build_trace("hadoop", scale)
-    results = {}
-    for label, config in ABLATIONS:
-        results[label] = run_experiment(
-            ft8_spec(), "SwitchV2P", flows, num_vms, cache_ratio=2.0,
-            seed=scale.seed, trace_name="hadoop",
-            scheme_kwargs={"config": config})
-    return results
+from common import run_artifact
 
 
 def test_ablation_features(benchmark):
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = [[label, f"{r.hit_rate:.3f}", f"{r.avg_fct_ns / 1000:.1f}",
-              f"{r.avg_first_packet_ns / 1000:.1f}", f"{r.avg_stretch:.2f}"]
-             for label, r in results.items()]
-    report("ablation_features",
-           ["variant", "hit rate", "avg FCT [us]", "first-pkt [us]",
-            "stretch"],
-           table, "Ablation — SwitchV2P features (Hadoop, cache=2x)")
+    results = run_artifact(benchmark, "ablation_features")
     full = results["full protocol"]
     # Each feature is at worst performance-neutral (small caches leave
     # little room for learning packets/spillover to add hits).

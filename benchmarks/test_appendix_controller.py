@@ -6,18 +6,11 @@ shrinks with staleness — slower invocation (300 us) does worse, and at
 larger caches the reactive SwitchV2P catches up or wins.
 """
 
-from common import SWEEP_HEADERS, bench_scale, report, sweep_rows_table
-from repro.experiments import appendix_controller
-
-
-def run():
-    return appendix_controller(bench_scale())
+from common import run_artifact
 
 
 def test_appendix_controller(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    report("appendix_controller", SWEEP_HEADERS, sweep_rows_table(rows),
-           "Appendix A.2 — Controller vs SwitchV2P (WebSearch)")
+    rows = run_artifact(benchmark, "appendix_controller")
     largest = max(r.x_value for r in rows)
     at = {r.scheme: r for r in rows if r.x_value == largest}
     fast = at["Controller@150us"]

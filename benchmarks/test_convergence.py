@@ -8,45 +8,11 @@ placement puts entries where they are used), and its gateway load falls
 accordingly.
 """
 
-from common import bench_scale, report
-from repro.experiments import build_trace, ft8_spec
-from repro.experiments.runner import build_network, make_scheme
-from repro.metrics.timeline import track_hit_rate
-from repro.sim.engine import msec, usec
-from repro.transport.player import TrafficPlayer
-
-SCHEMES = ("SwitchV2P", "LocalLearning")
-
-
-def run():
-    scale = bench_scale()
-    flows, num_vms = build_trace("hadoop", scale)
-    duration = max(flow.start_ns for flow in flows)
-    window = max(usec(10), duration // 10)
-    curves = {}
-    for name in SCHEMES:
-        scheme = make_scheme(name, num_vms, 8.0)
-        network = build_network(ft8_spec(), scheme, num_vms, scale.seed)
-        timeline = track_hit_rate(network, window)
-        player = TrafficPlayer(network)
-        player.add_flows(flows)
-        network.run(until=duration + msec(50))
-        # Keep only the windows covering the active traffic period; the
-        # long drain tail has too few packets to be meaningful.
-        curves[name] = [sample.value for sample in timeline.samples
-                        if sample.time_ns <= duration + window]
-    return curves
+from common import run_artifact
 
 
 def test_convergence(benchmark):
-    curves = benchmark.pedantic(run, rounds=1, iterations=1)
-    windows = max(len(values) for values in curves.values())
-    rows = []
-    for name, values in curves.items():
-        rows.append([name] + [f"{v:.2f}" for v in values[:10]])
-    headers = ["scheme"] + [f"w{i}" for i in range(min(10, windows))]
-    report("convergence", headers, rows,
-           "Windowed in-network hit rate over time (Hadoop, cache=8x)")
+    curves = run_artifact(benchmark, "convergence")
     v2p = curves["SwitchV2P"]
     greedy = curves["LocalLearning"]
     assert len(v2p) >= 4, "expected several sampled windows"

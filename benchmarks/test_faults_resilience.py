@@ -5,72 +5,43 @@ loss (the gateway *and* its ToR, so Sailfish-style gateway-ToR caches
 die with the rack) followed by a spine fail + recover — against its own
 undisturbed baseline.  The paper's robustness claim (§1/§2: the
 opportunistic caches make the system resilient to failures) shows up
-as SwitchV2P adding the least FCT to flows born during the gateway
-outage, and as the windowed hit rate dipping after the spine's
-cold restart and then re-warming from passing traffic.
+as SwitchV2P adding less FCT than the gateway-centric design to flows
+born during the gateway outage and losing no more packets at the dead
+gateway than the host-centric one, and as the windowed hit rate dipping
+after the spine's cold restart and then re-warming from passing traffic.
 """
 
-from common import report
+from common import run_artifact
 from repro.experiments.faults import (
+    GATEWAY_CRASH_NS,
+    SPINE_FAIL_NS,
+    SPINE_RECOVER_NS,
     ChaosParams,
-    chaos_flows,
     chaos_schedule,
-    chaos_spec,
-    run_chaos_experiment,
-    _place_tenants,
+    run_chaos_scenario,
 )
-from repro.experiments.runner import make_scheme
-from repro.metrics.resilience import ResilienceProbe
-from repro.transport.player import TrafficPlayer
-from repro.transport.reliable import TransportConfig
-from repro.vnet.network import NetworkConfig, VirtualNetwork
 
 
-def run():
-    return run_chaos_experiment(ChaosParams())
+def gateway_drops(row) -> int:
+    return (row.faulted.gateway_crash_drops
+            + row.faulted.gateway_unavailable_drops)
 
 
 def test_faults_resilience(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = []
-    for row in rows:
-        recover = row.faulted.time_to_recover_ns
-        table.append([
-            row.scheme,
-            f"{row.baseline.availability:.3f}",
-            f"{row.faulted.availability:.3f}",
-            f"{row.availability_drop:.3f}",
-            f"{row.baseline_fct_ns / 1000:.1f}",
-            f"{row.faulted_fct_ns / 1000:.1f}",
-            f"{row.fct_degradation:.2f}x",
-            f"{row.gateway_window_added_ns / 1000:.1f}",
-            f"{row.faulted.before.mean_hit_rate:.3f}",
-            f"{row.faulted.during.mean_hit_rate:.3f}",
-            f"{row.faulted.after.mean_hit_rate:.3f}",
-            f"{recover / 1000:.0f}" if recover is not None else "never",
-            row.faulted.gateway_crash_drops
-            + row.faulted.gateway_unavailable_drops,
-            row.faulted.failed_flows,
-        ])
-    report("faults_resilience",
-           ["scheme", "avail base", "avail faulted", "avail drop",
-            "fct base [us]", "fct faulted [us]", "fct degr",
-            "gw-window added [us]", "hit before", "hit during", "hit after",
-            "recover [us]", "gw drops", "failed flows"],
-           table,
-           "Chaos — gateway-rack + spine outages "
-           "(identical fault schedule per scheme)")
-
+    rows = run_artifact(benchmark, "faults_resilience")
     by_scheme = {row.scheme: row for row in rows}
     switchv2p = by_scheme["SwitchV2P"]
     gwcache = by_scheme["GwCache"]
     ondemand = by_scheme["OnDemand"]
 
-    # (a) Mid-run gateway failure hurts SwitchV2P strictly less than the
-    # gateway-centric and host-centric baselines: less added FCT for the
-    # flows born during the outage, and no worse availability loss.
+    # (a) What holds beyond this one flow draw (seeds 0-7, all eight):
+    # a mid-run gateway failure adds less FCT to the flows born during
+    # the outage under SwitchV2P than under the gateway-centric
+    # baseline, loses it no more packets at the dead gateway than the
+    # host-centric one, and costs it no more availability than either.
+    # Against OnDemand's added FCT the draw decides (4 of 8 seeds).
     assert switchv2p.gateway_window_added_ns < gwcache.gateway_window_added_ns
-    assert switchv2p.gateway_window_added_ns < ondemand.gateway_window_added_ns
+    assert gateway_drops(switchv2p) <= gateway_drops(ondemand)
     assert switchv2p.availability_drop <= gwcache.availability_drop
     assert switchv2p.availability_drop <= ondemand.availability_drop
 
@@ -84,25 +55,11 @@ def test_faults_resilience(benchmark):
 
 def test_hit_rate_dips_then_recovers_after_spine_restart():
     """The spine's cold restart is visible in the windowed hit rate."""
-    params = ChaosParams()
-    spec = chaos_spec()
-    scheme = make_scheme("SwitchV2P", params.num_vms, params.cache_ratio)
-    network = VirtualNetwork(NetworkConfig(spec=spec, seed=params.seed), scheme)
-    _place_tenants(network, spec, params.num_vms)
-    probe = ResilienceProbe(network, params.sample_period_ns)
-    network.enable_gateway_failover(
-        probe_interval_ns=params.probe_interval_ns,
-        miss_threshold=params.miss_threshold)
-    chaos_schedule(params, spec).apply(network)
-    player = TrafficPlayer(network, TransportConfig())
-    player.add_flows(chaos_flows(params))
-    network.run(until=params.horizon_ns)
-
-    samples = probe.hit_rate.samples
+    scenario = run_chaos_scenario("SwitchV2P", ChaosParams(), chaos_schedule())
+    samples = scenario.probe.hit_rate.samples
     pre = [s.value for s in samples
-           if params.spine_fail_ns - params.gateway_crash_ns
-           <= s.time_ns < params.spine_fail_ns]
-    post = [s.value for s in samples if s.time_ns > params.spine_recover_ns]
+           if SPINE_FAIL_NS - GATEWAY_CRASH_NS <= s.time_ns < SPINE_FAIL_NS]
+    post = [s.value for s in samples if s.time_ns > SPINE_RECOVER_NS]
     assert pre and len(post) >= 8
     baseline = sum(pre) / len(pre)
     # The recovered spine restarts cold: the first windows after repair

@@ -6,22 +6,11 @@ topology size, while LocalLearning struggles to place learned state in
 large topologies; GwCache stays roughly flat.
 """
 
-from common import bench_scale, report
-from repro.experiments import figure10
-
-
-def run():
-    return figure10(bench_scale())
+from common import run_artifact
 
 
 def test_fig10_topology_scaling(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = [[int(r.x_value), r.scheme, f"{r.hit_rate:.3f}",
-              f"{r.fct_improvement:.2f}", f"{r.first_packet_improvement:.2f}"]
-             for r in rows]
-    report("fig10_topology",
-           ["#pods", "scheme", "hit rate", "FCT impr.", "first-pkt impr."],
-           table, "Figure 10 — topology scaling (Hadoop)")
+    rows = run_artifact(benchmark, "fig10_topology")
     largest_pods = max(r.x_value for r in rows)
     at = {r.scheme: r for r in rows if r.x_value == largest_pods}
     assert at["SwitchV2P"].fct_improvement >= \

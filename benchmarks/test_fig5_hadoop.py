@@ -6,18 +6,11 @@ overtakes OnDemand at larger caches; Bluebird collapses under punt-
 channel drops; Direct bounds everything from above.
 """
 
-from common import SWEEP_HEADERS, bench_scale, report, sweep_rows_table
-from repro.experiments import figure5
-
-
-def run():
-    return figure5("hadoop", bench_scale())
+from common import run_artifact
 
 
 def test_fig5a_hadoop(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    report("fig5a_hadoop", SWEEP_HEADERS, sweep_rows_table(rows),
-           "Figure 5a — Hadoop (FT8)")
+    rows = run_artifact(benchmark, "fig5a_hadoop")
     by_scheme = {}
     for row in rows:
         by_scheme.setdefault(row.scheme, []).append(row)

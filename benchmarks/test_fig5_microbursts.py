@@ -4,18 +4,11 @@ Paper shape: like Hadoop, SwitchV2P exploits the cross-flow reuse of
 bursty destinations and beats the greedy/gateway-bound schemes.
 """
 
-from common import SWEEP_HEADERS, bench_scale, report, sweep_rows_table
-from repro.experiments import figure5
-
-
-def run():
-    return figure5("microbursts", bench_scale())
+from common import run_artifact
 
 
 def test_fig5b_microbursts(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    report("fig5b_microbursts", SWEEP_HEADERS, sweep_rows_table(rows),
-           "Figure 5b — Microbursts (FT8)")
+    rows = run_artifact(benchmark, "fig5b_microbursts")
     largest = max(row.x_value for row in rows)
     at = {r.scheme: r for r in rows if r.x_value == largest}
     assert at["SwitchV2P"].hit_rate > at["LocalLearning"].hit_rate

@@ -5,20 +5,11 @@ load) but application metrics barely move — the flows are long and the
 lookup overhead is negligible relative to their duration.
 """
 
-from common import SWEEP_HEADERS, bench_scale, report, sweep_rows_table
-from repro.experiments import figure5
-
-SCHEMES = ("SwitchV2P", "GwCache", "LocalLearning", "NoCache")
-
-
-def run():
-    return figure5("video", bench_scale(), schemes=SCHEMES)
+from common import run_artifact
 
 
 def test_fig5d_video(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    report("fig5d_video", SWEEP_HEADERS, sweep_rows_table(rows),
-           "Figure 5d — 8K Video (FT8)")
+    rows = run_artifact(benchmark, "fig5d_video")
     largest = max(row.x_value for row in rows)
     at = {r.scheme: r for r in rows if r.x_value == largest}
     # Hit rate is high thanks to learning packets...

@@ -5,18 +5,11 @@ the traffic; first-packet latency barely improves because cross-flow
 destination reuse is minimal in this trace.
 """
 
-from common import SWEEP_HEADERS, bench_scale, report, sweep_rows_table
-from repro.experiments import figure5
-
-
-def run():
-    return figure5("websearch", bench_scale())
+from common import run_artifact
 
 
 def test_fig5c_websearch(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    report("fig5c_websearch", SWEEP_HEADERS, sweep_rows_table(rows),
-           "Figure 5c — WebSearch (FT8)")
+    rows = run_artifact(benchmark, "fig5c_websearch")
     largest = max(row.x_value for row in rows)
     at = {r.scheme: r for r in rows if r.x_value == largest}
     assert at["SwitchV2P"].hit_rate > 0.8

@@ -4,18 +4,11 @@ Paper shape: source learning at ToRs (responses reveal requesters) plus
 heavy cross-flow reuse give SwitchV2P large FCT and first-packet gains.
 """
 
-from common import SWEEP_HEADERS, bench_scale, report, sweep_rows_table
-from repro.experiments import figure6
-
-
-def run():
-    return figure6(bench_scale())
+from common import run_artifact
 
 
 def test_fig6_alibaba(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    report("fig6_alibaba", SWEEP_HEADERS, sweep_rows_table(rows),
-           "Figure 6 — Alibaba RPC (FT16)")
+    rows = run_artifact(benchmark, "fig6_alibaba")
     largest = max(row.x_value for row in rows)
     at = {r.scheme: r for r in rows if r.x_value == largest}
     assert at["SwitchV2P"].fct_improvement > 1.0

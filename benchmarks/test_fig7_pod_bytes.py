@@ -6,38 +6,11 @@ NoCache/GwCache; total network bytes drop toward Direct's footprint;
 average stretch falls from ~9.4 (NoCache) toward ~5.1.
 """
 
-from common import RESULTS_DIR, bench_scale, report
-from repro.experiments import figure7
-from repro.metrics.reporting import render_heatmap
-
-
-def run():
-    return figure7(bench_scale())
+from common import run_artifact
 
 
 def test_fig7_pod_bytes(benchmark):
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    spec_pods = len(next(iter(results.values())).pod_bytes)
-    headers = ["scheme"] + [f"pod{p + 1}" for p in range(spec_pods)] \
-        + ["total MB", "stretch"]
-    rows = []
-    for scheme, result in results.items():
-        megabytes = [b // 1_000_000 for b in result.pod_bytes]
-        rows.append([scheme] + megabytes
-                    + [result.total_switch_bytes // 1_000_000,
-                       f"{result.avg_stretch:.1f}"])
-    report("fig7_pod_bytes", headers, rows,
-           "Figure 7 — bytes processed per pod (Hadoop, cache=50%); "
-           "gateways in pods 1,3,6,8")
-    heatmap = render_heatmap(
-        list(results),
-        [f"p{p + 1}" for p in range(spec_pods)],
-        [result.pod_bytes for result in results.values()],
-        title="Figure 7 heatmap (darker = more bytes)")
-    print()
-    print(heatmap)
-    (RESULTS_DIR / "fig7_heatmap.txt").write_text(heatmap + "\n")
-
+    results = run_artifact(benchmark, "fig7_pod_bytes", "fig7_heatmap")
     gateway_pods = (0, 2, 5, 7)
     gw_bytes = {s: sum(r.pod_bytes[p] for p in gateway_pods)
                 for s, r in results.items()}

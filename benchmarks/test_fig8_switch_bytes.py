@@ -6,23 +6,12 @@ versus NoCache (6.1x in the paper) and GwCache (3.7x), because hits
 happen before packets ever enter the gateway pod.
 """
 
-from common import bench_scale, report
-from repro.experiments import figure8
-
-
-def run():
-    return figure8(bench_scale())
+from common import run_artifact
+from repro.experiments.figures import figure8_from
 
 
 def test_fig8_switch_bytes(benchmark):
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    labels = list(next(iter(results.values())).keys())
-    headers = ["scheme"] + labels
-    rows = [[scheme] + [by_switch[label] // 1_000_000 for label in labels]
-            for scheme, by_switch in results.items()]
-    report("fig8_switch_bytes", headers, rows,
-           "Figure 8 — bytes (MB) per switch in gateway pod 8 "
-           "(Hadoop, cache=50%)")
+    results = figure8_from(run_artifact(benchmark, "fig8_switch_bytes"))
     assert results["SwitchV2P"]["gateway-tor"] < \
         results["NoCache"]["gateway-tor"]
     assert results["SwitchV2P"]["gateway-tor"] < \

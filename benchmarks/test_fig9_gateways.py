@@ -7,24 +7,11 @@ fleet shrinks.  All rows are normalized against NoCache at the full
 fleet.
 """
 
-from common import bench_scale, report
-from repro.experiments import figure9
-
-
-def run():
-    return figure9(bench_scale())
+from common import run_artifact
 
 
 def test_fig9_gateways(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = [[int(r.x_value), r.scheme, f"{r.hit_rate:.3f}",
-              f"{r.fct_improvement:.2f}", f"{r.first_packet_improvement:.2f}",
-              r.result.drops]
-             for r in rows]
-    report("fig9_gateways",
-           ["#gateways", "scheme", "hit rate", "FCT impr.",
-            "first-pkt impr.", "drops"],
-           table, "Figure 9 — shrinking the gateway fleet (Hadoop)")
+    rows = run_artifact(benchmark, "fig9_gateways")
     v2p = sorted((r for r in rows if r.scheme == "SwitchV2P"),
                  key=lambda r: -r.x_value)
     most, fewest = v2p[0], v2p[-1]

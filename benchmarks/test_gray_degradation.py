@@ -11,47 +11,11 @@ audit already repaired the flipped lines, while the unhardened variant
 keeps retransmitting into black-holed translations.
 """
 
-from common import report
-from repro.experiments.graydegrade import GrayDegradeParams, run_gray_experiment
-
-
-def run():
-    return run_gray_experiment(GrayDegradeParams())
+from common import run_artifact
 
 
 def test_gray_degradation(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = []
-    for row in rows:
-        table.append([
-            row.variant,
-            f"{row.faulted.availability:.3f}",
-            f"{row.baseline_fct_ns / 1000:.1f}",
-            f"{row.faulted_fct_ns / 1000:.1f}",
-            f"{row.fct_degradation:.2f}x",
-            f"{row.faulted_window_fct_ns / 1000:.1f}",
-            f"{row.faulted_after_fct_ns / 1000:.1f}",
-            f"{row.after_fct_degradation:.2f}x",
-            f"{row.faulted.before.mean_hit_rate:.3f}",
-            f"{row.faulted.during.mean_hit_rate:.3f}",
-            f"{row.faulted.after.mean_hit_rate:.3f}",
-            row.faulted.gateway_brownout_drops,
-            row.faulted.failed_flows,
-            row.gray_detections,
-            row.gray_reinstatements,
-            row.audit_repairs,
-            row.corrupted_lines,
-        ])
-    report("gray_degradation",
-           ["variant", "avail gray", "fct base [us]", "fct gray [us]",
-            "fct degr", "in-window fct [us]", "post-window fct [us]",
-            "post-window degr", "hit before", "hit during", "hit after",
-            "brownout drops", "failed flows", "gray detects", "reinstates",
-            "audit repairs", "flipped lines"],
-           table,
-           "Graceful degradation — gateway brownout + degraded cable + "
-           "cache bit flips (identical gray schedule per variant)")
-
+    rows = run_artifact(benchmark, "gray_degradation")
     by_variant = {row.variant: row for row in rows}
     hardened = by_variant["hardened"]
     unhardened = by_variant["unhardened"]

@@ -6,32 +6,11 @@ a just-populated cache) and that it is rare with larger caches, staying
 far below modern TCP's reordering tolerance.
 """
 
-from common import bench_scale, report
-from repro.experiments import build_trace, ft8_spec
-from repro.experiments.runner import run_experiment
-
-
-def run():
-    scale = bench_scale()
-    flows, num_vms = build_trace("hadoop", scale)
-    results = {}
-    for ratio in scale.ratios:
-        results[ratio] = run_experiment(
-            ft8_spec(), "SwitchV2P", flows, num_vms, cache_ratio=ratio,
-            seed=scale.seed, trace_name="hadoop")
-    return results
+from common import run_artifact
 
 
 def test_reordering_vs_cache_size(benchmark):
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    total_packets = next(iter(results.values())).packets_sent
-    table = [[ratio, result.reorder_events,
-              f"{result.reorder_events / max(1, result.packets_sent):.2%}",
-              result.drops]
-             for ratio, result in results.items()]
-    report("reordering",
-           ["cache(x addr space)", "reorder events", "per packet", "drops"],
-           table, "Packet reordering under SwitchV2P (Hadoop)")
+    results = run_artifact(benchmark, "reordering")
     # The paper's observation: reordering shrinks as caches grow and is
     # rare with larger caches.
     ratios = sorted(results)

@@ -6,38 +6,11 @@ several seeds and asserts the orderings that drive the paper's
 conclusions hold in every one.
 """
 
-from common import bench_scale, report
-from repro.experiments.figures import FigureScale, figure5
-
-SEEDS = (1, 2, 3)
-
-
-def run():
-    base = bench_scale()
-    rows_by_seed = {}
-    for seed in SEEDS:
-        scale = FigureScale(
-            num_vms=base.num_vms // 2,
-            hadoop_flows=base.hadoop_flows // 2,
-            ratios=(8.0,),
-            seed=seed,
-        )
-        rows = figure5("hadoop", scale,
-                       schemes=("SwitchV2P", "LocalLearning", "OnDemand",
-                                "Direct"))
-        rows_by_seed[seed] = {row.scheme: row for row in rows}
-    return rows_by_seed
+from common import run_artifact
 
 
 def test_orderings_hold_across_seeds(benchmark):
-    rows_by_seed = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = []
-    for seed, by_scheme in rows_by_seed.items():
-        for scheme, row in by_scheme.items():
-            table.append([seed, scheme, f"{row.hit_rate:.3f}",
-                          f"{row.fct_improvement:.2f}"])
-    report("robustness_seeds", ["seed", "scheme", "hit rate", "FCT impr."],
-           table, "Seed robustness (Hadoop, cache=8x)")
+    rows_by_seed = run_artifact(benchmark, "robustness_seeds")
     for seed, by_scheme in rows_by_seed.items():
         v2p = by_scheme["SwitchV2P"]
         assert v2p.hit_rate > by_scheme["LocalLearning"].hit_rate, seed

@@ -12,38 +12,24 @@ import os
 
 from common import bench_scale, report
 from repro.experiments import run_migration_table
+from repro.experiments.artifacts import ARTIFACTS
 from repro.traces import IncastTraceParams
 
-
-def params() -> IncastTraceParams:
-    # 16 senders below NIC saturation at default scale; the paper's 64
-    # senders x 1000 packets with REPRO_BENCH_SCALE=full.
-    if os.environ.get("REPRO_BENCH_SCALE") == "full":
-        return IncastTraceParams(num_senders=64, packets_per_sender=1000)
-    return IncastTraceParams(num_senders=16, packets_per_sender=500)
+NAME = "table4_migration"
 
 
 def run():
-    return run_migration_table(params())
+    # The registry entry runs 16 senders, below NIC saturation; the
+    # paper's 64 senders x 1000 packets with REPRO_BENCH_SCALE=full.
+    if os.environ.get("REPRO_BENCH_SCALE") == "full":
+        return run_migration_table(
+            IncastTraceParams(num_senders=64, packets_per_sender=1000))
+    return ARTIFACTS[NAME].run(bench_scale())
 
 
 def test_table4_migration(benchmark):
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    base = rows[0]
-    table = []
-    for row in rows:
-        table.append([
-            row.label,
-            f"{row.gateway_packet_fraction:.1%}",
-            f"{row.avg_packet_latency_ns / base.avg_packet_latency_ns:.2f}x",
-            f"{(row.last_misdelivered_arrival_ns or 0) / 1000:.0f}",
-            f"{row.misdelivered_packets / max(1, base.misdelivered_packets):.1f}x",
-            row.invalidation_packets,
-        ])
-    report("table4_migration",
-           ["variant", "gateway pkts", "avg pkt latency",
-            "last misdelivered [us]", "misdelivered", "invalidations"],
-           table, "Table 4 — VM migration (normalized by NoCache)")
+    report(NAME, rows)
 
     by_label = {row.label: row for row in rows}
     nocache = by_label["NoCache"]

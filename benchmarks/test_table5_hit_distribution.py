@@ -6,33 +6,12 @@ the topology (cross-flow reuse at spines/cores); UDP traces shift a
 larger share to the upper layers.
 """
 
-from common import bench_scale, report
-from repro.experiments import table5
+from common import run_artifact
 from repro.net.node import Layer
 
 
-def run():
-    return table5(bench_scale(), cache_ratio=4.0)
-
-
 def test_table5_hit_distribution(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = []
-    for row in rows:
-        table.append([
-            row.trace,
-            f"{row.total[Layer.CORE]:.1%}",
-            f"{row.total[Layer.SPINE]:.1%}",
-            f"{row.total[Layer.TOR]:.1%}",
-            f"{row.first_packet[Layer.CORE]:.1%}",
-            f"{row.first_packet[Layer.SPINE]:.1%}",
-            f"{row.first_packet[Layer.TOR]:.1%}",
-        ])
-    report("table5_hit_distribution",
-           ["trace", "core", "spine", "tor",
-            "core(1st)", "spine(1st)", "tor(1st)"],
-           table, "Table 5 — SwitchV2P cache-hit distribution by layer")
-
+    rows = run_artifact(benchmark, "table5_hit_distribution")
     by_trace = {row.trace: row for row in rows}
     # TCP traces: ToR-dominated per-packet hits.
     for trace in ("hadoop", "alibaba"):

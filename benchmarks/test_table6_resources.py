@@ -8,40 +8,17 @@ bits scaling as the cache grows.
 
 import pytest
 
-from common import report
+from common import run_artifact
+from repro.experiments.artifacts import PAPER_TABLE6
 from repro.hw import (
     TABLE6_ENTRIES_PER_SWITCH,
-    estimate_utilization,
     max_entries,
     validate_feasibility,
 )
 
-PAPER_TABLE6 = {
-    "Match Crossbar": 7.2,
-    "Meter ALU": 17.5,
-    "Gateway": 25.0,
-    "SRAM": 3.9,
-    "TCAM": 1.7,
-    "VLIW Instruction": 10.0,
-    "Hash Bits": 4.7,
-}
-
-
-def run():
-    return {
-        entries: estimate_utilization(entries)
-        for entries in (0, TABLE6_ENTRIES_PER_SWITCH,
-                        4 * TABLE6_ENTRIES_PER_SWITCH, max_entries())
-    }
-
 
 def test_table6_resources(benchmark):
-    estimates = benchmark.pedantic(run, rounds=1, iterations=1)
-    at_paper = estimates[TABLE6_ENTRIES_PER_SWITCH]
-    table = [[name, f"{PAPER_TABLE6[name]:.1f}%", f"{at_paper[name]:.1f}%"]
-             for name in PAPER_TABLE6]
-    report("table6_resources", ["resource", "paper", "model @50%"], table,
-           "Table 6 — per-stage resource utilization (cache=50%)")
+    at_paper = run_artifact(benchmark, "table6_resources")
     for name, expected in PAPER_TABLE6.items():
         assert at_paper[name] == pytest.approx(expected, abs=1e-6)
     # Headroom scales to Bluebird-like table sizes.

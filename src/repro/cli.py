@@ -15,96 +15,97 @@ import math
 import sys
 from collections.abc import Sequence
 
-from repro.experiments.figures import (
-    FIG5_SCHEMES,
-    FigureScale,
-    appendix_controller,
-    build_trace,
-    figure5,
-    figure6,
-    figure7,
-    figure9,
-    figure10,
-    ft8_spec,
-    ft16_spec,
-    table5,
+from repro.experiments.artifacts import (
+    ARTIFACTS,
+    artifact_names,
+    reproduce,
+    resolve,
 )
+from repro.experiments.figures import FigureScale, build_trace, fabric_for
 from repro.experiments.runner import SCHEME_FACTORIES, run_experiment
 from repro.metrics.reporting import failure_breakdown_rows, render_table
-from repro.net.node import Layer
+from repro.sim.engine import SECOND, msec, usec
 
 TRACES = ("hadoop", "websearch", "alibaba", "microbursts", "video")
-ARTIFACTS = ("fig5a", "fig5b", "fig5c", "fig5d", "fig6", "fig7", "fig9",
-             "fig10", "table5", "table6", "appendix")
+
+#: Flag -> config field tables, one per config; see :func:`_overrides`.
+_SCALE_FLAGS = {"vms": "num_vms", "flows": "hadoop_flows",
+                "ratios": ("ratios", tuple), "seed": "seed"}
+_WORKLOAD_FLAGS = {"flows": "num_flows", "vms": "num_vms",
+                   "cache_ratio": "cache_ratio"}
+_SEEDED_WORKLOAD_FLAGS = {**_WORKLOAD_FLAGS, "seed": "seed"}
+_SERVE_FLAGS = {
+    "minutes": ("duration_ns", lambda minutes: round(minutes * 60) * SECOND),
+    "seconds": ("duration_ns", lambda seconds: seconds * SECOND),
+    "scheme": "scheme",
+    "seed": "seed",
+    "cache_ratio": "cache_ratio",
+    "window_ms": ("window_ns", msec),
+    "tenants": "initial_tenants",
+    "probe_interval_us": ("probe_interval_ns", usec),
+    "reinstate_timeout_us": ("reinstate_timeout_ns", usec),
+    "anti_entropy_ms": ("anti_entropy_period_ns", msec),
+    "staleness_bound_ms": ("staleness_bound_ns", msec),
+    "fidelity": "fidelity",
+}
+
+
+def _overrides(args: argparse.Namespace, table: dict) -> dict:
+    """Config-field overrides for the flags the user actually gave.
+
+    ``table`` maps a flag's ``args`` attribute to the field it sets, or
+    to ``(field, convert)`` where the flag's unit is not the field's.
+    Given means ``is not None``, not truthiness: ``--flows 0`` and
+    ``--vms 0`` are legitimate degenerate inputs that must reach the
+    config, not fall back to its defaults.
+    """
+    overrides = {}
+    for flag, field in table.items():
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        if isinstance(field, tuple):
+            field, convert = field
+            value = convert(value)
+        overrides[field] = value
+    return overrides
 
 
 def _scale_from_args(args: argparse.Namespace) -> FigureScale:
-    kwargs = {}
-    # ``is not None``, not truthiness: ``--flows 0`` / ``--vms 0`` are
-    # legitimate degenerate inputs that must reach the scale, not fall
-    # back to the defaults.
-    if getattr(args, "vms", None) is not None:
-        kwargs["num_vms"] = args.vms
-    if getattr(args, "flows", None) is not None:
-        kwargs["hadoop_flows"] = args.flows
-    if getattr(args, "ratios", None):
-        kwargs["ratios"] = tuple(args.ratios)
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return FigureScale(**kwargs)
+    return FigureScale(**_overrides(args, _SCALE_FLAGS))
 
 
-def _sweep_progress(label: str = "sweep"):
-    """A terminal progress callback for sweep jobs, or None off-tty.
+def _progress(label: str):
+    """A terminal progress callback, or None off-tty.
 
-    Receives the orchestrator's ``(done, total, cached)`` ticks and
-    redraws one status line; cache hits are counted so a warm re-run
-    visibly reports "all cached".
+    Redraws one status line from ``(done, total, detail)`` ticks.  A
+    sweep's ``detail`` is whether the point came from the run cache —
+    hits are counted, so a warm re-run visibly reports "all cached";
+    the fault harnesses' is the label of the run that just finished.
     """
     stream = sys.stderr
     if not stream.isatty():
         return None
     cached_count = [0]
 
-    def callback(done: int, total: int, cached: bool) -> None:
-        if cached:
-            cached_count[0] += 1
-        stream.write(f"\r  {label}: {done}/{total} points "
-                     f"({cached_count[0]} cached)   ")
+    def callback(done: int, total: int, detail) -> None:
+        if isinstance(detail, bool):
+            cached_count[0] += detail
+            detail = f"{cached_count[0]} cached"
+        stream.write(f"\r  {label}: {done}/{total} ({detail})   ")
         stream.flush()
         if done == total:
             stream.write("\n")
 
     return callback
-
-
-def _chaos_progress():
-    """Progress callback for the chaos experiment's scheme runs."""
-    stream = sys.stderr
-    if not stream.isatty():
-        return None
-
-    def callback(done: int, total: int, label: str) -> None:
-        stream.write(f"\r  chaos: {done}/{total} runs ({label})   ")
-        stream.flush()
-        if done == total:
-            stream.write("\n")
-
-    return callback
-
-
-def _print_sweep(rows) -> None:
-    table = [[r.scheme, r.x_value, f"{r.hit_rate:.3f}",
-              f"{r.fct_improvement:.2f}", f"{r.first_packet_improvement:.2f}"]
-             for r in rows]
-    print(render_table(
-        ["scheme", "x", "hit rate", "FCT impr.", "first-pkt impr."], table))
 
 
 def cmd_list(args: argparse.Namespace) -> int:
     print("schemes:   " + ", ".join(sorted(SCHEME_FACTORIES)))
     print("traces:    " + ", ".join(TRACES))
-    print("artifacts: " + ", ".join(ARTIFACTS))
+    print("artifacts: " + ", ".join(
+        f"{a.name} ({a.short})" if a.short else a.name
+        for a in ARTIFACTS.values()))
     return 0
 
 
@@ -116,9 +117,8 @@ def _us(value_ns: float) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     scale = _scale_from_args(args)
     flows, num_vms = build_trace(args.trace, scale)
-    spec = ft16_spec() if args.trace == "alibaba" else ft8_spec()
-    result = run_experiment(spec, args.scheme, flows, num_vms,
-                            args.cache_ratio, scale.seed,
+    result = run_experiment(fabric_for(args.trace), args.scheme, flows,
+                            num_vms, args.cache_ratio, scale.seed,
                             trace_name=args.trace, fidelity=args.fidelity)
     rows = [
         ["scheme", result.scheme],
@@ -145,50 +145,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    scale = _scale_from_args(args)
-    artifact = args.artifact
-    workers = args.workers
-    progress = _sweep_progress(artifact)
-    if artifact in ("fig5a", "fig5b", "fig5c", "fig5d"):
-        trace = {"fig5a": "hadoop", "fig5b": "microbursts",
-                 "fig5c": "websearch", "fig5d": "video"}[artifact]
-        schemes = FIG5_SCHEMES if trace != "video" else (
-            "SwitchV2P", "GwCache", "LocalLearning", "NoCache")
-        _print_sweep(figure5(trace, scale, schemes=schemes,
-                             workers=workers, progress=progress))
-    elif artifact == "fig6":
-        _print_sweep(figure6(scale, workers=workers, progress=progress))
-    elif artifact == "fig7":
-        results = figure7(scale)
-        pods = len(next(iter(results.values())).pod_bytes)
-        table = [[s] + [b // 1_000_000 for b in r.pod_bytes]
-                 + [f"{r.avg_stretch:.1f}"] for s, r in results.items()]
-        print(render_table(["scheme"] + [f"pod{p + 1}" for p in range(pods)]
-                           + ["stretch"], table))
-    elif artifact == "fig9":
-        _print_sweep(figure9(scale, workers=workers, progress=progress))
-    elif artifact == "fig10":
-        _print_sweep(figure10(scale, workers=workers, progress=progress))
-    elif artifact == "table5":
-        rows = table5(scale, cache_ratio=4.0)
-        table = [[r.trace] + [f"{r.total[layer]:.1%}" for layer in Layer]
-                 + [f"{r.first_packet[layer]:.1%}" for layer in Layer]
-                 for r in rows]
-        print(render_table(
-            ["trace", "tor", "spine", "core", "tor(1st)", "spine(1st)",
-             "core(1st)"], table))
-    elif artifact == "table6":
-        from repro.hw import TABLE6_ENTRIES_PER_SWITCH, estimate_utilization
-        estimate = estimate_utilization(TABLE6_ENTRIES_PER_SWITCH)
-        print(render_table(["resource", "utilization"],
-                           [[k, f"{v:.1f}%"] for k, v in estimate.items()]))
-    elif artifact == "appendix":
-        _print_sweep(appendix_controller(scale, workers=workers,
-                                         progress=progress))
-    else:
-        print(f"unknown artifact {artifact!r}; see 'repro list'",
-              file=sys.stderr)
-        return 2
+    texts = reproduce(resolve(args.artifact), _scale_from_args(args),
+                      args.workers, _progress(args.artifact))
+    print("\n\n".join(texts.values()))
     return 0
 
 
@@ -197,70 +156,45 @@ def cmd_migrate(args: argparse.Namespace) -> int:
     from repro.traces.incast import IncastTraceParams
     params = IncastTraceParams(num_senders=args.senders,
                                packets_per_sender=args.packets)
-    rows = run_migration_table(params)
-    base = rows[0]
-    table = [[r.label, f"{r.gateway_packet_fraction:.1%}",
-              f"{r.avg_packet_latency_ns / base.avg_packet_latency_ns:.2f}x",
-              f"{(r.last_misdelivered_arrival_ns or 0) / 1000:.0f}",
-              r.misdelivered_packets, r.invalidation_packets]
-             for r in rows]
-    print(render_table(
-        ["variant", "gateway pkts", "latency", "last misdeliv [us]",
-         "misdelivered", "invalidations"], table))
+    print(ARTIFACTS["table4_migration"].render(run_migration_table(params)))
     return 0
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
     """The chaos experiment: gateway-rack + spine outages vs baselines."""
-    from dataclasses import replace
-
     from repro.experiments.faults import (
         CHAOS_SCHEMES,
         ChaosParams,
-        render_chaos_table,
         run_chaos_experiment,
     )
-    params = ChaosParams()
-    overrides = {}
-    if args.flows is not None:
-        overrides["num_flows"] = args.flows
-    if args.vms is not None:
-        overrides["num_vms"] = args.vms
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.cache_ratio is not None:
-        overrides["cache_ratio"] = args.cache_ratio
-    if overrides:
-        params = replace(params, **overrides)
+    params = ChaosParams(**_overrides(args, _SEEDED_WORKLOAD_FLAGS))
     schemes = tuple(args.schemes) if args.schemes else CHAOS_SCHEMES
-    rows = run_chaos_experiment(params, schemes, progress=_chaos_progress())
-    print(render_chaos_table(rows))
+    rows = run_chaos_experiment(params, schemes, progress=_progress("chaos"))
+    print(ARTIFACTS["faults_resilience"].render(rows))
     return 0
 
 
 def cmd_gray(args: argparse.Namespace) -> int:
     """Graceful degradation: hardened vs unhardened under gray faults."""
-    from dataclasses import replace
+    from repro.experiments.faults import ChaosParams
+    from repro.experiments.graydegrade import run_gray_experiment
+    params = ChaosParams(**_overrides(args, _SEEDED_WORKLOAD_FLAGS))
+    rows = run_gray_experiment(params, progress=_progress("chaos"))
+    print(ARTIFACTS["gray_degradation"].render(rows))
+    return 0
 
-    from repro.experiments.graydegrade import (
-        GrayDegradeParams,
-        render_gray_table,
-        run_gray_experiment,
-    )
-    params = GrayDegradeParams()
-    overrides = {}
-    if args.flows is not None:
-        overrides["num_flows"] = args.flows
-    if args.vms is not None:
-        overrides["num_vms"] = args.vms
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.cache_ratio is not None:
-        overrides["cache_ratio"] = args.cache_ratio
-    if overrides:
-        params = replace(params, **overrides)
-    rows = run_gray_experiment(params, progress=_chaos_progress())
-    print(render_gray_table(rows))
+
+def _report_replay(path: str, violations, where: str = "",
+                   events: str = "") -> int:
+    """Print a ``--replay`` verdict; exit code 1 when it re-tripped."""
+    if violations:
+        print(f"replay re-tripped {len(violations)} "
+              f"violation(s){where}{events}:")
+        for violation in violations:
+            print(f"  {violation}")
+        return 1
+    print(f"replay of {path} ran clean{where} — the recorded defect "
+          "no longer reproduces")
     return 0
 
 
@@ -278,37 +212,21 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     if args.replay is not None:
         outcome = replay_reproducer(args.replay)
-        if outcome.violations:
-            print(f"replay re-tripped {len(outcome.violations)} "
-                  f"violation(s) on {outcome.scheme} "
-                  f"({outcome.num_events} events):")
-            for violation in outcome.violations:
-                print(f"  {violation}")
-            return 1
-        print(f"replay of {args.replay} ran clean on {outcome.scheme} — "
-              "the recorded defect no longer reproduces")
-        return 0
+        return _report_replay(args.replay, outcome.violations,
+                              f" on {outcome.scheme}",
+                              f" ({outcome.num_events} events)")
     if args.bug is not None and args.bug not in BUGS:
         print(f"unknown bug {args.bug!r}; known: {', '.join(sorted(BUGS))}",
               file=sys.stderr)
         return 2
-    params = gray_chaos_params() if args.gray else ChaosFuzzParams()
-    overrides = {}
-    if args.flows is not None:
-        overrides["num_flows"] = args.flows
-    if args.vms is not None:
-        overrides["num_vms"] = args.vms
-    if args.cache_ratio is not None:
-        overrides["cache_ratio"] = args.cache_ratio
-    if args.fidelity is not None:
-        overrides["fidelity"] = args.fidelity
-    if overrides:
-        params = replace(params, **overrides)
+    params = replace(
+        gray_chaos_params() if args.gray else ChaosFuzzParams(),
+        **_overrides(args, {**_WORKLOAD_FLAGS, "fidelity": "fidelity"}))
     schemes = tuple(args.schemes) if args.schemes else CHAOS_FUZZ_SCHEMES
     result = run_chaos_fuzz(args.trials, args.seed, schemes, params,
                             bug=args.bug, artifact_dir=args.artifact_dir,
                             shrink=not args.no_shrink,
-                            progress=_chaos_progress())
+                            progress=_progress("chaos"))
     trials_run = len({outcome.trial for outcome in result.outcomes})
     if result.clean:
         print(f"chaos: {trials_run} trial(s) x {len(schemes)} scheme(s) "
@@ -331,8 +249,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Always-on service mode: long-horizon churn + rolling maintenance."""
-    from dataclasses import replace
-
     from repro.service import (
         ServiceConfig,
         build_report,
@@ -341,49 +257,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         run_service,
         write_report,
     )
-    from repro.sim.engine import SECOND, msec, usec
 
     if args.replay is not None:
-        result = replay_reproducer(args.replay)
-        if result.violations:
-            print(f"replay re-tripped {len(result.violations)} violation(s):")
-            for violation in result.violations:
-                print(f"  {violation}")
-            return 1
-        print(f"replay of {args.replay} ran clean — the recorded defect "
-              "no longer reproduces")
-        return 0
+        return _report_replay(args.replay,
+                              replay_reproducer(args.replay).violations)
 
-    config = ServiceConfig()
-    overrides = {}
-    if args.minutes is not None:
-        overrides["duration_ns"] = round(args.minutes * 60) * SECOND
-    if args.seconds is not None:
-        overrides["duration_ns"] = args.seconds * SECOND
-    if args.scheme is not None:
-        overrides["scheme"] = args.scheme
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.cache_ratio is not None:
-        overrides["cache_ratio"] = args.cache_ratio
-    if args.window_ms is not None:
-        overrides["window_ns"] = msec(args.window_ms)
+    overrides = _overrides(args, _SERVE_FLAGS)
     if args.tenants is not None:
-        overrides["initial_tenants"] = args.tenants
         overrides["max_tenants"] = max(args.tenants,
-                                       config.max_tenants)
-    if args.probe_interval_us is not None:
-        overrides["probe_interval_ns"] = usec(args.probe_interval_us)
-    if args.reinstate_timeout_us is not None:
-        overrides["reinstate_timeout_ns"] = usec(args.reinstate_timeout_us)
-    if args.anti_entropy_ms is not None:
-        overrides["anti_entropy_period_ns"] = msec(args.anti_entropy_ms)
-    if args.staleness_bound_ms is not None:
-        overrides["staleness_bound_ns"] = msec(args.staleness_bound_ms)
-    if args.fidelity is not None:
-        overrides["fidelity"] = args.fidelity
-    if overrides:
-        config = replace(config, **overrides)
+                                       ServiceConfig().max_tenants)
+    config = ServiceConfig(**overrides)
 
     on_window = None
     if sys.stderr.isatty():
@@ -427,10 +310,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.perf import profile_experiment
     scale = _scale_from_args(args)
     flows, num_vms = build_trace(args.trace, scale)
-    spec = ft16_spec() if args.trace == "alibaba" else ft8_spec()
     profile, _ = profile_experiment(
-        spec, args.scheme, flows, num_vms, args.cache_ratio, scale.seed,
-        trace_name=args.trace, with_cprofile=args.cprofile,
+        fabric_for(args.trace), args.scheme, flows, num_vms, args.cache_ratio,
+        scale.seed, trace_name=args.trace, with_cprofile=args.cprofile,
         with_memory=args.memory, top=args.top, fidelity=args.fidelity)
     print(profile.render())
     if args.json:
@@ -505,6 +387,26 @@ def cmd_trace_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The flags several subcommands take, declared once; a subcommand
+#: overrides what differs (its default, its help) in :func:`_flags`.
+_SHARED_FLAGS = {
+    "--vms": dict(type=int, default=None),
+    "--flows": dict(type=int, default=None),
+    "--seed": dict(type=int, default=None),
+    "--cache-ratio": dict(type=float, default=None),
+    "--fidelity": dict(choices=("packet", "hybrid"), default=None),
+    "--scheme": dict(choices=sorted(SCHEME_FACTORIES), default=None),
+    "--schemes": dict(nargs="+", choices=sorted(SCHEME_FACTORIES),
+                      default=None),
+}
+
+
+def _flags(parser: argparse.ArgumentParser, *names: str, **overrides) -> None:
+    """Add shared flags to ``parser``; ``overrides`` apply to each."""
+    for name in names:
+        parser.add_argument(name, **{**_SHARED_FLAGS[name], **overrides})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -521,27 +423,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser("run", help="run one experiment")
     run_parser.add_argument("--trace", choices=TRACES, default="hadoop")
-    run_parser.add_argument("--scheme", choices=sorted(SCHEME_FACTORIES),
-                            default="SwitchV2P")
-    run_parser.add_argument("--cache-ratio", type=float, default=4.0,
-                            help="aggregate cache size relative to the "
-                                 "VIP address space")
-    run_parser.add_argument("--vms", type=int, default=None)
-    run_parser.add_argument("--flows", type=int, default=None)
-    run_parser.add_argument("--seed", type=int, default=None)
-    run_parser.add_argument("--fidelity", choices=("packet", "hybrid"),
-                            default="packet",
-                            help="simulation fidelity: per-packet (exact) or "
-                                 "hybrid fluid fast path (see docs/simulator.md)")
+    _flags(run_parser, "--scheme", default="SwitchV2P")
+    _flags(run_parser, "--cache-ratio", default=4.0,
+           help="aggregate cache size relative to the VIP address space")
+    _flags(run_parser, "--vms", "--flows", "--seed")
+    _flags(run_parser, "--fidelity", default="packet",
+           help="simulation fidelity: per-packet (exact) or "
+                "hybrid fluid fast path (see docs/simulator.md)")
     run_parser.set_defaults(func=cmd_run)
 
     repro_parser = subparsers.add_parser(
         "reproduce", help="regenerate one of the paper's tables/figures")
-    repro_parser.add_argument("artifact", choices=ARTIFACTS)
-    repro_parser.add_argument("--vms", type=int, default=None)
-    repro_parser.add_argument("--flows", type=int, default=None)
+    repro_parser.add_argument("artifact", choices=artifact_names(),
+                              metavar="artifact",
+                              help="a file stem under benchmarks/results/ or "
+                                   "a short name; see 'repro list'")
+    _flags(repro_parser, "--vms", "--flows")
     repro_parser.add_argument("--ratios", type=float, nargs="+", default=None)
-    repro_parser.add_argument("--seed", type=int, default=None)
+    _flags(repro_parser, "--seed")
     repro_parser.set_defaults(func=cmd_reproduce)
 
     migrate_parser = subparsers.add_parser(
@@ -558,14 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "with hypervisor failover, then a spine fail+recover) — "
                     "and report availability, FCT degradation, windowed "
                     "hit-rate phases and time-to-recover.")
-    faults_parser.add_argument("--schemes", nargs="+",
-                               choices=sorted(SCHEME_FACTORIES), default=None,
-                               help="schemes to compare (default: "
-                                    "SwitchV2P GwCache OnDemand)")
-    faults_parser.add_argument("--vms", type=int, default=None)
-    faults_parser.add_argument("--flows", type=int, default=None)
-    faults_parser.add_argument("--cache-ratio", type=float, default=None)
-    faults_parser.add_argument("--seed", type=int, default=None)
+    _flags(faults_parser, "--schemes",
+           help="schemes to compare (default: SwitchV2P GwCache OnDemand)")
+    _flags(faults_parser, "--vms", "--flows", "--cache-ratio", "--seed")
     faults_parser.set_defaults(func=cmd_faults)
 
     gray_parser = subparsers.add_parser(
@@ -577,10 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "with the self-healing plane (gray EWMA detector, "
                     "anti-entropy audit, negative caching) on and off, "
                     "and report in-window and post-window degradation.")
-    gray_parser.add_argument("--vms", type=int, default=None)
-    gray_parser.add_argument("--flows", type=int, default=None)
-    gray_parser.add_argument("--cache-ratio", type=float, default=None)
-    gray_parser.add_argument("--seed", type=int, default=None)
+    _flags(gray_parser, "--vms", "--flows", "--cache-ratio", "--seed")
     gray_parser.set_defaults(func=cmd_gray)
 
     chaos_parser = subparsers.add_parser(
@@ -595,19 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "Deterministic per --seed.  Exits 1 on any violation.")
     chaos_parser.add_argument("--trials", type=int, default=10,
                               help="fuzzed schedules per scheme (default 10)")
-    chaos_parser.add_argument("--seed", type=int, default=1,
-                              help="root seed; same seed => same schedules "
-                                   "and verdicts (default 1)")
-    chaos_parser.add_argument("--schemes", nargs="+",
-                              choices=sorted(SCHEME_FACTORIES), default=None,
-                              help="schemes to fuzz (default: "
-                                   "SwitchV2P GwCache)")
-    chaos_parser.add_argument("--vms", type=int, default=None)
-    chaos_parser.add_argument("--flows", type=int, default=None)
-    chaos_parser.add_argument("--cache-ratio", type=float, default=None)
-    chaos_parser.add_argument("--fidelity", choices=("packet", "hybrid"),
-                              default=None,
-                              help="simulation fidelity for the fuzz trials")
+    _flags(chaos_parser, "--seed", default=1,
+           help="root seed; same seed => same schedules and verdicts "
+                "(default 1)")
+    _flags(chaos_parser, "--schemes",
+           help="schemes to fuzz (default: SwitchV2P GwCache)")
+    _flags(chaos_parser, "--vms", "--flows", "--cache-ratio")
+    _flags(chaos_parser, "--fidelity",
+           help="simulation fidelity for the fuzz trials")
     chaos_parser.add_argument("--gray", action="store_true",
                               help="fuzz with the gray-failure kinds enabled "
                                    "(degrade/flap/slow/brownout/bitflip) plus "
@@ -646,14 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--seconds", type=int, default=None,
                               help="simulated run length in seconds "
                                    "(default 10)")
-    serve_parser.add_argument("--scheme", choices=sorted(SCHEME_FACTORIES),
-                              default=None,
-                              help="translation scheme (default SwitchV2P)")
-    serve_parser.add_argument("--seed", type=int, default=None)
-    serve_parser.add_argument("--cache-ratio", type=float, default=None)
-    serve_parser.add_argument("--fidelity", choices=("packet", "hybrid"),
-                              default=None,
-                              help="simulation fidelity for the service run")
+    _flags(serve_parser, "--scheme",
+           help="translation scheme (default SwitchV2P)")
+    _flags(serve_parser, "--seed", "--cache-ratio")
+    _flags(serve_parser, "--fidelity",
+           help="simulation fidelity for the service run")
     serve_parser.add_argument("--window-ms", type=float, default=None,
                               help="metrics window length in milliseconds "
                                    "(default 1000)")
@@ -697,16 +580,12 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="profile one experiment (phase timers, events/sec, cProfile)")
     profile_parser.add_argument("trace", choices=TRACES)
-    profile_parser.add_argument("--scheme", choices=sorted(SCHEME_FACTORIES),
-                                default="SwitchV2P")
-    profile_parser.add_argument("--cache-ratio", type=float, default=4.0)
-    profile_parser.add_argument("--vms", type=int, default=None)
-    profile_parser.add_argument("--flows", type=int, default=None)
-    profile_parser.add_argument("--seed", type=int, default=None)
-    profile_parser.add_argument("--fidelity", choices=("packet", "hybrid"),
-                                default="packet",
-                                help="simulation fidelity; hybrid reports the "
-                                     "fluid/packet split and escalation counts")
+    _flags(profile_parser, "--scheme", default="SwitchV2P")
+    _flags(profile_parser, "--cache-ratio", default=4.0)
+    _flags(profile_parser, "--vms", "--flows", "--seed")
+    _flags(profile_parser, "--fidelity", default="packet",
+           help="simulation fidelity; hybrid reports the "
+                "fluid/packet split and escalation counts")
     profile_parser.add_argument("--cprofile", action="store_true",
                                 help="include a cProfile function breakdown")
     profile_parser.add_argument("--memory", action="store_true",
@@ -759,9 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = trace_sub.add_parser("generate", help="write a trace to a file")
     gen.add_argument("name", choices=TRACES)
     gen.add_argument("output", help="output path (JSON lines)")
-    gen.add_argument("--vms", type=int, default=None)
-    gen.add_argument("--flows", type=int, default=None)
-    gen.add_argument("--seed", type=int, default=None)
+    _flags(gen, "--vms", "--flows", "--seed")
     gen.set_defaults(func=cmd_trace_generate)
     inspect = trace_sub.add_parser("inspect", help="summarize a trace file")
     inspect.add_argument("path")

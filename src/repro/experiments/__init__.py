@@ -1,4 +1,10 @@
-"""Experiment harness: runners, sweeps, per-figure entry points."""
+"""Experiment harness: runners, sweeps, per-figure entry points.
+
+The registry of committed tables — one ``run`` + ``table`` per file
+under ``benchmarks/results/`` — is :mod:`repro.experiments.artifacts`;
+import it by name (this package does not, so simulating through the
+runner never pays for it).
+"""
 
 from repro.experiments.faults import (
     CHAOS_SCHEMES,
@@ -6,7 +12,6 @@ from repro.experiments.faults import (
     ChaosRow,
     chaos_schedule,
     chaos_spec,
-    render_chaos_table,
     run_chaos_experiment,
 )
 from repro.experiments.figures import (
@@ -97,5 +102,4 @@ __all__ = [
     "chaos_spec",
     "chaos_schedule",
     "run_chaos_experiment",
-    "render_chaos_table",
 ]

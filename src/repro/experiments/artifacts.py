@@ -1,0 +1,502 @@
+"""The artifact registry: every committed table, declared once.
+
+:data:`ARTIFACTS` has one entry per file under ``benchmarks/results/``,
+keyed by the file's stem: a ``run(scale, workers, progress)`` that
+simulates, and a pure ``table(result)`` that lays out what ``run``
+returned as ``(title, headers, rows)`` — the committed bytes.
+``python -m repro reproduce`` (and ``migrate`` / ``faults`` / ``gray``,
+which run with their own parameters), every ``benchmarks/test_*.py`` and
+``benchmarks/regen_check.py`` print through these entries; nothing else
+renders a paper table.  Entries that share a ``run`` (Figure 7's two
+files and Figure 8) are simulated once by :func:`reproduce`.
+``workers`` and ``progress`` reach the sweeps, whose simulations are
+pool jobs; the serial run loops ignore them.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
+from typing import Any
+
+from repro.core import SwitchV2PConfig
+from repro.core.allocation import NAMED_POLICIES
+from repro.experiments.faults import ChaosParams, run_chaos_experiment
+from repro.experiments.figures import (
+    FigureScale,
+    appendix_controller,
+    build_trace,
+    figure5,
+    figure6,
+    figure7,
+    figure8_from,
+    figure9,
+    figure10,
+    ft8_spec,
+    table5,
+)
+from repro.experiments.graydegrade import run_gray_experiment
+from repro.experiments.migration import run_migration_table
+from repro.experiments.runner import (
+    RunResult,
+    build_network,
+    make_scheme,
+    run_experiment,
+)
+from repro.hw import TABLE6_ENTRIES_PER_SWITCH, estimate_utilization
+from repro.metrics.reporting import heatmap_rows, render_table
+from repro.metrics.timeline import track_hit_rate
+from repro.net.node import Layer
+from repro.sim.engine import msec, usec
+from repro.traces.incast import IncastTraceParams
+from repro.transport.player import TrafficPlayer
+
+Table = tuple[str, list[str], list[list]]
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One committed table: how to run it and how to lay it out."""
+
+    name: str
+    run: Callable[..., Any]
+    table: Callable[[Any], Table]
+    #: The name ``reproduce`` knew this artifact by before the registry.
+    short: str = ""
+
+    def render(self, result: Any) -> str:
+        title, headers, rows = self.table(result)
+        return render_table(headers, rows, title=title)
+
+
+ARTIFACTS: dict[str, Artifact] = {}
+
+
+def artifact(name: str, run: Callable[..., Any], short: str = ""):
+    """Register the decorated ``table(result)`` as artifact ``name``."""
+    def register(table: Callable[[Any], Table]):
+        ARTIFACTS[name] = Artifact(name, run, table, short)
+        return table
+    return register
+
+
+def _serial(run: Callable[[FigureScale], Any]) -> Callable[..., Any]:
+    """Adapt a run loop that has no pool jobs to the registry signature."""
+    return lambda scale, workers=None, progress=None: run(scale)
+
+
+def _sweep(figure: Callable[..., Any], **fixed: Any) -> Callable[..., Any]:
+    return lambda scale, workers=None, progress=None: figure(
+        scale=scale, workers=workers, progress=progress, **fixed)
+
+
+def _hadoop_runs(scale: FigureScale,
+                 variants: Iterable[tuple[Any, str, float, dict | None]],
+                 ) -> dict[Any, RunResult]:
+    """``{label: result}`` for ``(label, scheme, cache ratio, scheme
+    kwargs)`` variants, all on the scale's Hadoop trace and FT8."""
+    flows, num_vms = build_trace("hadoop", scale)
+    return {label: run_experiment(ft8_spec(), scheme, flows, num_vms, ratio,
+                                  scale.seed, trace_name="hadoop",
+                                  scheme_kwargs=kwargs)
+            for label, scheme, ratio, kwargs in variants}
+
+
+# ----------------------------------------------------------------------
+# sweeps: figures 5, 6, 9, 10 and the appendix
+# ----------------------------------------------------------------------
+SWEEP_HEADERS = ["scheme", "cache(x addr space)", "hit rate",
+                 "FCT impr.", "first-pkt impr.", "drops"]
+
+
+def sweep_rows_table(rows) -> list[list]:
+    """Standard formatting for cache-size sweep rows."""
+    return [[row.scheme, row.x_value, f"{row.hit_rate:.3f}",
+             f"{row.fct_improvement:.2f}",
+             f"{row.first_packet_improvement:.2f}", row.result.drops]
+            for row in rows]
+
+
+def _sweep_table(title: str) -> Callable[[Any], Table]:
+    return lambda rows: (title, SWEEP_HEADERS, sweep_rows_table(rows))
+
+
+#: Figure 5d leaves out the schemes a zero-reuse UDP trace cannot tell
+#: apart and keeps the NoCache row the gateway-load claim is read from.
+VIDEO_SCHEMES = ("SwitchV2P", "GwCache", "LocalLearning", "NoCache")
+
+artifact("fig5a_hadoop", _sweep(figure5, trace="hadoop"), "fig5a")(
+    _sweep_table("Figure 5a — Hadoop (FT8)"))
+artifact("fig5b_microbursts", _sweep(figure5, trace="microbursts"), "fig5b")(
+    _sweep_table("Figure 5b — Microbursts (FT8)"))
+artifact("fig5c_websearch", _sweep(figure5, trace="websearch"), "fig5c")(
+    _sweep_table("Figure 5c — WebSearch (FT8)"))
+artifact("fig5d_video", _sweep(figure5, trace="video", schemes=VIDEO_SCHEMES),
+         "fig5d")(_sweep_table("Figure 5d — 8K Video (FT8)"))
+artifact("fig6_alibaba", _sweep(figure6), "fig6")(
+    _sweep_table("Figure 6 — Alibaba RPC (FT16)"))
+artifact("appendix_controller", _sweep(appendix_controller), "appendix")(
+    _sweep_table("Appendix A.2 — Controller vs SwitchV2P (WebSearch)"))
+
+
+@artifact("fig9_gateways", _sweep(figure9), "fig9")
+def _fig9_table(rows) -> Table:
+    return ("Figure 9 — shrinking the gateway fleet (Hadoop)",
+            ["#gateways", "scheme", "hit rate", "FCT impr.",
+             "first-pkt impr.", "drops"],
+            [[int(r.x_value), r.scheme, f"{r.hit_rate:.3f}",
+              f"{r.fct_improvement:.2f}",
+              f"{r.first_packet_improvement:.2f}", r.result.drops]
+             for r in rows])
+
+
+@artifact("fig10_topology", _sweep(figure10), "fig10")
+def _fig10_table(rows) -> Table:
+    return ("Figure 10 — topology scaling (Hadoop)",
+            ["#pods", "scheme", "hit rate", "FCT impr.", "first-pkt impr."],
+            [[int(r.x_value), r.scheme, f"{r.hit_rate:.3f}",
+              f"{r.fct_improvement:.2f}",
+              f"{r.first_packet_improvement:.2f}"] for r in rows])
+
+
+# ----------------------------------------------------------------------
+# figures 7 and 8: one run, three files
+# ----------------------------------------------------------------------
+_run_fig7 = _serial(figure7)
+
+
+@artifact("fig7_pod_bytes", _run_fig7, "fig7")
+def _fig7_table(results: dict[str, RunResult]) -> Table:
+    pods = len(next(iter(results.values())).pod_bytes)
+    return ("Figure 7 — bytes processed per pod (Hadoop, cache=50%); "
+            "gateways in pods 1,3,6,8",
+            ["scheme"] + [f"pod{p + 1}" for p in range(pods)]
+            + ["total MB", "stretch"],
+            [[scheme] + [b // 1_000_000 for b in result.pod_bytes]
+             + [result.total_switch_bytes // 1_000_000,
+                f"{result.avg_stretch:.1f}"]
+             for scheme, result in results.items()])
+
+
+@artifact("fig7_heatmap", _run_fig7, "fig7")
+def _fig7_heatmap_table(results: dict[str, RunResult]) -> Table:
+    pods = len(next(iter(results.values())).pod_bytes)
+    headers, rows = heatmap_rows(
+        list(results), [f"p{p + 1}" for p in range(pods)],
+        [result.pod_bytes for result in results.values()])
+    return "Figure 7 heatmap (darker = more bytes)", headers, rows
+
+
+@artifact("fig8_switch_bytes", _run_fig7)
+def _fig8_table(results: dict[str, RunResult]) -> Table:
+    by_scheme = figure8_from(results)
+    labels = list(next(iter(by_scheme.values())))
+    return ("Figure 8 — bytes (MB) per switch in gateway pod 8 "
+            "(Hadoop, cache=50%)",
+            ["scheme"] + labels,
+            [[scheme] + [by_switch[label] // 1_000_000 for label in labels]
+             for scheme, by_switch in by_scheme.items()])
+
+
+# ----------------------------------------------------------------------
+# tables 4, 5, 6
+# ----------------------------------------------------------------------
+#: Table 4 at bench scale: 16 senders stay below NIC saturation.  The
+#: paper's incast is ``python -m repro migrate --senders 64 --packets 1000``.
+TABLE4_PARAMS = IncastTraceParams(num_senders=16, packets_per_sender=500)
+
+
+@artifact("table4_migration",
+          _serial(lambda scale: run_migration_table(TABLE4_PARAMS)))
+def _table4_table(rows) -> Table:
+    base = rows[0]
+    return ("Table 4 — VM migration (normalized by NoCache)",
+            ["variant", "gateway pkts", "avg pkt latency",
+             "last misdelivered [us]", "misdelivered", "invalidations"],
+            [[row.label,
+              f"{row.gateway_packet_fraction:.1%}",
+              f"{row.avg_packet_latency_ns / base.avg_packet_latency_ns:.2f}x",
+              f"{(row.last_misdelivered_arrival_ns or 0) / 1000:.0f}",
+              f"{row.misdelivered_packets / max(1, base.misdelivered_packets):.1f}x",
+              row.invalidation_packets] for row in rows])
+
+
+@artifact("table5_hit_distribution",
+          _serial(lambda scale: table5(scale, cache_ratio=4.0)), "table5")
+def _table5_table(rows) -> Table:
+    layers = (Layer.CORE, Layer.SPINE, Layer.TOR)
+    return ("Table 5 — SwitchV2P cache-hit distribution by layer",
+            ["trace", "core", "spine", "tor",
+             "core(1st)", "spine(1st)", "tor(1st)"],
+            [[row.trace]
+             + [f"{row.total[layer]:.1%}" for layer in layers]
+             + [f"{row.first_packet[layer]:.1%}" for layer in layers]
+             for row in rows])
+
+
+#: What the paper's Table 6 reports, per resource, in percent.
+PAPER_TABLE6 = {
+    "Match Crossbar": 7.2,
+    "Meter ALU": 17.5,
+    "Gateway": 25.0,
+    "SRAM": 3.9,
+    "TCAM": 1.7,
+    "VLIW Instruction": 10.0,
+    "Hash Bits": 4.7,
+}
+
+
+@artifact("table6_resources", _serial(
+    lambda scale: estimate_utilization(TABLE6_ENTRIES_PER_SWITCH)), "table6")
+def _table6_table(estimate: dict[str, float]) -> Table:
+    return ("Table 6 — per-stage resource utilization (cache=50%)",
+            ["resource", "paper", "model @50%"],
+            [[name, f"{paper:.1f}%", f"{estimate[name]:.1f}%"]
+             for name, paper in PAPER_TABLE6.items()])
+
+
+# ----------------------------------------------------------------------
+# beyond the paper's tables: ablations, convergence, reordering, seeds
+# ----------------------------------------------------------------------
+def _run_ablation_allocation(scale: FigureScale):
+    """-> (NoCache baseline, {policy name: result}) at cache=2x."""
+    results = _hadoop_runs(scale, [
+        ("NoCache", "NoCache", 0.0, None),
+        *((name, "SwitchV2P", 2.0, {"allocation": policy})
+          for name, policy in NAMED_POLICIES.items())])
+    return results.pop("NoCache"), results
+
+
+@artifact("ablation_allocation", _serial(_run_ablation_allocation))
+def _ablation_allocation_table(result) -> Table:
+    baseline, results = result
+    return ("Ablation — memory allocation policies (Hadoop, cache=2x)",
+            ["policy", "hit rate", "FCT impr.", "first-pkt impr.", "stretch"],
+            [[name, f"{r.hit_rate:.3f}",
+              f"{baseline.avg_fct_ns / r.avg_fct_ns:.2f}",
+              f"{baseline.avg_first_packet_ns / r.avg_first_packet_ns:.2f}",
+              f"{r.avg_stretch:.2f}"] for name, r in results.items()])
+
+
+WAYS = (1, 2, 4)
+
+
+@artifact("ablation_cache_geometry", _serial(lambda scale: _hadoop_runs(
+    scale, [(ways, "SwitchV2P", 2.0, {"cache_ways": ways}) for ways in WAYS])))
+def _ablation_geometry_table(results: dict[int, RunResult]) -> Table:
+    return ("Ablation — cache geometry (Hadoop, cache=2x)",
+            ["geometry", "hit rate", "avg FCT [us]", "stretch"],
+            [[f"{ways}-way", f"{r.hit_rate:.3f}",
+              f"{r.avg_fct_ns / 1000:.1f}", f"{r.avg_stretch:.2f}"]
+             for ways, r in results.items()])
+
+
+DHT_SCHEMES = ("SwitchV2P", "DhtStore", "NoCache", "Direct")
+
+
+@artifact("ablation_dht", _serial(lambda scale: _hadoop_runs(
+    scale, [(scheme, scheme, 16.0, None) for scheme in DHT_SCHEMES])))
+def _ablation_dht_table(results: dict[str, RunResult]) -> Table:
+    base = results["NoCache"]
+    return ("Ablation — in-switch DHT vs caching (Hadoop, cache=16x)",
+            ["scheme", "hit rate", "FCT impr.", "stretch", "gateway pkts"],
+            [[name, f"{r.hit_rate:.3f}",
+              f"{base.avg_fct_ns / r.avg_fct_ns:.2f}",
+              f"{r.avg_stretch:.2f}", r.gateway_arrivals]
+             for name, r in results.items()])
+
+
+#: Each special function of §3 switched off in isolation.
+ABLATIONS = (
+    ("full protocol", SwitchV2PConfig()),
+    ("no learning packets", SwitchV2PConfig(enable_learning_packets=False)),
+    ("no spillover", SwitchV2PConfig(enable_spillover=False)),
+    ("no promotion", SwitchV2PConfig(enable_promotion=False)),
+    ("role-unaware (greedy)", SwitchV2PConfig(role_aware=False)),
+)
+
+
+@artifact("ablation_features", _serial(lambda scale: _hadoop_runs(
+    scale, [(label, "SwitchV2P", 2.0, {"config": config})
+            for label, config in ABLATIONS])))
+def _ablation_features_table(results: dict[str, RunResult]) -> Table:
+    return ("Ablation — SwitchV2P features (Hadoop, cache=2x)",
+            ["variant", "hit rate", "avg FCT [us]", "first-pkt [us]",
+             "stretch"],
+            [[label, f"{r.hit_rate:.3f}", f"{r.avg_fct_ns / 1000:.1f}",
+              f"{r.avg_first_packet_ns / 1000:.1f}", f"{r.avg_stretch:.2f}"]
+             for label, r in results.items()])
+
+
+CONVERGENCE_SCHEMES = ("SwitchV2P", "LocalLearning")
+
+
+def _run_convergence(scale: FigureScale) -> dict[str, list[float]]:
+    """Windowed in-network hit rate per scheme (Hadoop, cache=8x)."""
+    flows, num_vms = build_trace("hadoop", scale)
+    duration = max(flow.start_ns for flow in flows)
+    window = max(usec(10), duration // 10)
+    curves = {}
+    for name in CONVERGENCE_SCHEMES:
+        network = build_network(ft8_spec(), make_scheme(name, num_vms, 8.0),
+                                num_vms, scale.seed)
+        timeline = track_hit_rate(network, window)
+        TrafficPlayer(network).add_flows(flows)
+        network.run(until=duration + msec(50))
+        # Keep only the windows covering the active traffic period; the
+        # long drain tail has too few packets to be meaningful.
+        curves[name] = [sample.value for sample in timeline.samples
+                        if sample.time_ns <= duration + window]
+    return curves
+
+
+@artifact("convergence", _serial(_run_convergence))
+def _convergence_table(curves: dict[str, list[float]]) -> Table:
+    windows = min(10, max(len(values) for values in curves.values()))
+    return ("Windowed in-network hit rate over time (Hadoop, cache=8x)",
+            ["scheme"] + [f"w{i}" for i in range(windows)],
+            [[name] + [f"{v:.2f}" for v in values[:10]]
+             for name, values in curves.items()])
+
+
+@artifact("reordering", _serial(lambda scale: _hadoop_runs(
+    scale, [(ratio, "SwitchV2P", ratio, None) for ratio in scale.ratios])))
+def _reordering_table(results: dict[float, RunResult]) -> Table:
+    return ("Packet reordering under SwitchV2P (Hadoop)",
+            ["cache(x addr space)", "reorder events", "per packet", "drops"],
+            [[ratio, r.reorder_events,
+              f"{r.reorder_events / max(1, r.packets_sent):.2%}", r.drops]
+             for ratio, r in results.items()])
+
+
+SEEDS = (1, 2, 3)
+SEED_SCHEMES = ("SwitchV2P", "LocalLearning", "OnDemand", "Direct")
+
+
+def _run_robustness_seeds(scale: FigureScale, workers=None, progress=None):
+    """-> {seed: {scheme: SweepRow}}: a compact Figure 5a per seed."""
+    rows_by_seed = {}
+    for seed in SEEDS:
+        rows = figure5("hadoop",
+                       FigureScale(num_vms=scale.num_vms // 2,
+                                   hadoop_flows=scale.hadoop_flows // 2,
+                                   ratios=(8.0,), seed=seed),
+                       schemes=SEED_SCHEMES, workers=workers,
+                       progress=progress)
+        rows_by_seed[seed] = {row.scheme: row for row in rows}
+    return rows_by_seed
+
+
+@artifact("robustness_seeds", _run_robustness_seeds)
+def _robustness_seeds_table(rows_by_seed) -> Table:
+    return ("Seed robustness (Hadoop, cache=8x)",
+            ["seed", "scheme", "hit rate", "FCT impr."],
+            [[seed, scheme, f"{row.hit_rate:.3f}",
+              f"{row.fct_improvement:.2f}"]
+             for seed, by_scheme in rows_by_seed.items()
+             for scheme, row in by_scheme.items()])
+
+
+# ----------------------------------------------------------------------
+# fault experiments
+# ----------------------------------------------------------------------
+#: The committed fault tables run at the experiments' default sizes,
+#: whatever the scale; ``python -m repro faults`` / ``gray`` resize them.
+FAULT_PARAMS = ChaosParams()
+
+
+@artifact("faults_resilience",
+          lambda scale, workers=None, progress=None: run_chaos_experiment(
+              FAULT_PARAMS, progress=progress))
+def _faults_table(rows) -> Table:
+    table = []
+    for row in rows:
+        recover = row.faulted.time_to_recover_ns
+        table.append([
+            row.scheme,
+            f"{row.baseline.availability:.3f}",
+            f"{row.faulted.availability:.3f}",
+            f"{row.availability_drop:.3f}",
+            f"{row.baseline_fct_ns / 1000:.1f}",
+            f"{row.faulted_fct_ns / 1000:.1f}",
+            f"{row.fct_degradation:.2f}x",
+            f"{row.gateway_window_added_ns / 1000:.1f}",
+            f"{row.faulted.before.mean_hit_rate:.3f}",
+            f"{row.faulted.during.mean_hit_rate:.3f}",
+            f"{row.faulted.after.mean_hit_rate:.3f}",
+            f"{recover / 1000:.0f}" if recover is not None else "never",
+            row.faulted.gateway_crash_drops
+            + row.faulted.gateway_unavailable_drops,
+            row.faulted.failed_flows,
+        ])
+    return ("Chaos — gateway-rack + spine outages "
+            "(identical fault schedule per scheme)",
+            ["scheme", "avail base", "avail faulted", "avail drop",
+             "fct base [us]", "fct faulted [us]", "fct degr",
+             "gw-window added [us]", "hit before", "hit during", "hit after",
+             "recover [us]", "gw drops", "failed flows"],
+            table)
+
+
+@artifact("gray_degradation",
+          lambda scale, workers=None, progress=None: run_gray_experiment(
+              FAULT_PARAMS, progress=progress))
+def _gray_table(rows) -> Table:
+    return ("Graceful degradation — gateway brownout + degraded cable + "
+            "cache bit flips (identical gray schedule per variant)",
+            ["variant", "avail gray", "fct base [us]", "fct gray [us]",
+             "fct degr", "in-window fct [us]", "post-window fct [us]",
+             "post-window degr", "hit before", "hit during", "hit after",
+             "brownout drops", "failed flows", "gray detects", "reinstates",
+             "audit repairs", "flipped lines"],
+            [[row.variant,
+              f"{row.faulted.availability:.3f}",
+              f"{row.baseline_fct_ns / 1000:.1f}",
+              f"{row.faulted_fct_ns / 1000:.1f}",
+              f"{row.fct_degradation:.2f}x",
+              f"{row.faulted_window_fct_ns / 1000:.1f}",
+              f"{row.faulted_after_fct_ns / 1000:.1f}",
+              f"{row.after_fct_degradation:.2f}x",
+              f"{row.faulted.before.mean_hit_rate:.3f}",
+              f"{row.faulted.during.mean_hit_rate:.3f}",
+              f"{row.faulted.after.mean_hit_rate:.3f}",
+              row.faulted.gateway_brownout_drops,
+              row.faulted.failed_flows,
+              row.gray_detections,
+              row.gray_reinstatements,
+              row.audit_repairs,
+              row.corrupted_lines] for row in rows])
+
+
+# ----------------------------------------------------------------------
+# lookup
+# ----------------------------------------------------------------------
+def resolve(name: str) -> list[Artifact]:
+    """The entries a ``reproduce`` name stands for: a file stem names
+    its one entry, a pre-registry short name every entry that carries
+    it (``fig7`` is both Figure 7 files)."""
+    if name in ARTIFACTS:
+        return [ARTIFACTS[name]]
+    matches = [a for a in ARTIFACTS.values() if a.short == name]
+    if not matches:
+        raise KeyError(f"unknown artifact {name!r}")
+    return matches
+
+
+def artifact_names() -> list[str]:
+    """Every name :func:`resolve` accepts: stems, then short names."""
+    shorts = dict.fromkeys(a.short for a in ARTIFACTS.values() if a.short)
+    return [*ARTIFACTS, *shorts]
+
+
+def reproduce(artifacts: Iterable[Artifact], scale: FigureScale,
+              workers: int | None = None, progress=None) -> dict[str, str]:
+    """Run and render ``artifacts``: ``{file stem: table text}``; entries
+    that share a ``run`` are simulated once."""
+    results: dict[Callable, Any] = {}
+    texts = {}
+    for entry in artifacts:
+        if entry.run not in results:
+            results[entry.run] = entry.run(scale, workers, progress)
+        texts[entry.name] = entry.render(results[entry.run])
+    return texts

@@ -14,9 +14,10 @@ verdicts and a reproducer replays exactly.
 
 The module also carries a registry of *deliberate* bugs
 (:data:`BUGS`) that can be injected per run — both to prove the oracles
-actually catch the failure classes they claim to (CI's chaos-smoke gate
-uses the ``oracle-canary``), and to demo the shrinking pipeline on a
-real defect such as a switch that keeps its cache across a power cycle.
+actually catch the failure classes they claim to (the tier-1 tests in
+``tests/test_chaos_fuzz.py`` turn the harness red with the
+``oracle-canary``), and to demo the shrinking pipeline on a real defect
+such as a switch that keeps its cache across a power cycle.
 
 Run via ``python -m repro chaos``.
 """
@@ -30,8 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.faults import _place_tenants, chaos_spec
 from repro.experiments.runner import make_scheme
+from repro.experiments.scenario import (
+    build_scenario,
+    chaos_spec,
+    random_pair_flows,
+)
 from repro.faults.fuzz import FuzzConfig, generate_schedule
 from repro.faults.oracles import DEFAULT_HOP_BOUND, OracleSuite, OracleViolation
 from repro.faults.schedule import FaultKind, FaultSchedule
@@ -39,9 +44,8 @@ from repro.faults.shrink import ddmin
 from repro.sim.engine import msec, usec
 from repro.sim.randomness import derive_seed
 from repro.transport.flow import FlowSpec
-from repro.transport.player import TrafficPlayer
 from repro.transport.reliable import TransportConfig
-from repro.vnet.network import NetworkConfig, VirtualNetwork
+from repro.vnet.network import VirtualNetwork
 
 #: Schemes fuzzed by default: the paper's system and the strongest
 #: gateway-centric baseline.  Two architectures double the oracle
@@ -224,20 +228,9 @@ BUGS = {
 def fuzz_flows(params: ChaosFuzzParams, trial_seed: int) -> list[FlowSpec]:
     """The trial workload: short flows between random VM pairs."""
     rng = np.random.default_rng(derive_seed(trial_seed, "flows"))
-    flows = []
-    for _ in range(params.num_flows):
-        src = int(rng.integers(0, params.num_vms))
-        dst = int(rng.integers(0, params.num_vms - 1))
-        if dst >= src:
-            dst += 1
-        flows.append(FlowSpec(
-            src_vip=src,
-            dst_vip=dst,
-            size_bytes=int(rng.integers(params.min_flow_bytes,
-                                        params.max_flow_bytes + 1)),
-            start_ns=int(rng.integers(0, params.arrival_span_ns)),
-        ))
-    return flows
+    return random_pair_flows(rng, params.num_flows, params.num_vms,
+                             params.min_flow_bytes, params.max_flow_bytes,
+                             params.arrival_span_ns)
 
 
 def _schedule_from(events) -> FaultSchedule:
@@ -258,39 +251,30 @@ def run_one_trial(scheme_name: str, events, params: ChaosFuzzParams,
     subset of a generated schedule — this is the function the shrinker
     re-runs.
     """
-    spec = chaos_spec()
     schedule = _schedule_from(events)
-    scheme = make_scheme(scheme_name, params.num_vms, params.cache_ratio)
-    network = VirtualNetwork(
-        NetworkConfig(spec=spec, seed=trial_seed, fidelity=params.fidelity),
-        scheme)
-    _place_tenants(network, spec, params.num_vms)
-    suite = OracleSuite(network, hop_bound=params.hop_bound)
+    # The detector is started here, with the trial's probe timings,
+    # only for crash/restart schedules; any other gateway event leaves
+    # it to the schedule's own start.
+    failover = None
     if any(event.kind in _GATEWAY_KINDS for event in schedule.events):
-        # Configure the detector before the schedule's own (idempotent)
-        # enable call so the trial's probe timings take effect.
-        network.enable_gateway_failover(
-            probe_interval_ns=params.probe_interval_ns,
-            miss_threshold=params.miss_threshold)
-    if params.anti_entropy_period_ns > 0:
-        network.enable_anti_entropy(params.anti_entropy_period_ns,
-                                    params.staleness_bound_ns)
-    if params.staleness_bound_ns > 0:
-        suite.configure_staleness(
-            params.staleness_bound_ns,
-            audit_period_ns=params.anti_entropy_period_ns,
-            check_interval_ns=max(usec(100),
-                                  params.staleness_bound_ns // 4))
+        failover = {"probe_interval_ns": params.probe_interval_ns,
+                    "miss_threshold": params.miss_threshold}
+    scenario = build_scenario(
+        make_scheme(scheme_name, params.num_vms, params.cache_ratio),
+        params.num_vms, oracles={"hop_bound": params.hop_bound},
+        failover=failover,
+        anti_entropy_period_ns=params.anti_entropy_period_ns,
+        staleness_bound_ns=params.staleness_bound_ns,
+        staleness_check_ns=max(usec(100), params.staleness_bound_ns // 4),
+        seed=trial_seed, fidelity=params.fidelity)
+    suite = scenario.suite
     if bug is not None:
-        BUGS[bug](network, suite)
-    schedule.apply(network)
-    suite.watch_schedule(schedule)
-    player = TrafficPlayer(network, TransportConfig(
-        max_retransmits=params.max_retransmits,
-        max_rto_ns=params.max_rto_ns))
-    player.add_flows(fuzz_flows(params, trial_seed))
+        BUGS[bug](scenario.network, suite)
+    scenario.apply(schedule)
     horizon_ns = params.horizon_ns(schedule)
-    network.run(until=horizon_ns)
+    scenario.play(fuzz_flows(params, trial_seed), horizon_ns,
+                  TransportConfig(max_retransmits=params.max_retransmits,
+                                  max_rto_ns=params.max_rto_ns))
     suite.finish(horizon_ns)
     return TrialOutcome(trial=trial, scheme=scheme_name,
                         trial_seed=trial_seed,

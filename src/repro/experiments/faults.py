@@ -22,92 +22,86 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.runner import make_scheme
+from repro.experiments.scenario import (
+    DegradationRow,
+    Scenario,
+    baseline_vs_faulted,
+    build_scenario,
+    chaos_spec,
+    random_pair_flows,
+)
 from repro.faults import FaultSchedule
-from repro.metrics.reporting import render_table
-from repro.metrics.resilience import ResilienceProbe, ResilienceSummary
 from repro.net.topology import FatTreeSpec
 from repro.sim.engine import msec, usec
 from repro.sim.randomness import derive_seed
 from repro.transport.flow import FlowSpec
-from repro.transport.player import TrafficPlayer
-from repro.transport.reliable import TransportConfig
-from repro.vnet.network import NetworkConfig, VirtualNetwork
 
 #: Schemes compared, in report order.  SwitchV2P against the strongest
 #: gateway-centric baseline (GwCache) and the host-centric one
 #: (OnDemand), per the paper's resilience discussion.
 CHAOS_SCHEMES: tuple[str, ...] = ("SwitchV2P", "GwCache", "OnDemand")
 
+#: The workload: a few hundred short TCP flows arriving over 10 ms,
+#: sampled in 250 us windows.  Shared with the gray experiment.
+MIN_FLOW_BYTES = 1_500
+MAX_FLOW_BYTES = 12_000
+ARRIVAL_SPAN_NS = msec(10)
+SAMPLE_PERIOD_NS = usec(250)
+
+#: The fault script's clock: one gateway-rack outage while the flows
+#: are in full swing, then a spine fail + recover after the rack is
+#: back, so the two disruptions are separable in the windowed
+#: timelines.  The failure detector runs on its defaults (200 us
+#: probes, three misses): real detectors take several probe periods to
+#: declare a gateway dead, and during that ~0.6 ms packets hashed to
+#: the crashed gateway black-hole unless the transport (RTO) or an
+#: in-network cache hit saves the flow — the window where schemes
+#: differ.
+GATEWAY_CRASH_NS = msec(2)
+GATEWAY_RESTART_NS = msec(5)
+SPINE_FAIL_NS = msec(6.5)
+SPINE_RECOVER_NS = msec(8)
+
 
 @dataclass(frozen=True)
 class ChaosParams:
-    """Workload + fault timing for the chaos experiment.
+    """What callers scale the chaos and gray experiments by.
 
-    Defaults are sized to run in seconds: a 4-pod fat tree with two
-    gateways, a few hundred short TCP flows, one gateway outage while
-    the flows are in full swing, then a spine fail + recover after the
-    gateway is back (so the two disruptions are separable in the
-    windowed timelines).
+    Defaults are sized to run in seconds on the 4-pod, two-gateway
+    :func:`~repro.experiments.scenario.chaos_spec` fabric; the workload
+    shape and each experiment's fault clock are module constants.
     """
 
     num_vms: int = 64
     num_flows: int = 600
-    min_flow_bytes: int = 1_500
-    max_flow_bytes: int = 12_000
-    arrival_span_ns: int = msec(10)
     cache_ratio: float = 16.0
-    sample_period_ns: int = usec(250)
-    gateway_crash_ns: int = msec(2)
-    gateway_restart_ns: int = msec(5)
-    spine_fail_ns: int = msec(6.5)
-    spine_recover_ns: int = msec(8)
     horizon_ns: int = msec(16)
-    #: Failure-detection tuning.  Real detectors take several probe
-    #: periods to declare a gateway dead; during that window packets
-    #: hashed to the crashed gateway black-hole and only the transport
-    #: (RTO) or an in-network cache hit saves the flow — exactly the
-    #: window where schemes differ.
-    probe_interval_ns: int = usec(200)
-    miss_threshold: int = 3
     seed: int = 0
 
 
-def chaos_spec() -> FatTreeSpec:
-    """A small 4-pod fabric with one gateway in each of two pods.
-
-    Two gateways make gateway failover meaningful (one crash halves
-    the fleet instead of erasing it), and the 2x2x2 pods keep a full
-    three-scheme, two-run-each comparison inside a few seconds.
-    """
-    return FatTreeSpec(pods=4, racks_per_pod=2, servers_per_rack=2,
-                       spines_per_pod=2, num_cores=2,
-                       gateway_pods=(0, 3), gateways_per_pod=1)
-
-
-def chaos_schedule(params: ChaosParams,
-                   spec: FatTreeSpec | None = None) -> FaultSchedule:
+def chaos_schedule(spec: FatTreeSpec | None = None) -> FaultSchedule:
     """The shared fault script: a gateway-rack outage, then a spine outage.
 
     The first fault is a rack power loss in gateway pod 0: the gateway
     *and* the ToR above it go down together, then both come back.
-    Until the hypervisor-side detector (enabled automatically by
-    ``apply``) fails the gateway out of the pool, packets hashed to it
-    black-hole unless an in-network cache resolves them first — the
-    window where the schemes' architectures diverge (Sailfish-style
-    gateway-ToR caches die *with* the rack; fabric-wide caches do not).
-    After the rack is back, spine (1, 0) — a non-gateway pod, so its
-    cache serves tenant traffic — fails and recovers, demonstrating
-    cold-restart cache flush and down-path rerouting.
+    Until the hypervisor-side detector (enabled by ``apply``) fails the
+    gateway out of the pool, packets hashed to it black-hole unless an
+    in-network cache resolves them first — the window where the
+    schemes' architectures diverge (Sailfish-style gateway-ToR caches
+    die *with* the rack; fabric-wide caches do not).  After the rack is
+    back, spine (1, 0) — a non-gateway pod, so its cache serves tenant
+    traffic — fails and recovers, demonstrating cold-restart cache
+    flush and down-path rerouting.
     """
     if spec is None:
         spec = chaos_spec()
-    gateway_outage_ns = params.gateway_restart_ns - params.gateway_crash_ns
+    gateway_outage_ns = GATEWAY_RESTART_NS - GATEWAY_CRASH_NS
     schedule = FaultSchedule()
-    schedule.gateway_outage(0, params.gateway_crash_ns, gateway_outage_ns)
+    schedule.gateway_outage(0, GATEWAY_CRASH_NS, gateway_outage_ns)
     schedule.switch_outage("tor", (spec.gateway_pods[0], spec.gateway_rack),
-                           params.gateway_crash_ns, gateway_outage_ns)
-    schedule.switch_outage("spine", (1, 0), params.spine_fail_ns,
-                           params.spine_recover_ns - params.spine_fail_ns)
+                           GATEWAY_CRASH_NS, gateway_outage_ns)
+    schedule.switch_outage("spine", (1, 0), SPINE_FAIL_NS,
+                           SPINE_RECOVER_NS - SPINE_FAIL_NS)
     return schedule
 
 
@@ -117,52 +111,20 @@ def chaos_flows(params: ChaosParams) -> list[FlowSpec]:
     # stream keeps this draw independent of any other consumer of the
     # same root seed (W401 provenance discipline).
     rng = np.random.default_rng(derive_seed(params.seed, "chaos-flows"))
-    flows = []
-    for _ in range(params.num_flows):
-        src = int(rng.integers(0, params.num_vms))
-        dst = int(rng.integers(0, params.num_vms - 1))
-        if dst >= src:
-            dst += 1
-        flows.append(FlowSpec(
-            src_vip=src,
-            dst_vip=dst,
-            size_bytes=int(rng.integers(params.min_flow_bytes,
-                                        params.max_flow_bytes + 1)),
-            start_ns=int(rng.integers(0, params.arrival_span_ns)),
-        ))
-    return flows
+    return random_pair_flows(rng, params.num_flows, params.num_vms,
+                             MIN_FLOW_BYTES, MAX_FLOW_BYTES, ARRIVAL_SPAN_NS)
 
 
 @dataclass(frozen=True)
-class ChaosRow:
-    """Baseline-vs-faulted comparison for one scheme."""
+class ChaosRow(DegradationRow):
+    """Baseline-vs-faulted comparison for one scheme.
+
+    The window is the gateway outage: the per-scheme blast radius of
+    the gateway failure, isolated from the later spine outage.
+    """
 
     scheme: str
-    baseline: ResilienceSummary
-    faulted: ResilienceSummary
-    baseline_fct_ns: float
-    faulted_fct_ns: float
-    #: Average FCT of flows *starting during the gateway outage* — the
-    #: per-scheme blast radius of the gateway failure, isolated from
-    #: the later spine outage.
-    baseline_window_fct_ns: float
-    faulted_window_fct_ns: float
     gateway_failovers: int
-
-    @property
-    def availability_drop(self) -> float:
-        """Absolute availability lost to the faults (lower is better)."""
-        return max(0.0, self.baseline.availability - self.faulted.availability)
-
-    @property
-    def fct_degradation(self) -> float:
-        """Faulted / baseline average FCT (lower is better, 1.0 = none)."""
-        return _ratio(self.faulted_fct_ns, self.baseline_fct_ns)
-
-    @property
-    def gateway_window_degradation(self) -> float:
-        """FCT degradation of flows born during the gateway outage."""
-        return _ratio(self.faulted_window_fct_ns, self.baseline_window_fct_ns)
 
     @property
     def gateway_window_added_ns(self) -> float:
@@ -175,63 +137,25 @@ class ChaosRow:
         return self.faulted_window_fct_ns - self.baseline_window_fct_ns
 
 
-def _ratio(value: float, baseline: float) -> float:
-    if baseline <= 0 or baseline != baseline:
-        return float("nan")
-    return value / baseline
+def run_chaos_scenario(scheme_name: str, params: ChaosParams,
+                       schedule: FaultSchedule | None, *,
+                       scheme_kwargs: dict | None = None,
+                       **armed) -> Scenario:
+    """One run of one scheme; returns the scenario after the horizon.
 
-
-def _window_fct_ns(collector, start_lo_ns: int, start_hi_ns: int) -> float:
-    """Mean FCT of completed flows whose start falls in the window."""
-    fcts = [flow.fct_ns for flow in collector.flows.values()
-            if flow.fct_ns is not None
-            and start_lo_ns <= flow.start_ns < start_hi_ns]
-    if not fcts:
-        return float("nan")
-    return sum(fcts) / len(fcts)
-
-
-def _place_tenants(network, spec: FatTreeSpec, num_vms: int) -> None:
-    """Round-robin VMs over servers *outside* the gateway racks.
-
-    The chaos schedule powers off a gateway rack; keeping tenants out
-    of those racks (as the paper's dedicated gateway ToRs do) means the
-    rack outage severs only the translation path, so the measured
-    degradation is the schemes' — not collateral endpoint loss shared
-    equally by all of them.
+    ``scheme_kwargs`` reach the scheme's factory and ``armed``
+    :func:`~repro.experiments.scenario.build_scenario` (the gray
+    experiment's hardening).
     """
-    from repro.net.addresses import pip_pod, pip_rack
-
-    gateway_racks = {(pod, spec.gateway_rack) for pod in spec.gateway_pods}
-    tenant_hosts = [host for host in network.hosts
-                    if (pip_pod(host.pip), pip_rack(host.pip)) not in gateway_racks]
-    for vip in range(num_vms):
-        network.place_vm(vip, tenant_hosts[vip % len(tenant_hosts)])
-
-
-def _run_once(scheme_name: str, params: ChaosParams,
-              schedule: FaultSchedule | None):
-    """One run of one scheme; returns (summary, avg_fct, failovers)."""
-    spec = chaos_spec()
-    scheme = make_scheme(scheme_name, params.num_vms, params.cache_ratio)
-    network = VirtualNetwork(NetworkConfig(spec=spec, seed=params.seed), scheme)
-    _place_tenants(network, spec, params.num_vms)
-    probe = ResilienceProbe(network, params.sample_period_ns)
+    scenario = build_scenario(
+        make_scheme(scheme_name, params.num_vms, params.cache_ratio,
+                    **(scheme_kwargs or {})),
+        params.num_vms, sample_period_ns=SAMPLE_PERIOD_NS, seed=params.seed,
+        **armed)
     if schedule is not None:
-        # Configure the detector before the schedule's own (idempotent)
-        # enable call so the chaos timing parameters take effect.
-        network.enable_gateway_failover(
-            probe_interval_ns=params.probe_interval_ns,
-            miss_threshold=params.miss_threshold)
-        schedule.apply(network)
-    player = TrafficPlayer(network, TransportConfig())
-    player.add_flows(chaos_flows(params))
-    network.run(until=params.horizon_ns)
-    summary = probe.summarize(schedule)
-    window_fct = _window_fct_ns(network.collector, params.gateway_crash_ns,
-                                params.gateway_restart_ns)
-    return (summary, network.collector.average_fct_ns(), window_fct,
-            network.gateway_failovers)
+        scenario.apply(schedule)
+    scenario.play(chaos_flows(params), params.horizon_ns)
+    return scenario
 
 
 def run_chaos_experiment(params: ChaosParams | None = None,
@@ -247,58 +171,13 @@ def run_chaos_experiment(params: ChaosParams | None = None,
     """
     if params is None:
         params = ChaosParams()
-    rows = []
-    total = 2 * len(schemes)
-    done = 0
-    for name in schemes:
-        base_summary, base_fct, base_window, _ = _run_once(name, params, None)
-        done += 1
-        if progress is not None:
-            progress(done, total, f"{name}/baseline")
-        # A fresh schedule per run: the fired-event log is per-application.
-        faulted_summary, faulted_fct, faulted_window, failovers = _run_once(
-            name, params, chaos_schedule(params))
-        done += 1
-        if progress is not None:
-            progress(done, total, f"{name}/faulted")
-        rows.append(ChaosRow(scheme=name, baseline=base_summary,
-                             faulted=faulted_summary,
-                             baseline_fct_ns=base_fct,
-                             faulted_fct_ns=faulted_fct,
-                             baseline_window_fct_ns=base_window,
-                             faulted_window_fct_ns=faulted_window,
-                             gateway_failovers=failovers))
-    return rows
 
+    def run_once(name: str, schedule: FaultSchedule | None) -> Scenario:
+        return run_chaos_scenario(name, params, schedule)
 
-def render_chaos_table(rows: list[ChaosRow]) -> str:
-    """The committed results table (benchmarks/results)."""
-    headers = ["scheme", "avail base", "avail faulted", "avail drop",
-               "fct base (us)", "fct faulted (us)", "fct degr",
-               "gw-window added (us)", "gw-window fct degr",
-               "hit before", "hit during", "hit after",
-               "recover (us)", "gw drops", "failed flows"]
-    table_rows = []
-    for row in rows:
-        recover = row.faulted.time_to_recover_ns
-        table_rows.append([
-            row.scheme,
-            row.baseline.availability,
-            row.faulted.availability,
-            row.availability_drop,
-            row.baseline_fct_ns / 1_000,
-            row.faulted_fct_ns / 1_000,
-            row.fct_degradation,
-            row.gateway_window_added_ns / 1_000,
-            row.gateway_window_degradation,
-            row.faulted.before.mean_hit_rate,
-            row.faulted.during.mean_hit_rate,
-            row.faulted.after.mean_hit_rate,
-            recover / 1_000 if recover is not None else "never",
-            row.faulted.gateway_crash_drops
-            + row.faulted.gateway_unavailable_drops,
-            row.faulted.failed_flows,
-        ])
-    return render_table(headers, table_rows,
-                        title="Chaos experiment: gateway + spine outages "
-                              "(identical fault schedule per scheme)")
+    return [
+        ChaosRow(scheme=name,
+                 gateway_failovers=faulted.network.gateway_failovers, **fields)
+        for name, fields, _, faulted, _ in baseline_vs_faulted(
+            schemes, run_once, chaos_schedule,
+            (GATEWAY_CRASH_NS, GATEWAY_RESTART_NS), "faulted", progress)]

@@ -79,6 +79,11 @@ def ft16_spec() -> FatTreeSpec:
     )
 
 
+def fabric_for(trace: str) -> FatTreeSpec:
+    """The fabric a trace runs on: FT16 for Alibaba, FT8 for the rest."""
+    return ft16_spec() if trace == "alibaba" else ft8_spec()
+
+
 def trace_spec_for(name: str, scale: FigureScale) -> TraceSpec:
     """The :class:`TraceSpec` describing a named trace at this scale.
 
@@ -152,11 +157,11 @@ def figure5(trace: str, scale: FigureScale | None = None,
             schemes: tuple[str, ...] = FIG5_SCHEMES,
             workers: int | None = None, cache="auto",
             progress=None) -> list[SweepRow]:
-    """Hit rate / FCT / first-packet improvement vs cache size (FT8)."""
+    """Hit rate / FCT / first-packet improvement vs cache size."""
     scale = scale or FigureScale()
     tspec = trace_spec_for(trace, scale)
     flows, num_vms = tspec.materialize(), tspec.num_vms
-    spec = ft8_spec()
+    spec = fabric_for(trace)
     return cache_size_sweep(
         spec, flows, num_vms, scale.ratios, schemes,
         seed=scale.seed, trace_name=trace,
@@ -170,15 +175,7 @@ def figure6(scale: FigureScale | None = None,
             workers: int | None = None, cache="auto",
             progress=None) -> list[SweepRow]:
     """The Alibaba sweep on the larger FT16-style topology."""
-    scale = scale or FigureScale()
-    tspec = trace_spec_for("alibaba", scale)
-    flows, num_vms = tspec.materialize(), tspec.num_vms
-    spec = ft16_spec()
-    return cache_size_sweep(
-        spec, flows, num_vms, scale.ratios, schemes,
-        seed=scale.seed, trace_name="alibaba",
-        scheme_kwargs={"Bluebird": bluebird_kwargs(flows, spec, scale)},
-        trace_spec=tspec, workers=workers, cache=cache, progress=progress)
+    return figure5("alibaba", scale, schemes, workers, cache, progress)
 
 
 # ----------------------------------------------------------------------
@@ -200,12 +197,21 @@ def figure7(scale: FigureScale | None = None,
     return results
 
 
-def figure8(scale: FigureScale | None = None, cache_ratio: float = 0.5,
-            pod: int = 7) -> dict[str, dict[str, int]]:
-    """Per-switch bytes inside a gateway pod (paper's pod 8)."""
-    results = figure7(scale, cache_ratio)
+#: The gateway pod Figure 8 looks inside (the paper's pod 8).
+FIG8_POD = 7
+
+
+def figure8_from(results: dict[str, RunResult],
+                 pod: int = FIG8_POD) -> dict[str, dict[str, int]]:
+    """Figure 8 out of Figure 7's runs: per-switch bytes inside ``pod``."""
     return {scheme: result.network.pod_switch_bytes(pod)
             for scheme, result in results.items()}
+
+
+def figure8(scale: FigureScale | None = None, cache_ratio: float = 0.5,
+            pod: int = FIG8_POD) -> dict[str, dict[str, int]]:
+    """Per-switch bytes inside a gateway pod (paper's pod 8)."""
+    return figure8_from(figure7(scale, cache_ratio), pod)
 
 
 # ----------------------------------------------------------------------
@@ -275,9 +281,9 @@ def table5(scale: FigureScale | None = None,
     rows = []
     for trace in TABLE5_TRACES:
         flows, num_vms = build_trace(trace, scale)
-        spec = ft16_spec() if trace == "alibaba" else ft8_spec()
         result = run_experiment(
-            spec, "SwitchV2P", flows, num_vms, cache_ratio, scale.seed,
+            fabric_for(trace), "SwitchV2P", flows, num_vms, cache_ratio,
+            scale.seed,
             transport=_transport_for(trace, scale), keep_network=True,
             trace_name=trace)
         collector = result.collector

@@ -31,125 +31,93 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.faults import _place_tenants, _window_fct_ns, chaos_flows
-from repro.experiments.runner import make_scheme
+from repro.experiments.faults import ChaosParams, run_chaos_scenario
+from repro.experiments.scenario import (
+    DegradationRow,
+    Scenario,
+    baseline_vs_faulted,
+    chaos_spec,
+    ratio,
+    window_fct_ns,
+)
 from repro.faults import FaultSchedule
-from repro.metrics.reporting import render_table
-from repro.metrics.resilience import ResilienceProbe, ResilienceSummary
 from repro.net.topology import FatTreeSpec
 from repro.sim.engine import msec, usec
-from repro.transport.player import TrafficPlayer
-from repro.transport.reliable import TransportConfig
-from repro.vnet.network import NetworkConfig, VirtualNetwork
 
 #: Report order: the self-healing plane on, then off.
 GRAY_VARIANTS: tuple[str, ...] = ("hardened", "unhardened")
 
+#: The gray episode: one brownout + cable degradation window while
+#: arrivals are in full swing, and bit flips in the middle of it whose
+#: damage — unlike the window — does not heal on its own.
+GRAY_START_NS = msec(2)
+GRAY_END_NS = msec(5)
+BROWNOUT_DROP_RATE = 0.6
+BROWNOUT_EXTRA_NS = usec(300)
+DEGRADE_LOSS_RATE = 0.25
+DEGRADE_EXTRA_NS = usec(50)
+BITFLIP_NS = msec(3)
+#: Bit 20 lands in the PIP's rack field, so a flipped line points at a
+#: rack the fabric does not have: packets black-hole instead of
+#: misdelivering, which sidesteps the protocol's own misdelivery-tag
+#: repair — exactly the damage only the anti-entropy audit can undo.
+BITFLIP_BIT = 20
+FLIPS_PER_TOR = 2
 
-@dataclass(frozen=True)
-class GrayDegradeParams:
-    """Workload, gray-episode timing and hardening knobs.
-
-    Defaults are sized like the chaos experiment (seconds per run): a
-    4-pod fat tree, a few hundred short flows, one brownout + cable
-    degradation window while arrivals are in full swing, and bit flips
-    in the middle of it whose damage — unlike the window — does not
-    heal on its own.
-    """
-
-    num_vms: int = 64
-    num_flows: int = 600
-    min_flow_bytes: int = 1_500
-    max_flow_bytes: int = 12_000
-    arrival_span_ns: int = msec(10)
-    cache_ratio: float = 16.0
-    sample_period_ns: int = usec(250)
-    # --- the gray episode --------------------------------------------
-    gray_start_ns: int = msec(2)
-    gray_end_ns: int = msec(5)
-    brownout_drop_rate: float = 0.6
-    brownout_extra_ns: int = usec(300)
-    degrade_loss_rate: float = 0.25
-    degrade_extra_ns: int = usec(50)
-    bitflip_ns: int = msec(3)
-    #: Bit 20 lands in the PIP's rack field, so a flipped line points
-    #: at a rack the fabric does not have: packets black-hole instead
-    #: of misdelivering, which sidesteps the protocol's own
-    #: misdelivery-tag repair — exactly the damage only the
-    #: anti-entropy audit can undo.
-    bitflip_bit: int = 20
-    flips_per_tor: int = 2
-    horizon_ns: int = msec(16)
-    # --- detection + self-healing (the hardened variant) -------------
-    probe_interval_ns: int = usec(200)
-    miss_threshold: int = 3
-    gray_loss_threshold: float = 0.2
-    gray_latency_threshold_ns: int = usec(120)
-    reinstate_dwell_ns: int = usec(400)
-    anti_entropy_period_ns: int = msec(1)
-    staleness_bound_ns: int = msec(2)
-    negative_ttl_ns: int = usec(500)
-    seed: int = 0
+#: Detection + self-healing, the hardened variant.  Both variants probe
+#: on the detector's defaults (200 us, three misses); only the hardened
+#: one reads the gray (EWMA) signals, runs the audit and caches
+#: negatively.
+HARDENED_FAILOVER = {"gray_loss_threshold": 0.2,
+                     "gray_latency_threshold_ns": usec(120),
+                     "reinstate_dwell_ns": usec(400)}
+ANTI_ENTROPY_PERIOD_NS = msec(1)
+STALENESS_BOUND_NS = msec(2)
+NEGATIVE_TTL_NS = usec(500)
 
 
-def gray_spec() -> FatTreeSpec:
-    """Same 4-pod, two-gateway fabric as the chaos experiment."""
-    return FatTreeSpec(pods=4, racks_per_pod=2, servers_per_rack=2,
-                       spines_per_pod=2, num_cores=2,
-                       gateway_pods=(0, 3), gateways_per_pod=1)
-
-
-def gray_schedule(params: GrayDegradeParams,
-                  spec: FatTreeSpec | None = None) -> FaultSchedule:
+def gray_schedule(spec: FatTreeSpec | None = None) -> FaultSchedule:
     """The shared gray episode: brownout + degraded cable + bit flips.
 
     Gateway 0 browns out (sheds arrivals, inflates its latency) over
     the gray window while the pod-1 ToR-0 uplink to spine (1, 0) runs
     lossy and slow; both heal at the window's end.  Midway through,
-    every tenant-pod ToR takes ``flips_per_tor`` SRAM bit flips in its
+    every tenant-pod ToR takes ``FLIPS_PER_TOR`` SRAM bit flips in its
     translation cache — corruption that no scheduled event repairs, so
     any recovery after the window is the protocol's own doing.
     """
     if spec is None:
-        spec = gray_spec()
-    window_ns = params.gray_end_ns - params.gray_start_ns
+        spec = chaos_spec()
+    window_ns = GRAY_END_NS - GRAY_START_NS
     schedule = FaultSchedule()
-    schedule.gateway_brownout(0, params.gray_start_ns, window_ns,
-                              params.brownout_drop_rate,
-                              params.brownout_extra_ns)
+    schedule.gateway_brownout(0, GRAY_START_NS, window_ns,
+                              BROWNOUT_DROP_RATE, BROWNOUT_EXTRA_NS)
     schedule.link_degradation(("tor", 1, 0), ("spine", 1, 0),
-                              params.gray_start_ns, window_ns,
-                              params.degrade_loss_rate,
-                              params.degrade_extra_ns)
+                              GRAY_START_NS, window_ns,
+                              DEGRADE_LOSS_RATE, DEGRADE_EXTRA_NS)
     gateway_pods = set(spec.gateway_pods)
     for pod in range(spec.pods):
         if pod in gateway_pods:
             continue
         for rack in range(spec.racks_per_pod):
-            for ordinal in range(params.flips_per_tor):
+            for ordinal in range(FLIPS_PER_TOR):
                 # Spread the ordinals so repeated flips on one ToR hit
                 # distinct occupied lines (modulo occupancy at fire
                 # time, so this stays a no-op on cold caches).
-                schedule.flip_cache_bit(params.bitflip_ns, "tor", (pod, rack),
-                                        entry=ordinal * 3,
-                                        bit=params.bitflip_bit)
+                schedule.flip_cache_bit(BITFLIP_NS, "tor", (pod, rack),
+                                        entry=ordinal * 3, bit=BITFLIP_BIT)
     return schedule
 
 
 @dataclass(frozen=True)
-class GrayRow:
-    """Baseline-vs-gray-episode comparison for one protocol variant."""
+class GrayRow(DegradationRow):
+    """Baseline-vs-gray-episode comparison for one protocol variant.
+
+    The window is the gray window: the blast radius of the brownout +
+    degradation, before the persistent bit-flip damage dominates.
+    """
 
     variant: str
-    baseline: ResilienceSummary
-    faulted: ResilienceSummary
-    baseline_fct_ns: float
-    faulted_fct_ns: float
-    #: Average FCT of flows starting inside the gray window — the
-    #: blast radius of the brownout + degradation, before the
-    #: persistent bit-flip damage dominates.
-    baseline_window_fct_ns: float
-    faulted_window_fct_ns: float
     #: Average FCT of flows starting *after* the window heals: the
     #: recovery test.  Brownout and cable damage are gone by then, so
     #: any residue here is the unrepaired bit-flip corruption — senders
@@ -163,85 +131,12 @@ class GrayRow:
     corrupted_lines: int
 
     @property
-    def availability_drop(self) -> float:
-        """Absolute availability lost to the gray episode."""
-        return max(0.0, self.baseline.availability - self.faulted.availability)
-
-    @property
-    def fct_degradation(self) -> float:
-        """Faulted / baseline average FCT (1.0 = unharmed)."""
-        return _ratio(self.faulted_fct_ns, self.baseline_fct_ns)
-
-    @property
     def after_fct_degradation(self) -> float:
         """Post-episode FCT degradation — did the plane actually heal?"""
-        return _ratio(self.faulted_after_fct_ns, self.baseline_after_fct_ns)
+        return ratio(self.faulted_after_fct_ns, self.baseline_after_fct_ns)
 
 
-def _ratio(value: float, baseline: float) -> float:
-    if baseline <= 0 or baseline != baseline:
-        return float("nan")
-    return value / baseline
-
-
-def _build_network(params: GrayDegradeParams, hardened: bool,
-                   faulted: bool) -> tuple[VirtualNetwork, ResilienceProbe]:
-    spec = gray_spec()
-    negative_ttl = params.negative_ttl_ns if hardened else 0
-    scheme = make_scheme("SwitchV2P", params.num_vms, params.cache_ratio,
-                         negative_ttl_ns=negative_ttl)
-    network = VirtualNetwork(NetworkConfig(spec=spec, seed=params.seed), scheme)
-    _place_tenants(network, spec, params.num_vms)
-    probe = ResilienceProbe(network, params.sample_period_ns)
-    if faulted:
-        # Both variants probe identically; only the hardened one reads
-        # the gray (EWMA) signals and gets the anti-entropy audit.  The
-        # explicit enable runs before the schedule's own idempotent one
-        # so these knobs win.
-        gray_kwargs = {}
-        if hardened:
-            gray_kwargs = {
-                "gray_loss_threshold": params.gray_loss_threshold,
-                "gray_latency_threshold_ns": params.gray_latency_threshold_ns,
-                "reinstate_dwell_ns": params.reinstate_dwell_ns,
-            }
-        network.enable_gateway_failover(
-            probe_interval_ns=params.probe_interval_ns,
-            miss_threshold=params.miss_threshold, **gray_kwargs)
-        if hardened:
-            network.enable_anti_entropy(
-                params.anti_entropy_period_ns,
-                staleness_bound_ns=params.staleness_bound_ns)
-    return network, probe
-
-
-def _run_once(params: GrayDegradeParams, hardened: bool,
-              schedule: FaultSchedule | None):
-    network, probe = _build_network(params, hardened, schedule is not None)
-    if schedule is not None:
-        schedule.apply(network)
-    player = TrafficPlayer(network, TransportConfig())
-    player.add_flows(chaos_flows(params))
-    network.run(until=params.horizon_ns)
-    summary = probe.summarize(schedule)
-    window_fct = _window_fct_ns(network.collector, params.gray_start_ns,
-                                params.gray_end_ns)
-    after_fct = _window_fct_ns(network.collector, params.gray_end_ns,
-                               params.horizon_ns)
-    detector = network.failure_detector
-    auditor = network.anti_entropy
-    stats = {
-        "gray_detections": detector.gray_detections if detector else 0,
-        "gray_reinstatements": detector.gray_reinstatements if detector else 0,
-        "audit_repairs": auditor.repairs if auditor is not None else 0,
-        "negative_blocks": getattr(network.scheme, "negative_blocks", 0),
-        "corrupted_lines": len(schedule.corruptions) if schedule else 0,
-    }
-    return (summary, network.collector.average_fct_ns(), window_fct,
-            after_fct, stats)
-
-
-def run_gray_experiment(params: GrayDegradeParams | None = None,
+def run_gray_experiment(params: ChaosParams | None = None,
                         variants: tuple[str, ...] = GRAY_VARIANTS,
                         progress=None) -> list[GrayRow]:
     """Run each variant with and without the shared gray episode.
@@ -251,67 +146,43 @@ def run_gray_experiment(params: GrayDegradeParams | None = None,
             fired after each of the ``2 * len(variants)`` runs.
     """
     if params is None:
-        params = GrayDegradeParams()
-    rows = []
-    total = 2 * len(variants)
-    done = 0
-    for variant in variants:
-        if variant not in GRAY_VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}; "
-                             f"known: {', '.join(GRAY_VARIANTS)}")
+        params = ChaosParams()
+    unknown = [v for v in variants if v not in GRAY_VARIANTS]
+    if unknown:
+        raise ValueError(f"unknown variant {unknown[0]!r}; "
+                         f"known: {', '.join(GRAY_VARIANTS)}")
+
+    def run_once(variant: str, schedule: FaultSchedule | None) -> Scenario:
         hardened = variant == "hardened"
-        base_summary, base_fct, base_window, base_after, _ = _run_once(
-            params, hardened, None)
-        done += 1
-        if progress is not None:
-            progress(done, total, f"{variant}/baseline")
-        # A fresh schedule per run: fired/corruption logs are per-application.
-        faulted_summary, faulted_fct, faulted_window, faulted_after, stats = \
-            _run_once(params, hardened, gray_schedule(params))
-        done += 1
-        if progress is not None:
-            progress(done, total, f"{variant}/gray")
-        rows.append(GrayRow(variant=variant, baseline=base_summary,
-                            faulted=faulted_summary,
-                            baseline_fct_ns=base_fct,
-                            faulted_fct_ns=faulted_fct,
-                            baseline_window_fct_ns=base_window,
-                            faulted_window_fct_ns=faulted_window,
-                            baseline_after_fct_ns=base_after,
-                            faulted_after_fct_ns=faulted_after,
-                            **stats))
+        armed = {}
+        if hardened and schedule is not None:
+            # Started by build_scenario, ahead of the schedule's own
+            # idempotent start, so the gray knobs win; the unhardened
+            # variant leaves the detector to the schedule and its defaults.
+            armed = {"failover": HARDENED_FAILOVER,
+                     "anti_entropy_period_ns": ANTI_ENTROPY_PERIOD_NS,
+                     "staleness_bound_ns": STALENESS_BOUND_NS}
+        return run_chaos_scenario(
+            "SwitchV2P", params, schedule, scheme_kwargs={
+                "negative_ttl_ns": NEGATIVE_TTL_NS if hardened else 0},
+            **armed)
+
+    rows = []
+    for variant, fields, base, faulted, schedule in baseline_vs_faulted(
+            variants, run_once, gray_schedule, (GRAY_START_NS, GRAY_END_NS),
+            "gray", progress):
+        network = faulted.network
+        detector, auditor = network.failure_detector, network.anti_entropy
+        rows.append(GrayRow(
+            variant=variant,
+            baseline_after_fct_ns=window_fct_ns(
+                base.network.collector, GRAY_END_NS, params.horizon_ns),
+            faulted_after_fct_ns=window_fct_ns(
+                network.collector, GRAY_END_NS, params.horizon_ns),
+            gray_detections=detector.gray_detections,
+            gray_reinstatements=detector.gray_reinstatements,
+            audit_repairs=auditor.repairs if auditor is not None else 0,
+            negative_blocks=getattr(network.scheme, "negative_blocks", 0),
+            corrupted_lines=len(schedule.corruptions),
+            **fields))
     return rows
-
-
-def render_gray_table(rows: list[GrayRow]) -> str:
-    """The committed results table (benchmarks/results)."""
-    headers = ["variant", "avail gray", "fct base (us)", "fct gray (us)",
-               "fct degr", "in-window fct (us)", "post-window fct (us)",
-               "post-window degr", "hit before", "hit during", "hit after",
-               "brownout drops", "failed flows",
-               "gray detects", "reinstates", "audit repairs", "flipped lines"]
-    table_rows = []
-    for row in rows:
-        table_rows.append([
-            row.variant,
-            row.faulted.availability,
-            row.baseline_fct_ns / 1_000,
-            row.faulted_fct_ns / 1_000,
-            row.fct_degradation,
-            row.faulted_window_fct_ns / 1_000,
-            row.faulted_after_fct_ns / 1_000,
-            row.after_fct_degradation,
-            row.faulted.before.mean_hit_rate,
-            row.faulted.during.mean_hit_rate,
-            row.faulted.after.mean_hit_rate,
-            row.faulted.gateway_brownout_drops,
-            row.faulted.failed_flows,
-            row.gray_detections,
-            row.gray_reinstatements,
-            row.audit_repairs,
-            row.corrupted_lines,
-        ])
-    return render_table(headers, table_rows,
-                        title="Graceful degradation: gateway brownout + "
-                              "degraded cable + cache bit flips "
-                              "(identical gray schedule per variant)")

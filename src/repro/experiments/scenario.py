@@ -1,0 +1,226 @@
+"""The one fault scenario behind the four fault harnesses.
+
+The chaos and gray experiments (:mod:`~repro.experiments.faults`,
+:mod:`~repro.experiments.graydegrade`), the chaos fuzzer
+(:mod:`~repro.experiments.chaosfuzz`) and the always-on service
+(:mod:`repro.service.driver`) share one stage: the two-gateway fabric
+of :func:`chaos_spec`, tenants outside the gateway racks, and a subset
+of {resilience probe, oracle suite, detector tuning, anti-entropy audit,
+staleness oracle} armed before the fault schedule.  :func:`build_scenario`
+sets it in one fixed order — arming order breaks engine ties, so it is
+part of each harness's determinism contract — and the two scripted
+experiments share their baseline-vs-faulted loop and row arithmetic.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Any
+
+import numpy as np
+
+from repro.faults.oracles import OracleSuite
+from repro.faults.schedule import FaultSchedule
+from repro.metrics.resilience import ResilienceProbe, ResilienceSummary
+from repro.net.addresses import pip_pod, pip_rack
+from repro.net.topology import FatTreeSpec
+from repro.transport.flow import FlowSpec
+from repro.transport.player import TrafficPlayer
+from repro.transport.reliable import TransportConfig
+from repro.vnet.hypervisor import Host
+from repro.vnet.network import NetworkConfig, VirtualNetwork
+
+
+def chaos_spec() -> FatTreeSpec:
+    """A small 4-pod fabric with one gateway in each of two pods.
+
+    Two gateways make gateway failover meaningful (one crash halves
+    the fleet instead of erasing it), and the 2x2x2 pods keep a full
+    three-scheme, two-run-each comparison inside a few seconds.
+    """
+    return FatTreeSpec(pods=4, racks_per_pod=2, servers_per_rack=2,
+                       spines_per_pod=2, num_cores=2,
+                       gateway_pods=(0, 3), gateways_per_pod=1)
+
+
+def random_pair_flows(rng: np.random.Generator, num_flows: int, num_vms: int,
+                      min_bytes: int, max_bytes: int,
+                      arrival_span_ns: int) -> list[FlowSpec]:
+    """Short flows between random distinct VM pairs, arrivals over the span.
+
+    ``rng`` is derived by the caller under its own stream label, so each
+    harness's draw stays independent of other users of its root seed.
+    """
+    flows = []
+    for _ in range(num_flows):
+        src = int(rng.integers(0, num_vms))
+        dst = int(rng.integers(0, num_vms - 1))
+        if dst >= src:
+            dst += 1
+        flows.append(FlowSpec(
+            src_vip=src,
+            dst_vip=dst,
+            size_bytes=int(rng.integers(min_bytes, max_bytes + 1)),
+            start_ns=int(rng.integers(0, arrival_span_ns)),
+        ))
+    return flows
+
+
+@dataclass
+class Scenario:
+    """A built fault scenario: the network and whatever was armed on it."""
+
+    network: VirtualNetwork
+    #: Servers outside the gateway racks, in host order.
+    tenant_hosts: list[Host]
+    probe: ResilienceProbe | None = None
+    suite: OracleSuite | None = None
+
+    def apply(self, schedule: FaultSchedule) -> None:
+        """Bind the fault schedule (and the suite's per-event sweeps)."""
+        schedule.apply(self.network)
+        if self.suite is not None:
+            self.suite.watch_schedule(schedule)
+
+    def play(self, flows: Iterable[FlowSpec], horizon_ns: int,
+             transport: TransportConfig | None = None) -> None:
+        """Inject ``flows`` and run the network to the horizon."""
+        TrafficPlayer(self.network, transport).add_flows(flows)
+        self.network.run(until=horizon_ns)
+
+
+def build_scenario(scheme: Any, num_vms: int = 0, *,
+                   collector: Any = None,
+                   sample_period_ns: int = 0,
+                   oracles: dict[str, Any] | None = None,
+                   failover: dict[str, Any] | None = None,
+                   anti_entropy_period_ns: int = 0,
+                   staleness_bound_ns: int = 0,
+                   staleness_check_ns: int = 0,
+                   **config: Any) -> Scenario:
+    """Build the :func:`chaos_spec` network and arm what the harness asks for.
+
+    Tenants stay out of the gateway racks (as the paper's dedicated
+    gateway ToRs do): a gateway-rack outage then severs only the
+    translation path, so measured degradation is the scheme's, not
+    collateral endpoint loss shared equally by all of them.
+
+    Args:
+        num_vms: VIPs ``0..num_vms-1`` go round-robin over the tenant
+            hosts; the service driver passes 0 and admits its own
+            tenants onto :attr:`Scenario.tenant_hosts`.
+        sample_period_ns: when positive, attach a ``ResilienceProbe``.
+        oracles: ``OracleSuite`` keyword arguments; given, attach one.
+        failover: detector tuning; given, start the detector now.
+            Otherwise ``FaultSchedule.apply`` starts it, for schedules
+            with gateway events, tuned by ``config``'s ``gateway_*``.
+        anti_entropy_period_ns: when positive, start the audit
+            (promising ``staleness_bound_ns``).
+        staleness_bound_ns, staleness_check_ns: when the bound is
+            positive and a suite is attached, arm its staleness oracle.
+        config: other ``NetworkConfig`` fields (``seed``, ``fidelity``).
+    """
+    spec = chaos_spec()
+    network = VirtualNetwork(NetworkConfig(spec=spec, **config), scheme,
+                             collector)
+    gateway_racks = {(pod, spec.gateway_rack) for pod in spec.gateway_pods}
+    tenant_hosts = [host for host in network.hosts
+                    if (pip_pod(host.pip), pip_rack(host.pip))
+                    not in gateway_racks]
+    for vip in range(num_vms):
+        network.place_vm(vip, tenant_hosts[vip % len(tenant_hosts)])
+    scenario = Scenario(network, tenant_hosts)
+    if sample_period_ns > 0:
+        scenario.probe = ResilienceProbe(network, sample_period_ns)
+    if oracles is not None:
+        # After placement: the suite snapshots what is published so far
+        # and subscribes to every later update and removal.
+        scenario.suite = OracleSuite(network, **oracles)
+    if failover is not None:
+        network.enable_gateway_failover(**failover)
+    if anti_entropy_period_ns > 0:
+        network.enable_anti_entropy(anti_entropy_period_ns,
+                                    staleness_bound_ns=staleness_bound_ns)
+    if staleness_bound_ns > 0 and scenario.suite is not None:
+        scenario.suite.configure_staleness(
+            staleness_bound_ns, audit_period_ns=anti_entropy_period_ns,
+            check_interval_ns=staleness_check_ns)
+    return scenario
+
+
+# ----------------------------------------------------------------------
+# baseline vs. faulted: the loop and arithmetic of the scripted experiments
+# ----------------------------------------------------------------------
+def ratio(value: float, baseline: float) -> float:
+    """``value / baseline``; NaN when the baseline is empty or zero."""
+    if baseline <= 0 or baseline != baseline:
+        return float("nan")
+    return value / baseline
+
+
+def window_fct_ns(collector: Any, start_lo_ns: int, start_hi_ns: int) -> float:
+    """Mean FCT of completed flows whose start falls in the window."""
+    fcts = [flow.fct_ns for flow in collector.flows.values()
+            if flow.fct_ns is not None
+            and start_lo_ns <= flow.start_ns < start_hi_ns]
+    if not fcts:
+        return float("nan")
+    return sum(fcts) / len(fcts)
+
+
+@dataclass(frozen=True)
+class DegradationRow:
+    """One variant's fault-free run set against its faulted run."""
+
+    baseline: ResilienceSummary
+    faulted: ResilienceSummary
+    baseline_fct_ns: float
+    faulted_fct_ns: float
+    #: Average FCT of flows *starting during the fault window* — the
+    #: blast radius of the episode, isolated from what follows it.
+    baseline_window_fct_ns: float
+    faulted_window_fct_ns: float
+
+    @property
+    def availability_drop(self) -> float:
+        """Absolute availability lost to the faults (lower is better)."""
+        return max(0.0, self.baseline.availability - self.faulted.availability)
+
+    @property
+    def fct_degradation(self) -> float:
+        """Faulted / baseline average FCT (lower is better, 1.0 = none)."""
+        return ratio(self.faulted_fct_ns, self.baseline_fct_ns)
+
+
+def baseline_vs_faulted(variants: Sequence[str], run_once, make_schedule,
+                        window_ns: tuple[int, int], faulted_label: str,
+                        progress=None) -> Iterator[tuple]:
+    """Run every variant undisturbed, then under a fresh schedule.
+
+    ``run_once(variant, schedule)`` returns one run's finished, probed
+    scenario.  Yields ``(variant, fields, baseline scenario, faulted
+    scenario, schedule)``; ``fields`` are the :class:`DegradationRow`
+    arguments, window FCTs over flows starting inside ``window_ns``.
+    ``progress(done, total, "<variant>/baseline" | "<variant>/<faulted
+    label>")`` fires after each run.  A schedule is made per faulted
+    run: its fired and corruption logs are per-application.
+    """
+    total = 2 * len(variants)
+    for index, variant in enumerate(variants):
+        baseline = run_once(variant, None)
+        if progress is not None:
+            progress(2 * index + 1, total, f"{variant}/baseline")
+        schedule = make_schedule()
+        faulted = run_once(variant, schedule)
+        if progress is not None:
+            progress(2 * index + 2, total, f"{variant}/{faulted_label}")
+        fields: dict[str, Any] = {}
+        for prefix, scenario, applied in (("baseline", baseline, None),
+                                          ("faulted", faulted, schedule)):
+            collector = scenario.network.collector
+            fields[prefix] = scenario.probe.summarize(applied)
+            fields[f"{prefix}_fct_ns"] = collector.average_fct_ns()
+            fields[f"{prefix}_window_fct_ns"] = window_fct_ns(
+                collector, *window_ns)
+        yield variant, fields, baseline, faulted, schedule

@@ -46,9 +46,10 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
 _SHADES = " .:-=+*#%@"
 
 
-def render_heatmap(row_labels: Sequence[str], col_labels: Sequence[str],
-                   values: Sequence[Sequence[float]], title: str = "") -> str:
-    """Render a matrix as an ASCII heatmap (Figure 7/8 style).
+def heatmap_rows(row_labels: Sequence[str], col_labels: Sequence[str],
+                 values: Sequence[Sequence[float]],
+                 ) -> tuple[list[str], list[list[str]]]:
+    """A matrix as ``(headers, rows)`` of an ASCII heatmap table.
 
     Cells are shaded relative to the global maximum, so hotspots (the
     gateway pods) stand out exactly as they do in the paper's figures.
@@ -65,8 +66,14 @@ def render_heatmap(row_labels: Sequence[str], col_labels: Sequence[str],
                             int(cell / peak * (len(_SHADES) - 1) + 0.5))
                 cells.append(_SHADES[index])
         rows.append([label, " ".join(cells)])
-    return render_table(["", " ".join(str(c) for c in col_labels)], rows,
-                        title=title)
+    return ["", " ".join(str(c) for c in col_labels)], rows
+
+
+def render_heatmap(row_labels: Sequence[str], col_labels: Sequence[str],
+                   values: Sequence[Sequence[float]], title: str = "") -> str:
+    """Render a matrix as an ASCII heatmap (Figure 7/8 style)."""
+    headers, rows = heatmap_rows(row_labels, col_labels, values)
+    return render_table(headers, rows, title=title)
 
 
 def failure_breakdown_rows(failed_flows: int,

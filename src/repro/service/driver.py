@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.experiments.runner import make_scheme
+from repro.experiments.scenario import build_scenario
 from repro.faults.oracles import OracleSuite, OracleViolation
 from repro.faults.schedule import FaultSchedule
 from repro.metrics.streaming import WindowedCollector, WindowStats
-from repro.net.addresses import pip_pod, pip_rack
 from repro.service.config import ServiceConfig
 from repro.service.maintenance import (
     MaintenanceEvent,
@@ -42,7 +42,7 @@ from repro.service.maintenance import (
 from repro.transport.flow import FlowSpec
 from repro.transport.player import TrafficPlayer
 from repro.transport.reliable import TransportConfig
-from repro.vnet.network import NetworkConfig, VirtualNetwork
+from repro.vnet.network import VirtualNetwork
 
 _ARTIFACT_FORMAT = "repro-serve-reproducer"
 _ARTIFACT_VERSION = 1
@@ -139,51 +139,39 @@ class ServiceDriver:
     # construction
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        from repro.experiments.faults import chaos_spec
-
         config = self.config
-        spec = chaos_spec()
-        scheme = make_scheme(config.scheme, config.address_space,
-                             config.cache_ratio)
         self.collector = WindowedCollector(
             window_ns=config.window_ns,
             relative_accuracy=config.relative_accuracy,
             on_window=self._on_window)
-        self.network = VirtualNetwork(
-            NetworkConfig(spec=spec, seed=config.seed,
-                          gateway_probe_interval_ns=config.probe_interval_ns,
-                          gateway_reinstate_timeout_ns=config.reinstate_timeout_ns,
-                          fidelity=config.fidelity),
-            scheme, self.collector)
+        # Fail fast from the first violation.  The detector is left to
+        # the maintenance schedule's apply(), which starts it with the
+        # probe/reinstatement tuning handed to the NetworkConfig here.
+        scenario = build_scenario(
+            make_scheme(config.scheme, config.address_space,
+                        config.cache_ratio),
+            collector=self.collector,
+            oracles={"hop_bound": config.hop_bound,
+                     "on_violation": self._on_violation},
+            anti_entropy_period_ns=config.anti_entropy_period_ns,
+            staleness_bound_ns=config.staleness_bound_ns,
+            staleness_check_ns=min(config.window_ns,
+                                   max(config.staleness_bound_ns // 4, 1)),
+            seed=config.seed, fidelity=config.fidelity,
+            gateway_probe_interval_ns=config.probe_interval_ns,
+            gateway_reinstate_timeout_ns=config.reinstate_timeout_ns)
+        self.network = scenario.network
+        self.suite = scenario.suite
+        self._tenant_hosts = scenario.tenant_hosts
         self.collector.attach(self.network)
-        gateway_racks = {(pod, spec.gateway_rack) for pod in spec.gateway_pods}
-        self._tenant_hosts = [
-            host for host in self.network.hosts
-            if (pip_pod(host.pip), pip_rack(host.pip)) not in gateway_racks]
         self._tenant_rng = self.network.streams.stream("service-tenants")
         self._flow_rng = self.network.streams.stream("service-flows")
         self._migrate_rng = self.network.streams.stream("service-migrate")
         for _ in range(config.initial_tenants):
             self._admit_tenant()
-        # The suite snapshots the initial placement as published and
-        # subscribes to every later update/removal; fail fast from here.
-        self.suite = OracleSuite(self.network, hop_bound=config.hop_bound,
-                                 on_violation=self._on_violation)
-        self.schedule, self.maintenance = build_maintenance(spec, config)
-        # apply() enables gateway failover; the detector picks up the
-        # probe/reinstatement tuning from the NetworkConfig fields.
-        self.schedule.apply(self.network)
-        self.suite.watch_schedule(self.schedule)
-        if config.anti_entropy_period_ns > 0:
-            self.network.enable_anti_entropy(
-                config.anti_entropy_period_ns,
-                staleness_bound_ns=config.staleness_bound_ns)
-        if config.staleness_bound_ns > 0:
-            self.suite.configure_staleness(
-                config.staleness_bound_ns,
-                audit_period_ns=config.anti_entropy_period_ns,
-                check_interval_ns=min(config.window_ns,
-                                      max(config.staleness_bound_ns // 4, 1)))
+        self.schedule, self.maintenance = build_maintenance(
+            self.network.config.spec, config)
+        scenario.apply(self.schedule)
         self.player = TrafficPlayer(self.network, TransportConfig(
             max_retransmits=config.max_retransmits,
             max_rto_ns=config.max_rto_ns))

@@ -1,0 +1,213 @@
+"""The artifact registry, and a golden for what no committed table pins.
+
+The registry (:mod:`repro.experiments.artifacts`) declares every table
+under ``benchmarks/results/`` once; ``reproduce``, the benchmarks and
+``benchmarks/regen_check.py`` print through it.  These tests pin the
+registry's shape — its keys are the committed file stems, every name
+resolves from the CLI, ``table()`` is pure — and leave the bytes to the
+regeneration gate, which runs at the bench scale.
+
+The golden (``tests/data/golden_fault_harnesses.json``) was recorded at
+commit d476b08, the parent of the change that folded the four fault
+harnesses' private build/arm/play pipelines into
+``repro.experiments.scenario.build_scenario``: chaos-fuzz trials, a
+shrunk reproducer artifact and service windows must come out of the
+one builder exactly as they came out of the four.  Re-record it with
+``PYTHONPATH=src:tests python tests/test_artifacts.py`` only for a
+change that means to move these numbers, and say so in the PR.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.cli import build_parser, main
+from repro.experiments import artifacts
+from repro.experiments.artifacts import (
+    ARTIFACTS,
+    artifact_names,
+    reproduce,
+    resolve,
+)
+from repro.experiments.chaosfuzz import (
+    ChaosFuzzParams,
+    gray_chaos_params,
+    run_chaos_fuzz,
+    run_one_trial,
+)
+from repro.experiments.faults import ChaosParams, chaos_spec
+from repro.experiments.figures import FigureScale
+from repro.faults.fuzz import generate_schedule
+from repro.service import ServiceConfig, run_service
+from repro.sim.engine import SECOND
+from repro.traces.incast import IncastTraceParams
+from repro.vnet.network import VirtualNetwork
+
+RESULTS_DIR = Path(__file__).parent.parent / "benchmarks" / "results"
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_fault_harnesses.json"
+
+#: Small enough that all 23 artifacts run in a few seconds.
+TINY = FigureScale(num_vms=32, hadoop_flows=40, websearch_flows=3,
+                   microburst_bursts=12, video_streams=4, alibaba_rpcs=40,
+                   alibaba_services=4, alibaba_containers=8,
+                   ratios=(4.0,), seed=2)
+
+SHORT_NAMES = ("fig5a", "fig5b", "fig5c", "fig5d", "fig6", "fig7", "fig9",
+               "fig10", "table5", "table6", "appendix")
+
+
+# ----------------------------------------------------------------------
+# the registry
+# ----------------------------------------------------------------------
+def test_registry_keys_are_the_committed_file_stems():
+    assert set(ARTIFACTS) == {path.stem for path in RESULTS_DIR.glob("*.txt")}
+    assert len(ARTIFACTS) == 23
+    assert all(name == artifact.name for name, artifact in ARTIFACTS.items())
+
+
+def test_reproduce_accepts_every_stem_and_every_short_name():
+    assert sorted(artifact_names()) == sorted([*ARTIFACTS, *SHORT_NAMES])
+    parser = build_parser()
+    for name in artifact_names():
+        assert parser.parse_args(["reproduce", name]).artifact == name
+        assert resolve(name)
+    # A short name stands for every file of its figure, off one run.
+    fig7 = resolve("fig7")
+    assert [a.name for a in fig7] == ["fig7_pod_bytes", "fig7_heatmap"]
+    assert fig7[0].run is fig7[1].run is ARTIFACTS["fig8_switch_bytes"].run
+    with pytest.raises(KeyError):
+        resolve("fig99")
+
+
+def _title_and_header(text: str) -> tuple[str, list[str]]:
+    """A rendered table's title and header cells (widths follow the data)."""
+    title, header = text.splitlines()[:2]
+    return title, [cell.strip() for cell in header.split("|")]
+
+
+@pytest.mark.parametrize("name", ["fig8_switch_bytes", "ablation_features",
+                                  "table5"])
+def test_reproduce_prints_the_committed_title_and_header(name, monkeypatch,
+                                                         capsys):
+    """The first two could only be printed by their benchmark files, and
+    ``table5`` printed another layer order than the committed one."""
+    monkeypatch.setattr("repro.cli._scale_from_args", lambda args: TINY)
+    assert main(["reproduce", name]) == 0
+    committed = (RESULTS_DIR / f"{resolve(name)[0].name}.txt").read_text()
+    assert _title_and_header(capsys.readouterr().out) \
+        == _title_and_header(committed)
+
+
+def test_every_table_is_pure(monkeypatch):
+    """Same result twice -> same text, off what ``run`` returned alone."""
+    # The entries that ignore the scale, shrunk the same way.
+    monkeypatch.setattr(artifacts, "TABLE4_PARAMS", IncastTraceParams(
+        num_senders=4, packets_per_sender=50))
+    monkeypatch.setattr(artifacts, "FAULT_PARAMS", ChaosParams(
+        num_vms=16, num_flows=60))
+    first = {}
+    results = {}
+    for name, artifact in ARTIFACTS.items():
+        if artifact.run not in results:
+            results[artifact.run] = artifact.run(TINY)
+        first[name] = artifact.render(results[artifact.run])
+    for name, artifact in ARTIFACTS.items():
+        assert artifact.render(results[artifact.run]) == first[name], name
+        title, headers, rows = artifact.table(results[artifact.run])
+        assert title and rows, name
+        assert all(len(row) == len(headers) for row in rows), name
+    # reproduce() is the same thing, sharing a run between its entries.
+    assert reproduce(resolve("fig7"), TINY) == {
+        name: first[name] for name in ("fig7_pod_bytes", "fig7_heatmap")}
+
+
+# ----------------------------------------------------------------------
+# the parent-recorded golden
+# ----------------------------------------------------------------------
+SMALL = ChaosFuzzParams(num_vms=16, num_flows=24)
+GRAY = gray_chaos_params(num_vms=16, num_flows=24)
+TRIAL_SEED = 1234
+
+
+def _observe_trials() -> list[dict]:
+    """One trial per (params, scheme, bug) on one fuzzed schedule, with
+    the finished network's counters next to the verdict."""
+    finished = []
+    finalize = VirtualNetwork.finalize
+
+    def recording_finalize(network):
+        finalize(network)
+        finished.append(network)
+
+    VirtualNetwork.finalize = recording_finalize
+    try:
+        trials = []
+        for label, params in (("stock", SMALL), ("gray", GRAY)):
+            schedule = generate_schedule(chaos_spec(), params.num_vms,
+                                         params.fuzz, seed=TRIAL_SEED)
+            bugs = [None, "skip-cache-flush"]
+            if label == "gray":
+                bugs.append("disabled-audit")
+            for scheme in ("SwitchV2P", "GwCache"):
+                for bug in bugs:
+                    outcome = run_one_trial(scheme, schedule.events, params,
+                                            TRIAL_SEED, bug)
+                    collector = finished[-1].collector
+                    trials.append({
+                        "params": label, "scheme": scheme, "bug": bug,
+                        "num_events": outcome.num_events,
+                        "violations": [[v.oracle, v.time_ns, v.detail]
+                                       for v in outcome.violations],
+                        "packets_sent": collector.packets_sent,
+                        "deliveries": collector.deliveries,
+                        "gateway_arrivals": collector.gateway_arrivals,
+                        "misdeliveries": collector.misdeliveries,
+                        "drops": collector.drops,
+                        "avg_fct_ns": collector.average_fct_ns(),
+                    })
+        return trials
+    finally:
+        VirtualNetwork.finalize = finalize
+
+
+def _observe_reproducer(tmp_dir) -> dict:
+    """The artifact ``chaos --bug skip-cache-flush`` writes, minus the
+    ``command`` field, which names the temporary path."""
+    result = run_chaos_fuzz(trials=4, seed=6, schemes=("SwitchV2P",),
+                            params=SMALL, bug="skip-cache-flush",
+                            artifact_dir=tmp_dir)
+    payload = json.loads(Path(result.reproducer_path).read_text())
+    del payload["command"]
+    return payload
+
+
+def _observe_service_windows() -> list[dict]:
+    result = run_service(ServiceConfig(duration_ns=5 * SECOND))
+    assert result.clean
+    return [window.as_dict() for window in result.windows]
+
+
+def _observe(tmp_dir) -> dict:
+    return {"trials": _observe_trials(),
+            "reproducer": _observe_reproducer(tmp_dir),
+            "service_windows": _observe_service_windows()}
+
+
+def test_fault_harnesses_match_the_parent_recorded_golden(tmp_path):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    # Through JSON and back, as the golden went: tuples become lists.
+    observed = json.loads(json.dumps(_observe(tmp_path)))
+    for section in ("trials", "reproducer", "service_windows"):
+        assert observed[section] == golden[section], section
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN_PATH.write_text(json.dumps(_observe(tmp), indent=1,
+                                          sort_keys=True) + "\n")
+    sys.exit(0)
