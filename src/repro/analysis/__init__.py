@@ -14,10 +14,8 @@ tree on every push (``python -m repro lint``):
 * **T-series** (integer time): the simulation clock is integer
   nanoseconds; float literals or true division must not flow into
   ``schedule``/``schedule_after``/``schedule_timer``.
-* **R-series** (resources): freelist packets must not outlive
-  ``release()`` or escape into attributes/closures, and memo tables
-  (ECMP next hops, gateway choices) must be invalidated by every
-  mutator that can stale them.
+* **R-series** (resources): memo tables (ECMP next hops, gateway
+  choices) must be invalidated by every mutator that can stale them.
 
 See ``docs/linting.md`` for the rule catalogue and the suppression
 syntax (``# repro-lint: disable=RULE``).

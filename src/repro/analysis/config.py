@@ -154,10 +154,6 @@ class LintConfig:
     rng_factories: tuple[str, ...] = (
         "default_rng", "Generator", "SeedSequence", "PCG64", "PCG64DXSM",
         "Philox", "MT19937", "RandomState")
-    #: Method names that hand out freelist packets.
-    acquire_methods: tuple[str, ...] = ("acquire", "new_packet")
-    #: Method names that return a packet to the freelist.
-    release_methods: tuple[str, ...] = ("release",)
     memo_pairings: tuple[MemoPairing, ...] = DEFAULT_MEMO_PAIRINGS
 
     # ------------------------------------------------------------------
@@ -270,8 +266,6 @@ def load_config(pyproject: Path | None = None) -> LintConfig:
         "time-apis": "time_apis",
         "time-converters": "time_converters",
         "rng-factories": "rng_factories",
-        "acquire-methods": "acquire_methods",
-        "release-methods": "release_methods",
         "flow-entry-points": "flow_entry_points",
         "state-attrs": "state_attrs",
         "notify-calls": "notify_calls",

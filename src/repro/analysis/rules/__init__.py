@@ -6,7 +6,7 @@ Rule series:
   D110 (fluid-path mutation discipline) lives in its own module,
   :mod:`repro.analysis.rules.fluid`;
 * ``T2xx`` — integer simulation time (:mod:`repro.analysis.rules.timing`);
-* ``R3xx`` — resource/freelist/memo invariants
+* ``R3xx`` — resource/memo invariants
   (:mod:`repro.analysis.rules.resources`);
 * ``W4xx`` — whole-program flow rules
   (:mod:`repro.analysis.rules.flow_rules`): RNG provenance, escalation

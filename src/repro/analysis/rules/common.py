@@ -39,11 +39,6 @@ def nested_scopes(root: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunction
                 stack.append(child)
 
 
-def position(node: ast.AST) -> tuple[int, int]:
-    """(line, col) ordering key; nodes without one sort first."""
-    return (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
-
-
 def call_name(node: ast.Call) -> str | None:
     """The terminal name of a call target (``a.b.c()`` -> ``"c"``)."""
     func = node.func

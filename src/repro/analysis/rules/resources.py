@@ -1,15 +1,10 @@
-"""R-series rules: freelist and memo-table invariants.
+"""R-series rules: memo-table invariants.
 
-PR 2's hot-path overhaul introduced two classes of state that runtime
-tests are bad at catching when misused:
-
-* the :class:`~repro.net.packet.PacketPool` freelist — a released
-  packet may be recycled and rewritten at any later event, so a
-  retained reference (read after ``release()``, stored on ``self``, or
-  captured in a closure) reads *someone else's* packet;
-* memoized forwarding tables (per-switch ECMP memos, the per-flow
-  gateway memo) — valid only until topology/faults/pool mutations, so
-  every mutator must be structurally paired with the invalidation.
+PR 2's hot-path overhaul introduced a class of state that runtime
+tests are bad at catching when misused: memoized forwarding tables
+(per-switch ECMP memos, the per-flow gateway memo) are valid only
+until topology/fault/gateway-pool mutations, so every mutator must be
+structurally paired with the invalidation.
 """
 
 from __future__ import annotations
@@ -21,192 +16,6 @@ from collections.abc import Iterator
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, rule
-from repro.analysis.rules.common import (
-    call_name,
-    nested_scopes,
-    position,
-    scope_walk,
-)
-
-
-def _release_events(scope: ast.AST, release_methods: tuple[str, ...],
-                    ) -> list[tuple[str, tuple[int, int]]]:
-    """(name, position-after-arg) for every ``X.release(name)`` call."""
-    events = []
-    for node in scope_walk(scope):
-        if (isinstance(node, ast.Call)
-                and call_name(node) in release_methods
-                and node.args
-                and isinstance(node.args[0], ast.Name)):
-            arg = node.args[0]
-            events.append((arg.id, position(arg)))
-    return events
-
-
-#: Statements after which control never reaches the rest of the block.
-_TERMINATORS = (ast.Return, ast.Raise, ast.Break, ast.Continue)
-
-
-def _end_position(node: ast.AST) -> tuple[int, int]:
-    return (getattr(node, "end_lineno", None) or getattr(node, "lineno", 0),
-            getattr(node, "end_col_offset", None)
-            or getattr(node, "col_offset", 0))
-
-
-def _child_stmt_lists(stmt: ast.stmt):
-    """Statement blocks nested directly under ``stmt`` (same scope)."""
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                         ast.ClassDef)):
-        return
-    for attr in ("body", "orelse", "finalbody"):
-        block = getattr(stmt, attr, None)
-        if block:
-            yield block
-    for handler in getattr(stmt, "handlers", ()):
-        yield handler.body
-
-
-def _taint_region(stmts: list[ast.stmt],
-                  pos: tuple[int, int]) -> tuple[tuple[int, int], bool] | None:
-    """(last reachable position, block-terminates?) for a release at ``pos``.
-
-    Control reaches the remainder of the statement list containing the
-    release; if that list does not end in return/raise/break/continue it
-    falls through into the enclosing list, and so on upward.  Loads past
-    the returned position sit on a branch the released packet cannot
-    reach (e.g. ``release()`` inside an ``if ...: return`` arm), so they
-    are not use-after-release.  Back-edges (a release late in a loop
-    body tainting the next iteration) are deliberately out of scope.
-    """
-    for stmt in stmts:
-        if not position(stmt) <= pos <= _end_position(stmt):
-            continue
-        inner = None
-        for block in _child_stmt_lists(stmt):
-            inner = _taint_region(block, pos)
-            if inner is not None:
-                break
-        if inner is not None and inner[1]:
-            return inner  # an inner block terminates: taint stops there
-        end = _end_position(stmts[-1])
-        if inner is not None:
-            end = max(end, inner[0])
-        return end, isinstance(stmts[-1], _TERMINATORS)
-    return None
-
-
-@rule
-class UseAfterReleaseRule(Rule):
-    """R301: a packet must not be touched after being released."""
-
-    rule_id = "R301"
-    summary = ("freelist packet used after release(); the pool may recycle "
-               "and rewrite it at any later event")
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for function in module.functions():
-            yield from self._check_function(function, module)
-
-    def _check_function(self, function: ast.AST,
-                        module: ModuleContext) -> Iterator[Finding]:
-        releases = _release_events(function,
-                                   module.config.release_methods)
-        if not releases:
-            return
-        # Every Name event in this scope, in source order.
-        names: list[tuple[tuple[int, int], ast.Name]] = sorted(
-            (position(node), node) for node in scope_walk(function)
-            if isinstance(node, ast.Name))
-        body = getattr(function, "body", [])
-        for released_name, released_at in releases:
-            region = _taint_region(body, released_at)
-            for pos, node in names:
-                if region is not None and pos > region[0]:
-                    break  # control cannot flow here from the release
-                if pos <= released_at or node.id != released_name:
-                    continue
-                if isinstance(node.ctx, ast.Store):
-                    break  # rebound to a fresh object: no longer tainted
-                yield self.finding(
-                    module, node.lineno, node.col_offset,
-                    f"'{released_name}' read after release(); the freelist "
-                    "may hand this object to another sender and reset it — "
-                    "finish all reads before releasing")
-                break  # one finding per release point is enough
-
-
-@rule
-class FreelistEscapeRule(Rule):
-    """R302: an acquired packet must not escape into attributes/closures."""
-
-    rule_id = "R302"
-    summary = ("freelist packet stored on an attribute or captured in a "
-               "closure; it outlives its release point")
-
-    _STORE_METHODS = ("append", "add", "insert", "appendleft", "push")
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for function in module.functions():
-            yield from self._check_function(function, module)
-
-    def _check_function(self, function: ast.AST,
-                        module: ModuleContext) -> Iterator[Finding]:
-        acquired = self._acquired_names(function, module)
-        if not acquired:
-            return
-        for node in scope_walk(function):
-            if (isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in acquired):
-                for target in node.targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        yield self.finding(
-                            module, node.lineno, node.col_offset,
-                            f"freelist packet '{node.value.id}' stored "
-                            "on an attribute/container; once released "
-                            "it will be recycled while this reference "
-                            "still sees it — copy the fields you need")
-                        break
-            elif isinstance(node, ast.Call):
-                if call_name(node) in self._STORE_METHODS \
-                        and isinstance(node.func, ast.Attribute) \
-                        and isinstance(node.func.value, ast.Attribute):
-                    for arg in node.args:
-                        if isinstance(arg, ast.Name) and arg.id in acquired:
-                            yield self.finding(
-                                module, arg.lineno, arg.col_offset,
-                                f"freelist packet '{arg.id}' appended to an "
-                                "attribute container; it outlives its "
-                                "release point — copy the fields you need")
-        for nested in nested_scopes(function):
-            captured = {
-                node.id for node in ast.walk(nested)
-                if isinstance(node, ast.Name)
-                and isinstance(node.ctx, ast.Load)
-                and node.id in acquired
-            }
-            params = {arg.arg for arg in ast.walk(nested)
-                      if isinstance(arg, ast.arg)}
-            for name in sorted(captured - params):
-                yield self.finding(
-                    module, nested.lineno, nested.col_offset,
-                    f"freelist packet '{name}' captured by a nested "
-                    "function; the closure may run after the packet is "
-                    "released and recycled")
-
-    @staticmethod
-    def _acquired_names(function: ast.AST,
-                        module: ModuleContext) -> frozenset[str]:
-        acquire = module.config.acquire_methods
-        names = set()
-        for node in scope_walk(function):
-            if (isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Call)
-                    and call_name(node.value) in acquire):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        return frozenset(names)
 
 
 @rule

@@ -604,8 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="static determinism & simulator-invariant checks",
         description="Run the repro.analysis lint engine: AST-based rules "
                     "that keep the simulator deterministic (no wall-clock "
-                    "reads, no global RNG, integer-ns time, freelist and "
-                    "memo-table invariants).  Exits non-zero when any "
+                    "reads, no global RNG, integer-ns time, memo-table "
+                    "invariants).  Exits non-zero when any "
                     "unsuppressed finding remains; see docs/linting.md.")
     from repro.analysis.cli import add_arguments as _add_lint_arguments
     _add_lint_arguments(lint_parser)

@@ -165,8 +165,6 @@ class OracleSuite:
         engine = self.network.engine
 
         def probe(packet: Packet) -> None:
-            # Read primitives only — the packet object is recycled into
-            # the freelist right after delivery.
             hops = packet.hops
             vip = packet.dst_vip
             if hops > self.hop_bound:

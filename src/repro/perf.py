@@ -162,8 +162,6 @@ class RunProfile:
     phases_ns: dict[str, int] = field(default_factory=dict)
     #: Full collector passes per phase (:attr:`PhaseTimer.full_collections`).
     full_collections: dict[str, int] = field(default_factory=dict)
-    #: Packet-pool effectiveness (recycled / (recycled + allocated)).
-    pool_recycle_rate: float = 0.0
     #: Simulation fidelity ("packet" or "hybrid") and, for hybrid runs,
     #: the fluid scheduler's bookkeeping: how many flows were adopted,
     #: how many packets were advanced analytically rather than
@@ -203,7 +201,6 @@ class RunProfile:
             "packets": self.packets,
             "events_per_sec": self.events_per_sec,
             "packets_per_sec": self.packets_per_sec,
-            "pool_recycle_rate": self.pool_recycle_rate,
             "fidelity": self.fidelity,
             "phases_ms": {name: ns / 1e6
                           for name, ns in sorted(self.phases_ns.items())},
@@ -233,7 +230,6 @@ class RunProfile:
             f"  ({self.events_per_sec:,.0f}/s)",
             f"packets          {self.packets:12d}"
             f"  ({self.packets_per_sec:,.0f}/s)",
-            f"pool recycle     {self.pool_recycle_rate:12.1%}",
         ]
         for name, ns in sorted(self.phases_ns.items()):
             lines.append(f"phase {name:<10} {ns / 1e6:12.2f} ms"
@@ -281,7 +277,7 @@ def profile_experiment(spec, scheme_name: str, flows, num_vms: int,
     Returns:
         ``(profile, result)`` — the wall-clock profile and the normal
         :class:`~repro.experiments.runner.RunResult` (with the network
-        retained, so callers can inspect engine/pool counters).
+        retained, so callers can inspect engine counters).
     """
     from repro.experiments.runner import run_experiment
     from repro.sim.engine import msec
@@ -310,8 +306,6 @@ def profile_experiment(spec, scheme_name: str, flows, num_vms: int,
     wall_ns = time.perf_counter_ns() - start
 
     network = result.network
-    pool = network.packet_pool
-    served = pool.allocated + pool.recycled
     profile_text = ""
     if profiler is not None:
         buffer = io.StringIO()
@@ -326,7 +320,6 @@ def profile_experiment(spec, scheme_name: str, flows, num_vms: int,
         packets=result.packets_sent,
         phases_ns=dict(timer.phases_ns),
         full_collections=dict(timer.full_collections),
-        pool_recycle_rate=pool.recycled / served if served else 0.0,
         fidelity=result.fidelity,
         fluid_adoptions=result.fluid_adoptions,
         fluid_escalations=result.fluid_escalations,

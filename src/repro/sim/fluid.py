@@ -49,8 +49,9 @@ Exactness contract (see docs/simulator.md "Hybrid fidelity"):
 * any cache mutation anywhere on an adopted flow's path — from its own
   probe or from *other* traffic — escalates the flow back to packet
   level before the mutation's effects could be misattributed
-  (:meth:`FluidScheduler.escalate_flow` and the ``on_mutate`` cache
-  observer installed via ``CachingScheme.set_cache_observer``);
+  (:meth:`FluidScheduler.escalate_switch`, reached from the
+  ``on_mutate`` cache observer installed via
+  ``CachingScheme.set_cache_observer``);
 * VM migration/retirement, gateway failover/commission, and fabric
   fault transitions escalate via hooks in ``vnet.network`` and
   ``Fabric.note_fault``.
@@ -638,12 +639,6 @@ class FluidScheduler:
     def escalate_all(self, reason: str) -> None:
         self._clean_sigs = set()
         for flow in list(self._flows.values()):
-            self._escalate(flow, reason)
-
-    def escalate_flow(self, flow_id: int, reason: str) -> None:
-        self._clean_sigs = set()
-        flow = self._flows.get(flow_id)
-        if flow is not None:
             self._escalate(flow, reason)
 
     def _process_deferred(self) -> None:
@@ -1244,8 +1239,6 @@ class FluidScheduler:
                 packet.created_at = engine._now - elapsed
                 if dst.on_deliver is not None:
                     dst.on_deliver(packet)
-                if dst.pool is not None:
-                    dst.pool.release(packet)
                 return _DELIVERED, elapsed, dst
             switch = dst
             if switch._failed:

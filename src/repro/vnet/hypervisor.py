@@ -79,7 +79,6 @@ class Host(Node):
         "misdeliveries",
         "packets_sent",
         "unroutable_drops",
-        "pool",
     )
 
     def __init__(self, name: str, engine: Engine,
@@ -103,31 +102,13 @@ class Host(Node):
         #: surviving gateway): hard-dropped here instead of being
         #: garbage-routed into the fabric.
         self.unroutable_drops = 0
-        #: Shared :class:`~repro.net.packet.PacketPool`; wired in by
-        #: :class:`~repro.vnet.network.VirtualNetwork`.  When None,
-        #: transports fall back to plain construction.
-        self.pool = None
 
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
     def new_packet(self, kind: PacketKind, flow_id: int, seq: int,
                    payload_bytes: int, src_vip: int, dst_vip: int) -> Packet:
-        """Make a DATA/ACK packet originating here, recycled if possible.
-
-        The freelist pop is :meth:`PacketPool.acquire` inlined — this
-        runs once per packet the transport originates.
-        """
-        pool = self.pool
-        if pool is not None:
-            free = pool._free
-            if free:
-                packet = free.pop()
-                packet.reset(kind, flow_id, seq, payload_bytes, src_vip,
-                             dst_vip, self.pip)
-                pool.recycled += 1
-                return packet
-            pool.allocated += 1
+        """Make a DATA/ACK packet originating here."""
         return Packet(kind, flow_id, seq, payload_bytes, src_vip, dst_vip,
                       self.pip)
 
@@ -169,10 +150,6 @@ class Host(Node):
             endpoint = self.endpoints.get(packet.dst_vip)
             if endpoint is not None:
                 endpoint.on_packet(packet)
-            # Terminal delivery: the only point where a packet provably
-            # has no other live reference, so it may be recycled.
-            if self.pool is not None:
-                self.pool.release(packet)
             return
         # The destination VM is not (or no longer) here: hypervisor
         # re-forwards after its processing delay.

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import cycle
+from types import SimpleNamespace
 
 from repro.metrics.collector import Collector
 from repro.net.node import ecmp_index
-from repro.net.packet import Packet, PacketKind, PacketPool
+from repro.net.packet import Packet, PacketKind
 from repro.net.topology import Fabric, FatTreeSpec
 from repro.sim.engine import Engine, collector_paused, msec, usec
 from repro.sim.randomness import RandomStreams
@@ -72,20 +73,21 @@ class VirtualNetwork:
         self.config = config
         self.scheme = scheme
         self.collector = collector if collector is not None else Collector()
-        # Timer-wheel width and freelist headroom scale with the
-        # topology: concurrent armed timers and in-flight packets both
-        # grow with the server count, and a wheel sized for FT8 leaves
-        # k=32 buckets hundreds deep.  Neither knob affects event
-        # order, so results stay bit-identical across sizings.
+        # Timer-wheel width scales with the topology: concurrent armed
+        # timers grow with the server count, and a wheel sized for FT8
+        # leaves k=32 buckets hundreds deep.  The width does not affect
+        # event order, so results stay bit-identical across sizings.
         servers = config.spec.num_servers
         wheel_slots = 512
         while wheel_slots < servers and wheel_slots < 8192:
             wheel_slots *= 2
         self.streams = RandomStreams(config.seed)
         self.database = MappingDatabase()
-        #: Shared freelist recycling DATA/ACK packets across all hosts;
-        #: steady-state traffic allocates no new packet objects.
-        self.packet_pool = PacketPool(max_free=max(65536, 16 * servers))
+        #: Stand-in for the deleted PacketPool, read by
+        #: ``bench/layers.py::network_counts`` only (its
+        #: ``packet.pool_recycle_rate`` row, which now reads 0); no
+        #: packet touches it.  It goes when a benchmark PR drops the row.
+        self.packet_pool = SimpleNamespace(allocated=0, recycled=0)
         self.hosts: list[Host] = []
         self.host_by_pip: dict[int, Host] = {}
         self.gateways: list[Gateway] = []
@@ -136,7 +138,6 @@ class VirtualNetwork:
                     host.uplink._src_is_host = True
                     host.on_deliver = deliver
                     host.on_misdeliver = misdeliver
-                    host.pool = self.packet_pool
                     self.hosts.append(host)
                     self.host_by_pip[host.pip] = host
 

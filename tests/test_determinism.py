@@ -1,8 +1,8 @@
 """Determinism guards for the hot-path optimizations.
 
-The perf overhaul (packet pooling, memoized ECMP, incremental wire-byte
-accounting, the engine's pop-first fast path) must not change a single
-simulated outcome: identical seeds must produce identical results.
+The perf overhaul (memoized ECMP, incremental wire-byte accounting,
+the engine's pop-first fast path) must not change a single simulated
+outcome: identical seeds must produce identical results.
 These tests pin that down three ways — repeated runs, sequential vs
 process-pool execution, and a committed golden snapshot that detects
 drift against *past* versions of the simulator, not just within one
@@ -85,20 +85,6 @@ def test_sequential_matches_parallel_execution():
     assert len(sequential) == len(parallel) == 2
     for seq, par in zip(sequential, parallel):
         assert _result_dict(seq) == _result_dict(par)
-
-
-def test_pooling_does_not_change_results():
-    """Recycled packets must behave exactly like fresh allocations."""
-    flows = _hadoop_flows(64, 60, seed=11)
-
-    def run(pooled: bool) -> RunResult:
-        network = build_network(FatTreeSpec(), SwitchV2P(512), 64, seed=11)
-        if not pooled:
-            for host in network.host_by_pip.values():
-                host.pool = None
-        return run_flows(network, list(flows), trace_name="hadoop")
-
-    assert _result_dict(run(pooled=True)) == _result_dict(run(pooled=False))
 
 
 def test_golden_hadoop_snapshot():

@@ -1,7 +1,10 @@
 """Tests for the packet representation."""
 
+from repro.core import SwitchV2P
 from repro.net.addresses import UNRESOLVED
 from repro.net.packet import HEADER_BYTES, MSS_BYTES, Packet, PacketKind
+
+from conftest import small_network
 
 
 def make(payload=100):
@@ -66,3 +69,49 @@ def test_slots_prevent_arbitrary_attributes():
 def test_kinds_are_distinct():
     assert len({PacketKind.DATA, PacketKind.ACK, PacketKind.LEARNING,
                 PacketKind.INVALIDATION}) == 4
+
+
+# ----------------------------------------------------------------------
+# packet lifetime: a packet belongs to whoever still holds it
+# ----------------------------------------------------------------------
+def _deliver(network, src, dst_vip, flow_id, seq):
+    packet = src.new_packet(PacketKind.DATA, flow_id, seq, 100, 0, dst_vip)
+    src.send(packet)
+    network.engine.run()
+    return packet
+
+
+def _fields(packet):
+    return {name: getattr(packet, name) for name in Packet.__slots__}
+
+
+def test_packet_kept_by_delivery_observer_keeps_its_fields():
+    network = small_network(SwitchV2P(64), num_vms=8)
+    src, dst_vip = network.host_of(0), 5
+    dst = network.host_of(dst_vip)
+    _deliver(network, src, dst_vip, flow_id=1, seq=0)  # warm the caches
+    kept = []
+    inner = dst.on_deliver
+
+    def observer(packet):
+        kept.append((packet, _fields(packet)))
+        inner(packet)
+
+    dst.on_deliver = observer
+    _deliver(network, src, dst_vip, flow_id=7, seq=3)
+    dst.on_deliver = inner
+    (packet, at_delivery), = kept
+    assert (packet.flow_id, packet.seq) == (7, 3)
+    assert packet.hit_switch is not None  # an option a cache hit stamped
+    for seq in range(100):
+        _deliver(network, src, dst_vip, flow_id=9, seq=seq)
+    assert _fields(packet) == at_delivery
+
+
+def test_new_packet_is_a_fresh_object_after_a_delivery():
+    network = small_network(SwitchV2P(64), num_vms=8)
+    src = network.host_of(0)
+    first = _deliver(network, src, 5, flow_id=1, seq=0)
+    second = src.new_packet(PacketKind.DATA, 1, 1, 100, 0, 5)
+    assert second is not first
+    assert first.seq == 0 and first.hops > 0
