@@ -18,6 +18,8 @@ cache with per-role admission policies and four special functions:
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from repro.baselines.caching import CachingScheme
 from repro.cache.core import HASH_MIX, SwitchCache
 from repro.core.allocation import UNIFORM, AllocationPolicy, distribute_slots
@@ -90,9 +92,11 @@ class SwitchV2P(CachingScheme):
         #: of the next unread value.  ``Generator.random(n)`` yields the
         #: same values as ``n`` scalar calls, so buffering changes no
         #: draw; it makes one draw a list index and lets the fluid
-        #: replay look ahead (:meth:`clean_learning_draws`).
+        #: replay look ahead (:meth:`clean_learning_draws`) through
+        #: ``_learn_hits``, the ascending indices of the triggering values.
         self._learn_buf: list[float] = []
         self._learn_pos = 0
+        self._learn_hits: list[int] = []
         self._control_flow_seq = _CONTROL_FLOW_BASE
         #: Per-ToR timestamp vector: ToR id -> (target switch id -> last
         #: invalidation send time).  Local timestamps only (§3.3).
@@ -139,6 +143,7 @@ class SwitchV2P(CachingScheme):
         # Buffered values belong to the stream they were drawn from.
         self._learn_buf = []
         self._learn_pos = 0
+        self._learn_hits = []
         self._timestamp_vectors = {}
         self._gateway_pips = network.gateway_pip_set()
 
@@ -461,7 +466,7 @@ class SwitchV2P(CachingScheme):
         pos = self._learn_pos
         buf = self._learn_buf
         if pos == len(buf):
-            buf = self._learn_buf = self._learn_rng.random(_LEARN_BLOCK).tolist()
+            buf = self._refill_learning(_LEARN_BLOCK)
             pos = 0
         self._learn_pos = pos + 1
         if buf[pos] >= self.config.p_learn:
@@ -522,16 +527,28 @@ class SwitchV2P(CachingScheme):
                 or not self.config.enable_learning_packets):
             return 0
         pos = self._learn_pos
-        buf = self._learn_buf
-        if len(buf) - pos < count:
-            buf = self._learn_buf = buf[pos:] + self._learn_rng.random(
-                max(count, _LEARN_BLOCK)).tolist()
-            pos = self._learn_pos = 0
-        p_learn = self.config.p_learn
-        ahead = buf[pos:pos + count]
-        if min(ahead) >= p_learn:
+        if len(self._learn_buf) - pos < count:
+            self._refill_learning(max(count, _LEARN_BLOCK))
+            pos = 0
+        hits = self._learn_hits
+        at = bisect_left(hits, pos)
+        if at == len(hits) or hits[at] >= pos + count:
             return count
-        return next(i for i, value in enumerate(ahead) if value < p_learn)
+        return hits[at] - pos
+
+    def _refill_learning(self, size: int) -> list[float]:
+        """Drop the read values, buffer ``size`` more, and note where the
+        new ones trigger (``p_learn`` is frozen) for the look-ahead."""
+        pos = self._learn_pos
+        unread = self._learn_buf[pos:]
+        kept = len(unread)
+        block = self._learn_rng.random(size)
+        triggering = (block < self.config.p_learn).nonzero()[0].tolist()
+        self._learn_hits = ([at - pos for at in self._learn_hits if at >= pos]
+                            + [at + kept for at in triggering])
+        self._learn_buf = unread + block.tolist()
+        self._learn_pos = 0
+        return self._learn_buf
 
     def skip_learning_draws(self, count: int) -> None:
         """Consume ``count`` draws :meth:`clean_learning_draws` found clean."""

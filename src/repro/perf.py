@@ -69,23 +69,31 @@ class PhaseTimer:
         #: Phase name -> full (oldest-generation) collector passes in it.
         self.full_collections: dict[str, int] = {}
 
+    def start(self) -> tuple[int, int]:
+        """Open an interval for :meth:`stop`: :meth:`phase` without the
+        generator frames, for the fluid scheduler's thousands per run."""
+        # A phase entered with the collector off (every fluid round,
+        # inside ``Engine.run``'s pause) can trigger no pass and skips
+        # the read, the costliest call here.
+        passes = gc.get_stats()[2]["collections"] if gc.isenabled() else -1
+        return time.perf_counter_ns(), passes
+
+    def stop(self, name: str, started: tuple[int, int]) -> None:
+        """Add the interval ``started`` to phase ``name``."""
+        elapsed = time.perf_counter_ns() - started[0]
+        self.phases_ns[name] = self.phases_ns.get(name, 0) + elapsed
+        if started[1] >= 0:
+            passes = gc.get_stats()[2]["collections"] - started[1]
+            self.full_collections[name] = self.full_collections.get(name, 0) + passes
+
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
         """Time the enclosed block under ``name`` (re-entrant by sum)."""
-        # A phase entered with the collector off (the fluid scheduler's
-        # thousands per run, inside ``Engine.run``'s pause) can trigger
-        # no pass and skips the read, the costliest call here.
-        counting = gc.isenabled()
-        before = gc.get_stats()[2]["collections"] if counting else 0
-        start = time.perf_counter_ns()
+        started = self.start()
         try:
             yield
         finally:
-            elapsed = time.perf_counter_ns() - start
-            self.phases_ns[name] = self.phases_ns.get(name, 0) + elapsed
-            if counting:
-                passes = gc.get_stats()[2]["collections"] - before
-                self.full_collections[name] = self.full_collections.get(name, 0) + passes
+            self.stop(name, started)
 
     def add(self, name: str, elapsed_ns: int) -> None:
         """Fold an externally measured duration into phase ``name``.
@@ -119,22 +127,20 @@ class PhaseMemoryTimer(PhaseTimer):
         #: Phase name -> {"py_peak_kb", "py_end_kb", "rss_peak_kb"}.
         self.memory_by_phase: dict[str, dict[str, float]] = {}
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
+    def start(self) -> tuple[int, int]:
         if tracemalloc.is_tracing():
             tracemalloc.reset_peak()
-        try:
-            with super().phase(name):
-                yield
-        finally:
-            current, peak = (tracemalloc.get_traced_memory()
-                             if tracemalloc.is_tracing() else (0, 0))
-            entry = self.memory_by_phase.setdefault(
-                name, {"py_peak_kb": 0.0, "py_end_kb": 0.0,
-                       "rss_peak_kb": 0.0})
-            entry["py_peak_kb"] = max(entry["py_peak_kb"], peak / 1024)
-            entry["py_end_kb"] = current / 1024
-            entry["rss_peak_kb"] = max(entry["rss_peak_kb"], peak_rss_kb())
+        return super().start()
+
+    def stop(self, name: str, started: tuple[int, int]) -> None:
+        super().stop(name, started)
+        current, peak = (tracemalloc.get_traced_memory()
+                         if tracemalloc.is_tracing() else (0, 0))
+        entry = self.memory_by_phase.setdefault(
+            name, {"py_peak_kb": 0.0, "py_end_kb": 0.0, "rss_peak_kb": 0.0})
+        entry["py_peak_kb"] = max(entry["py_peak_kb"], peak / 1024)
+        entry["py_end_kb"] = current / 1024
+        entry["rss_peak_kb"] = max(entry["rss_peak_kb"], peak_rss_kb())
 
 
 def timed_call(fn, /, *args, **kwargs):

@@ -239,8 +239,8 @@ class Engine:
 
         A non-negative delay from ``now`` can never land in the past,
         so this pushes straight onto the heap without the past-time
-        check :meth:`schedule` performs — it is the per-packet hot path
-        (every link delivery goes through here).
+        check :meth:`schedule` performs.  (Links and ``Switch.receive``,
+        the per-packet hot path, push onto the heap themselves.)
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
@@ -329,9 +329,15 @@ class Engine:
         or the start of the first unvisited slot, whichever is earlier.
         An unvisited bucket can only hold timers of slots past the last
         one visited, so taking the kept minimum alone would be wrong.
-        ``_NEVER`` if no live timer is left anywhere.
+        ``_NEVER`` if no live timer is left anywhere — what the buckets
+        hold is then all cancelled, and is dropped here: with the bound
+        at ``_NEVER`` no later sweep may come to visit it.  (The due
+        heap needs no such care; the caller pops its dead top entries.)
         """
         if not self._live_timers:
+            for bucket in self._wheel:
+                if bucket:
+                    bucket.clear()
             return _NEVER
         wheel = self._wheel
         due = self._due

@@ -9,7 +9,7 @@ real probe packet per round through the actual data plane (real links,
 real switch handler, real cache code), recording every counter effect
 the walk applied, and then — if and only if the walk was provably
 side-effect-free beyond idempotent refreshes — replaying those deltas
-``round_size - 1`` times with a single timer event instead of
+``round_size - 1`` times with a single calendar event instead of
 simulating each packet.
 
 Exactness contract (see docs/simulator.md "Hybrid fidelity"):
@@ -82,7 +82,6 @@ for any module that declares ``FLUID_PATH_MODULE = True``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from heapq import heapify, heappop, heapreplace
 from typing import TYPE_CHECKING, Any
 
@@ -163,6 +162,7 @@ class _WalkContext:
 
     __slots__ = (
         "deltas",
+        "traffic",
         "counter_deltas",
         "switches",
         "links",
@@ -182,6 +182,10 @@ class _WalkContext:
         #: ``(obj, attr, amount)`` integer-counter effects this walk
         #: applied; replaying a round applies each ``times`` more.
         self.deltas: list[tuple[Any, str, int]] = []
+        #: The bulk of them, kept apart so that replay need not go by
+        #: name: link or switch stats -> ``(packets, bytes)`` the walk
+        #: added (the ACK re-crosses the data packet's switches).
+        self.traffic: dict[Any, tuple[int, int]] = {}
         #: Same for ``collections.Counter`` entries: ``(counter, key, amount)``.
         self.counter_deltas: list[tuple[Any, Any, int]] = []
         self.switches: set[int] = set()
@@ -333,15 +337,15 @@ class _DrawLedger:
                 clean = scheme.clean_learning_draws(total)
                 if clean == total:
                     scheme.skip_learning_draws(total)
-                    for run in runs:
-                        if run.due_k > run.k:
-                            run.k = run.due_k
-                            run.s = 0
                     break
                 self._commit_through_trigger(clean)
+            # Whatever is still due triggers nothing and is consumed.
             next_due = _NEVER
             exhausted = False
             for run in runs:
+                if run.due_k > run.k:
+                    run.k = run.due_k
+                    run.s = 0
                 if run.k < run.end:
                     due = run.t0 + run.k * run.interval
                     if due < next_due:
@@ -410,7 +414,7 @@ class _FluidFlow:
         "iso_interval",
         "share_interval",
         "t0",
-        "timer",
+        "token",
         "probed",
         "skips_left",
         "sig",
@@ -418,6 +422,7 @@ class _FluidFlow:
         "wire_bytes",
         "round_run",
         "deltas",
+        "traffic",
         "counter_deltas",
         "switch_ids",
         "draw_sites",
@@ -451,7 +456,9 @@ class _FluidFlow:
         #: (fall back to ``iso_interval``).
         self.share_interval = 0
         self.t0 = 0
-        self.timer = None
+        #: Names the armed round to its commit event; 0 while none is
+        #: armed, so that a cancelled round's event finds no match.
+        self.token = 0
         #: Whether the current round's first packet was a real probe
         #: (False for rounds armed from a memoized-clean signature).
         self.probed = True
@@ -466,6 +473,7 @@ class _FluidFlow:
         #: Ledger record of the current round's queued draws, if any.
         self.round_run: _DrawRun | None = None
         self.deltas: list[tuple[Any, str, int]] = []
+        self.traffic: dict[Any, tuple[int, int]] = {}
         self.counter_deltas: list[tuple[Any, Any, int]] = []
         self.switch_ids: set[int] = set()
         self.draw_sites: list[tuple[Any, Any]] = []
@@ -507,8 +515,8 @@ class FluidScheduler:
         self.engine = network.engine
         self.collector = network.collector
         self.scheme = network.scheme
-        #: Swapped for the caller's shared timer by the runner so the
-        #: fluid phase shows up in ``python -m repro profile``.
+        #: Host time spent in this module, as phase "fluid"; the runner
+        #: folds it into the caller's timer after the run.
         self.perf = PhaseTimer()
         # Escalation bookkeeping (surfaced via RunResult and profile).
         self.adoptions = 0
@@ -539,25 +547,22 @@ class FluidScheduler:
         self._walking_ctx: _WalkContext | None = None
         self._deferred: list[int] = []
         self._ready: bool | None = None
-        self._phase_depth = 0
+        self._phase_open = False
         self._install_hooks()
 
-    @contextmanager
-    def _fluid_phase(self):
-        """Reentrant "fluid" phase timing (escalations nest in commits)."""
-        if self._phase_depth:
-            self._phase_depth += 1
-            try:
-                yield
-            finally:
-                self._phase_depth -= 1
+    def _in_phase(self, body, *args) -> None:
+        """Run ``body(*args)`` on the "fluid" phase clock, which a nested
+        call (escalations nest in commits) finds already running."""
+        if self._phase_open:
+            body(*args)
             return
-        self._phase_depth = 1
+        self._phase_open = True
+        started = self.perf.start()
         try:
-            with self.perf.phase("fluid"):
-                yield
+            body(*args)
         finally:
-            self._phase_depth = 0
+            self._phase_open = False
+            self.perf.stop("fluid", started)
 
     # ------------------------------------------------------------------
     # readiness + hook installation
@@ -624,7 +629,7 @@ class FluidScheduler:
         for flow_id in list(flow_ids):
             flow = self._flows.get(flow_id)
             if flow is not None:
-                self._escalate(flow, reason)
+                self._in_phase(self._escalate, flow, reason)
 
     def escalate_vip(self, vip: int, reason: str = "vm-migration") -> None:
         self._clean_sigs = set()
@@ -634,12 +639,12 @@ class FluidScheduler:
         for flow_id in list(flow_ids):
             flow = self._flows.get(flow_id)
             if flow is not None:
-                self._escalate(flow, reason)
+                self._in_phase(self._escalate, flow, reason)
 
     def escalate_all(self, reason: str) -> None:
         self._clean_sigs = set()
         for flow in list(self._flows.values()):
-            self._escalate(flow, reason)
+            self._in_phase(self._escalate, flow, reason)
 
     def _process_deferred(self) -> None:
         while self._deferred:
@@ -654,12 +659,11 @@ class FluidScheduler:
         Called by ``ReliableSender.on_ack`` once the fluid-wait drain
         completes (``snd_una == snd_next`` and every sent packet has
         been acknowledged exactly once).  Either the flow is adopted
-        (round timer armed, sender dormant) or the sender is restored
+        (round armed, sender dormant) or the sender is restored
         and resumed before this returns — the caller does nothing
         either way.
         """
-        with self._fluid_phase():
-            self._adopt_reliable(sender)
+        self._in_phase(self._adopt_reliable, sender)
 
     def _adopt_reliable(self, sender: Any) -> None:
         record = sender.record
@@ -678,6 +682,9 @@ class FluidScheduler:
             base, span, window,
         )
         sender._fluid_active = True
+        self._adopt(flow)
+
+    def _adopt(self, flow: _FluidFlow) -> None:
         if self._begin_round(flow, adopting=True):
             self.adoptions += 1
         else:
@@ -706,16 +713,11 @@ class FluidScheduler:
         span = sender.total_packets - base - 1
         if span < self.min_span:
             return False
-        with self._fluid_phase():
-            flow = _FluidFlow(
-                record.flow_id, _UDP, sender, receiver, record,
-                record.src_vip, record.dst_vip, sender.mss_bytes,
-                base, span, 128,
-            )
-            if self._begin_round(flow, adopting=True):
-                self.adoptions += 1
-            else:
-                self.adoption_rejects += 1
+        self._in_phase(self._adopt, _FluidFlow(
+            record.flow_id, _UDP, sender, receiver, record,
+            record.src_vip, record.dst_vip, sender.mss_bytes,
+            base, span, 128,
+        ))
         return True
 
     # ------------------------------------------------------------------
@@ -746,6 +748,7 @@ class FluidScheduler:
         status, ctx, rtt = self._walk_round(flow)
         if status == _ST_CLEAN:
             flow.deltas = ctx.deltas
+            flow.traffic = ctx.traffic
             flow.counter_deltas = ctx.counter_deltas
             flow.draw_sites = ctx.draw_sites
             flow.links = ctx.data_links
@@ -822,16 +825,20 @@ class FluidScheduler:
         return False
 
     def _arm_round(self, flow: _FluidFlow, probed: bool) -> None:
-        """Schedule the commit timer and queue the round's draws."""
+        """Schedule the commit event and queue the round's draws."""
         n = min(flow.window, flow.span - flow.sent)
         interval = self._shared_interval(flow)
         flow.round_size = n
         flow.interval = interval
         flow.t0 = self.engine._now
         flow.probed = probed
-        flow.timer = self.engine.schedule_timer(n * interval,
-                                                self._commit, flow)
+        # A calendar event, not a wheel timer: nearly every round runs
+        # to its end, and an event ahead of the engine's timer bound
+        # costs the run loop one comparison where a timer costs a sweep.
         self.rounds += 1
+        flow.token = self.rounds
+        self.engine.schedule_after(n * interval, self._commit, flow,
+                                   self.rounds)
         # The probe packet (when real) drew live during its walk, so a
         # probed round queues packets ``1..n-1``; a skipped round's
         # packets are all analytic (``0..n-1``).
@@ -927,28 +934,33 @@ class FluidScheduler:
                 if interval > flow.iso_interval:
                     flow.share_interval = interval
 
-    def _commit(self, flow: _FluidFlow) -> None:
-        """Round timer fired: replay the probe's deltas for the round."""
-        with self._fluid_phase():
-            flow.timer = None
-            n = flow.round_size
-            # A skipped round's "probe" slot is analytic too: replay
-            # the recorded deltas for all n packets instead of n - 1.
-            self._commit_deltas(flow, n - 1 if flow.probed else n)
-            flow.sent += n
-            flow.round_run = None
-            self._draws.commit_due(self.engine._now)
-            if flow.flow_id not in self._flows:
-                # A replayed draw triggered a real cache insert and
-                # the mutation observer escalated this very flow;
-                # the transport is already restored at base + sent.
-                return
-            if flow.sent >= flow.span:
-                # Tail handoff: the next send is due exactly now.
-                self._escalate_finish(flow, "tail", 0, registered=True,
-                                      udp_resume_at=self.engine._now)
-            else:
-                self._begin_round(flow)
+    def _commit(self, flow: _FluidFlow, token: int) -> None:
+        """Round event fired; that of a cancelled round names no round
+        still armed (lazy deletion, as ``PeriodicTask``) and does nothing."""
+        if token == flow.token:
+            self._in_phase(self._commit_round, flow)
+
+    def _commit_round(self, flow: _FluidFlow) -> None:
+        """Replay the probe's deltas for the round and begin the next."""
+        flow.token = 0
+        n = flow.round_size
+        # A skipped round's "probe" slot is analytic too: replay
+        # the recorded deltas for all n packets instead of n - 1.
+        self._commit_deltas(flow, n - 1 if flow.probed else n)
+        flow.sent += n
+        flow.round_run = None
+        self._draws.commit_due(self.engine._now)
+        if flow.flow_id not in self._flows:
+            # A replayed draw triggered a real cache insert and
+            # the mutation observer escalated this very flow;
+            # the transport is already restored at base + sent.
+            return
+        if flow.sent >= flow.span:
+            # Tail handoff: the next send is due exactly now.
+            self._escalate_finish(flow, "tail", 0, registered=True,
+                                  udp_resume_at=self.engine._now)
+        else:
+            self._begin_round(flow)
 
     def _commit_deltas(self, flow: _FluidFlow, times: int) -> None:
         """Apply the recorded per-packet deltas ``times`` more times.
@@ -959,6 +971,9 @@ class FluidScheduler:
         """
         if times <= 0:
             return
+        for stats, (packets, size) in flow.traffic.items():
+            stats.packets += packets * times
+            stats.bytes += size * times
         for obj, attr, amount in flow.deltas:
             setattr(obj, attr, getattr(obj, attr) + amount * times)
         for counter, key, amount in flow.counter_deltas:
@@ -970,45 +985,42 @@ class FluidScheduler:
     # ------------------------------------------------------------------
     def _escalate(self, flow: _FluidFlow, reason: str) -> None:
         """External escalation: stop mid-round and restore the transport."""
-        with self._fluid_phase():
-            resume_at = self.engine._now
-            timer = flow.timer
-            partial = 1
-            if timer is not None:
-                self.engine.cancel_timer(timer)
-                flow.timer = None
-                # The probe (packet 1 of the round) is always through;
-                # credit analytic packets for the elapsed fraction.
-                elapsed = self.engine._now - flow.t0
-                partial = 1 + elapsed // flow.interval
-                n = flow.round_size
-                if partial > n:
-                    partial = n
-                elif partial < 1:
-                    partial = 1
-                # A skipped round's "probe" slot is analytic too.
-                self._commit_deltas(flow,
-                                    partial - 1 if flow.probed else partial)
-                flow.sent += partial
-                # The next packet is analytically due one interval
-                # after the last credited one (strictly in the future
-                # by the floor-division above).
-                resume_at = flow.t0 + partial * flow.interval
-            run = flow.round_run
-            flow.round_run = None
-            self._escalate_finish(flow, reason, 0, registered=True,
-                                  udp_resume_at=resume_at)
-            # Credited packets' RNG draws replay only after the flow is
-            # unregistered: a triggered draw may escalate other flows
-            # through the cache observer but can no longer re-enter
-            # this one.  The resumed transport's own packets draw later
-            # (at switch-arrival events), preserving packet-mode order.
-            # Future-dated draws of the cancelled round die; those due
-            # by now (exactly the ``partial`` credited packets) still
-            # replay, whether drained here or by an enclosing drain.
-            if run is not None:
-                run.truncate(self.engine._now)
-            self._draws.commit_due(self.engine._now)
+        resume_at = self.engine._now
+        partial = 1
+        if flow.token:
+            flow.token = 0
+            # The probe (packet 1 of the round) is always through;
+            # credit analytic packets for the elapsed fraction.
+            elapsed = self.engine._now - flow.t0
+            partial = 1 + elapsed // flow.interval
+            n = flow.round_size
+            if partial > n:
+                partial = n
+            elif partial < 1:
+                partial = 1
+            # A skipped round's "probe" slot is analytic too.
+            self._commit_deltas(flow,
+                                partial - 1 if flow.probed else partial)
+            flow.sent += partial
+            # The next packet is analytically due one interval
+            # after the last credited one (strictly in the future
+            # by the floor-division above).
+            resume_at = flow.t0 + partial * flow.interval
+        run = flow.round_run
+        flow.round_run = None
+        self._escalate_finish(flow, reason, 0, registered=True,
+                              udp_resume_at=resume_at)
+        # Credited packets' RNG draws replay only after the flow is
+        # unregistered: a triggered draw may escalate other flows
+        # through the cache observer but can no longer re-enter
+        # this one.  The resumed transport's own packets draw later
+        # (at switch-arrival events), preserving packet-mode order.
+        # Future-dated draws of the cancelled round die; those due
+        # by now (exactly the ``partial`` credited packets) still
+        # replay, whether drained here or by an enclosing drain.
+        if run is not None:
+            run.truncate(self.engine._now)
+        self._draws.commit_due(self.engine._now)
 
     def _escalate_finish(self, flow: _FluidFlow, reason: str,
                          inflight: int, registered: bool,
@@ -1183,6 +1195,7 @@ class FluidScheduler:
         """
         engine = self.engine
         deltas = ctx.deltas
+        traffic = ctx.traffic
         packet.outer_src = origin.pip
         packet.created_at = engine._now
         handler = origin.handler
@@ -1226,8 +1239,8 @@ class FluidScheduler:
             lstats = link.stats
             lstats.packets += 1
             lstats.bytes += size
-            deltas.append((lstats, "packets", 1))
-            deltas.append((lstats, "bytes", size))
+            packets, total = traffic.get(lstats, (0, 0))
+            traffic[lstats] = (packets + 1, total + size)
             ctx.links.append(link)
             elapsed += ser + link.propagation_ns
             if ser > ctx.bottleneck_ns:
@@ -1249,8 +1262,8 @@ class FluidScheduler:
             sstats = switch.stats
             sstats.packets += 1
             sstats.bytes += size
-            deltas.append((sstats, "packets", 1))
-            deltas.append((sstats, "bytes", size))
+            packets, total = traffic.get(sstats, (0, 0))
+            traffic[sstats] = (packets + 1, total + size)
             ctx.switches.add(switch.switch_id)
             self._walk_note_cache(ctx, switch)
             hook = switch.hook

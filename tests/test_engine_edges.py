@@ -9,6 +9,7 @@ event takes.
 """
 
 import gc
+import types
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.baselines import NoCache
 from repro.core import SwitchV2P
 from repro.experiments.runner import build_network
 from repro.net.topology import FatTreeSpec
-from repro.sim.engine import (_WHEEL_SLOT_NS, Engine, SimulationError,
+from repro.sim.engine import (_WHEEL_SLOT_NS, Engine, SimulationError, Timer,
                               collector_paused)
 from repro.vnet.network import NetworkConfig, VirtualNetwork
 
@@ -322,6 +323,71 @@ def test_stop_from_the_fast_path_then_resume_keeps_timer_order():
     assert fired == ["a"]
     assert engine.run() == 3 * S
     assert fired == ["a", "timer", "b"]
+
+
+# ----------------------------------------------------------------------
+# cancelled timers are dropped, not parked until the engine dies
+# ----------------------------------------------------------------------
+
+def _reachable_timers(engine):
+    """Every ``Timer`` the collector can reach from ``engine``, however
+    the wheel and the due heap are laid out."""
+    seen = {id(engine)}
+    frontier = [engine]
+    timers = []
+    while frontier:
+        for referent in gc.get_referents(frontier.pop()):
+            # Code is not state: stay out of functions' module globals.
+            if id(referent) in seen or isinstance(
+                    referent, (type, types.FunctionType, types.ModuleType)):
+                continue
+            seen.add(id(referent))
+            frontier.append(referent)
+            if isinstance(referent, Timer):
+                timers.append(referent)
+    return timers
+
+
+def test_cancelled_timers_are_dropped_once_no_timer_is_live():
+    # The sweep that finds no live timer used to return at once and
+    # leave every cancelled one -- args and bound callback included --
+    # in its bucket for the life of the engine: the RTO re-arm pattern
+    # of a run whose flows all went fluid parked thousands.
+    engine = Engine()
+    payload = [object() for _ in range(300)]
+    for i, item in enumerate(payload):
+        # Buckets all round the wheel, two revolutions deep.
+        engine.cancel_timer(engine.schedule_timer(
+            (i * 7 % 1000) * S + i, payload.append, item))
+    assert len(_reachable_timers(engine)) == 300
+    fired = []
+    engine.schedule(1001 * S, fired.append, "past every deadline")
+    engine.run()
+    assert fired == ["past every deadline"]
+    assert _reachable_timers(engine) == []
+    assert list(engine.iter_pending()) == []
+    assert engine.pending_events == 0
+
+
+def test_cancelled_timers_on_the_due_heap_are_dropped_too():
+    # A timer armed behind the sweep cursor joins the due heap, not a
+    # bucket.  The sweep for "late" takes the cursor to slot 10 before
+    # "arm" fires at slot 5, so what "arm" arms and cancels sits there,
+    # and the slow path pops it with no help from the sweep.
+    engine = Engine()
+    fired = []
+
+    def arm_and_cancel():
+        for delay in (3, 2, 1):
+            engine.cancel_timer(engine.schedule_timer(delay * S,
+                                                      fired.append, delay))
+
+    engine.schedule_timer(5 * S, arm_and_cancel)
+    engine.schedule(10 * S, fired.append, "late")
+    engine.run()
+    assert fired == ["late"]
+    assert _reachable_timers(engine) == []
+    assert list(engine.iter_pending()) == []
 
 
 # ----------------------------------------------------------------------

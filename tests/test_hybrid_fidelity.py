@@ -14,6 +14,8 @@ other half of the bargain: fidelity="packet" must stay bit-identical.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core import SwitchV2P
@@ -188,6 +190,42 @@ def test_conflict_churn_escalates_and_completes():
     assert result.completion_rate == 1.0
     reasons = result.fluid_escalations_by_reason
     assert sum(reasons.values()) == result.fluid_escalations
+
+
+# ----------------------------------------------------------------------
+# what a round costs the interpreter
+# ----------------------------------------------------------------------
+def test_python_calls_per_fluid_round_stay_bounded():
+    """A count, not a time, so it repeats exactly on any machine: the
+    Python frames a steady run enters in ``sim/fluid.py``, ``perf.py``,
+    ``contextlib`` and the engine's slow path, per fluid round.  28.82
+    while a round was a wheel timer inside two ``@contextmanager``
+    generators (7 262 frames / 252 rounds); 18.70 as a calendar event
+    timed by a start/stop pair (4 712).  The bound is 10 % above that;
+    walks, 1 round in 7 here, are what is left to go after."""
+    counted = 0
+
+    def count(frame, event, _arg):
+        nonlocal counted
+        if event == "call":
+            code = frame.f_code
+            path = code.co_filename
+            counted += (
+                path.endswith(("sim/fluid.py", "repro/perf.py", "contextlib.py"))
+                or (path.endswith("sim/engine.py")
+                    and code.co_name in ("_pop_next", "_sweep_wheel")))
+
+    network = build_network(FatTreeSpec(), SwitchV2P(16384), 64, seed=7,
+                            fidelity="hybrid")
+    flows = _steady_flows(size=12_000_000)
+    sys.setprofile(count)
+    try:
+        result = run_flows(network, flows, trace_name="steady")
+    finally:
+        sys.setprofile(None)
+    assert result.completion_rate == 1.0
+    assert result.fluid_rounds == 252
+    assert counted / result.fluid_rounds < 20.6
 
 
 # ----------------------------------------------------------------------
