@@ -34,7 +34,7 @@ from repro.baselines import (
     OnDemand,
     TranslationScheme,
 )
-from repro.cache import DirectMappedCache, aggregate_slots, per_switch_slots
+from repro.cache import SwitchCache, aggregate_slots, per_switch_slots
 from repro.core import (
     CORE_HEAVY,
     EDGE_HEAVY,
@@ -42,11 +42,9 @@ from repro.core import (
     UNIFORM,
     AllocationPolicy,
     HybridSwitchV2P,
-    MultiTenantSwitchV2P,
     Role,
     SwitchV2P,
     SwitchV2PConfig,
-    TenantRegistry,
 )
 from repro.metrics import Collector, FlowRecord
 from repro.net import Fabric, FatTreeSpec, Layer, Packet, PacketKind
@@ -66,7 +64,7 @@ __all__ = [
     "Layer",
     "Fabric",
     "FatTreeSpec",
-    "DirectMappedCache",
+    "SwitchCache",
     "aggregate_slots",
     "per_switch_slots",
     "MappingDatabase",
@@ -88,8 +86,6 @@ __all__ = [
     "Hoverboard",
     "DhtStore",
     "HybridSwitchV2P",
-    "MultiTenantSwitchV2P",
-    "TenantRegistry",
     "AllocationPolicy",
     "UNIFORM",
     "TOR_ONLY",

@@ -8,14 +8,16 @@ simulator deterministic into *static* checks that run over the whole
 tree on every push (``python -m repro lint``):
 
 * **D-series** (determinism): no wall-clock reads outside
-  :mod:`repro.perf`, no global-RNG calls (all randomness flows through
-  :class:`repro.sim.randomness.RandomStreams`), no iteration over
-  unordered sets in decision code, no ``id()``-based ordering.
-* **T-series** (integer time): the simulation clock is integer
-  nanoseconds; float literals or true division must not flow into
-  ``schedule``/``schedule_after``/``schedule_timer``.
-* **R-series** (resources): memo tables (ECMP next hops, gateway
-  choices) must be invalidated by every mutator that can stale them.
+  :mod:`repro.perf`, no global-RNG calls and no generator seeded from
+  anything but :func:`repro.sim.randomness.derive_seed`, no iteration
+  over unordered sets in decision code, no fluid-path mutation outside
+  the audited helpers.
+* **R303 / W404** (pairing): memo tables (ECMP next hops, gateway
+  choices) must be invalidated by every mutator that can stale them;
+  ``gc.disable`` is re-enabled by the function that called it.
+* **W402 / W403** (whole program): every data-plane state mutation
+  reaches an escalation hook; every experiment knob reaches the
+  run-cache key.
 
 See ``docs/linting.md`` for the rule catalogue and the suppression
 syntax (``# repro-lint: disable=RULE``).

@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import argparse
 import os
-import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from repro.analysis.config import load_config
 from repro.analysis.engine import lint_paths
@@ -25,29 +23,12 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "[tool.repro-lint] paths: src, benchmarks)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format")
-    parser.add_argument("--select", nargs="+", default=None, metavar="RULE",
+    parser.add_argument("--select", nargs="+", default=(), metavar="RULE",
                         help="run only these rule ids")
-    parser.add_argument("--rule", action="append", default=None,
-                        metavar="RULE", dest="rule",
-                        help="run only this rule id (repeatable; combines "
-                             "with --select)")
-    parser.add_argument("--ignore", nargs="+", default=None, metavar="RULE",
-                        help="skip these rule ids")
-    parser.add_argument("--changed", nargs="?", const="HEAD", default=None,
-                        metavar="REF",
-                        help="report only findings in files changed vs REF "
-                             "(default HEAD) plus untracked files; the "
-                             "whole-program pass still sees the full tree")
-    parser.add_argument("--no-flow-cache", action="store_true",
-                        help="recompute the whole-program pass even when a "
-                             "cached result matches every source hash")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     parser.add_argument("--verbose", action="store_true",
                         help="also show suppressed findings")
-    parser.add_argument("--config", default=None, metavar="PYPROJECT",
-                        help="explicit pyproject.toml (default: nearest "
-                             "one upward from the working directory)")
 
 
 def run(args: argparse.Namespace) -> int:
@@ -61,59 +42,14 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
 
-def _changed_paths(ref: str) -> set[str] | None:
-    """Display paths (cwd-relative) changed vs ``ref`` or untracked.
-
-    Returns None when git is unavailable or the tree is not a work tree
-    — the caller falls back to a full report rather than guessing.
-    """
-    commands = (
-        ["git", "diff", "--name-only", ref, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    )
-    changed: set[str] = set()
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"], capture_output=True,
-            text=True, check=True).stdout.strip()
-        for command in commands:
-            proc = subprocess.run(command, capture_output=True, text=True,
-                                  check=True)
-            for line in proc.stdout.splitlines():
-                if not line.endswith(".py"):
-                    continue
-                # git paths are repo-root relative; findings use
-                # cwd-relative display paths.
-                absolute = Path(top) / line
-                try:
-                    changed.add(str(absolute.relative_to(Path.cwd())))
-                except ValueError:
-                    changed.add(str(absolute))
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", "") or str(exc)
-        print(f"repro-lint: --changed needs git ({detail.strip()}); "
-              "reporting all findings", file=sys.stderr)
-        return None
-    return changed
-
-
 def _run(args: argparse.Namespace) -> int:
     try:
-        config = load_config(Path(args.config) if args.config else None)
-        select = tuple(args.select or ()) + tuple(args.rule or ())
-        if select:
-            config = replace(config, select=select)
-        if args.ignore:
-            config = replace(config, ignore=tuple(args.ignore))
         if args.list_rules:
-            print(render_rule_list(selected_rules(config.select,
-                                                  config.ignore)))
+            print(render_rule_list(selected_rules(tuple(args.select))))
             return 0
-        restrict_to = _changed_paths(args.changed) if args.changed else None
-        result = lint_paths(tuple(args.paths) if args.paths else None, config,
-                            use_flow_cache=not args.no_flow_cache,
-                            restrict_to=restrict_to)
-    except ValueError as exc:  # unknown rule id / bad config key
+        config = replace(load_config(), select=tuple(args.select))
+        result = lint_paths(tuple(args.paths), config)
+    except ValueError as exc:  # unknown rule id / bad or missing config
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

@@ -1,13 +1,11 @@
 """The lint engine: collect files, run rules, apply suppressions.
 
 Two rule kinds share one run: per-module rules (each sees a single
-:class:`~repro.analysis.context.ModuleContext`) and project rules (the
-W4xx series — they see a :class:`~repro.analysis.flow.project.ProjectContext`
+:class:`~repro.analysis.context.ModuleContext`) and project rules (W402
+and W403 — they see a :class:`~repro.analysis.flow.project.ProjectContext`
 spanning every collected module, plus the call graph and dataflow
-summaries).  The project pass is the expensive part, so its findings
-are cached under a key over every source hash and the configuration
-(:mod:`repro.analysis.flow.cache`); per-module linting is cheap enough
-to always run.
+summaries).  A full run over the tree takes about two seconds, half of
+it the project pass.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from pathlib import Path
 from repro.analysis.config import LintConfig
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding
-from repro.analysis.flow import cache as flow_cache
 from repro.analysis.flow.callgraph import CallGraph
 from repro.analysis.flow.dataflow import summarize_project
 from repro.analysis.flow.project import ProjectContext
@@ -112,13 +109,13 @@ def lint_source(source: str, path: Path, config: LintConfig,
     """Lint one in-memory module; findings carry their suppression flag.
 
     ``module_name`` overrides the path-derived dotted name — tests use
-    this to exercise package-scoped rules (D101, T202, R303) against
+    this to exercise package-scoped rules (D101, D103, R303) against
     fixture files living outside the simulated package.  Project rules
     run over a single-module project, which is how the W-rule fixtures
     stay self-contained.
     """
     if rules is None:
-        rules = selected_rules(config.select, config.ignore)
+        rules = selected_rules(config.select)
     try:
         module = ModuleContext.from_source(source, path, config,
                                            module_name=module_name)
@@ -136,20 +133,13 @@ def lint_source(source: str, path: Path, config: LintConfig,
 
 def lint_paths(paths: tuple[str, ...] | list[str] | None,
                config: LintConfig,
-               root: Path | None = None, *,
-               use_flow_cache: bool = True,
-               restrict_to: Iterable[str] | None = None) -> LintResult:
-    """Lint files/directories (default: the configured paths).
-
-    ``restrict_to`` keeps only findings in the given display paths (the
-    CLI's ``--changed`` mode); the whole-program pass still sees every
-    collected module — cross-module contracts cannot be checked on a
-    partial project — but per-module attribution is filtered.
-    """
+               root: Path | None = None) -> LintResult:
+    """Lint files/directories (default: the configured paths)."""
     if not paths:
         paths = config.paths
-    rules = selected_rules(config.select, config.ignore)
-    module_rules, project_rules = _split_rules(rules)
+    if not paths:
+        raise ValueError("no paths given and [tool.repro-lint] sets none")
+    module_rules, project_rules = _split_rules(selected_rules(config.select))
     result = LintResult()
     base = root or Path.cwd()
     modules: list[ModuleContext] = []
@@ -169,27 +159,6 @@ def lint_paths(paths: tuple[str, ...] | list[str] | None,
         result.extend(_module_findings(module, module_rules))
         result.files_checked += 1
     if project_rules:
-        result.extend(_project_findings(modules, project_rules, config,
-                                        base, use_flow_cache))
-    if restrict_to is not None:
-        allowed = {str(p) for p in restrict_to}
-        result.findings = [f for f in result.findings if f.path in allowed]
+        result.extend(run_project_rules(modules, project_rules, config))
     result.findings.sort(key=Finding.sort_key)
     return result
-
-
-def _project_findings(modules: list[ModuleContext],
-                      project_rules: list[ProjectRule],
-                      config: LintConfig, base: Path,
-                      use_flow_cache: bool) -> list[Finding]:
-    if not (use_flow_cache and flow_cache.cache_enabled()):
-        return run_project_rules(modules, project_rules, config)
-    key = flow_cache.cache_key(
-        config, [(str(m.path), m.source) for m in modules],
-        [rule.rule_id for rule in project_rules])
-    cached = flow_cache.load(key, root=base)
-    if cached is not None:
-        return cached
-    findings = run_project_rules(modules, project_rules, config)
-    flow_cache.store(key, findings, root=base)
-    return findings

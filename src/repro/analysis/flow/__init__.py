@@ -6,11 +6,12 @@ on are *cross-module*: a mutation in :mod:`repro.cache` must escalate a
 fluid flow installed by :mod:`repro.sim.fluid`, a knob added to
 :class:`~repro.experiments.parallel.ExperimentJob` must reach the key
 derivation in :mod:`repro.experiments.runcache`.  This package builds
-the project-wide picture those rules need:
+the project-wide picture those two rules (W402, W403) need:
 
 * :mod:`~repro.analysis.flow.project` — one parsed
   :class:`ProjectContext`: every module, a symbol table of classes and
-  functions by qualified name, and dataclass field extraction;
+  functions by qualified name, and dataclass field extraction (all
+  W403 reads);
 * :mod:`~repro.analysis.flow.callgraph` — a call graph with
   inter-procedural reachability (imports resolved, ``self`` dispatch
   through project base classes, a class-hierarchy-style fallback for
@@ -19,12 +20,7 @@ the project-wide picture those rules need:
   dataflow pass producing per-function summaries: attribute-aliased
   calls (``cb = self.on_mutate; cb()``), state-attribute mutations
   (including through helpers that return state, via a summary
-  fixpoint), RNG provenance taint, and notification/pairing calls;
-* :mod:`~repro.analysis.flow.cache` — a file-hash-keyed result cache
-  so the whole-program pass is free in CI when no source changed.
-
-The W401-W404 rules in :mod:`repro.analysis.rules.flow_rules` are
-built on these pieces.
+  fixpoint) and notification calls.
 """
 
 from repro.analysis.flow.callgraph import CallGraph

@@ -16,8 +16,8 @@ Resolution strategy, in decreasing order of precision:
    ``handler.on_switch(...)`` reaches every scheme's ``on_switch``,
    and ``cache.insert(...)`` reaches every cache geometry's ``insert``.
 
-Over-approximation is the right bias for the W-rules: they check
-*completeness* properties (every reachable mutation escalates), so
+Over-approximation is the right bias for W402: it checks a
+*completeness* property (every reachable mutation escalates), so
 extra edges widen the checked set rather than hiding violations.
 """
 
@@ -45,14 +45,12 @@ def _attribute_chain(node: ast.expr) -> list[str] | None:
 
 
 class CallGraph:
-    """Edges between project functions, plus a reverse index."""
+    """Edges between project functions."""
 
     def __init__(self, project: ProjectContext) -> None:
         self.project = project
         #: caller qualname -> set of callee qualnames
         self.callees: dict[str, set[str]] = {}
-        #: callee qualname -> set of caller qualnames
-        self.callers: dict[str, set[str]] = {}
         self._build()
 
     # ------------------------------------------------------------------
@@ -65,8 +63,6 @@ class CallGraph:
                 if isinstance(node, ast.Call):
                     targets |= self.resolve_call(func, node)
             self.callees[qualname] = targets
-            for target in targets:
-                self.callers.setdefault(target, set()).add(qualname)
 
     def resolve_call(self, func: FunctionInfo,
                      call: ast.Call) -> set[str]:

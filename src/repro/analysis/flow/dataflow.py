@@ -1,4 +1,4 @@
-"""Per-function dataflow summaries for the W-rule families.
+"""Per-function dataflow summaries for W402 (escalation completeness).
 
 One :class:`FunctionSummary` is computed per project function by a
 single source-ordered pass over its body (compound statements are
@@ -11,15 +11,11 @@ environment mapping local names to *origins*:
 * ``state`` — the local aliases cache/mapping/gateway state, either
   directly (``keys = self._keys``) or through a helper whose summary
   says it returns state (``entries = self._set_of(vip)``) — mutations
-  through it count as state mutations;
-* ``rng`` — the local holds a random generator of unapproved
-  provenance (constructed outside :mod:`repro.sim.randomness` without
-  a derived seed); passing it onward is an RNG-provenance flow;
-* ``seed`` — the local holds a properly derived seed value.
+  through it count as state mutations.
 
-Summaries that feed other summaries (``returns_state_attr``,
-``returns_rng``) are resolved by re-running the pass until a fixpoint
-(bounded; helper chains in practice are one or two levels deep).
+``returns_state_attr`` feeds other summaries and is resolved by
+re-running the pass until a fixpoint (bounded; helper chains in
+practice are one or two levels deep).
 """
 
 from __future__ import annotations
@@ -33,11 +29,20 @@ from repro.analysis.flow.project import FunctionInfo, ProjectContext
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-#: RNG constructor call targets (resolved dotted names).
-_RNG_CONSTRUCTORS = frozenset({
-    "random.Random", "random.SystemRandom",
-    "numpy.random.default_rng", "numpy.random.RandomState",
-})
+#: Attribute names holding cache/mapping/gateway state; mutating them
+#: on a data-plane path requires an escalation notification.
+STATE_ATTRS = frozenset({"_keys", "_values", "_abits", "_sets", "_table",
+                         "live_gateways"})
+#: Call-name patterns that count as escalation/observer notification.
+NOTIFY_CALLS = ("escalate_*", "on_mutate", "note_mutation")
+#: Attributes whose stored callables are notification hooks; calling a
+#: local aliased from one (``cb = self.on_mutate; cb()``) counts.
+NOTIFY_ATTRS = frozenset({"on_mutate", "_listeners", "_removal_listeners",
+                          "learning_draw_observer"})
+#: Container-method names treated as mutating their receiver.
+MUTATING_METHODS = frozenset({
+    "pop", "popitem", "clear", "update", "setdefault", "append", "extend",
+    "remove", "insert", "add", "discard", "move_to_end"})
 
 
 @dataclass(frozen=True)
@@ -51,34 +56,21 @@ class Site:
 
 @dataclass
 class _Origin:
-    kind: str  # "attr" | "state" | "rng" | "seed"
+    kind: str  # "attr" | "state"
     detail: str
 
 
 @dataclass
 class FunctionSummary:
-    """Everything the W-rules need to know about one function."""
+    """What W402 needs to know about one function."""
 
     qualname: str
     #: state-attribute mutation sites (detail = the attribute).
     mutation_sites: list[Site] = field(default_factory=list)
     #: escalation/observer notification call sites.
     notify_sites: list[Site] = field(default_factory=list)
-    #: RNG constructions with unapproved seed provenance.
-    rng_sites: list[Site] = field(default_factory=list)
-    #: sites where an unapproved RNG value flows onward (call argument,
-    #: attribute store).
-    rng_flow_sites: list[Site] = field(default_factory=list)
     #: state attribute this function returns an alias of, if any.
     returns_state_attr: str | None = None
-    #: set when the function returns an unapproved RNG (description).
-    returns_rng: str | None = None
-    #: W404 pair-open call sites, by index into config.flow_call_pairs.
-    opens: dict[int, list[Site]] = field(default_factory=dict)
-    #: W404 pair-close indexes this function calls directly.
-    closes: set[int] = field(default_factory=set)
-    #: every identifier (names + attribute names) in the body.
-    body_names: frozenset[str] = frozenset()
 
     @property
     def notifies(self) -> bool:
@@ -101,38 +93,19 @@ def _chain_names(node: ast.expr) -> tuple[str, ...]:
     return tuple(reversed(names))
 
 
-def _matches_any(candidates: tuple[str, ...],
-                 patterns: tuple[str, ...]) -> bool:
-    return any(fnmatchcase(candidate, pattern)
-               for candidate in candidates if candidate
-               for pattern in patterns)
-
-
 class _FunctionScanner:
     """One source-ordered scan of one function body."""
 
-    def __init__(self, func: FunctionInfo, project: ProjectContext,
-                 graph: CallGraph,
-                 summaries: dict[str, FunctionSummary],
-                 rng_in_scope: bool) -> None:
+    def __init__(self, func: FunctionInfo, graph: CallGraph,
+                 summaries: dict[str, FunctionSummary]) -> None:
         self.func = func
-        self.project = project
         self.graph = graph
         self.summaries = summaries
-        self.config = project.config
-        self.rng_in_scope = rng_in_scope
         self.summary = FunctionSummary(qualname=func.qualname)
         self.env: dict[str, _Origin] = {}
 
     # ------------------------------------------------------------------
     def run(self) -> FunctionSummary:
-        names: set[str] = set()
-        for node in ast.walk(self.func.node):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-        self.summary.body_names = frozenset(names)
         self._scan_body(self.func.node.body)
         return self.summary
 
@@ -152,13 +125,12 @@ class _FunctionScanner:
             self._visit_exprs(stmt.value)
             origin = self._classify(stmt.value)
             for target in stmt.targets:
-                self._assign(target, origin, stmt.value)
+                self._assign(target, origin)
             return
         if isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
                 self._visit_exprs(stmt.value)
-                self._assign(stmt.target, self._classify(stmt.value),
-                             stmt.value)
+                self._assign(stmt.target, self._classify(stmt.value))
             return
         if isinstance(stmt, ast.AugAssign):
             self._visit_exprs(stmt.value)
@@ -213,7 +185,7 @@ class _FunctionScanner:
                 self._visit_call(node)
 
     # ------------------------------------------------------------------
-    # expression effects (calls, stores, taint uses)
+    # expression effects (calls, stores)
     # ------------------------------------------------------------------
     def _visit_exprs(self, node: ast.expr) -> None:
         for sub in ast.walk(node):
@@ -221,88 +193,35 @@ class _FunctionScanner:
                 self._visit_call(sub)
 
     def _visit_call(self, call: ast.Call) -> None:
-        resolved = self._resolved_target(call)
-        terminal = self._terminal_name(call)
+        func = call.func
+        terminal = func.attr if isinstance(func, ast.Attribute) else \
+            func.id if isinstance(func, ast.Name) else None
         # Notification calls (escalation hooks, observer invocations).
-        if self._is_notify(call, resolved, terminal):
+        if self._is_notify(call, terminal):
             self.summary.notify_sites.append(
                 Site(call.lineno, call.col_offset, terminal or "?"))
-        # Pair open/close calls (W404).
-        for index, pair in enumerate(self.config.flow_call_pairs):
-            candidates = tuple(c for c in (resolved, terminal) if c)
-            if _matches_any(candidates, (pair.open,)):
-                self.summary.opens.setdefault(index, []).append(
-                    Site(call.lineno, call.col_offset, pair.open))
-            if _matches_any(candidates, (pair.close,)):
-                self.summary.closes.add(index)
         # Container mutations through state-aliased receivers.
-        if isinstance(call.func, ast.Attribute) \
-                and call.func.attr in self.config.mutating_methods:
-            attr = self._state_attr_of(call.func.value)
+        if isinstance(func, ast.Attribute) and func.attr in MUTATING_METHODS:
+            attr = self._state_attr_of(func.value)
             if attr is not None:
                 self.summary.mutation_sites.append(
                     Site(call.lineno, call.col_offset, attr))
-        # RNG provenance: construction and onward flow.
-        if self.rng_in_scope:
-            if resolved in _RNG_CONSTRUCTORS \
-                    and not self._seed_approved(call):
-                self.summary.rng_sites.append(
-                    Site(call.lineno, call.col_offset, resolved))
-            for arg in (*call.args, *(kw.value for kw in call.keywords)):
-                if isinstance(arg, ast.Name):
-                    origin = self.env.get(arg.id)
-                    if origin is not None and origin.kind == "rng":
-                        self.summary.rng_flow_sites.append(
-                            Site(arg.lineno, arg.col_offset,
-                                 origin.detail))
 
-    def _resolved_target(self, call: ast.Call) -> str | None:
-        return self.func.module.imports.resolve(call.func)
-
-    @staticmethod
-    def _terminal_name(call: ast.Call) -> str | None:
-        func = call.func
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        if isinstance(func, ast.Name):
-            return func.id
-        return None
-
-    def _is_notify(self, call: ast.Call, resolved: str | None,
-                   terminal: str | None) -> bool:
-        config = self.config
-        candidates = tuple(c for c in (resolved, terminal) if c)
-        if _matches_any(candidates, config.notify_calls):
+    def _is_notify(self, call: ast.Call, terminal: str | None) -> bool:
+        resolved = self.func.module.imports.resolve(call.func)
+        if any(fnmatchcase(candidate, pattern)
+               for candidate in (resolved, terminal) if candidate
+               for pattern in NOTIFY_CALLS):
             return True
         # Direct invocation of a hook attribute: self.on_mutate().
         if isinstance(call.func, ast.Attribute) \
-                and call.func.attr in config.notify_attrs:
+                and call.func.attr in NOTIFY_ATTRS:
             return True
         # Invocation through a local alias: cb = self.on_mutate; cb().
         if isinstance(call.func, ast.Name):
             origin = self.env.get(call.func.id)
             if origin is not None and origin.kind == "attr":
-                chain = origin.detail.split(".")
-                if any(name in config.notify_attrs for name in chain):
-                    return True
-        return False
-
-    def _seed_approved(self, call: ast.Call) -> bool:
-        """Is the constructor seeded from derived-seed provenance?"""
-        for arg in (*call.args, *(kw.value for kw in call.keywords)):
-            for sub in ast.walk(arg):
-                if isinstance(sub, ast.Call):
-                    resolved = self.func.module.imports.resolve(sub.func)
-                    terminal = self._terminal_name(sub)
-                    candidates = tuple(c for c in (resolved, terminal)
-                                       if c)
-                    if _matches_any(candidates,
-                                    self.config.rng_seed_sources):
-                        return True
-                elif isinstance(sub, ast.Name):
-                    origin = self.env.get(sub.id)
-                    if origin is not None and origin.kind == "seed":
-                        return True
+                return not NOTIFY_ATTRS.isdisjoint(origin.detail.split("."))
         return False
 
     # ------------------------------------------------------------------
@@ -315,7 +234,7 @@ class _FunctionScanner:
         if isinstance(value, ast.Attribute | ast.Subscript):
             chain = _chain_names(value)
             for name in chain:
-                if name in self.config.state_attrs:
+                if name in STATE_ATTRS:
                     return _Origin("state", name)
             return _Origin("attr", ".".join(chain))
         if isinstance(value, ast.Call):
@@ -323,30 +242,14 @@ class _FunctionScanner:
         return None
 
     def _classify_call(self, call: ast.Call) -> _Origin | None:
-        resolved = self._resolved_target(call)
-        terminal = self._terminal_name(call)
-        candidates = tuple(c for c in (resolved, terminal) if c)
-        if _matches_any(candidates, self.config.rng_seed_sources):
-            # A derived seed, or a stream handed out by RandomStreams.
-            if terminal == "stream" or (resolved or "").endswith(".stream"):
-                return None  # the stream itself is fine to pass around
-            return _Origin("seed", resolved or terminal or "seed")
-        if self.rng_in_scope and resolved in _RNG_CONSTRUCTORS \
-                and not self._seed_approved(call):
-            return _Origin("rng", resolved or "rng")
-        # Through project helpers, using the current summaries.
+        """A call to a project helper that returns state aliases it."""
         for callee in self.graph.resolve_call(self.func, call):
             summary = self.summaries.get(callee)
-            if summary is None:
-                continue
-            if summary.returns_state_attr is not None:
+            if summary is not None and summary.returns_state_attr is not None:
                 return _Origin("state", summary.returns_state_attr)
-            if self.rng_in_scope and summary.returns_rng is not None:
-                return _Origin("rng", f"{callee} (helper)")
         return None
 
-    def _assign(self, target: ast.expr, origin: _Origin | None,
-                value: ast.expr) -> None:
+    def _assign(self, target: ast.expr, origin: _Origin | None) -> None:
         if isinstance(target, ast.Name):
             if origin is not None:
                 self.env[target.id] = origin
@@ -355,16 +258,9 @@ class _FunctionScanner:
             return
         if isinstance(target, ast.Tuple | ast.List):
             for element in target.elts:
-                self._assign(element, None, value)
+                self._assign(element, None)
             return
         self._check_store_target(target)
-        # Storing an unapproved RNG into an attribute publishes it.
-        if self.rng_in_scope and isinstance(value, ast.Name):
-            value_origin = self.env.get(value.id)
-            if value_origin is not None and value_origin.kind == "rng":
-                self.summary.rng_flow_sites.append(
-                    Site(target.lineno, target.col_offset,
-                         value_origin.detail))
 
     def _check_store_target(self, target: ast.expr) -> None:
         """Record a mutation when a store goes through state."""
@@ -379,7 +275,7 @@ class _FunctionScanner:
         """The state attribute a chain touches, if any (alias-aware)."""
         chain = _chain_names(node)
         for name in chain:
-            if name in self.config.state_attrs:
+            if name in STATE_ATTRS:
                 return name
         if chain:
             origin = self.env.get(chain[0])
@@ -389,60 +285,29 @@ class _FunctionScanner:
 
     # ------------------------------------------------------------------
     def _note_return(self, value: ast.expr) -> None:
-        summary = self.summary
-        if isinstance(value, ast.Attribute | ast.Subscript):
-            chain = _chain_names(value)
-            for name in chain:
-                if name in self.config.state_attrs:
-                    summary.returns_state_attr = name
-                    return
-        if isinstance(value, ast.Name):
-            origin = self.env.get(value.id)
-            if origin is None:
-                return
-            if origin.kind == "state":
-                summary.returns_state_attr = origin.detail
-            elif origin.kind == "rng":
-                summary.returns_rng = origin.detail
-            return
-        if isinstance(value, ast.Call):
-            origin = self._classify_call(value)
-            if origin is None:
-                return
-            if origin.kind == "state":
-                summary.returns_state_attr = origin.detail
-            elif origin.kind == "rng":
-                summary.returns_rng = origin.detail
-
-
-def _rng_in_scope(func: FunctionInfo, project: ProjectContext) -> bool:
-    module = func.module
-    return module.in_sim_package() \
-        and not module.matches(project.config.rng_provenance_allow)
+        origin = self._classify(value)
+        if origin is not None and origin.kind == "state":
+            self.summary.returns_state_attr = origin.detail
 
 
 def summarize_project(project: ProjectContext,
                       graph: CallGraph) -> dict[str, FunctionSummary]:
     """Summaries for every project function, to a bounded fixpoint.
 
-    The pass re-runs while helper facts (``returns_state_attr``,
-    ``returns_rng``) still change, so ``entries = self._set_of(vip)``
-    is recognized as a state alias once ``_set_of``'s summary says it
-    returns state.  Real helper chains are shallow; four rounds is
+    The pass re-runs while ``returns_state_attr`` facts still change,
+    so ``entries = self._set_of(vip)`` is recognized as a state alias
+    once ``_set_of``'s summary says it returns state.  Real helper chains are shallow; four rounds is
     plenty and bounds pathological inputs.
     """
     summaries: dict[str, FunctionSummary] = {}
     for _ in range(4):
         fresh = {
-            qualname: _FunctionScanner(
-                func, project, graph, summaries,
-                _rng_in_scope(func, project)).run()
+            qualname: _FunctionScanner(func, graph, summaries).run()
             for qualname, func in project.functions.items()
         }
         stable = all(
             (summaries.get(q) is not None
-             and summaries[q].returns_state_attr == s.returns_state_attr
-             and summaries[q].returns_rng == s.returns_rng)
+             and summaries[q].returns_state_attr == s.returns_state_attr)
             for q, s in fresh.items())
         summaries = fresh
         if stable:

@@ -34,10 +34,6 @@ class FunctionInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     cls: str | None = None  # bare class name for methods
 
-    @property
-    def name(self) -> str:
-        return self.node.name
-
 
 @dataclass
 class ClassInfo:
@@ -196,11 +192,6 @@ class ProjectContext:
                 return info.methods[method]
             stack.extend(info.bases)
         return None
-
-    def class_of(self, func: FunctionInfo) -> ClassInfo | None:
-        if func.cls is None:
-            return None
-        return self.classes.get(f"{func.module.module_name}.{func.cls}")
 
     def functions_matching(self, patterns: tuple[str, ...]) -> list[str]:
         """Qualnames matching any fnmatch pattern, in sorted order."""

@@ -42,7 +42,7 @@ class Rule:
 
 
 class ProjectRule(Rule):
-    """Base class for whole-program rules (the W4xx series).
+    """Base class for whole-program rules (W402, W403).
 
     Project rules run once per lint invocation over a
     :class:`~repro.analysis.flow.project.ProjectContext` spanning every
@@ -60,12 +60,6 @@ class ProjectRule(Rule):
                       summaries: dict[str, FunctionSummary],
                       ) -> Iterator[Finding]:
         raise NotImplementedError
-
-    def project_finding(self, project: ProjectContext, module_name: str,
-                        line: int, col: int, message: str) -> Finding:
-        module = project.modules[module_name]
-        return Finding(rule_id=self.rule_id, path=str(module.path),
-                       line=line, col=col, message=message)
 
 
 _REGISTRY: dict[str, Rule] = {}
@@ -97,19 +91,12 @@ def get_rule(rule_id: str) -> Rule:
     return _REGISTRY[rule_id]
 
 
-def selected_rules(select: tuple[str, ...],
-                   ignore: tuple[str, ...]) -> list[Rule]:
-    """Apply select/ignore lists (empty select = all rules)."""
-    _ensure_loaded()
+def selected_rules(select: tuple[str, ...]) -> list[Rule]:
+    """The rules named in ``select`` (empty = all rules)."""
     rules = all_rules()
     if select:
         unknown = set(select) - set(_REGISTRY)
         if unknown:
             raise ValueError(f"unknown rule ids selected: {sorted(unknown)}")
         rules = [r for r in rules if r.rule_id in select]
-    if ignore:
-        unknown = set(ignore) - set(_REGISTRY)
-        if unknown:
-            raise ValueError(f"unknown rule ids ignored: {sorted(unknown)}")
-        rules = [r for r in rules if r.rule_id not in ignore]
     return rules

@@ -47,24 +47,3 @@ def call_name(node: ast.Call) -> str | None:
     if isinstance(func, ast.Name):
         return func.id
     return None
-
-
-def contains_float_or_division(node: ast.AST,
-                               converters: tuple[str, ...]) -> ast.AST | None:
-    """First float literal or true-division inside ``node``.
-
-    Subtrees rooted at calls to ``converters`` (``int``, ``round``,
-    ``usec`` ...) are treated as producing integers and not descended
-    into.
-    """
-    if isinstance(node, ast.Call) and call_name(node) in converters:
-        return None
-    if isinstance(node, ast.Constant) and isinstance(node.value, float):
-        return node
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-        return node
-    for child in ast.iter_child_nodes(node):
-        hit = contains_float_or_division(child, converters)
-        if hit is not None:
-            return hit
-    return None

@@ -2,8 +2,9 @@
 
 The simulator's contract is bit-identical results for a fixed seed.
 Each rule here bans one way real nondeterminism has crept into
-NS3-family reproductions: wall-clock reads, hidden global RNG state,
-unordered-collection iteration, and memory-address ordering.
+NS3-family reproductions: wall-clock reads, hidden global RNG state or
+generators seeded from anything but the experiment seed, and
+unordered-collection iteration.
 """
 
 from __future__ import annotations
@@ -38,6 +39,20 @@ _ORDER_SENSITIVE_CALLS = frozenset({"list", "tuple", "enumerate", "iter",
                                     "reversed"})
 _ORDER_SENSITIVE_METHODS = frozenset({"join", "extend"})
 
+#: ``numpy.random`` attributes that build a generator object; every
+#: other ``numpy.random.*`` call draws from the module's hidden state.
+_NUMPY_FACTORIES = frozenset({
+    "default_rng", "Generator", "SeedSequence", "PCG64", "PCG64DXSM",
+    "Philox", "MT19937", "RandomState"})
+
+#: Generator constructors whose seed must come from ``derive_seed``.
+_RNG_CONSTRUCTORS = frozenset({
+    "random.Random", "random.SystemRandom",
+    "numpy.random.default_rng", "numpy.random.RandomState"})
+
+#: The one module that turns raw seeds into streams.
+_STREAM_FACTORY = "repro.sim.randomness"
+
 _SET_METHODS = frozenset({"union", "intersection", "difference",
                           "symmetric_difference", "copy"})
 _SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
@@ -69,41 +84,58 @@ class WallClockRule(Rule):
 
 
 @rule
-class GlobalRngRule(Rule):
-    """D102: all randomness flows through seeded generator objects."""
+class RngDisciplineRule(Rule):
+    """D102: every draw comes from a generator seeded by ``derive_seed``."""
 
     rule_id = "D102"
-    summary = ("global-RNG call (random.* / np.random.*); randomness must "
-               "flow through repro.sim.randomness.RandomStreams")
+    summary = ("global-RNG call (random.* / np.random.*), or a generator "
+               "seeded from anything but repro.sim.randomness.derive_seed")
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        factories = frozenset(module.config.rng_factories)
+        derives = (module.in_sim_package()
+                   and module.module_name != _STREAM_FACTORY)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             resolved = module.imports.resolve(node.func)
             if resolved is None:
                 continue
-            if resolved == "random" or resolved.startswith("random."):
-                yield self.finding(
-                    module, node.lineno, node.col_offset,
-                    f"call to {resolved}() uses the stdlib's hidden global "
-                    "RNG; draw from a named RandomStreams stream instead")
-            elif resolved.startswith("numpy.random."):
-                attr = resolved.rsplit(".", 1)[1]
-                if attr not in factories:
-                    yield self.finding(
-                        module, node.lineno, node.col_offset,
-                        f"call to {resolved}() hits numpy's hidden global "
-                        "RNG state; use a Generator from "
-                        "RandomStreams.stream(name) instead")
-                elif attr in ("default_rng", "RandomState") \
-                        and not node.args and not node.keywords:
+            if resolved in _RNG_CONSTRUCTORS:
+                seed_args = (*node.args, *(kw.value for kw in node.keywords))
+                if not seed_args:
                     yield self.finding(
                         module, node.lineno, node.col_offset,
                         f"{resolved}() without a seed is entropy-seeded "
                         "and breaks reproducibility; pass an explicit "
                         "seed (ideally via RandomStreams)")
+                elif derives and not any(
+                        self._is_derived(module, arg) for arg in seed_args):
+                    # The raw experiment seed would share its stream
+                    # with every other consumer of the same root seed.
+                    yield self.finding(
+                        module, node.lineno, node.col_offset,
+                        f"{resolved}() is not seeded from derive_seed(); "
+                        "seed it with repro.sim.randomness.derive_seed("
+                        "seed, name) or take a stream from RandomStreams")
+            elif resolved == "random" or resolved.startswith("random."):
+                yield self.finding(
+                    module, node.lineno, node.col_offset,
+                    f"call to {resolved}() uses the stdlib's hidden global "
+                    "RNG; draw from a named RandomStreams stream instead")
+            elif resolved.startswith("numpy.random.") \
+                    and resolved.rsplit(".", 1)[1] not in _NUMPY_FACTORIES:
+                yield self.finding(
+                    module, node.lineno, node.col_offset,
+                    f"call to {resolved}() hits numpy's hidden global "
+                    "RNG state; use a Generator from "
+                    "RandomStreams.stream(name) instead")
+
+    @staticmethod
+    def _is_derived(module: ModuleContext, arg: ast.expr) -> bool:
+        return any(isinstance(sub, ast.Call)
+                   and (module.imports.resolve(sub.func) or "")
+                   .endswith("derive_seed")
+                   for sub in ast.walk(arg))
 
 
 @rule
@@ -187,50 +219,3 @@ class SetIterationRule(Rule):
             "iterating a set in an order-sensitive position; set order is "
             "not part of the language contract (and varies with "
             "PYTHONHASHSEED for str/tuple elements) — wrap in sorted()")
-
-
-@rule
-class IdOrderingRule(Rule):
-    """D104: no ordering or tie-breaking by object identity."""
-
-    rule_id = "D104"
-    summary = ("id()-based ordering/tie-breaking; object addresses vary "
-               "run to run — order by a stable field instead")
-
-    _ORDER_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                for keyword in node.keywords:
-                    if keyword.arg == "key" \
-                            and self._key_uses_id(keyword.value):
-                        yield self.finding(
-                            module, keyword.value.lineno,
-                            keyword.value.col_offset,
-                            "sort/ordering key built on id(); object "
-                            "addresses differ between runs — key on a "
-                            "stable identifier (flow_id, switch_id, name)")
-            elif (isinstance(node, ast.Compare)
-                    and any(isinstance(op, self._ORDER_OPS)
-                            for op in node.ops)
-                    and any(self._is_id_call(side) for side in
-                            (node.left, *node.comparators))):
-                yield self.finding(
-                    module, node.lineno, node.col_offset,
-                    "ordering comparison of id() values; object "
-                    "addresses differ between runs — compare stable "
-                    "identifiers instead")
-
-    @staticmethod
-    def _is_id_call(node: ast.expr) -> bool:
-        return (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "id")
-
-    def _key_uses_id(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Name) and node.id == "id":
-            return True
-        if isinstance(node, ast.Lambda):
-            return any(self._is_id_call(sub) for sub in ast.walk(node.body))
-        return False

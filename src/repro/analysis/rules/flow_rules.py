@@ -1,20 +1,16 @@
-"""Whole-program rules W401-W404 (built on :mod:`repro.analysis.flow`).
+"""Whole-program rules W402 and W403 (built on :mod:`repro.analysis.flow`).
 
 These rules check *cross-module* contracts that no per-module rule can
 see:
 
-* **W401** — RNG provenance: every generator used in simulation code
-  must be seeded from :func:`repro.sim.randomness.derive_seed` /
-  :meth:`RandomStreams.stream`, even when the construction hides in a
-  helper and the generator flows to the use site through locals,
-  returns, or attributes.  This is the dataflow upgrade of D102, which
-  only sees syntactically-global RNG calls.
 * **W402** — escalation completeness: any function reachable from a
   data-plane entry point that mutates cache/mapping/gateway state must
   reach an escalation/observer notification (``on_mutate``,
   ``escalate_*``); otherwise the hybrid-fidelity engine would keep
   replaying fluid flows against stale state.  Cross-module
   generalization of D110, which audits only the fluid module itself.
+  It is the one rule that needs the call graph and the dataflow
+  summaries.
 * **W403** — runcache key coverage: every field of the configured
   experiment dataclasses must be consumed by the run-cache key
   derivation, or appear on the audited exemption list; wholesale-
@@ -22,20 +18,13 @@ see:
   unannotated class attribute silently escapes ``dataclasses.fields``
   and therefore the key).  A knob that misses the key serves stale
   cache hits for changed runs — the worst failure mode a result cache
-  has.
-* **W404** — pairing discipline along call paths: a function that
-  opens a paired resource (``gc.disable``, register-style hooks) must
-  reach the matching close in itself or its callees, or every caller
-  must; and configured mutator-memo pairings are satisfied anywhere on
-  the mutator's call path (the call-path-aware companion to the
-  body-local R303).
+  has.  It reads only the project's symbol table.
 """
 
 from __future__ import annotations
 
+import ast
 from collections.abc import Iterator
-from fnmatch import fnmatchcase
-from re import fullmatch
 
 from repro.analysis.findings import Finding
 from repro.analysis.flow.callgraph import CallGraph
@@ -44,37 +33,18 @@ from repro.analysis.flow.project import ProjectContext
 from repro.analysis.registry import ProjectRule, rule
 
 
-def _finding(rule_id: str, module, line: int, col: int,
-             message: str) -> Finding:
-    return Finding(rule_id=rule_id, path=str(module.path),
-                   line=line, col=col, message=message)
-
-
-@rule
-class RngProvenance(ProjectRule):
-    rule_id = "W401"
-    summary = ("simulation RNGs must carry derived-seed provenance "
-               "(repro.sim.randomness), tracked through helpers")
-
-    def check_project(self, project: ProjectContext, graph: CallGraph,
-                      summaries: dict[str, FunctionSummary],
-                      ) -> Iterator[Finding]:
-        for qualname in sorted(project.functions):
-            func = project.functions[qualname]
-            summary = summaries[qualname]
-            for site in summary.rng_sites:
-                yield _finding(
-                    self.rule_id, func.module, site.line, site.col,
-                    f"'{qualname}' constructs {site.detail} without "
-                    "derived-seed provenance; seed it via "
-                    "repro.sim.randomness.derive_seed or take a stream "
-                    "from RandomStreams")
-            for site in summary.rng_flow_sites:
-                yield _finding(
-                    self.rule_id, func.module, site.line, site.col,
-                    f"'{qualname}' passes on an RNG of unapproved "
-                    f"provenance ({site.detail}); thread a seeded "
-                    "stream instead")
+#: Data-plane entry points (fnmatch on qualified function names);
+#: W402 checks every function reachable from them.  A switch calls its
+#: scheme through a bound hook (a closure or a ``partial`` the call
+#: graph cannot see through), so the functions that build or are the
+#: hooks are roots in their own right.
+ENTRY_POINTS = (
+    "repro.net.node.Switch.receive",
+    "repro.vnet.hypervisor.Host.receive",
+    "repro.vnet.gateway.Gateway.receive",
+    "repro.*.bind_hook",
+    "repro.*.on_switch",
+)
 
 
 @rule
@@ -86,18 +56,14 @@ class EscalationCompleteness(ProjectRule):
     def check_project(self, project: ProjectContext, graph: CallGraph,
                       summaries: dict[str, FunctionSummary],
                       ) -> Iterator[Finding]:
-        config = project.config
-        roots = project.functions_matching(config.flow_entry_points)
-        reachable = graph.reachable_from(roots)
+        reachable = graph.reachable_from(
+            project.functions_matching(ENTRY_POINTS))
 
         def notifies(qualname: str) -> bool:
             summary = summaries.get(qualname)
             return summary is not None and summary.notifies
 
         for qualname in sorted(reachable):
-            if any(fnmatchcase(qualname, pattern)
-                   for pattern in config.escalation_exempt):
-                continue
             summary = summaries[qualname]
             if not summary.mutation_sites:
                 continue
@@ -106,12 +72,11 @@ class EscalationCompleteness(ProjectRule):
             func = project.functions[qualname]
             attrs = sorted({site.detail for site in summary.mutation_sites})
             site = summary.mutation_sites[0]
-            yield _finding(
-                self.rule_id, func.module, site.line, site.col,
+            yield self.finding(
+                func.module, site.line, site.col,
                 f"'{qualname}' mutates state ({', '.join(attrs)}) on a "
                 "data-plane path without reaching an escalation hook or "
-                "mutation observer; fire on_mutate/escalate_* or add an "
-                "audited escalation-exempt entry")
+                "mutation observer; fire on_mutate/escalate_*")
 
 
 @rule
@@ -135,15 +100,18 @@ class RuncacheKeyCoverage(ProjectRule):
             # body: crediting transitive callees would let run_key's
             # mention of a name mask job_key silently dropping the
             # same-named job field.
-            consumed = summaries[contract.key_function].body_names
+            consumed = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(key_func.node)
+                if isinstance(node, ast.Name | ast.Attribute)}
             fields = info.dataclass_fields()
             field_names = {name for name, _ in fields}
             for name, stmt in fields:
                 if name in contract.exempt:
                     continue
                 if name not in consumed:
-                    yield _finding(
-                        self.rule_id, info.module, stmt.lineno,
+                    yield self.finding(
+                        info.module, stmt.lineno,
                         stmt.col_offset,
                         f"field '{contract.dataclass_name}.{name}' never "
                         f"reaches '{contract.key_function}': runs "
@@ -151,14 +119,14 @@ class RuncacheKeyCoverage(ProjectRule):
                         "key; key it or add an audited exemption")
             for name in contract.exempt:
                 if name not in field_names:
-                    yield _finding(
-                        self.rule_id, info.module, info.node.lineno,
+                    yield self.finding(
+                        info.module, info.node.lineno,
                         info.node.col_offset,
                         f"W403 exemption names unknown field '{name}' "
                         f"of {contract.dataclass_name}; drop it")
                 elif name in consumed:
-                    yield _finding(
-                        self.rule_id, info.module, info.node.lineno,
+                    yield self.finding(
+                        info.module, info.node.lineno,
                         info.node.col_offset,
                         f"stale W403 exemption: field '{name}' of "
                         f"{contract.dataclass_name} is consumed by "
@@ -169,103 +137,17 @@ class RuncacheKeyCoverage(ProjectRule):
             if info is None:
                 continue
             if not info.is_frozen_dataclass():
-                yield _finding(
-                    self.rule_id, info.module, info.node.lineno,
+                yield self.finding(
+                    info.module, info.node.lineno,
                     info.node.col_offset,
                     f"'{qualname}' is hashed wholesale into run-cache "
                     "keys and must stay a frozen dataclass "
                     "(@dataclass(frozen=True))")
             for name, stmt in info.unannotated_assignments():
-                yield _finding(
-                    self.rule_id, info.module, stmt.lineno,
+                yield self.finding(
+                    info.module, stmt.lineno,
                     stmt.col_offset,
                     f"'{qualname}.{name}' has no annotation, so "
                     "dataclasses.fields skips it and it never reaches "
                     "the run-cache key; annotate it (or make it a "
                     "ClassVar if it is genuinely not a knob)")
-
-
-
-@rule
-class PairingDiscipline(ProjectRule):
-    rule_id = "W404"
-    summary = ("paired calls (gc pause/resume, register/unregister) and "
-               "mutator-memo invariants must close along call paths")
-
-    def check_project(self, project: ProjectContext, graph: CallGraph,
-                      summaries: dict[str, FunctionSummary],
-                      ) -> Iterator[Finding]:
-        config = project.config
-        yield from self._check_pairs(project, graph, summaries, config)
-        yield from self._check_memo_paths(project, graph, summaries, config)
-
-    def _check_pairs(self, project, graph, summaries, config,
-                     ) -> Iterator[Finding]:
-        for index, pair in enumerate(config.flow_call_pairs):
-
-            def closes(qualname: str, index: int = index) -> bool:
-                summary = summaries.get(qualname)
-                return summary is not None and index in summary.closes
-
-            for qualname in sorted(project.functions):
-                summary = summaries[qualname]
-                sites = summary.opens.get(index)
-                if not sites:
-                    continue
-                if graph.reaches(qualname, closes):
-                    continue
-                func = project.functions[qualname]
-                callers = sorted(graph.callers.get(qualname, ()))
-                bad = [caller for caller in callers
-                       if not graph.reaches(caller, closes)]
-                if callers and not bad:
-                    continue  # every caller restores the pair
-                shown = ", ".join(bad[:4]) + (
-                    f", ... ({len(bad) - 4} more)" if len(bad) > 4 else "")
-                where = (f"; callers {shown} never close it"
-                         if bad else "; it has no project callers")
-                for site in sites:
-                    yield _finding(
-                        self.rule_id, func.module, site.line, site.col,
-                        f"'{qualname}' calls {pair.open} without "
-                        f"reaching {pair.close} on any call path{where}")
-
-    def _check_memo_paths(self, project, graph, summaries, config,
-                          ) -> Iterator[Finding]:
-        for pairing in config.memo_pairings:
-            for qualname in sorted(project.functions):
-                func = project.functions[qualname]
-                if func.cls is None:
-                    continue
-                if not func.module.matches((pairing.module,)):
-                    continue
-                if pairing.cls != "*" and func.cls != pairing.cls:
-                    continue
-                if not any(fullmatch(pattern, func.name)
-                           for pattern in pairing.mutators):
-                    continue
-                missing = self._missing_requires(
-                    qualname, pairing.require, graph, summaries)
-                if not missing:
-                    continue
-                yield _finding(
-                    self.rule_id, func.module, func.node.lineno,
-                    func.node.col_offset,
-                    f"mutator '{qualname}' never references "
-                    f"{', '.join(sorted(missing))} anywhere on its call "
-                    "path (memo-invalidation pairing)")
-
-    @staticmethod
-    def _missing_requires(qualname: str, require: tuple[str, ...],
-                          graph: CallGraph,
-                          summaries: dict[str, FunctionSummary],
-                          ) -> set[str]:
-        missing = set(require)
-        for reached in graph.reachable_from([qualname]):
-            summary = summaries.get(reached)
-            if summary is None:
-                continue
-            missing -= summary.body_names
-            if not missing:
-                break
-        return missing

@@ -1,10 +1,12 @@
-"""R-series rules: memo-table invariants.
+"""Pairing rules: what one statement does, another must undo.
 
-PR 2's hot-path overhaul introduced a class of state that runtime
-tests are bad at catching when misused: memoized forwarding tables
-(per-switch ECMP memos, the per-flow gateway memo) are valid only
-until topology/fault/gateway-pool mutations, so every mutator must be
-structurally paired with the invalidation.
+R303 — memoized forwarding tables (per-switch ECMP memos, the per-flow
+gateway memo) are valid only until topology/fault/gateway-pool
+mutations, so every mutator must be structurally paired with the
+invalidation; runtime tests are bad at catching a stale memo.
+
+W404 — a function that opens a configured call pair (``gc.disable``)
+must close it (``gc.enable``) itself.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from collections.abc import Iterator
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, rule
+from repro.analysis.rules.common import scope_walk
 
 
 @rule
@@ -69,3 +72,31 @@ class MemoPairingRule(Rule):
             elif isinstance(node, ast.Attribute):
                 idents.add(node.attr)
         return frozenset(idents)
+
+
+@rule
+class CallPairingRule(Rule):
+    """W404: a function that opens a call pair closes it itself."""
+
+    rule_id = "W404"
+    summary = ("paired calls (gc.disable / gc.enable; [tool.repro-lint] "
+               "flow-call-pairs) must open and close in one function")
+
+    def check(self, module: ModuleContext) -> Iterator[Finding]:
+        pairs = module.config.flow_call_pairs
+        for function in module.functions():
+            calls = [(module.imports.resolve(node.func), node)
+                     for node in scope_walk(function)
+                     if isinstance(node, ast.Call)]
+            called = {target for target, _ in calls}
+            for pair in pairs:
+                if pair.close in called:
+                    continue
+                for target, node in calls:
+                    if target == pair.open:
+                        yield self.finding(
+                            module, node.lineno, node.col_offset,
+                            f"{function.name}() calls {pair.open}() and "
+                            f"never {pair.close}(); pair them in one "
+                            "function (try/finally) so no caller can "
+                            "leave it open")

@@ -94,16 +94,11 @@ class CachingScheme(TranslationScheme):
         """Attach mutation observers to every cache (hybrid fidelity).
 
         ``factory(switch_id)`` returns the zero-arg callback handed to
-        each cache's ``attach_observer``.  Caches without the method
-        (the multi-tenant partitioned cache) are skipped; the fluid
-        scheduler separately refuses adoption when any cache lacks
-        it.
+        each cache's ``attach_observer``.
         """
         self.cache_observer = factory
         for switch_id, cache in self.caches.items():
-            attach = getattr(cache, "attach_observer", None)
-            if attach is not None:
-                attach(factory(switch_id))
+            cache.attach_observer(factory(switch_id))
 
     def make_cache(self, num_slots: int, salt: int) -> SwitchCache:
         """Cache constructor; subclasses may swap the geometry."""
@@ -134,9 +129,7 @@ class CachingScheme(TranslationScheme):
             return
         fresh = self.make_cache(cache.num_slots, salt=cache.salt)
         if self.cache_observer is not None:
-            attach = getattr(fresh, "attach_observer", None)
-            if attach is not None:
-                attach(self.cache_observer(switch.switch_id))
+            fresh.attach_observer(self.cache_observer(switch.switch_id))
         self.caches[switch.switch_id] = fresh
 
     # ------------------------------------------------------------------

@@ -304,21 +304,15 @@ def cmd_serve_report(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one experiment: phase timers, rates, optional cProfile."""
-    import json as _json
-
+    """Profile one experiment: collector passes and memory per phase."""
     from repro.perf import profile_experiment
     scale = _scale_from_args(args)
     flows, num_vms = build_trace(args.trace, scale)
-    profile, _ = profile_experiment(
+    profile = profile_experiment(
         fabric_for(args.trace), args.scheme, flows, num_vms, args.cache_ratio,
-        scale.seed, trace_name=args.trace, with_cprofile=args.cprofile,
-        with_memory=args.memory, top=args.top, fidelity=args.fidelity)
+        scale.seed, trace_name=args.trace, with_memory=args.memory,
+        fidelity=args.fidelity)
     print(profile.render())
-    if args.json:
-        with open(args.json, "w") as fh:
-            _json.dump(profile.as_dict(), fh, indent=2, sort_keys=True)
-        print(f"\nwrote {args.json}")
     return 0
 
 
@@ -578,25 +572,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile_parser = subparsers.add_parser(
         "profile",
-        help="profile one experiment (phase timers, events/sec, cProfile)")
+        help="profile one experiment (collector passes and memory per "
+             "phase, escalations by reason)")
     profile_parser.add_argument("trace", choices=TRACES)
     _flags(profile_parser, "--scheme", default="SwitchV2P")
     _flags(profile_parser, "--cache-ratio", default=4.0)
     _flags(profile_parser, "--vms", "--flows", "--seed")
     _flags(profile_parser, "--fidelity", default="packet",
            help="simulation fidelity; hybrid reports the "
-                "fluid/packet split and escalation counts")
-    profile_parser.add_argument("--cprofile", action="store_true",
-                                help="include a cProfile function breakdown")
+                "escalation counts by reason")
     profile_parser.add_argument("--memory", action="store_true",
                                 help="snapshot tracemalloc + peak RSS per "
                                      "phase (build / warmup / steady); "
                                      "slows the run")
-    profile_parser.add_argument("--top", type=int, default=25,
-                                help="cProfile rows to show")
-    profile_parser.add_argument("--json", default=None,
-                                help="also write the profile summary to "
-                                     "this JSON file")
     profile_parser.set_defaults(func=cmd_profile)
 
     lint_parser = subparsers.add_parser(
@@ -604,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="static determinism & simulator-invariant checks",
         description="Run the repro.analysis lint engine: AST-based rules "
                     "that keep the simulator deterministic (no wall-clock "
-                    "reads, no global RNG, integer-ns time, memo-table "
+                    "reads, no global RNG, memo-table and escalation "
                     "invariants).  Exits non-zero when any "
                     "unsuppressed finding remains; see docs/linting.md.")
     from repro.analysis.cli import add_arguments as _add_lint_arguments

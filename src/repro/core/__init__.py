@@ -12,12 +12,6 @@ from repro.core.allocation import (
 from repro.core.antientropy import AntiEntropyAuditor
 from repro.core.config import SwitchV2PConfig
 from repro.core.hybrid import HybridSwitchV2P
-from repro.core.multitenant import (
-    MultiTenantSwitchV2P,
-    PartitionedCache,
-    TenantRegistry,
-)
-from repro.core.policy import AdaptiveTenantPolicy, GatewayLoadMonitor
 from repro.core.protocol import SwitchV2P
 from repro.core.roles import Role, assign_roles
 
@@ -35,9 +29,4 @@ __all__ = [
     "CORE_HEAVY",
     "NAMED_POLICIES",
     "HybridSwitchV2P",
-    "MultiTenantSwitchV2P",
-    "TenantRegistry",
-    "PartitionedCache",
-    "GatewayLoadMonitor",
-    "AdaptiveTenantPolicy",
 ]

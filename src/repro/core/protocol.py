@@ -53,10 +53,9 @@ def _owner_lines(cache) -> tuple[list[int], list[int], int, int]:
     already owns its line, so the value is overwritten and nothing
     else moves — with one compare on these arrays instead of a call to
     ``cache.insert``.  A cache without such lines (set-associative,
-    partitioned, empty) gets a dummy that always says "not the owner".
+    empty) gets a dummy that always says "not the owner".
     """
-    lines = getattr(cache, "owner_lines", None)
-    return (lines() if lines is not None else None) or ([-1], [0], 0, 1)
+    return cache.owner_lines() or ([-1], [0], 0, 1)
 
 
 class SwitchV2P(CachingScheme):

@@ -9,8 +9,10 @@ which run with their own parameters), every ``benchmarks/test_*.py`` and
 ``benchmarks/regen_check.py`` print through these entries; nothing else
 renders a paper table.  Entries that share a ``run`` (Figure 7's two
 files and Figure 8) are simulated once by :func:`reproduce`.
-``workers`` and ``progress`` reach the sweeps, whose simulations are
-pool jobs; the serial run loops ignore them.
+``workers`` and ``progress`` reach the sweeps and the Hadoop variant
+tables (:func:`_hadoop_runs`), whose simulations are pool jobs; the
+run loops that need a live network or collector afterwards
+(:func:`_serial`) ignore them.
 """
 
 from __future__ import annotations
@@ -34,15 +36,15 @@ from repro.experiments.figures import (
     figure10,
     ft8_spec,
     table5,
+    trace_spec_for,
 )
 from repro.experiments.graydegrade import run_gray_experiment
 from repro.experiments.migration import run_migration_table
-from repro.experiments.runner import (
-    RunResult,
-    build_network,
-    make_scheme,
-    run_experiment,
+from repro.experiments.parallel import (
+    ExperimentJob,
+    parallel_run_experiments,
 )
+from repro.experiments.runner import RunResult, build_network, make_scheme
 from repro.hw import TABLE6_ENTRIES_PER_SWITCH, estimate_utilization
 from repro.metrics.reporting import heatmap_rows, render_table
 from repro.metrics.timeline import track_hit_rate
@@ -81,7 +83,9 @@ def artifact(name: str, run: Callable[..., Any], short: str = ""):
 
 
 def _serial(run: Callable[[FigureScale], Any]) -> Callable[..., Any]:
-    """Adapt a run loop that has no pool jobs to the registry signature."""
+    """Adapt a run loop that has no pool jobs — it reads the network or
+    the collector after each run, which a job does not carry back — to
+    the registry signature."""
     return lambda scale, workers=None, progress=None: run(scale)
 
 
@@ -90,16 +94,27 @@ def _sweep(figure: Callable[..., Any], **fixed: Any) -> Callable[..., Any]:
         scale=scale, workers=workers, progress=progress, **fixed)
 
 
-def _hadoop_runs(scale: FigureScale,
-                 variants: Iterable[tuple[Any, str, float, dict | None]],
-                 ) -> dict[Any, RunResult]:
-    """``{label: result}`` for ``(label, scheme, cache ratio, scheme
-    kwargs)`` variants, all on the scale's Hadoop trace and FT8."""
-    flows, num_vms = build_trace("hadoop", scale)
-    return {label: run_experiment(ft8_spec(), scheme, flows, num_vms, ratio,
-                                  scale.seed, trace_name="hadoop",
-                                  scheme_kwargs=kwargs)
-            for label, scheme, ratio, kwargs in variants}
+#: ``(label, scheme, cache ratio, scheme kwargs)``
+Variant = tuple[Any, str, float, dict | None]
+
+
+def _hadoop_runs(variants: Callable[[FigureScale], Iterable[Variant]],
+                 ) -> Callable[..., dict[Any, RunResult]]:
+    """A registry ``run`` returning ``{label: result}`` for the scale's
+    variants, all on its Hadoop trace and FT8, one pool job each (the
+    scheme kwargs — allocation policies, configs, way counts — are
+    frozen dataclasses and ints, which hash and pickle)."""
+    def run(scale: FigureScale, workers=None, progress=None):
+        trace = trace_spec_for("hadoop", scale)
+        jobs = {label: ExperimentJob(
+                    spec=ft8_spec(), scheme_name=scheme,
+                    num_vms=trace.num_vms, cache_ratio=ratio, seed=scale.seed,
+                    trace_name="hadoop", trace=trace,
+                    scheme_kwargs=kwargs or {})
+                for label, scheme, ratio, kwargs in variants(scale)}
+        return dict(zip(jobs, parallel_run_experiments(
+            list(jobs.values()), workers, progress=progress)))
+    return run
 
 
 # ----------------------------------------------------------------------
@@ -258,16 +273,19 @@ def _table6_table(estimate: dict[str, float]) -> Table:
 # ----------------------------------------------------------------------
 # beyond the paper's tables: ablations, convergence, reordering, seeds
 # ----------------------------------------------------------------------
-def _run_ablation_allocation(scale: FigureScale):
+_allocation_runs = _hadoop_runs(lambda scale: [
+    ("NoCache", "NoCache", 0.0, None),
+    *((name, "SwitchV2P", 2.0, {"allocation": policy})
+      for name, policy in NAMED_POLICIES.items())])
+
+
+def _run_ablation_allocation(scale: FigureScale, workers=None, progress=None):
     """-> (NoCache baseline, {policy name: result}) at cache=2x."""
-    results = _hadoop_runs(scale, [
-        ("NoCache", "NoCache", 0.0, None),
-        *((name, "SwitchV2P", 2.0, {"allocation": policy})
-          for name, policy in NAMED_POLICIES.items())])
+    results = _allocation_runs(scale, workers, progress)
     return results.pop("NoCache"), results
 
 
-@artifact("ablation_allocation", _serial(_run_ablation_allocation))
+@artifact("ablation_allocation", _run_ablation_allocation)
 def _ablation_allocation_table(result) -> Table:
     baseline, results = result
     return ("Ablation — memory allocation policies (Hadoop, cache=2x)",
@@ -281,8 +299,8 @@ def _ablation_allocation_table(result) -> Table:
 WAYS = (1, 2, 4)
 
 
-@artifact("ablation_cache_geometry", _serial(lambda scale: _hadoop_runs(
-    scale, [(ways, "SwitchV2P", 2.0, {"cache_ways": ways}) for ways in WAYS])))
+@artifact("ablation_cache_geometry", _hadoop_runs(lambda scale: [
+    (ways, "SwitchV2P", 2.0, {"cache_ways": ways}) for ways in WAYS]))
 def _ablation_geometry_table(results: dict[int, RunResult]) -> Table:
     return ("Ablation — cache geometry (Hadoop, cache=2x)",
             ["geometry", "hit rate", "avg FCT [us]", "stretch"],
@@ -294,8 +312,8 @@ def _ablation_geometry_table(results: dict[int, RunResult]) -> Table:
 DHT_SCHEMES = ("SwitchV2P", "DhtStore", "NoCache", "Direct")
 
 
-@artifact("ablation_dht", _serial(lambda scale: _hadoop_runs(
-    scale, [(scheme, scheme, 16.0, None) for scheme in DHT_SCHEMES])))
+@artifact("ablation_dht", _hadoop_runs(lambda scale: [
+    (scheme, scheme, 16.0, None) for scheme in DHT_SCHEMES]))
 def _ablation_dht_table(results: dict[str, RunResult]) -> Table:
     base = results["NoCache"]
     return ("Ablation — in-switch DHT vs caching (Hadoop, cache=16x)",
@@ -316,9 +334,9 @@ ABLATIONS = (
 )
 
 
-@artifact("ablation_features", _serial(lambda scale: _hadoop_runs(
-    scale, [(label, "SwitchV2P", 2.0, {"config": config})
-            for label, config in ABLATIONS])))
+@artifact("ablation_features", _hadoop_runs(lambda scale: [
+    (label, "SwitchV2P", 2.0, {"config": config})
+    for label, config in ABLATIONS]))
 def _ablation_features_table(results: dict[str, RunResult]) -> Table:
     return ("Ablation — SwitchV2P features (Hadoop, cache=2x)",
             ["variant", "hit rate", "avg FCT [us]", "first-pkt [us]",
@@ -359,8 +377,8 @@ def _convergence_table(curves: dict[str, list[float]]) -> Table:
              for name, values in curves.items()])
 
 
-@artifact("reordering", _serial(lambda scale: _hadoop_runs(
-    scale, [(ratio, "SwitchV2P", ratio, None) for ratio in scale.ratios])))
+@artifact("reordering", _hadoop_runs(lambda scale: [
+    (ratio, "SwitchV2P", ratio, None) for ratio in scale.ratios]))
 def _reordering_table(results: dict[float, RunResult]) -> Table:
     return ("Packet reordering under SwitchV2P (Hadoop)",
             ["cache(x addr space)", "reorder events", "per packet", "drops"],

@@ -1,20 +1,18 @@
-"""Performance observability for simulation runs.
-
-The hot-path optimizations in the engine, packet and forwarding layers
-only stay honest if regressions are visible, so this module provides
-the measurement side of the bargain:
+"""Host-side timing: the one module allowed to read the wall clock.
 
 * :class:`PhaseTimer` — named wall-clock phase accumulators built on
   ``time.perf_counter_ns`` (cheap enough to leave permanently wired
-  into :func:`repro.experiments.runner.run_flows`);
+  into :func:`repro.experiments.runner.run_flows` and the fluid
+  scheduler), with the full collector passes inside each phase;
 * :class:`PhaseMemoryTimer` — a :class:`PhaseTimer` that additionally
   snapshots the Python heap (``tracemalloc``) and process peak RSS at
-  every phase boundary, powering ``python -m repro profile --memory``;
-* :class:`RunProfile` — a summary of one run (phase breakdown,
-  events/sec, packets/sec) with a renderable table;
-* :func:`profile_experiment` — the engine behind
-  ``python -m repro profile <trace>``, optionally wrapping the run in
-  ``cProfile`` for a function-level breakdown.
+  every phase boundary;
+* :func:`timed_call`, :func:`peak_rss_kb` — what ``bench/`` and the
+  sweep orchestrator measure with;
+* :class:`RunProfile` / :func:`profile_experiment` — ``python -m repro
+  profile <trace>``: for any trace, scheme and scale, the three things
+  ``python -m bench --workload W --trace 1`` does not print (collector
+  passes per phase, memory per phase, escalations by reason).
 
 Measurements never feed back into the simulation (the simulated clock
 is integer nanoseconds driven only by scheduled events), so profiling a
@@ -23,10 +21,7 @@ run cannot change its result.
 
 from __future__ import annotations
 
-import cProfile
 import gc
-import io
-import pstats
 import time
 import tracemalloc
 from collections.abc import Iterator
@@ -158,85 +153,24 @@ def timed_call(fn, /, *args, **kwargs):
 
 @dataclass
 class RunProfile:
-    """Wall-clock summary of one simulation run."""
+    """What ``repro profile`` prints about one simulation run."""
 
     trace: str
     scheme: str
-    wall_ns: int
-    events: int
-    packets: int
+    fidelity: str = "packet"
     phases_ns: dict[str, int] = field(default_factory=dict)
     #: Full collector passes per phase (:attr:`PhaseTimer.full_collections`).
     full_collections: dict[str, int] = field(default_factory=dict)
-    #: Simulation fidelity ("packet" or "hybrid") and, for hybrid runs,
-    #: the fluid scheduler's bookkeeping: how many flows were adopted,
-    #: how many packets were advanced analytically rather than
-    #: simulated, and why adopted flows fell back to packet level.
-    fidelity: str = "packet"
-    fluid_adoptions: int = 0
-    fluid_escalations: int = 0
-    fluid_rounds: int = 0
-    fluid_packets: int = 0
-    fluid_escalations_by_reason: dict[str, int] = field(default_factory=dict)
     #: Per-phase memory snapshots (``--memory``): phase name ->
     #: ``{"py_peak_kb", "py_end_kb", "rss_peak_kb"}``; empty when
     #: memory profiling was off.
     memory_by_phase: dict[str, dict[str, float]] = field(default_factory=dict)
-    profile_text: str = ""
-
-    @property
-    def events_per_sec(self) -> float:
-        return self.events / (self.wall_ns / 1e9) if self.wall_ns else 0.0
-
-    @property
-    def packets_per_sec(self) -> float:
-        return self.packets / (self.wall_ns / 1e9) if self.wall_ns else 0.0
-
-    @property
-    def fluid_fraction(self) -> float:
-        """Share of data-plane packets advanced analytically."""
-        total = self.packets
-        return self.fluid_packets / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        data = {
-            "trace": self.trace,
-            "scheme": self.scheme,
-            "wall_ms": self.wall_ns / 1e6,
-            "events": self.events,
-            "packets": self.packets,
-            "events_per_sec": self.events_per_sec,
-            "packets_per_sec": self.packets_per_sec,
-            "fidelity": self.fidelity,
-            "phases_ms": {name: ns / 1e6
-                          for name, ns in sorted(self.phases_ns.items())},
-            "full_collections": dict(sorted(self.full_collections.items())),
-        }
-        if self.memory_by_phase:
-            data["memory_by_phase"] = {
-                name: dict(entry)
-                for name, entry in sorted(self.memory_by_phase.items())}
-        if self.fidelity == "hybrid":
-            data["fluid"] = {
-                "adoptions": self.fluid_adoptions,
-                "escalations": self.fluid_escalations,
-                "rounds": self.fluid_rounds,
-                "fluid_packets": self.fluid_packets,
-                "fluid_fraction": self.fluid_fraction,
-                "escalations_by_reason": dict(
-                    sorted(self.fluid_escalations_by_reason.items())),
-            }
-        return data
+    #: Why adopted flows fell back to packet level (hybrid runs).
+    fluid_escalations_by_reason: dict[str, int] = field(default_factory=dict)
 
     def render(self) -> str:
-        lines = [
-            f"trace={self.trace} scheme={self.scheme}",
-            f"wall time        {self.wall_ns / 1e6:12.2f} ms",
-            f"events           {self.events:12d}"
-            f"  ({self.events_per_sec:,.0f}/s)",
-            f"packets          {self.packets:12d}"
-            f"  ({self.packets_per_sec:,.0f}/s)",
-        ]
+        lines = [f"trace={self.trace} scheme={self.scheme} "
+                 f"fidelity={self.fidelity}"]
         for name, ns in sorted(self.phases_ns.items()):
             lines.append(f"phase {name:<10} {ns / 1e6:12.2f} ms"
                          f"  full gc {self.full_collections.get(name, 0)}")
@@ -245,30 +179,17 @@ class RunProfile:
                 f"mem   {name:<10} rss-peak {entry['rss_peak_kb'] / 1024:8.1f}"
                 f" MB  py-heap peak {entry['py_peak_kb'] / 1024:8.1f} MB"
                 f" (end {entry['py_end_kb'] / 1024:.1f} MB)")
-        if self.fidelity == "hybrid":
-            lines.append(f"fidelity         {'hybrid':>12}")
-            lines.append(f"fluid adoptions  {self.fluid_adoptions:12d}"
-                         f"  (escalations {self.fluid_escalations},"
-                         f" rounds {self.fluid_rounds})")
-            lines.append(f"fluid packets    {self.fluid_packets:12d}"
-                         f"  ({self.fluid_fraction:.1%} of all packets)")
-            for reason, count in sorted(
-                    self.fluid_escalations_by_reason.items()):
-                lines.append(f"  escalation {reason:<22} {count:8d}")
-        if self.profile_text:
-            lines.append("")
-            lines.append(self.profile_text)
+        for reason, count in sorted(self.fluid_escalations_by_reason.items()):
+            lines.append(f"escalation {reason:<22} {count:8d}")
         return "\n".join(lines)
 
 
 def profile_experiment(spec, scheme_name: str, flows, num_vms: int,
                        cache_ratio: float, seed: int = 0,
                        trace_name: str = "",
-                       with_cprofile: bool = False,
                        with_memory: bool = False,
-                       top: int = 25,
-                       fidelity: str = "packet") -> tuple[RunProfile, object]:
-    """Run one experiment under the phase timers (optionally cProfile).
+                       fidelity: str = "packet") -> RunProfile:
+    """Run one experiment under the phase timers.
 
     Args:
         with_memory: snapshot tracemalloc + peak RSS at every phase
@@ -279,11 +200,6 @@ def profile_experiment(spec, scheme_name: str, flows, num_vms: int,
             up separately.  Tracing slows the run; wall-clock numbers
             from a ``--memory`` profile are not comparable to plain
             ones.
-
-    Returns:
-        ``(profile, result)`` — the wall-clock profile and the normal
-        :class:`~repro.experiments.runner.RunResult` (with the network
-        retained, so callers can inspect engine counters).
     """
     from repro.experiments.runner import run_experiment
     from repro.sim.engine import msec
@@ -294,46 +210,20 @@ def profile_experiment(spec, scheme_name: str, flows, num_vms: int,
         tracemalloc.start()
         last_start = max((flow.start_ns for flow in flows), default=0)
         warmup_split_ns = last_start + msec(10)
-    profiler = cProfile.Profile() if with_cprofile else None
-    start = time.perf_counter_ns()
-    if profiler is not None:
-        profiler.enable()
     try:
         result = run_experiment(spec, scheme_name, flows, num_vms,
-                                cache_ratio, seed, keep_network=True,
-                                trace_name=trace_name, perf=timer,
-                                fidelity=fidelity,
-                                warmup_split_ns=warmup_split_ns)
+                                cache_ratio, seed, trace_name=trace_name,
+                                perf=timer, fidelity=fidelity,
+                                warmup_split_ns=warmup_split_ns, cache=None)
     finally:
         if with_memory:
             tracemalloc.stop()
-    if profiler is not None:
-        profiler.disable()
-    wall_ns = time.perf_counter_ns() - start
-
-    network = result.network
-    profile_text = ""
-    if profiler is not None:
-        buffer = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer)
-        stats.sort_stats("cumulative").print_stats(top)
-        profile_text = buffer.getvalue()
-    profile = RunProfile(
+    return RunProfile(
         trace=trace_name,
         scheme=result.scheme,
-        wall_ns=wall_ns,
-        events=network.engine.events_processed,
-        packets=result.packets_sent,
+        fidelity=result.fidelity,
         phases_ns=dict(timer.phases_ns),
         full_collections=dict(timer.full_collections),
-        fidelity=result.fidelity,
-        fluid_adoptions=result.fluid_adoptions,
-        fluid_escalations=result.fluid_escalations,
-        fluid_rounds=result.fluid_rounds,
-        fluid_packets=result.fluid_packets,
+        memory_by_phase=dict(timer.memory_by_phase) if with_memory else {},
         fluid_escalations_by_reason=dict(result.fluid_escalations_by_reason),
-        memory_by_phase=(dict(timer.memory_by_phase)
-                         if isinstance(timer, PhaseMemoryTimer) else {}),
-        profile_text=profile_text,
     )
-    return profile, result

@@ -577,19 +577,12 @@ class FluidScheduler:
     def ready(self) -> bool:
         """Can this scheme's flows be adopted at all?
 
-        Requires the scheme to declare ``fluid_compatible`` and — for
-        caching schemes — every cache to support ``attach_observer``
-        (alternative geometries without it disable adoption wholesale
-        rather than risking unobserved mutations).
+        Requires the scheme to declare ``fluid_compatible``: every
+        state it mutates is observed (its caches through the observers
+        :meth:`_install_hooks` attached).
         """
         if self._ready is None:
-            scheme = self.scheme
-            ok = bool(getattr(scheme, "fluid_compatible", False))
-            caches = getattr(scheme, "caches", None)
-            if ok and caches is not None:
-                ok = all(hasattr(cache, "attach_observer")
-                         for cache in caches.values())
-            self._ready = ok
+            self._ready = bool(getattr(self.scheme, "fluid_compatible", False))
         return self._ready
 
     def _observer_for(self, switch_id: int):

@@ -1,29 +1,38 @@
-"""W404: unpaired opens and a memo mutator with no invalidation path."""
+"""W404: a pair opened in one function and closed in none, or elsewhere."""
 import gc
 
 
 def run_loop(events):
-    # Never re-enabled, and no caller does it either (finding 1).
+    # Never re-enabled (finding 1).
     gc.disable()
     for event in events:
         event()
 
 
-def orphan_pause():
-    # The only caller never closes the pair (finding 2).
+def pause_only():
+    # Leaves the close to its callers (finding 2): one that forgets, or
+    # raises first, runs the rest of the process with the collector off.
     gc.disable()
-    return 1
 
 
-def caller():
-    return orphan_pause()
+def caller(events):
+    pause_only()
+    run_loop(events)
+    gc.enable()
 
 
-class Fabric:
-    def __init__(self):
-        self._memo = {}
+def build(network):
+    # Closes through a helper of its own, but this open is not the
+    # helper's (finding 3): a call graph credits build() with reaching
+    # gc.enable and misses it.
+    gc.disable()
+    with paused():
+        network.wire()
 
-    def fail_switch(self, node):
-        # Mutator never references note_fault anywhere on its call
-        # path (finding 3, with the fixture memo pairing).
-        self._links = node
+
+def paused():
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()

@@ -1,6 +1,8 @@
 """Fixture: D102-clean — randomness flows through seeded generators."""
 import numpy as np
 
+from repro.sim.randomness import derive_seed
+
 
 def jitter(values, rng):
     rng.shuffle(values)
@@ -8,4 +10,4 @@ def jitter(values, rng):
 
 
 def make_rng(seed):
-    return np.random.default_rng(seed)
+    return np.random.default_rng(derive_seed(seed, "jitter"))

@@ -41,7 +41,7 @@ class Switch:
     def __init__(self):
         self.cache = Cache()
 
-    def receive(self, packet):
+    def on_switch(self, packet):
         self.cache.insert(packet.vip, packet.pip)
         self.cache.invalidate(packet.vip)
         self.cache.migrate(packet.vip, packet.pip)

@@ -1,4 +1,4 @@
-"""W404-clean: pairs closed in finally, by callers, and via callees."""
+"""W404-clean: every function that opens the pair closes it itself."""
 import gc
 
 
@@ -11,28 +11,16 @@ def run_loop(events):
         gc.enable()
 
 
-def pause_only():
-    # Does not close the pair itself — but every caller does.
+def paused():
+    was_enabled = gc.isenabled()
     gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
-def caller(events):
-    pause_only()
-    run_loop(events)
-    gc.enable()
-
-
-class Fabric:
-    def __init__(self):
-        self._memo = {}
-
-    def fail_switch(self, node):
-        # The invalidation lives in a transitive callee: the
-        # call-path-aware W404 accepts what body-local matching cannot.
-        self._mark(node)
-
-    def _mark(self, node):
-        self.note_fault(node)
-
-    def note_fault(self, node):
-        self._memo.clear()
+def build(network):
+    with paused():
+        network.wire()

@@ -1,10 +1,11 @@
 """Fixture: suppression comments neutralise reviewed findings."""
 import random
+import time
 
 
-def shake(engine, handler, probe_a, probe_b):
+def shake(probes):
     random.seed(7)  # repro-lint: disable=D102 -- fixture: trailing form
-    # repro-lint: disable-next-line=D104 -- fixture: next-line form
-    flipped = id(probe_a) < id(probe_b)
-    engine.schedule(1.5, handler)
-    return flipped
+    # repro-lint: disable-next-line=D103 -- fixture: next-line form
+    order = list(set(probes))
+    started = time.time()
+    return order, started

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.cache import DirectMappedCache
+from repro.cache import SwitchCache
 from repro.cache.sizing import aggregate_slots, per_switch_slots
 
 
-def find_conflicting_vips(cache: DirectMappedCache, count: int = 2) -> list[int]:
+def find_conflicting_vips(cache: SwitchCache, count: int = 2) -> list[int]:
     """VIPs that map to the same cache line."""
     by_slot: dict[int, list[int]] = {}
     vip = 0
@@ -19,7 +19,7 @@ def find_conflicting_vips(cache: DirectMappedCache, count: int = 2) -> list[int]
         vip += 1
 
 
-def find_nonconflicting_vips(cache: DirectMappedCache, count: int) -> list[int]:
+def find_nonconflicting_vips(cache: SwitchCache, count: int) -> list[int]:
     """VIPs that all map to distinct cache lines."""
     used: set[int] = set()
     result = []
@@ -34,14 +34,14 @@ def find_nonconflicting_vips(cache: DirectMappedCache, count: int) -> list[int]:
 
 
 def test_miss_on_empty():
-    cache = DirectMappedCache(8)
+    cache = SwitchCache(8)
     assert cache.lookup(5) is None
     assert cache.stats.lookups == 1
     assert cache.stats.hits == 0
 
 
 def test_insert_then_hit():
-    cache = DirectMappedCache(8)
+    cache = SwitchCache(8)
     result = cache.insert(5, 99)
     assert result.admitted
     assert result.evicted is None
@@ -50,7 +50,7 @@ def test_insert_then_hit():
 
 
 def test_hit_sets_access_bit():
-    cache = DirectMappedCache(8)
+    cache = SwitchCache(8)
     cache.insert(5, 99)
     assert cache.access_bit(5) == 0  # fresh entries start cold
     cache.lookup(5)
@@ -58,7 +58,7 @@ def test_hit_sets_access_bit():
 
 
 def test_conflict_miss_clears_access_bit():
-    cache = DirectMappedCache(4)
+    cache = SwitchCache(4)
     a, b = find_conflicting_vips(cache)
     cache.insert(a, 1)
     cache.lookup(a)
@@ -69,7 +69,7 @@ def test_conflict_miss_clears_access_bit():
 
 
 def test_conflicting_insert_evicts():
-    cache = DirectMappedCache(4)
+    cache = SwitchCache(4)
     a, b = find_conflicting_vips(cache)
     cache.insert(a, 1)
     result = cache.insert(b, 2)
@@ -80,7 +80,7 @@ def test_conflicting_insert_evicts():
 
 
 def test_only_if_clear_refuses_hot_line():
-    cache = DirectMappedCache(4)
+    cache = SwitchCache(4)
     a, b = find_conflicting_vips(cache)
     cache.insert(a, 1)
     cache.lookup(a)  # access bit set
@@ -91,7 +91,7 @@ def test_only_if_clear_refuses_hot_line():
 
 
 def test_only_if_clear_admits_cold_line():
-    cache = DirectMappedCache(4)
+    cache = SwitchCache(4)
     a, b = find_conflicting_vips(cache)
     cache.insert(a, 1)  # never accessed -> cold
     result = cache.insert(b, 2, only_if_clear=True)
@@ -100,7 +100,7 @@ def test_only_if_clear_admits_cold_line():
 
 
 def test_update_existing_key_in_place():
-    cache = DirectMappedCache(4)
+    cache = SwitchCache(4)
     cache.insert(7, 1)
     result = cache.insert(7, 2)
     assert result.admitted
@@ -109,7 +109,7 @@ def test_update_existing_key_in_place():
 
 
 def test_invalidate():
-    cache = DirectMappedCache(4)
+    cache = SwitchCache(4)
     cache.insert(7, 1)
     assert cache.invalidate(7)
     assert cache.peek(7) is None
@@ -117,7 +117,7 @@ def test_invalidate():
 
 
 def test_invalidate_conditional_on_stale_value():
-    cache = DirectMappedCache(4)
+    cache = SwitchCache(4)
     cache.insert(7, 1)
     # Fresher value cached: conditional invalidation keeps it (§3.3).
     assert not cache.invalidate(7, stale_pip=99)
@@ -127,7 +127,7 @@ def test_invalidate_conditional_on_stale_value():
 
 
 def test_zero_slot_cache_degenerates():
-    cache = DirectMappedCache(0)
+    cache = SwitchCache(0)
     assert cache.lookup(1) is None
     assert not cache.insert(1, 2).admitted
     assert not cache.invalidate(1)
@@ -137,11 +137,11 @@ def test_zero_slot_cache_degenerates():
 
 def test_negative_size_raises():
     with pytest.raises(ValueError):
-        DirectMappedCache(-1)
+        SwitchCache(-1)
 
 
 def test_occupancy_and_entries():
-    cache = DirectMappedCache(16)
+    cache = SwitchCache(16)
     vips = find_nonconflicting_vips(cache, 3)
     for i, vip in enumerate(vips):
         cache.insert(vip, i)
@@ -152,7 +152,7 @@ def test_occupancy_and_entries():
 
 
 def test_clear_preserves_stats():
-    cache = DirectMappedCache(8)
+    cache = SwitchCache(8)
     cache.insert(1, 2)
     cache.lookup(1)
     cache.clear()
@@ -161,8 +161,8 @@ def test_clear_preserves_stats():
 
 
 def test_different_salts_give_different_slots():
-    a = DirectMappedCache(64, salt=1)
-    b = DirectMappedCache(64, salt=999)
+    a = SwitchCache(64, salt=1)
+    b = SwitchCache(64, salt=999)
     slots_a = [a._set_of(v) for v in range(32)]
     slots_b = [b._set_of(v) for v in range(32)]
     assert slots_a != slots_b

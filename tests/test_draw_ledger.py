@@ -26,7 +26,6 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from repro.core import SwitchV2P
 from repro.core.config import SwitchV2PConfig
-from repro.core.multitenant import MultiTenantSwitchV2P, TenantRegistry
 from repro.core.protocol import _LEARN_BLOCK
 from repro.experiments.runner import build_network, run_flows
 from repro.net.topology import FatTreeSpec
@@ -226,9 +225,7 @@ def _learning_trace(scheme, seed):
 
 @pytest.mark.parametrize("make", [
     lambda: SwitchV2P(16384, config=SwitchV2PConfig(p_learn=0.2)),
-    lambda: MultiTenantSwitchV2P(
-        16384, _registry(), config=SwitchV2PConfig(p_learn=0.2)),
-], ids=["SwitchV2P", "MultiTenantSwitchV2P"])
+], ids=["SwitchV2P"])
 def test_reused_scheme_never_serves_previous_networks_draws(make):
     """Binding a scheme to a second network drops the values buffered
     (and looked ahead) from the first network's stream."""
@@ -243,12 +240,6 @@ def test_reused_scheme_never_serves_previous_networks_draws(make):
     assert first == fresh[0]
     assert second[0] - draws_before == fresh[1][0]
     assert second[2] == fresh[1][2]
-
-
-def _registry() -> TenantRegistry:
-    registry = TenantRegistry()
-    registry.add_tenant(0, 64)
-    return registry
 
 
 # ----------------------------------------------------------------------

@@ -109,8 +109,8 @@ def test_step_b_eviction_spills_vm2(world):
     # Re-create the figure's single-entry gateway-ToR cache so VM4
     # must displace VM2 there.
     l4 = tor(network, 1, 1)
-    from repro.cache import DirectMappedCache
-    scheme.caches[l4.switch_id] = DirectMappedCache(1, salt=7)
+    from repro.cache import SwitchCache
+    scheme.caches[l4.switch_id] = SwitchCache(1, salt=7)
 
     send_packet(network, VM1, VM2, flow_id=100)
     assert cache_of(scheme, l4).peek(VM2) is not None

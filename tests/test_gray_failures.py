@@ -11,8 +11,7 @@ the bounded-staleness runtime oracle end to end.
 import pytest
 
 from repro.baselines import NoCache
-from repro.cache import DirectMappedCache
-from repro.cache import SetAssociativeCache
+from repro.cache import SwitchCache
 from repro.core import AntiEntropyAuditor, SwitchV2P, SwitchV2PConfig
 from repro.faults import FaultSchedule, OracleSuite
 from repro.sim.engine import msec, usec
@@ -167,8 +166,8 @@ def test_detector_gray_kwargs_validated():
 # corrupt_entry: the fault-injection contract of both cache classes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("make_cache", [
-    lambda: DirectMappedCache(64),
-    lambda: SetAssociativeCache(64, ways=4),
+    lambda: SwitchCache(64),
+    lambda: SwitchCache(64, ways=4),
 ], ids=["direct-mapped", "set-associative"])
 def test_corrupt_entry_contract(make_cache):
     cache = make_cache()
@@ -183,8 +182,8 @@ def test_corrupt_entry_contract(make_cache):
 
 
 @pytest.mark.parametrize("make_cache", [
-    lambda: DirectMappedCache(64),
-    lambda: SetAssociativeCache(64, ways=4),
+    lambda: SwitchCache(64),
+    lambda: SwitchCache(64, ways=4),
 ], ids=["direct-mapped", "set-associative"])
 def test_corrupt_entry_fires_mutation_observer(make_cache):
     cache = make_cache()

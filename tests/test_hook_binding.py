@@ -8,7 +8,7 @@ follow — and only there: a fault on one switch rebinds one hook.
 import pytest
 
 from repro.baselines import Direct, GwCache, LocalLearning, NoCache, OnDemand
-from repro.cache import DirectMappedCache
+from repro.cache import SwitchCache
 from repro.core import Role, SwitchV2P, SwitchV2PConfig
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import FatTreeSpec
@@ -85,7 +85,7 @@ def test_replacing_one_cache_entry_rebinds_its_switch():
                    LocalLearning(total_cache_slots=200)):
         network = small_network(scheme, num_vms=8)
         switch = network.fabric.spines[(0, 0)]
-        replacement = DirectMappedCache(4, salt=7)
+        replacement = SwitchCache(4, salt=7)
         scheme.caches[switch.switch_id] = replacement
         switch.hook(data(network, 0, 5), None)
         assert replacement.peek(5) == network.host_of(5).pip

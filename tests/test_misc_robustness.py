@@ -1,7 +1,7 @@
 """Assorted robustness tests across modules."""
 
 from repro.baselines import Controller, NoCache
-from repro.core import MultiTenantSwitchV2P, SwitchV2P, TenantRegistry
+from repro.core import SwitchV2P
 from repro.net.addresses import pip_rack
 from repro.sim.engine import Engine, msec, usec
 from repro.transport.flow import FlowSpec
@@ -46,27 +46,6 @@ def test_engine_until_and_max_events_combined():
     assert fired == [0, 1, 2]
     engine.run(until=45)
     assert fired == [0, 1, 2, 3, 4]
-
-
-def test_multitenant_migration_invalidates_within_partition():
-    registry = TenantRegistry()
-    registry.add_tenant(1, 8)
-    scheme = MultiTenantSwitchV2P(total_cache_slots=400, registry=registry)
-    network = small_network(scheme, num_vms=8)
-    player = TrafficPlayer(network)
-    [record] = player.add_flows([FlowSpec(
-        src_vip=0, dst_vip=5, size_bytes=300_000, start_ns=0,
-        transport="udp", udp_rate_bps=20e9)])
-    old_host = network.host_of(5)
-    target = next(h for h in network.hosts
-                  if pip_rack(h.pip) != pip_rack(old_host.pip)
-                  and 5 not in h.vms)
-    network.engine.schedule(usec(60), network.migrate, 5, target)
-    network.run(until=msec(20))
-    assert record.completed
-    # No partition anywhere still maps 5 to the old host.
-    for cache in scheme.caches.values():
-        assert cache.peek(5) != old_host.pip
 
 
 def test_switchv2p_with_single_slot_total():

@@ -5,7 +5,7 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import DirectMappedCache
+from repro.cache import SwitchCache
 from repro.net.addresses import (
     MAX_HOSTS_PER_RACK,
     MAX_PODS,
@@ -73,7 +73,7 @@ cache_ops = st.lists(
 @given(slots=st.integers(0, 16), ops=cache_ops)
 @settings(max_examples=100)
 def test_cache_never_exceeds_capacity_and_stays_consistent(slots, ops):
-    cache = DirectMappedCache(slots, salt=3)
+    cache = SwitchCache(slots, salt=3)
     shadow: dict[int, int] = {}  # vip -> pip for entries we believe cached
     for op in ops:
         if op[0] == "insert":
@@ -101,7 +101,7 @@ def test_cache_never_exceeds_capacity_and_stays_consistent(slots, ops):
 @given(slots=st.integers(1, 64), vips=st.lists(st.integers(0, 10_000),
                                                min_size=1, max_size=100))
 def test_cache_lookup_after_insert_hits_unless_evicted(slots, vips):
-    cache = DirectMappedCache(slots)
+    cache = SwitchCache(slots)
     for vip in vips:
         cache.insert(vip, vip * 7)
         assert cache.lookup(vip) == vip * 7

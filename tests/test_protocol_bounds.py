@@ -3,7 +3,7 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import SetAssociativeCache
+from repro.cache import SwitchCache
 from repro.core import SwitchV2P, SwitchV2PConfig
 from repro.sim.engine import msec, usec
 from repro.transport.flow import FlowSpec
@@ -82,7 +82,7 @@ cache_ops = st.lists(
 @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 @given(slots=st.integers(0, 16), ways=st.integers(1, 4), ops=cache_ops)
 def test_set_associative_consistency(slots, ways, ops):
-    cache = SetAssociativeCache(slots, ways=ways, salt=3)
+    cache = SwitchCache(slots, ways=ways, salt=3)
     shadow: dict[int, int] = {}
     for op in ops:
         if op[0] == "insert":

@@ -1,11 +1,15 @@
 """Tests for the experiment runner's summary fields and scheme factory."""
 
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.runner import (
     SCHEME_FACTORIES,
+    RunResult,
     build_network,
     make_scheme,
     run_flows,
@@ -21,6 +25,26 @@ def flows(count=30):
     return [FlowSpec(src_vip=i % 8, dst_vip=(i + 3) % 8,
                      size_bytes=2_000 + 500 * (i % 5), start_ns=i * 20_000)
             for i in range(count)]
+
+
+def test_run_result_fields_are_the_set_the_benchmark_pins():
+    """``bench/expected.json`` fingerprints every ``RunResult`` field
+    but the two live objects, per workload and size.  A field added or
+    renamed here passes every other tier-1 test and then fails
+    ``python -m bench`` with "differs from expected.json"."""
+    pinned = json.loads((Path(__file__).resolve().parent.parent
+                         / "bench" / "expected.json").read_text())
+    ours = {field.name for field in dataclasses.fields(RunResult)} \
+        - {"collector", "network"}
+    for size, workloads in pinned.items():
+        for workload, fingerprint in workloads.items():
+            assert set(fingerprint) == ours, (
+                f"RunResult's fields differ from the ones bench/expected.json "
+                f"pins for {workload} ({size}): "
+                f"{sorted(set(fingerprint) ^ ours)}.  The field set is frozen: "
+                "only a `benchmark` PR may edit bench/ and re-pin it "
+                "(python -m bench --update-expected), so put a new result "
+                "on the collector or the network instead.")
 
 
 def test_percentiles_ordered():
@@ -110,11 +134,10 @@ def test_phase_timer_counts_full_collections_per_phase():
             pass
         assert timer.full_collections == {"build": 3, "setup": 0}
         assert set(timer.phases_ns) == {"build", "setup"}
-    profile = RunProfile("t", "s", 1, 0, 0, phases_ns=dict(timer.phases_ns),
+    profile = RunProfile("t", "s", phases_ns=dict(timer.phases_ns),
                          full_collections=dict(timer.full_collections))
     assert any(line.startswith("phase build") and line.endswith("full gc 3")
                for line in profile.render().splitlines())
-    assert profile.as_dict()["full_collections"] == {"build": 3, "setup": 0}
 
 
 def test_phase_entered_with_the_collector_off_is_not_counted():

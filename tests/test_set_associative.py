@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.cache import SetAssociativeCache
+from repro.cache import SwitchCache
 
 
-def fill_one_set(cache: SetAssociativeCache, count: int) -> list[int]:
+def fill_one_set(cache: SwitchCache, count: int) -> list[int]:
     """Insert ``count`` VIPs that all land in the same set."""
     target = cache._set_of(0)
     vips, vip = [], 0
@@ -18,21 +18,21 @@ def fill_one_set(cache: SetAssociativeCache, count: int) -> list[int]:
 
 
 def test_basic_insert_lookup():
-    cache = SetAssociativeCache(8, ways=2)
+    cache = SwitchCache(8, ways=2)
     assert cache.insert(1, 11).admitted
     assert cache.lookup(1) == 11
     assert cache.lookup(2) is None
 
 
 def test_rounds_down_to_whole_sets():
-    cache = SetAssociativeCache(7, ways=2)
+    cache = SwitchCache(7, ways=2)
     assert cache.num_sets == 3
     assert cache.num_slots == 6
 
 
 def test_ways_reduce_conflict_evictions():
-    direct = SetAssociativeCache(8, ways=1, salt=5)
-    assoc = SetAssociativeCache(8, ways=4, salt=5)
+    direct = SwitchCache(8, ways=1, salt=5)
+    assoc = SwitchCache(8, ways=4, salt=5)
     for vip in range(32):
         direct.insert(vip, vip)
         assoc.insert(vip, vip)
@@ -40,7 +40,7 @@ def test_ways_reduce_conflict_evictions():
 
 
 def test_lru_eviction_order():
-    cache = SetAssociativeCache(2, ways=2)
+    cache = SwitchCache(2, ways=2)
     a, b = fill_one_set(cache, 2)
     cache.lookup(a)  # refresh a; b becomes LRU
     target = cache._set_of(0)
@@ -54,7 +54,7 @@ def test_lru_eviction_order():
 
 
 def test_only_if_clear_refuses_fully_hot_set():
-    cache = SetAssociativeCache(2, ways=2)
+    cache = SwitchCache(2, ways=2)
     a, b = fill_one_set(cache, 2)
     cache.lookup(a)
     cache.lookup(b)
@@ -67,7 +67,7 @@ def test_only_if_clear_refuses_fully_hot_set():
 
 
 def test_only_if_clear_evicts_cold_entry():
-    cache = SetAssociativeCache(2, ways=2)
+    cache = SwitchCache(2, ways=2)
     a, b = fill_one_set(cache, 2)
     cache.lookup(b)  # a stays cold
     target = cache._set_of(0)
@@ -80,7 +80,7 @@ def test_only_if_clear_evicts_cold_entry():
 
 
 def test_miss_in_full_set_ages_lru():
-    cache = SetAssociativeCache(2, ways=2)
+    cache = SwitchCache(2, ways=2)
     a, b = fill_one_set(cache, 2)
     cache.lookup(a)
     cache.lookup(b)
@@ -95,14 +95,14 @@ def test_miss_in_full_set_ages_lru():
 
 
 def test_conditional_invalidate():
-    cache = SetAssociativeCache(4, ways=2)
+    cache = SwitchCache(4, ways=2)
     cache.insert(1, 10)
     assert not cache.invalidate(1, stale_pip=99)
     assert cache.invalidate(1, stale_pip=10)
 
 
 def test_interface_parity_helpers():
-    cache = SetAssociativeCache(8, ways=2)
+    cache = SwitchCache(8, ways=2)
     cache.insert(1, 10)
     cache.insert(2, 20)
     assert cache.occupancy() == 2
@@ -113,13 +113,13 @@ def test_interface_parity_helpers():
 
 
 def test_zero_and_invalid_sizes():
-    empty = SetAssociativeCache(0, ways=2)
+    empty = SwitchCache(0, ways=2)
     assert empty.lookup(1) is None
     assert not empty.insert(1, 2).admitted
     with pytest.raises(ValueError):
-        SetAssociativeCache(-1)
+        SwitchCache(-1)
     with pytest.raises(ValueError):
-        SetAssociativeCache(8, ways=0)
+        SwitchCache(8, ways=0)
 
 
 def test_switchv2p_accepts_associativity():
@@ -128,6 +128,6 @@ def test_switchv2p_accepts_associativity():
     scheme = SwitchV2P(total_cache_slots=200, cache_ways=2)
     network = small_network(scheme, num_vms=8)
     cache = next(iter(scheme.caches.values()))
-    assert isinstance(cache, SetAssociativeCache)
+    assert isinstance(cache, SwitchCache) and cache.ways == 2
     with pytest.raises(ValueError):
         SwitchV2P(10, cache_ways=0)
