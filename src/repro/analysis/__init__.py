@@ -15,9 +15,14 @@ tree on every push (``python -m repro lint``):
 * **R303 / W404** (pairing): memo tables (ECMP next hops, gateway
   choices) must be invalidated by every mutator that can stale them;
   ``gc.disable`` is re-enabled by the function that called it.
-* **W402 / W403** (whole program): every data-plane state mutation
-  reaches an escalation hook; every experiment knob reaches the
-  run-cache key.
+* **W402** (whoever owns the state notifies): a function that writes
+  cache, mapping or gateway-pool state fires the escalation hook or
+  mutation observer in its own body.
+
+Every rule sees one file at a time.  That every experiment knob
+reaches the run-cache key is not a lint: ``runcache.job_key`` and
+``runcache._encode`` refuse, at the first keying, a knob that would
+not.
 
 See ``docs/linting.md`` for the rule catalogue and the suppression
 syntax (``# repro-lint: disable=RULE``).

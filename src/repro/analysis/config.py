@@ -2,12 +2,12 @@
 
 The engine has one user, this repository, and that section is the one
 place its scope (paths, the simulation package, the module allowed to
-read the wall clock) and its contracts (memo pairings, run-cache key
-coverage, paired calls) are declared; what no repository ever varied —
-state attributes, notification names, RNG constructors — is a constant
-next to the rule that uses it.  Unknown keys are rejected, so a typo
-cannot silently disable a rule, and a missing section is an error
-rather than an empty rule set.
+read the wall clock) and its contracts (memo pairings, paired calls)
+are declared; what no repository ever varied — state attributes,
+notification names, RNG constructors — is a constant next to the rule
+that uses it.  Unknown keys are rejected, so a typo cannot silently
+disable a rule, and a missing section is an error rather than an empty
+rule set.
 """
 
 from __future__ import annotations
@@ -36,26 +36,6 @@ class MemoPairing:
 
 
 @dataclass(frozen=True)
-class RuncacheCoverage:
-    """One runcache key-coverage contract (rule W403).
-
-    Attributes:
-        dataclass_name: qualified name of a dataclass whose fields feed
-            experiment runs (``module.Class``).
-        key_function: qualified name of the function deriving the
-            run-cache key from that dataclass; every field name must be
-            read somewhere in its body.
-        exempt: field names audited as deliberately unkeyed (each must
-            be justified in docs/linting.md); an exemption naming a
-            field that *is* consumed is itself reported as stale.
-    """
-
-    dataclass_name: str
-    key_function: str
-    exempt: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class CallPair:
     """One must-pair call discipline (W404): a function that calls
     ``open`` must call ``close`` too.  Both are resolved dotted call
@@ -81,9 +61,6 @@ class LintConfig:
     #: Modules allowed to read the wall clock (fnmatch patterns).
     wall_clock_allow: tuple[str, ...] = ()
     memo_pairings: tuple[MemoPairing, ...] = ()
-    #: W403 key-coverage contracts and wholesale-encoded dataclasses.
-    runcache_coverage: tuple[RuncacheCoverage, ...] = ()
-    encoded_dataclasses: tuple[str, ...] = ()
     #: W404 open/close call pairs.
     flow_call_pairs: tuple[CallPair, ...] = ()
 
@@ -124,7 +101,6 @@ _LIST_KEYS = {
     "paths": "paths",
     "sim-packages": "sim_packages",
     "wall-clock-allow": "wall_clock_allow",
-    "encoded-dataclasses": "encoded_dataclasses",
 }
 
 
@@ -163,16 +139,6 @@ def load_config(pyproject: Path | None = None) -> LintConfig:
                 )
                 for entry in _entries(
                     value, key, {"module", "class", "mutators", "require"},
-                    pyproject))
-        elif key == "runcache-coverage":
-            fields["runcache_coverage"] = tuple(
-                RuncacheCoverage(
-                    dataclass_name=str(entry["dataclass"]),
-                    key_function=str(entry["key-function"]),
-                    exempt=_tuple(entry.get("exempt", ())),
-                )
-                for entry in _entries(
-                    value, key, {"dataclass", "key-function", "exempt"},
                     pyproject))
         elif key == "flow-call-pairs":
             fields["flow_call_pairs"] = tuple(

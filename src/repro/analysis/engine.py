@@ -1,26 +1,20 @@
 """The lint engine: collect files, run rules, apply suppressions.
 
-Two rule kinds share one run: per-module rules (each sees a single
-:class:`~repro.analysis.context.ModuleContext`) and project rules (W402
-and W403 — they see a :class:`~repro.analysis.flow.project.ProjectContext`
-spanning every collected module, plus the call graph and dataflow
-summaries).  A full run over the tree takes about two seconds, half of
-it the project pass.
+A loop over files and rules: every rule sees one
+:class:`~repro.analysis.context.ModuleContext` at a time, and nothing
+is carried from one file to the next.  A full run over the tree takes
+about a second.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.analysis.config import LintConfig
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding
-from repro.analysis.flow.callgraph import CallGraph
-from repro.analysis.flow.dataflow import summarize_project
-from repro.analysis.flow.project import ProjectContext
-from repro.analysis.registry import ProjectRule, Rule, selected_rules
+from repro.analysis.registry import Rule, selected_rules
 
 #: Directories never descended into when collecting files.
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "build", "dist"})
@@ -45,9 +39,6 @@ class LintResult:
     def ok(self) -> bool:
         return not self.unsuppressed
 
-    def extend(self, findings: list[Finding]) -> None:
-        self.findings.extend(findings)
-
 
 def collect_files(paths: tuple[str, ...] | list[str],
                   root: Path | None = None) -> list[Path]:
@@ -70,39 +61,6 @@ def collect_files(paths: tuple[str, ...] | list[str],
     return files
 
 
-def _split_rules(rules: list[Rule]) -> tuple[list[Rule], list[ProjectRule]]:
-    module_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    return module_rules, project_rules
-
-
-def _mark_suppressed(finding: Finding,
-                     module: ModuleContext | None) -> Finding:
-    if module is not None and module.suppressions.is_suppressed(
-            finding.rule_id, finding.line):
-        return replace(finding, suppressed=True)
-    return finding
-
-
-def _module_findings(module: ModuleContext,
-                     rules: Iterable[Rule]) -> list[Finding]:
-    return [_mark_suppressed(finding, module)
-            for rule in rules for finding in rule.check(module)]
-
-
-def run_project_rules(modules: list[ModuleContext],
-                      rules: Iterable[ProjectRule],
-                      config: LintConfig) -> list[Finding]:
-    """One whole-program pass: symbol table, call graph, summaries."""
-    project = ProjectContext.build(modules, config)
-    graph = CallGraph(project)
-    summaries = summarize_project(project, graph)
-    return [_mark_suppressed(finding,
-                             project.by_path.get(finding.path))
-            for rule in rules
-            for finding in rule.check_project(project, graph, summaries)]
-
-
 def lint_source(source: str, path: Path, config: LintConfig,
                 module_name: str | None = None,
                 rules: list[Rule] | None = None) -> list[Finding]:
@@ -110,9 +68,7 @@ def lint_source(source: str, path: Path, config: LintConfig,
 
     ``module_name`` overrides the path-derived dotted name — tests use
     this to exercise package-scoped rules (D101, D103, R303) against
-    fixture files living outside the simulated package.  Project rules
-    run over a single-module project, which is how the W-rule fixtures
-    stay self-contained.
+    fixture files living outside the simulated package.
     """
     if rules is None:
         rules = selected_rules(config.select)
@@ -123,12 +79,13 @@ def lint_source(source: str, path: Path, config: LintConfig,
         return [Finding(rule_id="E999", path=str(path),
                         line=exc.lineno or 1, col=(exc.offset or 1) - 1,
                         message=f"syntax error: {exc.msg}")]
-    module_rules, project_rules = _split_rules(rules)
-    findings = _module_findings(module, module_rules)
-    if project_rules:
-        findings.extend(run_project_rules([module], project_rules, config))
-    findings.sort(key=Finding.sort_key)
-    return findings
+    suppressions = module.suppressions
+    return sorted(
+        (replace(finding, suppressed=True)
+         if suppressions.is_suppressed(finding.rule_id, finding.line)
+         else finding
+         for rule in rules for finding in rule.check(module)),
+        key=Finding.sort_key)
 
 
 def lint_paths(paths: tuple[str, ...] | list[str] | None,
@@ -139,26 +96,14 @@ def lint_paths(paths: tuple[str, ...] | list[str] | None,
         paths = config.paths
     if not paths:
         raise ValueError("no paths given and [tool.repro-lint] sets none")
-    module_rules, project_rules = _split_rules(selected_rules(config.select))
+    rules = selected_rules(config.select)
     result = LintResult()
     base = root or Path.cwd()
-    modules: list[ModuleContext] = []
     for path in collect_files(paths, root=root):
-        source = path.read_text(encoding="utf-8")
         display = path.relative_to(base) if path.is_relative_to(base) else path
-        try:
-            module = ModuleContext.from_source(source, Path(display), config)
-        except SyntaxError as exc:
-            result.extend([Finding(
-                rule_id="E999", path=str(display), line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                message=f"syntax error: {exc.msg}")])
-            result.files_checked += 1
-            continue
-        modules.append(module)
-        result.extend(_module_findings(module, module_rules))
+        result.findings.extend(lint_source(
+            path.read_text(encoding="utf-8"), Path(display), config,
+            rules=rules))
         result.files_checked += 1
-    if project_rules:
-        result.extend(run_project_rules(modules, project_rules, config))
     result.findings.sort(key=Finding.sort_key)
     return result

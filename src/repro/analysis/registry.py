@@ -17,9 +17,6 @@ from repro.analysis.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.context import ModuleContext
-    from repro.analysis.flow.callgraph import CallGraph
-    from repro.analysis.flow.dataflow import FunctionSummary
-    from repro.analysis.flow.project import ProjectContext
 
 
 class Rule:
@@ -39,27 +36,6 @@ class Rule:
                 message: str) -> Finding:
         return Finding(rule_id=self.rule_id, path=str(module.path),
                        line=line, col=col, message=message)
-
-
-class ProjectRule(Rule):
-    """Base class for whole-program rules (W402, W403).
-
-    Project rules run once per lint invocation over a
-    :class:`~repro.analysis.flow.project.ProjectContext` spanning every
-    collected module, with the call graph and per-function dataflow
-    summaries already built.  ``check`` (the per-module hook) is a
-    no-op; the engine routes project rules through ``check_project``
-    and applies suppressions by mapping each finding's path back to its
-    module.
-    """
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: ProjectContext, graph: CallGraph,
-                      summaries: dict[str, FunctionSummary],
-                      ) -> Iterator[Finding]:
-        raise NotImplementedError
 
 
 _REGISTRY: dict[str, Rule] = {}

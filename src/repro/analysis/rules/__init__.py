@@ -1,15 +1,14 @@
 """Built-in rule battery; importing this package registers every rule.
 
 * ``D101``-``D103`` — determinism
-  (:mod:`repro.analysis.rules.determinism`); ``D110`` (fluid-path
-  mutation discipline) lives in :mod:`repro.analysis.rules.fluid`;
+  (:mod:`repro.analysis.rules.determinism`);
+* ``D110``, ``W402`` — the fluid engine's contracts
+  (:mod:`repro.analysis.rules.fluid`): fluid-path mutation discipline,
+  and whoever writes cache/mapping/gateway-pool state notifies;
 * ``R303``, ``W404`` — memo invalidation and paired calls
-  (:mod:`repro.analysis.rules.resources`);
-* ``W402``, ``W403`` — whole-program rules
-  (:mod:`repro.analysis.rules.flow_rules`): escalation completeness and
-  run-cache key coverage.
+  (:mod:`repro.analysis.rules.resources`).
 """
 
-from repro.analysis.rules import determinism, flow_rules, fluid, resources
+from repro.analysis.rules import determinism, fluid, resources
 
-__all__ = ["determinism", "fluid", "flow_rules", "resources"]
+__all__ = ["determinism", "fluid", "resources"]

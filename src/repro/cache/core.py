@@ -33,7 +33,8 @@ an invalidation, a conflict access-bit clear, ``clear`` and
 (hybrid fidelity keys escalation on it); idempotent refreshes (hit,
 value overwrite, rejection) stay silent.  The test sits on the
 mutation branches only, so it is in these bodies rather than in a
-second, observed copy of them: W402 audits this one site.
+second, observed copy of them; lint rule W402 holds each body that
+writes ``_keys`` / ``_values`` / ``_abits`` to firing it itself.
 """
 
 from __future__ import annotations
@@ -320,6 +321,15 @@ class SwitchCache:
         to this cache may hold the arrays and settle that outcome
         itself, calling :meth:`insert` for every other.  None when
         there is no such line (``ways > 1`` keeps recency; no slots).
+
+        This is the only way the arrays leave their owner, and the one
+        place no lint follows them: W402 loses the alias at the
+        caller's tuple unpack, so that a holder writes nothing but the
+        value of a line its key already owns is checked by behaviour —
+        ``tests/test_scheme_equivalences.py`` and
+        ``tests/test_cache_differential.py`` against the code without
+        the shortcut, and the packet == hybrid equalities of
+        ``tests/test_hybrid_fidelity.py``.
         """
         return None
 

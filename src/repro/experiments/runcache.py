@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 from functools import lru_cache
@@ -106,6 +107,33 @@ def kwargs_dict(items) -> dict:
     return {key: thaw_value(value) for key, value in items}
 
 
+@lru_cache(maxsize=None)
+def _keyed_fields(cls: type) -> tuple[str, ...]:
+    """Sorted field names of a dataclass type :func:`_encode` hashes.
+
+    Iterating the fields keys every knob only while the class is frozen
+    (a value cannot change after it was keyed) and every class attribute
+    is annotated (an unannotated one is not a field and would drop out
+    of the hash silently).  Checked here, once per type, for every type
+    that reaches a key.
+    """
+    if not cls.__dataclass_params__.frozen:
+        raise TypeError(
+            f"{cls.__qualname__} is hashed into run-cache keys and must "
+            "be a frozen dataclass (@dataclass(frozen=True))")
+    for klass in cls.__mro__[:-1]:
+        annotated = inspect.get_annotations(klass)
+        for name, attr in vars(klass).items():
+            if not (name.startswith("__") or name in annotated
+                    or hasattr(attr, "__get__")):
+                raise TypeError(
+                    f"{klass.__qualname__}.{name} has no annotation, so "
+                    "it is not a dataclass field and would never reach "
+                    "the run-cache key; annotate it (ClassVar if it is "
+                    "not a knob)")
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
+
+
 def _encode(value):
     """Canonical JSON-able encoding of run inputs for hashing.
 
@@ -119,9 +147,9 @@ def _encode(value):
     if isinstance(value, float):
         return ["f", repr(value)]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = sorted(f.name for f in dataclasses.fields(value))
         return ["dc", type(value).__qualname__,
-                [[name, _encode(getattr(value, name))] for name in fields]]
+                [[name, _encode(getattr(value, name))]
+                 for name in _keyed_fields(type(value))]]
     if isinstance(value, (list, tuple)):
         return ["seq", [_encode(v) for v in value]]
     if isinstance(value, dict):
@@ -202,12 +230,14 @@ def run_key(spec, scheme_name: str, num_vms: int, cache_ratio: float,
 
 
 def job_key(job) -> str:
-    """The run key of an :class:`~repro.experiments.parallel.ExperimentJob`."""
-    return run_key(job.spec, job.scheme_name, job.num_vms, job.cache_ratio,
-                   job.seed, transport=job.transport,
-                   horizon_ns=job.horizon_ns, trace_name=job.trace_name,
-                   scheme_kwargs=job.scheme_kwargs, flows=job.flows,
-                   trace=job.trace, fidelity=job.fidelity)
+    """The run key of an :class:`~repro.experiments.parallel.ExperimentJob`.
+
+    Every field is forwarded under its own name, so one :func:`run_key`
+    has no parameter for is a ``TypeError`` at the first keying, not a
+    knob two different runs share an entry on.
+    """
+    return run_key(**{field.name: getattr(job, field.name)
+                      for field in dataclasses.fields(job)})
 
 
 # ----------------------------------------------------------------------

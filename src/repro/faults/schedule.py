@@ -407,34 +407,16 @@ class FaultSchedule:
             for link in self._find_links(network, event.target):
                 network.fabric.set_link_state(link, kind is FaultKind.LINK_UP)
                 label = f"{kind.value} {link.src.name}<->{link.dst.name}"
-        elif kind is FaultKind.LINK_LOSS:
-            rng = network.streams.stream("fault-link-loss")
-            label = ""
-            for link in self._find_links(network, event.target):
-                link.set_loss(event.loss_rate, rng)
-                label = (f"{kind.value} {event.loss_rate:.0%} "
-                         f"{link.src.name}<->{link.dst.name}")
-            # Loss configuration is not a fault-count transition, but
-            # the hybrid engine must still observe it: a memoized-clean
-            # path over this link is no longer replayable.
-            on_fault = network.fabric.on_fault
-            if label and on_fault is not None:
-                on_fault()
-        elif kind is FaultKind.LINK_DEGRADE:
-            rng = network.streams.stream("fault-link-loss")
-            label = ""
-            for link in self._find_links(network, event.target):
-                link.set_loss(event.loss_rate, rng)
-                link.set_extra_latency(event.extra_ns)
-                label = (f"{kind.value} {event.loss_rate:.0%} "
-                         f"+{event.extra_ns}ns "
-                         f"{link.src.name}<->{link.dst.name}")
-            # Same hybrid-visibility rule as LINK_LOSS: degradation is
-            # not a fault-count transition but invalidates clean memos
-            # (latency changes are read live by the walk; loss diverts).
-            on_fault = network.fabric.on_fault
-            if label and on_fault is not None:
-                on_fault()
+        elif kind in (FaultKind.LINK_LOSS, FaultKind.LINK_DEGRADE):
+            links = self._find_links(network, event.target)
+            degrade = kind is FaultKind.LINK_DEGRADE
+            network.fabric.impair_links(
+                links, event.loss_rate,
+                network.streams.stream("fault-link-loss"),
+                event.extra_ns if degrade else None)
+            label = (f"{kind.value} {event.loss_rate:.0%} "
+                     + (f"+{event.extra_ns}ns " if degrade else "")
+                     + f"{links[-1].src.name}<->{links[-1].dst.name}")
         elif kind is FaultKind.LINK_FLAP:
             links = self._find_links(network, event.target)
             engine = network.engine

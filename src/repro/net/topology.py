@@ -129,6 +129,24 @@ class Fabric:
         link.up = up
         self.note_fault(-1 if up else 1)
 
+    def impair_links(self, links: list[Link], loss_rate: float, rng,
+                     extra_ns: int | None = None) -> None:
+        """Gray-degrade a cable: random loss on its links and, when
+        ``extra_ns`` is given, inflated propagation delay (0 heals).
+
+        The links stay up, so this is not a fault-count transition, but
+        the hybrid engine must still observe it: a memoized-clean path
+        over them is no longer replayable (loss diverts; latency is
+        read live by the walk).  One ``on_fault`` ping per call.
+        """
+        for link in links:
+            link.set_loss(loss_rate, rng)
+            if extra_ns is not None:
+                link.set_extra_latency(extra_ns)
+        cb = self.on_fault
+        if cb is not None:
+            cb()
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------

@@ -43,9 +43,13 @@ Exactness contract (see docs/simulator.md "Hybrid fidelity"):
   re-walking a probe (at least every ``probe_every``-th round still
   probes).  This is exact because every event that could dirty a
   clean path — cache mutation, fabric fault, link-loss configuration,
-  VM migration/retirement, gateway change — flows through the
-  escalation entry points (the W402 lint premise), and each of those
-  wipes the memo wholesale;
+  VM migration/retirement, gateway change — is announced by the
+  object that owns the changed state, from the function that changes
+  it (lint rule W402 holds every writer of cache, mapping and
+  gateway-pool state to that; ``Fabric.note_fault`` / ``impair_links``
+  and ``Switch.set_slowdown`` ping ``on_fault`` themselves), arrives
+  at the escalation entry points, and each of those wipes the memo
+  wholesale;
 * any cache mutation anywhere on an adopted flow's path — from its own
   probe or from *other* traffic — escalates the flow back to packet
   level before the mutation's effects could be misattributed
@@ -53,8 +57,8 @@ Exactness contract (see docs/simulator.md "Hybrid fidelity"):
   ``on_mutate`` cache observer installed via
   ``CachingScheme.set_cache_observer``);
 * VM migration/retirement, gateway failover/commission, and fabric
-  fault transitions escalate via hooks in ``vnet.network`` and
-  ``Fabric.note_fault``.
+  fault transitions and gray impairments escalate via hooks in
+  ``vnet.network``, ``Fabric.note_fault`` and ``Fabric.impair_links``.
 
 Cross-flow link contention is modeled fluidly: when two or more
 adopted flows share a link, a max-min fair-share allocation
@@ -614,12 +618,15 @@ class FluidScheduler:
     # including paths of flows not currently registered — and probe
     # skipping is only exact while no such event occurred since the
     # last real probe.
+    # ``sorted(flow_ids)``: a copy, because escalating unregisters the
+    # flow from that very set, in an order that is a function of the
+    # ids rather than of the set's insertion history.
     def escalate_switch(self, switch_id: int, reason: str) -> None:
         self._clean_sigs = set()
         flow_ids = self._by_switch.get(switch_id)
         if not flow_ids:
             return
-        for flow_id in list(flow_ids):
+        for flow_id in sorted(flow_ids):
             flow = self._flows.get(flow_id)
             if flow is not None:
                 self._in_phase(self._escalate, flow, reason)
@@ -629,7 +636,7 @@ class FluidScheduler:
         flow_ids = self._by_vip.get(vip)
         if not flow_ids:
             return
-        for flow_id in list(flow_ids):
+        for flow_id in sorted(flow_ids):
             flow = self._flows.get(flow_id)
             if flow is not None:
                 self._in_phase(self._escalate, flow, reason)

@@ -116,6 +116,7 @@ class VirtualNetwork:
             self.fabric = Fabric(self.engine, config.spec)
             self._build_hosts()
             self._build_gateways()
+            self.live_gateways = list(self.gateways)
             self._wire_scheme()
             if config.fidelity == "hybrid":
                 from repro.sim.fluid import FluidScheduler
@@ -151,7 +152,6 @@ class VirtualNetwork:
         if not self.gateways:
             raise ValueError("topology has no gateways; every scheme needs at "
                              "least one translation gateway")
-        self.live_gateways = list(self.gateways)
 
     def _attach_gateway(self, name: str, pod: int, rack: int,
                         host_index: int) -> Gateway:

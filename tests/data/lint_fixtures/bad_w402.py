@@ -1,29 +1,36 @@
-"""W402: data-plane-reachable mutations that never notify an observer."""
+"""W402: functions that write state and leave the notification to others."""
 
 
 class Cache:
     def __init__(self):
         self._keys = {}
+        self._abits = {}
         self.on_mutate = None
 
     def insert(self, vip, pip):
-        # Mutation with no escalation anywhere on the path (finding 1).
         self._keys[vip] = pip
+        cb = self.on_mutate
+        if cb is not None:
+            cb()
 
-    def invalidate(self, vip):
-        # Mutation through a state-returning helper (finding 2): the
-        # alias is only visible to the dataflow summary fixpoint.
-        entries = self._entries()
-        entries.pop(vip, None)
+    def migrate(self, vip, pip):
+        # The notification lives in a callee (finding 1): nothing keeps
+        # _finish escalating, or migrate calling it on every branch.
+        self._keys[vip] = pip
+        self._finish(vip)
 
-    def _entries(self):
-        return self._keys
+    def _finish(self, vip):
+        self.escalate_vip(vip)
+
+    def escalate_vip(self, vip):
+        pass
 
 
-class Switch:
-    def __init__(self):
-        self.cache = Cache()
+def tor_hook(cache):
+    # A hook builder answers for what its hook writes (finding 2):
+    # cache.insert notifies for its own write, not for this one.
+    def hook(packet):
+        cache._abits[packet.slot] = 0
+        cache.insert(packet.vip, packet.pip)
 
-    def on_switch(self, packet):
-        self.cache.insert(packet.vip, packet.pip)
-        self.cache.invalidate(packet.vip)
+    return hook

@@ -1,47 +1,59 @@
-"""W402-clean: every reachable mutation reaches a notification."""
+"""W402-clean: every function that writes state notifies in its own body."""
 
 
 class Cache:
     def __init__(self):
+        # Set-up: no observer exists yet, constructors are not checked.
         self._keys = {}
+        self._abits = {}
         self.on_mutate = None
-        self._listeners = []
 
     def insert(self, vip, pip):
-        # Observer fired through the aliased-hook idiom.
+        # Direct store; observer fired through the aliased-hook idiom.
         self._keys[vip] = pip
         cb = self.on_mutate
         if cb is not None:
             cb()
 
-    def invalidate(self, vip):
-        # Mutation through a state-returning helper, notified through a
-        # listener loop.
-        entries = self._entries()
-        entries.pop(vip, None)
-        for listener in self._listeners:
-            listener(vip)
-
-    def migrate(self, vip, pip):
-        # The notification lives in a transitive callee.
-        self._keys[vip] = pip
-        self._finish(vip)
-
-    def _finish(self, vip):
-        self.escalate_vip(vip)
-
-    def escalate_vip(self, vip):
-        pass
-
-    def _entries(self):
-        return self._keys
+    def peek(self, vip):
+        # Reads through an alias write nothing.
+        keys = self._keys
+        return keys.get(vip)
 
 
-class Switch:
+class Database:
     def __init__(self):
-        self.cache = Cache()
+        self._table = {}
+        self._listeners = []
+        self._removal_listeners = []
 
-    def on_switch(self, packet):
-        self.cache.insert(packet.vip, packet.pip)
-        self.cache.invalidate(packet.vip)
-        self.cache.migrate(packet.vip, packet.pip)
+    def load(self, mappings):
+        # Store through a local alias; two-step hook alias: the list,
+        # then each listener in it.
+        table = self._table
+        listeners = self._listeners
+        for vip, pip in mappings:
+            table[vip] = pip
+            for listener in listeners:
+                listener(vip, -1, pip)
+
+    def remove(self, vip):
+        # A mutating container method is a write.
+        old = self._table.pop(vip, None)
+        for listener in self._removal_listeners:
+            listener(vip, old)
+
+
+class Network:
+    def mark_gateway_down(self, gateway):
+        self.live_gateways.remove(gateway)
+        self.fluid.escalate_all("gateway-change")
+
+
+def bind_hook(cache, fluid, switch):
+    # A closure is part of the function that defines it.
+    def hook(packet):
+        cache._abits[packet.slot] = 0
+        fluid.escalate_switch(switch)
+
+    return hook

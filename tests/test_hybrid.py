@@ -176,6 +176,27 @@ _CANCELLERS = {
 }
 
 
+def test_impairing_a_cable_escalates_without_its_caller_pinging():
+    """``Fabric.impair_links`` is the mutator, so it notifies: the links
+    stay up (no fault-count transition), yet the memoized-clean paths
+    go and the adopted flow returns to packet level, reason ``fault``."""
+    network, flow, suite = _mid_round()
+    fluid, fabric = network.fluid, network.fabric
+    fluid._clean_sigs.add(("a", "memoized", "path"))
+    spine, core = fabric.spines[(0, 0)], fabric.cores[0]
+    cable = [fabric.link_between(spine, core),
+             fabric.link_between(core, spine)]
+    fabric.impair_links(cable, 0.01, network.streams.stream("fault-link-loss"),
+                        extra_ns=500)
+    assert fabric.fault_count == 0 and all(link.up for link in cable)
+    assert [link.loss_rate for link in cable] == [0.01, 0.01]
+    assert not fluid._clean_sigs
+    assert flow.token == 0 and not fluid._flows
+    assert dict(fluid.escalations_by_reason) == {"fault": 1}
+    fabric.impair_links(cable, 0.0, None, extra_ns=0)  # heal
+    _finish(network, suite)
+
+
 @pytest.mark.parametrize("cancel", _CANCELLERS.values(), ids=_CANCELLERS)
 def test_cancelled_round_leaves_a_commit_event_that_does_nothing(cancel):
     network, flow, suite = _mid_round()

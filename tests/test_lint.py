@@ -18,8 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import LintConfig, lint_source
-from repro.analysis.config import (MemoPairing, RuncacheCoverage,
-                                   load_config)
+from repro.analysis.config import MemoPairing, load_config
 from repro.analysis.engine import collect_files, lint_paths
 from repro.analysis.registry import all_rules, get_rule, selected_rules
 
@@ -55,31 +54,13 @@ CASES = [
     ("D110", "bad_d110.py", 3, "good_d110.py"),
     ("R303", "bad_r303.py", 1, "good_r303.py"),
     ("W402", "bad_w402.py", 2, "good_w402.py"),
-    ("W403", "bad_w403.py", 5, "good_w403.py"),
     ("W404", "bad_w404.py", 3, "good_w404.py"),
 ]
+
 
 def _case_config(rule_id: str) -> LintConfig:
     if rule_id == "R303":
         return replace(REPO_CONFIG, memo_pairings=(_FIXTURE_PAIRING,))
-    if rule_id == "W403":
-        # Contracts for both fixture modules; the one whose module is
-        # not in the (single-file) project is skipped.
-        return replace(
-            REPO_CONFIG,
-            runcache_coverage=(
-                RuncacheCoverage("repro.fixtures.bad_w403.Job",
-                                 "repro.fixtures.bad_w403.job_key",
-                                 exempt=("missing_knob",)),
-                RuncacheCoverage("repro.fixtures.good_w403.Job",
-                                 "repro.fixtures.good_w403.job_key",
-                                 exempt=("debug_label",)),
-            ),
-            encoded_dataclasses=(
-                "repro.fixtures.bad_w403.Encoded",
-                "repro.fixtures.bad_w403.NotFrozen",
-                "repro.fixtures.good_w403.Encoded",
-            ))
     return REPO_CONFIG
 
 
@@ -205,8 +186,7 @@ def test_unknown_rule_id_rejected():
 
 def test_rule_catalogue_is_complete():
     ids = {rule.rule_id for rule in all_rules()}
-    assert ids == {"D101", "D102", "D103", "D110", "R303",
-                   "W402", "W403", "W404"}
+    assert ids == {"D101", "D102", "D103", "D110", "R303", "W402", "W404"}
 
 
 def test_collect_files_skips_pycache(tmp_path):
@@ -221,20 +201,18 @@ def test_load_config_reads_repo_pyproject():
     config = REPO_CONFIG
     assert "src" in config.paths
     # Declared in TOML and nowhere else: an empty LintConfig checks nothing.
-    assert config.memo_pairings and config.runcache_coverage
-    assert config.flow_call_pairs and config.encoded_dataclasses
     assert all(getattr(config, field.name) or field.name == "select"
                for field in fields(config)), "a key pyproject.toml does not set"
 
 
 def test_load_config_rejects_a_key_that_slid_into_a_table_entry(tmp_path):
-    """What hid the repository's own ``encoded-dataclasses`` list until
-    the engine stopped carrying a second copy of it."""
+    """A plain key below an array-of-tables header is, to TOML, a key
+    of that table's last entry; it must not go silently unread."""
     bad = tmp_path / "pyproject.toml"
     bad.write_text("[[tool.repro-lint.flow-call-pairs]]\n"
                    "open = 'gc.disable'\nclose = 'gc.enable'\n"
-                   "encoded-dataclasses = ['m.C']\n")
-    with pytest.raises(ValueError, match="encoded-dataclasses"):
+                   "sim-packages = ['repro']\n")
+    with pytest.raises(ValueError, match="sim-packages"):
         load_config(bad)
 
 
@@ -250,6 +228,24 @@ def test_load_config_rejects_unknown_key(tmp_path):
     bad.write_text("[tool.repro-lint]\nmystery-knob = 3\n")
     with pytest.raises(ValueError, match="mystery-knob"):
         load_config(bad)
+
+
+def test_the_w403_keys_are_unknown_keys_now(tmp_path):
+    """Run-cache key coverage is a property of ``runcache.job_key`` and
+    ``_encode``; a config that still declares it is told so, by key."""
+    stale = tmp_path / "pyproject.toml"
+    for key, section in (
+            ("encoded-dataclasses",
+             "[tool.repro-lint]\nencoded-dataclasses = ['m.C']\n"),
+            ("runcache-coverage",
+             "[[tool.repro-lint.runcache-coverage]]\n"
+             "dataclass = 'm.Job'\nkey-function = 'm.job_key'\n")):
+        stale.write_text(section)
+        with pytest.raises(ValueError, match=f"unknown .* key '{key}'"):
+            load_config(stale)
+        proc = _run_cli(cwd=tmp_path)
+        assert proc.returncode == 2
+        assert key in proc.stderr
 
 
 def test_lint_paths_over_fixture_dir():

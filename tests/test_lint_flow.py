@@ -1,29 +1,31 @@
-"""Tests for the whole-program flow layer (``repro.analysis.flow``).
+"""W402 / W404 against the real sources, and W402's per-function cases.
 
-Three groups:
+Two groups:
 
-* unit tests for call-graph construction and the dataflow summaries;
-* the CLI's ``--select``;
-* mutation guards over the *real* repository sources — deleting a field
-  from the run-cache key derivation, removing a cache escalation hook,
-  or dropping the GC re-enable must each produce a W-finding.  These
-  are the acceptance criteria the W-rules exist to enforce.
+* what the per-file W402 tracks inside one function — stores through
+  local aliases and same-file helpers that return state, hooks aliased
+  in one or two steps, closures — as good/bad pairs;
+* mutation guards over the *real* repository sources: removing any one
+  ``on_mutate`` block of the cache core, writing state from a hook
+  builder, or dropping the GC re-enable must each produce a finding.
+
+(The file is named for the whole-program ``analysis/flow`` layer these
+rules once ran on; every rule is a per-file walk now.)
 """
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-from repro.analysis import LintConfig, lint_source
+import pytest
+
+from repro.analysis import lint_source
 from repro.analysis.config import load_config
-from repro.analysis.context import ModuleContext
-from repro.analysis.engine import lint_paths, run_project_rules
-from repro.analysis.flow.callgraph import CallGraph
-from repro.analysis.flow.dataflow import summarize_project
-from repro.analysis.flow.project import ProjectContext
+from repro.analysis.engine import lint_paths
 from repro.analysis.registry import get_rule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -31,170 +33,128 @@ SRC = REPO_ROOT / "src"
 REPO_CONFIG = load_config(REPO_ROOT / "pyproject.toml")
 
 
-def _project(config: LintConfig | None = None,
-             **sources: str) -> ProjectContext:
-    """Build a project from ``dotted_name=source`` keyword modules."""
-    config = config or REPO_CONFIG
-    modules = []
-    for dotted, source in sources.items():
-        rel = Path("src", *dotted.split("."), "x").parent.with_suffix(".py")
-        modules.append(ModuleContext.from_source(
-            source, rel, config, module_name=dotted))
-    return ProjectContext.build(modules, config)
-
-
-def _repo_modules(config: LintConfig,
-                  *relpaths: str,
-                  edits: dict[str, tuple[str, str]] | None = None,
-                  ) -> list[ModuleContext]:
-    """Real repo modules, optionally with one in-memory edit applied."""
-    modules = []
-    for rel in relpaths:
-        source = (SRC / rel).read_text(encoding="utf-8")
-        if edits and rel in edits:
-            old, new = edits[rel]
-            assert old in source, f"edit anchor vanished from {rel}"
-            source = source.replace(old, new)
-        modules.append(ModuleContext.from_source(
-            source, Path("src") / rel, config))
-    return modules
+def _w402(source: str, path: Path = Path("x.py")):
+    return lint_source(source, path, REPO_CONFIG, rules=[get_rule("W402")])
 
 
 # ----------------------------------------------------------------------
-# call graph
+# W402: what one function's walk sees
 # ----------------------------------------------------------------------
-def test_callgraph_resolves_imports():
-    project = _project(
-        util="def helper():\n    return 1\n",
-        entry="from util import helper\n\ndef go():\n    return helper()\n")
-    graph = CallGraph(project)
-    assert graph.callees["entry.go"] == {"util.helper"}
-
-
-def test_callgraph_self_dispatch_through_base():
-    project = _project(mod=(
-        "class Base:\n"
-        "    def ping(self):\n"
-        "        return 1\n\n"
-        "class Child(Base):\n"
-        "    def run(self):\n"
-        "        return self.ping()\n"))
-    graph = CallGraph(project)
-    assert graph.callees["mod.Child.run"] == {"mod.Base.ping"}
-
-
-def test_callgraph_duck_typed_fallback_fans_out():
-    project = _project(mod=(
-        "class A:\n"
-        "    def insert(self, k, v):\n"
-        "        return 1\n\n"
-        "class B:\n"
-        "    def insert(self, k, v):\n"
-        "        return 2\n\n"
-        "def drive(cache):\n"
-        "    cache.insert(1, 2)\n"))
-    graph = CallGraph(project)
-    assert graph.callees["mod.drive"] == {"mod.A.insert", "mod.B.insert"}
-
-
-def test_callgraph_class_construction_edges_to_init():
-    project = _project(mod=(
-        "class Widget:\n"
-        "    def __init__(self):\n"
-        "        self.x = 1\n\n"
-        "def make():\n"
-        "    return Widget()\n"))
-    graph = CallGraph(project)
-    assert graph.callees["mod.make"] == {"mod.Widget.__init__"}
-
-
-def test_reachability_crosses_modules():
-    project = _project(
-        a="from b import middle\n\ndef top():\n    middle()\n",
-        b="from c import leaf\n\ndef middle():\n    leaf()\n",
-        c="def leaf():\n    pass\n\ndef unrelated():\n    pass\n")
-    graph = CallGraph(project)
-    reached = graph.reachable_from(["a.top"])
-    assert reached == {"a.top", "b.middle", "c.leaf"}
-
-
-# ----------------------------------------------------------------------
-# dataflow summaries
-# ----------------------------------------------------------------------
-def test_state_returning_helper_fixpoint():
-    # ``entries = self._set_of(k)`` must mark later mutations through
-    # ``entries`` as _sets mutations — only a summary fixpoint sees it.
-    project = _project(**{"repro.fake_cache": (
-        "class Cache:\n"
-        "    def _set_of(self, k):\n"
-        "        return self._sets[k]\n\n"
-        "    def drop(self, k):\n"
-        "        entries = self._set_of(k)\n"
-        "        entries.pop(k, None)\n")})
-    graph = CallGraph(project)
-    summaries = summarize_project(project, graph)
-    helper = summaries["repro.fake_cache.Cache._set_of"]
-    assert helper.returns_state_attr == "_sets"
-    drop = summaries["repro.fake_cache.Cache.drop"]
-    assert [site.detail for site in drop.mutation_sites] == ["_sets"]
-
-
 def test_aliased_observer_call_counts_as_notify():
-    project = _project(**{"repro.fake_hook": (
+    assert _w402(
         "class Cache:\n"
         "    def insert(self, k, v):\n"
         "        self._keys[k] = v\n"
         "        cb = self.on_mutate\n"
         "        if cb is not None:\n"
-        "            cb()\n")})
-    graph = CallGraph(project)
-    summaries = summarize_project(project, graph)
-    summary = summaries["repro.fake_hook.Cache.insert"]
-    assert summary.mutation_sites and summary.notifies
+        "            cb()\n") == []
+
+
+#: function the bad half is flagged in -> (what both halves start with,
+#: good ending, bad ending)
+_PAIRS = {
+    "refresh": (  # local alias store
+        "def refresh(self, slot, vip):\n"
+        "    keys = self._keys\n"
+        "    keys[slot] = vip\n",
+        "    self.fluid.escalate_vip(vip)\n",
+        "    return slot\n"),
+    "drop": (  # alias mutating method
+        "def drop(self, index, vip):\n"
+        "    entries = self._sets[index]\n"
+        "    entries.pop(vip, None)\n",
+        "    self.note_mutation(vip)\n",
+        "    self.note_access(vip)\n"),
+    "invalidate": (  # helper returned state
+        "def _set_of(self, vip):\n"
+        "    return self._sets[vip % 4]\n"
+        "def invalidate(self, vip):\n"
+        "    entries = self._set_of(vip)\n"
+        "    del entries[vip]\n",
+        "    self.on_mutate()\n",
+        "    self.stats.invalidations += 1\n"),
+    "remove": (  # delete
+        "def remove(self, vip):\n"
+        "    del self._table[vip]\n",
+        "    for listener in self._removal_listeners:\n"
+        "        listener(vip)\n",
+        "    for listener in self._access_listeners:\n"
+        "        listener(vip)\n"),
+    "load": (  # two step hook alias
+        "def load(self, mappings):\n"
+        "    table = self._table\n"
+        "    table.update(mappings)\n",
+        "    listeners = self._listeners\n"
+        "    for listener in listeners:\n"
+        "        listener(mappings)\n",
+        "    listeners = self._loggers\n"
+        "    for listener in listeners:\n"
+        "        listener(mappings)\n"),
+    "clear": (  # rebound hook alias
+        "def clear(self):\n"
+        "    self._abits[:] = []\n"
+        "    cb = self.on_mutate\n",
+        "    cb()\n",
+        "    cb = self.on_access\n"
+        "    cb()\n"),
+    "bind_hook": (  # closure
+        "def bind_hook(cache, fluid, switch):\n"
+        "    def hook(packet):\n"
+        "        cache._abits[packet.slot] = 0\n",
+        "        fluid.escalate_switch(switch)\n"
+        "    return hook\n",
+        "        fluid.note_packet(switch)\n"
+        "    return hook\n"),
+}
+
+
+@pytest.mark.parametrize("function", _PAIRS)
+def test_w402_good_bad_pairs(function):
+    head, good, bad = _PAIRS[function]
+    assert _w402(head + good) == []
+    (finding,) = _w402(head + bad)
+    assert f" {function}() writes state" in " " + finding.message
 
 
 # ----------------------------------------------------------------------
 # mutation guards over the real repository sources
 # ----------------------------------------------------------------------
-def test_dropping_fidelity_from_job_key_is_caught():
-    config = REPO_CONFIG
-    paths = ("repro/experiments/parallel.py", "repro/experiments/runcache.py")
-    clean = run_project_rules(
-        _repo_modules(config, *paths), [get_rule("W403")], config)
-    assert [f.message for f in clean if not f.suppressed] == []
-    broken = run_project_rules(
-        _repo_modules(config, *paths, edits={
-            "repro/experiments/runcache.py": (
-                "trace=job.trace, fidelity=job.fidelity)",
-                "trace=job.trace)")}),
-        [get_rule("W403")], config)
-    assert len(broken) == 1
-    assert "fidelity" in broken[0].message
+_HOOK_BLOCK = re.compile(r"( +)cb = self\.on_mutate\n"
+                         r"\1if cb is not None:\n"
+                         r"\1    cb\(\)\n")
 
 
 def test_removing_cache_escalation_hook_is_caught():
-    # The schemes' hook builders are data-plane roots and call
-    # ``cache.insert`` / ``invalidate``, so these three files are a
-    # project in which the real entry points reach the cache core.
-    # Nothing in the core is exempt: every body that mutates fires
-    # on_mutate itself, and W402 must hold each of them to that.
-    config = REPO_CONFIG
-    path = "repro/cache/core.py"
-    paths = (path, "repro/core/protocol.py", "repro/baselines/caching.py")
-    clean = run_project_rules(
-        _repo_modules(config, *paths), [get_rule("W402")], config)
-    assert [f.message for f in clean if not f.suppressed] == []
-    hook = ("        cb = self.on_mutate\n"
-            "        if cb is not None:\n"
-            "            cb()\n")
-    source = (SRC / path).read_text(encoding="utf-8")
-    assert source.count(hook) >= 2
-    broken = run_project_rules(
-        _repo_modules(config, *paths, edits={path: (hook, "")}),
-        [get_rule("W402")], config)
-    assert broken, "removing on_mutate firing must trip W402"
-    assert all("escalation" in f.message or "observer" in f.message
-               for f in broken)
+    """Nothing in the cache core is exempt: every body that mutates
+    fires ``on_mutate`` itself, and W402 holds each of the eight to it,
+    one at a time, on this one file."""
+    path = SRC / "repro" / "cache" / "core.py"
+    source = path.read_text(encoding="utf-8")
+    assert _w402(source, path) == []
+    blocks = list(_HOOK_BLOCK.finditer(source))
+    assert len(blocks) == 8
+    for block in blocks:
+        broken = source[:block.start()] + source[block.end():]
+        (finding,) = _w402(broken, path)
+        owner = re.findall(r"    def (\w+)\(", source[:block.start()])[-1]
+        assert f"{owner}()" in finding.message
+        assert "escalation" in finding.message and "observer" in finding.message
+
+
+def test_a_state_write_in_a_hook_builder_is_caught():
+    """The seeded bug the call-graph version of W402 let through: the
+    ToR hook builder calls ``cache.insert`` further down, so it
+    "reached" a notification and a write of its own went unseen."""
+    path = SRC / "repro" / "core" / "protocol.py"
+    source = path.read_text(encoding="utf-8")
+    before, rest = source.split("    def _tor_hook(self", 1)
+    anchor = "        def hook(packet: Packet, ingress) -> bool:\n"
+    assert rest.index(anchor) < rest.index("\n    def "), "not _tor_hook's"
+    seeded = before + "    def _tor_hook(self" + rest.replace(
+        anchor, anchor + "            cache._abits[0] = 0\n", 1)
+    assert _w402(source, path) == []
+    (finding,) = _w402(seeded, path)
+    assert "_tor_hook()" in finding.message and "_abits" in finding.message
 
 
 def test_removing_gc_reenable_is_caught():
@@ -233,24 +193,18 @@ def test_repo_is_clean_and_cold_pass_is_fast():
     elapsed = time.perf_counter() - start
     assert result.ok, [f.message for f in result.unsuppressed]
     assert result.files_checked > 100
-    # The whole-program pass must stay cheap enough to hard-gate CI
-    # uncached (observed ~2 s; the bound leaves slack for loaded runners).
-    assert elapsed < 60.0, f"cold whole-program lint took {elapsed:.1f}s"
+    assert result.suppressed_count == 0, "src/ and benchmarks/ carry none"
+    # Cheap enough to hard-gate CI uncached (observed ~1.5 s; the bound
+    # leaves slack for loaded runners).
+    assert elapsed < 60.0, f"cold lint took {elapsed:.1f}s"
 
 
-# ----------------------------------------------------------------------
-# suppressions on project rules
-# ----------------------------------------------------------------------
 def test_w_rule_suppression_comment_is_honored():
-    source = ("class Cache:\n"
-              "    def on_switch(self, vip, pip):\n"
-              "        self._keys[vip] = pip"
-              "  # repro-lint: disable=W402\n")
-    findings = lint_source(source, Path("x.py"), REPO_CONFIG,
-                           module_name="repro.fixtures.supw",
-                           rules=[get_rule("W402")])
-    assert len(findings) == 1
-    assert findings[0].suppressed
+    (finding,) = _w402("class Cache:\n"
+                       "    def on_switch(self, vip, pip):\n"
+                       "        self._keys[vip] = pip"
+                       "  # repro-lint: disable=W402\n")
+    assert finding.suppressed
 
 
 # ----------------------------------------------------------------------

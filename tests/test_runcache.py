@@ -9,14 +9,18 @@ suspicious — corruption, stale schema, foreign keys — as a miss.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
+from typing import ClassVar
 
 import pytest
 
 from repro.experiments.parallel import ExperimentJob
 from repro.experiments.runcache import (
     RunCache,
+    _encode,
     _flow_tuple_digest,
+    _keyed_fields,
     canonical_items,
     default_cache,
     flows_digest,
@@ -69,7 +73,10 @@ def test_key_is_stable():
     assert _base_key() == _base_key()
 
 
-@pytest.mark.parametrize("override", [
+#: One override of the base run per thing the key must see; the test
+#: below it fails, by name, for a ``run_key`` parameter or an
+#: ``ExperimentJob`` field that has none.
+PERTURBATIONS = [
     {"scheme_name": "GwCache"},
     {"num_vms": 16},
     {"cache_ratio": 8.0},
@@ -81,9 +88,30 @@ def test_key_is_stable():
     {"horizon_ns": 1_000_000},
     {"trace_name": "hadoop"},
     {"scheme_kwargs": {"sticky": True}},
-])
+    {"fidelity": "hybrid"},
+    {"flows": None,
+     "trace": TraceSpec.create("hadoop", 5, num_vms=8, num_flows=30)},
+]
+
+
+@pytest.mark.parametrize("override", PERTURBATIONS)
 def test_key_changes_with_every_input(override):
     assert _base_key(**override) != _base_key()
+
+
+def test_every_run_key_parameter_and_job_field_is_perturbed():
+    """What the W403 lint checked by name, checked by behaviour: a knob
+    is keyed when changing it changes the key, and the list of knobs is
+    read off the code, so a new one cannot be forgotten quietly."""
+    parameters = set(inspect.signature(run_key).parameters)
+    fields = {field.name for field in dataclasses.fields(ExperimentJob)}
+    assert fields == parameters, (
+        "ExperimentJob fields and run_key parameters differ: "
+        f"{sorted(fields ^ parameters)}")
+    perturbed = {name for override in PERTURBATIONS for name in override}
+    assert not parameters - perturbed, (
+        f"no PERTURBATIONS entry changes {sorted(parameters - perturbed)}; "
+        "add one, so test_key_changes_with_every_input checks it is keyed")
 
 
 def test_scheme_kwargs_order_does_not_matter():
@@ -113,6 +141,53 @@ def test_job_key_matches_run_key():
     job = ExperimentJob(spec=tiny_spec(), scheme_name="SwitchV2P",
                         flows=_flows(), num_vms=8, cache_ratio=4.0, seed=0)
     assert job_key(job) == _base_key()
+
+
+def test_job_key_refuses_a_field_run_key_has_no_parameter_for():
+    @dataclasses.dataclass(frozen=True)
+    class QueueingJob(ExperimentJob):
+        queue_model: str = "fifo"
+
+    job = QueueingJob(spec=tiny_spec(), scheme_name="SwitchV2P",
+                      flows=_flows(), num_vms=8, cache_ratio=4.0, seed=0)
+    with pytest.raises(TypeError, match="queue_model"):
+        job_key(job)
+
+
+def test_encode_refuses_a_dataclass_whose_fields_do_not_cover_it():
+    @dataclasses.dataclass
+    class Thawed:
+        knob: int = 0
+
+    @dataclasses.dataclass(frozen=True)
+    class HalfAnnotated:
+        knob: int = 0
+        other_knob = 1
+        CONSTANT: ClassVar[int] = 2
+
+        @property
+        def double(self):
+            return 2 * self.knob
+
+    with pytest.raises(TypeError, match="Thawed.*frozen"):
+        _encode(Thawed())
+    with pytest.raises(TypeError, match="HalfAnnotated.other_knob"):
+        _encode(HalfAnnotated())
+
+
+def test_encode_checks_a_dataclass_type_once():
+    @dataclasses.dataclass(frozen=True)
+    class Knobs:
+        a: int = 0
+        b: float = 0.5
+
+    before = _keyed_fields.cache_info()
+    assert _encode([Knobs(), Knobs(a=1), Knobs(a=2)]) == ["seq", [
+        ["dc", Knobs.__qualname__, [["a", a], ["b", ["f", "0.5"]]]]
+        for a in (0, 1, 2)]]
+    after = _keyed_fields.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 2
 
 
 def test_flows_digest_is_content_addressed():
