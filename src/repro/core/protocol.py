@@ -91,7 +91,7 @@ class SwitchV2P(CachingScheme):
         #: of the next unread value.  ``Generator.random(n)`` yields the
         #: same values as ``n`` scalar calls, so buffering changes no
         #: draw; it makes one draw a list index and lets the fluid
-        #: replay look ahead (:meth:`clean_learning_draws`) through
+        #: replay look ahead (:meth:`skip_clean_learning_draws`) through
         #: ``_learn_hits``, the ascending indices of the triggering values.
         self._learn_buf: list[float] = []
         self._learn_pos = 0
@@ -124,7 +124,7 @@ class SwitchV2P(CachingScheme):
         #: Hybrid-fidelity hook: when set, called as ``(switch, packet)``
         #: immediately before every learning-RNG draw.  The fluid probe
         #: walk installs it to capture draw sites so the analytic
-        #: packets' draws can be replayed (:meth:`clean_learning_draws`,
+        #: packets' draws can be replayed (:meth:`skip_clean_learning_draws`,
         #: :meth:`replay_learning_draw`); always None in pure-packet
         #: mode (one predicted-None branch per draw).
         self.learning_draw_observer = None
@@ -506,20 +506,21 @@ class SwitchV2P(CachingScheme):
         packet of a warm flow, which is what makes replay exact.  A draw
         that triggers emits the real learning traffic (or performs the
         real ToR install) through the normal code paths.  The fluid
-        engine calls this only for draws :meth:`clean_learning_draws`
-        did not clear; those it clears it consumes in bulk.
+        engine calls this only for draws
+        :meth:`skip_clean_learning_draws` left unread; the others it
+        consumes in bulk.
         """
         self._maybe_send_learning_packet(switch, template)
 
-    def clean_learning_draws(self, count: int) -> int:
-        """How many of the next ``count`` draws trigger nothing.
+    def skip_clean_learning_draws(self, count: int) -> int:
+        """Consume the next ``count`` draws, stopping at a triggering one.
 
-        Pure look-ahead: the stream position, ``rng_draws`` and the
-        values later draws return are unchanged.  Returns ``count``
-        when none of them would send a learning packet, else the number
-        of clean draws before the first triggering one.  Returns 0 —
-        "replay them one by one" — while a draw observer is installed
-        or learning packets are off, where a draw is not just a stream
+        Looks ahead in the buffered stream and consumes, in one step,
+        the draws up to (not including) the first that would send a
+        learning packet; returns how many that was — ``count`` when
+        none of them would.  Consumes nothing and returns 0 — "replay
+        them one by one" — while a draw observer is installed or
+        learning packets are off, where a draw is not just a stream
         read.
         """
         if (self.learning_draw_observer is not None
@@ -531,9 +532,11 @@ class SwitchV2P(CachingScheme):
             pos = 0
         hits = self._learn_hits
         at = bisect_left(hits, pos)
-        if at == len(hits) or hits[at] >= pos + count:
-            return count
-        return hits[at] - pos
+        if at < len(hits) and hits[at] < pos + count:
+            count = hits[at] - pos
+        self._learn_pos = pos + count
+        self.rng_draws += count
+        return count
 
     def _refill_learning(self, size: int) -> list[float]:
         """Drop the read values, buffer ``size`` more, and note where the
@@ -548,11 +551,6 @@ class SwitchV2P(CachingScheme):
         self._learn_buf = unread + block.tolist()
         self._learn_pos = 0
         return self._learn_buf
-
-    def skip_learning_draws(self, count: int) -> None:
-        """Consume ``count`` draws :meth:`clean_learning_draws` found clean."""
-        self._learn_pos += count
-        self.rng_draws += count
 
     def _on_learning_packet(self, switch: Switch, packet: Packet) -> bool:
         """ToRs absorb learning packets addressed to their rack."""

@@ -184,12 +184,11 @@ def run_flows(network: VirtualNetwork, flows: Sequence[FlowSpec],
         with perf.phase("run"):
             network.run(until=horizon_ns)
     fluid = network.fluid
-    if fluid is not None and perf is not _NULL_TIMER:
-        # Fold the scheduler's internal phase clock into the caller's
-        # timer; the "run" phase above already includes this time, so
-        # profile readers see "fluid" as the in-run share, not extra.
-        for name, ns in fluid.perf.phases_ns.items():
-            perf.add(name, ns)
+    if fluid is not None and fluid.perf.ns and perf is not _NULL_TIMER:
+        # Fold the scheduler's busy clock into the caller's timer; the
+        # "run" phase above already includes this time, so profile
+        # readers see "fluid" as the in-run share, not extra.
+        perf.add("fluid", fluid.perf.ns)
     collector = network.collector
     failed = collector.failed_flows()
     failure_reasons: dict[str, int] = {}

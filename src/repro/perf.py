@@ -2,8 +2,10 @@
 
 * :class:`PhaseTimer` — named wall-clock phase accumulators built on
   ``time.perf_counter_ns`` (cheap enough to leave permanently wired
-  into :func:`repro.experiments.runner.run_flows` and the fluid
-  scheduler), with the full collector passes inside each phase;
+  into :func:`repro.experiments.runner.run_flows`), with the full
+  collector passes inside each phase;
+* :class:`BusyClock` — one accumulator around calls, for the fluid
+  scheduler's thousands of round commits per run;
 * :class:`PhaseMemoryTimer` — a :class:`PhaseTimer` that additionally
   snapshots the Python heap (``tracemalloc``) and process peak RSS at
   every phase boundary;
@@ -65,11 +67,11 @@ class PhaseTimer:
         self.full_collections: dict[str, int] = {}
 
     def start(self) -> tuple[int, int]:
-        """Open an interval for :meth:`stop`: :meth:`phase` without the
-        generator frames, for the fluid scheduler's thousands per run."""
-        # A phase entered with the collector off (every fluid round,
-        # inside ``Engine.run``'s pause) can trigger no pass and skips
-        # the read, the costliest call here.
+        """Open an interval for :meth:`stop` (what :meth:`phase` does
+        around its block)."""
+        # A phase entered with the collector off (inside
+        # ``Engine.run``'s pause) can trigger no pass and skips the
+        # read, the costliest call here.
         passes = gc.get_stats()[2]["collections"] if gc.isenabled() else -1
         return time.perf_counter_ns(), passes
 
@@ -99,6 +101,40 @@ class PhaseTimer:
         the jobs ran elsewhere.
         """
         self.phases_ns[name] = self.phases_ns.get(name, 0) + int(elapsed_ns)
+
+
+_clock = time.perf_counter_ns
+
+
+class BusyClock:
+    """Wall-clock nanoseconds spent inside :meth:`time` calls, summed.
+
+    The fluid scheduler runs every round commit, adoption and
+    escalation through one of these, and the runner folds ``ns`` into
+    its own timer as phase ``"fluid"``.  A call made while another is
+    open (an escalation inside a commit) is already inside the
+    enclosing interval and runs untimed.  No collector accounting: the
+    scheduler runs inside ``Engine.run``, which pauses the collector.
+    """
+
+    __slots__ = ("ns", "_open")
+
+    def __init__(self) -> None:
+        self.ns = 0
+        self._open = False
+
+    def time(self, body, *args) -> None:
+        """Run ``body(*args)``, adding its duration to :attr:`ns`."""
+        if self._open:
+            body(*args)
+            return
+        self._open = True
+        started = _clock()
+        try:
+            body(*args)
+        finally:
+            self._open = False
+            self.ns += _clock() - started
 
 
 class PhaseMemoryTimer(PhaseTimer):

@@ -8,9 +8,9 @@ deltas.  The :class:`FluidScheduler` exploits this by *walking* one
 real probe packet per round through the actual data plane (real links,
 real switch handler, real cache code), recording every counter effect
 the walk applied, and then — if and only if the walk was provably
-side-effect-free beyond idempotent refreshes — replaying those deltas
-``round_size - 1`` times with a single calendar event instead of
-simulating each packet.
+side-effect-free beyond idempotent refreshes — closing it into a flat
+replay plan that one calendar event applies ``round_size - 1`` times
+instead of simulating each packet.
 
 Exactness contract (see docs/simulator.md "Hybrid fidelity"):
 
@@ -86,13 +86,14 @@ for any module that declares ``FLUID_PATH_MODULE = True``.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heapreplace
-from typing import TYPE_CHECKING, Any
+from heapq import heapify, heappop, heappush, heapreplace
+from operator import attrgetter, sub
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.net.addresses import UNRESOLVED
 from repro.net.node import Switch
 from repro.net.packet import PacketKind
-from repro.perf import PhaseTimer
+from repro.perf import BusyClock
 from repro.vnet.hypervisor import Host
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -128,21 +129,18 @@ _HOP_CAP = 32
 #: Due time of "no pending draw": later than any simulated instant.
 _NEVER = 1 << 62
 
-#: Collector counters a clean walk may touch; diffed and replayed.
+#: Collector counters a walk is diffed on.  The first five are what a
+#: delivery moves, replayed; control traffic, gateway detours and
+#: reordering move the rest, and a walk that does is not replayed.
 _COLLECTOR_INTS = (
-    "gateway_arrivals",
-    "learning_packets",
-    "invalidation_packets",
-    "spillover_inserts",
-    "promotions",
-    "deliveries",
-    "delivered_hops",
-    "reorder_events",
-    "packet_latency_sum_ns",
-    "packet_latency_count",
-    "delivered_payload_bytes",
+    "deliveries", "delivered_hops", "packet_latency_sum_ns",
+    "packet_latency_count", "delivered_payload_bytes",
+    "gateway_arrivals", "learning_packets", "invalidation_packets",
+    "spillover_inserts", "promotions", "reorder_events",
     "gateway_unavailable_drops",
 )
+_DELIVERY_INTS = 5
+_collector_counts = attrgetter(*_COLLECTOR_INTS)
 
 #: Scheme counters whose movement marks a walk as stateful (control
 #: traffic was emitted or an RNG draw happened): never replayed.
@@ -155,19 +153,45 @@ _SCHEME_DIRTY = (
     "rng_draws",
 )
 
-#: Cache-stat movements that are idempotent refreshes (replayable)...
-_CACHE_REPLICABLE = ("lookups", "hits", "rejections")
-#: ...versus real state changes (escalate, never replay).
-_CACHE_MUTATING = ("insertions", "evictions", "invalidations")
+#: Cache stats, read in C: idempotent refreshes (replayed), then real
+#: state changes (escalate, never replay).
+_cache_counts = attrgetter("lookups", "hits", "rejections",
+                           "insertions", "evictions", "invalidations")
+
+
+class _ReplayPlan(NamedTuple):
+    """Every counter one clean walk moved, flat: a commit replays it
+    ``times`` over with one slot add per counter, nothing by name."""
+
+    #: ``(link or switch stats, packets, bytes)``; the ACK re-crosses
+    #: the data packet's switches, summed into one entry each.
+    traffic: tuple[tuple[Any, int, int], ...]
+    #: Each host that sent a packet (data, then ACK), once per packet.
+    hosts: tuple[Host, ...]
+    record: Any
+    #: ``record.bytes_received`` per packet.
+    payload: int
+    #: The reliable receiver whose ``rcv_next`` moves, or None (UDP).
+    receiver: Any
+    #: The collector's delivery counters, in ``_COLLECTOR_INTS`` order.
+    deliveries: int
+    hops: int
+    latency_ns: int
+    latencies: int
+    goodput: int
+    #: ``(cache stats, lookups, hits, rejections)`` per cache consulted.
+    caches: tuple[tuple[Any, int, int, int], ...]
+    #: ``(Counter, layer, hits)`` of the collector's per-layer hits.
+    layer_hits: tuple[tuple[Any, Any, int], ...]
 
 
 class _WalkContext:
     """Bookkeeping for one probe walk (data packet + optional ACK)."""
 
     __slots__ = (
-        "deltas",
         "traffic",
-        "counter_deltas",
+        "hosts",
+        "plan",
         "switches",
         "links",
         "data_links",
@@ -183,15 +207,11 @@ class _WalkContext:
     )
 
     def __init__(self) -> None:
-        #: ``(obj, attr, amount)`` integer-counter effects this walk
-        #: applied; replaying a round applies each ``times`` more.
-        self.deltas: list[tuple[Any, str, int]] = []
-        #: The bulk of them, kept apart so that replay need not go by
-        #: name: link or switch stats -> ``(packets, bytes)`` the walk
-        #: added (the ACK re-crosses the data packet's switches).
+        #: Link or switch stats -> ``(packets, bytes)`` the walk added.
         self.traffic: dict[Any, tuple[int, int]] = {}
-        #: Same for ``collections.Counter`` entries: ``(counter, key, amount)``.
-        self.counter_deltas: list[tuple[Any, Any, int]] = []
+        #: Hosts whose ``packets_sent`` the walk moved, once per packet.
+        self.hosts: list[Host] = []
+        self.plan: _ReplayPlan | None = None
         self.switches: set[int] = set()
         #: Links traversed so far (data walk first, then ACK walk).
         self.links: list[Link] = []
@@ -202,8 +222,9 @@ class _WalkContext:
         self.wire_bytes = 0
         self.bottleneck_ns = 0
         self.collector_before: tuple[int, ...] = ()
-        self.hits_before: dict[Any, int] = {}
-        self.first_hits_before: dict[Any, int] = {}
+        #: The per-layer hit Counters' items, in order.
+        self.hits_before: tuple[tuple[Any, int], ...] = ()
+        self.first_hits_before: tuple[tuple[Any, int], ...] = ()
         self.scheme_before: tuple[int, ...] = ()
         #: cache stats object -> 6-tuple snapshot taken before the
         #: first handler call at that switch.
@@ -238,7 +259,8 @@ class _DrawRun:
     at each site in order.  ``(k, s)`` is the next unreplayed draw.
     """
 
-    __slots__ = ("t0", "interval", "k", "s", "end", "due_k", "sites", "seq")
+    __slots__ = ("t0", "interval", "k", "s", "end", "due_k", "sites",
+                 "width", "seq")
 
     def __init__(self, t0: int, interval: int, first: int, end: int,
                  sites: list[tuple[Any, Any]], seq: int) -> None:
@@ -250,6 +272,7 @@ class _DrawRun:
         #: Scratch of the drain in progress: packets below it are due.
         self.due_k = first
         self.sites = sites
+        self.width = len(sites)
         #: Arm order; breaks ties between runs with equal due times.
         self.seq = seq
 
@@ -326,32 +349,35 @@ class _DrawLedger:
         self._draining = True
         try:
             runs = self._runs
-            scheme = self.scheme
+            skip = self.scheme.skip_clean_learning_draws
             while True:
                 total = 0
                 for run in runs:
+                    k = run.k
                     due_k = (now - run.t0) // run.interval + 1
-                    if due_k > run.end:
-                        due_k = run.end
+                    end = run.end
+                    if due_k > end:
+                        due_k = end
                     run.due_k = due_k
-                    if due_k > run.k:
-                        total += (due_k - run.k) * len(run.sites) - run.s
+                    if due_k > k:
+                        total += (due_k - k) * run.width - run.s
                 if not total:
                     break
-                clean = scheme.clean_learning_draws(total)
+                clean = skip(total)
                 if clean == total:
-                    scheme.skip_learning_draws(total)
                     break
                 self._commit_through_trigger(clean)
             # Whatever is still due triggers nothing and is consumed.
+            # (``due_k >= k`` always: only the drain advances ``k``.)
             next_due = _NEVER
             exhausted = False
             for run in runs:
-                if run.due_k > run.k:
-                    run.k = run.due_k
+                k = run.due_k
+                if k > run.k:
+                    run.k = k
                     run.s = 0
-                if run.k < run.end:
-                    due = run.t0 + run.k * run.interval
+                if k < run.end:
+                    due = run.t0 + k * run.interval
                     if due < next_due:
                         next_due = due
                 else:
@@ -363,7 +389,8 @@ class _DrawLedger:
             self._draining = False
 
     def _commit_through_trigger(self, clean: int) -> None:
-        """Consume ``clean`` due draws in exact order, then fire the next.
+        """Step the runs past the ``clean`` draws the scheme just
+        consumed, in exact order, then fire the next.
 
         The next draw triggers (or may, when the scheme asked for
         per-draw replay): it goes through ``replay_learning_draw`` like
@@ -374,27 +401,26 @@ class _DrawLedger:
         heads = [(run.t0 + run.k * run.interval, run.seq, run)
                  for run in self._runs if run.due_k > run.k]
         heapify(heads)
-        self.scheme.skip_learning_draws(clean)
-        for _ in range(clean):
-            self._commit_advance(heads)
-        run = heads[0][2]
-        switch, template = run.sites[run.s]
-        self._commit_advance(heads)
-        self.scheme.replay_learning_draw(switch, template)
-
-    @staticmethod
-    def _commit_advance(heads: list[tuple[int, int, _DrawRun]]) -> None:
-        """Step the earliest head past one draw, keeping ``heads`` a heap."""
-        run = heads[0][2]
-        run.s += 1
-        if run.s < len(run.sites):
-            return
-        run.s = 0
-        run.k += 1
-        if run.k < run.due_k:
-            heapreplace(heads, (run.t0 + run.k * run.interval, run.seq, run))
+        while True:
+            # Whole packets of the earliest head first, then into one.
+            run = heads[0][2]
+            s = run.s + clean
+            if s < run.width:
+                break
+            clean = s - run.width
+            run.s = 0
+            run.k += 1
+            if run.k < run.due_k:
+                heapreplace(heads, (run.t0 + run.k * run.interval, run.seq, run))
+            else:
+                heappop(heads)
+        switch, template = run.sites[s]
+        if s + 1 < run.width:
+            run.s = s + 1
         else:
-            heappop(heads)
+            run.s = 0
+            run.k += 1
+        self.scheme.replay_learning_draw(switch, template)
 
 
 class _FluidFlow:
@@ -425,9 +451,7 @@ class _FluidFlow:
         "links",
         "wire_bytes",
         "round_run",
-        "deltas",
-        "traffic",
-        "counter_deltas",
+        "plan",
         "switch_ids",
         "draw_sites",
     )
@@ -476,9 +500,8 @@ class _FluidFlow:
         self.wire_bytes = 0
         #: Ledger record of the current round's queued draws, if any.
         self.round_run: _DrawRun | None = None
-        self.deltas: list[tuple[Any, str, int]] = []
-        self.traffic: dict[Any, tuple[int, int]] = {}
-        self.counter_deltas: list[tuple[Any, Any, int]] = []
+        #: Replay plan of the last clean walk.
+        self.plan: _ReplayPlan | None = None
         self.switch_ids: set[int] = set()
         self.draw_sites: list[tuple[Any, Any]] = []
 
@@ -519,9 +542,16 @@ class FluidScheduler:
         self.engine = network.engine
         self.collector = network.collector
         self.scheme = network.scheme
-        #: Host time spent in this module, as phase "fluid"; the runner
-        #: folds it into the caller's timer after the run.
-        self.perf = PhaseTimer()
+        #: Host time spent in this module; the runner folds it into the
+        #: caller's timer after the run, as phase "fluid".
+        self.perf = BusyClock()
+        #: What a walk snapshots, bound once: cache lookup, and scheme
+        #: counters (baselines have none of them).
+        self._cache_of = getattr(self.scheme, "cache_of", None)
+        self._scheme_counts = (
+            attrgetter(*_SCHEME_DIRTY)
+            if any(hasattr(self.scheme, name) for name in _SCHEME_DIRTY)
+            else None)
         # Escalation bookkeeping (surfaced via RunResult and profile).
         self.adoptions = 0
         self.escalations = 0
@@ -551,22 +581,7 @@ class FluidScheduler:
         self._walking_ctx: _WalkContext | None = None
         self._deferred: list[int] = []
         self._ready: bool | None = None
-        self._phase_open = False
         self._install_hooks()
-
-    def _in_phase(self, body, *args) -> None:
-        """Run ``body(*args)`` on the "fluid" phase clock, which a nested
-        call (escalations nest in commits) finds already running."""
-        if self._phase_open:
-            body(*args)
-            return
-        self._phase_open = True
-        started = self.perf.start()
-        try:
-            body(*args)
-        finally:
-            self._phase_open = False
-            self.perf.stop("fluid", started)
 
     # ------------------------------------------------------------------
     # readiness + hook installation
@@ -622,29 +637,29 @@ class FluidScheduler:
     # flow from that very set, in an order that is a function of the
     # ids rather than of the set's insertion history.
     def escalate_switch(self, switch_id: int, reason: str) -> None:
-        self._clean_sigs = set()
+        self._clean_sigs.clear()
         flow_ids = self._by_switch.get(switch_id)
         if not flow_ids:
             return
         for flow_id in sorted(flow_ids):
             flow = self._flows.get(flow_id)
             if flow is not None:
-                self._in_phase(self._escalate, flow, reason)
+                self.perf.time(self._escalate, flow, reason)
 
     def escalate_vip(self, vip: int, reason: str = "vm-migration") -> None:
-        self._clean_sigs = set()
+        self._clean_sigs.clear()
         flow_ids = self._by_vip.get(vip)
         if not flow_ids:
             return
         for flow_id in sorted(flow_ids):
             flow = self._flows.get(flow_id)
             if flow is not None:
-                self._in_phase(self._escalate, flow, reason)
+                self.perf.time(self._escalate, flow, reason)
 
     def escalate_all(self, reason: str) -> None:
-        self._clean_sigs = set()
+        self._clean_sigs.clear()
         for flow in list(self._flows.values()):
-            self._in_phase(self._escalate, flow, reason)
+            self.perf.time(self._escalate, flow, reason)
 
     def _process_deferred(self) -> None:
         while self._deferred:
@@ -663,7 +678,7 @@ class FluidScheduler:
         and resumed before this returns — the caller does nothing
         either way.
         """
-        self._in_phase(self._adopt_reliable, sender)
+        self.perf.time(self._adopt_reliable, sender)
 
     def _adopt_reliable(self, sender: Any) -> None:
         record = sender.record
@@ -685,6 +700,7 @@ class FluidScheduler:
         self._adopt(flow)
 
     def _adopt(self, flow: _FluidFlow) -> None:
+        self._draws.commit_due(self.engine._now)
         if self._begin_round(flow, adopting=True):
             self.adoptions += 1
         else:
@@ -713,7 +729,7 @@ class FluidScheduler:
         span = sender.total_packets - base - 1
         if span < self.min_span:
             return False
-        self._in_phase(self._adopt, _FluidFlow(
+        self.perf.time(self._adopt, _FluidFlow(
             record.flow_id, _UDP, sender, receiver, record,
             record.src_vip, record.dst_vip, sender.mss_bytes,
             base, span, 128,
@@ -728,28 +744,12 @@ class FluidScheduler:
 
         Returns True when a round was armed; False when the probe was
         dirty and the flow was handed back to packet level (the
-        transport is already restored and running on return).
-
-        A flow whose path signature is memoized clean skips the probe
-        walk entirely (bounded by ``probe_every``) and replays the
-        previous probe's deltas for the whole round.
+        transport is already restored and running on return).  The
+        caller has drained the draw ledger at this instant.
         """
-        self._draws.commit_due(self.engine._now)
-        if not adopting and flow.flow_id not in self._flows:
-            # A drained draw triggered a mutation that escalated this
-            # very flow; its transport is already restored and running.
-            return False
-        if (not adopting and flow.skips_left > 0 and flow.deltas
-                and flow.sig in self._clean_sigs):
-            flow.skips_left -= 1
-            self.probe_skips += 1
-            self._arm_round(flow, probed=False)
-            return True
         status, ctx, rtt = self._walk_round(flow)
         if status == _ST_CLEAN:
-            flow.deltas = ctx.deltas
-            flow.traffic = ctx.traffic
-            flow.counter_deltas = ctx.counter_deltas
+            flow.plan = ctx.plan
             flow.draw_sites = ctx.draw_sites
             flow.links = ctx.data_links
             flow.wire_bytes = ctx.wire_bytes
@@ -769,7 +769,7 @@ class FluidScheduler:
             if streak + 1 >= self.warmup_clean_target:
                 self._clean_sigs.add(flow.sig)
                 flow.skips_left = self.probe_every - 1
-            self._arm_round(flow, probed=True)
+            self._commit_arm(flow, probed=True)
             self._process_deferred()
             return True
         # Dirty probe: hand the flow back.  The probe packet is real
@@ -824,34 +824,41 @@ class FluidScheduler:
         self._process_deferred()
         return False
 
-    def _arm_round(self, flow: _FluidFlow, probed: bool) -> None:
-        """Schedule the commit event and queue the round's draws."""
-        n = min(flow.window, flow.span - flow.sent)
-        interval = self._shared_interval(flow)
+    def _commit_arm(self, flow: _FluidFlow, probed: bool) -> None:
+        """Arm the flow's next round: its commit event and its draws.
+
+        Pushes the event onto the calendar itself, as links do (hence
+        an audited name).  The pacing is the probe-measured interval,
+        or the fair share when contention stretches it.
+        """
+        n = flow.span - flow.sent
+        if n > flow.window:
+            n = flow.window
+        if self._alloc_dirty:
+            self._commit_shares()
+        interval = flow.share_interval
+        if interval < flow.iso_interval:
+            interval = flow.iso_interval
+        engine = self.engine
+        now = engine._now
         flow.round_size = n
         flow.interval = interval
-        flow.t0 = self.engine._now
+        flow.t0 = now
         flow.probed = probed
         # A calendar event, not a wheel timer: nearly every round runs
         # to its end, and an event ahead of the engine's timer bound
         # costs the run loop one comparison where a timer costs a sweep.
         self.rounds += 1
-        flow.token = self.rounds
-        self.engine.schedule_after(n * interval, self._commit, flow,
-                                   self.rounds)
+        flow.token = token = self.rounds
+        heappush(engine._queue, (now + n * interval, engine._sequence,
+                                 self._commit, (flow, token)))
+        engine._sequence += 1
         # The probe packet (when real) drew live during its walk, so a
         # probed round queues packets ``1..n-1``; a skipped round's
         # packets are all analytic (``0..n-1``).
-        flow.round_run = self._draws.add_run(
-            flow.t0, interval, 1 if probed else 0, n, flow.draw_sites)
-
-    def _shared_interval(self, flow: _FluidFlow) -> int:
-        """Per-packet pacing for the next round, contention included."""
-        if self._alloc_dirty:
-            self._commit_shares()
-        shared = flow.share_interval
-        iso = flow.iso_interval
-        return shared if shared > iso else iso
+        sites = flow.draw_sites
+        flow.round_run = (self._draws.add_run(now, interval, 1 if probed else 0,
+                                              n, sites) if sites else None)
 
     def _commit_shares(self) -> None:
         """Max-min fair shares (iterative water-filling) over shared links.
@@ -938,17 +945,18 @@ class FluidScheduler:
         """Round event fired; that of a cancelled round names no round
         still armed (lazy deletion, as ``PeriodicTask``) and does nothing."""
         if token == flow.token:
-            self._in_phase(self._commit_round, flow)
+            self.perf.time(self._commit_round, flow)
 
     def _commit_round(self, flow: _FluidFlow) -> None:
-        """Replay the probe's deltas for the round and begin the next."""
+        """Replay the round's plan and begin the next round."""
         flow.token = 0
         n = flow.round_size
         # A skipped round's "probe" slot is analytic too: replay
-        # the recorded deltas for all n packets instead of n - 1.
+        # the plan for all n packets instead of n - 1.
         self._commit_deltas(flow, n - 1 if flow.probed else n)
         flow.sent += n
         flow.round_run = None
+        # The one drain of this instant; the next round arms after it.
         self._draws.commit_due(self.engine._now)
         if flow.flow_id not in self._flows:
             # A replayed draw triggered a real cache insert and
@@ -959,25 +967,46 @@ class FluidScheduler:
             # Tail handoff: the next send is due exactly now.
             self._escalate_finish(flow, "tail", 0, registered=True,
                                   udp_resume_at=self.engine._now)
+        elif flow.skips_left > 0 and flow.sig in self._clean_sigs:
+            # Memoized-clean path: arm without a probe walk (at least
+            # every ``probe_every``-th round still probes).
+            flow.skips_left -= 1
+            self.probe_skips += 1
+            self._commit_arm(flow, probed=False)
         else:
             self._begin_round(flow)
 
     def _commit_deltas(self, flow: _FluidFlow, times: int) -> None:
-        """Apply the recorded per-packet deltas ``times`` more times.
+        """Apply the flow's replay plan ``times`` more times.
 
-        Every delta was produced by a verified-idempotent walk, so
+        The plan was produced by a verified-idempotent walk, so
         replication is exact: ``times`` analytic packets would each
         have applied precisely these counter movements.
         """
         if times <= 0:
             return
-        for stats, (packets, size) in flow.traffic.items():
+        (traffic, hosts, record, payload, receiver, deliveries, hops,
+         latency_ns, latencies, goodput, caches, layer_hits) = flow.plan
+        for stats, packets, size in traffic:
             stats.packets += packets * times
             stats.bytes += size * times
-        for obj, attr, amount in flow.deltas:
-            setattr(obj, attr, getattr(obj, attr) + amount * times)
-        for counter, key, amount in flow.counter_deltas:
-            counter[key] += amount * times
+        for host in hosts:
+            host.packets_sent += times
+        record.bytes_received += payload * times
+        if receiver is not None:
+            receiver.rcv_next += times
+        collector = self.collector
+        collector.deliveries += deliveries * times
+        collector.delivered_hops += hops * times
+        collector.packet_latency_sum_ns += latency_ns * times
+        collector.packet_latency_count += latencies * times
+        collector.delivered_payload_bytes += goodput * times
+        for stats, lookups, hits, rejections in caches:
+            stats.lookups += lookups * times
+            stats.hits += hits * times
+            stats.rejections += rejections * times
+        for counter, layer, amount in layer_hits:
+            counter[layer] += amount * times
         self.fluid_packets += times
 
     # ------------------------------------------------------------------
@@ -1118,9 +1147,9 @@ class FluidScheduler:
         Returns ``(status, ctx, rtt_ns)``.  All effects the walk
         applies are real — on a CLEAN outcome they are exactly the
         effects one packet-mode packet (pair) would have applied, and
-        ``ctx.deltas`` replays them for the rest of the round.
+        ``ctx.plan`` replays them for the rest of the round.
         """
-        ctx = self._walk_open(flow)
+        ctx = self._walk_open()
         self._walking = True
         self._walking_ctx = ctx
         scheme = self.scheme
@@ -1150,12 +1179,10 @@ class FluidScheduler:
             # pre-adoption state).
             record = flow.record
             record.bytes_received += flow.payload
-            ctx.deltas.append((record, "bytes_received", flow.payload))
             rtt = d_data
             if flow.kind == _RELIABLE:
                 receiver = flow.receiver
                 receiver.rcv_next += 1
-                ctx.deltas.append((receiver, "rcv_next", 1))
                 ack = dst_host.new_packet(_ACK, flow.flow_id,
                                           receiver.rcv_next, 0,
                                           flow.dst_vip, flow.src_vip)
@@ -1184,8 +1211,9 @@ class FluidScheduler:
         """Advance one real packet from ``origin`` to delivery, inline.
 
         Mirrors ``Host.send`` → ``Link.transmit`` → ``Switch.receive``
-        hop by hop, applying the same counter effects by hand (each
-        recorded in ``ctx.deltas``) and calling the real scheme hooks.
+        hop by hop, applying the same counter effects by hand (traffic
+        and senders recorded in ``ctx``, the rest diffed by
+        :meth:`_walk_close`) and calling the real scheme hooks.
         The link/destination checks run *before* a link's effects are
         applied, so a packet handed back to the live simulation
         (``_DIVERTED``) is never double-counted: the real
@@ -1194,15 +1222,16 @@ class FluidScheduler:
         Returns ``(result, elapsed_ns, delivery_host_or_None)``.
         """
         engine = self.engine
-        deltas = ctx.deltas
         traffic = ctx.traffic
+        cache_of = self._cache_of
+        cache_before = ctx.cache_before
         packet.outer_src = origin.pip
         packet.created_at = engine._now
         handler = origin.handler
         if handler is not None:
             handler.on_host_send(origin, packet)
         origin.packets_sent += 1
-        deltas.append((origin, "packets_sent", 1))
+        ctx.hosts.append(origin)
         if packet.outer_dst == UNRESOLVED:
             origin.unroutable_drops += 1
             ctx.mutated = True
@@ -1265,7 +1294,11 @@ class FluidScheduler:
             packets, total = traffic.get(sstats, (0, 0))
             traffic[sstats] = (packets + 1, total + size)
             ctx.switches.add(switch.switch_id)
-            self._walk_note_cache(ctx, switch)
+            if cache_of is not None:
+                # Snapshot the cache's stats before its handler runs.
+                cache = cache_of(switch)
+                if cache is not None and cache.stats not in cache_before:
+                    cache_before[cache.stats] = _cache_counts(cache.stats)
             hook = switch.hook
             if hook is not None and not hook(packet, link):
                 ctx.mutated = True
@@ -1285,82 +1318,78 @@ class FluidScheduler:
             node = switch
             link = egress
 
-    def _walk_note_cache(self, ctx: _WalkContext, switch: Switch) -> None:
-        """Snapshot a switch's cache stats before its handler runs."""
-        cache_of = getattr(self.scheme, "cache_of", None)
-        if cache_of is None:
-            return
-        cache = cache_of(switch)
-        if cache is None:
-            return
-        stats = cache.stats
-        if stats not in ctx.cache_before:
-            ctx.cache_before[stats] = tuple(
-                getattr(stats, name)
-                for name in _CACHE_REPLICABLE + _CACHE_MUTATING)
-
-    def _walk_open(self, flow: _FluidFlow) -> _WalkContext:
+    def _walk_open(self) -> _WalkContext:
+        """Snapshot, in C, what the walk's opaque calls may move."""
         ctx = _WalkContext()
         collector = self.collector
-        ctx.collector_before = tuple(
-            getattr(collector, name) for name in _COLLECTOR_INTS)
-        ctx.hits_before = dict(collector.hits_by_layer)
-        ctx.first_hits_before = dict(collector.first_packet_hits_by_layer)
-        scheme = self.scheme
-        ctx.scheme_before = tuple(
-            getattr(scheme, name, 0) for name in _SCHEME_DIRTY)
+        ctx.collector_before = _collector_counts(collector)
+        ctx.hits_before = tuple(collector.hits_by_layer.items())
+        ctx.first_hits_before = tuple(
+            collector.first_packet_hits_by_layer.items())
+        if self._scheme_counts is not None:
+            ctx.scheme_before = self._scheme_counts(self.scheme)
         return ctx
 
     def _walk_close(self, flow: _FluidFlow, ctx: _WalkContext,
                     status: int, rtt: int):
-        """Diff the opaque-call snapshots into deltas; detect mutation."""
+        """Diff the opaque-call snapshots, detect mutation, and close a
+        clean walk into its replay plan."""
+        if status != _ST_CLEAN:
+            return status, ctx, rtt
         collector = self.collector
-        deltas = ctx.deltas
-        for name, before in zip(_COLLECTOR_INTS, ctx.collector_before):
-            after = getattr(collector, name)
-            if after != before:
-                deltas.append((collector, name, after - before))
-        self._walk_diff_counter(ctx, collector.hits_by_layer,
-                                ctx.hits_before)
-        self._walk_diff_counter(ctx, collector.first_packet_hits_by_layer,
-                                ctx.first_hits_before)
-        scheme = self.scheme
-        for name, before in zip(_SCHEME_DIRTY, ctx.scheme_before):
-            after = getattr(scheme, name, 0)
-            if after == before:
-                continue
-            if name == "rng_draws" and after - before == len(ctx.draw_sites):
-                # Replayable: every draw's site was captured by the
-                # observer, and the draw ledger consumes one stream
-                # value per site per analytic packet, keeping the RNG
-                # stream exact.  Draws that *triggered* moved
-                # learning_packets_sent (or a cache insert fired
-                # on_mutate) and stay mutating.
-                continue
+        moved = tuple(map(sub, _collector_counts(collector),
+                          ctx.collector_before))
+        if any(moved[_DELIVERY_INTS:]):
             ctx.mutated = True
-        replicable = len(_CACHE_REPLICABLE)
-        names = _CACHE_REPLICABLE + _CACHE_MUTATING
-        for stats, before in ctx.cache_before.items():
-            for i, name in enumerate(names):
-                diff = getattr(stats, name) - before[i]
-                if diff:
-                    if i < replicable:
-                        deltas.append((stats, name, diff))
-                    else:
+        counts = self._scheme_counts
+        if counts is not None:
+            after = counts(self.scheme)
+            if after != ctx.scheme_before:
+                for name, diff in zip(_SCHEME_DIRTY,
+                                      map(sub, after, ctx.scheme_before)):
+                    # Draws are replayable when the observer captured
+                    # every one's site: the ledger consumes one stream
+                    # value per site per analytic packet.  Draws that
+                    # *triggered* moved learning_packets_sent (or a
+                    # cache insert fired on_mutate) and stay mutating.
+                    if diff and not (name == "rng_draws"
+                                     and diff == len(ctx.draw_sites)):
                         ctx.mutated = True
-        if status == _ST_CLEAN and ctx.mutated:
-            status = _ST_MUTATED
+        caches = []
+        for stats, before in ctx.cache_before.items():
+            after = _cache_counts(stats)
+            if after != before:
+                lookups, hits, rejections, *changes = map(sub, after, before)
+                if any(changes):
+                    ctx.mutated = True
+                caches.append((stats, lookups, hits, rejections))
+        if ctx.mutated:
+            return _ST_MUTATED, ctx, rtt
+        layer_hits: list[tuple[Any, Any, int]] = []
+        self._walk_diff_counter(layer_hits, collector.hits_by_layer,
+                                ctx.hits_before)
+        self._walk_diff_counter(layer_hits,
+                                collector.first_packet_hits_by_layer,
+                                ctx.first_hits_before)
+        traffic = ctx.traffic
+        ctx.plan = _ReplayPlan(
+            # ``(stats, packets, bytes)`` triples, zipped in C.
+            tuple(zip(traffic, *zip(*traffic.values()))),
+            tuple(ctx.hosts), flow.record, flow.payload,
+            flow.receiver if flow.kind == _RELIABLE else None,
+            *moved[:_DELIVERY_INTS], tuple(caches), tuple(layer_hits))
         return status, ctx, rtt
 
-    def _walk_diff_counter(self, ctx: _WalkContext, counter: Any,
-                           before: dict[Any, int]) -> None:
-        if len(counter) == len(before) and not any(
-                counter[key] != val for key, val in before.items()):
+    @staticmethod
+    def _walk_diff_counter(entries: list[tuple[Any, Any, int]], counter: Any,
+                           before: tuple[tuple[Any, int], ...]) -> None:
+        if tuple(counter.items()) == before:
             return
+        old = dict(before)
         for key, after in counter.items():
-            diff = after - before.get(key, 0)
+            diff = after - old.get(key, 0)
             if diff:
-                ctx.counter_deltas.append((counter, key, diff))
+                entries.append((counter, key, diff))
 
     # ------------------------------------------------------------------
     # re-injection (diverted probes rejoin the live simulation)

@@ -89,9 +89,11 @@ def sample_sizes(cdf: SizeCdf, count: int, rng: np.random.Generator) -> np.ndarr
     sizes = np.empty(count)
     knots = list(cdf)
     probs = np.array([p for _, p in knots])
-    for i, u in enumerate(uniform):
-        j = int(np.searchsorted(probs, u, side="right"))
-        j = min(max(j, 1), len(knots) - 1)
+    # One search for all draws; the interpolation stays scalar
+    # ``math`` calls, which numpy's vectorised log/exp need not match
+    # to the last bit.
+    upper = np.clip(np.searchsorted(probs, uniform, side="right"), 1, len(knots) - 1)
+    for i, (u, j) in enumerate(zip(uniform.tolist(), upper.tolist())):
         s0, p0 = knots[j - 1]
         s1, p1 = knots[j]
         if p1 <= p0:

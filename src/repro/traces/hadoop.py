@@ -50,12 +50,9 @@ def generate(params: HadoopTraceParams, rng: np.random.Generator) -> list[FlowSp
                                 mean_size(HADOOP_CDF))
     starts = poisson_arrival_times(rate, params.num_flows, rng)
     sources, destinations = draw_pairs(params.num_vms, params.num_flows, rng)
+    offset = params.start_offset_ns
     return [
-        FlowSpec(
-            src_vip=int(sources[i]),
-            dst_vip=int(destinations[i]),
-            size_bytes=int(sizes[i]),
-            start_ns=params.start_offset_ns + int(starts[i]),
-        )
-        for i in range(params.num_flows)
+        FlowSpec(src_vip=src, dst_vip=dst, size_bytes=size, start_ns=offset + start)
+        for src, dst, size, start in zip(sources.tolist(), destinations.tolist(),
+                                         sizes.tolist(), starts.tolist())
     ]

@@ -25,6 +25,9 @@ from repro.net.packet import MSS_BYTES, Packet, PacketKind
 from repro.sim.engine import usec
 from repro.vnet.hypervisor import Host
 
+_DATA = PacketKind.DATA
+_ACK = PacketKind.ACK
+
 
 @dataclass(frozen=True)
 class TransportConfig:
@@ -104,10 +107,26 @@ class ReliableSender:
             self.record.src_vip, self.record.dst_vip))
 
     def _send_window(self) -> None:
+        # ``_send_segment`` per segment, inlined: a steady flow refills
+        # its window once per ACK.
+        seq = self.snd_next
         limit = min(self.total_packets, self.snd_una + int(self.cwnd))
-        while self.snd_next < limit:
-            self._send_segment(self.snd_next)
-            self.snd_next += 1
+        if seq >= limit:
+            return
+        record = self.record
+        host = self.host
+        mss = self.config.mss_bytes
+        last = self.total_packets - 1
+        while seq < limit:
+            payload = mss
+            if seq == last:
+                remainder = record.size_bytes - seq * mss
+                if remainder > 0:
+                    payload = remainder
+            host.send(Packet(_DATA, record.flow_id, seq, payload,
+                             record.src_vip, record.dst_vip, host.pip))
+            seq += 1
+            self.snd_next = seq
 
     # ------------------------------------------------------------------
     def on_ack(self, cumulative_seq: int) -> None:
@@ -270,17 +289,11 @@ class ReliableReceiver:
             while self.rcv_next in self._out_of_order:
                 self._out_of_order.discard(self.rcv_next)
                 self.rcv_next += 1
-        # Inlined _send_ack (one ACK per data packet received).
-        host.send(host.new_packet(
-            PacketKind.ACK, packet.flow_id, self.rcv_next, 0,
-            packet.dst_vip, packet.src_vip))
+        # One cumulative ACK per data packet received.
+        host.send(Packet(_ACK, packet.flow_id, self.rcv_next, 0,
+                         packet.dst_vip, packet.src_vip, host.pip))
         if not self._completed and self.rcv_next >= self.total_packets:
             self._completed = True
             record.fct_ns = now - record.start_ns
             if self.on_complete is not None:
                 self.on_complete(record)
-
-    def _send_ack(self, packet: Packet, host: Host) -> None:
-        host.send(host.new_packet(
-            PacketKind.ACK, packet.flow_id, self.rcv_next, 0,
-            packet.dst_vip, packet.src_vip))

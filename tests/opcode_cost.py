@@ -49,11 +49,12 @@ def count_opcodes(call: Callable[[], Any]) -> tuple[Any, Counter]:
     return result, by_name
 
 
-def cost_table(by_name: Counter, packets: int, top: int = 12) -> str:
-    """The per-function table a failing tripwire prints."""
+def cost_table(by_name: Counter, count: int, top: int = 12,
+               unit: str = "packet") -> str:
+    """The per-function table a failing tripwire prints, per ``unit``."""
     total = sum(by_name.values())
-    rows = [f"{total / packets:10.1f} opcodes/packet over {packets} packets"]
+    rows = [f"{total / count:10.1f} opcodes/{unit} over {count} {unit}s"]
     for (path, function), opcodes in by_name.most_common(top):
-        rows.append(f"{opcodes / packets:10.1f}  {opcodes / total:6.1%}  "
+        rows.append(f"{opcodes / count:10.1f}  {opcodes / total:6.1%}  "
                     f"{path}::{function}")
     return "\n".join(rows)

@@ -4,7 +4,8 @@ Two layers keep hybrid runs on the same ``switchv2p-learning`` stream as
 packet mode (docs/simulator.md "Hybrid fidelity"):
 
 * ``SwitchV2P`` reads the stream through a block-refilled buffer with a
-  look-ahead (``clean_learning_draws`` / ``skip_learning_draws``);
+  look-ahead that consumes a clean stretch in one call
+  (``skip_clean_learning_draws``);
 * ``repro.sim.fluid._DrawLedger`` keeps one record per armed round and
   replays the draws of all flows in global ``(due, arm order, packet,
   site)`` order, consuming stretches of draws that trigger nothing in
@@ -18,6 +19,7 @@ entry per draw and takes one scalar ``Generator.random()`` per entry.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from heapq import heappop, heappush
 
 import numpy as np
@@ -92,23 +94,24 @@ def test_buffered_draws_cross_refill_boundaries():
 
 
 def test_look_ahead_consumes_nothing():
+    """...from the first triggering value on: a skip stops short of it,
+    however far past the buffered block it was asked to look."""
     scheme = _bare_scheme(0.05, seed=3)
     expected = np.random.default_rng(3).random(4 * _LEARN_BLOCK).tolist()
     first_hit = next(i for i, v in enumerate(expected) if v < 0.05)
-    # Repeated look-ahead, also past the buffered block, moves nothing.
-    for count in (1, first_hit, first_hit + 1, 3 * _LEARN_BLOCK):
-        clean = scheme.clean_learning_draws(count)
-        assert clean == min(count, first_hit)
-        assert scheme.rng_draws == 0
+    assert first_hit > 1
+    assert scheme.skip_clean_learning_draws(1) == 1
+    assert scheme.skip_clean_learning_draws(3 * _LEARN_BLOCK) == first_hit - 1
+    for count in (1, first_hit, 3 * _LEARN_BLOCK):
+        assert scheme.skip_clean_learning_draws(count) == 0
+        assert scheme.rng_draws == first_hit
     template = _Template(0)
-    for index in range(first_hit + 1):
-        scheme._maybe_send_learning_packet(None, template)
-        assert template.fired == (index == first_hit)
-    # Skipping consumes exactly the clean stretch it was told to.
+    scheme._maybe_send_learning_packet(None, template)
+    assert template.fired == 1
+    # A stretch asked for exactly is consumed exactly.
     rest = expected[first_hit + 1:]
     next_hit = next(i for i, v in enumerate(rest) if v < 0.05)
-    assert scheme.clean_learning_draws(next_hit + 5) == next_hit
-    scheme.skip_learning_draws(next_hit)
+    assert scheme.skip_clean_learning_draws(next_hit) == next_hit
     assert scheme.rng_draws == first_hit + 1 + next_hit
     scheme._maybe_send_learning_packet(None, template)
     assert template.fired == 2
@@ -119,11 +122,76 @@ def test_look_ahead_defers_to_per_draw_replay():
     is more (or less) than a stream read: nothing may be skipped."""
     observed = _bare_scheme(0.005, seed=1)
     observed.learning_draw_observer = lambda switch, packet: None
-    assert observed.clean_learning_draws(10) == 0
+    assert observed.skip_clean_learning_draws(10) == 0
+    assert observed.rng_draws == 0
     disabled = _bare_scheme(0.005, seed=1, enable_learning_packets=False)
-    assert disabled.clean_learning_draws(10) == 0
+    assert disabled.skip_clean_learning_draws(10) == 0
     disabled._maybe_send_learning_packet(None, _Template(0))
     assert disabled.rng_draws == 0
+
+
+def _clean_then_skip(scheme, count):
+    """The look-ahead and the consume the one call replaced, as they
+    were: ``clean_learning_draws(count)`` then ``skip_learning_draws``
+    of its answer."""
+    if (scheme.learning_draw_observer is not None
+            or not scheme.config.enable_learning_packets):
+        clean = 0
+    else:
+        pos = scheme._learn_pos
+        if len(scheme._learn_buf) - pos < count:
+            scheme._refill_learning(max(count, _LEARN_BLOCK))
+            pos = 0
+        hits = scheme._learn_hits
+        at = bisect_left(hits, pos)
+        clean = (count if at == len(hits) or hits[at] >= pos + count
+                 else hits[at] - pos)
+    scheme._learn_pos += clean
+    scheme.rng_draws += clean
+    return clean
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(p_learn=st.sampled_from([0.0, 0.005, 0.2, 1.0]),
+       learning=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.tuples(st.sampled_from(["draw", "skip", "observe"]),
+                                st.integers(1, 3 * _LEARN_BLOCK)),
+                      min_size=1, max_size=12))
+def test_merged_skip_equals_clean_then_skip(p_learn, learning, seed, steps):
+    """Step for step, the merged call and the two it replaced answer
+    alike and leave the stream alike: same ``rng_draws``, same unread
+    values, same generator state, and the same values for every later
+    draw — with and without a draw observer, learning on and off."""
+    merged = _bare_scheme(p_learn, seed, enable_learning_packets=learning)
+    split = _bare_scheme(p_learn, seed, enable_learning_packets=learning)
+    for op, count in steps:
+        for scheme in (merged, split):
+            if op == "draw":
+                for _ in range(count % 40):
+                    scheme._maybe_send_learning_packet(None, _Template(0))
+            elif op == "observe":
+                scheme.learning_draw_observer = (
+                    None if scheme.learning_draw_observer is not None
+                    else lambda switch, packet: None)
+        if op == "skip":
+            assert (merged.skip_clean_learning_draws(count)
+                    == _clean_then_skip(split, count))
+        assert merged.rng_draws == split.rng_draws
+        assert (merged._learn_buf[merged._learn_pos:]
+                == split._learn_buf[split._learn_pos:])
+        assert (merged._learn_rng.bit_generator.state
+                == split._learn_rng.bit_generator.state)
+    later = []
+    for scheme in (merged, split):
+        scheme.learning_draw_observer = None
+        template = _Template(0)
+        fired = []
+        for _ in range(2 * _LEARN_BLOCK + 3):
+            before = template.fired
+            scheme._maybe_send_learning_packet(None, template)
+            fired.append(template.fired - before)
+        later.append((scheme.rng_draws, fired))
+    assert later[0] == later[1]
 
 
 #: Draw / look-ahead / skip counts: small ones, ones that end within
@@ -132,16 +200,16 @@ _COUNTS = st.one_of(st.integers(1, 40),
                     st.integers(_LEARN_BLOCK - 2, _LEARN_BLOCK + 2),
                     st.integers(1, 3 * _LEARN_BLOCK))
 _STEPS = st.lists(
-    st.tuples(st.sampled_from(["draw", "look", "skip", "observe"]), _COUNTS),
+    st.tuples(st.sampled_from(["draw", "skip", "observe"]), _COUNTS),
     min_size=4, max_size=24)
 _CASES = given(p_learn=st.sampled_from([0.0, 0.005, 0.2, 1.0]),
                seed=st.integers(0, 2**32 - 1), steps=_STEPS)
 
 
 def _check_stream_against_scalar_reads(cls, p_learn, seed, steps):
-    """Interleave live draws, look-aheads and skips on a ``cls`` scheme
-    and on a reference that takes one scalar ``random()`` per value:
-    same triggering stream indices, same look-ahead answers, same
+    """Interleave live draws and skips on a ``cls`` scheme and on a
+    reference that takes one scalar ``random()`` per value: same
+    triggering stream indices, same skip answers, same
     ``rng_draws``, and a generator that has handed out exactly the
     values read plus the ones still buffered."""
     scheme = _bare_scheme(p_learn, seed, cls=cls)
@@ -171,14 +239,12 @@ def _check_stream_against_scalar_reads(cls, p_learn, seed, steps):
                 None if scheme.learning_draw_observer is not None
                 else lambda switch, packet: observed.append(read))
         else:
-            clean = scheme.clean_learning_draws(count)
+            clean = scheme.skip_clean_learning_draws(count)
             if scheme.learning_draw_observer is not None:
                 assert clean == 0
             else:
                 assert clean == clean_ahead(read, count), (read, count)
-                if op == "skip":
-                    scheme.skip_learning_draws(clean)
-                    read += clean
+                read += clean
         assert scheme.rng_draws == read
     buffered = len(scheme._learn_buf) - scheme._learn_pos
     handed_out = np.random.default_rng(seed)
@@ -234,7 +300,7 @@ def test_reused_scheme_never_serves_previous_networks_draws(make):
     reused = make()
     first = _learning_trace(reused, 5)
     # Leave look-ahead values behind, as an interrupted hybrid run would.
-    reused.clean_learning_draws(2 * _LEARN_BLOCK)
+    reused.skip_clean_learning_draws(2 * _LEARN_BLOCK)
     draws_before = reused.rng_draws
     second = _learning_trace(reused, 6)
     assert first == fresh[0]

@@ -119,14 +119,22 @@ def _mid_round(stretch=1):
     """One long flow on FT8, stopped 40 packets into its first fluid round.
 
     ``stretch`` multiplies the round's pacing, so that its commit event
-    lies far enough ahead for the flow to be re-adopted before it.
+    lies far enough ahead for the flow to be re-adopted before it: as a
+    fair share, which a round armed after an adoption (the active set
+    changed) reads in place of the probe-measured interval when larger.
     """
     network = build_network(FatTreeSpec(), SwitchV2P(16384), 64, seed=7,
                             fidelity="hybrid")
     suite = OracleSuite(network)
     fluid = network.fluid
-    pacing = fluid._shared_interval
-    fluid._shared_interval = lambda flow: stretch * pacing(flow)
+    fair_shares = fluid._commit_shares
+
+    def stretched_shares():
+        fair_shares()
+        for flow in fluid._flows.values():
+            flow.share_interval = stretch * flow.iso_interval
+
+    fluid._commit_shares = stretched_shares
     TrafficPlayer(network).add_flows(
         [FlowSpec(src_vip=0, dst_vip=1, size_bytes=_FLOW_BYTES, start_ns=0)])
     while not fluid._flows:
@@ -146,12 +154,12 @@ def _state(network, *flows):
     """What a commit moves: scheduler counts and clock, both transport
     ends, the flow's progress and the traffic counters it replays."""
     fluid = network.fluid
-    return (fluid.stats_dict(), dict(fluid.perf.phases_ns),
+    return (fluid.stats_dict(), fluid.perf.ns,
             network.collector.deliveries,
             [(flow.token, flow.sent, flow.sender.snd_una, flow.sender.snd_next,
               flow.sender.acks_received, flow.receiver.rcv_next,
               flow.record.bytes_received,
-              [(stats.packets, stats.bytes) for stats in flow.traffic])
+              [(stats.packets, stats.bytes) for stats, _, _ in flow.plan.traffic])
              for flow in flows])
 
 

@@ -15,6 +15,7 @@ other half of the bargain: fidelity="packet" must stay bit-identical.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,8 @@ from repro.service.config import ServiceConfig
 from repro.service.driver import run_service
 from repro.sim.engine import SECOND, usec
 from repro.transport.flow import FlowSpec
+
+from opcode_cost import cost_table, count_opcodes
 
 
 def _steady_flows(n_pairs=4, size=1_500_000, transport="tcp"):
@@ -195,14 +198,23 @@ def test_conflict_churn_escalates_and_completes():
 # ----------------------------------------------------------------------
 # what a round costs the interpreter
 # ----------------------------------------------------------------------
+def _tripwire_run():
+    """Four 12 MB same-pair flows: 252 fluid rounds, 1 in 7.5 walked."""
+    network = build_network(FatTreeSpec(), SwitchV2P(16384), 64, seed=7,
+                            fidelity="hybrid")
+    return lambda: run_flows(network, _steady_flows(size=12_000_000),
+                             trace_name="steady")
+
+
 def test_python_calls_per_fluid_round_stay_bounded():
     """A count, not a time, so it repeats exactly on any machine: the
     Python frames a steady run enters in ``sim/fluid.py``, ``perf.py``,
     ``contextlib`` and the engine's slow path, per fluid round.  28.82
     while a round was a wheel timer inside two ``@contextmanager``
-    generators (7 262 frames / 252 rounds); 18.70 as a calendar event
-    timed by a start/stop pair (4 712).  The bound is 10 % above that;
-    walks, 1 round in 7 here, are what is left to go after."""
+    generators (7 262 frames / 252 rounds); 18.38 as a calendar event
+    timed by a start/stop pair (4 631); 7.93 (1 999) once the round
+    commits through the busy clock, replays a plan, arms without helper
+    frames and the walk snapshots in C.  The bound is 10 % above that."""
     counted = 0
 
     def count(frame, event, _arg):
@@ -215,17 +227,36 @@ def test_python_calls_per_fluid_round_stay_bounded():
                 or (path.endswith("sim/engine.py")
                     and code.co_name in ("_pop_next", "_sweep_wheel")))
 
-    network = build_network(FatTreeSpec(), SwitchV2P(16384), 64, seed=7,
-                            fidelity="hybrid")
-    flows = _steady_flows(size=12_000_000)
+    run = _tripwire_run()
     sys.setprofile(count)
     try:
-        result = run_flows(network, flows, trace_name="steady")
+        result = run()
     finally:
         sys.setprofile(None)
     assert result.completion_rate == 1.0
     assert result.fluid_rounds == 252
-    assert counted / result.fluid_rounds < 20.6
+    assert counted / result.fluid_rounds < 8.7
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the count is a property of the interpreter; "
+                           "the bound was measured on CPython 3.11")
+def test_opcodes_per_fluid_round_stay_bounded():
+    """The exact cost beside the frame count: bytecodes executed in
+    ``sim/fluid.py`` and ``perf.py`` per fluid round of the same run
+    (``opcode_cost.py``).  1 031.0 while a commit replayed its deltas
+    by name, drained the draw ledger twice and opened a phase timer
+    through ``_in_phase``; 741.2 with the replay plan, one drain per
+    boundary, the busy clock, arming without helper frames and the
+    walk's snapshots in C.  The bound is 2 % above that."""
+    result, by_function = count_opcodes(_tripwire_run())
+    assert result.fluid_rounds == 252
+    fluid = Counter({key: opcodes for key, opcodes in by_function.items()
+                     if key[0] in ("repro/sim/fluid.py", "repro/perf.py")})
+    per_round = sum(fluid.values()) / result.fluid_rounds
+    assert per_round <= 741.2 * 1.02, (
+        f"{per_round:.1f} opcodes per fluid round\n"
+        + cost_table(fluid, result.fluid_rounds, unit="round"))
 
 
 # ----------------------------------------------------------------------

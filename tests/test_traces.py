@@ -1,5 +1,7 @@
 """Tests for the workload generators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,38 @@ def test_sample_sizes_within_cdf_support():
     assert sizes.min() >= 1
     assert sizes.max() <= HADOOP_CDF[-1][0]
     assert len(sizes) == 2000
+
+
+def _sample_sizes_per_draw(cdf, count, generator):
+    """``sample_sizes`` as it was: one ``np.searchsorted`` per draw."""
+    uniform = generator.random(count)
+    sizes = np.empty(count)
+    knots = list(cdf)
+    probs = np.array([p for _, p in knots])
+    for i, u in enumerate(uniform):
+        j = int(np.searchsorted(probs, u, side="right"))
+        j = min(max(j, 1), len(knots) - 1)
+        s0, p0 = knots[j - 1]
+        s1, p1 = knots[j]
+        if p1 <= p0:
+            sizes[i] = s1
+            continue
+        fraction = (u - p0) / (p1 - p0)
+        sizes[i] = math.exp(math.log(s0) + fraction * (math.log(s1) - math.log(s0)))
+    return np.maximum(1, sizes).astype(np.int64)
+
+
+@pytest.mark.parametrize("cdf", [HADOOP_CDF, WEBSEARCH_CDF],
+                         ids=["hadoop", "websearch"])
+def test_sample_sizes_equal_the_per_draw_loop(cdf):
+    """The one vectorised search draws bit-identical sizes, and leaves
+    the generator where the loop did."""
+    for seed in range(5):
+        batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(sample_sizes(cdf, 5000, batched),
+                              _sample_sizes_per_draw(cdf, 5000, looped))
+        assert batched.random() == looped.random()
+    assert len(sample_sizes(cdf, 0, rng())) == 0
 
 
 def test_websearch_flows_heavier_than_hadoop():
