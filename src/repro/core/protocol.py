@@ -538,6 +538,26 @@ class SwitchV2P(CachingScheme):
         self.rng_draws += count
         return count
 
+    def clean_learning_room(self) -> int:
+        """How many of the next draws certainly trigger nothing.
+
+        The offset of the next buffered triggering value, refilling
+        once when none is buffered, else the rest of the buffer; 0
+        wherever :meth:`skip_clean_learning_draws` would consume nothing.
+        """
+        if (self.learning_draw_observer is not None
+                or not self.config.enable_learning_packets):
+            return 0
+        pos = self._learn_pos
+        hits = self._learn_hits
+        at = bisect_left(hits, pos)
+        if at == len(hits):
+            self._refill_learning(_LEARN_BLOCK)
+            pos = 0
+            hits = self._learn_hits
+            at = 0
+        return hits[at] - pos if at < len(hits) else len(self._learn_buf) - pos
+
     def _refill_learning(self, size: int) -> list[float]:
         """Drop the read values, buffer ``size`` more, and note where the
         new ones trigger (``p_learn`` is frozen) for the look-ahead."""

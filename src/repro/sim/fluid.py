@@ -26,17 +26,18 @@ Exactness contract (see docs/simulator.md "Hybrid fidelity"):
   ``SwitchV2P.learning_draw_observer``, and each armed round enters
   the :class:`_DrawLedger` as ONE run-length record (first due time,
   interval, packet range, sites) standing for its ``packets x sites``
-  draws.  Every fluid boundary (round begin/commit/escalation) counts
-  by arithmetic the draws due across *all* flows and asks the scheme's
-  buffered stream whether any of them triggers; if none does — 199 in
-  200 draws at the paper's ``p_learn`` — they are consumed in one
-  step, since the order of draws that do nothing is immaterial.  Only
-  a triggering draw makes the ledger walk the exact global
+  draws.  A round commit compares its time with a bound on when the
+  draws due across *all* flows can reach the stream's next trigger
+  (199 in 200 draws at the paper's ``p_learn`` do nothing) and only
+  marks the instant before it; a live draw first replays what the
+  last mark stands for.  From the bound on, after a live draw and at
+  adoptions and escalations, the ledger drains: it counts the due
+  draws by arithmetic and consumes those that trigger nothing in one
+  step.  Only a trigger makes it walk the exact global
   ``(due, arm order, packet, site)`` order up to it and fire it
   through ``replay_learning_draw``, so the shared RNG stream advances
   exactly as in packet mode and the trigger emits real learning
-  traffic that can itself escalate flows through the cache observer.
-  Cost: O(rounds + triggers), not O(packets x sites);
+  traffic.  Cost: O(rounds + triggers), not O(packets x sites);
 * a flow whose (src, dst) pair has walked clean twice in a row gets
   its path signature (the set of on-path switches) memoized; while
   the signature stays valid the flow may arm rounds *without*
@@ -126,8 +127,8 @@ _UDP = 1
 #: Forwarding-loop guard, mirroring the oracle hop bound.
 _HOP_CAP = 32
 
-#: Due time of "no pending draw": later than any simulated instant.
-_NEVER = 1 << 62
+#: ``_DrawLedger.slack`` while nothing is pending; ``-_INF`` forces a drain.
+_INF = float("inf")
 
 #: Collector counters a walk is diffed on.  The first five are what a
 #: delivery moves, replayed; control traffic, gateway detours and
@@ -204,6 +205,7 @@ class _WalkContext:
         "cache_before",
         "mutated",
         "draw_sites",
+        "caught_up",
     )
 
     def __init__(self) -> None:
@@ -233,22 +235,18 @@ class _WalkContext:
         #: ``(switch, template)`` learning-RNG draw sites the probe hit,
         #: in draw order; every analytic packet draws once at each.
         self.draw_sites: list[tuple[Any, Any]] = []
+        #: Analytic draws the ledger replayed ahead of the probe's.
+        self.caught_up = 0
 
 
-class _DrawTemplate:
-    """The packet fields a learning-RNG draw site reads, frozen.
+class _DrawTemplate(NamedTuple):
+    """The packet fields a learning-RNG draw site reads, frozen: every
+    packet of a warm flow presents the same at a given site, so one
+    capture stands in for the round's replays (``replay_learning_draw``)."""
 
-    Every packet of a warm flow presents identical values at a given
-    draw site, so one capture stands in for the whole round's replays
-    (see ``SwitchV2P.replay_learning_draw``).
-    """
-
-    __slots__ = ("outer_src", "dst_vip", "outer_dst")
-
-    def __init__(self, outer_src: int, dst_vip: int, outer_dst: int) -> None:
-        self.outer_src = outer_src
-        self.dst_vip = dst_vip
-        self.outer_dst = outer_dst
+    outer_src: int
+    dst_vip: int
+    outer_dst: int
 
 
 class _DrawRun:
@@ -260,7 +258,7 @@ class _DrawRun:
     """
 
     __slots__ = ("t0", "interval", "k", "s", "end", "due_k", "sites",
-                 "width", "seq")
+                 "width", "seq", "rate", "icept")
 
     def __init__(self, t0: int, interval: int, first: int, end: int,
                  sites: list[tuple[Any, Any]], seq: int) -> None:
@@ -272,132 +270,163 @@ class _DrawRun:
         #: Scratch of the drain in progress: packets below it are due.
         self.due_k = first
         self.sites = sites
-        self.width = len(sites)
+        self.width = width = len(sites)
         #: Arm order; breaks ties between runs with equal due times.
         self.seq = seq
+        #: Its term ``rate * t + icept - width * k`` of the ledger's
+        #: bound: at least the draws of packets ``k`` on due by ``t``.
+        self.rate = rate = width / interval
+        self.icept = width - rate * t0
 
     def truncate(self, cutoff: int) -> None:
-        """Drop the draws due after ``cutoff`` (the round was cancelled).
-
-        Packets credited by a mid-round escalation — exactly those due
-        by the escalation instant — keep their draws, whether an
-        enclosing drain or a later one replays them.
-        """
-        end = (cutoff - self.t0) // self.interval + 1
-        if end < self.end:
-            self.end = end
+        """Drop the draws due after ``cutoff`` (the round was cancelled):
+        packets credited by a mid-round escalation keep theirs."""
+        self.end = min(self.end, (cutoff - self.t0) // self.interval + 1)
 
 
 class _DrawLedger:
-    """Pending analytic learning draws of all flows, one record per round.
+    """Pending analytic learning draws of all flows, one record per round,
+    replayed in packet mode's order: due time, arm order, packet, site.
+    A round boundary drains once a trigger can be due, else leaves a
+    mark: draws due by ``t`` since the last drain are at most ``rate *
+    t`` plus the runs' intercepts; ``slack`` is the clean room ahead
+    less those and a one-draw rounding margin (``-inf``: unknown)."""
 
-    Replays them against the scheme's learning stream in the global
-    order packet mode would have drawn them: by due time, then by the
-    order rounds were armed, then packet, then site.
-    """
-
-    __slots__ = ("scheme", "_runs", "_seq", "_next_due", "_draining")
+    __slots__ = ("scheme", "_runs", "seq", "rate", "slack", "mark",
+                 "_hook", "_draining")
 
     def __init__(self, scheme: Any) -> None:
         self.scheme = scheme
         self._runs: list[_DrawRun] = []
-        self._seq = 0
-        #: No pending draw is due before this time, so a drain before
-        #: it returns without looking at the runs.
-        self._next_due = _NEVER
+        self.seq = 0
+        self.rate = 0.0
+        self.slack = _INF
+        #: The last mark since the last drain: (time, arm order).
+        self.mark: tuple[int, int] | None = None
+        #: The scheme's draw observer while draws are pending.
+        self._hook = self.commit_live
         self._draining = False
 
     def add_run(self, t0: int, interval: int, first: int, end: int,
                 sites: list[tuple[Any, Any]]) -> _DrawRun | None:
-        """Record a round's draws: packets ``first .. end-1`` at ``sites``.
-
-        Returns the record (to :meth:`_DrawRun.truncate` if the round
-        is cancelled), or None when the round draws nothing.
-        """
+        """Record a round's draws: packets ``first .. end-1`` at ``sites``;
+        return the record to truncate, or None when it draws nothing."""
         if first >= end or not sites:
             return None
-        self._seq += 1
-        run = _DrawRun(t0, interval, first, end, sites, self._seq)
+        if not self._runs:
+            # Nothing watched the stream while nothing was pending.
+            self.slack = -_INF
+        self.seq += 1
+        run = _DrawRun(t0, interval, first, end, sites, self.seq)
         self._runs.append(run)
-        due = t0 + first * interval
-        if due < self._next_due:
-            self._next_due = due
+        self.rate += run.rate
+        self.slack -= run.icept - run.width * first
         return run
 
+    def _catch_up(self) -> int:
+        """Step the rounds armed by the last mark past the draws due by it,
+        which per-boundary drains had replayed by then; count them."""
+        if self.mark is None:
+            return 0
+        (t, seq), self.mark = self.mark, None
+        total = 0
+        for run in self._runs:
+            if run.seq > seq:
+                break
+            due_k = min((t - run.t0) // run.interval + 1, run.end)
+            if due_k > run.k:
+                total += (due_k - run.k) * run.width - run.s
+                run.k, run.s = due_k, 0
+        return total
+
+    def commit_live(self, switch: Any = None, packet: Any = None) -> int:
+        """Replay the draws due by the last mark in one skip (no trigger
+        lies before the bound) and count them: before a live draw reads
+        the stream, as the scheme's self-removing observer or a probe
+        walk's, and at a run's end."""
+        if not self._runs:
+            self.mark, self.slack = None, _INF
+            return 0
+        self.slack = -_INF
+        scheme = self.scheme
+        observer = scheme.learning_draw_observer
+        if observer is self._hook:
+            observer = None
+        scheme.learning_draw_observer = None
+        total = self._catch_up()
+        clean = scheme.skip_clean_learning_draws(total) if total else 0
+        assert clean == total, "a trigger before the bound"
+        scheme.learning_draw_observer = observer
+        return total
+
     def commit_due(self, now: int) -> None:
-        """Replay every pending draw due by ``now``, in global order.
-
-        Each analytic packet must consume exactly the draws its real
-        counterpart would have (same sites, same order) or the shared
-        learning RNG — and every later draw in the run — diverges from
-        packet mode.  The due draws are counted by arithmetic per run
-        and, when the scheme's look-ahead finds none that triggers,
-        consumed in one step: draws that do nothing commute.  A
-        triggering draw runs through the real scheme entry point, so
-        it emits real learning traffic or performs a real ToR install,
-        whose effects (including cache mutations that escalate flows
-        via ``on_mutate``) land through the normal code paths at the
-        next fluid boundary after the packet's virtual send time.
-
-        Escalation mid-drain is safe: the reentrancy guard keeps the
-        nested call a no-op, the escalated round's run is truncated to
-        its credited packets, and what is due is counted afresh after
-        every triggering draw.
-        """
-        if now < self._next_due or self._draining:
+        """Replay every pending draw due by ``now``, in global order: the
+        due draws are counted per run and, up to the scheme's next
+        trigger, consumed in one step, since draws that do nothing
+        commute.  A trigger fires through the real scheme entry point (a
+        nested drain is a no-op, an escalated run keeps the packets due
+        by now, a round armed meanwhile is counted in)."""
+        if self._draining or not self._runs:
             return
+        scheme = self.scheme
+        if scheme.learning_draw_observer is self._hook:
+            scheme.learning_draw_observer = None
         self._draining = True
         try:
             runs = self._runs
-            skip = self.scheme.skip_clean_learning_draws
+            skip = scheme.skip_clean_learning_draws
+            counted = -1
             while True:
-                total = 0
-                for run in runs:
-                    k = run.k
-                    due_k = (now - run.t0) // run.interval + 1
-                    end = run.end
-                    if due_k > end:
-                        due_k = end
-                    run.due_k = due_k
-                    if due_k > k:
-                        total += (due_k - k) * run.width - run.s
+                if counted != len(runs):
+                    counted = len(runs)
+                    total = 0
+                    for run in runs:
+                        due_k = (now - run.t0) // run.interval + 1
+                        if due_k > run.end:
+                            due_k = run.end
+                        run.due_k = due_k
+                        if due_k > run.k:
+                            total += (due_k - run.k) * run.width - run.s
                 if not total:
                     break
                 clean = skip(total)
                 if clean == total:
                     break
                 self._commit_through_trigger(clean)
+                total -= clean + 1
             # Whatever is still due triggers nothing and is consumed.
-            # (``due_k >= k`` always: only the drain advances ``k``.)
-            next_due = _NEVER
-            exhausted = False
+            rate = base = 0.0
+            pending = []
             for run in runs:
                 k = run.due_k
                 if k > run.k:
-                    run.k = k
-                    run.s = 0
+                    run.k, run.s = k, 0
                 if k < run.end:
-                    due = run.t0 + k * run.interval
-                    if due < next_due:
-                        next_due = due
+                    pending.append(run)
+                    rate += run.rate
+                    base += run.icept - run.width * k
                 else:
-                    exhausted = True
-            if exhausted:
-                self._runs = [run for run in runs if run.k < run.end]
-            self._next_due = next_due
+                    # Out of the bound: its round's commit takes nothing.
+                    run.rate = 0.0
+                    run.icept = run.end * run.width
+            self._runs = pending
+            self.rate = rate
+            self.mark = None
+            self.slack = _INF
+            if pending:
+                self.slack = scheme.clean_learning_room() - 1 - base
+                if scheme.learning_draw_observer is None:
+                    scheme.learning_draw_observer = self._hook
         finally:
             self._draining = False
 
     def _commit_through_trigger(self, clean: int) -> None:
-        """Step the runs past the ``clean`` draws the scheme just
-        consumed, in exact order, then fire the next.
-
-        The next draw triggers (or may, when the scheme asked for
-        per-draw replay): it goes through ``replay_learning_draw`` like
-        a packet-mode draw.  Which run and site it falls on decides the
-        learning packet's content, hence the exact merge of the runs'
-        ``(due, arm order)`` heads.
-        """
+        """Step the runs past the ``clean`` draws the scheme just consumed
+        (the last mark's by arithmetic, then the exact merge of their
+        ``(due, arm order)`` heads) and fire the next through
+        ``replay_learning_draw``: its run and site make the packet."""
+        clean -= self._catch_up()
+        assert clean >= 0, "a trigger before the bound"
         heads = [(run.t0 + run.k * run.interval, run.seq, run)
                  for run in self._runs if run.due_k > run.k]
         heapify(heads)
@@ -745,7 +774,7 @@ class FluidScheduler:
         Returns True when a round was armed; False when the probe was
         dirty and the flow was handed back to packet level (the
         transport is already restored and running on return).  The
-        caller has drained the draw ledger at this instant.
+        caller has drained or marked the draw ledger at this instant.
         """
         status, ctx, rtt = self._walk_round(flow)
         if status == _ST_CLEAN:
@@ -955,9 +984,19 @@ class FluidScheduler:
         # the plan for all n packets instead of n - 1.
         self._commit_deltas(flow, n - 1 if flow.probed else n)
         flow.sent += n
+        run = flow.round_run
         flow.round_run = None
-        # The one drain of this instant; the next round arms after it.
-        self._draws.commit_due(self.engine._now)
+        draws = self._draws
+        now = self.engine._now
+        if run is not None:
+            # All its draws are due: the run's term turns exact.
+            draws.rate -= run.rate
+            draws.slack -= run.end * run.width - run.s - run.icept
+        # This instant's boundary; the next round arms after it.
+        if now * draws.rate < draws.slack:
+            draws.mark = (now, draws.seq)
+        else:
+            draws.commit_due(now)
         if flow.flow_id not in self._flows:
             # A replayed draw triggered a real cache insert and
             # the mutation observer escalated this very flow;
@@ -1039,14 +1078,9 @@ class FluidScheduler:
         flow.round_run = None
         self._escalate_finish(flow, reason, 0, registered=True,
                               udp_resume_at=resume_at)
-        # Credited packets' RNG draws replay only after the flow is
-        # unregistered: a triggered draw may escalate other flows
-        # through the cache observer but can no longer re-enter
-        # this one.  The resumed transport's own packets draw later
-        # (at switch-arrival events), preserving packet-mode order.
-        # Future-dated draws of the cancelled round die; those due
-        # by now (exactly the ``partial`` credited packets) still
-        # replay, whether drained here or by an enclosing drain.
+        # Credited packets' draws (those due by now) replay once the
+        # flow is unregistered, here or in an enclosing drain, so a
+        # trigger cannot re-enter it; the cancelled rest die.
         if run is not None:
             run.truncate(self.engine._now)
         self._draws.commit_due(self.engine._now)
@@ -1155,6 +1189,7 @@ class FluidScheduler:
         scheme = self.scheme
         observes_draws = hasattr(scheme, "learning_draw_observer")
         if observes_draws:
+            ledger_hook = scheme.learning_draw_observer
             scheme.learning_draw_observer = self._walk_record_draw
         rtt = 0
         try:
@@ -1195,17 +1230,18 @@ class FluidScheduler:
             return self._walk_close(flow, ctx, _ST_CLEAN, rtt)
         finally:
             if observes_draws:
-                scheme.learning_draw_observer = None
+                scheme.learning_draw_observer = ledger_hook
             self._walking = False
             self._walking_ctx = None
 
     def _walk_record_draw(self, switch: Any, packet: Any) -> None:
-        """Draw observer: capture a learning-RNG draw site mid-walk."""
+        """Draw observer mid-walk: record the site; the ledger catches up."""
         ctx = self._walking_ctx
         if ctx is not None:
             ctx.draw_sites.append(
                 (switch, _DrawTemplate(packet.outer_src, packet.dst_vip,
                                        packet.outer_dst)))
+            ctx.caught_up += self._draws.commit_live()
 
     def _walk_packet(self, ctx: _WalkContext, origin: Host, packet: Packet):
         """Advance one real packet from ``origin`` to delivery, inline.
@@ -1348,12 +1384,12 @@ class FluidScheduler:
                 for name, diff in zip(_SCHEME_DIRTY,
                                       map(sub, after, ctx.scheme_before)):
                     # Draws are replayable when the observer captured
-                    # every one's site: the ledger consumes one stream
-                    # value per site per analytic packet.  Draws that
-                    # *triggered* moved learning_packets_sent (or a
-                    # cache insert fired on_mutate) and stay mutating.
+                    # every one's site (the ledger's catch-up aside).
+                    # Draws that *triggered* moved learning_packets_sent
+                    # (or a cache insert fired on_mutate): mutating.
                     if diff and not (name == "rng_draws"
-                                     and diff == len(ctx.draw_sites)):
+                                     and diff == len(ctx.draw_sites)
+                                     + ctx.caught_up):
                         ctx.mutated = True
         caches = []
         for stats, before in ctx.cache_before.items():
@@ -1411,6 +1447,10 @@ class FluidScheduler:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
+    def finish(self) -> None:
+        """End of a run: replay the draws the last mark stands for."""
+        self._draws.commit_live()
+
     def stats_dict(self) -> dict[str, Any]:
         return {
             "adoptions": self.adoptions,

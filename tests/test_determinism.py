@@ -254,6 +254,9 @@ def test_hybrid_k16_matches_packet_cache_metrics():
     assert hybrid.fluid_adoptions > 0, "hybrid run never went fluid"
     assert hybrid.fluid_packets > 0
     assert cache_metrics(packet) == cache_metrics(hybrid)
+    assert packet.network.scheme.rng_draws == hybrid.network.scheme.rng_draws
+    # The run's end replayed what the ledger's last mark stood for.
+    assert hybrid.network.fluid._draws.mark is None
 
 
 def test_run_experiment_twice_identical():

@@ -32,6 +32,7 @@ from repro.core.protocol import _LEARN_BLOCK
 from repro.experiments.runner import build_network, run_flows
 from repro.net.topology import FatTreeSpec
 from repro.sim.fluid import _DrawLedger
+from repro.transport.flow import FlowSpec
 
 from test_hybrid_fidelity import _cache_metrics, _steady_flows
 
@@ -316,7 +317,8 @@ class _NaiveDraws:
 
     Entries are ``(due, seq, run id, site, token)`` with a globally
     increasing ``seq``; a token is ``[alive, cutoff]`` and a dead
-    round's entries still replay when due by its cutoff.
+    round's entries still replay when due by its cutoff.  Every round
+    boundary drains; a live draw reads the next value in place.
     """
 
     def __init__(self, p_learn: float, seed: int, on_fire) -> None:
@@ -362,6 +364,17 @@ class _NaiveDraws:
         finally:
             self.draining = False
 
+    def boundary(self, now, _committed):
+        self.drain(now)
+
+    def live(self):
+        """Read one value as a packet-mode draw does: its index, value."""
+        self.draws += 1
+        return self.draws - 1, self.rng.random()
+
+    def finish(self):
+        pass
+
     def progress(self):
         return list(self.consumed)
 
@@ -395,6 +408,7 @@ class _LedgerDraws:
         self.log: list[tuple[int, int, bool]] = []
         self.runs: list = []
         self.now = 0
+        self.marks = 0
 
     def arm(self, t0, interval, first, end, sites):
         run = self.ledger.add_run(t0, interval, first, end,
@@ -407,8 +421,34 @@ class _LedgerDraws:
             run.truncate(cutoff)
 
     def drain(self, now):
+        """An adoption's or an escalation's drain."""
         self.now = now
         self.ledger.commit_due(now)
+
+    def boundary(self, now, committed):
+        """A round commit's boundary, as ``FluidScheduler._commit_round``
+        takes it: the committed round's run (all due) turns exact, then
+        one comparison marks or drains."""
+        self.now = now
+        ledger = self.ledger
+        if committed is not None:
+            ledger.rate -= committed.rate
+            ledger.slack -= (committed.end * committed.width - committed.s
+                             - committed.icept)
+        if now * ledger.rate < ledger.slack:
+            ledger.mark = (now, ledger.seq)
+            self.marks += self.pending() > 0
+        else:
+            ledger.commit_due(now)
+
+    def live(self):
+        """Draw through the scheme's real path (the ledger's hook first)."""
+        scheme = self.scheme
+        scheme._maybe_send_learning_packet(None, _Template(99))
+        return scheme.rng_draws - 1, scheme._learn_buf[scheme._learn_pos - 1]
+
+    def finish(self):
+        self.ledger.commit_live()
 
     @property
     def draws(self):
@@ -426,26 +466,29 @@ class _LedgerDraws:
 def _play(make_world, seed: int):
     """Drive one world through the randomized schedule ``seed`` names.
 
-    Returns the world and its checkpoints: per-run replayed-draw counts
-    and the stream position at every triggering draw and after every
-    drain.  Both worlds consume the two script RNGs identically as long
-    as they trigger on the same draws in the same order.
+    Returns the world and what a reader of it can observe: replayed-draw
+    counts per run and the stream position at every triggering draw,
+    every live draw's stream index and value with the counts right
+    after its catch-up, and both at the end.  Both worlds consume the
+    two script RNGs identically as long as they trigger on the same
+    draws in the same order.
     """
     script = random.Random(seed)
     fire_script = random.Random(seed + 1_000_003)
     templates = [_Template(site) for site in range(6)]
+    #: ``(handle, due time of its last packet)`` of rounds still armed.
     handles: list = []
     checkpoints: list = []
 
-    def arm(world, now):
-        sites = script.sample(templates, script.randint(0, 3))
-        handles.append(world.arm(
-            now, script.choice((1, 1, 2, 3, 7)),
-            script.randint(0, 1), script.randint(1, 40), sites))
+    def arm(world, rng, t0, intervals, ends, sites):
+        interval = rng.choice(intervals)
+        first, end = rng.randint(0, 1), rng.randint(1, ends)
+        handles.append((world.arm(t0, interval, first, end, sites),
+                        t0 + (end - 1) * interval))
 
     def kill(world, now, rng):
         if handles:
-            world.kill(handles.pop(rng.randrange(len(handles))), now)
+            world.kill(handles.pop(rng.randrange(len(handles)))[0], now)
 
     def on_fire(world, now):
         checkpoints.append(("fire", world.draws, world.progress()))
@@ -456,10 +499,8 @@ def _play(make_world, seed: int):
             kill(world, now, fire_script)
         elif action < 0.6:
             sites = fire_script.sample(templates, fire_script.randint(1, 3))
-            handles.append(world.arm(
-                now - fire_script.choice((0, 0, 3)),
-                fire_script.choice((1, 2, 5)), fire_script.randint(0, 1),
-                fire_script.randint(1, 20), sites))
+            arm(world, fire_script, now - fire_script.choice((0, 0, 3)),
+                (1, 2, 5), 20, sites)
         if fire_script.random() < 0.3:
             world.drain(now)
 
@@ -468,14 +509,23 @@ def _play(make_world, seed: int):
     for _ in range(60):
         now += script.choice((0, 0, 1, 2, 5, 13, 40))
         action = script.random()
-        if action < 0.55:
-            arm(world, now)
-        elif action < 0.7:
+        if action < 0.45:
+            sites = script.sample(templates, script.randint(0, 3))
+            arm(world, script, now, (1, 1, 2, 3, 7), 40, sites)
+        elif action < 0.6:
             kill(world, now, script)
+        elif action < 0.8:
+            for _ in range(script.randint(1, 3)):
+                checkpoints.append(("live", *world.live(), world.progress()))
         if script.random() < 0.8:
+            # The round that commits here, if one is wholly due.
+            done = next((i for i, (_h, last) in enumerate(handles)
+                         if last <= now), None)
+            world.boundary(now, None if done is None else handles.pop(done)[0])
+        elif script.random() < 0.3:
             world.drain(now)
-            checkpoints.append(("drain", world.draws, world.progress()))
-    world.drain(now + 10_000)
+    world.boundary(now + 10_000, None)
+    world.finish()
     checkpoints.append(("end", world.draws, world.progress()))
     return world, checkpoints
 
@@ -487,9 +537,9 @@ SCHEDULES = 70
 def test_ledger_matches_per_draw_heap(p_learn):
     """>= 200 randomized schedules (70 per ``p_learn``): same triggering
     draws at the same sites and stream indices, same draws attributed
-    to every round at every trigger and drain, same ``rng_draws``."""
-    fired_total = 0
-    batched_total = 0
+    to every round at every trigger, same live draws, same
+    ``rng_draws`` — while most boundaries only mark."""
+    fired_total = batched_total = marks = 0
     for seed in range(SCHEDULES):
         naive, expected = _play(
             lambda on_fire: _NaiveDraws(p_learn, seed, on_fire), seed)
@@ -503,13 +553,18 @@ def test_ledger_matches_per_draw_heap(p_learn):
         assert real.log == fired, seed
         # What the last trigger armed for later is all that is left.
         assert real.pending() == naive.pending()
+        assert real.ledger.mark is None
         fired_total += len(fired)
-        batched_total += naive.draws - len(real.log)
+        batched_total += len(naive.log) - len(real.log)
+        marks += real.marks
     assert fired_total > 50
     if p_learn == 1.0:
         assert batched_total == 0
     else:
         assert batched_total > fired_total
+    if p_learn < 1.0:
+        # Boundaries that left draws pending for a later catch-up.
+        assert marks > 400
 
 
 def test_ledger_replays_per_draw_under_an_observer():
@@ -523,23 +578,36 @@ def test_ledger_replays_per_draw_under_an_observer():
             seed)
         assert got == expected, seed
         assert real.log == naive.log, seed
+        assert real.marks == 0
 
 
-def test_watermark_skips_drains_before_the_first_due_draw():
-    scheme = _bare_scheme(0.0, seed=0)
-    ledger = _DrawLedger(scheme)
-    ledger.commit_due(5)
+def test_boundaries_before_the_bound_only_mark():
+    """What a reader sees of a run whose draws trigger nothing: the
+    stream does not move at boundaries before the bound, a live draw
+    reads after the draws due by the last mark (not those due since),
+    and the end of the run replays the rest up to its last mark."""
+    world = _LedgerDraws(0.0, 0, on_fire=None)
+    ledger, scheme = world.ledger, world.scheme
+    world.boundary(5, None)
     assert ledger.add_run(100, 10, 1, 1, [(None, _Template(0))]) is None
     assert ledger.add_run(100, 10, 0, 4, []) is None
+    # Packets 1..3, due at 110, 120 and 130; a second one-packet round
+    # armed at 125 draws at 125.
     run = ledger.add_run(100, 10, 1, 4, [(None, _Template(0))])
-    ledger.commit_due(109)
-    assert (scheme.rng_draws, run.k) == (0, 1)
-    ledger.commit_due(110)
-    assert (scheme.rng_draws, run.k) == (1, 2)
-    run.truncate(120)
-    ledger.commit_due(1000)
-    assert (scheme.rng_draws, run.k) == (2, 3)
-    assert not ledger._runs
+    world.boundary(100, None)   # the room is unknown: a drain
+    assert world.marks == 0
+    world.boundary(121, None)
+    later = ledger.add_run(125, 10, 0, 1, [(None, _Template(1))])
+    world.boundary(125, None)
+    assert world.marks == 2 and scheme.rng_draws == 0
+    assert world.live() == (3, scheme._learn_buf[3])
+    # The live read forces the next boundary to drain.
+    world.boundary(126, later)
+    assert world.marks == 2 and scheme.rng_draws == 4
+    world.boundary(135, run)
+    assert world.marks == 3 and scheme.rng_draws == 4
+    world.finish()
+    assert scheme.rng_draws == 5 and world.pending() == 0
 
 
 # ----------------------------------------------------------------------
@@ -572,3 +640,37 @@ def test_packet_equals_hybrid_with_frequent_triggers():
     assert fired > 300
     assert packet.network.scheme.rng_draws == hybrid.network.scheme.rng_draws
     assert _cache_metrics(packet) == _cache_metrics(hybrid)
+    # The run's end replayed what its last mark stood for.
+    assert hybrid.network.fluid._draws.mark is None
+
+
+@pytest.mark.parametrize("p_learn, n_flows, gap_ns, size, seed", [
+    (0.2, 12, 23_000, 1_500_000, 778),
+    (0.05, 10, 23_000, 1_000_000, 553),
+], ids=["adoption", "marks"])
+def test_live_draws_read_after_the_analytic_draws_already_due(
+        p_learn, n_flows, gap_ns, size, seed):
+    """Staggered same-pair flows: each later flow adopts while earlier
+    ones are fluid, and its probe draws live at gateway ToRs after
+    analytic draws of theirs fell due.  Those must read the stream
+    first, as their packets did in packet mode.  "adoption": an
+    adoption that does not drain first, or a live draw that catches up
+    to now instead of the last mark, lets analytic draws and the
+    probe's trade stream values, which moves a trigger onto another
+    flow.  "marks": at a lower ``p_learn`` most boundaries only mark,
+    and a live draw that does not first catch up to the last mark
+    reads a value an analytic draw due before it had read."""
+    flows = [FlowSpec(src_vip=2 * i, dst_vip=2 * i + 1, size_bytes=size,
+                      start_ns=i * gap_ns) for i in range(n_flows)]
+    results = {}
+    for fidelity in ("packet", "hybrid"):
+        scheme = SwitchV2P(16384, config=SwitchV2PConfig(p_learn=p_learn))
+        network = build_network(FatTreeSpec(), scheme, 64, seed=seed,
+                                fidelity=fidelity)
+        results[fidelity] = run_flows(network, flows, trace_name="steady",
+                                      keep_network=True)
+    packet, hybrid = results["packet"], results["hybrid"]
+    assert hybrid.fluid_adoptions == n_flows
+    assert packet.network.scheme.rng_draws == hybrid.network.scheme.rng_draws
+    assert _cache_metrics(packet) == _cache_metrics(hybrid)
+    assert hybrid.network.fluid._draws.mark is None
