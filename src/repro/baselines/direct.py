@@ -26,7 +26,7 @@ class Direct(TranslationScheme):
 
     #: No in-network state at all — every per-packet effect is a pure
     #: function of the mapping database, and database changes reach the
-    #: fluid scheduler through the network's migrate/retire hooks.
+    #: fluid scheduler through the network's migrate hook.
     fluid_compatible = True
 
     def __init__(self) -> None:

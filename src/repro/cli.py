@@ -24,7 +24,6 @@ from repro.experiments.artifacts import (
 from repro.experiments.figures import FigureScale, build_trace, fabric_for
 from repro.experiments.runner import SCHEME_FACTORIES, run_experiment
 from repro.metrics.reporting import failure_breakdown_rows, render_table
-from repro.sim.engine import SECOND, msec, usec
 
 TRACES = ("hadoop", "websearch", "alibaba", "microbursts", "video")
 
@@ -34,27 +33,13 @@ _SCALE_FLAGS = {"vms": "num_vms", "flows": "hadoop_flows",
 _WORKLOAD_FLAGS = {"flows": "num_flows", "vms": "num_vms",
                    "cache_ratio": "cache_ratio"}
 _SEEDED_WORKLOAD_FLAGS = {**_WORKLOAD_FLAGS, "seed": "seed"}
-_SERVE_FLAGS = {
-    "minutes": ("duration_ns", lambda minutes: round(minutes * 60) * SECOND),
-    "seconds": ("duration_ns", lambda seconds: seconds * SECOND),
-    "scheme": "scheme",
-    "seed": "seed",
-    "cache_ratio": "cache_ratio",
-    "window_ms": ("window_ns", msec),
-    "tenants": "initial_tenants",
-    "probe_interval_us": ("probe_interval_ns", usec),
-    "reinstate_timeout_us": ("reinstate_timeout_ns", usec),
-    "anti_entropy_ms": ("anti_entropy_period_ns", msec),
-    "staleness_bound_ms": ("staleness_bound_ns", msec),
-    "fidelity": "fidelity",
-}
 
 
 def _overrides(args: argparse.Namespace, table: dict) -> dict:
     """Config-field overrides for the flags the user actually gave.
 
     ``table`` maps a flag's ``args`` attribute to the field it sets, or
-    to ``(field, convert)`` where the flag's unit is not the field's.
+    to ``(field, convert)`` where the value needs converting.
     Given means ``is not None``, not truthiness: ``--flows 0`` and
     ``--vms 0`` are legitimate degenerate inputs that must reach the
     config, not fall back to its defaults.
@@ -184,20 +169,6 @@ def cmd_gray(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_replay(path: str, violations, where: str = "",
-                   events: str = "") -> int:
-    """Print a ``--replay`` verdict; exit code 1 when it re-tripped."""
-    if violations:
-        print(f"replay re-tripped {len(violations)} "
-              f"violation(s){where}{events}:")
-        for violation in violations:
-            print(f"  {violation}")
-        return 1
-    print(f"replay of {path} ran clean{where} — the recorded defect "
-          "no longer reproduces")
-    return 0
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Chaos fuzzing: random fault schedules vs. the invariant oracles."""
     from dataclasses import replace
@@ -212,9 +183,15 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     if args.replay is not None:
         outcome = replay_reproducer(args.replay)
-        return _report_replay(args.replay, outcome.violations,
-                              f" on {outcome.scheme}",
-                              f" ({outcome.num_events} events)")
+        if outcome.violations:
+            print(f"replay re-tripped {len(outcome.violations)} violation(s) "
+                  f"on {outcome.scheme} ({outcome.num_events} events):")
+            for violation in outcome.violations:
+                print(f"  {violation}")
+            return 1
+        print(f"replay of {args.replay} ran clean on {outcome.scheme} — the "
+              "recorded defect no longer reproduces")
+        return 0
     if args.bug is not None and args.bug not in BUGS:
         print(f"unknown bug {args.bug!r}; known: {', '.join(sorted(BUGS))}",
               file=sys.stderr)
@@ -245,62 +222,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"replay with: python -m repro chaos --replay "
               f"{result.reproducer_path}")
     return 1
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Always-on service mode: long-horizon churn + rolling maintenance."""
-    from repro.service import (
-        ServiceConfig,
-        build_report,
-        render_report,
-        replay_reproducer,
-        run_service,
-        write_report,
-    )
-
-    if args.replay is not None:
-        return _report_replay(args.replay,
-                              replay_reproducer(args.replay).violations)
-
-    overrides = _overrides(args, _SERVE_FLAGS)
-    if args.tenants is not None:
-        overrides["max_tenants"] = max(args.tenants,
-                                       ServiceConfig().max_tenants)
-    config = ServiceConfig(**overrides)
-
-    on_window = None
-    if sys.stderr.isatty():
-        def on_window(stats) -> None:
-            sys.stderr.write(
-                f"\r  serve: window {stats.index} "
-                f"t={stats.end_ns / 1_000_000_000:.1f}s "
-                f"started={stats.flows_started} hit={stats.hit_ratio:.2f}   ")
-            sys.stderr.flush()
-
-    result = run_service(config, artifact_dir=args.artifact_dir,
-                         on_window=on_window)
-    if on_window is not None:
-        sys.stderr.write("\n")
-    report = build_report(result)
-    if args.report is not None:
-        write_report(args.report, report)
-    print(render_report(report))
-    if args.report is not None:
-        print(f"\nreport written to {args.report}")
-    if result.violations:
-        if result.reproducer_path is not None:
-            print(f"replay with: python -m repro serve --replay "
-                  f"{result.reproducer_path}")
-        return 1
-    return 0
-
-
-def cmd_serve_report(args: argparse.Namespace) -> int:
-    """Re-render a saved SLO report without re-simulating."""
-    from repro.service import load_report, render_report
-    report = load_report(args.input)
-    print(render_report(report))
-    return 1 if report["slo"]["violation_count"] else 0
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -509,66 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="re-run a saved reproducer artifact "
                                    "instead of fuzzing")
     chaos_parser.set_defaults(func=cmd_chaos)
-
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="always-on service mode: churn + maintenance + streaming SLOs",
-        description="Run the simulated datacenter as long-lived "
-                    "infrastructure: Poisson tenant arrivals/departures, "
-                    "background VM migration, rolling planned maintenance "
-                    "(drain/fail/recover rotation over ToRs, spines and "
-                    "gateways), per-window streaming SLO metrics in "
-                    "O(window) memory, and always-on invariant oracles "
-                    "that fail fast with a replayable reproducer. "
-                    "Exits 1 on any violation.")
-    serve_parser.add_argument("--minutes", type=float, default=None,
-                              help="simulated run length in minutes")
-    serve_parser.add_argument("--seconds", type=int, default=None,
-                              help="simulated run length in seconds "
-                                   "(default 10)")
-    _flags(serve_parser, "--scheme",
-           help="translation scheme (default SwitchV2P)")
-    _flags(serve_parser, "--seed", "--cache-ratio")
-    _flags(serve_parser, "--fidelity",
-           help="simulation fidelity for the service run")
-    serve_parser.add_argument("--window-ms", type=float, default=None,
-                              help="metrics window length in milliseconds "
-                                   "(default 1000)")
-    serve_parser.add_argument("--tenants", type=int, default=None,
-                              help="initial tenant count")
-    serve_parser.add_argument("--probe-interval-us", type=float, default=None,
-                              help="gateway failure-detector probe period "
-                                   "(microseconds; default 1000)")
-    serve_parser.add_argument("--reinstate-timeout-us", type=float,
-                              default=None,
-                              help="bound on detecting a recovered gateway "
-                                   "(microseconds; default 2000)")
-    serve_parser.add_argument("--anti-entropy-ms", type=float, default=None,
-                              help="anti-entropy audit period reconciling "
-                                   "switch caches against the gateway "
-                                   "database (milliseconds; default off)")
-    serve_parser.add_argument("--staleness-bound-ms", type=float, default=None,
-                              help="bounded-staleness promise checked by the "
-                                   "oracle suite (milliseconds; default off; "
-                                   "must be >= the audit period)")
-    serve_parser.add_argument("--report", default=None, metavar="PATH",
-                              help="also write the SLO report JSON here")
-    serve_parser.add_argument("--artifact-dir", default="serve-artifacts",
-                              metavar="DIR",
-                              help="where violations write reproducer "
-                                   "artifacts (default: serve-artifacts/)")
-    serve_parser.add_argument("--replay", default=None, metavar="ARTIFACT",
-                              help="re-run a saved service reproducer "
-                                   "instead of a fresh run")
-    serve_parser.set_defaults(func=cmd_serve)
-
-    serve_report_parser = subparsers.add_parser(
-        "serve-report",
-        help="re-render a saved service SLO report")
-    serve_report_parser.add_argument("--input", required=True, metavar="PATH",
-                                     help="report JSON written by "
-                                          "'repro serve --report'")
-    serve_report_parser.set_defaults(func=cmd_serve_report)
 
     profile_parser = subparsers.add_parser(
         "profile",

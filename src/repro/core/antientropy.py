@@ -12,7 +12,7 @@ with the authoritative :class:`~repro.vnet.mapping.MappingDatabase`.
 
 This yields the bounded-staleness guarantee the runtime oracle checks
 (:meth:`repro.faults.oracles.OracleSuite.configure_staleness`): once an
-entry goes bad — by migration, retirement or corruption — it survives
+entry goes bad — by migration or corruption — it survives
 at most one full audit period, because the next sweep to observe it
 removes it.  Sweeps go through the caches' normal ``invalidate``
 primitive, so mutation observers fire and the hybrid-fidelity engine

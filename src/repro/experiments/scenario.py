@@ -1,15 +1,15 @@
-"""The one fault scenario behind the four fault harnesses.
+"""The one fault scenario behind the three fault harnesses.
 
 The chaos and gray experiments (:mod:`~repro.experiments.faults`,
-:mod:`~repro.experiments.graydegrade`), the chaos fuzzer
-(:mod:`~repro.experiments.chaosfuzz`) and the always-on service
-(:mod:`repro.service.driver`) share one stage: the two-gateway fabric
-of :func:`chaos_spec`, tenants outside the gateway racks, and a subset
-of {resilience probe, oracle suite, detector tuning, anti-entropy audit,
-staleness oracle} armed before the fault schedule.  :func:`build_scenario`
-sets it in one fixed order — arming order breaks engine ties, so it is
-part of each harness's determinism contract — and the two scripted
-experiments share their baseline-vs-faulted loop and row arithmetic.
+:mod:`~repro.experiments.graydegrade`) and the chaos fuzzer
+(:mod:`~repro.experiments.chaosfuzz`) share one stage: the two-gateway
+fabric of :func:`chaos_spec`, tenants outside the gateway racks, and a
+subset of {resilience probe, oracle suite, detector tuning, anti-entropy
+audit, staleness oracle} armed before the fault schedule.
+:func:`build_scenario` sets it in one fixed order — arming order breaks
+engine ties, so it is part of each harness's determinism contract — and
+the two scripted experiments share their baseline-vs-faulted loop and
+row arithmetic.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.net.topology import FatTreeSpec
 from repro.transport.flow import FlowSpec
 from repro.transport.player import TrafficPlayer
 from repro.transport.reliable import TransportConfig
-from repro.vnet.hypervisor import Host
 from repro.vnet.network import NetworkConfig, VirtualNetwork
 
 
@@ -72,8 +71,6 @@ class Scenario:
     """A built fault scenario: the network and whatever was armed on it."""
 
     network: VirtualNetwork
-    #: Servers outside the gateway racks, in host order.
-    tenant_hosts: list[Host]
     probe: ResilienceProbe | None = None
     suite: OracleSuite | None = None
 
@@ -90,8 +87,7 @@ class Scenario:
         self.network.run(until=horizon_ns)
 
 
-def build_scenario(scheme: Any, num_vms: int = 0, *,
-                   collector: Any = None,
+def build_scenario(scheme: Any, num_vms: int, *,
                    sample_period_ns: int = 0,
                    oracles: dict[str, Any] | None = None,
                    failover: dict[str, Any] | None = None,
@@ -108,13 +104,12 @@ def build_scenario(scheme: Any, num_vms: int = 0, *,
 
     Args:
         num_vms: VIPs ``0..num_vms-1`` go round-robin over the tenant
-            hosts; the service driver passes 0 and admits its own
-            tenants onto :attr:`Scenario.tenant_hosts`.
+            hosts.
         sample_period_ns: when positive, attach a ``ResilienceProbe``.
         oracles: ``OracleSuite`` keyword arguments; given, attach one.
         failover: detector tuning; given, start the detector now.
-            Otherwise ``FaultSchedule.apply`` starts it, for schedules
-            with gateway events, tuned by ``config``'s ``gateway_*``.
+            Otherwise ``FaultSchedule.apply`` starts it, with the
+            detector's defaults, for schedules with gateway events.
         anti_entropy_period_ns: when positive, start the audit
             (promising ``staleness_bound_ns``).
         staleness_bound_ns, staleness_check_ns: when the bound is
@@ -122,20 +117,19 @@ def build_scenario(scheme: Any, num_vms: int = 0, *,
         config: other ``NetworkConfig`` fields (``seed``, ``fidelity``).
     """
     spec = chaos_spec()
-    network = VirtualNetwork(NetworkConfig(spec=spec, **config), scheme,
-                             collector)
+    network = VirtualNetwork(NetworkConfig(spec=spec, **config), scheme)
     gateway_racks = {(pod, spec.gateway_rack) for pod in spec.gateway_pods}
     tenant_hosts = [host for host in network.hosts
                     if (pip_pod(host.pip), pip_rack(host.pip))
                     not in gateway_racks]
     for vip in range(num_vms):
         network.place_vm(vip, tenant_hosts[vip % len(tenant_hosts)])
-    scenario = Scenario(network, tenant_hosts)
+    scenario = Scenario(network)
     if sample_period_ns > 0:
         scenario.probe = ResilienceProbe(network, sample_period_ns)
     if oracles is not None:
         # After placement: the suite snapshots what is published so far
-        # and subscribes to every later update and removal.
+        # and subscribes to every later update.
         scenario.suite = OracleSuite(network, **oracles)
     if failover is not None:
         network.enable_gateway_failover(**failover)

@@ -95,21 +95,14 @@ class OracleSuite:
         hop_bound: per-packet hop ceiling for the loop oracle.
         max_violations: cap on recorded violations — a looping packet
             would otherwise grow the list once per cycle.
-        on_violation: optional callback invoked with each recorded
-            :class:`OracleViolation` as it happens.  Always-on service
-            runs use it to fail fast (stop the engine, write a
-            reproducer) instead of collecting a verdict at the horizon.
     """
 
     def __init__(self, network: VirtualNetwork,
                  hop_bound: int = DEFAULT_HOP_BOUND,
-                 max_violations: int = 50,
-                 on_violation: Callable[[OracleViolation], None] | None = None,
-                 ) -> None:
+                 max_violations: int = 50) -> None:
         self.network = network
         self.hop_bound = hop_bound
         self.max_violations = max_violations
-        self.on_violation = on_violation
         self.violations: list[OracleViolation] = []
         #: Every (vip, pip) pair the control plane ever published —
         #: the initial placement snapshot plus all later updates.
@@ -118,11 +111,6 @@ class OracleSuite:
         #: VIPs that moved at least once (their stale pairs stay legal
         #: in caches until lazily invalidated).
         self._migrated: set[int] = set()
-        #: VIPs retired from the database (tenant departure).  Their
-        #: cached entries are legal staleness — the authoritative
-        #: lookup now fails, so a detoured packet dies at a gateway
-        #: with a counted resolution failure, never a wrong delivery.
-        self._retired: set[int] = set()
         self._canary = False
         self._seen_structural: set[str] = set()
         self._seen_coherence: set[tuple] = set()
@@ -138,7 +126,6 @@ class OracleSuite:
         self._bad_first_seen: dict[tuple, int] = {}
         self._seen_stale: set[tuple] = set()
         network.database.subscribe(self._on_mapping_update)
-        network.database.subscribe_removal(self._on_mapping_removal)
         self._wrap_hosts()
 
     # ------------------------------------------------------------------
@@ -148,9 +135,6 @@ class OracleSuite:
         self._published.add((vip, new_pip))
         if old_pip != -1 and old_pip != new_pip:
             self._migrated.add(vip)
-
-    def _on_mapping_removal(self, vip: int, old_pip: int) -> None:
-        self._retired.add(vip)
 
     def _wrap_hosts(self) -> None:
         for host in self.network.hosts:
@@ -215,7 +199,7 @@ class OracleSuite:
         """Arm the bounded-staleness oracle.
 
         A cache entry is *bad* the moment it disagrees with the
-        authoritative database (migration, retirement or corruption).
+        authoritative database (migration or corruption).
         The oracle tracks when each bad entry was first observed and
         reports a violation if one is still being served more than
         ``bound_ns + audit_period_ns`` later — i.e. the anti-entropy
@@ -228,8 +212,8 @@ class OracleSuite:
                 entry goes bad cannot repair it).
             check_interval_ns: when positive, a recurring engine timer
                 re-checks at this cadence so violations surface mid-run
-                (chaos trials); otherwise checks run only from
-                :meth:`periodic_check` and :meth:`finish`.
+                (chaos trials); otherwise the check runs only from
+                :meth:`finish`.
         """
         if bound_ns <= 0:
             raise ValueError(f"staleness bound must be positive, got {bound_ns}")
@@ -251,10 +235,7 @@ class OracleSuite:
     # ------------------------------------------------------------------
     def _report(self, oracle: str, time_ns: int, detail: str) -> None:
         if len(self.violations) < self.max_violations:
-            violation = OracleViolation(oracle, time_ns, detail)
-            self.violations.append(violation)
-            if self.on_violation is not None:
-                self.on_violation(violation)
+            self.violations.append(OracleViolation(oracle, time_ns, detail))
 
     def _structural_sweep(self) -> None:
         from repro.vnet.validation import check_invariants
@@ -265,20 +246,6 @@ class OracleSuite:
             if issue not in self._seen_structural:
                 self._seen_structural.add(issue)
                 self._report("structural", now, issue)
-
-    def periodic_check(self) -> None:
-        """Run the mid-run-safe oracles now (always-on monitoring).
-
-        Structural invariants and cache coherence are valid at any
-        instant; conservation and liveness need a quiescent horizon and
-        stay in :meth:`finish`.  Service mode calls this once per
-        metrics window so a violation surfaces within one window of the
-        event that caused it, not at the end of a multi-minute run.
-        """
-        self._structural_sweep()
-        now = self.network.engine.now
-        self._check_cache_coherence(now)
-        self._check_staleness(now)
 
     def arm_canary(self) -> None:
         """Arm the synthetic always-failing oracle (harness self-test)."""
@@ -386,8 +353,7 @@ class OracleSuite:
                             f"{switch.name} caches vip {vip} -> "
                             f"{format_pip(pip)}, a mapping the control plane "
                             "never published")
-                elif vip not in self._migrated and vip not in self._retired \
-                        and db_get(vip) != pip:
+                elif vip not in self._migrated and db_get(vip) != pip:
                     key = (switch.name, vip, pip, "mismatch")
                     if key not in self._seen_coherence:
                         self._seen_coherence.add(key)

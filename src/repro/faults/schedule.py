@@ -39,11 +39,6 @@ class FaultKind(Enum):
     LINK_LOSS = "link-loss"
     GATEWAY_CRASH = "gateway-crash"
     GATEWAY_RESTART = "gateway-restart"
-    #: Planned maintenance: pull the gateway out of the hypervisors'
-    #: load-balancing pool *before* it goes down, so new flows avoid it
-    #: (rolling-maintenance drain; recovery is detected by the failure
-    #: detector's probes after the subsequent restart).
-    GATEWAY_DRAIN = "gateway-drain"
     #: Control-plane churn rather than a fault proper: live-migrate a
     #: VM to a located server.  Included so randomized schedules can
     #: exercise the lazy-invalidation path (stale caches, follow-me,
@@ -204,28 +199,10 @@ class FaultSchedule:
         return self.add(FaultEvent(at_ns, FaultKind.GATEWAY_RESTART,
                                    ("gateway", index)))
 
-    def drain_gateway(self, at_ns: int, index: int) -> FaultSchedule:
-        """Remove the gateway from the load-balancing pool (planned)."""
-        return self.add(FaultEvent(at_ns, FaultKind.GATEWAY_DRAIN,
-                                   ("gateway", index)))
-
     def gateway_outage(self, index: int, start_ns: int,
                        duration_ns: int) -> FaultSchedule:
         self.crash_gateway(start_ns, index)
         return self.restart_gateway(start_ns + duration_ns, index)
-
-    def gateway_maintenance(self, index: int, drain_ns: int, crash_ns: int,
-                            restart_ns: int) -> FaultSchedule:
-        """Planned rolling maintenance: drain, then power-cycle.
-
-        Draining first means new flows stop selecting the gateway
-        before it goes dark; the detector's missed probes during the
-        outage arm reinstatement, and its first healthy probe after
-        ``restart_ns`` returns the gateway to the pool.
-        """
-        self.drain_gateway(drain_ns, index)
-        self.crash_gateway(crash_ns, index)
-        return self.restart_gateway(restart_ns, index)
 
     def migrate_vm(self, at_ns: int, vip: int, pod: int, rack: int,
                    host_index: int) -> FaultSchedule:
@@ -295,7 +272,6 @@ class FaultSchedule:
     def has_gateway_events(self) -> bool:
         return any(event.kind in (FaultKind.GATEWAY_CRASH,
                                   FaultKind.GATEWAY_RESTART,
-                                  FaultKind.GATEWAY_DRAIN,
                                   FaultKind.GATEWAY_BROWNOUT)
                    for event in self.events)
 
@@ -442,8 +418,6 @@ class FaultSchedule:
             label = f"{kind.value} {gateway.name}"
             if kind is FaultKind.GATEWAY_CRASH:
                 gateway.fail()
-            elif kind is FaultKind.GATEWAY_DRAIN:
-                network.mark_gateway_down(gateway)
             elif kind is FaultKind.GATEWAY_BROWNOUT:
                 network.set_gateway_brownout(gateway, event.loss_rate,
                                              event.extra_ns)
@@ -536,7 +510,7 @@ _LINK_KINDS = frozenset((FaultKind.LINK_DOWN, FaultKind.LINK_UP,
                          FaultKind.LINK_LOSS, FaultKind.LINK_DEGRADE,
                          FaultKind.LINK_FLAP))
 _GW_KINDS = frozenset((FaultKind.GATEWAY_CRASH, FaultKind.GATEWAY_RESTART,
-                       FaultKind.GATEWAY_DRAIN, FaultKind.GATEWAY_BROWNOUT))
+                       FaultKind.GATEWAY_BROWNOUT))
 
 #: Gray kinds where a zeroed event is the heal, not a fault onset.
 _GRAY_HEALABLE = frozenset((FaultKind.LINK_DEGRADE, FaultKind.SWITCH_SLOW,

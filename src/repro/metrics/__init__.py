@@ -6,8 +6,6 @@ from repro.metrics.reporting import (
     improvement,
     render_table,
 )
-from repro.metrics.sketch import QuantileSketch
-from repro.metrics.streaming import WindowedCollector, WindowStats
 from repro.metrics.resilience import (
     PhaseStats,
     ResilienceProbe,
@@ -27,9 +25,6 @@ __all__ = [
     "render_table",
     "improvement",
     "failure_breakdown_rows",
-    "QuantileSketch",
-    "WindowedCollector",
-    "WindowStats",
     "Sample",
     "WindowedRateSampler",
     "RatioTimeline",

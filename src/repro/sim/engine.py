@@ -108,29 +108,6 @@ class Timer:
         self.alive = True
 
 
-class PeriodicTask:
-    """Handle for a repeating callback armed by :meth:`Engine.schedule_periodic`.
-
-    The task re-schedules itself after every firing; :meth:`cancel`
-    stops the cycle (the pending event becomes a no-op rather than
-    being removed from the calendar, mirroring timer lazy deletion).
-    """
-
-    __slots__ = ("period_ns", "callback", "args", "cancelled", "fired")
-
-    def __init__(self, period_ns: int, callback: Callable[..., None],
-                 args: tuple) -> None:
-        self.period_ns = period_ns
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = 0
-
-    def cancel(self) -> None:
-        """Stop the cycle; the already-scheduled firing is skipped."""
-        self.cancelled = True
-
-
 class Engine:
     """An event-driven simulation engine with an integer nanosecond clock.
 
@@ -247,33 +224,6 @@ class Engine:
         heapq.heappush(self._queue,
                        (self._now + delay, self._sequence, callback, args))
         self._sequence += 1
-
-    # ------------------------------------------------------------------
-    # periodic callbacks
-    # ------------------------------------------------------------------
-    def schedule_periodic(self, period_ns: int, callback: Callable[..., None],
-                          *args: Any) -> PeriodicTask:
-        """Run ``callback(*args)`` every ``period_ns``, starting one
-        period from now.
-
-        Long-horizon observers (streaming metric windows, always-on
-        invariant sweeps) use this instead of hand-rolled re-scheduling.
-        Returns a :class:`PeriodicTask`; ``cancel()`` stops the cycle —
-        including from inside the callback itself.
-        """
-        if period_ns <= 0:
-            raise SimulationError(f"period must be positive, got {period_ns}")
-        task = PeriodicTask(period_ns, callback, args)
-        self.schedule_after(period_ns, self._fire_periodic, task)
-        return task
-
-    def _fire_periodic(self, task: PeriodicTask) -> None:
-        if task.cancelled:
-            return
-        task.fired += 1
-        task.callback(*task.args)
-        if not task.cancelled:
-            self.schedule_after(task.period_ns, self._fire_periodic, task)
 
     # ------------------------------------------------------------------
     # cancellable timers (hashed timer wheel)

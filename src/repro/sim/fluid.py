@@ -44,7 +44,7 @@ Exactness contract (see docs/simulator.md "Hybrid fidelity"):
   re-walking a probe (at least every ``probe_every``-th round still
   probes).  This is exact because every event that could dirty a
   clean path — cache mutation, fabric fault, link-loss configuration,
-  VM migration/retirement, gateway change — is announced by the
+  VM migration, gateway change — is announced by the
   object that owns the changed state, from the function that changes
   it (lint rule W402 holds every writer of cache, mapping and
   gateway-pool state to that; ``Fabric.note_fault`` / ``impair_links``
@@ -57,7 +57,7 @@ Exactness contract (see docs/simulator.md "Hybrid fidelity"):
   (:meth:`FluidScheduler.escalate_switch`, reached from the
   ``on_mutate`` cache observer installed via
   ``CachingScheme.set_cache_observer``);
-* VM migration/retirement, gateway failover/commission, and fabric
+* VM migration, gateway failover/commission, and fabric
   fault transitions and gray impairments escalate via hooks in
   ``vnet.network``, ``Fabric.note_fault`` and ``Fabric.impair_links``.
 
@@ -675,7 +675,7 @@ class FluidScheduler:
             if flow is not None:
                 self.perf.time(self._escalate, flow, reason)
 
-    def escalate_vip(self, vip: int, reason: str = "vm-migration") -> None:
+    def escalate_vip(self, vip: int) -> None:
         self._clean_sigs.clear()
         flow_ids = self._by_vip.get(vip)
         if not flow_ids:
@@ -683,7 +683,7 @@ class FluidScheduler:
         for flow_id in sorted(flow_ids):
             flow = self._flows.get(flow_id)
             if flow is not None:
-                self.perf.time(self._escalate, flow, reason)
+                self.perf.time(self._escalate, flow, "vm-migration")
 
     def escalate_all(self, reason: str) -> None:
         self._clean_sigs.clear()
@@ -972,7 +972,7 @@ class FluidScheduler:
 
     def _commit(self, flow: _FluidFlow, token: int) -> None:
         """Round event fired; that of a cancelled round names no round
-        still armed (lazy deletion, as ``PeriodicTask``) and does nothing."""
+        still armed (lazy deletion) and does nothing."""
         if token == flow.token:
             self.perf.time(self._commit_round, flow)
 

@@ -135,56 +135,6 @@ class TrafficPlayer:
         return start_response
 
     # ------------------------------------------------------------------
-    # lifecycle hygiene (long-horizon runs)
-    # ------------------------------------------------------------------
-    def flow_is_quiescent(self, record: FlowRecord) -> bool:
-        """Terminal *and* its transport state is safe to drop.
-
-        A completed record can still have a sender draining its final
-        ACKs; pruning the receiver then would strand the sender in
-        retransmission until give-up.  Quiescent means: the record is
-        terminal and the sender (if any) is done.
-        """
-        if not (record.completed or record.failed):
-            return False
-        demux = self._demux.get(record.src_vip)
-        sender = demux.senders.get(record.flow_id) if demux is not None else None
-        return sender is None or sender.done
-
-    def prune_terminal(self) -> int:
-        """Drop transport state and records of quiescent flows.
-
-        Long-horizon service runs call this periodically (once per
-        metrics window); without it ``flows`` and the per-VIP demux
-        tables grow with every flow ever played, defeating the
-        bounded-memory design of streaming collection.  Returns the
-        number of flows pruned.
-        """
-        kept: list[FlowRecord] = []
-        pruned = 0
-        for record in self.flows:
-            if not self.flow_is_quiescent(record):
-                kept.append(record)
-                continue
-            src_demux = self._demux.get(record.src_vip)
-            if src_demux is not None:
-                src_demux.senders.pop(record.flow_id, None)
-            dst_demux = self._demux.get(record.dst_vip)
-            if dst_demux is not None:
-                dst_demux.receivers.pop(record.flow_id, None)
-            pruned += 1
-        self.flows = kept
-        return pruned
-
-    def release_vip(self, vip: int) -> None:
-        """Forget the demux of a retired VIP (after its flows drained).
-
-        The host-side endpoint is dropped separately by
-        :meth:`~repro.vnet.network.VirtualNetwork.retire_vm`.
-        """
-        self._demux.pop(vip, None)
-
-    # ------------------------------------------------------------------
     @property
     def all_complete(self) -> bool:
         return all(record.completed for record in self.flows)

@@ -1,10 +1,10 @@
 """The authoritative V2P mapping database and its control plane.
 
 The database is the single-writer state of the system (paper §1): the
-network administrator (control plane) updates it on VM arrival,
-departure and migration, while gateways read it on every unresolved
-packet.  Caches elsewhere (switches, hosts) are allowed to go stale;
-correctness is restored lazily via misdelivery handling (§3.3).
+network administrator (control plane) updates it on VM arrival and
+migration, while gateways read it on every unresolved packet.  Caches
+elsewhere (switches, hosts) are allowed to go stale; correctness is
+restored lazily via misdelivery handling (§3.3).
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ class MappingDatabase:
         self._table: dict[int, int] = {}
         self.version = 0
         self.updates = 0
-        #: Per-VIP generation counter, bumped on every set/remove of
-        #: that VIP.  A mapping learned at generation g is provably
+        #: Per-VIP generation counter, bumped on every set of that
+        #: VIP.  A mapping learned at generation g is provably
         #: stale once ``generation(vip) > g`` — the anti-entropy audit
         #: and the staleness oracle compare against this, which a
         #: global ``version`` cannot express per entry.
         self._generations: dict[int, int] = {}
         self._listeners: list[Callable[[int, int, int], None]] = []
-        self._removal_listeners: list[Callable[[int, int], None]] = []
 
     def __len__(self) -> int:
         return len(self._table)
@@ -85,16 +84,6 @@ class MappingDatabase:
                 for listener in listeners:
                     listener(vip, -1, pip)
 
-    def remove(self, vip: int) -> None:
-        """Retire a mapping (VM departure); notifies removal listeners."""
-        old = self._table.pop(vip, None)
-        if old is not None:
-            self.version += 1
-            self.updates += 1
-            self._generations[vip] = self._generations.get(vip, 0) + 1
-            for listener in self._removal_listeners:
-                listener(vip, old)
-
     def generation(self, vip: int) -> int:
         """Monotonic per-VIP mutation count (0 for a never-set VIP)."""
         return self._generations.get(vip, 0)
@@ -110,12 +99,3 @@ class MappingDatabase:
         tradeoff, Figure 1).
         """
         self._listeners.append(listener)
-
-    def subscribe_removal(self, listener: Callable[[int, int], None]) -> None:
-        """Register ``listener(vip, old_pip)`` for mapping removals.
-
-        Departures are a distinct event from updates: a removed VIP has
-        no new PIP, and observers (e.g. the cache-coherence oracle)
-        must stop holding its cached entries against the database.
-        """
-        self._removal_listeners.append(listener)

@@ -18,7 +18,7 @@ from repro.metrics.collector import Collector
 from repro.net.node import ecmp_index
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import Fabric, FatTreeSpec
-from repro.sim.engine import Engine, collector_paused, msec, usec
+from repro.sim.engine import Engine, collector_paused, usec
 from repro.sim.randomness import RandomStreams
 from repro.vnet.failover import GatewayFailureDetector
 from repro.vnet.gateway import Gateway
@@ -37,15 +37,6 @@ class NetworkConfig:
     gateway_service_ns: int = 0
     host_forward_delay_ns: int = usec(10)
     seed: int = 0
-    #: Gateway failure-detector tuning (hypervisor-side probing): the
-    #: steady-state probe period, and the ceiling on probe backoff —
-    #: which also bounds how long a *recovered* gateway stays outside
-    #: the load-balancing pool (the reinstatement timeout).  Long
-    #: service runs raise these to trade detection latency for probe
-    #: event overhead; the defaults match the historical hard-coded
-    #: values in :mod:`repro.vnet.failover`.
-    gateway_probe_interval_ns: int = usec(200)
-    gateway_reinstate_timeout_ns: int = msec(2)
     #: Simulation fidelity: ``"packet"`` simulates every packet
     #: discretely (bit-identical to historical behaviour); ``"hybrid"``
     #: lets the fluid scheduler advance warm steady-state flows
@@ -232,36 +223,13 @@ class VirtualNetwork:
         if old_host is target:
             return
         if self.fluid is not None:
-            self.fluid.escalate_vip(vip, "vm-migration")
+            self.fluid.escalate_vip(vip)
         endpoint = old_host.remove_vm(vip)
         old_host.follow_me[vip] = target.pip
         target.add_vm(vip)
         if endpoint is not None:
             target.endpoints[vip] = endpoint
         self.database.set(vip, target.pip)
-
-    def retire_vm(self, vip: int) -> None:
-        """Decommission a VM: drop it from its host and the database.
-
-        The inverse of :meth:`place_vm` (tenant departure in service
-        mode).  Follow-me rules pointing at the VIP are cleared fleet-
-        wide — after retirement nothing should redirect traffic toward
-        a ghost — while stale switch-cache entries are left to the
-        lazy-invalidation path: packets they detour end at a gateway
-        whose authoritative lookup now fails (a counted resolution
-        failure, not a silent drop).  Idempotent for unknown VIPs.
-        """
-        pip = self.database.get(vip)
-        if pip is None:
-            return
-        if self.fluid is not None:
-            self.fluid.escalate_vip(vip, "vm-retirement")
-        host = self.host_by_pip.get(pip)
-        if host is not None:
-            host.remove_vm(vip)
-        for other in self.hosts:
-            other.follow_me.pop(vip, None)
-        self.database.remove(vip)
 
     # ------------------------------------------------------------------
     # gateway fleet management (paper §4, "Gateway migration")
@@ -317,10 +285,6 @@ class VirtualNetwork:
         over the surviving gateways.
         """
         if self.failure_detector is None:
-            detector_kwargs.setdefault(
-                "probe_interval_ns", self.config.gateway_probe_interval_ns)
-            detector_kwargs.setdefault(
-                "max_backoff_ns", self.config.gateway_reinstate_timeout_ns)
             self.failure_detector = GatewayFailureDetector(
                 self, **detector_kwargs)
             self.failure_detector.start()

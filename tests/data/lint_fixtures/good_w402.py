@@ -25,7 +25,6 @@ class Database:
     def __init__(self):
         self._table = {}
         self._listeners = []
-        self._removal_listeners = []
 
     def load(self, mappings):
         # Store through a local alias; two-step hook alias: the list,
@@ -40,8 +39,8 @@ class Database:
     def remove(self, vip):
         # A mutating container method is a write.
         old = self._table.pop(vip, None)
-        for listener in self._removal_listeners:
-            listener(vip, old)
+        for listener in self._listeners:
+            listener(vip, old, -1)
 
 
 class Network:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.baselines import NoCache
 from repro.core import SwitchV2P
+from repro.experiments import chaosfuzz
 from repro.experiments.chaosfuzz import (
     BUGS,
     ChaosFuzzParams,
@@ -23,6 +24,8 @@ from repro.experiments.chaosfuzz import (
     run_chaos_fuzz,
     run_one_trial,
 )
+from repro.experiments.runner import make_scheme
+from repro.experiments.scenario import chaos_spec
 from repro.faults import (
     FaultEvent,
     FaultKind,
@@ -33,7 +36,9 @@ from repro.faults import (
     generate_schedule,
 )
 from repro.faults.fuzz import gray_fuzz_config
+from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import msec, usec
+from repro.sim.randomness import derive_seed
 from repro.transport.flow import FlowSpec
 from repro.transport.player import TrafficPlayer
 from repro.transport.reliable import TransportConfig
@@ -100,6 +105,14 @@ def test_schedule_from_dict_rejects_unknown_fields_loudly():
     with pytest.raises(ValueError, match="unknown FaultKind"):
         FaultSchedule.from_dict({"events": [
             {"at_ns": 0, "kind": "cache-bitflipp", "target": ["tor", 0, 0]}]})
+    # A kind that no longer exists (planned gateway drains) is refused
+    # the same way, naming its entry.
+    data = one_of_each_schedule().to_dict()
+    data["events"].insert(2, {"at_ns": 0, "kind": "gateway-drain",
+                              "target": ["gateway", 0]})
+    with pytest.raises(ValueError,
+                       match=r"events\[2\]: unknown FaultKind 'gateway-drain'"):
+        FaultSchedule.from_dict(data)
     # A locator that cannot address the kind's object is also loud.
     with pytest.raises(ValueError, match="malformed switch locator"):
         FaultSchedule.from_dict({"events": [
@@ -374,6 +387,68 @@ def test_colocated_sender_does_not_loop_after_migration():
 
 
 # ----------------------------------------------------------------------
+# the two-migration misdelivery-tag loop (regression)
+# ----------------------------------------------------------------------
+def test_reforward_resets_misdelivery_episode():
+    """Regression: each re-forward of a misdelivered packet must start
+    a fresh misdelivery episode (tag cleared), otherwise only the first
+    bounce triggers a targeted invalidation and a packet chasing a
+    twice-migrated VM can ping-pong between two stale locations forever
+    (each old host's re-forward is served by a cache holding the
+    *other* stale value, which never matches the carried pair)."""
+    scheme = SwitchV2P(total_cache_slots=64)
+    network = small_network(scheme, num_vms=8)
+    host = network.hosts[0]
+    packet = Packet(kind=PacketKind.DATA, flow_id=1, seq=0,
+                    payload_bytes=100, src_vip=0, dst_vip=5,
+                    outer_src=host.pip)
+    packet.misdelivery_tag = True
+    packet.hit_switch = 3
+    scheme.send_misdelivered_via_gateway(host, packet)
+    assert packet.misdelivery_tag is False
+    assert packet.carried_mapping == (5, host.pip)
+    assert not packet.resolved
+
+
+#: Migrations and nothing else, densely.  With the tag reset removed,
+#: trial 16 of ``run_chaos_fuzz(seed=1)`` under this mix is the first
+#: to trip ``forwarding-loop`` on SwitchV2P; the stock mix stays clean
+#: over 200 trials with or without the reset.
+MIGRATIONS_ONLY = ChaosFuzzParams(fuzz=FuzzConfig(
+    mean_events=30, switch_weight=0, link_weight=0, loss_weight=0,
+    gateway_weight=0, migrate_weight=1))
+
+
+def _two_migration_trial():
+    trial_seed = derive_seed(1, "chaos-trial-16")
+    schedule = generate_schedule(chaos_spec(), MIGRATIONS_ONLY.num_vms,
+                                 MIGRATIONS_ONLY.fuzz, seed=trial_seed)
+    return run_one_trial("SwitchV2P", schedule.events, MIGRATIONS_ONLY,
+                         trial_seed, trial=16)
+
+
+def _scheme_without_tag_reset(*args):
+    """The trial's scheme, its re-forward minus ``misdelivery_tag = False``
+    (patched on the instance, as the ``BUGS`` injectors do)."""
+    scheme = make_scheme(*args)
+
+    def reforward(host, packet):
+        packet.carried_mapping = (packet.dst_vip, host.pip)
+        scheme.send_via_gateway(packet)
+        host.reforward(packet)
+    scheme.send_misdelivered_via_gateway = reforward
+    return scheme
+
+
+def test_migration_only_chaos_catches_the_two_migration_loop(monkeypatch):
+    outcome = _two_migration_trial()
+    assert not outcome.failed, outcome.violations
+    monkeypatch.setattr(chaosfuzz, "make_scheme", _scheme_without_tag_reset)
+    outcome = _two_migration_trial()
+    assert any(v.oracle == "forwarding-loop" for v in outcome.violations)
+
+
+# ----------------------------------------------------------------------
 # trials, bugs, shrinking, reproducers
 # ----------------------------------------------------------------------
 def test_run_one_trial_clean_without_faults():
@@ -414,7 +489,6 @@ def test_bug_skip_cache_flush_trips_structural_oracle():
 def test_bug_misdelivery_loop_trips_hop_bound():
     config = FuzzConfig(mean_events=8, switch_weight=0, link_weight=0,
                         loss_weight=0, gateway_weight=0, migrate_weight=1)
-    from repro.experiments.faults import chaos_spec
     schedule = generate_schedule(chaos_spec(), SMALL_PARAMS.num_vms,
                                  config=config, seed=21)
     outcome = run_one_trial("SwitchV2P", schedule.events, SMALL_PARAMS,

@@ -107,26 +107,3 @@ def test_parser_rejects_unknown_artifact():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["reproduce", "fig99"])
-
-
-def test_serve_and_serve_report(capsys, tmp_path):
-    report_path = tmp_path / "slo.json"
-    code = main(["serve", "--seconds", "5", "--seed", "1",
-                 "--report", str(report_path),
-                 "--artifact-dir", str(tmp_path / "artifacts")])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "Per-window SLO timeline" in out
-    assert "time-to-recover" in out
-    assert "Service summary" in out
-    assert report_path.exists()
-    assert main(["serve-report", "--input", str(report_path)]) == 0
-    assert "Service summary" in capsys.readouterr().out
-
-
-def test_serve_window_and_tenant_flags(capsys):
-    code = main(["serve", "--seconds", "2", "--window-ms", "500",
-                 "--tenants", "3"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "Per-window SLO timeline" in out

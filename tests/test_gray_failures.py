@@ -284,7 +284,7 @@ def test_mapping_generation_stamps():
     assert db.generation(5) == 1
     db.set(5, 222)  # migration: same VIP, new PIP
     assert db.generation(5) == 2
-    db.remove(5)  # retirement also advances the generation
+    db.set(5, 222)  # a re-publish of the same PIP still advances it
     assert db.generation(5) == 3
     assert db.generation(6) == 0  # untouched VIPs stay at zero
 

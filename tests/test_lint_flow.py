@@ -76,7 +76,7 @@ _PAIRS = {
     "remove": (  # delete
         "def remove(self, vip):\n"
         "    del self._table[vip]\n",
-        "    for listener in self._removal_listeners:\n"
+        "    for listener in self._listeners:\n"
         "        listener(vip)\n",
         "    for listener in self._access_listeners:\n"
         "        listener(vip)\n"),

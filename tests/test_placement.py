@@ -13,9 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import DhtStore, Direct, NoCache
-from repro.service.config import ServiceConfig
-from repro.service.driver import ServiceDriver
-from repro.sim.engine import SECOND
 from repro.vnet.mapping import MappingDatabase
 from repro.vnet.network import NetworkConfig, VirtualNetwork
 from repro.vnet.validation import validate_network
@@ -112,8 +109,8 @@ def test_second_placement_goes_vip_by_vip(servers, first, second):
                          max_size=8),
        arrive_first=st.booleans())
 def test_single_arrivals_around_a_placement(servers, count, arrivals, arrive_first):
-    """``place_vm`` stays the one-VM entry point (service-mode tenant
-    arrivals, the fault experiments) before and after a bulk placement."""
+    """``place_vm`` stays the one-VM entry point (the fault
+    experiments) before and after a bulk placement."""
     fast, slow = build(Recording(), servers), build(Recording(), servers)
 
     def arrive(network):
@@ -146,10 +143,6 @@ def test_load_refuses_a_database_that_was_written():
     database.set(5, 50)
     with pytest.raises(ValueError, match="never written"):
         database.load([(1, 10)])
-    database.remove(5)
-    assert len(database) == 0
-    with pytest.raises(ValueError, match="never written"):
-        database.load([(1, 10)])
 
 
 def test_placing_on_a_fabric_without_servers_is_an_error():
@@ -159,15 +152,22 @@ def test_placing_on_a_fabric_without_servers_is_an_error():
         network.place_vms(3)
 
 
-def test_service_driver_arrivals_keep_hosts_and_database_in_step():
-    """Service mode never calls ``place_vms``: tenants arrive one
-    ``place_vm`` at a time on a database nothing ever loaded, and
-    migrate afterwards."""
-    driver = ServiceDriver(ServiceConfig(duration_ns=SECOND, seed=3))
-    result = driver.run()
-    network, database = driver.network, driver.network.database
-    assert result.clean and result.tenants_admitted >= 5
-    assert result.migrations > 0
+def test_single_arrivals_then_migrations_keep_hosts_and_database_in_step():
+    """Without ``place_vms``: VMs arrive one ``place_vm`` at a time on a
+    database nothing ever loaded, and migrate afterwards."""
+    network = build(NoCache(), 2)
+    hosts = network.hosts
+    arrivals = 20
+    for vip in range(arrivals):
+        network.place_vm(vip, hosts[(3 * vip) % len(hosts)])
+    migrations = 0
+    for vip in range(0, arrivals, 3):
+        before = network.host_of(vip)
+        network.migrate(vip, hosts[(3 * vip + 5) % len(hosts)])
+        migrations += network.host_of(vip) is not before
+    database = network.database
+    assert len(database) >= 5
+    assert migrations > 0
     assert validate_network(network) == []
     assert database.version == database.updates >= len(database) > 0
     assert sum(len(host.vms) for host in network.hosts) == len(database)

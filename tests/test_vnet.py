@@ -16,16 +16,15 @@ from conftest import small_network, tiny_spec
 # ----------------------------------------------------------------------
 # mapping database
 # ----------------------------------------------------------------------
-def test_mapping_set_lookup_remove():
+def test_mapping_set_and_lookup():
     db = MappingDatabase()
     db.set(1, 100)
     assert db.lookup(1) == 100
     assert 1 in db
     assert len(db) == 1
-    db.remove(1)
-    assert 1 not in db
+    assert 2 not in db
     with pytest.raises(MappingError):
-        db.lookup(1)
+        db.lookup(2)
 
 
 def test_mapping_get_returns_none_for_missing():
@@ -38,7 +37,7 @@ def test_mapping_version_and_update_counters():
     assert db.version == 0
     db.set(1, 100)
     db.set(1, 200)
-    db.remove(1)
+    db.set(2, 300)
     assert db.version == 3
     assert db.updates == 3
 
