@@ -10,7 +10,7 @@ from repro.net.addresses import (
     pip_rack,
     split_pip,
 )
-from repro.net.link import Link, LinkStats
+from repro.net.link import Link
 from repro.net.node import Layer, Node, Switch, ecmp_index
 from repro.net.packet import HEADER_BYTES, MSS_BYTES, Packet, PacketKind
 from repro.net.probing import ForwardingLoopError, forwarding_path, path_length
@@ -30,7 +30,6 @@ __all__ = [
     "HEADER_BYTES",
     "MSS_BYTES",
     "Link",
-    "LinkStats",
     "Node",
     "Switch",
     "Layer",

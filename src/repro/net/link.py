@@ -30,22 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _SER_CACHES: dict[float, dict[int, int]] = {}
 
 
-class LinkStats:
-    """Byte/packet/drop counters for one link direction."""
-
-    __slots__ = ("packets", "bytes", "drops", "lost")
-
-    def __init__(self) -> None:
-        self.packets = 0
-        self.bytes = 0
-        self.drops = 0
-        #: Packets lost to random corruption (``loss_rate``), as opposed
-        #: to tail drops or the link being administratively down.
-        self.lost = 0
-
-
 class Link:
     """A unidirectional link from ``src`` to ``dst``.
+
+    It keeps its own counters, ``packets``, ``bytes``, ``drops`` and
+    ``lost`` (random corruption, not tail drops or a down link), and
+    ``stats`` is the link itself: ``link.stats.packets`` is the slot.
 
     Args:
         engine: simulation engine used to schedule deliveries.
@@ -69,6 +59,10 @@ class Link:
         "_loss_rng",
         "_base_propagation_ns",
         "_busy_until",
+        "packets",
+        "bytes",
+        "drops",
+        "lost",
         "stats",
         "_deliver",
         "_ser_cache",
@@ -105,10 +99,12 @@ class Link:
         #: ``propagation_ns`` relative to this (gray link degradation).
         self._base_propagation_ns = propagation_ns
         self._busy_until = 0
-        self.stats = LinkStats()
-        #: Delivery callback bound once (dst never changes after
-        #: wiring) — saves two attribute lookups per transmitted packet.
-        self._deliver = dst.receive
+        self.packets = self.bytes = self.drops = self.lost = 0
+        #: A slot, not a property: ``Switch.receive`` reads it per hop.
+        self.stats = self
+        #: The destination's one bound ``receive`` (see :class:`Node`):
+        #: saves two attribute lookups per transmitted packet.
+        self._deliver = dst._receive
         #: Serialization times per wire size, shared across all links
         #: of this rate; traces use a handful of distinct packet sizes,
         #: so this cache is tiny and hot.

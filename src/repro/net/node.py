@@ -46,10 +46,13 @@ SwitchHook = Callable[[Packet, "Link | None"], bool]
 class Node:
     """Anything a link can deliver packets to."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_receive")
 
     def __init__(self, name: str) -> None:
         self.name = name
+        #: ``receive`` bound once: every link into this node delivers
+        #: through this one object instead of binding its own.
+        self._receive = self.receive
 
     def receive(self, packet: Packet, link: Link | None = None) -> None:
         """Deliver ``packet`` arriving over ``link`` (None for injection)."""

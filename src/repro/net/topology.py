@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.net.addresses import make_pip
 from repro.net.link import Link
-from repro.net.node import Layer, Node, Switch, ecmp_index
+from repro.net.node import Layer, Node, Switch, _indexed, ecmp_index
 from repro.sim.engine import Engine
 
 
@@ -88,7 +88,6 @@ class Fabric:
         self.cores: list[Switch] = []
         self.switches: list[Switch] = []
         self.switch_by_id: dict[int, Switch] = {}
-        self._switch_links: dict[tuple[int, int], Link] = {}
         #: Count of currently-active faults (failed switches, downed
         #: links).  While zero, forwarding skips the deeper down-path
         #: liveness checks, keeping the fault-free hot path cheap.
@@ -160,13 +159,10 @@ class Fabric:
     def _wire(self, a: Switch, b: Switch) -> tuple[Link, Link]:
         """Create the two directed links of a switch-to-switch cable."""
         spec = self.spec
-        forward = Link(self.engine, a, b, spec.fabric_link_bps, spec.propagation_ns,
-                       spec.buffer_bytes)
-        backward = Link(self.engine, b, a, spec.fabric_link_bps, spec.propagation_ns,
-                        spec.buffer_bytes)
-        self._switch_links[(a.switch_id, b.switch_id)] = forward
-        self._switch_links[(b.switch_id, a.switch_id)] = backward
-        return forward, backward
+        return (Link(self.engine, a, b, spec.fabric_link_bps, spec.propagation_ns,
+                     spec.buffer_bytes),
+                Link(self.engine, b, a, spec.fabric_link_bps, spec.propagation_ns,
+                     spec.buffer_bytes))
 
     def _build(self) -> None:
         """Create every switch, then cable the fabric pod by pod.
@@ -236,8 +232,22 @@ class Fabric:
         return self.tors[(pod, rack)]
 
     def link_between(self, a: Switch, b: Switch) -> Link:
-        """The directed link from switch ``a`` to switch ``b``."""
-        return self._switch_links[(a.switch_id, b.switch_id)]
+        """The directed link from switch ``a`` to switch ``b``: ``a``'s
+        port at ``b``'s position (see :meth:`_build`); KeyError if the
+        two share no cable."""
+        if a.layer == Layer.TOR:
+            links, index = a.up_links, b.rack
+        elif a.layer == Layer.CORE:
+            links, index = a.pod_links, b.pod
+        elif b.layer == Layer.TOR:
+            links, index = a.down_links, b.rack
+        else:
+            links, index = a.up_links, b.rack - a.rack * len(a.up_links)
+        link = _indexed(links, index)
+        if link is None or link.dst is not b:
+            raise KeyError(f"no link from switch {a.switch_id} "
+                           f"to switch {b.switch_id}")
+        return link
 
     def gateway_tor_ids(self) -> set[int]:
         """Switch ids of gateway ToRs (paper §3.2: role assignment)."""

@@ -22,21 +22,13 @@ class MappingDatabase:
     """Authoritative VIP -> PIP mappings with update bookkeeping.
 
     Attributes:
-        version: bumped on every mutation; lets observers (e.g. the
-            Controller baseline) cheaply detect change.
-        updates: total number of update operations applied.
+        version: the number of writes so far; :meth:`load` and
+            ``VirtualNetwork.place_vms`` read it to spot a fresh database.
     """
 
     def __init__(self) -> None:
         self._table: dict[int, int] = {}
         self.version = 0
-        self.updates = 0
-        #: Per-VIP generation counter, bumped on every set of that
-        #: VIP.  A mapping learned at generation g is provably
-        #: stale once ``generation(vip) > g`` — the anti-entropy audit
-        #: and the staleness oracle compare against this, which a
-        #: global ``version`` cannot express per entry.
-        self._generations: dict[int, int] = {}
         self._listeners: list[Callable[[int, int, int], None]] = []
 
     def __len__(self) -> int:
@@ -60,8 +52,6 @@ class MappingDatabase:
         old = self._table.get(vip, -1)
         self._table[vip] = pip
         self.version += 1
-        self.updates += 1
-        self._generations[vip] = self._generations.get(vip, 0) + 1
         for listener in self._listeners:
             listener(vip, old, pip)
 
@@ -76,17 +66,12 @@ class MappingDatabase:
             raise ValueError("load() needs a database that was never written")
         table = self._table
         table.update(mappings)
-        self.version = self.updates = len(table)
-        self._generations = dict.fromkeys(table, 1)
+        self.version = len(table)
         listeners = self._listeners
         if listeners:
             for vip, pip in table.items():
                 for listener in listeners:
                     listener(vip, -1, pip)
-
-    def generation(self, vip: int) -> int:
-        """Monotonic per-VIP mutation count (0 for a never-set VIP)."""
-        return self._generations.get(vip, 0)
 
     def items(self):
         return self._table.items()

@@ -149,17 +149,14 @@ def _check_fault_state(network: VirtualNetwork) -> list[str]:
 
 
 def _all_links(network: VirtualNetwork):
-    """Every link in the network, switch fabric and edge alike."""
-    fabric = network.fabric
-    links = list(fabric._switch_links.values())
-    for tor in fabric.tors.values():
-        links.extend(tor.host_links.values())
-    for host in network.hosts:
-        if host.uplink is not None:
-            links.append(host.uplink)
-    for gateway in network.gateways:
-        if gateway.uplink is not None:
-            links.append(gateway.uplink)
+    """Every link in the network: a switch's port tables hold each link
+    leaving it, and a host or gateway its uplink."""
+    links = [link for switch in network.fabric.switches
+             for ports in (switch.host_links.values(), switch.up_links,
+                           switch.down_links, switch.pod_links)
+             for link in ports]
+    links.extend(node.uplink for node in (*network.hosts, *network.gateways)
+                 if node.uplink is not None)
     return links
 
 

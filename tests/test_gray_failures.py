@@ -3,7 +3,7 @@
 Covers the gray (EWMA) half of the gateway failure detector — brownout
 detection, hysteresis reinstatement, dwell gating against flapping —
 the :class:`repro.core.AntiEntropyAuditor` cache-vs-database sweep, the
-negative cache's re-install hold-down, per-VIP generation stamps, the
+negative cache's re-install hold-down, the
 ``corrupt_entry`` fault-injection contract of both cache classes, and
 the bounded-staleness runtime oracle end to end.
 """
@@ -17,7 +17,6 @@ from repro.faults import FaultSchedule, OracleSuite
 from repro.sim.engine import msec, usec
 from repro.transport.flow import FlowSpec
 from repro.transport.player import TrafficPlayer
-from repro.vnet.mapping import MappingDatabase
 
 from conftest import small_network
 
@@ -251,7 +250,7 @@ def test_audit_validation_and_stop():
 
 
 # ----------------------------------------------------------------------
-# negative caching and generation stamps
+# negative caching
 # ----------------------------------------------------------------------
 def test_negative_cache_blocks_and_expires():
     scheme = SwitchV2P(total_cache_slots=400,
@@ -275,18 +274,6 @@ def test_negative_ttl_off_keeps_fluid_compatibility():
     assert scheme.fluid_compatible
     scheme._note_negative(3, 12345)  # no TTL: a no-op
     assert not scheme._negative
-
-
-def test_mapping_generation_stamps():
-    db = MappingDatabase()
-    assert db.generation(5) == 0
-    db.set(5, 111)
-    assert db.generation(5) == 1
-    db.set(5, 222)  # migration: same VIP, new PIP
-    assert db.generation(5) == 2
-    db.set(5, 222)  # a re-publish of the same PIP still advances it
-    assert db.generation(5) == 3
-    assert db.generation(6) == 0  # untouched VIPs stay at zero
 
 
 # ----------------------------------------------------------------------

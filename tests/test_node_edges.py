@@ -1,5 +1,9 @@
 """Edge-case tests for switch forwarding internals."""
 
+import random
+
+import pytest
+
 from repro.baselines import NoCache
 from repro.net.node import Layer, Switch
 from repro.net.packet import Packet, PacketKind
@@ -162,3 +166,36 @@ def test_rate_bps_setter_changes_forwarding_delay_through_switch():
                                 outer_dst=dst.pip))
     engine.run()
     assert downlink.stats.drops == drops + 2
+
+
+def _impair(link, case):
+    if case == "tail drop":
+        link.buffer_bytes = 0
+    elif case == "down link":
+        link.up = False
+    elif case == "random loss":
+        link.set_loss(1.0, random.Random(0))
+
+
+@pytest.mark.parametrize("case", ["admit", "tail drop", "down link",
+                                  "random loss"])
+@pytest.mark.parametrize("via", ["Link.transmit", "Switch.receive"])
+def test_a_link_is_its_own_counters(via, case):
+    """``Link.transmit`` and the admission ``Switch.receive`` inlines
+    move the link's four counters alike; ``link.stats`` is the link."""
+    network = small_network(NoCache(), num_vms=8)
+    dst = network.hosts[0]
+    tor = network.fabric.tor_of(0, 0)
+    link = tor.host_links[dst.pip]
+    assert link.stats is link
+    _impair(link, case)
+    packet = make_packet(dst_vip=next(iter(dst.vms)), outer_dst=dst.pip)
+    size = packet.wire_bytes
+    if via == "Link.transmit":
+        link.transmit(packet)
+    else:
+        tor.receive(packet)
+    network.engine.run()
+    expected = {"admit": (1, size, 0, 0), "tail drop": (0, 0, 1, 0),
+                "down link": (0, 0, 1, 0), "random loss": (1, size, 0, 1)}
+    assert (link.packets, link.bytes, link.drops, link.lost) == expected[case]

@@ -37,6 +37,7 @@ from repro.sim.fluid import (
     _cache_counts,
     _FluidFlow,
 )
+from repro.vnet.validation import _all_links as _links
 
 import reference_replay
 
@@ -44,14 +45,6 @@ import reference_replay
 def _network():
     return build_network(FatTreeSpec(), SwitchV2P(16384), 64, seed=7,
                          fidelity="hybrid")
-
-
-def _links(network):
-    fabric = network.fabric
-    return ([host.uplink for host in network.hosts]
-            + [link for tor in fabric.tors.values()
-               for link in tor.host_links.values()]
-            + list(fabric._switch_links.values()))
 
 
 def _every_counter(network, records=()):

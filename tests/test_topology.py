@@ -157,7 +157,7 @@ def test_ft32_structural_invariants():
     group = spec.num_cores // spec.spines_per_pod
     cables = spec.pods * (spec.racks_per_pod * spec.spines_per_pod
                           + spec.spines_per_pod * group)
-    assert len(fabric._switch_links) == 2 * cables == 32_768
+    assert len(list(cabled_links(fabric))) == 2 * cables == 32_768
     for tor in fabric.tors.values():
         assert len(tor.up_links) == spec.spines_per_pod == 16
     for spine in fabric.spines.values():
@@ -170,14 +170,71 @@ def test_ft32_structural_invariants():
     # Attaching hosts adds edge links only.
     fabric.attach_host(Stub("h"), 3, 5, 0)
     fabric.attach_host(Stub("g"), 17, 0, 2)
-    assert len(fabric._switch_links) == 2 * cables
+    assert sum(len(switch.up_links) + len(switch.down_links)
+               + len(switch.pod_links) for switch in fabric.switches) == 2 * cables
 
 
-def test_switch_links_are_listed_pod_major():
-    """``vnet/validation.py`` walks ``_switch_links`` in insertion order."""
-    fabric = build()
-    pods = [max(link.src.pod, link.dst.pod)
-            for link in fabric._switch_links.values()]
+def cabled_links(fabric):
+    """Every switch-to-switch link, read from the port lists in the
+    order ``Fabric._build`` cabled them: pod by pod, each cable's
+    forward link before its backward one."""
+    spec = fabric.spec
+    for pod in range(spec.pods):
+        spines = [fabric.spines[(pod, j)] for j in range(spec.spines_per_pod)]
+        for rack in range(spec.racks_per_pod):
+            for spine, up in zip(spines, fabric.tor_of(pod, rack).up_links):
+                yield up
+                yield spine.down_links[rack]
+        for spine in spines:
+            for up in spine.up_links:
+                yield up
+                yield up.dst.pod_links[pod]
+
+
+def wired_fabric(spec, monkeypatch):
+    """A fabric, and the (forward, backward) pairs ``_wire`` returned
+    while building it, in call order."""
+    cables = []
+    wire = Fabric._wire
+
+    def spy(self, a, b):
+        cables.append(wire(self, a, b))
+        return cables[-1]
+
+    monkeypatch.setattr(Fabric, "_wire", spy)
+    return Fabric(Engine(), spec), cables
+
+
+def test_switch_links_are_listed_pod_major(monkeypatch):
+    """The port lists, walked in build order, give every link ``_wire``
+    built, once, in the order it built them."""
+    fabric, cables = wired_fabric(tiny_spec(), monkeypatch)
+    links = list(cabled_links(fabric))
+    assert links == [link for pair in cables for link in pair]
+    pods = [max(link.src.pod, link.dst.pod) for link in links]
     assert pods == sorted(pods)
-    for (a, b), link in fabric._switch_links.items():
-        assert (link.src.switch_id, link.dst.switch_id) == (a, b)
+
+
+@pytest.mark.parametrize("spec_factory, step", [(FatTreeSpec, 1), (ft32_spec, 97)])
+def test_link_between_reads_the_wired_link(spec_factory, step, monkeypatch):
+    """Every FT8 cable, and every 97th of FT32's 16 384, in both
+    directions."""
+    fabric, cables = wired_fabric(spec_factory(), monkeypatch)
+    for forward, backward in cables[::step]:
+        a, b = forward.src, forward.dst
+        assert fabric.link_between(a, b) is forward
+        assert fabric.link_between(b, a) is backward
+
+
+def test_link_between_switches_without_a_cable_is_a_key_error():
+    fabric = Fabric(Engine(), FatTreeSpec())
+    tor, spine, core = fabric.tor_of(0, 0), fabric.spines[(0, 0)], fabric.cores[0]
+    far_group = fabric.cores[-1]  # wired to spine 3 of each pod, not spine 0
+    pairs = [(tor, fabric.tor_of(0, 1)), (tor, fabric.spines[(1, 0)]),
+             (tor, core), (spine, fabric.spines[(0, 1)]), (spine, far_group),
+             (spine, fabric.tor_of(1, 0)), (core, tor), (core, far_group),
+             (far_group, spine), (fabric.tor_of(1, 0), spine)]
+    for a, b in pairs:
+        with pytest.raises(KeyError,
+                           match=f"switch {a.switch_id} to switch {b.switch_id}'"):
+            fabric.link_between(a, b)
