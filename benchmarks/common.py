@@ -67,7 +67,8 @@ def run_artifact(benchmark, name: str, *also: str):
     7's heatmap).  Returns what the artifact's ``run`` returned, for
     the shape assertions.
     """
-    result = benchmark.pedantic(ARTIFACTS[name].run, args=(bench_scale(),),
+    entry = ARTIFACTS[name]
+    result = benchmark.pedantic(entry.run, args=(entry.sized(bench_scale()),),
                                 rounds=1, iterations=1)
     for stem in (name, *also):
         report(stem, result)

@@ -10,7 +10,7 @@ performance cost.
 
 import os
 
-from common import bench_scale, report
+from common import report
 from repro.experiments import run_migration_table
 from repro.experiments.artifacts import ARTIFACTS
 from repro.traces import IncastTraceParams
@@ -24,7 +24,7 @@ def run():
     if os.environ.get("REPRO_BENCH_SCALE") == "full":
         return run_migration_table(
             IncastTraceParams(num_senders=64, packets_per_sender=1000))
-    return ARTIFACTS[NAME].run(bench_scale())
+    return ARTIFACTS[NAME].run(ARTIFACTS[NAME].config)
 
 
 def test_table4_migration(benchmark):

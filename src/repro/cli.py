@@ -5,7 +5,12 @@ Examples::
     python -m repro list
     python -m repro run --trace hadoop --scheme SwitchV2P --cache-ratio 4
     python -m repro reproduce fig5a --ratios 0.5 4 32
-    python -m repro migrate --senders 16 --packets 500
+    python -m repro reproduce table4_migration --num-senders 64
+
+Every flag that sizes a run is generated from the frozen config it sets
+(:func:`_sizing_flags`): field ``num_vms`` is ``--num-vms``, and a flag
+naming no field of the config a command builds is an error, never a
+no-op (:func:`_sized`).
 """
 
 from __future__ import annotations
@@ -13,7 +18,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import tracemalloc
+import typing
 from collections.abc import Sequence
+from dataclasses import fields, is_dataclass, replace
+from typing import Any
 
 from repro.experiments.artifacts import (
     ARTIFACTS,
@@ -21,43 +30,96 @@ from repro.experiments.artifacts import (
     reproduce,
     resolve,
 )
-from repro.experiments.figures import FigureScale, build_trace, fabric_for
-from repro.experiments.runner import SCHEME_FACTORIES, run_experiment
+from repro.experiments.chaosfuzz import (
+    BUGS,
+    CHAOS_FUZZ_SCHEMES,
+    ChaosFuzzParams,
+    gray_chaos_params,
+    replay_reproducer,
+    run_chaos_fuzz,
+)
+from repro.experiments.figures import FigureScale, build_trace, figure5_jobs
+from repro.experiments.runner import SCHEME_FACTORIES
 from repro.metrics.reporting import failure_breakdown_rows, render_table
+from repro.perf import PhaseMemoryTimer, PhaseTimer
+from repro.sim.engine import msec
 
 TRACES = ("hadoop", "websearch", "alibaba", "microbursts", "video")
 
-#: Flag -> config field tables, one per config; see :func:`_overrides`.
-_SCALE_FLAGS = {"vms": "num_vms", "flows": "hadoop_flows",
-                "ratios": ("ratios", tuple), "seed": "seed"}
-_WORKLOAD_FLAGS = {"flows": "num_flows", "vms": "num_vms",
-                   "cache_ratio": "cache_ratio"}
-_SEEDED_WORKLOAD_FLAGS = {**_WORKLOAD_FLAGS, "seed": "seed"}
+#: The :class:`FigureScale` fields a trace is generated from; ``run``
+#: also reads the two that size its transport and Bluebird's channel.
+TRACE_FIELDS = ("num_vms", "hadoop_flows", "websearch_flows",
+                "microburst_bursts", "video_streams", "alibaba_rpcs",
+                "alibaba_services", "alibaba_containers", "seed")
+RUN_FIELDS = (*TRACE_FIELDS, "heavy_mss_bytes", "bluebird_punt_ratio")
+
+#: The values a name-valued option accepts, generated flag or not.
+_CHOICES = {"fidelity": ("packet", "hybrid"),
+            "schemes": tuple(sorted(SCHEME_FACTORIES))}
 
 
-def _overrides(args: argparse.Namespace, table: dict) -> dict:
-    """Config-field overrides for the flags the user actually gave.
+def _sizing_flags(parser: argparse.ArgumentParser, configs: Sequence[Any],
+                  reads: Sequence[str] | None = None) -> None:
+    """Add ``--<field-name>`` per scalar or tuple field of ``configs``
+    — of ``reads`` only, for a command that reads only those.
 
-    ``table`` maps a flag's ``args`` attribute to the field it sets, or
-    to ``(field, convert)`` where the value needs converting.
-    Given means ``is not None``, not truthiness: ``--flows 0`` and
-    ``--vms 0`` are legitimate degenerate inputs that must reach the
-    config, not fall back to its defaults.
+    A scalar takes one value and ``tuple[X, ...]`` one or more; a nested
+    config is not sized from the command line.  Any other annotation is
+    a TypeError naming the field when the parser is built, so ``--help``
+    fails, not a run.  Every flag defaults to None, "keep the config's
+    default", and its help lists those defaults; :func:`_sized` applies
+    the given ones.
     """
-    overrides = {}
-    for flag, field in table.items():
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        if isinstance(field, tuple):
-            field, convert = field
-            value = convert(value)
-        overrides[field] = value
-    return overrides
+    flags: dict[str, tuple[dict, list[str]]] = {}
+    for config in configs:
+        owner = type(config).__name__
+        hints = typing.get_type_hints(type(config))
+        for field in fields(config):
+            hint = hints[field.name]
+            if reads is not None and field.name not in reads \
+                    or is_dataclass(hint):
+                continue
+            kind = {"type": hint}
+            if typing.get_origin(hint) is tuple \
+                    and typing.get_args(hint)[1:] == (Ellipsis,):
+                kind = {"type": typing.get_args(hint)[0], "nargs": "+"}
+            if kind["type"] not in (int, float, str):
+                raise TypeError(f"{owner}.{field.name}: no command-line flag "
+                                f"for a {hint} field")
+            flags.setdefault(field.name, (kind, []))[1].append(
+                f"{owner} {getattr(config, field.name)}")
+    group = parser.add_argument_group(
+        "sizing", "fields of " + ", ".join(type(c).__name__ for c in configs)
+        + "; a field left out keeps its default")
+    for name, (kind, defaults) in flags.items():
+        choices = _CHOICES.get(name)
+        group.add_argument(
+            f"--{name.replace('_', '-')}", dest=name, choices=choices,
+            metavar=name.upper(),
+            help=(f"one of {', '.join(choices)}; " if choices else "")
+            + "default: " + ", ".join(defaults), **kind)
+    parser.set_defaults(sizing=tuple(flags), parser=parser)
 
 
-def _scale_from_args(args: argparse.Namespace) -> FigureScale:
-    return FigureScale(**_overrides(args, _SCALE_FLAGS))
+def _sized(args: argparse.Namespace, config: Any, owner: str) -> Any:
+    """``config`` with the sizing flags the user gave applied.
+
+    A flag for a field ``config`` does not have exits 2 naming both:
+    ``reproduce`` takes the flags of every artifact's config, and only
+    the artifact's own may reach a run.
+    """
+    given = {name: getattr(args, name) for name in args.sizing
+             if getattr(args, name) is not None}
+    known = [field.name for field in fields(config)] if config else []
+    sized_by = type(config).__name__ if config else "none"
+    for name in given:
+        if name not in known:
+            args.parser.error(
+                f"--{name.replace('_', '-')} names no field of the config "
+                f"{owner} is sized by ({sized_by})")
+    return replace(config, **{
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in given.items()}) if given else config
 
 
 def _progress(label: str):
@@ -100,11 +162,29 @@ def _us(value_ns: float) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scale = _scale_from_args(args)
-    flows, num_vms = build_trace(args.trace, scale)
-    result = run_experiment(fabric_for(args.trace), args.scheme, flows,
-                            num_vms, args.cache_ratio, scale.seed,
-                            trace_name=args.trace, fidelity=args.fidelity)
+    """One point of the trace's Figure 5 sweep, timed phase by phase."""
+    scale = _sized(args, FigureScale(), "run")
+    job = figure5_jobs(args.trace, scale, args.fidelity)(args.scheme,
+                                                         args.cache_ratio)
+    timer = PhaseTimer()
+    options: dict[str, Any] = {}
+    if args.memory:
+        # Traced, uncached, and the event loop split at the end of the
+        # cold-start window (last flow start + 10 ms) so build, warmup
+        # and steady-state memory show up apart.  The flows are made
+        # before tracing starts, so no phase is charged for them.
+        # Tracing slows the run: its timings do not compare with
+        # untraced ones.
+        timer = PhaseMemoryTimer()
+        job = replace(job, flows=job.resolve_flows(), trace=None)
+        last_start = max((flow.start_ns for flow in job.flows), default=0)
+        options = {"cache": None, "warmup_split_ns": last_start + msec(10)}
+        tracemalloc.start()
+    try:
+        result = job.run(perf=timer, **options)
+    finally:
+        if args.memory:
+            tracemalloc.stop()
     rows = [
         ["scheme", result.scheme],
         ["trace", result.trace],
@@ -126,61 +206,29 @@ def cmd_run(args: argparse.Namespace) -> int:
     rows.extend(failure_breakdown_rows(result.failed_flows,
                                        result.failure_reasons))
     print(render_table(["metric", "value"], rows))
+    for name, ns in sorted(timer.phases_ns.items()):
+        print(f"phase {name:<10} {ns / 1e6:12.2f} ms"
+              f"  full gc {timer.full_collections.get(name, 0)}")
+    for name, entry in sorted(getattr(timer, "memory_by_phase", {}).items()):
+        print(f"mem   {name:<10} rss-peak {entry['rss_peak_kb'] / 1024:8.1f}"
+              f" MB  py-heap peak {entry['py_peak_kb'] / 1024:8.1f} MB"
+              f" (end {entry['py_end_kb'] / 1024:.1f} MB)")
+    for reason, count in sorted(result.fluid_escalations_by_reason.items()):
+        print(f"escalation {reason:<22} {count:8d}")
     return 0
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    texts = reproduce(resolve(args.artifact), _scale_from_args(args),
-                      args.workers, _progress(args.artifact))
+    entries = resolve(args.artifact)
+    config = _sized(args, entries[0].config, args.artifact)
+    texts = reproduce(entries, config, args.workers,
+                      _progress(args.artifact))
     print("\n\n".join(texts.values()))
-    return 0
-
-
-def cmd_migrate(args: argparse.Namespace) -> int:
-    from repro.experiments.migration import run_migration_table
-    from repro.traces.incast import IncastTraceParams
-    params = IncastTraceParams(num_senders=args.senders,
-                               packets_per_sender=args.packets)
-    print(ARTIFACTS["table4_migration"].render(run_migration_table(params)))
-    return 0
-
-
-def cmd_faults(args: argparse.Namespace) -> int:
-    """The chaos experiment: gateway-rack + spine outages vs baselines."""
-    from repro.experiments.faults import (
-        CHAOS_SCHEMES,
-        ChaosParams,
-        run_chaos_experiment,
-    )
-    params = ChaosParams(**_overrides(args, _SEEDED_WORKLOAD_FLAGS))
-    schemes = tuple(args.schemes) if args.schemes else CHAOS_SCHEMES
-    rows = run_chaos_experiment(params, schemes, progress=_progress("chaos"))
-    print(ARTIFACTS["faults_resilience"].render(rows))
-    return 0
-
-
-def cmd_gray(args: argparse.Namespace) -> int:
-    """Graceful degradation: hardened vs unhardened under gray faults."""
-    from repro.experiments.faults import ChaosParams
-    from repro.experiments.graydegrade import run_gray_experiment
-    params = ChaosParams(**_overrides(args, _SEEDED_WORKLOAD_FLAGS))
-    rows = run_gray_experiment(params, progress=_progress("chaos"))
-    print(ARTIFACTS["gray_degradation"].render(rows))
     return 0
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Chaos fuzzing: random fault schedules vs. the invariant oracles."""
-    from dataclasses import replace
-
-    from repro.experiments.chaosfuzz import (
-        BUGS,
-        CHAOS_FUZZ_SCHEMES,
-        ChaosFuzzParams,
-        gray_chaos_params,
-        replay_reproducer,
-        run_chaos_fuzz,
-    )
     if args.replay is not None:
         outcome = replay_reproducer(args.replay)
         if outcome.violations:
@@ -192,21 +240,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"replay of {args.replay} ran clean on {outcome.scheme} — the "
               "recorded defect no longer reproduces")
         return 0
-    if args.bug is not None and args.bug not in BUGS:
-        print(f"unknown bug {args.bug!r}; known: {', '.join(sorted(BUGS))}",
-              file=sys.stderr)
-        return 2
-    params = replace(
-        gray_chaos_params() if args.gray else ChaosFuzzParams(),
-        **_overrides(args, {**_WORKLOAD_FLAGS, "fidelity": "fidelity"}))
-    schemes = tuple(args.schemes) if args.schemes else CHAOS_FUZZ_SCHEMES
-    result = run_chaos_fuzz(args.trials, args.seed, schemes, params,
-                            bug=args.bug, artifact_dir=args.artifact_dir,
+    params = _sized(args, gray_chaos_params() if args.gray
+                    else ChaosFuzzParams(), "chaos")
+    result = run_chaos_fuzz(args.trials, args.seed, tuple(args.schemes),
+                            params, bug=args.bug,
+                            artifact_dir=args.artifact_dir,
                             shrink=not args.no_shrink,
                             progress=_progress("chaos"))
     trials_run = len({outcome.trial for outcome in result.outcomes})
     if result.clean:
-        print(f"chaos: {trials_run} trial(s) x {len(schemes)} scheme(s) "
+        print(f"chaos: {trials_run} trial(s) x {len(args.schemes)} scheme(s) "
               f"(seed {args.seed}) — all oracles clean")
         return 0
     failure = result.failures[0]
@@ -222,38 +265,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"replay with: python -m repro chaos --replay "
               f"{result.reproducer_path}")
     return 1
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one experiment: collector passes and memory per phase."""
-    from repro.perf import profile_experiment
-    scale = _scale_from_args(args)
-    flows, num_vms = build_trace(args.trace, scale)
-    profile = profile_experiment(
-        fabric_for(args.trace), args.scheme, flows, num_vms, args.cache_ratio,
-        scale.seed, trace_name=args.trace, with_memory=args.memory,
-        fidelity=args.fidelity)
-    print(profile.render())
-    return 0
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    """Assemble all persisted benchmark tables into one report."""
-    from pathlib import Path
-    results_dir = Path(args.results_dir)
-    if not results_dir.is_dir():
-        print(f"no results at {results_dir}; run "
-              "'pytest benchmarks/ --benchmark-only' first", file=sys.stderr)
-        return 1
-    files = sorted(results_dir.glob("*.txt"))
-    if not files:
-        print(f"no result tables in {results_dir}", file=sys.stderr)
-        return 1
-    for path in files:
-        print(f"==== {path.stem} " + "=" * max(1, 60 - len(path.stem)))
-        print(path.read_text().rstrip())
-        print()
-    return 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -287,7 +298,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 def cmd_trace_generate(args: argparse.Namespace) -> int:
     from repro.traces.io import save_flows
-    scale = _scale_from_args(args)
+    scale = _sized(args, FigureScale(), "trace generate")
     flows, num_vms = build_trace(args.name, scale)
     count = save_flows(args.output, flows)
     print(f"wrote {count} flows over {num_vms} VMs to {args.output}")
@@ -300,26 +311,6 @@ def cmd_trace_inspect(args: argparse.Namespace) -> int:
     print(render_table(["statistic", "value"],
                        [[key, value] for key, value in stats.items()]))
     return 0
-
-
-#: The flags several subcommands take, declared once; a subcommand
-#: overrides what differs (its default, its help) in :func:`_flags`.
-_SHARED_FLAGS = {
-    "--vms": dict(type=int, default=None),
-    "--flows": dict(type=int, default=None),
-    "--seed": dict(type=int, default=None),
-    "--cache-ratio": dict(type=float, default=None),
-    "--fidelity": dict(choices=("packet", "hybrid"), default=None),
-    "--scheme": dict(choices=sorted(SCHEME_FACTORIES), default=None),
-    "--schemes": dict(nargs="+", choices=sorted(SCHEME_FACTORIES),
-                      default=None),
-}
-
-
-def _flags(parser: argparse.ArgumentParser, *names: str, **overrides) -> None:
-    """Add shared flags to ``parser``; ``overrides`` apply to each."""
-    for name in names:
-        parser.add_argument(name, **{**_SHARED_FLAGS[name], **overrides})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,58 +327,49 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("list", help="list schemes, traces, artifacts") \
         .set_defaults(func=cmd_list)
 
-    run_parser = subparsers.add_parser("run", help="run one experiment")
+    run_parser = subparsers.add_parser(
+        "run", help="run one point of a Figure 5 sweep, timed per phase",
+        description="Run one scheme on one trace at one cache size — the "
+                    "run the trace's Figure 5 (Figure 6 for alibaba) sweep "
+                    "makes for that point — and print its metrics, then the "
+                    "wall clock and full collector passes per phase and, "
+                    "for hybrid runs, the fluid escalations by reason.")
     run_parser.add_argument("--trace", choices=TRACES, default="hadoop")
-    _flags(run_parser, "--scheme", default="SwitchV2P")
-    _flags(run_parser, "--cache-ratio", default=4.0,
-           help="aggregate cache size relative to the VIP address space")
-    _flags(run_parser, "--vms", "--flows", "--seed")
-    _flags(run_parser, "--fidelity", default="packet",
-           help="simulation fidelity: per-packet (exact) or "
-                "hybrid fluid fast path (see docs/simulator.md)")
+    run_parser.add_argument("--scheme", choices=sorted(SCHEME_FACTORIES),
+                            default="SwitchV2P")
+    run_parser.add_argument("--cache-ratio", type=float, default=4.0,
+                            help="aggregate cache size relative to the VIP "
+                                 "address space")
+    run_parser.add_argument("--fidelity", choices=_CHOICES["fidelity"],
+                            default="packet",
+                            help="simulation fidelity: per-packet (exact) or "
+                                 "hybrid fluid fast path (see "
+                                 "docs/simulator.md)")
+    run_parser.add_argument("--memory", action="store_true",
+                            help="snapshot tracemalloc + peak RSS per phase "
+                                 "(build / warmup / steady); slows the run "
+                                 "and bypasses the run cache")
+    _sizing_flags(run_parser, [FigureScale()], RUN_FIELDS)
     run_parser.set_defaults(func=cmd_run)
 
     repro_parser = subparsers.add_parser(
-        "reproduce", help="regenerate one of the paper's tables/figures")
+        "reproduce", help="regenerate one of the paper's tables/figures",
+        description="Regenerate a committed table.  A sizing flag must "
+                    "name a field of the config its artifact is sized by: "
+                    + "; ".join(
+                        f"{entry.name} by {type(entry.config).__name__}"
+                        if entry.config else f"{entry.name} by nothing"
+                        for entry in ARTIFACTS.values()
+                        if not isinstance(entry.config, FigureScale))
+                    + "; the rest by FigureScale.")
     repro_parser.add_argument("artifact", choices=artifact_names(),
                               metavar="artifact",
                               help="a file stem under benchmarks/results/ or "
                                    "a short name; see 'repro list'")
-    _flags(repro_parser, "--vms", "--flows")
-    repro_parser.add_argument("--ratios", type=float, nargs="+", default=None)
-    _flags(repro_parser, "--seed")
+    _sizing_flags(repro_parser, list({
+        type(entry.config): entry.config
+        for entry in ARTIFACTS.values() if entry.config}.values()))
     repro_parser.set_defaults(func=cmd_reproduce)
-
-    migrate_parser = subparsers.add_parser(
-        "migrate", help="the VM-migration experiment (Table 4)")
-    migrate_parser.add_argument("--senders", type=int, default=16)
-    migrate_parser.add_argument("--packets", type=int, default=500)
-    migrate_parser.set_defaults(func=cmd_migrate)
-
-    faults_parser = subparsers.add_parser(
-        "faults",
-        help="chaos experiment: schemes under an identical fault schedule",
-        description="Run every scheme twice — undisturbed and under the "
-                    "same timed fault schedule (a gateway-rack power loss "
-                    "with hypervisor failover, then a spine fail+recover) — "
-                    "and report availability, FCT degradation, windowed "
-                    "hit-rate phases and time-to-recover.")
-    _flags(faults_parser, "--schemes",
-           help="schemes to compare (default: SwitchV2P GwCache OnDemand)")
-    _flags(faults_parser, "--vms", "--flows", "--cache-ratio", "--seed")
-    faults_parser.set_defaults(func=cmd_faults)
-
-    gray_parser = subparsers.add_parser(
-        "gray",
-        help="graceful degradation: self-healing plane vs gray failures",
-        description="Run SwitchV2P through one gray episode — a gateway "
-                    "brownout overlapping a degraded cable, plus cache "
-                    "bit flips that nothing in the schedule repairs — "
-                    "with the self-healing plane (gray EWMA detector, "
-                    "anti-entropy audit, negative caching) on and off, "
-                    "and report in-window and post-window degradation.")
-    _flags(gray_parser, "--vms", "--flows", "--cache-ratio", "--seed")
-    gray_parser.set_defaults(func=cmd_gray)
 
     chaos_parser = subparsers.add_parser(
         "chaos",
@@ -401,24 +383,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "Deterministic per --seed.  Exits 1 on any violation.")
     chaos_parser.add_argument("--trials", type=int, default=10,
                               help="fuzzed schedules per scheme (default 10)")
-    _flags(chaos_parser, "--seed", default=1,
-           help="root seed; same seed => same schedules and verdicts "
-                "(default 1)")
-    _flags(chaos_parser, "--schemes",
-           help="schemes to fuzz (default: SwitchV2P GwCache)")
-    _flags(chaos_parser, "--vms", "--flows", "--cache-ratio")
-    _flags(chaos_parser, "--fidelity",
-           help="simulation fidelity for the fuzz trials")
+    chaos_parser.add_argument("--seed", type=int, default=1,
+                              help="root seed; same seed => same schedules "
+                                   "and verdicts (default 1)")
+    chaos_parser.add_argument("--schemes", nargs="+",
+                              choices=_CHOICES["schemes"],
+                              default=CHAOS_FUZZ_SCHEMES,
+                              help="schemes to fuzz (default: SwitchV2P "
+                                   "GwCache)")
     chaos_parser.add_argument("--gray", action="store_true",
                               help="fuzz with the gray-failure kinds enabled "
                                    "(degrade/flap/slow/brownout/bitflip) plus "
                                    "the anti-entropy audit and the "
                                    "bounded-staleness oracle")
-    chaos_parser.add_argument("--bug", default=None, metavar="NAME",
+    chaos_parser.add_argument("--bug", choices=sorted(BUGS),
                               help="inject a deliberate bug (harness "
-                                   "self-test): skip-cache-flush, "
-                                   "misdelivery-loop, oracle-canary, "
-                                   "disabled-audit (pair with --gray)")
+                                   "self-test; pair disabled-audit with "
+                                   "--gray)")
     chaos_parser.add_argument("--artifact-dir", default="chaos-artifacts",
                               metavar="DIR",
                               help="where failing trials write reproducer "
@@ -429,24 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--replay", default=None, metavar="ARTIFACT",
                               help="re-run a saved reproducer artifact "
                                    "instead of fuzzing")
+    _sizing_flags(chaos_parser, [ChaosFuzzParams()])
     chaos_parser.set_defaults(func=cmd_chaos)
-
-    profile_parser = subparsers.add_parser(
-        "profile",
-        help="profile one experiment (collector passes and memory per "
-             "phase, escalations by reason)")
-    profile_parser.add_argument("trace", choices=TRACES)
-    _flags(profile_parser, "--scheme", default="SwitchV2P")
-    _flags(profile_parser, "--cache-ratio", default=4.0)
-    _flags(profile_parser, "--vms", "--flows", "--seed")
-    _flags(profile_parser, "--fidelity", default="packet",
-           help="simulation fidelity; hybrid reports the "
-                "escalation counts by reason")
-    profile_parser.add_argument("--memory", action="store_true",
-                                help="snapshot tracemalloc + peak RSS per "
-                                     "phase (build / warmup / steady); "
-                                     "slows the run")
-    profile_parser.set_defaults(func=cmd_profile)
 
     lint_parser = subparsers.add_parser(
         "lint",
@@ -475,11 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub.add_parser("clear", help="delete every cached run") \
         .set_defaults(func=cmd_cache)
 
-    report_parser = subparsers.add_parser(
-        "report", help="print every persisted benchmark table")
-    report_parser.add_argument("--results-dir", default="benchmarks/results")
-    report_parser.set_defaults(func=cmd_report)
-
     trace_parser = subparsers.add_parser(
         "trace", help="generate or inspect workload trace files")
     trace_sub = trace_parser.add_subparsers(dest="trace_command",
@@ -487,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = trace_sub.add_parser("generate", help="write a trace to a file")
     gen.add_argument("name", choices=TRACES)
     gen.add_argument("output", help="output path (JSON lines)")
-    _flags(gen, "--vms", "--flows", "--seed")
+    _sizing_flags(gen, [FigureScale()], TRACE_FIELDS)
     gen.set_defaults(func=cmd_trace_generate)
     inspect = trace_sub.add_parser("inspect", help="summarize a trace file")
     inspect.add_argument("path")
@@ -502,8 +462,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     # environment, which would leak into the calling process and any
     # embedding application); REPRO_PARALLEL remains a fallback read by
     # repro.experiments.parallel.default_workers when --workers is absent.
-    if args.workers is not None:
-        args.workers = max(0, args.workers)
+    if args.workers is not None and args.workers < 0:
+        parser.error(f"--workers {args.workers}: a worker count is >= 0")
     return args.func(args)
 
 

@@ -1,11 +1,13 @@
 """The artifact registry: every committed table, declared once.
 
 :data:`ARTIFACTS` has one entry per file under ``benchmarks/results/``,
-keyed by the file's stem: a ``run(scale, workers, progress)`` that
-simulates, and a pure ``table(result)`` that lays out what ``run``
-returned as ``(title, headers, rows)`` — the committed bytes.
-``python -m repro reproduce`` (and ``migrate`` / ``faults`` / ``gray``,
-which run with their own parameters), every ``benchmarks/test_*.py`` and
+keyed by the file's stem: the frozen ``config`` it is sized by (a
+:class:`FigureScale`, the fault experiments' :class:`ChaosParams`, the
+migration incast's :class:`IncastTraceParams`, or ``None`` for a table
+nothing sizes), a ``run(config, workers, progress)`` that simulates,
+and a pure ``table(result)`` that lays out what ``run`` returned as
+``(title, headers, rows)`` — the committed bytes.
+``python -m repro reproduce``, every ``benchmarks/test_*.py`` and
 ``benchmarks/regen_check.py`` print through these entries; nothing else
 renders a paper table.  Entries that share a ``run`` (Figure 7's two
 files and Figure 8) are simulated once by :func:`reproduce`.
@@ -63,6 +65,8 @@ class Artifact:
     name: str
     run: Callable[..., Any]
     table: Callable[[Any], Table]
+    #: What ``run`` is sized by, at the committed table's sizes.
+    config: Any
     #: The name ``reproduce`` knew this artifact by before the registry.
     short: str = ""
 
@@ -70,23 +74,33 @@ class Artifact:
         title, headers, rows = self.table(result)
         return render_table(headers, rows, title=title)
 
+    def sized(self, config: Any) -> Any:
+        """The config this entry runs at: ``config`` when it is of this
+        entry's config type, else the entry's own."""
+        return config if type(config) is type(self.config) else self.config
+
 
 ARTIFACTS: dict[str, Artifact] = {}
 
 
-def artifact(name: str, run: Callable[..., Any], short: str = ""):
+#: What most entries are sized by: the figures' bench scale.
+_BENCH_SCALE = FigureScale()
+
+
+def artifact(name: str, run: Callable[..., Any], short: str = "",
+             config: Any = _BENCH_SCALE):
     """Register the decorated ``table(result)`` as artifact ``name``."""
     def register(table: Callable[[Any], Table]):
-        ARTIFACTS[name] = Artifact(name, run, table, short)
+        ARTIFACTS[name] = Artifact(name, run, table, config, short)
         return table
     return register
 
 
-def _serial(run: Callable[[FigureScale], Any]) -> Callable[..., Any]:
+def _serial(run: Callable[[Any], Any]) -> Callable[..., Any]:
     """Adapt a run loop that has no pool jobs — it reads the network or
     the collector after each run, which a job does not carry back — to
     the registry signature."""
-    return lambda scale, workers=None, progress=None: run(scale)
+    return lambda config, workers=None, progress=None: run(config)
 
 
 def _sweep(figure: Callable[..., Any], **fixed: Any) -> Callable[..., Any]:
@@ -216,13 +230,11 @@ def _fig8_table(results: dict[str, RunResult]) -> Table:
 # ----------------------------------------------------------------------
 # tables 4, 5, 6
 # ----------------------------------------------------------------------
-#: Table 4 at bench scale: 16 senders stay below NIC saturation.  The
-#: paper's incast is ``python -m repro migrate --senders 64 --packets 1000``.
-TABLE4_PARAMS = IncastTraceParams(num_senders=16, packets_per_sender=500)
-
-
-@artifact("table4_migration",
-          _serial(lambda scale: run_migration_table(TABLE4_PARAMS)))
+#: Table 4 runs at bench scale: 16 senders stay below NIC saturation.
+#: The paper's incast is ``python -m repro reproduce table4_migration
+#: --num-senders 64 --packets-per-sender 1000``.
+@artifact("table4_migration", _serial(run_migration_table),
+          config=IncastTraceParams(num_senders=16, packets_per_sender=500))
 def _table4_table(rows) -> Table:
     base = rows[0]
     return ("Table 4 — VM migration (normalized by NoCache)",
@@ -262,7 +274,8 @@ PAPER_TABLE6 = {
 
 
 @artifact("table6_resources", _serial(
-    lambda scale: estimate_utilization(TABLE6_ENTRIES_PER_SWITCH)), "table6")
+    lambda config: estimate_utilization(TABLE6_ENTRIES_PER_SWITCH)), "table6",
+    config=None)
 def _table6_table(estimate: dict[str, float]) -> Table:
     return ("Table 6 — per-stage resource utilization (cache=50%)",
             ["resource", "paper", "model @50%"],
@@ -418,14 +431,9 @@ def _robustness_seeds_table(rows_by_seed) -> Table:
 # ----------------------------------------------------------------------
 # fault experiments
 # ----------------------------------------------------------------------
-#: The committed fault tables run at the experiments' default sizes,
-#: whatever the scale; ``python -m repro faults`` / ``gray`` resize them.
-FAULT_PARAMS = ChaosParams()
-
-
 @artifact("faults_resilience",
-          lambda scale, workers=None, progress=None: run_chaos_experiment(
-              FAULT_PARAMS, progress=progress))
+          lambda params, workers=None, progress=None: run_chaos_experiment(
+              params, progress=progress), config=ChaosParams())
 def _faults_table(rows) -> Table:
     table = []
     for row in rows:
@@ -457,8 +465,8 @@ def _faults_table(rows) -> Table:
 
 
 @artifact("gray_degradation",
-          lambda scale, workers=None, progress=None: run_gray_experiment(
-              FAULT_PARAMS, progress=progress))
+          lambda params, workers=None, progress=None: run_gray_experiment(
+              params, progress=progress), config=ChaosParams())
 def _gray_table(rows) -> Table:
     return ("Graceful degradation — gateway brownout + degraded cable + "
             "cache bit flips (identical gray schedule per variant)",
@@ -507,14 +515,19 @@ def artifact_names() -> list[str]:
     return [*ARTIFACTS, *shorts]
 
 
-def reproduce(artifacts: Iterable[Artifact], scale: FigureScale,
+def reproduce(artifacts: Iterable[Artifact], config: Any,
               workers: int | None = None, progress=None) -> dict[str, str]:
-    """Run and render ``artifacts``: ``{file stem: table text}``; entries
-    that share a ``run`` are simulated once."""
+    """Run and render ``artifacts``: ``{file stem: table text}``.
+
+    ``config`` sizes the entries sized by its type; the rest run at
+    their own (:meth:`Artifact.sized`).  Entries that share a ``run``
+    are simulated once.
+    """
     results: dict[Callable, Any] = {}
     texts = {}
     for entry in artifacts:
         if entry.run not in results:
-            results[entry.run] = entry.run(scale, workers, progress)
+            results[entry.run] = entry.run(entry.sized(config), workers,
+                                           progress)
         texts[entry.name] = entry.render(results[entry.run])
     return texts

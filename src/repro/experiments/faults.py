@@ -11,7 +11,7 @@ failover, then a spine fail + recover) — and reports the *degradation*:
 faulted vs. baseline availability and FCT, the windowed hit-rate dip,
 and the time for the hit rate to recover after repair.
 
-Run via ``python -m repro faults`` or the benchmark
+Run via ``python -m repro reproduce faults_resilience`` or the benchmark
 ``benchmarks/test_faults_resilience.py``.
 """
 
@@ -70,6 +70,8 @@ class ChaosParams:
     Defaults are sized to run in seconds on the 4-pod, two-gateway
     :func:`~repro.experiments.scenario.chaos_spec` fabric; the workload
     shape and each experiment's fault clock are module constants.
+    ``schemes`` are the chaos experiment's; the gray experiment runs
+    SwitchV2P only and rejects any other value.
     """
 
     num_vms: int = 64
@@ -77,6 +79,7 @@ class ChaosParams:
     cache_ratio: float = 16.0
     horizon_ns: int = msec(16)
     seed: int = 0
+    schemes: tuple[str, ...] = CHAOS_SCHEMES
 
 
 def chaos_schedule(spec: FatTreeSpec | None = None) -> FaultSchedule:
@@ -109,7 +112,7 @@ def chaos_flows(params: ChaosParams) -> list[FlowSpec]:
     """Short TCP flows between random VM pairs, arrivals over the span."""
     # The raw experiment seed is never used directly: deriving a named
     # stream keeps this draw independent of any other consumer of the
-    # same root seed (W401 provenance discipline).
+    # same root seed (D102 provenance discipline).
     rng = np.random.default_rng(derive_seed(params.seed, "chaos-flows"))
     return random_pair_flows(rng, params.num_flows, params.num_vms,
                              MIN_FLOW_BYTES, MAX_FLOW_BYTES, ARRIVAL_SPAN_NS)
@@ -159,13 +162,13 @@ def run_chaos_scenario(scheme_name: str, params: ChaosParams,
 
 
 def run_chaos_experiment(params: ChaosParams | None = None,
-                         schemes: tuple[str, ...] = CHAOS_SCHEMES,
                          progress=None) -> list[ChaosRow]:
-    """Run every scheme with and without the shared fault schedule.
+    """Run every scheme of ``params`` with and without the shared fault
+    schedule.
 
     Args:
         progress: optional ``progress(done, total, label)`` callback,
-            fired after each of the ``2 * len(schemes)`` runs (labels
+            fired after each of the ``2 * len(params.schemes)`` runs (labels
             like ``"SwitchV2P/baseline"``, ``"SwitchV2P/faulted"``);
             the CLI uses it to show sweep progress.
     """
@@ -179,5 +182,5 @@ def run_chaos_experiment(params: ChaosParams | None = None,
         ChaosRow(scheme=name,
                  gateway_failovers=faulted.network.gateway_failovers, **fields)
         for name, fields, _, faulted, _ in baseline_vs_faulted(
-            schemes, run_once, chaos_schedule,
+            params.schemes, run_once, chaos_schedule,
             (GATEWAY_CRASH_NS, GATEWAY_RESTART_NS), "faulted", progress)]

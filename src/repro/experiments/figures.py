@@ -8,15 +8,17 @@ functions return structured rows; the benchmarks render and print them.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from repro.experiments.parallel import ExperimentJob
 from repro.experiments.runner import RunResult, run_experiment
 from repro.experiments.sweeps import (
     SweepRow,
-    cache_size_sweep,
     gateway_count_sweep,
+    ratio_jobs,
     run_sweep_jobs,
+    sweep_ratios,
     topology_scale_sweep,
 )
 from repro.net.node import Layer
@@ -153,21 +155,32 @@ def _transport_for(trace: str, scale: FigureScale) -> TransportConfig | None:
 # ----------------------------------------------------------------------
 # Figures 5a-5d and 6: cache-size sweeps per trace
 # ----------------------------------------------------------------------
+def figure5_jobs(trace: str, scale: FigureScale, fidelity: str = "packet",
+                 ) -> Callable[[str, float], ExperimentJob]:
+    """``job(scheme, ratio)``: the run behind one point of Figure 5 (6
+    for Alibaba) at this scale — and all that ``repro run`` runs.
+
+    Byte-heavy traces get the jumbo-MSS transport and Bluebird its punt
+    channel sized to the trace's offered load.
+    """
+    tspec = trace_spec_for(trace, scale)
+    spec = fabric_for(trace)
+    return ratio_jobs(
+        ExperimentJob(spec=spec, scheme_name="NoCache", trace=tspec,
+                      num_vms=tspec.num_vms, seed=scale.seed,
+                      transport=_transport_for(trace, scale),
+                      trace_name=trace, fidelity=fidelity),
+        {"Bluebird": bluebird_kwargs(tspec.materialize(), spec, scale)})
+
+
 def figure5(trace: str, scale: FigureScale | None = None,
             schemes: tuple[str, ...] = FIG5_SCHEMES,
             workers: int | None = None, cache="auto",
             progress=None) -> list[SweepRow]:
     """Hit rate / FCT / first-packet improvement vs cache size."""
     scale = scale or FigureScale()
-    tspec = trace_spec_for(trace, scale)
-    flows, num_vms = tspec.materialize(), tspec.num_vms
-    spec = fabric_for(trace)
-    return cache_size_sweep(
-        spec, flows, num_vms, scale.ratios, schemes,
-        seed=scale.seed, trace_name=trace,
-        transport=_transport_for(trace, scale),
-        scheme_kwargs={"Bluebird": bluebird_kwargs(flows, spec, scale)},
-        trace_spec=tspec, workers=workers, cache=cache, progress=progress)
+    return sweep_ratios(figure5_jobs(trace, scale), scale.ratios, schemes,
+                        workers=workers, cache=cache, progress=progress)
 
 
 def figure6(scale: FigureScale | None = None,
@@ -304,7 +317,7 @@ def appendix_controller(scale: FigureScale | None = None,
                         progress=None) -> list[SweepRow]:
     """Controller-vs-SwitchV2P on WebSearch across cache sizes."""
     scale = scale or FigureScale()
-    tspec = trace_spec_for("websearch", scale)
+    job = figure5_jobs("websearch", scale)
 
     #: Row label -> (scheme, scheme kwargs): Controller once per period.
     variants: dict[str, tuple[str, dict]] = {"SwitchV2P": ("SwitchV2P", {})}
@@ -312,17 +325,10 @@ def appendix_controller(scale: FigureScale | None = None,
         variants[f"Controller@{period_us}us"] = (
             "Controller", {"period_ns": period_us * 1000})
 
-    def job(scheme: str, ratio: float, scheme_kwargs: dict) -> ExperimentJob:
-        return ExperimentJob(
-            spec=ft8_spec(), scheme_name=scheme, trace=tspec,
-            num_vms=tspec.num_vms, cache_ratio=ratio, seed=scale.seed,
-            transport=_transport_for("websearch", scale),
-            trace_name="websearch", scheme_kwargs=scheme_kwargs)
-
-    points = [(ratio, job(scheme, ratio, scheme_kwargs), 0)
+    points = [(ratio, replace(job(scheme, ratio), scheme_kwargs=kwargs), 0)
               for ratio in scale.ratios
-              for scheme, scheme_kwargs in variants.values()]
-    rows = run_sweep_jobs([job("NoCache", 0.0, {})], points, workers=workers,
+              for scheme, kwargs in variants.values()]
+    rows = run_sweep_jobs([job("NoCache", 0.0)], points, workers=workers,
                           cache=cache, progress=progress)
     labels = list(variants) * len(scale.ratios)
     return [replace(row, scheme=label,

@@ -23,8 +23,8 @@ bit flips that outlive both — in two protocol variants:
   transport gives up.
 
 Each variant also runs fault-free so the table reports degradation and
-recovery against its own baseline.  Run via ``python -m repro gray`` or
-the benchmark ``benchmarks/test_gray_degradation.py``.
+recovery against its own baseline.  Run via ``python -m repro reproduce
+gray_degradation`` or the benchmark ``benchmarks/test_gray_degradation.py``.
 """
 
 from __future__ import annotations
@@ -137,20 +137,21 @@ class GrayRow(DegradationRow):
 
 
 def run_gray_experiment(params: ChaosParams | None = None,
-                        variants: tuple[str, ...] = GRAY_VARIANTS,
                         progress=None) -> list[GrayRow]:
     """Run each variant with and without the shared gray episode.
 
     Args:
+        params: sizes the runs; every run is SwitchV2P, so
+            ``params.schemes`` must keep its default.
         progress: optional ``progress(done, total, label)`` callback,
-            fired after each of the ``2 * len(variants)`` runs.
+            fired after each of the four runs.
     """
     if params is None:
         params = ChaosParams()
-    unknown = [v for v in variants if v not in GRAY_VARIANTS]
-    if unknown:
-        raise ValueError(f"unknown variant {unknown[0]!r}; "
-                         f"known: {', '.join(GRAY_VARIANTS)}")
+    if params.schemes != ChaosParams.schemes:
+        raise ValueError(
+            f"the gray experiment runs SwitchV2P only; schemes="
+            f"{params.schemes!r} would be ignored")
 
     def run_once(variant: str, schedule: FaultSchedule | None) -> Scenario:
         hardened = variant == "hardened"
@@ -169,8 +170,8 @@ def run_gray_experiment(params: ChaosParams | None = None,
 
     rows = []
     for variant, fields, base, faulted, schedule in baseline_vs_faulted(
-            variants, run_once, gray_schedule, (GRAY_START_NS, GRAY_END_NS),
-            "gray", progress):
+            GRAY_VARIANTS, run_once, gray_schedule,
+            (GRAY_START_NS, GRAY_END_NS), "gray", progress):
         network = faulted.network
         detector, auditor = network.failure_detector, network.anti_entropy
         rows.append(GrayRow(

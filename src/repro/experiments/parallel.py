@@ -132,6 +132,16 @@ class ExperimentJob:
         """The canonical kwargs back as a plain dict for the factory."""
         return kwargs_dict(self.scheme_kwargs)
 
+    def run(self, **options) -> RunResult:
+        """Simulate this job; ``options`` (``cache``, ``perf``,
+        ``warmup_split_ns``) pass through to :func:`run_experiment`."""
+        return run_experiment(
+            self.spec, self.scheme_name, self.resolve_flows(), self.num_vms,
+            self.cache_ratio, self.seed, self.transport, self.horizon_ns,
+            trace_name=self.trace_name,
+            scheme_kwargs=self.scheme_kwargs_dict() or None,
+            fidelity=self.fidelity, **options)
+
     def describe(self) -> str:
         """What a failure report calls this job."""
         trace = self.trace_name or (
@@ -152,13 +162,7 @@ def _execute_job(job: ExperimentJob) -> tuple[RunResult, int]:
     writer, so workers never race on the store.
     """
     try:
-        return timed_call(
-            run_experiment,
-            job.spec, job.scheme_name, job.resolve_flows(), job.num_vms,
-            job.cache_ratio, job.seed, job.transport, job.horizon_ns,
-            keep_network=False, trace_name=job.trace_name,
-            scheme_kwargs=job.scheme_kwargs_dict() or None, cache=None,
-            fidelity=job.fidelity)
+        return timed_call(job.run, cache=None)
     except Exception as exc:
         # Re-raised with the job's name: across the pool boundary the
         # original arrives without it, and a sweep has dozens of jobs.
@@ -176,10 +180,14 @@ def default_workers() -> int:
     """
     value = os.environ.get("REPRO_PARALLEL", "0")
     try:
-        return max(0, int(value))
+        workers = int(value)
     except ValueError:
+        workers = -1
+    if workers < 0:
         raise ValueError(
-            f"REPRO_PARALLEL={value!r} is not an integer") from None
+            f"REPRO_PARALLEL={value!r} is not a worker count (an integer "
+            ">= 0)")
+    return workers
 
 
 def parallel_run_experiments(jobs: Sequence[ExperimentJob],

@@ -18,7 +18,7 @@ sharing the one ``RunResult``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 from repro.experiments.parallel import ExperimentJob, parallel_run_experiments
@@ -26,7 +26,6 @@ from repro.experiments.runner import RunResult
 from repro.metrics.reporting import improvement
 from repro.net.topology import FatTreeSpec
 from repro.transport.flow import FlowSpec
-from repro.transport.reliable import TransportConfig
 
 #: Schemes without in-switch caches: the cache budget cannot reach
 #: them, so a cache-size sweep runs each at ratio 0 for every size.
@@ -76,6 +75,30 @@ def run_sweep_jobs(
             for (x_value, _, reference), result in zip(points, grid)]
 
 
+def ratio_jobs(base: ExperimentJob, scheme_kwargs: dict[str, dict],
+               ) -> Callable[[str, float], ExperimentJob]:
+    """``job(scheme, ratio)``: ``base`` run by ``scheme`` at one point
+    of a cache-size sweep, with ``scheme_kwargs[scheme]``.
+
+    :data:`RATIO_INDEPENDENT` schemes behave the same at every cache
+    budget, so each runs at ratio 0 whatever the point's ratio.
+    """
+    return lambda scheme, ratio: replace(
+        base, scheme_name=scheme,
+        cache_ratio=0.0 if scheme in RATIO_INDEPENDENT else ratio,
+        scheme_kwargs=scheme_kwargs.get(scheme) or {})
+
+
+def sweep_ratios(job: Callable[[str, float], ExperimentJob],
+                 ratios: Sequence[float], schemes: Sequence[str],
+                 **options) -> list[SweepRow]:
+    """Every ``job(scheme, ratio)``, normalized against NoCache's;
+    ``options`` as for :func:`run_sweep_jobs`."""
+    points = [(ratio, job(scheme, ratio), 0)
+              for ratio in ratios for scheme in schemes]
+    return run_sweep_jobs([job("NoCache", 0.0)], points, **options)
+
+
 def cache_size_sweep(
     spec: FatTreeSpec,
     flows: Sequence[FlowSpec],
@@ -84,20 +107,17 @@ def cache_size_sweep(
     schemes: Sequence[str],
     seed: int = 0,
     trace_name: str = "",
-    transport: TransportConfig | None = None,
-    scheme_kwargs: dict[str, dict] | None = None,
-    horizon_ns: int | None = None,
     trace_spec=None,
     workers: int | None = None,
     cache="auto",
     progress=None,
     perf=None,
 ) -> list[SweepRow]:
-    """The Figure 5/6 sweep: schemes x aggregate cache sizes.
+    """The Figure 5/6 sweep of ``flows``: schemes x aggregate cache sizes.
 
     The NoCache reference normalizes every point.  It and the other
-    :data:`RATIO_INDEPENDENT` schemes behave the same at every cache
-    budget, so each is one simulation whose row is replicated.
+    :data:`RATIO_INDEPENDENT` schemes are one simulation each, whose
+    row is replicated.
 
     Args:
         trace_spec: optional :class:`~repro.traces.spec.TraceSpec`
@@ -112,21 +132,13 @@ def cache_size_sweep(
         perf: optional :class:`~repro.perf.PhaseTimer` accumulating
             per-job wall-clock under the ``"jobs"`` phase.
     """
-    kwargs_by_scheme = scheme_kwargs or {}
-    flow_tuple = None if trace_spec is not None else tuple(flows)
-
-    def job(scheme: str, ratio: float) -> ExperimentJob:
-        return ExperimentJob(
-            spec=spec, scheme_name=scheme, num_vms=num_vms,
-            cache_ratio=0.0 if scheme in RATIO_INDEPENDENT else ratio,
-            seed=seed, transport=transport, horizon_ns=horizon_ns,
-            trace_name=trace_name, flows=flow_tuple, trace=trace_spec,
-            scheme_kwargs=kwargs_by_scheme.get(scheme) or {})
-
-    points = [(ratio, job(scheme, ratio), 0)
-              for ratio in ratios for scheme in schemes]
-    return run_sweep_jobs([job("NoCache", 0.0)], points, workers=workers,
-                          cache=cache, progress=progress, perf=perf)
+    base = ExperimentJob(
+        spec=spec, scheme_name="NoCache", num_vms=num_vms, seed=seed,
+        trace_name=trace_name, trace=trace_spec,
+        flows=None if trace_spec is not None else tuple(flows))
+    return sweep_ratios(ratio_jobs(base, {}), ratios, schemes,
+                        workers=workers, cache=cache, progress=progress,
+                        perf=perf)
 
 
 def gateway_count_sweep(

@@ -10,11 +10,12 @@
   snapshots the Python heap (``tracemalloc``) and process peak RSS at
   every phase boundary;
 * :func:`timed_call`, :func:`peak_rss_kb` — what ``bench/`` and the
-  sweep orchestrator measure with;
-* :class:`RunProfile` / :func:`profile_experiment` — ``python -m repro
-  profile <trace>``: for any trace, scheme and scale, the three things
-  ``python -m bench --workload W --trace 1`` does not print (collector
-  passes per phase, memory per phase, escalations by reason).
+  sweep orchestrator measure with.
+
+``python -m repro run`` prints a :class:`PhaseTimer` (a
+:class:`PhaseMemoryTimer` with ``--memory``) under its table: for any
+trace, scheme and scale, what ``python -m bench --workload W --trace 1``
+does not print (collector passes per phase, memory per phase).
 
 Measurements never feed back into the simulation (the simulated clock
 is integer nanoseconds driven only by scheduled events), so profiling a
@@ -28,7 +29,6 @@ import time
 import tracemalloc
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 try:
     import resource
@@ -185,81 +185,3 @@ def timed_call(fn, /, *args, **kwargs):
     start = time.perf_counter_ns()
     result = fn(*args, **kwargs)
     return result, time.perf_counter_ns() - start
-
-
-@dataclass
-class RunProfile:
-    """What ``repro profile`` prints about one simulation run."""
-
-    trace: str
-    scheme: str
-    fidelity: str = "packet"
-    phases_ns: dict[str, int] = field(default_factory=dict)
-    #: Full collector passes per phase (:attr:`PhaseTimer.full_collections`).
-    full_collections: dict[str, int] = field(default_factory=dict)
-    #: Per-phase memory snapshots (``--memory``): phase name ->
-    #: ``{"py_peak_kb", "py_end_kb", "rss_peak_kb"}``; empty when
-    #: memory profiling was off.
-    memory_by_phase: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: Why adopted flows fell back to packet level (hybrid runs).
-    fluid_escalations_by_reason: dict[str, int] = field(default_factory=dict)
-
-    def render(self) -> str:
-        lines = [f"trace={self.trace} scheme={self.scheme} "
-                 f"fidelity={self.fidelity}"]
-        for name, ns in sorted(self.phases_ns.items()):
-            lines.append(f"phase {name:<10} {ns / 1e6:12.2f} ms"
-                         f"  full gc {self.full_collections.get(name, 0)}")
-        for name, entry in sorted(self.memory_by_phase.items()):
-            lines.append(
-                f"mem   {name:<10} rss-peak {entry['rss_peak_kb'] / 1024:8.1f}"
-                f" MB  py-heap peak {entry['py_peak_kb'] / 1024:8.1f} MB"
-                f" (end {entry['py_end_kb'] / 1024:.1f} MB)")
-        for reason, count in sorted(self.fluid_escalations_by_reason.items()):
-            lines.append(f"escalation {reason:<22} {count:8d}")
-        return "\n".join(lines)
-
-
-def profile_experiment(spec, scheme_name: str, flows, num_vms: int,
-                       cache_ratio: float, seed: int = 0,
-                       trace_name: str = "",
-                       with_memory: bool = False,
-                       fidelity: str = "packet") -> RunProfile:
-    """Run one experiment under the phase timers.
-
-    Args:
-        with_memory: snapshot tracemalloc + peak RSS at every phase
-            boundary; the event loop is additionally split into a
-            ``run-warmup`` phase (through the last flow start plus
-            10 ms, the cache cold-start window) and a ``run-steady``
-            remainder, so build, warmup and steady-state memory show
-            up separately.  Tracing slows the run; wall-clock numbers
-            from a ``--memory`` profile are not comparable to plain
-            ones.
-    """
-    from repro.experiments.runner import run_experiment
-    from repro.sim.engine import msec
-
-    timer = PhaseMemoryTimer() if with_memory else PhaseTimer()
-    warmup_split_ns = None
-    if with_memory:
-        tracemalloc.start()
-        last_start = max((flow.start_ns for flow in flows), default=0)
-        warmup_split_ns = last_start + msec(10)
-    try:
-        result = run_experiment(spec, scheme_name, flows, num_vms,
-                                cache_ratio, seed, trace_name=trace_name,
-                                perf=timer, fidelity=fidelity,
-                                warmup_split_ns=warmup_split_ns, cache=None)
-    finally:
-        if with_memory:
-            tracemalloc.stop()
-    return RunProfile(
-        trace=trace_name,
-        scheme=result.scheme,
-        fidelity=result.fidelity,
-        phases_ns=dict(timer.phases_ns),
-        full_collections=dict(timer.full_collections),
-        memory_by_phase=dict(timer.memory_by_phase) if with_memory else {},
-        fluid_escalations_by_reason=dict(result.fluid_escalations_by_reason),
-    )

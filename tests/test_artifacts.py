@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import artifacts
 from repro.experiments.artifacts import (
     ARTIFACTS,
     artifact_names,
@@ -56,6 +56,22 @@ TINY = FigureScale(num_vms=32, hadoop_flows=40, websearch_flows=3,
 
 SHORT_NAMES = ("fig5a", "fig5b", "fig5c", "fig5d", "fig6", "fig7", "fig9",
                "fig10", "table5", "table6", "appendix")
+
+#: Every config an artifact is sized by, shrunk the same way.
+TINY_CONFIGS = {FigureScale: TINY,
+                IncastTraceParams: IncastTraceParams(num_senders=4,
+                                                     packets_per_sender=50),
+                ChaosParams: ChaosParams(num_vms=16, num_flows=60)}
+
+
+def _flags(config) -> list[str]:
+    """The ``reproduce`` flags that set every field of ``config``."""
+    argv = []
+    for field in fields(config):
+        value = getattr(config, field.name)
+        argv += [f"--{field.name.replace('_', '-')}",
+                 *map(str, value if isinstance(value, tuple) else [value])]
+    return argv
 
 
 # ----------------------------------------------------------------------
@@ -89,29 +105,25 @@ def _title_and_header(text: str) -> tuple[str, list[str]]:
 
 @pytest.mark.parametrize("name", ["fig8_switch_bytes", "ablation_features",
                                   "table5"])
-def test_reproduce_prints_the_committed_title_and_header(name, monkeypatch,
-                                                         capsys):
+def test_reproduce_prints_the_committed_title_and_header(name, capsys):
     """The first two could only be printed by their benchmark files, and
     ``table5`` printed another layer order than the committed one."""
-    monkeypatch.setattr("repro.cli._scale_from_args", lambda args: TINY)
-    assert main(["reproduce", name]) == 0
+    assert main(["reproduce", name, *_flags(TINY)]) == 0
     committed = (RESULTS_DIR / f"{resolve(name)[0].name}.txt").read_text()
     assert _title_and_header(capsys.readouterr().out) \
         == _title_and_header(committed)
 
 
-def test_every_table_is_pure(monkeypatch):
+def test_every_table_is_pure():
     """Same result twice -> same text, off what ``run`` returned alone."""
-    # The entries that ignore the scale, shrunk the same way.
-    monkeypatch.setattr(artifacts, "TABLE4_PARAMS", IncastTraceParams(
-        num_senders=4, packets_per_sender=50))
-    monkeypatch.setattr(artifacts, "FAULT_PARAMS", ChaosParams(
-        num_vms=16, num_flows=60))
+    assert {type(a.config) for a in ARTIFACTS.values()} \
+        == {*TINY_CONFIGS, type(None)}
     first = {}
     results = {}
     for name, artifact in ARTIFACTS.items():
         if artifact.run not in results:
-            results[artifact.run] = artifact.run(TINY)
+            results[artifact.run] = artifact.run(
+                TINY_CONFIGS.get(type(artifact.config)))
         first[name] = artifact.render(results[artifact.run])
     for name, artifact in ARTIFACTS.items():
         assert artifact.render(results[artifact.run]) == first[name], name

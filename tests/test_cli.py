@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+import argparse
 import os
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.figures import FigureScale, figure5
+from repro.experiments.parallel import ExperimentJob
+
+SUBCOMMANDS = ("list", "run", "reproduce", "chaos", "lint", "cache", "trace")
 
 
 def test_list(capsys):
@@ -17,17 +22,20 @@ def test_list(capsys):
 
 def test_run_small_experiment(capsys):
     code = main(["run", "--trace", "hadoop", "--scheme", "SwitchV2P",
-                 "--cache-ratio", "4", "--vms", "64", "--flows", "100",
-                 "--seed", "3"])
+                 "--cache-ratio", "4", "--num-vms", "64", "--hadoop-flows",
+                 "100", "--seed", "3"])
     assert code == 0
     out = capsys.readouterr().out
     assert "hit rate" in out
     assert "avg FCT [us]" in out
+    # Under the table: wall clock and full collector passes per phase.
+    assert any(line.startswith("phase build") and "full gc" in line
+               for line in out.splitlines())
 
 
 def test_run_nocache(capsys):
     code = main(["run", "--trace", "hadoop", "--scheme", "NoCache",
-                 "--vms", "64", "--flows", "50"])
+                 "--num-vms", "64", "--hadoop-flows", "50"])
     assert code == 0
     assert "NoCache" in capsys.readouterr().out
 
@@ -39,9 +47,41 @@ def test_reproduce_table6(capsys):
     assert "Hash Bits" in out
 
 
+@pytest.mark.parametrize("trace, scheme, size", [
+    ("websearch", "SwitchV2P", ["--websearch-flows", "20"]),
+    ("hadoop", "Bluebird", ["--hadoop-flows", "200"])])
+def test_run_is_one_point_of_its_sweep(trace, scheme, size, monkeypatch,
+                                       capsys):
+    """``run`` used to leave out the jumbo-MSS transport and Bluebird's
+    channel sizing the sweep applies, and got another result."""
+    scale = FigureScale(num_vms=64, websearch_flows=20, hadoop_flows=200,
+                        ratios=(4.0,))
+    [row] = figure5(trace, scale, schemes=(scheme,))
+    runs = []
+    simulate = ExperimentJob.run
+    monkeypatch.setattr(ExperimentJob, "run", lambda job, **options: (
+        runs.append(simulate(job, **options)) or runs[-1]))
+    assert main(["run", "--trace", trace, "--scheme", scheme,
+                 "--cache-ratio", "4", "--num-vms", "64", *size]) == 0
+    assert runs == [row.result]
+
+
+def test_run_memory_bypasses_the_run_cache(monkeypatch, capsys):
+    seen = []
+    simulate = ExperimentJob.run
+    monkeypatch.setattr(ExperimentJob, "run", lambda job, **options: (
+        seen.append(options) or simulate(job, **options)))
+    assert main(["run", "--num-vms", "32", "--hadoop-flows", "20",
+                 "--memory"]) == 0
+    assert seen[0]["cache"] is None
+    out = capsys.readouterr().out
+    assert "phase run-warmup" in out
+    assert "mem   build" in out
+
+
 def test_reproduce_fig5a_tiny(capsys):
-    code = main(["reproduce", "fig5a", "--vms", "64", "--flows", "80",
-                 "--ratios", "4"])
+    code = main(["reproduce", "fig5a", "--num-vms", "64", "--hadoop-flows",
+                 "80", "--ratios", "4"])
     assert code == 0
     out = capsys.readouterr().out
     assert "SwitchV2P" in out
@@ -49,7 +89,8 @@ def test_reproduce_fig5a_tiny(capsys):
 
 
 def test_migrate_tiny(capsys):
-    assert main(["migrate", "--senders", "4", "--packets", "50"]) == 0
+    assert main(["reproduce", "table4_migration", "--num-senders", "4",
+                 "--packets-per-sender", "50"]) == 0
     out = capsys.readouterr().out
     assert "timestamp vector" in out
 
@@ -62,8 +103,8 @@ def test_workers_flag_does_not_touch_environment(monkeypatch, capsys):
     the flag must leave the environment exactly as it found it.
     """
     monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-    code = main(["--workers", "2", "reproduce", "fig5a", "--vms", "64",
-                 "--flows", "80", "--ratios", "4"])
+    code = main(["--workers", "2", "reproduce", "fig5a", "--num-vms", "64",
+                 "--hadoop-flows", "80", "--ratios", "4"])
     assert code == 0
     assert "REPRO_PARALLEL" not in os.environ
     assert "SwitchV2P" in capsys.readouterr().out
@@ -107,3 +148,41 @@ def test_parser_rejects_unknown_artifact():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["reproduce", "fig99"])
+
+
+def test_the_subcommands_are_the_seven_and_each_help_renders(capsys):
+    """A generated flag whose annotation argparse cannot take fails the
+    ``--help`` of its command here, not a run."""
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert tuple(commands.choices) == SUBCOMMANDS
+    for name in SUBCOMMANDS:
+        with pytest.raises(SystemExit) as exit_:
+            main([name, "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {name}")
+
+
+@pytest.mark.parametrize("argv, flag, config", [
+    (["reproduce", "table6", "--num-vms", "8"], "--num-vms", "none"),
+    (["reproduce", "fig5a", "--num-senders", "4"], "--num-senders",
+     "FigureScale"),
+    (["reproduce", "faults_resilience", "--ratios", "1"], "--ratios",
+     "ChaosParams")])
+def test_a_flag_for_another_config_exits_2_naming_both(argv, flag, config,
+                                                       capsys):
+    """These ran unsized before: no sizing flag is dropped silently."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert f"({config})" in err
+
+
+def test_negative_workers_exit_2_naming_the_value(capsys):
+    """-3 used to run sequentially without a word."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["--workers", "-3", "list"])
+    assert exit_.value.code == 2
+    assert "--workers -3" in capsys.readouterr().err

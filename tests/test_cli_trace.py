@@ -1,13 +1,25 @@
 """Tests for the CLI trace subcommands and heatmap rendering."""
 
+from dataclasses import replace
+
+import pytest
+
 from repro.cli import main
+from repro.experiments.figures import FigureScale, build_trace
+from repro.experiments.parallel import ExperimentJob
 from repro.metrics.reporting import render_heatmap
+
+#: The FigureScale field each trace's size is counted in.
+COUNT_FIELDS = {"hadoop": "hadoop_flows", "websearch": "websearch_flows",
+                "microbursts": "microburst_bursts", "video": "video_streams",
+                "alibaba": "alibaba_rpcs"}
+SMALL = FigureScale(num_vms=32, alibaba_services=4)
 
 
 def test_trace_generate_and_inspect(tmp_path, capsys):
     path = tmp_path / "hadoop.jsonl"
     code = main(["trace", "generate", "hadoop", str(path),
-                 "--vms", "64", "--flows", "80", "--seed", "5"])
+                 "--num-vms", "64", "--hadoop-flows", "80", "--seed", "5"])
     assert code == 0
     out = capsys.readouterr().out
     assert "wrote 80 flows" in out
@@ -23,7 +35,7 @@ def test_trace_generate_and_inspect(tmp_path, capsys):
 def test_trace_generate_microbursts(tmp_path, capsys):
     path = tmp_path / "bursts.jsonl"
     assert main(["trace", "generate", "microbursts", str(path),
-                 "--vms", "64"]) == 0
+                 "--num-vms", "64"]) == 0
     assert main(["trace", "inspect", str(path)]) == 0
     out = capsys.readouterr().out
     assert "udp_flows" in out
@@ -44,16 +56,26 @@ def test_render_heatmap_all_zero():
     assert "@" not in text
 
 
-def test_report_command(tmp_path, capsys):
-    results = tmp_path / "results"
-    results.mkdir()
-    (results / "alpha.txt").write_text("table-alpha\n")
-    (results / "beta.txt").write_text("table-beta\n")
-    assert main(["report", "--results-dir", str(results)]) == 0
-    out = capsys.readouterr().out
-    assert "table-alpha" in out
-    assert "==== beta" in out
-
-
-def test_report_command_missing_dir(tmp_path, capsys):
-    assert main(["report", "--results-dir", str(tmp_path / "nope")]) == 1
+@pytest.mark.parametrize("trace", sorted(COUNT_FIELDS))
+def test_every_trace_is_sized_by_its_count_flag(trace, tmp_path, monkeypatch,
+                                                capsys):
+    """``--flows`` used to set the Hadoop count whatever the trace."""
+    field = COUNT_FIELDS[trace]
+    size = ["--num-vms", "32", "--alibaba-services", "4",
+            f"--{field.replace('_', '-')}"]
+    played = []
+    simulate = ExperimentJob.run
+    monkeypatch.setattr(ExperimentJob, "run", lambda job, **options: (
+        played.append(len(job.resolve_flows())) or simulate(job, **options)))
+    counts = []
+    for count in (3, 6):
+        flows, _ = build_trace(trace, replace(SMALL, **{field: count}))
+        counts.append(len(flows))
+        path = tmp_path / f"{trace}-{count}.jsonl"
+        assert main(["trace", "generate", trace, str(path), *size,
+                     str(count)]) == 0
+        assert f"wrote {len(flows)} flows" in capsys.readouterr().out
+        assert main(["run", "--trace", trace, "--scheme", "NoCache", *size,
+                     str(count)]) == 0
+    assert counts[0] < counts[1]
+    assert played == counts

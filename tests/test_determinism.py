@@ -118,9 +118,9 @@ def test_chaos_experiment_is_deterministic():
     be as seed-stable as the fault-free runs.  ChaosRow is a frozen
     dataclass tree, so == compares every per-phase resilience number.
     """
-    params = ChaosParams(num_flows=120, num_vms=32, horizon_ns=msec(12))
-    first, second = (run_chaos_experiment(params, schemes=("SwitchV2P",))
-                     for _ in range(2))
+    params = ChaosParams(num_flows=120, num_vms=32, horizon_ns=msec(12),
+                         schemes=("SwitchV2P",))
+    first, second = (run_chaos_experiment(params) for _ in range(2))
     assert first == second
 
 

@@ -496,9 +496,10 @@ def test_chaos_experiment_is_deterministic():
 
     from repro.experiments.faults import ChaosParams, run_chaos_experiment
 
-    params = replace(ChaosParams(), num_flows=120, horizon_ns=msec(12))
-    first = run_chaos_experiment(params, schemes=("SwitchV2P",))[0]
-    second = run_chaos_experiment(params, schemes=("SwitchV2P",))[0]
+    params = replace(ChaosParams(), num_flows=120, horizon_ns=msec(12),
+                     schemes=("SwitchV2P",))
+    first = run_chaos_experiment(params)[0]
+    second = run_chaos_experiment(params)[0]
     assert first.faulted_fct_ns == second.faulted_fct_ns
     assert first.faulted.availability == second.faulted.availability
     assert first.faulted.during.mean_hit_rate == \

@@ -313,3 +313,11 @@ def test_staleness_oracle_trips_without_audit():
 
 def test_staleness_oracle_clean_with_audit():
     assert _staleness_run(with_audit=True) == []
+
+
+def test_gray_experiment_rejects_a_scheme_list():
+    """Every gray run is SwitchV2P: a scheme list would do nothing."""
+    from repro.experiments.faults import ChaosParams
+    from repro.experiments.graydegrade import run_gray_experiment
+    with pytest.raises(ValueError, match="SwitchV2P only"):
+        run_gray_experiment(ChaosParams(schemes=("GwCache",)))

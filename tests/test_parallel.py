@@ -76,6 +76,13 @@ def test_default_workers_env(monkeypatch):
         default_workers()
 
 
+def test_default_workers_rejects_a_negative_count(monkeypatch):
+    """-2 used to clamp to 0 and run sequentially without a word."""
+    monkeypatch.setenv("REPRO_PARALLEL", "-2")
+    with pytest.raises(ValueError, match="REPRO_PARALLEL='-2'"):
+        default_workers()
+
+
 # ----------------------------------------------------------------------
 # Trace-spec jobs (workers regenerate flows locally)
 # ----------------------------------------------------------------------
