@@ -114,6 +114,11 @@ def test_hybrid_surfaces_fluid_bookkeeping(tcp_pair):
     assert sum(hybrid.fluid_escalations_by_reason.values()) \
         == hybrid.fluid_escalations
     assert hybrid.fluid_escalations >= hybrid.fluid_adoptions
+    # Clean-path probe memoization and the warmup ledger engage here
+    # (16 probe rounds skipped, 4 warm pairs).
+    stats = hybrid.network.fluid.stats_dict()
+    assert stats["probe_skips"] > 0, "clean-path memoization never engaged"
+    assert stats["warm_pairs"] > 0, "warmup ledger never saturated"
 
 
 def test_packet_mode_reports_no_fluid_state(tcp_pair):
@@ -182,15 +187,20 @@ def test_vm_migration_escalates_adopted_flow():
 def test_conflict_churn_escalates_and_completes():
     """A thrash-heavy cache keeps escalating but never breaks delivery.
 
-    512 slots across the fabric conflict constantly, so cache metrics
+    8 x 3 MB flows over 512 slots conflict constantly, so cache metrics
     legitimately diverge from packet mode here (see docs/simulator.md);
-    what hybrid still owes us is completion and bounded escalation.
+    what hybrid still owes us is completion, packet mode's misdeliveries
+    and bounded escalation.  One of its 13 escalations is a probe that
+    found a mutated path while its pair was still warming up.
     """
-    flows = _steady_flows(n_pairs=4, size=1_000_000)
+    flows = _steady_flows(n_pairs=8, size=3_000_000)
+    packet = _run("packet", flows, slots=512)
     result = _run("hybrid", flows, slots=512)
-    assert result.completion_rate == 1.0
+    assert packet.completion_rate == result.completion_rate == 1.0
+    assert result.collector.misdeliveries == packet.collector.misdeliveries
     reasons = result.fluid_escalations_by_reason
     assert sum(reasons.values()) == result.fluid_escalations
+    assert "probe-mutated-warmup" in reasons, reasons
 
 
 # ----------------------------------------------------------------------
