@@ -105,7 +105,8 @@ class TranslationScheme:
 
     def on_misdelivery(self, host: Host, packet: Packet) -> None:
         """Default: Andromeda-style follow-me redirection at the old host."""
-        new_pip = host.follow_me.get(packet.dst_vip)
+        rules = host.follow_me
+        new_pip = rules.get(packet.dst_vip) if rules is not None else None
         if new_pip is not None:
             packet.outer_dst = new_pip
             packet.resolved = True

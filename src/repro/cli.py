@@ -101,22 +101,28 @@ def _sizing_flags(parser: argparse.ArgumentParser, configs: Sequence[Any],
     parser.set_defaults(sizing=tuple(flags), parser=parser)
 
 
-def _sized(args: argparse.Namespace, config: Any, owner: str) -> Any:
+def _sized(args: argparse.Namespace, config: Any, owner: str,
+           fixed: Sequence[str] = ()) -> Any:
     """``config`` with the sizing flags the user gave applied.
 
     A flag for a field ``config`` does not have exits 2 naming both:
     ``reproduce`` takes the flags of every artifact's config, and only
-    the artifact's own may reach a run.
+    the artifact's own may reach a run.  So does a flag for one of the
+    ``fixed`` fields, whose default ``owner`` insists on.
     """
     given = {name: getattr(args, name) for name in args.sizing
              if getattr(args, name) is not None}
     known = [field.name for field in fields(config)] if config else []
     sized_by = type(config).__name__ if config else "none"
     for name in given:
+        flag = f"--{name.replace('_', '-')}"
         if name not in known:
             args.parser.error(
-                f"--{name.replace('_', '-')} names no field of the config "
-                f"{owner} is sized by ({sized_by})")
+                f"{flag} names no field of the config {owner} is sized "
+                f"by ({sized_by})")
+        if name in fixed:
+            args.parser.error(f"{flag}: {owner} takes no value for "
+                              f"{sized_by}.{name}")
     return replace(config, **{
         name: tuple(value) if isinstance(value, list) else value
         for name, value in given.items()}) if given else config
@@ -220,7 +226,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     entries = resolve(args.artifact)
-    config = _sized(args, entries[0].config, args.artifact)
+    config = _sized(args, entries[0].config, args.artifact,
+                    entries[0].fixed)
     texts = reproduce(entries, config, args.workers,
                       _progress(args.artifact))
     print("\n\n".join(texts.values()))

@@ -45,7 +45,8 @@ def assign_roles(fabric: Fabric,
     else:
         gateway_tors = {
             switch.switch_id for switch in fabric.switches
-            if switch.layer == Layer.TOR and switch.attached_pips & gateway_pips
+            if switch.layer == Layer.TOR
+            and not gateway_pips.isdisjoint(switch.host_links)
         }
         gateway_pods = {fabric.switch_by_id[sid].pod for sid in gateway_tors}
         gateway_spines = {

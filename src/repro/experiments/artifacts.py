@@ -69,6 +69,9 @@ class Artifact:
     config: Any
     #: The name ``reproduce`` knew this artifact by before the registry.
     short: str = ""
+    #: Fields of ``config`` whose default ``run`` insists on, so that
+    #: ``reproduce`` takes no flag for them (the gray experiment's schemes).
+    fixed: tuple[str, ...] = ()
 
     def render(self, result: Any) -> str:
         title, headers, rows = self.table(result)
@@ -88,10 +91,10 @@ _BENCH_SCALE = FigureScale()
 
 
 def artifact(name: str, run: Callable[..., Any], short: str = "",
-             config: Any = _BENCH_SCALE):
+             config: Any = _BENCH_SCALE, fixed: tuple[str, ...] = ()):
     """Register the decorated ``table(result)`` as artifact ``name``."""
     def register(table: Callable[[Any], Table]):
-        ARTIFACTS[name] = Artifact(name, run, table, config, short)
+        ARTIFACTS[name] = Artifact(name, run, table, config, short, fixed)
         return table
     return register
 
@@ -466,7 +469,8 @@ def _faults_table(rows) -> Table:
 
 @artifact("gray_degradation",
           lambda params, workers=None, progress=None: run_gray_experiment(
-              params, progress=progress), config=ChaosParams())
+              params, progress=progress), config=ChaosParams(),
+          fixed=("schemes",))
 def _gray_table(rows) -> Table:
     return ("Graceful degradation — gateway brownout + degraded cable + "
             "cache bit flips (identical gray schedule per variant)",

@@ -151,7 +151,6 @@ class Switch(Node):
         "_handler",
         "hook",
         "stats",
-        "attached_pips",
         "fabric",
         "_failed",
         "_slow_ns",
@@ -193,9 +192,6 @@ class Switch(Node):
         #: the destination — liveness never enters it — written by
         #: :meth:`next_hop`; flushed with the ECMP memo all the same.
         self._route_memo: dict[int, Link] = {}
-        #: PIPs of directly attached servers (ToRs only) — used for
-        #: misdelivery tagging (paper §3.3).
-        self.attached_pips: set[int] = set()
 
     # ------------------------------------------------------------------
     # scheme binding

@@ -222,7 +222,6 @@ class Fabric:
         downlink = Link(self.engine, tor, node, rate, spec.propagation_ns,
                         spec.buffer_bytes)
         tor.host_links[pip] = downlink
-        tor.attached_pips.add(pip)
         return pip, uplink
 
     # ------------------------------------------------------------------

@@ -1288,7 +1288,8 @@ class FluidScheduler:
             dst = link.dst
             is_switch = isinstance(dst, Switch)
             if not is_switch and not (isinstance(dst, Host)
-                                      and packet.dst_vip in dst.vms):
+                                      and dst.placement.get(packet.dst_vip)
+                                      == dst.pip):
                 # Gateway, or a host that no longer holds the VM: the
                 # real simulation handles translation/misdelivery.
                 self._reinject_transmit(elapsed, node, link, packet)

@@ -90,9 +90,10 @@ class TrafficPlayer:
     def _demux_for(self, vip: int) -> _VipDemux:
         demux = self._demux.get(vip)
         if demux is None:
+            self.network.database.lookup(vip)  # MappingError: no VM has it
             demux = _VipDemux(self, vip)
             self._demux[vip] = demux
-            self.network.host_of(vip).endpoints[vip] = demux
+            self.network.endpoints[vip] = demux
         return demux
 
     def _start_flow(self, spec: FlowSpec, record: FlowRecord) -> None:

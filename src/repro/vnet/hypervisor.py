@@ -16,7 +16,7 @@ update protocol relies on (§3.3 and §5.2):
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from typing import TYPE_CHECKING, Protocol
 
 from repro.net.addresses import UNRESOLVED
@@ -54,22 +54,27 @@ class Endpoint(Protocol):
 
 
 class Host(Node):
-    """A physical server running a hypervisor and a set of VMs.
+    """A physical server running a hypervisor and, per the database, VMs.
+
+    It runs VIP ``v`` exactly when the mapping database maps ``v`` to
+    its PIP.  ``placement`` and ``endpoints`` are the network's, only
+    read here.
 
     Attributes:
         pip: physical address (assigned when attached to the fabric).
-        vms: VIPs of the VMs currently placed on this server.
-        endpoints: per-VIP transport receivers; endpoints migrate with
-            their VM.
-        follow_me: VIP -> new PIP redirection rules installed by the
-            control plane at migration time.
+        placement: the mapping database's VIP -> PIP table, written by
+            :class:`~repro.vnet.mapping.MappingDatabase` only.
+        endpoints: the network's VIP -> transport receiver table; an
+            endpoint follows its VIP, so a migration moves nothing here.
+        follow_me: VIP -> new PIP redirection rules the control plane
+            installs as VMs migrate away; None until the first one.
     """
 
     __slots__ = (
         "engine",
         "pip",
         "uplink",
-        "vms",
+        "placement",
         "endpoints",
         "follow_me",
         "handler",
@@ -81,15 +86,16 @@ class Host(Node):
         "unroutable_drops",
     )
 
-    def __init__(self, name: str, engine: Engine,
+    def __init__(self, name: str, engine: Engine, placement: Mapping[int, int],
+                 endpoints: dict[int, Endpoint],
                  forward_delay_ns: int = DEFAULT_FORWARD_DELAY_NS) -> None:
         super().__init__(name)
         self.engine = engine
         self.pip = -1
         self.uplink: Link | None = None
-        self.vms: set[int] = set()
-        self.endpoints: dict[int, Endpoint] = {}
-        self.follow_me: dict[int, int] = {}
+        self.placement = placement
+        self.endpoints = endpoints
+        self.follow_me: dict[int, int] | None = None
         self.handler: HostHandler | None = None
         self.forward_delay_ns = forward_delay_ns
         #: Observer invoked on every successful local delivery (metrics).
@@ -144,7 +150,7 @@ class Host(Node):
     def receive(self, packet: Packet, link=None) -> None:
         if packet.kind > _ACK:
             return
-        if packet.dst_vip in self.vms:
+        if self.placement.get(packet.dst_vip) == self.pip:
             if self.on_deliver is not None:
                 self.on_deliver(packet)
             endpoint = self.endpoints.get(packet.dst_vip)
@@ -162,15 +168,3 @@ class Host(Node):
     def _handle_misdelivery(self, packet: Packet) -> None:
         if self.handler is not None:
             self.handler.on_misdelivery(self, packet)
-
-    # ------------------------------------------------------------------
-    # VM placement (control plane)
-    # ------------------------------------------------------------------
-    def add_vm(self, vip: int, endpoint: Endpoint | None = None) -> None:
-        self.vms.add(vip)
-        if endpoint is not None:
-            self.endpoints[vip] = endpoint
-
-    def remove_vm(self, vip: int) -> Endpoint | None:
-        self.vms.discard(vip)
-        return self.endpoints.pop(vip, None)

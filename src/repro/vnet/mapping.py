@@ -9,7 +9,7 @@ restored lazily via misdelivery handling (§3.3).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 
 from repro.net.addresses import format_vip
 
@@ -75,6 +75,12 @@ class MappingDatabase:
 
     def items(self):
         return self._table.items()
+
+    @property
+    def table(self) -> Mapping[int, int]:
+        """The live VIP -> PIP dict, which every host reads to learn what
+        it runs; only this class writes it."""
+        return self._table
 
     def subscribe(self, listener: Callable[[int, int, int], None]) -> None:
         """Register ``listener(vip, old_pip, new_pip)`` for updates.

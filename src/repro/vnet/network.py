@@ -22,7 +22,7 @@ from repro.sim.engine import Engine, collector_paused, usec
 from repro.sim.randomness import RandomStreams
 from repro.vnet.failover import GatewayFailureDetector
 from repro.vnet.gateway import Gateway
-from repro.vnet.hypervisor import Host
+from repro.vnet.hypervisor import Endpoint, Host
 from repro.vnet.mapping import MappingDatabase
 
 _DATA = PacketKind.DATA
@@ -74,6 +74,9 @@ class VirtualNetwork:
             wheel_slots *= 2
         self.streams = RandomStreams(config.seed)
         self.database = MappingDatabase()
+        #: VIP -> transport endpoint (see ``TrafficPlayer``): an
+        #: endpoint follows its VIP, so every host reads this one table.
+        self.endpoints: dict[int, Endpoint] = {}
         #: Stand-in for the deleted PacketPool, read by
         #: ``bench/layers.py::network_counts`` only (its
         #: ``packet.pool_recycle_rate`` row, which now reads 0); no
@@ -120,10 +123,12 @@ class VirtualNetwork:
         spec = self.config.spec
         deliver = self._on_host_deliver
         misdeliver = self._on_host_misdeliver
+        placement = self.database.table
         for pod in range(spec.pods):
             for rack in range(spec.racks_per_pod):
                 for index in range(spec.servers_per_rack):
                     host = Host(f"host-p{pod}r{rack}h{index}", self.engine,
+                                placement, self.endpoints,
                                 self.config.host_forward_delay_ns)
                     host.pip, host.uplink = self.fabric.attach_host(
                         host, pod, rack, index)
@@ -187,9 +192,8 @@ class VirtualNetwork:
 
         VIP ``v`` lands on server ``v % num_servers``, which yields the
         uniform VMs-per-server placement the paper's trace setup uses.
-        The first placement costs no call per VM: the database loads
-        the mappings in one step and the hosts take their VIPs from it,
-        so a VIP is one ``int`` object however many tables name it.
+        A host runs what the database maps to it, so the first placement
+        is one :meth:`MappingDatabase.load`, with no call per VM.
         """
         hosts = self.hosts
         database = self.database
@@ -201,11 +205,8 @@ class VirtualNetwork:
             raise ValueError("topology has no servers to place VMs on")
         with collector_paused():
             database.load(zip(range(count), cycle([host.pip for host in hosts])))
-            for (vip, _), host in zip(database.items(), cycle(hosts)):
-                host.vms.add(vip)
 
     def place_vm(self, vip: int, host: Host) -> None:
-        host.add_vm(vip)
         self.database.set(vip, host.pip)
 
     def host_of(self, vip: int) -> Host:
@@ -224,11 +225,9 @@ class VirtualNetwork:
             return
         if self.fluid is not None:
             self.fluid.escalate_vip(vip)
-        endpoint = old_host.remove_vm(vip)
+        if old_host.follow_me is None:
+            old_host.follow_me = {}
         old_host.follow_me[vip] = target.pip
-        target.add_vm(vip)
-        if endpoint is not None:
-            target.endpoints[vip] = endpoint
         self.database.set(vip, target.pip)
 
     # ------------------------------------------------------------------
@@ -261,7 +260,7 @@ class VirtualNetwork:
         if rack is None:
             rack = spec.gateway_rack
         tor = self.fabric.tor_of(pod, rack)
-        taken = {pip_host(pip) for pip in tor.attached_pips}
+        taken = {pip_host(pip) for pip in tor.host_links}
         host_index = max(taken, default=-1) + 1
         gateway = self._attach_gateway(f"gw-p{pod}r{rack}h{host_index}",
                                        pod, rack, host_index)

@@ -55,6 +55,11 @@ def small_network(scheme, num_vms: int = 8, seed: int = 0,
     return network
 
 
+def vip_on(network: VirtualNetwork, host) -> int:
+    """The lowest VIP the database places on ``host``."""
+    return min(vip for vip, pip in network.database.items() if pip == host.pip)
+
+
 class CountingTimer(PhaseTimer):
     """A PhaseTimer that also lists each ``add`` it receives: the sweep
     orchestrator reports one ``"jobs"`` entry per simulation it ran."""

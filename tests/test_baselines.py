@@ -58,7 +58,7 @@ def test_direct_counts_control_plane_pushes():
     network = small_network(scheme, num_vms=4)
     pushes_after_placement = scheme.control_plane_pushes
     assert pushes_after_placement == 4 * len(network.hosts)
-    target = next(h for h in network.hosts if 0 not in h.vms)
+    target = next(h for h in network.hosts if h is not network.host_of(0))
     network.migrate(0, target)
     assert scheme.control_plane_pushes == pushes_after_placement + len(network.hosts)
 

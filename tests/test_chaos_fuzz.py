@@ -375,8 +375,7 @@ def test_colocated_sender_does_not_loop_after_migration():
     assert warm[0].completed
     # Migrate vip 0 off the shared host, then send from the colocated
     # neighbour: the first packet hits the ToR's now-stale entry.
-    target = next(h for h in network.hosts
-                  if h is not old_host and 0 not in h.vms)
+    target = next(h for h in network.hosts if h is not old_host)
     network.migrate(0, target)
     records = player.add_flows([FlowSpec(src_vip=8, dst_vip=0,
                                          size_bytes=4_000, start_ns=msec(3))])

@@ -180,6 +180,16 @@ def test_a_flag_for_another_config_exits_2_naming_both(argv, flag, config,
     assert f"({config})" in err
 
 
+def test_a_flag_for_a_field_the_artifact_fixes_exits_2_naming_it(capsys):
+    """The gray experiment runs SwitchV2P only; ``--schemes`` used to
+    end in a ValueError traceback and exit 1."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["reproduce", "gray_degradation", "--schemes", "NoCache"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--schemes" in err and "ChaosParams.schemes" in err
+
+
 def test_negative_workers_exit_2_naming_the_value(capsys):
     """-3 used to run sequentially without a word."""
     with pytest.raises(SystemExit) as exit_:

@@ -132,7 +132,7 @@ def test_reinstall_that_empties_a_cache_escalates_adopted_flows():
     network = build_network(FatTreeSpec(), scheme, 64, seed=7,
                             fidelity="hybrid")
     src_tor = network.fabric.tors[(0, 0)]
-    assert network.host_of(0).pip in src_tor.attached_pips
+    assert network.host_of(0).pip in src_tor.host_links
     placement = {src_tor.switch_id: [(1, network.host_of(1).pip),
                                      (0, network.host_of(0).pip)]}
     scheme._install(placement)

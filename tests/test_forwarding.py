@@ -7,7 +7,7 @@ from repro.net.packet import Packet, PacketKind
 from repro.vnet.gateway import Gateway
 from repro.vnet.hypervisor import Host
 
-from conftest import small_network, tiny_spec
+from conftest import small_network, tiny_spec, vip_on
 
 
 def make_data_packet(src_pip, dst_pip, flow_id=1, seq=0):
@@ -37,7 +37,7 @@ def test_same_rack_delivery():
     dst = network.hosts[1]  # same rack (2 servers per rack)
     assert pip_rack(src.pip) == pip_rack(dst.pip)
     packet = make_data_packet(src.pip, dst.pip)
-    packet.dst_vip = next(iter(dst.vms))
+    packet.dst_vip = vip_on(network, dst)
     src.reforward(packet)
     network.engine.run()
     # host -> tor -> host: exactly one switch traversed
@@ -49,7 +49,7 @@ def test_cross_pod_delivery_traverses_five_switches():
     src = network.hosts[0]
     dst = next(h for h in network.hosts if pip_pod(h.pip) != pip_pod(src.pip))
     packet = make_data_packet(src.pip, dst.pip)
-    packet.dst_vip = next(iter(dst.vms))
+    packet.dst_vip = vip_on(network, dst)
     src.reforward(packet)
     network.engine.run()
     # tor, spine, core, spine, tor
@@ -63,7 +63,7 @@ def test_same_pod_cross_rack_traverses_three_switches():
                if pip_pod(h.pip) == pip_pod(src.pip)
                and pip_rack(h.pip) != pip_rack(src.pip))
     packet = make_data_packet(src.pip, dst.pip)
-    packet.dst_vip = next(iter(dst.vms))
+    packet.dst_vip = vip_on(network, dst)
     src.reforward(packet)
     network.engine.run()
     assert packet.hops == 3
@@ -87,7 +87,7 @@ def test_switch_byte_counters_increase():
     network = small_network(NoCache(), num_vms=8)
     src, dst = network.hosts[0], network.hosts[-1]
     packet = make_data_packet(src.pip, dst.pip)
-    packet.dst_vip = next(iter(dst.vms))
+    packet.dst_vip = vip_on(network, dst)
     src.reforward(packet)
     network.engine.run()
     total = sum(s.stats.bytes for s in network.fabric.switches)
@@ -102,7 +102,7 @@ def test_gateway_resolution_and_forwarding():
     packet = Packet(PacketKind.DATA, flow_id=3, seq=0, payload_bytes=64,
                     src_vip=0, dst_vip=dst_vip, outer_src=src.pip)
     delivered = []
-    dst_host.endpoints[dst_vip] = type(
+    network.endpoints[dst_vip] = type(
         "E", (), {"on_packet": staticmethod(lambda p: delivered.append(p))})
     src.send(packet)
     network.engine.run()

@@ -25,8 +25,7 @@ def migrate_mid_stream(scheme, network, dst_vip=5, rate_bps=20e9,
     old_host = network.host_of(dst_vip)
     target = next(h for h in network.hosts
                   if (pip_pod(h.pip), pip_rack(h.pip))
-                  != (pip_pod(old_host.pip), pip_rack(old_host.pip))
-                  and dst_vip not in h.vms)
+                  != (pip_pod(old_host.pip), pip_rack(old_host.pip)))
     network.engine.schedule(migrate_at, network.migrate, dst_vip, target)
     network.run(until=until)
     return record, old_host, target

@@ -8,7 +8,7 @@ from repro.baselines import NoCache
 from repro.net.node import Layer, Switch
 from repro.net.packet import Packet, PacketKind
 
-from conftest import small_network
+from conftest import small_network, vip_on
 
 
 def make_packet(**overrides):
@@ -121,7 +121,7 @@ def test_rate_bps_setter_changes_forwarding_delay_through_switch():
     network = small_network(NoCache(), num_vms=8)
     engine = network.engine
     dst = network.hosts[0]
-    vip = next(iter(dst.vms))
+    vip = vip_on(network, dst)
     tor = network.fabric.tor_of(0, 0)
     downlink = tor.host_links[dst.pip]
     arrivals = []
@@ -189,7 +189,7 @@ def test_a_link_is_its_own_counters(via, case):
     link = tor.host_links[dst.pip]
     assert link.stats is link
     _impair(link, case)
-    packet = make_packet(dst_vip=next(iter(dst.vms)), outer_dst=dst.pip)
+    packet = make_packet(dst_vip=vip_on(network, dst), outer_dst=dst.pip)
     size = packet.wire_bytes
     if via == "Link.transmit":
         link.transmit(packet)

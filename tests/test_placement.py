@@ -1,21 +1,27 @@
-"""One-pass ``place_vms`` against the loop of ``place_vm`` it replaced.
+"""Where a VM runs: the mapping database, and nothing else.
 
-``VirtualNetwork.place_vms`` fills the hosts' VM sets and bulk-loads
-the mapping database without a call per VIP.  The reference below is
-the former body — one ``place_vm`` per VIP — and everything an observer
-could tell the two apart by is compared: the table *in order*,
-``version``, every host's VMs, and the exact
-calls subscribed listeners receive (``Direct`` and ``DhtStore`` price
-their control planes by counting them).
+A host runs VIP ``v`` exactly when the database maps ``v`` to its PIP,
+so placement is a database write.  Two groups:
+
+* one-pass ``place_vms`` (a single ``MappingDatabase.load``) against
+  the loop of ``place_vm`` it replaced, compared on everything an
+  observer could tell the two apart by: the table *in order*,
+  ``version``, and the exact calls subscribed listeners receive
+  (``Direct`` and ``DhtStore`` price their control planes by counting
+  them);
+* a property over random placements, arrivals and migrations: after
+  every step ``Host.receive`` delivers a packet exactly where the
+  database maps its VIP and misdelivers it everywhere else.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import DhtStore, Direct, NoCache
-from repro.vnet.mapping import MappingDatabase
+from repro.net.packet import Packet, PacketKind
+from repro.vnet.mapping import MappingDatabase, MappingError
 from repro.vnet.network import NetworkConfig, VirtualNetwork
-from repro.vnet.validation import validate_network
+from repro.vnet.validation import check_invariants
 
 from conftest import tiny_spec
 
@@ -50,7 +56,6 @@ def observable_state(network: VirtualNetwork):
     return {
         "items": list(database.items()),
         "version": database.version,
-        "vms": [sorted(host.vms) for host in network.hosts],
     }
 
 
@@ -125,15 +130,6 @@ def test_single_arrivals_around_a_placement(servers, count, arrivals, arrive_fir
     assert fast.scheme.calls == slow.scheme.calls
 
 
-def test_vips_are_held_once_across_tables():
-    """The hosts' sets and the table name one ``int`` object per VIP
-    (each extra copy would cost k=32 / 100k VMs 3 MB of RSS)."""
-    network = build(NoCache(), 2)
-    network.place_vms(2_000)
-    held = {id(vip) for host in network.hosts for vip in host.vms}
-    assert held == {id(vip) for vip in network.database._table}
-
-
 def test_load_refuses_a_database_that_was_written():
     database = MappingDatabase()
     database.set(5, 50)
@@ -148,22 +144,111 @@ def test_placing_on_a_fabric_without_servers_is_an_error():
         network.place_vms(3)
 
 
-def test_single_arrivals_then_migrations_keep_hosts_and_database_in_step():
-    """Without ``place_vms``: VMs arrive one ``place_vm`` at a time on a
-    database nothing ever loaded, and migrate afterwards."""
-    network = build(NoCache(), 2)
+# ----------------------------------------------------------------------
+# a host delivers exactly what the database maps to it
+# ----------------------------------------------------------------------
+VIPS = 10
+
+#: ``(op, vip, host index)``; host indices wrap, so moves back and
+#: moves to the VIP's own host come up often, and "back" returns a VIP
+#: to the host its last move took it from.
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("place_vms"), st.integers(0, VIPS), st.just(0)),
+    st.tuples(st.sampled_from(["place_vm", "migrate", "back"]),
+              st.integers(0, VIPS - 1), st.integers(0, 5))),
+    min_size=1, max_size=10)
+
+
+class Recorder:
+    def __init__(self):
+        self.packets = []
+
+    def on_packet(self, packet):
+        self.packets.append(packet)
+
+
+def apply_step(network, where, came_from, op, vip, index) -> int:
+    """Run one control-plane step on ``network`` and on the model
+    ``where`` (VIP -> host); ``came_from`` holds each VIP's last
+    migration source.  Returns the database writes the step makes."""
     hosts = network.hosts
-    arrivals = 20
-    for vip in range(arrivals):
-        network.place_vm(vip, hosts[(3 * vip) % len(hosts)])
-    migrations = 0
-    for vip in range(0, arrivals, 3):
-        before = network.host_of(vip)
-        network.migrate(vip, hosts[(3 * vip + 5) % len(hosts)])
-        migrations += network.host_of(vip) is not before
-    database = network.database
-    assert len(database) >= 5
-    assert migrations > 0
-    assert validate_network(network) == []
-    assert database.version == arrivals + migrations
-    assert sum(len(host.vms) for host in network.hosts) == len(database)
+    target = hosts[index % len(hosts)]
+    if op == "place_vms":
+        network.place_vms(vip)
+        where.update((v, hosts[v % len(hosts)]) for v in range(vip))
+        return vip
+    if op == "place_vm":
+        network.place_vm(vip, target)
+        where[vip] = target
+        return 1
+    if vip not in where:
+        with pytest.raises(MappingError):
+            network.migrate(vip, target)
+        return 0
+    if op == "back":
+        target = came_from.get(vip, target)
+    source = where[vip]
+    network.migrate(vip, target)
+    where[vip] = target
+    if target is source:
+        return 0
+    assert source.follow_me[vip] == target.pip
+    came_from[vip] = source
+    return 1
+
+
+def check_delivery(network, where) -> None:
+    """Every host receives one packet for every VIP: delivered to the
+    VIP's endpoint by the one host the database maps it to, counted as
+    a misdelivery by every other."""
+    collector = network.collector
+    for vip in range(VIPS):
+        assert (network.host_of(vip) if vip in network.database
+                else None) is where.get(vip)
+        for host in network.hosts:
+            packet = Packet(PacketKind.DATA, 1, 0, 64, 0, vip, 0)
+            received = network.endpoints[vip].packets if vip in where else []
+            before = (len(received), collector.deliveries, host.misdeliveries)
+            host.receive(packet)
+            runs = where.get(vip) is host
+            assert (len(received), collector.deliveries, host.misdeliveries) \
+                == (before[0] + runs, before[1] + runs, before[2] + (not runs)), \
+                (vip, host.name)
+            assert not runs or received[-1] is packet
+
+
+@settings(max_examples=60, deadline=None)
+@given(servers=st.integers(1, 3), steps=STEPS)
+def test_a_host_delivers_exactly_the_vips_the_database_maps_to_it(servers,
+                                                                  steps):
+    network = build(NoCache(), servers)
+    where, came_from = {}, {}
+    writes = 0
+    for op, vip, index in steps:
+        writes += apply_step(network, where, came_from, op, vip, index)
+        assert network.database.version == writes
+        for mapped in where:
+            network.endpoints.setdefault(mapped, Recorder())
+        check_delivery(network, where)
+        assert check_invariants(network) == []
+
+
+def test_a_host_answering_from_a_placement_time_copy_fails_the_property(
+        monkeypatch):
+    """Seeded mutant: every host reads a copy of the table taken when
+    VMs were placed, so a migration leaves it answering for the old
+    location."""
+    def snapshot(place):
+        def placed(network, *args):
+            place(network, *args)
+            copy = dict(network.database.table)
+            for host in network.hosts:
+                host.placement = copy
+        return placed
+
+    monkeypatch.setattr(VirtualNetwork, "place_vms",
+                        snapshot(VirtualNetwork.place_vms))
+    monkeypatch.setattr(VirtualNetwork, "place_vm",
+                        snapshot(VirtualNetwork.place_vm))
+    with pytest.raises(AssertionError):
+        test_a_host_delivers_exactly_the_vips_the_database_maps_to_it()

@@ -8,7 +8,7 @@ from repro.net.node import Layer, Switch
 from repro.net.probing import ForwardingLoopError, forwarding_path, path_length
 from repro.vnet.hypervisor import Host
 
-from conftest import small_network
+from conftest import small_network, vip_on
 
 
 def test_same_rack_path():
@@ -41,7 +41,7 @@ def test_probe_matches_actual_delivery():
 
     from repro.net.packet import Packet, PacketKind
     packet = Packet(PacketKind.DATA, flow_id=9, seq=0, payload_bytes=64,
-                    src_vip=0, dst_vip=next(iter(dst.vms)),
+                    src_vip=0, dst_vip=vip_on(network, dst),
                     outer_src=src.pip, outer_dst=dst.pip)
     packet.resolved = True
     src.reforward(packet)

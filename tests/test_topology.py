@@ -67,7 +67,6 @@ def test_host_attachment():
     assert pip == make_pip(0, 1, 0)
     tor = fabric.tor_of(0, 1)
     assert pip in tor.host_links
-    assert pip in tor.attached_pips
     assert uplink.dst is tor
 
 

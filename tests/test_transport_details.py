@@ -19,7 +19,7 @@ class LoopbackHost(Host):
     """A host whose sends are captured instead of transmitted."""
 
     def __init__(self, engine):
-        super().__init__("loop", engine)
+        super().__init__("loop", engine, {}, {})
         self.pip = 42
         self.sent: list[Packet] = []
 

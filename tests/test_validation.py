@@ -16,7 +16,7 @@ def test_fresh_network_is_valid():
 
 def test_network_valid_after_migration():
     network = small_network(NoCache(), num_vms=8)
-    target = next(h for h in network.hosts if 0 not in h.vms)
+    target = next(h for h in network.hosts if h is not network.host_of(0))
     network.migrate(0, target)
     assert validate_network(network) == []
 
@@ -29,20 +29,18 @@ def test_network_valid_after_gateway_commission():
 
 def test_detects_placement_inconsistency():
     network = small_network(NoCache(), num_vms=8)
-    # Corrupt: database says vip 0 lives elsewhere.
-    other = next(h for h in network.hosts if 0 not in h.vms)
-    network.database.set(0, other.pip)
-    issues = validate_network(network)
-    assert issues
-    assert any("vip 0" in issue for issue in issues)
+    # Corrupt: the database places vip 0 on a server that does not exist.
+    from repro.net.addresses import make_pip
+    nowhere = make_pip(0, 0, 99)
+    network.database.set(0, nowhere)
+    assert validate_network(network) == [f"vip 0 maps to unknown pip {nowhere}"]
 
 
 def test_detects_orphan_endpoint():
     network = small_network(NoCache(), num_vms=8)
-    host = network.hosts[0]
-    host.endpoints[999] = object()
+    network.endpoints[999] = object()
     issues = validate_network(network)
-    assert any("endpoint" in issue for issue in issues)
+    assert any("endpoint" in issue and "vip 999" in issue for issue in issues)
 
 
 def test_detects_missing_attachment():
@@ -50,14 +48,14 @@ def test_detects_missing_attachment():
     host = network.hosts[0]
     from repro.net.addresses import pip_pod, pip_rack
     tor = network.fabric.tor_of(pip_pod(host.pip), pip_rack(host.pip))
-    tor.attached_pips.discard(host.pip)
+    del tor.host_links[host.pip]
     issues = validate_network(network)
-    assert any("attachment" in issue for issue in issues)
+    assert issues == [f"{host.name} has no consistent downlink at its ToR"]
 
 
 def test_assert_valid_raises_with_details():
     network = small_network(NoCache(), num_vms=8)
-    network.hosts[0].endpoints[999] = object()
+    network.endpoints[999] = object()
     with pytest.raises(AssertionError, match="endpoint"):
         assert_valid(network)
 

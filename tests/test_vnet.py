@@ -1,5 +1,7 @@
 """Tests for the virtual-network layer: mappings, gateways, hosts, migration."""
 
+from collections import Counter
+
 import pytest
 
 from repro.baselines.nocache import NoCache
@@ -63,15 +65,16 @@ def test_network_build_counts():
 
 def test_round_robin_placement_is_uniform():
     network = small_network(NoCache(), num_vms=16)  # 8 servers -> 2 each
-    for host in network.hosts:
-        assert len(host.vms) == 2
+    runs = Counter(network.host_of(vip) for vip in range(16))
+    assert [runs[host] for host in network.hosts] == [2] * len(network.hosts)
 
 
 def test_host_of_resolves_current_location():
     network = small_network(NoCache(), num_vms=8)
     for vip in range(8):
         host = network.host_of(vip)
-        assert vip in host.vms
+        assert host is network.hosts[vip]
+        assert host.pip == network.database.lookup(vip)
 
 
 def test_gateway_for_is_deterministic_per_flow():
@@ -100,29 +103,38 @@ def test_migrate_moves_vm_and_installs_follow_me():
     old_host = network.host_of(0)
     target = next(h for h in network.hosts if h is not old_host)
     network.migrate(0, target)
-    assert 0 not in old_host.vms
-    assert 0 in target.vms
-    assert old_host.follow_me[0] == target.pip
+    assert network.host_of(0) is target
+    assert old_host.follow_me == {0: target.pip}
+    assert target.follow_me is None
     assert network.database.lookup(0) == target.pip
 
 
 def test_migrate_moves_endpoint():
+    """An endpoint is keyed by its VIP: after a migration the new host
+    delivers to it and the old one misdelivers."""
     network = small_network(NoCache(), num_vms=8)
     old_host = network.host_of(0)
-    endpoint = object()
-    old_host.endpoints[0] = endpoint
+    delivered = []
+    network.endpoints[0] = type(
+        "E", (), {"on_packet": staticmethod(delivered.append)})
     target = next(h for h in network.hosts if h is not old_host)
     network.migrate(0, target)
-    assert target.endpoints[0] is endpoint
-    assert 0 not in old_host.endpoints
+    packets = [Packet(PacketKind.DATA, flow_id=1, seq=seq, payload_bytes=64,
+                      src_vip=1, dst_vip=0, outer_src=0) for seq in (0, 1)]
+    target.receive(packets[0])
+    old_host.receive(packets[1])
+    assert delivered == [packets[0]]
+    assert (target.misdeliveries, old_host.misdeliveries) == (0, 1)
 
 
 def test_migrate_to_same_host_is_noop():
     network = small_network(NoCache(), num_vms=8)
     host = network.host_of(0)
+    version = network.database.version
     network.migrate(0, host)
-    assert 0 in host.vms
-    assert 0 not in host.follow_me
+    assert network.host_of(0) is host
+    assert network.database.version == version
+    assert host.follow_me is None
 
 
 def test_follow_me_redelivers_after_migration():
@@ -208,3 +220,14 @@ def test_gateway_clears_misdelivery_state():
     network.engine.run()
     assert not packet.misdelivery_tag
     assert packet.carried_mapping is None
+
+
+def test_a_flow_to_a_vip_nothing_runs_fails_at_its_start():
+    """Endpoints are keyed by VIP alone; registering one for a VIP the
+    database does not map is refused, not left to black-hole."""
+    network = small_network(NoCache(), num_vms=8)
+    TrafficPlayer(network).add_flows([FlowSpec(src_vip=0, dst_vip=99,
+                                               size_bytes=1_000, start_ns=0)])
+    with pytest.raises(MappingError, match="no mapping"):
+        network.run(until=msec(1))
+    assert 99 not in network.endpoints
