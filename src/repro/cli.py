@@ -35,8 +35,9 @@ from repro.experiments.chaosfuzz import (
     CHAOS_FUZZ_SCHEMES,
     ChaosFuzzParams,
     gray_chaos_params,
-    replay_reproducer,
+    load_reproducer,
     run_chaos_fuzz,
+    run_one_trial,
 )
 from repro.experiments.figures import FigureScale, build_trace, figure5_jobs
 from repro.experiments.runner import SCHEME_FACTORIES
@@ -237,7 +238,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Chaos fuzzing: random fault schedules vs. the invariant oracles."""
     if args.replay is not None:
-        outcome = replay_reproducer(args.replay)
+        try:
+            trial = load_reproducer(args.replay)
+        except (OSError, ValueError) as error:
+            print(f"repro: error: {error}", file=sys.stderr)
+            return 2
+        outcome = run_one_trial(*trial)
         if outcome.violations:
             print(f"replay re-tripped {len(outcome.violations)} violation(s) "
                   f"on {outcome.scheme} ({outcome.num_events} events):")
@@ -274,12 +280,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Static determinism/invariant lint (see docs/linting.md)."""
-    from repro.analysis.cli import run
-    return run(args)
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or clear the content-addressed run cache."""
     from repro.experiments.runcache import (
@@ -314,7 +314,12 @@ def cmd_trace_generate(args: argparse.Namespace) -> int:
 
 def cmd_trace_inspect(args: argparse.Namespace) -> int:
     from repro.traces.io import load_flows, trace_stats
-    stats = trace_stats(load_flows(args.path))
+    try:
+        flows = load_flows(args.path)
+    except (OSError, ValueError) as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
+    stats = trace_stats(flows)
     print(render_table(["statistic", "value"],
                        [[key, value] for key, value in stats.items()]))
     return 0
@@ -419,18 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "instead of fuzzing")
     _sizing_flags(chaos_parser, [ChaosFuzzParams()])
     chaos_parser.set_defaults(func=cmd_chaos)
-
-    lint_parser = subparsers.add_parser(
-        "lint",
-        help="static determinism & simulator-invariant checks",
-        description="Run the repro.analysis lint engine: AST-based rules "
-                    "that keep the simulator deterministic (no wall-clock "
-                    "reads, no global RNG, memo-table and escalation "
-                    "invariants).  Exits non-zero when any "
-                    "unsuppressed finding remains; see docs/linting.md.")
-    from repro.analysis.cli import add_arguments as _add_lint_arguments
-    _add_lint_arguments(lint_parser)
-    lint_parser.set_defaults(func=cmd_lint)
 
     cache_parser = subparsers.add_parser(
         "cache",

@@ -347,20 +347,22 @@ def _params_from_dict(data: dict) -> ChaosFuzzParams:
     return ChaosFuzzParams(fuzz=fuzz, **fields)
 
 
-def replay_reproducer(path) -> TrialOutcome:
-    """Re-run a saved reproducer artifact exactly as recorded."""
-    data = json.loads(Path(path).read_text())
-    if data.get("format") != _ARTIFACT_FORMAT:
+def load_reproducer(path) -> tuple:
+    """The ``run_one_trial`` arguments a reproducer artifact recorded;
+    OSError or ValueError, naming ``path``, if it holds none."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{path} is not JSON: {error}") from None
+    if not isinstance(data, dict) or data.get("format") != _ARTIFACT_FORMAT:
         raise ValueError(f"{path} is not a chaos reproducer artifact")
     if data.get("version") != _ARTIFACT_VERSION:
         raise ValueError(f"{path} has artifact version {data.get('version')}, "
                          f"this build reads version {_ARTIFACT_VERSION}")
     params = _params_from_dict(data["params"])
     schedule = FaultSchedule.from_dict(data["schedule"])
-    return run_one_trial(data["scheme"], schedule.events, params,
-                         int(data["trial_seed"]), data.get("bug"),
-                         int(data["trial"]))
-
+    return (data["scheme"], schedule.events, params, int(data["trial_seed"]),
+            data.get("bug"), int(data["trial"]))
 
 # ----------------------------------------------------------------------
 # the trial loop

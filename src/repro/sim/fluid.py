@@ -81,8 +81,8 @@ the nearest whole packet.
 Everything in this module that mutates simulator state (packets,
 links, switches, caches, transports, collector counters) lives in
 functions named ``_walk*`` / ``_commit*`` / ``_escalate*`` /
-``_adopt*`` / ``_reinject*`` — the repro-lint D110 rule enforces this
-for any module that declares ``FLUID_PATH_MODULE = True``.
+``_adopt*`` / ``_reinject*`` — static check D110
+(``tests/source_rules.py``) holds this module to that.
 """
 
 from __future__ import annotations
@@ -101,9 +101,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.link import Link
     from repro.net.packet import Packet
     from repro.vnet.network import VirtualNetwork
-
-#: Marks this module as fluid-path code for the D110 lint rule.
-FLUID_PATH_MODULE = True
 
 _DATA = PacketKind.DATA
 _ACK = PacketKind.ACK

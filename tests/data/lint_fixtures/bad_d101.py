@@ -1,7 +1,7 @@
 """Fixture: D101 — wall-clock reads inside simulation code.
 
-Linted with ``module_name="repro.fixtures.bad_d101"`` so the
-sim-package scoping applies.
+Linted as ``repro.fixtures.bad_d101``, so the sim-package scoping
+applies.
 """
 import time
 from datetime import datetime

@@ -1,6 +1,6 @@
 """Fixture: D103 — order-sensitive iteration over sets.
 
-Linted with ``module_name="repro.fixtures.bad_d103"``.
+Linted as ``repro.fixtures.bad_d103``.
 """
 
 

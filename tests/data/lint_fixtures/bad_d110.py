@@ -1,6 +1,7 @@
-"""Fixture: D110 — fluid-path mutations outside audited helpers."""
+"""Fixture: D110 — fluid-path mutations outside audited helpers.
 
-FLUID_PATH_MODULE = True
+Linted as ``repro.sim.fluid``, the module D110 holds to its paths.
+"""
 
 
 class Scheduler:

@@ -1,22 +1,20 @@
 """Fixture: R303 — a fault mutator that forgets the memo invalidation.
 
-Linted with ``module_name="repro.fixtures.bad_r303"`` and a pairing
-requiring ``fail_*``/``recover_*`` methods to reference ``note_fault``.
+Linted as ``repro.net.topology``, so the repository's own pairings for
+``Fabric`` apply: ``set_link_state`` must reference ``note_fault``.
 """
 
 
 class Fabric:
     def __init__(self):
         self._ecmp_memo = {}
+        self._route_memo = {}
         self.fault_count = 0
 
     def note_fault(self):
         self.fault_count += 1
         self._ecmp_memo.clear()
+        self._route_memo.clear()
 
-    def fail_switch(self, switch):
-        switch.up = False
-
-    def recover_switch(self, switch):
-        switch.up = True
-        self.note_fault()
+    def set_link_state(self, link, up):
+        link.up = up

@@ -1,6 +1,7 @@
-"""Fixture: D110-clean — mutations stay on audited fluid paths."""
+"""Fixture: D110-clean — mutations stay on audited fluid paths.
 
-FLUID_PATH_MODULE = True
+Linted as ``repro.sim.fluid``.
+"""
 
 
 class Scheduler:

@@ -1,22 +1,20 @@
 """Fixture: R303-clean — every fault mutator notes the fault.
 
-Linted with ``module_name="repro.fixtures.good_r303"``.
+Linted as ``repro.net.topology``.
 """
 
 
 class Fabric:
     def __init__(self):
         self._ecmp_memo = {}
+        self._route_memo = {}
         self.fault_count = 0
 
     def note_fault(self):
         self.fault_count += 1
         self._ecmp_memo.clear()
+        self._route_memo.clear()
 
-    def fail_switch(self, switch):
-        switch.up = False
-        self.note_fault()
-
-    def recover_switch(self, switch):
-        switch.up = True
+    def set_link_state(self, link, up):
+        link.up = up
         self.note_fault()

@@ -20,7 +20,7 @@ from repro.experiments.chaosfuzz import (
     ChaosFuzzParams,
     fuzz_flows,
     gray_chaos_params,
-    replay_reproducer,
+    load_reproducer,
     run_chaos_fuzz,
     run_one_trial,
 )
@@ -509,7 +509,7 @@ def test_shrink_and_replay_round_trip(tmp_path):
     assert payload["format"] == "repro-chaos-reproducer"
     assert len(payload["schedule"]["events"]) == result.shrunk_events
     assert "--replay" in payload["command"]
-    replayed = replay_reproducer(result.reproducer_path)
+    replayed = run_one_trial(*load_reproducer(result.reproducer_path))
     assert any(v.oracle == target_oracle for v in replayed.violations)
 
 
@@ -535,7 +535,7 @@ def test_bug_disabled_audit_trips_bounded_staleness(tmp_path):
     assert oracle == "bounded-staleness"
     assert result.shrunk_events is not None
     assert result.shrunk_events <= 5
-    replayed = replay_reproducer(result.reproducer_path)
+    replayed = run_one_trial(*load_reproducer(result.reproducer_path))
     assert any(v.oracle == "bounded-staleness" for v in replayed.violations)
 
 
@@ -551,11 +551,11 @@ def test_replay_rejects_foreign_artifacts(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(ValueError, match="not a chaos reproducer"):
-        replay_reproducer(path)
+        load_reproducer(path)
     path.write_text(json.dumps({"format": "repro-chaos-reproducer",
                                 "version": 99}))
     with pytest.raises(ValueError, match="version"):
-        replay_reproducer(path)
+        load_reproducer(path)
 
 
 def test_bug_registry_names_are_stable():

@@ -9,7 +9,7 @@ from repro.cli import build_parser, main
 from repro.experiments.figures import FigureScale, figure5
 from repro.experiments.parallel import ExperimentJob
 
-SUBCOMMANDS = ("list", "run", "reproduce", "chaos", "lint", "cache", "trace")
+SUBCOMMANDS = ("list", "run", "reproduce", "chaos", "cache", "trace")
 
 
 def test_list(capsys):
@@ -150,7 +150,7 @@ def test_parser_rejects_unknown_artifact():
         parser.parse_args(["reproduce", "fig99"])
 
 
-def test_the_subcommands_are_the_seven_and_each_help_renders(capsys):
+def test_the_subcommands_are_the_six_and_each_help_renders(capsys):
     """A generated flag whose annotation argparse cannot take fails the
     ``--help`` of its command here, not a run."""
     [commands] = [action for action in build_parser()._actions
@@ -161,6 +161,23 @@ def test_the_subcommands_are_the_seven_and_each_help_renders(capsys):
             main([name, "--help"])
         assert exit_.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: repro {name}")
+
+
+@pytest.mark.parametrize("content, says", [
+    pytest.param(None, "No such file", id="missing"),
+    pytest.param("not json\n", "is not JSON", id="not-json"),
+    pytest.param("[]\n", "not a chaos reproducer artifact", id="not-a-dict"),
+    pytest.param('{"format": "something-else"}\n',
+                 "not a chaos reproducer artifact", id="foreign")])
+def test_chaos_replay_of_a_bad_file_exits_2_naming_it(content, says,
+                                                      tmp_path, capsys):
+    path = tmp_path / "reproducer.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["chaos", "--replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert str(path) in err and says in err
 
 
 @pytest.mark.parametrize("argv, flag, config", [

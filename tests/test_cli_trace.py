@@ -41,6 +41,20 @@ def test_trace_generate_microbursts(tmp_path, capsys):
     assert "udp_flows" in out
 
 
+@pytest.mark.parametrize("content, says", [
+    pytest.param(None, "No such file", id="missing"),
+    pytest.param("\nnot json\n", ":2: invalid JSON", id="not-json")])
+def test_trace_inspect_of_a_bad_file_exits_2_naming_it(content, says,
+                                                       tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    if content is not None:
+        path.write_text(content)
+    assert main(["trace", "inspect", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert str(path) in err and says in err
+
+
 def test_render_heatmap_shades_by_magnitude():
     text = render_heatmap(["a", "b"], ["c1", "c2"],
                           [[0.0, 100.0], [50.0, 25.0]], title="H")
