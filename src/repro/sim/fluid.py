@@ -1276,6 +1276,7 @@ class FluidScheduler:
         node: Any = origin
         elapsed = 0
         hops = 0
+        vip = packet.dst_vip
         while True:
             if not link.up or link._loss_rng is not None:
                 # Down or lossy link: give the packet back to the real
@@ -1285,8 +1286,8 @@ class FluidScheduler:
             dst = link.dst
             is_switch = isinstance(dst, Switch)
             if not is_switch and not (isinstance(dst, Host)
-                                      and dst.placement.get(packet.dst_vip)
-                                      == dst.pip):
+                                      and 0 <= vip < len(dst.placement)
+                                      and dst.placement[vip] == dst.pip):
                 # Gateway, or a host that no longer holds the VM: the
                 # real simulation handles translation/misdelivery.
                 self._reinject_transmit(elapsed, node, link, packet)

@@ -39,9 +39,11 @@ class _VipDemux:
             if receiver is not None:
                 # Inlined network.host_of(); resolved per packet on
                 # purpose — endpoints move with their VM, so the
-                # backing host cannot be cached here.
-                network = self.player.network
-                host = network.host_by_pip[network.database.lookup(self.vip)]
+                # backing host cannot be cached here.  The VIP was
+                # looked up when this demux was made and is never
+                # unmapped, so its table entry is a PIP.
+                player = self.player
+                host = player.network.host_by_pip[player.placement[self.vip]]
                 receiver.on_data(packet, host)
         elif kind is _ACK:
             sender = self.senders.get(packet.flow_id)
@@ -55,6 +57,8 @@ class TrafficPlayer:
     def __init__(self, network: VirtualNetwork,
                  transport_config: TransportConfig | None = None) -> None:
         self.network = network
+        #: The database's VIP-indexed table, read per delivered packet.
+        self.placement = network.database.table
         self.config = transport_config if transport_config is not None \
             else TransportConfig()
         self._next_flow_id = 1

@@ -159,9 +159,13 @@ class Gateway(Node):
         packet.outer_dst = true_pip
         packet.resolved = True
         # A packet leaving the gateway has been authoritatively
-        # translated, so any stale-mapping protection is moot.
-        packet.misdelivery_tag = False
-        packet.carried_mapping = None
+        # translated, so any stale-mapping protection is moot.  Most
+        # carry neither option: read the slots, call a setter only to
+        # clear one.
+        if packet._misdelivery_tag:
+            packet.misdelivery_tag = False
+        if packet._carried_mapping is not None:
+            packet.carried_mapping = None
         delay = self.processing_ns + self.brownout_extra_ns
         if self.service_ns:
             now = self.engine.now

@@ -16,7 +16,7 @@ update protocol relies on (§3.3 and §5.2):
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from typing import TYPE_CHECKING, Protocol
 
 from repro.net.addresses import UNRESOLVED
@@ -62,7 +62,8 @@ class Host(Node):
 
     Attributes:
         pip: physical address (assigned when attached to the fabric).
-        placement: the mapping database's VIP -> PIP table, written by
+        placement: the mapping database's table, a list indexed by VIP
+            (entry ``v`` is VIP ``v``'s PIP, or None), written by
             :class:`~repro.vnet.mapping.MappingDatabase` only.
         endpoints: the network's VIP -> transport receiver table; an
             endpoint follows its VIP, so a migration moves nothing here.
@@ -86,7 +87,7 @@ class Host(Node):
         "unroutable_drops",
     )
 
-    def __init__(self, name: str, engine: Engine, placement: Mapping[int, int],
+    def __init__(self, name: str, engine: Engine, placement: list[int | None],
                  endpoints: dict[int, Endpoint],
                  forward_delay_ns: int = DEFAULT_FORWARD_DELAY_NS) -> None:
         super().__init__(name)
@@ -150,10 +151,17 @@ class Host(Node):
     def receive(self, packet: Packet, link=None) -> None:
         if packet.kind > _ACK:
             return
-        if self.placement.get(packet.dst_vip) == self.pip:
+        vip = packet.dst_vip
+        try:
+            # A negative VIP would wrap to the last entry; one past the
+            # end raises.  Either runs nowhere.
+            here = vip >= 0 and self.placement[vip] == self.pip
+        except IndexError:
+            here = False
+        if here:
             if self.on_deliver is not None:
                 self.on_deliver(packet)
-            endpoint = self.endpoints.get(packet.dst_vip)
+            endpoint = self.endpoints.get(vip)
             if endpoint is not None:
                 endpoint.on_packet(packet)
             return

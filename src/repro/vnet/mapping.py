@@ -9,7 +9,8 @@ restored lazily via misdelivery handling (§3.3).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator
+from itertools import repeat
 
 from repro.net.addresses import format_vip
 
@@ -21,65 +22,98 @@ class MappingError(KeyError):
 class MappingDatabase:
     """Authoritative VIP -> PIP mappings with update bookkeeping.
 
+    VIPs are dense indexes ``0..n-1``: ``place_vms`` places
+    ``range(count)`` and every trace draws its VIPs below ``num_vms``.
+    So the table is a list indexed by VIP, and a VM costs one slot:
+    entry ``v`` is the PIP of the host running VIP ``v``, or None when
+    no VM has that VIP.  A VIP past the end, or a negative one, is
+    unmapped; no read may let a negative VIP wrap to the last entry.
+
     Attributes:
         version: the number of writes so far; :meth:`load` and
             ``VirtualNetwork.place_vms`` read it to spot a fresh database.
     """
 
     def __init__(self) -> None:
-        self._table: dict[int, int] = {}
+        self._table: list[int | None] = []
+        self._mapped = 0
         self.version = 0
         self._listeners: list[Callable[[int, int, int], None]] = []
 
     def __len__(self) -> int:
-        return len(self._table)
+        """The number of VIPs mapped (not the length of the table)."""
+        return self._mapped
 
     def __contains__(self, vip: int) -> bool:
-        return vip in self._table
+        return self.get(vip) is not None
 
     def lookup(self, vip: int) -> int:
         """Resolve ``vip``; raises :class:`MappingError` if absent."""
         try:
-            return self._table[vip]
-        except KeyError:
-            raise MappingError(f"no mapping for {format_vip(vip)}") from None
+            pip = self._table[vip]
+        except IndexError:
+            pip = None
+        if pip is None or vip < 0:
+            raise MappingError(f"no mapping for {format_vip(vip)}")
+        return pip
 
     def get(self, vip: int) -> int | None:
-        return self._table.get(vip)
+        if vip < 0:
+            return None
+        try:
+            return self._table[vip]
+        except IndexError:
+            return None
 
     def set(self, vip: int, pip: int) -> None:
-        """Install or move a mapping (single-writer update)."""
-        old = self._table.get(vip, -1)
-        self._table[vip] = pip
+        """Install or move a mapping (single-writer update).
+
+        A VIP past the end of the table grows it, with the VIPs in
+        between left unmapped.
+        """
+        if vip < 0:
+            raise ValueError(f"negative VIP {vip}")
+        table = self._table
+        if vip >= len(table):
+            table.extend(repeat(None, vip + 1 - len(table)))
+        old = table[vip]
+        if old is None:
+            self._mapped += 1
+            old = -1
+        table[vip] = pip
         self.version += 1
         for listener in self._listeners:
             listener(vip, old, pip)
 
-    def load(self, mappings: Iterable[tuple[int, int]]) -> None:
-        """Install ``(vip, pip)`` pairs of distinct VIPs in one step.
+    def load(self, pips: Iterable[int]) -> None:
+        """Map VIP ``i`` to the ``i``-th of ``pips``, in one step.
 
-        Leaves what one :meth:`set` per pair leaves in a database never
-        written before (the only kind accepted), without a call each;
-        listeners hear every ``(vip, -1, pip)`` once the table is full.
+        Leaves what one :meth:`set` per VIP in order leaves in a
+        database never written before (the only kind accepted), with
+        no Python call per VM; listeners hear every ``(vip, -1, pip)``
+        once the table is full.
         """
         if self.version:
             raise ValueError("load() needs a database that was never written")
         table = self._table
-        table.update(mappings)
-        self.version = len(table)
+        table.extend(pips)
+        self._mapped = self.version = len(table)
         listeners = self._listeners
         if listeners:
-            for vip, pip in table.items():
+            for vip, pip in enumerate(table):
                 for listener in listeners:
                     listener(vip, -1, pip)
 
-    def items(self):
-        return self._table.items()
+    def items(self) -> Iterator[tuple[int, int]]:
+        """``(vip, pip)`` for every mapped VIP, in VIP order."""
+        return ((vip, pip) for vip, pip in enumerate(self._table)
+                if pip is not None)
 
     @property
-    def table(self) -> Mapping[int, int]:
-        """The live VIP -> PIP dict, which every host reads to learn what
-        it runs; only this class writes it."""
+    def table(self) -> list[int | None]:
+        """The live VIP-indexed table (entry ``v`` is VIP ``v``'s PIP, or
+        None), which hosts and the transport read directly; only this
+        class writes it, and never rebinds it."""
         return self._table
 
     def subscribe(self, listener: Callable[[int, int, int], None]) -> None:

@@ -11,7 +11,7 @@ hooks.  Transports and trace players then drive traffic through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import cycle
+from itertools import cycle, islice
 from types import SimpleNamespace
 
 from repro.metrics.collector import Collector
@@ -196,15 +196,15 @@ class VirtualNetwork:
         is one :meth:`MappingDatabase.load`, with no call per VM.
         """
         hosts = self.hosts
+        if count and not hosts:
+            raise ValueError("topology has no servers to place VMs on")
         database = self.database
         if database.version:
             for vip in range(count):
                 self.place_vm(vip, hosts[vip % len(hosts)])
             return
-        if count and not hosts:
-            raise ValueError("topology has no servers to place VMs on")
         with collector_paused():
-            database.load(zip(range(count), cycle([host.pip for host in hosts])))
+            database.load(islice(cycle([host.pip for host in hosts]), count))
 
     def place_vm(self, vip: int, host: Host) -> None:
         self.database.set(vip, host.pip)

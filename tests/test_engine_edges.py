@@ -10,6 +10,7 @@ event takes.
 
 import gc
 import sys
+import tracemalloc
 import types
 from collections import Counter
 
@@ -539,6 +540,36 @@ def test_k32_build_runs_no_full_collection(collector):
     if sys.version_info[:2] == (3, 11):
         assert sum(added.values()) <= K32_BUILD_OBJECTS * 1.02, \
             [(kind.__name__, count) for kind, count in added.most_common(8)]
+
+
+#: Bytes of live heap a k=32 / 100k-VM hybrid build keeps (CPython
+#: 3.11, ``tracemalloc`` after a full collection), measured: 17 707 550.
+#: The object count above cannot see memory that is not a GC-tracked
+#: object — dict slots, boxed ints — so this bound sits beside it, at
+#: 2 % over.  It was about 25 MB (25 341 302) while the mapping
+#: database was a dict keyed by VIP: a 5.2 MB hash table and 100 000
+#: boxed VIP keys, where the list indexed by VIP holds 0.8 MB.
+K32_BUILD_BYTES = 17_707_550
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the byte count is a property of the interpreter")
+def test_k32_build_keeps_a_bounded_heap():
+    # First-use imports and the shared per-rate tables, off the count.
+    build_network(tiny_spec(), SwitchV2P(64), 8, seed=7, fidelity="hybrid")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        network = build_network(ft32_spec(), SwitchV2P(16384), 100_000,
+                                seed=7, fidelity="hybrid")
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        over = kept > K32_BUILD_BYTES * 1.02
+        top = tracemalloc.take_snapshot().statistics("lineno")[:8] if over else []
+    finally:
+        tracemalloc.stop()
+    assert len(network.database) == 100_000
+    assert not over, (kept, [str(line) for line in top])
 
 
 def test_ft8_build_runs_no_full_collection(collector):

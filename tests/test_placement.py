@@ -1,7 +1,7 @@
 """Where a VM runs: the mapping database, and nothing else.
 
 A host runs VIP ``v`` exactly when the database maps ``v`` to its PIP,
-so placement is a database write.  Two groups:
+so placement is a database write.  Three groups:
 
 * one-pass ``place_vms`` (a single ``MappingDatabase.load``) against
   the loop of ``place_vm`` it replaced, compared on everything an
@@ -11,14 +11,23 @@ so placement is a database write.  Two groups:
   them);
 * a property over random placements, arrivals and migrations: after
   every step ``Host.receive`` delivers a packet exactly where the
-  database maps its VIP and misdelivers it everywhere else.
+  database maps its VIP and misdelivers it everywhere else;
+* the VIP-indexed list the database keeps, against a dict keyed by VIP
+  (the table it replaced) over random writes, loads and reads —
+  negative VIPs, VIPs past the end and sparse ones included.
 """
+
+import inspect
+import textwrap
+from itertools import cycle, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import DhtStore, Direct, NoCache
 from repro.net.packet import Packet, PacketKind
+from repro.vnet import hypervisor, mapping
+from repro.vnet.hypervisor import Host
 from repro.vnet.mapping import MappingDatabase, MappingError
 from repro.vnet.network import NetworkConfig, VirtualNetwork
 from repro.vnet.validation import check_invariants
@@ -134,7 +143,7 @@ def test_load_refuses_a_database_that_was_written():
     database = MappingDatabase()
     database.set(5, 50)
     with pytest.raises(ValueError, match="never written"):
-        database.load([(1, 10)])
+        database.load([10])
 
 
 def test_placing_on_a_fabric_without_servers_is_an_error():
@@ -142,6 +151,12 @@ def test_placing_on_a_fabric_without_servers_is_an_error():
     network.place_vms(0)
     with pytest.raises(ValueError, match="no servers"):
         network.place_vms(3)
+    # A written database takes the VIP-by-VIP branch, which must not
+    # reach ``vip % len(hosts)`` with no hosts.
+    network.database.set(0, network.gateways[0].pip)
+    with pytest.raises(ValueError, match="no servers"):
+        network.place_vms(3)
+    assert network.place_vms(0) is None
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +256,7 @@ def test_a_host_answering_from_a_placement_time_copy_fails_the_property(
     def snapshot(place):
         def placed(network, *args):
             place(network, *args)
-            copy = dict(network.database.table)
+            copy = list(network.database.table)
             for host in network.hosts:
                 host.placement = copy
         return placed
@@ -252,3 +267,141 @@ def test_a_host_answering_from_a_placement_time_copy_fails_the_property(
                         snapshot(VirtualNetwork.place_vm))
     with pytest.raises(AssertionError):
         test_a_host_delivers_exactly_the_vips_the_database_maps_to_it()
+
+
+def test_a_packet_for_a_vip_outside_the_table_is_a_misdelivery():
+    """Past the end, or negative (which must not wrap to the last
+    entry): no host runs it."""
+    network = build(NoCache(), 2)
+    network.place_vms(5)
+    collector = network.collector
+    for vip in (*range(-6, 0), 5, 6, 40):
+        for host in network.hosts:
+            before = (collector.deliveries, host.misdeliveries)
+            host.receive(Packet(PacketKind.DATA, 1, 0, 64, 0, vip, 0))
+            assert (collector.deliveries, host.misdeliveries) \
+                == (before[0], before[1] + 1), (vip, host.name)
+
+
+def seed_mutant(monkeypatch, module, cls, name, old, new):
+    """Replace ``cls.name`` by its own source with ``old`` -> ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(cls, name)))
+    mutant = source.replace(old, new)
+    assert mutant != source
+    namespace = dict(vars(module))
+    exec(compile(mutant, module.__file__, "exec"), namespace)
+    monkeypatch.setattr(cls, name, namespace[name])
+
+
+def test_a_host_reading_with_no_negative_guard_fails_the_case(monkeypatch):
+    """Seeded mutant: ``Host.receive`` indexes the table with a negative
+    VIP, which wraps to the last VIPs' hosts."""
+    seed_mutant(monkeypatch, hypervisor, Host, "receive", "vip >= 0 and ", "")
+    with pytest.raises(AssertionError):
+        test_a_packet_for_a_vip_outside_the_table_is_a_misdelivery()
+
+
+# ----------------------------------------------------------------------
+# the VIP-indexed table against a dict keyed by VIP
+# ----------------------------------------------------------------------
+class DictDatabase:
+    """The database as a dict keyed by VIP, the table the list replaced.
+
+    Its reads are the specification: a VIP is mapped once written, and
+    nothing else is; a negative VIP cannot be written; ``load`` maps
+    VIP ``i`` to the ``i``-th PIP as one ``set`` per VIP would.
+    """
+
+    def __init__(self):
+        self._table = {}
+        self.version = 0
+        self._listeners = []
+
+    def __len__(self):
+        return len(self._table)
+
+    def __contains__(self, vip):
+        return vip in self._table
+
+    def lookup(self, vip):
+        try:
+            return self._table[vip]
+        except KeyError:
+            raise MappingError(vip) from None
+
+    def get(self, vip):
+        return self._table.get(vip)
+
+    def set(self, vip, pip):
+        if vip < 0:
+            raise ValueError(vip)
+        old = self._table.get(vip, -1)
+        self._table[vip] = pip
+        self.version += 1
+        for listener in self._listeners:
+            listener(vip, old, pip)
+
+    def load(self, pips):
+        if self.version:
+            raise ValueError("written")
+        for vip, pip in enumerate(pips):
+            self.set(vip, pip)
+
+    def items(self):
+        return sorted(self._table.items())
+
+    def subscribe(self, listener):
+        self._listeners.append(listener)
+
+
+#: Negative VIPs, VIPs past what a load fills, and one far past it.
+TABLE_VIPS = st.one_of(st.integers(-3, 24), st.just(200))
+READ_VIPS = (*range(-4, 30), 199, 200, 201)
+PIPS = (100, 101, 102)
+TABLE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("set"), TABLE_VIPS, st.sampled_from(PIPS)),
+    st.tuples(st.just("load"), st.integers(0, 12), st.integers(1, 3)),
+    st.tuples(st.just("subscribe"), st.just(0), st.just(0))),
+    max_size=12)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except (MappingError, ValueError) as error:
+        return type(error)
+
+
+def table_state(database):
+    """Everything a reader can ask the database, as one value."""
+    return (len(database), database.version, list(database.items()),
+            [(outcome(database.get, vip), outcome(database.lookup, vip),
+              vip in database) for vip in READ_VIPS])
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=TABLE_OPS)
+def test_the_vip_indexed_table_reads_as_the_dict_it_replaced(ops):
+    databases = MappingDatabase(), DictDatabase()
+    calls = [], []
+    for op, a, b in ops:
+        seen = []
+        for database, heard in zip(databases, calls):
+            if op == "set":
+                result = outcome(database.set, a, b)
+            elif op == "load":
+                result = outcome(database.load, islice(cycle(PIPS[:b]), a))
+            else:
+                result = database.subscribe(
+                    lambda *call, heard=heard: heard.append(call))
+            seen.append((result, table_state(database), list(heard)))
+        assert seen[0] == seen[1], (op, a, b)
+
+
+def test_a_lookup_with_no_negative_guard_fails_the_property(monkeypatch):
+    """Seeded mutant: ``lookup`` lets a negative VIP wrap to the last
+    entries instead of raising."""
+    seed_mutant(monkeypatch, mapping, MappingDatabase, "lookup",
+                "pip is None or vip < 0", "pip is None")
+    with pytest.raises(AssertionError):
+        test_the_vip_indexed_table_reads_as_the_dict_it_replaced()
