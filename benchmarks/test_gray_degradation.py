@@ -2,9 +2,9 @@
 
 SwitchV2P runs one gray episode — a gateway brownout overlapping a
 degraded ToR-spine cable, plus mid-episode cache bit flips that no
-scheduled event repairs — twice: hardened (gray EWMA detector,
-anti-entropy audit, negative caching) and unhardened (binary probing
-only, every self-healing knob off).  The claim under test is the
+scheduled event repairs — twice: hardened (gray EWMA detector and
+anti-entropy audit) and unhardened (binary probing only, every
+self-healing knob off).  The claim under test is the
 recovery contrast: after the brownout and cable damage heal, the
 hardened variant's FCT returns to its fault-free baseline because the
 audit already repaired the flipped lines, while the unhardened variant

@@ -28,7 +28,6 @@ from repro.baselines import (
     DhtStore,
     Direct,
     GwCache,
-    Hoverboard,
     LocalLearning,
     NoCache,
     OnDemand,
@@ -41,7 +40,6 @@ from repro.core import (
     TOR_ONLY,
     UNIFORM,
     AllocationPolicy,
-    HybridSwitchV2P,
     Role,
     SwitchV2P,
     SwitchV2PConfig,
@@ -83,9 +81,7 @@ __all__ = [
     "SwitchV2PConfig",
     "Role",
     "Controller",
-    "Hoverboard",
     "DhtStore",
-    "HybridSwitchV2P",
     "AllocationPolicy",
     "UNIFORM",
     "TOR_ONLY",

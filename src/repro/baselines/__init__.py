@@ -7,7 +7,6 @@ from repro.baselines.controller import Controller
 from repro.baselines.dht import DhtStore
 from repro.baselines.direct import Direct
 from repro.baselines.gwcache import GwCache
-from repro.baselines.hoverboard import Hoverboard
 from repro.baselines.locallearning import LocalLearning
 from repro.baselines.nocache import NoCache
 from repro.baselines.ondemand import OnDemand
@@ -22,6 +21,5 @@ __all__ = [
     "LocalLearning",
     "Bluebird",
     "Controller",
-    "Hoverboard",
     "DhtStore",
 ]

@@ -23,11 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vnet.network import VirtualNetwork
 
 
-def is_first_packet(packet: Packet) -> bool:
-    """True for the opening data packet of a flow (first-packet metrics)."""
-    return packet.kind == PacketKind.DATA and packet.seq == 0
-
-
 class _BoundCaches(dict):
     """``switch_id -> cache``; replacing an entry rebinds that switch.
 
@@ -135,21 +130,18 @@ class CachingScheme(TranslationScheme):
     # ------------------------------------------------------------------
     # switch hook
     # ------------------------------------------------------------------
-    def rebind_hooks(self, switch_id: int | None = None) -> None:
-        """Have one switch (default: all) re-derive its hook.
+    def rebind_hooks(self, switch_id: int) -> None:
+        """Have one switch re-derive its hook.
 
         For after set-up, when something a hook closed over has been
-        replaced.  Switches this scheme does not (yet) handle are left
+        replaced.  A switch this scheme does not (yet) handle is left
         alone, so it is a no-op until the network has wired it in.
         """
         if self.network is None:
             return
-        fabric = self.network.fabric
-        switches = (fabric.switches if switch_id is None
-                    else [fabric.switch_by_id[switch_id]])
-        for switch in switches:
-            if switch.handler is self:
-                switch.bind_hook()
+        switch = self.network.fabric.switch_by_id[switch_id]
+        if switch.handler is self:
+            switch.bind_hook()
 
     def bind_hook(self, switch: Switch) -> SwitchHook | None:
         """Default data plane: serve a lookup, else learn the destination.

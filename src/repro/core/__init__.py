@@ -11,7 +11,6 @@ from repro.core.allocation import (
 )
 from repro.core.antientropy import AntiEntropyAuditor
 from repro.core.config import SwitchV2PConfig
-from repro.core.hybrid import HybridSwitchV2P
 from repro.core.protocol import SwitchV2P
 from repro.core.roles import Role, assign_roles
 
@@ -28,5 +27,4 @@ __all__ = [
     "EDGE_HEAVY",
     "CORE_HEAVY",
     "NAMED_POLICIES",
-    "HybridSwitchV2P",
 ]

@@ -41,13 +41,6 @@ class SwitchV2PConfig:
             traffic passing the gateway switch (§5).
         invalidation_gap_ns: minimum spacing between invalidations to
             the same switch (the base RTT in the paper's topologies).
-        negative_ttl_ns: hold-down window after an invalidation during
-            which switches refuse to re-learn the invalidated
-            (vip, pip) pair.  Gray-failure hardening: under degraded
-            links the invalidation/learning race repeatedly reinstalls
-            just-invalidated stale mappings; the negative cache breaks
-            the loop.  0 (the default) disables it, preserving the
-            paper's protocol bit-for-bit.
     """
 
     p_learn: float = 0.005
@@ -59,12 +52,9 @@ class SwitchV2PConfig:
     enable_timestamp_vector: bool = True
     role_aware: bool = True
     invalidation_gap_ns: int = usec(12)
-    negative_ttl_ns: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_learn <= 1.0:
             raise ValueError(f"p_learn must be a probability, got {self.p_learn}")
         if self.invalidation_gap_ns < 0:
             raise ValueError("invalidation_gap_ns must be non-negative")
-        if self.negative_ttl_ns < 0:
-            raise ValueError("negative_ttl_ns must be non-negative")

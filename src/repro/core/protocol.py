@@ -105,17 +105,6 @@ class SwitchV2P(CachingScheme):
         self.spillovers_reinserted = 0
         self.promotions_sent = 0
         self.promotions_admitted = 0
-        #: Negative cache: ``(vip, stale_pip) -> hold-down expiry``.
-        #: Populated on invalidations when ``negative_ttl_ns > 0``;
-        #: stays empty otherwise, so every guard below short-circuits
-        #: on one falsy dict test.  The expiry check reads the live
-        #: clock, which the fluid fast path cannot replay exactly —
-        #: enabling the feature therefore opts the scheme out of
-        #: fluid adoption (runs stay packet-level, still correct).
-        self._negative: dict[tuple[int, int], int] = {}
-        self.negative_blocks = 0
-        if self.config.negative_ttl_ns > 0:
-            self.fluid_compatible = False
         #: Learning-RNG consumption counter.  The hybrid-fidelity probe
         #: walk snapshots it: an analytic packet that skipped a draw its
         #: real counterpart would have made desynchronizes the stream,
@@ -154,19 +143,6 @@ class SwitchV2P(CachingScheme):
     def setup(self, network: VirtualNetwork) -> None:
         super().setup(network)
         self._collector = network.collector
-
-    def reassign_roles(self) -> None:
-        """Recompute switch roles after a gateway move (paper §4).
-
-        A control-plane operation: the former gateway ToR reverts to
-        regular ToR behaviour and the new one takes over.  Caches are
-        not migrated; they rebuild in place from traffic.
-        """
-        assert self.network is not None
-        self.roles = assign_roles(self.network.fabric,
-                                  self.network.gateway_pip_set())
-        self._gateway_pips = self.network.gateway_pip_set()
-        self.rebind_hooks()
 
     def _next_control_flow(self) -> int:
         self._control_flow_seq += 1
@@ -273,7 +249,6 @@ class SwitchV2P(CachingScheme):
         announces = gateway and config.enable_learning_packets
         new_only = gateway and config.learning_packet_on_new_only
         is_tor = switch.layer is Layer.TOR
-        negative = self._negative
         keys, values, salt, sets = _owner_lines(cache)
         record_hit = self._collector.record_hit
         switch_id, layer = switch.switch_id, switch.layer
@@ -309,14 +284,13 @@ class SwitchV2P(CachingScheme):
                 vip = packet.dst_vip
                 pip = packet.outer_dst
                 known = new_only and cache.peek(vip) == pip
-                if not (negative and self._negative_blocks(vip, pip)):
-                    slot = (((vip ^ salt) * HASH_MIX) & 0xFFFFFFFF) % sets
-                    if keys[slot] == vip:
-                        values[slot] = pip
-                    else:
-                        evicted = cache.insert(vip, pip).evicted
-                        if evicted is not None and spillover:
-                            packet.spill_entry = evicted
+                slot = (((vip ^ salt) * HASH_MIX) & 0xFFFFFFFF) % sets
+                if keys[slot] == vip:
+                    values[slot] = pip
+                else:
+                    evicted = cache.insert(vip, pip).evicted
+                    if evicted is not None and spillover:
+                        packet.spill_entry = evicted
                 if announces and not known:
                     self._maybe_send_learning_packet(switch, packet)
             return True
@@ -328,7 +302,6 @@ class SwitchV2P(CachingScheme):
         on an already-hot line, for a packet leaving the pod, rides up
         to the core."""
         spillover = self.config.enable_spillover
-        negative = self._negative
         keys, values, salt, sets = _owner_lines(cache)
         record_hit = self._collector.record_hit
         switch_id, layer, pod = switch.switch_id, switch.layer, switch.pod
@@ -358,14 +331,13 @@ class SwitchV2P(CachingScheme):
             if packet.resolved:
                 vip = packet.dst_vip
                 pip = packet.outer_dst
-                if not (negative and self._negative_blocks(vip, pip)):
-                    slot = (((vip ^ salt) * HASH_MIX) & 0xFFFFFFFF) % sets
-                    if keys[slot] == vip:
-                        values[slot] = pip
-                    else:
-                        evicted = cache.insert(vip, pip, True).evicted
-                        if evicted is not None and spillover:
-                            packet.spill_entry = evicted
+                slot = (((vip ^ salt) * HASH_MIX) & 0xFFFFFFFF) % sets
+                if keys[slot] == vip:
+                    values[slot] = pip
+                else:
+                    evicted = cache.insert(vip, pip, True).evicted
+                    if evicted is not None and spillover:
+                        packet.spill_entry = evicted
             return True
         return hook
 
@@ -401,30 +373,6 @@ class SwitchV2P(CachingScheme):
         return True
 
     # ------------------------------------------------------------------
-    # negative caching (gray-failure hardening)
-    # ------------------------------------------------------------------
-    def _negative_blocks(self, vip: int, pip: int) -> bool:
-        """True while ``(vip, pip)`` is inside its post-invalidation
-        hold-down window.  Expired entries are pruned on access."""
-        expiry = self._negative.get((vip, pip))
-        if expiry is None:
-            return False
-        assert self.network is not None
-        if self.network.engine.now >= expiry:
-            del self._negative[(vip, pip)]
-            return False
-        self.negative_blocks += 1
-        return True
-
-    def _note_negative(self, vip: int, stale_pip: int) -> None:
-        """Open a hold-down window for a just-invalidated mapping."""
-        ttl = self.config.negative_ttl_ns
-        if ttl <= 0:
-            return
-        assert self.network is not None
-        self._negative[(vip, stale_pip)] = self.network.engine.now + ttl
-
-    # ------------------------------------------------------------------
     # learning policies
     # ------------------------------------------------------------------
     def _try_pickup_spill(self, packet: Packet, cache,
@@ -432,8 +380,6 @@ class SwitchV2P(CachingScheme):
         """A non-core switch attempts to re-admit a spilled entry;
         spines do so conservatively (Table 1)."""
         vip, pip = packet._spill_entry
-        if self._negative and self._negative_blocks(vip, pip):
-            return
         result = cache.insert(vip, pip, only_if_clear=conservative)
         if result.admitted:
             packet.spill_entry = result.evicted
@@ -443,9 +389,6 @@ class SwitchV2P(CachingScheme):
     def _admit_promotion(self, packet: Packet, cache) -> None:
         """Core switches admit promoted entries if the line is cold."""
         vip, pip = packet._promote_entry
-        if self._negative and self._negative_blocks(vip, pip):
-            packet.promote_entry = None
-            return
         result = cache.insert(vip, pip, only_if_clear=True)
         packet.promote_entry = None
         if result.admitted:
@@ -584,8 +527,6 @@ class SwitchV2P(CachingScheme):
         cache = self.cache_of(switch)
         if cache is None:
             return
-        if self._negative and self._negative_blocks(mapping[0], mapping[1]):
-            return
         cache.insert(mapping[0], mapping[1])
 
     # ------------------------------------------------------------------
@@ -597,8 +538,6 @@ class SwitchV2P(CachingScheme):
             return
         if packet.hit_switch is None or packet.carried_mapping is None:
             return
-        if self.config.negative_ttl_ns > 0:
-            self._note_negative(*packet.carried_mapping)
         if packet.hit_switch == switch.switch_id:
             return  # The tagged packet itself will fix the local cache.
         if self.config.enable_timestamp_vector and not self._timestamp_allows(
@@ -657,6 +596,4 @@ class SwitchV2P(CachingScheme):
         if cache is None:
             return
         vip, stale_pip = packet.carried_mapping
-        if self.config.negative_ttl_ns > 0:
-            self._note_negative(vip, stale_pip)
         cache.invalidate(vip, stale_pip)

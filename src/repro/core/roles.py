@@ -25,34 +25,10 @@ class Role(IntEnum):
     GATEWAY_SPINE = 4
 
 
-def assign_roles(fabric: Fabric,
-                 gateway_pips: set[int] | None = None) -> dict[int, Role]:
-    """Map every switch id in ``fabric`` to its SwitchV2P role.
-
-    Roles are recomputable at runtime — the paper's gateway-migration
-    discussion (§4) notes that moving a gateway only requires this
-    control-plane reclassification, with caches rebuilt in place.
-
-    Args:
-        gateway_pips: if given, gateway ToRs are derived from the
-            switches these addresses actually attach to (the dynamic
-            view after gateway moves); otherwise the static topology
-            spec determines them.
-    """
-    if gateway_pips is None:
-        gateway_tors = fabric.gateway_tor_ids()
-        gateway_spines = fabric.gateway_spine_ids()
-    else:
-        gateway_tors = {
-            switch.switch_id for switch in fabric.switches
-            if switch.layer == Layer.TOR
-            and not gateway_pips.isdisjoint(switch.host_links)
-        }
-        gateway_pods = {fabric.switch_by_id[sid].pod for sid in gateway_tors}
-        gateway_spines = {
-            switch.switch_id for switch in fabric.switches
-            if switch.layer == Layer.SPINE and switch.pod in gateway_pods
-        }
+def assign_roles(fabric: Fabric) -> dict[int, Role]:
+    """Map every switch id in ``fabric`` to its SwitchV2P role."""
+    gateway_tors = fabric.gateway_tor_ids()
+    gateway_spines = fabric.gateway_spine_ids()
     roles: dict[int, Role] = {}
     for switch in fabric.switches:
         if switch.switch_id in gateway_tors:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.runner import make_scheme
+from repro.experiments.runner import SCHEME_FACTORIES, make_scheme
 from repro.experiments.scenario import (
     build_scenario,
     chaos_spec,
@@ -341,15 +341,69 @@ def write_reproducer(path, outcome: TrialOutcome, events,
     return path
 
 
-def _params_from_dict(data: dict) -> ChaosFuzzParams:
-    fields = dict(data)
-    fuzz = FuzzConfig(**fields.pop("fuzz"))
-    return ChaosFuzzParams(fuzz=fuzz, **fields)
+def _from_fields(cls, data, name: str):
+    """``cls(**data)`` for an object holding every field of the frozen
+    dataclass ``cls`` and nothing else, each of its default's type;
+    ValueError naming the field otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be an object, got {type(data).__name__}")
+    fields = {field.name: field for field in dataclasses.fields(cls)}
+    _check_keys(data, fields, (), name)
+    for key, value in data.items():
+        kind = type(fields[key].default)
+        if type(value) not in ((int, float) if kind is float else (kind,)):
+            raise ValueError(f"{name}.{key} must be {kind.__name__}, "
+                             f"got {type(value).__name__}")
+    try:
+        return cls(**data)
+    except ValueError as error:
+        raise ValueError(f"{name}: {error}") from None
+
+
+#: What a replay reads from a reproducer, and the type of each; its
+#: other fields only describe the failure.
+_REPLAY_FIELDS = {"scheme": (str,), "trial": (int,), "trial_seed": (int,),
+                  "bug": (str, type(None)), "params": (dict,),
+                  "schedule": (dict,)}
+_DESCRIPTIVE_FIELDS = ("format", "version", "root_seed", "oracle", "detail",
+                       "original_events", "command")
+
+
+def _check_keys(data: dict, required, optional, name: str) -> None:
+    """ValueError naming the first key of ``data`` that is neither
+    required nor optional, else the first required key it lacks."""
+    unknown = sorted(set(data) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{name} has unknown field {unknown[0]!r}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"{name} has no field {missing[0]!r}")
+
+
+def _replay_args(data: dict) -> tuple:
+    _check_keys(data, _REPLAY_FIELDS, _DESCRIPTIVE_FIELDS, "reproducer")
+    for key, kinds in _REPLAY_FIELDS.items():
+        if type(data[key]) not in kinds:
+            raise ValueError(f"{key} must be {kinds[0].__name__}, "
+                             f"got {type(data[key]).__name__}")
+    if data["scheme"] not in SCHEME_FACTORIES:
+        raise ValueError(f"scheme {data['scheme']!r} is no known scheme")
+    if data["bug"] is not None and data["bug"] not in BUGS:
+        raise ValueError(f"bug {data['bug']!r} is no known bug")
+    params = data["params"]
+    if "fuzz" in params:
+        params = {**params, "fuzz": _from_fields(FuzzConfig, params["fuzz"],
+                                                 "params.fuzz")}
+    params = _from_fields(ChaosFuzzParams, params, "params")
+    schedule = FaultSchedule.from_dict(data["schedule"])
+    return (data["scheme"], schedule.events, params, data["trial_seed"],
+            data["bug"], data["trial"])
 
 
 def load_reproducer(path) -> tuple:
     """The ``run_one_trial`` arguments a reproducer artifact recorded;
-    OSError or ValueError, naming ``path``, if it holds none."""
+    OSError or ValueError, naming ``path`` (and the field), if it holds
+    none."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as error:
@@ -359,10 +413,11 @@ def load_reproducer(path) -> tuple:
     if data.get("version") != _ARTIFACT_VERSION:
         raise ValueError(f"{path} has artifact version {data.get('version')}, "
                          f"this build reads version {_ARTIFACT_VERSION}")
-    params = _params_from_dict(data["params"])
-    schedule = FaultSchedule.from_dict(data["schedule"])
-    return (data["scheme"], schedule.events, params, int(data["trial_seed"]),
-            data.get("bug"), int(data["trial"]))
+    try:
+        return _replay_args(data)
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
+
 
 # ----------------------------------------------------------------------
 # the trial loop

@@ -141,18 +141,15 @@ class ChaosRow(DegradationRow):
 
 
 def run_chaos_scenario(scheme_name: str, params: ChaosParams,
-                       schedule: FaultSchedule | None, *,
-                       scheme_kwargs: dict | None = None,
+                       schedule: FaultSchedule | None,
                        **armed) -> Scenario:
     """One run of one scheme; returns the scenario after the horizon.
 
-    ``scheme_kwargs`` reach the scheme's factory and ``armed``
-    :func:`~repro.experiments.scenario.build_scenario` (the gray
-    experiment's hardening).
+    ``armed`` reaches :func:`~repro.experiments.scenario.build_scenario`
+    (the gray experiment's hardening).
     """
     scenario = build_scenario(
-        make_scheme(scheme_name, params.num_vms, params.cache_ratio,
-                    **(scheme_kwargs or {})),
+        make_scheme(scheme_name, params.num_vms, params.cache_ratio),
         params.num_vms, sample_period_ns=SAMPLE_PERIOD_NS, seed=params.seed,
         **armed)
     if schedule is not None:

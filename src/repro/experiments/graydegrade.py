@@ -14,10 +14,9 @@ bit flips that outlive both — in two protocol variants:
 * **hardened**: the gray (EWMA) failure detector fails the browned-out
   gateway out of the pool and reinstates it after a dwell, the
   anti-entropy audit repairs the corrupted cache lines within the
-  staleness bound, and negative caching keeps known-stale mappings
-  from being re-learned.
+  staleness bound.
 * **unhardened**: the same schedule with every self-healing knob off —
-  binary probing only, no audit, no negative cache.  The brownout is
+  binary probing only, no audit.  The brownout is
   invisible to it and the corrupted lines persist, so flows whose
   translations were flipped retransmit into a black hole until the
   transport gives up.
@@ -66,14 +65,12 @@ FLIPS_PER_TOR = 2
 
 #: Detection + self-healing, the hardened variant.  Both variants probe
 #: on the detector's defaults (200 us, three misses); only the hardened
-#: one reads the gray (EWMA) signals, runs the audit and caches
-#: negatively.
+#: one reads the gray (EWMA) signals and runs the audit.
 HARDENED_FAILOVER = {"gray_loss_threshold": 0.2,
                      "gray_latency_threshold_ns": usec(120),
                      "reinstate_dwell_ns": usec(400)}
 ANTI_ENTROPY_PERIOD_NS = msec(1)
 STALENESS_BOUND_NS = msec(2)
-NEGATIVE_TTL_NS = usec(500)
 
 
 def gray_schedule(spec: FatTreeSpec | None = None) -> FaultSchedule:
@@ -127,7 +124,6 @@ class GrayRow(DegradationRow):
     gray_detections: int
     gray_reinstatements: int
     audit_repairs: int
-    negative_blocks: int
     corrupted_lines: int
 
     @property
@@ -154,19 +150,15 @@ def run_gray_experiment(params: ChaosParams | None = None,
             f"{params.schemes!r} would be ignored")
 
     def run_once(variant: str, schedule: FaultSchedule | None) -> Scenario:
-        hardened = variant == "hardened"
         armed = {}
-        if hardened and schedule is not None:
+        if variant == "hardened" and schedule is not None:
             # Started by build_scenario, ahead of the schedule's own
             # idempotent start, so the gray knobs win; the unhardened
             # variant leaves the detector to the schedule and its defaults.
             armed = {"failover": HARDENED_FAILOVER,
                      "anti_entropy_period_ns": ANTI_ENTROPY_PERIOD_NS,
                      "staleness_bound_ns": STALENESS_BOUND_NS}
-        return run_chaos_scenario(
-            "SwitchV2P", params, schedule, scheme_kwargs={
-                "negative_ttl_ns": NEGATIVE_TTL_NS if hardened else 0},
-            **armed)
+        return run_chaos_scenario("SwitchV2P", params, schedule, **armed)
 
     rows = []
     for variant, fields, base, faulted, schedule in baseline_vs_faulted(
@@ -183,7 +175,6 @@ def run_gray_experiment(params: ChaosParams | None = None,
             gray_detections=detector.gray_detections,
             gray_reinstatements=detector.gray_reinstatements,
             audit_repairs=auditor.repairs if auditor is not None else 0,
-            negative_blocks=getattr(network.scheme, "negative_blocks", 0),
             corrupted_lines=len(schedule.corruptions),
             **fields))
     return rows

@@ -20,14 +20,13 @@ from repro.baselines import (
     DhtStore,
     Direct,
     GwCache,
-    Hoverboard,
     LocalLearning,
     NoCache,
     OnDemand,
 )
 from repro.cache.sizing import aggregate_slots
 from repro.experiments.runcache import resolve_cache, run_key
-from repro.core import UNIFORM, HybridSwitchV2P, SwitchV2P, SwitchV2PConfig
+from repro.core import UNIFORM, SwitchV2P, SwitchV2PConfig
 from repro.metrics.collector import Collector
 from repro.net.topology import FatTreeSpec
 from repro.sim.engine import msec
@@ -47,10 +46,8 @@ SCHEME_FACTORIES: dict[str, Callable] = {
     "LocalLearning": lambda slots, **kw: LocalLearning(slots),
     "Bluebird": lambda slots, **kw: Bluebird(slots, **kw),
     "Controller": lambda slots, **kw: Controller(slots, **kw),
-    "Hoverboard": lambda slots, **kw: Hoverboard(**kw),
     "DhtStore": lambda slots, **kw: DhtStore(),
     "SwitchV2P": lambda slots, **kw: _make_switchv2p(slots, **kw),
-    "HybridSwitchV2P": lambda slots, **kw: HybridSwitchV2P(slots, **kw),
 }
 
 

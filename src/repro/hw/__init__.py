@@ -10,25 +10,19 @@ from repro.hw.pipeline import (
     validate_feasibility,
 )
 from repro.hw.tofino import (
-    ENTRY_BITS,
     TABLE6_ENTRIES_PER_SWITCH,
     TOFINO_RESOURCES,
     ResourceModel,
     estimate_utilization,
-    fits_pipeline,
     max_entries,
-    register_bits,
 )
 
 __all__ = [
     "ResourceModel",
     "TOFINO_RESOURCES",
     "TABLE6_ENTRIES_PER_SWITCH",
-    "ENTRY_BITS",
     "estimate_utilization",
-    "fits_pipeline",
     "max_entries",
-    "register_bits",
     "Pipeline",
     "PipelineError",
     "RegisterArray",

@@ -26,10 +26,6 @@ from dataclasses import dataclass
 #: 10K VIP address space per switch.
 TABLE6_ENTRIES_PER_SWITCH = 5_120
 
-#: Cache entry width in register bits: 32-bit key + 32-bit value + the
-#: access bit.
-ENTRY_BITS = 32 + 32 + 1
-
 #: Width of the per-line recency stamp a set-associative layout adds
 #: (LRU by stamp; a one-line set has no order to keep).
 STAMP_BITS = 16
@@ -72,12 +68,6 @@ def estimate_utilization(entries_per_switch: int) -> dict[str, float]:
             for res in TOFINO_RESOURCES}
 
 
-def fits_pipeline(entries_per_switch: int, headroom_percent: float = 100.0) -> bool:
-    """Whether the design fits (every resource under ``headroom_percent``)."""
-    return all(util <= headroom_percent
-               for util in estimate_utilization(entries_per_switch).values())
-
-
 def max_entries(headroom_percent: float = 100.0) -> int:
     """Largest per-switch cache before some resource exceeds headroom.
 
@@ -96,18 +86,3 @@ def max_entries(headroom_percent: float = 100.0) -> int:
         raise RuntimeError("no scaling resource found")
     return best
 
-
-def register_bits(entries_per_switch: int, ways: int = 1) -> int:
-    """Raw register bits consumed by the cache arrays.
-
-    A ``ways``-way layout is ``ways`` parallel copies of the three
-    arrays, each ``entries_per_switch // ways`` lines long (a remainder
-    is dropped, as :class:`repro.cache.SwitchCache` drops it); above
-    one way every line also carries its LRU recency stamp.
-    """
-    if entries_per_switch < 0:
-        raise ValueError(f"negative entry count: {entries_per_switch}")
-    if ways < 1:
-        raise ValueError(f"associativity must be >= 1, got {ways}")
-    line_bits = ENTRY_BITS + (STAMP_BITS if ways > 1 else 0)
-    return entries_per_switch // ways * ways * line_bits

@@ -15,7 +15,6 @@ from repro.metrics.timeline import (
     RatioTimeline,
     Sample,
     WindowedRateSampler,
-    track_gateway_load,
     track_hit_rate,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "Sample",
     "WindowedRateSampler",
     "RatioTimeline",
-    "track_gateway_load",
     "track_hit_rate",
     "PhaseStats",
     "ResilienceProbe",

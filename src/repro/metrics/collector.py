@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.net.node import Layer
-from repro.net.packet import Packet, PacketKind
+from repro.net.packet import Packet
 
 
 @dataclass
@@ -81,9 +81,6 @@ class Collector:
     def register_flow(self, record: FlowRecord) -> None:
         self.flows[record.flow_id] = record
 
-    def record_send(self) -> None:
-        self.packets_sent += 1
-
     def record_gateway_arrival(self, packet: Packet) -> None:
         self.gateway_arrivals += 1
 
@@ -91,14 +88,6 @@ class Collector:
         self.hits_by_layer[layer] += 1
         if first_packet:
             self.first_packet_hits_by_layer[layer] += 1
-
-    def record_delivery(self, packet: Packet, now: int) -> None:
-        self.deliveries += 1
-        self.delivered_hops += packet.hops
-        if packet.kind is PacketKind.DATA:
-            self.packet_latency_sum_ns += now - packet.created_at
-            self.packet_latency_count += 1
-            self.delivered_payload_bytes += packet.payload_bytes
 
     def record_misdelivery(self, now: int) -> None:
         self.misdeliveries += 1

@@ -3,8 +3,8 @@
 The paper argues the data-plane cache "promptly adapts to changing
 traffic patterns" — a statement about *convergence over time* that the
 end-of-run aggregates cannot show.  These samplers record windowed
-rates while the simulation runs: gateway load over time (cache warm-up,
-migration disruption and recovery) and in-network hit rate over time.
+rates while the simulation runs: in-network hit rate and goodput over
+time (cache warm-up, migration disruption and recovery).
 """
 
 from __future__ import annotations
@@ -110,16 +110,6 @@ class RatioTimeline:
 
     def values(self) -> list[float]:
         return [sample.value for sample in self.samples]
-
-
-def track_gateway_load(network, period_ns: int) -> WindowedRateSampler:
-    """Gateway packet arrivals per window (started immediately)."""
-    collector = network.collector
-    sampler = WindowedRateSampler(
-        network.engine, lambda: collector.gateway_arrivals, period_ns,
-        label="gateway packets/window")
-    sampler.start()
-    return sampler
 
 
 def track_hit_rate(network, period_ns: int) -> RatioTimeline:

@@ -57,7 +57,7 @@ Exactness contract (see docs/simulator.md "Hybrid fidelity"):
   (:meth:`FluidScheduler.escalate_switch`, reached from the
   ``on_mutate`` cache observer installed via
   ``CachingScheme.set_cache_observer``);
-* VM migration, gateway failover/commission, and fabric
+* VM migration, gateway failover/reinstatement, and fabric
   fault transitions and gray impairments escalate via hooks in
   ``vnet.network``, ``Fabric.note_fault`` and ``Fabric.impair_links``.
 

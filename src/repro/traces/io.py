@@ -33,7 +33,8 @@ def load_flows(path: str | Path) -> list[FlowSpec]:
     """Read flows written by :func:`save_flows`.
 
     Raises:
-        ValueError: on malformed lines or unknown fields.
+        ValueError: naming ``path`` and the line, on a line that is not
+            a JSON object, an unknown field or an invalid flow record.
     """
     path = Path(path)
     flows = []
@@ -47,6 +48,9 @@ def load_flows(path: str | Path) -> list[FlowSpec]:
             except json.JSONDecodeError as error:
                 raise ValueError(
                     f"{path}:{line_number}: invalid JSON: {error}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{line_number}: expected a JSON "
+                                 f"object, got {type(record).__name__}")
             unknown = set(record) - set(_FIELDS)
             if unknown:
                 raise ValueError(f"{path}:{line_number}: unknown fields "

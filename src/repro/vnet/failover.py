@@ -110,7 +110,6 @@ class GatewayFailureDetector:
         self.gray_detections = 0
         self.gray_reinstatements = 0
         self._misses: dict[int, int] = {}
-        self._watched: set[int] = set()
         self._started = False
         #: Armed probe timers by gateway PIP (wheel timers, so stopping
         #: the detector cancels them in O(1) without heap churn).
@@ -129,30 +128,24 @@ class GatewayFailureDetector:
         if self._started:
             return
         self._started = True
+        engine = self.network.engine
         for gateway in self.network.gateways:
-            self.watch(gateway)
-
-    def watch(self, gateway: Gateway) -> None:
-        """Add ``gateway`` to the probe loop (idempotent)."""
-        if gateway.pip in self._watched:
-            return
-        self._watched.add(gateway.pip)
-        self._misses[gateway.pip] = 0
-        self._loss_ewma[gateway.pip] = 0.0
-        self._latency_ewma[gateway.pip] = float(gateway.processing_ns)
-        #: "Long ago" sentinel so dwell gating never blocks a gateway
-        #: that has been healthy since it was first watched.
-        self._last_bad_ns[gateway.pip] = -(10 ** 18)
-        self._probe_timers[gateway.pip] = self.network.engine.schedule_timer(
-            self.probe_interval_ns, self._probe, gateway)
+            pip = gateway.pip
+            self._misses[pip] = 0
+            self._loss_ewma[pip] = 0.0
+            self._latency_ewma[pip] = float(gateway.processing_ns)
+            # "Long ago" sentinel so dwell gating never blocks a gateway
+            # that has been healthy since probing started.
+            self._last_bad_ns[pip] = -(10 ** 18)
+            self._probe_timers[pip] = engine.schedule_timer(
+                self.probe_interval_ns, self._probe, gateway)
 
     def stop(self) -> None:
-        """Cancel all armed probes and forget the watched set."""
+        """Cancel all armed probes."""
         engine = self.network.engine
         for timer in self._probe_timers.values():
             engine.cancel_timer(timer)
         self._probe_timers.clear()
-        self._watched.clear()
         self._started = False
 
     # ------------------------------------------------------------------

@@ -97,7 +97,7 @@ class VirtualNetwork:
         self._gateway_salt = int(self.streams.stream("gateway-lb").integers(0, 2**31))
         #: Per-flow gateway choice memo; ``gateway_for`` is a pure
         #: function of (flow_id, salt, pool), so entries stay valid
-        #: until the live pool changes (failover/commissioning), which
+        #: until the live pool changes (failover/reinstatement), which
         #: clears the memo.
         self._gateway_memo: dict[int, Gateway] = {}
         #: Hybrid-fidelity fluid scheduler; None in pure-packet mode so
@@ -171,8 +171,6 @@ class VirtualNetwork:
             host.handler = self.scheme
 
     def _on_host_deliver(self, packet: Packet) -> None:
-        # Body of Collector.record_delivery, inlined: one call per
-        # delivered packet.
         collector = self.collector
         collector.deliveries += 1
         collector.delivered_hops += packet.hops
@@ -229,48 +227,6 @@ class VirtualNetwork:
             old_host.follow_me = {}
         old_host.follow_me[vip] = target.pip
         self.database.set(vip, target.pip)
-
-    # ------------------------------------------------------------------
-    # gateway fleet management (paper §4, "Gateway migration")
-    # ------------------------------------------------------------------
-    def decommission_gateway(self, gateway: Gateway) -> None:
-        """Remove a gateway from the load-balancing pool.
-
-        The device stays physically attached (packets already in
-        flight toward it still resolve), but no new flows select it.
-        """
-        self.gateways.remove(gateway)
-        if gateway in self.live_gateways:
-            self.live_gateways.remove(gateway)
-            self._gateway_memo.clear()
-            if self.fluid is not None:
-                self.fluid.escalate_all("gateway-change")
-        if not self.gateways:
-            raise ValueError("cannot decommission the last gateway")
-
-    def commission_gateway(self, pod: int, rack: int | None = None) -> Gateway:
-        """Attach and activate a new gateway under (pod, rack).
-
-        After commissioning, call the scheme's role reassignment (e.g.
-        ``SwitchV2P.reassign_roles``) so switch roles match the new
-        gateway placement.
-        """
-        from repro.net.addresses import pip_host
-        spec = self.config.spec
-        if rack is None:
-            rack = spec.gateway_rack
-        tor = self.fabric.tor_of(pod, rack)
-        taken = {pip_host(pip) for pip in tor.host_links}
-        host_index = max(taken, default=-1) + 1
-        gateway = self._attach_gateway(f"gw-p{pod}r{rack}h{host_index}",
-                                       pod, rack, host_index)
-        self.live_gateways.append(gateway)
-        self._gateway_memo.clear()
-        if self.fluid is not None:
-            self.fluid.escalate_all("gateway-change")
-        if self.failure_detector is not None:
-            self.failure_detector.watch(gateway)
-        return gateway
 
     # ------------------------------------------------------------------
     # gateway fault tolerance (hypervisor-side failover, §2.4)

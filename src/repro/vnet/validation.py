@@ -124,16 +124,16 @@ def _check_fault_state(network: VirtualNetwork) -> list[str]:
                     f"{cache.occupancy()} entries (SRAM must not survive "
                     "power loss)")
     # The hypervisors' live pool is a well-formed view of the fleet: a
-    # subset of commissioned gateways, no duplicates.  (It may lag the
+    # subset of the attached gateways, no duplicates.  (It may lag the
     # truth — failure detection takes probes — so crashed-but-listed and
     # recovered-but-delisted gateways are legitimate.)
     live = network.live_gateways
     if len(live) != len(set(id(gw) for gw in live)):
         issues.append("live-gateway pool lists a gateway twice")
-    commissioned = set(id(gw) for gw in network.gateways)
+    fleet = set(id(gw) for gw in network.gateways)
     for gateway in live:
-        if id(gateway) not in commissioned:
-            issues.append(f"live-gateway pool lists decommissioned "
+        if id(gateway) not in fleet:
+            issues.append(f"live-gateway pool lists unattached "
                           f"{gateway.name}")
     return issues
 
@@ -153,7 +153,7 @@ def _all_links(network: VirtualNetwork):
 def _check_gateways(network: VirtualNetwork) -> list[str]:
     issues = []
     if not network.gateways:
-        issues.append("no gateways commissioned")
+        issues.append("no gateways attached")
     seen = set()
     for gateway in network.gateways:
         if gateway.pip in seen:

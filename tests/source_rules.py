@@ -49,8 +49,7 @@ MEMO_PAIRINGS = (
      ("_ecmp_memo", "_route_memo")),
     ("repro.net.topology", "Fabric", ("set_link_state",), ("note_fault",)),
     ("repro.vnet.network", "VirtualNetwork",
-     ("mark_gateway_down", "mark_gateway_up", "commission_gateway",
-      "decommission_gateway"), ("_gateway_memo",)),
+     ("mark_gateway_down", "mark_gateway_up"), ("_gateway_memo",)),
 )
 #: W404: (open, close) calls that pair up inside one function.
 CALL_PAIRS = (("gc.disable", "gc.enable"),)

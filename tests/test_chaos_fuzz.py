@@ -9,8 +9,11 @@ artifact -> replay re-trips the same oracle.
 """
 
 import json
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import NoCache
 from repro.core import SwitchV2P
@@ -32,6 +35,7 @@ from repro.faults import (
     FaultSchedule,
     FuzzConfig,
     OracleSuite,
+    OracleViolation,
     ddmin,
     generate_schedule,
 )
@@ -555,6 +559,86 @@ def test_replay_rejects_foreign_artifacts(tmp_path):
     path.write_text(json.dumps({"format": "repro-chaos-reproducer",
                                 "version": 99}))
     with pytest.raises(ValueError, match="version"):
+        load_reproducer(path)
+
+
+@pytest.fixture(scope="module")
+def reproducer(tmp_path_factory):
+    """A well-formed reproducer as ``write_reproducer`` lays it out, the
+    path to write variants of it to, and what it loads as."""
+    outcome = chaosfuzz.TrialOutcome(
+        trial=2, scheme="SwitchV2P", trial_seed=7, num_events=1,
+        violations=(OracleViolation("conservation", 0, "lost a packet"),))
+    path = chaosfuzz.write_reproducer(
+        tmp_path_factory.mktemp("replay") / "reproducer.json", outcome,
+        one_of_each_schedule().events[:3], SMALL_PARAMS, root_seed=1,
+        bug="misdelivery-loop", original_events=9)
+    return json.loads(path.read_text()), path, load_reproducer(path)
+
+
+def _at(payload, level):
+    """The object ``level`` (``""``, ``"params"``, ``"params.fuzz"``) names."""
+    for key in filter(None, level.split(".")):
+        payload = payload[key]
+    return payload
+
+
+@settings(max_examples=60, deadline=None)
+@given(level=st.sampled_from(["", "params", "params.fuzz"]),
+       extra=st.one_of(st.none(), st.text(min_size=1, max_size=12)),
+       data=st.data())
+def test_a_dropped_or_extra_reproducer_field_is_named(reproducer, level,
+                                                      extra, data):
+    """Drop one key, or add one the writer never writes, at any level:
+    the load fails with a ValueError naming the file and the key — or,
+    for a dropped key the replay does not read, loads as before."""
+    payload, path, loaded = reproducer
+    broken = json.loads(json.dumps(payload))
+    target = _at(broken, level)
+    if extra is None:
+        key = data.draw(st.sampled_from(sorted(target)))
+        del target[key]
+    else:
+        key = extra
+        assume(key not in target)
+        target[key] = 0
+    path.write_text(json.dumps(broken))
+    if level == "" and extra is None and key not in chaosfuzz._REPLAY_FIELDS:
+        if key in ("format", "version"):
+            with pytest.raises(ValueError, match="reproducer artifact|version"):
+                load_reproducer(path)
+        else:
+            assert load_reproducer(path) == loaded
+        return
+    with pytest.raises(ValueError) as error:
+        load_reproducer(path)
+    message = str(error.value)
+    verdict = "no field" if extra is None else "unknown field"
+    assert message.startswith(f"{path}: {level or 'reproducer'} has "
+                              f"{verdict} {key!r}"), message
+
+
+@pytest.mark.parametrize("level, key, value, says", [
+    ("", "trial_seed", "7", "trial_seed must be int, got str"),
+    ("", "scheme", "NoSuchScheme", "scheme 'NoSuchScheme' is no known scheme"),
+    ("", "bug", "no-such-bug", "bug 'no-such-bug' is no known bug"),
+    ("", "params", [], "params must be dict, got list"),
+    ("params", "num_vms", 4.5, "params.num_vms must be int, got float"),
+    ("params", "cache_ratio", 16, None),
+    ("params.fuzz", "burstiness", 2.0, "params.fuzz: burstiness must be in"),
+    ("params.fuzz", "ensure_recovery", 1,
+     "params.fuzz.ensure_recovery must be bool, got int"),
+    ("", "schedule", {}, "fault schedule must be an object")])
+def test_a_reproducer_field_of_the_wrong_kind_is_named(reproducer, level,
+                                                       key, value, says):
+    payload, path, loaded = reproducer
+    broken = json.loads(json.dumps(payload))
+    _at(broken, level)[key] = value
+    path.write_text(json.dumps(broken))
+    if says is None:  # an int where a float is wanted reads as that float
+        assert load_reproducer(path) == loaded
+        return
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {says}")):
         load_reproducer(path)
 
 

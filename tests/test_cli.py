@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
 import argparse
+import dataclasses
+import json
 import os
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.chaosfuzz import ChaosFuzzParams
 from repro.experiments.figures import FigureScale, figure5
 from repro.experiments.parallel import ExperimentJob
 
@@ -163,12 +166,25 @@ def test_the_subcommands_are_the_six_and_each_help_renders(capsys):
         assert capsys.readouterr().out.startswith(f"usage: repro {name}")
 
 
+#: A reproducer that loads: every field a replay reads, and no other.
+_REPRODUCER = {"format": "repro-chaos-reproducer", "version": 1,
+               "scheme": "SwitchV2P", "trial": 0, "trial_seed": 1, "bug": None,
+               "params": dataclasses.asdict(ChaosFuzzParams()),
+               "schedule": {"events": []}}
+
+
 @pytest.mark.parametrize("content, says", [
     pytest.param(None, "No such file", id="missing"),
     pytest.param("not json\n", "is not JSON", id="not-json"),
     pytest.param("[]\n", "not a chaos reproducer artifact", id="not-a-dict"),
     pytest.param('{"format": "something-else"}\n',
-                 "not a chaos reproducer artifact", id="foreign")])
+                 "not a chaos reproducer artifact", id="foreign"),
+    pytest.param(json.dumps({key: value for key, value in _REPRODUCER.items()
+                             if key != "params"}),
+                 "reproducer has no field 'params'", id="no-params"),
+    pytest.param(json.dumps({**_REPRODUCER, "params": {
+        **_REPRODUCER["params"], "surprise": 1}}),
+                 "params has unknown field 'surprise'", id="unknown-param")])
 def test_chaos_replay_of_a_bad_file_exits_2_naming_it(content, says,
                                                       tmp_path, capsys):
     path = tmp_path / "reproducer.json"

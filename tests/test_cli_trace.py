@@ -43,7 +43,9 @@ def test_trace_generate_microbursts(tmp_path, capsys):
 
 @pytest.mark.parametrize("content, says", [
     pytest.param(None, "No such file", id="missing"),
-    pytest.param("\nnot json\n", ":2: invalid JSON", id="not-json")])
+    pytest.param("\nnot json\n", ":2: invalid JSON", id="not-json"),
+    pytest.param("5\n", ":1: expected a JSON object, got int",
+                 id="not-an-object")])
 def test_trace_inspect_of_a_bad_file_exits_2_naming_it(content, says,
                                                        tmp_path, capsys):
     path = tmp_path / "trace.jsonl"

@@ -3,7 +3,6 @@
 Covers the gray (EWMA) half of the gateway failure detector — brownout
 detection, hysteresis reinstatement, dwell gating against flapping —
 the :class:`repro.core.AntiEntropyAuditor` cache-vs-database sweep, the
-negative cache's re-install hold-down, the
 ``corrupt_entry`` fault-injection contract of both cache classes, and
 the bounded-staleness runtime oracle end to end.
 """
@@ -12,7 +11,7 @@ import pytest
 
 from repro.baselines import NoCache
 from repro.cache import SwitchCache
-from repro.core import AntiEntropyAuditor, SwitchV2P, SwitchV2PConfig
+from repro.core import AntiEntropyAuditor, SwitchV2P
 from repro.faults import FaultSchedule, OracleSuite
 from repro.sim.engine import msec, usec
 from repro.transport.flow import FlowSpec
@@ -247,33 +246,6 @@ def test_audit_validation_and_stop():
     sweeps = auditor.sweeps
     network.engine.run(until=network.engine.now + msec(2))
     assert auditor.sweeps == sweeps  # stopped means stopped
-
-
-# ----------------------------------------------------------------------
-# negative caching
-# ----------------------------------------------------------------------
-def test_negative_cache_blocks_and_expires():
-    scheme = SwitchV2P(total_cache_slots=400,
-                       config=SwitchV2PConfig(negative_ttl_ns=usec(500)))
-    network = small_network(scheme, num_vms=8)
-    # The hold-down window reads the live clock, which the fluid fast
-    # path cannot replay: enabling the feature opts out of fluid.
-    assert scheme.fluid_compatible is False
-    scheme._note_negative(3, 12345)
-    assert scheme._negative_blocks(3, 12345)
-    assert scheme.negative_blocks == 1
-    assert not scheme._negative_blocks(3, 54321)  # other PIPs unaffected
-    network.engine.schedule(usec(600), lambda: None)
-    network.engine.run(until=usec(600))
-    assert not scheme._negative_blocks(3, 12345)  # expired
-    assert (3, 12345) not in scheme._negative  # and pruned
-
-
-def test_negative_ttl_off_keeps_fluid_compatibility():
-    scheme = SwitchV2P(total_cache_slots=400)
-    assert scheme.fluid_compatible
-    scheme._note_negative(3, 12345)  # no TTL: a no-op
-    assert not scheme._negative
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from repro.baselines import Direct, GwCache, LocalLearning, NoCache, OnDemand
 from repro.cache import SwitchCache
-from repro.core import Role, SwitchV2P, SwitchV2PConfig
+from repro.core import Role, SwitchV2P
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import FatTreeSpec
 
@@ -89,29 +89,6 @@ def test_replacing_one_cache_entry_rebinds_its_switch():
         scheme.caches[switch.switch_id] = replacement
         switch.hook(data(network, 0, 5), None)
         assert replacement.peek(5) == network.host_of(5).pip
-
-
-def test_reassign_roles_rebinds_to_the_new_role():
-    scheme = SwitchV2P(total_cache_slots=200,
-                       config=SwitchV2PConfig(p_learn=1.0))
-    network = small_network(scheme, num_vms=8)
-    new_tor = network.fabric.tor_of(0, 0)
-    assert scheme.roles[new_tor.switch_id] is Role.TOR
-    new_gateway = network.commission_gateway(pod=0, rack=0)
-    for gateway in list(network.gateways):
-        if gateway is not new_gateway:
-            network.decommission_gateway(gateway)
-    # Still a plain ToR: it learns the packet's source, not its
-    # destination, and announces nothing.
-    new_tor.hook(data(network, 5, 6), None)
-    cache = scheme.caches[new_tor.switch_id]
-    assert cache.peek(5) is not None and cache.peek(6) is None
-    assert scheme.rng_draws == 0
-    scheme.reassign_roles()
-    assert scheme.roles[new_tor.switch_id] is Role.GATEWAY_TOR
-    new_tor.hook(data(network, 5, 7), None)
-    assert cache.peek(7) == network.host_of(7).pip
-    assert scheme.rng_draws == 1
 
 
 def test_handler_assigned_after_setup_is_what_runs():

@@ -3,12 +3,9 @@
 import pytest
 
 from repro.hw.tofino import (
-    ENTRY_BITS,
     TABLE6_ENTRIES_PER_SWITCH,
     estimate_utilization,
-    fits_pipeline,
     max_entries,
-    register_bits,
 )
 
 #: The paper's Table 6 at the 50% cache configuration.
@@ -39,35 +36,12 @@ def test_only_sram_and_hash_bits_scale():
             assert large[resource] == small[resource]
 
 
-def test_fits_pipeline_at_paper_size():
-    assert fits_pipeline(TABLE6_ENTRIES_PER_SWITCH)
-
-
 def test_max_entries_is_bluebird_scale():
     # Bluebird reports ~192K entries per switch; the model should allow
     # the same order of magnitude.
     assert max_entries() > 100_000
 
 
-def test_register_bits():
-    assert register_bits(0) == 0
-    assert register_bits(10) == 10 * ENTRY_BITS
-
-
-def test_register_bits_per_geometry():
-    """k ways: k parallel arrays of entries // k lines, each line with
-    a recency stamp on top of key, value and access bit."""
-    from repro.hw.tofino import STAMP_BITS
-    assert register_bits(5_120, ways=1) == 5_120 * ENTRY_BITS
-    for ways in (2, 4):
-        assert register_bits(5_120, ways) == 5_120 * (ENTRY_BITS + STAMP_BITS)
-    assert register_bits(10, ways=4) == 8 * (ENTRY_BITS + STAMP_BITS)
-    with pytest.raises(ValueError):
-        register_bits(10, ways=0)
-
-
 def test_negative_entries_rejected():
     with pytest.raises(ValueError):
         estimate_utilization(-1)
-    with pytest.raises(ValueError):
-        register_bits(-1)

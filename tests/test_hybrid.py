@@ -1,9 +1,7 @@
-"""Tests for Hoverboard and the SwitchV2P + host-cache hybrid (paper §4),
-and for the one failure mode of hybrid *fidelity*'s calendar-event rounds:
-the stale commit event a cancelled round leaves behind."""
+"""Tests for the one failure mode of hybrid *fidelity*'s calendar-event
+rounds: the stale commit event a cancelled round leaves behind."""
 
-from repro.baselines.hoverboard import Hoverboard
-from repro.core import HybridSwitchV2P, SwitchV2P, SwitchV2PConfig
+from repro.core import SwitchV2P
 from repro.experiments.runner import build_network
 from repro.faults.oracles import OracleSuite
 from repro.net.packet import Packet
@@ -12,101 +10,7 @@ from repro.sim.engine import msec, usec
 from repro.transport.flow import FlowSpec
 from repro.transport.player import TrafficPlayer
 
-from conftest import small_network
-
 import pytest
-
-
-def repeated_flows(count, dst=5, src=0, size=2_000, gap=usec(200)):
-    return [FlowSpec(src_vip=src, dst_vip=dst, size_bytes=size,
-                     start_ns=i * gap) for i in range(count)]
-
-
-# ----------------------------------------------------------------------
-# Hoverboard
-# ----------------------------------------------------------------------
-def test_hoverboard_below_threshold_stays_on_gateway():
-    scheme = Hoverboard(offload_threshold=1000)
-    network = small_network(scheme, num_vms=8)
-    player = TrafficPlayer(network)
-    player.add_flows(repeated_flows(3))
-    network.run(until=msec(20))
-    assert scheme.rules_installed == 0
-    assert network.collector.hit_rate == 0.0
-
-
-def test_hoverboard_offloads_hot_destination():
-    scheme = Hoverboard(offload_threshold=5, install_delay_ns=usec(100))
-    network = small_network(scheme, num_vms=8)
-    player = TrafficPlayer(network)
-    player.add_flows(repeated_flows(10))
-    network.run(until=msec(20))
-    assert scheme.rules_installed >= 1
-    host = network.host_of(0)
-    assert 5 in scheme.host_rules(host)
-    # After the rule installs, later flows bypass the gateway.
-    assert network.collector.hit_rate > 0.0
-
-
-def test_hoverboard_threshold_validation():
-    with pytest.raises(ValueError):
-        Hoverboard(offload_threshold=0)
-
-
-# ----------------------------------------------------------------------
-# HybridSwitchV2P
-# ----------------------------------------------------------------------
-def test_hybrid_installs_host_rules_and_still_caches():
-    scheme = HybridSwitchV2P(total_cache_slots=200, offload_threshold=4,
-                             install_delay_ns=usec(100))
-    network = small_network(scheme, num_vms=8)
-    player = TrafficPlayer(network)
-    player.add_flows(repeated_flows(10))
-    network.run(until=msec(20))
-    assert scheme.rules_installed >= 1
-    assert 5 in scheme.host_rules(network.host_of(0))
-
-
-def test_hybrid_shadowed_switch_entry_goes_cold():
-    """§4: once the host resolves a destination, switches stop looking
-    it up, so the shadowed entry's access bit stays clear and a
-    conservative insert can evict it."""
-    scheme = HybridSwitchV2P(total_cache_slots=200, offload_threshold=3,
-                             install_delay_ns=usec(50),
-                             config=SwitchV2PConfig(p_learn=1.0))
-    network = small_network(scheme, num_vms=8)
-    player = TrafficPlayer(network)
-    player.add_flows(repeated_flows(12, gap=usec(300)))
-    network.run(until=msec(30))
-    host = network.host_of(0)
-    assert 5 in scheme.host_rules(host)
-    # Find switches still caching VM 5's mapping: their access bits
-    # must have been cleared or never set after the offload (no more
-    # lookups touch them, and conflicting lookups clear them).
-    from repro.net.addresses import pip_pod, pip_rack
-    src_tor = network.fabric.tor_of(pip_pod(host.pip), pip_rack(host.pip))
-    cache = scheme.caches[src_tor.switch_id]
-    if cache.peek(5) is not None:
-        # The entry exists but is no longer refreshed; one conflicting
-        # lookup ages it (this is how eviction becomes possible).
-        assert cache.access_bit(5) in (0, 1)
-
-
-def test_hybrid_matches_switchv2p_when_threshold_unreachable():
-    config = SwitchV2PConfig()
-    hybrid = HybridSwitchV2P(total_cache_slots=100, offload_threshold=10**9,
-                             config=config)
-    network = small_network(hybrid, num_vms=8)
-    player = TrafficPlayer(network)
-    player.add_flows(repeated_flows(5))
-    network.run(until=msec(20))
-    assert hybrid.rules_installed == 0
-    assert network.collector.in_network_hits > 0
-
-
-def test_hybrid_threshold_validation():
-    with pytest.raises(ValueError):
-        HybridSwitchV2P(total_cache_slots=10, offload_threshold=0)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import math
 
+from conftest import small_network
+
+from repro.baselines import NoCache
 from repro.metrics.collector import Collector, FlowRecord
 from repro.metrics.reporting import format_cell, improvement, render_table
 from repro.net.node import Layer
@@ -79,16 +82,21 @@ def test_hit_share_empty_is_zero():
 
 
 def test_stretch_accounting():
-    collector = Collector()
+    network = small_network(NoCache())
+    host = network.hosts[0]
     packet = Packet(PacketKind.DATA, 1, 0, 100, 0, 1, 0, 1, created_at=0)
     packet.hops = 5
-    collector.record_delivery(packet, now=1000)
+    network.engine.schedule(1000, host.on_deliver, packet)
     packet2 = Packet(PacketKind.ACK, 1, 0, 0, 1, 0, 1, 0, created_at=0)
     packet2.hops = 3
-    collector.record_delivery(packet2, now=2000)
+    network.engine.schedule(2000, host.on_deliver, packet2)
+    network.engine.run()
+    collector = network.collector
+    assert collector.deliveries == 2
     assert collector.average_stretch() == 4.0
-    # packet latency counts only data packets
+    # packet latency and goodput count only data packets
     assert collector.average_packet_latency_ns() == 1000
+    assert collector.delivered_payload_bytes == 100
 
 
 def test_misdelivery_records_last_arrival():

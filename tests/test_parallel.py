@@ -114,10 +114,10 @@ def test_trace_spec_job_parallel_matches_sequential():
 # Job hygiene (frozen dataclass, canonical kwargs)
 # ----------------------------------------------------------------------
 def test_job_is_hashable_and_canonicalizes_kwargs():
-    a = ExperimentJob(spec=tiny_spec(), scheme_name="Hoverboard",
+    a = ExperimentJob(spec=tiny_spec(), scheme_name="OnDemand",
                       flows=_flows(), num_vms=8, cache_ratio=4.0,
                       scheme_kwargs={"x": 1, "y": 2.5})
-    b = ExperimentJob(spec=tiny_spec(), scheme_name="Hoverboard",
+    b = ExperimentJob(spec=tiny_spec(), scheme_name="OnDemand",
                       flows=_flows(), num_vms=8, cache_ratio=4.0,
                       scheme_kwargs={"y": 2.5, "x": 1})
     assert isinstance(a.scheme_kwargs, tuple)

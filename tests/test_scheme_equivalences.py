@@ -1,15 +1,11 @@
-"""Equivalence relations between schemes at parameter extremes.
-
-The paper positions NoCache and OnDemand as special cases of the
-hybrid (Hoverboard) design: no offloading, and immediate offloading.
-These tests pin those relationships in code.
-"""
+"""Equivalence relations between schemes, their parameter extremes and
+the step-by-step data planes their bound hooks replaced."""
 
 import dataclasses
 
 import pytest
 
-from repro.baselines import GwCache, Hoverboard, LocalLearning, NoCache, OnDemand
+from repro.baselines import GwCache, LocalLearning, OnDemand
 from repro.core import Role, SwitchV2P, SwitchV2PConfig
 from repro.experiments.runner import build_network, run_flows
 from repro.net.addresses import pip_pod
@@ -31,25 +27,6 @@ def run(scheme, seed=0):
     player.add_flows(flows)
     network.run(until=msec(30))
     return network.collector
-
-
-def test_hoverboard_without_offload_equals_nocache():
-    """An unreachable threshold makes Hoverboard behave as NoCache."""
-    hoverboard = run(Hoverboard(offload_threshold=10**9))
-    nocache = run(NoCache())
-    assert hoverboard.gateway_arrivals == nocache.gateway_arrivals
-    assert hoverboard.average_fct_ns() == nocache.average_fct_ns()
-    assert hoverboard.average_stretch() == nocache.average_stretch()
-
-
-def test_hoverboard_immediate_offload_approaches_ondemand():
-    """Threshold 1 with OnDemand's install delay reproduces OnDemand's
-    per-destination behaviour."""
-    hoverboard = run(Hoverboard(offload_threshold=1,
-                                install_delay_ns=usec(52)))
-    ondemand = run(OnDemand(install_delay_ns=usec(52)))
-    assert hoverboard.gateway_arrivals == ondemand.gateway_arrivals
-    assert hoverboard.average_fct_ns() == ondemand.average_fct_ns()
 
 
 def test_switchv2p_all_features_off_is_pure_role_learning():
@@ -74,10 +51,22 @@ def test_switchv2p_all_features_off_is_pure_role_learning():
 
 
 def test_identical_seeds_identical_results_across_scheme_instances():
-    a = run(Hoverboard(offload_threshold=5), seed=3)
-    b = run(Hoverboard(offload_threshold=5), seed=3)
+    a = run(OnDemand(install_delay_ns=usec(20)), seed=3)
+    b = run(OnDemand(install_delay_ns=usec(20)), seed=3)
     assert a.average_fct_ns() == b.average_fct_ns()
     assert a.gateway_arrivals == b.gateway_arrivals
+
+
+def test_ondemand_counts_installs_once_per_destination():
+    scheme = OnDemand(install_delay_ns=usec(20))
+    network = small_network(scheme, num_vms=8)
+    player = TrafficPlayer(network)
+    flows = [FlowSpec(src_vip=0, dst_vip=5, size_bytes=1_500,
+                      start_ns=i * usec(300)) for i in range(5)]
+    player.add_flows(flows)
+    network.run(until=msec(20))
+    host = network.host_of(0)
+    assert list(scheme.cached_mappings(host)) == [5]
 
 
 class _StepByStepHook:
@@ -182,9 +171,7 @@ class _StepByStepSwitchV2P(SwitchV2P):
                 if result.evicted is not None and config.enable_spillover:
                     packet.spill_entry = result.evicted
         elif role is Role.SPINE or role is Role.GATEWAY_SPINE:
-            if packet.resolved and cache is not None and not (
-                    self._negative
-                    and self._negative_blocks(packet.dst_vip, packet.outer_dst)):
+            if packet.resolved and cache is not None:
                 result = cache.insert(packet.dst_vip, packet.outer_dst, True)
                 if result.evicted is not None and config.enable_spillover:
                     packet.spill_entry = result.evicted
@@ -194,17 +181,13 @@ class _StepByStepSwitchV2P(SwitchV2P):
             if config.learning_packet_on_new_only and resolved \
                     and cache is not None:
                 already_known = cache.peek(packet.dst_vip) == packet.outer_dst
-            if resolved and cache is not None and not (
-                    self._negative
-                    and self._negative_blocks(packet.dst_vip, packet.outer_dst)):
+            if resolved and cache is not None:
                 result = cache.insert(packet.dst_vip, packet.outer_dst)
                 if result.evicted is not None and config.enable_spillover:
                     packet.spill_entry = result.evicted
             if resolved and not already_known:
                 self._maybe_send_learning_packet(switch, packet)
-        elif role is None and packet.resolved and cache is not None and not (
-                self._negative
-                and self._negative_blocks(packet.dst_vip, packet.outer_dst)):
+        elif role is None and packet.resolved and cache is not None:
             result = cache.insert(packet.dst_vip, packet.outer_dst)
             if result.evicted is not None and config.enable_spillover:
                 packet.spill_entry = result.evicted
@@ -214,8 +197,6 @@ class _StepByStepSwitchV2P(SwitchV2P):
         if role == Role.CORE or cache is None:
             return
         vip, pip = packet._spill_entry
-        if self._negative and self._negative_blocks(vip, pip):
-            return
         conservative = role in (Role.SPINE, Role.GATEWAY_SPINE)
         result = cache.insert(vip, pip, only_if_clear=conservative)
         if result.admitted:
@@ -227,9 +208,6 @@ class _StepByStepSwitchV2P(SwitchV2P):
         if cache is None:
             return
         vip, pip = packet._promote_entry
-        if self._negative and self._negative_blocks(vip, pip):
-            packet.promote_entry = None
-            return
         result = cache.insert(vip, pip, only_if_clear=True)
         packet.promote_entry = None
         if result.admitted:
@@ -239,7 +217,7 @@ class _StepByStepSwitchV2P(SwitchV2P):
 
 _V2P_COUNTERS = ("learning_packets_sent", "invalidation_packets_sent",
                  "spillovers_reinserted", "promotions_sent",
-                 "promotions_admitted", "negative_blocks", "rng_draws")
+                 "promotions_admitted", "rng_draws")
 
 
 def _v2p_outcome(cls, config, migrate, **kwargs):
@@ -274,8 +252,9 @@ def _v2p_outcome(cls, config, migrate, **kwargs):
     ("role-unaware", SwitchV2PConfig(p_learn=0.2, role_aware=False), False, {}),
     ("tagged", SwitchV2PConfig(p_learn=0.2), True, {}),
     ("tagged-role-unaware", SwitchV2PConfig(role_aware=False), True, {}),
-    ("negative-ttl", SwitchV2PConfig(p_learn=0.2,
-                                     negative_ttl_ns=usec(40)), True, {}),
+    ("tagged-new-only", SwitchV2PConfig(p_learn=0.5,
+                                        learning_packet_on_new_only=True),
+     True, {}),
     ("four-way", SwitchV2PConfig(p_learn=0.2), True, {"cache_ways": 4}),
 ])
 def test_per_role_hooks_equal_step_by_step_reference(label, config, migrate,
@@ -297,5 +276,3 @@ def test_per_role_hooks_equal_step_by_step_reference(label, config, migrate,
     if migrate:
         assert result["misdeliveries"] > 0
         assert counters["invalidation_packets_sent"] > 0
-    if config.negative_ttl_ns:
-        assert counters["negative_blocks"] > 0

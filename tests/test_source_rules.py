@@ -274,9 +274,9 @@ MUTANTS = [
                  "        status, ctx, rtt = self._walk_round(flow)\n"
                  "        collector.packets_sent += 0\n",
                  "assignment through collector", id="D110"),
-    pytest.param("R303", "vnet/network.py", "decommission_gateway",
+    pytest.param("R303", "vnet/network.py", "mark_gateway_down",
                  "            self._gateway_memo.clear()\n", "",
-                 "decommission_gateway", id="R303"),
+                 "mark_gateway_down", id="R303"),
     # The bug the call-graph W402 let through: the ToR hook builder
     # calls ``cache.insert`` further down, so it "reached" a
     # notification and a write of its own went unseen.

@@ -7,7 +7,6 @@ from repro.core import SwitchV2P
 from repro.metrics.timeline import (
     RatioTimeline,
     WindowedRateSampler,
-    track_gateway_load,
     track_hit_rate,
 )
 from repro.sim.engine import Engine, msec, usec
@@ -77,7 +76,10 @@ def test_gateway_load_falls_as_caches_warm():
 
 def test_gateway_load_sampler_counts_arrivals():
     network = small_network(NoCache(), num_vms=8)
-    sampler = track_gateway_load(network, period_ns=usec(500))
+    collector = network.collector
+    sampler = WindowedRateSampler(network.engine,
+                                  lambda: collector.gateway_arrivals, usec(500))
+    sampler.start()
     player = TrafficPlayer(network)
     player.add_flows([FlowSpec(src_vip=0, dst_vip=5, size_bytes=5_000,
                                start_ns=0)])

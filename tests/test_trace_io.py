@@ -54,6 +54,18 @@ def test_incomplete_record_reports_line(tmp_path):
         load_flows(path)
 
 
+@pytest.mark.parametrize("line, kind", [
+    ("5", "int"), ('"ab"', "str"), ("[1, 2]", "list"), ("null", "NoneType")])
+def test_a_line_that_is_not_an_object_reports_line(tmp_path, line, kind):
+    """Not a crash in ``set(record)``, nor "unknown fields ['a', 'b']"."""
+    path = tmp_path / "bad.jsonl"
+    save_flows(path, sample_flows())
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(ValueError, match=f"bad.jsonl:3: expected a JSON "
+                                         f"object, got {kind}"):
+        load_flows(path)
+
+
 def test_unknown_fields_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"src_vip": 1, "dst_vip": 2, "size_bytes": 10, '

@@ -21,12 +21,6 @@ def test_network_valid_after_migration():
     assert validate_network(network) == []
 
 
-def test_network_valid_after_gateway_commission():
-    network = small_network(NoCache(), num_vms=8)
-    network.commission_gateway(pod=0)
-    assert validate_network(network) == []
-
-
 def test_detects_placement_inconsistency():
     network = small_network(NoCache(), num_vms=8)
     # Corrupt: the database places vip 0 on a server that does not exist.
