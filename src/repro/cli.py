@@ -109,7 +109,8 @@ def _sized(args: argparse.Namespace, config: Any, owner: str,
     A flag for a field ``config`` does not have exits 2 naming both:
     ``reproduce`` takes the flags of every artifact's config, and only
     the artifact's own may reach a run.  So does a flag for one of the
-    ``fixed`` fields, whose default ``owner`` insists on.
+    ``fixed`` fields, whose default ``owner`` insists on.  So does a
+    value the config rejects (a ``ValueError`` from its constructor).
     """
     given = {name: getattr(args, name) for name in args.sizing
              if getattr(args, name) is not None}
@@ -124,9 +125,14 @@ def _sized(args: argparse.Namespace, config: Any, owner: str,
         if name in fixed:
             args.parser.error(f"{flag}: {owner} takes no value for "
                               f"{sized_by}.{name}")
-    return replace(config, **{
-        name: tuple(value) if isinstance(value, list) else value
-        for name, value in given.items()}) if given else config
+    if not given:
+        return config
+    try:
+        return replace(config, **{
+            name: tuple(value) if isinstance(value, list) else value
+            for name, value in given.items()})
+    except ValueError as error:
+        args.parser.error(f"{owner}: {error}")
 
 
 def _progress(label: str):

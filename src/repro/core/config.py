@@ -19,7 +19,8 @@ class SwitchV2PConfig:
 
     Attributes:
         p_learn: probability that a gateway ToR emits a learning packet
-            for a translated packet it processes (§3.2.2); bounds the
+            for a translated packet it processes (§3.2.2), newly learned
+            mapping or not, as in the evaluation (§5); bounds the
             learning-packet bandwidth at ``100 * p_learn`` percent of
             switch traffic.
         enable_learning_packets: gateway-ToR mapping dissemination.
@@ -34,17 +35,11 @@ class SwitchV2PConfig:
             False every switch behaves greedily (admit-all destination
             learning) — the ablation showing why topology-awareness
             matters.
-        learning_packet_on_new_only: if True, gateway ToRs only emit
-            learning packets when the mapping was newly learned
-            (§3.2.2's narrow reading); the default False matches the
-            evaluation setup, where generation is 0.5% of *all*
-            traffic passing the gateway switch (§5).
         invalidation_gap_ns: minimum spacing between invalidations to
             the same switch (the base RTT in the paper's topologies).
     """
 
     p_learn: float = 0.005
-    learning_packet_on_new_only: bool = False
     enable_learning_packets: bool = True
     enable_spillover: bool = True
     enable_promotion: bool = True

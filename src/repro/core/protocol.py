@@ -247,7 +247,6 @@ class SwitchV2P(CachingScheme):
         config = self.config
         spillover = config.enable_spillover
         announces = gateway and config.enable_learning_packets
-        new_only = gateway and config.learning_packet_on_new_only
         is_tor = switch.layer is Layer.TOR
         keys, values, salt, sets = _owner_lines(cache)
         record_hit = self._collector.record_hit
@@ -283,7 +282,6 @@ class SwitchV2P(CachingScheme):
             if packet.resolved:
                 vip = packet.dst_vip
                 pip = packet.outer_dst
-                known = new_only and cache.peek(vip) == pip
                 slot = (((vip ^ salt) * HASH_MIX) & 0xFFFFFFFF) % sets
                 if keys[slot] == vip:
                     values[slot] = pip
@@ -291,7 +289,7 @@ class SwitchV2P(CachingScheme):
                     evicted = cache.insert(vip, pip).evicted
                     if evicted is not None and spillover:
                         packet.spill_entry = evicted
-                if announces and not known:
+                if announces:
                     self._maybe_send_learning_packet(switch, packet)
             return True
         return hook

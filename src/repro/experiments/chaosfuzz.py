@@ -98,6 +98,16 @@ class ChaosFuzzParams:
     staleness_bound_ns: int = 0
     fuzz: FuzzConfig = FuzzConfig()
 
+    def __post_init__(self) -> None:
+        # A transport the trials cannot build fails here, naming its
+        # field, not as a SimulationError in the middle of trial 1.
+        self.transport()
+
+    def transport(self) -> TransportConfig:
+        """The transport every trial plays its flows over."""
+        return TransportConfig(max_retransmits=self.max_retransmits,
+                               max_rto_ns=self.max_rto_ns)
+
     def horizon_ns(self, schedule: FaultSchedule) -> int:
         """A horizon leaving every flow time to reach a terminal state.
 
@@ -273,8 +283,7 @@ def run_one_trial(scheme_name: str, events, params: ChaosFuzzParams,
     scenario.apply(schedule)
     horizon_ns = params.horizon_ns(schedule)
     scenario.play(fuzz_flows(params, trial_seed), horizon_ns,
-                  TransportConfig(max_retransmits=params.max_retransmits,
-                                  max_rto_ns=params.max_rto_ns))
+                  params.transport())
     suite.finish(horizon_ns)
     return TrialOutcome(trial=trial, scheme=scheme_name,
                         trial_seed=trial_seed,

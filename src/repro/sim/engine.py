@@ -7,22 +7,22 @@ summing many small per-hop delays, which matters because the paper's
 latency budget is built from 1 microsecond propagation delays and
 sub-microsecond serialization times.
 
-Cancellable timers (retransmission timeouts, health probes) live in a
-hashed timer wheel beside the heap.  Transports re-arm their RTO on
-every ACK; pushing each of those arms through the heap leaves a trail
-of dead entries that the run loop must pop and discard one by one.  The
-wheel gives O(1) arm and cancel, and cancelled timers are dropped in
-bulk when their bucket is swept, so they never churn the main heap.
-Live timers still fire in exact ``(time, sequence)`` order relative to
-heap events, keeping runs bit-deterministic.
+Cancellable timers (retransmission timeouts, health probes) sit on a
+second heap beside the calendar, of ``(deadline, sequence, timer)``
+entries, as ns-3 keeps a timer on its one scheduler: cancelling one
+only clears its ``alive`` flag, and the dead entry is dropped when it
+reaches the top.  A transport re-arms its RTO on every ACK, to a
+deadline no earlier than the one armed; :meth:`Engine.rearm_timer`
+moves such a timer in place, and its entry is re-pushed under the new
+key only if it comes to the top first.  Live timers fire in exact
+``(time, sequence)`` order relative to calendar events, keeping runs
+bit-deterministic.
 
-The two sides meet in one number, the *timer bound*: a lower bound on
-the deadline of every live timer.  A heap event earlier than the bound
-runs without looking at the wheel at all; only an event at or past it
-makes the run loop sweep the wheel, and each sweep pushes the bound to
-the next live timer or the next unswept slot.  The wheel therefore
-costs one sweep per 65 us slot the clock crosses plus one per timer
-that fires — not one per event.
+The two heaps meet in one number, the *timer bound*: a lower bound on
+the deadline of every live timer (the key of the timer heap's top).  A
+calendar event earlier than the bound runs without looking at the timer
+heap at all; only an event at or past it takes the run loop's slow
+path, which cleans the top of the timer heap and merges the two.
 
 The engine is deliberately minimal; all protocol behaviour lives in the
 network objects (:mod:`repro.net`, :mod:`repro.vnet`, :mod:`repro.core`)
@@ -43,14 +43,8 @@ MICROSECOND = 1_000
 MILLISECOND = 1_000_000
 SECOND = 1_000_000_000
 
-#: Timer-wheel geometry: 512 slots of ~65 us cover a 33 ms horizon in
-#: one revolution, matching the RTO range (100 us .. 64 ms) so a timer
-#: is examined at most a couple of times before it fires or dies.
-_WHEEL_SLOT_NS = 1 << 16
-_WHEEL_SLOTS = 512
-
-#: "No such time": the timer bound while no timer is live, and the run
-#: horizon / event budget when ``run`` is given none.
+#: "No such time": the timer bound while the timer heap is empty, and
+#: the run horizon / event budget when ``run`` is given none.
 _NEVER = 1 << 62
 
 #: A pending calendar event or live timer: ``(time, callback, args)``.
@@ -92,9 +86,10 @@ class SimulationError(RuntimeError):
 class Timer:
     """A cancellable timer handle returned by :meth:`Engine.schedule_timer`.
 
-    ``deadline``/``seq`` form the same ordering key heap events use, so
-    a fired timer interleaves with same-time events exactly as if it had
-    been pushed onto the heap.
+    ``deadline``/``seq`` form the same ordering key calendar events use,
+    so a fired timer interleaves with same-time events exactly as if it
+    had been a calendar event.  :meth:`Engine.rearm_timer` may move both
+    forward while the timer's heap entry still carries the old key.
     """
 
     __slots__ = ("deadline", "seq", "callback", "args", "alive")
@@ -115,15 +110,18 @@ class Engine:
     are broken by insertion order, making runs fully deterministic for a
     fixed seed and fixed scheduling order.
 
-    Invariant the run loop rests on: ``_timer_bound`` is never later
-    than the deadline of any live timer, wherever it sits (a wheel
-    bucket or the due heap); with no live timer it is ``_NEVER``.
-    Anyone may lower it — :meth:`schedule_timer` for a new earliest
-    deadline, :meth:`stop` and ``run(until=...)`` to end a run — and a
-    bound that is too low only costs a sweep.  Only the slow path of
-    :meth:`run` raises it, and only to what a sweep has just proved.
-    A calendar event strictly earlier than the bound therefore precedes
-    every timer and may run without consulting the wheel, the due heap
+    Every live timer has exactly one entry on the timer heap, whose key
+    is never later than the timer's own ``(deadline, seq)``: equal when
+    armed, earlier once :meth:`rearm_timer` has moved the timer in place.
+    Invariant the run loop rests on: ``_timer_bound`` is never later than
+    the key of the timer heap's top entry, hence than the deadline of any
+    live timer; with no entry it is ``_NEVER``.  Anyone may lower it —
+    :meth:`schedule_timer` for a new earliest deadline, :meth:`stop` and
+    ``run(until=...)`` to end a run — and a bound that is too low only
+    costs a pass through the slow path.  Only the slow path of
+    :meth:`run` raises it, to the key of the top entry it has just
+    cleaned.  A calendar event strictly earlier than the bound therefore
+    precedes every timer and may run without consulting the timer heap
     or the live-timer count.
 
     Example:
@@ -136,29 +134,18 @@ class Engine:
         ['b', 'a']
     """
 
-    def __init__(self, wheel_slots: int = _WHEEL_SLOTS) -> None:
-        if wheel_slots < 1:
-            raise SimulationError(f"wheel_slots must be positive, got {wheel_slots}")
+    def __init__(self) -> None:
         self._queue: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._sequence = 0
         self._now = 0
         self._events_processed = 0
         self._stopped = False
-        # Hashed timer wheel (lazy deletion, swept in bucket order).
-        # The slot count scales with expected concurrent timers — large
-        # topologies pass a wider wheel so buckets stay short — without
-        # affecting event order, which is always (deadline, seq).
-        self._wheel_slots = wheel_slots
-        self._wheel: list[list[Timer]] = [[] for _ in range(wheel_slots)]
+        #: Heap of ``(deadline, seq, timer)``, one entry per armed timer
+        #: until it fires or its cancelled entry reaches the top.
+        self._timers: list[tuple[int, int, Timer]] = []
         self._live_timers = 0
-        #: Absolute slot index the next sweep starts at: every timer in
-        #: a bucket has a deadline in this slot or a later one.
-        self._wheel_cursor = 0
         #: Lower bound on every live timer's deadline (class docstring).
         self._timer_bound = _NEVER
-        #: Heap of ``(deadline, seq, timer)`` for timers swept out of
-        #: the wheel (or armed behind the cursor) and not yet fired.
-        self._due: list[tuple[int, int, Timer]] = []
 
     @property
     def now(self) -> int:
@@ -190,13 +177,9 @@ class Engine:
         """
         for at, _seq, callback, args in self._queue:
             yield at, callback, args
-        for bucket in self._wheel:
-            for timer in bucket:
-                if timer.alive:
-                    yield timer.deadline, timer.callback, timer.args
-        for deadline, _seq, timer in self._due:
+        for _key, _seq, timer in self._timers:
             if timer.alive:
-                yield deadline, timer.callback, timer.args
+                yield timer.deadline, timer.callback, timer.args
 
     def schedule(self, at: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute time ``at``.
@@ -226,16 +209,16 @@ class Engine:
         self._sequence += 1
 
     # ------------------------------------------------------------------
-    # cancellable timers (hashed timer wheel)
+    # cancellable timers
     # ------------------------------------------------------------------
     def schedule_timer(self, delay: int, callback: Callable[..., None],
                        *args: Any) -> Timer:
         """Arm a cancellable timer ``delay`` ns from now.
 
-        Returns a :class:`Timer` handle for :meth:`cancel_timer`.  Use
-        this for timers that are usually cancelled or re-armed before
-        firing (retransmission timeouts, probe timers): arm and cancel
-        are O(1) and dead timers never pass through the event heap.
+        Returns a :class:`Timer` handle for :meth:`cancel_timer` and
+        :meth:`rearm_timer`.  Use this for timers that are usually
+        cancelled or re-armed before firing (retransmission timeouts,
+        probe timers).
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
@@ -243,13 +226,7 @@ class Engine:
         seq = self._sequence
         self._sequence = seq + 1
         timer = Timer(deadline, seq, callback, args)
-        slot = deadline // _WHEEL_SLOT_NS
-        if slot < self._wheel_cursor:
-            # Behind the sweep cursor: no later sweep would visit its
-            # bucket in time, so it joins the due heap directly.
-            heapq.heappush(self._due, (deadline, seq, timer))
-        else:
-            self._wheel[slot % self._wheel_slots].append(timer)
+        heapq.heappush(self._timers, (deadline, seq, timer))
         if deadline < self._timer_bound:
             self._timer_bound = deadline
         self._live_timers += 1
@@ -258,122 +235,81 @@ class Engine:
     def cancel_timer(self, timer: Timer | None) -> None:
         """Disarm ``timer``; a no-op for None, fired or cancelled timers.
 
-        The timer bound is left alone: it stays a valid (if no longer
-        tight) lower bound, and the next sweep that reaches the dead
-        timer drops it and re-tightens.
+        Its heap entry stays until it reaches the top, where the slow
+        path of :meth:`run` drops it; the timer bound stays a valid (if
+        no longer tight) lower bound meanwhile.
         """
         if timer is not None and timer.alive:
             timer.alive = False
             self._live_timers -= 1
 
-    def _sweep_wheel(self, limit: int) -> int:
-        """Move every live timer with ``deadline < limit`` to the due heap.
+    def rearm_timer(self, timer: Timer | None, delay: int,
+                    callback: Callable[..., None], *args: Any) -> Timer:
+        """``cancel_timer(timer)`` then ``schedule_timer(delay, ...)``.
 
-        Visits the buckets of the slots from the cursor up to ``limit``'s
-        (at most one revolution, which is every bucket), dropping
-        cancelled timers and leaving later ones — including later
-        revolutions of a visited bucket — in place.
-
-        Returns a lower bound, never below ``limit``, on every timer
-        still in the wheel: the earliest timer kept in a visited bucket
-        or the start of the first unvisited slot, whichever is earlier.
-        An unvisited bucket can only hold timers of slots past the last
-        one visited, so taking the kept minimum alone would be wrong.
-        ``_NEVER`` if no live timer is left anywhere — what the buckets
-        hold is then all cancelled, and is dropped here: with the bound
-        at ``_NEVER`` no later sweep may come to visit it.  (The due
-        heap needs no such care; the caller pops its dead top entries.)
+        Same effect, same sequence number drawn, same handle semantics
+        (use the one returned).  When ``timer`` is live and the new
+        deadline is not earlier than its current one, it is moved in
+        place: its heap entry keeps the old key, which is still a lower
+        bound on the new one, and the slow path of :meth:`run` re-pushes
+        it under the true key if it reaches the top before firing.  A
+        transport's per-ACK RTO re-arm thus pushes nothing.
         """
-        if not self._live_timers:
-            for bucket in self._wheel:
-                if bucket:
-                    bucket.clear()
-            return _NEVER
-        wheel = self._wheel
-        due = self._due
-        slots = self._wheel_slots
-        heappush = heapq.heappush
-        first = self._wheel_cursor
-        last = max(first, limit // _WHEEL_SLOT_NS)
-        if last - first + 1 >= slots:
-            visited = range(slots)
-            bound = _NEVER
-        else:
-            visited = range(first, last + 1)
-            bound = (last + 1) * _WHEEL_SLOT_NS
-        for slot in visited:
-            bucket = wheel[slot % slots]
-            if not bucket:
-                continue
-            keep = []
-            for timer in bucket:
-                if not timer.alive:
-                    continue
-                deadline = timer.deadline
-                if deadline < limit:
-                    heappush(due, (deadline, timer.seq, timer))
-                else:
-                    keep.append(timer)
-                    if deadline < bound:
-                        bound = deadline
-            bucket[:] = keep
-        self._wheel_cursor = last
-        return bound
+        deadline = self._now + delay
+        if timer is None or not timer.alive or deadline < timer.deadline:
+            self.cancel_timer(timer)
+            return self.schedule_timer(delay, callback, *args)
+        timer.deadline = deadline
+        timer.seq = self._sequence
+        self._sequence += 1
+        timer.callback = callback
+        timer.args = args
+        return timer
 
     def _pop_next(self, horizon: int) -> _Item | None:
         """Slow path of :meth:`run`: take the next item in global order.
 
-        Compares the calendar head with the earliest live timer by the
-        shared ``(time, seq)`` key, removes the winner and returns it as
+        First cleans the top of the timer heap — drops cancelled
+        entries and re-pushes moved ones under their timer's true key —
+        then compares it with the calendar head by the shared
+        ``(time, seq)`` key, removes the winner and returns it as
         ``(time, callback, args)``; returns None when nothing is left at
-        or before ``horizon``.  Either way it leaves ``_timer_bound`` as
-        tight as what it just learned allows: the earliest of the due
-        heap's top, the wheel bound the sweep returned, and just past
-        the horizon — so that the fast path's one comparison also ends
-        the run there.
+        or before ``horizon``.  Either way it leaves ``_timer_bound`` at
+        the top entry's key or just past the horizon, whichever is
+        earlier, so that the fast path's one comparison also ends the
+        run there.
         """
         queue = self._queue
-        due = self._due
-        heappop = heapq.heappop
-        while True:
-            # Timers matter up to the calendar head (ties included) or
-            # the horizon.  With neither, look one revolution past the
-            # bound: each pass finds the earliest timer or raises the
-            # bound by a revolution, so the search terminates.
-            if queue:
-                limit = min(queue[0][0], horizon) + 1
-            elif horizon != _NEVER:
-                limit = horizon + 1
-            elif self._live_timers:
-                limit = self._timer_bound + self._wheel_slots * _WHEEL_SLOT_NS
+        timers = self._timers
+        while timers:
+            _key, seq, timer = timers[0]
+            if not timer.alive:
+                heapq.heappop(timers)
+            elif seq != timer.seq:
+                heapq.heapreplace(timers, (timer.deadline, timer.seq, timer))
             else:
-                return None
-            bound = self._timer_bound
-            if bound < limit:
-                bound = self._sweep_wheel(limit)
-            while due and not due[0][2].alive:
-                heappop(due)
-            item: _Item | None = None
-            if due and (not queue or due[0][:2] < queue[0][:2]):
-                if due[0][0] <= horizon:
-                    deadline, _seq, timer = heappop(due)
-                    timer.alive = False
-                    self._live_timers -= 1
-                    item = deadline, timer.callback, timer.args
-            elif queue and queue[0][0] <= horizon:
-                at, _seq, callback, args = heappop(queue)
-                item = at, callback, args
-            self._timer_bound = min(bound, horizon + 1,
-                                    due[0][0] if due else _NEVER)
-            if item is not None or queue or horizon != _NEVER:
-                return item
+                break
+        item: _Item | None = None
+        if timers and (not queue or timers[0][:2] < queue[0][:2]):
+            if timers[0][0] <= horizon:
+                deadline, _seq, timer = heapq.heappop(timers)
+                timer.alive = False
+                self._live_timers -= 1
+                item = deadline, timer.callback, timer.args
+        elif queue and queue[0][0] <= horizon:
+            at, _seq, callback, args = heapq.heappop(queue)
+            item = at, callback, args
+        self._timer_bound = min(horizon + 1,
+                                timers[0][0] if timers else _NEVER)
+        return item
 
     def stop(self) -> None:
         """Stop the run loop after the current event finishes.
 
         Dropping the timer bound below every event time sends the next
         event down the run loop's slow path, which is where the flag is
-        looked at; the first sweep of the next run restores the bound.
+        looked at; the next pass through the slow path restores the
+        bound.
         """
         self._stopped = True
         self._timer_bound = -1

@@ -871,9 +871,10 @@ class FluidScheduler:
         flow.interval = interval
         flow.t0 = now
         flow.probed = probed
-        # A calendar event, not a wheel timer: nearly every round runs
-        # to its end, and an event ahead of the engine's timer bound
-        # costs the run loop one comparison where a timer costs a sweep.
+        # A calendar event, not a cancellable timer: nearly every round
+        # runs to its end, and an event ahead of the engine's timer bound
+        # costs the run loop one comparison where a firing timer costs a
+        # pass through its slow path.
         self.rounds += 1
         flow.token = token = self.rounds
         heappush(engine._queue, (now + n * interval, engine._sequence,

@@ -38,7 +38,6 @@ class TransportConfig:
     max_cwnd: int = 128
     dupack_threshold: int = 50
     initial_rto_ns: int = usec(500)
-    min_rto_ns: int = usec(100)
     max_rto_ns: int = usec(64_000)
     #: RTO retransmissions of the same hole before the flow is
     #: abandoned and its record marked failed (Linux tcp_retries2-style
@@ -52,6 +51,15 @@ class TransportConfig:
             raise ValueError("mss must be positive")
         if self.initial_cwnd < 1 or self.max_cwnd < self.initial_cwnd:
             raise ValueError("invalid congestion window bounds")
+        if self.dupack_threshold < 1:
+            raise ValueError("dupack_threshold must be >= 1, got "
+                             f"{self.dupack_threshold}")
+        if self.initial_rto_ns <= 0:
+            raise ValueError("initial_rto_ns must be positive, got "
+                             f"{self.initial_rto_ns}")
+        if self.max_rto_ns < self.initial_rto_ns:
+            raise ValueError(f"max_rto_ns ({self.max_rto_ns}) must be >= "
+                             f"initial_rto_ns ({self.initial_rto_ns})")
         if self.max_retransmits < 1:
             raise ValueError("max_retransmits must be >= 1")
 
@@ -205,17 +213,12 @@ class ReliableSender:
 
     # ------------------------------------------------------------------
     def _arm_timer(self) -> None:
-        # Re-arming cancels the previous timer in O(1) and parks the
-        # new one further out.  Neither moves the engine's timer bound
-        # (the new deadline lies past it, a cancel never raises it),
-        # so the run loop stays on its fast path; the dead timer is
-        # dropped the next time a sweep reaches its bucket, which
-        # happens once per wheel slot the clock crosses, not once per
-        # event.
-        engine = self.engine
-        engine.cancel_timer(self._timer)
-        self._timer = engine.schedule_timer(self.rto_ns, self._on_timeout,
-                                            self.snd_una)
+        # Called on every ACK.  The clock only advances, so the new
+        # deadline is no earlier than the armed one unless an ACK just
+        # reset a backed-off ``rto_ns``: the engine moves the live timer
+        # in place and pushes nothing, except in that rare case.
+        self._timer = self.engine.rearm_timer(self._timer, self.rto_ns,
+                                              self._on_timeout, self.snd_una)
 
     def _on_timeout(self, una_at_arm: int) -> None:
         self._timer = None

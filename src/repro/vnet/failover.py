@@ -111,8 +111,7 @@ class GatewayFailureDetector:
         self.gray_reinstatements = 0
         self._misses: dict[int, int] = {}
         self._started = False
-        #: Armed probe timers by gateway PIP (wheel timers, so stopping
-        #: the detector cancels them in O(1) without heap churn).
+        #: Armed probe timers by gateway PIP, cancelled by ``stop()``.
         self._probe_timers: dict[int, object] = {}
         #: Per-gateway gray-health state: shed-rate / latency EWMAs,
         #: gateways currently failed out for gray degradation, and the
@@ -184,20 +183,17 @@ class GatewayFailureDetector:
         """Fold one healthy-probe sample into the gray-health EWMAs.
 
         Probes measure what a real health stream would see: the current
-        brownout shed rate, and the service latency including inflation
-        and any queueing backlog.  Degrade thresholds are compared
-        against the EWMA (not the raw sample) so single spikes don't
-        fail a gateway out; reinstatement requires the EWMA back below
-        half the threshold *and* the dwell period elapsed since the
-        last over-threshold sample.
+        brownout shed rate, and the service latency including inflation.
+        Degrade thresholds are compared against the EWMA (not the raw
+        sample) so single spikes don't fail a gateway out; reinstatement
+        requires the EWMA back below half the threshold *and* the dwell
+        period elapsed since the last over-threshold sample.
         """
         if not self.gray_loss_threshold and not self.gray_latency_threshold_ns:
             return
         pip = gateway.pip
         alpha = self.ewma_alpha
-        backlog_ns = gateway._busy_until - now
-        sample_latency = (gateway.processing_ns + gateway.brownout_extra_ns
-                          + (backlog_ns if backlog_ns > 0 else 0))
+        sample_latency = gateway.processing_ns + gateway.brownout_extra_ns
         loss = self._loss_ewma[pip] = (
             (1.0 - alpha) * self._loss_ewma[pip]
             + alpha * gateway.brownout_drop_rate)

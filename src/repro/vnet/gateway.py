@@ -5,8 +5,7 @@ table (via :class:`repro.vnet.mapping.MappingDatabase`) and resolves
 packets the network could not.  Following Sailfish's measurements, each
 packet spends a fixed *processing latency* (40 us by default) inside
 the gateway; throughput is bounded by the gateway's NIC, which the
-simulator models as the gateway's access link.  Optionally a serial
-service rate can be set to model CPU-bound software gateways.
+simulator models as the gateway's access link.
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ class Gateway(Node):
     Attributes:
         pip: the gateway's physical address (assigned at attachment).
         processing_ns: per-packet translation latency.
-        service_ns: if nonzero, packets are additionally serialized
-            through a single server with this per-packet service time
-            (models a CPU-bound gateway); 0 means line-rate pipelining.
     """
 
     __slots__ = (
@@ -42,8 +38,6 @@ class Gateway(Node):
         "pip",
         "uplink",
         "processing_ns",
-        "service_ns",
-        "_busy_until",
         "packets_processed",
         "resolution_failures",
         "dropped_while_failed",
@@ -61,7 +55,6 @@ class Gateway(Node):
         engine: Engine,
         database: MappingDatabase,
         processing_ns: int = DEFAULT_PROCESSING_NS,
-        service_ns: int = 0,
     ) -> None:
         super().__init__(name)
         self.engine = engine
@@ -69,8 +62,6 @@ class Gateway(Node):
         self.pip = -1
         self.uplink: Link | None = None
         self.processing_ns = processing_ns
-        self.service_ns = service_ns
-        self._busy_until = 0
         self.packets_processed = 0
         self.resolution_failures = 0
         #: Packets that arrived while the gateway was crashed (black-
@@ -102,9 +93,8 @@ class Gateway(Node):
         self.failed = True
 
     def recover(self) -> None:
-        """Restart the gateway process (fresh pipeline, same database)."""
+        """Restart the gateway process (same database)."""
         self.failed = False
-        self._busy_until = 0
 
     def set_brownout(self, drop_rate: float, extra_ns: int, rng=None) -> None:
         """Enter (or leave, with zeros) a brownout episode.
@@ -166,13 +156,8 @@ class Gateway(Node):
             packet.misdelivery_tag = False
         if packet._carried_mapping is not None:
             packet.carried_mapping = None
-        delay = self.processing_ns + self.brownout_extra_ns
-        if self.service_ns:
-            now = self.engine.now
-            start = self._busy_until if self._busy_until > now else now
-            self._busy_until = start + self.service_ns
-            delay += self._busy_until - now
-        self.engine.schedule_after(delay, self._emit, packet)
+        self.engine.schedule_after(self.processing_ns + self.brownout_extra_ns,
+                                   self._emit, packet)
 
     def _emit(self, packet: Packet) -> None:
         """Forward after the processing delay."""

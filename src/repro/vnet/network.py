@@ -34,7 +34,6 @@ class NetworkConfig:
 
     spec: FatTreeSpec = field(default_factory=FatTreeSpec)
     gateway_processing_ns: int = usec(40)
-    gateway_service_ns: int = 0
     host_forward_delay_ns: int = usec(10)
     seed: int = 0
     #: Simulation fidelity: ``"packet"`` simulates every packet
@@ -64,14 +63,6 @@ class VirtualNetwork:
         self.config = config
         self.scheme = scheme
         self.collector = collector if collector is not None else Collector()
-        # Timer-wheel width scales with the topology: concurrent armed
-        # timers grow with the server count, and a wheel sized for FT8
-        # leaves k=32 buckets hundreds deep.  The width does not affect
-        # event order, so results stay bit-identical across sizings.
-        servers = config.spec.num_servers
-        wheel_slots = 512
-        while wheel_slots < servers and wheel_slots < 8192:
-            wheel_slots *= 2
         self.streams = RandomStreams(config.seed)
         self.database = MappingDatabase()
         #: VIP -> transport endpoint (see ``TrafficPlayer``): an
@@ -106,7 +97,7 @@ class VirtualNetwork:
         # All of this lives as long as the network: a collector scan
         # in between frees nothing, and at k=32 rescans 200 000 objects.
         with collector_paused():
-            self.engine = Engine(wheel_slots=wheel_slots)
+            self.engine = Engine()
             self.fabric = Fabric(self.engine, config.spec)
             self._build_hosts()
             self._build_gateways()
@@ -152,8 +143,7 @@ class VirtualNetwork:
     def _attach_gateway(self, name: str, pod: int, rack: int,
                         host_index: int) -> Gateway:
         gateway = Gateway(name, self.engine, self.database,
-                          self.config.gateway_processing_ns,
-                          self.config.gateway_service_ns)
+                          self.config.gateway_processing_ns)
         gateway.pip, gateway.uplink = self.fabric.attach_host(
             gateway, pod, rack, host_index)
         gateway.on_packet = self.collector.record_gateway_arrival

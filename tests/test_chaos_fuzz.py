@@ -628,7 +628,9 @@ def test_a_dropped_or_extra_reproducer_field_is_named(reproducer, level,
     ("params.fuzz", "burstiness", 2.0, "params.fuzz: burstiness must be in"),
     ("params.fuzz", "ensure_recovery", 1,
      "params.fuzz.ensure_recovery must be bool, got int"),
-    ("", "schedule", {}, "fault schedule must be an object")])
+    ("", "schedule", {}, "fault schedule must be an object"),
+    ("params", "max_rto_ns", 0,
+     "params: max_rto_ns (0) must be >= initial_rto_ns (500000)")])
 def test_a_reproducer_field_of_the_wrong_kind_is_named(reproducer, level,
                                                        key, value, says):
     payload, path, loaded = reproducer

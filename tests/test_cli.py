@@ -223,6 +223,21 @@ def test_a_flag_for_a_field_the_artifact_fixes_exits_2_naming_it(capsys):
     assert "--schemes" in err and "ChaosParams.schemes" in err
 
 
+@pytest.mark.parametrize("flag, value, says", [
+    ("--max-rto-ns", "-1000", "max_rto_ns (-1000) must be >= initial_rto_ns"),
+    ("--max-rto-ns", "0", "max_rto_ns (0) must be >= initial_rto_ns"),
+    ("--max-retransmits", "0", "max_retransmits must be >= 1")])
+def test_a_transport_chaos_cannot_build_exits_2_naming_the_field(flag, value,
+                                                                 says, capsys):
+    """``--max-rto-ns -1000`` used to die in trial 1 with a
+    SimulationError traceback, and ``0`` to run with zero-delay RTOs."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["chaos", "--trials", "1", flag, value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "chaos: " in err and says in err
+
+
 def test_negative_workers_exit_2_naming_the_value(capsys):
     """-3 used to run sequentially without a word."""
     with pytest.raises(SystemExit) as exit_:

@@ -8,19 +8,31 @@ scanned for its ``(time, seq)`` minimum, cancellation by flag — and the
 two must agree on the firing sequence, the clock at every callback, and
 the counters at the end of every segment.
 
-Deadlines span zero to three revolutions of the timer wheel, at both a
-4-slot wheel (every bucket shared by several revolutions, sweeps wrap
-constantly) and the default 512-slot one, so the wheel/bound arithmetic
-is checked where pinned-seed simulations rarely go.
+Deadlines run from zero to three horizons on a coarse grid, so ties
+between timers and calendar events are common.  The test runs at two
+horizons: 4 ticks (a quarter of a millisecond, where nearly every
+deadline ties with another) and 512 ticks (33 ms, out to ~100 ms, the
+span of real RTOs and fluid rounds).  Re-arms move a timer later, to
+the same deadline or earlier, and re-arm handles that have fired, were
+cancelled or were never armed, so the in-place move of
+:meth:`Engine.rearm_timer` and the slow path's re-push of a moved heap
+entry are checked where pinned-seed simulations rarely go.
 """
 
 import random
 
 import pytest
 
-from repro.sim.engine import _WHEEL_SLOT_NS, Engine
+from repro.sim.engine import Engine
 
-PROGRAMS_PER_WHEEL = 120
+PROGRAMS_PER_HORIZON = 120
+
+#: Delays are drawn on this grid (plus small offsets), so equal
+#: deadlines are common.
+GRID_NS = 1 << 14
+
+#: The unit of a program's deadline horizon.
+TICK_NS = 4 * GRID_NS
 
 
 class NaiveEngine:
@@ -53,6 +65,10 @@ class NaiveEngine:
     def cancel_timer(self, timer):
         if timer is not None:
             timer[5] = False
+
+    def rearm_timer(self, timer, delay, callback, *args):
+        self.cancel_timer(timer)
+        return self.schedule_timer(delay, callback, *args)
 
     def stop(self):
         self._stopped = True
@@ -97,60 +113,65 @@ class NaiveEngine:
 # Programs: plain data, generated once, executed on either engine
 # ----------------------------------------------------------------------
 
-def _delay(rng, revolution_ns):
-    """A delay from 0 to three revolutions, rich in ties and slot edges."""
+def _delay(rng, horizon_ns):
+    """A delay from 0 to three horizons, rich in ties."""
     kind = rng.random()
     if kind < 0.15:
         return rng.choice((0, 0, 1, 2))
     if kind < 0.45:
-        span = 2 * _WHEEL_SLOT_NS
+        span = 2 * TICK_NS
     elif kind < 0.8:
-        span = revolution_ns
+        span = horizon_ns
     else:
-        span = 3 * revolution_ns
-    # A coarse grid makes equal deadlines common; the offsets straddle
-    # slot boundaries.
-    grid = _WHEEL_SLOT_NS // 4
-    return rng.randrange(span // grid + 1) * grid + rng.choice((0, 0, 1, grid - 1))
+        span = 3 * horizon_ns
+    return rng.randrange(span // GRID_NS + 1) * GRID_NS \
+        + rng.choice((0, 0, 1, GRID_NS - 1))
 
 
-def _ops(rng, revolution_ns, depth, counter):
+#: How a ``rearm`` picks its new deadline: ``None`` draws a delay of its
+#: own, a number shifts the deadline the handle was last armed to.
+_SHIFTS = (None, None, 0, 0, 1, GRID_NS, 40 * GRID_NS, -1, -GRID_NS)
+
+
+def _ops(rng, horizon_ns, depth, counter):
     """Operations one callback (or one between-runs setup) performs."""
     ops = []
     for _ in range(rng.choice((0, 1, 1, 2, 3)) if depth else rng.randrange(3, 9)):
         kind = rng.random()
-        delay = _delay(rng, revolution_ns)
+        delay = _delay(rng, horizon_ns)
         handle = rng.randrange(6)
         if depth >= 4:
             child = None
         else:
             counter[0] += 1
-            child = (counter[0], _ops(rng, revolution_ns, depth + 1, counter))
+            child = (counter[0], _ops(rng, horizon_ns, depth + 1, counter))
         if kind < 0.07:
             ops.append(("cancel", handle))
         elif kind < 0.10 and depth:
             ops.append(("stop",))
         elif child is None:
             continue
-        elif kind < 0.30:
+        elif kind < 0.25:
             ops.append(("schedule", delay, child))
-        elif kind < 0.50:
+        elif kind < 0.40:
             ops.append(("schedule_after", delay, child))
-        elif kind < 0.75:
+        elif kind < 0.55:
             ops.append(("timer", handle, delay, child))
+        elif kind < 0.65:
+            ops.append(("replace", handle, delay, child))
         else:
-            ops.append(("rearm", handle, delay, child))
+            ops.append(("rearm", handle, delay, rng.choice(_SHIFTS), child))
     return ops
 
 
-def make_program(seed, wheel_slots):
-    rng = random.Random(seed * 1_000 + wheel_slots)
-    revolution_ns = wheel_slots * _WHEEL_SLOT_NS
+def make_program(seed, horizon_ticks):
+    rng = random.Random(seed * 1_000 + horizon_ticks)
+    horizon_ns = horizon_ticks * TICK_NS
     counter = [0]
     segments = []
     for _ in range(rng.randrange(3, 7)):
-        setup = _ops(rng, revolution_ns, 0, counter)
-        until_delay = None if rng.random() < 0.4 else _delay(rng, revolution_ns)
+        setup = _ops(rng, horizon_ns, 0, counter)
+        until_delay = None if rng.random() < 0.4 else _delay(rng, horizon_ns)
         max_events = None if rng.random() < 0.6 else rng.randrange(1, 12)
         segments.append((setup, until_delay, max_events))
     # Drain whatever is left so late timers are compared too.
@@ -162,6 +183,8 @@ def execute(engine, program):
     """Run ``program``; returns the per-callback and per-segment record."""
     log = []
     handles = {}
+    #: Handle name -> the deadline it was last armed to.
+    deadlines = {}
 
     def perform(ops):
         for op in ops:
@@ -174,10 +197,20 @@ def execute(engine, program):
                 engine.schedule(engine.now + op[1], fire, *op[2])
             elif kind == "schedule_after":
                 engine.schedule_after(op[1], fire, *op[2])
+            elif kind == "rearm":
+                _, name, delay, shift, child = op
+                armed = deadlines.get(name)
+                if shift is not None and armed is not None \
+                        and armed + shift >= engine.now:
+                    delay = armed + shift - engine.now
+                handles[name] = engine.rearm_timer(handles.get(name), delay,
+                                                   fire, *child)
+                deadlines[name] = engine.now + delay
             else:
-                if kind == "rearm":
+                if kind == "replace":
                     engine.cancel_timer(handles.get(op[1]))
                 handles[op[1]] = engine.schedule_timer(op[2], fire, *op[3])
+                deadlines[op[1]] = engine.now + op[2]
 
     def fire(node_id, ops):
         log.append(("fire", node_id, engine.now))
@@ -192,22 +225,21 @@ def execute(engine, program):
     return log
 
 
-@pytest.mark.parametrize("wheel_slots", [4, 512])
-def test_engine_matches_naive_reference(wheel_slots):
+@pytest.mark.parametrize("horizon_ticks", [4, 512])
+def test_engine_matches_naive_reference(horizon_ticks):
     fired = 0
-    for seed in range(PROGRAMS_PER_WHEEL):
-        program = make_program(seed, wheel_slots)
+    for seed in range(PROGRAMS_PER_HORIZON):
+        program = make_program(seed, horizon_ticks)
         expected = execute(NaiveEngine(), program)
-        actual = execute(Engine(wheel_slots=wheel_slots), program)
+        actual = execute(Engine(), program)
         for step, (want, got) in enumerate(zip(expected, actual)):
             assert got == want, (
-                f"seed {seed}, wheel_slots {wheel_slots}, step {step}: "
-                f"engine {got} != reference {want}")
-        assert len(actual) == len(expected), (seed, wheel_slots)
+                f"seed {seed}, step {step}: engine {got} != reference {want}")
+        assert len(actual) == len(expected), seed
         fired += sum(1 for record in expected if record[0] == "fire")
     # The programs must actually do something: a generator regression
     # that emptied them would make the comparison vacuous.
-    assert fired > 20 * PROGRAMS_PER_WHEEL
+    assert fired > 20 * PROGRAMS_PER_HORIZON
 
 
 def test_reference_catches_a_late_timer():
@@ -215,9 +247,8 @@ def test_reference_catches_a_late_timer():
 
     class LateTimers(Engine):
         def schedule_timer(self, delay, callback, *args):
-            return super().schedule_timer(delay + (delay > _WHEEL_SLOT_NS),
+            return super().schedule_timer(delay + (delay > GRID_NS),
                                           callback, *args)
 
-    program = make_program(3, 4)
-    assert execute(LateTimers(wheel_slots=4), program) \
-        != execute(NaiveEngine(), program)
+    program = make_program(3, 512)
+    assert execute(LateTimers(), program) != execute(NaiveEngine(), program)

@@ -1,11 +1,11 @@
-"""Edge cases of the engine run loop and the hashed timer wheel.
+"""Edge cases of the engine run loop and its timer heap.
 
 The run loop has a pop-first fast path (an event earlier than the timer
-bound runs without consulting the wheel) and one slow path that merges
-calendar and timers and is where the ``until`` horizon, ``stop()`` and
-``max_events`` end a run.  These tests pin the semantics at the seams
-between the two, and the bound arithmetic that decides which one an
-event takes.
+bound runs without consulting the timer heap) and one slow path that
+merges calendar and timers and is where the ``until`` horizon,
+``stop()`` and ``max_events`` end a run.  These tests pin the semantics
+at the seams between the two, the bound that decides which one an event
+takes, and the in-place move of :meth:`Engine.rearm_timer`.
 """
 
 import gc
@@ -20,25 +20,24 @@ from repro.baselines import NoCache
 from repro.core import SwitchV2P
 from repro.experiments.runner import build_network
 from repro.net.topology import FatTreeSpec
-from repro.sim.engine import (_WHEEL_SLOT_NS, Engine, SimulationError, Timer,
-                              collector_paused)
+from repro.sim.engine import Engine, SimulationError, Timer, collector_paused
 from repro.vnet.network import NetworkConfig, VirtualNetwork
 
 from conftest import ft32_spec, tiny_spec
 
-#: One wheel slot, in ns.
-S = _WHEEL_SLOT_NS
+#: One "slot": a spacing of deadlines, in ns (~65 us, a fraction of an
+#: RTO).
+S = 1 << 16
 
 
 class CountingEngine(Engine):
-    """Counts wheel sweeps, i.e. how often the run loop left its fast path
-    for a reason other than the end of the run."""
+    """Counts entries into the run loop's slow path (``_pop_next``)."""
 
-    sweeps = 0
+    slow_paths = 0
 
-    def _sweep_wheel(self, limit):
-        self.sweeps += 1
-        return super()._sweep_wheel(limit)
+    def _pop_next(self, horizon):
+        self.slow_paths += 1
+        return super()._pop_next(horizon)
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +100,7 @@ def test_repeated_run_until_is_idempotent_on_empty_engine():
 
 
 # ----------------------------------------------------------------------
-# timer wheel: cancel / reschedule semantics
+# cancellable timers: cancel / re-arm semantics
 # ----------------------------------------------------------------------
 
 def test_timer_fires_with_args():
@@ -158,6 +157,57 @@ def test_rearm_pattern_only_last_timer_fires():
     assert engine.now == 300
 
 
+def test_rearm_moves_a_live_timer_to_a_later_deadline_in_place():
+    engine = Engine()
+    fired = []
+    timer = engine.schedule_timer(100, fired.append, "old")
+    engine.schedule(150, fired.append, "event")
+    assert engine.rearm_timer(timer, 150, fired.append, "moved") is timer
+    assert engine.rearm_timer(timer, 150, fired.append, "same") is timer
+    assert engine.pending_timers == 1
+    engine.run()
+    # A re-arm draws a new sequence number, as cancel + schedule would:
+    # the timer now ties after the event armed before it.
+    assert fired == ["event", "same"]
+    assert engine.now == 150
+
+
+def test_rearm_to_an_earlier_deadline_arms_a_new_timer():
+    engine = Engine()
+    fired = []
+    timer = engine.schedule_timer(100, fired.append, "old")
+    earlier = engine.rearm_timer(timer, 40, fired.append, "earlier")
+    assert earlier is not timer and not timer.alive
+    assert engine.pending_timers == 1
+    engine.run()
+    assert fired == ["earlier"]
+    assert engine.now == 40
+
+
+def test_rearm_of_none_fired_or_cancelled_handle_arms_a_new_timer():
+    engine = Engine()
+    fired = []
+    done = engine.schedule_timer(1, fired.append, "fired")
+    engine.run()
+    cancelled = engine.schedule_timer(50, fired.append, "cancelled")
+    engine.cancel_timer(cancelled)
+    for handle in (None, done, cancelled):
+        timer = engine.rearm_timer(handle, 50, fired.append, handle)
+        assert timer is not handle and timer.alive
+    assert engine.pending_timers == 3
+    engine.run()
+    assert fired == ["fired", None, done, cancelled]
+
+
+def test_rearm_with_a_negative_delay_raises_like_schedule_timer():
+    engine = Engine()
+    timer = engine.schedule_timer(10, lambda: None)
+    with pytest.raises(SimulationError):
+        engine.rearm_timer(timer, -1, lambda: None)
+    # As cancel + schedule: the cancel went through before the raise.
+    assert not timer.alive and engine.pending_timers == 0
+
+
 def test_timer_and_event_tie_breaks_by_arming_order():
     engine = Engine()
     fired = []
@@ -188,8 +238,7 @@ def test_timer_beyond_until_survives_the_horizon():
 
 
 def test_timer_past_one_wheel_revolution_fires_on_time():
-    # 512 slots x 65.536 us ~= 33.5 ms per revolution; a 100 ms timer
-    # wraps the wheel several times and must still fire exactly once.
+    # A 100 ms deadline fires exactly once, after a 1 us one armed later.
     engine = Engine()
     fired = []
     engine.schedule_timer(100_000_000, fired.append, "far")
@@ -223,12 +272,12 @@ def test_mixed_timers_and_events_fire_in_global_time_order():
     engine = Engine()
     fired = []
     expected = []
-    # Interleave arming so heap events and wheel timers share deadlines
-    # across several wheel slots; cancel a scattering of timers.
+    # Interleave arming so calendar events and timers share deadlines;
+    # cancel a scattering of timers.
     cancelled = set()
     timers = {}
     for i in range(40):
-        at = (i * 7_919) % 300_000  # spread over ~5 wheel slots
+        at = (i * 7_919) % 300_000
         if i % 2:
             engine.schedule(at, fired.append, ("event", at, i))
         else:
@@ -258,14 +307,14 @@ def test_pending_events_counts_calendar_and_timers():
 
 
 # ----------------------------------------------------------------------
-# timer bound: true (no late timer) and tight (no per-event sweeps)
+# timer bound: true (no late timer) and tight (no per-event slow path)
 # ----------------------------------------------------------------------
 
 def test_timer_in_unswept_bucket_is_not_overtaken_by_a_later_revolution():
-    # The sweep for ev3 visits buckets 0..3.  Bucket 2 holds A, a timer
-    # of the *next* revolution (slot 514 = 2 mod 512); B sits in bucket
-    # 5, not yet visited.  Taking A as the new bound would let ev6..ev8
-    # run before B and then fire B with the clock going backwards.
+    # The slow path for ev3 drops the cancelled top C; the bound must
+    # then be B, the nearer live timer, though A was armed first.  A
+    # bound past B would let ev6..ev8 run before B and then fire B with
+    # the clock going backwards.
     engine = Engine()
     fired = []
 
@@ -285,11 +334,43 @@ def test_timer_in_unswept_bucket_is_not_overtaken_by_a_later_revolution():
     assert times[1] == 5 * S + 5
 
 
-def test_parked_timer_costs_sweeps_per_slot_not_per_event():
+def test_moved_timer_costs_a_slow_path_per_crossing_not_per_event():
     # The RTO re-arm shape: the early timer that set the bound is
-    # cancelled, the live one is parked three slots ahead, and 1 000
-    # calendar events run before it.  An empty swept window must push
-    # the bound to the next slot, not merely past the current event.
+    # cancelled, and every one of 1 000 calendar events moves the live
+    # timer three slots past itself.  It stays one handle with one heap
+    # entry, which keeps the key it was armed with and is re-pushed only
+    # when the clock reaches that key: a few times over ten slots, not
+    # once per event.
+    engine = CountingEngine()
+    fired = []
+    rto = engine.schedule_timer(3 * S, fired.append, "rto")
+    engine.cancel_timer(engine.schedule_timer(10, fired.append, "early"))
+    heap_sizes = set()
+
+    def ack(i):
+        fired.append(i)
+        assert engine.rearm_timer(rto, 3 * S, fired.append, "rto") is rto
+        heap_sizes.add(len(engine._timers))
+
+    step = (10 * S) // 1_000
+    for i in range(1_000):
+        engine.schedule(20 + i * step, ack, i)
+    engine.schedule(14 * S, fired.append, "after")
+    engine.run()
+    assert fired == [*range(1_000), "rto", "after"]
+    assert engine.events_processed == 1_002
+    assert heap_sizes == {1}
+    # One re-push per crossing of the entry's key (three), the cancelled
+    # timer, the firing and the end of the run.
+    assert engine.slow_paths <= 8
+
+
+def test_parked_timer_costs_sweeps_per_slot_not_per_event():
+    # A "sweep" is a pass through the slow path.  The early timer that
+    # set the bound is cancelled, the live one is parked three slots
+    # ahead, and 1 000 calendar events run before it: once the dead
+    # entry is dropped the bound is the live deadline, so the events
+    # run on the fast path.
     engine = CountingEngine()
     fired = []
     engine.schedule_timer(3 * S + 500, fired.append, "rto")
@@ -301,16 +382,16 @@ def test_parked_timer_costs_sweeps_per_slot_not_per_event():
     engine.run()
     assert fired == [*range(1_000), "rto", "after"]
     assert engine.events_processed == 1_002
-    # One sweep per slot crossed plus a couple around the firing.
-    assert engine.sweeps <= 8
+    assert engine.slow_paths <= 8
 
 
 def test_timerless_run_never_sweeps():
+    # No timer, no slow path but the one that finds the calendar empty.
     engine = CountingEngine()
     for i in range(100):
         engine.schedule(i * S, lambda: None)
     engine.run()
-    assert engine.sweeps == 0
+    assert engine.slow_paths == 1
 
 
 def test_stop_from_the_fast_path_then_resume_keeps_timer_order():
@@ -334,7 +415,7 @@ def test_stop_from_the_fast_path_then_resume_keeps_timer_order():
 
 def _reachable_timers(engine):
     """Every ``Timer`` the collector can reach from ``engine``, however
-    the wheel and the due heap are laid out."""
+    the timer heap is laid out."""
     seen = {id(engine)}
     frontier = [engine]
     timers = []
@@ -352,14 +433,14 @@ def _reachable_timers(engine):
 
 
 def test_cancelled_timers_are_dropped_once_no_timer_is_live():
-    # The sweep that finds no live timer used to return at once and
-    # leave every cancelled one -- args and bound callback included --
-    # in its bucket for the life of the engine: the RTO re-arm pattern
-    # of a run whose flows all went fluid parked thousands.
+    # A cancelled timer -- args and bound callback included -- stays on
+    # the heap only until the slow path reaches its entry: the RTO
+    # re-arm pattern of a run whose flows all went fluid must not park
+    # thousands for the life of the engine.
     engine = Engine()
     payload = [object() for _ in range(300)]
     for i, item in enumerate(payload):
-        # Buckets all round the wheel, two revolutions deep.
+        # Deadlines in no particular order, up to 1 000 slots out.
         engine.cancel_timer(engine.schedule_timer(
             (i * 7 % 1000) * S + i, payload.append, item))
     assert len(_reachable_timers(engine)) == 300
@@ -373,10 +454,8 @@ def test_cancelled_timers_are_dropped_once_no_timer_is_live():
 
 
 def test_cancelled_timers_on_the_due_heap_are_dropped_too():
-    # A timer armed behind the sweep cursor joins the due heap, not a
-    # bucket.  The sweep for "late" takes the cursor to slot 10 before
-    # "arm" fires at slot 5, so what "arm" arms and cancels sits there,
-    # and the slow path pops it with no help from the sweep.
+    # Timers armed and cancelled inside a callback, behind the calendar
+    # head, are dropped by the slow path that reaches "late".
     engine = Engine()
     fired = []
 
@@ -398,19 +477,22 @@ def test_cancelled_timers_on_the_due_heap_are_dropped_too():
 # ----------------------------------------------------------------------
 
 def test_iter_pending_lists_events_and_live_timers_wherever_they_sit():
-    engine = Engine(wheel_slots=4)
+    engine = Engine()
     sink = []
     engine.schedule(3 * S, sink.append, "event")
     engine.schedule_timer(2 * S, sink.append, "near")
-    engine.schedule_timer(9 * S, sink.append, "next-revolution")
+    moved = engine.schedule_timer(4 * S, sink.append, "old")
     engine.cancel_timer(engine.schedule_timer(S, sink.append, "dead"))
+    # Moved in place: listed at its new deadline with its new args,
+    # though its heap entry still carries the old key.
+    assert engine.rearm_timer(moved, 9 * S, sink.append, "moved") is moved
     expected = [(2 * S, sink.append, ("near",)),
                 (3 * S, sink.append, ("event",)),
-                (9 * S, sink.append, ("next-revolution",))]
+                (9 * S, sink.append, ("moved",))]
     assert sorted(engine.iter_pending(), key=lambda item: item[0]) == expected
 
-    # Mid-run the 2*S-tied timer below has been swept to the due heap
-    # while the first one fires; it must still be listed.
+    # Mid-run, while the first 2*S timer fires, the 2*S-tied timer below
+    # is still on the heap; it must still be listed.
     seen = []
     engine.schedule_timer(2 * S, lambda: seen.extend(engine.iter_pending()))
     engine.run(until=2 * S)
@@ -516,12 +598,14 @@ def _collections_during(build):
 
 #: GC-tracked objects a k=32 / 100k-VM hybrid build keeps (CPython
 #: 3.11), measured; the bound below allows 2 %, which also covers the
-#: few dozen that depend on what the process built before.  It was
-#: 211 897 while every link had a ``LinkStats`` and its own bound
-#: ``receive``, and 122 872 while each of the 8 192 hosts kept a set of
-#: its VIPs beside the database and each of the 1 280 switches a set of
-#: attached PIPs (filled on ToRs only) beside ``host_links``.
-K32_BUILD_OBJECTS = 113_400
+#: few dozen that depend on what the process built before: 104 664.  It
+#: was 211 897 while every link had a ``LinkStats`` and its own bound
+#: ``receive``, 122 872 while each of the 8 192 hosts kept a set of its
+#: VIPs beside the database and each of the 1 280 switches a set of
+#: attached PIPs (filled on ToRs only) beside ``host_links``, and
+#: 112 873 while the engine kept its timers in a wheel of 8 192 bucket
+#: lists at this size.
+K32_BUILD_OBJECTS = 104_700
 
 
 def test_k32_build_runs_no_full_collection(collector):
@@ -543,13 +627,14 @@ def test_k32_build_runs_no_full_collection(collector):
 
 
 #: Bytes of live heap a k=32 / 100k-VM hybrid build keeps (CPython
-#: 3.11, ``tracemalloc`` after a full collection), measured: 17 707 550.
+#: 3.11, ``tracemalloc`` after a full collection), measured: 16 595 782.
 #: The object count above cannot see memory that is not a GC-tracked
 #: object — dict slots, boxed ints — so this bound sits beside it, at
 #: 2 % over.  It was about 25 MB (25 341 302) while the mapping
 #: database was a dict keyed by VIP: a 5.2 MB hash table and 100 000
-#: boxed VIP keys, where the list indexed by VIP holds 0.8 MB.
-K32_BUILD_BYTES = 17_707_550
+#: boxed VIP keys, where the list indexed by VIP holds 0.8 MB; and
+#: 17 123 342 while the engine kept an 8 192-bucket timer wheel.
+K32_BUILD_BYTES = 16_595_782
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),

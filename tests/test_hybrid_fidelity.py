@@ -233,7 +233,7 @@ def test_python_calls_per_fluid_round_stay_bounded():
             counted += (
                 path.endswith(("sim/fluid.py", "repro/perf.py", "contextlib.py"))
                 or (path.endswith("sim/engine.py")
-                    and code.co_name in ("_pop_next", "_sweep_wheel")))
+                    and code.co_name == "_pop_next"))
 
     run = _tripwire_run()
     sys.setprofile(count)

@@ -176,16 +176,11 @@ class _StepByStepSwitchV2P(SwitchV2P):
                 if result.evicted is not None and config.enable_spillover:
                     packet.spill_entry = result.evicted
         elif role is Role.GATEWAY_TOR:
-            resolved = packet.resolved
-            already_known = False
-            if config.learning_packet_on_new_only and resolved \
-                    and cache is not None:
-                already_known = cache.peek(packet.dst_vip) == packet.outer_dst
-            if resolved and cache is not None:
+            if packet.resolved and cache is not None:
                 result = cache.insert(packet.dst_vip, packet.outer_dst)
                 if result.evicted is not None and config.enable_spillover:
                     packet.spill_entry = result.evicted
-            if resolved and not already_known:
+            if packet.resolved:
                 self._maybe_send_learning_packet(switch, packet)
         elif role is None and packet.resolved and cache is not None:
             result = cache.insert(packet.dst_vip, packet.outer_dst)
@@ -247,14 +242,9 @@ def _v2p_outcome(cls, config, migrate, **kwargs):
 
 @pytest.mark.parametrize("label, config, migrate, kwargs", [
     ("every-role", SwitchV2PConfig(p_learn=0.2), False, {}),
-    ("new-only", SwitchV2PConfig(p_learn=0.5,
-                                 learning_packet_on_new_only=True), False, {}),
     ("role-unaware", SwitchV2PConfig(p_learn=0.2, role_aware=False), False, {}),
     ("tagged", SwitchV2PConfig(p_learn=0.2), True, {}),
     ("tagged-role-unaware", SwitchV2PConfig(role_aware=False), True, {}),
-    ("tagged-new-only", SwitchV2PConfig(p_learn=0.5,
-                                        learning_packet_on_new_only=True),
-     True, {}),
     ("four-way", SwitchV2PConfig(p_learn=0.2), True, {"cache_ways": 4}),
 ])
 def test_per_role_hooks_equal_step_by_step_reference(label, config, migrate,

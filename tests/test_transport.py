@@ -78,6 +78,19 @@ def test_transport_config_validation():
         TransportConfig(initial_cwnd=10, max_cwnd=5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("initial_rto_ns", 0), ("initial_rto_ns", -5),
+    ("max_rto_ns", -1000), ("max_rto_ns", 0), ("max_rto_ns", 499_999),
+    ("dupack_threshold", 0)])
+def test_transport_config_rejects_an_unusable_timer_naming_the_field(field,
+                                                                     value):
+    """A non-positive RTO used to reach the engine as a negative or zero
+    delay, mid-run."""
+    with pytest.raises(ValueError, match=field):
+        TransportConfig(**{field: value})
+    TransportConfig(initial_rto_ns=1, max_rto_ns=1, dupack_threshold=1)
+
+
 def test_flow_spec_validation():
     with pytest.raises(ValueError):
         FlowSpec(src_vip=0, dst_vip=1, size_bytes=0, start_ns=0)

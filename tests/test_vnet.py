@@ -182,32 +182,6 @@ def test_gateway_unresolvable_packet_counted():
     assert not packet.resolved
 
 
-def test_gateway_serial_service_model():
-    from repro.sim.engine import Engine
-    from repro.vnet.gateway import Gateway
-    engine = Engine()
-    db = MappingDatabase()
-    db.set(5, 123)
-    gateway = Gateway("gw", engine, db, processing_ns=1000, service_ns=500)
-    times = []
-
-    class FakeLink:
-        def transmit(self, packet):
-            times.append(engine.now)
-            return True
-
-    gateway.uplink = FakeLink()
-
-    def make():
-        return Packet(PacketKind.DATA, flow_id=1, seq=0, payload_bytes=64,
-                      src_vip=0, dst_vip=5, outer_src=0, outer_dst=0)
-
-    gateway.receive(make())
-    gateway.receive(make())
-    engine.run()
-    assert times == [1500, 2000]  # second waits for the serial server
-
-
 def test_gateway_clears_misdelivery_state():
     network = small_network(NoCache(), num_vms=8)
     gateway = network.gateways[0]
