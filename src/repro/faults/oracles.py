@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
 from typing import TYPE_CHECKING
 
 from repro.net.addresses import format_pip
@@ -283,9 +282,9 @@ class OracleSuite:
         switch_drops = sum(sw.stats.drops for sw in fabric.switches)
         link_drops = 0
         link_lost = 0
-        for link in self._all_links():
-            link_drops += link.stats.drops
-            link_lost += link.stats.lost
+        for link in fabric.links():
+            link_drops += link.drops
+            link_lost += link.lost
         host_drops = sum(host.unroutable_drops for host in network.hosts)
         gateway_drops = sum(gw.dropped_while_failed + gw.dropped_brownout
                             + gw.resolution_failures
@@ -302,10 +301,6 @@ class OracleSuite:
                 f"host_drops={host_drops} gateway_drops={gateway_drops} "
                 f"in_flight={in_flight}): {sent - accounted} vanished "
                 "without a recorded reason")
-
-    def _all_links(self) -> Any:
-        from repro.vnet.validation import _all_links
-        return _all_links(self.network)
 
     def _in_flight(self) -> int:
         """Packets referenced by pending events (still on the wire).

@@ -21,6 +21,7 @@ _POD_BITS = 14
 _HOST_MASK = (1 << _HOST_BITS) - 1
 _RACK_MASK = (1 << _RACK_BITS) - 1
 _POD_MASK = (1 << _POD_BITS) - 1
+_POD_SHIFT = _RACK_BITS + _HOST_BITS
 
 MAX_HOSTS_PER_RACK = _HOST_MASK + 1
 MAX_RACKS_PER_POD = _RACK_MASK + 1
@@ -53,13 +54,13 @@ def make_pip(pod: int, rack: int, host: int) -> int:
         raise ValueError(f"rack {rack} out of range [0, {_RACK_MASK}]")
     if not 0 <= host <= _HOST_MASK:
         raise ValueError(f"host {host} out of range [0, {_HOST_MASK}]")
-    pip = (pod << (_RACK_BITS + _HOST_BITS)) | (rack << _HOST_BITS) | host
+    pip = (pod << _POD_SHIFT) | (rack << _HOST_BITS) | host
     return _PIP_INTERN.setdefault(pip, pip)
 
 
 def pip_pod(pip: int) -> int:
     """Pod index encoded in a PIP."""
-    return (pip >> (_RACK_BITS + _HOST_BITS)) & _POD_MASK
+    return (pip >> _POD_SHIFT) & _POD_MASK
 
 
 def pip_rack(pip: int) -> int:

@@ -63,7 +63,6 @@ class Link:
         "bytes",
         "drops",
         "lost",
-        "stats",
         "_deliver",
         "_ser_cache",
         "_src_is_host",
@@ -86,7 +85,9 @@ class Link:
         self.src = src
         self.dst = dst
         self._rate_bps = rate_bps
-        self.propagation_ns = propagation_ns
+        #: Healthy propagation delay; :meth:`set_extra_latency` inflates
+        #: ``propagation_ns`` relative to this (gray link degradation).
+        self.propagation_ns = self._base_propagation_ns = propagation_ns
         self.buffer_bytes = buffer_bytes
         #: Administrative/physical state: a down link drops everything
         #: offered to it (fiber cut, transceiver failure).  Neighbours
@@ -95,13 +96,8 @@ class Link:
         #: Per-packet random loss probability (bit errors, flaky optics).
         self.loss_rate = 0.0
         self._loss_rng = None
-        #: Healthy propagation delay; :meth:`set_extra_latency` inflates
-        #: ``propagation_ns`` relative to this (gray link degradation).
-        self._base_propagation_ns = propagation_ns
         self._busy_until = 0
         self.packets = self.bytes = self.drops = self.lost = 0
-        #: A slot, not a property: ``Switch.receive`` reads it per hop.
-        self.stats = self
         #: The destination's one bound ``receive`` (see :class:`Node`):
         #: saves two attribute lookups per transmitted packet.
         self._deliver = dst._receive
@@ -118,6 +114,12 @@ class Link:
         #: instead of an isinstance check per packet; gateways attach
         #: at host ports too but deliberately stay False.
         self._src_is_host = False
+
+    @property
+    def stats(self) -> Link:
+        """The link itself: its counters are its own slots, which the
+        per-hop paths update directly."""
+        return self
 
     @property
     def rate_bps(self) -> float:
@@ -188,9 +190,8 @@ class Link:
         and the negative-delay check, which ``finish >= now`` and a
         non-negative propagation delay make redundant here.
         """
-        stats = self.stats
         if not self.up:
-            stats.drops += 1
+            self.drops += 1
             return False
         engine = self.engine
         now = engine._now
@@ -199,7 +200,7 @@ class Link:
         pending_ns = busy - now
         backlog = int(pending_ns * self._rate_bps / 8e9) if pending_ns > 0 else 0
         if backlog + size > self.buffer_bytes:
-            stats.drops += 1
+            self.drops += 1
             return False
         start = busy if busy > now else now
         ser_ns = self._ser_cache.get(size)
@@ -208,14 +209,14 @@ class Link:
             self._ser_cache[size] = ser_ns
         finish = start + ser_ns
         self._busy_until = finish
-        stats.packets += 1
-        stats.bytes += size
+        self.packets += 1
+        self.bytes += size
         if self._loss_rng is not None \
                 and self._loss_rng.random() < self.loss_rate:
             # The packet occupied the wire but arrives corrupted; the
             # sender sees it as admitted (loss is invisible until the
             # transport times out), so still return True.
-            stats.lost += 1
+            self.lost += 1
             return True
         heappush(engine._queue, (finish + self.propagation_ns,
                                  engine._sequence, self._deliver,

@@ -10,7 +10,7 @@ the paper's methodology of comparing schemes inside one simulator.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from enum import IntEnum
 from functools import partial
 from heapq import heappush
@@ -36,6 +36,9 @@ class Layer(IntEnum):
 # instead of LOAD_GLOBAL + LOAD_ATTR at every switch hop).
 _ACK = PacketKind.ACK
 _INVALIDATION = PacketKind.INVALIDATION
+_LEARNING = PacketKind.LEARNING
+_TOR = Layer.TOR
+_SPINE = Layer.SPINE
 
 #: What a switch runs on each packet before forwarding it, bound to the
 #: switch at scheme set-up: ``hook(packet, ingress)`` returns False to
@@ -126,9 +129,11 @@ class Switch(Node):
       ``up_links`` (to this spine's core group).
     * Core: ``pod_links`` (pod-indexed array of links to peer spines).
 
-    ``down_links``/``pod_links`` are flat lists, filled completely when
+    ``up_links``/``down_links``/``pod_links`` are flat lists sized when
     the fabric is constructed (the topology spec bounds the index
-    domains, and valid PIPs can only encode in-range coordinates).
+    domains, and valid PIPs can only encode in-range coordinates).  A
+    port holds None until :meth:`Fabric.port` makes its link, the first
+    time routing, a fault or a route computation asks for it.
 
     Attributes:
         switch_id: globally unique integer (also used as the identifier
@@ -165,18 +170,18 @@ class Switch(Node):
         self.pod = pod
         self.rack = rack
         self.host_links: dict[int, Link] = {}
-        self.up_links: list[Link] = []
-        self.down_links: list[Link] = []
-        self.pod_links: list[Link] = []
+        self.up_links: list[Link | None] = []
+        self.down_links: list[Link | None] = []
+        self.pod_links: list[Link | None] = []
         self._handler: SwitchHandler = NULL_HANDLER
         #: The handler's per-packet function for this switch (see
         #: :data:`SwitchHook`); :meth:`receive`, the invalidation path
         #: and the fluid walk all call this and nothing else.
         self.hook: SwitchHook | None = None
         self.stats = SwitchStats()
-        #: Owning fabric (set at construction by the topology builder);
-        #: used to learn whether any faults are active so the fast
-        #: no-fault forwarding path stays cheap.
+        #: Owning fabric (set at construction by the topology builder):
+        #: it makes this switch's links on first use, and says whether
+        #: any faults are active so the fast no-fault path stays cheap.
         self.fabric: Fabric | None = None
         self._failed = False
         #: Gray SWITCH_SLOW state: extra per-packet forwarding delay in
@@ -338,10 +343,9 @@ class Switch(Node):
         # Inlined Link.transmit() (see link.py for the commented
         # version): one method call saved per switch hop.  The wire
         # size is re-read because the hook may have attached or
-        # stripped option words above.
-        lstats = egress.stats
+        # stripped option words above.  The link is its own stats.
         if not egress.up:
-            lstats.drops += 1
+            egress.drops += 1
             stats.drops += 1
             return
         engine = egress.engine
@@ -351,7 +355,7 @@ class Switch(Node):
         pending_ns = busy - now
         backlog = int(pending_ns * egress._rate_bps / 8e9) if pending_ns > 0 else 0
         if backlog + size > egress.buffer_bytes:
-            lstats.drops += 1
+            egress.drops += 1
             stats.drops += 1
             return
         start = busy if busy > now else now
@@ -361,11 +365,11 @@ class Switch(Node):
             egress._ser_cache[size] = ser_ns
         finish = start + ser_ns
         egress._busy_until = finish
-        lstats.packets += 1
-        lstats.bytes += size
+        egress.packets += 1
+        egress.bytes += size
         if egress._loss_rng is not None \
                 and egress._loss_rng.random() < egress.loss_rate:
-            lstats.lost += 1
+            egress.lost += 1
             return
         heappush(engine._queue, (finish + egress.propagation_ns,
                                  engine._sequence, egress._deliver,
@@ -425,29 +429,30 @@ class Switch(Node):
         remainder is unusable — a down link, a failed peer, or (when
         faults are active) a failed switch/link further along the
         committed down-path.  In real fabrics this liveness is known
-        via the routing protocol; here the look-ahead walks the wired
-        link objects directly.  Packets drop only when no equal-cost
-        sibling survives (e.g. the destination ToR itself is dead).
+        via the routing protocol; here the look-ahead walks the link
+        objects directly, making any it reaches.  Packets drop only
+        when no equal-cost sibling survives (e.g. the destination ToR
+        itself is dead).
         """
         dst = packet.outer_dst
         dst_pod = pip_pod(dst)
         layer = self.layer
-        if layer == Layer.TOR:
+        if layer == _TOR:
             if dst_pod != self.pod or pip_rack(dst) != self.rack:
                 return self._ecmp_up(packet, dst)
-            if packet.kind == PacketKind.LEARNING:
+            if packet.kind == _LEARNING:
                 # Learning packets terminate at the destination ToR
                 # (handled by the scheme hook); reaching here means
                 # the scheme left it unconsumed — drop quietly.
                 return None
             link = self.host_links.get(dst)
-        elif layer == Layer.SPINE:
+        elif layer == _SPINE:
             if dst_pod != self.pod:
                 return self._ecmp_up(packet, dst)
-            link = _indexed(self.down_links, pip_rack(dst))
+            link = self.fabric.port(self, self.down_links, pip_rack(dst))
         else:
             # Core: one link per pod.
-            link = _indexed(self.pod_links, dst_pod)
+            link = self.fabric.port(self, self.pod_links, dst_pod)
         if link is not None:
             # Exact routes depend on the destination alone; receive()
             # reads them back without coming here.
@@ -460,30 +465,21 @@ class Switch(Node):
             return None
         key = packet.flow_id ^ dst
         fabric = self.fabric
-        if fabric is None or fabric.fault_count == 0:
-            # Memo hit: the stored link was the hash choice for this
-            # key under a fault-free fabric, so recomputing would yield
-            # the same link.  Liveness is still re-validated (tests and
-            # ad-hoc scripts may flip link/switch state directly,
-            # without fault accounting); up-link peers are always
-            # switches, so ``_failed`` can be read unconditionally.
-            memo = self._ecmp_memo
-            link = memo.get(key)
-            if link is not None and link.up and not link.dst._failed:
-                return link
-            choice = ups[(((key ^ self.switch_id) * 2654435761)
-                          & 0xFFFFFFFF) % len(ups)]
+        index = (((key ^ self.switch_id) * 2654435761) & 0xFFFFFFFF) % len(ups)
+        choice = ups[index] or fabric.port(self, ups, index)
+        if fabric.fault_count == 0:
             # With no faults active, _up_path_usable() reduces to the
-            # immediate-hop liveness checks — inlined here.
+            # immediate-hop liveness checks — inlined here.  The hash
+            # choice is memoised for receive(), which reads the memo
+            # before it calls here; up-link peers are always switches,
+            # so ``_failed`` can be read unconditionally.
             if choice.up and not choice.dst._failed:
-                memo[key] = choice
+                self._ecmp_memo[key] = choice
                 return choice
-        else:
-            choice = ups[(((key ^ self.switch_id) * 2654435761)
-                          & 0xFFFFFFFF) % len(ups)]
-            if self._up_path_usable(choice, dst):
-                return choice
-        usable = [link for link in ups if self._up_path_usable(link, dst)]
+        elif self._up_path_usable(choice, dst):
+            return choice
+        usable = [link for link in _ports(self, ups)
+                  if self._up_path_usable(link, dst)]
         if not usable:
             return None
         return usable[ecmp_index(key, self.switch_id, len(usable))]
@@ -505,18 +501,18 @@ class Switch(Node):
         if peer._failed:
             return False
         fabric = self.fabric
-        if fabric is None or fabric.fault_count == 0:
+        if fabric.fault_count == 0:
             return True
         dst_pod = pip_pod(dst)
         if self.layer == Layer.TOR:
             # peer is a pod spine.
             if dst_pod == self.pod:
-                return _down_link_usable(_indexed(peer.down_links,
-                                                  pip_rack(dst)))
+                return _down_link_usable(fabric.port(peer, peer.down_links,
+                                                     pip_rack(dst)))
             # Committing to spine j also commits to core group j and to
             # spine j of the destination pod: need one live core path.
             return any(_core_path_usable(core_link, dst)
-                       for core_link in peer.up_links)
+                       for core_link in _ports(peer, peer.up_links))
         # Spine: peer is a core; its down-path to dst's pod is fixed.
         return _core_down_usable(peer, dst)
 
@@ -535,9 +531,11 @@ class Switch(Node):
         )
 
 
-def _indexed(links: list[Link], index: int) -> Link | None:
-    """Bounds-safe read of a port array (None for a port it lacks)."""
-    return links[index] if 0 <= index < len(links) else None
+def _ports(switch: Switch, links: list[Link | None]) -> Iterator[Link]:
+    """Every port of ``links``, a port table of ``switch``, in index
+    order, each made as it is reached."""
+    port = switch.fabric.port
+    return (port(switch, links, index) for index in range(len(links)))
 
 
 def _down_link_usable(link: Link | None) -> bool:
@@ -550,15 +548,16 @@ def _down_link_usable(link: Link | None) -> bool:
 
 def _core_down_usable(core: Switch, dst: int) -> bool:
     """Can ``core`` still deliver toward ``dst``'s pod and rack?"""
-    pod_link = _indexed(core.pod_links, pip_pod(dst))
+    fabric = core.fabric
+    pod_link = fabric.port(core, core.pod_links, pip_pod(dst))
     if pod_link is None or not pod_link.up:
         return False
     far_spine = pod_link.dst
     if isinstance(far_spine, Switch):
         if far_spine._failed:
             return False
-        return _down_link_usable(_indexed(far_spine.down_links,
-                                          pip_rack(dst)))
+        return _down_link_usable(fabric.port(far_spine, far_spine.down_links,
+                                             pip_rack(dst)))
     return True
 
 

@@ -17,11 +17,12 @@ an existing underlay.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.net.addresses import make_pip
 from repro.net.link import Link
-from repro.net.node import Layer, Node, Switch, _indexed, ecmp_index
+from repro.net.node import Layer, Node, Switch, ecmp_index
 from repro.sim.engine import Engine
 
 
@@ -78,7 +79,8 @@ class FatTreeSpec:
 
 
 class Fabric:
-    """A wired fat-tree switch fabric with host attachment points."""
+    """A fat-tree switch fabric, cabled on first use, with host attachment
+    points."""
 
     def __init__(self, engine: Engine, spec: FatTreeSpec) -> None:
         self.engine = engine
@@ -88,6 +90,10 @@ class Fabric:
         self.cores: list[Switch] = []
         self.switches: list[Switch] = []
         self.switch_by_id: dict[int, Switch] = {}
+        #: Cores per spine index: spine *j* of every pod cables to cores
+        #: ``j * group_size`` up to ``(j + 1) * group_size``.
+        self.group_size = (spec.num_cores // spec.spines_per_pod
+                           if spec.spines_per_pod else 0)
         #: Count of currently-active faults (failed switches, downed
         #: links).  While zero, forwarding skips the deeper down-path
         #: liveness checks, keeping the fault-free hot path cheap.
@@ -156,49 +162,70 @@ class Fabric:
         self.switch_by_id[switch.switch_id] = switch
         return switch
 
-    def _wire(self, a: Switch, b: Switch) -> tuple[Link, Link]:
-        """Create the two directed links of a switch-to-switch cable."""
-        spec = self.spec
-        return (Link(self.engine, a, b, spec.fabric_link_bps, spec.propagation_ns,
-                     spec.buffer_bytes),
-                Link(self.engine, b, a, spec.fabric_link_bps, spec.propagation_ns,
-                     spec.buffer_bytes))
-
     def _build(self) -> None:
-        """Create every switch, then cable the fabric pod by pod.
+        """Create every switch and its port tables, and no cable.
 
         Switch port tables are flat lists (rack -> link at spines, pod
         -> link at cores): the index domains are bounded by the spec,
         so a list replaces the hash table on the per-hop forwarding
-        path.  Cabling appends in rack order within a pod and pod by
-        pod, which makes a link's position its index.
+        path.  Each port holds None until :meth:`port` first makes its
+        link: a k=32 run crosses a few per cent of its 32 768
+        switch-to-switch links.
         """
         spec = self.spec
         for pod in range(spec.pods):
             for rack in range(spec.racks_per_pod):
-                self.tors[(pod, rack)] = self._new_switch(
+                tor = self.tors[(pod, rack)] = self._new_switch(
                     f"tor-p{pod}r{rack}", Layer.TOR, pod, rack)
+                tor.up_links = [None] * spec.spines_per_pod
             for j in range(spec.spines_per_pod):
-                self.spines[(pod, j)] = self._new_switch(
+                spine = self.spines[(pod, j)] = self._new_switch(
                     f"spine-p{pod}s{j}", Layer.SPINE, pod, j)
+                spine.down_links = [None] * spec.racks_per_pod
+                spine.up_links = [None] * self.group_size
         for c in range(spec.num_cores):
-            self.cores.append(self._new_switch(f"core-{c}", Layer.CORE, -1, c))
-        group_size = spec.num_cores // spec.spines_per_pod if spec.spines_per_pod else 0
-        for pod in range(spec.pods):
-            pod_spines = [self.spines[(pod, j)] for j in range(spec.spines_per_pod)]
-            # ToR <-> spine full mesh within the pod.
-            for rack in range(spec.racks_per_pod):
-                tor = self.tors[(pod, rack)]
-                for spine in pod_spines:
-                    up, down = self._wire(tor, spine)
-                    tor.up_links.append(up)
-                    spine.down_links.append(down)
-            # Spine j <-> its core group.
-            for j, spine in enumerate(pod_spines):
-                for core in self.cores[j * group_size:(j + 1) * group_size]:
-                    up, down = self._wire(spine, core)
-                    spine.up_links.append(up)
-                    core.pod_links.append(down)
+            core = self._new_switch(f"core-{c}", Layer.CORE, -1, c)
+            core.pod_links = [None] * spec.pods
+            self.cores.append(core)
+
+    def peer(self, switch: Switch, links: list[Link | None], index: int) -> Switch:
+        """The switch at the far end of port ``links[index]`` of ``switch``.
+
+        ToR port *j* reaches spine *j* of its pod; spine *j*'s down port
+        *r* reaches rack *r* and its up port *i* core *i* of group *j*;
+        core *c*'s port *p* reaches pod *p*'s spine of the core's group.
+        """
+        layer = switch.layer
+        if layer == Layer.TOR:
+            return self.spines[(switch.pod, index)]
+        if layer == Layer.CORE:
+            return self.spines[(index, switch.rack // self.group_size)]
+        if links is switch.down_links:
+            return self.tors[(switch.pod, index)]
+        return self.cores[switch.rack * self.group_size + index]
+
+    def port(self, switch: Switch, links: list[Link | None], index: int) -> Link | None:
+        """``links[index]``, a port table of ``switch``, with its link
+        made on first use; None for an index past the table's end.
+        ``index`` is never negative: PIP fields are masked, an ECMP
+        choice is a modulo, and :meth:`link_between` checks its own.
+
+        Every switch-to-switch link is made here.  Until then the port
+        behaves as an idle link that is up, lossless and at base
+        latency, which is what a made link starts as; faults reach a
+        link only through :meth:`link_between`, which makes it.
+        """
+        try:
+            link = links[index]
+        except IndexError:
+            return None
+        if link is None:
+            spec = self.spec
+            link = links[index] = Link(self.engine, switch,
+                                       self.peer(switch, links, index),
+                                       spec.fabric_link_bps, spec.propagation_ns,
+                                       spec.buffer_bytes)
+        return link
 
     # ------------------------------------------------------------------
     # host / gateway attachment
@@ -230,23 +257,44 @@ class Fabric:
     def tor_of(self, pod: int, rack: int) -> Switch:
         return self.tors[(pod, rack)]
 
-    def link_between(self, a: Switch, b: Switch) -> Link:
+    def link_between(self, a: Node, b: Node) -> Link:
         """The directed link from switch ``a`` to switch ``b``: ``a``'s
-        port at ``b``'s position (see :meth:`_build`); KeyError if the
-        two share no cable."""
-        if a.layer == Layer.TOR:
-            links, index = a.up_links, b.rack
-        elif a.layer == Layer.CORE:
-            links, index = a.pod_links, b.pod
-        elif b.layer == Layer.TOR:
-            links, index = a.down_links, b.rack
-        else:
-            links, index = a.up_links, b.rack - a.rack * len(a.up_links)
-        link = _indexed(links, index)
-        if link is None or link.dst is not b:
-            raise KeyError(f"no link from switch {a.switch_id} "
-                           f"to switch {b.switch_id}")
-        return link
+        port at ``b``'s position (see :meth:`peer`), made on first use.
+
+        Raises:
+            KeyError: naming both ends, if ``a`` and ``b`` are not two
+                switches of this fabric that share a cable; nothing is
+                made then.
+        """
+        if isinstance(a, Switch) and isinstance(b, Switch) and a.fabric is self:
+            if a.layer == Layer.TOR:
+                links, index = a.up_links, b.rack
+            elif a.layer == Layer.CORE:
+                links, index = a.pod_links, b.pod
+            elif b.layer == Layer.TOR:
+                links, index = a.down_links, b.rack
+            else:
+                links, index = a.up_links, b.rack - a.rack * self.group_size
+            if 0 <= index < len(links) and self.peer(a, links, index) is b:
+                return self.port(a, links, index)
+        ends = " to ".join(f"switch {node.switch_id}" if isinstance(node, Switch)
+                           else repr(node) for node in (a, b))
+        raise KeyError(f"no link from {ends}")
+
+    def links(self) -> Iterator[Link]:
+        """Every link that exists: each switch's ports made so far, each
+        ToR's host ports, and the uplink of the host or gateway at the
+        other end of a host port."""
+        for switch in self.switches:
+            for down in switch.host_links.values():
+                yield down
+                uplink = getattr(down.dst, "uplink", None)
+                if uplink is not None:
+                    yield uplink
+            for ports in (switch.up_links, switch.down_links, switch.pod_links):
+                for link in ports:
+                    if link is not None:
+                        yield link
 
     def gateway_tor_ids(self) -> set[int]:
         """Switch ids of gateway ToRs (paper §3.2: role assignment)."""
@@ -274,7 +322,7 @@ class Fabric:
         if target is tor:
             return []
         spec = self.spec
-        group_size = spec.num_cores // spec.spines_per_pod
+        group_size = self.group_size
 
         if target.layer == Layer.TOR:
             j = ecmp_index(key, 17, spec.spines_per_pod)

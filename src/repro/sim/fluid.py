@@ -1301,11 +1301,10 @@ class FluidScheduler:
                 return _DIVERTED, elapsed, None
             size = packet._wire_bytes
             ser = link.serialization_ns(size)
-            lstats = link.stats
-            lstats.packets += 1
-            lstats.bytes += size
-            packets, total = traffic.get(lstats, (0, 0))
-            traffic[lstats] = (packets + 1, total + size)
+            link.packets += 1
+            link.bytes += size
+            packets, total = traffic.get(link, (0, 0))
+            traffic[link] = (packets + 1, total + size)
             ctx.links.append(link)
             elapsed += ser + link.propagation_ns
             if ser > ctx.bottleneck_ns:

@@ -82,20 +82,29 @@ def _check_attachments(network: VirtualNetwork) -> list[str]:
 
 
 def _check_wiring(network: VirtualNetwork) -> list[str]:
+    """Port tables have the spec's lengths, and every link made so far
+    leaves its switch and reaches the switch its port names."""
     issues = []
     fabric = network.fabric
     spec = network.config.spec
-    for (pod, rack), tor in fabric.tors.items():
-        if len(tor.up_links) != spec.spines_per_pod:
-            issues.append(f"{tor.name} has {len(tor.up_links)} uplinks, "
-                          f"expected {spec.spines_per_pod}")
-        for link in tor.up_links:
-            peer = link.dst
-            if peer.layer != Layer.SPINE or peer.pod != pod:
-                issues.append(f"{tor.name} uplink reaches {peer.name}")
-    for core in fabric.cores:
-        if len(core.pod_links) != spec.pods:
-            issues.append(f"{core.name} does not reach every pod")
+    lengths = {Layer.TOR: (spec.spines_per_pod, 0, 0),
+               Layer.SPINE: (fabric.group_size, spec.racks_per_pod, 0),
+               Layer.CORE: (0, 0, spec.pods)}
+    for switch in fabric.switches:
+        for name, length in zip(("up_links", "down_links", "pod_links"),
+                                lengths[switch.layer]):
+            links = getattr(switch, name)
+            if len(links) != length:
+                issues.append(f"{switch.name} has {len(links)} {name}, "
+                              f"expected {length}")
+                continue
+            for index, link in enumerate(links):
+                if link is None:
+                    continue
+                peer = fabric.peer(switch, links, index)
+                if link.src is not switch or link.dst is not peer:
+                    issues.append(f"{switch.name} {name}[{index}] reaches "
+                                  f"{link.dst.name}, not {peer.name}")
     return issues
 
 
@@ -104,7 +113,7 @@ def _check_fault_state(network: VirtualNetwork) -> list[str]:
     issues = []
     fabric = network.fabric
     failed_switches = [sw for sw in fabric.switches if sw.failed]
-    down_links = sum(1 for link in _all_links(network) if not link.up)
+    down_links = sum(1 for link in fabric.links() if not link.up)
     expected = len(failed_switches) + down_links
     if fabric.fault_count != expected:
         issues.append(
@@ -136,18 +145,6 @@ def _check_fault_state(network: VirtualNetwork) -> list[str]:
             issues.append(f"live-gateway pool lists unattached "
                           f"{gateway.name}")
     return issues
-
-
-def _all_links(network: VirtualNetwork):
-    """Every link in the network: a switch's port tables hold each link
-    leaving it, and a host or gateway its uplink."""
-    links = [link for switch in network.fabric.switches
-             for ports in (switch.host_links.values(), switch.up_links,
-                           switch.down_links, switch.pod_links)
-             for link in ports]
-    links.extend(node.uplink for node in (*network.hosts, *network.gateways)
-                 if node.uplink is not None)
-    return links
 
 
 def _check_gateways(network: VirtualNetwork) -> list[str]:

@@ -45,6 +45,25 @@ def ft32_spec() -> FatTreeSpec:
                        gateways_per_pod=4)
 
 
+def cable_ends(fabric) -> list[tuple]:
+    """The two switches of each cable ``cable_targets`` lists, in its order."""
+    from repro.faults.fuzz import cable_targets
+
+    def find(locator):
+        layer, *where = locator
+        if layer == "core":
+            return fabric.cores[where[0]]
+        return (fabric.tors if layer == "tor" else fabric.spines)[tuple(where)]
+    return [(find(a), find(b)) for a, b in cable_targets(fabric.spec)]
+
+
+def cable_fully(fabric) -> None:
+    """Make both links of every cable now, through ``link_between``."""
+    for a, b in cable_ends(fabric):
+        fabric.link_between(a, b)
+        fabric.link_between(b, a)
+
+
 def small_network(scheme, num_vms: int = 8, seed: int = 0,
                   spec: FatTreeSpec | None = None) -> VirtualNetwork:
     """A tiny network with VMs placed, ready for traffic."""

@@ -37,14 +37,18 @@ from repro.sim.fluid import (
     _cache_counts,
     _FluidFlow,
 )
-from repro.vnet.validation import _all_links as _links
 
 import reference_replay
+from conftest import cable_fully
 
 
 def _network():
-    return build_network(FatTreeSpec(), SwitchV2P(16384), 64, seed=7,
-                         fidelity="hybrid")
+    """A hybrid FT8 network with every cable made, so that a walk may
+    touch any link."""
+    network = build_network(FatTreeSpec(), SwitchV2P(16384), 64, seed=7,
+                            fidelity="hybrid")
+    cable_fully(network.fabric)
+    return network
 
 
 def _every_counter(network, records=()):
@@ -53,7 +57,7 @@ def _every_counter(network, records=()):
     scheme = network.scheme
     return {
         "links": [(s.packets, s.bytes, s.drops, s.lost)
-                  for s in (link.stats for link in _links(network))],
+                  for s in (link.stats for link in network.fabric.links())],
         "switches": [(s.stats.packets, s.stats.bytes, s.stats.drops)
                      for s in network.fabric.switches],
         "caches": sorted((switch_id, _cache_counts(cache.stats))
@@ -112,7 +116,7 @@ def _walk(network, walk):
     record.bytes_received += flow.payload
     if kind == _RELIABLE:
         receiver.rcv_next += 1
-    stats = ([link.stats for link in _links(network)]
+    stats = ([link.stats for link in network.fabric.links()]
              + [switch.stats for switch in network.fabric.switches])
     for index, packets, size in walk["traffic"]:
         entry = stats[index % len(stats)]

@@ -79,7 +79,7 @@ def test_memoised_routing_equals_next_hop_through_faults():
 
     # An accounted link fault (flushes), then its repair.
     def uplink(fabric):
-        return fabric.tors[(0, 0)].up_links[1]
+        return fabric.link_between(fabric.tors[(0, 0)], fabric.spines[(0, 1)])
     both(lambda fabric: fabric.set_link_state(uplink(fabric), False))
     assert not any(s._route_memo or s._ecmp_memo
                    for s in live.fabric.switches)
@@ -100,8 +100,8 @@ def test_memoised_routing_equals_next_hop_through_faults():
     # Flags flipped directly: fault_count stays 0 and the memos stay
     # full, so a hit has to notice on its own.
     def flip(fabric, up):
-        fabric.tors[(1, 2)].up_links[0].up = up
-        fabric.spines[(4, 3)].up_links[2].up = up
+        fabric.link_between(fabric.tors[(1, 2)], fabric.spines[(1, 0)]).up = up
+        fabric.link_between(fabric.spines[(4, 3)], fabric.cores[14]).up = up
         fabric.spines[(6, 0)]._failed = not up
     both(lambda fabric: flip(fabric, False))
     assert live.fabric.fault_count == 0

@@ -47,6 +47,24 @@ def test_detects_missing_attachment():
     assert issues == [f"{host.name} has no consistent downlink at its ToR"]
 
 
+def test_detects_miswiring():
+    """A port table of the wrong length, and a made link in a port that
+    names another switch; ports not made yet are not miswired."""
+    network = small_network(NoCache(), num_vms=8)
+    fabric = network.fabric
+    spine = fabric.spines[(0, 0)]
+    tor0, tor1 = fabric.tor_of(0, 0), fabric.tor_of(0, 1)
+    fabric.link_between(spine, tor0)
+    assert validate_network(network) == []
+    spine.down_links.reverse()
+    assert validate_network(network) == [
+        f"{spine.name} down_links[1] reaches {tor0.name}, not {tor1.name}"]
+    spine.down_links.reverse()
+    fabric.cores[1].pod_links.pop()
+    assert validate_network(network) == [
+        f"{fabric.cores[1].name} has 1 pod_links, expected 2"]
+
+
 def test_assert_valid_raises_with_details():
     network = small_network(NoCache(), num_vms=8)
     network.endpoints[999] = object()
