@@ -208,6 +208,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         ["avg FCT [us]", _us(result.avg_fct_ns)],
         ["avg first-packet [us]", _us(result.avg_first_packet_ns)],
         ["avg stretch", f"{result.avg_stretch:.2f}"],
+        ["packets sent", result.packets_sent],
         ["gateway packets", result.gateway_arrivals],
         ["drops", result.drops],
     ]

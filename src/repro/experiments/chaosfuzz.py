@@ -85,9 +85,6 @@ class ChaosFuzzParams:
     #: contains gateway events).
     probe_interval_ns: int = usec(200)
     miss_threshold: int = 3
-    #: Simulation fidelity the trials run under; hybrid trials exercise
-    #: the fluid fast path against the same invariant oracles.
-    fidelity: str = "packet"
     #: Self-healing mapping plane: when positive, the anti-entropy
     #: audit sweeps switch caches at this period.  0 keeps the
     #: historical lazy-invalidation-only protocol.
@@ -276,7 +273,7 @@ def run_one_trial(scheme_name: str, events, params: ChaosFuzzParams,
         anti_entropy_period_ns=params.anti_entropy_period_ns,
         staleness_bound_ns=params.staleness_bound_ns,
         staleness_check_ns=max(usec(100), params.staleness_bound_ns // 4),
-        seed=trial_seed, fidelity=params.fidelity)
+        seed=trial_seed)
     suite = scenario.suite
     if bug is not None:
         BUGS[bug](scenario.network, suite)

@@ -114,7 +114,7 @@ def build_scenario(scheme: Any, num_vms: int, *,
             (promising ``staleness_bound_ns``).
         staleness_bound_ns, staleness_check_ns: when the bound is
             positive and a suite is attached, arm its staleness oracle.
-        config: other ``NetworkConfig`` fields (``seed``, ``fidelity``).
+        config: other ``NetworkConfig`` fields (``seed``).
     """
     spec = chaos_spec()
     network = VirtualNetwork(NetworkConfig(spec=spec, **config), scheme)

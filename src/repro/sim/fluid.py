@@ -58,21 +58,16 @@ Exactness contract (see docs/simulator.md "Hybrid fidelity"):
   ``on_mutate`` cache observer installed via
   ``CachingScheme.set_cache_observer``);
 * VM migration, gateway failover/reinstatement, and fabric
-  fault transitions and gray impairments escalate via hooks in
-  ``vnet.network``, ``Fabric.note_fault`` and ``Fabric.impair_links``.
+  fault transitions and gray impairments escalate every adopted flow
+  (:meth:`FluidScheduler.escalate_all`, from ``vnet.network``,
+  ``Fabric.note_fault`` and ``Fabric.impair_links``).
 
-Cross-flow link contention is modeled fluidly: when two or more
-adopted flows share a link, a max-min fair-share allocation
-(iterative water-filling over the shared links) stretches each
-reliable flow's round interval to its fair rate.  The allocation is
-recomputed lazily — only when the active fluid set changes (flow
-arrival, departure, escalation) — and never tightens an interval
-below the probe-measured isolated pacing, so a flow alone on its
-path behaves exactly as before.  Cache metrics are timing-
-independent; contention only refines FCT fidelity.
+Only warm reliable flows are adopted, each paced at its probe-measured
+interval; a UDP flow runs at packet level.
 
 Approximations (documented, bounded): fluid packets do not advance
-link ``_busy_until`` (no queueing contribution, no tail drops),
+link ``_busy_until`` (no queueing contribution, no tail drops), so
+fluid flows that share a link do not slow each other;
 queueing growth from packet-mode cross-traffic is only observed at
 the next real probe (at most ``probe_every`` rounds of blindness),
 and mid-round escalation rounds the analytically-delivered count to
@@ -117,9 +112,6 @@ _ST_DATA_DIVERTED = 2
 _ST_DATA_CONSUMED = 3
 _ST_ACK_DIVERTED = 4
 _ST_ACK_CONSUMED = 5
-
-_RELIABLE = 0
-_UDP = 1
 
 #: Forwarding-loop guard, mirroring the oracle hop bound.
 _HOP_CAP = 32
@@ -169,7 +161,7 @@ class _ReplayPlan(NamedTuple):
     record: Any
     #: ``record.bytes_received`` per packet.
     payload: int
-    #: The reliable receiver whose ``rcv_next`` moves, or None (UDP).
+    #: The reliable receiver whose ``rcv_next`` moves.
     receiver: Any
     #: The collector's delivery counters, in ``_COLLECTOR_INTS`` order.
     deliveries: int
@@ -184,16 +176,13 @@ class _ReplayPlan(NamedTuple):
 
 
 class _WalkContext:
-    """Bookkeeping for one probe walk (data packet + optional ACK)."""
+    """Bookkeeping for one probe walk (data packet + ACK)."""
 
     __slots__ = (
         "traffic",
         "hosts",
         "plan",
         "switches",
-        "links",
-        "data_links",
-        "wire_bytes",
         "bottleneck_ns",
         "collector_before",
         "hits_before",
@@ -212,13 +201,6 @@ class _WalkContext:
         self.hosts: list[Host] = []
         self.plan: _ReplayPlan | None = None
         self.switches: set[int] = set()
-        #: Links traversed so far (data walk first, then ACK walk).
-        self.links: list[Link] = []
-        #: The data packet's path links, frozen before the ACK walk —
-        #: the contention model allocates fair shares over these.
-        self.data_links: tuple[Link, ...] = ()
-        #: Wire size of the data probe (fair-share demand numerator).
-        self.wire_bytes = 0
         self.bottleneck_ns = 0
         self.collector_before: tuple[int, ...] = ()
         #: The per-layer hit Counters' items, in order.
@@ -454,7 +436,6 @@ class _FluidFlow:
 
     __slots__ = (
         "flow_id",
-        "kind",
         "sender",
         "receiver",
         "record",
@@ -468,25 +449,21 @@ class _FluidFlow:
         "round_size",
         "interval",
         "iso_interval",
-        "share_interval",
         "t0",
         "token",
         "probed",
         "skips_left",
         "sig",
-        "links",
-        "wire_bytes",
         "round_run",
         "plan",
         "switch_ids",
         "draw_sites",
     )
 
-    def __init__(self, flow_id: int, kind: int, sender: Any, receiver: Any,
+    def __init__(self, flow_id: int, sender: Any, receiver: Any,
                  record: Any, src_vip: int, dst_vip: int, payload: int,
                  base: int, span: int, window: int) -> None:
         self.flow_id = flow_id
-        self.kind = kind
         self.sender = sender
         self.receiver = receiver
         self.record = record
@@ -504,11 +481,9 @@ class _FluidFlow:
         self.sent = 0
         self.round_size = 0
         self.interval = 1
-        #: Probe-measured isolated pacing (no cross-flow contention).
+        #: Probe-measured pacing: flows sharing a link do not slow
+        #: each other.
         self.iso_interval = 1
-        #: Fair-share pacing under contention; 0 = unconstrained
-        #: (fall back to ``iso_interval``).
-        self.share_interval = 0
         self.t0 = 0
         #: Names the armed round to its commit event; 0 while none is
         #: armed, so that a cancelled round's event finds no match.
@@ -520,10 +495,6 @@ class _FluidFlow:
         self.skips_left = 0
         #: Path signature of the last clean walk (frozen switch set).
         self.sig: frozenset[int] | None = None
-        #: Data-path links of the last clean walk (contention model).
-        self.links: tuple[Link, ...] = ()
-        #: Wire bytes per data packet (fair-share demand numerator).
-        self.wire_bytes = 0
         #: Ledger record of the current round's queued draws, if any.
         self.round_run: _DrawRun | None = None
         #: Replay plan of the last clean walk.
@@ -590,7 +561,6 @@ class FluidScheduler:
         self.probe_skips = 0
         self._flows: dict[int, _FluidFlow] = {}
         self._by_switch: dict[int, set[int]] = {}
-        self._by_vip: dict[int, set[int]] = {}
         #: Warmup ledger: ``(src_vip, dst_vip) -> (clean_streak,
         #: dirty_probes)``; drives escalation batching and decides when
         #: a pair's path signature becomes memoizable.
@@ -598,9 +568,6 @@ class FluidScheduler:
         #: Path signatures proven clean ``warmup_clean_target`` times
         #: in a row; wiped wholesale by every escalation entry point.
         self._clean_sigs: set[frozenset[int]] = set()
-        #: Fair-share allocation is stale (active set changed) and must
-        #: be recomputed before the next round is armed.
-        self._alloc_dirty = False
         #: Pending analytic learning draws of every flow.
         self._draws = _DrawLedger(self.scheme)
         self._walking = False
@@ -672,16 +639,6 @@ class FluidScheduler:
             if flow is not None:
                 self.perf.time(self._escalate, flow, reason)
 
-    def escalate_vip(self, vip: int) -> None:
-        self._clean_sigs.clear()
-        flow_ids = self._by_vip.get(vip)
-        if not flow_ids:
-            return
-        for flow_id in sorted(flow_ids):
-            flow = self._flows.get(flow_id)
-            if flow is not None:
-                self.perf.time(self._escalate, flow, "vm-migration")
-
     def escalate_all(self, reason: str) -> None:
         self._clean_sigs.clear()
         for flow in list(self._flows.values()):
@@ -718,49 +675,16 @@ class FluidScheduler:
             self._escalate_resume_reliable(sender, base, 0)
             return
         flow = _FluidFlow(
-            record.flow_id, _RELIABLE, sender, receiver, record,
+            record.flow_id, sender, receiver, record,
             record.src_vip, record.dst_vip, sender.config.mss_bytes,
             base, span, window,
         )
         sender._fluid_active = True
-        self._adopt(flow)
-
-    def _adopt(self, flow: _FluidFlow) -> None:
         self._draws.commit_due(self.engine._now)
         if self._begin_round(flow, adopting=True):
             self.adoptions += 1
         else:
             self.adoption_rejects += 1
-
-    def adopt_udp(self, sender: Any) -> bool:
-        """Take over a paced UDP flow from the top of ``_send_next``.
-
-        Returns True when the fluid path handled this tick's send
-        (either by adopting the flow or by walking the probe and
-        rescheduling the sender); False when the flow is not eligible
-        and the sender should transmit normally.
-        """
-        if not self.ready():
-            return False
-        if sender._fluid_attempts >= self.max_attempts:
-            return False
-        if sender.next_seq < sender._fluid_retry_seq:
-            return False
-        receiver = sender.fluid_receiver
-        if receiver is None:
-            return False
-        record = sender.record
-        base = sender.next_seq
-        # Reserve the final (possibly partial) packet for packet level.
-        span = sender.total_packets - base - 1
-        if span < self.min_span:
-            return False
-        self.perf.time(self._adopt, _FluidFlow(
-            record.flow_id, _UDP, sender, receiver, record,
-            record.src_vip, record.dst_vip, sender.mss_bytes,
-            base, span, 128,
-        ))
-        return True
 
     # ------------------------------------------------------------------
     # rounds
@@ -777,14 +701,8 @@ class FluidScheduler:
         if status == _ST_CLEAN:
             flow.plan = ctx.plan
             flow.draw_sites = ctx.draw_sites
-            flow.links = ctx.data_links
-            flow.wire_bytes = ctx.wire_bytes
             flow.sig = frozenset(ctx.switches)
-            if flow.kind == _RELIABLE:
-                flow.iso_interval = max(1, rtt // flow.window,
-                                        ctx.bottleneck_ns)
-            else:
-                flow.iso_interval = flow.sender.gap_ns
+            flow.iso_interval = max(1, rtt // flow.window, ctx.bottleneck_ns)
             if adopting:
                 self._register(flow, ctx.switches)
             elif not ctx.switches <= flow.switch_ids:
@@ -835,18 +753,8 @@ class FluidScheduler:
                 reason = "probe-mutated-warmup"
         if flow.sig is not None:
             self._clean_sigs.discard(flow.sig)
-        if flow.kind == _UDP and status != _ST_MUTATED:
-            # UDP senders track emissions, not deliveries: a diverted
-            # or consumed probe was still emitted.
-            flow.sent += 1
-            inflight = 0
-        # The probe replaced the send that was due now; the next real
-        # UDP send paces one gap later.
-        resume_at = self.engine._now + (flow.sender.gap_ns
-                                        if flow.kind == _UDP else 0)
         self._escalate_finish(flow, reason, inflight,
-                              registered=not adopting,
-                              udp_resume_at=resume_at, warmup=warming)
+                              registered=not adopting, warmup=warming)
         self._process_deferred()
         return False
 
@@ -854,17 +762,12 @@ class FluidScheduler:
         """Arm the flow's next round: its commit event and its draws.
 
         Pushes the event onto the calendar itself, as links do (hence
-        an audited name).  The pacing is the probe-measured interval,
-        or the fair share when contention stretches it.
+        an audited name).  The pacing is the probe-measured interval.
         """
         n = flow.span - flow.sent
         if n > flow.window:
             n = flow.window
-        if self._alloc_dirty:
-            self._commit_shares()
-        interval = flow.share_interval
-        if interval < flow.iso_interval:
-            interval = flow.iso_interval
+        interval = flow.iso_interval
         engine = self.engine
         now = engine._now
         flow.round_size = n
@@ -886,87 +789,6 @@ class FluidScheduler:
         sites = flow.draw_sites
         flow.round_run = (self._draws.add_run(now, interval, 1 if probed else 0,
                                               n, sites) if sites else None)
-
-    def _commit_shares(self) -> None:
-        """Max-min fair shares (iterative water-filling) over shared links.
-
-        A flow's demand is its isolated send rate (wire bytes per
-        isolated interval, bytes/ns); link capacity is the line rate.
-        Links carrying a single fluid flow never bind — the isolated
-        interval already respects the path's bottleneck serialization
-        time — so only links shared by two or more registered flows
-        enter the computation, and it runs only when the active set
-        changed (arrival, departure, escalation) since the last round
-        was armed.  The resulting ``share_interval`` stretches a
-        reliable flow's round pacing to its fair rate; UDP flows
-        contribute demand but keep their application-paced interval
-        (congestion costs them drops, not pacing, in packet mode).
-        Cache metrics are timing-independent, so this refines FCT
-        fidelity without touching the exactness contract.
-        """
-        self._alloc_dirty = False
-        flows = list(self._flows.values())
-        members: dict[Any, list[_FluidFlow]] = {}
-        for flow in flows:
-            flow.share_interval = 0
-            if flow.iso_interval <= 0 or not flow.wire_bytes:
-                continue
-            for link in flow.links:
-                group = members.get(link)
-                if group is None:
-                    members[link] = [flow]
-                else:
-                    group.append(flow)
-        shared = [(link, group) for link, group in members.items()
-                  if len(group) > 1]
-        if not shared:
-            return
-        shared_links = frozenset(link for link, _ in shared)
-        demand: dict[int, float] = {}
-        on_shared: dict[int, list[Any]] = {}
-        live: dict[int, _FluidFlow] = {}
-        for flow in flows:
-            links = [link for link in flow.links if link in shared_links]
-            if links:
-                fid = flow.flow_id
-                demand[fid] = flow.wire_bytes / flow.iso_interval
-                on_shared[fid] = links
-                live[fid] = flow
-        remaining = {link: link.rate_bps / 8e9 for link, _ in shared}
-        while live:
-            # The binding link: the smallest equal split of remaining
-            # capacity among a shared link's still-unfrozen users.
-            best_group = None
-            best_share = 0.0
-            for link, group in shared:
-                users = sum(1 for flow in group if flow.flow_id in live)
-                if users:
-                    share = remaining[link] / users
-                    if best_group is None or share < best_share:
-                        best_group, best_share = group, share
-            if best_group is None:
-                break
-            # Flows demanding less than the water level freeze at their
-            # demand and release capacity; when none do, the binding
-            # link's users freeze at the fair level.
-            low = [fid for fid in live if demand[fid] <= best_share]
-            if low:
-                chosen, level = low, None
-            else:
-                chosen = [flow.flow_id for flow in best_group
-                          if flow.flow_id in live]
-                level = best_share
-            for fid in chosen:
-                allotted = demand[fid] if level is None else level
-                flow = live.pop(fid)
-                for link in on_shared[fid]:
-                    left = remaining[link] - allotted
-                    remaining[link] = left if left > 0.0 else 0.0
-                if allotted <= 0.0 or flow.kind != _RELIABLE:
-                    continue
-                interval = int(flow.wire_bytes / allotted)
-                if interval > flow.iso_interval:
-                    flow.share_interval = interval
 
     def _commit(self, flow: _FluidFlow, token: int) -> None:
         """Round event fired; that of a cancelled round names no round
@@ -1002,8 +824,7 @@ class FluidScheduler:
             return
         if flow.sent >= flow.span:
             # Tail handoff: the next send is due exactly now.
-            self._escalate_finish(flow, "tail", 0, registered=True,
-                                  udp_resume_at=self.engine._now)
+            self._escalate_finish(flow, "tail", 0, registered=True)
         elif flow.skips_left > 0 and flow.sig in self._clean_sigs:
             # Memoized-clean path: arm without a probe walk (at least
             # every ``probe_every``-th round still probes).
@@ -1030,8 +851,7 @@ class FluidScheduler:
         for host in hosts:
             host.packets_sent += times
         record.bytes_received += payload * times
-        if receiver is not None:
-            receiver.rcv_next += times
+        receiver.rcv_next += times
         collector = self.collector
         collector.deliveries += deliveries * times
         collector.delivered_hops += hops * times
@@ -1051,8 +871,6 @@ class FluidScheduler:
     # ------------------------------------------------------------------
     def _escalate(self, flow: _FluidFlow, reason: str) -> None:
         """External escalation: stop mid-round and restore the transport."""
-        resume_at = self.engine._now
-        partial = 1
         if flow.token:
             flow.token = 0
             # The probe (packet 1 of the round) is always through;
@@ -1068,14 +886,9 @@ class FluidScheduler:
             self._commit_deltas(flow,
                                 partial - 1 if flow.probed else partial)
             flow.sent += partial
-            # The next packet is analytically due one interval
-            # after the last credited one (strictly in the future
-            # by the floor-division above).
-            resume_at = flow.t0 + partial * flow.interval
         run = flow.round_run
         flow.round_run = None
-        self._escalate_finish(flow, reason, 0, registered=True,
-                              udp_resume_at=resume_at)
+        self._escalate_finish(flow, reason, 0, registered=True)
         # Credited packets' draws (those due by now) replay once the
         # flow is unregistered, here or in an enclosing drain, so a
         # trigger cannot re-enter it; the cancelled rest die.
@@ -1085,7 +898,6 @@ class FluidScheduler:
 
     def _escalate_finish(self, flow: _FluidFlow, reason: str,
                          inflight: int, registered: bool,
-                         udp_resume_at: int = 0,
                          warmup: bool = False) -> None:
         """Unregister + hand the transport back to packet level."""
         if registered:
@@ -1104,11 +916,7 @@ class FluidScheduler:
             batch = self.warmup_batch_windows if warmup else 2
             sender._fluid_retry_seq = (flow.base + flow.sent
                                        + batch * flow.window)
-        if flow.kind == _RELIABLE:
-            self._escalate_resume_reliable(
-                sender, flow.base + flow.sent, inflight)
-        else:
-            self._escalate_resume_udp(flow, udp_resume_at)
+        self._escalate_resume_reliable(sender, flow.base + flow.sent, inflight)
 
     def _escalate_resume_reliable(self, sender: Any, pos: int,
                                   inflight: int) -> None:
@@ -1131,25 +939,12 @@ class FluidScheduler:
         sender._send_window()
         sender._arm_timer()
 
-    def _escalate_resume_udp(self, flow: _FluidFlow, resume_at: int) -> None:
-        sender = flow.sender
-        sender.next_seq = flow.base + flow.sent
-        if sender.next_seq >= sender.total_packets:
-            return
-        engine = self.engine
-        if resume_at < engine._now:
-            resume_at = engine._now
-        engine.schedule(resume_at, sender._send_next)
-
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
     def _register(self, flow: _FluidFlow, switches: set[int]) -> None:
         self._flows[flow.flow_id] = flow
-        self._alloc_dirty = True
         self._register_switches(flow, switches)
-        self._by_vip.setdefault(flow.src_vip, set()).add(flow.flow_id)
-        self._by_vip.setdefault(flow.dst_vip, set()).add(flow.flow_id)
 
     def _register_switches(self, flow: _FluidFlow,
                            switches: set[int]) -> None:
@@ -1160,13 +955,8 @@ class FluidScheduler:
 
     def _unregister(self, flow: _FluidFlow) -> None:
         self._flows.pop(flow.flow_id, None)
-        self._alloc_dirty = True
         for switch_id in flow.switch_ids:
             ids = self._by_switch.get(switch_id)
-            if ids is not None:
-                ids.discard(flow.flow_id)
-        for vip in (flow.src_vip, flow.dst_vip):
-            ids = self._by_vip.get(vip)
             if ids is not None:
                 ids.discard(flow.flow_id)
 
@@ -1174,7 +964,7 @@ class FluidScheduler:
     # the walk
     # ------------------------------------------------------------------
     def _walk_round(self, flow: _FluidFlow):
-        """Walk one data probe (and, for reliable flows, its ACK).
+        """Walk one data probe and its ACK.
 
         Returns ``(status, ctx, rtt_ns)``.  All effects the walk
         applies are real — on a CLEAN outcome they are exactly the
@@ -1189,7 +979,6 @@ class FluidScheduler:
         if observes_draws:
             ledger_hook = scheme.learning_draw_observer
             scheme.learning_draw_observer = self._walk_record_draw
-        rtt = 0
         try:
             seq = flow.base + flow.sent
             sender = flow.sender
@@ -1197,35 +986,28 @@ class FluidScheduler:
             data = src_host.new_packet(_DATA, flow.flow_id, seq,
                                        flow.payload, flow.src_vip,
                                        flow.dst_vip)
-            ctx.wire_bytes = data._wire_bytes
             result, d_data, dst_host = self._walk_packet(ctx, src_host, data)
-            ctx.data_links = tuple(ctx.links)
             if result != _DELIVERED:
                 status = (_ST_DATA_DIVERTED if result == _DIVERTED
                           else _ST_DATA_CONSUMED)
                 return self._walk_close(flow, ctx, status, 0)
             # Delivered at the destination host: apply the receiver
             # bookkeeping the endpoint would have, *without* emitting a
-            # real ACK (reliable ACKs are walked below; ``_max_seen``
-            # and reorder accounting are deliberately left untouched so
+            # real ACK (the ACK is walked below; ``_max_seen`` and
+            # reorder accounting are deliberately left untouched so
             # straggler packets still in flight compare against
             # pre-adoption state).
-            record = flow.record
-            record.bytes_received += flow.payload
-            rtt = d_data
-            if flow.kind == _RELIABLE:
-                receiver = flow.receiver
-                receiver.rcv_next += 1
-                ack = dst_host.new_packet(_ACK, flow.flow_id,
-                                          receiver.rcv_next, 0,
-                                          flow.dst_vip, flow.src_vip)
-                result, d_ack, _ = self._walk_packet(ctx, dst_host, ack)
-                if result != _DELIVERED:
-                    status = (_ST_ACK_DIVERTED if result == _DIVERTED
-                              else _ST_ACK_CONSUMED)
-                    return self._walk_close(flow, ctx, status, rtt)
-                rtt += d_ack
-            return self._walk_close(flow, ctx, _ST_CLEAN, rtt)
+            flow.record.bytes_received += flow.payload
+            receiver = flow.receiver
+            receiver.rcv_next += 1
+            ack = dst_host.new_packet(_ACK, flow.flow_id, receiver.rcv_next,
+                                      0, flow.dst_vip, flow.src_vip)
+            result, d_ack, _ = self._walk_packet(ctx, dst_host, ack)
+            if result != _DELIVERED:
+                status = (_ST_ACK_DIVERTED if result == _DIVERTED
+                          else _ST_ACK_CONSUMED)
+                return self._walk_close(flow, ctx, status, d_data)
+            return self._walk_close(flow, ctx, _ST_CLEAN, d_data + d_ack)
         finally:
             if observes_draws:
                 scheme.learning_draw_observer = ledger_hook
@@ -1305,7 +1087,6 @@ class FluidScheduler:
             link.bytes += size
             packets, total = traffic.get(link, (0, 0))
             traffic[link] = (packets + 1, total + size)
-            ctx.links.append(link)
             elapsed += ser + link.propagation_ns
             if ser > ctx.bottleneck_ns:
                 ctx.bottleneck_ns = ser
@@ -1410,8 +1191,7 @@ class FluidScheduler:
         ctx.plan = _ReplayPlan(
             # ``(stats, packets, bytes)`` triples, zipped in C.
             tuple(zip(traffic, *zip(*traffic.values()))),
-            tuple(ctx.hosts), flow.record, flow.payload,
-            flow.receiver if flow.kind == _RELIABLE else None,
+            tuple(ctx.hosts), flow.record, flow.payload, flow.receiver,
             *moved[:_DELIVERY_INTS], tuple(caches), tuple(layer_hits))
         return status, ctx, rtt
 

@@ -119,11 +119,11 @@ class TrafficPlayer:
                                         self.network.collector,
                                         sender.total_packets, on_complete)
             src_demux.senders[record.flow_id] = sender
+            fluid = self.network.fluid
+            if fluid is not None:
+                sender.fluid = fluid
+                sender.fluid_receiver = receiver
         dst_demux.receivers[record.flow_id] = receiver
-        fluid = self.network.fluid
-        if fluid is not None:
-            sender.fluid = fluid
-            sender.fluid_receiver = receiver
         sender.start()
 
     def _make_response_starter(self, request: FlowSpec):

@@ -29,13 +29,6 @@ class UdpSender:
         self.total_packets = max(1, math.ceil(record.size_bytes / mss_bytes))
         self.next_seq = 0
         self.gap_ns = max(1, int(round(mss_bytes * 8e9 / rate_bps)))
-        #: Hybrid-fidelity hooks, wired by the traffic player when the
-        #: network runs with ``fidelity="hybrid"``; None in pure-packet
-        #: mode, where the adoption branch below short-circuits.
-        self.fluid = None
-        self.fluid_receiver = None
-        self._fluid_attempts = 0
-        self._fluid_retry_seq = 0
 
     def start(self) -> None:
         self._send_next()
@@ -48,11 +41,6 @@ class UdpSender:
 
     def _send_next(self) -> None:
         if self.next_seq >= self.total_packets:
-            return
-        fluid = self.fluid
-        if fluid is not None and fluid.adopt_udp(self):
-            # The fluid scheduler took over this tick's send (probe
-            # walked in place of it) and owns pacing until escalation.
             return
         host = self.host
         host.send(host.new_packet(

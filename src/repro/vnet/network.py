@@ -38,7 +38,7 @@ class NetworkConfig:
     seed: int = 0
     #: Simulation fidelity: ``"packet"`` simulates every packet
     #: discretely (bit-identical to historical behaviour); ``"hybrid"``
-    #: lets the fluid scheduler advance warm steady-state flows
+    #: lets the fluid scheduler advance warm reliable flows
     #: analytically, escalating back to packet level on cache-relevant
     #: events (see :mod:`repro.sim.fluid`).
     fidelity: str = "packet"
@@ -212,7 +212,7 @@ class VirtualNetwork:
         if old_host is target:
             return
         if self.fluid is not None:
-            self.fluid.escalate_vip(vip)
+            self.fluid.escalate_all("vm-migration")
         if old_host.follow_me is None:
             old_host.follow_me = {}
         old_host.follow_me[vip] = target.pip

@@ -20,9 +20,9 @@ class Cache:
         self._finish(vip)
 
     def _finish(self, vip):
-        self.escalate_vip(vip)
+        self.escalate_all("vm-migration")
 
-    def escalate_vip(self, vip):
+    def escalate_all(self, reason):
         pass
 
 

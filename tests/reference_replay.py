@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.sim.fluid import _COLLECTOR_INTS, _RELIABLE
+from repro.sim.fluid import _COLLECTOR_INTS
 
 _CACHE_REPLICABLE = ("lookups", "hits", "rejections")
 _CACHE_MUTATING = ("insertions", "evictions", "invalidations")
@@ -41,8 +41,7 @@ def record(fluid, flow, ctx) -> ByName:
     hosts = list(ctx.hosts)
     deltas.append((hosts[0], "packets_sent", 1))
     deltas.append((flow.record, "bytes_received", flow.payload))
-    if flow.kind == _RELIABLE:
-        deltas.append((flow.receiver, "rcv_next", 1))
+    deltas.append((flow.receiver, "rcv_next", 1))
     for host in hosts[1:]:
         deltas.append((host, "packets_sent", 1))
     collector = fluid.collector

@@ -22,23 +22,22 @@ _FLOW_BYTES = 3_000_000
 def _mid_round(stretch=1):
     """One long flow on FT8, stopped 40 packets into its first fluid round.
 
-    ``stretch`` multiplies the round's pacing, so that its commit event
-    lies far enough ahead for the flow to be re-adopted before it: as a
-    fair share, which a round armed after an adoption (the active set
-    changed) reads in place of the probe-measured interval when larger.
+    ``stretch`` multiplies the pacing a probe measures, so that a round's
+    commit event lies far enough ahead for the flow to be re-adopted
+    before it.
     """
     network = build_network(FatTreeSpec(), SwitchV2P(16384), 64, seed=7,
                             fidelity="hybrid")
     suite = OracleSuite(network)
     fluid = network.fluid
-    fair_shares = fluid._commit_shares
+    arm = fluid._commit_arm
 
-    def stretched_shares():
-        fair_shares()
-        for flow in fluid._flows.values():
-            flow.share_interval = stretch * flow.iso_interval
+    def stretched_arm(flow, probed):
+        if probed:  # the interval was just measured; a skip reuses it
+            flow.iso_interval *= stretch
+        arm(flow, probed)
 
-    fluid._commit_shares = stretched_shares
+    fluid._commit_arm = stretched_arm
     TrafficPlayer(network).add_flows(
         [FlowSpec(src_vip=0, dst_vip=1, size_bytes=_FLOW_BYTES, start_ns=0)])
     while not fluid._flows:
@@ -80,8 +79,6 @@ def _finish(network, suite):
 _CANCELLERS = {
     "escalate_switch": lambda network, flow: network.fluid.escalate_switch(
         min(flow.switch_ids), "cache-mutation"),
-    "escalate_vip": lambda network, flow: network.fluid.escalate_vip(
-        flow.dst_vip),
     "escalate_all": lambda network, flow: network.fluid.escalate_all(
         "gateway-change"),
     "fabric-fault": lambda network, flow: network.fabric.cores[0].fail(),
@@ -135,7 +132,7 @@ def test_stale_commit_event_cannot_commit_the_readopted_flow():
     network, flow, suite = _mid_round(stretch=20)
     fluid = network.fluid
     ((stale_at, stale_args),) = _commit_events(network)
-    fluid.escalate_vip(flow.dst_vip)
+    fluid.escalate_all("gateway-change")
     flow.sender._fluid_retry_seq = 0  # re-adopt as soon as the pipe drains
     while not fluid._flows:
         network.run(until=network.engine.now + usec(5))

@@ -6,8 +6,8 @@ keeps the old ``(obj, attr, amount)`` recording and ``setattr`` replay.
 Two checks hold them equal, counter for counter:
 
 * hypothesis-generated walks — any hosts, links, switches, cache stat
-  triples, per-layer ``Counter`` keys and delivery counters, either
-  transport, replayed ``times`` 0..n over — on two identical networks,
+  triples, per-layer ``Counter`` keys and delivery counters, replayed
+  ``times`` 0..n over — on two identical networks,
   one replaying the plan and one the reference;
 * the three hybrid workloads of ``python -m bench --quick``, run once
   with the plan and once with the reference swapped into every round.
@@ -31,9 +31,7 @@ from repro.sim import fluid as fluid_module
 from repro.sim.fluid import (
     _COLLECTOR_INTS,
     _DELIVERY_INTS,
-    _RELIABLE,
     _ST_CLEAN,
-    _UDP,
     _cache_counts,
     _FluidFlow,
 )
@@ -79,7 +77,6 @@ def _every_counter(network, records=()):
 # ----------------------------------------------------------------------
 _AMOUNT = st.integers(1, 3)
 _WALKS = st.fixed_dictionaries({
-    "reliable": st.booleans(),
     "payload": st.integers(0, 9000),
     # Host indices: the data packet's sender, then the ACK's.
     "hosts": st.lists(st.integers(0, 63), min_size=1, max_size=2),
@@ -103,10 +100,9 @@ def _walk(network, walk):
     """Apply ``walk`` to ``network`` as a probe walk would, through the
     scheduler's own snapshot and close; return the flow and context."""
     fluid = network.fluid
-    kind = _RELIABLE if walk["reliable"] else _UDP
     record = FlowRecord(1, 0, 1, 10**9, 0)
     receiver = SimpleNamespace(rcv_next=0)
-    flow = _FluidFlow(1, kind, None, receiver, record, 0, 1, walk["payload"],
+    flow = _FluidFlow(1, None, receiver, record, 0, 1, walk["payload"],
                       0, 10**6, 128)
     ctx = fluid._walk_open()
     hosts = network.hosts
@@ -114,8 +110,7 @@ def _walk(network, walk):
         hosts[index].packets_sent += 1
         ctx.hosts.append(hosts[index])
     record.bytes_received += flow.payload
-    if kind == _RELIABLE:
-        receiver.rcv_next += 1
+    receiver.rcv_next += 1
     stats = ([link.stats for link in network.fabric.links()]
              + [switch.stats for switch in network.fabric.switches])
     for index, packets, size in walk["traffic"]:

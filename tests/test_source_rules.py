@@ -173,7 +173,7 @@ _PAIRS = {
         "def refresh(self, slot, vip):\n"
         "    keys = self._keys\n"
         "    keys[slot] = vip\n",
-        "    self.fluid.escalate_vip(vip)\n",
+        "    self.fluid.escalate_all(\"vm-migration\")\n",
         "    return slot\n"),
     "drop": (  # alias mutating method
         "def drop(self, index, vip):\n"
