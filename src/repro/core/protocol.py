@@ -106,17 +106,12 @@ class SwitchV2P(CachingScheme):
         self.promotions_sent = 0
         self.promotions_admitted = 0
         #: Learning-RNG consumption counter.  The hybrid-fidelity probe
-        #: walk snapshots it: an analytic packet that skipped a draw its
-        #: real counterpart would have made desynchronizes the stream,
-        #: so draws are either replayed exactly (below) or escalate.
+        #: walk diffs it around every switch hook to find draw sites: an
+        #: analytic packet that skipped a draw its real counterpart would
+        #: have made desynchronizes the stream, so draws are either
+        #: replayed exactly (:meth:`skip_clean_learning_draws`,
+        #: :meth:`replay_learning_draw`) or escalate.
         self.rng_draws = 0
-        #: Hybrid-fidelity hook: when set, called as ``(switch, packet)``
-        #: immediately before every learning-RNG draw.  The fluid probe
-        #: walk installs it to capture draw sites so the analytic
-        #: packets' draws can be replayed (:meth:`skip_clean_learning_draws`,
-        #: :meth:`replay_learning_draw`); always None in pure-packet
-        #: mode (one predicted-None branch per draw).
-        self.learning_draw_observer = None
 
     def make_cache(self, num_slots: int, salt: int) -> SwitchCache:
         return SwitchCache(num_slots, self.cache_ways, salt=salt)
@@ -399,9 +394,6 @@ class SwitchV2P(CachingScheme):
     def _maybe_send_learning_packet(self, switch: Switch, packet: Packet) -> None:
         if not self.config.enable_learning_packets:
             return
-        obs = self.learning_draw_observer
-        if obs is not None:
-            obs(switch, packet)
         self.rng_draws += 1
         pos = self._learn_pos
         buf = self._learn_buf
@@ -459,13 +451,10 @@ class SwitchV2P(CachingScheme):
         Looks ahead in the buffered stream and consumes, in one step,
         the draws up to (not including) the first that would send a
         learning packet; returns how many that was — ``count`` when
-        none of them would.  Consumes nothing and returns 0 — "replay
-        them one by one" — while a draw observer is installed or
-        learning packets are off, where a draw is not just a stream
-        read.
+        none of them would.  Consumes nothing and returns 0 while
+        learning packets are off: no draw reads the stream then.
         """
-        if (self.learning_draw_observer is not None
-                or not self.config.enable_learning_packets):
+        if not self.config.enable_learning_packets:
             return 0
         pos = self._learn_pos
         if len(self._learn_buf) - pos < count:
@@ -478,26 +467,6 @@ class SwitchV2P(CachingScheme):
         self._learn_pos = pos + count
         self.rng_draws += count
         return count
-
-    def clean_learning_room(self) -> int:
-        """How many of the next draws certainly trigger nothing.
-
-        The offset of the next buffered triggering value, refilling
-        once when none is buffered, else the rest of the buffer; 0
-        wherever :meth:`skip_clean_learning_draws` would consume nothing.
-        """
-        if (self.learning_draw_observer is not None
-                or not self.config.enable_learning_packets):
-            return 0
-        pos = self._learn_pos
-        hits = self._learn_hits
-        at = bisect_left(hits, pos)
-        if at == len(hits):
-            self._refill_learning(_LEARN_BLOCK)
-            pos = 0
-            hits = self._learn_hits
-            at = 0
-        return hits[at] - pos if at < len(hits) else len(self._learn_buf) - pos
 
     def _refill_learning(self, size: int) -> list[float]:
         """Drop the read values, buffer ``size`` more, and note where the

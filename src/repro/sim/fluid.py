@@ -22,22 +22,21 @@ Exactness contract (see docs/simulator.md "Hybrid fidelity"):
   traffic (learning/invalidation/promotion/spillover), no misdelivery
   tag, and delivery at the expected destination host;
 * learning-RNG draws are the one stateful effect that *is* replayed
-  rather than escalated: the probe records every draw site through
-  ``SwitchV2P.learning_draw_observer``, and each armed round enters
-  the :class:`_DrawLedger` as ONE run-length record (first due time,
-  interval, packet range, sites) standing for its ``packets x sites``
-  draws.  A round commit compares its time with a bound on when the
-  draws due across *all* flows can reach the stream's next trigger
-  (199 in 200 draws at the paper's ``p_learn`` do nothing) and only
-  marks the instant before it; a live draw first replays what the
-  last mark stands for.  From the bound on, after a live draw and at
-  adoptions and escalations, the ledger drains: it counts the due
-  draws by arithmetic and consumes those that trigger nothing in one
-  step.  Only a trigger makes it walk the exact global
-  ``(due, arm order, packet, site)`` order up to it and fire it
-  through ``replay_learning_draw``, so the shared RNG stream advances
-  exactly as in packet mode and the trigger emits real learning
-  traffic.  Cost: O(rounds + triggers), not O(packets x sites);
+  rather than escalated: the probe diffs ``SwitchV2P.rng_draws``
+  around every switch hook and records each hop that moved it as a
+  draw site; a draw no hop accounts for escalates.  Each armed round
+  enters the :class:`_DrawLedger` as ONE run-length record (first due
+  time, interval, packet range, sites) standing for its ``packets x
+  sites`` draws.  Every fluid boundary (adoption, round commit,
+  escalation) at or past the earliest pending due time drains it: the
+  due draws of *all* flows are counted by arithmetic and, up to the
+  stream's next trigger (199 in 200 draws at the paper's ``p_learn``
+  do nothing), consumed in one step.  Only a trigger makes it walk the
+  exact global ``(due, arm order, packet, site)`` order up to it and
+  fire it through ``replay_learning_draw``, so the shared RNG stream
+  advances exactly as in packet mode and the trigger emits real
+  learning traffic.  Cost: O(rounds + triggers), not O(packets x
+  sites);
 * a flow whose (src, dst) pair has walked clean twice in a row gets
   its path signature (the set of on-path switches) memoized; while
   the signature stays valid the flow may arm rounds *without*
@@ -84,6 +83,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush, heapreplace
 from operator import attrgetter, sub
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.net.addresses import UNRESOLVED
@@ -116,8 +116,11 @@ _ST_ACK_CONSUMED = 5
 #: Forwarding-loop guard, mirroring the oracle hop bound.
 _HOP_CAP = 32
 
-#: ``_DrawLedger.slack`` while nothing is pending; ``-_INF`` forces a drain.
-_INF = float("inf")
+#: ``_DrawLedger.next_due`` while nothing is pending: after any instant.
+_NEVER = 1 << 62
+
+#: The ``rng_draws`` a walk reads of a scheme that has none.
+_NO_DRAWS = SimpleNamespace(rng_draws=0)
 
 #: Collector counters a walk is diffed on.  The first five are what a
 #: delivery moves, replayed; control traffic, gateway detours and
@@ -191,7 +194,6 @@ class _WalkContext:
         "cache_before",
         "mutated",
         "draw_sites",
-        "caught_up",
     )
 
     def __init__(self) -> None:
@@ -214,8 +216,6 @@ class _WalkContext:
         #: ``(switch, template)`` learning-RNG draw sites the probe hit,
         #: in draw order; every analytic packet draws once at each.
         self.draw_sites: list[tuple[Any, Any]] = []
-        #: Analytic draws the ledger replayed ahead of the probe's.
-        self.caught_up = 0
 
 
 class _DrawTemplate(NamedTuple):
@@ -237,7 +237,7 @@ class _DrawRun:
     """
 
     __slots__ = ("t0", "interval", "k", "s", "end", "due_k", "sites",
-                 "width", "seq", "rate", "icept")
+                 "width", "seq")
 
     def __init__(self, t0: int, interval: int, first: int, end: int,
                  sites: list[tuple[Any, Any]], seq: int) -> None:
@@ -249,13 +249,9 @@ class _DrawRun:
         #: Scratch of the drain in progress: packets below it are due.
         self.due_k = first
         self.sites = sites
-        self.width = width = len(sites)
+        self.width = len(sites)
         #: Arm order; breaks ties between runs with equal due times.
         self.seq = seq
-        #: Its term ``rate * t + icept - width * k`` of the ledger's
-        #: bound: at least the draws of packets ``k`` on due by ``t``.
-        self.rate = rate = width / interval
-        self.icept = width - rate * t0
 
     def truncate(self, cutoff: int) -> None:
         """Drop the draws due after ``cutoff`` (the round was cancelled):
@@ -266,24 +262,15 @@ class _DrawRun:
 class _DrawLedger:
     """Pending analytic learning draws of all flows, one record per round,
     replayed in packet mode's order: due time, arm order, packet, site.
-    A round boundary drains once a trigger can be due, else leaves a
-    mark: draws due by ``t`` since the last drain are at most ``rate *
-    t`` plus the runs' intercepts; ``slack`` is the clean room ahead
-    less those and a one-draw rounding margin (``-inf``: unknown)."""
+    No pending draw is due before ``next_due``."""
 
-    __slots__ = ("scheme", "_runs", "seq", "rate", "slack", "mark",
-                 "_hook", "_draining")
+    __slots__ = ("scheme", "_runs", "seq", "next_due", "_draining")
 
     def __init__(self, scheme: Any) -> None:
         self.scheme = scheme
         self._runs: list[_DrawRun] = []
         self.seq = 0
-        self.rate = 0.0
-        self.slack = _INF
-        #: The last mark since the last drain: (time, arm order).
-        self.mark: tuple[int, int] | None = None
-        #: The scheme's draw observer while draws are pending.
-        self._hook = self.commit_live
+        self.next_due = _NEVER
         self._draining = False
 
     def add_run(self, t0: int, interval: int, first: int, end: int,
@@ -292,51 +279,13 @@ class _DrawLedger:
         return the record to truncate, or None when it draws nothing."""
         if first >= end or not sites:
             return None
-        if not self._runs:
-            # Nothing watched the stream while nothing was pending.
-            self.slack = -_INF
         self.seq += 1
         run = _DrawRun(t0, interval, first, end, sites, self.seq)
         self._runs.append(run)
-        self.rate += run.rate
-        self.slack -= run.icept - run.width * first
+        due = t0 + first * interval
+        if due < self.next_due:
+            self.next_due = due
         return run
-
-    def _catch_up(self) -> int:
-        """Step the rounds armed by the last mark past the draws due by it,
-        which per-boundary drains had replayed by then; count them."""
-        if self.mark is None:
-            return 0
-        (t, seq), self.mark = self.mark, None
-        total = 0
-        for run in self._runs:
-            if run.seq > seq:
-                break
-            due_k = min((t - run.t0) // run.interval + 1, run.end)
-            if due_k > run.k:
-                total += (due_k - run.k) * run.width - run.s
-                run.k, run.s = due_k, 0
-        return total
-
-    def commit_live(self, switch: Any = None, packet: Any = None) -> int:
-        """Replay the draws due by the last mark in one skip (no trigger
-        lies before the bound) and count them: before a live draw reads
-        the stream, as the scheme's self-removing observer or a probe
-        walk's, and at a run's end."""
-        if not self._runs:
-            self.mark, self.slack = None, _INF
-            return 0
-        self.slack = -_INF
-        scheme = self.scheme
-        observer = scheme.learning_draw_observer
-        if observer is self._hook:
-            observer = None
-        scheme.learning_draw_observer = None
-        total = self._catch_up()
-        clean = scheme.skip_clean_learning_draws(total) if total else 0
-        assert clean == total, "a trigger before the bound"
-        scheme.learning_draw_observer = observer
-        return total
 
     def commit_due(self, now: int) -> None:
         """Replay every pending draw due by ``now``, in global order: the
@@ -345,15 +294,12 @@ class _DrawLedger:
         commute.  A trigger fires through the real scheme entry point (a
         nested drain is a no-op, an escalated run keeps the packets due
         by now, a round armed meanwhile is counted in)."""
-        if self._draining or not self._runs:
+        if self._draining or now < self.next_due:
             return
-        scheme = self.scheme
-        if scheme.learning_draw_observer is self._hook:
-            scheme.learning_draw_observer = None
         self._draining = True
         try:
             runs = self._runs
-            skip = scheme.skip_clean_learning_draws
+            skip = self.scheme.skip_clean_learning_draws
             counted = -1
             while True:
                 if counted != len(runs):
@@ -374,7 +320,7 @@ class _DrawLedger:
                 self._commit_through_trigger(clean)
                 total -= clean + 1
             # Whatever is still due triggers nothing and is consumed.
-            rate = base = 0.0
+            next_due = _NEVER
             pending = []
             for run in runs:
                 k = run.due_k
@@ -382,30 +328,19 @@ class _DrawLedger:
                     run.k, run.s = k, 0
                 if k < run.end:
                     pending.append(run)
-                    rate += run.rate
-                    base += run.icept - run.width * k
-                else:
-                    # Out of the bound: its round's commit takes nothing.
-                    run.rate = 0.0
-                    run.icept = run.end * run.width
+                    due = run.t0 + k * run.interval
+                    if due < next_due:
+                        next_due = due
             self._runs = pending
-            self.rate = rate
-            self.mark = None
-            self.slack = _INF
-            if pending:
-                self.slack = scheme.clean_learning_room() - 1 - base
-                if scheme.learning_draw_observer is None:
-                    scheme.learning_draw_observer = self._hook
+            self.next_due = next_due
         finally:
             self._draining = False
 
     def _commit_through_trigger(self, clean: int) -> None:
-        """Step the runs past the ``clean`` draws the scheme just consumed
-        (the last mark's by arithmetic, then the exact merge of their
-        ``(due, arm order)`` heads) and fire the next through
-        ``replay_learning_draw``: its run and site make the packet."""
-        clean -= self._catch_up()
-        assert clean >= 0, "a trigger before the bound"
+        """Step the runs past the ``clean`` draws the scheme just consumed,
+        in the exact merge of their ``(due, arm order)`` heads, and fire
+        the next through ``replay_learning_draw``: its run and site make
+        the packet."""
         heads = [(run.t0 + run.k * run.interval, run.seq, run)
                  for run in self._runs if run.due_k > run.k]
         heapify(heads)
@@ -549,6 +484,10 @@ class FluidScheduler:
             attrgetter(*_SCHEME_DIRTY)
             if any(hasattr(self.scheme, name) for name in _SCHEME_DIRTY)
             else None)
+        #: Whose ``rng_draws`` a walk diffs around each switch hook; a
+        #: scheme without a learning stream reads as one that never draws.
+        self._drawer = (self.scheme if hasattr(self.scheme, "rng_draws")
+                        else _NO_DRAWS)
         # Escalation bookkeeping (surfaced via RunResult and profile).
         self.adoptions = 0
         self.escalations = 0
@@ -695,7 +634,7 @@ class FluidScheduler:
         Returns True when a round was armed; False when the probe was
         dirty and the flow was handed back to packet level (the
         transport is already restored and running on return).  The
-        caller has drained or marked the draw ledger at this instant.
+        caller has drained the draw ledger at this instant.
         """
         status, ctx, rtt = self._walk_round(flow)
         if status == _ST_CLEAN:
@@ -804,18 +743,11 @@ class FluidScheduler:
         # the plan for all n packets instead of n - 1.
         self._commit_deltas(flow, n - 1 if flow.probed else n)
         flow.sent += n
-        run = flow.round_run
         flow.round_run = None
+        # This instant's drain; the next round arms after it.
         draws = self._draws
         now = self.engine._now
-        if run is not None:
-            # All its draws are due: the run's term turns exact.
-            draws.rate -= run.rate
-            draws.slack -= run.end * run.width - run.s - run.icept
-        # This instant's boundary; the next round arms after it.
-        if now * draws.rate < draws.slack:
-            draws.mark = (now, draws.seq)
-        else:
+        if now >= draws.next_due:
             draws.commit_due(now)
         if flow.flow_id not in self._flows:
             # A replayed draw triggered a real cache insert and
@@ -974,11 +906,6 @@ class FluidScheduler:
         ctx = self._walk_open()
         self._walking = True
         self._walking_ctx = ctx
-        scheme = self.scheme
-        observes_draws = hasattr(scheme, "learning_draw_observer")
-        if observes_draws:
-            ledger_hook = scheme.learning_draw_observer
-            scheme.learning_draw_observer = self._walk_record_draw
         try:
             seq = flow.base + flow.sent
             sender = flow.sender
@@ -1009,19 +936,8 @@ class FluidScheduler:
                 return self._walk_close(flow, ctx, status, d_data)
             return self._walk_close(flow, ctx, _ST_CLEAN, d_data + d_ack)
         finally:
-            if observes_draws:
-                scheme.learning_draw_observer = ledger_hook
             self._walking = False
             self._walking_ctx = None
-
-    def _walk_record_draw(self, switch: Any, packet: Any) -> None:
-        """Draw observer mid-walk: record the site; the ledger catches up."""
-        ctx = self._walking_ctx
-        if ctx is not None:
-            ctx.draw_sites.append(
-                (switch, _DrawTemplate(packet.outer_src, packet.dst_vip,
-                                       packet.outer_dst)))
-            ctx.caught_up += self._draws.commit_live()
 
     def _walk_packet(self, ctx: _WalkContext, origin: Host, packet: Packet):
         """Advance one real packet from ``origin`` to delivery, inline.
@@ -1029,7 +945,9 @@ class FluidScheduler:
         Mirrors ``Host.send`` → ``Link.transmit`` → ``Switch.receive``
         hop by hop, applying the same counter effects by hand (traffic
         and senders recorded in ``ctx``, the rest diffed by
-        :meth:`_walk_close`) and calling the real scheme hooks.
+        :meth:`_walk_close`) and calling the real scheme hooks.  A hook
+        that moved the scheme's ``rng_draws`` makes its switch a draw
+        site, with the packet fields the draw read.
         The link/destination checks run *before* a link's effects are
         applied, so a packet handed back to the live simulation
         (``_DIVERTED``) is never double-counted: the real
@@ -1041,6 +959,7 @@ class FluidScheduler:
         traffic = ctx.traffic
         cache_of = self._cache_of
         cache_before = ctx.cache_before
+        drawer = self._drawer
         packet.outer_src = origin.pip
         packet.created_at = engine._now
         handler = origin.handler
@@ -1116,9 +1035,14 @@ class FluidScheduler:
                 if cache is not None and cache.stats not in cache_before:
                     cache_before[cache.stats] = _cache_counts(cache.stats)
             hook = switch.hook
-            if hook is not None and not hook(packet, link):
-                ctx.mutated = True
-                return _CONSUMED, elapsed, None
+            if hook is not None:
+                drawn = drawer.rng_draws
+                if not hook(packet, link):
+                    ctx.mutated = True
+                    return _CONSUMED, elapsed, None
+                if drawer.rng_draws != drawn:
+                    ctx.draw_sites.append((switch, _DrawTemplate(
+                        packet.outer_src, packet.dst_vip, packet.outer_dst)))
             if packet._misdelivery_tag:
                 self._reinject_forward(elapsed, switch, packet)
                 return _DIVERTED, elapsed, None
@@ -1163,13 +1087,11 @@ class FluidScheduler:
             if after != ctx.scheme_before:
                 for name, diff in zip(_SCHEME_DIRTY,
                                       map(sub, after, ctx.scheme_before)):
-                    # Draws are replayable when the observer captured
-                    # every one's site (the ledger's catch-up aside).
-                    # Draws that *triggered* moved learning_packets_sent
-                    # (or a cache insert fired on_mutate): mutating.
+                    # Draws replay when each was a switch hook's, one per
+                    # recorded site; one that *triggered* also moved
+                    # learning_packets_sent (or fired on_mutate).
                     if diff and not (name == "rng_draws"
-                                     and diff == len(ctx.draw_sites)
-                                     + ctx.caught_up):
+                                     and diff == len(ctx.draw_sites)):
                         ctx.mutated = True
         caches = []
         for stats, before in ctx.cache_before.items():
@@ -1226,10 +1148,6 @@ class FluidScheduler:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def finish(self) -> None:
-        """End of a run: replay the draws the last mark stands for."""
-        self._draws.commit_live()
-
     def stats_dict(self) -> dict[str, Any]:
         return {
             "adoptions": self.adoptions,

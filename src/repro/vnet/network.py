@@ -311,8 +311,6 @@ class VirtualNetwork:
 
     def finalize(self) -> None:
         """Aggregate per-node counters into the metrics collector."""
-        if self.fluid is not None:
-            self.fluid.finish()
         collector = self.collector
         collector.packets_sent = sum(host.packets_sent for host in self.hosts)
         collector.misdeliveries = sum(host.misdeliveries for host in self.hosts)

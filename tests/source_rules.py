@@ -386,7 +386,7 @@ NOTIFY_CALLS = frozenset({"on_mutate", "note_mutation"})
 #: Attributes whose stored callables are notification hooks; calling
 #: one, or a local aliased from one (``cb = self.on_mutate; cb()``),
 #: counts.
-NOTIFY_ATTRS = frozenset({"on_mutate", "_listeners", "learning_draw_observer"})
+NOTIFY_ATTRS = frozenset({"on_mutate", "_listeners"})
 #: Container-method names treated as mutating their receiver.
 MUTATING_METHODS = frozenset({
     "pop", "popitem", "clear", "update", "setdefault", "append", "extend",

@@ -260,8 +260,6 @@ def test_hybrid_k16_matches_packet_cache_metrics():
     assert hybrid.completion_rate == 1.0
     assert cache_metrics(packet) == cache_metrics(hybrid)
     assert packet.network.scheme.rng_draws == hybrid.network.scheme.rng_draws
-    # The run's end replayed what the ledger's last mark stood for.
-    assert hybrid.network.fluid._draws.mark is None
 
 
 def test_run_experiment_twice_identical():

@@ -119,12 +119,8 @@ def test_look_ahead_consumes_nothing():
 
 
 def test_look_ahead_defers_to_per_draw_replay():
-    """With a draw observer installed, or learning packets off, a draw
-    is more (or less) than a stream read: nothing may be skipped."""
-    observed = _bare_scheme(0.005, seed=1)
-    observed.learning_draw_observer = lambda switch, packet: None
-    assert observed.skip_clean_learning_draws(10) == 0
-    assert observed.rng_draws == 0
+    """With learning packets off a draw reads no stream: nothing may be
+    skipped."""
     disabled = _bare_scheme(0.005, seed=1, enable_learning_packets=False)
     assert disabled.skip_clean_learning_draws(10) == 0
     disabled._maybe_send_learning_packet(None, _Template(0))
@@ -135,8 +131,7 @@ def _clean_then_skip(scheme, count):
     """The look-ahead and the consume the one call replaced, as they
     were: ``clean_learning_draws(count)`` then ``skip_learning_draws``
     of its answer."""
-    if (scheme.learning_draw_observer is not None
-            or not scheme.config.enable_learning_packets):
+    if not scheme.config.enable_learning_packets:
         clean = 0
     else:
         pos = scheme._learn_pos
@@ -155,26 +150,22 @@ def _clean_then_skip(scheme, count):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(p_learn=st.sampled_from([0.0, 0.005, 0.2, 1.0]),
        learning=st.booleans(), seed=st.integers(0, 2**32 - 1),
-       steps=st.lists(st.tuples(st.sampled_from(["draw", "skip", "observe"]),
+       steps=st.lists(st.tuples(st.sampled_from(["draw", "skip"]),
                                 st.integers(1, 3 * _LEARN_BLOCK)),
                       min_size=1, max_size=12))
 def test_merged_skip_equals_clean_then_skip(p_learn, learning, seed, steps):
     """Step for step, the merged call and the two it replaced answer
     alike and leave the stream alike: same ``rng_draws``, same unread
     values, same generator state, and the same values for every later
-    draw — with and without a draw observer, learning on and off."""
+    draw — learning on and off."""
     merged = _bare_scheme(p_learn, seed, enable_learning_packets=learning)
     split = _bare_scheme(p_learn, seed, enable_learning_packets=learning)
     for op, count in steps:
-        for scheme in (merged, split):
-            if op == "draw":
+        if op == "draw":
+            for scheme in (merged, split):
                 for _ in range(count % 40):
                     scheme._maybe_send_learning_packet(None, _Template(0))
-            elif op == "observe":
-                scheme.learning_draw_observer = (
-                    None if scheme.learning_draw_observer is not None
-                    else lambda switch, packet: None)
-        if op == "skip":
+        else:
             assert (merged.skip_clean_learning_draws(count)
                     == _clean_then_skip(split, count))
         assert merged.rng_draws == split.rng_draws
@@ -184,7 +175,6 @@ def test_merged_skip_equals_clean_then_skip(p_learn, learning, seed, steps):
                 == split._learn_rng.bit_generator.state)
     later = []
     for scheme in (merged, split):
-        scheme.learning_draw_observer = None
         template = _Template(0)
         fired = []
         for _ in range(2 * _LEARN_BLOCK + 3):
@@ -201,7 +191,7 @@ _COUNTS = st.one_of(st.integers(1, 40),
                     st.integers(_LEARN_BLOCK - 2, _LEARN_BLOCK + 2),
                     st.integers(1, 3 * _LEARN_BLOCK))
 _STEPS = st.lists(
-    st.tuples(st.sampled_from(["draw", "skip", "observe"]), _COUNTS),
+    st.tuples(st.sampled_from(["draw", "skip"]), _COUNTS),
     min_size=4, max_size=24)
 _CASES = given(p_learn=st.sampled_from([0.0, 0.005, 0.2, 1.0]),
                seed=st.integers(0, 2**32 - 1), steps=_STEPS)
@@ -224,28 +214,18 @@ def _check_stream_against_scalar_reads(cls, p_learn, seed, steps):
                     count)
 
     template = _Template(0)
-    observed: list[int] = []
     read = 0
     for op, count in steps:
         if op == "draw":
             for _ in range(count):
-                fired, seen = template.fired, len(observed)
+                fired = template.fired
                 scheme._maybe_send_learning_packet(None, template)
                 assert template.fired - fired == (clean_ahead(read, 1) == 0), read
-                installed = scheme.learning_draw_observer is not None
-                assert len(observed) - seen == installed
                 read += 1
-        elif op == "observe":
-            scheme.learning_draw_observer = (
-                None if scheme.learning_draw_observer is not None
-                else lambda switch, packet: observed.append(read))
         else:
             clean = scheme.skip_clean_learning_draws(count)
-            if scheme.learning_draw_observer is not None:
-                assert clean == 0
-            else:
-                assert clean == clean_ahead(read, count), (read, count)
-                read += clean
+            assert clean == clean_ahead(read, count), (read, count)
+            read += clean
         assert scheme.rng_draws == read
     buffered = len(scheme._learn_buf) - scheme._learn_pos
     handed_out = np.random.default_rng(seed)
@@ -364,16 +344,10 @@ class _NaiveDraws:
         finally:
             self.draining = False
 
-    def boundary(self, now, _committed):
-        self.drain(now)
-
     def live(self):
         """Read one value as a packet-mode draw does: its index, value."""
         self.draws += 1
         return self.draws - 1, self.rng.random()
-
-    def finish(self):
-        pass
 
     def progress(self):
         return list(self.consumed)
@@ -386,8 +360,7 @@ class _NaiveDraws:
 class _LedgerDraws:
     """The real ledger on a real scheme, behind the reference's interface."""
 
-    def __init__(self, p_learn: float, seed: int, on_fire,
-                 observed: bool = False) -> None:
+    def __init__(self, p_learn: float, seed: int, on_fire) -> None:
         world = self
 
         class Recording(SwitchV2P):
@@ -401,14 +374,11 @@ class _LedgerDraws:
                     on_fire(world, world.now)
 
         scheme = _bare_scheme(p_learn, seed, cls=Recording)
-        if observed:
-            scheme.learning_draw_observer = lambda switch, packet: None
         self.scheme = scheme
         self.ledger = _DrawLedger(scheme)
         self.log: list[tuple[int, int, bool]] = []
         self.runs: list = []
         self.now = 0
-        self.marks = 0
 
     def arm(self, t0, interval, first, end, sites):
         run = self.ledger.add_run(t0, interval, first, end,
@@ -421,34 +391,16 @@ class _LedgerDraws:
             run.truncate(cutoff)
 
     def drain(self, now):
-        """An adoption's or an escalation's drain."""
+        """A fluid boundary's drain: an adoption, a round commit or an
+        escalation."""
         self.now = now
         self.ledger.commit_due(now)
 
-    def boundary(self, now, committed):
-        """A round commit's boundary, as ``FluidScheduler._commit_round``
-        takes it: the committed round's run (all due) turns exact, then
-        one comparison marks or drains."""
-        self.now = now
-        ledger = self.ledger
-        if committed is not None:
-            ledger.rate -= committed.rate
-            ledger.slack -= (committed.end * committed.width - committed.s
-                             - committed.icept)
-        if now * ledger.rate < ledger.slack:
-            ledger.mark = (now, ledger.seq)
-            self.marks += self.pending() > 0
-        else:
-            ledger.commit_due(now)
-
     def live(self):
-        """Draw through the scheme's real path (the ledger's hook first)."""
+        """Draw through the scheme's real path."""
         scheme = self.scheme
         scheme._maybe_send_learning_packet(None, _Template(99))
         return scheme.rng_draws - 1, scheme._learn_buf[scheme._learn_pos - 1]
-
-    def finish(self):
-        self.ledger.commit_live()
 
     @property
     def draws(self):
@@ -468,8 +420,8 @@ def _play(make_world, seed: int):
 
     Returns the world and what a reader of it can observe: replayed-draw
     counts per run and the stream position at every triggering draw,
-    every live draw's stream index and value with the counts right
-    after its catch-up, and both at the end.  Both worlds consume the
+    every live draw's stream index and value with the counts as it
+    reads, and both at the end.  Both worlds consume the
     two script RNGs identically as long as they trigger on the same
     draws in the same order.
     """
@@ -518,14 +470,16 @@ def _play(make_world, seed: int):
             for _ in range(script.randint(1, 3)):
                 checkpoints.append(("live", *world.live(), world.progress()))
         if script.random() < 0.8:
-            # The round that commits here, if one is wholly due.
+            # A round commit's boundary: the round wholly due, if one is,
+            # can no longer be killed.
             done = next((i for i, (_h, last) in enumerate(handles)
                          if last <= now), None)
-            world.boundary(now, None if done is None else handles.pop(done)[0])
+            if done is not None:
+                handles.pop(done)
+            world.drain(now)
         elif script.random() < 0.3:
             world.drain(now)
-    world.boundary(now + 10_000, None)
-    world.finish()
+    world.drain(now + 10_000)
     checkpoints.append(("end", world.draws, world.progress()))
     return world, checkpoints
 
@@ -538,8 +492,8 @@ def test_ledger_matches_per_draw_heap(p_learn):
     """>= 200 randomized schedules (70 per ``p_learn``): same triggering
     draws at the same sites and stream indices, same draws attributed
     to every round at every trigger, same live draws, same
-    ``rng_draws`` — while most boundaries only mark."""
-    fired_total = batched_total = marks = 0
+    ``rng_draws``."""
+    fired_total = batched_total = 0
     for seed in range(SCHEDULES):
         naive, expected = _play(
             lambda on_fire: _NaiveDraws(p_learn, seed, on_fire), seed)
@@ -553,61 +507,13 @@ def test_ledger_matches_per_draw_heap(p_learn):
         assert real.log == fired, seed
         # What the last trigger armed for later is all that is left.
         assert real.pending() == naive.pending()
-        assert real.ledger.mark is None
         fired_total += len(fired)
         batched_total += len(naive.log) - len(real.log)
-        marks += real.marks
     assert fired_total > 50
     if p_learn == 1.0:
         assert batched_total == 0
     else:
         assert batched_total > fired_total
-    if p_learn < 1.0:
-        # Boundaries that left draws pending for a later catch-up.
-        assert marks > 400
-
-
-def test_ledger_replays_per_draw_under_an_observer():
-    """With a draw observer installed nothing is batched: the full
-    ``(site, stream index, fired?)`` sequence equals the reference's."""
-    for seed in range(20):
-        naive, expected = _play(
-            lambda on_fire: _NaiveDraws(0.2, seed, on_fire), seed)
-        real, got = _play(
-            lambda on_fire: _LedgerDraws(0.2, seed, on_fire, observed=True),
-            seed)
-        assert got == expected, seed
-        assert real.log == naive.log, seed
-        assert real.marks == 0
-
-
-def test_boundaries_before_the_bound_only_mark():
-    """What a reader sees of a run whose draws trigger nothing: the
-    stream does not move at boundaries before the bound, a live draw
-    reads after the draws due by the last mark (not those due since),
-    and the end of the run replays the rest up to its last mark."""
-    world = _LedgerDraws(0.0, 0, on_fire=None)
-    ledger, scheme = world.ledger, world.scheme
-    world.boundary(5, None)
-    assert ledger.add_run(100, 10, 1, 1, [(None, _Template(0))]) is None
-    assert ledger.add_run(100, 10, 0, 4, []) is None
-    # Packets 1..3, due at 110, 120 and 130; a second one-packet round
-    # armed at 125 draws at 125.
-    run = ledger.add_run(100, 10, 1, 4, [(None, _Template(0))])
-    world.boundary(100, None)   # the room is unknown: a drain
-    assert world.marks == 0
-    world.boundary(121, None)
-    later = ledger.add_run(125, 10, 0, 1, [(None, _Template(1))])
-    world.boundary(125, None)
-    assert world.marks == 2 and scheme.rng_draws == 0
-    assert world.live() == (3, scheme._learn_buf[3])
-    # The live read forces the next boundary to drain.
-    world.boundary(126, later)
-    assert world.marks == 2 and scheme.rng_draws == 4
-    world.boundary(135, run)
-    assert world.marks == 3 and scheme.rng_draws == 4
-    world.finish()
-    assert scheme.rng_draws == 5 and world.pending() == 0
 
 
 # ----------------------------------------------------------------------
@@ -640,8 +546,6 @@ def test_packet_equals_hybrid_with_frequent_triggers():
     assert fired > 300
     assert packet.network.scheme.rng_draws == hybrid.network.scheme.rng_draws
     assert _cache_metrics(packet) == _cache_metrics(hybrid)
-    # The run's end replayed what its last mark stood for.
-    assert hybrid.network.fluid._draws.mark is None
 
 
 @pytest.mark.parametrize("p_learn, n_flows, gap_ns, size, seed", [
@@ -653,13 +557,11 @@ def test_live_draws_read_after_the_analytic_draws_already_due(
     """Staggered same-pair flows: each later flow adopts while earlier
     ones are fluid, and its probe draws live at gateway ToRs after
     analytic draws of theirs fell due.  Those must read the stream
-    first, as their packets did in packet mode.  "adoption": an
-    adoption that does not drain first, or a live draw that catches up
-    to now instead of the last mark, lets analytic draws and the
-    probe's trade stream values, which moves a trigger onto another
-    flow.  "marks": at a lower ``p_learn`` most boundaries only mark,
-    and a live draw that does not first catch up to the last mark
-    reads a value an analytic draw due before it had read."""
+    first, as their packets did in packet mode: an adoption that does
+    not drain first lets analytic draws and the probe's trade stream
+    values, which moves a trigger onto another flow.  "marks" (named
+    for the look-ahead bound it was written against) runs the same at
+    a lower ``p_learn``."""
     flows = [FlowSpec(src_vip=2 * i, dst_vip=2 * i + 1, size_bytes=size,
                       start_ns=i * gap_ns) for i in range(n_flows)]
     results = {}
@@ -673,4 +575,3 @@ def test_live_draws_read_after_the_analytic_draws_already_due(
     assert hybrid.fluid_adoptions == n_flows
     assert packet.network.scheme.rng_draws == hybrid.network.scheme.rng_draws
     assert _cache_metrics(packet) == _cache_metrics(hybrid)
-    assert hybrid.network.fluid._draws.mark is None
