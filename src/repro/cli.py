@@ -35,9 +35,7 @@ from repro.experiments.chaosfuzz import (
     CHAOS_FUZZ_SCHEMES,
     ChaosFuzzParams,
     gray_chaos_params,
-    load_reproducer,
     run_chaos_fuzz,
-    run_one_trial,
 )
 from repro.experiments.figures import FigureScale, build_trace, figure5_jobs
 from repro.experiments.runner import SCHEME_FACTORIES
@@ -244,27 +242,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Chaos fuzzing: random fault schedules vs. the invariant oracles."""
-    if args.replay is not None:
-        try:
-            trial = load_reproducer(args.replay)
-        except (OSError, ValueError) as error:
-            print(f"repro: error: {error}", file=sys.stderr)
-            return 2
-        outcome = run_one_trial(*trial)
-        if outcome.violations:
-            print(f"replay re-tripped {len(outcome.violations)} violation(s) "
-                  f"on {outcome.scheme} ({outcome.num_events} events):")
-            for violation in outcome.violations:
-                print(f"  {violation}")
-            return 1
-        print(f"replay of {args.replay} ran clean on {outcome.scheme} — the "
-              "recorded defect no longer reproduces")
-        return 0
     params = _sized(args, gray_chaos_params() if args.gray
                     else ChaosFuzzParams(), "chaos")
     result = run_chaos_fuzz(args.trials, args.seed, tuple(args.schemes),
                             params, bug=args.bug,
-                            artifact_dir=args.artifact_dir,
                             shrink=not args.no_shrink,
                             progress=_progress("chaos"))
     trials_run = len({outcome.trial for outcome in result.outcomes})
@@ -278,12 +259,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
           "events):")
     for violation in failure.violations:
         print(f"  {violation}")
-    if result.shrunk_events is not None:
-        print(f"shrunk the schedule to {result.shrunk_events} event(s)")
-    if result.reproducer_path is not None:
-        print(f"reproducer written to {result.reproducer_path}")
-        print(f"replay with: python -m repro chaos --replay "
-              f"{result.reproducer_path}")
+    if result.shrunk is None:
+        print(f"re-running this command reproduces trial {failure.trial}")
+        return 1
+    print(f"shrunk the schedule to {len(result.shrunk)} event(s):")
+    for event in result.shrunk:
+        knobs = "".join(f" {name}={getattr(event, name)}" for name in
+                        ("loss_rate", "extra_ns", "period_ns", "count", "bit")
+                        if getattr(event, name))
+        print(f"  {event.at_ns} ns {event.kind.value} {event.target}{knobs}")
+    print(f"re-running this command reproduces trial {failure.trial} and "
+          f"shrinks to the same {len(result.shrunk)} event(s)")
     return 1
 
 
@@ -398,8 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "oracles attached (no misdelivery, no forwarding "
                     "loops, packet conservation, cache coherence, "
                     "liveness).  A failing schedule is delta-debugged to "
-                    "a minimal reproducer artifact; --replay re-runs one. "
-                    "Deterministic per --seed.  Exits 1 on any violation.")
+                    "a minimal event list, which is printed.  "
+                    "Deterministic per --seed, so re-running the command "
+                    "reproduces a failure.  Exits 1 on any violation.")
     chaos_parser.add_argument("--trials", type=int, default=10,
                               help="fuzzed schedules per scheme (default 10)")
     chaos_parser.add_argument("--seed", type=int, default=1,
@@ -419,16 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="inject a deliberate bug (harness "
                                    "self-test; pair disabled-audit with "
                                    "--gray)")
-    chaos_parser.add_argument("--artifact-dir", default="chaos-artifacts",
-                              metavar="DIR",
-                              help="where failing trials write reproducer "
-                                   "artifacts (default: chaos-artifacts/)")
     chaos_parser.add_argument("--no-shrink", action="store_true",
                               help="skip delta-debugging the failing "
                                    "schedule")
-    chaos_parser.add_argument("--replay", default=None, metavar="ARTIFACT",
-                              help="re-run a saved reproducer artifact "
-                                   "instead of fuzzing")
     _sizing_flags(chaos_parser, [ChaosFuzzParams()])
     chaos_parser.set_defaults(func=cmd_chaos)
 

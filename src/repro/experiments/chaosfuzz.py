@@ -5,12 +5,12 @@ the live topology (:mod:`repro.faults.fuzz`), runs a workload under it
 with the runtime oracles of :mod:`repro.faults.oracles` attached, and
 reports any invariant violations.  When a trial fails, the schedule is
 delta-debugged down to a minimal reproducing event subset
-(:mod:`repro.faults.shrink`) and written out as a JSON reproducer
-artifact with a ready-to-paste replay command.
+(:mod:`repro.faults.shrink`).
 
 Everything derives from one root seed: the schedules, the workload and
 the substrate RNG, so the same ``--seed`` always produces the same
-verdicts and a reproducer replays exactly.
+verdicts: re-running a failing command fails the same way.
+A Python caller replays any event subset with :func:`run_one_trial`.
 
 The module also carries a registry of *deliberate* bugs
 (:data:`BUGS`) that can be injected per run — both to prove the oracles
@@ -24,14 +24,11 @@ Run via ``python -m repro chaos``.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.runner import SCHEME_FACTORIES, make_scheme
+from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import (
     build_scenario,
     chaos_spec,
@@ -39,7 +36,7 @@ from repro.experiments.scenario import (
 )
 from repro.faults.fuzz import FuzzConfig, generate_schedule
 from repro.faults.oracles import DEFAULT_HOP_BOUND, OracleSuite, OracleViolation
-from repro.faults.schedule import FaultKind, FaultSchedule
+from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
 from repro.faults.shrink import ddmin
 from repro.sim.engine import msec, usec
 from repro.sim.randomness import derive_seed
@@ -51,9 +48,6 @@ from repro.vnet.network import VirtualNetwork
 #: gateway-centric baseline.  Two architectures double the oracle
 #: coverage for the cost of two runs per schedule.
 CHAOS_FUZZ_SCHEMES: tuple[str, ...] = ("SwitchV2P", "GwCache")
-
-_ARTIFACT_FORMAT = "repro-chaos-reproducer"
-_ARTIFACT_VERSION = 1
 
 _GATEWAY_KINDS = frozenset((FaultKind.GATEWAY_CRASH, FaultKind.GATEWAY_RESTART))
 
@@ -159,8 +153,8 @@ class ChaosFuzzResult:
     """Everything one ``python -m repro chaos`` invocation produced."""
 
     outcomes: list[TrialOutcome]
-    reproducer_path: str | None = None
-    shrunk_events: int | None = None
+    #: The first failure's minimal event list, when it was shrunk.
+    shrunk: list[FaultEvent] | None = None
 
     @property
     def failures(self) -> list[TrialOutcome]:
@@ -289,10 +283,11 @@ def run_one_trial(scheme_name: str, events, params: ChaosFuzzParams,
 
 
 # ----------------------------------------------------------------------
-# shrinking + reproducer artifacts
+# shrinking
 # ----------------------------------------------------------------------
 def shrink_failure(outcome: TrialOutcome, events, params: ChaosFuzzParams,
-                   bug: str | None = None, progress=None) -> list:
+                   bug: str | None = None,
+                   progress=None) -> list[FaultEvent]:
     """ddmin the event list to a minimal subset re-tripping the oracle.
 
     "Still failing" means: re-running the identical trial with the
@@ -315,116 +310,6 @@ def shrink_failure(outcome: TrialOutcome, events, params: ChaosFuzzParams,
     return ddmin(list(events), still_fails)
 
 
-def write_reproducer(path, outcome: TrialOutcome, events,
-                     params: ChaosFuzzParams, root_seed: int,
-                     bug: str | None, original_events: int,
-                     target_oracle: str | None = None) -> Path:
-    """Write the JSON artifact ``python -m repro chaos --replay`` reads."""
-    path = Path(path)
-    violation = outcome.violations[0]
-    if target_oracle is not None:
-        for candidate in outcome.violations:
-            if candidate.oracle == target_oracle:
-                violation = candidate
-                break
-    payload = {
-        "format": _ARTIFACT_FORMAT,
-        "version": _ARTIFACT_VERSION,
-        "scheme": outcome.scheme,
-        "root_seed": root_seed,
-        "trial": outcome.trial,
-        "trial_seed": outcome.trial_seed,
-        "bug": bug,
-        "oracle": violation.oracle,
-        "detail": violation.detail,
-        "params": dataclasses.asdict(params),
-        "schedule": _schedule_from(events).to_dict(),
-        "original_events": original_events,
-        "command": f"python -m repro chaos --replay {path}",
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _from_fields(cls, data, name: str):
-    """``cls(**data)`` for an object holding every field of the frozen
-    dataclass ``cls`` and nothing else, each of its default's type;
-    ValueError naming the field otherwise."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{name} must be an object, got {type(data).__name__}")
-    fields = {field.name: field for field in dataclasses.fields(cls)}
-    _check_keys(data, fields, (), name)
-    for key, value in data.items():
-        kind = type(fields[key].default)
-        if type(value) not in ((int, float) if kind is float else (kind,)):
-            raise ValueError(f"{name}.{key} must be {kind.__name__}, "
-                             f"got {type(value).__name__}")
-    try:
-        return cls(**data)
-    except ValueError as error:
-        raise ValueError(f"{name}: {error}") from None
-
-
-#: What a replay reads from a reproducer, and the type of each; its
-#: other fields only describe the failure.
-_REPLAY_FIELDS = {"scheme": (str,), "trial": (int,), "trial_seed": (int,),
-                  "bug": (str, type(None)), "params": (dict,),
-                  "schedule": (dict,)}
-_DESCRIPTIVE_FIELDS = ("format", "version", "root_seed", "oracle", "detail",
-                       "original_events", "command")
-
-
-def _check_keys(data: dict, required, optional, name: str) -> None:
-    """ValueError naming the first key of ``data`` that is neither
-    required nor optional, else the first required key it lacks."""
-    unknown = sorted(set(data) - set(required) - set(optional))
-    if unknown:
-        raise ValueError(f"{name} has unknown field {unknown[0]!r}")
-    missing = [key for key in required if key not in data]
-    if missing:
-        raise ValueError(f"{name} has no field {missing[0]!r}")
-
-
-def _replay_args(data: dict) -> tuple:
-    _check_keys(data, _REPLAY_FIELDS, _DESCRIPTIVE_FIELDS, "reproducer")
-    for key, kinds in _REPLAY_FIELDS.items():
-        if type(data[key]) not in kinds:
-            raise ValueError(f"{key} must be {kinds[0].__name__}, "
-                             f"got {type(data[key]).__name__}")
-    if data["scheme"] not in SCHEME_FACTORIES:
-        raise ValueError(f"scheme {data['scheme']!r} is no known scheme")
-    if data["bug"] is not None and data["bug"] not in BUGS:
-        raise ValueError(f"bug {data['bug']!r} is no known bug")
-    params = data["params"]
-    if "fuzz" in params:
-        params = {**params, "fuzz": _from_fields(FuzzConfig, params["fuzz"],
-                                                 "params.fuzz")}
-    params = _from_fields(ChaosFuzzParams, params, "params")
-    schedule = FaultSchedule.from_dict(data["schedule"])
-    return (data["scheme"], schedule.events, params, data["trial_seed"],
-            data["bug"], data["trial"])
-
-
-def load_reproducer(path) -> tuple:
-    """The ``run_one_trial`` arguments a reproducer artifact recorded;
-    OSError or ValueError, naming ``path`` (and the field), if it holds
-    none."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as error:
-        raise ValueError(f"{path} is not JSON: {error}") from None
-    if not isinstance(data, dict) or data.get("format") != _ARTIFACT_FORMAT:
-        raise ValueError(f"{path} is not a chaos reproducer artifact")
-    if data.get("version") != _ARTIFACT_VERSION:
-        raise ValueError(f"{path} has artifact version {data.get('version')}, "
-                         f"this build reads version {_ARTIFACT_VERSION}")
-    try:
-        return _replay_args(data)
-    except ValueError as error:
-        raise ValueError(f"{path}: {error}") from None
-
-
 # ----------------------------------------------------------------------
 # the trial loop
 # ----------------------------------------------------------------------
@@ -432,16 +317,15 @@ def run_chaos_fuzz(trials: int, seed: int,
                    schemes: tuple[str, ...] = CHAOS_FUZZ_SCHEMES,
                    params: ChaosFuzzParams | None = None,
                    bug: str | None = None,
-                   artifact_dir=None,
                    shrink: bool = True,
                    progress=None) -> ChaosFuzzResult:
-    """Run fuzzed chaos trials; shrink + archive the first failure.
+    """Run fuzzed chaos trials; shrink the first failure.
 
     Each trial derives its own seed from ``seed``, samples one schedule
     and runs it against every scheme.  Scanning stops at the first
     failing run (further trials would re-report the same defect); when
-    ``shrink`` is set, the failing schedule is minimized and — if
-    ``artifact_dir`` is given — written out as a reproducer artifact.
+    ``shrink`` is set, the failing schedule is minimized into
+    ``result.shrunk``.
 
     Args:
         progress: optional ``progress(done, total, label)`` callback
@@ -467,21 +351,8 @@ def run_chaos_fuzz(trials: int, seed: int,
                 progress(done, total, f"trial {trial}/{scheme_name}: "
                          + ("FAIL" if outcome.failed else "ok"))
             if outcome.failed:
-                final = outcome
-                shrunk = events
                 if shrink:
-                    shrunk = shrink_failure(outcome, events, params, bug)
-                    # One more run on the minimal events so the artifact
-                    # records the violation the replay will reproduce.
-                    final = run_one_trial(scheme_name, shrunk, params,
-                                          trial_seed, bug, trial)
-                result.shrunk_events = len(shrunk)
-                if artifact_dir is not None:
-                    target = outcome.violations[0].oracle
-                    name = (f"chaos-repro-{outcome.scheme}-{target}"
-                            f"-trial{trial}.json")
-                    result.reproducer_path = str(write_reproducer(
-                        Path(artifact_dir) / name, final, shrunk, params,
-                        seed, bug, len(events), target_oracle=target))
+                    result.shrunk = shrink_failure(outcome, events, params,
+                                                   bug)
                 return result
     return result

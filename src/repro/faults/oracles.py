@@ -250,16 +250,9 @@ class OracleSuite:
         """Arm the synthetic always-failing oracle (harness self-test)."""
         self._canary = True
 
-    def finish(self, horizon_ns: int, grace_ns: int | None = None) -> None:
-        """Run the end-of-run oracles (idempotent).
-
-        Args:
-            horizon_ns: the time the run was driven to.
-            grace_ns: when given, the liveness oracle is skipped unless
-                the horizon leaves at least this much quiet time after
-                the last schedule-driven disruption the caller knows
-                about (callers that size their own horizon pass None).
-        """
+    def finish(self, horizon_ns: int) -> None:
+        """Run the end-of-run oracles at ``horizon_ns``, the time the run
+        was driven to (idempotent)."""
         if self._finished:
             return
         self._finished = True
@@ -272,7 +265,6 @@ class OracleSuite:
             self._report("canary", horizon_ns,
                          "synthetic canary violation (harness self-test); "
                          "a run with the canary armed must fail")
-        _ = grace_ns  # reserved for callers that cannot size the horizon
 
     def _check_conservation(self, horizon_ns: int) -> None:
         network = self.network

@@ -17,7 +17,6 @@ object so a schedule is not tied to one network instance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any
@@ -279,16 +278,17 @@ class FaultSchedule:
         """Time of the earliest fault (not recovery) event, if any."""
         starts = [e.at_ns for e in self.events
                   if e.kind in (FaultKind.SWITCH_FAIL, FaultKind.LINK_DOWN,
-                                FaultKind.LINK_LOSS, FaultKind.GATEWAY_CRASH,
-                                FaultKind.LINK_FLAP, FaultKind.CACHE_BITFLIP)
-                  or _is_gray_onset(e)]
+                                FaultKind.GATEWAY_CRASH, FaultKind.LINK_FLAP,
+                                FaultKind.CACHE_BITFLIP)
+                  or _is_onset(e)]
         return min(starts, default=None)
 
     def last_recovery_ns(self) -> int | None:
         """Time of the latest recovery event, if any.
 
         A LINK_FLAP counts as recovering when its last up half-cycle
-        lands; a gray event with zeroed degradation *is* the recovery.
+        lands; a link-loss or gray event with zeroed degradation *is*
+        the recovery.
         """
         ends = []
         for e in self.events:
@@ -297,62 +297,13 @@ class FaultSchedule:
                 ends.append(e.at_ns)
             elif e.kind is FaultKind.LINK_FLAP:
                 ends.append(e.at_ns + (2 * e.count - 1) * e.period_ns)
-            elif e.kind in _GRAY_HEALABLE and not _is_gray_onset(e):
+            elif e.kind in _ZERO_HEALS and not _is_onset(e):
                 ends.append(e.at_ns)
         return max(ends, default=None)
 
     def last_event_ns(self) -> int | None:
         """Time of the latest event of any kind (migrations included)."""
         return max((e.at_ns for e in self.events), default=None)
-
-    # ------------------------------------------------------------------
-    # serialization (reproducer artifacts)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data form of the schedule (events only, not ``fired``).
-
-        The gray-failure fields are emitted only when nonzero so
-        pre-gray reproducer artifacts stay byte-stable and hand-written
-        schedules stay terse; :meth:`from_dict` defaults them to 0.
-        """
-        events = []
-        for e in self.events:
-            entry: dict[str, Any] = {"at_ns": e.at_ns, "kind": e.kind.value,
-                                     "target": _listify(e.target),
-                                     "loss_rate": e.loss_rate}
-            for key in ("extra_ns", "period_ns", "count", "bit"):
-                value = getattr(e, key)
-                if value:
-                    entry[key] = value
-            events.append(entry)
-        return {"events": events}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> FaultSchedule:
-        """Rebuild a schedule from :meth:`to_dict` output.
-
-        Malformed input raises :class:`ValueError` naming the offending
-        entry (``events[i]``) and what is wrong with it — reproducer
-        artifacts are hand-editable, so schema errors must be loud and
-        locatable, never a bare ``KeyError``.
-        """
-        if not isinstance(data, dict) or not isinstance(
-                data.get("events"), list):
-            raise ValueError(
-                "fault schedule must be an object with an 'events' list, "
-                f"got {type(data).__name__}")
-        schedule = cls()
-        for index, entry in enumerate(data["events"]):
-            schedule.add(_event_from_dict(entry, index))
-        return schedule
-
-    def to_json(self) -> str:
-        """Serialize to JSON; :meth:`from_json` round-trips exactly."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> FaultSchedule:
-        return cls.from_dict(json.loads(text))
 
     # ------------------------------------------------------------------
     # application
@@ -503,126 +454,15 @@ class FaultSchedule:
         return network.gateways[locator[1]]
 
 
-#: Locator validators per fault family; see :class:`FaultEvent`.
-_SWITCH_KINDS = frozenset((FaultKind.SWITCH_FAIL, FaultKind.SWITCH_RECOVER,
-                           FaultKind.SWITCH_SLOW, FaultKind.CACHE_BITFLIP))
-_LINK_KINDS = frozenset((FaultKind.LINK_DOWN, FaultKind.LINK_UP,
-                         FaultKind.LINK_LOSS, FaultKind.LINK_DEGRADE,
-                         FaultKind.LINK_FLAP))
-_GW_KINDS = frozenset((FaultKind.GATEWAY_CRASH, FaultKind.GATEWAY_RESTART,
-                       FaultKind.GATEWAY_BROWNOUT))
-
-#: Gray kinds where a zeroed event is the heal, not a fault onset.
-_GRAY_HEALABLE = frozenset((FaultKind.LINK_DEGRADE, FaultKind.SWITCH_SLOW,
-                            FaultKind.GATEWAY_BROWNOUT))
-
-#: Every field a serialized event may carry; anything else is rejected
-#: loudly (reproducers are hand-editable — a typoed knob must not be
-#: silently dropped into a subtly different replay).
-_EVENT_FIELDS = frozenset(("at_ns", "kind", "target", "loss_rate",
-                           "extra_ns", "period_ns", "count", "bit"))
+#: Kinds where a zeroed event is the heal, not a fault onset.
+_ZERO_HEALS = frozenset((FaultKind.LINK_LOSS, FaultKind.LINK_DEGRADE,
+                         FaultKind.SWITCH_SLOW, FaultKind.GATEWAY_BROWNOUT))
 
 
-def _is_gray_onset(event: FaultEvent) -> bool:
-    """True when a gray-healable event actually degrades something."""
-    return (event.kind in _GRAY_HEALABLE
+def _is_onset(event: FaultEvent) -> bool:
+    """True when a zero-heals event actually degrades something."""
+    return (event.kind in _ZERO_HEALS
             and (event.loss_rate > 0.0 or event.extra_ns > 0))
-
-
-def _event_from_dict(entry: Any, index: int) -> FaultEvent:
-    """One serialized event back into a validated :class:`FaultEvent`."""
-    where = f"events[{index}]"
-    if not isinstance(entry, dict):
-        raise ValueError(f"{where}: expected an object, "
-                         f"got {type(entry).__name__}")
-    missing = [key for key in ("at_ns", "kind", "target") if key not in entry]
-    if missing:
-        raise ValueError(f"{where}: missing field(s) {', '.join(missing)}")
-    unknown = sorted(set(entry) - _EVENT_FIELDS)
-    if unknown:
-        raise ValueError(f"{where}: unknown field(s) {', '.join(unknown)}; "
-                         f"known fields: {', '.join(sorted(_EVENT_FIELDS))}")
-    raw_kind = entry["kind"]
-    try:
-        kind = FaultKind(raw_kind)
-    except ValueError:
-        known = ", ".join(sorted(member.value for member in FaultKind))
-        raise ValueError(f"{where}: unknown FaultKind {raw_kind!r}; "
-                         f"known kinds: {known}") from None
-    target = _tuplify(entry["target"])
-    _validate_locator(kind, target, where)
-    try:
-        at_ns = int(entry["at_ns"])
-        loss_rate = float(entry.get("loss_rate", 0.0))
-        extra_ns = int(entry.get("extra_ns", 0))
-        period_ns = int(entry.get("period_ns", 0))
-        count = int(entry.get("count", 0))
-        bit = int(entry.get("bit", 0))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: non-numeric event field "
-                         f"({exc})") from None
-    try:
-        return FaultEvent(at_ns=at_ns, kind=kind, target=target,
-                          loss_rate=loss_rate, extra_ns=extra_ns,
-                          period_ns=period_ns, count=count, bit=bit)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
-def _is_switch_locator(value: Any) -> bool:
-    if not isinstance(value, tuple) or not value:
-        return False
-    if value[0] == "core":
-        return len(value) == 2 and isinstance(value[1], int)
-    if value[0] in ("tor", "spine"):
-        return len(value) == 3 and all(isinstance(v, int) for v in value[1:])
-    return False
-
-
-def _validate_locator(kind: FaultKind, target: Any, where: str) -> None:
-    """Reject a target whose shape cannot address ``kind``'s object."""
-    if kind in _SWITCH_KINDS:
-        if not _is_switch_locator(target):
-            raise ValueError(
-                f"{where}: malformed switch locator {target!r} for "
-                f"{kind.value}; expected ('tor', pod, rack), "
-                "('spine', pod, index) or ('core', index)")
-    elif kind in _LINK_KINDS:
-        if not (isinstance(target, tuple) and len(target) == 3
-                and target[0] == "link"
-                and _is_switch_locator(target[1])
-                and _is_switch_locator(target[2])):
-            raise ValueError(
-                f"{where}: malformed link locator {target!r} for "
-                f"{kind.value}; expected ('link', switch_locator, "
-                "switch_locator)")
-    elif kind in _GW_KINDS:
-        if not (isinstance(target, tuple) and len(target) == 2
-                and target[0] == "gateway" and isinstance(target[1], int)):
-            raise ValueError(
-                f"{where}: malformed gateway locator {target!r} for "
-                f"{kind.value}; expected ('gateway', index)")
-    elif kind is FaultKind.VM_MIGRATE:
-        if not (isinstance(target, tuple) and len(target) == 5
-                and target[0] == "vm"
-                and all(isinstance(v, int) for v in target[1:])):
-            raise ValueError(
-                f"{where}: malformed vm locator {target!r} for "
-                f"{kind.value}; expected ('vm', vip, pod, rack, host_index)")
-
-
-def _listify(value: Any) -> Any:
-    """Recursively turn locator tuples into JSON-friendly lists."""
-    if isinstance(value, tuple):
-        return [_listify(item) for item in value]
-    return value
-
-
-def _tuplify(value: Any) -> Any:
-    """Inverse of :func:`_listify`: nested lists back into tuples."""
-    if isinstance(value, list):
-        return tuple(_tuplify(item) for item in value)
-    return value
 
 
 def _switch_locator(layer: str, where: Any) -> tuple:

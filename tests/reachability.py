@@ -127,13 +127,11 @@ def entry_points(scratch: Path) -> dict[str, Callable[[], Any]]:
             workload.run(target, flows, 1, None, 0)
             workload.counts(target, flows, 1)
 
-    artifacts = str(scratch / "chaos-artifacts")
     return {
         "23 artifacts (fast)": lambda: reproduce(ARTIFACTS.values(),
                                                  bench_scale(), workers=1),
-        "repro chaos": lambda: main(["chaos", "--artifact-dir", artifacts]),
-        "repro chaos --gray": lambda: main(["chaos", "--gray",
-                                            "--artifact-dir", artifacts]),
+        "repro chaos": lambda: main(["chaos"]),
+        "repro chaos --gray": lambda: main(["chaos", "--gray"]),
         "bench workloads (0.1)": workloads,
         "repro run": lambda: main(["run", "--hadoop-flows", "300"]),
         "repro list": lambda: main(["list"]),

@@ -11,10 +11,13 @@ The golden (``tests/data/golden_fault_harnesses.json``) was recorded at
 commit d476b08, the parent of the change that folded the fault
 harnesses' private build/arm/play pipelines into
 ``repro.experiments.scenario.build_scenario``: chaos-fuzz trials and a
-shrunk reproducer artifact must come out of the one builder exactly as
-they came out of the separate ones.  Re-record it with
-``PYTHONPATH=src:tests python tests/test_artifacts.py`` only for a
-change that means to move these numbers, and say so in the PR.
+shrunk failure must come out of the one builder exactly as they came
+out of the separate ones.  The ``reproducer`` section holds what the
+JSON reproducer file of that time recorded, less its format, version
+and parameters; the failing command line is the reproducer now.
+Re-record it with ``PYTHONPATH=src:tests python tests/test_artifacts.py``
+only for a change that means to move these numbers, and say so in the
+PR.
 """
 
 from __future__ import annotations
@@ -184,34 +187,42 @@ def _observe_trials() -> list[dict]:
         VirtualNetwork.finalize = finalize
 
 
-def _observe_reproducer(tmp_dir) -> dict:
-    """The artifact ``chaos --bug skip-cache-flush`` writes, minus the
-    ``command`` field, which names the temporary path."""
-    result = run_chaos_fuzz(trials=4, seed=6, schemes=("SwitchV2P",),
-                            params=SMALL, bug="skip-cache-flush",
-                            artifact_dir=tmp_dir)
-    payload = json.loads(Path(result.reproducer_path).read_text())
-    del payload["command"]
-    return payload
+def _observe_reproducer() -> dict:
+    """What ``chaos --bug skip-cache-flush`` finds and shrinks, and the
+    first violation of the failure's oracle that ``run_one_trial`` on
+    the shrunk events trips."""
+    seed, bug = 6, "skip-cache-flush"
+    result = run_chaos_fuzz(trials=4, seed=seed, schemes=("SwitchV2P",),
+                            params=SMALL, bug=bug)
+    failure = result.failures[0]
+    oracle = failure.violations[0].oracle
+    replayed = run_one_trial(failure.scheme, result.shrunk, SMALL,
+                             failure.trial_seed, bug, failure.trial)
+    detail = next(v.detail for v in replayed.violations if v.oracle == oracle)
+    return {"scheme": failure.scheme, "root_seed": seed,
+            "trial": failure.trial, "trial_seed": failure.trial_seed,
+            "bug": bug, "oracle": oracle, "detail": detail,
+            "original_events": failure.num_events,
+            "schedule": {"events": [
+                {"at_ns": e.at_ns, "kind": e.kind.value, "target": e.target,
+                 "loss_rate": e.loss_rate} for e in result.shrunk]}}
 
 
-def _observe(tmp_dir) -> dict:
+def _observe() -> dict:
     return {"trials": _observe_trials(),
-            "reproducer": _observe_reproducer(tmp_dir)}
+            "reproducer": _observe_reproducer()}
 
 
-def test_fault_harnesses_match_the_parent_recorded_golden(tmp_path):
+def test_fault_harnesses_match_the_parent_recorded_golden():
     golden = json.loads(GOLDEN_PATH.read_text())
     # Through JSON and back, as the golden went: tuples become lists.
-    observed = json.loads(json.dumps(_observe(tmp_path)))
+    observed = json.loads(json.dumps(_observe()))
     assert set(observed) == set(golden)
     for section in ("trials", "reproducer"):
         assert observed[section] == golden[section], section
 
 
 if __name__ == "__main__":
-    import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN_PATH.write_text(json.dumps(_observe(tmp), indent=1,
-                                          sort_keys=True) + "\n")
+    GOLDEN_PATH.write_text(json.dumps(_observe(), indent=1,
+                                      sort_keys=True) + "\n")
     sys.exit(0)

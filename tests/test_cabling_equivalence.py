@@ -30,7 +30,6 @@ from repro.experiments import chaosfuzz
 from repro.experiments.runner import run_flows
 from repro.experiments.scenario import Scenario, chaos_spec
 from repro.faults.fuzz import cable_targets, generate_schedule
-from repro.faults.schedule import _LINK_KINDS
 from repro.net.node import Switch
 from repro.net.topology import Fabric
 from repro.sim.randomness import derive_seed
@@ -90,7 +89,7 @@ def _link_fault_trial():
         trial_seed = derive_seed(1, f"chaos-trial-{trial}")
         events = generate_schedule(chaos_spec(), params.num_vms, params.fuzz,
                                    seed=trial_seed).events
-        if any(event.kind in _LINK_KINDS for event in events):
+        if any(event.target[0] == "link" for event in events):
             return trial_seed, list(events), params
     raise AssertionError("no trial of the first 20 draws a link fault")
 

@@ -1,19 +1,14 @@
 """Chaos-fuzzer tests: schedule generation, oracles, shrinking, replay.
 
 Covers the randomized :func:`repro.faults.fuzz.generate_schedule`
-sampler (determinism, recovery pairing), serialization round-trips,
-the :class:`repro.faults.oracles.OracleSuite` runtime invariants, the
-ddmin shrinker, and the end-to-end ``python -m repro chaos`` pipeline:
-injected bug -> tripped oracle -> minimal schedule -> reproducer
-artifact -> replay re-trips the same oracle.
+sampler (determinism, recovery pairing), the
+:class:`repro.faults.oracles.OracleSuite` runtime invariants, the ddmin
+shrinker, and the end-to-end ``python -m repro chaos`` pipeline:
+injected bug -> tripped oracle -> minimal schedule -> ``run_one_trial``
+on it re-trips the same oracle.
 """
 
-import json
-import re
-
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from repro.baselines import NoCache
 from repro.core import SwitchV2P
@@ -23,19 +18,16 @@ from repro.experiments.chaosfuzz import (
     ChaosFuzzParams,
     fuzz_flows,
     gray_chaos_params,
-    load_reproducer,
     run_chaos_fuzz,
     run_one_trial,
 )
 from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import chaos_spec
 from repro.faults import (
-    FaultEvent,
     FaultKind,
     FaultSchedule,
     FuzzConfig,
     OracleSuite,
-    OracleViolation,
     ddmin,
     generate_schedule,
 )
@@ -59,70 +51,8 @@ _RECOVERY_KINDS = (FaultKind.SWITCH_RECOVER, FaultKind.LINK_UP,
 
 
 # ----------------------------------------------------------------------
-# schedule serialization
+# schedule introspection
 # ----------------------------------------------------------------------
-def one_of_each_schedule() -> FaultSchedule:
-    return (FaultSchedule()
-            .switch_outage("spine", (0, 1), usec(100), usec(500))
-            .link_outage(("tor", 0, 0), ("spine", 0, 0), usec(200), usec(300))
-            .link_loss(usec(250), ("tor", 0, 1), ("spine", 0, 1), 0.25)
-            .gateway_outage(0, usec(300), usec(400))
-            .migrate_vm(usec(350), vip=3, pod=0, rack=1, host_index=0)
-            # gray kinds: every serialized field must survive the trip
-            .link_degradation(("tor", 0, 0), ("spine", 0, 1),
-                              usec(400), usec(200), 0.125, usec(5))
-            .flap_link(usec(450), ("tor", 0, 1), ("spine", 0, 0),
-                       period_ns=usec(60), count=3)
-            .switch_slowdown("core", 0, usec(500), usec(100), usec(7))
-            .gateway_brownout(0, usec(550), usec(150), 0.5, usec(9))
-            .flip_cache_bit(usec(600), "tor", (0, 0), entry=2, bit=20))
-
-
-def test_schedule_json_round_trip():
-    schedule = one_of_each_schedule()
-    assert {e.kind for e in schedule.events} >= {
-        FaultKind.LINK_DEGRADE, FaultKind.LINK_FLAP, FaultKind.SWITCH_SLOW,
-        FaultKind.GATEWAY_BROWNOUT, FaultKind.CACHE_BITFLIP}
-    restored = FaultSchedule.from_json(schedule.to_json())
-    assert restored.events == schedule.events
-    # Locators come back as tuples, not JSON lists.
-    assert all(isinstance(e.target, tuple) for e in restored.events)
-    # And the round trip is a fixed point.
-    assert restored.to_json() == schedule.to_json()
-
-
-def test_schedule_dict_round_trip_preserves_loss_rate():
-    schedule = FaultSchedule().link_loss(
-        usec(5), ("tor", 0, 0), ("spine", 0, 0), 0.125)
-    restored = FaultSchedule.from_dict(schedule.to_dict())
-    assert restored.events[0].loss_rate == 0.125
-    assert restored.events[0].kind is FaultKind.LINK_LOSS
-
-
-def test_schedule_from_dict_rejects_unknown_fields_loudly():
-    # Reproducers are hand-editable: a typoed knob must fail loudly,
-    # never be silently dropped into a subtly different replay.
-    data = one_of_each_schedule().to_dict()
-    data["events"][0]["bitflip_bit"] = 7
-    with pytest.raises(ValueError, match=r"events\[0\].*unknown field"):
-        FaultSchedule.from_dict(data)
-    with pytest.raises(ValueError, match="unknown FaultKind"):
-        FaultSchedule.from_dict({"events": [
-            {"at_ns": 0, "kind": "cache-bitflipp", "target": ["tor", 0, 0]}]})
-    # A kind that no longer exists (planned gateway drains) is refused
-    # the same way, naming its entry.
-    data = one_of_each_schedule().to_dict()
-    data["events"].insert(2, {"at_ns": 0, "kind": "gateway-drain",
-                              "target": ["gateway", 0]})
-    with pytest.raises(ValueError,
-                       match=r"events\[2\]: unknown FaultKind 'gateway-drain'"):
-        FaultSchedule.from_dict(data)
-    # A locator that cannot address the kind's object is also loud.
-    with pytest.raises(ValueError, match="malformed switch locator"):
-        FaultSchedule.from_dict({"events": [
-            {"at_ns": 0, "kind": "cache-bitflip", "target": ["gateway", 0]}]})
-
-
 def test_last_event_ns_counts_migrations():
     schedule = (FaultSchedule()
                 .switch_outage("core", 0, usec(10), usec(20))
@@ -170,9 +100,9 @@ def test_generate_schedule_is_deterministic():
     spec = tiny_spec()
     a = generate_schedule(spec, num_vms=8, seed=7)
     b = generate_schedule(spec, num_vms=8, seed=7)
-    assert a.to_json() == b.to_json()
+    assert a.events == b.events
     c = generate_schedule(spec, num_vms=8, seed=8)
-    assert c.to_json() != a.to_json()
+    assert c.events != a.events
 
 
 def test_generate_schedule_events_sorted_and_in_window():
@@ -217,7 +147,7 @@ def test_gray_fuzz_config_mixes_gray_kinds_deterministically():
     config = gray_fuzz_config(mean_events=24)
     a = generate_schedule(tiny_spec(), num_vms=8, config=config, seed=4)
     b = generate_schedule(tiny_spec(), num_vms=8, config=config, seed=4)
-    assert a.to_json() == b.to_json()
+    assert a.events == b.events
     gray = {FaultKind.LINK_DEGRADE, FaultKind.LINK_FLAP,
             FaultKind.SWITCH_SLOW, FaultKind.GATEWAY_BROWNOUT,
             FaultKind.CACHE_BITFLIP}
@@ -452,7 +382,7 @@ def test_migration_only_chaos_catches_the_two_migration_loop(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# trials, bugs, shrinking, reproducers
+# trials, bugs, shrinking, replay
 # ----------------------------------------------------------------------
 def test_run_one_trial_clean_without_faults():
     outcome = run_one_trial("SwitchV2P", [], SMALL_PARAMS, trial_seed=3)
@@ -499,25 +429,32 @@ def test_bug_misdelivery_loop_trips_hop_bound():
     assert any(v.oracle == "forwarding-loop" for v in outcome.violations)
 
 
-def test_shrink_and_replay_round_trip(tmp_path):
+def _replay_shrunk(result, params, bug):
+    """``run_one_trial`` on the first failure's shrunk events."""
+    failure = result.failures[0]
+    assert result.shrunk is not None
+    assert 1 <= len(result.shrunk) <= 5
+    return run_one_trial(failure.scheme, result.shrunk, params,
+                         failure.trial_seed, bug, failure.trial)
+
+
+def test_shrink_and_replay_round_trip():
     """End-to-end: bug -> failing trial -> minimal schedule -> replay."""
     result = run_chaos_fuzz(trials=4, seed=6, schemes=("SwitchV2P",),
-                            params=SMALL_PARAMS, bug="skip-cache-flush",
-                            artifact_dir=tmp_path)
+                            params=SMALL_PARAMS, bug="skip-cache-flush")
     assert result.failures, "the injected bug must trip an oracle"
-    assert result.shrunk_events is not None
-    assert result.shrunk_events <= 5
-    assert result.reproducer_path is not None
-    payload = json.loads(open(result.reproducer_path).read())
-    target_oracle = payload["oracle"]
-    assert payload["format"] == "repro-chaos-reproducer"
-    assert len(payload["schedule"]["events"]) == result.shrunk_events
-    assert "--replay" in payload["command"]
-    replayed = run_one_trial(*load_reproducer(result.reproducer_path))
+    target_oracle = result.failures[0].violations[0].oracle
+    replayed = _replay_shrunk(result, SMALL_PARAMS, "skip-cache-flush")
     assert any(v.oracle == target_oracle for v in replayed.violations)
+    # Without shrinking, the failure is the same and nothing is shrunk.
+    unshrunk = run_chaos_fuzz(trials=4, seed=6, schemes=("SwitchV2P",),
+                              params=SMALL_PARAMS, bug="skip-cache-flush",
+                              shrink=False)
+    assert unshrunk.outcomes == result.outcomes
+    assert unshrunk.shrunk is None
 
 
-def test_bug_disabled_audit_trips_bounded_staleness(tmp_path):
+def test_bug_disabled_audit_trips_bounded_staleness():
     """Stopping the anti-entropy audit breaks the staleness promise.
 
     Six gray-weighted trials with the audit on are clean; the identical
@@ -532,14 +469,11 @@ def test_bug_disabled_audit_trips_bounded_staleness(tmp_path):
                               params=params)
     assert hardened.clean and len(hardened.outcomes) == 6
     result = run_chaos_fuzz(trials=6, seed=3, schemes=("SwitchV2P",),
-                            params=params, bug="disabled-audit",
-                            artifact_dir=tmp_path)
+                            params=params, bug="disabled-audit")
     assert result.failures
     oracle = result.failures[0].violations[0].oracle
     assert oracle == "bounded-staleness"
-    assert result.shrunk_events is not None
-    assert result.shrunk_events <= 5
-    replayed = run_one_trial(*load_reproducer(result.reproducer_path))
+    replayed = _replay_shrunk(result, params, "disabled-audit")
     assert any(v.oracle == "bounded-staleness" for v in replayed.violations)
 
 
@@ -548,100 +482,7 @@ def test_chaos_fuzz_stock_trials_are_clean():
                             params=SMALL_PARAMS)
     assert result.clean
     assert len(result.outcomes) == 6
-    assert result.reproducer_path is None
-
-
-def test_replay_rejects_foreign_artifacts(tmp_path):
-    path = tmp_path / "bogus.json"
-    path.write_text(json.dumps({"format": "something-else"}))
-    with pytest.raises(ValueError, match="not a chaos reproducer"):
-        load_reproducer(path)
-    path.write_text(json.dumps({"format": "repro-chaos-reproducer",
-                                "version": 99}))
-    with pytest.raises(ValueError, match="version"):
-        load_reproducer(path)
-
-
-@pytest.fixture(scope="module")
-def reproducer(tmp_path_factory):
-    """A well-formed reproducer as ``write_reproducer`` lays it out, the
-    path to write variants of it to, and what it loads as."""
-    outcome = chaosfuzz.TrialOutcome(
-        trial=2, scheme="SwitchV2P", trial_seed=7, num_events=1,
-        violations=(OracleViolation("conservation", 0, "lost a packet"),))
-    path = chaosfuzz.write_reproducer(
-        tmp_path_factory.mktemp("replay") / "reproducer.json", outcome,
-        one_of_each_schedule().events[:3], SMALL_PARAMS, root_seed=1,
-        bug="misdelivery-loop", original_events=9)
-    return json.loads(path.read_text()), path, load_reproducer(path)
-
-
-def _at(payload, level):
-    """The object ``level`` (``""``, ``"params"``, ``"params.fuzz"``) names."""
-    for key in filter(None, level.split(".")):
-        payload = payload[key]
-    return payload
-
-
-@settings(max_examples=60, deadline=None)
-@given(level=st.sampled_from(["", "params", "params.fuzz"]),
-       extra=st.one_of(st.none(), st.text(min_size=1, max_size=12)),
-       data=st.data())
-def test_a_dropped_or_extra_reproducer_field_is_named(reproducer, level,
-                                                      extra, data):
-    """Drop one key, or add one the writer never writes, at any level:
-    the load fails with a ValueError naming the file and the key — or,
-    for a dropped key the replay does not read, loads as before."""
-    payload, path, loaded = reproducer
-    broken = json.loads(json.dumps(payload))
-    target = _at(broken, level)
-    if extra is None:
-        key = data.draw(st.sampled_from(sorted(target)))
-        del target[key]
-    else:
-        key = extra
-        assume(key not in target)
-        target[key] = 0
-    path.write_text(json.dumps(broken))
-    if level == "" and extra is None and key not in chaosfuzz._REPLAY_FIELDS:
-        if key in ("format", "version"):
-            with pytest.raises(ValueError, match="reproducer artifact|version"):
-                load_reproducer(path)
-        else:
-            assert load_reproducer(path) == loaded
-        return
-    with pytest.raises(ValueError) as error:
-        load_reproducer(path)
-    message = str(error.value)
-    verdict = "no field" if extra is None else "unknown field"
-    assert message.startswith(f"{path}: {level or 'reproducer'} has "
-                              f"{verdict} {key!r}"), message
-
-
-@pytest.mark.parametrize("level, key, value, says", [
-    ("", "trial_seed", "7", "trial_seed must be int, got str"),
-    ("", "scheme", "NoSuchScheme", "scheme 'NoSuchScheme' is no known scheme"),
-    ("", "bug", "no-such-bug", "bug 'no-such-bug' is no known bug"),
-    ("", "params", [], "params must be dict, got list"),
-    ("params", "num_vms", 4.5, "params.num_vms must be int, got float"),
-    ("params", "cache_ratio", 16, None),
-    ("params.fuzz", "burstiness", 2.0, "params.fuzz: burstiness must be in"),
-    ("params.fuzz", "ensure_recovery", 1,
-     "params.fuzz.ensure_recovery must be bool, got int"),
-    ("", "schedule", {}, "fault schedule must be an object"),
-    ("params", "max_rto_ns", 0,
-     "params: max_rto_ns (0) must be >= initial_rto_ns (500000)")])
-def test_a_reproducer_field_of_the_wrong_kind_is_named(reproducer, level,
-                                                       key, value, says):
-    payload, path, loaded = reproducer
-    broken = json.loads(json.dumps(payload))
-    _at(broken, level)[key] = value
-    path.write_text(json.dumps(broken))
-    if says is None:  # an int where a float is wanted reads as that float
-        assert load_reproducer(path) == loaded
-        return
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {says}")):
-        load_reproducer(path)
+    assert result.shrunk is None
 
 
 def test_bug_registry_names_are_stable():

@@ -1,14 +1,11 @@
 """Tests for the command-line interface."""
 
 import argparse
-import dataclasses
-import json
 import os
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.chaosfuzz import ChaosFuzzParams
 from repro.experiments.figures import FigureScale, figure5
 from repro.experiments.parallel import ExperimentJob
 
@@ -166,34 +163,25 @@ def test_the_subcommands_are_the_six_and_each_help_renders(capsys):
         assert capsys.readouterr().out.startswith(f"usage: repro {name}")
 
 
-#: A reproducer that loads: every field a replay reads, and no other.
-_REPRODUCER = {"format": "repro-chaos-reproducer", "version": 1,
-               "scheme": "SwitchV2P", "trial": 0, "trial_seed": 1, "bug": None,
-               "params": dataclasses.asdict(ChaosFuzzParams()),
-               "schedule": {"events": []}}
+#: A known failure: a switch that keeps its cache across a power cycle.
+_FAILING_CHAOS = ["chaos", "--trials", "4", "--seed", "6",
+                  "--bug", "skip-cache-flush", "--num-vms", "16",
+                  "--num-flows", "24"]
 
 
-@pytest.mark.parametrize("content, says", [
-    pytest.param(None, "No such file", id="missing"),
-    pytest.param("not json\n", "is not JSON", id="not-json"),
-    pytest.param("[]\n", "not a chaos reproducer artifact", id="not-a-dict"),
-    pytest.param('{"format": "something-else"}\n',
-                 "not a chaos reproducer artifact", id="foreign"),
-    pytest.param(json.dumps({key: value for key, value in _REPRODUCER.items()
-                             if key != "params"}),
-                 "reproducer has no field 'params'", id="no-params"),
-    pytest.param(json.dumps({**_REPRODUCER, "params": {
-        **_REPRODUCER["params"], "surprise": 1}}),
-                 "params has unknown field 'surprise'", id="unknown-param")])
-def test_chaos_replay_of_a_bad_file_exits_2_naming_it(content, says,
-                                                      tmp_path, capsys):
-    path = tmp_path / "reproducer.json"
-    if content is not None:
-        path.write_text(content)
-    assert main(["chaos", "--replay", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert str(path) in err and says in err
+def test_a_failing_chaos_run_is_reproduced_by_its_command_line(capsys):
+    """The same command fails the same way and prints the same shrunk
+    events, byte for byte: the command line is the reproducer."""
+    outputs = []
+    for _ in range(2):
+        assert main(_FAILING_CHAOS) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    out = outputs[0]
+    assert "[structural]" in out
+    assert "3940242 ns switch-fail ('tor', 3, 0)" in out
+    assert ("reproduces trial 0 and shrinks to the same 1 event(s)"
+            in out)
 
 
 @pytest.mark.parametrize("argv, flag, config", [

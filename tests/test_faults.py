@@ -52,6 +52,25 @@ def test_schedule_window_introspection():
     assert FaultSchedule().last_recovery_ns() is None
 
 
+def test_a_zero_rate_link_loss_is_the_heal():
+    """A link-loss episode opens at its nonzero rate and heals at rate
+    0, as the same episode built with ``degrade_link`` does."""
+    a, b = ("tor", 0, 0), ("spine", 0, 0)
+    lossy = (FaultSchedule().link_loss(1000, a, b, 0.2)
+             .link_loss(5000, a, b, 0.0))
+    degraded = (FaultSchedule().degrade_link(1000, a, b, 0.2)
+                .degrade_link(5000, a, b))
+    for schedule in (lossy, degraded):
+        assert schedule.first_fault_ns() == 1000
+        assert schedule.last_recovery_ns() == 5000
+    # An earlier switch outage no longer hides the loss episode's heal.
+    lossy.switch_outage("spine", (0, 1), 0, 500)
+    assert lossy.first_fault_ns() == 0
+    assert lossy.last_recovery_ns() == 5000
+    # The heal alone opens no fault window.
+    assert FaultSchedule().link_loss(5000, a, b, 0.0).first_fault_ns() is None
+
+
 def test_builders_are_fluent_and_ordered():
     schedule = (FaultSchedule()
                 .link_outage(("tor", 0, 0), ("spine", 0, 0), msec(1), msec(1))
