@@ -41,7 +41,7 @@ class Direct(TranslationScheme):
 
     def _on_mapping_update(self, vip: int, old_pip: int, new_pip: int) -> None:
         assert self.network is not None
-        self.control_plane_pushes += len(self.network.hosts)
+        self.control_plane_pushes += self.network.config.spec.num_servers
 
     def on_host_send(self, host: Host, packet: Packet) -> None:
         assert self.network is not None

@@ -39,11 +39,14 @@ class OnDemand(TranslationScheme):
 
     def setup(self, network: VirtualNetwork) -> None:
         super().setup(network)
-        self._host_caches = {host.pip: {} for host in network.hosts}
+        self._host_caches = {}
         self._pending.clear()
 
     def on_host_send(self, host: Host, packet: Packet) -> None:
-        cache = self._host_caches[host.pip]
+        try:
+            cache = self._host_caches[host.pip]
+        except KeyError:  # the host's first send
+            cache = self._host_caches[host.pip] = {}
         pip = cache.get(packet.dst_vip)
         if pip is not None:
             self.resolve(packet, pip)

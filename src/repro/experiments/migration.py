@@ -115,7 +115,7 @@ def _host_in_other_rack(network, source_host):
     from repro.net.addresses import pip_pod, pip_rack
 
     src_key = (pip_pod(source_host.pip), pip_rack(source_host.pip))
-    for host in network.hosts:
-        if (pip_pod(host.pip), pip_rack(host.pip)) != src_key:
-            return host
+    for pip in network.config.spec.server_pips():
+        if (pip_pod(pip), pip_rack(pip)) != src_key:
+            return network.host(pip)
     raise RuntimeError("topology has a single rack; cannot migrate across racks")

@@ -119,11 +119,10 @@ def build_scenario(scheme: Any, num_vms: int, *,
     spec = chaos_spec()
     network = VirtualNetwork(NetworkConfig(spec=spec, **config), scheme)
     gateway_racks = {(pod, spec.gateway_rack) for pod in spec.gateway_pods}
-    tenant_hosts = [host for host in network.hosts
-                    if (pip_pod(host.pip), pip_rack(host.pip))
-                    not in gateway_racks]
+    tenant_pips = [pip for pip in spec.server_pips()
+                   if (pip_pod(pip), pip_rack(pip)) not in gateway_racks]
     for vip in range(num_vms):
-        network.place_vm(vip, tenant_hosts[vip % len(tenant_hosts)])
+        network.database.set(vip, tenant_pips[vip % len(tenant_pips)])
     scenario = Scenario(network)
     if sample_period_ns > 0:
         scenario.probe = ResilienceProbe(network, sample_period_ns)

@@ -136,10 +136,15 @@ class OracleSuite:
             self._migrated.add(vip)
 
     def _wrap_hosts(self) -> None:
-        for host in self.network.hosts:
-            host.on_deliver = self._make_deliver_probe(host, host.on_deliver)
-            host.on_misdeliver = self._make_misdeliver_probe(
-                host, host.on_misdeliver)
+        """Probe every server made so far, and each one made later."""
+        network = self.network
+        for host in network.host_by_pip.values():
+            self._wrap_host(host)
+        network.host_watchers.append(self._wrap_host)
+
+    def _wrap_host(self, host: Host) -> None:
+        host.on_deliver = self._make_deliver_probe(host, host.on_deliver)
+        host.on_misdeliver = self._make_misdeliver_probe(host, host.on_misdeliver)
 
     def _make_deliver_probe(self, host: Host,
                             inner: Callable[[Packet], None] | None,
@@ -269,7 +274,8 @@ class OracleSuite:
     def _check_conservation(self, horizon_ns: int) -> None:
         network = self.network
         fabric = network.fabric
-        sent = sum(host.packets_sent for host in network.hosts)
+        hosts = network.host_by_pip.values()
+        sent = sum(host.packets_sent for host in hosts)
         delivered = network.collector.deliveries
         switch_drops = sum(sw.stats.drops for sw in fabric.switches)
         link_drops = 0
@@ -277,7 +283,7 @@ class OracleSuite:
         for link in fabric.links():
             link_drops += link.drops
             link_lost += link.lost
-        host_drops = sum(host.unroutable_drops for host in network.hosts)
+        host_drops = sum(host.unroutable_drops for host in hosts)
         gateway_drops = sum(gw.dropped_while_failed + gw.dropped_brownout
                             + gw.resolution_failures
                             for gw in network.gateways)

@@ -25,6 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.link import Link
     from repro.net.node import Switch
     from repro.vnet.gateway import Gateway
+    from repro.vnet.hypervisor import Host
     from repro.vnet.network import VirtualNetwork
 
 
@@ -417,8 +418,14 @@ class FaultSchedule:
         """
         from repro.net.addresses import make_pip
         _tag, vip, pod, rack, host_index = target
-        host = network.host_by_pip.get(make_pip(pod, rack, host_index))
-        if host is None or network.database.get(vip) is None:
+        pip = make_pip(pod, rack, host_index)
+        host: Host | None = None
+        if network.database.get(vip) is not None:
+            try:
+                host = network.host(pip)  # made now if not made yet
+            except KeyError:
+                pass
+        if host is None:
             return (f"{FaultKind.VM_MIGRATE.value} vip {vip} -> "
                     f"({pod},{rack},{host_index}) skipped: no such vip/server")
         network.migrate(vip, host)

@@ -74,6 +74,9 @@ class Collector:
         self.gateway_crash_drops = 0
         #: Packets shed by browned-out gateways (summed at finalize).
         self.gateway_brownout_drops = 0
+        #: DATA / ACK packets delivered to a VIP's endpoint for a flow
+        #: it holds no receiver / sender of, and so dropped there.
+        self.unclaimed_packets = 0
 
     # ------------------------------------------------------------------
     # recording

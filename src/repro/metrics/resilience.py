@@ -96,7 +96,7 @@ class ResilienceProbe:
         recover_ns = self._time_to_recover(last, baseline, recovery_fraction)
 
         collector = self.network.collector
-        hosts = self.network.hosts
+        hosts = self.network.host_by_pip.values()
         return ResilienceSummary(
             before=_phase(before_h, before_g),
             during=_phase(during_h, during_g),

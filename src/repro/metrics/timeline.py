@@ -115,10 +115,10 @@ class RatioTimeline:
 def track_hit_rate(network, period_ns: int) -> RatioTimeline:
     """Windowed in-network hit rate: 1 - gateway/sent per window.
 
-    Sent packets are read live from the hosts (the collector aggregates
-    them only at finalize time).
+    Sent packets are read live from the servers made so far (the
+    collector aggregates them only at finalize time).
     """
-    hosts = network.hosts
+    hosts = network.host_by_pip.values()
     collector = network.collector
     timeline = RatioTimeline(
         network.engine,

@@ -124,7 +124,9 @@ class Switch(Node):
 
     Link attachment is performed by the topology builder:
 
-    * ToR: ``host_links`` (PIP -> link) and ``up_links`` (to pod spines).
+    * ToR: ``host_links`` (PIP -> link; a server's entry appears when
+      :meth:`Fabric.host_port` makes the server) and ``up_links`` (to
+      pod spines).
     * Spine: ``down_links`` (rack-indexed array of links to ToRs) and
       ``up_links`` (to this spine's core group).
     * Core: ``pod_links`` (pod-indexed array of links to peer spines).
@@ -445,7 +447,12 @@ class Switch(Node):
                 # (handled by the scheme hook); reaching here means
                 # the scheme left it unconsumed — drop quietly.
                 return None
-            link = self.host_links.get(dst)
+            try:
+                link = self.host_links[dst]
+            except KeyError:
+                # A server nobody has asked for yet: made now, on this
+                # route-memo miss, with its two links.
+                link = self.fabric.host_port(self, dst)
         elif layer == _SPINE:
             if dst_pod != self.pod:
                 return self._ecmp_up(packet, dst)

@@ -10,17 +10,18 @@ matching the paper's Figure 8 layout where pod 8's switch 8 is the
 gateway ToR.
 
 The fabric is purely physical: hosts and gateways are attached later by
-the virtualization layer (:mod:`repro.vnet.fabric`), keeping the
+the virtualization layer (:mod:`repro.vnet.network`), keeping the
 layering identical to a real deployment where the overlay is built on
-an existing underlay.
+an existing underlay.  Like a switch-to-switch cable, a server and its
+two links are made the first time something asks for them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from repro.net.addresses import make_pip
+from repro.net.addresses import make_pip, pip_host
 from repro.net.link import Link
 from repro.net.node import Layer, Node, Switch, ecmp_index
 from repro.sim.engine import Engine
@@ -64,6 +65,13 @@ class FatTreeSpec:
     def num_servers(self) -> int:
         return self.pods * self.racks_per_pod * self.servers_per_rack
 
+    def server_pips(self) -> list[int]:
+        """Every server's PIP, in ``(pod, rack, index)`` order."""
+        return [make_pip(pod, rack, index)
+                for pod in range(self.pods)
+                for rack in range(self.racks_per_pod)
+                for index in range(self.servers_per_rack)]
+
     @property
     def num_gateways(self) -> int:
         return len(self.gateway_pods) * self.gateways_per_pod
@@ -101,6 +109,9 @@ class Fabric:
         #: Zero-arg observer fired on every fault transition (hybrid
         #: fidelity: path validity may have changed for any fluid flow).
         self.on_fault = None
+        #: ``make_server(pip)`` attaches the server at ``pip`` (see
+        #: :meth:`host_port`); set by the network that owns the servers.
+        self.make_server: Callable[[int], object] | None = None
         self._build()
 
     def note_fault(self, delta: int) -> None:
@@ -232,7 +243,10 @@ class Fabric:
     # ------------------------------------------------------------------
     def attach_host(self, node: Node, pod: int, rack: int, host_index: int,
                     rate_bps: float | None = None) -> tuple[int, Link]:
-        """Attach ``node`` under ToR (pod, rack) at ``host_index``.
+        """Attach ``node`` under ToR (pod, rack) at ``host_index``: make
+        its uplink and the ToR's host port to it.  Gateways are attached
+        when the network is built, a server when it is first asked for
+        (see :meth:`host_port`).
 
         Returns:
             The assigned PIP and the node's uplink to its ToR.
@@ -250,6 +264,22 @@ class Fabric:
                         spec.buffer_bytes)
         tor.host_links[pip] = downlink
         return pip, uplink
+
+    def host_port(self, tor: Switch, pip: int) -> Link | None:
+        """``tor``'s port to the server at ``pip``, a PIP of its rack
+        that has none yet: the server and its two links are made now.
+        None if ``pip`` names no server (a slot past the rack's servers)
+        or no network makes servers on this fabric.
+
+        Until then the server behaves as an idle, healthy one, which is
+        what a made server starts as: its links are up, lossless and at
+        base latency, and it has sent and received nothing.
+        """
+        make = self.make_server
+        if make is None or pip_host(pip) >= self.spec.servers_per_rack:
+            return None
+        make(pip)
+        return tor.host_links[pip]
 
     # ------------------------------------------------------------------
     # lookup helpers
@@ -283,8 +313,9 @@ class Fabric:
 
     def links(self) -> Iterator[Link]:
         """Every link that exists: each switch's ports made so far, each
-        ToR's host ports, and the uplink of the host or gateway at the
-        other end of a host port."""
+        ToR's host ports (its gateways' and those of the servers made so
+        far), and the uplink of the server or gateway at the other end
+        of a host port."""
         for switch in self.switches:
             for down in switch.host_links.values():
                 yield down

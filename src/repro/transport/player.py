@@ -41,14 +41,19 @@ class _VipDemux:
                 # purpose — endpoints move with their VM, so the
                 # backing host cannot be cached here.  The VIP was
                 # looked up when this demux was made and is never
-                # unmapped, so its table entry is a PIP.
+                # unmapped, so its table entry is a PIP — that of the
+                # server delivering this packet, which is made.
                 player = self.player
                 host = player.network.host_by_pip[player.placement[self.vip]]
                 receiver.on_data(packet, host)
+            else:
+                self.player.network.collector.unclaimed_packets += 1
         elif kind is _ACK:
             sender = self.senders.get(packet.flow_id)
             if sender is not None:
                 sender.on_ack(packet.seq)
+            else:
+                self.player.network.collector.unclaimed_packets += 1
 
 
 class TrafficPlayer:

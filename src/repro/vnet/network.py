@@ -2,19 +2,22 @@
 
 :class:`VirtualNetwork` is the top-level simulation object.  It builds
 the physical fabric from a :class:`~repro.net.topology.FatTreeSpec`,
-attaches one :class:`~repro.vnet.hypervisor.Host` per server and the
-configured gateways, owns the authoritative mapping database, and wires
-a *translation scheme* (SwitchV2P or any baseline) into every node's
-hooks.  Transports and trace players then drive traffic through it.
+attaches the configured gateways and, the first time something asks
+for it, one :class:`~repro.vnet.hypervisor.Host` per server, owns the
+authoritative mapping database, and wires a *translation scheme*
+(SwitchV2P or any baseline) into every node's hooks.  Transports and
+trace players then drive traffic through it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import cycle, islice
 from types import SimpleNamespace
 
 from repro.metrics.collector import Collector
+from repro.net.addresses import split_pip
 from repro.net.node import ecmp_index
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import Fabric, FatTreeSpec
@@ -73,8 +76,13 @@ class VirtualNetwork:
         #: ``packet.pool_recycle_rate`` row, which now reads 0); no
         #: packet touches it.  It goes when a benchmark PR drops the row.
         self.packet_pool = SimpleNamespace(allocated=0, recycled=0)
-        self.hosts: list[Host] = []
+        #: The servers made so far, by PIP, in the order they were
+        #: made.  A server is made the first time something asks for it
+        #: (:meth:`host`); until then it is an idle, healthy server.
         self.host_by_pip: dict[int, Host] = {}
+        #: ``watcher(host)`` runs for each server as it is made (the
+        #: oracles probe every server's deliveries).
+        self.host_watchers: list[Callable[[Host], None]] = []
         self.gateways: list[Gateway] = []
         #: Gateways the hypervisors currently believe are healthy (the
         #: load-balancing pool).  Failure detection moves gateways out
@@ -99,7 +107,7 @@ class VirtualNetwork:
         with collector_paused():
             self.engine = Engine()
             self.fabric = Fabric(self.engine, config.spec)
-            self._build_hosts()
+            self.fabric.make_server = self.host
             self._build_gateways()
             self.live_gateways = list(self.gateways)
             self._wire_scheme()
@@ -110,24 +118,39 @@ class VirtualNetwork:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build_hosts(self) -> None:
+    def host(self, pip: int) -> Host:
+        """The server at ``pip``, made, attached and wired the first
+        time it is asked for.
+
+        Raises:
+            KeyError: if ``pip`` names no server of the spec.
+        """
+        host = self.host_by_pip.get(pip)
+        if host is not None:
+            return host
         spec = self.config.spec
-        deliver = self._on_host_deliver
-        misdeliver = self._on_host_misdeliver
-        placement = self.database.table
-        for pod in range(spec.pods):
-            for rack in range(spec.racks_per_pod):
-                for index in range(spec.servers_per_rack):
-                    host = Host(f"host-p{pod}r{rack}h{index}", self.engine,
-                                placement, self.endpoints,
-                                self.config.host_forward_delay_ns)
-                    host.pip, host.uplink = self.fabric.attach_host(
-                        host, pod, rack, index)
-                    host.uplink._src_is_host = True
-                    host.on_deliver = deliver
-                    host.on_misdeliver = misdeliver
-                    self.hosts.append(host)
-                    self.host_by_pip[host.pip] = host
+        pod, rack, index = split_pip(pip)
+        if not (pip >= 0 and pod < spec.pods and rack < spec.racks_per_pod
+                and index < spec.servers_per_rack):
+            raise KeyError(f"no server has pip {pip}")
+        host = Host(f"host-p{pod}r{rack}h{index}", self.engine,
+                    self.database.table, self.endpoints,
+                    self.config.host_forward_delay_ns)
+        host.pip, host.uplink = self.fabric.attach_host(host, pod, rack, index)
+        host.uplink._src_is_host = True
+        host.handler = self.scheme
+        host.on_deliver = self._on_host_deliver
+        host.on_misdeliver = self._on_host_misdeliver
+        self.host_by_pip[host.pip] = host
+        for watcher in self.host_watchers:
+            watcher(host)
+        return host
+
+    @property
+    def hosts(self) -> list[Host]:
+        """Every server, in ``(pod, rack, index)`` order: reading this
+        makes each one not made yet."""
+        return [self.host(pip) for pip in self.config.spec.server_pips()]
 
     def _build_gateways(self) -> None:
         spec = self.config.spec
@@ -157,8 +180,6 @@ class VirtualNetwork:
         self.scheme.setup(self)
         for switch in self.fabric.switches:
             switch.handler = self.scheme
-        for host in self.hosts:
-            host.handler = self.scheme
 
     def _on_host_deliver(self, packet: Packet) -> None:
         collector = self.collector
@@ -178,28 +199,33 @@ class VirtualNetwork:
     def place_vms(self, count: int) -> None:
         """Place ``count`` VMs round-robin across all servers.
 
-        VIP ``v`` lands on server ``v % num_servers``, which yields the
-        uniform VMs-per-server placement the paper's trace setup uses.
-        A host runs what the database maps to it, so the first placement
-        is one :meth:`MappingDatabase.load`, with no call per VM.
+        VIP ``v`` lands on server ``v % num_servers`` (in ``(pod, rack,
+        index)`` order), which yields the uniform VMs-per-server
+        placement the paper's trace setup uses.  A host runs what the
+        database maps to it, so placement writes PIPs and makes no
+        server, and the first placement is one
+        :meth:`MappingDatabase.load`, with no call per VM.
         """
-        hosts = self.hosts
-        if count and not hosts:
+        pips = self.config.spec.server_pips()
+        if count and not pips:
             raise ValueError("topology has no servers to place VMs on")
         database = self.database
         if database.version:
             for vip in range(count):
-                self.place_vm(vip, hosts[vip % len(hosts)])
+                database.set(vip, pips[vip % len(pips)])
             return
         with collector_paused():
-            database.load(islice(cycle([host.pip for host in hosts]), count))
+            database.load(islice(cycle(pips), count))
 
     def place_vm(self, vip: int, host: Host) -> None:
         self.database.set(vip, host.pip)
 
     def host_of(self, vip: int) -> Host:
         """The host currently running ``vip`` (authoritative view)."""
-        return self.host_by_pip[self.database.lookup(vip)]
+        try:
+            return self.host_by_pip[self.database.lookup(vip)]
+        except KeyError:  # not made yet
+            return self.host(self.database.lookup(vip))
 
     def migrate(self, vip: int, target: Host) -> None:
         """Move a VM: follow-me at the old host, then update the DB.
@@ -310,10 +336,12 @@ class VirtualNetwork:
         return end
 
     def finalize(self) -> None:
-        """Aggregate per-node counters into the metrics collector."""
+        """Aggregate per-node counters into the metrics collector (a
+        server not made yet has sent and misdelivered nothing)."""
         collector = self.collector
-        collector.packets_sent = sum(host.packets_sent for host in self.hosts)
-        collector.misdeliveries = sum(host.misdeliveries for host in self.hosts)
+        hosts = self.host_by_pip.values()
+        collector.packets_sent = sum(host.packets_sent for host in hosts)
+        collector.misdeliveries = sum(host.misdeliveries for host in hosts)
         collector.drops = sum(switch.stats.drops for switch in self.fabric.switches)
         collector.gateway_crash_drops = sum(
             gateway.dropped_while_failed for gateway in self.gateways)

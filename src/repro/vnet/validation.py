@@ -55,8 +55,9 @@ def assert_valid(network: VirtualNetwork) -> None:
 
 def _check_placement(network: VirtualNetwork) -> list[str]:
     issues = []
+    servers = set(network.config.spec.server_pips())
     for vip, pip in network.database.items():
-        if pip not in network.host_by_pip:
+        if pip not in servers:
             issues.append(f"vip {vip} maps to unknown pip {pip}")
     for vip in network.endpoints:
         if vip not in network.database:
@@ -66,8 +67,9 @@ def _check_placement(network: VirtualNetwork) -> list[str]:
 
 
 def _check_attachments(network: VirtualNetwork) -> list[str]:
+    """Each server made so far hangs off its ToR both ways."""
     issues = []
-    for host in network.hosts:
+    for host in network.host_by_pip.values():
         pod, rack = pip_pod(host.pip), pip_rack(host.pip)
         tor = network.fabric.tors.get((pod, rack))
         if tor is None:

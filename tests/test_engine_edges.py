@@ -598,15 +598,17 @@ def _collections_during(build):
 
 #: GC-tracked objects a k=32 / 100k-VM hybrid build keeps (CPython
 #: 3.11), measured; the bound below allows 2 %, which also covers the
-#: few dozen that depend on what the process built before: 71 896.  It
-#: was 211 897 while every link had a ``LinkStats`` and its own bound
+#: few dozen that depend on what the process built before: 38 629, the
+#: build making no server.  It was 211 897 while every link had a ``LinkStats`` and its own bound
 #: ``receive``, 122 872 while each of the 8 192 hosts kept a set of its
 #: VIPs beside the database and each of the 1 280 switches a set of
 #: attached PIPs (filled on ToRs only) beside ``host_links``, 112 873
 #: while the engine kept its timers in a wheel of 8 192 bucket lists at
-#: this size, and 104 664 while the build made all 32 768
-#: switch-to-switch links instead of leaving each to its first use.
-K32_BUILD_OBJECTS = 71_900
+#: this size, 104 664 while the build made all 32 768 switch-to-switch
+#: links instead of leaving each to its first use, and 71 896 while it
+#: made all 8 192 servers (each a ``Host``, two links and two bound
+#: methods) instead of leaving each to its first use.
+K32_BUILD_OBJECTS = 38_630
 
 
 def test_k32_build_runs_no_full_collection(collector):
@@ -628,22 +630,26 @@ def test_k32_build_runs_no_full_collection(collector):
 
 
 #: Bytes of live heap a k=32 / 100k-VM hybrid build keeps (CPython
-#: 3.11, ``tracemalloc`` after a full collection), measured: 10 566 470.
+#: 3.11, ``tracemalloc`` after a full collection), measured: 4 627 190.
 #: The object count above cannot see memory that is not a GC-tracked
 #: object — dict slots, boxed ints — so this bound sits beside it, at
 #: 2 % over.  It was about 25 MB (25 341 302) while the mapping
 #: database was a dict keyed by VIP: a 5.2 MB hash table and 100 000
 #: boxed VIP keys, where the list indexed by VIP holds 0.8 MB;
-#: 17 123 342 while the engine kept an 8 192-bucket timer wheel; and
-#: 16 595 782 while the build made every switch-to-switch link.
-K32_BUILD_BYTES = 10_566_470
+#: 17 123 342 while the engine kept an 8 192-bucket timer wheel;
+#: 16 595 782 while the build made every switch-to-switch link; and
+#: 10 566 470 while it made every server.
+K32_BUILD_BYTES = 4_627_190
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                     reason="the byte count is a property of the interpreter")
 def test_k32_build_keeps_a_bounded_heap():
-    # First-use imports and the shared per-rate tables, off the count.
+    # First-use imports and the shared per-rate tables, off the count;
+    # so are the interned server PIPs, which the process keeps for every
+    # network (a k=32 build earlier in the process interned them before).
     build_network(tiny_spec(), SwitchV2P(64), 8, seed=7, fidelity="hybrid")
+    ft32_spec().server_pips()
     gc.collect()
     tracemalloc.start()
     try:

@@ -34,6 +34,11 @@ def test_opcodes_per_packet_stay_within_two_percent(scheme):
                              num_flows=100).materialize()
     network = build_network(FatTreeSpec(), make_scheme(scheme, 320, 4.0),
                             320, seed=1)
+    # Every server made before the count: the run would make 102 of them
+    # on first use, a one-time cost per server (about 80 opcodes per
+    # packet here) that no per-packet change pays.
+    # ``test_cabling_equivalence`` holds which servers a run makes.
+    assert len(network.hosts) == 128
     result, by_function = count_opcodes(
         lambda: run_flows(network, flows, trace_name="hadoop"))
     assert result.completion_rate == 1.0 and result.packets_sent == 580

@@ -291,9 +291,9 @@ MUTANTS = [
     # ``collector_paused()`` *reaches* ``gc.enable``, so a bare
     # ``gc.disable()`` of its own next to it went unseen.
     pytest.param("W404", "vnet/network.py", "place_vms",
-                 "        hosts = self.hosts\n",
+                 "        pips = self.config.spec.server_pips()\n",
                  "        import gc\n        gc.disable()\n"
-                 "        hosts = self.hosts\n",
+                 "        pips = self.config.spec.server_pips()\n",
                  "place_vms()", id="W404-place_vms"),
 ]
 
