@@ -17,7 +17,7 @@ from repro.net.node import Layer
 from repro.net.packet import Packet
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     """Lifecycle record of a single flow."""
 
@@ -75,8 +75,13 @@ class Collector:
         #: Packets shed by browned-out gateways (summed at finalize).
         self.gateway_brownout_drops = 0
         #: DATA / ACK packets delivered to a VIP's endpoint for a flow
-        #: it holds no receiver / sender of, and so dropped there.
+        #: it holds no receiver / sender of, and so dropped there —
+        #: except the ACKs counted in ``late_acks``.
         self.unclaimed_packets = 0
+        #: ACKs of a completed flow whose sender was already done and
+        #: forgotten (e.g. an ACK overtaken by the final one), dropped
+        #: at the flow's source.
+        self.late_acks = 0
 
     # ------------------------------------------------------------------
     # recording

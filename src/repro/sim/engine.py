@@ -208,6 +208,20 @@ class Engine:
                        (self._now + delay, self._sequence, callback, args))
         self._sequence += 1
 
+    def reserve(self, count: int) -> int:
+        """Draw ``count`` consecutive sequence numbers; return the first.
+
+        An entry ``(at, seq, callback, args)`` pushed onto the calendar
+        later under a reserved ``seq`` (``at`` no earlier than the clock
+        then) runs exactly where :meth:`schedule` would have run it,
+        had that been called now: after the same-time events scheduled
+        before this call, before those scheduled after it.  The traffic
+        player feeds a batch's flow starts this way, one at a time.
+        """
+        seq = self._sequence
+        self._sequence = seq + count
+        return seq
+
     # ------------------------------------------------------------------
     # cancellable timers
     # ------------------------------------------------------------------

@@ -4,14 +4,20 @@ The player owns the per-VIP endpoint demultiplexers, creates senders
 and receivers, handles RPC response flows, and registers every flow
 with the metrics collector.  It is the single entry point experiments
 use to inject a trace into a simulation.
+
+A run holds what is live: the calendar holds one pending start per
+:meth:`TrafficPlayer.add_flows` batch, and a reliable flow's endpoints
+are forgotten once its sender is done (see :class:`_VipDemux`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from heapq import heappush
 
 from repro.metrics.collector import FlowRecord
 from repro.net.packet import Packet, PacketKind
+from repro.sim.engine import SimulationError
 from repro.transport.flow import FlowSpec
 from repro.transport.reliable import ReliableReceiver, ReliableSender, TransportConfig
 from repro.transport.udp import UdpReceiver, UdpSender
@@ -22,7 +28,17 @@ _ACK = PacketKind.ACK
 
 
 class _VipDemux:
-    """Routes packets arriving for one VIP to per-flow transport state."""
+    """Routes packets arriving for one VIP to per-flow transport state.
+
+    A reliable flow's sender is dropped on the ACK that makes it done,
+    and so is its receiver if the flow never retransmitted: every
+    segment then went out once and has been cumulatively ACKed, so no
+    DATA for it is still in flight.  A flow that retransmitted keeps
+    its receiver, to re-ACK a retransmission still in flight or sent
+    after a lost final ACK.  An ACK that finds no sender for a completed
+    flow is counted in ``Collector.late_acks``; any other packet for a
+    flow the VIP holds no endpoint of, in ``Collector.unclaimed_packets``.
+    """
 
     __slots__ = ("player", "vip", "receivers", "senders")
 
@@ -51,9 +67,19 @@ class _VipDemux:
         elif kind is _ACK:
             sender = self.senders.get(packet.flow_id)
             if sender is not None:
-                sender.on_ack(packet.seq)
+                if sender.on_ack(packet.seq):
+                    record = sender.record
+                    del self.senders[record.flow_id]
+                    if record.retransmissions == 0:
+                        del self.player._demux[record.dst_vip] \
+                            .receivers[record.flow_id]
             else:
-                self.player.network.collector.unclaimed_packets += 1
+                collector = self.player.network.collector
+                record = collector.flows.get(packet.flow_id)
+                if record is not None and record.completed:
+                    collector.late_acks += 1
+                else:
+                    collector.unclaimed_packets += 1
 
 
 class TrafficPlayer:
@@ -72,13 +98,41 @@ class TrafficPlayer:
 
     # ------------------------------------------------------------------
     def add_flows(self, specs: Iterable[FlowSpec]) -> list[FlowRecord]:
-        """Register flows and schedule their start events."""
-        records = []
+        """Register flows and feed their starts to the calendar.
+
+        Every start is checked before any flow is registered, so a
+        batch that raises registers nothing.  The calendar holds one
+        start of the batch at a time, the earliest by ``(start_ns,
+        index)``, and each start pushes the next when it fires.  Spec
+        ``index`` keeps sequence number ``seq0 + index`` of a block
+        reserved here, the key that scheduling every start now would
+        have given it, so events run in the same order as if it had.
+
+        Raises:
+            SimulationError: if a start is before the current time.
+        """
+        specs = list(specs)
+        engine = self.network.engine
+        now = engine.now
         for spec in specs:
-            records.append(self._add_flow(spec))
+            if spec.start_ns < now:
+                raise SimulationError(
+                    f"cannot start a flow at t={spec.start_ns} before "
+                    f"current time t={now}")
+        records = [self._register(spec) for spec in specs]
+        if specs:
+            seq0 = engine.reserve(len(specs))
+            # Keys are unique, so the sort never compares a spec.
+            pending = sorted(((spec.start_ns, seq0 + index, spec, record)
+                              for index, (spec, record)
+                              in enumerate(zip(specs, records))),
+                             reverse=True)
+            at, seq, spec, record = pending.pop()
+            heappush(engine._queue,
+                     (at, seq, self._start_flow, (spec, record, pending)))
         return records
 
-    def _add_flow(self, spec: FlowSpec) -> FlowRecord:
+    def _register(self, spec: FlowSpec) -> FlowRecord:
         flow_id = spec.flow_id
         if flow_id is None:
             flow_id = self._next_flow_id
@@ -92,7 +146,6 @@ class TrafficPlayer:
         )
         self.network.collector.register_flow(record)
         self.flows.append(record)
-        self.network.engine.schedule(spec.start_ns, self._start_flow, spec, record)
         return record
 
     # ------------------------------------------------------------------
@@ -105,7 +158,14 @@ class TrafficPlayer:
             self.network.endpoints[vip] = demux
         return demux
 
-    def _start_flow(self, spec: FlowSpec, record: FlowRecord) -> None:
+    def _start_flow(self, spec: FlowSpec, record: FlowRecord,
+                    pending: list) -> None:
+        if pending:
+            # The batch's next start, under its reserved sequence number.
+            at, seq, next_spec, next_record = pending.pop()
+            heappush(self.network.engine._queue,
+                     (at, seq, self._start_flow,
+                      (next_spec, next_record, pending)))
         src_host = self.network.host_of(spec.src_vip)
         src_demux = self._demux_for(spec.src_vip)
         dst_demux = self._demux_for(spec.dst_vip)
@@ -141,7 +201,7 @@ class TrafficPlayer:
                 transport=request.transport,
                 udp_rate_bps=request.udp_rate_bps,
             )
-            self._add_flow(response)
+            self.add_flows((response,))
         return start_response
 
     # ------------------------------------------------------------------

@@ -67,6 +67,13 @@ class TransportConfig:
 class ReliableSender:
     """Sender half of one reliable flow."""
 
+    __slots__ = (
+        "record", "host", "config", "engine", "total_packets", "snd_una",
+        "snd_next", "cwnd", "ssthresh", "dup_acks", "rto_ns", "_timer",
+        "done", "acks_received", "fluid", "fluid_receiver", "_fluid_active",
+        "_fluid_wait", "_fluid_attempts", "_fluid_retry_seq",
+    )
+
     def __init__(self, record: FlowRecord, host: Host, config: TransportConfig,
                  engine) -> None:
         self.record = record
@@ -137,15 +144,19 @@ class ReliableSender:
             self.snd_next = seq
 
     # ------------------------------------------------------------------
-    def on_ack(self, cumulative_seq: int) -> None:
+    def on_ack(self, cumulative_seq: int) -> bool:
+        """Take one cumulative ACK; True if it made the sender done.
+
+        The endpoint table forgets the sender on that True.
+        """
         self.acks_received += 1
         if self.done:
-            return
+            return False
         if self._fluid_active:
             # A stale ACK (a duplicate delivery from a pre-adoption
             # retransmission) arriving while the fluid scheduler owns
             # this flow: the scheduler's analytic state supersedes it.
-            return
+            return False
         config = self.config
         if cumulative_seq > self.snd_una:
             newly_acked = cumulative_seq - self.snd_una
@@ -161,7 +172,7 @@ class ReliableSender:
                 self.done = True
                 self.engine.cancel_timer(self._timer)
                 self._timer = None
-                return
+                return True
             if self._fluid_wait:
                 if (self.snd_una == self.snd_next
                         and self.acks_received == self.snd_next):
@@ -175,7 +186,7 @@ class ReliableSender:
                     self.fluid.adopt_reliable(self)
                 # Still draining: skip the window refill so the pipe
                 # empties; the armed RTO aborts a stalled wait.
-                return
+                return False
             fluid = self.fluid
             if (fluid is not None
                     and self.record.retransmissions == 0
@@ -187,10 +198,10 @@ class ReliableSender:
                 # Steady state with a long analytically-advanceable
                 # run ahead: stop refilling and drain toward adoption.
                 self._fluid_wait = True
-                return
+                return False
             self._send_window()
             self._arm_timer()
-            return
+            return False
         # Duplicate cumulative ACK.
         if self._fluid_wait:
             # Reordering or loss showed up mid-drain: abort the wait
@@ -206,6 +217,7 @@ class ReliableSender:
             self._enter_recovery()
             self._send_segment(self.snd_una)
             self.record.retransmissions += 1
+        return False
 
     def _enter_recovery(self) -> None:
         self.ssthresh = max(2.0, self.cwnd / 2)
@@ -260,7 +272,15 @@ class ReliableSender:
 
 
 class ReliableReceiver:
-    """Receiver half of one reliable flow: cumulative ACKs, completion."""
+    """Receiver half of one reliable flow: cumulative ACKs, completion.
+
+    ``_out_of_order`` holds the sequence numbers received above
+    ``rcv_next``; it is None until a packet first arrives out of order.
+    """
+
+    __slots__ = ("record", "config", "engine", "collector", "total_packets",
+                 "rcv_next", "_out_of_order", "_max_seen", "on_complete",
+                 "_completed")
 
     def __init__(self, record: FlowRecord, config: TransportConfig, engine,
                  collector, total_packets: int,
@@ -271,7 +291,7 @@ class ReliableReceiver:
         self.collector = collector
         self.total_packets = total_packets
         self.rcv_next = 0
-        self._out_of_order: set[int] = set()
+        self._out_of_order: set[int] | None = None
         self._max_seen = -1
         self.on_complete = on_complete
         self._completed = False
@@ -286,16 +306,28 @@ class ReliableReceiver:
             self.collector.reorder_events += 1
         if seq > self._max_seen:
             self._max_seen = seq
-        if seq >= self.rcv_next and seq not in self._out_of_order:
+        rcv_next = self.rcv_next
+        if seq == rcv_next:
+            # In order: the set holds nothing at or below ``rcv_next``.
             record.bytes_received += packet.payload_bytes
-            self._out_of_order.add(seq)
-            while self.rcv_next in self._out_of_order:
-                self._out_of_order.discard(self.rcv_next)
-                self.rcv_next += 1
+            rcv_next += 1
+            held = self._out_of_order
+            if held:
+                while rcv_next in held:
+                    held.discard(rcv_next)
+                    rcv_next += 1
+            self.rcv_next = rcv_next
+        elif seq > rcv_next:
+            held = self._out_of_order
+            if held is None:
+                held = self._out_of_order = set()
+            if seq not in held:
+                record.bytes_received += packet.payload_bytes
+                held.add(seq)
         # One cumulative ACK per data packet received.
-        host.send(Packet(_ACK, packet.flow_id, self.rcv_next, 0,
+        host.send(Packet(_ACK, packet.flow_id, rcv_next, 0,
                          packet.dst_vip, packet.src_vip, host.pip))
-        if not self._completed and self.rcv_next >= self.total_packets:
+        if not self._completed and rcv_next >= self.total_packets:
             self._completed = True
             record.fct_ns = now - record.start_ns
             if self.on_complete is not None:

@@ -17,6 +17,9 @@ from repro.vnet.hypervisor import Host
 class UdpSender:
     """Emits a flow's packets at a fixed rate with no feedback."""
 
+    __slots__ = ("record", "host", "engine", "rate_bps", "mss_bytes",
+                 "total_packets", "next_seq", "gap_ns")
+
     def __init__(self, record: FlowRecord, host: Host, engine,
                  rate_bps: float, mss_bytes: int = MSS_BYTES) -> None:
         if rate_bps <= 0:
@@ -54,6 +57,9 @@ class UdpSender:
 
 class UdpReceiver:
     """Counts received bytes; completion = all bytes arrived."""
+
+    __slots__ = ("record", "engine", "collector", "on_complete", "_seen",
+                 "_max_seen", "_completed")
 
     def __init__(self, record: FlowRecord, engine, collector,
                  on_complete=None) -> None:

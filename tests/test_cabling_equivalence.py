@@ -91,23 +91,28 @@ def _sides(monkeypatch, run):
 
 def _quick(name):
     """One quick-scale bench run: its result, the network's counts, and
-    the packets its endpoints held no flow for."""
+    the packets its endpoints held no flow for and the late ACKs of
+    completed flows whose senders were forgotten."""
     workload = WORKLOADS[name](QUICK_SCALE, None)
     flows = workload.flows(1)
     network = workload.build(1)
     (result,) = workload.run(network, flows, 1, None, 0)
-    return result, network_counts(network), network.collector.unclaimed_packets
+    collector = network.collector
+    return (result, network_counts(network),
+            (collector.unclaimed_packets, collector.late_acks))
 
 
 def test_ft8_hadoop_run_equals_the_fully_cabled_run(monkeypatch):
     sides = _sides(monkeypatch, lambda: _quick("hadoop-v2p"))
     pinned = json.loads(EXPECTED.read_text())["quick"]["hadoop-v2p"]
-    (result, counts, unclaimed), *others = sides
+    (result, counts, (unclaimed, late_acks)), *others = sides
     for other, other_counts, _ in others:
         assert {field: getattr(result, field) for field in pinned} == \
             {field: getattr(other, field) for field in pinned}
         assert counts == other_counts
     assert unclaimed == 0
+    # One ACK is overtaken by its flow's final ACK (97 at full scale).
+    assert late_acks == 1
 
 
 def _link_fault_trial():

@@ -1,0 +1,114 @@
+"""A run holds what is live: the calendar on the way, the heap at the end.
+
+Two tripwires on the traffic player's promise:
+
+* on a fixed Hadoop run the calendar's peak length follows the flows
+  in flight, not the flows in the trace: it is bounded by the peak
+  number of concurrent flows, and it stays flat from 500 to 4 000 flows
+  at the same load.  With every start pushed up front it was about the
+  flow count;
+* the bytes a ``hadoop-v2p`` quick run still holds once it is over,
+  per flow, stay under a bound pinned 5 % above the value measured
+  when it was set (``tracemalloc``; 2 355.1 before finished endpoints
+  were forgotten and per-flow objects slotted).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import sys
+import tracemalloc
+
+import pytest
+
+from bench.__main__ import QUICK_SCALE
+from bench.workloads import WORKLOADS
+from repro.experiments.runner import build_network, make_scheme, run_flows
+from repro.net.topology import FatTreeSpec
+from repro.traces.spec import TraceSpec
+from repro.transport.player import TrafficPlayer
+from repro.transport.reliable import TransportConfig
+
+from conftest import cable_fully
+
+#: Segments per flow at most.  Hadoop's sizes are heavy-tailed: uncapped,
+#: the longer trace draws larger elephants, whose windows (not the
+#: number of flows) set the peak.
+SEGMENTS = 4
+
+#: Bytes per flow a ``hadoop-v2p`` quick run holds after it, CPython 3.11.
+HELD_PER_FLOW = 1637.0
+
+
+def _peak_calendar(num_flows: int) -> tuple[int, int]:
+    """The calendar's peak length over a Hadoop run, event by event,
+    and the peak number of flows between start and completion."""
+    mss = TransportConfig().mss_bytes
+    flows = [dataclasses.replace(flow, size_bytes=min(flow.size_bytes,
+                                                      SEGMENTS * mss))
+             for flow in TraceSpec.create("hadoop", 6, num_vms=320,
+                                          num_flows=num_flows,
+                                          load=0.01).materialize()]
+    network = build_network(FatTreeSpec(), make_scheme("SwitchV2P", 320, 4.0),
+                            320, seed=1)
+    player = TrafficPlayer(network)
+    records = player.add_flows(flows)
+    engine = network.engine
+    calendar = engine._queue
+    assert len(calendar) == 1  # the first start, and nothing else
+    peak = 1
+    while engine.pending_events:
+        engine.run(max_events=1)
+        if len(calendar) > peak:
+            peak = len(calendar)
+    assert player.all_complete
+    edges = sorted([(record.start_ns, 1) for record in records]
+                   + [(record.start_ns + record.fct_ns, -1)
+                      for record in records])
+    live = concurrent = 0
+    for _at, step in edges:
+        live += step
+        concurrent = max(concurrent, live)
+    return peak, concurrent
+
+
+def test_the_calendar_follows_the_flows_in_flight_not_the_trace():
+    small, small_concurrent = _peak_calendar(500)
+    large, large_concurrent = _peak_calendar(4000)
+    # A live flow has at most SEGMENTS data packets and as many ACKs
+    # in flight, each one calendar entry; one start is pending.
+    assert small <= 2 * SEGMENTS * small_concurrent + 1
+    assert large <= 2 * SEGMENTS * large_concurrent + 1
+    assert large <= 1.25 * small, (small, large)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="object sizes are a property of the interpreter; "
+                           "the bound was measured on CPython 3.11")
+def test_a_finished_run_holds_little_per_flow():
+    workload = WORKLOADS["hadoop-v2p"](QUICK_SCALE, None)
+    flows = workload.flows(1)
+    # A first run pays the one-time allocations (interned names,
+    # specialized code) outside the count.
+    run_flows(workload.build(1), flows, workload.transport,
+              workload.horizon_ns)
+    network = workload.build(1)
+    # Servers and links are the network's, not any flow's.
+    network.hosts
+    cable_fully(network.fabric)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_flows(network, flows, workload.transport, workload.horizon_ns)
+        gc.collect()
+        per_flow = (tracemalloc.get_traced_memory()[0] - before) / len(flows)
+        top = "" if per_flow <= HELD_PER_FLOW * 1.05 else "\n".join(
+            str(stat) for stat
+            in tracemalloc.take_snapshot().statistics("lineno")[:10])
+    finally:
+        tracemalloc.stop()
+    assert per_flow <= HELD_PER_FLOW * 1.05, (
+        f"{per_flow:.1f} bytes held per flow, measured {HELD_PER_FLOW} "
+        f"when the bound was set\n{top}")

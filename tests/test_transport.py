@@ -4,9 +4,10 @@ import pytest
 
 from repro.baselines.direct import Direct
 from repro.baselines.nocache import NoCache
+from repro.net.packet import PacketKind
 from repro.sim.engine import msec, usec
 from repro.transport.flow import FlowSpec
-from repro.transport.player import TrafficPlayer
+from repro.transport.player import TrafficPlayer, _VipDemux
 from repro.transport.reliable import TransportConfig
 
 from conftest import small_network
@@ -145,3 +146,76 @@ def test_retransmission_after_total_loss_window(monkeypatch):
     network.run(until=msec(200))
     assert record.completed
     assert record.retransmissions > 0
+
+
+def _endpoints_through(monkeypatch, intercept):
+    """Hand every packet a VIP's endpoint gets to ``intercept(deliver,
+    demux, packet)`` instead, ``deliver(demux, packet)`` being the
+    endpoint's own delivery."""
+    deliver = _VipDemux.on_packet
+    monkeypatch.setattr(_VipDemux, "on_packet",
+                        lambda demux, packet: intercept(deliver, demux, packet))
+
+
+def test_a_lost_final_ack_after_a_retransmission_is_re_acked(monkeypatch):
+    lost = []
+
+    def lose_once(deliver, demux, packet):
+        key = (packet.kind, packet.seq)
+        if key in ((PacketKind.DATA, 0), (PacketKind.ACK, 3)) \
+                and key not in lost:
+            lost.append(key)
+        else:
+            deliver(demux, packet)
+
+    _endpoints_through(monkeypatch, lose_once)
+    network = small_network(NoCache(), num_vms=8)
+    player = TrafficPlayer(network)
+    [record] = player.add_flows([FlowSpec(src_vip=0, dst_vip=5,
+                                          size_bytes=3 * 1440, start_ns=0)])
+    network.run(until=msec(50))
+    # Segment 0's retransmission completes the receiver, and its ACK is
+    # lost; the second retransmission is re-ACKed by the same receiver.
+    assert lost == [(PacketKind.DATA, 0), (PacketKind.ACK, 3)]
+    assert record.completed and record.retransmissions == 2
+    assert record.flow_id not in player._demux[0].senders
+    assert record.flow_id in player._demux[5].receivers
+    collector = network.collector
+    assert (collector.unclaimed_packets, collector.late_acks) == (0, 0)
+
+
+def test_a_retransmission_in_flight_when_the_sender_is_done_is_re_acked(
+        monkeypatch):
+    """The only ACK is held until just after the RTO has retransmitted:
+    the sender is then done and forgotten, its receiver is kept, gets
+    the retransmission and re-ACKs it, and that ACK is a late one."""
+    rto_ns = TransportConfig().initial_rto_ns
+    network = small_network(NoCache(), num_vms=8)
+    held = []
+
+    def hold_first_ack(deliver, demux, packet):
+        if packet.kind is PacketKind.ACK and not held:
+            held.append(packet)
+            network.engine.schedule(rto_ns + 1, deliver, demux, packet)
+        else:
+            deliver(demux, packet)
+
+    _endpoints_through(monkeypatch, hold_first_ack)
+    player = TrafficPlayer(network)
+    [record] = player.add_flows([FlowSpec(src_vip=0, dst_vip=5,
+                                          size_bytes=1000, start_ns=0)])
+    network.run(until=msec(50))
+    assert record.completed and record.fct_ns < rto_ns
+    assert record.retransmissions == 1
+    assert record.flow_id not in player._demux[0].senders
+    assert record.flow_id in player._demux[5].receivers
+    collector = network.collector
+    assert (collector.unclaimed_packets, collector.late_acks) == (0, 1)
+    assert network.host_of(5).packets_sent == 2
+
+
+def test_a_clean_flow_forgets_both_endpoints():
+    network, record = run_single_flow(NoCache(), 20_000)
+    assert record.completed and record.retransmissions == 0
+    demuxes = network.endpoints
+    assert demuxes[0].senders == {} and demuxes[5].receivers == {}
