@@ -6,7 +6,7 @@ difference — or a results file the registry does not know — prints a
 unified diff and exits 1; nothing is ever written (re-commit a table by
 running its ``benchmarks/test_*.py``).  Run it as
 ``REPRO_RUNCACHE=0 REPRO_PARALLEL=2 PYTHONPATH=src python benchmarks/regen_check.py``
-(~3 minutes on two cores).
+(150-168 s measured on two cores).
 """
 
 from __future__ import annotations

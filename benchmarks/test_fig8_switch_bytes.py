@@ -7,11 +7,12 @@ happen before packets ever enter the gateway pod.
 """
 
 from common import run_artifact
-from repro.experiments.figures import figure8_from
+from repro.experiments.artifacts import FIG8_POD
 
 
 def test_fig8_switch_bytes(benchmark):
-    results = figure8_from(run_artifact(benchmark, "fig8_switch_bytes"))
+    results = {scheme: result.pod_switch_bytes[FIG8_POD] for scheme, result
+               in run_artifact(benchmark, "fig8_switch_bytes").items()}
     assert results["SwitchV2P"]["gateway-tor"] < \
         results["NoCache"]["gateway-tor"]
     assert results["SwitchV2P"]["gateway-tor"] < \

@@ -7,18 +7,21 @@ larger share to the upper layers.
 """
 
 from common import run_artifact
+from repro.metrics.collector import layer_shares
 from repro.net.node import Layer
 
 
 def test_table5_hit_distribution(benchmark):
-    rows = run_artifact(benchmark, "table5_hit_distribution")
-    by_trace = {row.trace: row for row in rows}
+    results = run_artifact(benchmark, "table5_hit_distribution")
+    total = {trace: layer_shares(result.layer_hits[0])
+             for trace, result in results.items()}
+    first_packet = {trace: layer_shares(result.layer_hits[1])
+                    for trace, result in results.items()}
     # TCP traces: ToR-dominated per-packet hits.
     for trace in ("hadoop", "alibaba"):
-        assert by_trace[trace].total[Layer.TOR] > 0.5, trace
+        assert total[trace][Layer.TOR] > 0.5, trace
     # First packets hit upper layers more than packets overall.
-    hadoop = by_trace["hadoop"]
-    upper_total = hadoop.total[Layer.CORE] + hadoop.total[Layer.SPINE]
-    upper_first = (hadoop.first_packet[Layer.CORE]
-                   + hadoop.first_packet[Layer.SPINE])
+    upper_total = total["hadoop"][Layer.CORE] + total["hadoop"][Layer.SPINE]
+    upper_first = (first_packet["hadoop"][Layer.CORE]
+                   + first_packet["hadoop"][Layer.SPINE])
     assert upper_first >= upper_total

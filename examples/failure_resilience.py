@@ -35,7 +35,8 @@ def run(scheme, fail_switch_picker):
     player.add_flows([FlowSpec(src_vip=i, dst_vip=40, size_bytes=4_000,
                                start_ns=i * usec(100)) for i in range(4)])
     network.engine.run(until=usec(2_000))
-    warm_complete = sum(1 for f in player.flows if f.completed)
+    flows = network.collector.flows.values()
+    warm_complete = sum(1 for f in flows if f.completed)
 
     # Fail a switch, then keep sending to the same destination.
     victim = fail_switch_picker(network, scheme)
@@ -44,8 +45,8 @@ def run(scheme, fail_switch_picker):
                                start_ns=network.engine.now + i * usec(100))
                       for i in range(4)])
     network.run(until=network.engine.now + 20_000_000)
-    total_complete = sum(1 for f in player.flows if f.completed)
-    return victim, warm_complete, total_complete, len(player.flows)
+    total_complete = sum(1 for f in flows if f.completed)
+    return victim, warm_complete, total_complete, len(flows)
 
 
 def pick_any_spine(network, scheme):

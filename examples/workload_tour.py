@@ -10,7 +10,7 @@ Run:  python examples/workload_tour.py
 """
 
 from repro.experiments import FigureScale, build_trace, ft8_spec, ft16_spec
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import build_network, make_scheme, run_flows
 from repro.metrics.reporting import render_table
 from repro.net.node import Layer
 from repro.traces import summarize
@@ -31,10 +31,12 @@ def main() -> None:
         flows, num_vms = build_trace(trace, scale)
         summary = summarize(flows, num_vms)
         spec = ft16_spec() if trace == "alibaba" else ft8_spec()
-        result = run_experiment(spec, "SwitchV2P", flows, num_vms,
-                                cache_ratio=cache_ratio, seed=scale.seed,
-                                keep_network=True, trace_name=trace)
-        shares = result.collector.hit_share_by_layer()
+        network = build_network(
+            spec, make_scheme("SwitchV2P", num_vms, cache_ratio), num_vms,
+            scale.seed)
+        result = run_flows(network, flows, trace_name=trace,
+                           cache_ratio=cache_ratio)
+        shares = network.collector.hit_share_by_layer()
         rows.append([
             trace,
             summary.num_flows,

@@ -21,13 +21,10 @@ from repro.experiments.figures import (
     trace_spec_for,
     figure5,
     figure6,
-    figure7,
-    figure8,
     figure9,
     figure10,
     ft8_spec,
     ft16_spec,
-    table5,
 )
 from repro.experiments.migration import (
     MIGRATION_VARIANTS,
@@ -48,6 +45,7 @@ from repro.experiments.runcache import (
 )
 from repro.experiments.runner import (
     SCHEME_FACTORIES,
+    DetailedRunResult,
     RunResult,
     build_network,
     make_scheme,
@@ -63,6 +61,7 @@ from repro.experiments.sweeps import (
 
 __all__ = [
     "RunResult",
+    "DetailedRunResult",
     "SweepRow",
     "SCHEME_FACTORIES",
     "make_scheme",
@@ -86,11 +85,8 @@ __all__ = [
     "trace_spec_for",
     "figure5",
     "figure6",
-    "figure7",
-    "figure8",
     "figure9",
     "figure10",
-    "table5",
     "appendix_controller",
     "MigrationResult",
     "MIGRATION_VARIANTS",

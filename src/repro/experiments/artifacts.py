@@ -11,10 +11,10 @@ and a pure ``table(result)`` that lays out what ``run`` returned as
 ``benchmarks/regen_check.py`` print through these entries; nothing else
 renders a paper table.  Entries that share a ``run`` (Figure 7's two
 files and Figure 8) are simulated once by :func:`reproduce`.
-``workers`` and ``progress`` reach the sweeps and the Hadoop variant
-tables (:func:`_hadoop_runs`), whose simulations are pool jobs; the
-run loops that need a live network or collector afterwards
-(:func:`_serial`) ignore them.
+``workers`` and ``progress`` reach every simulation that is a pool job
+— the sweeps, Figures 7/8, Table 5 and the Hadoop variant tables
+(:func:`_hadoop_runs`); the runs that are not (:func:`_serial`) ignore
+them.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from repro.experiments.figures import (
     appendix_controller,
     build_trace,
     figure5,
+    figure5_jobs,
     figure6,
-    figure7,
-    figure8_from,
     figure9,
     figure10,
     ft8_spec,
-    table5,
     trace_spec_for,
 )
 from repro.experiments.graydegrade import run_gray_experiment
@@ -46,8 +44,14 @@ from repro.experiments.parallel import (
     ExperimentJob,
     parallel_run_experiments,
 )
-from repro.experiments.runner import RunResult, build_network, make_scheme
+from repro.experiments.runner import (
+    DetailedRunResult,
+    RunResult,
+    build_network,
+    make_scheme,
+)
 from repro.hw import TABLE6_ENTRIES_PER_SWITCH, estimate_utilization
+from repro.metrics.collector import layer_shares
 from repro.metrics.reporting import heatmap_rows, render_table
 from repro.metrics.timeline import track_hit_rate
 from repro.net.node import Layer
@@ -100,9 +104,9 @@ def artifact(name: str, run: Callable[..., Any], short: str = "",
 
 
 def _serial(run: Callable[[Any], Any]) -> Callable[..., Any]:
-    """Adapt a run loop that has no pool jobs — it reads the network or
-    the collector after each run, which a job does not carry back — to
-    the registry signature."""
+    """Adapt a run that makes no pool jobs — the convergence timeline
+    samples a run while it plays, Table 4 migrates VMs in it, Table 6
+    simulates nothing — to the registry signature."""
     return lambda config, workers=None, progress=None: run(config)
 
 
@@ -116,11 +120,11 @@ Variant = tuple[Any, str, float, dict | None]
 
 
 def _hadoop_runs(variants: Callable[[FigureScale], Iterable[Variant]],
-                 ) -> Callable[..., dict[Any, RunResult]]:
+                 ) -> Callable[..., dict[Any, DetailedRunResult]]:
     """A registry ``run`` returning ``{label: result}`` for the scale's
     variants, all on its Hadoop trace and FT8, one pool job each (the
     scheme kwargs — allocation policies, configs, way counts — are
-    frozen dataclasses and ints, which hash and pickle)."""
+    frozen dataclasses and ints, which run keys encode and pickle)."""
     def run(scale: FigureScale, workers=None, progress=None):
         trace = trace_spec_for("hadoop", scale)
         jobs = {label: ExperimentJob(
@@ -194,11 +198,16 @@ def _fig10_table(rows) -> Table:
 # ----------------------------------------------------------------------
 # figures 7 and 8: one run, three files
 # ----------------------------------------------------------------------
-_run_fig7 = _serial(figure7)
+FIG7_SCHEMES = ("NoCache", "LocalLearning", "GwCache", "SwitchV2P", "Direct")
+#: The gateway pod Figure 8 looks inside (the paper's pod 8).
+FIG8_POD = 7
+
+_run_fig7 = _hadoop_runs(lambda scale: [
+    (scheme, scheme, 0.5, None) for scheme in FIG7_SCHEMES])
 
 
 @artifact("fig7_pod_bytes", _run_fig7, "fig7")
-def _fig7_table(results: dict[str, RunResult]) -> Table:
+def _fig7_table(results: dict[str, DetailedRunResult]) -> Table:
     pods = len(next(iter(results.values())).pod_bytes)
     return ("Figure 7 — bytes processed per pod (Hadoop, cache=50%); "
             "gateways in pods 1,3,6,8",
@@ -211,7 +220,7 @@ def _fig7_table(results: dict[str, RunResult]) -> Table:
 
 
 @artifact("fig7_heatmap", _run_fig7, "fig7")
-def _fig7_heatmap_table(results: dict[str, RunResult]) -> Table:
+def _fig7_heatmap_table(results: dict[str, DetailedRunResult]) -> Table:
     pods = len(next(iter(results.values())).pod_bytes)
     headers, rows = heatmap_rows(
         list(results), [f"p{p + 1}" for p in range(pods)],
@@ -220,8 +229,9 @@ def _fig7_heatmap_table(results: dict[str, RunResult]) -> Table:
 
 
 @artifact("fig8_switch_bytes", _run_fig7)
-def _fig8_table(results: dict[str, RunResult]) -> Table:
-    by_scheme = figure8_from(results)
+def _fig8_table(results: dict[str, DetailedRunResult]) -> Table:
+    by_scheme = {scheme: result.pod_switch_bytes[FIG8_POD]
+                 for scheme, result in results.items()}
     labels = list(next(iter(by_scheme.values())))
     return ("Figure 8 — bytes (MB) per switch in gateway pod 8 "
             "(Hadoop, cache=50%)",
@@ -251,17 +261,31 @@ def _table4_table(rows) -> Table:
               row.invalidation_packets] for row in rows])
 
 
-@artifact("table5_hit_distribution",
-          _serial(lambda scale: table5(scale, cache_ratio=4.0)), "table5")
-def _table5_table(rows) -> Table:
+TABLE5_TRACES = ("hadoop", "websearch", "alibaba", "microbursts", "video")
+
+
+def _run_table5(scale: FigureScale, workers=None, progress=None,
+                ) -> dict[str, DetailedRunResult]:
+    """SwitchV2P at cache=4x on each trace: one Figure 5 point each."""
+    jobs = [figure5_jobs(trace, scale)("SwitchV2P", 4.0)
+            for trace in TABLE5_TRACES]
+    return dict(zip(TABLE5_TRACES, parallel_run_experiments(
+        jobs, workers, progress=progress)))
+
+
+@artifact("table5_hit_distribution", _run_table5, "table5")
+def _table5_table(results: dict[str, DetailedRunResult]) -> Table:
     layers = (Layer.CORE, Layer.SPINE, Layer.TOR)
+    rows = []
+    for trace, result in results.items():
+        cells = [trace]
+        for hits in result.layer_hits:  # all packets, then first packets
+            shares = layer_shares(hits)
+            cells += [f"{shares[layer]:.1%}" for layer in layers]
+        rows.append(cells)
     return ("Table 5 — SwitchV2P cache-hit distribution by layer",
             ["trace", "core", "spine", "tor",
-             "core(1st)", "spine(1st)", "tor(1st)"],
-            [[row.trace]
-             + [f"{row.total[layer]:.1%}" for layer in layers]
-             + [f"{row.first_packet[layer]:.1%}" for layer in layers]
-             for row in rows])
+             "core(1st)", "spine(1st)", "tor(1st)"], rows)
 
 
 #: What the paper's Table 6 reports, per resource, in percent.

@@ -9,10 +9,9 @@ functions return structured rows; the benchmarks render and print them.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.experiments.parallel import ExperimentJob
-from repro.experiments.runner import RunResult, run_experiment
 from repro.experiments.sweeps import (
     SweepRow,
     gateway_count_sweep,
@@ -21,7 +20,6 @@ from repro.experiments.sweeps import (
     sweep_ratios,
     topology_scale_sweep,
 )
-from repro.net.node import Layer
 from repro.net.topology import FatTreeSpec
 from repro.traces.spec import TraceSpec
 from repro.transport.reliable import TransportConfig
@@ -192,42 +190,6 @@ def figure6(scale: FigureScale | None = None,
 
 
 # ----------------------------------------------------------------------
-# Figures 7/8: byte heatmaps (Hadoop, 50% cache)
-# ----------------------------------------------------------------------
-FIG7_SCHEMES = ("NoCache", "LocalLearning", "GwCache", "SwitchV2P", "Direct")
-
-
-def figure7(scale: FigureScale | None = None,
-            cache_ratio: float = 0.5) -> dict[str, RunResult]:
-    """Per-pod processed bytes + packet stretch per scheme (Hadoop)."""
-    scale = scale or FigureScale()
-    flows, num_vms = build_trace("hadoop", scale)
-    results = {}
-    for scheme in FIG7_SCHEMES:
-        results[scheme] = run_experiment(
-            ft8_spec(), scheme, flows, num_vms, cache_ratio, scale.seed,
-            keep_network=True, trace_name="hadoop")
-    return results
-
-
-#: The gateway pod Figure 8 looks inside (the paper's pod 8).
-FIG8_POD = 7
-
-
-def figure8_from(results: dict[str, RunResult],
-                 pod: int = FIG8_POD) -> dict[str, dict[str, int]]:
-    """Figure 8 out of Figure 7's runs: per-switch bytes inside ``pod``."""
-    return {scheme: result.network.pod_switch_bytes(pod)
-            for scheme, result in results.items()}
-
-
-def figure8(scale: FigureScale | None = None, cache_ratio: float = 0.5,
-            pod: int = FIG8_POD) -> dict[str, dict[str, int]]:
-    """Per-switch bytes inside a gateway pod (paper's pod 8)."""
-    return figure8_from(figure7(scale, cache_ratio), pod)
-
-
-# ----------------------------------------------------------------------
 # Figure 9: gateway-count sweep (Hadoop, 50% cache)
 # ----------------------------------------------------------------------
 def figure9(scale: FigureScale | None = None, cache_ratio: float = 8.0,
@@ -270,42 +232,6 @@ def figure10(scale: FigureScale | None = None, cache_ratio: float = 8.0,
         trace_factory=trace_factory, num_vms=scale.num_vms, schemes=schemes,
         cache_ratio=cache_ratio, seed=scale.seed, trace_name="hadoop",
         workers=workers, cache=cache, progress=progress)
-
-
-# ----------------------------------------------------------------------
-# Table 5: hit distribution per layer (all traces, 50% cache)
-# ----------------------------------------------------------------------
-TABLE5_TRACES = ("hadoop", "websearch", "alibaba", "microbursts", "video")
-
-
-@dataclass
-class HitDistributionRow:
-    """One Table 5 row: per-layer hit shares, total and first-packet."""
-
-    trace: str
-    total: dict[Layer, float] = field(default_factory=dict)
-    first_packet: dict[Layer, float] = field(default_factory=dict)
-
-
-def table5(scale: FigureScale | None = None,
-           cache_ratio: float = 0.5) -> list[HitDistributionRow]:
-    """Run SwitchV2P per trace and report hit shares by switch layer."""
-    scale = scale or FigureScale()
-    rows = []
-    for trace in TABLE5_TRACES:
-        flows, num_vms = build_trace(trace, scale)
-        result = run_experiment(
-            fabric_for(trace), "SwitchV2P", flows, num_vms, cache_ratio,
-            scale.seed,
-            transport=_transport_for(trace, scale), keep_network=True,
-            trace_name=trace)
-        collector = result.collector
-        rows.append(HitDistributionRow(
-            trace=trace,
-            total=collector.hit_share_by_layer(first_packet=False),
-            first_packet=collector.hit_share_by_layer(first_packet=True),
-        ))
-    return rows
 
 
 # ----------------------------------------------------------------------

@@ -14,9 +14,10 @@ Design points of the orchestrator:
   seed, a few hundred bytes) instead of a materialized
   ``tuple[FlowSpec, ...]``; the worker regenerates the flows locally
   and deterministically (:mod:`repro.sim.randomness`).
-* **One simulation per distinct job** — jobs are hashable, so a job
-  listed twice (NoCache as both the reference and a scheme of Figure 9)
-  is simulated once and both positions share the one ``RunResult``.
+* **One simulation per run** — every listed job is reduced to its run
+  key (:func:`~repro.experiments.runcache.job_key`), so a run listed
+  twice (NoCache as both the reference and a scheme of Figure 9) is
+  simulated once and both positions share the one result.
 * **Result memoization** — before dispatch, every job is looked up in
   the content-addressed run cache
   (:mod:`repro.experiments.runcache`); hits never reach the pool, and
@@ -46,17 +47,12 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from repro.experiments.runcache import (
-    canonical_items,
-    job_key,
-    kwargs_dict,
-    resolve_cache,
-)
-from repro.experiments.runner import RunResult, run_experiment
+from repro.experiments.runcache import job_key, resolve_cache
+from repro.experiments.runner import DetailedRunResult, run_experiment
 from repro.net.topology import FatTreeSpec
 from repro.perf import timed_call
 from repro.traces.spec import TraceSpec
@@ -66,21 +62,19 @@ from repro.transport.reliable import TransportConfig
 if TYPE_CHECKING:  # pragma: no cover
     from repro.perf import PhaseTimer
 
-#: ``progress(done, total, cached)`` — invoked after every job
+#: ``progress(done, total, cached)`` — invoked after every distinct run
 #: resolves, whether served from cache (``cached=True``) or simulated.
 ProgressFn = Callable[[int, int, bool], None]
 
 
 @dataclass(frozen=True)
 class ExperimentJob:
-    """One picklable, hashable experiment description.
+    """One picklable experiment description.
 
     The workload is either ``flows`` (materialized, heavyweight) or
     ``trace`` (a :class:`TraceSpec` the worker materializes locally) —
-    exactly one must be set.  ``scheme_kwargs`` accepts a plain dict
-    for convenience and is canonicalized to a sorted item tuple on
-    construction, so the frozen job is fully hashable and shares its
-    normal form with the run-cache key derivation.
+    exactly one must be set.  Its one canonical form is its run key
+    (:func:`~repro.experiments.runcache.job_key`).
     """
 
     spec: FatTreeSpec
@@ -92,19 +86,13 @@ class ExperimentJob:
     transport: TransportConfig | None = None
     horizon_ns: int | None = None
     trace_name: str = ""
-    scheme_kwargs: tuple = ()
+    scheme_kwargs: dict = field(default_factory=dict)
     trace: TraceSpec | None = None
     #: Simulation fidelity ("packet" or "hybrid"); part of the run-cache
     #: key — hybrid and packet runs of the same point must not collide.
     fidelity: str = "packet"
 
     def __post_init__(self) -> None:
-        if isinstance(self.scheme_kwargs, dict):
-            object.__setattr__(self, "scheme_kwargs",
-                               canonical_items(self.scheme_kwargs))
-        elif not isinstance(self.scheme_kwargs, tuple):
-            object.__setattr__(self, "scheme_kwargs",
-                               tuple(self.scheme_kwargs))
         if self.flows is not None and not isinstance(self.flows, tuple):
             object.__setattr__(self, "flows", tuple(self.flows))
         if (self.flows is None) == (self.trace is None):
@@ -113,33 +101,20 @@ class ExperimentJob:
         if self.num_vms <= 0:
             raise ValueError("ExperimentJob.num_vms must be positive")
 
-    def __hash__(self) -> int:
-        # The flows' count stands in for their content: the orchestrator
-        # hashes every listed job to find duplicates, and walking a
-        # thousand-flow tuple per job costs as much as replaying the job
-        # from a warm cache.  ``__eq__`` still compares the flows.
-        return hash((len(self.flows or ()),
-                     *(getattr(self, field.name) for field in fields(self)
-                       if field.name != "flows")))
-
     def resolve_flows(self) -> tuple[FlowSpec, ...]:
         """The flow list, regenerating from the trace spec if needed."""
         if self.flows is not None:
             return self.flows
         return tuple(self.trace.materialize())
 
-    def scheme_kwargs_dict(self) -> dict:
-        """The canonical kwargs back as a plain dict for the factory."""
-        return kwargs_dict(self.scheme_kwargs)
-
-    def run(self, **options) -> RunResult:
+    def run(self, **options) -> DetailedRunResult:
         """Simulate this job; ``options`` (``cache``, ``perf``,
         ``warmup_split_ns``) pass through to :func:`run_experiment`."""
         return run_experiment(
             self.spec, self.scheme_name, self.resolve_flows(), self.num_vms,
             self.cache_ratio, self.seed, self.transport, self.horizon_ns,
             trace_name=self.trace_name,
-            scheme_kwargs=self.scheme_kwargs_dict() or None,
+            scheme_kwargs=self.scheme_kwargs,
             fidelity=self.fidelity, **options)
 
     def describe(self) -> str:
@@ -154,7 +129,7 @@ class ExperimentJobError(RuntimeError):
     """A job raised while simulating; the message names the job."""
 
 
-def _execute_job(job: ExperimentJob) -> tuple[RunResult, int]:
+def _execute_job(job: ExperimentJob) -> tuple[DetailedRunResult, int]:
     """Run one job (the pool's task); returns (result, wall_ns).
 
     The inner run bypasses the run cache (``cache=None``): the
@@ -195,14 +170,14 @@ def parallel_run_experiments(jobs: Sequence[ExperimentJob],
                              cache="auto",
                              progress: ProgressFn | None = None,
                              perf: PhaseTimer | None = None,
-                             ) -> list[RunResult]:
+                             ) -> list[DetailedRunResult]:
     """Run jobs, optionally over a process pool, with memoization.
 
     Results are returned in job order regardless of completion order,
     and are bit-identical to sequential execution (simulations are
-    deterministic given their explicit inputs).  Equal jobs are one
-    simulation: their positions hold the same ``RunResult`` object, and
-    ``progress``/``perf`` count distinct jobs.
+    deterministic given their explicit inputs).  Jobs with one run key
+    are one simulation: their positions hold the same result object,
+    and ``progress``/``perf`` count distinct runs.
 
     Args:
         workers: process count; ``None`` falls back to
@@ -211,7 +186,7 @@ def parallel_run_experiments(jobs: Sequence[ExperimentJob],
         cache: a :class:`~repro.experiments.runcache.RunCache`,
             ``None`` to disable memoization, or ``"auto"`` (default)
             for the environment-configured store.
-        progress: ``progress(done, total, cached)`` per resolved job.
+        progress: ``progress(done, total, cached)`` per resolved run.
         perf: optional :class:`~repro.perf.PhaseTimer`; each job's
             wall-clock time accumulates under the ``"jobs"`` phase.
 
@@ -223,63 +198,62 @@ def parallel_run_experiments(jobs: Sequence[ExperimentJob],
     if workers is None:
         workers = default_workers()
     store = resolve_cache(cache)
-    slot_of: dict[ExperimentJob, int] = {}
-    slots = [slot_of.setdefault(job, len(slot_of)) for job in jobs]
-    distinct = list(slot_of)
+    keys = [job_key(job) for job in jobs]
+    distinct: dict[str, ExperimentJob] = {}
+    for key, job in zip(keys, jobs):
+        distinct.setdefault(key, job)
     total = len(distinct)
-    results: dict[int, RunResult] = {}
-    keys: dict[int, str] = {}
+    results: dict[str, DetailedRunResult] = {}
     done = 0
 
     if store is not None:
-        for index, job in enumerate(distinct):
-            keys[index] = job_key(job)
-            hit = store.get(keys[index])
+        for key in distinct:
+            hit = store.get(key)
             if hit is not None:
-                results[index] = hit
+                results[key] = hit
                 done += 1
                 if progress is not None:
                     progress(done, total, True)
 
-    pending = [index for index in range(total) if index not in results]
+    pending = [key for key in distinct if key not in results]
 
-    def record(index: int, result: RunResult, wall_ns: int) -> None:
+    def record(key: str, result: DetailedRunResult, wall_ns: int) -> None:
         nonlocal done
-        results[index] = result
+        results[key] = result
         if perf is not None:
             perf.add("jobs", wall_ns)
         if store is not None:
-            store.put(keys[index], result)
+            store.put(key, result)
         done += 1
         if progress is not None:
             progress(done, total, False)
 
     if workers <= 1 or len(pending) <= 1:
-        for index in pending:
-            record(index, *_execute_job(distinct[index]))
+        for key in pending:
+            record(key, *_execute_job(distinct[key]))
     else:
         # At most `workers` jobs are in the pool at a time, so a failure
         # leaves nothing queued behind it: shutdown drops the rest and
         # waits only for the jobs the other workers are already running.
         pool = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
-        running: dict[Future, int] = {}
+        running: dict[Future, str] = {}
         waiting = iter(pending)
 
-        def submit(index: int) -> None:
-            running[pool.submit(_execute_job, distinct[index])] = index
+        def submit(key: str) -> None:
+            running[pool.submit(_execute_job, distinct[key])] = key
 
         try:
-            for index in islice(waiting, workers):
-                submit(index)
+            for key in islice(waiting, workers):
+                submit(key)
             while running:
                 finished, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in finished:
-                    index = running.pop(future)
+                    key = running.pop(future)
                     outcome = future.result()
                     following = next(waiting, None)
                     if following is not None:
                         submit(following)
-                    record(index, *outcome)
+                    record(key, *outcome)
         finally:
             pool.shutdown(cancel_futures=True)
-    return [results[slot] for slot in slots]
+    return [results[key] for key in keys]

@@ -3,17 +3,17 @@
 A figure sweep is dozens of independent ``(scheme, ratio, seed)``
 simulations, and users re-run the same sweeps constantly — after a doc
 edit, to print a table again, to extend a grid by one point.  This
-module makes re-execution cheap: every completed
-:class:`~repro.experiments.runner.RunResult` is stored on disk under a
-key that is a stable hash of the *fully resolved run inputs*, so an
-unchanged run is a pure cache hit and a changed point re-simulates only
-itself (resumable sweeps).
+module makes re-execution cheap: every completed run's result, plain
+data (:class:`~repro.experiments.runner.DetailedRunResult`), is stored
+on disk under a key that is a stable hash of the *fully resolved run
+inputs*, so an unchanged run is a pure cache hit and a changed point
+re-simulates only itself (resumable sweeps).
 
 Key derivation (see :func:`run_key`) covers everything the simulation
 can observe:
 
 * the :class:`~repro.net.topology.FatTreeSpec` (every field),
-* scheme name + canonicalized scheme kwargs,
+* scheme name + scheme kwargs (a map: their order is not keyed),
 * the trace **content** — a digest of the materialized flow list, so a
   :class:`~repro.traces.spec.TraceSpec`-carrying job and a
   flows-carrying job of the same workload share an entry,
@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING
 from repro.traces.spec import TraceSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
-    from repro.experiments.runner import RunResult
+    from repro.experiments.runner import DetailedRunResult
 
 #: Bump whenever a code change alters simulated behaviour (event
 #: ordering, float arithmetic, RNG consumption, new RunResult fields).
@@ -56,57 +56,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
 #: 2: RunResult gained failed_flows / failure_reasons.
 #: 3: hybrid-fidelity engine — RunResult gained fidelity + fluid_*
 #: fields and run keys carry the fidelity knob.
-SCHEMA_VERSION = 3
+#: 4: results carry per-layer hits and per-switch pod bytes
+#: (DetailedRunResult); scheme kwargs are keyed as a map.
+SCHEMA_VERSION = 4
 
 _ENV_FLAG = "REPRO_RUNCACHE"
 _ENV_DIR = "REPRO_RUNCACHE_DIR"
 _DISABLED_VALUES = ("0", "off", "no", "false")
 
-#: Fields of RunResult that never serialize (live simulation objects).
-_LIVE_FIELDS = ("collector", "network")
-
-
 # ----------------------------------------------------------------------
-# Canonical encoding shared by key derivation and ExperimentJob hygiene
+# Canonical encoding of run inputs
 # ----------------------------------------------------------------------
-def freeze_value(value):
-    """Recursively convert ``value`` into a hashable, canonical form.
-
-    Dicts become sorted ``("__map__", ((k, v), ...))`` tuples and lists
-    become tuples; scalars and frozen dataclasses pass through.  The
-    result is deterministic regardless of insertion order.
-    """
-    if isinstance(value, dict):
-        return ("__map__", tuple(sorted((str(k), freeze_value(v))
-                                        for k, v in value.items())))
-    if isinstance(value, (list, tuple)):
-        return tuple(freeze_value(v) for v in value)
-    return value
-
-
-def thaw_value(value):
-    """Invert :func:`freeze_value` (maps come back as dicts)."""
-    if isinstance(value, tuple):
-        if len(value) == 2 and value[0] == "__map__":
-            return {k: thaw_value(v) for k, v in value[1]}
-        return tuple(thaw_value(v) for v in value)
-    return value
-
-
-def canonical_items(mapping) -> tuple:
-    """A dict (or item sequence) as a sorted, hashable item tuple."""
-    if not mapping:
-        return ()
-    if not isinstance(mapping, dict):
-        mapping = dict(mapping)
-    return tuple(sorted((str(k), freeze_value(v)) for k, v in mapping.items()))
-
-
-def kwargs_dict(items) -> dict:
-    """Canonical item tuple back to a plain kwargs dict."""
-    return {key: thaw_value(value) for key, value in items}
-
-
 @lru_cache(maxsize=None)
 def _keyed_fields(cls: type) -> tuple[str, ...]:
     """Sorted field names of a dataclass type :func:`_encode` hashes.
@@ -207,15 +167,11 @@ def run_key(spec, scheme_name: str, num_vms: int, cache_ratio: float,
     """
     if (flows is None) == (trace is None):
         raise ValueError("run_key needs exactly one of flows= or trace=")
-    if isinstance(scheme_kwargs, dict) or scheme_kwargs is None:
-        kwargs_items = canonical_items(scheme_kwargs or {})
-    else:
-        kwargs_items = tuple(scheme_kwargs)
     payload = {
         "schema": SCHEMA_VERSION,
         "spec": _encode(spec),
         "scheme": scheme_name,
-        "scheme_kwargs": _encode(list(kwargs_items)),
+        "scheme_kwargs": _encode(scheme_kwargs or {}),
         "num_vms": int(num_vms),
         "cache_ratio": repr(float(cache_ratio)),
         "seed": int(seed),
@@ -254,7 +210,7 @@ class CacheStats:
 
 
 class RunCache:
-    """A content-addressed store of serialized RunResults."""
+    """A content-addressed store of serialized run results."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -263,7 +219,7 @@ class RunCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> RunResult | None:
+    def get(self, key: str) -> DetailedRunResult | None:
         """Look up ``key``; corrupted/stale entries count as misses."""
         path = self._path(key)
         try:
@@ -289,13 +245,11 @@ class RunCache:
         self.stats.hits += 1
         return result
 
-    def put(self, key: str, result: RunResult) -> bool:
-        """Store ``result`` atomically; refuses live-object results."""
-        if result.collector is not None or result.network is not None:
-            return False
+    def put(self, key: str, result: DetailedRunResult) -> bool:
+        """Store ``result`` atomically; its dicts keep their order."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(_encode_result(result, key), sort_keys=True)
+        payload = json.dumps(_encode_result(result, key))
         tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
         try:
             tmp.write_text(payload)
@@ -330,41 +284,37 @@ class RunCache:
         return removed
 
 
-def _scalar(value):
-    """JSON-ready scalar (numpy ints/floats normalize to Python)."""
+def _plain(value):
+    """A result field as JSON: containers recursively, numpy scalars as
+    their Python equivalents."""
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
     item = getattr(value, "item", None)
     if callable(item):
         return item()
-    raise TypeError(f"non-scalar RunResult field value: {value!r}")
+    raise TypeError(f"non-JSON RunResult field value: {value!r}")
 
 
 def _encode_result(result, key: str) -> dict:
-    payload = {}
-    for field in dataclasses.fields(result):
-        if field.name in _LIVE_FIELDS:
-            continue
-        value = getattr(result, field.name)
-        if field.name == "pod_bytes":
-            payload[field.name] = [int(b) for b in value]
-        elif field.name in ("failure_reasons", "fluid_escalations_by_reason"):
-            payload[field.name] = {str(k): int(v) for k, v in value.items()}
-        else:
-            payload[field.name] = _scalar(value)
-    return {"schema": SCHEMA_VERSION, "key": key, "result": payload}
+    return {"schema": SCHEMA_VERSION, "key": key,
+            "result": {field.name: _plain(getattr(result, field.name))
+                       for field in dataclasses.fields(result)}}
 
 
-def _decode_result(payload: dict, key: str) -> RunResult | None:
-    from repro.experiments.runner import RunResult
+def _decode_result(payload: dict, key: str) -> DetailedRunResult | None:
+    from repro.experiments.runner import DetailedRunResult
 
     if payload.get("schema") != SCHEMA_VERSION or payload.get("key") != key:
         return None
     data = payload["result"]
-    expected = {f.name for f in dataclasses.fields(RunResult)} - set(_LIVE_FIELDS)
+    expected = {f.name for f in dataclasses.fields(DetailedRunResult)}
     if not isinstance(data, dict) or set(data) != expected:
         return None
-    return RunResult(**data)
+    return DetailedRunResult(**data)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.baselines import (
 from repro.cache.sizing import aggregate_slots
 from repro.experiments.runcache import resolve_cache, run_key
 from repro.core import UNIFORM, SwitchV2P, SwitchV2PConfig
-from repro.metrics.collector import Collector
+from repro.net.node import Layer
 from repro.net.topology import FatTreeSpec
 from repro.sim.engine import msec
 from repro.transport.flow import FlowSpec
@@ -121,8 +121,23 @@ class RunResult:
     fluid_rounds: int = 0
     fluid_packets: int = 0
     fluid_escalations_by_reason: dict[str, int] = field(default_factory=dict)
-    collector: Collector | None = None
-    network: VirtualNetwork | None = None
+
+
+@dataclass
+class DetailedRunResult(RunResult):
+    """A run's summary plus where its work happened, as plain data.
+
+    Every run returns one.  The two breakdowns are kept out of
+    :class:`RunResult` because ``bench`` fingerprints exactly its fields
+    against the pinned ``bench/expected.json``.
+    """
+
+    #: ``[all hits, first-packet hits]``, each a count per
+    #: :class:`~repro.net.node.Layer`, indexed by its value (Table 5).
+    layer_hits: list[list[int]] = field(default_factory=list)
+    #: Per pod, bytes per switch label, spines then ToRs (Figure 8);
+    #: ``pod_bytes`` is their per-pod sums.
+    pod_switch_bytes: list[dict[str, int]] = field(default_factory=list)
 
 
 def build_network(spec: FatTreeSpec, scheme, num_vms: int, seed: int = 0,
@@ -141,19 +156,16 @@ def build_network(spec: FatTreeSpec, scheme, num_vms: int, seed: int = 0,
 def run_flows(network: VirtualNetwork, flows: Sequence[FlowSpec],
               transport: TransportConfig | None = None,
               horizon_ns: int | None = None,
-              keep_network: bool = False,
               trace_name: str = "",
               cache_ratio: float = 0.0,
               perf=None,
-              warmup_split_ns: int | None = None) -> RunResult:
+              warmup_split_ns: int | None = None) -> DetailedRunResult:
     """Play ``flows`` on ``network`` and summarize the metrics.
 
     Args:
         horizon_ns: hard stop (simulated time); defaults to the last
             flow start plus 200 ms, plenty for every workload here
             while bounding retransmission storms of broken configs.
-        keep_network: retain the network/collector on the result for
-            detailed analysis (pod byte heatmaps etc.).
         perf: optional :class:`repro.perf.PhaseTimer`; when given, the
             setup and event-loop phases are timed (wall clock only —
             the simulation itself is unaffected).
@@ -192,7 +204,8 @@ def run_flows(network: VirtualNetwork, flows: Sequence[FlowSpec],
     for record in failed:
         reason = record.failure_reason or "unspecified"
         failure_reasons[reason] = failure_reasons.get(reason, 0) + 1
-    return RunResult(
+    pod_switch_bytes = network.pod_switch_bytes()
+    return DetailedRunResult(
         scheme=getattr(network.scheme, "name", type(network.scheme).__name__),
         trace=trace_name,
         cache_ratio=cache_ratio,
@@ -212,7 +225,7 @@ def run_flows(network: VirtualNetwork, flows: Sequence[FlowSpec],
         invalidation_packets=collector.invalidation_packets,
         reorder_events=collector.reorder_events,
         total_switch_bytes=network.total_switch_bytes(),
-        pod_bytes=network.pod_bytes(),
+        pod_bytes=[sum(pod.values()) for pod in pod_switch_bytes],
         failed_flows=len(failed),
         failure_reasons=failure_reasons,
         fidelity=network.config.fidelity,
@@ -223,8 +236,10 @@ def run_flows(network: VirtualNetwork, flows: Sequence[FlowSpec],
         fluid_escalations_by_reason=(
             dict(sorted(fluid.escalations_by_reason.items()))
             if fluid is not None else {}),
-        collector=collector if keep_network else None,
-        network=network if keep_network else None,
+        layer_hits=[[hits[layer] for layer in Layer]
+                    for hits in (collector.hits_by_layer,
+                                 collector.first_packet_hits_by_layer)],
+        pod_switch_bytes=pod_switch_bytes,
     )
 
 
@@ -232,13 +247,12 @@ def run_experiment(spec: FatTreeSpec, scheme_name: str, flows: Sequence[FlowSpec
                    num_vms: int, cache_ratio: float, seed: int = 0,
                    transport: TransportConfig | None = None,
                    horizon_ns: int | None = None,
-                   keep_network: bool = False,
                    trace_name: str = "",
                    scheme_kwargs: dict | None = None,
                    perf=None,
                    cache="auto",
                    fidelity: str = "packet",
-                   warmup_split_ns: int | None = None) -> RunResult:
+                   warmup_split_ns: int | None = None) -> DetailedRunResult:
     """One-call experiment: build scheme + network, play flows, summarize.
 
     Results are memoized in the content-addressed run cache
@@ -246,12 +260,11 @@ def run_experiment(spec: FatTreeSpec, scheme_name: str, flows: Sequence[FlowSpec
     default) an unchanged run is served from disk without simulating.
     Pass ``cache=None`` to force execution, or a
     :class:`~repro.experiments.runcache.RunCache` for an explicit
-    store.  Runs that retain live objects (``keep_network=True``) are
-    never cached.
+    store.
     """
     if perf is None:
         perf = _NULL_TIMER
-    store = None if keep_network else resolve_cache(cache)
+    store = resolve_cache(cache)
     key = None
     if store is not None:
         with perf.phase("cache"):
@@ -267,8 +280,8 @@ def run_experiment(spec: FatTreeSpec, scheme_name: str, flows: Sequence[FlowSpec
                              **(scheme_kwargs or {}))
         network = build_network(spec, scheme, num_vms, seed,
                                 fidelity=fidelity)
-    result = run_flows(network, flows, transport, horizon_ns, keep_network,
-                       trace_name, cache_ratio, perf=perf,
+    result = run_flows(network, flows, transport, horizon_ns, trace_name,
+                       cache_ratio, perf=perf,
                        warmup_split_ns=warmup_split_ns)
     if store is not None:
         store.put(key, result)

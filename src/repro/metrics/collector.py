@@ -17,6 +17,15 @@ from repro.net.node import Layer
 from repro.net.packet import Packet
 
 
+def layer_shares(hits) -> dict[Layer, float]:
+    """Each layer's share of ``hits``, a count per :class:`Layer`
+    indexed by it (a Counter or a list) — the cells of Table 5."""
+    total = sum(hits[layer] for layer in Layer)
+    if total == 0:
+        return {layer: 0.0 for layer in Layer}
+    return {layer: hits[layer] / total for layer in Layer}
+
+
 @dataclass(slots=True)
 class FlowRecord:
     """Lifecycle record of a single flow."""
@@ -118,11 +127,8 @@ class Collector:
 
     def hit_share_by_layer(self, first_packet: bool = False) -> dict[Layer, float]:
         """Per-layer share of in-network hits (Table 5 rows)."""
-        source = self.first_packet_hits_by_layer if first_packet else self.hits_by_layer
-        total = sum(source.values())
-        if total == 0:
-            return {layer: 0.0 for layer in Layer}
-        return {layer: source.get(layer, 0) / total for layer in Layer}
+        return layer_shares(self.first_packet_hits_by_layer if first_packet
+                            else self.hits_by_layer)
 
     def completed_flows(self) -> list[FlowRecord]:
         return [flow for flow in self.flows.values() if flow.completed]

@@ -94,7 +94,6 @@ class TrafficPlayer:
             else TransportConfig()
         self._next_flow_id = 1
         self._demux: dict[int, _VipDemux] = {}
-        self.flows: list[FlowRecord] = []
 
     # ------------------------------------------------------------------
     def add_flows(self, specs: Iterable[FlowSpec]) -> list[FlowRecord]:
@@ -145,7 +144,6 @@ class TrafficPlayer:
             start_ns=spec.start_ns,
         )
         self.network.collector.register_flow(record)
-        self.flows.append(record)
         return record
 
     # ------------------------------------------------------------------
@@ -207,7 +205,8 @@ class TrafficPlayer:
     # ------------------------------------------------------------------
     @property
     def all_complete(self) -> bool:
-        return all(record.completed for record in self.flows)
+        return all(record.completed
+                   for record in self.network.collector.flows.values())
 
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Convenience: run the underlying network simulation."""

@@ -351,28 +351,24 @@ class VirtualNetwork:
     # ------------------------------------------------------------------
     # analysis helpers
     # ------------------------------------------------------------------
-    def pod_bytes(self) -> list[int]:
-        """Total bytes processed by the switches of each pod (Figure 7)."""
+    def pod_switch_bytes(self) -> list[dict[str, int]]:
+        """Bytes processed by each switch of each pod, spines then ToRs
+        (Figures 7 and 8)."""
         spec = self.config.spec
-        totals = [0] * spec.pods
-        for switch in self.fabric.switches:
-            if switch.pod >= 0:
-                totals[switch.pod] += switch.stats.bytes
-        return totals
-
-    def pod_switch_bytes(self, pod: int) -> dict[str, int]:
-        """Per-switch byte counts within one pod (Figure 8)."""
-        result: dict[str, int] = {}
-        spec = self.config.spec
-        for j in range(spec.spines_per_pod):
-            switch = self.fabric.spines[(pod, j)]
-            result[f"spine-{j}"] = switch.stats.bytes
-        for rack in range(spec.racks_per_pod):
-            switch = self.fabric.tors[(pod, rack)]
-            label = "gateway-tor" if (pod in spec.gateway_pods
-                                      and rack == spec.gateway_rack) else f"tor-{rack}"
-            result[label] = switch.stats.bytes
-        return result
+        fabric = self.fabric
+        # One label string per position, shared by every pod's dict.
+        spines = [f"spine-{j}" for j in range(spec.spines_per_pod)]
+        tors = [f"tor-{rack}" for rack in range(spec.racks_per_pod)]
+        pods = []
+        for pod in range(spec.pods):
+            by_switch = {label: fabric.spines[(pod, j)].stats.bytes
+                         for j, label in enumerate(spines)}
+            for rack, label in enumerate(tors):
+                if pod in spec.gateway_pods and rack == spec.gateway_rack:
+                    label = "gateway-tor"
+                by_switch[label] = fabric.tors[(pod, rack)].stats.bytes
+            pods.append(by_switch)
+        return pods
 
     def total_switch_bytes(self) -> int:
         """Bytes processed by all switches (bandwidth-overhead metric)."""

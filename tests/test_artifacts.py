@@ -44,6 +44,7 @@ from repro.experiments.chaosfuzz import (
 )
 from repro.experiments.faults import ChaosParams, chaos_spec
 from repro.experiments.figures import FigureScale
+from repro.experiments.runcache import default_cache
 from repro.faults.fuzz import generate_schedule
 from repro.traces.incast import IncastTraceParams
 from repro.vnet.network import VirtualNetwork
@@ -136,6 +137,30 @@ def test_every_table_is_pure():
     # reproduce() is the same thing, sharing a run between its entries.
     assert reproduce(resolve("fig7"), TINY) == {
         name: first[name] for name in ("fig7_pod_bytes", "fig7_heatmap")}
+
+
+#: The entries whose runs are pool jobs now, not a serial loop that
+#: kept each network: Figures 7 and 8 (five schemes) and Table 5 (five
+#: traces), ten simulations.
+POOLED = ("fig7_pod_bytes", "fig7_heatmap", "fig8_switch_bytes",
+          "table5_hit_distribution")
+
+
+def test_figures_7_8_and_table5_run_as_cached_pool_jobs(monkeypatch,
+                                                         tmp_path):
+    """Inline and over two workers print the same; against one run
+    cache, the second call simulates nothing and prints the same."""
+    entries = [ARTIFACTS[name] for name in POOLED]
+    inline = reproduce(entries, TINY, workers=0)
+    assert list(inline) == list(POOLED)
+    assert reproduce(entries, TINY, workers=2) == inline
+    monkeypatch.setenv("REPRO_RUNCACHE", "1")
+    monkeypatch.setenv("REPRO_RUNCACHE_DIR", str(tmp_path))
+    store = default_cache()
+    assert reproduce(entries, TINY, workers=2) == inline
+    assert (store.stats.misses, store.stats.stores) == (10, 10)
+    assert reproduce(entries, TINY, workers=2) == inline
+    assert (store.stats.misses, store.stats.hits) == (10, 10)
 
 
 # ----------------------------------------------------------------------

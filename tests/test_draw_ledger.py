@@ -264,10 +264,10 @@ def test_stream_property_catches_an_off_by_one_at_the_block_boundary():
 def _learning_trace(scheme, seed):
     """Run a gateway-heavy workload; return what the learning stream did."""
     network = build_network(FatTreeSpec(), scheme, 64, seed=seed)
-    result = run_flows(network, _steady_flows(n_pairs=12, size=150_000),
-                       trace_name="steady", keep_network=True)
+    run_flows(network, _steady_flows(n_pairs=12, size=150_000),
+              trace_name="steady")
     return (scheme.rng_draws, scheme.learning_packets_sent,
-            _cache_metrics(result))
+            _cache_metrics(network))
 
 
 @pytest.mark.parametrize("make", [
@@ -524,7 +524,7 @@ def test_packet_equals_hybrid_with_frequent_triggers():
     fifth replayed draw fires from inside a batch, and the cache
     metrics must still equal packet mode exactly."""
     flows = _steady_flows(n_pairs=12)
-    results = {}
+    networks = {}
     fired = 0
     for fidelity in ("packet", "hybrid"):
         scheme = SwitchV2P(16384, config=SwitchV2PConfig(p_learn=0.2))
@@ -539,12 +539,12 @@ def test_packet_equals_hybrid_with_frequent_triggers():
             scheme.replay_learning_draw = counting_replay
         network = build_network(FatTreeSpec(), scheme, 64, seed=7,
                                 fidelity=fidelity)
-        results[fidelity] = run_flows(network, list(flows),
-                                      trace_name="steady", keep_network=True)
-    packet, hybrid = results["packet"], results["hybrid"]
-    assert hybrid.fluid_packets > 0
+        run_flows(network, list(flows), trace_name="steady")
+        networks[fidelity] = network
+    packet, hybrid = networks["packet"], networks["hybrid"]
+    assert hybrid.fluid.fluid_packets > 0
     assert fired > 300
-    assert packet.network.scheme.rng_draws == hybrid.network.scheme.rng_draws
+    assert packet.scheme.rng_draws == hybrid.scheme.rng_draws
     assert _cache_metrics(packet) == _cache_metrics(hybrid)
 
 
@@ -564,14 +564,14 @@ def test_live_draws_read_after_the_analytic_draws_already_due(
     a lower ``p_learn``."""
     flows = [FlowSpec(src_vip=2 * i, dst_vip=2 * i + 1, size_bytes=size,
                       start_ns=i * gap_ns) for i in range(n_flows)]
-    results = {}
+    networks = {}
     for fidelity in ("packet", "hybrid"):
         scheme = SwitchV2P(16384, config=SwitchV2PConfig(p_learn=p_learn))
         network = build_network(FatTreeSpec(), scheme, 64, seed=seed,
                                 fidelity=fidelity)
-        results[fidelity] = run_flows(network, flows, trace_name="steady",
-                                      keep_network=True)
-    packet, hybrid = results["packet"], results["hybrid"]
-    assert hybrid.fluid_adoptions == n_flows
-    assert packet.network.scheme.rng_draws == hybrid.network.scheme.rng_draws
+        run_flows(network, flows, trace_name="steady")
+        networks[fidelity] = network
+    packet, hybrid = networks["packet"], networks["hybrid"]
+    assert hybrid.fluid.adoptions == n_flows
+    assert packet.scheme.rng_draws == hybrid.scheme.rng_draws
     assert _cache_metrics(packet) == _cache_metrics(hybrid)

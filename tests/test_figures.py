@@ -8,11 +8,14 @@ from repro.experiments import (
     FigureScale,
     appendix_controller,
     figure5,
-    figure7,
-    figure8,
     figure9,
     figure10,
-    table5,
+)
+from repro.experiments.artifacts import (
+    ARTIFACTS,
+    FIG7_SCHEMES,
+    FIG8_POD,
+    TABLE5_TRACES,
 )
 from repro.net.node import Layer
 
@@ -36,20 +39,14 @@ def test_figure5_nocache_normalizes_to_one():
     assert all(r.fct_improvement == pytest.approx(1.0) for r in rows)
 
 
-def test_figure7_keeps_networks_for_analysis():
-    results = figure7(TINY)
-    assert set(results) == {"NoCache", "LocalLearning", "GwCache",
-                            "SwitchV2P", "Direct"}
-    for result in results.values():
-        assert result.network is not None
-        assert len(result.pod_bytes) == 8
-
-
 def test_figure8_reports_pod_switches():
-    by_scheme = figure8(TINY)
-    labels = set(next(iter(by_scheme.values())))
-    assert "gateway-tor" in labels
-    assert any(label.startswith("spine-") for label in labels)
+    results = ARTIFACTS["fig8_switch_bytes"].run(TINY)
+    assert list(results) == list(FIG7_SCHEMES)
+    for result in results.values():
+        assert len(result.pod_bytes) == 8
+        labels = set(result.pod_switch_bytes[FIG8_POD])
+        assert "gateway-tor" in labels
+        assert any(label.startswith("spine-") for label in labels)
 
 
 def test_figure9_sweeps_gateway_counts():
@@ -67,13 +64,14 @@ def test_figure10_requires_divisible_servers():
 
 
 def test_table5_covers_all_traces():
-    rows = table5(TINY, cache_ratio=8.0)
-    assert [r.trace for r in rows] == ["hadoop", "websearch", "alibaba",
-                                       "microbursts", "video"]
-    for row in rows:
-        total = sum(row.total.values())
-        assert total == pytest.approx(1.0) or total == 0.0
-        assert set(row.total) == set(Layer)
+    results = ARTIFACTS["table5_hit_distribution"].run(TINY)
+    assert list(results) == list(TABLE5_TRACES) == [
+        "hadoop", "websearch", "alibaba", "microbursts", "video"]
+    for result in results.values():
+        hits, first_packet_hits = result.layer_hits
+        assert len(hits) == len(first_packet_hits) == len(Layer)
+        assert all(first <= every
+                   for first, every in zip(first_packet_hits, hits))
 
 
 def test_appendix_controller_labels_periods():

@@ -22,7 +22,7 @@ from dataclasses import fields
 import pytest
 
 from repro.core import SwitchV2P
-from repro.experiments.runner import RunResult, build_network, run_flows
+from repro.experiments.runner import build_network, run_flows
 from repro.faults import FaultSchedule
 from repro.net.topology import FatTreeSpec
 from repro.sim.engine import usec
@@ -42,14 +42,13 @@ def _steady_flows(n_pairs=4, size=1_500_000, transport="tcp"):
 def _run(fidelity, flows, slots=16384, seed=7):
     network = build_network(FatTreeSpec(), SwitchV2P(slots), 64, seed=seed,
                             fidelity=fidelity)
-    return run_flows(network, list(flows), trace_name="steady",
-                     keep_network=True)
+    return run_flows(network, list(flows), trace_name="steady"), network
 
 
-def _cache_metrics(result):
+def _cache_metrics(network):
     """Every cache-observable metric of a finished run, exactly."""
-    collector = result.collector
-    scheme = result.network.scheme
+    collector = network.collector
+    scheme = network.scheme
     lookups, hits = scheme.aggregate_hit_stats()
     per_cache = sorted(
         (switch_id, cache.stats.lookups, cache.stats.hits,
@@ -57,7 +56,7 @@ def _cache_metrics(result):
          cache.stats.invalidations, cache.stats.rejections)
         for switch_id, cache in scheme.caches.items())
     return {
-        "hit_rate": result.hit_rate,
+        "hit_rate": collector.hit_rate,
         "gateway_arrivals": collector.gateway_arrivals,
         "misdeliveries": collector.misdeliveries,
         "drops": collector.drops,
@@ -69,8 +68,8 @@ def _cache_metrics(result):
         "lookups": lookups,
         "hits": hits,
         "per_cache": per_cache,
-        "packets_sent": result.packets_sent,
-        "completion": result.completion_rate,
+        "packets_sent": collector.packets_sent,
+        "completion": collector.completion_rate,
     }
 
 
@@ -84,35 +83,34 @@ def tcp_pair():
 # exactness on cache metrics
 # ----------------------------------------------------------------------
 def test_same_seed_cache_metrics_exact(tcp_pair):
-    packet, hybrid = tcp_pair
+    (_, packet_net), (hybrid, hybrid_net) = tcp_pair
     assert hybrid.fluid_adoptions > 0, "hybrid run never went fluid"
     assert hybrid.fluid_packets > 0
-    assert _cache_metrics(packet) == _cache_metrics(hybrid)
+    assert _cache_metrics(packet_net) == _cache_metrics(hybrid_net)
 
 
 def test_udp_same_seed_cache_metrics_exact():
     """Only reliable flows go fluid: a UDP run under hybrid is the
     packet run, every result field (FCTs included) but the label."""
     flows = _steady_flows(n_pairs=2, size=1_500_000, transport="udp")
-    packet = _run("packet", flows)
-    hybrid = _run("hybrid", flows)
+    packet, packet_net = _run("packet", flows)
+    hybrid, hybrid_net = _run("hybrid", flows)
     assert hybrid.fluid_adoptions == 0
-    assert _cache_metrics(packet) == _cache_metrics(hybrid)
-    compared = [f.name for f in fields(RunResult)
-                if f.name not in ("fidelity", "collector", "network")]
+    assert _cache_metrics(packet_net) == _cache_metrics(hybrid_net)
+    compared = [f.name for f in fields(hybrid) if f.name != "fidelity"]
     assert [getattr(hybrid, name) for name in compared] \
         == [getattr(packet, name) for name in compared]
 
 
 def test_fct_percentiles_within_tolerance(tcp_pair):
-    packet, hybrid = tcp_pair
+    (packet, _), (hybrid, _) = tcp_pair
     assert hybrid.p50_fct_ns == pytest.approx(packet.p50_fct_ns, rel=0.05)
     assert hybrid.p99_fct_ns == pytest.approx(packet.p99_fct_ns, rel=0.05)
     assert hybrid.avg_fct_ns == pytest.approx(packet.avg_fct_ns, rel=0.05)
 
 
 def test_hybrid_surfaces_fluid_bookkeeping(tcp_pair):
-    _, hybrid = tcp_pair
+    _, (hybrid, hybrid_net) = tcp_pair
     assert hybrid.fidelity == "hybrid"
     assert hybrid.fluid_rounds > 0
     # Every adoption ends in exactly one escalation (at worst the tail
@@ -122,13 +120,13 @@ def test_hybrid_surfaces_fluid_bookkeeping(tcp_pair):
     assert hybrid.fluid_escalations >= hybrid.fluid_adoptions
     # Clean-path probe memoization and the warmup ledger engage here
     # (16 probe rounds skipped, 4 warm pairs).
-    stats = hybrid.network.fluid.stats_dict()
+    stats = hybrid_net.fluid.stats_dict()
     assert stats["probe_skips"] > 0, "clean-path memoization never engaged"
     assert stats["warm_pairs"] > 0, "warmup ledger never saturated"
 
 
 def test_packet_mode_reports_no_fluid_state(tcp_pair):
-    packet, _ = tcp_pair
+    (packet, _), _ = tcp_pair
     assert packet.fidelity == "packet"
     assert packet.fluid_adoptions == 0
     assert packet.fluid_packets == 0
@@ -155,16 +153,15 @@ def test_gray_schedule_cache_metrics_exact():
                     .flip_cache_bit(usec(200), "tor", (0, 0),
                                     entry=0, bit=1))
         schedule.apply(network)
-        result = run_flows(network, _steady_flows(), trace_name="steady",
-                           keep_network=True)
-        return result, schedule
+        result = run_flows(network, _steady_flows(), trace_name="steady")
+        return result, network, schedule
 
-    packet, packet_schedule = run_gray("packet")
-    hybrid, hybrid_schedule = run_gray("hybrid")
+    _, packet_net, packet_schedule = run_gray("packet")
+    hybrid, hybrid_net, hybrid_schedule = run_gray("hybrid")
     assert packet_schedule.corruptions, "the flip must hit a live line"
     assert packet_schedule.corruptions == hybrid_schedule.corruptions
     assert hybrid.fluid_adoptions > 0, "hybrid run never went fluid"
-    assert _cache_metrics(packet) == _cache_metrics(hybrid)
+    assert _cache_metrics(packet_net) == _cache_metrics(hybrid_net)
 
 
 # ----------------------------------------------------------------------
@@ -190,8 +187,7 @@ def test_vm_migration_escalates_adopted_flow():
     # The 3 MB flows complete around t=310 us; 200 us lands mid-flow,
     # after warmup/drain adoption (~150 us) but well before the tail.
     network.engine.schedule(usec(200), migrate)
-    result = run_flows(network, list(flows), trace_name="steady",
-                       keep_network=True)
+    result = run_flows(network, list(flows), trace_name="steady")
     assert result.completion_rate == 1.0
     records = sorted(network.collector.flows.values(),
                      key=lambda record: record.flow_id)
@@ -210,10 +206,10 @@ def test_conflict_churn_escalates_and_completes():
     found a mutated path while its pair was still warming up.
     """
     flows = _steady_flows(n_pairs=8, size=3_000_000)
-    packet = _run("packet", flows, slots=512)
-    result = _run("hybrid", flows, slots=512)
+    packet, _ = _run("packet", flows, slots=512)
+    result, _ = _run("hybrid", flows, slots=512)
     assert packet.completion_rate == result.completion_rate == 1.0
-    assert result.collector.misdeliveries == packet.collector.misdeliveries
+    assert result.misdeliveries == packet.misdeliveries
     reasons = result.fluid_escalations_by_reason
     assert sum(reasons.values()) == result.fluid_escalations
     assert "probe-mutated-warmup" in reasons, reasons
@@ -255,7 +251,7 @@ def test_probe_records_a_gateway_tors_site_for_data_and_ack():
     walks = _walked_draw_sites(network)
     result = run_flows(network, [FlowSpec(src_vip=src, dst_vip=dst,
                                           size_bytes=1_500_000, start_ns=0)],
-                       trace_name="steady", keep_network=True)
+                       trace_name="steady")
     assert result.completion_rate == 1.0 and result.fluid_packets > 0
     clean = [sites for status, sites in walks if status == _ST_CLEAN]
     assert clean
@@ -277,7 +273,7 @@ def test_a_draw_outside_every_switch_hook_escalates():
                             fidelity="hybrid")
     walks = _walked_draw_sites(network)
     result = run_flows(network, _steady_flows(n_pairs=8),
-                       trace_name="steady", keep_network=True)
+                       trace_name="steady")
     assert result.completion_rate == 1.0
     assert any(sites for _status, sites in walks), "no probe crossed a site"
     assert all(status != _ST_CLEAN for status, _sites in walks)

@@ -28,14 +28,13 @@ def flows(count=30):
 
 
 def test_run_result_fields_are_the_set_the_benchmark_pins():
-    """``bench/expected.json`` fingerprints every ``RunResult`` field
-    but the two live objects, per workload and size.  A field added or
-    renamed here passes every other tier-1 test and then fails
-    ``python -m bench`` with "differs from expected.json"."""
+    """``bench/expected.json`` fingerprints every ``RunResult`` field,
+    per workload and size.  A field added or renamed here passes every
+    other tier-1 test and then fails ``python -m bench`` with "differs
+    from expected.json"."""
     pinned = json.loads((Path(__file__).resolve().parent.parent
                          / "bench" / "expected.json").read_text())
-    ours = {field.name for field in dataclasses.fields(RunResult)} \
-        - {"collector", "network"}
+    ours = {field.name for field in dataclasses.fields(RunResult)}
     for size, workloads in pinned.items():
         for workload, fingerprint in workloads.items():
             assert set(fingerprint) == ours, (
@@ -44,7 +43,7 @@ def test_run_result_fields_are_the_set_the_benchmark_pins():
                 f"{sorted(set(fingerprint) ^ ours)}.  The field set is frozen: "
                 "only a `benchmark` PR may edit bench/ and re-pin it "
                 "(python -m bench --update-expected), so put a new result "
-                "on the collector or the network instead.")
+                "on DetailedRunResult instead.")
 
 
 def test_percentiles_ordered():

@@ -111,8 +111,9 @@ def test_rpc_response_flow_spawned():
     player.add_flows([FlowSpec(src_vip=0, dst_vip=5, size_bytes=2_000,
                                start_ns=0, response_bytes=4_000)])
     network.run(until=msec(50))
-    assert len(player.flows) == 2
-    request, response = player.flows
+    flows = network.collector.flows
+    assert len(flows) == 2
+    request, response = flows.values()
     assert response.src_vip == 5 and response.dst_vip == 0
     assert response.size_bytes == 4_000
     assert request.completed and response.completed
