@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.experiments.artifacts import ARTIFACTS
+from repro.experiments.artifacts import ARTIFACTS, simulate
 from repro.experiments.figures import FigureScale
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -61,15 +61,15 @@ def report(name: str, result) -> str:
 
 
 def run_artifact(benchmark, name: str, *also: str):
-    """Run one registry artifact at the bench scale and report it.
+    """Simulate one registry artifact at the bench scale and report it.
 
-    ``also`` names further artifacts rendered from the same run (Figure
-    7's heatmap).  Returns what the artifact's ``run`` returned, for
+    ``also`` names further artifacts rendered from the same result
+    (Figure 7's heatmap).  Returns what the artifact's table reads, for
     the shape assertions.
     """
-    entry = ARTIFACTS[name]
-    result = benchmark.pedantic(entry.run, args=(entry.sized(bench_scale()),),
-                                rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: simulate([ARTIFACTS[name]], bench_scale())[name],
+        rounds=1, iterations=1)
     for stem in (name, *also):
         report(stem, result)
     return result

@@ -10,7 +10,8 @@ from common import run_artifact
 
 
 def test_ablation_allocation(benchmark):
-    baseline, results = run_artifact(benchmark, "ablation_allocation")
+    results = run_artifact(benchmark, "ablation_allocation")
+    baseline = results["NoCache"]
     uniform = results["uniform"]
     tor_only = results["tor-only"]
     # §4's observation: ToR-only still improves FCT over NoCache...

@@ -10,8 +10,9 @@ from common import run_artifact
 
 
 def test_orderings_hold_across_seeds(benchmark):
-    rows_by_seed = run_artifact(benchmark, "robustness_seeds")
-    for seed, by_scheme in rows_by_seed.items():
+    rows = run_artifact(benchmark, "robustness_seeds")
+    for seed in dict.fromkeys(row.x_value for row in rows):  # x is the seed
+        by_scheme = {row.scheme: row for row in rows if row.x_value == seed}
         v2p = by_scheme["SwitchV2P"]
         assert v2p.hit_rate > by_scheme["LocalLearning"].hit_rate, seed
         assert v2p.fct_improvement > \

@@ -4,30 +4,21 @@ Reproduces the operational story of paper §5.3 / Figure 9: because
 SwitchV2P absorbs most translations inside the network, an operator can
 shrink the gateway fleet by an order of magnitude with nearly unchanged
 FCT, while the gateway-driven baseline degrades (and starts dropping
-packets when the remaining gateways saturate).
+packets when the remaining gateways saturate).  The table is the
+registry's Figure 9 entry, at a smaller trace than the committed one.
 
 Run:  python examples/gateway_consolidation.py
 """
 
-from repro.experiments import FigureScale, figure9
-from repro.metrics.reporting import render_table
+from repro.experiments import FigureScale
+from repro.experiments.artifacts import ARTIFACTS, simulate
 
 
 def main() -> None:
-    scale = FigureScale(num_vms=256, hadoop_flows=2000)
-    rows = figure9(scale, gateways_per_pod=(10, 2, 1),
-                   schemes=("SwitchV2P", "NoCache"))
-    table = [
-        [int(row.x_value), row.scheme, f"{row.hit_rate:.1%}",
-         f"{row.fct_improvement:.2f}x", f"{row.first_packet_improvement:.2f}x",
-         row.result.drops]
-        for row in rows
-    ]
-    print(render_table(
-        ["#gateways", "scheme", "hit rate", "FCT vs NoCache",
-         "first-pkt vs NoCache", "drops"],
-        table,
-        title="Shrinking the gateway fleet (Hadoop, cache=8x addr space)"))
+    fig9 = ARTIFACTS["fig9_gateways"]
+    rows = simulate([fig9], FigureScale(num_vms=256, hadoop_flows=2000),
+                    workers=2)[fig9.name]
+    print(fig9.render(rows))
     print()
     v2p = [r for r in rows if r.scheme == "SwitchV2P"]
     most, fewest = v2p[0], v2p[-1]

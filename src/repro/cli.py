@@ -38,6 +38,7 @@ from repro.experiments.chaosfuzz import (
     run_chaos_fuzz,
 )
 from repro.experiments.figures import FigureScale, build_trace, figure5_jobs
+from repro.experiments.runcache import job_key
 from repro.experiments.runner import SCHEME_FACTORIES
 from repro.metrics.reporting import failure_breakdown_rows, render_table
 from repro.perf import PhaseMemoryTimer, PhaseTimer
@@ -230,12 +231,40 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reject_unread(args: argparse.Namespace, entries, config: Any) -> None:
+    """Exit 2 for a sizing flag set off its default that leaves every
+    run key of ``entries``' jobs unchanged: no run reads it.  A field
+    whose default the runs cannot be built with is read by them."""
+    if entries[0].jobs is None:
+        return
+
+    def keys(config: Any) -> list[str]:
+        return [job_key(job) for entry in entries
+                for job in entry.jobs(config).values()]
+
+    default, sized = entries[0].config, keys(config)
+    for name in args.sizing:
+        if getattr(args, name) is None \
+                or getattr(config, name) == getattr(default, name):
+            continue
+        try:
+            unread = keys(replace(
+                config, **{name: getattr(default, name)})) == sized
+        except ValueError:
+            unread = False
+        if unread:
+            args.parser.error(
+                f"--{name.replace('_', '-')}: no run of {args.artifact} "
+                f"reads {type(config).__name__}.{name}")
+
+
 def cmd_reproduce(args: argparse.Namespace) -> int:
     entries = resolve(args.artifact)
     config = _sized(args, entries[0].config, args.artifact,
                     entries[0].fixed)
-    texts = reproduce(entries, config, args.workers,
-                      _progress(args.artifact))
+    _reject_unread(args, entries, config)
+    texts = reproduce(entries, config, workers=args.workers,
+                      progress=_progress(args.artifact))
     print("\n\n".join(texts.values()))
     return 0
 

@@ -1,4 +1,4 @@
-"""Experiment harness: runners, sweeps, per-figure entry points.
+"""Experiment harness: runners, sweeps, the figures' scales and traces.
 
 The registry of committed tables — one ``run`` + ``table`` per file
 under ``benchmarks/results/`` — is :mod:`repro.experiments.artifacts`;
@@ -16,13 +16,8 @@ from repro.experiments.faults import (
 )
 from repro.experiments.figures import (
     FigureScale,
-    appendix_controller,
     build_trace,
     trace_spec_for,
-    figure5,
-    figure6,
-    figure9,
-    figure10,
     ft8_spec,
     ft16_spec,
 )
@@ -55,8 +50,6 @@ from repro.experiments.runner import (
 from repro.experiments.sweeps import (
     SweepRow,
     cache_size_sweep,
-    gateway_count_sweep,
-    topology_scale_sweep,
 )
 
 __all__ = [
@@ -76,18 +69,11 @@ __all__ = [
     "run_key",
     "job_key",
     "cache_size_sweep",
-    "gateway_count_sweep",
-    "topology_scale_sweep",
     "FigureScale",
     "ft8_spec",
     "ft16_spec",
     "build_trace",
     "trace_spec_for",
-    "figure5",
-    "figure6",
-    "figure9",
-    "figure10",
-    "appendix_controller",
     "MigrationResult",
     "MIGRATION_VARIANTS",
     "run_migration_variant",

@@ -4,23 +4,25 @@
 keyed by the file's stem: the frozen ``config`` it is sized by (a
 :class:`FigureScale`, the fault experiments' :class:`ChaosParams`, the
 migration incast's :class:`IncastTraceParams`, or ``None`` for a table
-nothing sizes), a ``run(config, workers, progress)`` that simulates,
-and a pure ``table(result)`` that lays out what ``run`` returned as
-``(title, headers, rows)`` — the committed bytes.
-``python -m repro reproduce``, every ``benchmarks/test_*.py`` and
-``benchmarks/regen_check.py`` print through these entries; nothing else
-renders a paper table.  Entries that share a ``run`` (Figure 7's two
-files and Figure 8) are simulated once by :func:`reproduce`.
-``workers`` and ``progress`` reach every simulation that is a pool job
-— the sweeps, Figures 7/8, Table 5 and the Hadoop variant tables
-(:func:`_hadoop_runs`); the runs that are not (:func:`_serial`) ignore
-them.
+nothing sizes) and a pure ``table(result)`` that lays out
+``(title, headers, rows)`` — the committed bytes.  An entry of pool jobs
+has ``jobs(config) -> {label: ExperimentJob}`` and a pure
+``collect({label: DetailedRunResult})`` that makes what its table and
+its benchmark's shape checks read (a sweep's rows); the five that hold
+a live network or simulate nothing — Table 4, ``convergence``, the
+fault experiments, Table 6 — have a plain ``run(config)``.
+:func:`simulate` hands the jobs of every entry it is given to one
+:func:`~repro.experiments.parallel.parallel_run_experiments` call, which
+simulates each distinct run once however many entries list it (Table
+5's points are Figure 5 points).  ``python -m repro reproduce``, every
+``benchmarks/test_*.py`` and ``benchmarks/regen_check.py`` print
+through it; nothing else renders a paper table.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.core import SwitchV2PConfig
@@ -28,15 +30,9 @@ from repro.core.allocation import NAMED_POLICIES
 from repro.experiments.faults import ChaosParams, run_chaos_experiment
 from repro.experiments.figures import (
     FigureScale,
-    appendix_controller,
     build_trace,
-    figure5,
     figure5_jobs,
-    figure6,
-    figure9,
-    figure10,
     ft8_spec,
-    trace_spec_for,
 )
 from repro.experiments.graydegrade import run_gray_experiment
 from repro.experiments.migration import run_migration_table
@@ -50,6 +46,13 @@ from repro.experiments.runner import (
     build_network,
     make_scheme,
 )
+from repro.experiments.sweeps import (
+    REFERENCE,
+    gateway_sweep,
+    ratio_sweep,
+    sweep_rows,
+    topology_sweep,
+)
 from repro.hw import TABLE6_ENTRIES_PER_SWITCH, estimate_utilization
 from repro.metrics.collector import layer_shares
 from repro.metrics.reporting import heatmap_rows, render_table
@@ -60,82 +63,72 @@ from repro.traces.incast import IncastTraceParams
 from repro.transport.player import TrafficPlayer
 
 Table = tuple[str, list[str], list[list]]
-
-
-@dataclass(frozen=True)
-class Artifact:
-    """One committed table: how to run it and how to lay it out."""
-
-    name: str
-    run: Callable[..., Any]
-    table: Callable[[Any], Table]
-    #: What ``run`` is sized by, at the committed table's sizes.
-    config: Any
-    #: The name ``reproduce`` knew this artifact by before the registry.
-    short: str = ""
-    #: Fields of ``config`` whose default ``run`` insists on, so that
-    #: ``reproduce`` takes no flag for them (the gray experiment's schemes).
-    fixed: tuple[str, ...] = ()
-
-    def render(self, result: Any) -> str:
-        title, headers, rows = self.table(result)
-        return render_table(headers, rows, title=title)
-
-    def sized(self, config: Any) -> Any:
-        """The config this entry runs at: ``config`` when it is of this
-        entry's config type, else the entry's own."""
-        return config if type(config) is type(self.config) else self.config
-
-
-ARTIFACTS: dict[str, Artifact] = {}
-
+Jobs = dict[Any, ExperimentJob]
 
 #: What most entries are sized by: the figures' bench scale.
 _BENCH_SCALE = FigureScale()
 
 
-def artifact(name: str, run: Callable[..., Any], short: str = "",
-             config: Any = _BENCH_SCALE, fixed: tuple[str, ...] = ()):
-    """Register the decorated ``table(result)`` as artifact ``name``."""
+@dataclass(frozen=True)
+class Artifact:
+    """One committed table: what it simulates and how to lay it out."""
+
+    name: str
+    table: Callable[[Any], Table]
+    #: What the entry is sized by, at the committed table's sizes.
+    config: Any = _BENCH_SCALE
+    #: The name ``reproduce`` knew this artifact by before the registry.
+    short: str = ""
+    #: Fields of ``config`` whose default ``run`` insists on, so that
+    #: ``reproduce`` takes no flag for them (the gray experiment's schemes).
+    fixed: tuple[str, ...] = ()
+    #: ``jobs(config) -> {label: job}``, for an entry of pool jobs ...
+    jobs: Callable[[Any], Jobs] | None = None
+    #: ... and the pure step from ``{label: result}`` to ``table``'s input.
+    collect: Callable[[dict], Any] = dict
+    #: ``run(config)``, for an entry that is no pool jobs.
+    run: Callable[[Any], Any] | None = None
+
+    def render(self, result: Any) -> str:
+        title, headers, rows = self.table(result)
+        return render_table(headers, rows, title=title)
+
+    def sized(self, *configs: Any) -> Any:
+        """The config this entry runs at: the one of ``configs`` of this
+        entry's config type, else the entry's own."""
+        return next((config for config in configs
+                     if type(config) is type(self.config)), self.config)
+
+
+ARTIFACTS: dict[str, Artifact] = {}
+
+
+def artifact(name: str, jobs: Callable[[Any], Jobs] | None = None,
+             collect: Callable[[dict], Any] = dict, **fields: Any):
+    """Register the decorated ``table(result)`` as artifact ``name``;
+    ``fields`` are the other :class:`Artifact` fields."""
     def register(table: Callable[[Any], Table]):
-        ARTIFACTS[name] = Artifact(name, run, table, config, short, fixed)
+        ARTIFACTS[name] = Artifact(name, table, jobs=jobs, collect=collect,
+                                   **fields)
         return table
     return register
 
 
-def _serial(run: Callable[[Any], Any]) -> Callable[..., Any]:
-    """Adapt a run that makes no pool jobs — the convergence timeline
-    samples a run while it plays, Table 4 migrates VMs in it, Table 6
-    simulates nothing — to the registry signature."""
-    return lambda config, workers=None, progress=None: run(config)
+def _hadoop(scale: FigureScale) -> ExperimentJob:
+    """NoCache on the scale's Hadoop trace and FT8, for variants of it."""
+    return figure5_jobs("hadoop", scale)("NoCache", 0.0)
 
 
-def _sweep(figure: Callable[..., Any], **fixed: Any) -> Callable[..., Any]:
-    return lambda scale, workers=None, progress=None: figure(
-        scale=scale, workers=workers, progress=progress, **fixed)
-
-
-#: ``(label, scheme, cache ratio, scheme kwargs)``
-Variant = tuple[Any, str, float, dict | None]
-
-
-def _hadoop_runs(variants: Callable[[FigureScale], Iterable[Variant]],
-                 ) -> Callable[..., dict[Any, DetailedRunResult]]:
-    """A registry ``run`` returning ``{label: result}`` for the scale's
-    variants, all on its Hadoop trace and FT8, one pool job each (the
-    scheme kwargs — allocation policies, configs, way counts — are
-    frozen dataclasses and ints, which run keys encode and pickle)."""
-    def run(scale: FigureScale, workers=None, progress=None):
-        trace = trace_spec_for("hadoop", scale)
-        jobs = {label: ExperimentJob(
-                    spec=ft8_spec(), scheme_name=scheme,
-                    num_vms=trace.num_vms, cache_ratio=ratio, seed=scale.seed,
-                    trace_name="hadoop", trace=trace,
-                    scheme_kwargs=kwargs or {})
-                for label, scheme, ratio, kwargs in variants(scale)}
-        return dict(zip(jobs, parallel_run_experiments(
-            list(jobs.values()), workers, progress=progress)))
-    return run
+def _variants(scale: FigureScale,
+              variants: Iterable[tuple[Any, str, float, dict]]) -> Jobs:
+    """``{label: job}`` of ``(label, scheme, cache ratio, scheme
+    kwargs)`` Hadoop variants (the kwargs — allocation policies,
+    configs, way counts — are frozen dataclasses and ints, which run
+    keys encode and pickle)."""
+    base = _hadoop(scale)
+    return {label: replace(base, scheme_name=scheme, cache_ratio=ratio,
+                           scheme_kwargs=kwargs)
+            for label, scheme, ratio, kwargs in variants}
 
 
 # ----------------------------------------------------------------------
@@ -157,25 +150,64 @@ def _sweep_table(title: str) -> Callable[[Any], Table]:
     return lambda rows: (title, SWEEP_HEADERS, sweep_rows_table(rows))
 
 
+FIG5_SCHEMES = ("SwitchV2P", "GwCache", "LocalLearning", "OnDemand",
+                "Bluebird", "Direct")
 #: Figure 5d leaves out the schemes a zero-reuse UDP trace cannot tell
 #: apart and keeps the NoCache row the gateway-load claim is read from.
 VIDEO_SCHEMES = ("SwitchV2P", "GwCache", "LocalLearning", "NoCache")
 
-artifact("fig5a_hadoop", _sweep(figure5, trace="hadoop"), "fig5a")(
+
+def _figure5(trace: str, schemes: tuple[str, ...] = FIG5_SCHEMES,
+             ) -> Callable[[FigureScale], Jobs]:
+    return lambda scale: ratio_sweep(figure5_jobs(trace, scale),
+                                     scale.ratios, schemes)
+
+
+artifact("fig5a_hadoop", _figure5("hadoop"), sweep_rows, short="fig5a")(
     _sweep_table("Figure 5a — Hadoop (FT8)"))
-artifact("fig5b_microbursts", _sweep(figure5, trace="microbursts"), "fig5b")(
-    _sweep_table("Figure 5b — Microbursts (FT8)"))
-artifact("fig5c_websearch", _sweep(figure5, trace="websearch"), "fig5c")(
-    _sweep_table("Figure 5c — WebSearch (FT8)"))
-artifact("fig5d_video", _sweep(figure5, trace="video", schemes=VIDEO_SCHEMES),
-         "fig5d")(_sweep_table("Figure 5d — 8K Video (FT8)"))
-artifact("fig6_alibaba", _sweep(figure6), "fig6")(
+artifact("fig5b_microbursts", _figure5("microbursts"), sweep_rows,
+         short="fig5b")(_sweep_table("Figure 5b — Microbursts (FT8)"))
+artifact("fig5c_websearch", _figure5("websearch"), sweep_rows,
+         short="fig5c")(_sweep_table("Figure 5c — WebSearch (FT8)"))
+artifact("fig5d_video", _figure5("video", VIDEO_SCHEMES), sweep_rows,
+         short="fig5d")(_sweep_table("Figure 5d — 8K Video (FT8)"))
+artifact("fig6_alibaba", _figure5("alibaba"), sweep_rows, short="fig6")(
     _sweep_table("Figure 6 — Alibaba RPC (FT16)"))
-artifact("appendix_controller", _sweep(appendix_controller), "appendix")(
+
+
+#: Appendix A.2's rows: label -> (scheme, scheme kwargs), the
+#: Controller once per re-solving period.
+APPENDIX_VARIANTS = {
+    "SwitchV2P": ("SwitchV2P", {}),
+    **{f"Controller@{period_us}us": ("Controller",
+                                     {"period_ns": period_us * 1000})
+       for period_us in (150, 300)},
+}
+
+
+def _appendix_jobs(scale: FigureScale) -> Jobs:
+    """Controller-vs-SwitchV2P on WebSearch across cache sizes."""
+    job = figure5_jobs("websearch", scale)
+    jobs = {}
+    for ratio in scale.ratios:
+        jobs[REFERENCE, ratio] = job("NoCache", 0.0)
+        for label, (scheme, kwargs) in APPENDIX_VARIANTS.items():
+            jobs[label, ratio] = replace(job(scheme, ratio),
+                                         scheme_kwargs=kwargs)
+    return jobs
+
+
+artifact("appendix_controller", _appendix_jobs, sweep_rows, short="appendix")(
     _sweep_table("Appendix A.2 — Controller vs SwitchV2P (WebSearch)"))
 
 
-@artifact("fig9_gateways", _sweep(figure9), "fig9")
+# Figures 9 and 10 run Hadoop at 8x the address space (the paper's 50%
+# per-switch share, scaled); Figure 10 spreads 128 servers over 1 to 32
+# pods of 4 racks.
+@artifact("fig9_gateways", lambda scale: gateway_sweep(
+    _hadoop(scale), (10, 5, 2, 1),
+    ("SwitchV2P", "GwCache", "LocalLearning", "NoCache"), 8.0),
+    sweep_rows, short="fig9")
 def _fig9_table(rows) -> Table:
     return ("Figure 9 — shrinking the gateway fleet (Hadoop)",
             ["#gateways", "scheme", "hit rate", "FCT impr.",
@@ -186,7 +218,10 @@ def _fig9_table(rows) -> Table:
              for r in rows])
 
 
-@artifact("fig10_topology", _sweep(figure10), "fig10")
+@artifact("fig10_topology", lambda scale: topology_sweep(
+    _hadoop(scale), (1, 2, 4, 8, 16, 32), total_servers=128, racks_per_pod=4,
+    schemes=("SwitchV2P", "GwCache", "LocalLearning"), cache_ratio=8.0),
+    sweep_rows, short="fig10")
 def _fig10_table(rows) -> Table:
     return ("Figure 10 — topology scaling (Hadoop)",
             ["#pods", "scheme", "hit rate", "FCT impr.", "first-pkt impr."],
@@ -196,17 +231,19 @@ def _fig10_table(rows) -> Table:
 
 
 # ----------------------------------------------------------------------
-# figures 7 and 8: one run, three files
+# figures 7 and 8: one job list, three files
 # ----------------------------------------------------------------------
 FIG7_SCHEMES = ("NoCache", "LocalLearning", "GwCache", "SwitchV2P", "Direct")
 #: The gateway pod Figure 8 looks inside (the paper's pod 8).
 FIG8_POD = 7
 
-_run_fig7 = _hadoop_runs(lambda scale: [
-    (scheme, scheme, 0.5, None) for scheme in FIG7_SCHEMES])
+
+def _fig7_jobs(scale: FigureScale) -> Jobs:
+    return _variants(scale, [(scheme, scheme, 0.5, {})
+                             for scheme in FIG7_SCHEMES])
 
 
-@artifact("fig7_pod_bytes", _run_fig7, "fig7")
+@artifact("fig7_pod_bytes", _fig7_jobs, short="fig7")
 def _fig7_table(results: dict[str, DetailedRunResult]) -> Table:
     pods = len(next(iter(results.values())).pod_bytes)
     return ("Figure 7 — bytes processed per pod (Hadoop, cache=50%); "
@@ -219,7 +256,7 @@ def _fig7_table(results: dict[str, DetailedRunResult]) -> Table:
              for scheme, result in results.items()])
 
 
-@artifact("fig7_heatmap", _run_fig7, "fig7")
+@artifact("fig7_heatmap", _fig7_jobs, short="fig7")
 def _fig7_heatmap_table(results: dict[str, DetailedRunResult]) -> Table:
     pods = len(next(iter(results.values())).pod_bytes)
     headers, rows = heatmap_rows(
@@ -228,7 +265,7 @@ def _fig7_heatmap_table(results: dict[str, DetailedRunResult]) -> Table:
     return "Figure 7 heatmap (darker = more bytes)", headers, rows
 
 
-@artifact("fig8_switch_bytes", _run_fig7)
+@artifact("fig8_switch_bytes", _fig7_jobs)
 def _fig8_table(results: dict[str, DetailedRunResult]) -> Table:
     by_scheme = {scheme: result.pod_switch_bytes[FIG8_POD]
                  for scheme, result in results.items()}
@@ -246,7 +283,7 @@ def _fig8_table(results: dict[str, DetailedRunResult]) -> Table:
 #: Table 4 runs at bench scale: 16 senders stay below NIC saturation.
 #: The paper's incast is ``python -m repro reproduce table4_migration
 #: --num-senders 64 --packets-per-sender 1000``.
-@artifact("table4_migration", _serial(run_migration_table),
+@artifact("table4_migration", run=run_migration_table,
           config=IncastTraceParams(num_senders=16, packets_per_sender=500))
 def _table4_table(rows) -> Table:
     base = rows[0]
@@ -264,16 +301,13 @@ def _table4_table(rows) -> Table:
 TABLE5_TRACES = ("hadoop", "websearch", "alibaba", "microbursts", "video")
 
 
-def _run_table5(scale: FigureScale, workers=None, progress=None,
-                ) -> dict[str, DetailedRunResult]:
+def _table5_jobs(scale: FigureScale) -> Jobs:
     """SwitchV2P at cache=4x on each trace: one Figure 5 point each."""
-    jobs = [figure5_jobs(trace, scale)("SwitchV2P", 4.0)
-            for trace in TABLE5_TRACES]
-    return dict(zip(TABLE5_TRACES, parallel_run_experiments(
-        jobs, workers, progress=progress)))
+    return {trace: figure5_jobs(trace, scale)("SwitchV2P", 4.0)
+            for trace in TABLE5_TRACES}
 
 
-@artifact("table5_hit_distribution", _run_table5, "table5")
+@artifact("table5_hit_distribution", _table5_jobs, short="table5")
 def _table5_table(results: dict[str, DetailedRunResult]) -> Table:
     layers = (Layer.CORE, Layer.SPINE, Layer.TOR)
     rows = []
@@ -300,9 +334,8 @@ PAPER_TABLE6 = {
 }
 
 
-@artifact("table6_resources", _serial(
-    lambda config: estimate_utilization(TABLE6_ENTRIES_PER_SWITCH)), "table6",
-    config=None)
+@artifact("table6_resources", short="table6", config=None,
+          run=lambda _: estimate_utilization(TABLE6_ENTRIES_PER_SWITCH))
 def _table6_table(estimate: dict[str, float]) -> Table:
     return ("Table 6 — per-stage resource utilization (cache=50%)",
             ["resource", "paper", "model @50%"],
@@ -313,33 +346,25 @@ def _table6_table(estimate: dict[str, float]) -> Table:
 # ----------------------------------------------------------------------
 # beyond the paper's tables: ablations, convergence, reordering, seeds
 # ----------------------------------------------------------------------
-_allocation_runs = _hadoop_runs(lambda scale: [
-    ("NoCache", "NoCache", 0.0, None),
+@artifact("ablation_allocation", lambda scale: _variants(scale, [
+    ("NoCache", "NoCache", 0.0, {}),
     *((name, "SwitchV2P", 2.0, {"allocation": policy})
-      for name, policy in NAMED_POLICIES.items())])
-
-
-def _run_ablation_allocation(scale: FigureScale, workers=None, progress=None):
-    """-> (NoCache baseline, {policy name: result}) at cache=2x."""
-    results = _allocation_runs(scale, workers, progress)
-    return results.pop("NoCache"), results
-
-
-@artifact("ablation_allocation", _run_ablation_allocation)
-def _ablation_allocation_table(result) -> Table:
-    baseline, results = result
+      for name, policy in NAMED_POLICIES.items())]))
+def _ablation_allocation_table(results: dict[str, RunResult]) -> Table:
+    baseline = results["NoCache"]
     return ("Ablation — memory allocation policies (Hadoop, cache=2x)",
             ["policy", "hit rate", "FCT impr.", "first-pkt impr.", "stretch"],
             [[name, f"{r.hit_rate:.3f}",
               f"{baseline.avg_fct_ns / r.avg_fct_ns:.2f}",
               f"{baseline.avg_first_packet_ns / r.avg_first_packet_ns:.2f}",
-              f"{r.avg_stretch:.2f}"] for name, r in results.items()])
+              f"{r.avg_stretch:.2f}"] for name, r in results.items()
+             if name != "NoCache"])
 
 
 WAYS = (1, 2, 4)
 
 
-@artifact("ablation_cache_geometry", _hadoop_runs(lambda scale: [
+@artifact("ablation_cache_geometry", lambda scale: _variants(scale, [
     (ways, "SwitchV2P", 2.0, {"cache_ways": ways}) for ways in WAYS]))
 def _ablation_geometry_table(results: dict[int, RunResult]) -> Table:
     return ("Ablation — cache geometry (Hadoop, cache=2x)",
@@ -352,8 +377,8 @@ def _ablation_geometry_table(results: dict[int, RunResult]) -> Table:
 DHT_SCHEMES = ("SwitchV2P", "DhtStore", "NoCache", "Direct")
 
 
-@artifact("ablation_dht", _hadoop_runs(lambda scale: [
-    (scheme, scheme, 16.0, None) for scheme in DHT_SCHEMES]))
+@artifact("ablation_dht", lambda scale: _variants(scale, [
+    (scheme, scheme, 16.0, {}) for scheme in DHT_SCHEMES]))
 def _ablation_dht_table(results: dict[str, RunResult]) -> Table:
     base = results["NoCache"]
     return ("Ablation — in-switch DHT vs caching (Hadoop, cache=16x)",
@@ -374,7 +399,7 @@ ABLATIONS = (
 )
 
 
-@artifact("ablation_features", _hadoop_runs(lambda scale: [
+@artifact("ablation_features", lambda scale: _variants(scale, [
     (label, "SwitchV2P", 2.0, {"config": config})
     for label, config in ABLATIONS]))
 def _ablation_features_table(results: dict[str, RunResult]) -> Table:
@@ -408,7 +433,7 @@ def _run_convergence(scale: FigureScale) -> dict[str, list[float]]:
     return curves
 
 
-@artifact("convergence", _serial(_run_convergence))
+@artifact("convergence", run=_run_convergence)
 def _convergence_table(curves: dict[str, list[float]]) -> Table:
     windows = min(10, max(len(values) for values in curves.values()))
     return ("Windowed in-network hit rate over time (Hadoop, cache=8x)",
@@ -417,8 +442,8 @@ def _convergence_table(curves: dict[str, list[float]]) -> Table:
              for name, values in curves.items()])
 
 
-@artifact("reordering", _hadoop_runs(lambda scale: [
-    (ratio, "SwitchV2P", ratio, None) for ratio in scale.ratios]))
+@artifact("reordering", lambda scale: _variants(scale, [
+    (ratio, "SwitchV2P", ratio, {}) for ratio in scale.ratios]))
 def _reordering_table(results: dict[float, RunResult]) -> Table:
     return ("Packet reordering under SwitchV2P (Hadoop)",
             ["cache(x addr space)", "reorder events", "per packet", "drops"],
@@ -431,36 +456,33 @@ SEEDS = (1, 2, 3)
 SEED_SCHEMES = ("SwitchV2P", "LocalLearning", "OnDemand", "Direct")
 
 
-def _run_robustness_seeds(scale: FigureScale, workers=None, progress=None):
-    """-> {seed: {scheme: SweepRow}}: a compact Figure 5a per seed."""
-    rows_by_seed = {}
+def _seed_jobs(scale: FigureScale) -> Jobs:
+    """A compact Figure 5a at cache=8x per seed, as a sweep whose x
+    value is the seed."""
+    jobs = {}
     for seed in SEEDS:
-        rows = figure5("hadoop",
-                       FigureScale(num_vms=scale.num_vms // 2,
-                                   hadoop_flows=scale.hadoop_flows // 2,
-                                   ratios=(8.0,), seed=seed),
-                       schemes=SEED_SCHEMES, workers=workers,
-                       progress=progress)
-        rows_by_seed[seed] = {row.scheme: row for row in rows}
-    return rows_by_seed
+        job = figure5_jobs("hadoop", FigureScale(
+            num_vms=scale.num_vms // 2, hadoop_flows=scale.hadoop_flows // 2,
+            seed=seed))
+        jobs[REFERENCE, seed] = job("NoCache", 0.0)
+        jobs.update(((scheme, seed), job(scheme, 8.0))
+                    for scheme in SEED_SCHEMES)
+    return jobs
 
 
-@artifact("robustness_seeds", _run_robustness_seeds)
-def _robustness_seeds_table(rows_by_seed) -> Table:
+@artifact("robustness_seeds", _seed_jobs, sweep_rows)
+def _robustness_seeds_table(rows) -> Table:
     return ("Seed robustness (Hadoop, cache=8x)",
             ["seed", "scheme", "hit rate", "FCT impr."],
-            [[seed, scheme, f"{row.hit_rate:.3f}",
-              f"{row.fct_improvement:.2f}"]
-             for seed, by_scheme in rows_by_seed.items()
-             for scheme, row in by_scheme.items()])
+            [[row.x_value, row.scheme, f"{row.hit_rate:.3f}",
+              f"{row.fct_improvement:.2f}"] for row in rows])
 
 
 # ----------------------------------------------------------------------
 # fault experiments
 # ----------------------------------------------------------------------
-@artifact("faults_resilience",
-          lambda params, workers=None, progress=None: run_chaos_experiment(
-              params, progress=progress), config=ChaosParams())
+@artifact("faults_resilience", run=run_chaos_experiment,
+          config=ChaosParams())
 def _faults_table(rows) -> Table:
     table = []
     for row in rows:
@@ -491,9 +513,7 @@ def _faults_table(rows) -> Table:
             table)
 
 
-@artifact("gray_degradation",
-          lambda params, workers=None, progress=None: run_gray_experiment(
-              params, progress=progress), config=ChaosParams(),
+@artifact("gray_degradation", run=run_gray_experiment, config=ChaosParams(),
           fixed=("schemes",))
 def _gray_table(rows) -> Table:
     return ("Graceful degradation — gateway brownout + degraded cable + "
@@ -543,19 +563,38 @@ def artifact_names() -> list[str]:
     return [*ARTIFACTS, *shorts]
 
 
-def reproduce(artifacts: Iterable[Artifact], config: Any,
-              workers: int | None = None, progress=None) -> dict[str, str]:
-    """Run and render ``artifacts``: ``{file stem: table text}``.
+def simulate(artifacts: Iterable[Artifact], *configs: Any,
+             workers: int | None = None, progress=None) -> dict[str, Any]:
+    """``{file stem: what its table reads}`` for ``artifacts``.
 
-    ``config`` sizes the entries sized by its type; the rest run at
-    their own (:meth:`Artifact.sized`).  Entries that share a ``run``
-    are simulated once.
+    Each entry runs at the one of ``configs`` of its config type, else
+    at its own (:meth:`Artifact.sized`).  The jobs of every entry are
+    one :func:`parallel_run_experiments` call, so a run that several
+    entries list is simulated once; ``workers`` and ``progress`` are
+    that call's.  The ``run`` entries follow, in the calling process.
     """
-    results: dict[Callable, Any] = {}
-    texts = {}
+    artifacts = list(artifacts)
+    listed = {entry.name: entry.jobs(entry.sized(*configs))
+              for entry in artifacts if entry.jobs is not None}
+    results = iter(parallel_run_experiments(
+        [job for jobs in listed.values() for job in jobs.values()],
+        workers, progress=progress))
+    simulated = {}
     for entry in artifacts:
-        if entry.run not in results:
-            results[entry.run] = entry.run(entry.sized(config), workers,
-                                           progress)
-        texts[entry.name] = entry.render(results[entry.run])
-    return texts
+        if entry.jobs is None:
+            simulated[entry.name] = entry.run(entry.sized(*configs))
+        else:
+            simulated[entry.name] = entry.collect(
+                {label: next(results) for label in listed[entry.name]})
+    return simulated
+
+
+def reproduce(artifacts: Iterable[Artifact], *configs: Any,
+              workers: int | None = None, progress=None) -> dict[str, str]:
+    """Simulate and render ``artifacts``: ``{file stem: table text}``;
+    arguments as for :func:`simulate`."""
+    artifacts = list(artifacts)
+    simulated = simulate(artifacts, *configs, workers=workers,
+                         progress=progress)
+    return {entry.name: entry.render(simulated[entry.name])
+            for entry in artifacts}

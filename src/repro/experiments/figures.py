@@ -1,25 +1,20 @@
-"""Per-figure/table experiment entry points (paper §5).
+"""What the paper's §5 experiments run on: scales, fabrics, traces.
 
-Each function regenerates one artifact of the paper's evaluation at a
-configurable scale.  Bench-scale defaults keep pure-Python runtimes in
-seconds; paper-scale parameters are documented in EXPERIMENTS.md.  The
-functions return structured rows; the benchmarks render and print them.
+:class:`FigureScale` sizes every trace-driven artifact; bench-scale
+defaults keep pure-Python runtimes in seconds, and paper-scale
+parameters are documented in EXPERIMENTS.md.  :func:`figure5_jobs`
+builds the run behind one point of a Figure 5/6 sweep, which the other
+trace-driven tables of :mod:`repro.experiments.artifacts` vary.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cache
 
 from repro.experiments.parallel import ExperimentJob
-from repro.experiments.sweeps import (
-    SweepRow,
-    gateway_count_sweep,
-    ratio_jobs,
-    run_sweep_jobs,
-    sweep_ratios,
-    topology_scale_sweep,
-)
+from repro.experiments.sweeps import ratio_jobs
 from repro.net.topology import FatTreeSpec
 from repro.traces.spec import TraceSpec
 from repro.transport.reliable import TransportConfig
@@ -57,10 +52,6 @@ class FigureScale:
     bluebird_punt_ratio: float = 1 / 6
 
 
-FIG5_SCHEMES = ("SwitchV2P", "GwCache", "LocalLearning", "OnDemand",
-                "Bluebird", "Direct")
-
-
 def ft8_spec() -> FatTreeSpec:
     """The FT8-10K fabric of Table 3 (gateways in pods 1,3,6,8)."""
     return FatTreeSpec()
@@ -77,11 +68,6 @@ def ft16_spec() -> FatTreeSpec:
         gateway_pods=tuple(range(0, 16, 2)),
         gateways_per_pod=4,
     )
-
-
-def fabric_for(trace: str) -> FatTreeSpec:
-    """The fabric a trace runs on: FT16 for Alibaba, FT8 for the rest."""
-    return ft16_spec() if trace == "alibaba" else ft8_spec()
 
 
 def trace_spec_for(name: str, scale: FigureScale) -> TraceSpec:
@@ -159,104 +145,17 @@ def figure5_jobs(trace: str, scale: FigureScale, fidelity: str = "packet",
     for Alibaba) at this scale — and all that ``repro run`` runs.
 
     Byte-heavy traces get the jumbo-MSS transport and Bluebird its punt
-    channel sized to the trace's offered load.
+    channel sized to the trace's offered load, which materializes the
+    trace once, when the first Bluebird job is built.
     """
     tspec = trace_spec_for(trace, scale)
-    spec = fabric_for(trace)
-    return ratio_jobs(
-        ExperimentJob(spec=spec, scheme_name="NoCache", trace=tspec,
-                      num_vms=tspec.num_vms, seed=scale.seed,
-                      transport=_transport_for(trace, scale),
-                      trace_name=trace, fidelity=fidelity),
-        {"Bluebird": bluebird_kwargs(tspec.materialize(), spec, scale)})
-
-
-def figure5(trace: str, scale: FigureScale | None = None,
-            schemes: tuple[str, ...] = FIG5_SCHEMES,
-            workers: int | None = None, cache="auto",
-            progress=None) -> list[SweepRow]:
-    """Hit rate / FCT / first-packet improvement vs cache size."""
-    scale = scale or FigureScale()
-    return sweep_ratios(figure5_jobs(trace, scale), scale.ratios, schemes,
-                        workers=workers, cache=cache, progress=progress)
-
-
-def figure6(scale: FigureScale | None = None,
-            schemes: tuple[str, ...] = FIG5_SCHEMES,
-            workers: int | None = None, cache="auto",
-            progress=None) -> list[SweepRow]:
-    """The Alibaba sweep on the larger FT16-style topology."""
-    return figure5("alibaba", scale, schemes, workers, cache, progress)
-
-
-# ----------------------------------------------------------------------
-# Figure 9: gateway-count sweep (Hadoop, 50% cache)
-# ----------------------------------------------------------------------
-def figure9(scale: FigureScale | None = None, cache_ratio: float = 8.0,
-            gateways_per_pod: tuple[int, ...] = (10, 5, 2, 1),
-            schemes: tuple[str, ...] = ("SwitchV2P", "GwCache",
-                                        "LocalLearning", "NoCache"),
-            workers: int | None = None, cache="auto",
-            progress=None) -> list[SweepRow]:
-    """FCT / first-packet latency as gateways shrink 40 -> 4."""
-    scale = scale or FigureScale()
-
-    def trace_factory(spec: FatTreeSpec):
-        flows, _ = build_trace("hadoop", scale)
-        return flows
-
-    return gateway_count_sweep(
-        ft8_spec(), trace_factory, scale.num_vms, gateways_per_pod, schemes,
-        cache_ratio, seed=scale.seed, trace_name="hadoop",
-        workers=workers, cache=cache, progress=progress)
-
-
-# ----------------------------------------------------------------------
-# Figure 10: topology scaling (Hadoop, 50% cache)
-# ----------------------------------------------------------------------
-def figure10(scale: FigureScale | None = None, cache_ratio: float = 8.0,
-             pods_values: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
-             schemes: tuple[str, ...] = ("SwitchV2P", "GwCache",
-                                         "LocalLearning"),
-             workers: int | None = None, cache="auto",
-             progress=None) -> list[SweepRow]:
-    """FCT improvement across pod counts at constant server count."""
-    scale = scale or FigureScale()
-
-    def trace_factory(spec: FatTreeSpec):
-        flows, _ = build_trace("hadoop", scale)
-        return flows
-
-    return topology_scale_sweep(
-        pods_values, total_servers=128, racks_per_pod=4,
-        trace_factory=trace_factory, num_vms=scale.num_vms, schemes=schemes,
-        cache_ratio=cache_ratio, seed=scale.seed, trace_name="hadoop",
-        workers=workers, cache=cache, progress=progress)
-
-
-# ----------------------------------------------------------------------
-# Appendix A.2: the Controller baseline on WebSearch
-# ----------------------------------------------------------------------
-def appendix_controller(scale: FigureScale | None = None,
-                        periods_us: tuple[int, ...] = (150, 300),
-                        workers: int | None = None, cache="auto",
-                        progress=None) -> list[SweepRow]:
-    """Controller-vs-SwitchV2P on WebSearch across cache sizes."""
-    scale = scale or FigureScale()
-    job = figure5_jobs("websearch", scale)
-
-    #: Row label -> (scheme, scheme kwargs): Controller once per period.
-    variants: dict[str, tuple[str, dict]] = {"SwitchV2P": ("SwitchV2P", {})}
-    for period_us in periods_us:
-        variants[f"Controller@{period_us}us"] = (
-            "Controller", {"period_ns": period_us * 1000})
-
-    points = [(ratio, replace(job(scheme, ratio), scheme_kwargs=kwargs), 0)
-              for ratio in scale.ratios
-              for scheme, kwargs in variants.values()]
-    rows = run_sweep_jobs([job("NoCache", 0.0)], points, workers=workers,
-                          cache=cache, progress=progress)
-    labels = list(variants) * len(scale.ratios)
-    return [replace(row, scheme=label,
-                    result=replace(row.result, scheme=label))
-            for row, label in zip(rows, labels)]
+    spec = ft16_spec() if trace == "alibaba" else ft8_spec()
+    job = ratio_jobs(ExperimentJob(
+        spec=spec, scheme_name="NoCache", trace=tspec,
+        num_vms=tspec.num_vms, seed=scale.seed,
+        transport=_transport_for(trace, scale), trace_name=trace,
+        fidelity=fidelity))
+    punt = cache(lambda: bluebird_kwargs(tspec.materialize(), spec, scale))
+    return lambda scheme, ratio: replace(
+        job(scheme, ratio),
+        scheme_kwargs=punt() if scheme == "Bluebird" else {})

@@ -7,8 +7,8 @@ qualified name is ``CodeType.co_qualname``, so it needs CPython 3.11
 or later.
 
 Run as a script, it calls what this repository is for — all 23
-registry artifacts at ``benchmarks/common.py``'s ``fast`` scale,
-sequentially and with the run cache off; ``repro chaos`` and
+registry artifacts at ``benchmarks/common.py``'s ``fast`` scale, their
+jobs in one inline pool call, with the run cache off; ``repro chaos`` and
 ``repro chaos --gray`` with their default trials; the seven
 ``bench`` workloads in-process at scale 0.1; ``repro run`` and
 ``repro list`` — then compiles every module under ``src/repro`` and

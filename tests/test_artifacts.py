@@ -30,11 +30,13 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import artifacts, parallel
 from repro.experiments.artifacts import (
     ARTIFACTS,
     artifact_names,
     reproduce,
     resolve,
+    simulate,
 )
 from repro.experiments.chaosfuzz import (
     ChaosFuzzParams,
@@ -44,7 +46,7 @@ from repro.experiments.chaosfuzz import (
 )
 from repro.experiments.faults import ChaosParams, chaos_spec
 from repro.experiments.figures import FigureScale
-from repro.experiments.runcache import default_cache
+from repro.experiments.runcache import default_cache, job_key
 from repro.faults.fuzz import generate_schedule
 from repro.traces.incast import IncastTraceParams
 from repro.vnet.network import VirtualNetwork
@@ -68,12 +70,12 @@ TINY_CONFIGS = {FigureScale: TINY,
                 ChaosParams: ChaosParams(num_vms=16, num_flows=60)}
 
 
-def _flags(config) -> list[str]:
-    """The ``reproduce`` flags that set every field of ``config``."""
+def _flags(config, names) -> list[str]:
+    """The ``reproduce`` flags that set the ``names`` fields of ``config``."""
     argv = []
-    for field in fields(config):
-        value = getattr(config, field.name)
-        argv += [f"--{field.name.replace('_', '-')}",
+    for name in names:
+        value = getattr(config, name)
+        argv += [f"--{name.replace('_', '-')}",
                  *map(str, value if isinstance(value, tuple) else [value])]
     return argv
 
@@ -96,7 +98,8 @@ def test_reproduce_accepts_every_stem_and_every_short_name():
     # A short name stands for every file of its figure, off one run.
     fig7 = resolve("fig7")
     assert [a.name for a in fig7] == ["fig7_pod_bytes", "fig7_heatmap"]
-    assert fig7[0].run is fig7[1].run is ARTIFACTS["fig8_switch_bytes"].run
+    assert fig7[0].jobs is fig7[1].jobs is ARTIFACTS["fig8_switch_bytes"].jobs
+    assert fig7[0].jobs is not None
     with pytest.raises(KeyError):
         resolve("fig99")
 
@@ -107,36 +110,73 @@ def _title_and_header(text: str) -> tuple[str, list[str]]:
     return title, [cell.strip() for cell in header.split("|")]
 
 
-@pytest.mark.parametrize("name", ["fig8_switch_bytes", "ablation_features",
-                                  "table5"])
+#: The :class:`FigureScale` fields each entry's runs read; a flag for
+#: another, off its default, exits 2.
+READS = {"fig8_switch_bytes": ("num_vms", "hadoop_flows", "seed"),
+         "ablation_features": ("num_vms", "hadoop_flows", "seed"),
+         "table5": [field.name for field in fields(TINY)
+                    if field.name != "ratios"]}
+
+
+@pytest.mark.parametrize("name", list(READS))
 def test_reproduce_prints_the_committed_title_and_header(name, capsys):
     """The first two could only be printed by their benchmark files, and
     ``table5`` printed another layer order than the committed one."""
-    assert main(["reproduce", name, *_flags(TINY)]) == 0
+    assert main(["reproduce", name, *_flags(TINY, READS[name])]) == 0
     committed = (RESULTS_DIR / f"{resolve(name)[0].name}.txt").read_text()
     assert _title_and_header(capsys.readouterr().out) \
         == _title_and_header(committed)
 
 
-def test_every_table_is_pure():
-    """Same result twice -> same text, off what ``run`` returned alone."""
+@pytest.fixture(scope="module")
+def registry_run():
+    """The whole registry simulated at the tiny configs in one
+    :func:`simulate` call, inline: ``(results, the job lists handed to
+    the pool, the run key of every simulation)``."""
+    pool_calls, simulated = [], []
+    pool, execute = artifacts.parallel_run_experiments, parallel._execute_job
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(artifacts, "parallel_run_experiments",
+                      lambda jobs, *args, **kwargs: (
+                          pool_calls.append(list(jobs))
+                          or pool(jobs, *args, **kwargs)))
+        patch.setattr(parallel, "_execute_job", lambda job: (
+            simulated.append(job_key(job)) or execute(job)))
+        results = simulate(ARTIFACTS.values(), *TINY_CONFIGS.values(),
+                           workers=0)
+    return results, pool_calls, simulated
+
+
+def test_every_table_is_pure(registry_run):
+    """Same result twice -> same text, off what was simulated alone."""
     assert {type(a.config) for a in ARTIFACTS.values()} \
         == {*TINY_CONFIGS, type(None)}
-    first = {}
-    results = {}
+    results, _, _ = registry_run
+    assert list(results) == list(ARTIFACTS)
     for name, artifact in ARTIFACTS.items():
-        if artifact.run not in results:
-            results[artifact.run] = artifact.run(
-                TINY_CONFIGS.get(type(artifact.config)))
-        first[name] = artifact.render(results[artifact.run])
-    for name, artifact in ARTIFACTS.items():
-        assert artifact.render(results[artifact.run]) == first[name], name
-        title, headers, rows = artifact.table(results[artifact.run])
+        assert artifact.render(results[name]) \
+            == artifact.render(results[name]), name
+        title, headers, rows = artifact.table(results[name])
         assert title and rows, name
         assert all(len(row) == len(headers) for row in rows), name
-    # reproduce() is the same thing, sharing a run between its entries.
-    assert reproduce(resolve("fig7"), TINY) == {
-        name: first[name] for name in ("fig7_pod_bytes", "fig7_heatmap")}
+
+
+def test_the_registry_is_one_pool_call_and_each_run_one_simulation(
+        registry_run):
+    """Every entry's jobs go to the pool together; a run that several
+    entries list (Table 5's points are Figure 5 points) is simulated
+    once; a subset prints what it printed in the whole registry."""
+    results, pool_calls, simulated = registry_run
+    [jobs] = pool_calls
+    keys = [job_key(job) for job in jobs]
+    assert len(keys) == sum(len(a.jobs(a.sized(TINY)))
+                            for a in ARTIFACTS.values() if a.jobs)
+    assert len(set(keys)) < len(keys)
+    assert sorted(simulated) == sorted(set(keys))
+    subset = [*resolve("fig7"), *resolve("table5"), *resolve("fig5a"),
+              ARTIFACTS["reordering"], ARTIFACTS["table4_migration"]]
+    assert reproduce(subset, *TINY_CONFIGS.values()) == {
+        entry.name: entry.render(results[entry.name]) for entry in subset}
 
 
 #: The entries whose runs are pool jobs now, not a serial loop that

@@ -6,7 +6,8 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.figures import FigureScale, figure5
+from repro.experiments.artifacts import ARTIFACTS, simulate
+from repro.experiments.figures import FigureScale
 from repro.experiments.parallel import ExperimentJob
 
 SUBCOMMANDS = ("list", "run", "reproduce", "chaos", "cache", "trace")
@@ -56,11 +57,13 @@ def test_run_is_one_point_of_its_sweep(trace, scheme, size, monkeypatch,
     channel sizing the sweep applies, and got another result."""
     scale = FigureScale(num_vms=64, websearch_flows=20, hadoop_flows=200,
                         ratios=(4.0,))
-    [row] = figure5(trace, scale, schemes=(scheme,))
+    stem = {"websearch": "fig5c_websearch", "hadoop": "fig5a_hadoop"}[trace]
+    [row] = [row for row in simulate([ARTIFACTS[stem]], scale)[stem]
+             if row.scheme == scheme]
     runs = []
-    simulate = ExperimentJob.run
+    run = ExperimentJob.run
     monkeypatch.setattr(ExperimentJob, "run", lambda job, **options: (
-        runs.append(simulate(job, **options)) or runs[-1]))
+        runs.append(run(job, **options)) or runs[-1]))
     assert main(["run", "--trace", trace, "--scheme", scheme,
                  "--cache-ratio", "4", "--num-vms", "64", *size]) == 0
     assert runs == [row.result]
@@ -199,6 +202,25 @@ def test_a_flag_for_another_config_exits_2_naming_both(argv, flag, config,
     err = capsys.readouterr().err
     assert flag in err
     assert f"({config})" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["reproduce", "fig5a", "--websearch-flows", "40"], "--websearch-flows"),
+    (["reproduce", "fig7", "--ratios", "1"], "--ratios"),
+    (["reproduce", "robustness_seeds", "--seed", "4"], "--seed")])
+def test_a_flag_no_run_reads_exits_2_naming_it(argv, flag, capsys):
+    """``fig5a --websearch-flows 40`` used to run Figure 5a unchanged."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: no run of {argv[1]} reads FigureScale." in err
+
+
+def test_a_flag_at_its_default_is_accepted_where_no_run_reads_it(capsys):
+    assert main(["reproduce", "fig5a", "--num-vms", "32", "--hadoop-flows",
+                 "40", "--ratios", "4", "--websearch-flows", "150"]) == 0
+    assert "SwitchV2P" in capsys.readouterr().out
 
 
 def test_a_flag_for_a_field_the_artifact_fixes_exits_2_naming_it(capsys):

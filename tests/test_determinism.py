@@ -20,7 +20,8 @@ import pytest
 
 from repro.core import SwitchV2P
 from repro.experiments.faults import ChaosParams, run_chaos_experiment
-from repro.experiments.figures import FigureScale, appendix_controller
+from repro.experiments.artifacts import ARTIFACTS
+from repro.experiments.figures import FigureScale
 from repro.experiments.parallel import ExperimentJob, parallel_run_experiments
 from repro.experiments.runcache import RunCache
 from repro.experiments.runner import (
@@ -31,8 +32,9 @@ from repro.experiments.runner import (
 )
 from repro.experiments.sweeps import (
     cache_size_sweep,
-    gateway_count_sweep,
-    topology_scale_sweep,
+    gateway_sweep,
+    sweep_rows,
+    topology_sweep,
 )
 from repro.net.topology import FatTreeSpec
 from repro.sim.engine import msec
@@ -178,27 +180,35 @@ def test_sweep_identical_across_execution_modes(tmp_path):
     _assert_identical_across_execution_modes(sweep, tmp_path, pools=(2, 4))
 
 
+def _rows(jobs, **mode):
+    return sweep_rows(dict(zip(jobs, parallel_run_experiments(
+        list(jobs.values()), **mode))))
+
+
+def _hadoop_job(spec):
+    return ExperimentJob(spec=spec, scheme_name="NoCache",
+                         flows=_hadoop_flows(16, 40, seed=7), num_vms=16,
+                         seed=7, trace_name="hadoop")
+
+
 def _gateway_sweep(**mode):
-    return gateway_count_sweep(
-        dataclasses.replace(_TINY_SPEC, gateways_per_pod=2),
-        lambda spec: _hadoop_flows(16, 40, seed=7), num_vms=16,
-        gateways_per_pod_values=(2, 1),
-        schemes=("SwitchV2P", "GwCache", "NoCache"), cache_ratio=4.0,
-        seed=7, trace_name="hadoop", **mode)
+    return _rows(gateway_sweep(
+        _hadoop_job(dataclasses.replace(_TINY_SPEC, gateways_per_pod=2)),
+        gateways_per_pod=(2, 1),
+        schemes=("SwitchV2P", "GwCache", "NoCache"), cache_ratio=4.0),
+        **mode)
 
 
 def _topology_sweep(**mode):
-    return topology_scale_sweep(
-        (1, 2), total_servers=8, racks_per_pod=2,
-        trace_factory=lambda spec: _hadoop_flows(16, 40, seed=7),
-        num_vms=16, schemes=("SwitchV2P", "GwCache"), cache_ratio=4.0,
-        seed=7, trace_name="hadoop", **mode)
+    return _rows(topology_sweep(
+        _hadoop_job(_TINY_SPEC), (1, 2), total_servers=8, racks_per_pod=2,
+        schemes=("SwitchV2P", "GwCache"), cache_ratio=4.0), **mode)
 
 
 def _appendix_sweep(**mode):
     scale = FigureScale(num_vms=32, websearch_flows=6, ratios=(0.5, 4.0),
                         seed=7)
-    return appendix_controller(scale, periods_us=(150,), **mode)
+    return _rows(ARTIFACTS["appendix_controller"].jobs(scale), **mode)
 
 
 @pytest.mark.parametrize("sweep", [_gateway_sweep, _topology_sweep,

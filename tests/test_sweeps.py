@@ -3,12 +3,15 @@
 import pytest
 
 from repro.experiments import sweeps
+from repro.experiments.parallel import ExperimentJob, parallel_run_experiments
 from repro.experiments.runcache import RunCache
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweeps import (
+    REFERENCE,
     cache_size_sweep,
-    gateway_count_sweep,
-    topology_scale_sweep,
+    gateway_sweep,
+    sweep_rows,
+    topology_sweep,
 )
 from repro.transport.flow import FlowSpec
 
@@ -32,13 +35,22 @@ def test_cache_sweep_row_shape():
     assert len(cells) == 5
 
 
-def test_gateway_sweep_normalizes_to_largest_fleet():
-    def factory(spec):
-        return flows()
+def base(spec=None):
+    """A NoCache job of :func:`flows` for the fabric sweeps to vary."""
+    return ExperimentJob(spec=spec or tiny_spec(), scheme_name="NoCache",
+                         flows=tuple(flows()), num_vms=8)
 
-    rows = gateway_count_sweep(tiny_spec(gateways_per_pod=2), factory,
-                               num_vms=8, gateways_per_pod_values=(2, 1),
-                               schemes=("NoCache",), cache_ratio=0.0)
+
+def rows_of(jobs, **options):
+    """Simulate a sweep's jobs and normalize them."""
+    return sweep_rows(dict(zip(jobs, parallel_run_experiments(
+        list(jobs.values()), **options))))
+
+
+def test_gateway_sweep_normalizes_to_largest_fleet():
+    rows = rows_of(gateway_sweep(base(tiny_spec(gateways_per_pod=2)),
+                                 gateways_per_pod=(2, 1),
+                                 schemes=("NoCache",), cache_ratio=0.0))
     first, second = rows
     # The first (largest fleet) NoCache row is the reference: exactly 1.
     assert first.fct_improvement == pytest.approx(1.0)
@@ -48,26 +60,17 @@ def test_gateway_sweep_normalizes_to_largest_fleet():
 
 
 def test_topology_sweep_rejects_impossible_geometry():
-    def factory(spec):
-        return flows()
-
     with pytest.raises(ValueError):
-        topology_scale_sweep((1000,), total_servers=8, racks_per_pod=2,
-                             trace_factory=factory, num_vms=8,
-                             schemes=("NoCache",), cache_ratio=0.0)
+        topology_sweep(base(), (1000,), total_servers=8, racks_per_pod=2,
+                       schemes=("NoCache",), cache_ratio=0.0)
 
 
 def test_topology_sweep_varies_specs():
-    captured = []
-
-    def factory(spec):
-        captured.append((spec.pods, spec.servers_per_rack))
-        return flows()
-
-    topology_scale_sweep((1, 2), total_servers=8, racks_per_pod=2,
-                         trace_factory=factory, num_vms=8,
-                         schemes=("NoCache",), cache_ratio=0.0)
-    assert captured == [(1, 4), (2, 2)]
+    jobs = topology_sweep(base(), (1, 2), total_servers=8, racks_per_pod=2,
+                          schemes=("NoCache",), cache_ratio=0.0)
+    assert [(job.spec.pods, job.spec.servers_per_rack)
+            for (scheme, _), job in jobs.items()
+            if scheme == REFERENCE] == [(1, 4), (2, 2)]
 
 
 # ----------------------------------------------------------------------
@@ -127,11 +130,11 @@ def test_reference_job_hits_entry_stored_by_run_experiment(tmp_path):
 
 def test_gateway_sweep_lists_nocache_twice_and_simulates_it_once():
     ticks = []
-    rows = gateway_count_sweep(tiny_spec(gateways_per_pod=2), lambda _: flows(),
-                               num_vms=8, gateways_per_pod_values=(2, 1),
-                               schemes=("GwCache", "NoCache"), cache_ratio=4.0,
-                               cache=None,
-                               progress=lambda d, t, c: ticks.append((d, t)))
+    rows = rows_of(gateway_sweep(base(tiny_spec(gateways_per_pod=2)),
+                                 gateways_per_pod=(2, 1),
+                                 schemes=("GwCache", "NoCache"),
+                                 cache_ratio=4.0),
+                   cache=None, progress=lambda d, t, c: ticks.append((d, t)))
     # 2 fleets x 2 schemes; the reference is the first fleet's NoCache.
     assert ticks == [(done, 4) for done in range(1, 5)]
     assert [row.scheme for row in rows] == ["GwCache", "NoCache"] * 2
@@ -142,11 +145,12 @@ def test_gateway_sweep_lists_nocache_twice_and_simulates_it_once():
 
 def test_topology_sweep_normalizes_each_fabric_to_its_own_nocache():
     ticks = []
-    rows = topology_scale_sweep((1, 2), total_servers=8, racks_per_pod=2,
-                                trace_factory=lambda _: flows(), num_vms=8,
-                                schemes=("NoCache", "GwCache"),
-                                cache_ratio=4.0, cache=None, workers=2,
-                                progress=lambda d, t, c: ticks.append((d, t)))
+    rows = rows_of(topology_sweep(base(), (1, 2), total_servers=8,
+                                  racks_per_pod=2,
+                                  schemes=("NoCache", "GwCache"),
+                                  cache_ratio=4.0),
+                   cache=None, workers=2,
+                   progress=lambda d, t, c: ticks.append((d, t)))
     assert ticks == [(done, 4) for done in range(1, 5)]
     assert [(row.scheme, row.x_value) for row in rows] == [
         ("NoCache", 1.0), ("GwCache", 1.0), ("NoCache", 2.0), ("GwCache", 2.0)]
