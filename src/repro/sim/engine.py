@@ -11,12 +11,13 @@ Cancellable timers (retransmission timeouts, health probes) sit on a
 second heap beside the calendar, of ``(deadline, sequence, timer)``
 entries, as ns-3 keeps a timer on its one scheduler: cancelling one
 only clears its ``alive`` flag, and the dead entry is dropped when it
-reaches the top.  A transport re-arms its RTO on every ACK, to a
-deadline no earlier than the one armed; :meth:`Engine.rearm_timer`
-moves such a timer in place, and its entry is re-pushed under the new
-key only if it comes to the top first.  Live timers fire in exact
-``(time, sequence)`` order relative to calendar events, keeping runs
-bit-deterministic.
+reaches the top, or sooner, when dead entries come to outnumber live
+ones and the cancel rebuilds the heap from the live timers.  A
+transport re-arms its RTO on every ACK, to a deadline no earlier than
+the one armed; :meth:`Engine.rearm_timer` moves such a timer in place,
+and its entry is re-pushed under the new key only if it comes to the
+top first.  Live timers fire in exact ``(time, sequence)`` order
+relative to calendar events, keeping runs bit-deterministic.
 
 The two heaps meet in one number, the *timer bound*: a lower bound on
 the deadline of every live timer (the key of the timer heap's top).  A
@@ -141,7 +142,8 @@ class Engine:
         self._events_processed = 0
         self._stopped = False
         #: Heap of ``(deadline, seq, timer)``, one entry per armed timer
-        #: until it fires or its cancelled entry reaches the top.
+        #: until it fires or its cancelled entry reaches the top or is
+        #: compacted away by :meth:`cancel_timer`.
         self._timers: list[tuple[int, int, Timer]] = []
         self._live_timers = 0
         #: Lower bound on every live timer's deadline (class docstring).
@@ -251,11 +253,22 @@ class Engine:
 
         Its heap entry stays until it reaches the top, where the slow
         path of :meth:`run` drops it; the timer bound stays a valid (if
-        no longer tight) lower bound meanwhile.
+        no longer tight) lower bound meanwhile.  Once dead entries
+        outnumber live ones (the heap holds more than ``2 * live + 64``),
+        the heap is rebuilt in place from the live timers under their
+        true keys: no key falls below the bound, so nothing fires in
+        another order, and the rebuild is paid for by the cancels that
+        filled the heap.
         """
         if timer is not None and timer.alive:
             timer.alive = False
-            self._live_timers -= 1
+            live = self._live_timers - 1
+            self._live_timers = live
+            timers = self._timers
+            if len(timers) > 2 * live + 64:
+                timers[:] = [(armed.deadline, armed.seq, armed)
+                             for _key, _seq, armed in timers if armed.alive]
+                heapq.heapify(timers)
 
     def rearm_timer(self, timer: Timer | None, delay: int,
                     callback: Callable[..., None], *args: Any) -> Timer:

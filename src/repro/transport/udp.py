@@ -3,6 +3,13 @@
 Used by the Microbursts, Video and migration-incast workloads, whose
 behaviour under the paper's schemes is dominated by per-packet latency
 and misdelivery rather than congestion control.
+
+A receiver counts each sequence number's bytes once.  It tells a
+duplicate apart with the window a reliable receiver keeps, not with a
+history of every sequence number: ``rcv_next``, below which everything
+has arrived, and the set of sequence numbers received above it.  The
+receiver thus holds its reorder window, not its flow; a sequence number
+that never arrives parks everything received above it.
 """
 
 from __future__ import annotations
@@ -56,10 +63,17 @@ class UdpSender:
 
 
 class UdpReceiver:
-    """Counts received bytes; completion = all bytes arrived."""
+    """Counts received bytes; completion = all bytes arrived.
 
-    __slots__ = ("record", "engine", "collector", "on_complete", "_seen",
-                 "_max_seen", "_completed")
+    Every sequence number below ``rcv_next`` has arrived;
+    ``_out_of_order`` holds those received above it.  It is None until
+    a packet first arrives out of order and is drained as the gap below
+    it closes.  A packet is a duplicate when its sequence number is
+    below ``rcv_next`` or in the set.
+    """
+
+    __slots__ = ("record", "engine", "collector", "on_complete", "rcv_next",
+                 "_out_of_order", "_max_seen", "_completed")
 
     def __init__(self, record: FlowRecord, engine, collector,
                  on_complete=None) -> None:
@@ -67,7 +81,8 @@ class UdpReceiver:
         self.engine = engine
         self.collector = collector
         self.on_complete = on_complete
-        self._seen: set[int] = set()
+        self.rcv_next = 0
+        self._out_of_order: set[int] | None = None
         self._max_seen = -1
         self._completed = False
 
@@ -76,13 +91,29 @@ class UdpReceiver:
         record = self.record
         if record.first_packet_latency_ns is None:
             record.first_packet_latency_ns = now - record.start_ns
-        if packet.seq < self._max_seen:
+        seq = packet.seq
+        if seq < self._max_seen:
             self.collector.reorder_events += 1
-        if packet.seq > self._max_seen:
-            self._max_seen = packet.seq
-        if packet.seq not in self._seen:
-            self._seen.add(packet.seq)
+        if seq > self._max_seen:
+            self._max_seen = seq
+        rcv_next = self.rcv_next
+        if seq == rcv_next:
+            # In order: the set holds nothing at or below ``rcv_next``.
             record.bytes_received += packet.payload_bytes
+            rcv_next += 1
+            held = self._out_of_order
+            if held:
+                while rcv_next in held:
+                    held.discard(rcv_next)
+                    rcv_next += 1
+            self.rcv_next = rcv_next
+        elif seq > rcv_next:
+            held = self._out_of_order
+            if held is None:
+                held = self._out_of_order = set()
+            if seq not in held:
+                record.bytes_received += packet.payload_bytes
+                held.add(seq)
         if not self._completed and record.bytes_received >= record.size_bytes:
             self._completed = True
             record.fct_ns = now - record.start_ns

@@ -13,8 +13,10 @@ import pytest
 # explicit RunCache instances rooted in tmp_path.
 os.environ.setdefault("REPRO_RUNCACHE", "0")
 
+from repro.net.packet import Packet
 from repro.net.topology import FatTreeSpec
 from repro.perf import PhaseTimer
+from repro.vnet.hypervisor import Host
 from repro.vnet.network import NetworkConfig, VirtualNetwork
 
 
@@ -92,6 +94,18 @@ class CountingTimer(PhaseTimer):
     def add(self, name: str, elapsed_ns: int) -> None:
         super().add(name, elapsed_ns)
         self.entries.append(name)
+
+
+class LoopbackHost(Host):
+    """A host whose sends are captured instead of transmitted."""
+
+    def __init__(self, engine):
+        super().__init__("loop", engine, [], {})
+        self.pip = 42
+        self.sent: list[Packet] = []
+
+    def send(self, packet):
+        self.sent.append(packet)
 
 
 @pytest.fixture

@@ -17,6 +17,11 @@ the same deadline or earlier, and re-arm handles that have fired, were
 cancelled or were never armed, so the in-place move of
 :meth:`Engine.rearm_timer` and the slow path's re-push of a moved heap
 entry are checked where pinned-seed simulations rarely go.
+
+Cancel-heavy scripts arm hundreds of timers and cancel most of them,
+so that :meth:`Engine.cancel_timer` compacts the heap, also while it
+holds entries moved in place; after every cancel the heap must hold at
+most ``2 * live + 64`` entries.
 """
 
 import random
@@ -252,3 +257,101 @@ def test_reference_catches_a_late_timer():
 
     program = make_program(3, 512)
     assert execute(LateTimers(), program) != execute(NaiveEngine(), program)
+
+
+# ----------------------------------------------------------------------
+# Cancel-heavy scripts: the heap compaction of ``cancel_timer``
+# ----------------------------------------------------------------------
+
+#: Timers a cancel-heavy script arms per segment, under as many handles.
+HEAVY_TIMERS = 300
+
+
+class CompactionCheckedEngine(Engine):
+    """The engine, checking the heap's size after every cancel and
+    counting the cancels that compacted it, and those among them that
+    re-keyed an entry ``rearm_timer`` had moved in place."""
+
+    def __init__(self):
+        super().__init__()
+        self.compactions = 0
+        self.rekeyed = 0
+
+    def cancel_timer(self, timer):
+        before = len(self._timers)
+        moved = sum(1 for _key, seq, armed in self._timers
+                    if armed.alive and seq != armed.seq)
+        super().cancel_timer(timer)
+        assert len(self._timers) <= 2 * self._live_timers + 64
+        if len(self._timers) < before:
+            self.compactions += 1
+            self.rekeyed += moved
+
+
+def make_cancel_heavy_program(seed):
+    """Segments that each arm hundreds of timers and cancel most of
+    them, from outside the run loop and from fired timers' callbacks;
+    some of the survivors are moved by ``rearm_timer``."""
+    rng = random.Random(seed)
+    horizon_ns = 512 * TICK_NS
+    counter = [0]
+
+    def leaf():
+        counter[0] += 1
+        return counter[0], []
+
+    def callback_ops():
+        ops = [("cancel", rng.randrange(HEAVY_TIMERS))
+               for _ in range(rng.choice((0, 2, 5)))]
+        if rng.random() < 0.3:
+            ops.append(("rearm", rng.randrange(HEAVY_TIMERS),
+                        _delay(rng, horizon_ns), rng.choice(_SHIFTS), leaf()))
+        if rng.random() < 0.2:
+            ops.append(("timer", rng.randrange(HEAVY_TIMERS),
+                        _delay(rng, horizon_ns), leaf()))
+        counter[0] += 1
+        return counter[0], ops
+
+    segments = []
+    for _ in range(3):
+        setup = []
+        for name in range(HEAVY_TIMERS):
+            setup.append(("timer", name, _delay(rng, horizon_ns),
+                          callback_ops()))
+            if rng.random() < 0.2:
+                setup.append(("schedule_after", _delay(rng, horizon_ns),
+                              leaf()))
+        names = list(range(HEAVY_TIMERS))
+        rng.shuffle(names)
+        for name in names[:HEAVY_TIMERS * 3 // 4]:
+            setup.append(("cancel", name))
+            if rng.random() < 0.15:
+                setup.append(("rearm", rng.choice(names),
+                              _delay(rng, horizon_ns), rng.choice(_SHIFTS),
+                              callback_ops()))
+        until_delay = _delay(rng, horizon_ns)
+        max_events = None if rng.random() < 0.5 else rng.randrange(20, 200)
+        segments.append((setup, until_delay, max_events))
+    segments.append(([], None, None))
+    return segments
+
+
+def test_cancel_heavy_scripts_compact_and_match_the_reference():
+    compactions = rekeyed = fired = 0
+    for seed in range(12):
+        program = make_cancel_heavy_program(seed)
+        expected = execute(NaiveEngine(), program)
+        engine = CompactionCheckedEngine()
+        actual = execute(engine, program)
+        for step, (want, got) in enumerate(zip(expected, actual)):
+            assert got == want, (
+                f"seed {seed}, step {step}: engine {got} != reference {want}")
+        assert len(actual) == len(expected), seed
+        compactions += engine.compactions
+        rekeyed += engine.rekeyed
+        fired += sum(1 for record in expected if record[0] == "fire")
+    # The scripts must reach what they are for: compactions, some of a
+    # heap holding entries moved in place, and timers that fire.
+    assert compactions >= 12, compactions
+    assert rekeyed > 0
+    assert fired > 12 * 100, fired

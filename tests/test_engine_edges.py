@@ -443,7 +443,8 @@ def test_cancelled_timers_are_dropped_once_no_timer_is_live():
         # Deadlines in no particular order, up to 1 000 slots out.
         engine.cancel_timer(engine.schedule_timer(
             (i * 7 % 1000) * S + i, payload.append, item))
-    assert len(_reachable_timers(engine)) == 300
+    # Once dead entries outnumber live ones a cancel compacts the heap.
+    assert len(_reachable_timers(engine)) <= 64
     fired = []
     engine.schedule(1001 * S, fired.append, "past every deadline")
     engine.run()

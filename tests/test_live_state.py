@@ -11,6 +11,12 @@ Two tripwires on the traffic player's promise:
   per flow, stay under a bound pinned 5 % above the value measured
   when it was set (``tracemalloc``; 2 355.1 before finished endpoints
   were forgotten and per-flow objects slotted).
+
+A third holds the UDP receivers to it: after a ``migrate-incast``
+quick run, whose 32 UDP flows all complete, no receiver holds an
+out-of-order entry, and the bytes the run still holds stay under a
+bound pinned 5 % above the value measured (372 220 while each receiver
+kept every sequence number it had seen).
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from repro.net.topology import FatTreeSpec
 from repro.traces.spec import TraceSpec
 from repro.transport.player import TrafficPlayer
 from repro.transport.reliable import TransportConfig
+from repro.transport.udp import UdpReceiver
 
 from conftest import cable_fully
 
@@ -39,6 +46,9 @@ SEGMENTS = 4
 
 #: Bytes per flow a ``hadoop-v2p`` quick run holds after it, CPython 3.11.
 HELD_PER_FLOW = 1637.0
+
+#: Bytes a ``migrate-incast`` quick run holds after it, CPython 3.11.
+HELD_AFTER_INCAST = 139_516
 
 
 def _peak_calendar(num_flows: int) -> tuple[int, int]:
@@ -83,12 +93,10 @@ def test_the_calendar_follows_the_flows_in_flight_not_the_trace():
     assert large <= 1.25 * small, (small, large)
 
 
-@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
-                    reason="object sizes are a property of the interpreter; "
-                           "the bound was measured on CPython 3.11")
-def test_a_finished_run_holds_little_per_flow():
-    workload = WORKLOADS["hadoop-v2p"](QUICK_SCALE, None)
-    flows = workload.flows(1)
+def _held_after(workload, flows, bound: float):
+    """Run ``flows`` on a fresh network of ``workload`` after a warm-up
+    run; return the network, the bytes the run still holds once it is
+    over, and the top allocating lines when they pass ``bound``."""
     # A first run pays the one-time allocations (interned names,
     # specialized code) outside the count.
     run_flows(workload.build(1), flows, workload.transport,
@@ -103,12 +111,43 @@ def test_a_finished_run_holds_little_per_flow():
         before = tracemalloc.get_traced_memory()[0]
         run_flows(network, flows, workload.transport, workload.horizon_ns)
         gc.collect()
-        per_flow = (tracemalloc.get_traced_memory()[0] - before) / len(flows)
-        top = "" if per_flow <= HELD_PER_FLOW * 1.05 else "\n".join(
+        held = tracemalloc.get_traced_memory()[0] - before
+        top = "" if held <= bound else "\n".join(
             str(stat) for stat
             in tracemalloc.take_snapshot().statistics("lineno")[:10])
     finally:
         tracemalloc.stop()
+    return network, held, top
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="object sizes are a property of the interpreter; "
+                           "the bound was measured on CPython 3.11")
+def test_a_finished_run_holds_little_per_flow():
+    workload = WORKLOADS["hadoop-v2p"](QUICK_SCALE, None)
+    flows = workload.flows(1)
+    _network, held, top = _held_after(workload, flows,
+                                      HELD_PER_FLOW * 1.05 * len(flows))
+    per_flow = held / len(flows)
     assert per_flow <= HELD_PER_FLOW * 1.05, (
         f"{per_flow:.1f} bytes held per flow, measured {HELD_PER_FLOW} "
         f"when the bound was set\n{top}")
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="object sizes are a property of the interpreter; "
+                           "the bound was measured on CPython 3.11")
+def test_udp_receivers_hold_their_window_not_their_flow():
+    workload = WORKLOADS["migrate-incast"](QUICK_SCALE, None)
+    flows = workload.flows(1)
+    network, held, top = _held_after(workload, flows,
+                                     HELD_AFTER_INCAST * 1.05)
+    receivers = [receiver for demux in network.endpoints.values()
+                 for receiver in demux.receivers.values()]
+    assert len(receivers) == len(flows)
+    assert all(isinstance(receiver, UdpReceiver) for receiver in receivers)
+    assert all(record.completed for record in network.collector.flows.values())
+    assert all(not receiver._out_of_order for receiver in receivers)
+    assert held <= HELD_AFTER_INCAST * 1.05, (
+        f"{held} bytes held, measured {HELD_AFTER_INCAST} when the bound "
+        f"was set\n{top}")

@@ -1,7 +1,5 @@
 """Detailed reliable-transport behaviour tests."""
 
-import math
-
 import pytest
 
 from repro.metrics.collector import Collector, FlowRecord
@@ -12,19 +10,8 @@ from repro.transport.reliable import (
     ReliableSender,
     TransportConfig,
 )
-from repro.vnet.hypervisor import Host
 
-
-class LoopbackHost(Host):
-    """A host whose sends are captured instead of transmitted."""
-
-    def __init__(self, engine):
-        super().__init__("loop", engine, {}, {})
-        self.pip = 42
-        self.sent: list[Packet] = []
-
-    def send(self, packet):
-        self.sent.append(packet)
+from conftest import LoopbackHost
 
 
 def make_sender(size_bytes, engine=None, **config_kwargs):
