@@ -41,6 +41,8 @@ class DhtStore(TranslationScheme):
     def setup(self, network: VirtualNetwork) -> None:
         super().setup(network)
         self._switches = list(network.fabric.switches)
+        network.fabric.routed_data = True  # detours carry a route_path
+        network.fabric.guard()
         network.database.subscribe(self._on_mapping_update)
 
     def _on_mapping_update(self, vip: int, old_pip: int, new_pip: int) -> None:

@@ -144,6 +144,10 @@ class Link:
         """
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"loss rate must be in [0, 1], got {rate}")
+        # Turning lossy or healing is a gray fault of the fabric's.
+        fabric = getattr(self.src, "fabric", None) or getattr(self.dst, "fabric", None)
+        if fabric is not None:
+            fabric.note_gray((rate > 0.0) - (self._loss_rng is not None))
         self.loss_rate = rate
         self._loss_rng = rng if rate > 0.0 else None
 

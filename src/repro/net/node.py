@@ -16,7 +16,7 @@ from functools import partial
 from heapq import heappush
 from typing import TYPE_CHECKING, Protocol
 
-from repro.net.addresses import pip_pod, pip_rack
+from repro.net.addresses import _HOST_BITS, _POD_BITS, _POD_SHIFT, _RACK_BITS, pip_pod, pip_rack
 from repro.net.packet import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -161,7 +161,9 @@ class Switch(Node):
         "fabric",
         "_failed",
         "_slow_ns",
-        "_ecmp_memo",
+        "_guarded",
+        "_prefix_shift",
+        "_prefix",
         "_route_memo",
     )
 
@@ -183,21 +185,25 @@ class Switch(Node):
         self.stats = SwitchStats()
         #: Owning fabric (set at construction by the topology builder):
         #: it makes this switch's links on first use, and says whether
-        #: any faults are active so the fast no-fault path stays cheap.
+        #: any faults are active (see ``_guarded``).
         self.fabric: Fabric | None = None
         self._failed = False
         #: Gray SWITCH_SLOW state: extra per-packet forwarding delay in
-        #: ns (0 = healthy; the hot path pays one falsy check for it).
+        #: ns (0 = healthy; only the guarded body reads it).
         self._slow_ns = 0
-        #: Memoized ECMP choices: (flow_id ^ dst) -> egress link.  Only
-        #: written while the fabric is fault-free (the hash is a pure
-        #: function of the key then); flushed by the fabric on every
-        #: fault transition (see :meth:`Fabric.note_fault`).
-        self._ecmp_memo: dict[int, Link] = {}
+        #: Which body :meth:`receive` runs (see :meth:`Fabric.guard`).
+        self._guarded = False
+        #: PIPs below this switch, shifted right by ``_prefix_shift``,
+        #: equal ``_prefix``: its rack, its pod or, at a core, any PIP.
+        self._prefix_shift, self._prefix = (
+            (_HOST_BITS, (pod << _RACK_BITS) | rack) if layer == Layer.TOR
+            else (_POD_SHIFT, pod) if layer == Layer.SPINE
+            else (_POD_SHIFT + _POD_BITS, 0))
         #: Memoized exact routes: outer_dst -> the one link toward it
         #: (host port, rack down-link, pod link).  A pure function of
         #: the destination — liveness never enters it — written by
-        #: :meth:`next_hop`; flushed with the ECMP memo all the same.
+        #: :meth:`next_hop`; flushed on every fault transition all the
+        #: same (see :meth:`Fabric.note_fault`).
         self._route_memo: dict[int, Link] = {}
 
     # ------------------------------------------------------------------
@@ -276,14 +282,17 @@ class Switch(Node):
 
         Unlike :meth:`fail`, the switch stays up — caches keep serving,
         routing is unchanged — so this is *not* a fault-count
-        transition.  The hybrid engine must still observe it (an
-        analytic walk cannot replicate the hold), hence the explicit
-        ``on_fault`` ping that invalidates memoized-clean paths.
+        transition but a gray one.  The hybrid engine must still
+        observe it (an analytic walk cannot replicate the hold), hence
+        the explicit ``on_fault`` ping that invalidates memoized-clean
+        paths.
         """
         if extra_ns < 0:
             raise ValueError(f"negative slowdown: {extra_ns}")
-        self._slow_ns = extra_ns
         fabric = self.fabric
+        if fabric is not None:
+            fabric.note_gray((extra_ns > 0) - (self._slow_ns > 0))
+        self._slow_ns = extra_ns
         if fabric is not None and fabric.on_fault is not None:
             fabric.on_fault()
 
@@ -292,12 +301,12 @@ class Switch(Node):
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, link: Link | None = None) -> None:
         # Hot path: this body runs once per switch hop for every packet
-        # in the simulation.  ``wire_bytes`` is read through its cache
-        # slot (computed at most once per hop, reused by the egress
-        # link); routing is two memo reads in front of
-        # :meth:`next_hop`, which is the only routing logic there is.
-        if self._failed:
-            self.stats.drops += 1
+        # in the simulation, on a fabric with no fault, gray fault or
+        # routed data (else ``_guarded``).  ``wire_bytes`` is read
+        # through its cache slot (computed at most once per hop, reused
+        # by the egress link).
+        if self._guarded:
+            self._receive_guarded(packet, link)
             return
         packet.hops += 1
         stats = self.stats
@@ -308,48 +317,27 @@ class Switch(Node):
             self._receive_control(packet, link)
             return
 
-        if packet.route_path is not None:
-            # Switch-addressed transit (e.g. the DHT design's detour to
-            # a resolver switch, §2.4): follow the precomputed route
-            # without per-hop processing until the target is reached.
-            if packet.target_switch != self.switch_id:
-                self._forward_along_route(packet)
-                return
-            packet.route_path = None
-            packet.target_switch = None
-
         hook = self.hook
         if hook is not None and not hook(packet, link):
-            return
-        slow = self._slow_ns
-        if slow:
-            # Gray SWITCH_SLOW: the overloaded pipeline holds the packet
-            # before egress; routing happens at release time so a fault
-            # landing inside the hold is still honoured.
-            self.fabric.engine.schedule_after(slow, self.forward, packet)
             return
         dst = packet.outer_dst
         egress = self._route_memo.get(dst)
         if egress is None:
-            # Not an exact route (yet): an ECMP choice made on a
-            # fault-free fabric, re-validated for liveness because
-            # tests and ad-hoc scripts flip link/switch state without
-            # fault accounting.  The memo is empty while a fault is
-            # active (see _ecmp_up), so no fault test is needed here.
-            egress = self._ecmp_memo.get(packet.flow_id ^ dst)
-            if egress is None or not egress.up or egress.dst._failed:
+            if dst >> self._prefix_shift != self._prefix:
+                # Up: _ecmp_up's choice, live here; made on first use.
+                ups = self.up_links
+                egress = ups[(((packet.flow_id ^ dst ^ self.switch_id)
+                               * 2654435761) & 0xFFFFFFFF) % len(ups)] \
+                    or self.next_hop(packet)
+            else:
                 egress = self.next_hop(packet)
                 if egress is None:
                     stats.drops += 1
                     return
-        # Inlined Link.transmit() (see link.py for the commented
-        # version): one method call saved per switch hop.  The wire
-        # size is re-read because the hook may have attached or
-        # stripped option words above.  The link is its own stats.
-        if not egress.up:
-            egress.drops += 1
-            stats.drops += 1
-            return
+        # Inlined Link.transmit() (see link.py) less its down and loss
+        # tests.  The wire size is re-read because the hook may have
+        # attached or stripped option words above.  The link is its own
+        # stats.
         engine = egress.engine
         now = engine._now
         busy = egress._busy_until
@@ -369,14 +357,43 @@ class Switch(Node):
         egress._busy_until = finish
         egress.packets += 1
         egress.bytes += size
-        if egress._loss_rng is not None \
-                and egress._loss_rng.random() < egress.loss_rate:
-            egress.lost += 1
-            return
         heappush(engine._queue, (finish + egress.propagation_ns,
                                  engine._sequence, egress._deliver,
                                  (packet, egress)))
         engine._sequence += 1
+
+    def _receive_guarded(self, packet: Packet, link: Link | None) -> None:
+        """:meth:`receive` with every check; ``next_hop`` and
+        ``Link.transmit`` test liveness, admission and loss."""
+        if self._failed:
+            self.stats.drops += 1
+            return
+        packet.hops += 1
+        stats = self.stats
+        stats.packets += 1
+        stats.bytes += packet._wire_bytes
+        if packet.kind > _ACK:
+            self._receive_control(packet, link)
+            return
+        if packet.route_path is not None:
+            # Switch-addressed transit (e.g. the DHT design's detour to
+            # a resolver switch, §2.4): no per-hop processing until the
+            # target is reached.
+            if packet.target_switch != self.switch_id:
+                self._forward_along_route(packet)
+                return
+            packet.route_path = None
+            packet.target_switch = None
+
+        hook = self.hook
+        if hook is not None and not hook(packet, link):
+            return
+        if self._slow_ns:
+            # Gray SWITCH_SLOW holds the packet; it is routed on release,
+            # so a fault landing inside the hold is still honoured.
+            self.fabric.engine.schedule_after(self._slow_ns, self.forward, packet)
+        else:
+            self.forward(packet)
 
     def _forward_along_route(self, packet: Packet) -> None:
         route = packet.route_path
@@ -437,11 +454,10 @@ class Switch(Node):
         itself is dead).
         """
         dst = packet.outer_dst
-        dst_pod = pip_pod(dst)
+        if dst >> self._prefix_shift != self._prefix:
+            return self._ecmp_up(packet, dst)
         layer = self.layer
         if layer == _TOR:
-            if dst_pod != self.pod or pip_rack(dst) != self.rack:
-                return self._ecmp_up(packet, dst)
             if packet.kind == _LEARNING:
                 # Learning packets terminate at the destination ToR
                 # (handled by the scheme hook); reaching here means
@@ -454,12 +470,10 @@ class Switch(Node):
                 # route-memo miss, with its two links.
                 link = self.fabric.host_port(self, dst)
         elif layer == _SPINE:
-            if dst_pod != self.pod:
-                return self._ecmp_up(packet, dst)
             link = self.fabric.port(self, self.down_links, pip_rack(dst))
         else:
             # Core: one link per pod.
-            link = self.fabric.port(self, self.pod_links, dst_pod)
+            link = self.fabric.port(self, self.pod_links, pip_pod(dst))
         if link is not None:
             # Exact routes depend on the destination alone; receive()
             # reads them back without coming here.
@@ -471,19 +485,9 @@ class Switch(Node):
         if not ups:
             return None
         key = packet.flow_id ^ dst
-        fabric = self.fabric
         index = (((key ^ self.switch_id) * 2654435761) & 0xFFFFFFFF) % len(ups)
-        choice = ups[index] or fabric.port(self, ups, index)
-        if fabric.fault_count == 0:
-            # With no faults active, _up_path_usable() reduces to the
-            # immediate-hop liveness checks — inlined here.  The hash
-            # choice is memoised for receive(), which reads the memo
-            # before it calls here; up-link peers are always switches,
-            # so ``_failed`` can be read unconditionally.
-            if choice.up and not choice.dst._failed:
-                self._ecmp_memo[key] = choice
-                return choice
-        elif self._up_path_usable(choice, dst):
+        choice = ups[index] or self.fabric.port(self, ups, index)
+        if self._up_path_usable(choice, dst):
             return choice
         usable = [link for link in _ports(self, ups)
                   if self._up_path_usable(link, dst)]
@@ -525,11 +529,7 @@ class Switch(Node):
 
     def is_local_rack(self, pip: int) -> bool:
         """True if ``pip`` belongs to this ToR's rack."""
-        return (
-            self.layer == Layer.TOR
-            and pip_pod(pip) == self.pod
-            and pip_rack(pip) == self.rack
-        )
+        return self.layer == Layer.TOR and pip >> self._prefix_shift == self._prefix
 
     def __repr__(self) -> str:
         return (

@@ -103,9 +103,13 @@ class Fabric:
         self.group_size = (spec.num_cores // spec.spines_per_pod
                            if spec.spines_per_pod else 0)
         #: Count of currently-active faults (failed switches, downed
-        #: links).  While zero, forwarding skips the deeper down-path
-        #: liveness checks, keeping the fault-free hot path cheap.
+        #: links).  While zero, ``next_hop`` skips the deeper down-path
+        #: liveness checks.
         self.fault_count = 0
+        #: Lossy links plus slowed switches: gray faults (see :meth:`guard`).
+        self.gray_count = 0
+        #: Set by a scheme whose data packets follow a ``route_path`` (DhtStore).
+        self.routed_data = False
         #: Zero-arg observer fired on every fault transition (hybrid
         #: fidelity: path validity may have changed for any fluid flow).
         self.on_fault = None
@@ -117,26 +121,35 @@ class Fabric:
     def note_fault(self, delta: int) -> None:
         """Record a fault appearing (+1) or clearing (-1).
 
-        Every transition also flushes the per-switch routing memos:
-        memoized ECMP choices are only valid for a fault-free fabric
-        (and are not written while a fault is active, which is what
-        lets ``Switch.receive`` trust a hit without reading
-        ``fault_count``), and after recovery they must be re-derived
-        rather than trusted.  Exact routes do not depend on liveness;
-        they go too, so "a memo never outlives a fault transition" has
-        no exception to remember.
+        Every transition sets the switches' guard (see :meth:`guard`)
+        and flushes their exact-route memos.  Exact routes do not depend
+        on liveness; they go anyway, so "a memo never outlives a fault
+        transition" has no exception to remember.
         """
         self.fault_count += delta
         if self.fault_count < 0:  # defensive: unmatched recover calls
             self.fault_count = 0
         for switch in self.switches:
-            if switch._ecmp_memo:
-                switch._ecmp_memo.clear()
             if switch._route_memo:
                 switch._route_memo.clear()
+        self.guard()
         cb = self.on_fault
         if cb is not None:
             cb()
+
+    def note_gray(self, delta: int) -> None:
+        """Record a link turning lossy or a switch slowing (+1), one
+        healing (-1), or neither (0)."""
+        self.gray_count += delta
+        self.guard()
+
+    def guard(self) -> None:
+        """Run every switch's guarded ``Switch.receive`` body while a
+        fault, gray fault or routed data is live.  A flag, not a class
+        swap: a packet in flight holds the switch's one bound ``receive``."""
+        guarded = bool(self.fault_count or self.gray_count or self.routed_data)
+        for switch in self.switches:
+            switch._guarded = guarded
 
     def set_link_state(self, link: Link, up: bool) -> None:
         """Take a link down / bring it up, with fault accounting."""

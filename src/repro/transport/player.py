@@ -6,13 +6,15 @@ with the metrics collector.  It is the single entry point experiments
 use to inject a trace into a simulation.
 
 A run holds what is live: the calendar holds one pending start per
-:meth:`TrafficPlayer.add_flows` batch, and a reliable flow's endpoints
-are forgotten once its sender is done (see :class:`_VipDemux`).
+:meth:`TrafficPlayer.add_flows` batch, a reliable flow's endpoints
+are forgotten once its sender is done and a UDP flow's receiver once
+its flow completes (see :class:`_VipDemux`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import partial
 from heapq import heappush
 
 from repro.metrics.collector import FlowRecord
@@ -35,9 +37,11 @@ class _VipDemux:
     segment then went out once and has been cumulatively ACKed, so no
     DATA for it is still in flight.  A flow that retransmitted keeps
     its receiver, to re-ACK a retransmission still in flight or sent
-    after a lost final ACK.  An ACK that finds no sender for a completed
-    flow is counted in ``Collector.late_acks``; any other packet for a
-    flow the VIP holds no endpoint of, in ``Collector.unclaimed_packets``.
+    after a lost final ACK.  A UDP receiver is dropped when its flow
+    completes: a UDP sender never resends.  An ACK that finds no sender
+    for a completed flow is counted in ``Collector.late_acks``; any
+    other packet for a flow the VIP holds no endpoint of, in
+    ``Collector.unclaimed_packets``.
     """
 
     __slots__ = ("player", "vip", "receivers", "senders")
@@ -174,7 +178,8 @@ class TrafficPlayer:
             sender = UdpSender(record, src_host, self.network.engine,
                                spec.udp_rate_bps, self.config.mss_bytes)
             receiver = UdpReceiver(record, self.network.engine,
-                                   self.network.collector, on_complete)
+                                   self.network.collector,
+                                   partial(self._udp_done, dst_demux, on_complete))
         else:
             sender = ReliableSender(record, src_host, self.config,
                                     self.network.engine)
@@ -188,6 +193,12 @@ class TrafficPlayer:
                 sender.fluid_receiver = receiver
         dst_demux.receivers[record.flow_id] = receiver
         sender.start()
+
+    @staticmethod
+    def _udp_done(demux: _VipDemux, on_complete, record: FlowRecord) -> None:
+        del demux.receivers[record.flow_id]
+        if on_complete is not None:
+            on_complete(record)
 
     def _make_response_starter(self, request: FlowSpec):
         def start_response(record: FlowRecord) -> None:

@@ -1,4 +1,4 @@
-"""The repository's static checks: seven AST rules over one module each.
+"""The repository's static checks: eight AST rules over one module each.
 
 The simulator's results are only worth reproducing if a fixed seed gives
 bit-identical numbers and if every change to cache, mapping or
@@ -13,6 +13,8 @@ turns one way of breaking them into a finding:
 * D110 — the fluid module mutates simulator state only on its audited
   walk / commit / escalate / adopt / reinject / install paths;
 * R303 — a memo-table mutator references the memo's invalidation;
+* R304 — fault state (a link's ``up`` / ``_loss_rng``, a switch's
+  ``_failed`` / ``_slow_ns``) is written only by its own methods;
 * W402 — the function that writes cache, mapping or gateway-pool state
   fires the escalation hook or mutation observer in its own body;
 * W404 — a function that calls ``gc.disable`` calls ``gc.enable`` too.
@@ -45,11 +47,23 @@ FLUID_PATH_MODULES = ("repro.sim.fluid",)
 MEMO_PAIRINGS = (
     ("repro.net.node", "Switch", ("fail", "recover"),
      ("note_fault", "_flush_scheme_state")),
-    ("repro.net.topology", "Fabric", ("note_fault",),
-     ("_ecmp_memo", "_route_memo")),
+    ("repro.net.topology", "Fabric", ("note_fault",), ("_route_memo", "guard")),
     ("repro.net.topology", "Fabric", ("set_link_state",), ("note_fault",)),
     ("repro.vnet.network", "VirtualNetwork",
      ("mark_gateway_down", "mark_gateway_up"), ("_gateway_memo",)),
+)
+#: R304: the fault-state attributes, and the (module, class, method)
+#: that alone may write them — each does the fault accounting that puts
+#: every switch on its guarded body.
+FAULT_STATE = frozenset({"up", "_failed", "_slow_ns", "_loss_rng"})
+FAULT_WRITERS = (
+    ("repro.net.link", "Link", "__init__"),
+    ("repro.net.link", "Link", "set_loss"),
+    ("repro.net.topology", "Fabric", "set_link_state"),
+    ("repro.net.node", "Switch", "__init__"),
+    ("repro.net.node", "Switch", "fail"),
+    ("repro.net.node", "Switch", "recover"),
+    ("repro.net.node", "Switch", "set_slowdown"),
 )
 #: W404: (open, close) calls that pair up inside one function.
 CALL_PAIRS = (("gc.disable", "gc.enable"),)
@@ -502,7 +516,7 @@ def w402(tree: ast.Module, module: str) -> Findings:
 
 
 # ----------------------------------------------------------------------
-# R303 and W404: pairing
+# R303, R304 and W404: pairing and ownership
 # ----------------------------------------------------------------------
 def r303(tree: ast.Module, module: str) -> Findings:
     """Every mutator of memoized state references its invalidation; a
@@ -533,6 +547,47 @@ def r303(tree: ast.Module, module: str) -> Findings:
                     "must be invalidated here")
 
 
+def r304(tree: ast.Module, module: str) -> Findings:
+    """Fault state changes only through its methods: anywhere else in
+    simulation code, an assignment (or ``setattr``) to an attribute
+    named in ``FAULT_STATE`` skips the accounting that guards the
+    switches, and the fault-free ``Switch.receive`` forwards through a
+    dead link or switch."""
+    if not _in_sim_package(module):
+        return
+    allowed = {(cls, method) for owner, cls, method in FAULT_WRITERS
+               if owner == module}
+
+    def writes(node: ast.AST) -> Iterator[tuple[int, str]]:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store) \
+                    and sub.attr in FAULT_STATE:
+                yield sub.lineno, sub.attr
+            elif isinstance(sub, ast.Call) and call_name(sub) == "setattr" \
+                    and len(sub.args) > 1 and isinstance(sub.args[1], ast.Constant) \
+                    and sub.args[1].value in FAULT_STATE:
+                yield sub.lineno, sub.args[1].value
+
+    # Each top-level statement, and each statement of a class body, with
+    # the (class, method) it belongs to.
+    scopes = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(item, (node.name, getattr(item, "name", None)))
+                       for item in node.body]
+        else:
+            scopes.append((node, (None, getattr(node, "name", None))))
+    for node, (cls, method) in scopes:
+        if (cls, method) in allowed:
+            continue
+        where = ".".join(part for part in (cls, method) if part) or "module level"
+        for line, attr in writes(node):
+            yield line, (
+                f"{where} writes fault state .{attr}; change it only through "
+                "Link.set_loss, Fabric.set_link_state or Switch.fail/recover/"
+                "set_slowdown, which keep every switch's guard in step")
+
+
 def w404(tree: ast.Module, module: str) -> Findings:
     """A function that opens a call pair closes it itself (try/finally),
     so no caller can leave it open; nested functions are functions of
@@ -553,4 +608,4 @@ def w404(tree: ast.Module, module: str) -> Findings:
 
 
 RULES = {"D101": d101, "D102": d102, "D103": d103, "D110": d110,
-         "R303": r303, "W402": w402, "W404": w404}
+         "R303": r303, "R304": r304, "W402": w402, "W404": w404}

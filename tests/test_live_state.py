@@ -10,13 +10,19 @@ Two tripwires on the traffic player's promise:
 * the bytes a ``hadoop-v2p`` quick run still holds once it is over,
   per flow, stay under a bound pinned 5 % above the value measured
   when it was set (``tracemalloc``; 2 355.1 before finished endpoints
-  were forgotten and per-flow objects slotted).
+  were forgotten and per-flow objects slotted, 1 637.0 while each
+  switch memoized its ECMP choice per flow).
 
 A third holds the UDP receivers to it: after a ``migrate-incast``
-quick run, whose 32 UDP flows all complete, no receiver holds an
-out-of-order entry, and the bytes the run still holds stay under a
-bound pinned 5 % above the value measured (372 220 while each receiver
-kept every sequence number it had seen).
+quick run, whose 32 UDP flows all complete, no receiver of a completed
+flow is still registered, and the bytes the run still holds stay under
+a bound pinned 5 % above the value measured (372 220 while each
+receiver kept every sequence number it had seen, 139 516 while a
+completed one stayed registered).
+
+A fourth holds the switches to it: after a ``hadoop-v2p`` quick run no
+switch keeps per-flow routing state — no ECMP memo, and an exact-route
+memo of at most one entry per server or gateway the run made.
 """
 
 from __future__ import annotations
@@ -45,10 +51,10 @@ from conftest import cable_fully
 SEGMENTS = 4
 
 #: Bytes per flow a ``hadoop-v2p`` quick run holds after it, CPython 3.11.
-HELD_PER_FLOW = 1637.0
+HELD_PER_FLOW = 1218.1
 
 #: Bytes a ``migrate-incast`` quick run holds after it, CPython 3.11.
-HELD_AFTER_INCAST = 139_516
+HELD_AFTER_INCAST = 71_668
 
 
 def _peak_calendar(num_flows: int) -> tuple[int, int]:
@@ -142,12 +148,26 @@ def test_udp_receivers_hold_their_window_not_their_flow():
     flows = workload.flows(1)
     network, held, top = _held_after(workload, flows,
                                      HELD_AFTER_INCAST * 1.05)
-    receivers = [receiver for demux in network.endpoints.values()
-                 for receiver in demux.receivers.values()]
-    assert len(receivers) == len(flows)
-    assert all(isinstance(receiver, UdpReceiver) for receiver in receivers)
-    assert all(record.completed for record in network.collector.flows.values())
-    assert all(not receiver._out_of_order for receiver in receivers)
+    records = network.collector.flows
+    assert len(records) == len(flows)
+    assert all(record.completed for record in records.values())
+    registered = {flow_id: receiver for demux in network.endpoints.values()
+                  for flow_id, receiver in demux.receivers.items()}
+    assert not [flow_id for flow_id, receiver in registered.items()
+                if isinstance(receiver, UdpReceiver)
+                and records[flow_id].completed]
     assert held <= HELD_AFTER_INCAST * 1.05, (
         f"{held} bytes held, measured {HELD_AFTER_INCAST} when the bound "
         f"was set\n{top}")
+
+
+def test_a_switch_keeps_no_per_flow_routing_state():
+    workload = WORKLOADS["hadoop-v2p"](QUICK_SCALE, None)
+    network = workload.build(1)
+    run_flows(network, workload.flows(1), workload.transport,
+              workload.horizon_ns)
+    made = {*network.host_by_pip, *(gateway.pip for gateway in network.gateways)}
+    switches = network.fabric.switches
+    assert not any(hasattr(switch, "_ecmp_memo") for switch in switches)
+    assert all(switch._route_memo.keys() <= made for switch in switches)
+    assert sum(len(switch._route_memo) for switch in switches) > len(made)

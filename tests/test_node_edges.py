@@ -45,6 +45,9 @@ def test_route_transit_skips_handler_until_target():
     for switch in network.fabric.switches:
         switch.handler = Recorder()
     fabric = network.fabric
+    # Data packets on a route_path: guard the switches as DhtStore does.
+    fabric.routed_data = True
+    fabric.guard()
     src_tor = fabric.tor_of(0, 0)
     target = fabric.tor_of(1, 0)
     route = fabric.path_from_tor(src_tor, target, key=5)
@@ -63,6 +66,8 @@ def test_route_transit_skips_handler_until_target():
 def test_route_transit_exhausted_route_drops():
     network = small_network(NoCache(), num_vms=8)
     fabric = network.fabric
+    fabric.routed_data = True
+    fabric.guard()
     src_tor = fabric.tor_of(0, 0)
     spine = fabric.spines[(0, 0)]
     route = fabric.path_from_tor(src_tor, spine, key=5)
@@ -168,11 +173,11 @@ def test_rate_bps_setter_changes_forwarding_delay_through_switch():
     assert downlink.stats.drops == drops + 2
 
 
-def _impair(link, case):
+def _impair(fabric, link, case):
     if case == "tail drop":
         link.buffer_bytes = 0
     elif case == "down link":
-        link.up = False
+        fabric.set_link_state(link, False)
     elif case == "random loss":
         link.set_loss(1.0, random.Random(0))
 
@@ -181,14 +186,15 @@ def _impair(link, case):
                                   "random loss"])
 @pytest.mark.parametrize("via", ["Link.transmit", "Switch.receive"])
 def test_a_link_is_its_own_counters(via, case):
-    """``Link.transmit`` and the admission ``Switch.receive`` inlines
+    """``Link.transmit`` and ``Switch.receive`` (the admission its
+    fault-free body inlines, or the guarded body's ``Link.transmit``)
     move the link's four counters alike; ``link.stats`` is the link."""
     network = small_network(NoCache(), num_vms=8)
     dst = network.hosts[0]
     tor = network.fabric.tor_of(0, 0)
     link = tor.host_links[dst.pip]
     assert link.stats is link
-    _impair(link, case)
+    _impair(network.fabric, link, case)
     packet = make_packet(dst_vip=vip_on(network, dst), outer_dst=dst.pip)
     size = packet.wire_bytes
     if via == "Link.transmit":

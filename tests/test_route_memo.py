@@ -1,12 +1,12 @@
-"""``Switch.receive`` routes through two memos; ``next_hop`` is the logic.
+"""``Switch.receive`` routes through its exact-route memo and the ECMP
+hash; ``next_hop`` is the logic.
 
 Two identical FT8 networks go through the same faults.  On one, every
-switch keeps forwarding packets — its memos stay as warm as a running
-simulation would leave them.  On the other, ``next_hop`` answers with
-both memos wiped before every call.  For every (switch, destination
-PIP) they must name the same link: before, during and after a link
-fault and a switch fault, and with a link's ``up`` flag flipped behind
-the fabric's back (no fault accounting, so nothing flushes).
+switch keeps forwarding packets — its memo stays as warm as a running
+simulation would leave it.  On the other, ``next_hop`` answers with the
+memo wiped before every call.  For every (switch, destination PIP) they
+must name the same link: before, during and after a link fault and a
+switch fault, and with several faults at once.
 """
 
 from repro.baselines import NoCache
@@ -41,7 +41,6 @@ def forwarded(switch, packet):
 
 def reference(switch, packet):
     switch._route_memo.clear()
-    switch._ecmp_memo.clear()
     return switch.next_hop(packet)
 
 
@@ -81,11 +80,8 @@ def test_memoised_routing_equals_next_hop_through_faults():
     def uplink(fabric):
         return fabric.link_between(fabric.tors[(0, 0)], fabric.spines[(0, 1)])
     both(lambda fabric: fabric.set_link_state(uplink(fabric), False))
-    assert not any(s._route_memo or s._ecmp_memo
-                   for s in live.fabric.switches)
+    assert not any(s._route_memo for s in live.fabric.switches)
     check_every_pair(live, plain)
-    assert not any(s._ecmp_memo for s in live.fabric.switches), \
-        "an ECMP choice was memoised while a fault was active"
     both(lambda fabric: fabric.set_link_state(uplink(fabric), True))
     check_every_pair(live, plain)
 
@@ -97,15 +93,17 @@ def test_memoised_routing_equals_next_hop_through_faults():
         both(lambda fabric, pick=pick: pick(fabric).recover())
         check_every_pair(live, plain)
 
-    # Flags flipped directly: fault_count stays 0 and the memos stay
-    # full, so a hit has to notice on its own.
+    # Three faults at once, each through its method.
     def flip(fabric, up):
-        fabric.link_between(fabric.tors[(1, 2)], fabric.spines[(1, 0)]).up = up
-        fabric.link_between(fabric.spines[(4, 3)], fabric.cores[14]).up = up
-        fabric.spines[(6, 0)]._failed = not up
+        for a, b in ((fabric.tors[(1, 2)], fabric.spines[(1, 0)]),
+                     (fabric.spines[(4, 3)], fabric.cores[14])):
+            fabric.set_link_state(fabric.link_between(a, b), up)
+        if up:
+            fabric.spines[(6, 0)].recover()
+        else:
+            fabric.spines[(6, 0)].fail()
     both(lambda fabric: flip(fabric, False))
-    assert live.fabric.fault_count == 0
-    assert any(s._ecmp_memo for s in live.fabric.switches)
+    assert live.fabric.fault_count == 3
     check_every_pair(live, plain)
     both(lambda fabric: flip(fabric, True))
     check_every_pair(live, plain)

@@ -1,4 +1,4 @@
-"""The seven rules of ``tests/source_rules.py``: over the tree, on their
+"""The eight rules of ``tests/source_rules.py``: over the tree, on their
 fixtures, and on bugs seeded into copies of the real sources.
 
 * Every ``.py`` under ``src/`` and ``benchmarks/`` is parsed once and
@@ -79,7 +79,8 @@ def test_a_cold_pass_over_the_tree_is_fast():
 # ----------------------------------------------------------------------
 #: The module a fixture is linted as, where the default
 #: ``repro.fixtures.<stem>`` is outside the rule's scope.
-_FIXTURE_MODULE = {"D110": "repro.sim.fluid", "R303": "repro.net.topology"}
+_FIXTURE_MODULE = {"D110": "repro.sim.fluid", "R303": "repro.net.topology",
+                   "R304": "repro.net.node"}
 
 
 def _lint_fixture(rule_id: str, name: str) -> list[tuple[int, str]]:
@@ -97,6 +98,7 @@ CASES = [
     ("D103", "bad_d103.py", 3, "good_d103.py"),
     ("D110", "bad_d110.py", 3, "good_d110.py"),
     ("R303", "bad_r303.py", 1, "good_r303.py"),
+    ("R304", "bad_r304.py", 3, "good_r304.py"),
     ("W402", "bad_w402.py", 2, "good_w402.py"),
     ("W404", "bad_w404.py", 3, "good_w404.py"),
 ]
@@ -277,6 +279,12 @@ MUTANTS = [
     pytest.param("R303", "vnet/network.py", "mark_gateway_down",
                  "            self._gateway_memo.clear()\n", "",
                  "mark_gateway_down", id="R303"),
+    # A link cut behind the fabric's back: fault_count stays 0, so the
+    # switches stay on the body that never tests ``up``.
+    pytest.param("R304", "faults/schedule.py", "_fire",
+                 "network.fabric.set_link_state(link, kind is FaultKind.LINK_UP)",
+                 "link.up = kind is FaultKind.LINK_UP",
+                 "FaultSchedule._fire writes fault state .up", id="R304"),
     # The bug the call-graph W402 let through: the ToR hook builder
     # calls ``cache.insert`` further down, so it "reached" a
     # notification and a write of its own went unseen.
