@@ -8,8 +8,8 @@ running its ``benchmarks/test_*.py``).  Last, it prints how many
 distinct simulations the pool ran, in how many calls, and the
 wall-clock.  Run it as
 ``REPRO_RUNCACHE=0 REPRO_PARALLEL=2 PYTHONPATH=src python benchmarks/regen_check.py``
-(115-146 s measured on two cores, against 156-170 s when each table made
-its own pool call).
+(208 distinct simulations, fault and migration tables included, in one
+pool call: 105-118 s measured on two cores).
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ from repro.experiments.faults import (
     SPINE_FAIL_NS,
     SPINE_RECOVER_NS,
     ChaosParams,
-    chaos_schedule,
-    run_chaos_scenario,
+    chaos_jobs,
 )
 
 
@@ -46,7 +45,7 @@ def test_faults_resilience(benchmark):
     assert switchv2p.availability_drop <= ondemand.availability_drop
 
     # The hypervisor failure detector actually failed traffic over.
-    assert switchv2p.gateway_failovers >= 1
+    assert switchv2p.faulted.gateway_failovers >= 1
 
     # (b) After the last repair, SwitchV2P's windowed hit rate returns
     # to >= 90% of its pre-fault baseline.
@@ -55,11 +54,11 @@ def test_faults_resilience(benchmark):
 
 def test_hit_rate_dips_then_recovers_after_spine_restart():
     """The spine's cold restart is visible in the windowed hit rate."""
-    scenario = run_chaos_scenario("SwitchV2P", ChaosParams(), chaos_schedule())
-    samples = scenario.probe.hit_rate.samples
-    pre = [s.value for s in samples
-           if SPINE_FAIL_NS - GATEWAY_CRASH_NS <= s.time_ns < SPINE_FAIL_NS]
-    post = [s.value for s in samples if s.time_ns > SPINE_RECOVER_NS]
+    samples = chaos_jobs(ChaosParams())["SwitchV2P", "faulted"].run(
+        cache=None).hit_rate_windows
+    pre = [value for time_ns, value in samples
+           if SPINE_FAIL_NS - GATEWAY_CRASH_NS <= time_ns < SPINE_FAIL_NS]
+    post = [value for time_ns, value in samples if time_ns > SPINE_RECOVER_NS]
     assert pre and len(post) >= 8
     baseline = sum(pre) / len(pre)
     # The recovered spine restarts cold: the first windows after repair

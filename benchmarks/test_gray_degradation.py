@@ -22,18 +22,18 @@ def test_gray_degradation(benchmark):
 
     # Both variants took the same corruption; only the hardened plane
     # noticed and acted on any of it.
-    assert hardened.corrupted_lines == unhardened.corrupted_lines > 0
-    assert hardened.gray_detections >= 1
-    assert hardened.gray_reinstatements >= 1
-    assert hardened.audit_repairs >= hardened.corrupted_lines
-    assert unhardened.gray_detections == 0
-    assert unhardened.audit_repairs == 0
+    healed, blind = hardened.faulted, unhardened.faulted
+    assert healed.corrupted_lines == blind.corrupted_lines > 0
+    assert healed.gray_detections >= 1
+    assert healed.gray_reinstatements >= 1
+    assert healed.audit_repairs >= healed.corrupted_lines
+    assert blind.gray_detections == 0
+    assert blind.audit_repairs == 0
 
     # The gray detector sheds load off the browned-out gateway before
     # the brownout ever drops a packet of ours; the blind variant keeps
     # sending into the shedding gateway.
-    assert hardened.faulted.gateway_brownout_drops \
-        < unhardened.faulted.gateway_brownout_drops
+    assert healed.gateway_brownout_drops < blind.gateway_brownout_drops
 
     # The headline recovery contrast: hardened FCT returns to its
     # fault-free baseline after the episode (audit repaired the flipped

@@ -5,13 +5,13 @@ which migrates to another rack mid-trace.  Compares NoCache, OnDemand
 and three SwitchV2P variants — without invalidation packets, without
 the timestamp vector, and the full protocol — showing how targeted
 invalidations cut misdeliveries while the timestamp vector caps the
-invalidation traffic (Table 4).
+invalidation traffic (Table 4).  Each variant is one job of the
+registry's Table 4 entry; the migration is one fault event of it.
 
 Run:  python examples/vm_migration.py
 """
 
-from repro.experiments import run_migration_table
-from repro.metrics.reporting import render_table
+from repro.experiments.artifacts import ARTIFACTS, simulate
 from repro.traces import IncastTraceParams
 
 
@@ -20,26 +20,14 @@ def main() -> None:
     # but under the destination NIC's 100 Gbps so the latency effect
     # of gateway detours stays visible (as in the paper's Table 4).
     params = IncastTraceParams(num_senders=16, packets_per_sender=500)
-    rows = run_migration_table(params)
-    base = rows[0]  # NoCache normalizes the table, as in the paper
-    table = []
-    for row in rows:
-        table.append([
-            row.label,
-            f"{row.gateway_packet_fraction:.1%}",
-            f"{row.avg_packet_latency_ns / base.avg_packet_latency_ns:.2f}x",
-            f"{(row.last_misdelivered_arrival_ns or 0) / 1000:.0f}",
-            f"{row.misdelivered_packets / max(1, base.misdelivered_packets):.1f}x",
-            row.invalidation_packets,
-        ])
-    print(render_table(
-        ["variant", "gateway pkts", "avg pkt latency",
-         "last misdelivery [us]", "misdelivered", "invalidations"],
-        table,
-        title=f"VM migration at t=500us ({params.num_senders} senders, "
-              f"{params.total_packets} packets)"))
+    table4 = ARTIFACTS["table4_migration"]
+    results = simulate([table4], params)[table4.name]
+    print(f"VM migration at t=500us ({params.num_senders} senders, "
+          f"{params.total_packets} packets)")
+    print(table4.render(results))
     print()
-    full, no_tsvec = rows[-1], rows[-2]
+    full = results["SwitchV2P w/ timestamp vector"]
+    no_tsvec = results["SwitchV2P w/o timestamp vector"]
     if no_tsvec.invalidation_packets:
         saving = no_tsvec.invalidation_packets / max(1, full.invalidation_packets)
         print(f"Timestamp vector cut invalidation packets by {saving:.0f}x "

@@ -101,15 +101,13 @@ def _sizing_flags(parser: argparse.ArgumentParser, configs: Sequence[Any],
     parser.set_defaults(sizing=tuple(flags), parser=parser)
 
 
-def _sized(args: argparse.Namespace, config: Any, owner: str,
-           fixed: Sequence[str] = ()) -> Any:
+def _sized(args: argparse.Namespace, config: Any, owner: str) -> Any:
     """``config`` with the sizing flags the user gave applied.
 
     A flag for a field ``config`` does not have exits 2 naming both:
     ``reproduce`` takes the flags of every artifact's config, and only
-    the artifact's own may reach a run.  So does a flag for one of the
-    ``fixed`` fields, whose default ``owner`` insists on.  So does a
-    value the config rejects (a ``ValueError`` from its constructor).
+    the artifact's own may reach a run.  So does a value the config
+    rejects (a ``ValueError`` from its constructor).
     """
     given = {name: getattr(args, name) for name in args.sizing
              if getattr(args, name) is not None}
@@ -121,9 +119,6 @@ def _sized(args: argparse.Namespace, config: Any, owner: str,
             args.parser.error(
                 f"{flag} names no field of the config {owner} is sized "
                 f"by ({sized_by})")
-        if name in fixed:
-            args.parser.error(f"{flag}: {owner} takes no value for "
-                              f"{sized_by}.{name}")
     if not given:
         return config
     try:
@@ -140,7 +135,7 @@ def _progress(label: str):
     Redraws one status line from ``(done, total, detail)`` ticks.  A
     sweep's ``detail`` is whether the point came from the run cache —
     hits are counted, so a warm re-run visibly reports "all cached";
-    the fault harnesses' is the label of the run that just finished.
+    a chaos trial's is the label of the trial that just finished.
     """
     stream = sys.stderr
     if not stream.isatty():
@@ -235,9 +230,6 @@ def _reject_unread(args: argparse.Namespace, entries, config: Any) -> None:
     """Exit 2 for a sizing flag set off its default that leaves every
     run key of ``entries``' jobs unchanged: no run reads it.  A field
     whose default the runs cannot be built with is read by them."""
-    if entries[0].jobs is None:
-        return
-
     def keys(config: Any) -> list[str]:
         return [job_key(job) for entry in entries
                 for job in entry.jobs(config).values()]
@@ -260,8 +252,7 @@ def _reject_unread(args: argparse.Namespace, entries, config: Any) -> None:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     entries = resolve(args.artifact)
-    config = _sized(args, entries[0].config, args.artifact,
-                    entries[0].fixed)
+    config = _sized(args, entries[0].config, args.artifact)
     _reject_unread(args, entries, config)
     texts = reproduce(entries, config, workers=args.workers,
                       progress=_progress(args.artifact))

@@ -1,18 +1,18 @@
 """Experiment harness: runners, sweeps, the figures' scales and traces.
 
-The registry of committed tables — one ``run`` + ``table`` per file
-under ``benchmarks/results/`` — is :mod:`repro.experiments.artifacts`;
-import it by name (this package does not, so simulating through the
-runner never pays for it).
+The registry of committed tables — one ``jobs`` + ``collect`` +
+``table`` per file under ``benchmarks/results/`` — is
+:mod:`repro.experiments.artifacts`; import it by name (this package
+does not, so simulating through the runner never pays for it).
 """
 
 from repro.experiments.faults import (
     CHAOS_SCHEMES,
     ChaosParams,
     ChaosRow,
+    chaos_jobs,
     chaos_schedule,
     chaos_spec,
-    run_chaos_experiment,
 )
 from repro.experiments.figures import (
     FigureScale,
@@ -21,12 +21,7 @@ from repro.experiments.figures import (
     ft8_spec,
     ft16_spec,
 )
-from repro.experiments.migration import (
-    MIGRATION_VARIANTS,
-    MigrationResult,
-    run_migration_table,
-    run_migration_variant,
-)
+from repro.experiments.migration import MIGRATION_VARIANTS, migration_jobs
 from repro.experiments.parallel import (
     ExperimentJob,
     default_workers,
@@ -74,14 +69,12 @@ __all__ = [
     "ft16_spec",
     "build_trace",
     "trace_spec_for",
-    "MigrationResult",
     "MIGRATION_VARIANTS",
-    "run_migration_variant",
-    "run_migration_table",
+    "migration_jobs",
     "ChaosParams",
     "ChaosRow",
     "CHAOS_SCHEMES",
     "chaos_spec",
     "chaos_schedule",
-    "run_chaos_experiment",
+    "chaos_jobs",
 ]

@@ -4,13 +4,14 @@
 keyed by the file's stem: the frozen ``config`` it is sized by (a
 :class:`FigureScale`, the fault experiments' :class:`ChaosParams`, the
 migration incast's :class:`IncastTraceParams`, or ``None`` for a table
-nothing sizes) and a pure ``table(result)`` that lays out
-``(title, headers, rows)`` — the committed bytes.  An entry of pool jobs
-has ``jobs(config) -> {label: ExperimentJob}`` and a pure
-``collect({label: DetailedRunResult})`` that makes what its table and
-its benchmark's shape checks read (a sweep's rows); the five that hold
-a live network or simulate nothing — Table 4, ``convergence``, the
-fault experiments, Table 6 — have a plain ``run(config)``.
+nothing sizes), its ``jobs(config) -> {label: ExperimentJob}`` (none
+for Table 6, which simulates nothing), a pure ``collect({label:
+DetailedRunResult})`` that makes what its table and its benchmark's
+shape checks read (a sweep's rows, the fault experiments' degradation
+rows), and a pure ``table(result)`` that lays out ``(title, headers,
+rows)`` — the committed bytes.  A job is plain data, fault runs
+included: its faults are events, its probe a sampling period, and the
+worker returns what the tables read.
 :func:`simulate` hands the jobs of every entry it is given to one
 :func:`~repro.experiments.parallel.parallel_run_experiments` call, which
 simulates each distinct run once however many entries list it (Table
@@ -27,25 +28,15 @@ from typing import Any
 
 from repro.core import SwitchV2PConfig
 from repro.core.allocation import NAMED_POLICIES
-from repro.experiments.faults import ChaosParams, run_chaos_experiment
-from repro.experiments.figures import (
-    FigureScale,
-    build_trace,
-    figure5_jobs,
-    ft8_spec,
-)
-from repro.experiments.graydegrade import run_gray_experiment
-from repro.experiments.migration import run_migration_table
+from repro.experiments.faults import ChaosParams, chaos_jobs, chaos_rows
+from repro.experiments.figures import FigureScale, build_trace, figure5_jobs
+from repro.experiments.graydegrade import gray_jobs, gray_rows
+from repro.experiments.migration import migration_jobs
 from repro.experiments.parallel import (
     ExperimentJob,
     parallel_run_experiments,
 )
-from repro.experiments.runner import (
-    DetailedRunResult,
-    RunResult,
-    build_network,
-    make_scheme,
-)
+from repro.experiments.runner import DetailedRunResult, RunResult
 from repro.experiments.sweeps import (
     REFERENCE,
     gateway_sweep,
@@ -56,11 +47,9 @@ from repro.experiments.sweeps import (
 from repro.hw import TABLE6_ENTRIES_PER_SWITCH, estimate_utilization
 from repro.metrics.collector import layer_shares
 from repro.metrics.reporting import heatmap_rows, render_table
-from repro.metrics.timeline import track_hit_rate
 from repro.net.node import Layer
 from repro.sim.engine import msec, usec
 from repro.traces.incast import IncastTraceParams
-from repro.transport.player import TrafficPlayer
 
 Table = tuple[str, list[str], list[list]]
 Jobs = dict[Any, ExperimentJob]
@@ -75,19 +64,14 @@ class Artifact:
 
     name: str
     table: Callable[[Any], Table]
+    #: ``jobs(config) -> {label: job}``: the runs the table reads ...
+    jobs: Callable[[Any], Jobs]
+    #: ... and the pure step from ``{label: result}`` to ``table``'s input.
+    collect: Callable[[dict], Any] = dict
     #: What the entry is sized by, at the committed table's sizes.
     config: Any = _BENCH_SCALE
     #: The name ``reproduce`` knew this artifact by before the registry.
     short: str = ""
-    #: Fields of ``config`` whose default ``run`` insists on, so that
-    #: ``reproduce`` takes no flag for them (the gray experiment's schemes).
-    fixed: tuple[str, ...] = ()
-    #: ``jobs(config) -> {label: job}``, for an entry of pool jobs ...
-    jobs: Callable[[Any], Jobs] | None = None
-    #: ... and the pure step from ``{label: result}`` to ``table``'s input.
-    collect: Callable[[dict], Any] = dict
-    #: ``run(config)``, for an entry that is no pool jobs.
-    run: Callable[[Any], Any] | None = None
 
     def render(self, result: Any) -> str:
         title, headers, rows = self.table(result)
@@ -103,13 +87,12 @@ class Artifact:
 ARTIFACTS: dict[str, Artifact] = {}
 
 
-def artifact(name: str, jobs: Callable[[Any], Jobs] | None = None,
+def artifact(name: str, jobs: Callable[[Any], Jobs],
              collect: Callable[[dict], Any] = dict, **fields: Any):
     """Register the decorated ``table(result)`` as artifact ``name``;
     ``fields`` are the other :class:`Artifact` fields."""
     def register(table: Callable[[Any], Table]):
-        ARTIFACTS[name] = Artifact(name, table, jobs=jobs, collect=collect,
-                                   **fields)
+        ARTIFACTS[name] = Artifact(name, table, jobs, collect, **fields)
         return table
     return register
 
@@ -283,19 +266,26 @@ def _fig8_table(results: dict[str, DetailedRunResult]) -> Table:
 #: Table 4 runs at bench scale: 16 senders stay below NIC saturation.
 #: The paper's incast is ``python -m repro reproduce table4_migration
 #: --num-senders 64 --packets-per-sender 1000``.
-@artifact("table4_migration", run=run_migration_table,
+@artifact("table4_migration", migration_jobs,
           config=IncastTraceParams(num_senders=16, packets_per_sender=500))
-def _table4_table(rows) -> Table:
-    base = rows[0]
+def _table4_table(results: dict[str, DetailedRunResult]) -> Table:
+    base = results["NoCache"]
     return ("Table 4 — VM migration (normalized by NoCache)",
             ["variant", "gateway pkts", "avg pkt latency",
              "last misdelivered [us]", "misdelivered", "invalidations"],
-            [[row.label,
-              f"{row.gateway_packet_fraction:.1%}",
-              f"{row.avg_packet_latency_ns / base.avg_packet_latency_ns:.2f}x",
-              f"{(row.last_misdelivered_arrival_ns or 0) / 1000:.0f}",
-              f"{row.misdelivered_packets / max(1, base.misdelivered_packets):.1f}x",
-              row.invalidation_packets] for row in rows])
+            [[label,
+              f"{gateway_packet_fraction(r):.1%}",
+              f"{r.avg_packet_latency_ns / base.avg_packet_latency_ns:.2f}x",
+              f"{(r.last_misdelivered_ns or 0) / 1000:.0f}",
+              f"{r.misdeliveries / max(1, base.misdeliveries):.1f}x",
+              r.invalidation_packets] for label, r in results.items()])
+
+
+def gateway_packet_fraction(result: RunResult) -> float:
+    """The share of sent packets a gateway translated (Table 4)."""
+    if not result.packets_sent:
+        return 0.0
+    return result.gateway_arrivals / result.packets_sent
 
 
 TABLE5_TRACES = ("hadoop", "websearch", "alibaba", "microbursts", "video")
@@ -334,8 +324,9 @@ PAPER_TABLE6 = {
 }
 
 
-@artifact("table6_resources", short="table6", config=None,
-          run=lambda _: estimate_utilization(TABLE6_ENTRIES_PER_SWITCH))
+@artifact("table6_resources", lambda _: {},
+          lambda _: estimate_utilization(TABLE6_ENTRIES_PER_SWITCH),
+          short="table6", config=None)
 def _table6_table(estimate: dict[str, float]) -> Table:
     return ("Table 6 — per-stage resource utilization (cache=50%)",
             ["resource", "paper", "model @50%"],
@@ -414,26 +405,28 @@ def _ablation_features_table(results: dict[str, RunResult]) -> Table:
 CONVERGENCE_SCHEMES = ("SwitchV2P", "LocalLearning")
 
 
-def _run_convergence(scale: FigureScale) -> dict[str, list[float]]:
-    """Windowed in-network hit rate per scheme (Hadoop, cache=8x)."""
-    flows, num_vms = build_trace("hadoop", scale)
+def _convergence_jobs(scale: FigureScale) -> Jobs:
+    """``{(scheme, last window's end): job}``: the Hadoop run at
+    cache=8x, sampled in tenths of its arrival span and run 50 ms past
+    its last arrival.  Only the windows covering the arrivals are read;
+    the long drain tail has too few packets to be meaningful."""
+    flows, _ = build_trace("hadoop", scale)
     duration = max(flow.start_ns for flow in flows)
     window = max(usec(10), duration // 10)
-    curves = {}
-    for name in CONVERGENCE_SCHEMES:
-        network = build_network(ft8_spec(), make_scheme(name, num_vms, 8.0),
-                                num_vms, scale.seed)
-        timeline = track_hit_rate(network, window)
-        TrafficPlayer(network).add_flows(flows)
-        network.run(until=duration + msec(50))
-        # Keep only the windows covering the active traffic period; the
-        # long drain tail has too few packets to be meaningful.
-        curves[name] = [sample.value for sample in timeline.samples
-                        if sample.time_ns <= duration + window]
-    return curves
+    job = figure5_jobs("hadoop", scale)
+    return {(name, duration + window): replace(
+        job(name, 8.0), horizon_ns=duration + msec(50),
+        sample_period_ns=window) for name in CONVERGENCE_SCHEMES}
 
 
-@artifact("convergence", run=_run_convergence)
+def _convergence_curves(results: dict) -> dict[str, list[float]]:
+    """Windowed in-network hit rate per scheme, up to its last window."""
+    return {name: [value for time_ns, value in result.hit_rate_windows
+                   if time_ns <= last]
+            for (name, last), result in results.items()}
+
+
+@artifact("convergence", _convergence_jobs, _convergence_curves)
 def _convergence_table(curves: dict[str, list[float]]) -> Table:
     windows = min(10, max(len(values) for values in curves.values()))
     return ("Windowed in-network hit rate over time (Hadoop, cache=8x)",
@@ -481,8 +474,7 @@ def _robustness_seeds_table(rows) -> Table:
 # ----------------------------------------------------------------------
 # fault experiments
 # ----------------------------------------------------------------------
-@artifact("faults_resilience", run=run_chaos_experiment,
-          config=ChaosParams())
+@artifact("faults_resilience", chaos_jobs, chaos_rows, config=ChaosParams())
 def _faults_table(rows) -> Table:
     table = []
     for row in rows:
@@ -513,8 +505,7 @@ def _faults_table(rows) -> Table:
             table)
 
 
-@artifact("gray_degradation", run=run_gray_experiment, config=ChaosParams(),
-          fixed=("schemes",))
+@artifact("gray_degradation", gray_jobs, gray_rows, config=ChaosParams())
 def _gray_table(rows) -> Table:
     return ("Graceful degradation — gateway brownout + degraded cable + "
             "cache bit flips (identical gray schedule per variant)",
@@ -536,10 +527,10 @@ def _gray_table(rows) -> Table:
               f"{row.faulted.after.mean_hit_rate:.3f}",
               row.faulted.gateway_brownout_drops,
               row.faulted.failed_flows,
-              row.gray_detections,
-              row.gray_reinstatements,
-              row.audit_repairs,
-              row.corrupted_lines] for row in rows])
+              row.faulted.gray_detections,
+              row.faulted.gray_reinstatements,
+              row.faulted.audit_repairs,
+              row.faulted.corrupted_lines] for row in rows])
 
 
 # ----------------------------------------------------------------------
@@ -571,22 +562,16 @@ def simulate(artifacts: Iterable[Artifact], *configs: Any,
     at its own (:meth:`Artifact.sized`).  The jobs of every entry are
     one :func:`parallel_run_experiments` call, so a run that several
     entries list is simulated once; ``workers`` and ``progress`` are
-    that call's.  The ``run`` entries follow, in the calling process.
+    that call's.
     """
-    artifacts = list(artifacts)
-    listed = {entry.name: entry.jobs(entry.sized(*configs))
-              for entry in artifacts if entry.jobs is not None}
+    listed = [(entry, entry.jobs(entry.sized(*configs)))
+              for entry in artifacts]
     results = iter(parallel_run_experiments(
-        [job for jobs in listed.values() for job in jobs.values()],
+        [job for _, jobs in listed for job in jobs.values()],
         workers, progress=progress))
-    simulated = {}
-    for entry in artifacts:
-        if entry.jobs is None:
-            simulated[entry.name] = entry.run(entry.sized(*configs))
-        else:
-            simulated[entry.name] = entry.collect(
-                {label: next(results) for label in listed[entry.name]})
-    return simulated
+    return {entry.name: entry.collect({label: next(results)
+                                       for label in jobs})
+            for entry, jobs in listed}
 
 
 def reproduce(artifacts: Iterable[Artifact], *configs: Any,

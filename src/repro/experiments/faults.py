@@ -11,27 +11,26 @@ failover, then a spine fail + recover) — and reports the *degradation*:
 faulted vs. baseline availability and FCT, the windowed hit-rate dip,
 and the time for the hit rate to recover after repair.
 
-Run via ``python -m repro reproduce faults_resilience`` or the benchmark
+Each run is one pool job (:func:`chaos_jobs`); :func:`chaos_rows` sets
+each scheme's two results side by side.  Run via ``python -m repro
+reproduce faults_resilience`` or the benchmark
 ``benchmarks/test_faults_resilience.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.experiments.runner import make_scheme
+from repro.experiments.parallel import ExperimentJob
 from repro.experiments.scenario import (
     DegradationRow,
-    Scenario,
-    baseline_vs_faulted,
-    build_scenario,
+    ScenarioKnobs,
     chaos_spec,
     random_pair_flows,
 )
 from repro.faults import FaultSchedule
-from repro.net.topology import FatTreeSpec
 from repro.sim.engine import msec, usec
 from repro.sim.randomness import derive_seed
 from repro.transport.flow import FlowSpec
@@ -71,7 +70,7 @@ class ChaosParams:
     :func:`~repro.experiments.scenario.chaos_spec` fabric; the workload
     shape and each experiment's fault clock are module constants.
     ``schemes`` are the chaos experiment's; the gray experiment runs
-    SwitchV2P only and rejects any other value.
+    SwitchV2P only and reads none.
     """
 
     num_vms: int = 64
@@ -82,7 +81,7 @@ class ChaosParams:
     schemes: tuple[str, ...] = CHAOS_SCHEMES
 
 
-def chaos_schedule(spec: FatTreeSpec | None = None) -> FaultSchedule:
+def chaos_schedule() -> FaultSchedule:
     """The shared fault script: a gateway-rack outage, then a spine outage.
 
     The first fault is a rack power loss in gateway pod 0: the gateway
@@ -96,8 +95,7 @@ def chaos_schedule(spec: FatTreeSpec | None = None) -> FaultSchedule:
     traffic — fails and recovers, demonstrating cold-restart cache
     flush and down-path rerouting.
     """
-    if spec is None:
-        spec = chaos_spec()
+    spec = chaos_spec()
     gateway_outage_ns = GATEWAY_RESTART_NS - GATEWAY_CRASH_NS
     schedule = FaultSchedule()
     schedule.gateway_outage(0, GATEWAY_CRASH_NS, gateway_outage_ns)
@@ -118,6 +116,32 @@ def chaos_flows(params: ChaosParams) -> list[FlowSpec]:
                              MIN_FLOW_BYTES, MAX_FLOW_BYTES, ARRIVAL_SPAN_NS)
 
 
+def chaos_job(params: ChaosParams, scheme_name: str,
+              *fct_windows: tuple[int, int]) -> ExperimentJob:
+    """One fault-free, probed run of ``scheme_name`` on the
+    :func:`chaos_spec` stage, its mean FCT read over the flows starting
+    in each of ``fct_windows``; the gray experiment's runs are variants
+    of it."""
+    return ExperimentJob(
+        spec=chaos_spec(), scheme_name=scheme_name,
+        flows=tuple(chaos_flows(params)), num_vms=params.num_vms,
+        cache_ratio=params.cache_ratio, seed=params.seed,
+        horizon_ns=params.horizon_ns, sample_period_ns=SAMPLE_PERIOD_NS,
+        fct_windows=fct_windows, scenario=ScenarioKnobs())
+
+
+def chaos_jobs(params: ChaosParams) -> dict[tuple[str, str], ExperimentJob]:
+    """``{(scheme, "baseline" | "faulted"): job}``: every scheme of
+    ``params`` without and with the shared fault schedule."""
+    faults = tuple(chaos_schedule().events)
+    jobs = {}
+    for name in params.schemes:
+        job = chaos_job(params, name, (GATEWAY_CRASH_NS, GATEWAY_RESTART_NS))
+        jobs[name, "baseline"] = job
+        jobs[name, "faulted"] = replace(job, faults=faults)
+    return jobs
+
+
 @dataclass(frozen=True)
 class ChaosRow(DegradationRow):
     """Baseline-vs-faulted comparison for one scheme.
@@ -127,7 +151,6 @@ class ChaosRow(DegradationRow):
     """
 
     scheme: str
-    gateway_failovers: int
 
     @property
     def gateway_window_added_ns(self) -> float:
@@ -140,44 +163,9 @@ class ChaosRow(DegradationRow):
         return self.faulted_window_fct_ns - self.baseline_window_fct_ns
 
 
-def run_chaos_scenario(scheme_name: str, params: ChaosParams,
-                       schedule: FaultSchedule | None,
-                       **armed) -> Scenario:
-    """One run of one scheme; returns the scenario after the horizon.
-
-    ``armed`` reaches :func:`~repro.experiments.scenario.build_scenario`
-    (the gray experiment's hardening).
-    """
-    scenario = build_scenario(
-        make_scheme(scheme_name, params.num_vms, params.cache_ratio),
-        params.num_vms, sample_period_ns=SAMPLE_PERIOD_NS, seed=params.seed,
-        **armed)
-    if schedule is not None:
-        scenario.apply(schedule)
-    scenario.play(chaos_flows(params), params.horizon_ns)
-    return scenario
-
-
-def run_chaos_experiment(params: ChaosParams | None = None,
-                         progress=None) -> list[ChaosRow]:
-    """Run every scheme of ``params`` with and without the shared fault
-    schedule.
-
-    Args:
-        progress: optional ``progress(done, total, label)`` callback,
-            fired after each of the ``2 * len(params.schemes)`` runs (labels
-            like ``"SwitchV2P/baseline"``, ``"SwitchV2P/faulted"``);
-            the CLI uses it to show sweep progress.
-    """
-    if params is None:
-        params = ChaosParams()
-
-    def run_once(name: str, schedule: FaultSchedule | None) -> Scenario:
-        return run_chaos_scenario(name, params, schedule)
-
-    return [
-        ChaosRow(scheme=name,
-                 gateway_failovers=faulted.network.gateway_failovers, **fields)
-        for name, fields, _, faulted, _ in baseline_vs_faulted(
-            params.schemes, run_once, chaos_schedule,
-            (GATEWAY_CRASH_NS, GATEWAY_RESTART_NS), "faulted", progress)]
+def chaos_rows(results: dict) -> list[ChaosRow]:
+    """One row per scheme of :func:`chaos_jobs`' results, in order."""
+    schemes = dict.fromkeys(name for name, _ in results)
+    return [ChaosRow.between(results[name, "baseline"],
+                             results[name, "faulted"], scheme=name)
+            for name in schemes]

@@ -22,25 +22,25 @@ bit flips that outlive both — in two protocol variants:
   transport gives up.
 
 Each variant also runs fault-free so the table reports degradation and
-recovery against its own baseline.  Run via ``python -m repro reproduce
-gray_degradation`` or the benchmark ``benchmarks/test_gray_degradation.py``.
+recovery against its own baseline; with no fault to react to, the two
+fault-free runs are one run, one pool job (:func:`gray_jobs`).  Run via
+``python -m repro reproduce gray_degradation`` or the benchmark
+``benchmarks/test_gray_degradation.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.experiments.faults import ChaosParams, run_chaos_scenario
+from repro.experiments.faults import ChaosParams, chaos_job
+from repro.experiments.parallel import ExperimentJob
 from repro.experiments.scenario import (
     DegradationRow,
-    Scenario,
-    baseline_vs_faulted,
+    ScenarioKnobs,
     chaos_spec,
     ratio,
-    window_fct_ns,
 )
 from repro.faults import FaultSchedule
-from repro.net.topology import FatTreeSpec
 from repro.sim.engine import msec, usec
 
 #: Report order: the self-healing plane on, then off.
@@ -65,15 +65,18 @@ FLIPS_PER_TOR = 2
 
 #: Detection + self-healing, the hardened variant.  Both variants probe
 #: on the detector's defaults (200 us, three misses); only the hardened
-#: one reads the gray (EWMA) signals and runs the audit.
-HARDENED_FAILOVER = {"gray_loss_threshold": 0.2,
-                     "gray_latency_threshold_ns": usec(120),
-                     "reinstate_dwell_ns": usec(400)}
-ANTI_ENTROPY_PERIOD_NS = msec(1)
-STALENESS_BOUND_NS = msec(2)
+#: one reads the gray (EWMA) signals and runs the audit.  Started by
+#: ``build_scenario``, ahead of the schedule's own idempotent start, so
+#: the gray knobs win; the unhardened variant leaves the detector to the
+#: schedule and its defaults.
+HARDENED = ScenarioKnobs(
+    failover={"gray_loss_threshold": 0.2,
+              "gray_latency_threshold_ns": usec(120),
+              "reinstate_dwell_ns": usec(400)},
+    anti_entropy_period_ns=msec(1), staleness_bound_ns=msec(2))
 
 
-def gray_schedule(spec: FatTreeSpec | None = None) -> FaultSchedule:
+def gray_schedule() -> FaultSchedule:
     """The shared gray episode: brownout + degraded cable + bit flips.
 
     Gateway 0 browns out (sheds arrivals, inflates its latency) over
@@ -83,8 +86,7 @@ def gray_schedule(spec: FatTreeSpec | None = None) -> FaultSchedule:
     translation cache — corruption that no scheduled event repairs, so
     any recovery after the window is the protocol's own doing.
     """
-    if spec is None:
-        spec = chaos_spec()
+    spec = chaos_spec()
     window_ns = GRAY_END_NS - GRAY_START_NS
     schedule = FaultSchedule()
     schedule.gateway_brownout(0, GRAY_START_NS, window_ns,
@@ -106,6 +108,20 @@ def gray_schedule(spec: FatTreeSpec | None = None) -> FaultSchedule:
     return schedule
 
 
+def gray_jobs(params: ChaosParams) -> dict[tuple[str, str], ExperimentJob]:
+    """``{(variant, "baseline" | "gray"): job}``; every run is
+    SwitchV2P, whatever ``params.schemes`` says.  Both baselines are
+    the one unhardened fault-free run."""
+    base = chaos_job(params, "SwitchV2P", (GRAY_START_NS, GRAY_END_NS),
+                     (GRAY_END_NS, params.horizon_ns))
+    faults = tuple(gray_schedule().events)
+    return {("hardened", "baseline"): base,
+            ("hardened", "gray"): replace(base, faults=faults,
+                                          scenario=HARDENED),
+            ("unhardened", "baseline"): base,
+            ("unhardened", "gray"): replace(base, faults=faults)}
+
+
 @dataclass(frozen=True)
 class GrayRow(DegradationRow):
     """Baseline-vs-gray-episode comparison for one protocol variant.
@@ -121,10 +137,6 @@ class GrayRow(DegradationRow):
     #: retransmitting into black-holed translations.
     baseline_after_fct_ns: float
     faulted_after_fct_ns: float
-    gray_detections: int
-    gray_reinstatements: int
-    audit_repairs: int
-    corrupted_lines: int
 
     @property
     def after_fct_degradation(self) -> float:
@@ -132,49 +144,13 @@ class GrayRow(DegradationRow):
         return ratio(self.faulted_after_fct_ns, self.baseline_after_fct_ns)
 
 
-def run_gray_experiment(params: ChaosParams | None = None,
-                        progress=None) -> list[GrayRow]:
-    """Run each variant with and without the shared gray episode.
-
-    Args:
-        params: sizes the runs; every run is SwitchV2P, so
-            ``params.schemes`` must keep its default.
-        progress: optional ``progress(done, total, label)`` callback,
-            fired after each of the four runs.
-    """
-    if params is None:
-        params = ChaosParams()
-    if params.schemes != ChaosParams.schemes:
-        raise ValueError(
-            f"the gray experiment runs SwitchV2P only; schemes="
-            f"{params.schemes!r} would be ignored")
-
-    def run_once(variant: str, schedule: FaultSchedule | None) -> Scenario:
-        armed = {}
-        if variant == "hardened" and schedule is not None:
-            # Started by build_scenario, ahead of the schedule's own
-            # idempotent start, so the gray knobs win; the unhardened
-            # variant leaves the detector to the schedule and its defaults.
-            armed = {"failover": HARDENED_FAILOVER,
-                     "anti_entropy_period_ns": ANTI_ENTROPY_PERIOD_NS,
-                     "staleness_bound_ns": STALENESS_BOUND_NS}
-        return run_chaos_scenario("SwitchV2P", params, schedule, **armed)
-
+def gray_rows(results: dict) -> list[GrayRow]:
+    """One row per variant of :func:`gray_jobs`' results, in order."""
     rows = []
-    for variant, fields, base, faulted, schedule in baseline_vs_faulted(
-            GRAY_VARIANTS, run_once, gray_schedule,
-            (GRAY_START_NS, GRAY_END_NS), "gray", progress):
-        network = faulted.network
-        detector, auditor = network.failure_detector, network.anti_entropy
-        rows.append(GrayRow(
-            variant=variant,
-            baseline_after_fct_ns=window_fct_ns(
-                base.network.collector, GRAY_END_NS, params.horizon_ns),
-            faulted_after_fct_ns=window_fct_ns(
-                network.collector, GRAY_END_NS, params.horizon_ns),
-            gray_detections=detector.gray_detections,
-            gray_reinstatements=detector.gray_reinstatements,
-            audit_repairs=auditor.repairs if auditor is not None else 0,
-            corrupted_lines=len(schedule.corruptions),
-            **fields))
+    for variant in GRAY_VARIANTS:
+        base, gray = results[variant, "baseline"], results[variant, "gray"]
+        rows.append(GrayRow.between(
+            base, gray, variant=variant,
+            baseline_after_fct_ns=base.window_fct_ns[1],
+            faulted_after_fct_ns=gray.window_fct_ns[1]))
     return rows

@@ -6,19 +6,20 @@ experiment compares NoCache, OnDemand, and three SwitchV2P variants
 (without invalidations, without the timestamp vector, and the full
 protocol), reporting gateway load, packet latency, the arrival time of
 the last misdelivered packet, misdelivery counts and invalidation
-traffic.
+traffic.  Each variant is one pool job (:func:`migration_jobs`) whose
+migration is one ``VM_MIGRATE`` fault event.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core import SwitchV2PConfig
-from repro.experiments.runner import SCHEME_FACTORIES, build_network
+from repro.experiments.parallel import ExperimentJob
+from repro.faults import FaultSchedule
+from repro.net.addresses import pip_pod, pip_rack, split_pip
 from repro.net.topology import FatTreeSpec
 from repro.sim.engine import msec
+from repro.sim.randomness import RandomStreams
 from repro.traces.incast import IncastTraceParams, generate
-from repro.transport.player import TrafficPlayer
 from repro.transport.reliable import TransportConfig
 
 #: The Table 4 variant ladder: scheme name + SwitchV2P feature config.
@@ -32,90 +33,42 @@ MIGRATION_VARIANTS: tuple[tuple[str, str, dict], ...] = (
     ("SwitchV2P w/ timestamp vector", "SwitchV2P", {}),
 )
 
-
-@dataclass
-class MigrationResult:
-    """Table 4 row (absolute values; normalize against the NoCache row)."""
-
-    label: str
-    gateway_packet_fraction: float
-    avg_packet_latency_ns: float
-    last_misdelivered_arrival_ns: int | None
-    misdelivered_packets: int
-    invalidation_packets: int
-    packets_sent: int
+#: The incast's address space is tiny (one destination plus the
+#: senders), so caches are sized in absolute slots per switch rather
+#: than relative to the address space.
+SLOTS_PER_SWITCH = 32
 
 
-def run_migration_variant(label: str, scheme_name: str, scheme_kwargs: dict,
-                          params: IncastTraceParams,
-                          spec: FatTreeSpec | None = None,
-                          slots_per_switch: int = 32,
-                          seed: int = 0) -> MigrationResult:
-    """Run one Table 4 variant and return its absolute metrics.
+def migration_jobs(params: IncastTraceParams,
+                   spec: FatTreeSpec | None = None,
+                   ) -> dict[str, ExperimentJob]:
+    """``{variant label: job}`` of the Table 4 ladder, in order.
 
-    The incast's address space is tiny (one destination plus the
-    senders), so caches are sized in absolute slots per switch rather
-    than relative to the address space.
+    Sender VIPs 1..n land on distinct servers by round-robin placement;
+    the destination VM moves, at ``params.migration_time_ns``, to the
+    first server outside its rack.  Packets are exactly
+    ``packet_bytes``, so the trace totals ``num_senders *
+    packets_per_sender`` packets, as in §5.2.
     """
     if spec is None:
         spec = FatTreeSpec()
     num_vms = params.num_senders + 2
-    total_slots = slots_per_switch * spec.num_switches
-    scheme = SCHEME_FACTORIES[scheme_name](total_slots, **scheme_kwargs)
-    network = build_network(spec, scheme, num_vms, seed)
-
-    # Sender VIPs 1..n land on distinct servers via round-robin
-    # placement; VIP 0 is the incast destination.
-    sender_vips = list(range(1, params.num_senders + 1))
-    rng = network.streams.stream("incast")
-    flows = generate(params, rng, sender_vips)
-
-    # Migrate the destination VM to a different rack at the midpoint.
-    source_host = network.host_of(params.destination_vip)
-    target_host = _host_in_other_rack(network, source_host)
-    network.engine.schedule(params.migration_time_ns, network.migrate,
-                            params.destination_vip, target_host)
-
-    # Packets are exactly ``packet_bytes`` so the trace totals
-    # num_senders * packets_per_sender packets, as in §5.2.
-    player = TrafficPlayer(network,
-                           TransportConfig(mss_bytes=params.packet_bytes))
-    player.add_flows(flows)
-    network.run(until=params.duration_ns + msec(2))
-    collector = network.collector
-    fraction = (collector.gateway_arrivals / collector.packets_sent
-                if collector.packets_sent else 0.0)
-    return MigrationResult(
-        label=label,
-        gateway_packet_fraction=fraction,
-        avg_packet_latency_ns=collector.average_packet_latency_ns(),
-        last_misdelivered_arrival_ns=collector.last_misdelivered_arrival_ns,
-        misdelivered_packets=collector.misdeliveries,
-        invalidation_packets=collector.invalidation_packets,
-        packets_sent=collector.packets_sent,
-    )
-
-
-def run_migration_table(params: IncastTraceParams | None = None,
-                        spec: FatTreeSpec | None = None,
-                        slots_per_switch: int = 32,
-                        seed: int = 0) -> list[MigrationResult]:
-    """Run all Table 4 variants in order."""
-    if params is None:
-        params = IncastTraceParams()
-    return [
-        run_migration_variant(label, scheme, dict(kwargs), params, spec,
-                              slots_per_switch, seed)
-        for label, scheme, kwargs in MIGRATION_VARIANTS
-    ]
-
-
-def _host_in_other_rack(network, source_host):
-    """Pick a migration target on a different rack than ``source_host``."""
-    from repro.net.addresses import pip_pod, pip_rack
-
-    src_key = (pip_pod(source_host.pip), pip_rack(source_host.pip))
-    for pip in network.config.spec.server_pips():
-        if (pip_pod(pip), pip_rack(pip)) != src_key:
-            return network.host(pip)
-    raise RuntimeError("topology has a single rack; cannot migrate across racks")
+    pips = spec.server_pips()
+    source = pips[params.destination_vip % len(pips)]
+    rack = (pip_pod(source), pip_rack(source))
+    target = next((pip for pip in pips
+                   if (pip_pod(pip), pip_rack(pip)) != rack), None)
+    if target is None:
+        raise ValueError(
+            "topology has a single rack; cannot migrate across racks")
+    migration = FaultSchedule().migrate_vm(
+        params.migration_time_ns, params.destination_vip, *split_pip(target))
+    flows = generate(params, RandomStreams(0).stream("incast"),
+                     list(range(1, params.num_senders + 1)))
+    return {label: ExperimentJob(
+        spec=spec, scheme_name=scheme, flows=tuple(flows), num_vms=num_vms,
+        cache_ratio=SLOTS_PER_SWITCH * spec.num_switches / num_vms,
+        transport=TransportConfig(mss_bytes=params.packet_bytes),
+        horizon_ns=params.duration_ns + msec(2), scheme_kwargs=kwargs,
+        faults=tuple(migration.events))
+        for label, scheme, kwargs in MIGRATION_VARIANTS}

@@ -47,12 +47,14 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro.experiments.runcache import job_key, resolve_cache
 from repro.experiments.runner import DetailedRunResult, run_experiment
+from repro.experiments.scenario import ScenarioKnobs
+from repro.faults import FaultEvent
 from repro.net.topology import FatTreeSpec
 from repro.perf import timed_call
 from repro.traces.spec import TraceSpec
@@ -91,6 +93,18 @@ class ExperimentJob:
     #: Simulation fidelity ("packet" or "hybrid"); part of the run-cache
     #: key — hybrid and packet runs of the same point must not collide.
     fidelity: str = "packet"
+    #: Fault events, applied as one :class:`~repro.faults.FaultSchedule`
+    #: (a migration is a ``VM_MIGRATE`` event).
+    faults: tuple[FaultEvent, ...] = ()
+    #: When positive, a :class:`~repro.metrics.resilience.ResilienceProbe`
+    #: samples the run in windows this long.
+    sample_period_ns: int = 0
+    #: ``(lo, hi)`` flow start-time windows whose mean FCT the result
+    #: carries, in order.
+    fct_windows: tuple[tuple[int, int], ...] = ()
+    #: Build through ``build_scenario`` with these knobs armed, not
+    #: through ``build_network``.
+    scenario: ScenarioKnobs | None = None
 
     def __post_init__(self) -> None:
         if self.flows is not None and not isinstance(self.flows, tuple):
@@ -108,14 +122,13 @@ class ExperimentJob:
         return tuple(self.trace.materialize())
 
     def run(self, **options) -> DetailedRunResult:
-        """Simulate this job; ``options`` (``cache``, ``perf``,
-        ``warmup_split_ns``) pass through to :func:`run_experiment`."""
-        return run_experiment(
-            self.spec, self.scheme_name, self.resolve_flows(), self.num_vms,
-            self.cache_ratio, self.seed, self.transport, self.horizon_ns,
-            trace_name=self.trace_name,
-            scheme_kwargs=self.scheme_kwargs,
-            fidelity=self.fidelity, **options)
+        """Simulate this job: every field but ``trace`` reaches
+        :func:`run_experiment` under its own name, and so do ``options``
+        (``cache``, ``perf``, ``warmup_split_ns``)."""
+        inputs = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name != "trace"}
+        inputs["flows"] = self.resolve_flows()
+        return run_experiment(**inputs, **options)
 
     def describe(self) -> str:
         """What a failure report calls this job."""

@@ -41,6 +41,8 @@ import hashlib
 import inspect
 import json
 import os
+import typing
+from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -58,7 +60,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
 #: fields and run keys carry the fidelity knob.
 #: 4: results carry per-layer hits and per-switch pod bytes
 #: (DetailedRunResult); scheme kwargs are keyed as a map.
-SCHEMA_VERSION = 4
+#: 5: runs carry fault events, a resilience probe, FCT windows and
+#: scenario knobs; results nest a ResilienceSummary.
+SCHEMA_VERSION = 5
 
 _ENV_FLAG = "REPRO_RUNCACHE"
 _ENV_DIR = "REPRO_RUNCACHE_DIR"
@@ -97,11 +101,13 @@ def _keyed_fields(cls: type) -> tuple[str, ...]:
 def _encode(value):
     """Canonical JSON-able encoding of run inputs for hashing.
 
-    Floats are encoded via ``repr`` (exact round trip), dataclasses by
-    qualified name + sorted fields, containers recursively.  Unknown
-    types raise: silently ``str()``-ing an object would make the key
-    depend on ``id()``/repr internals.
+    Floats are encoded via ``repr`` (exact round trip), enum members
+    and dataclasses by qualified name + value or sorted fields,
+    containers recursively.  Unknown types raise: silently ``str()``-ing
+    an object would make the key depend on ``id()``/repr internals.
     """
+    if isinstance(value, Enum):
+        return ["enum", type(value).__qualname__, _encode(value.value)]
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
@@ -159,11 +165,13 @@ def run_key(spec, scheme_name: str, num_vms: int, cache_ratio: float,
             seed: int, *, transport=None, horizon_ns: int | None = None,
             trace_name: str = "", scheme_kwargs=None,
             flows=None, trace: TraceSpec | None = None,
-            fidelity: str = "packet") -> str:
+            fidelity: str = "packet", faults=(), sample_period_ns: int = 0,
+            fct_windows=(), scenario=None) -> str:
     """The content address of one experiment run.
 
     Exactly one of ``flows`` (a materialized list) or ``trace`` (a
-    :class:`TraceSpec`) describes the workload.
+    :class:`TraceSpec`) describes the workload.  The rest are the
+    :class:`~repro.experiments.parallel.ExperimentJob` fields.
     """
     if (flows is None) == (trace is None):
         raise ValueError("run_key needs exactly one of flows= or trace=")
@@ -179,6 +187,10 @@ def run_key(spec, scheme_name: str, num_vms: int, cache_ratio: float,
         "horizon_ns": None if horizon_ns is None else int(horizon_ns),
         "trace_name": trace_name,
         "fidelity": fidelity,
+        "faults": _encode(tuple(faults)),
+        "sample_period_ns": int(sample_period_ns),
+        "fct_windows": _encode(tuple(fct_windows)),
+        "scenario": _encode(scenario),
         "flows": (_trace_spec_digest(trace) if trace is not None
                   else flows_digest(flows)),
     }
@@ -285,8 +297,11 @@ class RunCache:
 
 
 def _plain(value):
-    """A result field as JSON: containers recursively, numpy scalars as
-    their Python equivalents."""
+    """A result field as JSON: dataclasses as a map of their fields,
+    containers recursively, numpy scalars as their Python equivalents."""
+    if dataclasses.is_dataclass(value):
+        return {field.name: _plain(getattr(value, field.name))
+                for field in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -300,9 +315,7 @@ def _plain(value):
 
 
 def _encode_result(result, key: str) -> dict:
-    return {"schema": SCHEMA_VERSION, "key": key,
-            "result": {field.name: _plain(getattr(result, field.name))
-                       for field in dataclasses.fields(result)}}
+    return {"schema": SCHEMA_VERSION, "key": key, "result": _plain(result)}
 
 
 def _decode_result(payload: dict, key: str) -> DetailedRunResult | None:
@@ -310,11 +323,30 @@ def _decode_result(payload: dict, key: str) -> DetailedRunResult | None:
 
     if payload.get("schema") != SCHEMA_VERSION or payload.get("key") != key:
         return None
-    data = payload["result"]
-    expected = {f.name for f in dataclasses.fields(DetailedRunResult)}
-    if not isinstance(data, dict) or set(data) != expected:
-        return None
-    return DetailedRunResult(**data)
+    return _rebuild(DetailedRunResult, payload["result"])
+
+
+def _rebuild(cls: type, data):
+    """``cls`` from :func:`_plain`'s map of its fields; a field
+    annotated with a dataclass (or one ``| None``) is rebuilt in turn.
+    A map with another set of fields is a ``ValueError``."""
+    types = _field_types(cls)
+    if not isinstance(data, dict) or set(data) != set(types):
+        raise ValueError(f"not a stored {cls.__qualname__}")
+    return cls(**{name: data[name] if nested is None or data[name] is None
+                  else _rebuild(nested, data[name])
+                  for name, nested in types.items()})
+
+
+@lru_cache(maxsize=None)
+def _field_types(cls: type) -> dict[str, type | None]:
+    """``{field name: the dataclass it holds, else None}`` of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return {field.name: next(
+        (hint for hint in (hints[field.name],
+                           *typing.get_args(hints[field.name]))
+         if dataclasses.is_dataclass(hint)), None)
+        for field in dataclasses.fields(cls)}
 
 
 # ----------------------------------------------------------------------

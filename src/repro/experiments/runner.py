@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.baselines import (
     Bluebird,
@@ -26,7 +26,14 @@ from repro.baselines import (
 )
 from repro.cache.sizing import aggregate_slots
 from repro.experiments.runcache import resolve_cache, run_key
+from repro.experiments.scenario import (
+    ScenarioKnobs,
+    build_scenario,
+    window_fct_ns,
+)
 from repro.core import UNIFORM, SwitchV2P, SwitchV2PConfig
+from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.metrics.resilience import ResilienceProbe, ResilienceSummary
 from repro.net.node import Layer
 from repro.net.topology import FatTreeSpec
 from repro.sim.engine import msec
@@ -138,6 +145,15 @@ class DetailedRunResult(RunResult):
     #: Per pod, bytes per switch label, spines then ToRs (Figure 8);
     #: ``pod_bytes`` is their per-pod sums.
     pod_switch_bytes: list[dict[str, int]] = field(default_factory=list)
+    #: Arrival time of the last misdelivered packet (Table 4), if any.
+    last_misdelivered_ns: int | None = None
+    #: A probed run's (``sample_period_ns > 0``) resilience numbers, its
+    #: faults split into before / during / after, and its windowed
+    #: in-network hit rate as ``[time_ns, value]`` per closed window.
+    resilience: ResilienceSummary | None = None
+    hit_rate_windows: list[list] = field(default_factory=list)
+    #: Mean FCT of the flows starting in each of the run's FCT windows.
+    window_fct_ns: list[float] = field(default_factory=list)
 
 
 def build_network(spec: FatTreeSpec, scheme, num_vms: int, seed: int = 0,
@@ -240,6 +256,7 @@ def run_flows(network: VirtualNetwork, flows: Sequence[FlowSpec],
                     for hits in (collector.hits_by_layer,
                                  collector.first_packet_hits_by_layer)],
         pod_switch_bytes=pod_switch_bytes,
+        last_misdelivered_ns=collector.last_misdelivered_arrival_ns,
     )
 
 
@@ -252,8 +269,21 @@ def run_experiment(spec: FatTreeSpec, scheme_name: str, flows: Sequence[FlowSpec
                    perf=None,
                    cache="auto",
                    fidelity: str = "packet",
-                   warmup_split_ns: int | None = None) -> DetailedRunResult:
+                   warmup_split_ns: int | None = None,
+                   faults: Sequence[FaultEvent] = (),
+                   sample_period_ns: int = 0,
+                   fct_windows: Sequence[tuple[int, int]] = (),
+                   scenario: ScenarioKnobs | None = None,
+                   ) -> DetailedRunResult:
     """One-call experiment: build scheme + network, play flows, summarize.
+
+    The steps run in one order, which breaks engine ties: build — with
+    ``scenario`` through
+    :func:`~repro.experiments.scenario.build_scenario` on ``spec``,
+    else :func:`build_network` —, attach a
+    :class:`~repro.metrics.resilience.ResilienceProbe` when
+    ``sample_period_ns`` is positive, apply ``faults`` as one
+    :class:`~repro.faults.FaultSchedule`, then :func:`run_flows`.
 
     Results are memoized in the content-addressed run cache
     (:mod:`repro.experiments.runcache`): with ``cache="auto"`` (the
@@ -271,18 +301,39 @@ def run_experiment(spec: FatTreeSpec, scheme_name: str, flows: Sequence[FlowSpec
             key = run_key(spec, scheme_name, num_vms, cache_ratio, seed,
                           transport=transport, horizon_ns=horizon_ns,
                           trace_name=trace_name, scheme_kwargs=scheme_kwargs,
-                          flows=flows, fidelity=fidelity)
+                          flows=flows, fidelity=fidelity, faults=faults,
+                          sample_period_ns=sample_period_ns,
+                          fct_windows=fct_windows, scenario=scenario)
             hit = store.get(key)
         if hit is not None:
             return hit
     with perf.phase("build"):
         scheme = make_scheme(scheme_name, num_vms, cache_ratio,
                              **(scheme_kwargs or {}))
-        network = build_network(spec, scheme, num_vms, seed,
-                                fidelity=fidelity)
+        if scenario is None:
+            network = build_network(spec, scheme, num_vms, seed,
+                                    fidelity=fidelity)
+            probe = (ResilienceProbe(network, sample_period_ns)
+                     if sample_period_ns > 0 else None)
+        else:
+            built = build_scenario(
+                scheme, num_vms, spec=spec, sample_period_ns=sample_period_ns,
+                **asdict(scenario), seed=seed, fidelity=fidelity)
+            network, probe = built.network, built.probe
+        schedule = None
+        if faults:
+            schedule = FaultSchedule()
+            schedule.events.extend(faults)
+            schedule.apply(network)
     result = run_flows(network, flows, transport, horizon_ns, trace_name,
                        cache_ratio, perf=perf,
                        warmup_split_ns=warmup_split_ns)
+    if probe is not None:
+        result.resilience = probe.summarize(schedule)
+        result.hit_rate_windows = [[sample.time_ns, sample.value]
+                                   for sample in probe.hit_rate.samples]
+    result.window_fct_ns = [window_fct_ns(network.collector, lo, hi)
+                            for lo, hi in fct_windows]
     if store is not None:
         store.put(key, result)
     return result

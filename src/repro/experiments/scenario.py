@@ -1,20 +1,22 @@
-"""The one fault scenario behind the three fault harnesses.
+"""The one fault scenario behind the fault tables and the chaos fuzzer.
 
-The chaos and gray experiments (:mod:`~repro.experiments.faults`,
-:mod:`~repro.experiments.graydegrade`) and the chaos fuzzer
+The chaos and gray experiments' pool jobs (:mod:`~repro.experiments.faults`,
+:mod:`~repro.experiments.graydegrade`, run by
+:func:`~repro.experiments.runner.run_experiment` when a job carries
+:class:`ScenarioKnobs`) and the chaos fuzzer
 (:mod:`~repro.experiments.chaosfuzz`) share one stage: the two-gateway
 fabric of :func:`chaos_spec`, tenants outside the gateway racks, and a
 subset of {resilience probe, oracle suite, detector tuning, anti-entropy
 audit, staleness oracle} armed before the fault schedule.
 :func:`build_scenario` sets it in one fixed order — arming order breaks
 engine ties, so it is part of each harness's determinism contract — and
-the two scripted experiments share their baseline-vs-faulted loop and
-row arithmetic.
+the two scripted experiments share their row arithmetic
+(:class:`DegradationRow`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -87,7 +89,19 @@ class Scenario:
         self.network.run(until=horizon_ns)
 
 
+@dataclass(frozen=True)
+class ScenarioKnobs:
+    """What a pool job arms through :func:`build_scenario`, beyond the
+    stage itself: detector tuning, the anti-entropy audit and the
+    staleness it promises.  The defaults arm none of them."""
+
+    failover: dict[str, Any] | None = None
+    anti_entropy_period_ns: int = 0
+    staleness_bound_ns: int = 0
+
+
 def build_scenario(scheme: Any, num_vms: int, *,
+                   spec: FatTreeSpec | None = None,
                    sample_period_ns: int = 0,
                    oracles: dict[str, Any] | None = None,
                    failover: dict[str, Any] | None = None,
@@ -95,7 +109,8 @@ def build_scenario(scheme: Any, num_vms: int, *,
                    staleness_bound_ns: int = 0,
                    staleness_check_ns: int = 0,
                    **config: Any) -> Scenario:
-    """Build the :func:`chaos_spec` network and arm what the harness asks for.
+    """Build the ``spec`` network (default :func:`chaos_spec`) and arm
+    what the harness asks for.
 
     Tenants stay out of the gateway racks (as the paper's dedicated
     gateway ToRs do): a gateway-rack outage then severs only the
@@ -116,7 +131,8 @@ def build_scenario(scheme: Any, num_vms: int, *,
             positive and a suite is attached, arm its staleness oracle.
         config: other ``NetworkConfig`` fields (``seed``).
     """
-    spec = chaos_spec()
+    if spec is None:
+        spec = chaos_spec()
     network = VirtualNetwork(NetworkConfig(spec=spec, **config), scheme)
     gateway_racks = {(pod, spec.gateway_rack) for pod in spec.gateway_pods}
     tenant_pips = [pip for pip in spec.server_pips()
@@ -143,7 +159,7 @@ def build_scenario(scheme: Any, num_vms: int, *,
 
 
 # ----------------------------------------------------------------------
-# baseline vs. faulted: the loop and arithmetic of the scripted experiments
+# baseline vs. faulted: the row arithmetic of the scripted experiments
 # ----------------------------------------------------------------------
 def ratio(value: float, baseline: float) -> float:
     """``value / baseline``; NaN when the baseline is empty or zero."""
@@ -175,6 +191,16 @@ class DegradationRow:
     baseline_window_fct_ns: float
     faulted_window_fct_ns: float
 
+    @classmethod
+    def between(cls, baseline: Any, faulted: Any, **fields: Any):
+        """The row of two probed runs' results; the fault window is
+        each run's first FCT window.  ``fields`` are the subclass's."""
+        for prefix, result in (("baseline", baseline), ("faulted", faulted)):
+            fields[prefix] = result.resilience
+            fields[f"{prefix}_fct_ns"] = result.avg_fct_ns
+            fields[f"{prefix}_window_fct_ns"] = result.window_fct_ns[0]
+        return cls(**fields)
+
     @property
     def availability_drop(self) -> float:
         """Absolute availability lost to the faults (lower is better)."""
@@ -184,36 +210,3 @@ class DegradationRow:
     def fct_degradation(self) -> float:
         """Faulted / baseline average FCT (lower is better, 1.0 = none)."""
         return ratio(self.faulted_fct_ns, self.baseline_fct_ns)
-
-
-def baseline_vs_faulted(variants: Sequence[str], run_once, make_schedule,
-                        window_ns: tuple[int, int], faulted_label: str,
-                        progress=None) -> Iterator[tuple]:
-    """Run every variant undisturbed, then under a fresh schedule.
-
-    ``run_once(variant, schedule)`` returns one run's finished, probed
-    scenario.  Yields ``(variant, fields, baseline scenario, faulted
-    scenario, schedule)``; ``fields`` are the :class:`DegradationRow`
-    arguments, window FCTs over flows starting inside ``window_ns``.
-    ``progress(done, total, "<variant>/baseline" | "<variant>/<faulted
-    label>")`` fires after each run.  A schedule is made per faulted
-    run: its fired and corruption logs are per-application.
-    """
-    total = 2 * len(variants)
-    for index, variant in enumerate(variants):
-        baseline = run_once(variant, None)
-        if progress is not None:
-            progress(2 * index + 1, total, f"{variant}/baseline")
-        schedule = make_schedule()
-        faulted = run_once(variant, schedule)
-        if progress is not None:
-            progress(2 * index + 2, total, f"{variant}/{faulted_label}")
-        fields: dict[str, Any] = {}
-        for prefix, scenario, applied in (("baseline", baseline, None),
-                                          ("faulted", faulted, schedule)):
-            collector = scenario.network.collector
-            fields[prefix] = scenario.probe.summarize(applied)
-            fields[f"{prefix}_fct_ns"] = collector.average_fct_ns()
-            fields[f"{prefix}_window_fct_ns"] = window_fct_ns(
-                collector, *window_ns)
-        yield variant, fields, baseline, faulted, schedule

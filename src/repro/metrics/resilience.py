@@ -53,6 +53,15 @@ class ResilienceSummary:
     #: Packets shed by browned-out (gray-degraded) gateways; 0 for
     #: fail-stop-only schedules.
     gateway_brownout_drops: int = 0
+    #: What the self-healing plane did: gateways failed out of the
+    #: pool, gray (EWMA) detections and reinstatements, cache lines the
+    #: anti-entropy audit repaired, and lines the schedule's bit flips
+    #: actually corrupted.
+    gateway_failovers: int = 0
+    gray_detections: int = 0
+    gray_reinstatements: int = 0
+    audit_repairs: int = 0
+    corrupted_lines: int = 0
 
     @property
     def hit_rate_dip(self) -> float:
@@ -95,8 +104,13 @@ class ResilienceProbe:
         baseline = _mean(before_h)
         recover_ns = self._time_to_recover(last, baseline, recovery_fraction)
 
-        collector = self.network.collector
-        hosts = self.network.host_by_pip.values()
+        network = self.network
+        collector = network.collector
+        hosts = network.host_by_pip.values()
+        detector, auditor = network.failure_detector, network.anti_entropy
+        detections, reinstatements = (
+            (detector.gray_detections, detector.gray_reinstatements)
+            if detector is not None else (0, 0))
         return ResilienceSummary(
             before=_phase(before_h, before_g),
             during=_phase(during_h, during_g),
@@ -109,6 +123,12 @@ class ResilienceProbe:
             gateway_unavailable_drops=collector.gateway_unavailable_drops,
             unroutable_drops=sum(host.unroutable_drops for host in hosts),
             gateway_brownout_drops=collector.gateway_brownout_drops,
+            gateway_failovers=network.gateway_failovers,
+            gray_detections=detections,
+            gray_reinstatements=reinstatements,
+            audit_repairs=auditor.repairs if auditor is not None else 0,
+            corrupted_lines=(len(schedule.corruptions)
+                             if schedule is not None else 0),
         )
 
     def _time_to_recover(self, last_recovery_ns: int | None, baseline: float,

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import SwitchV2P
-from repro.experiments.faults import ChaosParams, run_chaos_experiment
+from repro.experiments.faults import ChaosParams
 from repro.experiments.artifacts import ARTIFACTS
 from repro.experiments.figures import FigureScale
 from repro.experiments.parallel import ExperimentJob, parallel_run_experiments
@@ -106,35 +106,35 @@ def test_golden_hadoop_snapshot():
     network = build_network(FatTreeSpec(), SwitchV2P(params["cache_slots"]),
                             params["num_vms"], seed=params["seed"])
     result = run_flows(network, list(flows), trace_name="hadoop")
-    got = _result_dict(result)
     expected = golden["result"]
-    # The breakdowns are newer than the snapshot: per-switch bytes must
-    # sum to its pod bytes; per-layer hits are compared run to run, and
-    # inline against pooled, by the tests above.
-    assert [sum(pod.values()) for pod in got.pop("pod_switch_bytes")] \
+    # DetailedRunResult's fields are newer than the snapshot: per-switch
+    # bytes must sum to its pod bytes; the rest are compared run to run,
+    # and inline against pooled, by the tests above.
+    assert [sum(pod.values()) for pod in result.pod_switch_bytes] \
         == expected["pod_bytes"]
-    del got["layer_hits"]
+    summary = {field.name for field in dataclasses.fields(RunResult)}
+    got = {name: value for name, value in _result_dict(result).items()
+           if name in summary}
     assert set(got) == set(expected), "RunResult fields changed; regenerate"
     mismatches = {key: (expected[key], got[key])
                   for key in expected if expected[key] != got[key]}
     assert not mismatches, f"drift vs golden snapshot: {mismatches}"
 
 
-def test_chaos_experiment_is_deterministic():
-    """The faults path — schedules, failover probes, memo flushes — must
-    be as seed-stable as the fault-free runs.  ChaosRow is a frozen
-    dataclass tree, so == compares every per-phase resilience number.
-    """
-    params = ChaosParams(num_flows=120, num_vms=32, horizon_ns=msec(12),
-                         schemes=("SwitchV2P",))
-    first, second = (run_chaos_experiment(params) for _ in range(2))
-    assert first == second
+def _assert_same_sweep_row(seq, row):
+    assert (seq.scheme, seq.x_value) == (row.scheme, row.x_value)
+    assert seq.hit_rate == row.hit_rate
+    assert seq.fct_improvement == row.fct_improvement
+    assert seq.first_packet_improvement == row.first_packet_improvement
+    assert _result_dict(seq.result) == _result_dict(row.result)
 
 
-def _assert_identical_across_execution_modes(sweep, tmp_path, pools=(2,)):
+def _assert_identical_across_execution_modes(sweep, tmp_path, pools=(2,),
+                                             same=_assert_same_sweep_row):
     """``sweep(workers=, cache=)`` several ways, byte-identical rows:
     sequential into a cold store, process pools of each size in
-    ``pools`` without one, and a warm replay that must not simulate."""
+    ``pools`` without one, and a warm replay that must not simulate.
+    ``same(sequential row, row)`` asserts two rows are one."""
     cold_store = RunCache(tmp_path)
     sequential = sweep(workers=0, cache=cold_store)
     pooled = [sweep(workers=workers, cache=None) for workers in pools]
@@ -148,11 +148,7 @@ def _assert_identical_across_execution_modes(sweep, tmp_path, pools=(2,)):
     for rows in (*pooled, replayed):
         assert len(rows) == len(sequential)
         for seq, row in zip(sequential, rows):
-            assert (seq.scheme, seq.x_value) == (row.scheme, row.x_value)
-            assert seq.hit_rate == row.hit_rate
-            assert seq.fct_improvement == row.fct_improvement
-            assert seq.first_packet_improvement == row.first_packet_improvement
-            assert _result_dict(seq.result) == _result_dict(row.result)
+            same(seq, row)
 
 
 _TINY_SPEC = FatTreeSpec(pods=2, racks_per_pod=2, servers_per_rack=2,
@@ -209,6 +205,32 @@ def _appendix_sweep(**mode):
     scale = FigureScale(num_vms=32, websearch_flows=6, ratios=(0.5, 4.0),
                         seed=7)
     return _rows(ARTIFACTS["appendix_controller"].jobs(scale), **mode)
+
+
+#: Both fault tables at a size that runs in seconds.
+_SMALL_CHAOS = ChaosParams(num_flows=120, num_vms=32, horizon_ns=msec(12),
+                           schemes=("SwitchV2P",))
+
+
+def test_fault_tables_identical_across_execution_modes(tmp_path):
+    """The faults path — schedules, failover probes, memo flushes, the
+    gray detector and the audit — is as seed-stable as the fault-free
+    runs, inline, pooled and replayed from the store.  A chaos or gray
+    row is a frozen dataclass tree of numbers: its repr compares every
+    per-phase resilience number exactly, a NaN window FCT included."""
+    listed = [(ARTIFACTS[name], ARTIFACTS[name].jobs(_SMALL_CHAOS))
+              for name in ("faults_resilience", "gray_degradation")]
+
+    def rows(**mode):
+        results = iter(parallel_run_experiments(
+            [job for _, jobs in listed for job in jobs.values()], **mode))
+        return [row for entry, jobs in listed for row in entry.collect(
+            {label: next(results) for label in jobs})]
+
+    def same(seq, row):
+        assert repr(seq) == repr(row)
+
+    _assert_identical_across_execution_modes(rows, tmp_path, same=same)
 
 
 @pytest.mark.parametrize("sweep", [_gateway_sweep, _topology_sweep,

@@ -15,9 +15,11 @@ from repro.experiments import (
     ft8_spec,
     ft16_spec,
     make_scheme,
+    migration_jobs,
+    parallel_run_experiments,
     run_experiment,
-    run_migration_table,
 )
+from repro.experiments.artifacts import gateway_packet_fraction
 from repro.experiments.figures import bluebird_kwargs
 from repro.experiments.sweeps import cache_size_sweep
 from repro.net.node import Layer
@@ -110,20 +112,28 @@ def test_bluebird_kwargs_scale_with_load():
     assert kwargs["punt_buffer_bytes"] >= 16_384
 
 
+def _migration_table(params):
+    """Table 4's ``{variant: result}`` on the tiny fabric."""
+    jobs = migration_jobs(params, spec=tiny_spec())
+    return dict(zip(jobs, parallel_run_experiments(list(jobs.values()),
+                                                   workers=0, cache=None)))
+
+
 def test_migration_table_shape():
     params = IncastTraceParams(num_senders=4, packets_per_sender=50)
-    rows = run_migration_table(params, spec=tiny_spec())
-    assert [r.label for r in rows] == [
+    results = _migration_table(params)
+    assert list(results) == [
         "NoCache",
         "OnDemand",
         "SwitchV2P w/o invalidations",
         "SwitchV2P w/o timestamp vector",
         "SwitchV2P w/ timestamp vector",
     ]
+    rows = list(results.values())
     nocache = rows[0]
-    assert nocache.gateway_packet_fraction == pytest.approx(1.0, abs=0.01)
+    assert gateway_packet_fraction(nocache) == pytest.approx(1.0, abs=0.01)
     full = rows[-1]
-    assert full.gateway_packet_fraction < 0.7
+    assert gateway_packet_fraction(full) < 0.7
     # Invalidations only exist for the variants that enable them.
     assert rows[2].invalidation_packets == 0
     assert full.invalidation_packets <= rows[3].invalidation_packets
@@ -131,9 +141,8 @@ def test_migration_table_shape():
 
 def test_migration_variants_keep_delivering():
     params = IncastTraceParams(num_senders=4, packets_per_sender=50)
-    rows = run_migration_table(params, spec=tiny_spec())
-    for row in rows:
-        assert row.packets_sent >= params.total_packets
+    for result in _migration_table(params).values():
+        assert result.packets_sent >= params.total_packets
 
 
 def test_build_network_respects_gateway_override():

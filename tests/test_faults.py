@@ -505,22 +505,3 @@ def test_probe_measures_recovery_after_outage():
     # Steady traffic keeps the hit rate warm, so it recovers quickly.
     assert summary.time_to_recover_ns is not None
     assert summary.hit_rate_dip >= 0.0
-
-
-# ----------------------------------------------------------------------
-# chaos experiment plumbing
-# ----------------------------------------------------------------------
-def test_chaos_experiment_is_deterministic():
-    from dataclasses import replace
-
-    from repro.experiments.faults import ChaosParams, run_chaos_experiment
-
-    params = replace(ChaosParams(), num_flows=120, horizon_ns=msec(12),
-                     schemes=("SwitchV2P",))
-    first = run_chaos_experiment(params)[0]
-    second = run_chaos_experiment(params)[0]
-    assert first.faulted_fct_ns == second.faulted_fct_ns
-    assert first.faulted.availability == second.faulted.availability
-    assert first.faulted.during.mean_hit_rate == \
-        second.faulted.during.mean_hit_rate
-    assert first.gateway_failovers == second.gateway_failovers

@@ -287,9 +287,12 @@ def test_staleness_oracle_clean_with_audit():
     assert _staleness_run(with_audit=True) == []
 
 
-def test_gray_experiment_rejects_a_scheme_list():
-    """Every gray run is SwitchV2P: a scheme list would do nothing."""
-    from repro.experiments.faults import ChaosParams
-    from repro.experiments.graydegrade import run_gray_experiment
-    with pytest.raises(ValueError, match="SwitchV2P only"):
-        run_gray_experiment(ChaosParams(schemes=("GwCache",)))
+def test_gray_experiment_rejects_a_scheme_list(capsys):
+    """Every gray run is SwitchV2P: a scheme list would do nothing, so
+    ``reproduce`` exits 2 naming the flag no run reads."""
+    from repro.cli import main
+    with pytest.raises(SystemExit) as exit_:
+        main(["reproduce", "gray_degradation", "--schemes", "GwCache"])
+    assert exit_.value.code == 2
+    assert ("--schemes: no run of gray_degradation reads "
+            "ChaosParams.schemes") in capsys.readouterr().err

@@ -15,6 +15,8 @@ from typing import ClassVar
 
 import pytest
 
+from repro.experiments.faults import ChaosParams, chaos_jobs, chaos_schedule
+from repro.experiments.graydegrade import HARDENED
 from repro.experiments.parallel import ExperimentJob
 from repro.experiments.runcache import (
     RunCache,
@@ -29,6 +31,9 @@ from repro.experiments.runcache import (
     runcache_enabled,
 )
 from repro.experiments.runner import run_experiment
+from repro.experiments.scenario import ScenarioKnobs
+from repro.faults import FaultEvent, FaultKind
+from repro.metrics.resilience import ResilienceSummary
 from repro.traces.spec import TraceSpec
 from repro.transport.flow import FlowSpec
 from repro.transport.reliable import TransportConfig
@@ -85,6 +90,11 @@ PERTURBATIONS = [
     {"fidelity": "hybrid"},
     {"flows": None,
      "trace": TraceSpec.create("hadoop", 5, num_vms=8, num_flows=30)},
+    {"faults": tuple(chaos_schedule().events)},
+    {"sample_period_ns": 250_000},
+    {"fct_windows": ((0, 1_000_000),)},
+    {"scenario": ScenarioKnobs()},
+    {"scenario": HARDENED},
 ]
 
 
@@ -106,6 +116,26 @@ def test_every_run_key_parameter_and_job_field_is_perturbed():
     assert not parameters - perturbed, (
         f"no PERTURBATIONS entry changes {sorted(parameters - perturbed)}; "
         "add one, so test_key_changes_with_every_input checks it is keyed")
+
+
+_EVENT = FaultEvent(1_000, FaultKind.SWITCH_FAIL, ("spine", 0, 0))
+
+
+@pytest.mark.parametrize("change", [{"kind": FaultKind.SWITCH_RECOVER},
+                                    {"at_ns": 2_000},
+                                    {"target": ("spine", 0, 1)}])
+def test_jobs_differing_in_one_fault_event_field_key_apart(change):
+    job = ExperimentJob(spec=tiny_spec(), scheme_name="SwitchV2P",
+                        flows=_flows(), num_vms=8, cache_ratio=4.0,
+                        faults=(_EVENT,))
+    changed = dataclasses.replace(
+        job, faults=(dataclasses.replace(_EVENT, **change),))
+    assert job_key(changed) != job_key(job)
+
+
+def test_an_enum_member_encodes_as_its_class_and_value():
+    assert _encode(FaultKind.SWITCH_FAIL) \
+        == ["enum", "FaultKind", "switch-fail"]
 
 
 def test_scheme_kwargs_order_does_not_matter():
@@ -235,6 +265,19 @@ def test_run_experiment_warm_hit_is_identical(tmp_path):
     assert [list(pod.items()) for pod in warm.pod_switch_bytes] \
         == [list(pod.items()) for pod in cold.pod_switch_bytes]
     assert any(any(pod.values()) for pod in cold.pod_switch_bytes)
+
+
+def test_a_fault_job_result_round_trips(tmp_path):
+    """A faults_resilience run's result, nested ResilienceSummary and
+    window FCTs included, reloads equal to what was stored."""
+    params = ChaosParams(num_vms=16, num_flows=60, schemes=("SwitchV2P",))
+    job = chaos_jobs(params)["SwitchV2P", "faulted"]
+    result = job.run(cache=RunCache(tmp_path))
+    reloaded = RunCache(tmp_path).get(job_key(job))
+    assert isinstance(reloaded.resilience, ResilienceSummary)
+    assert reloaded.resilience.gateway_failovers >= 1
+    assert reloaded.window_fct_ns and reloaded.hit_rate_windows
+    assert reloaded == result
 
 
 def test_corrupted_entry_is_dropped(tmp_path):
