@@ -223,6 +223,16 @@ def test_a_flag_at_its_default_is_accepted_where_no_run_reads_it(capsys):
     assert "SwitchV2P" in capsys.readouterr().out
 
 
+def test_a_flag_for_a_field_the_artifact_fixes_exits_2_naming_it(capsys):
+    """The gray experiment runs SwitchV2P only; ``--schemes`` used to
+    end in a ValueError traceback and exit 1."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["reproduce", "gray_degradation", "--schemes", "NoCache"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--schemes" in err and "ChaosParams.schemes" in err
+
+
 @pytest.mark.parametrize("flag, value, says", [
     ("--max-rto-ns", "-1000", "max_rto_ns (-1000) must be >= initial_rto_ns"),
     ("--max-rto-ns", "0", "max_rto_ns (0) must be >= initial_rto_ns"),

@@ -212,6 +212,21 @@ _SMALL_CHAOS = ChaosParams(num_flows=120, num_vms=32, horizon_ns=msec(12),
                            schemes=("SwitchV2P",))
 
 
+def test_chaos_experiment_is_deterministic():
+    """The chaos table twice in one process, sequentially: equal rows.
+    ChaosRow is a frozen dataclass tree, so == compares every per-phase
+    resilience number."""
+    entry = ARTIFACTS["faults_resilience"]
+    jobs = entry.jobs(_SMALL_CHAOS)
+
+    def rows():
+        results = parallel_run_experiments(list(jobs.values()), workers=0,
+                                           cache=None)
+        return entry.collect(dict(zip(jobs, results)))
+
+    assert rows() == rows()
+
+
 def test_fault_tables_identical_across_execution_modes(tmp_path):
     """The faults path — schedules, failover probes, memo flushes, the
     gray detector and the audit — is as seed-stable as the fault-free

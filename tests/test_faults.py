@@ -505,3 +505,26 @@ def test_probe_measures_recovery_after_outage():
     # Steady traffic keeps the hit rate warm, so it recovers quickly.
     assert summary.time_to_recover_ns is not None
     assert summary.hit_rate_dip >= 0.0
+
+
+# ----------------------------------------------------------------------
+# chaos experiment plumbing
+# ----------------------------------------------------------------------
+def test_chaos_experiment_is_deterministic():
+    """A faulted chaos job run twice in one process: the fault schedule,
+    failover probes and memo flushes leave no state behind that the
+    second run could see."""
+    from dataclasses import replace
+
+    from repro.experiments.faults import ChaosParams, chaos_jobs
+
+    params = replace(ChaosParams(), num_flows=120, horizon_ns=msec(12),
+                     schemes=("SwitchV2P",))
+    job = chaos_jobs(params)["SwitchV2P", "faulted"]
+    first, second = (job.run(cache=None) for _ in range(2))
+    assert first.avg_fct_ns == second.avg_fct_ns
+    assert first.resilience.availability == second.resilience.availability
+    assert first.resilience.during.mean_hit_rate == \
+        second.resilience.during.mean_hit_rate
+    assert first.resilience.gateway_failovers == \
+        second.resilience.gateway_failovers
