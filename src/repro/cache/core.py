@@ -45,7 +45,9 @@ from typing import NamedTuple
 _EMPTY = -1
 #: Knuth multiplicative hash constant of the line hash
 #: ``((vip ^ salt) * HASH_MIX & 0xFFFFFFFF) % sets`` — public because
-#: :meth:`SwitchCache.owner_lines` lets a holder compute it.
+#: :meth:`SwitchCache.owner_lines` lets a holder compute it.  HASH_MIX %
+#: 16 == 1: a power-of-two ``sets`` reads only the low log2 ``sets`` bits
+#: of ``vip ^ salt``, and ``sets`` dividing 16 gives ``(vip ^ salt) % sets``.
 HASH_MIX = 2654435761
 
 

@@ -169,14 +169,15 @@ def _us(value_ns: float) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """One point of the trace's Figure 5 sweep, timed phase by phase."""
+    """One point of the trace's Figure 5 sweep, simulated and timed phase
+    by phase (the run cache has no phases to give)."""
     scale = _sized(args, FigureScale(), "run")
     job = figure5_jobs(args.trace, scale, args.fidelity)(args.scheme,
                                                          args.cache_ratio)
     timer = PhaseTimer()
-    options: dict[str, Any] = {}
+    warmup_split_ns = None
     if args.memory:
-        # Traced, uncached, and the event loop split at the end of the
+        # Traced, and the event loop split at the end of the
         # cold-start window (last flow start + 10 ms) so build, warmup
         # and steady-state memory show up apart.  The flows are made
         # before tracing starts, so no phase is charged for them.
@@ -185,10 +186,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         timer = PhaseMemoryTimer()
         job = replace(job, flows=job.resolve_flows(), trace=None)
         last_start = max((flow.start_ns for flow in job.flows), default=0)
-        options = {"cache": None, "warmup_split_ns": last_start + msec(10)}
+        warmup_split_ns = last_start + msec(10)
         tracemalloc.start()
     try:
-        result = job.run(perf=timer, **options)
+        result = job.run(perf=timer, warmup_split_ns=warmup_split_ns)
     finally:
         if args.memory:
             tracemalloc.stop()
@@ -372,8 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "docs/simulator.md)")
     run_parser.add_argument("--memory", action="store_true",
                             help="snapshot tracemalloc + peak RSS per phase "
-                                 "(build / warmup / steady); slows the run "
-                                 "and bypasses the run cache")
+                                 "(build / warmup / steady); slows the run")
     _sizing_flags(run_parser, [FigureScale()], RUN_FIELDS)
     run_parser.set_defaults(func=cmd_run)
 

@@ -23,7 +23,6 @@ from repro.experiments.figures import (
 )
 from repro.experiments.migration import MIGRATION_VARIANTS, migration_jobs
 from repro.experiments.parallel import (
-    ExperimentJob,
     default_workers,
     parallel_run_experiments,
 )
@@ -36,10 +35,10 @@ from repro.experiments.runcache import (
 from repro.experiments.runner import (
     SCHEME_FACTORIES,
     DetailedRunResult,
+    ExperimentJob,
     RunResult,
     build_network,
     make_scheme,
-    run_experiment,
     run_flows,
 )
 from repro.experiments.sweeps import (
@@ -55,7 +54,6 @@ __all__ = [
     "make_scheme",
     "build_network",
     "run_flows",
-    "run_experiment",
     "ExperimentJob",
     "parallel_run_experiments",
     "default_workers",

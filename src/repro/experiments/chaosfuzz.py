@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.runner import make_scheme
+from repro.experiments.runner import make_scheme, run_flows
 from repro.experiments.scenario import (
     build_scenario,
     chaos_spec,
@@ -268,13 +268,14 @@ def run_one_trial(scheme_name: str, events, params: ChaosFuzzParams,
         staleness_bound_ns=params.staleness_bound_ns,
         staleness_check_ns=max(usec(100), params.staleness_bound_ns // 4),
         seed=trial_seed)
-    suite = scenario.suite
+    network, suite = scenario.network, scenario.suite
     if bug is not None:
-        BUGS[bug](scenario.network, suite)
-    scenario.apply(schedule)
+        BUGS[bug](network, suite)
+    schedule.apply(network)
+    suite.watch_schedule(schedule)
     horizon_ns = params.horizon_ns(schedule)
-    scenario.play(fuzz_flows(params, trial_seed), horizon_ns,
-                  params.transport())
+    run_flows(network, fuzz_flows(params, trial_seed), params.transport(),
+              horizon_ns)
     suite.finish(horizon_ns)
     return TrialOutcome(trial=trial, scheme=scheme_name,
                         trial_seed=trial_seed,

@@ -18,10 +18,10 @@ Design points of the orchestrator:
   key (:func:`~repro.experiments.runcache.job_key`), so a run listed
   twice (NoCache as both the reference and a scheme of Figure 9) is
   simulated once and both positions share the one result.
-* **Result memoization** — before dispatch, every job is looked up in
-  the content-addressed run cache
-  (:mod:`repro.experiments.runcache`); hits never reach the pool, and
-  completed misses are stored by the parent, making sweeps resumable.
+* **Result memoization** — the only reader and writer of the
+  content-addressed run cache (:mod:`repro.experiments.runcache`):
+  hits never reach the pool, and the parent stores completed misses,
+  making sweeps resumable.
 * **Streaming dispatch** — one job per pool task (a payload pickles in
   about a millisecond against hundreds of simulation), at most
   ``workers`` in the pool at a time, collected as they finish with
@@ -47,95 +47,15 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field, fields
 from itertools import islice
-from typing import TYPE_CHECKING
 
 from repro.experiments.runcache import job_key, resolve_cache
-from repro.experiments.runner import DetailedRunResult, run_experiment
-from repro.experiments.scenario import ScenarioKnobs
-from repro.faults import FaultEvent
-from repro.net.topology import FatTreeSpec
-from repro.perf import timed_call
-from repro.traces.spec import TraceSpec
-from repro.transport.flow import FlowSpec
-from repro.transport.reliable import TransportConfig
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.perf import PhaseTimer
+from repro.experiments.runner import DetailedRunResult, ExperimentJob
+from repro.perf import PhaseTimer, timed_call
 
 #: ``progress(done, total, cached)`` — invoked after every distinct run
 #: resolves, whether served from cache (``cached=True``) or simulated.
 ProgressFn = Callable[[int, int, bool], None]
-
-
-@dataclass(frozen=True)
-class ExperimentJob:
-    """One picklable experiment description.
-
-    The workload is either ``flows`` (materialized, heavyweight) or
-    ``trace`` (a :class:`TraceSpec` the worker materializes locally) —
-    exactly one must be set.  Its one canonical form is its run key
-    (:func:`~repro.experiments.runcache.job_key`).
-    """
-
-    spec: FatTreeSpec
-    scheme_name: str
-    flows: tuple[FlowSpec, ...] | None = None
-    num_vms: int = 0
-    cache_ratio: float = 0.0
-    seed: int = 0
-    transport: TransportConfig | None = None
-    horizon_ns: int | None = None
-    trace_name: str = ""
-    scheme_kwargs: dict = field(default_factory=dict)
-    trace: TraceSpec | None = None
-    #: Simulation fidelity ("packet" or "hybrid"); part of the run-cache
-    #: key — hybrid and packet runs of the same point must not collide.
-    fidelity: str = "packet"
-    #: Fault events, applied as one :class:`~repro.faults.FaultSchedule`
-    #: (a migration is a ``VM_MIGRATE`` event).
-    faults: tuple[FaultEvent, ...] = ()
-    #: When positive, a :class:`~repro.metrics.resilience.ResilienceProbe`
-    #: samples the run in windows this long.
-    sample_period_ns: int = 0
-    #: ``(lo, hi)`` flow start-time windows whose mean FCT the result
-    #: carries, in order.
-    fct_windows: tuple[tuple[int, int], ...] = ()
-    #: Build through ``build_scenario`` with these knobs armed, not
-    #: through ``build_network``.
-    scenario: ScenarioKnobs | None = None
-
-    def __post_init__(self) -> None:
-        if self.flows is not None and not isinstance(self.flows, tuple):
-            object.__setattr__(self, "flows", tuple(self.flows))
-        if (self.flows is None) == (self.trace is None):
-            raise ValueError(
-                "ExperimentJob needs exactly one of flows= or trace=")
-        if self.num_vms <= 0:
-            raise ValueError("ExperimentJob.num_vms must be positive")
-
-    def resolve_flows(self) -> tuple[FlowSpec, ...]:
-        """The flow list, regenerating from the trace spec if needed."""
-        if self.flows is not None:
-            return self.flows
-        return tuple(self.trace.materialize())
-
-    def run(self, **options) -> DetailedRunResult:
-        """Simulate this job: every field but ``trace`` reaches
-        :func:`run_experiment` under its own name, and so do ``options``
-        (``cache``, ``perf``, ``warmup_split_ns``)."""
-        inputs = {f.name: getattr(self, f.name) for f in fields(self)
-                  if f.name != "trace"}
-        inputs["flows"] = self.resolve_flows()
-        return run_experiment(**inputs, **options)
-
-    def describe(self) -> str:
-        """What a failure report calls this job."""
-        trace = self.trace_name or (
-            self.trace.name if self.trace is not None else "unnamed")
-        return (f"{self.scheme_name} (cache ratio {self.cache_ratio:g}, "
-                f"trace {trace}, seed {self.seed})")
 
 
 class ExperimentJobError(RuntimeError):
@@ -145,12 +65,12 @@ class ExperimentJobError(RuntimeError):
 def _execute_job(job: ExperimentJob) -> tuple[DetailedRunResult, int]:
     """Run one job (the pool's task); returns (result, wall_ns).
 
-    The inner run bypasses the run cache (``cache=None``): the
-    orchestrating parent already resolved hits and is the single
-    writer, so workers never race on the store.
+    A job's run never touches the run cache: the orchestrating parent
+    already resolved hits and is the single writer, so workers never
+    race on the store.
     """
     try:
-        return timed_call(job.run, cache=None)
+        return timed_call(job.run)
     except Exception as exc:
         # Re-raised with the job's name: across the pool boundary the
         # original arrives without it, and a sweep has dozens of jobs.

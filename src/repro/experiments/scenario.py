@@ -2,7 +2,7 @@
 
 The chaos and gray experiments' pool jobs (:mod:`~repro.experiments.faults`,
 :mod:`~repro.experiments.graydegrade`, run by
-:func:`~repro.experiments.runner.run_experiment` when a job carries
+:meth:`~repro.experiments.runner.ExperimentJob.run` when a job carries
 :class:`ScenarioKnobs`) and the chaos fuzzer
 (:mod:`~repro.experiments.chaosfuzz`) share one stage: the two-gateway
 fabric of :func:`chaos_spec`, tenants outside the gateway racks, and a
@@ -16,20 +16,16 @@ the two scripted experiments share their row arithmetic
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.faults.oracles import OracleSuite
-from repro.faults.schedule import FaultSchedule
 from repro.metrics.resilience import ResilienceProbe, ResilienceSummary
 from repro.net.addresses import pip_pod, pip_rack
 from repro.net.topology import FatTreeSpec
 from repro.transport.flow import FlowSpec
-from repro.transport.player import TrafficPlayer
-from repro.transport.reliable import TransportConfig
 from repro.vnet.network import NetworkConfig, VirtualNetwork
 
 
@@ -75,18 +71,6 @@ class Scenario:
     network: VirtualNetwork
     probe: ResilienceProbe | None = None
     suite: OracleSuite | None = None
-
-    def apply(self, schedule: FaultSchedule) -> None:
-        """Bind the fault schedule (and the suite's per-event sweeps)."""
-        schedule.apply(self.network)
-        if self.suite is not None:
-            self.suite.watch_schedule(schedule)
-
-    def play(self, flows: Iterable[FlowSpec], horizon_ns: int,
-             transport: TransportConfig | None = None) -> None:
-        """Inject ``flows`` and run the network to the horizon."""
-        TrafficPlayer(self.network, transport).add_flows(flows)
-        self.network.run(until=horizon_ns)
 
 
 @dataclass(frozen=True)

@@ -101,9 +101,10 @@ NULL_HANDLER = _NullHandler()
 def ecmp_index(key: int, salt: int, n: int) -> int:
     """Deterministic ECMP hash: pick one of ``n`` equal-cost paths.
 
-    Uses a Knuth multiplicative mix so consecutive flow ids spread
-    across paths, as a real switch hash would.
-    """
+    2654435761 % 16 == 1: for a power-of-two ``n`` the pick reads only the
+    low log2 ``n`` bits of ``key ^ salt``, and for ``n`` dividing 16 (every
+    ECMP fan-out here: 2, 4, 16) it equals ``(key ^ salt) % n``, so
+    consecutive flow ids cycle through the paths, unlike a switch hash."""
     mixed = ((key ^ salt) * 2654435761) & 0xFFFFFFFF
     return mixed % n
 

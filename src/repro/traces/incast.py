@@ -36,6 +36,14 @@ class IncastTraceParams:
     def total_packets(self) -> int:
         return self.num_senders * self.packets_per_sender
 
+    def __post_init__(self) -> None:
+        # Senders are VIPs 1..n of the n + 2 placed.
+        if self.destination_vip not in (0, self.num_senders + 1):
+            raise ValueError(
+                f"destination_vip must be 0 or num_senders + 1 "
+                f"({self.num_senders + 1}), a placed VM that is no "
+                f"sender; got {self.destination_vip}")
+
 
 def generate(params: IncastTraceParams, rng: np.random.Generator,
              sender_vips: list[int]) -> list[FlowSpec]:

@@ -36,7 +36,7 @@ from bench.layers import network_counts
 from bench.workloads import WORKLOADS
 from repro.experiments import chaosfuzz
 from repro.experiments.runner import run_flows
-from repro.experiments.scenario import Scenario, chaos_spec
+from repro.experiments.scenario import chaos_spec
 from repro.faults.fuzz import cable_targets, generate_schedule
 from repro.net.node import Switch
 from repro.net.topology import Fabric
@@ -132,11 +132,11 @@ def test_chaos_fuzz_trial_with_link_faults_equals_the_fully_cabled_one(monkeypat
     trial_seed, events, params = _link_fault_trial()
     results = []
 
-    def play(scenario, flows, horizon_ns, transport=None):
-        results.append(run_flows(scenario.network, list(flows), transport,
-                                 horizon_ns))
+    def recording_run(*args):
+        results.append(run_flows(*args))
+        return results[-1]
 
-    monkeypatch.setattr(Scenario, "play", play)
+    monkeypatch.setattr(chaosfuzz, "run_flows", recording_run)
 
     def trial():
         return chaosfuzz.run_one_trial("SwitchV2P", events, params, trial_seed)

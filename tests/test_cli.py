@@ -8,7 +8,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.experiments.artifacts import ARTIFACTS, simulate
 from repro.experiments.figures import FigureScale
-from repro.experiments.parallel import ExperimentJob
+from repro.experiments.parallel import ExperimentJob, parallel_run_experiments
+from repro.experiments.runcache import RunCache
 
 SUBCOMMANDS = ("list", "run", "reproduce", "chaos", "cache", "trace")
 
@@ -69,17 +70,19 @@ def test_run_is_one_point_of_its_sweep(trace, scheme, size, monkeypatch,
     assert runs == [row.result]
 
 
-def test_run_memory_bypasses_the_run_cache(monkeypatch, capsys):
-    seen = []
-    simulate = ExperimentJob.run
-    monkeypatch.setattr(ExperimentJob, "run", lambda job, **options: (
-        seen.append(options) or simulate(job, **options)))
+def test_run_memory_bypasses_the_run_cache(monkeypatch, tmp_path, capsys):
+    """``run`` simulates on every call, ``--memory`` or not: a stored
+    result has no phases to time."""
+    monkeypatch.setenv("REPRO_RUNCACHE", "1")
+    monkeypatch.setenv("REPRO_RUNCACHE_DIR", str(tmp_path))
+    assert main(["run", "--num-vms", "32", "--hadoop-flows", "20"]) == 0
+    assert "phase run " in capsys.readouterr().out
     assert main(["run", "--num-vms", "32", "--hadoop-flows", "20",
                  "--memory"]) == 0
-    assert seen[0]["cache"] is None
     out = capsys.readouterr().out
     assert "phase run-warmup" in out
     assert "mem   build" in out
+    assert RunCache(tmp_path).entries() == []
 
 
 def test_reproduce_fig5a_tiny(capsys):
@@ -96,6 +99,26 @@ def test_migrate_tiny(capsys):
                  "--packets-per-sender", "50"]) == 0
     out = capsys.readouterr().out
     assert "timestamp vector" in out
+
+
+@pytest.mark.parametrize("vip", ["99", "2"])
+def test_an_incast_destination_no_vm_can_be_exits_2_naming_it(vip, capsys):
+    """99 is placed nowhere and used to end in a MappingError traceback;
+    2 is a sender, which sent to itself while the table printed."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["reproduce", "table4_migration", "--num-senders", "4",
+              "--packets-per-sender", "20", "--destination-vip", vip])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "destination_vip must be 0 or num_senders + 1 (5)" in err
+    assert f"got {vip}" in err
+
+
+@pytest.mark.parametrize("vip", ["0", "5"])
+def test_an_incast_destination_outside_the_senders_runs(vip, capsys):
+    assert main(["reproduce", "table4_migration", "--num-senders", "4",
+                 "--packets-per-sender", "20", "--destination-vip", vip]) == 0
+    assert "timestamp vector" in capsys.readouterr().out
 
 
 def test_workers_flag_does_not_touch_environment(monkeypatch, capsys):
@@ -124,8 +147,6 @@ def test_cache_info(monkeypatch, tmp_path, capsys):
 
 def test_cache_clear(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("REPRO_RUNCACHE_DIR", str(tmp_path))
-    from repro.experiments.runcache import RunCache
-    from repro.experiments.runner import run_experiment
     from repro.transport.flow import FlowSpec
 
     from conftest import tiny_spec
@@ -134,7 +155,8 @@ def test_cache_clear(monkeypatch, tmp_path, capsys):
                       size_bytes=2_000, start_ns=i * 10_000)
              for i in range(8)]
     store = RunCache(tmp_path)
-    run_experiment(tiny_spec(), "SwitchV2P", flows, 8, 4.0, 0, cache=store)
+    parallel_run_experiments([ExperimentJob(tiny_spec(), "SwitchV2P", flows,
+                                            8, 4.0)], workers=0, cache=store)
     assert len(store.entries()) == 1
     assert main(["cache", "clear"]) == 0
     assert "removed 1 cached run(s)" in capsys.readouterr().out

@@ -27,7 +27,6 @@ from repro.experiments.runcache import RunCache
 from repro.experiments.runner import (
     RunResult,
     build_network,
-    run_experiment,
     run_flows,
 )
 from repro.experiments.sweeps import (
@@ -318,8 +317,8 @@ def test_run_experiment_twice_identical():
     """The one-call harness (scheme factory included) is deterministic."""
     flows = list(_hadoop_flows(48, 40, seed=9))
     results = [
-        run_experiment(FatTreeSpec(), "SwitchV2P", flows, 48,
-                       cache_ratio=4.0, seed=9, trace_name="hadoop")
+        ExperimentJob(FatTreeSpec(), "SwitchV2P", flows, 48,
+                      cache_ratio=4.0, seed=9, trace_name="hadoop").run()
         for _ in range(2)
     ]
     assert _result_dict(results[0]) == _result_dict(results[1])

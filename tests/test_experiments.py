@@ -9,6 +9,7 @@ import pytest
 from repro.baselines import NoCache
 from repro.experiments import (
     SCHEME_FACTORIES,
+    ExperimentJob,
     FigureScale,
     build_network,
     build_trace,
@@ -17,7 +18,6 @@ from repro.experiments import (
     make_scheme,
     migration_jobs,
     parallel_run_experiments,
-    run_experiment,
 )
 from repro.experiments.artifacts import gateway_packet_fraction
 from repro.experiments.figures import bluebird_kwargs
@@ -53,8 +53,8 @@ def test_make_scheme_rejects_unknown():
 
 
 def test_run_experiment_produces_complete_summary():
-    result = run_experiment(tiny_spec(), "SwitchV2P", tiny_flows(), num_vms=8,
-                            cache_ratio=10.0, trace_name="tiny")
+    result = ExperimentJob(tiny_spec(), "SwitchV2P", tiny_flows(), num_vms=8,
+                           cache_ratio=10.0, trace_name="tiny").run()
     assert result.scheme == "SwitchV2P"
     assert result.trace == "tiny"
     assert result.completion_rate == 1.0

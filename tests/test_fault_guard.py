@@ -30,7 +30,6 @@ from repro.baselines import NoCache
 from repro.experiments import chaosfuzz
 from repro.experiments.chaosfuzz import ChaosFuzzParams, gray_chaos_params, run_chaos_fuzz
 from repro.experiments.runner import build_network, make_scheme, run_flows
-from repro.experiments.scenario import Scenario
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import Fabric, FatTreeSpec
 from repro.sim.engine import usec
@@ -77,17 +76,21 @@ def _chaos(monkeypatch, params, forced):
         trials.append(scenario)
         return scenario
 
-    def play(self, flows, horizon_ns, transport=None):
-        self.result = run_flows(self.network, list(flows), transport, horizon_ns)
+    results = []
+
+    def recording_run(*args):
+        results.append(run_flows(*args))
+        return results[-1]
 
     monkeypatch.setattr(chaosfuzz, "build_scenario", recording_build)
-    monkeypatch.setattr(Scenario, "play", play)
+    monkeypatch.setattr(chaosfuzz, "run_flows", recording_run)
     monkeypatch.setattr(Fabric, "guard", recording_guard)
     result = run_chaos_fuzz(10, 1, params=params, shrink=False)
-    assert len(trials) == len(result.outcomes) == 20
+    assert len(trials) == len(results) == len(result.outcomes) == 20
     return ([dataclasses.asdict(outcome) for outcome in result.outcomes],
-            [(dataclasses.asdict(scenario.result), scenario.suite._schedule.fired,
-              counters(scenario.network)) for scenario in trials],
+            [(dataclasses.asdict(run), scenario.suite._schedule.fired,
+              counters(scenario.network))
+             for scenario, run in zip(trials, results)],
             guards)
 
 

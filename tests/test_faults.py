@@ -521,7 +521,7 @@ def test_chaos_experiment_is_deterministic():
     params = replace(ChaosParams(), num_flows=120, horizon_ns=msec(12),
                      schemes=("SwitchV2P",))
     job = chaos_jobs(params)["SwitchV2P", "faulted"]
-    first, second = (job.run(cache=None) for _ in range(2))
+    first, second = (job.run() for _ in range(2))
     assert first.avg_fct_ns == second.avg_fct_ns
     assert first.resilience.availability == second.resilience.availability
     assert first.resilience.during.mean_hit_rate == \

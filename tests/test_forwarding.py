@@ -26,6 +26,16 @@ def test_ecmp_index_is_deterministic_and_in_range():
             assert index == ecmp_index(key, 42, n)
 
 
+def test_ecmp_index_is_key_xor_salt_mod_n_for_n_dividing_16():
+    """2654435761 % 16 == 1, so the multiply leaves the low four bits
+    alone: what ``ecmp_index``'s docstring says, pinned."""
+    keys = [0, 1, 2, 15, 16, 255, 2**31 - 1, 2**32 + 5, 2**40 + 12345]
+    for n in (1, 2, 4, 8, 16):
+        for key in keys:
+            for salt in (0, 17, 31, 2**20 + 3):
+                assert ecmp_index(key, salt, n) == (key ^ salt) % n
+
+
 def test_ecmp_spreads_across_paths():
     choices = {ecmp_index(key, 7, 4) for key in range(64)}
     assert choices == {0, 1, 2, 3}

@@ -7,7 +7,7 @@ numbers — the same orientation as the benchmark harness.
 
 import pytest
 
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import ExperimentJob
 from repro.net.topology import FatTreeSpec
 from repro.sim.randomness import RandomStreams
 from repro.traces.hadoop import HadoopTraceParams, generate
@@ -26,9 +26,9 @@ def results():
     out = {}
     for scheme in ("NoCache", "Direct", "OnDemand", "GwCache",
                    "LocalLearning", "SwitchV2P"):
-        out[scheme] = run_experiment(SPEC, scheme, flows, NUM_VMS,
-                                     cache_ratio=8.0, seed=5,
-                                     trace_name="hadoop")
+        out[scheme] = ExperimentJob(SPEC, scheme, flows, NUM_VMS,
+                                    cache_ratio=8.0, seed=5,
+                                    trace_name="hadoop").run()
     return out
 
 
@@ -89,7 +89,7 @@ def test_deterministic_rerun(results):
     params = HadoopTraceParams(num_vms=NUM_VMS, num_flows=600,
                                num_servers=SPEC.num_servers)
     flows = generate(params, RandomStreams(5).stream("trace"))
-    again = run_experiment(SPEC, "SwitchV2P", flows, NUM_VMS,
-                           cache_ratio=8.0, seed=5, trace_name="hadoop")
+    again = ExperimentJob(SPEC, "SwitchV2P", flows, NUM_VMS,
+                          cache_ratio=8.0, seed=5, trace_name="hadoop").run()
     assert again.avg_fct_ns == results["SwitchV2P"].avg_fct_ns
     assert again.hit_rate == results["SwitchV2P"].hit_rate

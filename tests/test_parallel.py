@@ -8,13 +8,15 @@ import time
 import pytest
 
 from repro.baselines import NoCache
+from repro.experiments.artifacts import ARTIFACTS
+from repro.experiments.faults import ChaosParams
 from repro.experiments.parallel import (
     ExperimentJob,
     ExperimentJobError,
     default_workers,
     parallel_run_experiments,
 )
-from repro.experiments.runcache import RunCache
+from repro.experiments.runcache import RunCache, job_key
 from repro.experiments.runner import SCHEME_FACTORIES
 from repro.perf import PhaseTimer
 from repro.traces.spec import TraceSpec
@@ -270,3 +272,21 @@ def test_failing_job_is_named_when_run_inline():
                            flows=_flows(4), num_vms=8, cache_ratio=0.5)
     with pytest.raises(ExperimentJobError, match="NoSuchScheme.*ratio 0.5"):
         parallel_run_experiments([broken], workers=0, cache=None)
+
+
+@pytest.mark.parametrize("name", ["gray_degradation", "table4_migration"])
+def test_jobs_that_key_apart_describe_apart(name):
+    """A gray run and its fault-free baseline used to both read
+    "SwitchV2P (cache ratio 16, trace unnamed, seed 0)": the report now
+    names the faults, knobs and scheme kwargs that set them apart."""
+    entry = ARTIFACTS[name]
+    jobs = entry.jobs(entry.config).values()
+    described = {job_key(job): job.describe() for job in jobs}
+    assert len(set(described.values())) == len(described) > 1
+
+
+def test_a_job_names_its_faults_by_count_and_kind():
+    job = ARTIFACTS["faults_resilience"].jobs(ChaosParams())[
+        "SwitchV2P", "faulted"]
+    assert ("faults [1 gateway-crash, 1 gateway-restart, 2 switch-fail, "
+            "2 switch-recover]") in job.describe()

@@ -13,11 +13,12 @@ import inspect
 import json
 from typing import ClassVar
 
+import numpy as np
 import pytest
 
 from repro.experiments.faults import ChaosParams, chaos_jobs, chaos_schedule
 from repro.experiments.graydegrade import HARDENED
-from repro.experiments.parallel import ExperimentJob
+from repro.experiments.parallel import ExperimentJob, parallel_run_experiments
 from repro.experiments.runcache import (
     RunCache,
     _encode,
@@ -30,7 +31,6 @@ from repro.experiments.runcache import (
     run_key,
     runcache_enabled,
 )
-from repro.experiments.runner import run_experiment
 from repro.experiments.scenario import ScenarioKnobs
 from repro.faults import FaultEvent, FaultKind
 from repro.metrics.resilience import ResilienceSummary
@@ -53,16 +53,23 @@ def _result_dict(result) -> dict:
     return dataclasses.asdict(result)
 
 
-def _base_key(**overrides) -> str:
+def _job(**overrides) -> ExperimentJob:
     params = dict(spec=tiny_spec(), scheme_name="SwitchV2P", num_vms=8,
                   cache_ratio=4.0, seed=0, flows=_flows())
     params.update(overrides)
-    spec = params.pop("spec")
-    scheme = params.pop("scheme_name")
-    num_vms = params.pop("num_vms")
-    ratio = params.pop("cache_ratio")
-    seed = params.pop("seed")
-    return run_key(spec, scheme, num_vms, ratio, seed, **params)
+    return ExperimentJob(**params)
+
+
+def _base_key(**overrides) -> str:
+    return job_key(_job(**overrides))
+
+
+def _run(store="auto", **overrides):
+    """Simulate the base job through the one path that reads and writes
+    the store."""
+    [result] = parallel_run_experiments([_job(**overrides)], workers=0,
+                                        cache=store)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -73,8 +80,7 @@ def test_key_is_stable():
 
 
 #: One override of the base run per thing the key must see; the test
-#: below it fails, by name, for a ``run_key`` parameter or an
-#: ``ExperimentJob`` field that has none.
+#: below it fails, by name, for an ``ExperimentJob`` field that has none.
 PERTURBATIONS = [
     {"scheme_name": "GwCache"},
     {"num_vms": 16},
@@ -106,16 +112,28 @@ def test_key_changes_with_every_input(override):
 def test_every_run_key_parameter_and_job_field_is_perturbed():
     """What the W403 lint checked by name, checked by behaviour: a knob
     is keyed when changing it changes the key, and the list of knobs is
-    read off the code, so a new one cannot be forgotten quietly."""
-    parameters = set(inspect.signature(run_key).parameters)
+    read off the job, so a new one cannot be forgotten quietly.
+    ``run_key``'s own parameters are job fields."""
     fields = {field.name for field in dataclasses.fields(ExperimentJob)}
-    assert fields == parameters, (
-        "ExperimentJob fields and run_key parameters differ: "
-        f"{sorted(fields ^ parameters)}")
+    parameters = set(inspect.signature(run_key).parameters) - {"fields"}
+    assert parameters <= fields
     perturbed = {name for override in PERTURBATIONS for name in override}
-    assert not parameters - perturbed, (
-        f"no PERTURBATIONS entry changes {sorted(parameters - perturbed)}; "
+    assert not fields - perturbed, (
+        f"no PERTURBATIONS entry changes {sorted(fields - perturbed)}; "
         "add one, so test_key_changes_with_every_input checks it is keyed")
+
+
+def test_a_field_added_to_the_job_is_keyed():
+    """``job_key`` reads the job's fields, so a field nobody taught the
+    run cache about still moves the key."""
+    @dataclasses.dataclass(frozen=True)
+    class QueueingJob(ExperimentJob):
+        queue_model: str = "fifo"
+
+    fifo = QueueingJob(spec=tiny_spec(), scheme_name="SwitchV2P",
+                       flows=_flows(), num_vms=8, cache_ratio=4.0)
+    assert job_key(fifo) != job_key(dataclasses.replace(fifo,
+                                                        queue_model="red"))
 
 
 _EVENT = FaultEvent(1_000, FaultKind.SWITCH_FAIL, ("spine", 0, 0))
@@ -164,18 +182,8 @@ def test_run_key_requires_exactly_one_workload_form():
 def test_job_key_matches_run_key():
     job = ExperimentJob(spec=tiny_spec(), scheme_name="SwitchV2P",
                         flows=_flows(), num_vms=8, cache_ratio=4.0, seed=0)
-    assert job_key(job) == _base_key()
-
-
-def test_job_key_refuses_a_field_run_key_has_no_parameter_for():
-    @dataclasses.dataclass(frozen=True)
-    class QueueingJob(ExperimentJob):
-        queue_model: str = "fifo"
-
-    job = QueueingJob(spec=tiny_spec(), scheme_name="SwitchV2P",
-                      flows=_flows(), num_vms=8, cache_ratio=4.0, seed=0)
-    with pytest.raises(TypeError, match="queue_model"):
-        job_key(job)
+    assert job_key(job) == run_key(tiny_spec(), "SwitchV2P", 8, 4.0, 0,
+                                   flows=_flows())
 
 
 def test_encode_refuses_a_dataclass_whose_fields_do_not_cover_it():
@@ -219,6 +227,20 @@ def test_flows_digest_is_content_addressed():
     assert flows_digest(_flows()) != flows_digest(_flows(seed_shift=2))
 
 
+def test_flows_digest_reads_each_flow_by_its_values():
+    """A numpy scalar keys as its Python value, a float apart from the
+    equal int, and a value with no canonical form is refused.  Unmemoized:
+    the memo cannot tell flows apart that compare equal."""
+    flow = FlowSpec(src_vip=1, dst_vip=2, size_bytes=2_000, start_ns=0)
+    digest = _flow_tuple_digest.__wrapped__
+    assert digest((dataclasses.replace(flow, src_vip=np.int64(1)),)) \
+        == digest((flow,))
+    assert digest((dataclasses.replace(flow, udp_rate_bps=10**9),)) \
+        != digest((flow,))
+    with pytest.raises(TypeError, match="cannot canonically encode"):
+        digest((dataclasses.replace(flow, src_vip=object()),))
+
+
 def test_flows_digest_memo_returns_the_unmemoized_digest():
     # A sweep keys every grid point off the same flows; the repeats
     # must be memo hits, and a hit must equal a fresh computation.
@@ -239,8 +261,7 @@ def test_miss_then_store_then_hit(tmp_path):
     key = _base_key()
     assert store.get(key) is None
     assert store.stats.misses == 1
-    result = run_experiment(tiny_spec(), "SwitchV2P", flows, 8, 4.0, 0,
-                            cache=store)
+    result = _run(store, flows=flows)
     assert store.stats.stores == 1
     cached = store.get(key)
     assert cached is not None
@@ -251,10 +272,8 @@ def test_miss_then_store_then_hit(tmp_path):
 def test_run_experiment_warm_hit_is_identical(tmp_path):
     store = RunCache(tmp_path)
     flows = list(_flows())
-    cold = run_experiment(tiny_spec(), "SwitchV2P", flows, 8, 4.0, 0,
-                          cache=store)
-    warm = run_experiment(tiny_spec(), "SwitchV2P", flows, 8, 4.0, 0,
-                          cache=store)
+    cold = _run(store, flows=flows)
+    warm = _run(store, flows=flows)
     assert store.stats.hits == 1
     assert store.stats.stores == 1
     assert _result_dict(cold) == _result_dict(warm)
@@ -272,7 +291,8 @@ def test_a_fault_job_result_round_trips(tmp_path):
     window FCTs included, reloads equal to what was stored."""
     params = ChaosParams(num_vms=16, num_flows=60, schemes=("SwitchV2P",))
     job = chaos_jobs(params)["SwitchV2P", "faulted"]
-    result = job.run(cache=RunCache(tmp_path))
+    [result] = parallel_run_experiments([job], workers=0,
+                                        cache=RunCache(tmp_path))
     reloaded = RunCache(tmp_path).get(job_key(job))
     assert isinstance(reloaded.resilience, ResilienceSummary)
     assert reloaded.resilience.gateway_failovers >= 1
@@ -282,8 +302,7 @@ def test_a_fault_job_result_round_trips(tmp_path):
 
 def test_corrupted_entry_is_dropped(tmp_path):
     store = RunCache(tmp_path)
-    run_experiment(tiny_spec(), "SwitchV2P", list(_flows()), 8, 4.0, 0,
-                   cache=store)
+    _run(store)
     (entry,) = store.entries()
     entry.write_text("{not json")
     key = _base_key()
@@ -294,8 +313,7 @@ def test_corrupted_entry_is_dropped(tmp_path):
 
 def test_stale_schema_entry_is_dropped(tmp_path):
     store = RunCache(tmp_path)
-    run_experiment(tiny_spec(), "SwitchV2P", list(_flows()), 8, 4.0, 0,
-                   cache=store)
+    _run(store)
     (entry,) = store.entries()
     payload = json.loads(entry.read_text())
     payload["schema"] = -1
@@ -308,8 +326,7 @@ def test_stale_schema_entry_is_dropped(tmp_path):
 def test_wrong_key_entry_is_dropped(tmp_path):
     """An entry whose embedded key mismatches its address is invalid."""
     store = RunCache(tmp_path)
-    run_experiment(tiny_spec(), "SwitchV2P", list(_flows()), 8, 4.0, 0,
-                   cache=store)
+    _run(store)
     (entry,) = store.entries()
     key = _base_key()
     other = "ab" + key[2:]
@@ -322,10 +339,8 @@ def test_wrong_key_entry_is_dropped(tmp_path):
 
 def test_clear_and_size(tmp_path):
     store = RunCache(tmp_path)
-    run_experiment(tiny_spec(), "SwitchV2P", list(_flows()), 8, 4.0, 0,
-                   cache=store)
-    run_experiment(tiny_spec(), "SwitchV2P", list(_flows()), 8, 8.0, 0,
-                   cache=store)
+    _run(store)
+    _run(store, cache_ratio=8.0)
     assert len(store.entries()) == 2
     assert store.size_bytes() > 0
     assert store.clear() == 2
@@ -342,7 +357,7 @@ def test_env_kill_switch(monkeypatch, tmp_path):
     assert not runcache_enabled()
     assert default_cache() is None
     assert resolve_cache("auto") is None
-    run_experiment(tiny_spec(), "SwitchV2P", list(_flows()), 8, 4.0, 0)
+    _run()
     assert list(tmp_path.rglob("*.json")) == []
 
 
@@ -354,7 +369,7 @@ def test_env_enables_default_cache(monkeypatch, tmp_path):
     assert isinstance(store, RunCache)
     assert store.root == tmp_path
     assert resolve_cache("auto") is store
-    run_experiment(tiny_spec(), "SwitchV2P", list(_flows()), 8, 4.0, 0)
+    _run()
     assert len(store.entries()) == 1
 
 
@@ -364,8 +379,7 @@ def test_explicit_store_overrides_kill_switch(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_RUNCACHE", "0")
     store = RunCache(tmp_path)
     assert resolve_cache(store) is store
-    run_experiment(tiny_spec(), "SwitchV2P", list(_flows()), 8, 4.0, 0,
-                   cache=store)
+    _run(store)
     assert store.stats.stores == 1
 
 

@@ -1,11 +1,11 @@
 """Tests for the sweep helpers: normalization, and every run a pool job."""
 
+import os
+
 import pytest
 
-from repro.experiments import sweeps
 from repro.experiments.parallel import ExperimentJob, parallel_run_experiments
 from repro.experiments.runcache import RunCache
-from repro.experiments.runner import run_experiment
 from repro.experiments.sweeps import (
     REFERENCE,
     cache_size_sweep,
@@ -84,11 +84,13 @@ BENCH_SCHEMES = ("SwitchV2P", "GwCache", "NoCache")
 
 def test_parent_simulates_nothing_with_workers(monkeypatch):
     """Reference run included, every simulation reaches the pool."""
-    def parent_simulated(*args, **kwargs):
-        raise AssertionError("the sweep simulated in the parent process")
+    parent, simulate = os.getpid(), ExperimentJob.run
 
-    monkeypatch.setattr(sweeps, "run_experiment", parent_simulated,
-                        raising=False)
+    def run(job, *args, **kwargs):
+        assert os.getpid() != parent, "the sweep simulated in the parent"
+        return simulate(job, *args, **kwargs)
+
+    monkeypatch.setattr(ExperimentJob, "run", run)
     timer, ticks = CountingTimer(), []
     rows = cache_size_sweep(tiny_spec(), flows(), num_vms=8,
                             ratios=BENCH_RATIOS, schemes=BENCH_SCHEMES,
@@ -115,11 +117,12 @@ def test_replicated_rows_share_one_result_object():
 
 
 def test_reference_job_hits_entry_stored_by_run_experiment(tmp_path):
-    """The reference job's key is ``run_key`` of the same inputs, so a
-    store written by the old in-parent reference run still hits."""
+    """The reference job's key is that of a lone job of the same
+    inputs, so a store written by such a run still hits."""
     store = RunCache(tmp_path)
-    reference = run_experiment(tiny_spec(), "NoCache", flows(), 8, 0.0, 3,
-                               trace_name="hadoop", cache=store)
+    [reference] = parallel_run_experiments(
+        [ExperimentJob(tiny_spec(), "NoCache", flows(), 8, 0.0, 3,
+                       trace_name="hadoop")], workers=0, cache=store)
     assert (store.stats.stores, store.stats.hits) == (1, 0)
     rows = cache_size_sweep(tiny_spec(), flows(), num_vms=8, ratios=(4.0,),
                             schemes=("SwitchV2P", "NoCache"), seed=3,

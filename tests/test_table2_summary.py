@@ -10,9 +10,9 @@ import pytest
 
 from repro.core import SwitchV2PConfig
 from repro.experiments import (
+    ExperimentJob,
     migration_jobs,
     parallel_run_experiments,
-    run_experiment,
 )
 from repro.net.topology import FatTreeSpec
 from repro.sim.randomness import RandomStreams
@@ -37,17 +37,18 @@ def runs():
     flows = trace()
     out = {}
     for scheme in ("NoCache", "SwitchV2P", "OnDemand"):
-        out[scheme] = run_experiment(SPEC, scheme, flows, NUM_VMS,
-                                     CACHE_RATIO, seed=9,
-                                     trace_name="hadoop")
+        out[scheme] = ExperimentJob(SPEC, scheme, flows, NUM_VMS,
+                                    CACHE_RATIO, seed=9,
+                                    trace_name="hadoop").run()
     # A small-cache SwitchV2P point (1 entry/switch-ish).
-    out["SwitchV2P-small"] = run_experiment(
-        SPEC, "SwitchV2P", flows, NUM_VMS, 0.5, seed=9, trace_name="hadoop")
+    out["SwitchV2P-small"] = ExperimentJob(
+        SPEC, "SwitchV2P", flows, NUM_VMS, 0.5, seed=9,
+        trace_name="hadoop").run()
     # The role-unaware ablation (Table 2's topology-aware caching row).
-    out["SwitchV2P-greedy"] = run_experiment(
+    out["SwitchV2P-greedy"] = ExperimentJob(
         SPEC, "SwitchV2P", flows, NUM_VMS, CACHE_RATIO, seed=9,
         trace_name="hadoop",
-        scheme_kwargs={"config": SwitchV2PConfig(role_aware=False)})
+        scheme_kwargs={"config": SwitchV2PConfig(role_aware=False)}).run()
     return out
 
 
@@ -90,10 +91,10 @@ def test_row_gateway_resources():
         servers_per_rack=SPEC.servers_per_rack,
         spines_per_pod=SPEC.spines_per_pod, num_cores=SPEC.num_cores,
         gateway_pods=SPEC.gateway_pods, gateways_per_pod=1)
-    full = run_experiment(SPEC, "SwitchV2P", flows, NUM_VMS, CACHE_RATIO,
-                          seed=9)
-    reduced = run_experiment(small_fleet, "SwitchV2P", flows, NUM_VMS,
-                             CACHE_RATIO, seed=9)
+    full = ExperimentJob(SPEC, "SwitchV2P", flows, NUM_VMS, CACHE_RATIO,
+                         seed=9).run()
+    reduced = ExperimentJob(small_fleet, "SwitchV2P", flows, NUM_VMS,
+                            CACHE_RATIO, seed=9).run()
     assert reduced.avg_fct_ns < 1.2 * full.avg_fct_ns
     assert reduced.completion_rate == 1.0
 
@@ -106,9 +107,9 @@ def test_row_topology_sensitivity():
     params = HadoopTraceParams(num_vms=NUM_VMS, num_flows=500,
                                num_servers=spec.num_servers)
     flows = generate(params, RandomStreams(9).stream("scaleup"))
-    nocache = run_experiment(spec, "NoCache", flows, NUM_VMS, 0.0, seed=9)
-    v2p = run_experiment(spec, "SwitchV2P", flows, NUM_VMS, CACHE_RATIO,
-                         seed=9)
+    nocache = ExperimentJob(spec, "NoCache", flows, NUM_VMS, 0.0, seed=9).run()
+    v2p = ExperimentJob(spec, "SwitchV2P", flows, NUM_VMS, CACHE_RATIO,
+                        seed=9).run()
     assert v2p.avg_fct_ns < nocache.avg_fct_ns
     assert v2p.hit_rate > 0.3
 
