@@ -54,8 +54,8 @@ def test_faults_resilience(benchmark):
 
 def test_hit_rate_dips_then_recovers_after_spine_restart():
     """The spine's cold restart is visible in the windowed hit rate."""
-    samples = chaos_jobs(ChaosParams())["SwitchV2P", "faulted"].run(
-        cache=None).hit_rate_windows
+    job = chaos_jobs(ChaosParams())["SwitchV2P", "faulted"]
+    samples = job.run().hit_rate_windows
     pre = [value for time_ns, value in samples
            if SPINE_FAIL_NS - GATEWAY_CRASH_NS <= time_ns < SPINE_FAIL_NS]
     post = [value for time_ns, value in samples if time_ns > SPINE_RECOVER_NS]
