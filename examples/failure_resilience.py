@@ -40,7 +40,7 @@ def run(scheme, fail_switch_picker):
 
     # Fail a switch, then keep sending to the same destination.
     victim = fail_switch_picker(network, scheme)
-    victim.failed = True
+    victim.fail()
     player.add_flows([FlowSpec(src_vip=10 + i, dst_vip=40, size_bytes=4_000,
                                start_ns=network.engine.now + i * usec(100))
                       for i in range(4)])

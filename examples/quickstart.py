@@ -40,8 +40,7 @@ def run(scheme) -> None:
     player.run()
 
     collector = network.collector
-    name = getattr(scheme, "name", type(scheme).__name__)
-    print(f"--- {name} ---")
+    print(f"--- {scheme.name} ---")
     print(f"  flows completed:      {collector.completion_rate:.0%}")
     print(f"  in-network hit rate:  {collector.hit_rate:.1%}")
     print(f"  avg FCT:              {collector.average_fct_ns() / 1000:.1f} us")

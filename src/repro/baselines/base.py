@@ -9,8 +9,9 @@ the ToR control plane (Bluebird), by an omniscient controller
 All schemes plug into the same three hook points:
 
 * ``on_host_send`` — the sender's hypervisor chooses the outer header;
-* ``switch_hook`` — the function each switch runs before forwarding,
-  bound per switch at set-up (None where there is nothing to do);
+* ``bind_hook`` — builds the function each switch runs before
+  forwarding, once per switch at set-up (None where there is nothing
+  to do);
 * ``on_misdelivery`` — the old host re-forwards packets for moved VMs.
 
 The base class implements the common gateway-driven behaviour so
@@ -19,14 +20,13 @@ subclasses override only what differs.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.net.addresses import UNRESOLVED
 from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.link import Link
+    from repro.cache.core import SwitchCache
     from repro.net.node import Switch, SwitchHook
     from repro.vnet.hypervisor import Host
     from repro.vnet.network import VirtualNetwork
@@ -75,33 +75,27 @@ class TranslationScheme:
         packet.outer_dst = gateway.pip
         packet.resolved = False
 
-    def switch_hook(self, switch: Switch) -> SwitchHook | None:
+    def bind_hook(self, switch: Switch) -> SwitchHook | None:
         """The function ``switch`` runs on every packet, or None.
 
-        Asked once per switch when the network wires the scheme in
-        (after :meth:`setup`) and again whenever the scheme calls
-        ``switch.bind_hook()``.  A subclass that spells its data plane
-        as an :meth:`on_switch` override gets that method bound to the
-        switch; otherwise :meth:`bind_hook` decides, and None — nothing
-        to do here, the switch makes no call at all — is the default.
+        Asked once per switch, when the network wires the scheme in
+        (after :meth:`setup`); the hook may close over whatever set-up
+        built for the switch.  None — nothing to do here, the switch
+        makes no call at all — is the default: plain forwarding.
         """
-        if type(self).on_switch is not TranslationScheme.on_switch:
-            return partial(self.on_switch, switch)
-        return self.bind_hook(switch)
-
-    def bind_hook(self, switch: Switch) -> SwitchHook | None:
-        """Build ``switch``'s hook; default: plain forwarding."""
         return None
 
-    def on_switch(self, switch: Switch, packet: Packet,
-                  ingress: Link | None) -> bool:
-        """Run ``switch``'s hook on ``packet``: False consumes it.
+    def on_switch_reset(self, switch: Switch) -> None:
+        """A failed or recovered ``switch`` lost its SRAM state.
 
-        The data plane calls the hook directly; this is the same step
-        for callers holding the scheme (tests, tools).
+        Called by :meth:`Switch.fail`/:meth:`Switch.recover`; a scheme
+        with per-switch state empties it *in place*, so the hook bound
+        at set-up stays valid.  Default: no switch state, nothing to do.
         """
-        hook = switch.hook
-        return True if hook is None else hook(packet, ingress)
+
+    def cache_of(self, switch: Switch) -> SwitchCache | None:
+        """``switch``'s mapping cache, or None (default: no caches)."""
+        return None
 
     def on_misdelivery(self, host: Host, packet: Packet) -> None:
         """Default: Andromeda-style follow-me redirection at the old host."""

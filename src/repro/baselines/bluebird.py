@@ -13,7 +13,7 @@ limited punt channel, which drops packets when saturated.
 from __future__ import annotations
 
 from repro.baselines.caching import CachingScheme
-from repro.net.node import Layer, Switch
+from repro.net.node import Layer, Switch, SwitchHook
 from repro.net.packet import Packet
 from repro.sim.engine import msec, usec
 from repro.vnet.hypervisor import Host
@@ -62,14 +62,18 @@ class Bluebird(CachingScheme):
         packet.outer_dst = host.pip
         packet.resolved = False
 
-    def on_switch(self, switch: Switch, packet: Packet, ingress) -> bool:
-        if not self.is_traffic(packet) or packet.resolved:
-            return True
-        if switch.layer != Layer.TOR:
-            return True
-        if self.try_resolve(switch, packet):
-            return True
-        return self._punt(switch, packet)
+    def bind_hook(self, switch: Switch) -> SwitchHook | None:
+        """ToRs serve hits and punt misses; other switches only forward."""
+        cache = self.caches.get(switch.switch_id)
+        if cache is None:
+            return None
+
+        def hook(packet: Packet, ingress) -> bool:
+            if not self.is_traffic(packet) or packet.resolved \
+                    or self.try_resolve(switch, packet, cache):
+                return True
+            return self._punt(switch, packet)
+        return hook
 
     def _punt(self, switch: Switch, packet: Packet) -> bool:
         """Send a missing packet through the data-to-control channel."""

@@ -15,32 +15,12 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.baselines.base import TranslationScheme
-from repro.cache.core import SwitchCache
+from repro.cache.core import CacheStats, SwitchCache
 from repro.net.packet import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.node import Switch, SwitchHook
     from repro.vnet.network import VirtualNetwork
-
-
-class _BoundCaches(dict):
-    """``switch_id -> cache``; replacing an entry rebinds that switch.
-
-    A switch's hook closes over its cache, so whoever swaps one —
-    ``on_switch_reset`` after a fault, a test shrinking one ToR's cache
-    — must have the hook follow.  Assignment is the only mutation the
-    table supports after set-up.
-    """
-
-    __slots__ = ("_scheme",)
-
-    def __init__(self, scheme: CachingScheme, caches: dict) -> None:
-        super().__init__(caches)
-        self._scheme = scheme
-
-    def __setitem__(self, switch_id: int, cache) -> None:
-        super().__setitem__(switch_id, cache)
-        self._scheme.rebind_hooks(switch_id)
 
 
 class CachingScheme(TranslationScheme):
@@ -61,8 +41,7 @@ class CachingScheme(TranslationScheme):
         self.total_cache_slots = total_cache_slots
         self.caches: dict[int, SwitchCache] = {}
         #: ``switch_id -> zero-arg callback`` factory installed by the
-        #: fluid scheduler; every cache (including fault-reset rebuilds)
-        #: gets its observer attached from it.
+        #: fluid scheduler; every cache gets its observer attached from it.
         self.cache_observer = None
 
     # ------------------------------------------------------------------
@@ -77,11 +56,11 @@ class CachingScheme(TranslationScheme):
         self.prepare(network)
         ids = list(self.caching_switch_ids(network))
         slots = self.slots_by_switch(network, ids)
-        self.caches = _BoundCaches(self, {
+        self.caches = {
             switch_id: self.make_cache(slots[switch_id],
                                        salt=switch_id * 0x9E3779B1)
             for switch_id in ids
-        })
+        }
         if self.cache_observer is not None:
             self.set_cache_observer(self.cache_observer)
 
@@ -115,34 +94,19 @@ class CachingScheme(TranslationScheme):
         """Fault hook: a failed/recovered switch loses its SRAM state.
 
         Invoked by :meth:`Switch.fail`/:meth:`Switch.recover`; the
-        switch's cache is rebuilt empty with the same geometry and
-        fresh stats, so a recovered switch re-warms from scratch
-        (cold restart, matching the paper's opportunistic-cache model).
+        switch's cache is emptied in place with fresh stats, so a
+        recovered switch re-warms from scratch (cold restart, matching
+        the paper's opportunistic-cache model) while its hook and
+        observer keep the same cache object.
         """
         cache = self.caches.get(switch.switch_id)
-        if cache is None:
-            return
-        fresh = self.make_cache(cache.num_slots, salt=cache.salt)
-        if self.cache_observer is not None:
-            fresh.attach_observer(self.cache_observer(switch.switch_id))
-        self.caches[switch.switch_id] = fresh
+        if cache is not None:
+            cache.clear()
+            cache.stats = CacheStats()
 
     # ------------------------------------------------------------------
     # switch hook
     # ------------------------------------------------------------------
-    def rebind_hooks(self, switch_id: int) -> None:
-        """Have one switch re-derive its hook.
-
-        For after set-up, when something a hook closed over has been
-        replaced.  A switch this scheme does not (yet) handle is left
-        alone, so it is a no-op until the network has wired it in.
-        """
-        if self.network is None:
-            return
-        switch = self.network.fabric.switch_by_id[switch_id]
-        if switch.handler is self:
-            switch.bind_hook()
-
     def bind_hook(self, switch: Switch) -> SwitchHook | None:
         """Default data plane: serve a lookup, else learn the destination.
 
@@ -168,23 +132,19 @@ class CachingScheme(TranslationScheme):
     # ------------------------------------------------------------------
     # data-plane building blocks
     # ------------------------------------------------------------------
-    def try_resolve(self, switch: Switch, packet: Packet, cache=None) -> bool:
-        """Look up an unresolved packet in ``switch``'s cache.
+    def try_resolve(self, switch: Switch, packet: Packet,
+                    cache: SwitchCache | None) -> bool:
+        """Look up an unresolved packet in ``switch``'s cache (the one
+        its hook holds; None, a switch without one, is a miss).
 
         Handles the misdelivery-tag protocol: a tagged packet carries
         its stale ``(vip, old_pip)`` pair; a cache holding exactly that
         value invalidates it and reports a miss, while a cache holding
         a *different* (fresher) value may still serve the packet.
 
-        Args:
-            cache: the switch's cache, for callers that hold it (the
-                bound hooks); looked up in ``caches`` when omitted.
-
         Returns:
             True if the packet was resolved by this switch.
         """
-        if cache is None:
-            cache = self.caches.get(switch.switch_id)
         if cache is None or packet.resolved:
             return False
         vip = packet.dst_vip

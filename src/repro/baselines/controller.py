@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.baselines.caching import CachingScheme
 from repro.net.addresses import pip_pod, pip_rack
-from repro.net.node import Switch
+from repro.net.node import Switch, SwitchHook
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import usec
 from repro.vnet.gateway import Gateway
@@ -119,10 +119,16 @@ class Controller(CachingScheme):
                 self._flow_stats[packet.flow_id] = stat
             stat.packets += 1
 
-    def on_switch(self, switch, packet: Packet, ingress) -> bool:
-        if self.is_traffic(packet):
-            self.try_resolve(switch, packet)
-        return True
+    def bind_hook(self, switch: Switch) -> SwitchHook | None:
+        cache = self.caches.get(switch.switch_id)
+        if cache is None:
+            return None
+
+        def hook(packet: Packet, ingress) -> bool:
+            if self.is_traffic(packet):
+                self.try_resolve(switch, packet, cache)
+            return True
+        return hook
 
     # ------------------------------------------------------------------
     # periodic allocation

@@ -19,7 +19,7 @@ Implementing the rejected design makes §2.4's comparison measurable
 from __future__ import annotations
 
 from repro.baselines.base import TranslationScheme
-from repro.net.node import Layer, Switch, ecmp_index
+from repro.net.node import Layer, Switch, SwitchHook, ecmp_index
 from repro.net.packet import Packet, PacketKind
 from repro.vnet.hypervisor import Host
 from repro.vnet.network import VirtualNetwork
@@ -60,33 +60,40 @@ class DhtStore(TranslationScheme):
         packet.outer_dst = host.pip
         packet.resolved = False
 
-    def on_switch(self, switch: Switch, packet: Packet, ingress) -> bool:
-        if packet.kind not in (PacketKind.DATA, PacketKind.ACK):
-            return True
-        if packet.resolved:
-            return True
-        resolver = self.resolver_of(packet.dst_vip)
-        if resolver is switch:
-            return self._resolve_here(switch, packet)
-        if switch.layer != Layer.TOR:
-            # Mid-route without a resolver: should not happen (routes
-            # are precomputed at the ToR); drop defensively.
-            return True
+    def bind_hook(self, switch: Switch) -> SwitchHook:
+        """Every switch may resolve a share of the VIPs; ToRs also send
+        unresolved packets on their detour to the resolver."""
+        is_tor = switch.layer == Layer.TOR
         assert self.network is not None
-        if resolver.failed:
-            switch.stats.drops += 1
+        fabric = self.network.fabric
+
+        def hook(packet: Packet, ingress) -> bool:
+            if packet.kind not in (PacketKind.DATA, PacketKind.ACK):
+                return True
+            if packet.resolved:
+                return True
+            resolver = self.resolver_of(packet.dst_vip)
+            if resolver is switch:
+                return self._resolve_here(switch, packet)
+            if not is_tor:
+                # Mid-route without a resolver: should not happen (routes
+                # are precomputed at the ToR); drop defensively.
+                return True
+            if resolver.failed:
+                switch.stats.drops += 1
+                return False
+            route = fabric.path_from_tor(switch, resolver,
+                                         key=packet.flow_id)
+            if not route:
+                return self._resolve_here(switch, packet)
+            packet.route_path = route
+            packet.route_index = 0
+            packet.target_switch = resolver.switch_id
+            self.detour_packets += 1
+            if not route[0].transmit(packet):
+                switch.stats.drops += 1
             return False
-        route = self.network.fabric.path_from_tor(switch, resolver,
-                                                  key=packet.flow_id)
-        if not route:
-            return self._resolve_here(switch, packet)
-        packet.route_path = route
-        packet.route_index = 0
-        packet.target_switch = resolver.switch_id
-        self.detour_packets += 1
-        if not route[0].transmit(packet):
-            switch.stats.drops += 1
-        return False
+        return hook
 
     def _resolve_here(self, switch: Switch, packet: Packet) -> bool:
         """The resolver switch translates from its (fresh) DHT shard."""

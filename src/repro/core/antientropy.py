@@ -95,14 +95,11 @@ class AntiEntropyAuditor:
         Exposed separately from the timer loop so tests and the
         degradation experiment can force a sweep at a known time.
         """
-        scheme = self.network.scheme
-        caches = getattr(scheme, "caches", None)
-        if not caches:
-            return 0
-        db = self.network.database
-        get = db.get
+        cache_of = self.network.scheme.cache_of
+        get = self.network.database.get
         repaired = 0
-        for cache in caches.values():
+        for switch in self.network.fabric.switches:
+            cache = cache_of(switch)
             if cache is None:
                 continue
             # Snapshot first: ``invalidate`` mutates the structures

@@ -172,11 +172,10 @@ def _bug_skip_cache_flush(network: VirtualNetwork, suite: OracleSuite) -> None:
     """Switch power cycles no longer flush the scheme's cache state.
 
     Shadows the scheme's ``on_switch_reset`` with an instance attribute
-    of None, which :meth:`Switch._flush_scheme_state` treats as "no
-    flush hook".  A failed switch then keeps its SRAM — exactly the
-    stale-state resurrection the structural oracle forbids.
+    that does nothing.  A failed switch then keeps its SRAM — exactly
+    the stale-state resurrection the structural oracle forbids.
     """
-    network.scheme.on_switch_reset = None
+    network.scheme.on_switch_reset = lambda switch: None
 
 
 def _bug_misdelivery_loop(network: VirtualNetwork, suite: OracleSuite) -> None:

@@ -131,13 +131,26 @@ def _digest(obj, default=None) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+#: The last flow tuples :func:`flows_digest` digested, with their
+#: digests, matched by identity: flows that compare equal may digest
+#: apart (``udp_rate_bps`` of ``10**9`` and of ``1e9``), so an equality
+#: memo would hand one the other's key.  Holding each tuple keeps its
+#: ``id`` from being reused while it is matched on.
+_flow_memo: list[tuple[tuple, str]] = []
+
+
 def flows_digest(flows) -> str:
-    """Content digest of a materialized flow list, memoized on its
-    value: a sweep keys every grid point off the same flows."""
-    return _flow_tuple_digest(tuple(flows))
+    """Content digest of a materialized flow list, memoized on the
+    tuple object: a sweep keys every grid point off the same flows."""
+    flows = tuple(flows)
+    for held, digest in _flow_memo:
+        if held is flows:
+            return digest
+    digest = _flow_tuple_digest(flows)
+    _flow_memo[:] = [(flows, digest), *_flow_memo[:1]]
+    return digest
 
 
-@lru_cache(maxsize=2)
 def _flow_tuple_digest(flows: tuple) -> str:
     """Each flow as its field values in declared order, one JSON array
     per flow: floats by ``repr``, numpy scalars as their Python
@@ -153,10 +166,15 @@ def _flow_values(cls: type) -> attrgetter:
     return attrgetter(*(field.name for field in dataclasses.fields(cls)))
 
 
-@lru_cache(maxsize=32)
 def _trace_spec_digest(trace: TraceSpec) -> str:
-    """Digest of a TraceSpec's *materialized* flows (memoized), so its
-    job shares an entry with the flows-form job of the same workload."""
+    """Digest of a TraceSpec's *materialized* flows, so its job shares an
+    entry with the flows-form job of the same workload; memoized on the
+    spec's canonical encoding, which tells ``1e9`` from ``10**9``."""
+    return _encoded_trace_digest(json.dumps(_encode(trace)), trace)
+
+
+@lru_cache(maxsize=32)
+def _encoded_trace_digest(encoded: str, trace: TraceSpec) -> str:
     return flows_digest(trace.materialize())
 
 

@@ -31,7 +31,7 @@ from repro.experiments.scenario import (
     build_scenario,
     window_fct_ns,
 )
-from repro.core import UNIFORM, SwitchV2P, SwitchV2PConfig
+from repro.core import SwitchV2P
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.metrics.resilience import ResilienceProbe, ResilienceSummary
 from repro.net.node import Layer
@@ -43,31 +43,23 @@ from repro.transport.player import TrafficPlayer
 from repro.transport.reliable import TransportConfig
 from repro.vnet.network import NetworkConfig, VirtualNetwork
 
-#: Factories: scheme name -> callable(total_cache_slots, **kwargs).
-#: NoCache/Direct/OnDemand ignore the budget (they have no in-switch
-#: caches) but accept it so the sweep code can treat schemes uniformly.
+#: Factories: scheme name -> callable(total_cache_slots, **kwargs), the
+#: kwargs those of the scheme's constructor, and only those: a knob the
+#: scheme does not take is a ``TypeError``, not silently dropped.
+#: NoCache/Direct/OnDemand/DhtStore ignore the budget (they have no
+#: in-switch caches) but accept it so the sweep code can treat schemes
+#: uniformly.
 SCHEME_FACTORIES: dict[str, Callable] = {
-    "NoCache": lambda slots, **kw: NoCache(),
-    "Direct": lambda slots, **kw: Direct(),
+    "NoCache": lambda slots, **kw: NoCache(**kw),
+    "Direct": lambda slots, **kw: Direct(**kw),
     "OnDemand": lambda slots, **kw: OnDemand(**kw),
-    "GwCache": lambda slots, **kw: GwCache(slots),
-    "LocalLearning": lambda slots, **kw: LocalLearning(slots),
-    "Bluebird": lambda slots, **kw: Bluebird(slots, **kw),
-    "Controller": lambda slots, **kw: Controller(slots, **kw),
-    "DhtStore": lambda slots, **kw: DhtStore(),
-    "SwitchV2P": lambda slots, **kw: _make_switchv2p(slots, **kw),
+    "GwCache": GwCache,
+    "LocalLearning": LocalLearning,
+    "Bluebird": Bluebird,
+    "Controller": Controller,
+    "DhtStore": lambda slots, **kw: DhtStore(**kw),
+    "SwitchV2P": SwitchV2P,
 }
-
-
-def _make_switchv2p(slots: int, config: SwitchV2PConfig | None = None,
-                    allocation=UNIFORM, cache_ways: int = 1,
-                    **config_kwargs) -> SwitchV2P:
-    """Build SwitchV2P from either a config object or loose kwargs."""
-    if config is None:
-        config = SwitchV2PConfig(**config_kwargs)
-    elif config_kwargs:
-        raise ValueError("pass either config= or loose config kwargs, not both")
-    return SwitchV2P(slots, config, allocation, cache_ways)
 
 
 def make_scheme(name: str, address_space: int, cache_ratio: float, **kwargs):
@@ -223,7 +215,7 @@ def run_flows(network: VirtualNetwork, flows: Sequence[FlowSpec],
         failure_reasons[reason] = failure_reasons.get(reason, 0) + 1
     pod_switch_bytes = network.pod_switch_bytes()
     return DetailedRunResult(
-        scheme=getattr(network.scheme, "name", type(network.scheme).__name__),
+        scheme=network.scheme.name,
         trace=trace_name,
         cache_ratio=cache_ratio,
         hit_rate=collector.hit_rate,

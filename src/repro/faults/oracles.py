@@ -320,10 +320,7 @@ class OracleSuite:
                 in self._schedule.corruptions}
 
     def _check_cache_coherence(self, horizon_ns: int) -> None:
-        scheme = self.network.scheme
-        cache_of = getattr(scheme, "cache_of", None)
-        if cache_of is None:
-            return
+        cache_of = self.network.scheme.cache_of
         db_get = self.network.database.get
         corrupted = self._corruption_pairs()
         for switch in self.network.fabric.switches:
@@ -367,10 +364,7 @@ class OracleSuite:
         bound = self._staleness_bound_ns
         if not bound:
             return
-        scheme = self.network.scheme
-        cache_of = getattr(scheme, "cache_of", None)
-        if cache_of is None:
-            return
+        cache_of = self.network.scheme.cache_of
         db_get = self.network.database.get
         limit = bound + self._staleness_slack_ns
         first_seen = self._bad_first_seen

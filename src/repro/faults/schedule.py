@@ -395,11 +395,9 @@ class FaultSchedule:
         stays applicable across schemes.
         """
         switch = self._find_switch(network, event.target)
-        cache_of = getattr(network.scheme, "cache_of", None)
-        cache = cache_of(switch) if cache_of is not None else None
-        corrupt = getattr(cache, "corrupt_entry", None)
-        flipped = corrupt(event.count, event.bit) if corrupt is not None \
-            else None
+        cache = network.scheme.cache_of(switch)
+        flipped = (cache.corrupt_entry(event.count, event.bit)
+                   if cache is not None else None)
         if flipped is None:
             return (f"{FaultKind.CACHE_BITFLIP.value} {switch.name} "
                     f"skipped: no corruptible cache entry")

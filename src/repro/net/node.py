@@ -3,23 +3,24 @@
 A :class:`Switch` implements scheme-agnostic forwarding over a fat-tree
 (ToR / spine / core) fabric: ECMP up, deterministic down, host delivery
 at ToRs.  All translation-scheme behaviour (cache lookups, learning,
-invalidation...) is delegated to a pluggable handler so that SwitchV2P
-and every baseline run on the *same* forwarding substrate, mirroring
-the paper's methodology of comparing schemes inside one simulator.
+invalidation...) is delegated to the scheme's per-switch hook so that
+SwitchV2P and every baseline run on the *same* forwarding substrate,
+mirroring the paper's methodology of comparing schemes inside one
+simulator.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from enum import IntEnum
-from functools import partial
 from heapq import heappush
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 from repro.net.addresses import _HOST_BITS, _POD_BITS, _POD_SHIFT, _RACK_BITS, pip_pod, pip_rack
 from repro.net.packet import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.baselines.base import TranslationScheme
     from repro.net.link import Link
     from repro.net.topology import Fabric
 
@@ -65,39 +66,6 @@ class Node:
         return f"{type(self).__name__}({self.name})"
 
 
-class SwitchHandler(Protocol):
-    """Protocol implemented by translation schemes for in-switch hooks.
-
-    ``on_switch`` runs for every packet entering a switch, *before*
-    forwarding; it may rewrite the outer header (translation), learn
-    mappings, or absorb the packet entirely (returning False).
-
-    A handler may also define ``switch_hook(switch) -> SwitchHook |
-    None`` to hand each switch its own function (or None: nothing to do
-    there) when it is assigned; without it a switch binds ``on_switch``
-    (see :meth:`Switch.bind_hook`).
-    """
-
-    def on_switch(self, switch: Switch, packet: Packet,
-                  ingress: Link | None) -> bool:
-        """Return False to consume the packet instead of forwarding it."""
-        ...  # pragma: no cover - protocol
-
-
-class _NullHandler:
-    """Default no-op handler (plain forwarding, no caching)."""
-
-    def on_switch(self, switch: Switch, packet: Packet,
-                  ingress: Link | None) -> bool:
-        return True
-
-    def switch_hook(self, switch: Switch) -> SwitchHook | None:
-        return None
-
-
-NULL_HANDLER = _NullHandler()
-
-
 def ecmp_index(key: int, salt: int, n: int) -> int:
     """Deterministic ECMP hash: pick one of ``n`` equal-cost paths.
 
@@ -121,7 +89,7 @@ class SwitchStats:
 
 
 class Switch(Node):
-    """A fat-tree switch: forwarding tables plus a scheme handler hook.
+    """A fat-tree switch: forwarding tables plus its scheme's hook.
 
     Link attachment is performed by the topology builder:
 
@@ -156,7 +124,7 @@ class Switch(Node):
         "up_links",
         "down_links",
         "pod_links",
-        "_handler",
+        "scheme",
         "hook",
         "stats",
         "fabric",
@@ -178,10 +146,12 @@ class Switch(Node):
         self.up_links: list[Link | None] = []
         self.down_links: list[Link | None] = []
         self.pod_links: list[Link | None] = []
-        self._handler: SwitchHandler = NULL_HANDLER
-        #: The handler's per-packet function for this switch (see
-        #: :data:`SwitchHook`); :meth:`receive`, the invalidation path
-        #: and the fluid walk all call this and nothing else.
+        #: The scheme this switch runs, and its per-packet function for
+        #: this switch (see :data:`SwitchHook`): both assigned once, by
+        #: :meth:`VirtualNetwork._wire_scheme`.  :meth:`receive`, the
+        #: invalidation path and the fluid walk all call the hook and
+        #: nothing else.
+        self.scheme: TranslationScheme | None = None
         self.hook: SwitchHook | None = None
         self.stats = SwitchStats()
         #: Owning fabric (set at construction by the topology builder):
@@ -208,47 +178,12 @@ class Switch(Node):
         self._route_memo: dict[int, Link] = {}
 
     # ------------------------------------------------------------------
-    # scheme binding
-    # ------------------------------------------------------------------
-    @property
-    def handler(self) -> SwitchHandler:
-        """The scheme (or test double) whose hook this switch runs."""
-        return self._handler
-
-    @handler.setter
-    def handler(self, handler: SwitchHandler) -> None:
-        self._handler = handler
-        self.bind_hook()
-
-    def bind_hook(self) -> None:
-        """Derive :attr:`hook` from the handler, again.
-
-        Runs when a handler is assigned; a scheme calls it whenever
-        something its hook closed over was replaced (a rebuilt cache, a
-        new role).
-        """
-        handler = self._handler
-        bind = getattr(handler, "switch_hook", None)
-        self.hook = (partial(handler.on_switch, self) if bind is None
-                     else bind(self))
-
-    # ------------------------------------------------------------------
     # failure / recovery (control plane)
     # ------------------------------------------------------------------
     @property
     def failed(self) -> bool:
         """Failed switches drop everything; neighbours route around them."""
         return self._failed
-
-    @failed.setter
-    def failed(self, value: bool) -> None:
-        # Route every transition through fail()/recover() so assigning
-        # the flag directly (legacy tests, ad-hoc scripts) still gets
-        # the full semantics: fabric fault accounting and cache flush.
-        if value:
-            self.fail()
-        else:
-            self.recover()
 
     def fail(self) -> None:
         """Take the switch down: SRAM state (caches) is lost immediately."""
@@ -274,9 +209,8 @@ class Switch(Node):
         self._flush_scheme_state()
 
     def _flush_scheme_state(self) -> None:
-        reset = getattr(self.handler, "on_switch_reset", None)
-        if reset is not None:
-            reset(self)
+        if self.scheme is not None:
+            self.scheme.on_switch_reset(self)
 
     def set_slowdown(self, extra_ns: int) -> None:
         """Gray failure: hold every forwarded packet ``extra_ns`` (0 heals).

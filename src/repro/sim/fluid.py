@@ -6,7 +6,7 @@ predictable: each one takes the same route, refreshes the same cache
 entries idempotently, and contributes the same per-packet byte/latency
 deltas.  The :class:`FluidScheduler` exploits this by *walking* one
 real probe packet per round through the actual data plane (real links,
-real switch handler, real cache code), recording every counter effect
+real switch hook, real cache code), recording every counter effect
 the walk applied, and then — if and only if the walk was provably
 side-effect-free beyond idempotent refreshes — closing it into a flat
 replay plan that one calendar event applies ``round_size - 1`` times
@@ -210,7 +210,7 @@ class _WalkContext:
         self.first_hits_before: tuple[tuple[Any, int], ...] = ()
         self.scheme_before: tuple[int, ...] = ()
         #: cache stats object -> 6-tuple snapshot taken before the
-        #: first handler call at that switch.
+        #: first hook call at that switch.
         self.cache_before: dict[Any, tuple[int, ...]] = {}
         self.mutated = False
         #: ``(switch, template)`` learning-RNG draw sites the probe hit,
@@ -1030,7 +1030,7 @@ class FluidScheduler:
             traffic[sstats] = (packets + 1, total + size)
             ctx.switches.add(switch.switch_id)
             if cache_of is not None:
-                # Snapshot the cache's stats before its handler runs.
+                # Snapshot the cache's stats before its hook runs.
                 cache = cache_of(switch)
                 if cache is not None and cache.stats not in cache_before:
                     cache_before[cache.stats] = _cache_counts(cache.stats)

@@ -18,7 +18,6 @@ from types import SimpleNamespace
 
 from repro.metrics.collector import Collector
 from repro.net.addresses import split_pip
-from repro.net.node import ecmp_index
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import Fabric, FatTreeSpec
 from repro.sim.engine import Engine, collector_paused, usec
@@ -94,11 +93,6 @@ class VirtualNetwork:
         #: authoritative database; None until enabled.
         self.anti_entropy = None
         self._gateway_salt = int(self.streams.stream("gateway-lb").integers(0, 2**31))
-        #: Per-flow gateway choice memo; ``gateway_for`` is a pure
-        #: function of (flow_id, salt, pool), so entries stay valid
-        #: until the live pool changes (failover/reinstatement), which
-        #: clears the memo.
-        self._gateway_memo: dict[int, Gateway] = {}
         #: Hybrid-fidelity fluid scheduler; None in pure-packet mode so
         #: every hot-path hook reduces to one attribute test.
         self.fluid = None
@@ -174,12 +168,13 @@ class VirtualNetwork:
         return gateway
 
     def _wire_scheme(self) -> None:
-        # Set-up first: assigning a switch its handler binds the
-        # switch's hook, which closes over what set-up built (caches,
-        # roles).
-        self.scheme.setup(self)
+        # Set-up first: a switch's hook closes over what set-up built
+        # for it (caches, roles).  Both are assigned once, here.
+        scheme = self.scheme
+        scheme.setup(self)
         for switch in self.fabric.switches:
-            switch.handler = self.scheme
+            switch.scheme = scheme
+            switch.hook = scheme.bind_hook(switch)
 
     def _on_host_deliver(self, packet: Packet) -> None:
         collector = self.collector
@@ -293,7 +288,6 @@ class VirtualNetwork:
         """Remove a gateway from the load-balancing pool (failover)."""
         if gateway in self.live_gateways:
             self.live_gateways.remove(gateway)
-            self._gateway_memo.clear()
             self.gateway_failovers += 1
             if self.fluid is not None:
                 self.fluid.escalate_all("gateway-change")
@@ -302,7 +296,6 @@ class VirtualNetwork:
         """Reinstate a recovered gateway into the pool."""
         if gateway in self.gateways and gateway not in self.live_gateways:
             self.live_gateways.append(gateway)
-            self._gateway_memo.clear()
             if self.fluid is not None:
                 self.fluid.escalate_all("gateway-change")
 
@@ -314,17 +307,14 @@ class VirtualNetwork:
 
         Selects among the gateways the hypervisors believe are alive;
         returns None when none survive (callers must hard-drop, the
-        packet has nowhere to resolve).
+        packet has nowhere to resolve).  The pick is ``ecmp_index(flow_id,
+        salt, len(pool))``, inlined: this runs once per packet sent.
         """
-        gateway = self._gateway_memo.get(flow_id)
-        if gateway is not None:
-            return gateway
         pool = self.live_gateways
         if not pool:
             return None
-        gateway = pool[ecmp_index(flow_id, self._gateway_salt, len(pool))]
-        self._gateway_memo[flow_id] = gateway
-        return gateway
+        return pool[(((flow_id ^ self._gateway_salt) * 2654435761)
+                     & 0xFFFFFFFF) % len(pool)]
 
     # ------------------------------------------------------------------
     # running and finalizing

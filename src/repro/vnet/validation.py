@@ -123,17 +123,14 @@ def _check_fault_state(network: VirtualNetwork) -> list[str]:
             f"{len(failed_switches)} failed switch(es) + {down_links} down "
             f"link(s) = {expected} faults are visible")
     # A failed switch lost power: its cache SRAM must be empty until the
-    # scheme repopulates it after recovery.  (Schemes without per-switch
-    # caches have nothing to check.)
-    cache_of = getattr(network.scheme, "cache_of", None)
-    if cache_of is not None:
-        for switch in failed_switches:
-            cache = cache_of(switch)
-            if cache is not None and cache.occupancy() != 0:
-                issues.append(
-                    f"{switch.name} is failed but its cache still holds "
-                    f"{cache.occupancy()} entries (SRAM must not survive "
-                    "power loss)")
+    # scheme repopulates it after recovery.
+    for switch in failed_switches:
+        cache = network.scheme.cache_of(switch)
+        if cache is not None and cache.occupancy() != 0:
+            issues.append(
+                f"{switch.name} is failed but its cache still holds "
+                f"{cache.occupancy()} entries (SRAM must not survive "
+                "power loss)")
     # The hypervisors' live pool is a well-formed view of the fleet: a
     # subset of the attached gateways, no duplicates.  (It may lag the
     # truth — failure detection takes probes — so crashed-but-listed and

@@ -49,8 +49,6 @@ MEMO_PAIRINGS = (
      ("note_fault", "_flush_scheme_state")),
     ("repro.net.topology", "Fabric", ("note_fault",), ("_route_memo", "guard")),
     ("repro.net.topology", "Fabric", ("set_link_state",), ("note_fault",)),
-    ("repro.vnet.network", "VirtualNetwork",
-     ("mark_gateway_down", "mark_gateway_up"), ("_gateway_memo",)),
 )
 #: R304: the fault-state attributes, and the (module, class, method)
 #: that alone may write them — each does the fault accounting that puts

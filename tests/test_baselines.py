@@ -150,8 +150,9 @@ def test_hop_through_cacheless_switch_touches_nothing(monkeypatch):
                         outer_dst=network.hosts[1].pip)
         packet.resolved = resolved
         before = (packet.outer_dst, packet.resolved, packet.hit_switch)
-        assert scheme.on_switch(bare, packet, None) is True
+        bare.receive(packet)  # forwarded; the engine is not run
         assert (packet.outer_dst, packet.resolved, packet.hit_switch) == before
+    assert bare.hook is None and bare.stats.packets == 2
 
 
 def test_caching_switch_still_looks_up_and_learns():
@@ -172,10 +173,10 @@ def test_caching_switch_still_looks_up_and_learns():
         packet.resolved = resolved
         return packet
 
-    assert scheme.on_switch(tor, data(target.pip, True), None) is True
+    assert tor.hook(data(target.pip, True), None) is True
     assert cache.stats.insertions == 1 and cache.stats.lookups == 0
     packet = data(network.gateways[0].pip, False)
-    assert scheme.on_switch(tor, packet, None) is True
+    assert tor.hook(packet, None) is True
     assert packet.resolved and packet.outer_dst == target.pip
     assert packet.hit_switch == tor.switch_id
     assert cache.stats.hits == 1 and cache.stats.insertions == 1

@@ -263,7 +263,7 @@ def test_structural_oracle_sweeps_after_each_event():
     suite = OracleSuite(network)
     # Sabotage: the scheme stops flushing SRAM on power cycles, so the
     # post-event sweep must see a failed switch with a warm cache.
-    network.scheme.on_switch_reset = None
+    network.scheme.on_switch_reset = lambda switch: None
     cache = network.scheme.cache_of(network.fabric.spines[(0, 0)])
     cache.insert(0, network.database.get(0))
     schedule = FaultSchedule().switch_outage("spine", (0, 0),

@@ -73,7 +73,7 @@ def test_resolver_failure_blackholes_its_vips():
     scheme = DhtStore()
     network = small_network(scheme, num_vms=8)
     resolver = scheme.resolver_of(5)
-    resolver.failed = True
+    resolver.fail()
     player = TrafficPlayer(network)
     [record] = player.add_flows([FlowSpec(src_vip=0, dst_vip=5,
                                           size_bytes=3_000, start_ns=0,

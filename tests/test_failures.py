@@ -24,7 +24,7 @@ def cross_pod_flows(count=8):
 def test_spine_failure_reroutes_over_sibling():
     network = small_network(NoCache(), num_vms=8)
     # Fail one of the two spines in the sender's pod.
-    network.fabric.spines[(0, 0)].failed = True
+    network.fabric.spines[(0, 0)].fail()
     player = TrafficPlayer(network)
     records = player.add_flows(cross_pod_flows())
     network.run(until=msec(30))
@@ -35,7 +35,7 @@ def test_far_spine_failure_reroutes_down_path():
     """Cores re-hash around a failed spine in the *destination* pod."""
     network = small_network(NoCache(), num_vms=8)
     # vip 5 lives in pod 1 (round-robin placement); fail one of its spines.
-    network.fabric.spines[(1, 0)].failed = True
+    network.fabric.spines[(1, 0)].fail()
     player = TrafficPlayer(network)
     records = player.add_flows(cross_pod_flows())
     network.run(until=msec(30))
@@ -47,7 +47,7 @@ def test_core_failure_reroutes():
     from conftest import tiny_spec
     network = small_network(NoCache(), num_vms=8,
                             spec=tiny_spec(num_cores=4))
-    network.fabric.cores[0].failed = True
+    network.fabric.cores[0].fail()
     player = TrafficPlayer(network)
     records = player.add_flows(cross_pod_flows())
     network.run(until=msec(30))
@@ -64,8 +64,8 @@ def test_switchv2p_correct_despite_cache_loss():
     assert all(record.completed for record in warm)
 
     # Fail a spine mid-experiment: its cache contents are gone.
-    network.fabric.spines[(0, 1)].failed = True
-    network.fabric.spines[(0, 0)].failed = False  # ensure a live sibling
+    network.fabric.spines[(0, 1)].fail()
+    network.fabric.spines[(0, 0)].recover()  # ensure a live sibling
     more = player.add_flows([FlowSpec(src_vip=1, dst_vip=5, size_bytes=5_000,
                                       start_ns=network.engine.now + usec(10))])
     network.run(until=msec(40))
@@ -75,7 +75,7 @@ def test_switchv2p_correct_despite_cache_loss():
 def test_failed_switch_drops_and_counts():
     network = small_network(NoCache(), num_vms=8)
     spine = network.fabric.spines[(0, 0)]
-    spine.failed = True
+    spine.fail()
     from repro.net.packet import Packet, PacketKind
     packet = Packet(PacketKind.DATA, flow_id=1, seq=0, payload_bytes=64,
                     src_vip=0, dst_vip=5, outer_src=0, outer_dst=0)
@@ -87,7 +87,7 @@ def test_failed_switch_drops_and_counts():
 def test_all_uplinks_failed_drops_at_tor():
     network = small_network(NoCache(), num_vms=8)
     for j in range(network.config.spec.spines_per_pod):
-        network.fabric.spines[(0, j)].failed = True
+        network.fabric.spines[(0, j)].fail()
     tor = network.fabric.tor_of(0, 0)
     src = network.hosts[0]
     from repro.net.packet import Packet, PacketKind

@@ -28,8 +28,11 @@ VM1, VM2, VM3, VM4 = 1, 2, 3, 4
 @pytest.fixture
 def world():
     """The Figure 3 network with the paper's VM placement."""
-    scheme = SwitchV2P(total_cache_slots=40,  # 4 slots per switch
-                       config=SwitchV2PConfig(p_learn=1.0))
+    return build_world(SwitchV2P(total_cache_slots=40,  # 4 slots per switch
+                                 config=SwitchV2PConfig(p_learn=1.0)))
+
+
+def build_world(scheme):
     network = VirtualNetwork(NetworkConfig(spec=tiny_spec(), seed=3), scheme)
     fabric = network.fabric
     hosts = {host.name: host for host in network.hosts}
@@ -103,14 +106,23 @@ def test_step_a_second_packet_hits_at_l1(world):
     assert second.hit_switch == l1.switch_id
 
 
-def test_step_b_eviction_spills_vm2(world):
+class _OneSlotGatewayTor(SwitchV2P):
+    """SwitchV2P with the figure's single-entry cache at L4."""
+
+    def slots_by_switch(self, network, ids):
+        slots = super().slots_by_switch(network, ids)
+        slots[network.fabric.tor_of(1, 1).switch_id] = 1
+        return slots
+
+
+def test_step_b_eviction_spills_vm2():
     """Figure 4b: learning VM4 at L4 evicts VM2, which spills onward."""
-    scheme, network = world
+    scheme, network = build_world(_OneSlotGatewayTor(
+        total_cache_slots=40, config=SwitchV2PConfig(p_learn=1.0)))
     # Re-create the figure's single-entry gateway-ToR cache so VM4
     # must displace VM2 there.
     l4 = tor(network, 1, 1)
-    from repro.cache import SwitchCache
-    scheme.caches[l4.switch_id] = SwitchCache(1, salt=7)
+    assert cache_of(scheme, l4).num_slots == 1
 
     send_packet(network, VM1, VM2, flow_id=100)
     assert cache_of(scheme, l4).peek(VM2) is not None

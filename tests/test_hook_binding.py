@@ -1,15 +1,23 @@
-"""Each switch runs one hook, bound at set-up: the ways that can go stale.
+"""Each switch runs one hook, bound once at set-up.
 
-A hook closes over its switch's cache, role and config flags, so every
-control-plane path that replaces one of those has to have the hook
-follow — and only there: a fault on one switch rebinds one hook.
+A hook closes over its switch's cache, role and config flags.  None of
+those is ever replaced: a fault empties the cache in place, so the hook
+bound when the network was built stays the one that runs.
 """
 
 import pytest
 
-from repro.baselines import Direct, GwCache, LocalLearning, NoCache, OnDemand
-from repro.cache import SwitchCache
+from repro.baselines import (
+    Bluebird,
+    Controller,
+    Direct,
+    GwCache,
+    LocalLearning,
+    NoCache,
+    OnDemand,
+)
 from repro.core import Role, SwitchV2P
+from repro.net.node import Layer
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import FatTreeSpec
 
@@ -31,6 +39,10 @@ def spine_of(network, scheme, role=Role.SPINE):
                 if scheme.roles[s.switch_id] is role)
 
 
+def hooked(network) -> set[int]:
+    return {s.switch_id for s in network.fabric.switches if s.hook is not None}
+
+
 @pytest.mark.parametrize("scheme_class", [NoCache, Direct, OnDemand])
 def test_schemes_without_switch_state_bind_no_hook(scheme_class):
     network = small_network(scheme_class(), num_vms=8)
@@ -40,10 +52,50 @@ def test_schemes_without_switch_state_bind_no_hook(scheme_class):
 def test_gwcache_hooks_only_the_switches_it_gave_a_cache():
     scheme = GwCache(total_cache_slots=64)
     network = small_network(scheme, num_vms=8, spec=FatTreeSpec())
-    hooked = {s.switch_id for s in network.fabric.switches
-              if s.hook is not None}
-    assert hooked == set(scheme.caches) and len(hooked) == 4
-    assert len(network.fabric.switches) == 80
+    assert hooked(network) == set(scheme.caches)
+    assert len(scheme.caches) == 4 and len(network.fabric.switches) == 80
+
+
+def test_bluebird_hooks_only_the_tors():
+    scheme = Bluebird(total_cache_slots=64)
+    network = small_network(scheme, num_vms=8, spec=FatTreeSpec())
+    tors = {s.switch_id for s in network.fabric.switches
+            if s.layer is Layer.TOR}
+    assert hooked(network) == set(scheme.caches) == tors
+    assert len(tors) == 32
+
+
+class _CoreController(Controller):
+    """A Controller that places caches on the cores alone."""
+
+    def caching_switch_ids(self, network):
+        return [switch.switch_id for switch in network.fabric.cores]
+
+
+@pytest.mark.parametrize("scheme_class", [Controller, _CoreController])
+def test_controller_hooks_only_its_cached_switches(scheme_class):
+    scheme = scheme_class(total_cache_slots=64)
+    network = small_network(scheme, num_vms=8, spec=FatTreeSpec())
+    assert hooked(network) == set(scheme.caches)
+    assert len(scheme.caches) == (16 if scheme_class is _CoreController
+                                  else 80)
+
+
+def test_every_switch_is_bound_once():
+    bound = []
+
+    class Counting(SwitchV2P):
+        def bind_hook(self, switch):
+            bound.append(switch.switch_id)
+            return super().bind_hook(switch)
+
+    network = small_network(Counting(total_cache_slots=200), num_vms=8)
+    ids = [s.switch_id for s in network.fabric.switches]
+    assert bound == ids
+    for switch in network.fabric.switches:
+        switch.fail()
+        switch.recover()
+    assert bound == ids
 
 
 def test_observer_attached_after_binding_still_hears_the_hook():
@@ -62,47 +114,50 @@ def test_observer_attached_after_binding_still_hears_the_hook():
     assert fired == [spine.switch_id]
 
 
-def test_fault_rebuild_rebinds_that_switch_and_no_other():
-    scheme = SwitchV2P(total_cache_slots=200)
+@pytest.mark.parametrize("scheme_class",
+                         [SwitchV2P, GwCache, LocalLearning, Bluebird,
+                          Controller])
+def test_fault_resets_the_cache_in_place_and_keeps_every_hook(scheme_class):
+    scheme = scheme_class(total_cache_slots=200)
     network = small_network(scheme, num_vms=8)
-    spine = spine_of(network, scheme)
+    fired = []
+    scheme.set_cache_observer(lambda switch_id: lambda: fired.append(switch_id))
+    switch = next(s for s in network.fabric.switches
+                  if s.switch_id in scheme.caches)
     hooks = {s.switch_id: s.hook for s in network.fabric.switches}
-    spine.hook(data(network, 0, 5), None)
-    stale = scheme.caches[spine.switch_id]
-    spine.fail()
-    spine.recover()
-    fresh = scheme.caches[spine.switch_id]
-    assert fresh is not stale and fresh.occupancy() == 0
-    changed = {s.switch_id for s in network.fabric.switches
-               if s.hook is not hooks[s.switch_id]}
-    assert changed == {spine.switch_id}
-    spine.hook(data(network, 0, 6), None)
-    assert fresh.peek(6) == network.host_of(6).pip and stale.peek(6) is None
+    cache = scheme.cache_of(switch)
+    cache.insert(5, network.host_of(5).pip)
+    assert cache.lookup(5) is not None and cache.stats.insertions == 1
+    switch.fail()
+    assert scheme.cache_of(switch) is cache and cache.occupancy() == 0
+    assert all(value == 0 for value in
+               (getattr(cache.stats, name) for name in cache.stats.__slots__))
+    switch.recover()
+    assert scheme.cache_of(switch) is cache and cache.occupancy() == 0
+    assert all(s.hook is hooks[s.switch_id] for s in network.fabric.switches)
+    # The hook bound at set-up still serves from the cache, whose
+    # observer is still attached.
+    fired.clear()
+    pip = network.host_of(6).pip
+    cache.insert(6, pip)
+    assert fired == [switch.switch_id]
+    packet = data(network, 0, 6, resolved=False)
+    assert switch.hook(packet, None) is True
+    assert packet.resolved and packet.outer_dst == pip
+    assert packet.hit_switch == switch.switch_id
 
 
-def test_replacing_one_cache_entry_rebinds_its_switch():
-    for scheme in (SwitchV2P(total_cache_slots=200),
-                   LocalLearning(total_cache_slots=200)):
-        network = small_network(scheme, num_vms=8)
-        switch = network.fabric.spines[(0, 0)]
-        replacement = SwitchCache(4, salt=7)
-        scheme.caches[switch.switch_id] = replacement
-        switch.hook(data(network, 0, 5), None)
-        assert replacement.peek(5) == network.host_of(5).pip
-
-
-def test_handler_assigned_after_setup_is_what_runs():
+def test_a_hook_assigned_after_setup_is_what_runs():
     calls = []
 
-    class Recorder:
-        def on_switch(self, switch, packet, ingress):
-            calls.append(switch.switch_id)
-            return False
+    def recorder(packet, ingress):
+        calls.append(packet.dst_vip)
+        return False
 
     network = small_network(SwitchV2P(total_cache_slots=200), num_vms=8)
     switch = network.fabric.tor_of(0, 0)
-    switch.handler = Recorder()
+    switch.hook = recorder
     before = switch.stats.packets
     switch.receive(data(network, 0, 5))
-    assert calls == [switch.switch_id] and switch.stats.packets == before + 1
+    assert calls == [5] and switch.stats.packets == before + 1
     assert not network.engine._queue  # consumed: nothing was forwarded

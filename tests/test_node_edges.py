@@ -36,14 +36,15 @@ def test_route_transit_skips_handler_until_target():
     """Switch-addressed packets pass intermediate switches untouched."""
     calls = []
 
-    class Recorder:
-        def on_switch(self, switch, packet, ingress):
+    def recorder(switch):
+        def hook(packet, ingress):
             calls.append(switch.switch_id)
             return True
+        return hook
 
     network = small_network(NoCache(), num_vms=8)
     for switch in network.fabric.switches:
-        switch.handler = Recorder()
+        switch.hook = recorder(switch)
     fabric = network.fabric
     # Data packets on a route_path: guard the switches as DhtStore does.
     fabric.routed_data = True

@@ -60,7 +60,7 @@ def test_gateway_path_ends_at_gateway():
 def test_probe_stops_at_failed_fabric():
     network = small_network(NoCache(), num_vms=8)
     for j in range(network.config.spec.spines_per_pod):
-        network.fabric.spines[(0, j)].failed = True
+        network.fabric.spines[(0, j)].fail()
     src = network.hosts[0]
     dst = next(h for h in network.hosts if pip_pod(h.pip) != pip_pod(src.pip))
     path = forwarding_path(network, src.pip, dst.pip, flow_id=1)

@@ -16,6 +16,7 @@ from typing import ClassVar
 import numpy as np
 import pytest
 
+from repro.experiments import runcache
 from repro.experiments.faults import ChaosParams, chaos_jobs, chaos_schedule
 from repro.experiments.graydegrade import HARDENED
 from repro.experiments.parallel import ExperimentJob, parallel_run_experiments
@@ -229,10 +230,9 @@ def test_flows_digest_is_content_addressed():
 
 def test_flows_digest_reads_each_flow_by_its_values():
     """A numpy scalar keys as its Python value, a float apart from the
-    equal int, and a value with no canonical form is refused.  Unmemoized:
-    the memo cannot tell flows apart that compare equal."""
+    equal int, and a value with no canonical form is refused."""
     flow = FlowSpec(src_vip=1, dst_vip=2, size_bytes=2_000, start_ns=0)
-    digest = _flow_tuple_digest.__wrapped__
+    digest = _flow_tuple_digest
     assert digest((dataclasses.replace(flow, src_vip=np.int64(1)),)) \
         == digest((flow,))
     assert digest((dataclasses.replace(flow, udp_rate_bps=10**9),)) \
@@ -241,15 +241,45 @@ def test_flows_digest_reads_each_flow_by_its_values():
         digest((dataclasses.replace(flow, src_vip=object()),))
 
 
-def test_flows_digest_memo_returns_the_unmemoized_digest():
-    # A sweep keys every grid point off the same flows; the repeats
+def test_flows_digest_memo_returns_the_unmemoized_digest(monkeypatch):
+    # A sweep keys every grid point off the same flow tuple: the repeats
     # must be memo hits, and a hit must equal a fresh computation.
     flows = _flows()
-    _flow_tuple_digest.cache_clear()
+    computed = []
+
+    def counted(flows):
+        computed.append(flows)
+        return _flow_tuple_digest(flows)
+
+    monkeypatch.setattr(runcache, "_flow_tuple_digest", counted)
     first = flows_digest(flows)
-    assert flows_digest(list(flows)) == first
-    assert _flow_tuple_digest.cache_info().hits == 1
-    assert first == _flow_tuple_digest.__wrapped__(flows)
+    assert flows_digest(flows) == first and len(computed) == 1
+    assert first == _flow_tuple_digest(flows)
+
+
+def test_flows_that_compare_equal_but_digest_apart_share_no_memo_entry():
+    """``10**9 == 1e9``, so an equality-keyed memo handed the second
+    flow list the first one's digest; each must get its own."""
+    flow = FlowSpec(src_vip=1, dst_vip=2, size_bytes=2_000, start_ns=0)
+    as_int = (dataclasses.replace(flow, udp_rate_bps=10**9),)
+    assert as_int == (flow,)
+    assert flows_digest((flow,)) == _flow_tuple_digest((flow,))
+    assert flows_digest(as_int) == _flow_tuple_digest(as_int)
+    assert flows_digest(as_int) != flows_digest((flow,))
+
+
+def test_trace_specs_that_compare_equal_but_digest_apart_key_apart():
+    """The same for a :class:`TraceSpec` whose rate reaches its flows."""
+    params = {"num_vms": 8, "num_streams": 2}
+    as_float = TraceSpec("video", seed=0,
+                         params={**params, "stream_rate_bps": 48e6})
+    as_int = TraceSpec("video", seed=0,
+                       params={**params, "stream_rate_bps": 48_000_000})
+    assert as_float == as_int
+    keys = [_base_key(flows=None, trace=spec) for spec in (as_float, as_int)]
+    assert keys[0] != keys[1]
+    assert keys == [_base_key(flows=tuple(spec.materialize()))
+                    for spec in (as_float, as_int)]
 
 
 # ----------------------------------------------------------------------

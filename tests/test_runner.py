@@ -54,10 +54,10 @@ def test_percentiles_ordered():
     assert result.avg_fct_ns <= result.p99_fct_ns
 
 
-def test_switchv2p_factory_accepts_loose_config_kwargs():
-    scheme = make_scheme("SwitchV2P", 100, 1.0, p_learn=0.5)
-    assert isinstance(scheme, SwitchV2P)
-    assert scheme.config.p_learn == 0.5
+def test_switchv2p_factory_rejects_loose_config_kwargs():
+    """SwitchV2P is configured one way: a ``SwitchV2PConfig``."""
+    with pytest.raises(TypeError, match="p_learn"):
+        make_scheme("SwitchV2P", 100, 1.0, p_learn=0.5)
 
 
 def test_switchv2p_factory_accepts_config_object():
@@ -67,7 +67,7 @@ def test_switchv2p_factory_accepts_config_object():
 
 
 def test_switchv2p_factory_rejects_mixed_config():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="p_learn"):
         make_scheme("SwitchV2P", 100, 1.0,
                     config=SwitchV2PConfig(), p_learn=0.5)
 
@@ -82,6 +82,14 @@ def test_switchv2p_factory_accepts_allocation_and_ways():
 def test_every_factory_name_constructs():
     for name in SCHEME_FACTORIES:
         assert make_scheme(name, 64, 2.0) is not None
+
+
+@pytest.mark.parametrize("name", sorted(SCHEME_FACTORIES))
+def test_every_factory_rejects_a_kwarg_its_scheme_does_not_take(name):
+    """A knob the scheme has no parameter for fails loudly instead of
+    running the default (``cache_ways=4`` on GwCache ran direct-mapped)."""
+    with pytest.raises(TypeError, match="no_such_knob"):
+        make_scheme(name, 64, 2.0, no_such_knob=4)
 
 
 def test_horizon_bounds_runaway_runs():

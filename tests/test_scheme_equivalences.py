@@ -2,12 +2,14 @@
 the step-by-step data planes their bound hooks replaced."""
 
 import dataclasses
+from functools import partial
 
 import pytest
 
-from repro.baselines import GwCache, LocalLearning, OnDemand
+from repro.baselines import Controller, GwCache, LocalLearning, OnDemand
 from repro.core import Role, SwitchV2P, SwitchV2PConfig
 from repro.experiments.runner import build_network, run_flows
+from repro.faults import FaultSchedule
 from repro.net.addresses import pip_pod
 from repro.net.node import Layer
 from repro.net.packet import PacketKind
@@ -73,14 +75,17 @@ class _StepByStepHook:
     """Reference switch hook: every step on every hop, cache or not.
 
     This is what GwCache and LocalLearning each spelled out before
-    ``CachingScheme.on_switch`` (which skips cache-less switches up
+    ``CachingScheme.bind_hook`` (which skips cache-less switches up
     front and fetches the cache once) replaced both copies.
     """
+
+    def bind_hook(self, switch):
+        return partial(self.on_switch, switch)
 
     def on_switch(self, switch, packet, ingress):
         if not self.is_traffic(packet):
             return True
-        if self.try_resolve(switch, packet):
+        if self.try_resolve(switch, packet, self.cache_of(switch)):
             return True
         cache = self.cache_of(switch)
         if packet.resolved and cache is not None:
@@ -118,6 +123,9 @@ class _StepByStepSwitchV2P(SwitchV2P):
     each switch got its role's own function — one body that looks the
     role up per packet and walks Table 1 as an if-chain, calling
     ``cache.insert`` for every learning outcome."""
+
+    def bind_hook(self, switch):
+        return partial(self.on_switch, switch)
 
     def on_switch(self, switch, packet, ingress):
         kind = packet.kind
@@ -266,3 +274,61 @@ def test_per_role_hooks_equal_step_by_step_reference(label, config, migrate,
     if migrate:
         assert result["misdeliveries"] > 0
         assert counters["invalidation_packets_sent"] > 0
+
+
+# ----------------------------------------------------------------------
+# Fault resets: a cache emptied in place against a rebuilt one
+# ----------------------------------------------------------------------
+class _RebuildOnReset:
+    """Reference fault reset, as it stood before resets went in place: a
+    failed or recovered switch got a new empty cache of the same geometry
+    (fresh counters, the fluid observer attached again) and its hook was
+    bound again over it."""
+
+    #: Entries the resets threw away: the outages must hit warm caches.
+    wiped = 0
+
+    def on_switch_reset(self, switch):
+        cache = self.caches.get(switch.switch_id)
+        if cache is None:
+            return
+        self.wiped += cache.occupancy()
+        fresh = self.make_cache(cache.num_slots, salt=cache.salt)
+        if self.cache_observer is not None:
+            fresh.attach_observer(self.cache_observer(switch.switch_id))
+        self.caches[switch.switch_id] = fresh
+        switch.hook = self.bind_hook(switch)
+
+
+@pytest.mark.parametrize("scheme_class, fidelity", [
+    (SwitchV2P, "packet"), (SwitchV2P, "hybrid"), (GwCache, "packet"),
+    (LocalLearning, "hybrid"), (Controller, "packet")])
+def test_reset_in_place_equals_rebuilt_cache(scheme_class, fidelity):
+    """Same RunResult, cache contents and counters through outages of a
+    spine, a core and a gateway ToR that wipe warm caches."""
+    reference_class = type("Reference", (_RebuildOnReset, scheme_class), {})
+    spec = FatTreeSpec()
+    flows = [FlowSpec(src_vip=i % 24, dst_vip=(7 * i + 3) % 24,
+                      size_bytes=1_500 + 700 * (i % 5), start_ns=i * usec(9))
+             for i in range(120)]
+    outages = (FaultSchedule()
+               .switch_outage("spine", (0, 0), usec(300), usec(200))
+               .switch_outage("core", 0, usec(400), usec(300))
+               .switch_outage("tor", (spec.gateway_pods[0], spec.gateway_rack),
+                              usec(600), usec(100)))
+
+    def outcome(cls):
+        scheme = cls(total_cache_slots=96)
+        network = build_network(spec, scheme, 24, seed=5, fidelity=fidelity)
+        outages.apply(network)
+        result = run_flows(network, flows, trace_name="mix")
+        caches = {switch_id: ([getattr(cache.stats, name)
+                               for name in cache.stats.__slots__],
+                              cache.entries())
+                  for switch_id, cache in scheme.caches.items()}
+        return (dataclasses.asdict(result), caches), scheme
+
+    in_place, _ = outcome(scheme_class)
+    rebuilt, reference = outcome(reference_class)
+    assert reference.wiped > 0, "no outage hit a warm cache"
+    assert in_place == rebuilt

@@ -276,9 +276,10 @@ MUTANTS = [
                  "        status, ctx, rtt = self._walk_round(flow)\n"
                  "        collector.packets_sent += 0\n",
                  "assignment through collector", id="D110"),
-    pytest.param("R303", "vnet/network.py", "mark_gateway_down",
-                 "            self._gateway_memo.clear()\n", "",
-                 "mark_gateway_down", id="R303"),
+    # A recovered switch that keeps its pre-failure cache.
+    pytest.param("R303", "net/node.py", "recover",
+                 "        self._flush_scheme_state()\n", "",
+                 "recover", id="R303"),
     # A link cut behind the fabric's back: fault_count stays 0, so the
     # switches stay on the body that never tests ``up``.
     pytest.param("R304", "faults/schedule.py", "_fire",

@@ -6,7 +6,9 @@ import pytest
 
 from repro.baselines.nocache import NoCache
 from repro.net.addresses import pip_pod, pip_rack
+from repro.net.node import ecmp_index
 from repro.net.packet import Packet, PacketKind
+from repro.net.topology import FatTreeSpec
 from repro.sim.engine import msec, usec
 from repro.transport.flow import FlowSpec
 from repro.transport.player import TrafficPlayer
@@ -80,6 +82,29 @@ def test_host_of_resolves_current_location():
 def test_gateway_for_is_deterministic_per_flow():
     network = small_network(NoCache(), num_vms=8)
     assert network.gateway_for(7) is network.gateway_for(7)
+
+
+def test_gateway_for_is_the_ecmp_pick_of_the_live_pool():
+    """Per flow, the live pool indexed by ``ecmp_index``, through every
+    pool change (the pick is arithmetic, nothing is memoized)."""
+    network = small_network(NoCache(), num_vms=8, spec=FatTreeSpec())
+    salt = network._gateway_salt
+
+    def expected(flow_id):
+        pool = network.live_gateways
+        return pool[ecmp_index(flow_id, salt, len(pool))]
+
+    flows = range(0, 4_000, 7)
+    assert all(network.gateway_for(f) is expected(f) for f in flows)
+    down = network.gateways[1]
+    network.mark_gateway_down(down)
+    assert all(network.gateway_for(f) is expected(f) for f in flows)
+    assert all(network.gateway_for(f) is not down for f in flows)
+    network.mark_gateway_up(down)
+    assert all(network.gateway_for(f) is expected(f) for f in flows)
+    for gateway in list(network.live_gateways):
+        network.mark_gateway_down(gateway)
+    assert network.gateway_for(7) is None
 
 
 def test_gateway_attached_in_gateway_pod():
