@@ -9,7 +9,7 @@ distinct simulations the pool ran, in how many calls, and the
 wall-clock.  Run it as
 ``REPRO_RUNCACHE=0 REPRO_PARALLEL=2 PYTHONPATH=src python benchmarks/regen_check.py``
 (208 distinct simulations, fault and migration tables included, in one
-pool call: 105-118 s measured on two cores).
+pool call).
 """
 
 from __future__ import annotations

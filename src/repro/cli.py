@@ -184,7 +184,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         # Tracing slows the run: its timings do not compare with
         # untraced ones.
         timer = PhaseMemoryTimer()
-        job = replace(job, flows=job.resolve_flows(), trace=None)
         last_start = max((flow.start_ns for flow in job.flows), default=0)
         warmup_split_ns = last_start + msec(10)
         tracemalloc.start()

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cache
 
 from repro.experiments.parallel import ExperimentJob
 from repro.experiments.sweeps import ratio_jobs
@@ -144,18 +143,18 @@ def figure5_jobs(trace: str, scale: FigureScale, fidelity: str = "packet",
     """``job(scheme, ratio)``: the run behind one point of Figure 5 (6
     for Alibaba) at this scale — and all that ``repro run`` runs.
 
-    Byte-heavy traces get the jumbo-MSS transport and Bluebird its punt
-    channel sized to the trace's offered load, which materializes the
-    trace once, when the first Bluebird job is built.
+    The trace is materialized once, here, and every job shares the one
+    flow tuple (so keying them digests the flows once).  Byte-heavy traces get
+    the jumbo-MSS transport and Bluebird its punt channel sized to the
+    trace's offered load.
     """
-    tspec = trace_spec_for(trace, scale)
+    flows, num_vms = build_trace(trace, scale)
     spec = ft16_spec() if trace == "alibaba" else ft8_spec()
     job = ratio_jobs(ExperimentJob(
-        spec=spec, scheme_name="NoCache", trace=tspec,
-        num_vms=tspec.num_vms, seed=scale.seed,
-        transport=_transport_for(trace, scale), trace_name=trace,
-        fidelity=fidelity))
-    punt = cache(lambda: bluebird_kwargs(tspec.materialize(), spec, scale))
+        spec=spec, scheme_name="NoCache", flows=flows, num_vms=num_vms,
+        seed=scale.seed, transport=_transport_for(trace, scale),
+        trace_name=trace, fidelity=fidelity))
+    punt = bluebird_kwargs(flows, spec, scale)
     return lambda scheme, ratio: replace(
         job(scheme, ratio),
-        scheme_kwargs=punt() if scheme == "Bluebird" else {})
+        scheme_kwargs=punt if scheme == "Bluebird" else {})

@@ -38,7 +38,6 @@ from operator import attrgetter
 from pathlib import Path
 
 from repro.experiments.runner import DetailedRunResult, ExperimentJob
-from repro.traces.spec import TraceSpec
 
 #: Bump whenever a code change alters simulated behaviour (event
 #: ordering, float arithmetic, RNG consumption, new RunResult fields).
@@ -166,28 +165,12 @@ def _flow_values(cls: type) -> attrgetter:
     return attrgetter(*(field.name for field in dataclasses.fields(cls)))
 
 
-def _trace_spec_digest(trace: TraceSpec) -> str:
-    """Digest of a TraceSpec's *materialized* flows, so its job shares an
-    entry with the flows-form job of the same workload; memoized on the
-    spec's canonical encoding, which tells ``1e9`` from ``10**9``."""
-    return _encoded_trace_digest(json.dumps(_encode(trace)), trace)
-
-
-@lru_cache(maxsize=32)
-def _encoded_trace_digest(encoded: str, trace: TraceSpec) -> str:
-    return flows_digest(trace.materialize())
-
-
 def job_key(job: ExperimentJob) -> str:
     """The content address of one run: a digest of the job's fields,
-    its workload (flows or a :class:`TraceSpec`) by the content of its
-    flows, so both forms of one workload share an entry."""
-    content = (_trace_spec_digest(job.trace) if job.trace is not None
-               else flows_digest(job.flows))
+    its flows by their content."""
     knobs = [[name, _encode(getattr(job, name))]
-             for name in _keyed_fields(type(job))
-             if name not in ("flows", "trace")]
-    return _digest([SCHEMA_VERSION, content, knobs])
+             for name in _keyed_fields(type(job)) if name != "flows"]
+    return _digest([SCHEMA_VERSION, flows_digest(job.flows), knobs])
 
 
 def run_key(spec, scheme_name: str, num_vms: int, cache_ratio: float,
@@ -309,8 +292,9 @@ def _encode_result(result, key: str) -> dict:
     return {"schema": SCHEMA_VERSION, "key": key, "result": _plain(result)}
 
 
-def _decode_result(payload: dict, key: str) -> DetailedRunResult | None:
-    if payload.get("schema") != SCHEMA_VERSION or payload.get("key") != key:
+def _decode_result(payload, key: str) -> DetailedRunResult | None:
+    if (not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION
+            or payload.get("key") != key):
         return None
     return _rebuild(DetailedRunResult, payload["result"])
 

@@ -37,7 +37,6 @@ from repro.metrics.resilience import ResilienceProbe, ResilienceSummary
 from repro.net.node import Layer
 from repro.net.topology import FatTreeSpec
 from repro.sim.engine import msec
-from repro.traces.spec import TraceSpec
 from repro.transport.flow import FlowSpec
 from repro.transport.player import TrafficPlayer
 from repro.transport.reliable import TransportConfig
@@ -255,18 +254,15 @@ def run_flows(network: VirtualNetwork, flows: Sequence[FlowSpec],
 
 @dataclass(frozen=True)
 class ExperimentJob:
-    """One simulated run, as picklable plain data.
-
-    The workload is either ``flows`` (materialized, heavyweight) or
-    ``trace`` (a :class:`TraceSpec` the worker materializes locally) —
-    exactly one must be set.  Its one canonical form is its run key
-    (:func:`~repro.experiments.runcache.job_key`), a digest of these
-    fields.
+    """One simulated run, as picklable plain data: the workload is
+    ``flows``, the materialized flow list.  Its one canonical form is
+    its run key (:func:`~repro.experiments.runcache.job_key`), a digest
+    of these fields.
     """
 
     spec: FatTreeSpec
     scheme_name: str
-    flows: tuple[FlowSpec, ...] | None = None
+    flows: tuple[FlowSpec, ...]
     num_vms: int = 0
     cache_ratio: float = 0.0
     seed: int = 0
@@ -274,7 +270,6 @@ class ExperimentJob:
     horizon_ns: int | None = None
     trace_name: str = ""
     scheme_kwargs: dict = field(default_factory=dict)
-    trace: TraceSpec | None = None
     #: Simulation fidelity ("packet" or "hybrid"); part of the run-cache
     #: key — hybrid and packet runs of the same point must not collide.
     fidelity: str = "packet"
@@ -292,18 +287,10 @@ class ExperimentJob:
     scenario: ScenarioKnobs | None = None
 
     def __post_init__(self) -> None:
-        if self.flows is not None and not isinstance(self.flows, tuple):
+        if not isinstance(self.flows, tuple):
             object.__setattr__(self, "flows", tuple(self.flows))
-        if (self.flows is None) == (self.trace is None):
-            raise ValueError(
-                "ExperimentJob needs exactly one of flows= or trace=")
         if self.num_vms <= 0:
             raise ValueError("ExperimentJob.num_vms must be positive")
-
-    def resolve_flows(self) -> tuple[FlowSpec, ...]:
-        """The flow list, regenerating from the trace spec if needed."""
-        trace = self.trace
-        return self.flows if trace is None else tuple(trace.materialize())
 
     def run(self, perf=None,
             warmup_split_ns: int | None = None) -> DetailedRunResult:
@@ -335,7 +322,7 @@ class ExperimentJob:
                 schedule = FaultSchedule()
                 schedule.events.extend(self.faults)
                 schedule.apply(network)
-        result = run_flows(network, self.resolve_flows(), self.transport,
+        result = run_flows(network, self.flows, self.transport,
                            self.horizon_ns, self.trace_name, self.cache_ratio,
                            perf=perf, warmup_split_ns=warmup_split_ns)
         if probe is not None:
@@ -350,10 +337,8 @@ class ExperimentJob:
         """What a failure report calls this job: scheme, cache ratio,
         trace and seed, then every other field off its default but the
         fabric and the workload, the faults by count and kind."""
-        trace = self.trace_name or (
-            self.trace.name if self.trace is not None else "unnamed")
         text = (f"{self.scheme_name} (cache ratio {self.cache_ratio:g}, "
-                f"trace {trace}, seed {self.seed}")
+                f"trace {self.trace_name or 'unnamed'}, seed {self.seed}")
         for knob in fields(self):
             value = getattr(self, knob.name)
             if knob.name in _DESCRIBED or value == (
@@ -372,4 +357,4 @@ class ExperimentJob:
 #: fabric (``spec``, ``num_vms``, ``transport``) does not tell one job of a
 #: table from another.
 _DESCRIBED = ("scheme_name", "cache_ratio", "seed", "trace_name", "flows",
-              "trace", "spec", "num_vms", "transport")
+              "spec", "num_vms", "transport")

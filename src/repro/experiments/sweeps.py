@@ -163,7 +163,6 @@ def cache_size_sweep(
     schemes: Sequence[str],
     seed: int = 0,
     trace_name: str = "",
-    trace_spec=None,
     workers: int | None = None,
     cache="auto",
     progress=None,
@@ -172,15 +171,11 @@ def cache_size_sweep(
     """The Figure 5/6 sweep of ``flows``: :func:`ratio_sweep` of
     ``schemes`` x aggregate cache sizes, simulated and normalized.
 
-    ``trace_spec``, a :class:`~repro.traces.spec.TraceSpec` of the same
-    workload, makes the jobs carry it instead of the flows.  ``workers``,
-    ``cache``, ``progress`` and ``perf`` are those of
+    ``workers``, ``cache``, ``progress`` and ``perf`` are those of
     :func:`~repro.experiments.parallel.parallel_run_experiments`.
     """
-    base = ExperimentJob(
-        spec=spec, scheme_name="NoCache", num_vms=num_vms, seed=seed,
-        trace_name=trace_name, trace=trace_spec,
-        flows=None if trace_spec is not None else tuple(flows))
+    base = ExperimentJob(spec=spec, scheme_name="NoCache", flows=flows,
+                         num_vms=num_vms, seed=seed, trace_name=trace_name)
     jobs = ratio_sweep(ratio_jobs(base), ratios, schemes)
     return sweep_rows(dict(zip(jobs, parallel_run_experiments(
         list(jobs.values()), workers, cache=cache, progress=progress,

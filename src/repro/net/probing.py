@@ -3,8 +3,8 @@
 Deterministic ECMP means a packet's path is a pure function of its
 headers and the fabric state; these helpers walk ``next_hop`` decisions
 without transmitting anything, returning the node sequence a packet
-*would* take.  Used by the Controller baseline, debugging sessions and
-tests that assert on routes.
+*would* take.  Used by debugging sessions and tests that assert on
+routes, not by any scheme.
 """
 
 from __future__ import annotations

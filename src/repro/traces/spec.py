@@ -1,17 +1,18 @@
-"""Declarative trace specifications: regenerate flows instead of shipping them.
+"""Declarative trace specifications: a workload as generator, parameters, seed.
 
 A :class:`TraceSpec` names a workload generator, its parameters and the
 experiment seed — everything needed to *deterministically* rebuild the
 flow list anywhere (``generate(params, RandomStreams(seed).stream(...))``
-per :mod:`repro.sim.randomness`).  Two things build on this:
+per :mod:`repro.sim.randomness`).  It is the recipe, not the run:
 
-* the parallel sweep orchestrator pickles a spec (a few hundred bytes)
-  into each worker instead of tens of thousands of materialized
-  :class:`~repro.transport.flow.FlowSpec` objects, and the worker
-  regenerates the flows locally;
-* the run cache (:mod:`repro.experiments.runcache`) keys runs by the
-  *content* of the trace, so a spec-carrying job and a flows-carrying
-  job of the same workload hash identically.
+* the figures (:func:`repro.experiments.figures.trace_spec_for`),
+  ``repro trace generate`` and the benchmark's workloads name their
+  traces by spec and :meth:`TraceSpec.materialize` them;
+* a run (:class:`~repro.experiments.runner.ExperimentJob`) carries the
+  materialized :class:`~repro.transport.flow.FlowSpec` tuple, and the
+  run cache (:mod:`repro.experiments.runcache`) keys it by the flows'
+  field values, so two specs that compare equal but carry ``48e6`` and
+  ``48_000_000`` key apart.
 
 Specs are frozen and fully hashable: parameters are stored as a sorted
 tuple of ``(name, scalar)`` pairs, never as a dict.

@@ -1,7 +1,5 @@
 """Tests for the baseline translation schemes."""
 
-import pytest
-
 from repro.baselines import (
     Bluebird,
     Direct,

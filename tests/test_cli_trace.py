@@ -82,7 +82,7 @@ def test_every_trace_is_sized_by_its_count_flag(trace, tmp_path, monkeypatch,
     played = []
     simulate = ExperimentJob.run
     monkeypatch.setattr(ExperimentJob, "run", lambda job, **options: (
-        played.append(len(job.resolve_flows())) or simulate(job, **options)))
+        played.append(len(job.flows)) or simulate(job, **options)))
     counts = []
     for count in (3, 6):
         flows, _ = build_trace(trace, replace(SMALL, **{field: count}))

@@ -170,7 +170,7 @@ def test_sweep_identical_across_execution_modes(tmp_path):
         return cache_size_sweep(
             spec=_TINY_SPEC, flows=trace.materialize(), num_vms=16,
             ratios=(0.5, 4.0), schemes=("SwitchV2P", "GwCache"), seed=7,
-            trace_name="hadoop", trace_spec=trace, **mode)
+            trace_name="hadoop", **mode)
 
     _assert_identical_across_execution_modes(sweep, tmp_path, pools=(2, 4))
 

@@ -1,6 +1,5 @@
 """Tests for the rejected in-switch DHT design (paper §2.4)."""
 
-from repro.baselines import NoCache
 from repro.baselines.dht import DhtStore
 from repro.sim.engine import msec, usec
 from repro.transport.flow import FlowSpec

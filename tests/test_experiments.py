@@ -23,7 +23,6 @@ from repro.experiments.artifacts import gateway_packet_fraction
 from repro.experiments.figures import bluebird_kwargs
 from repro.experiments.sweeps import cache_size_sweep
 from repro.net.node import Layer
-from repro.net.topology import FatTreeSpec
 from repro.traces.incast import IncastTraceParams
 from repro.transport.flow import FlowSpec
 

@@ -57,20 +57,25 @@ def test_figure5_nocache_normalizes_to_one():
     assert all(r.fct_improvement == pytest.approx(1.0) for r in rows)
 
 
-def test_figure5_jobs_materialize_the_trace_only_for_bluebird(monkeypatch):
-    """Bluebird's punt channel is sized from the flows; no other job
-    needs them before a worker runs it."""
+def test_figure5_jobs_materialize_the_trace_once_for_every_job(monkeypatch):
+    """One materialization per call, and every job holds that one flow
+    tuple, so keying a sweep digests the flows once; Bluebird's punt
+    channel is sized from them."""
     calls = []
     materialize = TraceSpec.materialize
     monkeypatch.setattr(TraceSpec, "materialize", lambda spec: (
         calls.append(spec) or materialize(spec)))
     job = figure5_jobs("hadoop", TINY)
-    job("SwitchV2P", 4.0)
-    assert calls == []
-    kwargs = job("Bluebird", 4.0).scheme_kwargs
-    assert job("Bluebird", 0.5).scheme_kwargs is kwargs
-    assert len(calls) == 1 and set(kwargs) == {"punt_bps",
-                                               "punt_buffer_bytes"}
+    assert len(calls) == 1
+    jobs = [job(scheme, ratio) for scheme in ("NoCache", "SwitchV2P",
+                                              "Bluebird")
+            for ratio in (0.5, 4.0)]
+    assert len(calls) == 1
+    assert all(each.flows is jobs[0].flows for each in jobs)
+    assert jobs[0].flows == tuple(materialize(calls[0]))
+    kwargs = jobs[-1].scheme_kwargs
+    assert jobs[-2].scheme_kwargs is kwargs
+    assert set(kwargs) == {"punt_bps", "punt_buffer_bytes"}
 
 
 def test_figure8_reports_pod_switches():

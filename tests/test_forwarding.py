@@ -2,12 +2,10 @@
 
 from repro.baselines.nocache import NoCache
 from repro.net.addresses import pip_pod, pip_rack
-from repro.net.node import Layer, ecmp_index
+from repro.net.node import ecmp_index
 from repro.net.packet import Packet, PacketKind
-from repro.vnet.gateway import Gateway
-from repro.vnet.hypervisor import Host
 
-from conftest import small_network, tiny_spec, vip_on
+from conftest import small_network, vip_on
 
 
 def make_data_packet(src_pip, dst_pip, flow_id=1, seq=0):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.baselines import NoCache
-from repro.net.node import Layer, Switch
 from repro.net.packet import Packet, PacketKind
 
 from conftest import small_network, vip_on

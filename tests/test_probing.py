@@ -1,12 +1,9 @@
 """Tests for forwarding-path probes."""
 
-import pytest
-
 from repro.baselines import NoCache
-from repro.net.addresses import pip_pod, pip_rack
+from repro.net.addresses import pip_pod
 from repro.net.node import Layer, Switch
-from repro.net.probing import ForwardingLoopError, forwarding_path, path_length
-from repro.vnet.hypervisor import Host
+from repro.net.probing import forwarding_path, path_length
 
 from conftest import small_network, vip_on
 

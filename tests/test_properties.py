@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
-import heapq
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

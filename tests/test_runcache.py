@@ -95,8 +95,6 @@ PERTURBATIONS = [
     {"trace_name": "hadoop"},
     {"scheme_kwargs": {"sticky": True}},
     {"fidelity": "hybrid"},
-    {"flows": None,
-     "trace": TraceSpec.create("hadoop", 5, num_vms=8, num_flows=30)},
     {"faults": tuple(chaos_schedule().events)},
     {"sample_period_ns": 250_000},
     {"fct_windows": ((0, 1_000_000),)},
@@ -163,19 +161,12 @@ def test_scheme_kwargs_order_does_not_matter():
     assert a == b
 
 
-def test_trace_spec_and_flows_forms_share_keys():
-    """A spec-carrying job and its materialized flows hit the same entry."""
-    trace = TraceSpec.create("hadoop", 5, num_vms=8, num_flows=30)
-    by_spec = run_key(tiny_spec(), "SwitchV2P", 8, 4.0, 5, trace=trace)
-    by_flows = run_key(tiny_spec(), "SwitchV2P", 8, 4.0, 5,
-                       flows=tuple(trace.materialize()))
-    assert by_spec == by_flows
-
-
 def test_run_key_requires_exactly_one_workload_form():
-    with pytest.raises(ValueError):
+    """The flows are the one workload form: a key needs them, and the
+    former spec form is no field."""
+    with pytest.raises(TypeError, match="flows"):
         run_key(tiny_spec(), "SwitchV2P", 8, 4.0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="trace"):
         run_key(tiny_spec(), "SwitchV2P", 8, 4.0, 0, flows=_flows(),
                 trace=TraceSpec.create("hadoop", 0, num_vms=8, num_flows=4))
 
@@ -269,17 +260,17 @@ def test_flows_that_compare_equal_but_digest_apart_share_no_memo_entry():
 
 
 def test_trace_specs_that_compare_equal_but_digest_apart_key_apart():
-    """The same for a :class:`TraceSpec` whose rate reaches its flows."""
+    """The same for the flows of two :class:`TraceSpec` that compare
+    equal and whose rate reaches their flows."""
     params = {"num_vms": 8, "num_streams": 2}
     as_float = TraceSpec("video", seed=0,
                          params={**params, "stream_rate_bps": 48e6})
     as_int = TraceSpec("video", seed=0,
                        params={**params, "stream_rate_bps": 48_000_000})
     assert as_float == as_int
-    keys = [_base_key(flows=None, trace=spec) for spec in (as_float, as_int)]
-    assert keys[0] != keys[1]
-    assert keys == [_base_key(flows=tuple(spec.materialize()))
-                    for spec in (as_float, as_int)]
+    flows = [tuple(spec.materialize()) for spec in (as_float, as_int)]
+    assert flows[0] == flows[1]
+    assert _base_key(flows=flows[0]) != _base_key(flows=flows[1])
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +330,19 @@ def test_corrupted_entry_is_dropped(tmp_path):
     assert store.get(key) is None
     assert store.stats.invalid == 1
     assert not entry.exists(), "corrupted entry must be unlinked"
+
+
+@pytest.mark.parametrize("payload", ["[]", "5", '"x"', "null"])
+def test_an_entry_that_is_not_a_json_object_is_dropped(tmp_path, payload):
+    """Valid JSON of another shape is as corrupt as invalid JSON: a miss
+    whose file is deleted, not an ``AttributeError`` out of ``get``."""
+    store = RunCache(tmp_path)
+    _run(store)
+    (entry,) = store.entries()
+    entry.write_text(payload)
+    assert store.get(_base_key()) is None
+    assert store.stats.invalid == 1
+    assert not entry.exists()
 
 
 def test_stale_schema_entry_is_dropped(tmp_path):

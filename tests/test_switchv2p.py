@@ -8,7 +8,7 @@ from repro.sim.engine import msec, usec
 from repro.transport.flow import FlowSpec
 from repro.transport.player import TrafficPlayer
 
-from conftest import small_network, tiny_spec
+from conftest import small_network
 
 
 def build(slots=200, config=None, num_vms=8, spec=None):

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.direct import Direct
 from repro.baselines.nocache import NoCache
 from repro.net.packet import PacketKind
-from repro.sim.engine import msec, usec
+from repro.sim.engine import msec
 from repro.transport.flow import FlowSpec
 from repro.transport.player import TrafficPlayer, _VipDemux
 from repro.transport.reliable import TransportConfig
