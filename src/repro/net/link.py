@@ -13,10 +13,9 @@ mechanics as in the paper's simulations.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import TYPE_CHECKING
 
-from repro.sim.engine import Engine
+from repro.sim.engine import BUCKET_SHIFT, Engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.node import Node
@@ -222,8 +221,8 @@ class Link:
             # transport times out), so still return True.
             self.lost += 1
             return True
-        heappush(engine._queue, (finish + self.propagation_ns,
-                                 engine._sequence, self._deliver,
-                                 (packet, self)))
+        at = finish + self.propagation_ns
+        engine._buckets[at >> BUCKET_SHIFT].append(
+            (at, engine._sequence, self._deliver, (packet, self)))
         engine._sequence += 1
         return True

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from enum import IntEnum
-from heapq import heappush
 from typing import TYPE_CHECKING
 
 from repro.net.addresses import _HOST_BITS, _POD_BITS, _POD_SHIFT, _RACK_BITS, pip_pod, pip_rack
 from repro.net.packet import Packet, PacketKind
+from repro.sim.engine import BUCKET_SHIFT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.baselines.base import TranslationScheme
@@ -292,9 +292,9 @@ class Switch(Node):
         egress._busy_until = finish
         egress.packets += 1
         egress.bytes += size
-        heappush(engine._queue, (finish + egress.propagation_ns,
-                                 engine._sequence, egress._deliver,
-                                 (packet, egress)))
+        at = finish + egress.propagation_ns
+        engine._buckets[at >> BUCKET_SHIFT].append(
+            (at, engine._sequence, egress._deliver, (packet, egress)))
         engine._sequence += 1
 
     def _receive_guarded(self, packet: Packet, link: Link | None) -> None:

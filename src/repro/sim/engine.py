@@ -1,11 +1,23 @@
 """Discrete-event simulation engine.
 
-The engine is a classic event-calendar simulator: a binary heap of
+The engine is a classic event-calendar simulator: a calendar of
 ``(time, sequence, callback, argument)`` tuples, an integer-nanosecond
 clock, and a run loop.  Integer time avoids floating-point drift when
 summing many small per-hop delays, which matters because the paper's
 latency budget is built from 1 microsecond propagation delays and
 sub-microsecond serialization times.
+
+The calendar is a calendar queue (Brown, CACM 1988) with one fixed
+bucket width, ``1 << BUCKET_SHIFT`` ns.  A dict maps a *slot*,
+``time >> BUCKET_SHIFT``, to the unsorted list of the entries in it,
+and a small heap holds the open slots; a push is one append.  The
+earliest bucket is sorted once, by the unique ``(time, sequence)``
+keys, when it becomes the *running* bucket, which the run loop reads
+with a list iterator and drops when it is used up.  A push into the
+running slot or an earlier one (after a timer fired before the running
+bucket's head) is inserted in order into the running bucket, ahead of
+the read position.  A bucket holds about one link propagation delay,
+so nearly every hop lands in a later bucket than the one being run.
 
 Cancellable timers (retransmission timeouts, health probes) sit on a
 second heap beside the calendar, of ``(deadline, sequence, timer)``
@@ -19,11 +31,11 @@ and its entry is re-pushed under the new key only if it comes to the
 top first.  Live timers fire in exact ``(time, sequence)`` order
 relative to calendar events, keeping runs bit-deterministic.
 
-The two heaps meet in one number, the *timer bound*: a lower bound on
-the deadline of every live timer (the key of the timer heap's top).  A
-calendar event earlier than the bound runs without looking at the timer
-heap at all; only an event at or past it takes the run loop's slow
-path, which cleans the top of the timer heap and merges the two.
+Calendar and timer heap meet in one number, the *timer bound*: a lower
+bound on the deadline of every live timer (the key of the timer heap's
+top).  A calendar event earlier than the bound runs without looking at
+the timer heap at all; only an event at or past it takes the run loop's
+slow path, which cleans the top of the timer heap and merges the two.
 
 The engine is deliberately minimal; all protocol behaviour lives in the
 network objects (:mod:`repro.net`, :mod:`repro.vnet`, :mod:`repro.core`)
@@ -34,9 +46,12 @@ from __future__ import annotations
 
 import gc
 import heapq
+from bisect import insort
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from typing import Any
+from itertools import islice
+from operator import itemgetter, length_hint
+from typing import Any, Protocol, cast
 
 # Unit helpers: all simulation timestamps are integers in nanoseconds.
 NANOSECOND = 1
@@ -45,8 +60,20 @@ MILLISECOND = 1_000_000
 SECOND = 1_000_000_000
 
 #: "No such time": the timer bound while the timer heap is empty, and
-#: the run horizon / event budget when ``run`` is given none.
+#: the run horizon when ``run`` is given none.
 _NEVER = 1 << 62
+
+#: log2 of the calendar's bucket width: a bucket holds 1 024 ns of
+#: events, about one link propagation delay.
+BUCKET_SHIFT = 10
+
+#: A calendar entry, ``(time, seq, callback, args)``.  Its ``(time, seq)``
+#: key is unique, so ordering entries never compares a callback.
+_Entry = tuple[int, int, Callable[..., None], tuple]
+
+#: Sort keys of a calendar entry.
+_TIME = itemgetter(0)
+_SEQ = itemgetter(1)
 
 #: A pending calendar event or live timer: ``(time, callback, args)``.
 _Item = tuple[int, Callable[..., None], tuple]
@@ -84,6 +111,68 @@ class SimulationError(RuntimeError):
     """Raised on misuse of the engine (e.g. scheduling in the past)."""
 
 
+class _Running:
+    """The running bucket: its entries, sorted, and its slot.
+
+    Every slot up to :attr:`slot` belongs to it (the dict holds only
+    later ones), so a push there lands here and :meth:`append` inserts
+    it in order.  The pushed key is later than that of the event being
+    run, so the entry lands ahead of the run loop's read position.
+    """
+
+    __slots__ = ("entries", "slot")
+
+    def __init__(self) -> None:
+        self.entries: list[_Entry] = []
+        self.slot = -1
+
+    def append(self, entry: _Entry) -> None:
+        insort(self.entries, entry)
+
+
+class _Buckets(dict[int, list[_Entry]]):
+    """The calendar: the open buckets by slot, their slots as a heap,
+    and the running bucket.
+
+    ``buckets[at >> BUCKET_SHIFT].append(entry)`` is a whole push.  A
+    slot with no bucket yet reaches :meth:`__missing__`, which opens one
+    for a slot past the running one and otherwise hands back the running
+    bucket, which inserts in order.
+    """
+
+    __slots__ = ("slots", "running")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.slots: list[int] = []
+        self.running = _Running()
+
+    def __missing__(self, slot: int) -> list[_Entry] | _Running:
+        running = self.running
+        if slot <= running.slot:
+            return running
+        bucket: list[_Entry] = []
+        self[slot] = bucket
+        heapq.heappush(self.slots, slot)
+        return bucket
+
+
+class _Reader(Protocol):
+    """A list iterator over the running bucket's entries: its read
+    position.  ``length_hint`` gives the entries still to read (0 once
+    it is exhausted) and ``__setstate__`` moves the position."""
+
+    def __iter__(self) -> Iterator[_Entry]: ...
+
+    def __next__(self) -> _Entry: ...
+
+    def __setstate__(self, index: int) -> None: ...
+
+
+def _reader(entries: list[_Entry]) -> _Reader:
+    return cast(_Reader, iter(entries))
+
+
 class Timer:
     """A cancellable timer handle returned by :meth:`Engine.schedule_timer`.
 
@@ -111,6 +200,12 @@ class Engine:
     are broken by insertion order, making runs fully deterministic for a
     fixed seed and fixed scheduling order.
 
+    The calendar (module docstring) is read through ``_reader``, a list
+    iterator over the running bucket: the entries before its position
+    have run, and the ones from it on are pending.  Between runs the
+    entries already read are dropped, so the running bucket holds only
+    pending ones.
+
     Every live timer has exactly one entry on the timer heap, whose key
     is never later than the timer's own ``(deadline, seq)``: equal when
     armed, earlier once :meth:`rearm_timer` has moved the timer in place.
@@ -136,9 +231,13 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        self._queue: list[tuple[int, int, Callable[..., None], tuple]] = []
+        #: The calendar; the per-hop pushers index it themselves.
+        self._buckets = _Buckets()
+        self._reader = _reader(self._buckets.running.entries)
         self._sequence = 0
         self._now = 0
+        #: Events run, less those the running bucket's reader has read
+        #: (:attr:`events_processed` adds them).
         self._events_processed = 0
         self._stopped = False
         #: Heap of ``(deadline, seq, timer)``, one entry per armed timer
@@ -157,12 +256,14 @@ class Engine:
     @property
     def events_processed(self) -> int:
         """Number of events executed so far (timer firings included)."""
-        return self._events_processed
+        entries = self._buckets.running.entries
+        return self._events_processed + len(entries) - length_hint(self._reader)
 
     @property
     def pending_events(self) -> int:
         """Number of events still waiting (calendar + live timers)."""
-        return len(self._queue) + self._live_timers
+        return (length_hint(self._reader) + sum(map(len, self._buckets.values()))
+                + self._live_timers)
 
     @property
     def pending_timers(self) -> int:
@@ -177,8 +278,11 @@ class Engine:
         oracles and debugging that need to see what is in flight
         without depending on how the calendar is laid out.
         """
-        for at, _seq, callback, args in self._queue:
-            yield at, callback, args
+        entries = self._buckets.running.entries
+        pending = entries[len(entries) - length_hint(self._reader):]
+        for bucket in (pending, *self._buckets.values()):
+            for at, _seq, callback, args in bucket:
+                yield at, callback, args
         for _key, _seq, timer in self._timers:
             if timer.alive:
                 yield timer.deadline, timer.callback, timer.args
@@ -193,29 +297,52 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule event at t={at} before current time t={self._now}"
             )
-        heapq.heappush(self._queue, (at, self._sequence, callback, args))
+        self._buckets[at >> BUCKET_SHIFT].append(
+            (at, self._sequence, callback, args))
         self._sequence += 1
 
     def schedule_after(self, delay: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now.
 
         A non-negative delay from ``now`` can never land in the past,
-        so this pushes straight onto the heap without the past-time
+        so this pushes straight onto the calendar without the past-time
         check :meth:`schedule` performs.  (Links and ``Switch.receive``,
-        the per-packet hot path, push onto the heap themselves.)
+        the per-packet hot path, push onto the calendar themselves.)
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        heapq.heappush(self._queue,
-                       (self._now + delay, self._sequence, callback, args))
+        at = self._now + delay
+        self._buckets[at >> BUCKET_SHIFT].append(
+            (at, self._sequence, callback, args))
         self._sequence += 1
+
+    def _push(self, entry: _Entry) -> None:
+        """Put ``entry``, ``(at, seq, callback, args)``, on the calendar.
+
+        For callers that build the entry themselves: ``at`` no earlier
+        than the clock, ``seq`` drawn from ``_sequence`` or
+        :meth:`reserve` and later than that of the event being run.
+        """
+        self._buckets[entry[0] >> BUCKET_SHIFT].append(entry)
+
+    def discard_events(self) -> None:
+        """Drop every pending calendar event; live timers stay armed.
+
+        For tests that drive one component at a time and read what it
+        put on the calendar through :meth:`iter_pending`.
+        """
+        self._drop_read()
+        buckets = self._buckets
+        buckets.clear()
+        buckets.slots.clear()
+        buckets.running.entries.clear()
 
     def reserve(self, count: int) -> int:
         """Draw ``count`` consecutive sequence numbers; return the first.
 
-        An entry ``(at, seq, callback, args)`` pushed onto the calendar
-        later under a reserved ``seq`` (``at`` no earlier than the clock
-        then) runs exactly where :meth:`schedule` would have run it,
+        An entry ``(at, seq, callback, args)`` put on the calendar later
+        (:meth:`_push`) under a reserved ``seq`` (``at`` no earlier than
+        the clock then) runs exactly where :meth:`schedule` would have run it,
         had that been called now: after the same-time events scheduled
         before this call, before those scheduled after it.  The traffic
         player feeds a batch's flow starts this way, one at a time.
@@ -293,20 +420,57 @@ class Engine:
         timer.args = args
         return timer
 
+    def _open_next(self) -> bool:
+        """Drop the used-up running bucket and make the earliest open
+        bucket the running one, sorted; False when none is open.
+
+        With no bucket open the dict is emptied, which also releases
+        the table it grew to at its busiest.
+        """
+        buckets = self._buckets
+        running = buckets.running
+        self._events_processed += len(running.entries)
+        slots = buckets.slots
+        opened = bool(slots)
+        if opened:
+            slot = heapq.heappop(slots)
+            entries = buckets.pop(slot)
+            # By (time, seq) as two sorts on int keys, the second stable:
+            # about half the cost of one sort comparing the tuples.
+            entries.sort(key=_SEQ)
+            entries.sort(key=_TIME)
+            running.slot = slot
+        else:
+            entries = []
+            buckets.clear()
+        running.entries = entries
+        self._reader = _reader(entries)
+        return opened
+
+    def _drop_read(self) -> None:
+        """Delete the running bucket's entries already read, so that
+        what they hold is released, and read the rest from the front."""
+        entries = self._buckets.running.entries
+        read = len(entries) - length_hint(self._reader)
+        if read:
+            self._events_processed += read
+            del entries[:read]
+            self._reader = _reader(entries)
+
     def _pop_next(self, horizon: int) -> _Item | None:
         """Slow path of :meth:`run`: take the next item in global order.
 
         First cleans the top of the timer heap — drops cancelled
         entries and re-pushes moved ones under their timer's true key —
-        then compares it with the calendar head by the shared
-        ``(time, seq)`` key, removes the winner and returns it as
-        ``(time, callback, args)``; returns None when nothing is left at
-        or before ``horizon``.  Either way it leaves ``_timer_bound`` at
-        the top entry's key or just past the horizon, whichever is
-        earlier, so that the fast path's one comparison also ends the
-        run there.
+        then compares it with the calendar head (the running bucket's
+        next entry: :meth:`run` calls this with the head there or with
+        no bucket open) by the shared ``(time, seq)`` key, takes the
+        winner and returns it as ``(time, callback, args)``; returns
+        None when nothing is left at or before ``horizon``.  Either way
+        it leaves ``_timer_bound`` at the top entry's key or just past
+        the horizon, whichever is earlier, so that the fast path's one
+        comparison also ends the run there.
         """
-        queue = self._queue
         timers = self._timers
         while timers:
             _key, seq, timer = timers[0]
@@ -316,16 +480,23 @@ class Engine:
                 heapq.heapreplace(timers, (timer.deadline, timer.seq, timer))
             else:
                 break
+        reader = self._reader
+        ahead = length_hint(reader)
+        head: _Entry | None = None
+        if ahead:
+            entries = self._buckets.running.entries
+            head = entries[len(entries) - ahead]
         item: _Item | None = None
-        if timers and (not queue or timers[0][:2] < queue[0][:2]):
+        if timers and (head is None or timers[0][:2] < head[:2]):
             if timers[0][0] <= horizon:
                 deadline, _seq, timer = heapq.heappop(timers)
                 timer.alive = False
                 self._live_timers -= 1
+                self._events_processed += 1
                 item = deadline, timer.callback, timer.args
-        elif queue and queue[0][0] <= horizon:
-            at, _seq, callback, args = heapq.heappop(queue)
-            item = at, callback, args
+        elif head is not None and head[0] <= horizon:
+            next(reader)
+            item = head[0], head[2], head[3]
         self._timer_bound = min(horizon + 1,
                                 timers[0][0] if timers else _NEVER)
         return item
@@ -354,57 +525,75 @@ class Engine:
             ``until`` that is ``until`` itself unless :meth:`stop` or
             ``max_events`` ended the run with something still pending.
 
-        The fast path is one comparison per event: pop the calendar
-        head and, if it is earlier than the timer bound, it precedes
-        every live timer — set the clock and call it.  Everything else
-        happens only when that test fails: the event is pushed back
-        (its ``(time, seq)`` key is unique, so the heap order is
-        restored exactly) and :meth:`_pop_next` merges calendar and
-        timers.  ``stop()`` and ``until`` fail the test by lowering the
-        bound, and ``max_events`` is the length of the loop's range, so
-        none of the three costs anything per event.
+        The fast path is a ``for`` loop over the running bucket's
+        reader and one comparison per event: an entry earlier than the
+        timer bound precedes every live timer — set the clock and call
+        it.  The reader sees the entries inserted ahead of it while the
+        bucket runs.  When the bucket is used up the loop opens the next
+        one and goes on.  Everything else happens only when the test
+        fails: the entry is read again (the reader is moved back one)
+        and :meth:`_pop_next` merges calendar and timers.  ``stop()``
+        and ``until`` fail the test by lowering the bound, and
+        ``max_events`` bounds the loop by ``islice`` (the reader alone
+        otherwise), so none of the three costs anything per event.  The
+        reader's position counts the events run.  An event whose
+        callback raises has been read: it is not run again, nor counted.
 
         The loop runs under :func:`collector_paused`: per-event garbage
         (calendar tuples, expired packets) is reference-counted away at
         once, so the cyclic collector's scans would only add latency.
         """
         self._stopped = False
-        # Bind the loop's hot names to locals: each lookup saved here is
-        # saved once per simulated event.
-        queue = self._queue
-        heappop = heapq.heappop
-        heappush = heapq.heappush
         horizon = _NEVER if until is None else until
-        processed = self._events_processed
-        budget_end = _NEVER if max_events is None else processed + max_events
+        budget_end = 0 if max_events is None \
+            else self.events_processed + max_events
         drained = False
         if self._timer_bound > horizon:
             self._timer_bound = horizon + 1
         with collector_paused():
             try:
-                # One iteration per executed event; ``processed`` counts
-                # the events executed before the current one.
-                for processed in range(processed, budget_end):
-                    if queue:
-                        head = heappop(queue)
-                        at = head[0]
-                        if at < self._timer_bound:
-                            self._now = at
-                            head[2](*head[3])
-                            continue
-                        heappush(queue, head)
-                    if self._stopped:
+                while True:
+                    reader = self._reader
+                    if max_events is None:
+                        events: Iterator[_Entry] = reader
+                    else:
+                        left = budget_end - self.events_processed
+                        if left <= 0:
+                            break
+                        events = islice(reader, left)
+                    try:
+                        for at, _seq, callback, args in events:
+                            if at < self._timer_bound:
+                                self._now = at
+                                callback(*args)
+                                continue
+                            # Read it again on the slow path.
+                            entries = self._buckets.running.entries
+                            reader.__setstate__(
+                                len(entries) - length_hint(reader) - 1)
+                            break
+                        else:
+                            if length_hint(reader) or self._open_next():
+                                continue  # max_events, or the next bucket
+                    except BaseException:
+                        # Raised by the callback of an event already read.
+                        self._events_processed -= 1
+                        raise
+                    if self._stopped or (max_events is not None
+                                         and self.events_processed >= budget_end):
                         break
                     item = self._pop_next(horizon)
                     if item is None:
                         drained = True
                         break
                     self._now = item[0]
-                    item[1](*item[2])
-                else:
-                    processed = budget_end
+                    try:
+                        item[1](*item[2])
+                    except BaseException:
+                        self._events_processed -= 1
+                        raise
             finally:
-                self._events_processed = processed
+                self._drop_read()
         if until is not None and self._now < until \
                 and (drained or not self.pending_events):
             self._now = until

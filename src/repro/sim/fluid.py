@@ -81,7 +81,7 @@ functions named ``_walk*`` / ``_commit*`` / ``_escalate*`` /
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heapreplace
 from operator import attrgetter, sub
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, NamedTuple
@@ -719,8 +719,8 @@ class FluidScheduler:
         # pass through its slow path.
         self.rounds += 1
         flow.token = token = self.rounds
-        heappush(engine._queue, (now + n * interval, engine._sequence,
-                                 self._commit, (flow, token)))
+        engine._push((now + n * interval, engine._sequence, self._commit,
+                      (flow, token)))
         engine._sequence += 1
         # The probe packet (when real) drew live during its walk, so a
         # probed round queues packets ``1..n-1``; a skipped round's

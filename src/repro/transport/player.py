@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import partial
-from heapq import heappush
 
 from repro.metrics.collector import FlowRecord
 from repro.net.packet import Packet, PacketKind
@@ -131,8 +130,7 @@ class TrafficPlayer:
                               in enumerate(zip(specs, records))),
                              reverse=True)
             at, seq, spec, record = pending.pop()
-            heappush(engine._queue,
-                     (at, seq, self._start_flow, (spec, record, pending)))
+            engine._push((at, seq, self._start_flow, (spec, record, pending)))
         return records
 
     def _register(self, spec: FlowSpec) -> FlowRecord:
@@ -165,9 +163,8 @@ class TrafficPlayer:
         if pending:
             # The batch's next start, under its reserved sequence number.
             at, seq, next_spec, next_record = pending.pop()
-            heappush(self.network.engine._queue,
-                     (at, seq, self._start_flow,
-                      (next_spec, next_record, pending)))
+            self.network.engine._push(
+                (at, seq, self._start_flow, (next_spec, next_record, pending)))
         src_host = self.network.host_of(spec.src_vip)
         src_demux = self._demux_for(spec.src_vip)
         dst_demux = self._demux_for(spec.dst_vip)

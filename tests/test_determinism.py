@@ -1,7 +1,7 @@
 """Determinism guards for the hot-path optimizations.
 
 The perf overhaul (memoized ECMP, incremental wire-byte accounting,
-the engine's pop-first fast path) must not change a single simulated
+the engine's fast path and calendar) must not change a single simulated
 outcome: identical seeds must produce identical results.
 These tests pin that down three ways — repeated runs, sequential vs
 process-pool execution, and a committed golden snapshot that detects
@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from repro.core import SwitchV2P
-from repro.experiments.faults import ChaosParams
 from repro.experiments.artifacts import ARTIFACTS
+from repro.experiments.faults import ChaosParams
 from repro.experiments.figures import FigureScale
 from repro.experiments.parallel import ExperimentJob, parallel_run_experiments
 from repro.experiments.runcache import RunCache

@@ -12,9 +12,13 @@ Deadlines run from zero to three horizons on a coarse grid, so ties
 between timers and calendar events are common.  The test runs at two
 horizons: 4 ticks (a quarter of a millisecond, where nearly every
 deadline ties with another) and 512 ticks (33 ms, out to ~100 ms, the
-span of real RTOs and fluid rounds).  Re-arms move a timer later, to
-the same deadline or earlier, and re-arm handles that have fired, were
-cancelled or were never armed, so the in-place move of
+span of real RTOs and fluid rounds).  A third family draws delays of
+0-3 us on a 64-256 ns grid, below the calendar's 1 024 ns bucket: many
+events share a bucket, callbacks push into the bucket being run, also
+after a timer fired before its head, and ``until``, ``max_events`` and
+``stop()`` end segments with a bucket partly run.  Re-arms move a timer
+later, to the same deadline or earlier, and re-arm handles that have
+fired, were cancelled or were never armed, so the in-place move of
 :meth:`Engine.rearm_timer` and the slow path's re-push of a moved heap
 entry are checked where pinned-seed simulations rarely go.
 
@@ -28,9 +32,16 @@ import random
 
 import pytest
 
-from repro.sim.engine import Engine
+from repro.sim.engine import BUCKET_SHIFT, Engine, _Buckets, _Running
 
 PROGRAMS_PER_HORIZON = 120
+
+#: Programs of the sub-bucket family.
+FINE_PROGRAMS = 300
+
+#: The sub-bucket family's delays: up to this span, on one of these grids.
+FINE_SPAN_NS = 3_000
+FINE_GRIDS_NS = (64, 128, 256)
 
 #: Delays are drawn on this grid (plus small offsets), so equal
 #: deadlines are common.
@@ -133,23 +144,36 @@ def _delay(rng, horizon_ns):
         + rng.choice((0, 0, 1, GRID_NS - 1))
 
 
-#: How a ``rearm`` picks its new deadline: ``None`` draws a delay of its
-#: own, a number shifts the deadline the handle was last armed to.
-_SHIFTS = (None, None, 0, 0, 1, GRID_NS, 40 * GRID_NS, -1, -GRID_NS)
+def _fine_delay(rng, grid_ns):
+    """A delay from 0 to 3 us on ``grid_ns``, mostly within a bucket."""
+    if rng.random() < 0.15:
+        return rng.choice((0, 0, 1, 2))
+    return rng.randrange(FINE_SPAN_NS // grid_ns + 1) * grid_ns \
+        + rng.choice((0, 0, 1, grid_ns - 1))
 
 
-def _ops(rng, horizon_ns, depth, counter):
-    """Operations one callback (or one between-runs setup) performs."""
+def _shifts(grid_ns):
+    """How a ``rearm`` picks its new deadline: ``None`` draws a delay of
+    its own, a number shifts the deadline the handle was last armed to."""
+    return (None, None, 0, 0, 1, grid_ns, 40 * grid_ns, -1, -grid_ns)
+
+
+_SHIFTS = _shifts(GRID_NS)
+
+
+def _ops(rng, draw, shifts, depth, counter):
+    """Operations one callback (or one between-runs setup) performs;
+    ``draw(rng)`` draws a delay."""
     ops = []
     for _ in range(rng.choice((0, 1, 1, 2, 3)) if depth else rng.randrange(3, 9)):
         kind = rng.random()
-        delay = _delay(rng, horizon_ns)
+        delay = draw(rng)
         handle = rng.randrange(6)
         if depth >= 4:
             child = None
         else:
             counter[0] += 1
-            child = (counter[0], _ops(rng, horizon_ns, depth + 1, counter))
+            child = (counter[0], _ops(rng, draw, shifts, depth + 1, counter))
         if kind < 0.07:
             ops.append(("cancel", handle))
         elif kind < 0.10 and depth:
@@ -165,23 +189,35 @@ def _ops(rng, horizon_ns, depth, counter):
         elif kind < 0.65:
             ops.append(("replace", handle, delay, child))
         else:
-            ops.append(("rearm", handle, delay, rng.choice(_SHIFTS), child))
+            ops.append(("rearm", handle, delay, rng.choice(shifts), child))
     return ops
 
 
-def make_program(seed, horizon_ticks):
-    rng = random.Random(seed * 1_000 + horizon_ticks)
-    horizon_ns = horizon_ticks * TICK_NS
+def _segments(rng, draw, shifts):
     counter = [0]
     segments = []
     for _ in range(rng.randrange(3, 7)):
-        setup = _ops(rng, horizon_ns, 0, counter)
-        until_delay = None if rng.random() < 0.4 else _delay(rng, horizon_ns)
+        setup = _ops(rng, draw, shifts, 0, counter)
+        until_delay = None if rng.random() < 0.4 else draw(rng)
         max_events = None if rng.random() < 0.6 else rng.randrange(1, 12)
         segments.append((setup, until_delay, max_events))
     # Drain whatever is left so late timers are compared too.
     segments.append(([], None, None))
     return segments
+
+
+def make_program(seed, horizon_ticks):
+    rng = random.Random(seed * 1_000 + horizon_ticks)
+    horizon_ns = horizon_ticks * TICK_NS
+    return _segments(rng, lambda rng: _delay(rng, horizon_ns), _SHIFTS)
+
+
+def make_fine_program(seed):
+    """A program of the sub-bucket family."""
+    rng = random.Random(seed * 1_000 + 1)
+    grid_ns = rng.choice(FINE_GRIDS_NS)
+    return _segments(rng, lambda rng: _fine_delay(rng, grid_ns),
+                     _shifts(grid_ns))
 
 
 def execute(engine, program):
@@ -245,6 +281,87 @@ def test_engine_matches_naive_reference(horizon_ticks):
     # The programs must actually do something: a generator regression
     # that emptied them would make the comparison vacuous.
     assert fired > 20 * PROGRAMS_PER_HORIZON
+
+
+class _CountingBuckets(_Buckets):
+    """The calendar, counting pushes into the running bucket and, among
+    them, those into a slot before the running one."""
+
+    def __init__(self):
+        super().__init__()
+        self.in_running = self.behind = 0
+
+    def __missing__(self, slot):
+        if slot <= self.running.slot:
+            self.in_running += 1
+            self.behind += slot < self.running.slot
+        return super().__missing__(slot)
+
+
+class BucketCountingEngine(Engine):
+    """The engine on a :class:`_CountingBuckets` calendar."""
+
+    def __init__(self):
+        super().__init__()
+        self._buckets = _CountingBuckets()
+        self._reader = iter(self._buckets.running.entries)
+
+
+def _shared_buckets(log):
+    """Events of ``log`` that fired in the bucket of the one before."""
+    fires = [record[2] for record in log if record[0] == "fire"]
+    return sum(1 for before, at in zip(fires, fires[1:])
+               if before >> BUCKET_SHIFT == at >> BUCKET_SHIFT)
+
+
+def execute_fine(engine, program):
+    """``execute`` that also counts the segments that ended with an
+    event of the clock's bucket still pending."""
+    mid_bucket = 0
+    run = engine.run
+
+    def run_and_look(until=None, max_events=None):
+        nonlocal mid_bucket
+        returned = run(until=until, max_events=max_events)
+        slot = engine.now >> BUCKET_SHIFT
+        mid_bucket += any(at >> BUCKET_SHIFT == slot
+                          for at, _callback, _args in engine.iter_pending())
+        return returned
+
+    engine.run = run_and_look
+    return execute(engine, program), mid_bucket
+
+
+def test_engine_matches_naive_reference_below_the_bucket_width():
+    fired = shared = mid_bucket = in_running = behind = 0
+    for seed in range(FINE_PROGRAMS):
+        program = make_fine_program(seed)
+        expected = execute(NaiveEngine(), program)
+        engine = BucketCountingEngine()
+        actual, ended = execute_fine(engine, program)
+        for step, (want, got) in enumerate(zip(expected, actual)):
+            assert got == want, (
+                f"seed {seed}, step {step}: engine {got} != reference {want}")
+        assert len(actual) == len(expected), seed
+        fired += sum(1 for record in expected if record[0] == "fire")
+        shared += _shared_buckets(expected)
+        mid_bucket += ended
+        in_running += engine._buckets.in_running
+        behind += engine._buckets.behind
+    # The family must reach what it is for.
+    assert fired > 20 * FINE_PROGRAMS, fired
+    assert shared > fired // 2, (shared, fired)
+    assert in_running > 5 * FINE_PROGRAMS, in_running
+    assert behind > 0 and mid_bucket > FINE_PROGRAMS, (behind, mid_bucket)
+
+
+def test_fine_family_catches_an_unordered_running_bucket(monkeypatch):
+    """A push into the running bucket appended, not inserted in order."""
+    monkeypatch.setattr(_Running, "append",
+                        lambda self, entry: self.entries.append(entry))
+    assert any(execute(Engine(), make_fine_program(seed))
+               != execute(NaiveEngine(), make_fine_program(seed))
+               for seed in range(FINE_PROGRAMS))
 
 
 def test_reference_catches_a_late_timer():

@@ -1,6 +1,6 @@
 """Edge cases of the engine run loop and its timer heap.
 
-The run loop has a pop-first fast path (an event earlier than the timer
+The run loop has a read-first fast path (an event earlier than the timer
 bound runs without consulting the timer heap) and one slow path that
 merges calendar and timers and is where the ``until`` horizon,
 ``stop()`` and ``max_events`` end a run.  These tests pin the semantics
@@ -89,6 +89,44 @@ def test_event_beyond_until_is_pushed_back_intact():
     # A later run executes the preserved event exactly once.
     assert engine.run() == 75
     assert fired == ["late"]
+
+
+@pytest.mark.parametrize("gap", [10, S], ids=["one-bucket", "a-bucket-each"])
+def test_a_raising_callback_is_neither_counted_nor_run_again(gap):
+    engine = Engine()
+    fired = []
+
+    def raising():
+        fired.append("b")
+        raise RuntimeError("b")
+
+    engine.schedule(10, fired.append, "a")
+    engine.schedule(10 + gap, raising)
+    engine.schedule(10 + 2 * gap, fired.append, "c")
+    with pytest.raises(RuntimeError):
+        engine.run()
+    assert fired == ["a", "b"] and engine.now == 10 + gap
+    assert engine.events_processed == 1
+    assert engine.pending_events == 1
+    assert engine.run() == 10 + 2 * gap
+    assert fired == ["a", "b", "c"]
+    assert engine.events_processed == 2
+
+
+def test_discard_events_keeps_timers_and_the_count():
+    engine = Engine()
+    fired = []
+    for t in (10, 20, 30, 2 * S):
+        engine.schedule(t, fired.append, t)
+    engine.schedule_timer(S, fired.append, "timer")
+    engine.run(max_events=1)
+    engine.discard_events()
+    assert engine.pending_events == engine.pending_timers == 1
+    assert engine.events_processed == 1
+    engine.schedule(15, fired.append, 15)
+    engine.run()
+    assert fired == [10, 15, "timer"]
+    assert engine.events_processed == 3
 
 
 def test_repeated_run_until_is_idempotent_on_empty_engine():

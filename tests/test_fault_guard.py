@@ -144,7 +144,7 @@ def _run_with_fault(fault, forced):
     def land():
         # Deliveries on the calendar hold the spine's bound receive,
         # taken before the guard came on.
-        pending = sum(1 for _, _, callback, _ in engine._queue
+        pending = sum(1 for _at, callback, _args in engine.iter_pending()
                       if getattr(callback, "__self__", None) is spine)
         if not pending:
             engine.schedule_after(100, land)
@@ -203,11 +203,11 @@ def _packet(dst, flow_id):
 
 def _egress(switch, dst, flow_id):
     """The link the fault-free ``receive`` puts a packet on."""
-    queue = switch.fabric.engine._queue
-    queue.clear()
+    engine = switch.fabric.engine
+    engine.discard_events()
     packet = _packet(dst, flow_id)
     switch.receive(packet)
-    (_, _, _, (sent, link)), = queue
+    (_, _, (sent, link)), = engine.iter_pending()
     assert sent is packet
     return link
 

@@ -160,4 +160,4 @@ def test_a_hook_assigned_after_setup_is_what_runs():
     before = switch.stats.packets
     switch.receive(data(network, 0, 5))
     assert calls == [5] and switch.stats.packets == before + 1
-    assert not network.engine._queue  # consumed: nothing was forwarded
+    assert network.engine.pending_events == 0  # consumed: nothing was forwarded

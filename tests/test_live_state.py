@@ -71,13 +71,12 @@ def _peak_calendar(num_flows: int) -> tuple[int, int]:
     player = TrafficPlayer(network)
     records = player.add_flows(flows)
     engine = network.engine
-    calendar = engine._queue
-    assert len(calendar) == 1  # the first start, and nothing else
+    # The first start, and nothing else.
+    assert engine.pending_events == 1 and engine.pending_timers == 0
     peak = 1
     while engine.pending_events:
         engine.run(max_events=1)
-        if len(calendar) > peak:
-            peak = len(calendar)
+        peak = max(peak, engine.pending_events - engine.pending_timers)
     assert player.all_complete
     edges = sorted([(record.start_ns, 1) for record in records]
                    + [(record.start_ns + record.fct_ns, -1)

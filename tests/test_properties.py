@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +15,6 @@ from repro.net.addresses import (
 from repro.net.node import ecmp_index
 from repro.sim.engine import Engine
 from repro.traces.distributions import HADOOP_CDF, WEBSEARCH_CDF, sample_sizes
-
-import numpy as np
 
 
 # ----------------------------------------------------------------------

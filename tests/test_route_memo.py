@@ -29,12 +29,12 @@ def name_of(link):
 
 def forwarded(switch, packet):
     """The link ``receive`` put ``packet`` on (None: it was dropped)."""
-    queue = switch.fabric.engine._queue
-    queue.clear()
+    engine = switch.fabric.engine
+    engine.discard_events()
     switch.receive(packet)
-    if not queue:
+    if not engine.pending_events:
         return None
-    (_, _, _, (sent, link)), = queue
+    (_, _, (sent, link)), = engine.iter_pending()
     assert sent is packet
     return link
 
