@@ -57,10 +57,10 @@ def test_engine_rto_rearm_throughput(benchmark):
     64 flows each run a chain of 300 calendar events 12.8 us apart,
     interleaved 200 ns from one another; every event re-arms its flow's
     timer 100 us - 1 ms out with ``rearm_timer``, as the transport does.
-    Each re-arm moves a live timer later, in place; its heap entry is
-    re-pushed only when the clock reaches the key it still carries, so
-    a slow path that ran per event, not per crossing, shows here.  Only
-    each flow's last timer fires.
+    Each re-arm moves a live timer later, in place; its calendar entry
+    is re-pushed only when the clock reaches the key it still carries,
+    so a re-push per event, not per crossing, shows here.  Only each
+    flow's last timer fires.
     """
     flows, acks_per_flow = 64, 300
 

@@ -14,28 +14,23 @@ and a small heap holds the open slots; a push is one append.  The
 earliest bucket is sorted once, by the unique ``(time, sequence)``
 keys, when it becomes the *running* bucket, which the run loop reads
 with a list iterator and drops when it is used up.  A push into the
-running slot or an earlier one (after a timer fired before the running
-bucket's head) is inserted in order into the running bucket, ahead of
-the read position.  A bucket holds about one link propagation delay,
-so nearly every hop lands in a later bucket than the one being run.
+running slot or an earlier one (after a run that ended before the
+running bucket's head) is inserted in order into the running bucket,
+ahead of the read position.  A bucket holds about one link
+propagation delay, so nearly every hop lands in a later bucket than
+the one being run.
 
-Cancellable timers (retransmission timeouts, health probes) sit on a
-second heap beside the calendar, of ``(deadline, sequence, timer)``
-entries, as ns-3 keeps a timer on its one scheduler: cancelling one
-only clears its ``alive`` flag, and the dead entry is dropped when it
-reaches the top, or sooner, when dead entries come to outnumber live
-ones and the cancel rebuilds the heap from the live timers.  A
+A cancellable timer (retransmission timeouts, health probes) is one
+calendar entry, ``(deadline, sequence, timer, ())``, as ns-3 keeps a
+timer as an ordinary event on its one scheduler: the :class:`Timer`
+is the entry's callback.  Cancelling one removes its entry.  A
 transport re-arms its RTO on every ACK, to a deadline no earlier than
 the one armed; :meth:`Engine.rearm_timer` moves such a timer in place,
-and its entry is re-pushed under the new key only if it comes to the
-top first.  Live timers fire in exact ``(time, sequence)`` order
-relative to calendar events, keeping runs bit-deterministic.
-
-Calendar and timer heap meet in one number, the *timer bound*: a lower
-bound on the deadline of every live timer (the key of the timer heap's
-top).  A calendar event earlier than the bound runs without looking at
-the timer heap at all; only an event at or past it takes the run loop's
-slow path, which cleans the top of the timer heap and merges the two.
+and when the run loop reaches its entry, still under the old key, the
+timer re-pushes itself under the new one instead of firing.  Timers
+thus fire in exact ``(time, sequence)`` order relative to other
+events, keeping runs bit-deterministic, and the run loop knows nothing
+of them.
 
 The engine is deliberately minimal; all protocol behaviour lives in the
 network objects (:mod:`repro.net`, :mod:`repro.vnet`, :mod:`repro.core`)
@@ -59,8 +54,7 @@ MICROSECOND = 1_000
 MILLISECOND = 1_000_000
 SECOND = 1_000_000_000
 
-#: "No such time": the timer bound while the timer heap is empty, and
-#: the run horizon when ``run`` is given none.
+#: "No such time": the run horizon when ``run`` is given none.
 _NEVER = 1 << 62
 
 #: log2 of the calendar's bucket width: a bucket holds 1 024 ns of
@@ -116,7 +110,7 @@ class _Running:
 
     Every slot up to :attr:`slot` belongs to it (the dict holds only
     later ones), so a push there lands here and :meth:`append` inserts
-    it in order.  The pushed key is later than that of the event being
+    it in order.  The pushed key is later than that of the entry being
     run, so the entry lands ahead of the run loop's read position.
     """
 
@@ -176,21 +170,42 @@ def _reader(entries: list[_Entry]) -> _Reader:
 class Timer:
     """A cancellable timer handle returned by :meth:`Engine.schedule_timer`.
 
+    A live timer has exactly one calendar entry, :attr:`entry`, whose
+    callback is the timer itself; a fired or cancelled one has none.
     ``deadline``/``seq`` form the same ordering key calendar events use,
-    so a fired timer interleaves with same-time events exactly as if it
-    had been a calendar event.  :meth:`Engine.rearm_timer` may move both
-    forward while the timer's heap entry still carries the old key.
+    so a timer fires among same-time events exactly as if it had been a
+    calendar event.  :meth:`Engine.rearm_timer` may move both later
+    while the entry still carries the old key.
     """
 
-    __slots__ = ("deadline", "seq", "callback", "args", "alive")
+    __slots__ = ("engine", "deadline", "seq", "callback", "args", "entry")
 
-    def __init__(self, deadline: int, seq: int,
+    entry: _Entry | None
+
+    def __init__(self, engine: Engine, deadline: int, seq: int,
                  callback: Callable[..., None], args: tuple) -> None:
+        self.engine = engine
         self.deadline = deadline
         self.seq = seq
         self.callback = callback
         self.args = args
-        self.alive = True
+        self.entry = entry = (deadline, seq, self, ())
+        engine._push(entry)
+
+    def __call__(self) -> None:
+        """Run as the entry's callback: fire, or, when the timer was
+        moved in place, push its entry again under the true key.  The
+        re-push is no event, so it is taken off the count."""
+        engine = self.engine
+        # Run only through its entry, so the entry is there.
+        if self.entry[1] == self.seq:  # type: ignore[index]
+            self.entry = None
+            engine._armed -= 1
+            self.callback(*self.args)
+        else:
+            self.entry = entry = (self.deadline, self.seq, self, ())
+            engine._push(entry)
+            engine._events_processed -= 1
 
 
 class Engine:
@@ -206,19 +221,10 @@ class Engine:
     entries already read are dropped, so the running bucket holds only
     pending ones.
 
-    Every live timer has exactly one entry on the timer heap, whose key
-    is never later than the timer's own ``(deadline, seq)``: equal when
-    armed, earlier once :meth:`rearm_timer` has moved the timer in place.
-    Invariant the run loop rests on: ``_timer_bound`` is never later than
-    the key of the timer heap's top entry, hence than the deadline of any
-    live timer; with no entry it is ``_NEVER``.  Anyone may lower it —
-    :meth:`schedule_timer` for a new earliest deadline, :meth:`stop` and
-    ``run(until=...)`` to end a run — and a bound that is too low only
-    costs a pass through the slow path.  Only the slow path of
-    :meth:`run` raises it, to the key of the top entry it has just
-    cleaned.  A calendar event strictly earlier than the bound therefore
-    precedes every timer and may run without consulting the timer heap
-    or the live-timer count.
+    Every live timer has exactly one calendar entry and a cancelled or
+    fired one has none.  The entry's key is never later than the timer's
+    own ``(deadline, seq)``: equal when armed, earlier once
+    :meth:`rearm_timer` has moved the timer in place.
 
     Example:
         >>> engine = Engine()
@@ -239,14 +245,11 @@ class Engine:
         #: Events run, less those the running bucket's reader has read
         #: (:attr:`events_processed` adds them).
         self._events_processed = 0
-        self._stopped = False
-        #: Heap of ``(deadline, seq, timer)``, one entry per armed timer
-        #: until it fires or its cancelled entry reaches the top or is
-        #: compacted away by :meth:`cancel_timer`.
-        self._timers: list[tuple[int, int, Timer]] = []
-        self._live_timers = 0
-        #: Lower bound on every live timer's deadline (class docstring).
-        self._timer_bound = _NEVER
+        #: Live timers: armed, not yet fired or cancelled.
+        self._armed = 0
+        #: An entry at or past it ends the run: just past ``until``, or
+        #: -1 once :meth:`stop` is called.
+        self._bound = _NEVER
 
     @property
     def now(self) -> int:
@@ -261,14 +264,13 @@ class Engine:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still waiting (calendar + live timers)."""
-        return (length_hint(self._reader) + sum(map(len, self._buckets.values()))
-                + self._live_timers)
+        """Number of events still waiting, live timers included."""
+        return length_hint(self._reader) + sum(map(len, self._buckets.values()))
 
     @property
     def pending_timers(self) -> int:
         """Number of armed (not cancelled, not fired) timers."""
-        return self._live_timers
+        return self._armed
 
     def iter_pending(self) -> Iterator[_Item]:
         """Yield ``(time, callback, args)`` for everything still waiting.
@@ -278,14 +280,18 @@ class Engine:
         oracles and debugging that need to see what is in flight
         without depending on how the calendar is laid out.
         """
-        entries = self._buckets.running.entries
-        pending = entries[len(entries) - length_hint(self._reader):]
-        for bucket in (pending, *self._buckets.values()):
-            for at, _seq, callback, args in bucket:
+        for at, _seq, callback, args in self._pending():
+            if isinstance(callback, Timer):
+                yield callback.deadline, callback.callback, callback.args
+            else:
                 yield at, callback, args
-        for _key, _seq, timer in self._timers:
-            if timer.alive:
-                yield timer.deadline, timer.callback, timer.args
+
+    def _pending(self) -> Iterator[_Entry]:
+        """Every pending calendar entry, in no particular order."""
+        entries = self._buckets.running.entries
+        yield from entries[len(entries) - length_hint(self._reader):]
+        for bucket in self._buckets.values():
+            yield from bucket
 
     def schedule(self, at: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute time ``at``.
@@ -331,11 +337,15 @@ class Engine:
         For tests that drive one component at a time and read what it
         put on the calendar through :meth:`iter_pending`.
         """
+        timers = [entry for entry in self._pending()
+                  if isinstance(entry[2], Timer)]
         self._drop_read()
         buckets = self._buckets
         buckets.clear()
         buckets.slots.clear()
         buckets.running.entries.clear()
+        for entry in timers:
+            self._push(entry)
 
     def reserve(self, count: int) -> int:
         """Draw ``count`` consecutive sequence numbers; return the first.
@@ -365,37 +375,26 @@ class Engine:
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        deadline = self._now + delay
         seq = self._sequence
         self._sequence = seq + 1
-        timer = Timer(deadline, seq, callback, args)
-        heapq.heappush(self._timers, (deadline, seq, timer))
-        if deadline < self._timer_bound:
-            self._timer_bound = deadline
-        self._live_timers += 1
-        return timer
+        self._armed += 1
+        return Timer(self, self._now + delay, seq, callback, args)
 
     def cancel_timer(self, timer: Timer | None) -> None:
         """Disarm ``timer``; a no-op for None, fired or cancelled timers.
 
-        Its heap entry stays until it reaches the top, where the slow
-        path of :meth:`run` drops it; the timer bound stays a valid (if
-        no longer tight) lower bound meanwhile.  Once dead entries
-        outnumber live ones (the heap holds more than ``2 * live + 64``),
-        the heap is rebuilt in place from the live timers under their
-        true keys: no key falls below the bound, so nothing fires in
-        another order, and the rebuild is paid for by the cancels that
-        filled the heap.
+        Removes its calendar entry, from the bucket of its slot or, for
+        a slot not past the running one, from the running bucket, ahead
+        of the read position.  A cancelled timer holds nothing then, and
+        leaves no entry behind to move the clock when it is reached.
         """
-        if timer is not None and timer.alive:
-            timer.alive = False
-            live = self._live_timers - 1
-            self._live_timers = live
-            timers = self._timers
-            if len(timers) > 2 * live + 64:
-                timers[:] = [(armed.deadline, armed.seq, armed)
-                             for _key, _seq, armed in timers if armed.alive]
-                heapq.heapify(timers)
+        if timer is not None and timer.entry is not None:
+            entry = timer.entry
+            timer.entry = None
+            self._armed -= 1
+            buckets = self._buckets
+            buckets.get(entry[0] >> BUCKET_SHIFT,
+                        buckets.running.entries).remove(entry)
 
     def rearm_timer(self, timer: Timer | None, delay: int,
                     callback: Callable[..., None], *args: Any) -> Timer:
@@ -404,13 +403,13 @@ class Engine:
         Same effect, same sequence number drawn, same handle semantics
         (use the one returned).  When ``timer`` is live and the new
         deadline is not earlier than its current one, it is moved in
-        place: its heap entry keeps the old key, which is still a lower
-        bound on the new one, and the slow path of :meth:`run` re-pushes
-        it under the true key if it reaches the top before firing.  A
-        transport's per-ACK RTO re-arm thus pushes nothing.
+        place: its calendar entry keeps the old key, which is still no
+        later than the new one, and the timer re-pushes it under the
+        true key when the run loop reaches it.  A transport's per-ACK
+        RTO re-arm thus pushes nothing.
         """
         deadline = self._now + delay
-        if timer is None or not timer.alive or deadline < timer.deadline:
+        if timer is None or timer.entry is None or deadline < timer.deadline:
             self.cancel_timer(timer)
             return self.schedule_timer(delay, callback, *args)
         timer.deadline = deadline
@@ -457,60 +456,13 @@ class Engine:
             del entries[:read]
             self._reader = _reader(entries)
 
-    def _pop_next(self, horizon: int) -> _Item | None:
-        """Slow path of :meth:`run`: take the next item in global order.
-
-        First cleans the top of the timer heap — drops cancelled
-        entries and re-pushes moved ones under their timer's true key —
-        then compares it with the calendar head (the running bucket's
-        next entry: :meth:`run` calls this with the head there or with
-        no bucket open) by the shared ``(time, seq)`` key, takes the
-        winner and returns it as ``(time, callback, args)``; returns
-        None when nothing is left at or before ``horizon``.  Either way
-        it leaves ``_timer_bound`` at the top entry's key or just past
-        the horizon, whichever is earlier, so that the fast path's one
-        comparison also ends the run there.
-        """
-        timers = self._timers
-        while timers:
-            _key, seq, timer = timers[0]
-            if not timer.alive:
-                heapq.heappop(timers)
-            elif seq != timer.seq:
-                heapq.heapreplace(timers, (timer.deadline, timer.seq, timer))
-            else:
-                break
-        reader = self._reader
-        ahead = length_hint(reader)
-        head: _Entry | None = None
-        if ahead:
-            entries = self._buckets.running.entries
-            head = entries[len(entries) - ahead]
-        item: _Item | None = None
-        if timers and (head is None or timers[0][:2] < head[:2]):
-            if timers[0][0] <= horizon:
-                deadline, _seq, timer = heapq.heappop(timers)
-                timer.alive = False
-                self._live_timers -= 1
-                self._events_processed += 1
-                item = deadline, timer.callback, timer.args
-        elif head is not None and head[0] <= horizon:
-            next(reader)
-            item = head[0], head[2], head[3]
-        self._timer_bound = min(horizon + 1,
-                                timers[0][0] if timers else _NEVER)
-        return item
-
     def stop(self) -> None:
         """Stop the run loop after the current event finishes.
 
-        Dropping the timer bound below every event time sends the next
-        event down the run loop's slow path, which is where the flag is
-        looked at; the next pass through the slow path restores the
-        bound.
+        Drops the bound below every time, so the run loop's one
+        comparison fails at the next entry and ends the run there.
         """
-        self._stopped = True
-        self._timer_bound = -1
+        self._bound = -1
 
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Run events in time order.
@@ -525,31 +477,28 @@ class Engine:
             ``until`` that is ``until`` itself unless :meth:`stop` or
             ``max_events`` ended the run with something still pending.
 
-        The fast path is a ``for`` loop over the running bucket's
-        reader and one comparison per event: an entry earlier than the
-        timer bound precedes every live timer — set the clock and call
-        it.  The reader sees the entries inserted ahead of it while the
-        bucket runs.  When the bucket is used up the loop opens the next
-        one and goes on.  Everything else happens only when the test
-        fails: the entry is read again (the reader is moved back one)
-        and :meth:`_pop_next` merges calendar and timers.  ``stop()``
-        and ``until`` fail the test by lowering the bound, and
-        ``max_events`` bounds the loop by ``islice`` (the reader alone
-        otherwise), so none of the three costs anything per event.  The
-        reader's position counts the events run.  An event whose
-        callback raises has been read: it is not run again, nor counted.
+        The loop is a ``for`` over the running bucket's reader and one
+        comparison per event: an entry earlier than ``_bound`` runs —
+        set the clock and call it.  The reader sees the entries inserted
+        ahead of it while the bucket runs.  When the bucket is used up
+        the loop opens the next one and goes on.  An entry at or past
+        the bound is read again (the reader is moved back one) and ends
+        the run: ``until`` puts the bound just past itself and
+        :meth:`stop` below every time, and ``max_events`` bounds the
+        loop by ``islice`` (the reader alone otherwise), so none of the
+        three costs anything per event.  The reader's position counts
+        the events run.  An event whose callback raises has been read:
+        it is not run again, nor counted.
 
         The loop runs under :func:`collector_paused`: per-event garbage
         (calendar tuples, expired packets) is reference-counted away at
         once, so the cyclic collector's scans would only add latency.
         """
-        self._stopped = False
-        horizon = _NEVER if until is None else until
+        until_bound = _NEVER if until is None else until + 1
+        self._bound = until_bound
         budget_end = 0 if max_events is None \
             else self.events_processed + max_events
         drained = False
-        if self._timer_bound > horizon:
-            self._timer_bound = horizon + 1
         with collector_paused():
             try:
                 while True:
@@ -563,35 +512,25 @@ class Engine:
                         events = islice(reader, left)
                     try:
                         for at, _seq, callback, args in events:
-                            if at < self._timer_bound:
+                            if at < self._bound:
                                 self._now = at
                                 callback(*args)
                                 continue
-                            # Read it again on the slow path.
+                            # Past ``until``, or stopped: leave it pending.
                             entries = self._buckets.running.entries
                             reader.__setstate__(
                                 len(entries) - length_hint(reader) - 1)
+                            drained = self._bound == until_bound
                             break
                         else:
                             if length_hint(reader) or self._open_next():
                                 continue  # max_events, or the next bucket
+                            drained = True
                     except BaseException:
                         # Raised by the callback of an event already read.
                         self._events_processed -= 1
                         raise
-                    if self._stopped or (max_events is not None
-                                         and self.events_processed >= budget_end):
-                        break
-                    item = self._pop_next(horizon)
-                    if item is None:
-                        drained = True
-                        break
-                    self._now = item[0]
-                    try:
-                        item[1](*item[2])
-                    except BaseException:
-                        self._events_processed -= 1
-                        raise
+                    break
             finally:
                 self._drop_read()
         if until is not None and self._now < until \

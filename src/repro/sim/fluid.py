@@ -714,9 +714,8 @@ class FluidScheduler:
         flow.t0 = now
         flow.probed = probed
         # A calendar event, not a cancellable timer: nearly every round
-        # runs to its end, and an event ahead of the engine's timer bound
-        # costs the run loop one comparison where a firing timer costs a
-        # pass through its slow path.
+        # runs to its end, so lazy cancellation is cheaper than a timer's
+        # frame on every firing and entry removal on every cancel.
         self.rounds += 1
         flow.token = token = self.rounds
         engine._push((now + n * interval, engine._sequence, self._commit,

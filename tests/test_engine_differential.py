@@ -15,24 +15,24 @@ deadline ties with another) and 512 ticks (33 ms, out to ~100 ms, the
 span of real RTOs and fluid rounds).  A third family draws delays of
 0-3 us on a 64-256 ns grid, below the calendar's 1 024 ns bucket: many
 events share a bucket, callbacks push into the bucket being run, also
-after a timer fired before its head, and ``until``, ``max_events`` and
+after a run ended before its head, and ``until``, ``max_events`` and
 ``stop()`` end segments with a bucket partly run.  Re-arms move a timer
 later, to the same deadline or earlier, and re-arm handles that have
 fired, were cancelled or were never armed, so the in-place move of
-:meth:`Engine.rearm_timer` and the slow path's re-push of a moved heap
+:meth:`Engine.rearm_timer` and the re-push of a moved timer's calendar
 entry are checked where pinned-seed simulations rarely go.
 
 Cancel-heavy scripts arm hundreds of timers and cancel most of them,
-so that :meth:`Engine.cancel_timer` compacts the heap, also while it
-holds entries moved in place; after every cancel the heap must hold at
-most ``2 * live + 64`` entries.
+also timers moved in place and timers in the running bucket; after
+every cancel the calendar must hold exactly one entry per live timer
+and none of a dead one.
 """
 
 import random
 
 import pytest
 
-from repro.sim.engine import BUCKET_SHIFT, Engine, _Buckets, _Running
+from repro.sim.engine import BUCKET_SHIFT, Engine, Timer, _Buckets, _Running
 
 PROGRAMS_PER_HORIZON = 120
 
@@ -377,32 +377,41 @@ def test_reference_catches_a_late_timer():
 
 
 # ----------------------------------------------------------------------
-# Cancel-heavy scripts: the heap compaction of ``cancel_timer``
+# Cancel-heavy scripts: one calendar entry per live timer, none per dead
 # ----------------------------------------------------------------------
 
 #: Timers a cancel-heavy script arms per segment, under as many handles.
 HEAVY_TIMERS = 300
 
 
-class CompactionCheckedEngine(Engine):
-    """The engine, checking the heap's size after every cancel and
-    counting the cancels that compacted it, and those among them that
-    re-keyed an entry ``rearm_timer`` had moved in place."""
+class EntryCheckedEngine(Engine):
+    """The engine, checking that every timer entry it pushes is its
+    timer's one entry and, after every cancel, that the calendar holds
+    exactly one entry per live timer and none of a dead one.  Counts
+    the cancels that removed an entry, and those among them of a timer
+    moved in place and of an entry in the running bucket."""
 
     def __init__(self):
         super().__init__()
-        self.compactions = 0
-        self.rekeyed = 0
+        self.removals = self.moved = self.in_running = 0
+
+    def _push(self, entry):
+        if isinstance(entry[2], Timer):
+            assert entry[2].entry is entry
+        super()._push(entry)
 
     def cancel_timer(self, timer):
-        before = len(self._timers)
-        moved = sum(1 for _key, seq, armed in self._timers
-                    if armed.alive and seq != armed.seq)
+        entry = timer and timer.entry
+        if entry:
+            self.removals += 1
+            self.moved += entry[1] != timer.seq
+            self.in_running += entry[0] >> BUCKET_SHIFT \
+                <= self._buckets.running.slot
         super().cancel_timer(timer)
-        assert len(self._timers) <= 2 * self._live_timers + 64
-        if len(self._timers) < before:
-            self.compactions += 1
-            self.rekeyed += moved
+        timers = [entry[2] for entry in self._pending()
+                  if isinstance(entry[2], Timer)]
+        assert len(timers) == len(set(timers)) == self.pending_timers
+        assert all(armed.entry is not None for armed in timers)
 
 
 def make_cancel_heavy_program(seed):
@@ -453,22 +462,69 @@ def make_cancel_heavy_program(seed):
     return segments
 
 
-def test_cancel_heavy_scripts_compact_and_match_the_reference():
-    compactions = rekeyed = fired = 0
+def _cancel_heavy_differential():
+    """Run the cancel-heavy scripts on :class:`EntryCheckedEngine` and
+    the reference; returns the checker's counts summed and the number of
+    callbacks fired."""
+    removals = moved = in_running = fired = 0
     for seed in range(12):
         program = make_cancel_heavy_program(seed)
         expected = execute(NaiveEngine(), program)
-        engine = CompactionCheckedEngine()
+        engine = EntryCheckedEngine()
         actual = execute(engine, program)
         for step, (want, got) in enumerate(zip(expected, actual)):
             assert got == want, (
                 f"seed {seed}, step {step}: engine {got} != reference {want}")
         assert len(actual) == len(expected), seed
-        compactions += engine.compactions
-        rekeyed += engine.rekeyed
+        removals += engine.removals
+        moved += engine.moved
+        in_running += engine.in_running
         fired += sum(1 for record in expected if record[0] == "fire")
-    # The scripts must reach what they are for: compactions, some of a
-    # heap holding entries moved in place, and timers that fire.
-    assert compactions >= 12, compactions
-    assert rekeyed > 0
+    return removals, moved, in_running, fired
+
+
+def test_cancel_heavy_scripts_compact_and_match_the_reference():
+    removals, moved, in_running, fired = _cancel_heavy_differential()
+    # The scripts must reach what they are for: cancels that remove an
+    # entry, of timers moved in place and from the running bucket, and
+    # timers that fire.
+    assert removals >= 12 * 3 * HEAVY_TIMERS // 2, removals
+    assert moved > 0 and in_running > 0, (moved, in_running)
     assert fired > 12 * 100, fired
+
+
+def _cancel_leaves_the_entry(self, timer):
+    if timer is not None and timer.entry is not None:
+        timer.entry = None
+        self._armed -= 1
+
+
+def _re_push_keeps_the_old_entry(self):
+    engine = self.engine
+    if self.entry[1] == self.seq:
+        self.entry = None
+        engine._armed -= 1
+        self.callback(*self.args)
+    else:
+        engine._push((self.deadline, self.seq, self, ()))
+        engine._events_processed -= 1
+
+
+def _moved_timer_fires_at_its_old_key(self):
+    self.entry = None
+    self.engine._armed -= 1
+    self.callback(*self.args)
+
+
+@pytest.mark.parametrize("target, mutant", [
+    (Engine, ("cancel_timer", _cancel_leaves_the_entry)),
+    (Timer, ("__call__", _re_push_keeps_the_old_entry)),
+    (Timer, ("__call__", _moved_timer_fires_at_its_old_key)),
+], ids=["cancel-leaves-the-entry", "re-push-keeps-the-old-entry",
+        "moved-timer-fires-at-its-old-key"])
+def test_cancel_heavy_scripts_catch_a_broken_timer(monkeypatch, target, mutant):
+    """Each of three wrong timers fails the cancel-heavy differential:
+    by its entry check or by a firing the reference does not make."""
+    monkeypatch.setattr(target, *mutant)
+    with pytest.raises(AssertionError):
+        _cancel_heavy_differential()

@@ -1,11 +1,12 @@
-"""Edge cases of the engine run loop and its timer heap.
+"""Edge cases of the engine run loop and its timers.
 
-The run loop has a read-first fast path (an event earlier than the timer
-bound runs without consulting the timer heap) and one slow path that
-merges calendar and timers and is where the ``until`` horizon,
-``stop()`` and ``max_events`` end a run.  These tests pin the semantics
-at the seams between the two, the bound that decides which one an event
-takes, and the in-place move of :meth:`Engine.rearm_timer`.
+The run loop reads the calendar with one comparison per event, against
+a bound that only ``until`` and ``stop()`` set; ``max_events`` bounds
+the read.  A timer is one calendar entry, removed by a cancel and
+re-pushed, not fired, when :meth:`Engine.rearm_timer` has moved it
+later in place.  These tests pin the semantics at the seams: where a
+run ends, how timers and events tie, what a moved timer costs, and that
+a cancelled timer leaves nothing on the calendar.
 """
 
 import gc
@@ -28,16 +29,6 @@ from conftest import ft32_spec, tiny_spec
 #: One "slot": a spacing of deadlines, in ns (~65 us, a fraction of an
 #: RTO).
 S = 1 << 16
-
-
-class CountingEngine(Engine):
-    """Counts entries into the run loop's slow path (``_pop_next``)."""
-
-    slow_paths = 0
-
-    def _pop_next(self, horizon):
-        self.slow_paths += 1
-        return super()._pop_next(horizon)
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +206,7 @@ def test_rearm_to_an_earlier_deadline_arms_a_new_timer():
     fired = []
     timer = engine.schedule_timer(100, fired.append, "old")
     earlier = engine.rearm_timer(timer, 40, fired.append, "earlier")
-    assert earlier is not timer and not timer.alive
+    assert earlier is not timer and timer.entry is None
     assert engine.pending_timers == 1
     engine.run()
     assert fired == ["earlier"]
@@ -231,7 +222,7 @@ def test_rearm_of_none_fired_or_cancelled_handle_arms_a_new_timer():
     engine.cancel_timer(cancelled)
     for handle in (None, done, cancelled):
         timer = engine.rearm_timer(handle, 50, fired.append, handle)
-        assert timer is not handle and timer.alive
+        assert timer is not handle and timer.entry is not None
     assert engine.pending_timers == 3
     engine.run()
     assert fired == ["fired", None, done, cancelled]
@@ -243,7 +234,7 @@ def test_rearm_with_a_negative_delay_raises_like_schedule_timer():
     with pytest.raises(SimulationError):
         engine.rearm_timer(timer, -1, lambda: None)
     # As cancel + schedule: the cancel went through before the raise.
-    assert not timer.alive and engine.pending_timers == 0
+    assert timer.entry is None and engine.pending_timers == 0
 
 
 def test_timer_and_event_tie_breaks_by_arming_order():
@@ -345,14 +336,13 @@ def test_pending_events_counts_calendar_and_timers():
 
 
 # ----------------------------------------------------------------------
-# timer bound: true (no late timer) and tight (no per-event slow path)
+# timers on the calendar: in order, and one entry each
 # ----------------------------------------------------------------------
 
 def test_timer_in_unswept_bucket_is_not_overtaken_by_a_later_revolution():
-    # The slow path for ev3 drops the cancelled top C; the bound must
-    # then be B, the nearer live timer, though A was armed first.  A
-    # bound past B would let ev6..ev8 run before B and then fire B with
-    # the clock going backwards.
+    # C is cancelled before the run; B, the nearer live timer, must fire
+    # before ev6..ev8 though A was armed first, and the clock must never
+    # go backwards.
     engine = Engine()
     fired = []
 
@@ -372,23 +362,35 @@ def test_timer_in_unswept_bucket_is_not_overtaken_by_a_later_revolution():
     assert times[1] == 5 * S + 5
 
 
-def test_moved_timer_costs_a_slow_path_per_crossing_not_per_event():
-    # The RTO re-arm shape: the early timer that set the bound is
-    # cancelled, and every one of 1 000 calendar events moves the live
-    # timer three slots past itself.  It stays one handle with one heap
-    # entry, which keeps the key it was armed with and is re-pushed only
-    # when the clock reaches that key: a few times over ten slots, not
-    # once per event.
-    engine = CountingEngine()
+class PushCountingEngine(Engine):
+    """Counts the calendar entries pushed for each timer."""
+
+    def __init__(self):
+        super().__init__()
+        self.timer_pushes = Counter()
+
+    def _push(self, entry):
+        if isinstance(entry[2], Timer):
+            self.timer_pushes[entry[2]] += 1
+        super()._push(entry)
+
+
+def test_moved_timer_is_re_pushed_per_crossing_not_per_event():
+    # The RTO re-arm shape: every one of 1 000 calendar events moves the
+    # live timer three slots past itself.  It stays one handle with one
+    # calendar entry, which keeps the key it was armed with and is
+    # re-pushed only when the clock reaches that key: a few times over
+    # ten slots, not once per event.
+    engine = PushCountingEngine()
     fired = []
     rto = engine.schedule_timer(3 * S, fired.append, "rto")
     engine.cancel_timer(engine.schedule_timer(10, fired.append, "early"))
-    heap_sizes = set()
+    pending = set()
 
     def ack(i):
         fired.append(i)
         assert engine.rearm_timer(rto, 3 * S, fired.append, "rto") is rto
-        heap_sizes.add(len(engine._timers))
+        pending.add(sum(1 for entry in engine._pending() if entry[2] is rto))
 
     step = (10 * S) // 1_000
     for i in range(1_000):
@@ -397,45 +399,15 @@ def test_moved_timer_costs_a_slow_path_per_crossing_not_per_event():
     engine.run()
     assert fired == [*range(1_000), "rto", "after"]
     assert engine.events_processed == 1_002
-    assert heap_sizes == {1}
-    # One re-push per crossing of the entry's key (three), the cancelled
-    # timer, the firing and the end of the run.
-    assert engine.slow_paths <= 8
-
-
-def test_parked_timer_costs_sweeps_per_slot_not_per_event():
-    # A "sweep" is a pass through the slow path.  The early timer that
-    # set the bound is cancelled, the live one is parked three slots
-    # ahead, and 1 000 calendar events run before it: once the dead
-    # entry is dropped the bound is the live deadline, so the events
-    # run on the fast path.
-    engine = CountingEngine()
-    fired = []
-    engine.schedule_timer(3 * S + 500, fired.append, "rto")
-    engine.cancel_timer(engine.schedule_timer(10, fired.append, "early"))
-    step = (3 * S) // 1_000
-    for i in range(1_000):
-        engine.schedule(20 + i * step, fired.append, i)
-    engine.schedule(4 * S, fired.append, "after")
-    engine.run()
-    assert fired == [*range(1_000), "rto", "after"]
-    assert engine.events_processed == 1_002
-    assert engine.slow_paths <= 8
-
-
-def test_timerless_run_never_sweeps():
-    # No timer, no slow path but the one that finds the calendar empty.
-    engine = CountingEngine()
-    for i in range(100):
-        engine.schedule(i * S, lambda: None)
-    engine.run()
-    assert engine.slow_paths == 1
+    assert pending == {1}
+    # The arm, then one re-push per crossing of the entry's key: ten
+    # slots of acks cross a key three slots out at most four times.
+    assert engine.timer_pushes[rto] <= 1 + 4
 
 
 def test_stop_from_the_fast_path_then_resume_keeps_timer_order():
-    # stop() works by lowering the timer bound; the next run must
-    # restore a true bound rather than trust the lowered one or the
-    # one it replaced.
+    # stop() works by lowering the run loop's bound; the next run must
+    # set its own rather than keep the lowered one.
     engine = Engine()
     fired = []
     engine.schedule_timer(2 * S, fired.append, "timer")
@@ -453,7 +425,7 @@ def test_stop_from_the_fast_path_then_resume_keeps_timer_order():
 
 def _reachable_timers(engine):
     """Every ``Timer`` the collector can reach from ``engine``, however
-    the timer heap is laid out."""
+    the calendar is laid out."""
     seen = {id(engine)}
     frontier = [engine]
     timers = []
@@ -471,18 +443,17 @@ def _reachable_timers(engine):
 
 
 def test_cancelled_timers_are_dropped_once_no_timer_is_live():
-    # A cancelled timer -- args and bound callback included -- stays on
-    # the heap only until the slow path reaches its entry: the RTO
-    # re-arm pattern of a run whose flows all went fluid must not park
-    # thousands for the life of the engine.
+    # A cancelled timer -- args and bound callback included -- leaves
+    # the calendar with its entry at once: the RTO re-arm pattern of a
+    # run whose flows all went fluid must not park thousands for the
+    # life of the engine.
     engine = Engine()
     payload = [object() for _ in range(300)]
     for i, item in enumerate(payload):
         # Deadlines in no particular order, up to 1 000 slots out.
         engine.cancel_timer(engine.schedule_timer(
             (i * 7 % 1000) * S + i, payload.append, item))
-    # Once dead entries outnumber live ones a cancel compacts the heap.
-    assert len(_reachable_timers(engine)) <= 64
+    assert _reachable_timers(engine) == []
     fired = []
     engine.schedule(1001 * S, fired.append, "past every deadline")
     engine.run()
@@ -493,8 +464,8 @@ def test_cancelled_timers_are_dropped_once_no_timer_is_live():
 
 
 def test_cancelled_timers_on_the_due_heap_are_dropped_too():
-    # Timers armed and cancelled inside a callback, behind the calendar
-    # head, are dropped by the slow path that reaches "late".
+    # Timers armed and cancelled inside a timer's callback are dropped
+    # by the cancel too, not by the run that reaches "late".
     engine = Engine()
     fired = []
 
@@ -523,7 +494,7 @@ def test_iter_pending_lists_events_and_live_timers_wherever_they_sit():
     moved = engine.schedule_timer(4 * S, sink.append, "old")
     engine.cancel_timer(engine.schedule_timer(S, sink.append, "dead"))
     # Moved in place: listed at its new deadline with its new args,
-    # though its heap entry still carries the old key.
+    # though its calendar entry still carries the old key.
     assert engine.rearm_timer(moved, 9 * S, sink.append, "moved") is moved
     expected = [(2 * S, sink.append, ("near",)),
                 (3 * S, sink.append, ("event",)),
@@ -531,7 +502,7 @@ def test_iter_pending_lists_events_and_live_timers_wherever_they_sit():
     assert sorted(engine.iter_pending(), key=lambda item: item[0]) == expected
 
     # Mid-run, while the first 2*S timer fires, the 2*S-tied timer below
-    # is still on the heap; it must still be listed.
+    # is still ahead of the read position; it must still be listed.
     seen = []
     engine.schedule_timer(2 * S, lambda: seen.extend(engine.iter_pending()))
     engine.run(until=2 * S)

@@ -296,10 +296,9 @@ def _tripwire_run():
 
 def test_python_calls_per_fluid_round_stay_bounded():
     """A count, not a time, so it repeats exactly on any machine: the
-    Python frames a steady run enters in ``sim/fluid.py``, ``perf.py``,
-    ``contextlib`` and the engine's slow path, per fluid round.  28.82
-    while a round was a wheel timer inside two ``@contextmanager``
-    generators (7 262 frames / 252 rounds); 18.38 as a calendar event
+    Python frames a steady run enters in ``sim/fluid.py``, ``perf.py``
+    and ``contextlib``, per fluid round.  28.82 while a round was a
+    wheel timer inside two ``@contextmanager`` generators (7 262 frames / 252 rounds); 18.38 as a calendar event
     timed by a start/stop pair (4 631); 7.93 (1 999) once the round
     commits through the busy clock, replays a plan, arms without helper
     frames and the walk snapshots in C; 6.93 (1 747) while each arm
@@ -312,10 +311,8 @@ def test_python_calls_per_fluid_round_stay_bounded():
         if event == "call":
             code = frame.f_code
             path = code.co_filename
-            counted += (
-                path.endswith(("sim/fluid.py", "repro/perf.py", "contextlib.py"))
-                or (path.endswith("sim/engine.py")
-                    and code.co_name == "_pop_next"))
+            counted += path.endswith(
+                ("sim/fluid.py", "repro/perf.py", "contextlib.py"))
 
     run = _tripwire_run()
     sys.setprofile(count)
