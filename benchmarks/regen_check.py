@@ -1,12 +1,15 @@
-"""Regeneration gate: every committed table must regenerate to its bytes.
+"""Regeneration gate: every committed table must regenerate to its bytes,
+and every paper-shape claim must hold on what it reads.
 
 Runs every entry of the artifact registry at the bench scale, renders
 it, and diffs the text against ``benchmarks/results/<name>.txt``.  Any
 difference — or a results file the registry does not know — prints a
-unified diff and exits 1; nothing is ever written (re-commit a table by
-running its ``benchmarks/test_*.py``).  Last, it prints how many
-distinct simulations the pool ran, in how many calls, and the
-wall-clock.  Run it as
+unified diff and fails the gate; nothing is ever written (re-commit a
+table with ``benchmarks/test_tables.py``).  Then it checks each entry's
+claims on the results it already holds, naming the artifact and the
+claim of every one that is false, which fails the gate too.  Last, it
+prints how many distinct simulations the pool ran, in how many calls,
+and the wall-clock.  Run it as
 ``REPRO_RUNCACHE=0 REPRO_PARALLEL=2 PYTHONPATH=src python benchmarks/regen_check.py``
 (208 distinct simulations, fault and migration tables included, in one
 pool call).
@@ -21,7 +24,7 @@ import time
 
 from common import RESULTS_DIR, bench_scale
 from repro.experiments import artifacts
-from repro.experiments.artifacts import ARTIFACTS, reproduce
+from repro.experiments.artifacts import ARTIFACTS, simulate
 from repro.experiments.runcache import job_key
 
 
@@ -38,7 +41,9 @@ def main() -> int:
 
     artifacts.parallel_run_experiments = counted
     start = time.perf_counter()
-    texts = reproduce(ARTIFACTS.values(), bench_scale())
+    results = simulate(ARTIFACTS.values(), *bench_scale())
+    texts = {name: entry.render(results[name])
+             for name, entry in ARTIFACTS.items()}
     wall_s = time.perf_counter() - start
     for path in sorted(RESULTS_DIR.glob("*.txt")):
         texts.setdefault(path.stem, "")
@@ -52,11 +57,18 @@ def main() -> int:
             f"committed/{name}.txt", f"regenerated/{name}.txt"))
         sys.stdout.writelines(diff)
         stale += bool(diff)
+    false = [(name, claim) for name, entry in ARTIFACTS.items()
+             for claim in entry.false_claims(results[name])]
+    for name, claim in false:
+        print(f"regen check: {name}: false claim: {claim}")
+    claims = sum(len(entry.claims) for entry in ARTIFACTS.values())
     print(f"regen check: {len(texts) - stale}/{len(texts)} tables regenerate "
           "to their committed bytes")
+    print(f"regen check: {claims - len(false)}/{claims} paper-shape claims "
+          "hold")
     print(f"regen check: {sum(pool_calls)} distinct simulations in "
           f"{len(pool_calls)} pool call(s), {wall_s:.1f} s")
-    return 1 if stale else 0
+    return 1 if stale or false else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ by the control plane.  Updates are cheap (one switch per mapping), but:
 * hot VIPs concentrate load on single switches.
 
 Implementing the rejected design makes §2.4's comparison measurable
-(see ``benchmarks/test_ablation_dht.py`` and ``tests/test_dht.py``).
+(the ``ablation_dht`` entry of ``repro.experiments.artifacts``, and
+``tests/test_dht.py``).
 """
 
 from __future__ import annotations

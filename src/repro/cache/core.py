@@ -24,7 +24,7 @@ That case is the simulator's per-hop hot path and gets its own three
 method bodies (:class:`_DirectMapped`, picked at construction from
 ``ways`` and nothing else); every other method is shared.  ``ways > 1``
 quantifies what the hardware constraint costs
-(``benchmarks/test_ablation_cache_geometry``).
+(the ``ablation_cache_geometry`` entry of ``repro.experiments.artifacts``).
 
 Admission is the caller's policy decision; the cache only exposes the
 primitive operations.  Every *state* change — a new key, an eviction,

@@ -6,7 +6,8 @@ other splits can be attractive — e.g. a ToR-only allocation captures
 much of the FCT benefit for Hadoop while giving up the first-packet
 gains, and leaves memory-allocation policies as future work.  This
 module implements that design space so the trade-off is measurable
-(see ``benchmarks/test_ablation_allocation.py``).
+(the ``ablation_allocation`` entry of
+``repro.experiments.artifacts``).
 
 A policy assigns a relative weight to each switch based on its role;
 the aggregate budget is distributed proportionally.

@@ -6,18 +6,21 @@ keyed by the file's stem: the frozen ``config`` it is sized by (a
 migration incast's :class:`IncastTraceParams`, or ``None`` for a table
 nothing sizes), its ``jobs(config) -> {label: ExperimentJob}`` (none
 for Table 6, which simulates nothing), a pure ``collect({label:
-DetailedRunResult})`` that makes what its table and its benchmark's
-shape checks read (a sweep's rows, the fault experiments' degradation
-rows), and a pure ``table(result)`` that lays out ``(title, headers,
-rows)`` — the committed bytes.  A job is plain data, fault runs
-included: its faults are events, its probe a sampling period, and the
-worker returns what the tables read.
+DetailedRunResult})`` that makes what its table and its claims read
+(a sweep's rows, the fault experiments' degradation rows), a pure
+``table(result)`` that lays out ``(title, headers, rows)`` — the
+committed bytes — and its ``claims``: the paper's shape on that result
+(orderings, crossovers, rough factors), each a name and a pure
+predicate.  A job is plain data, fault runs included: its faults are
+events, its probe a sampling period, and the worker returns what the
+tables read.
 :func:`simulate` hands the jobs of every entry it is given to one
 :func:`~repro.experiments.parallel.parallel_run_experiments` call, which
 simulates each distinct run once however many entries list it (Table
-5's points are Figure 5 points).  ``python -m repro reproduce``, every
-``benchmarks/test_*.py`` and ``benchmarks/regen_check.py`` print
-through it; nothing else renders a paper table.
+5's points are Figure 5 points).  ``python -m repro reproduce``,
+``benchmarks/test_tables.py`` and ``benchmarks/regen_check.py`` print
+through it; nothing else renders a paper table.  The last two check
+every claim with :meth:`Artifact.false_claims`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,12 @@ from typing import Any
 from repro.core import SwitchV2PConfig
 from repro.core.allocation import NAMED_POLICIES
 from repro.experiments.faults import ChaosParams, chaos_jobs, chaos_rows
-from repro.experiments.figures import FigureScale, build_trace, figure5_jobs
+from repro.experiments.figures import (
+    FigureScale,
+    build_trace,
+    figure5_jobs,
+    ft8_spec,
+)
 from repro.experiments.graydegrade import gray_jobs, gray_rows
 from repro.experiments.migration import migration_jobs
 from repro.experiments.parallel import (
@@ -53,6 +61,8 @@ from repro.traces.incast import IncastTraceParams
 
 Table = tuple[str, list[str], list[list]]
 Jobs = dict[Any, ExperimentJob]
+#: A paper-shape claim: its name and a pure predicate over a result.
+Claim = tuple[str, Callable[[Any], bool]]
 
 #: What most entries are sized by: the figures' bench scale.
 _BENCH_SCALE = FigureScale()
@@ -72,10 +82,17 @@ class Artifact:
     config: Any = _BENCH_SCALE
     #: The name ``reproduce`` knew this artifact by before the registry.
     short: str = ""
+    #: What the paper says of the table, checked on what it reads.
+    claims: tuple[Claim, ...] = ()
 
     def render(self, result: Any) -> str:
         title, headers, rows = self.table(result)
         return render_table(headers, rows, title=title)
+
+    def false_claims(self, result: Any) -> list[str]:
+        """The names of this entry's claims that do not hold on
+        ``result``."""
+        return [name for name, holds in self.claims if not holds(result)]
 
     def sized(self, *configs: Any) -> Any:
         """The config this entry runs at: the one of ``configs`` of this
@@ -146,16 +163,83 @@ def _figure5(trace: str, schemes: tuple[str, ...] = FIG5_SCHEMES,
                                      scale.ratios, schemes)
 
 
-artifact("fig5a_hadoop", _figure5("hadoop"), sweep_rows, short="fig5a")(
-    _sweep_table("Figure 5a — Hadoop (FT8)"))
+def _at_largest(holds: Callable[[dict], bool]) -> Callable[[Any], bool]:
+    """A claim on a sweep's rows at its largest x value, by scheme."""
+    def claim(rows) -> bool:
+        largest = max(row.x_value for row in rows)
+        return holds({row.scheme: row for row in rows
+                      if row.x_value == largest})
+    return claim
+
+
+artifact("fig5a_hadoop", _figure5("hadoop"), sweep_rows, short="fig5a",
+         claims=(
+    ("SwitchV2P's hit rate exceeds 0.85 at the largest cache",
+     _at_largest(lambda at: at["SwitchV2P"].hit_rate > 0.85)),
+    ("SwitchV2P's FCT beats LocalLearning's at the largest cache",
+     _at_largest(lambda at: at["SwitchV2P"].fct_improvement
+                 > at["LocalLearning"].fct_improvement)),
+    ("SwitchV2P's FCT beats OnDemand's at the largest cache",
+     _at_largest(lambda at: at["SwitchV2P"].fct_improvement
+                 > at["OnDemand"].fct_improvement)),
+    ("Bluebird's punt drops make its FCT worse than NoCache's",
+     _at_largest(lambda at: at["Bluebird"].fct_improvement < 1.0)),
+    ("Direct's FCT bounds SwitchV2P's at the largest cache",
+     _at_largest(lambda at: at["Direct"].fct_improvement
+                 >= at["SwitchV2P"].fct_improvement)),
+))(_sweep_table("Figure 5a — Hadoop (FT8)"))
 artifact("fig5b_microbursts", _figure5("microbursts"), sweep_rows,
-         short="fig5b")(_sweep_table("Figure 5b — Microbursts (FT8)"))
+         short="fig5b", claims=(
+    ("SwitchV2P out-hits LocalLearning at the largest cache",
+     _at_largest(lambda at: at["SwitchV2P"].hit_rate
+                 > at["LocalLearning"].hit_rate)),
+    ("SwitchV2P's FCT is no worse than NoCache's at the largest cache",
+     _at_largest(lambda at: at["SwitchV2P"].fct_improvement >= 1.0)),
+    ("SwitchV2P's first packets are within 1% of NoCache's or faster "
+     "at the largest cache",
+     _at_largest(lambda at: at["SwitchV2P"].first_packet_improvement
+                 >= 0.99)),
+))(_sweep_table("Figure 5b — Microbursts (FT8)"))
 artifact("fig5c_websearch", _figure5("websearch"), sweep_rows,
-         short="fig5c")(_sweep_table("Figure 5c — WebSearch (FT8)"))
+         short="fig5c", claims=(
+    ("SwitchV2P's hit rate exceeds 0.8 at the largest cache",
+     _at_largest(lambda at: at["SwitchV2P"].hit_rate > 0.8)),
+    ("SwitchV2P's FCT is no worse than LocalLearning's at the largest "
+     "cache",
+     _at_largest(lambda at: at["SwitchV2P"].fct_improvement
+                 >= at["LocalLearning"].fct_improvement)),
+    # Low reuse: the many later packets of a flow are the ones that
+    # hit, so the first-packet gain stays modest beside the FCT gain.
+    ("SwitchV2P's FCT gain is at least 0.8x its first-packet gain at "
+     "the largest cache",
+     _at_largest(lambda at: at["SwitchV2P"].fct_improvement
+                 >= 0.8 * at["SwitchV2P"].first_packet_improvement)),
+))(_sweep_table("Figure 5c — WebSearch (FT8)"))
 artifact("fig5d_video", _figure5("video", VIDEO_SCHEMES), sweep_rows,
-         short="fig5d")(_sweep_table("Figure 5d — 8K Video (FT8)"))
-artifact("fig6_alibaba", _figure5("alibaba"), sweep_rows, short="fig6")(
-    _sweep_table("Figure 6 — Alibaba RPC (FT16)"))
+         short="fig5d", claims=(
+    ("learning packets lift SwitchV2P's hit rate above 0.5 at the "
+     "largest cache",
+     _at_largest(lambda at: at["SwitchV2P"].hit_rate > 0.5)),
+    ("with zero reuse SwitchV2P's FCT stays within 0.9x-1.2x of "
+     "NoCache's",
+     _at_largest(lambda at: 0.9 < at["SwitchV2P"].fct_improvement < 1.2)),
+    ("SwitchV2P sends under half NoCache's packets to a gateway at the "
+     "largest cache",
+     _at_largest(lambda at: at["SwitchV2P"].result.gateway_arrivals
+                 < 0.5 * at["NoCache"].result.gateway_arrivals)),
+))(_sweep_table("Figure 5d — 8K Video (FT8)"))
+artifact("fig6_alibaba", _figure5("alibaba"), sweep_rows, short="fig6",
+         claims=(
+    ("SwitchV2P's FCT beats NoCache's at the largest cache",
+     _at_largest(lambda at: at["SwitchV2P"].fct_improvement > 1.0)),
+    ("SwitchV2P out-hits LocalLearning at the largest cache",
+     _at_largest(lambda at: at["SwitchV2P"].hit_rate
+                 > at["LocalLearning"].hit_rate)),
+    ("SwitchV2P's first packets are no slower than OnDemand's at the "
+     "largest cache",
+     _at_largest(lambda at: at["SwitchV2P"].first_packet_improvement
+                 >= at["OnDemand"].first_packet_improvement)),
+))(_sweep_table("Figure 6 — Alibaba RPC (FT16)"))
 
 
 #: Appendix A.2's rows: label -> (scheme, scheme kwargs), the
@@ -180,8 +264,25 @@ def _appendix_jobs(scale: FigureScale) -> Jobs:
     return jobs
 
 
-artifact("appendix_controller", _appendix_jobs, sweep_rows, short="appendix")(
-    _sweep_table("Appendix A.2 — Controller vs SwitchV2P (WebSearch)"))
+artifact("appendix_controller", _appendix_jobs, sweep_rows, short="appendix",
+         claims=(
+    ("the 150 us Controller's hit rate is at least 0.9x the 300 us one's "
+     "at the largest cache",
+     _at_largest(lambda at: at["Controller@150us"].hit_rate
+                 >= 0.9 * at["Controller@300us"].hit_rate)),
+    ("SwitchV2P's FCT is at least 0.9x the 150 us Controller's at the "
+     "largest cache",
+     _at_largest(lambda at: at["SwitchV2P"].fct_improvement
+                 >= 0.9 * at["Controller@150us"].fct_improvement)),
+))(_sweep_table("Appendix A.2 — Controller vs SwitchV2P (WebSearch)"))
+
+
+def _fleet_slowdown(rows, scheme: str) -> float:
+    """``scheme``'s mean FCT at the fewest gateways over that at the
+    full fleet (Figure 9)."""
+    mine = sorted((row for row in rows if row.scheme == scheme),
+                  key=lambda row: row.x_value)
+    return mine[0].result.avg_fct_ns / mine[-1].result.avg_fct_ns
 
 
 # Figures 9 and 10 run Hadoop at 8x the address space (the paper's 50%
@@ -190,7 +291,17 @@ artifact("appendix_controller", _appendix_jobs, sweep_rows, short="appendix")(
 @artifact("fig9_gateways", lambda scale: gateway_sweep(
     _hadoop(scale), (10, 5, 2, 1),
     ("SwitchV2P", "GwCache", "LocalLearning", "NoCache"), 8.0),
-    sweep_rows, short="fig9")
+    sweep_rows, short="fig9", claims=(
+    # The paper holds ~3% at full scale and load; the bench's far
+    # smaller per-switch caches leave more traffic to the gateways.
+    ("SwitchV2P's FCT at the fewest gateways is within 20% of its "
+     "full-fleet FCT",
+     lambda rows: _fleet_slowdown(rows, "SwitchV2P") < 1.20),
+    ("NoCache slows at least 0.95x as much as SwitchV2P as the fleet "
+     "shrinks",
+     lambda rows: _fleet_slowdown(rows, "NoCache")
+     >= 0.95 * _fleet_slowdown(rows, "SwitchV2P")),
+))
 def _fig9_table(rows) -> Table:
     return ("Figure 9 — shrinking the gateway fleet (Hadoop)",
             ["#gateways", "scheme", "hit rate", "FCT impr.",
@@ -204,7 +315,12 @@ def _fig9_table(rows) -> Table:
 @artifact("fig10_topology", lambda scale: topology_sweep(
     _hadoop(scale), (1, 2, 4, 8, 16, 32), total_servers=128, racks_per_pod=4,
     schemes=("SwitchV2P", "GwCache", "LocalLearning"), cache_ratio=8.0),
-    sweep_rows, short="fig10")
+    sweep_rows, short="fig10", claims=(
+    ("SwitchV2P's FCT is no worse than LocalLearning's in the largest "
+     "topology",
+     _at_largest(lambda at: at["SwitchV2P"].fct_improvement
+                 >= at["LocalLearning"].fct_improvement)),
+))
 def _fig10_table(rows) -> Table:
     return ("Figure 10 — topology scaling (Hadoop)",
             ["#pods", "scheme", "hit rate", "FCT impr.", "first-pkt impr."],
@@ -226,7 +342,28 @@ def _fig7_jobs(scale: FigureScale) -> Jobs:
                              for scheme in FIG7_SCHEMES])
 
 
-@artifact("fig7_pod_bytes", _fig7_jobs, short="fig7")
+def _gateway_pod_bytes(result: DetailedRunResult) -> int:
+    return sum(result.pod_bytes[pod] for pod in ft8_spec().gateway_pods)
+
+
+@artifact("fig7_pod_bytes", _fig7_jobs, short="fig7", claims=(
+    ("SwitchV2P drains the gateway pods below NoCache",
+     lambda results: _gateway_pod_bytes(results["SwitchV2P"])
+     < _gateway_pod_bytes(results["NoCache"])),
+    ("SwitchV2P drains the gateway pods below GwCache",
+     lambda results: _gateway_pod_bytes(results["SwitchV2P"])
+     < _gateway_pod_bytes(results["GwCache"])),
+    ("SwitchV2P's switches move fewer bytes in all than NoCache's",
+     lambda results: results["SwitchV2P"].total_switch_bytes
+     < results["NoCache"].total_switch_bytes),
+    # §5.3's stretch order: NoCache > LocalLearning > GwCache > SwitchV2P.
+    ("SwitchV2P's stretch is below NoCache's",
+     lambda results: results["NoCache"].avg_stretch
+     > results["SwitchV2P"].avg_stretch),
+    ("SwitchV2P's stretch is below GwCache's",
+     lambda results: results["GwCache"].avg_stretch
+     > results["SwitchV2P"].avg_stretch),
+))
 def _fig7_table(results: dict[str, DetailedRunResult]) -> Table:
     pods = len(next(iter(results.values())).pod_bytes)
     return ("Figure 7 — bytes processed per pod (Hadoop, cache=50%); "
@@ -248,7 +385,18 @@ def _fig7_heatmap_table(results: dict[str, DetailedRunResult]) -> Table:
     return "Figure 7 heatmap (darker = more bytes)", headers, rows
 
 
-@artifact("fig8_switch_bytes", _fig7_jobs)
+def _gateway_tor_bytes(result: DetailedRunResult) -> int:
+    return result.pod_switch_bytes[FIG8_POD]["gateway-tor"]
+
+
+@artifact("fig8_switch_bytes", _fig7_jobs, claims=(
+    ("SwitchV2P's gateway ToR in pod 8 moves fewer bytes than NoCache's",
+     lambda results: _gateway_tor_bytes(results["SwitchV2P"])
+     < _gateway_tor_bytes(results["NoCache"])),
+    ("SwitchV2P's gateway ToR in pod 8 moves fewer bytes than GwCache's",
+     lambda results: _gateway_tor_bytes(results["SwitchV2P"])
+     < _gateway_tor_bytes(results["GwCache"])),
+))
 def _fig8_table(results: dict[str, DetailedRunResult]) -> Table:
     by_scheme = {scheme: result.pod_switch_bytes[FIG8_POD]
                  for scheme, result in results.items()}
@@ -263,11 +411,48 @@ def _fig8_table(results: dict[str, DetailedRunResult]) -> Table:
 # ----------------------------------------------------------------------
 # tables 4, 5, 6
 # ----------------------------------------------------------------------
+def _table4(holds: Callable[..., bool]) -> Callable[[dict], bool]:
+    """A claim ``holds(nocache, full, no_inval, no_tsvec)`` on Table 4's
+    NoCache row and SwitchV2P's three variants."""
+    return lambda results: holds(
+        results["NoCache"], results["SwitchV2P w/ timestamp vector"],
+        results["SwitchV2P w/o invalidations"],
+        results["SwitchV2P w/o timestamp vector"])
+
+
+def _last_misdelivered(result: DetailedRunResult) -> int:
+    return result.last_misdelivered_ns or 0
+
+
 #: Table 4 runs at bench scale: 16 senders stay below NIC saturation.
 #: The paper's incast is ``python -m repro reproduce table4_migration
 #: --num-senders 64 --packets-per-sender 1000``.
 @artifact("table4_migration", migration_jobs,
-          config=IncastTraceParams(num_senders=16, packets_per_sender=500))
+          config=IncastTraceParams(num_senders=16, packets_per_sender=500),
+          claims=(
+    ("NoCache sends over 99% of packets through a gateway",
+     _table4(lambda base, full, no_inval, no_tsvec:
+             gateway_packet_fraction(base) > 0.99)),
+    ("SwitchV2P sends under 20% of packets through a gateway",
+     _table4(lambda base, full, no_inval, no_tsvec:
+             gateway_packet_fraction(full) < 0.2)),
+    ("SwitchV2P's packet latency is under half NoCache's (paper: 0.25x)",
+     _table4(lambda base, full, no_inval, no_tsvec:
+             full.avg_packet_latency_ns < 0.5 * base.avg_packet_latency_ns)),
+    ("without invalidations misdelivery lasts over 1.5x NoCache's",
+     _table4(lambda base, full, no_inval, no_tsvec:
+             _last_misdelivered(no_inval) > 1.5 * _last_misdelivered(base))),
+    ("invalidations end misdelivery within 1.3x NoCache's time",
+     _table4(lambda base, full, no_inval, no_tsvec:
+             _last_misdelivered(full) < 1.3 * _last_misdelivered(base))),
+    ("the timestamp vector sends no more invalidations than without it",
+     _table4(lambda base, full, no_inval, no_tsvec:
+             full.invalidation_packets <= no_tsvec.invalidation_packets)),
+    ("the timestamp vector costs at most 5% packet latency",
+     _table4(lambda base, full, no_inval, no_tsvec:
+             full.avg_packet_latency_ns
+             <= 1.05 * no_tsvec.avg_packet_latency_ns)),
+))
 def _table4_table(results: dict[str, DetailedRunResult]) -> Table:
     base = results["NoCache"]
     return ("Table 4 — VM migration (normalized by NoCache)",
@@ -297,7 +482,22 @@ def _table5_jobs(scale: FigureScale) -> Jobs:
             for trace in TABLE5_TRACES}
 
 
-@artifact("table5_hit_distribution", _table5_jobs, short="table5")
+def _upper_share(hits) -> float:
+    """The core and spine share of a count of hits per layer."""
+    shares = layer_shares(hits)
+    return shares[Layer.CORE] + shares[Layer.SPINE]
+
+
+@artifact("table5_hit_distribution", _table5_jobs, short="table5", claims=(
+    ("Hadoop and Alibaba land over half their hits at ToRs",
+     lambda results: all(
+         layer_shares(results[trace].layer_hits[0])[Layer.TOR] > 0.5
+         for trace in ("hadoop", "alibaba"))),
+    ("Hadoop's first packets hit core and spine at least as often as its "
+     "packets overall",
+     lambda results: _upper_share(results["hadoop"].layer_hits[1])
+     >= _upper_share(results["hadoop"].layer_hits[0])),
+))
 def _table5_table(results: dict[str, DetailedRunResult]) -> Table:
     layers = (Layer.CORE, Layer.SPINE, Layer.TOR)
     rows = []
@@ -326,7 +526,11 @@ PAPER_TABLE6 = {
 
 @artifact("table6_resources", lambda _: {},
           lambda _: estimate_utilization(TABLE6_ENTRIES_PER_SWITCH),
-          short="table6", config=None)
+          short="table6", config=None, claims=(
+    ("the model reproduces every paper cell at the 50% cache",
+     lambda estimate: all(abs(estimate[name] - paper) <= 1e-6
+                          for name, paper in PAPER_TABLE6.items())),
+))
 def _table6_table(estimate: dict[str, float]) -> Table:
     return ("Table 6 — per-stage resource utilization (cache=50%)",
             ["resource", "paper", "model @50%"],
@@ -340,7 +544,16 @@ def _table6_table(estimate: dict[str, float]) -> Table:
 @artifact("ablation_allocation", lambda scale: _variants(scale, [
     ("NoCache", "NoCache", 0.0, {}),
     *((name, "SwitchV2P", 2.0, {"allocation": policy})
-      for name, policy in NAMED_POLICIES.items())]))
+      for name, policy in NAMED_POLICIES.items())]), claims=(
+    # §4: a ToR-only allocation still reduces FCT ...
+    ("ToR-only improves FCT over NoCache",
+     lambda results: results["tor-only"].avg_fct_ns
+     < results["NoCache"].avg_fct_ns),
+    # ... but first packets rely on hits higher in the topology.
+    ("ToR-only's first packets are at most 2% faster than uniform's",
+     lambda results: results["tor-only"].avg_first_packet_ns
+     >= 0.98 * results["uniform"].avg_first_packet_ns),
+))
 def _ablation_allocation_table(results: dict[str, RunResult]) -> Table:
     baseline = results["NoCache"]
     return ("Ablation — memory allocation policies (Hadoop, cache=2x)",
@@ -356,7 +569,12 @@ WAYS = (1, 2, 4)
 
 
 @artifact("ablation_cache_geometry", lambda scale: _variants(scale, [
-    (ways, "SwitchV2P", 2.0, {"cache_ways": ways}) for ways in WAYS]))
+    (ways, "SwitchV2P", 2.0, {"cache_ways": ways}) for ways in WAYS]),
+    claims=(
+    ("the direct-mapped hit rate is within 0.1 of the best geometry's",
+     lambda results: results[1].hit_rate
+     >= max(r.hit_rate for r in results.values()) - 0.1),
+))
 def _ablation_geometry_table(results: dict[int, RunResult]) -> Table:
     return ("Ablation — cache geometry (Hadoop, cache=2x)",
             ["geometry", "hit rate", "avg FCT [us]", "stretch"],
@@ -369,7 +587,20 @@ DHT_SCHEMES = ("SwitchV2P", "DhtStore", "NoCache", "Direct")
 
 
 @artifact("ablation_dht", lambda scale: _variants(scale, [
-    (scheme, scheme, 16.0, {}) for scheme in DHT_SCHEMES]))
+    (scheme, scheme, 16.0, {}) for scheme in DHT_SCHEMES]), claims=(
+    # §2.4 rejects the DHT for resolver criticality, not raw latency
+    # (tests/test_dht.py): it never touches a gateway, so its FCT sits
+    # between Direct's and the caches' ...
+    ("the DHT sends no packet to a gateway",
+     lambda results: results["DhtStore"].gateway_arrivals == 0),
+    ("the DHT's FCT is no better than Direct's",
+     lambda results: results["DhtStore"].avg_fct_ns
+     >= results["Direct"].avg_fct_ns),
+    # ... but its resolver detour costs path length.
+    ("SwitchV2P's paths are shorter than the DHT's",
+     lambda results: results["SwitchV2P"].avg_stretch
+     < results["DhtStore"].avg_stretch),
+))
 def _ablation_dht_table(results: dict[str, RunResult]) -> Table:
     base = results["NoCache"]
     return ("Ablation — in-switch DHT vs caching (Hadoop, cache=16x)",
@@ -390,9 +621,33 @@ ABLATIONS = (
 )
 
 
+#: The knock-outs the bench's small caches leave little room for: each
+#: is at worst neutral.
+MINOR_FEATURES = ("no learning packets", "no spillover", "no promotion")
+
+
 @artifact("ablation_features", lambda scale: _variants(scale, [
     (label, "SwitchV2P", 2.0, {"config": config})
-    for label, config in ABLATIONS]))
+    for label, config in ABLATIONS]), claims=(
+    ("no minor knock-out adds over 0.02 of hit rate",
+     lambda results: all(results["full protocol"].hit_rate
+                         >= results[label].hit_rate - 0.02
+                         for label in MINOR_FEATURES)),
+    ("no minor knock-out cuts FCT by over 5%",
+     lambda results: all(results["full protocol"].avg_fct_ns
+                         <= 1.05 * results[label].avg_fct_ns
+                         for label in MINOR_FEATURES)),
+    # Table 2's "topology-aware caching" row.
+    ("role-aware admission out-hits greedy admission by over 0.1",
+     lambda results: results["full protocol"].hit_rate
+     > results["role-unaware (greedy)"].hit_rate + 0.1),
+    ("role-aware admission beats greedy admission on FCT",
+     lambda results: results["full protocol"].avg_fct_ns
+     < results["role-unaware (greedy)"].avg_fct_ns),
+    ("role-aware admission's paths are shorter than greedy admission's",
+     lambda results: results["full protocol"].avg_stretch
+     < results["role-unaware (greedy)"].avg_stretch),
+))
 def _ablation_features_table(results: dict[str, RunResult]) -> Table:
     return ("Ablation — SwitchV2P features (Hadoop, cache=2x)",
             ["variant", "hit rate", "avg FCT [us]", "first-pkt [us]",
@@ -426,7 +681,26 @@ def _convergence_curves(results: dict) -> dict[str, list[float]]:
             for (name, last), result in results.items()}
 
 
-@artifact("convergence", _convergence_jobs, _convergence_curves)
+def _mean(values: list[float]) -> float:
+    return sum(values) / max(1, len(values))
+
+
+def _late(values: list[float]) -> float:
+    """The mean of a curve's second half: its warm plateau."""
+    return _mean(values[len(values) // 2:])
+
+
+@artifact("convergence", _convergence_jobs, _convergence_curves, claims=(
+    ("SwitchV2P's curve has at least four windows",
+     lambda curves: len(curves["SwitchV2P"]) >= 4),
+    ("SwitchV2P's warm plateau is above LocalLearning's",
+     lambda curves: _late(curves["SwitchV2P"])
+     > _late(curves["LocalLearning"])),
+    # The early windows skip w0, which holds too few packets.
+    ("SwitchV2P warms up: its plateau is above its early windows",
+     lambda curves: _late(curves["SwitchV2P"]) > _mean(
+         curves["SwitchV2P"][1:max(2, len(curves["SwitchV2P"]) // 3)])),
+))
 def _convergence_table(curves: dict[str, list[float]]) -> Table:
     windows = min(10, max(len(values) for values in curves.values()))
     return ("Windowed in-network hit rate over time (Hadoop, cache=8x)",
@@ -436,7 +710,16 @@ def _convergence_table(curves: dict[str, list[float]]) -> Table:
 
 
 @artifact("reordering", lambda scale: _variants(scale, [
-    (ratio, "SwitchV2P", ratio, {}) for ratio in scale.ratios]))
+    (ratio, "SwitchV2P", ratio, {}) for ratio in scale.ratios]), claims=(
+    ("reordering falls from the smallest cache to the largest",
+     lambda results: results[max(results)].reorder_events
+     < results[min(results)].reorder_events),
+    ("reordering is at most 2% of packets at the largest cache",
+     lambda results: results[max(results)].reorder_events
+     <= 0.02 * results[max(results)].packets_sent),
+    ("no cache size drops a packet",
+     lambda results: all(r.drops == 0 for r in results.values())),
+))
 def _reordering_table(results: dict[float, RunResult]) -> Table:
     return ("Packet reordering under SwitchV2P (Hadoop)",
             ["cache(x addr space)", "reorder events", "per packet", "drops"],
@@ -463,7 +746,24 @@ def _seed_jobs(scale: FigureScale) -> Jobs:
     return jobs
 
 
-@artifact("robustness_seeds", _seed_jobs, sweep_rows)
+def _every_seed(holds: Callable[[dict], bool]) -> Callable[[Any], bool]:
+    """A claim on each seed's rows, by scheme (the x value is the seed)."""
+    return lambda rows: all(
+        holds({row.scheme: row for row in rows if row.x_value == seed})
+        for seed in SEEDS)
+
+
+@artifact("robustness_seeds", _seed_jobs, sweep_rows, claims=(
+    ("SwitchV2P out-hits LocalLearning on every seed",
+     _every_seed(lambda at: at["SwitchV2P"].hit_rate
+                 > at["LocalLearning"].hit_rate)),
+    ("SwitchV2P's FCT beats LocalLearning's on every seed",
+     _every_seed(lambda at: at["SwitchV2P"].fct_improvement
+                 > at["LocalLearning"].fct_improvement)),
+    ("Direct's FCT bounds SwitchV2P's on every seed",
+     _every_seed(lambda at: at["Direct"].fct_improvement
+                 >= at["SwitchV2P"].fct_improvement)),
+))
 def _robustness_seeds_table(rows) -> Table:
     return ("Seed robustness (Hadoop, cache=8x)",
             ["seed", "scheme", "hit rate", "FCT impr."],
@@ -474,7 +774,43 @@ def _robustness_seeds_table(rows) -> Table:
 # ----------------------------------------------------------------------
 # fault experiments
 # ----------------------------------------------------------------------
-@artifact("faults_resilience", chaos_jobs, chaos_rows, config=ChaosParams())
+def _chaos(holds: Callable[..., bool]) -> Callable[[Any], bool]:
+    """A claim ``holds(switchv2p, gwcache, ondemand)`` on the chaos rows."""
+    def claim(rows) -> bool:
+        by_scheme = {row.scheme: row for row in rows}
+        return holds(by_scheme["SwitchV2P"], by_scheme["GwCache"],
+                     by_scheme["OnDemand"])
+    return claim
+
+
+def _gateway_drops(row) -> int:
+    return (row.faulted.gateway_crash_drops
+            + row.faulted.gateway_unavailable_drops)
+
+
+# What holds beyond this one flow draw (seeds 0-7, all eight): against
+# OnDemand's added FCT the draw decides (4 of 8), so no claim is made.
+@artifact("faults_resilience", chaos_jobs, chaos_rows, config=ChaosParams(),
+          claims=(
+    ("SwitchV2P adds less FCT during the gateway outage than GwCache",
+     _chaos(lambda v2p, gwcache, ondemand:
+              v2p.gateway_window_added_ns < gwcache.gateway_window_added_ns)),
+    ("SwitchV2P loses no more packets at the dead gateway than OnDemand",
+     _chaos(lambda v2p, gwcache, ondemand:
+              _gateway_drops(v2p) <= _gateway_drops(ondemand))),
+    ("SwitchV2P loses no more availability than GwCache",
+     _chaos(lambda v2p, gwcache, ondemand:
+              v2p.availability_drop <= gwcache.availability_drop)),
+    ("SwitchV2P loses no more availability than OnDemand",
+     _chaos(lambda v2p, gwcache, ondemand:
+              v2p.availability_drop <= ondemand.availability_drop)),
+    ("the failure detector fails SwitchV2P's traffic over",
+     _chaos(lambda v2p, gwcache, ondemand:
+              v2p.faulted.gateway_failovers >= 1)),
+    ("SwitchV2P's hit rate returns to 90% of its pre-fault level",
+     _chaos(lambda v2p, gwcache, ondemand:
+              v2p.faulted.time_to_recover_ns is not None)),
+))
 def _faults_table(rows) -> Table:
     table = []
     for row in rows:
@@ -505,7 +841,53 @@ def _faults_table(rows) -> Table:
             table)
 
 
-@artifact("gray_degradation", gray_jobs, gray_rows, config=ChaosParams())
+def _gray(holds: Callable[..., bool]) -> Callable[[Any], bool]:
+    """A claim ``holds(hardened, unhardened)`` on the gray rows."""
+    def claim(rows) -> bool:
+        by_variant = {row.variant: row for row in rows}
+        return holds(by_variant["hardened"], by_variant["unhardened"])
+    return claim
+
+
+@artifact("gray_degradation", gray_jobs, gray_rows, config=ChaosParams(),
+          claims=(
+    # Both variants took the same corruption; only the hardened plane
+    # noticed and acted on it.
+    ("both variants take the same nonzero bit flips",
+     _gray(lambda healed, blind: healed.faulted.corrupted_lines
+                    == blind.faulted.corrupted_lines > 0)),
+    ("the hardened gray detector fires",
+     _gray(lambda healed, blind:
+                    healed.faulted.gray_detections >= 1)),
+    ("the hardened gray detector reinstates the gateway",
+     _gray(lambda healed, blind:
+                    healed.faulted.gray_reinstatements >= 1)),
+    ("the audit repairs every flipped line",
+     _gray(lambda healed, blind: healed.faulted.audit_repairs
+                    >= healed.faulted.corrupted_lines)),
+    ("the unhardened plane detects nothing",
+     _gray(lambda healed, blind:
+                    blind.faulted.gray_detections == 0)),
+    ("the unhardened plane repairs nothing",
+     _gray(lambda healed, blind: blind.faulted.audit_repairs == 0)),
+    # The detector sheds load off the browned-out gateway before the
+    # brownout drops a packet of ours; the blind variant keeps sending.
+    ("the hardened variant loses fewer packets to the brownout",
+     _gray(lambda healed, blind:
+                    healed.faulted.gateway_brownout_drops
+                    < blind.faulted.gateway_brownout_drops)),
+    # The headline: after the episode the audit has repaired the
+    # flipped lines, so only the hardened FCT returns to its baseline.
+    ("the hardened FCT after the episode is within 1.5x its baseline",
+     _gray(lambda healed, blind:
+                    healed.after_fct_degradation < 1.5)),
+    ("the unhardened FCT after the episode is over 2x its baseline",
+     _gray(lambda healed, blind:
+                    blind.after_fct_degradation > 2.0)),
+    ("the hardened variant degrades less over the whole run",
+     _gray(lambda healed, blind:
+                    healed.fct_degradation < blind.fct_degradation)),
+))
 def _gray_table(rows) -> Table:
     return ("Graceful degradation — gateway brownout + degraded cable + "
             "cache bit flips (identical gray schedule per variant)",

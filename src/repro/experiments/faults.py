@@ -13,8 +13,8 @@ and the time for the hit rate to recover after repair.
 
 Each run is one pool job (:func:`chaos_jobs`); :func:`chaos_rows` sets
 each scheme's two results side by side.  Run via ``python -m repro
-reproduce faults_resilience`` or the benchmark
-``benchmarks/test_faults_resilience.py``.
+reproduce faults_resilience``; ``benchmarks/test_tables.py`` also holds
+the spine's cold restart in the windowed hit rate.
 """
 
 from __future__ import annotations

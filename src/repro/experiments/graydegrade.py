@@ -24,8 +24,8 @@ bit flips that outlive both — in two protocol variants:
 Each variant also runs fault-free so the table reports degradation and
 recovery against its own baseline; with no fault to react to, the two
 fault-free runs are one run, one pool job (:func:`gray_jobs`).  Run via
-``python -m repro reproduce gray_degradation`` or the benchmark
-``benchmarks/test_gray_degradation.py``.
+``python -m repro reproduce gray_degradation``; its claims are the
+``gray_degradation`` entry's in ``repro.experiments.artifacts``.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ or later.
 
 Run as a script, it calls what this repository is for — all 23
 registry artifacts at ``benchmarks/common.py``'s ``fast`` scale, their
-jobs in one inline pool call, with the run cache off; ``repro chaos`` and
-``repro chaos --gray`` with their default trials; the seven
+jobs in one inline pool call, with the run cache off, each rendered and
+its claims checked; ``repro chaos`` and ``repro chaos --gray`` with
+their default trials; the seven
 ``bench`` workloads in-process at scale 0.1; ``repro run`` and
 ``repro list`` — then compiles every module under ``src/repro`` and
 prints, module by module, each function none of them called, with its
@@ -117,7 +118,13 @@ def entry_points(scratch: Path) -> dict[str, Callable[[], Any]]:
     from bench.workloads import WORKLOADS
     from benchmarks.common import bench_scale
     from repro.cli import main
-    from repro.experiments.artifacts import ARTIFACTS, reproduce
+    from repro.experiments.artifacts import ARTIFACTS, simulate
+
+    def registry():
+        results = simulate(ARTIFACTS.values(), *bench_scale(), workers=1)
+        for name, entry in ARTIFACTS.items():
+            entry.render(results[name])
+            entry.false_claims(results[name])
 
     def workloads():
         for cls in WORKLOADS.values():
@@ -128,8 +135,7 @@ def entry_points(scratch: Path) -> dict[str, Callable[[], Any]]:
             workload.counts(target, flows, 1)
 
     return {
-        "23 artifacts (fast)": lambda: reproduce(ARTIFACTS.values(),
-                                                 bench_scale(), workers=1),
+        "23 artifacts (fast)": registry,
         "repro chaos": lambda: main(["chaos"]),
         "repro chaos --gray": lambda: main(["chaos", "--gray"]),
         "bench workloads (0.1)": workloads,

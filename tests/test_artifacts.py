@@ -4,7 +4,8 @@ The registry (:mod:`repro.experiments.artifacts`) declares every table
 under ``benchmarks/results/`` once; ``reproduce``, the benchmarks and
 ``benchmarks/regen_check.py`` print through it.  These tests pin the
 registry's shape — its keys are the committed file stems, every name
-resolves from the CLI, ``table()`` is pure — and leave the bytes to the
+resolves from the CLI, ``table()`` is pure, every claim is a named
+``bool`` — and leave the bytes and the claims' verdicts to the
 regeneration gate, which runs at the bench scale.
 
 The golden (``tests/data/golden_fault_harnesses.json``) was recorded at
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import pickle
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,39 @@ def test_every_table_is_pure(registry_run):
         title, headers, rows = artifact.table(results[name])
         assert title and rows, name
         assert all(len(row) == len(headers) for row in rows), name
+
+
+def test_every_claim_is_a_uniquely_named_bool(registry_run):
+    """A misspelt key or scheme fails here, in seconds, not in the gate."""
+    results, _, _ = registry_run
+    for name, artifact in ARTIFACTS.items():
+        names = [claim for claim, _ in artifact.claims]
+        assert len(set(names)) == len(names), name
+        for claim, holds in artifact.claims:
+            assert type(holds(results[name])) is bool, (name, claim)
+
+
+def test_table6_claims_hold_on_its_result(registry_run):
+    """Table 6 simulates nothing, so its tiny result is its real one."""
+    results, _, _ = registry_run
+    table6 = ARTIFACTS["table6_resources"]
+    assert table6.claims
+    assert table6.false_claims(results[table6.name]) == []
+
+
+def test_an_inverted_claim_is_reported_by_artifact_and_claim(registry_run,
+                                                             monkeypatch):
+    results, _, _ = registry_run
+    table6 = ARTIFACTS["table6_resources"]
+    (claim, holds), *rest = table6.claims
+    monkeypatch.setitem(ARTIFACTS, table6.name, replace(
+        table6, claims=((claim, lambda result: not holds(result)), *rest)))
+    assert ARTIFACTS[table6.name].false_claims(results[table6.name]) \
+        == [claim]
+    # As the gate reports it: by artifact, then claim.
+    assert (table6.name, claim) in [
+        (name, false_claim) for name, artifact in ARTIFACTS.items()
+        for false_claim in artifact.false_claims(results[name])]
 
 
 def test_the_registry_is_one_pool_call_and_each_run_one_simulation(

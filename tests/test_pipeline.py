@@ -100,7 +100,7 @@ def test_negative_entries_rejected():
 
 @pytest.mark.parametrize("ways", [1, 2, 4])
 def test_every_geometry_of_the_ablation_is_priced(ways):
-    """benchmarks/test_ablation_cache_geometry runs 1, 2 and 4 ways:
+    """The ``ablation_cache_geometry`` table runs 1, 2 and 4 ways:
     each is k parallel copies of the arrays, one stateful ALU apiece,
     and every operation still makes one pass."""
     pipeline = build_switchv2p_pipeline(5_120, ways=ways)

@@ -69,7 +69,8 @@ def test_a_cold_pass_over_the_tree_is_fast():
         for rule in RULES.values():
             list(rule(tree, module_name_for(path)))
     elapsed = time.perf_counter() - start
-    assert len(sources) > 100
+    # The whole tree, not an empty glob: 87 files when last counted.
+    assert len(sources) > 80
     # About 2 s on a 2-vCPU box; the bound leaves slack for loaded machines.
     assert elapsed < 60.0, f"cold pass took {elapsed:.1f}s"
 
