@@ -1,6 +1,7 @@
 """The bench scale the committed tables are regenerated at.
 
-``benchmarks/test_tables.py`` (which writes ``benchmarks/results/``) and
+``benchmarks/test_tables.py`` (which writes ``benchmarks/results/`` at
+the ``default`` scale, the one those tables are committed at) and
 ``benchmarks/regen_check.py`` (which only diffs against it) run every
 entry of the artifact registry (``repro.experiments.artifacts``) at the
 configs :func:`bench_scale` returns.  Scale is controlled by the
@@ -40,13 +41,16 @@ _SCALES = {
 }
 
 
-def bench_scale() -> tuple:
-    """The configs REPRO_BENCH_SCALE selects (default: 'default'), for
-    ``simulate(artifacts, *bench_scale())``."""
+def scale_name() -> str:
+    """The scale REPRO_BENCH_SCALE selects (default: 'default')."""
     name = os.environ.get("REPRO_BENCH_SCALE", "default")
-    try:
-        return _SCALES[name]
-    except KeyError:
+    if name not in _SCALES:
         known = ", ".join(sorted(_SCALES))
-        raise ValueError(
-            f"REPRO_BENCH_SCALE={name!r}; expected one of {known}") from None
+        raise ValueError(f"REPRO_BENCH_SCALE={name!r}; expected one of {known}")
+    return name
+
+
+def bench_scale() -> tuple:
+    """The configs of :func:`scale_name`'s scale, for
+    ``simulate(artifacts, *bench_scale())``."""
+    return _SCALES[scale_name()]

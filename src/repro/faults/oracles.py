@@ -18,10 +18,10 @@ things a random fault schedule should *never* be able to break:
     Every packet a hypervisor sent is delivered, dropped with a
     recorded reason (switch/link/buffer drops, random loss, hard drops
     at unroutable hosts, crashed gateways, failed resolutions) or
-    still in flight at the horizon.  Because the inlined switch
-    forwarding path counts some drops at both the switch and the link,
-    the check is a lower bound: accounted events must cover sends —
-    silent vanishing still trips it.
+    still in flight at the horizon.  A switch counts its failed
+    transmits in its own drops, so link drops count on host and gateway
+    uplinks only.  Switch-made invalidations are never sent but may be
+    dropped or in flight: a lower bound, which one silent loss trips.
 ``cache-coherence``
     No switch cache serves a ``(vip, pip)`` pair the control plane
     never published, and entries for never-migrated VIPs match the
@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.net.addresses import format_pip
+from repro.net.node import Switch
 from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -281,7 +282,8 @@ class OracleSuite:
         link_drops = 0
         link_lost = 0
         for link in fabric.links():
-            link_drops += link.drops
+            if not isinstance(link.src, Switch):
+                link_drops += link.drops
             link_lost += link.lost
         host_drops = sum(host.unroutable_drops for host in hosts)
         gateway_drops = sum(gw.dropped_while_failed + gw.dropped_brownout

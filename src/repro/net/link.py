@@ -32,9 +32,9 @@ _SER_CACHES: dict[float, dict[int, int]] = {}
 class Link:
     """A unidirectional link from ``src`` to ``dst``.
 
-    It keeps its own counters, ``packets``, ``bytes``, ``drops`` and
-    ``lost`` (random corruption, not tail drops or a down link), and
-    ``stats`` is the link itself: ``link.stats.packets`` is the slot.
+    It keeps its own counters (``link.stats`` is the link): ``packets`` /
+    ``bytes`` put on the wire, lost ones included; ``drops`` refused (tail
+    drop, down link); ``lost`` / ``lost_bytes`` corrupted on the wire.
 
     Args:
         engine: simulation engine used to schedule deliveries.
@@ -62,6 +62,7 @@ class Link:
         "bytes",
         "drops",
         "lost",
+        "lost_bytes",
         "_deliver",
         "_ser_cache",
         "_src_is_host",
@@ -96,7 +97,7 @@ class Link:
         self.loss_rate = 0.0
         self._loss_rng = None
         self._busy_until = 0
-        self.packets = self.bytes = self.drops = self.lost = 0
+        self.packets = self.bytes = self.drops = self.lost = self.lost_bytes = 0
         #: The destination's one bound ``receive`` (see :class:`Node`):
         #: saves two attribute lookups per transmitted packet.
         self._deliver = dst._receive
@@ -220,6 +221,7 @@ class Link:
             # sender sees it as admitted (loss is invisible until the
             # transport times out), so still return True.
             self.lost += 1
+            self.lost_bytes += size
             return True
         at = finish + self.propagation_ns
         engine._buckets[at >> BUCKET_SHIFT].append(

@@ -78,14 +78,42 @@ def ecmp_index(key: int, salt: int, n: int) -> int:
 
 
 class SwitchStats:
-    """Per-switch traffic counters used by the Figure 7/8 analyses."""
+    """Per-switch traffic counters used by the Figure 7/8 analyses.
 
-    __slots__ = ("packets", "bytes", "drops")
+    ``drops`` counts its drops, ``refused`` / ``refused_bytes`` those it
+    refused while failed.  ``packets`` / ``bytes`` are what its ``ingress``
+    links sent it, less what was lost on the wire, refused or is in flight.
+    """
+
+    __slots__ = ("drops", "refused", "refused_bytes", "ingress")
 
     def __init__(self) -> None:
-        self.packets = 0
-        self.bytes = 0
-        self.drops = 0
+        self.drops = self.refused = self.refused_bytes = 0
+        self.ingress: tuple[Link, ...] = ()
+
+    packets = property(lambda self: self._received()[0])
+    bytes = property(lambda self: self._received()[1])
+
+    def _received(self) -> tuple[int, int]:
+        if not self.ingress:
+            return 0, 0
+        packets, size = -self.refused, -self.refused_bytes
+        for link in self.ingress:
+            packets += link.packets - link.lost
+            size += link.bytes - link.lost_bytes
+        # In flight: pending deliveries to the one receive all its links hold.
+        deliver = link._deliver
+        for _at, callback, args in link.engine.iter_pending():
+            if callback is deliver:
+                packets -= 1
+                size -= args[0]._wire_bytes
+        return packets, size
+
+    def refuse(self, packet: Packet) -> None:
+        """Count an arrival refused by the failed switch."""
+        self.drops += 1
+        self.refused += 1
+        self.refused_bytes += packet._wire_bytes
 
 
 class Switch(Node):
@@ -244,10 +272,6 @@ class Switch(Node):
             self._receive_guarded(packet, link)
             return
         packet.hops += 1
-        stats = self.stats
-        stats.packets += 1
-        stats.bytes += packet._wire_bytes
-
         if packet.kind > _ACK:
             self._receive_control(packet, link)
             return
@@ -267,7 +291,7 @@ class Switch(Node):
             else:
                 egress = self.next_hop(packet)
                 if egress is None:
-                    stats.drops += 1
+                    self.stats.drops += 1
                     return
         # Inlined Link.transmit() (see link.py) less its down and loss
         # tests.  The wire size is re-read because the hook may have
@@ -281,7 +305,7 @@ class Switch(Node):
         backlog = int(pending_ns * egress._rate_bps / 8e9) if pending_ns > 0 else 0
         if backlog + size > egress.buffer_bytes:
             egress.drops += 1
-            stats.drops += 1
+            self.stats.drops += 1
             return
         start = busy if busy > now else now
         ser_ns = egress._ser_cache.get(size)
@@ -301,12 +325,9 @@ class Switch(Node):
         """:meth:`receive` with every check; ``next_hop`` and
         ``Link.transmit`` test liveness, admission and loss."""
         if self._failed:
-            self.stats.drops += 1
+            self.stats.refuse(packet)
             return
         packet.hops += 1
-        stats = self.stats
-        stats.packets += 1
-        stats.bytes += packet._wire_bytes
         if packet.kind > _ACK:
             self._receive_control(packet, link)
             return

@@ -245,10 +245,10 @@ class Fabric:
             return None
         if link is None:
             spec = self.spec
-            link = links[index] = Link(self.engine, switch,
-                                       self.peer(switch, links, index),
-                                       spec.fabric_link_bps, spec.propagation_ns,
-                                       spec.buffer_bytes)
+            peer = self.peer(switch, links, index)
+            link = links[index] = Link(self.engine, switch, peer, spec.fabric_link_bps,
+                                       spec.propagation_ns, spec.buffer_bytes)
+            peer.stats.ingress += (link,)
         return link
 
     # ------------------------------------------------------------------
@@ -273,6 +273,7 @@ class Fabric:
         rate = rate_bps if rate_bps is not None else spec.host_link_bps
         uplink = Link(self.engine, node, tor, rate, spec.propagation_ns,
                       spec.buffer_bytes)
+        tor.stats.ingress += (uplink,)
         downlink = Link(self.engine, tor, node, rate, spec.propagation_ns,
                         spec.buffer_bytes)
         tor.host_links[pip] = downlink

@@ -156,9 +156,9 @@ class _ReplayPlan(NamedTuple):
     """Every counter one clean walk moved, flat: a commit replays it
     ``times`` over with one slot add per counter, nothing by name."""
 
-    #: ``(link or switch stats, packets, bytes)``; the ACK re-crosses
-    #: the data packet's switches, summed into one entry each.
-    traffic: tuple[tuple[Any, int, int], ...]
+    #: ``(link, packets, bytes)``, one entry per link crossed; a
+    #: switch's own counts are read off the links into it.
+    traffic: tuple[tuple[Link, int, int], ...]
     #: Each host that sent a packet (data, then ACK), once per packet.
     hosts: tuple[Host, ...]
     record: Any
@@ -197,8 +197,8 @@ class _WalkContext:
     )
 
     def __init__(self) -> None:
-        #: Link or switch stats -> ``(packets, bytes)`` the walk added.
-        self.traffic: dict[Any, tuple[int, int]] = {}
+        #: Link -> ``(packets, bytes)`` the walk added.
+        self.traffic: dict[Link, tuple[int, int]] = {}
         #: Hosts whose ``packets_sent`` the walk moved, once per packet.
         self.hosts: list[Host] = []
         self.plan: _ReplayPlan | None = None
@@ -776,9 +776,9 @@ class FluidScheduler:
             return
         (traffic, hosts, record, payload, receiver, deliveries, hops,
          latency_ns, latencies, goodput, caches, layer_hits) = flow.plan
-        for stats, packets, size in traffic:
-            stats.packets += packets * times
-            stats.bytes += size * times
+        for link, packets, size in traffic:
+            link.packets += packets * times
+            link.bytes += size * times
         for host in hosts:
             host.packets_sent += times
         record.bytes_received += payload * times
@@ -1018,15 +1018,10 @@ class FluidScheduler:
                 return _DELIVERED, elapsed, dst
             switch = dst
             if switch._failed:
-                switch.stats.drops += 1
+                switch.stats.refuse(packet)
                 ctx.mutated = True
                 return _CONSUMED, elapsed, None
             packet.hops += 1
-            sstats = switch.stats
-            sstats.packets += 1
-            sstats.bytes += size
-            packets, total = traffic.get(sstats, (0, 0))
-            traffic[sstats] = (packets + 1, total + size)
             ctx.switches.add(switch.switch_id)
             if cache_of is not None:
                 # Snapshot the cache's stats before its hook runs.
@@ -1051,7 +1046,7 @@ class FluidScheduler:
                 return _DIVERTED, elapsed, None
             egress = switch.next_hop(packet)
             if egress is None:
-                sstats.drops += 1
+                switch.stats.drops += 1
                 ctx.mutated = True
                 return _CONSUMED, elapsed, None
             node = switch
@@ -1110,7 +1105,7 @@ class FluidScheduler:
                                 ctx.first_hits_before)
         traffic = ctx.traffic
         ctx.plan = _ReplayPlan(
-            # ``(stats, packets, bytes)`` triples, zipped in C.
+            # ``(link, packets, bytes)`` triples, zipped in C.
             tuple(zip(traffic, *zip(*traffic.values()))),
             tuple(ctx.hosts), flow.record, flow.payload, flow.receiver,
             *moved[:_DELIVERY_INTS], tuple(caches), tuple(layer_hits))

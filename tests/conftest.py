@@ -81,6 +81,16 @@ def vip_on(network: VirtualNetwork, host) -> int:
     return min(vip for vip, pip in network.database.items() if pip == host.pip)
 
 
+def deliver(network: VirtualNetwork, switch, packet: Packet) -> None:
+    """Hand ``packet`` to ``switch`` over a link from a neighbouring
+    switch, made now, and run just that delivery: a switch's traffic
+    counts are read off the links into it."""
+    fabric = network.fabric
+    peer = fabric.peer(switch, switch.up_links or switch.pod_links, 0)
+    assert fabric.link_between(peer, switch).transmit(packet)
+    network.engine.run(max_events=1)
+
+
 class CountingTimer(PhaseTimer):
     """A PhaseTimer that also lists each ``add`` it receives: the sweep
     orchestrator reports one ``"jobs"`` entry per simulation it ran."""

@@ -13,7 +13,7 @@ from repro.sim.engine import msec, usec
 from repro.transport.flow import FlowSpec
 from repro.transport.player import TrafficPlayer
 
-from conftest import small_network
+from conftest import deliver, small_network
 
 
 def cross_pod_flows(count=8):
@@ -79,7 +79,7 @@ def test_failed_switch_drops_and_counts():
     from repro.net.packet import Packet, PacketKind
     packet = Packet(PacketKind.DATA, flow_id=1, seq=0, payload_bytes=64,
                     src_vip=0, dst_vip=5, outer_src=0, outer_dst=0)
-    spine.receive(packet)
+    deliver(network, spine, packet)
     assert spine.stats.drops == 1
     assert spine.stats.packets == 0
 

@@ -21,7 +21,7 @@ from repro.net.node import Layer
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import FatTreeSpec
 
-from conftest import small_network
+from conftest import deliver, small_network
 
 
 def data(network, src_vip, dst_vip, resolved=True):
@@ -158,6 +158,6 @@ def test_a_hook_assigned_after_setup_is_what_runs():
     switch = network.fabric.tor_of(0, 0)
     switch.hook = recorder
     before = switch.stats.packets
-    switch.receive(data(network, 0, 5))
+    deliver(network, switch, data(network, 0, 5))
     assert calls == [5] and switch.stats.packets == before + 1
     assert network.engine.pending_events == 0  # consumed: nothing was forwarded
