@@ -553,7 +553,8 @@ class SwitchV2P(CachingScheme):
         packet.route_index = 0
         self.invalidation_packets_sent += 1
         self.network.collector.invalidation_packets += 1
-        route[0].transmit(packet)
+        if not route[0].transmit(packet):
+            tor.stats.drops += 1
 
     def _apply_invalidation(self, switch: Switch, packet: Packet) -> None:
         """Every switch on an invalidation's path invalidates the entry."""

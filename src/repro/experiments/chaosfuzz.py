@@ -2,8 +2,9 @@
 
 Each trial samples a random :class:`~repro.faults.FaultSchedule` from
 the live topology (:mod:`repro.faults.fuzz`), runs a workload under it
-with the runtime oracles of :mod:`repro.faults.oracles` attached, and
-reports any invariant violations.  When a trial fails, the schedule is
+as one :class:`~repro.experiments.runner.ExperimentJob` with the runtime
+oracles of :mod:`repro.faults.oracles` attached, and reports any
+invariant violations.  When a trial fails, the schedule is
 delta-debugged down to a minimal reproducing event subset
 (:mod:`repro.faults.shrink`).
 
@@ -28,17 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.runner import make_scheme, run_flows
+from repro.experiments.runner import ExperimentJob
 from repro.experiments.scenario import (
-    build_scenario,
+    ScenarioKnobs,
     chaos_spec,
     random_pair_flows,
 )
-from repro.faults.fuzz import FuzzConfig, generate_schedule
-from repro.faults.oracles import DEFAULT_HOP_BOUND, OracleSuite, OracleViolation
-from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
+from repro.faults.fuzz import FuzzConfig, generate_schedule, gray_fuzz_config
+from repro.faults.oracles import OracleSuite, OracleViolation
+from repro.faults.schedule import FaultEvent
 from repro.faults.shrink import ddmin
-from repro.sim.engine import msec, usec
+from repro.sim.engine import msec
 from repro.sim.randomness import derive_seed
 from repro.transport.flow import FlowSpec
 from repro.transport.reliable import TransportConfig
@@ -48,8 +49,6 @@ from repro.vnet.network import VirtualNetwork
 #: gateway-centric baseline.  Two architectures double the oracle
 #: coverage for the cost of two runs per schedule.
 CHAOS_FUZZ_SCHEMES: tuple[str, ...] = ("SwitchV2P", "GwCache")
-
-_GATEWAY_KINDS = frozenset((FaultKind.GATEWAY_CRASH, FaultKind.GATEWAY_RESTART))
 
 
 @dataclass(frozen=True)
@@ -69,16 +68,11 @@ class ChaosFuzzParams:
     max_flow_bytes: int = 6_000
     arrival_span_ns: int = msec(3)
     cache_ratio: float = 16.0
-    hop_bound: int = DEFAULT_HOP_BOUND
     #: Transport give-up tuning: with the RTO capped at 2 ms and six
     #: retransmissions, a flow whose destination is unreachable fails
     #: within ~12 ms, which bounds the liveness horizon.
     max_retransmits: int = 6
     max_rto_ns: int = msec(2)
-    #: Gateway failure-detector tuning (only armed when the schedule
-    #: contains gateway events).
-    probe_interval_ns: int = usec(200)
-    miss_threshold: int = 3
     #: Self-healing mapping plane: when positive, the anti-entropy
     #: audit sweeps switch caches at this period.  0 keeps the
     #: historical lazy-invalidation-only protocol.
@@ -99,7 +93,7 @@ class ChaosFuzzParams:
         return TransportConfig(max_retransmits=self.max_retransmits,
                                max_rto_ns=self.max_rto_ns)
 
-    def horizon_ns(self, schedule: FaultSchedule) -> int:
+    def horizon_ns(self, events: tuple[FaultEvent, ...]) -> int:
         """A horizon leaving every flow time to reach a terminal state.
 
         Last disruption (or last flow arrival, whichever is later) plus
@@ -107,9 +101,7 @@ class ChaosFuzzParams:
         retransmissions, with slack for detours and failover probes.
         """
         grace_ns = (self.max_retransmits + 2) * self.max_rto_ns + msec(2)
-        last_event = schedule.last_event_ns()
-        busy_ns = max(self.arrival_span_ns,
-                      last_event if last_event is not None else 0)
+        busy_ns = max([self.arrival_span_ns, *(e.at_ns for e in events)])
         if self.anti_entropy_period_ns > 0:
             # Leave the audit at least two full sweeps after the last
             # disruption so the staleness bound is testable.
@@ -125,12 +117,9 @@ def gray_chaos_params(**overrides) -> ChaosFuzzParams:
     oracle armed with a matching bound.  Keyword overrides pass through
     to :class:`ChaosFuzzParams`.
     """
-    from repro.faults.fuzz import gray_fuzz_config
-    kwargs: dict = dict(fuzz=gray_fuzz_config(),
-                        anti_entropy_period_ns=msec(1),
-                        staleness_bound_ns=msec(1))
-    kwargs.update(overrides)
-    return ChaosFuzzParams(**kwargs)
+    return ChaosFuzzParams(**{"fuzz": gray_fuzz_config(),
+                              "anti_entropy_period_ns": msec(1),
+                              "staleness_bound_ns": msec(1), **overrides})
 
 
 @dataclass(frozen=True)
@@ -233,14 +222,6 @@ def fuzz_flows(params: ChaosFuzzParams, trial_seed: int) -> list[FlowSpec]:
                              params.arrival_span_ns)
 
 
-def _schedule_from(events) -> FaultSchedule:
-    """A fresh schedule over ``events`` (the fired log is per-apply)."""
-    schedule = FaultSchedule()
-    for event in events:
-        schedule.add(event)
-    return schedule
-
-
 def run_one_trial(scheme_name: str, events, params: ChaosFuzzParams,
                   trial_seed: int, bug: str | None = None,
                   trial: int = 0) -> TrialOutcome:
@@ -251,35 +232,20 @@ def run_one_trial(scheme_name: str, events, params: ChaosFuzzParams,
     subset of a generated schedule — this is the function the shrinker
     re-runs.
     """
-    schedule = _schedule_from(events)
-    # The detector is started here, with the trial's probe timings,
-    # only for crash/restart schedules; any other gateway event leaves
-    # it to the schedule's own start.
-    failover = None
-    if any(event.kind in _GATEWAY_KINDS for event in schedule.events):
-        failover = {"probe_interval_ns": params.probe_interval_ns,
-                    "miss_threshold": params.miss_threshold}
-    scenario = build_scenario(
-        make_scheme(scheme_name, params.num_vms, params.cache_ratio),
-        params.num_vms, oracles={"hop_bound": params.hop_bound},
-        failover=failover,
-        anti_entropy_period_ns=params.anti_entropy_period_ns,
-        staleness_bound_ns=params.staleness_bound_ns,
-        staleness_check_ns=max(usec(100), params.staleness_bound_ns // 4),
-        seed=trial_seed)
-    network, suite = scenario.network, scenario.suite
-    if bug is not None:
-        BUGS[bug](network, suite)
-    schedule.apply(network)
-    suite.watch_schedule(schedule)
-    horizon_ns = params.horizon_ns(schedule)
-    run_flows(network, fuzz_flows(params, trial_seed), params.transport(),
-              horizon_ns)
-    suite.finish(horizon_ns)
+    events = tuple(events)
+    job = ExperimentJob(
+        spec=chaos_spec(), scheme_name=scheme_name,
+        flows=fuzz_flows(params, trial_seed), num_vms=params.num_vms,
+        cache_ratio=params.cache_ratio, seed=trial_seed,
+        transport=params.transport(), horizon_ns=params.horizon_ns(events),
+        faults=events,
+        scenario=ScenarioKnobs(
+            anti_entropy_period_ns=params.anti_entropy_period_ns,
+            staleness_bound_ns=params.staleness_bound_ns))
+    _, violations = job.run(oracles=() if bug is None else (BUGS[bug],))
     return TrialOutcome(trial=trial, scheme=scheme_name,
-                        trial_seed=trial_seed,
-                        num_events=len(schedule.events),
-                        violations=tuple(suite.violations))
+                        trial_seed=trial_seed, num_events=len(events),
+                        violations=tuple(violations))
 
 
 # ----------------------------------------------------------------------

@@ -26,17 +26,18 @@ from repro.baselines import (
     OnDemand,
 )
 from repro.cache.sizing import aggregate_slots
+from repro.core import SwitchV2P
 from repro.experiments.scenario import (
     ScenarioKnobs,
     build_scenario,
     window_fct_ns,
 )
-from repro.core import SwitchV2P
+from repro.faults.oracles import OracleSuite
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.metrics.resilience import ResilienceProbe, ResilienceSummary
 from repro.net.node import Layer
 from repro.net.topology import FatTreeSpec
-from repro.sim.engine import msec
+from repro.sim.engine import msec, usec
 from repro.transport.flow import FlowSpec
 from repro.transport.player import TrafficPlayer
 from repro.transport.reliable import TransportConfig
@@ -212,7 +213,9 @@ def run_flows(network: VirtualNetwork, flows: Sequence[FlowSpec],
     for record in failed:
         reason = record.failure_reason or "unspecified"
         failure_reasons[reason] = failure_reasons.get(reason, 0) + 1
+    # Each switch read once: a read sums its ingress links.
     pod_switch_bytes = network.pod_switch_bytes()
+    pod_bytes = [sum(pod.values()) for pod in pod_switch_bytes]
     return DetailedRunResult(
         scheme=network.scheme.name,
         trace=trace_name,
@@ -232,8 +235,9 @@ def run_flows(network: VirtualNetwork, flows: Sequence[FlowSpec],
         learning_packets=collector.learning_packets,
         invalidation_packets=collector.invalidation_packets,
         reorder_events=collector.reorder_events,
-        total_switch_bytes=network.total_switch_bytes(),
-        pod_bytes=[sum(pod.values()) for pod in pod_switch_bytes],
+        total_switch_bytes=sum(pod_bytes) + sum(
+            core.stats.bytes for core in network.fabric.cores),
+        pod_bytes=pod_bytes,
         failed_flows=len(failed),
         failure_reasons=failure_reasons,
         fidelity=network.config.fidelity,
@@ -292,13 +296,19 @@ class ExperimentJob:
         if self.num_vms <= 0:
             raise ValueError("ExperimentJob.num_vms must be positive")
 
-    def run(self, perf=None,
-            warmup_split_ns: int | None = None) -> DetailedRunResult:
+    def run(self, perf=None, warmup_split_ns: int | None = None,
+            oracles: Sequence[Callable[[VirtualNetwork, OracleSuite], None]]
+            | None = None):
         """Simulate this job, never reading or writing the run cache.
 
         The steps run in one order, which breaks engine ties: build
         (through ``build_scenario`` when ``scenario`` is set), attach a
-        probe, apply ``faults`` as one schedule, then :func:`run_flows`.
+        probe; given ``oracles`` (empty arms the suite alone), attach an
+        :class:`OracleSuite`, its staleness check armed from ``scenario``,
+        and call each of ``oracles`` with the network and the suite;
+        apply ``faults`` as one schedule, then :func:`run_flows`.  Given
+        ``oracles``, the suite watches the schedule and finishes at the
+        horizon, and the run returns ``(result, violations)``.
         """
         if perf is None:
             perf = _NULL_TIMER
@@ -308,20 +318,34 @@ class ExperimentJob:
             if self.scenario is None:
                 network = build_network(self.spec, scheme, self.num_vms,
                                         self.seed, fidelity=self.fidelity)
-                probe = (ResilienceProbe(network, self.sample_period_ns)
-                         if self.sample_period_ns > 0 else None)
             else:
-                built = build_scenario(
+                network = build_scenario(
                     scheme, self.num_vms, spec=self.spec,
-                    sample_period_ns=self.sample_period_ns,
                     **asdict(self.scenario), seed=self.seed,
                     fidelity=self.fidelity)
-                network, probe = built.network, built.probe
+            probe = (ResilienceProbe(network, self.sample_period_ns)
+                     if self.sample_period_ns > 0 else None)
+            suite = None
+            if oracles is not None:
+                # After placement: the suite snapshots what is published
+                # so far and subscribes to every later update.
+                suite = OracleSuite(network)
+                knobs = self.scenario or ScenarioKnobs()
+                if knobs.staleness_bound_ns > 0:
+                    suite.configure_staleness(
+                        knobs.staleness_bound_ns,
+                        audit_period_ns=knobs.anti_entropy_period_ns,
+                        check_interval_ns=max(usec(100),
+                                              knobs.staleness_bound_ns // 4))
+                for inject in oracles:
+                    inject(network, suite)
             schedule = None
             if self.faults:
                 schedule = FaultSchedule()
                 schedule.events.extend(self.faults)
                 schedule.apply(network)
+                if suite is not None:
+                    suite.watch_schedule(schedule)
         result = run_flows(network, self.flows, self.transport,
                            self.horizon_ns, self.trace_name, self.cache_ratio,
                            perf=perf, warmup_split_ns=warmup_split_ns)
@@ -331,7 +355,10 @@ class ExperimentJob:
                                        for sample in probe.hit_rate.samples]
         result.window_fct_ns = [window_fct_ns(network.collector, lo, hi)
                                 for lo, hi in self.fct_windows]
-        return result
+        if suite is None:
+            return result
+        suite.finish(network.engine.now)
+        return result, suite.violations
 
     def describe(self) -> str:
         """What a failure report calls this job: scheme, cache ratio,

@@ -1,17 +1,14 @@
 """The one fault scenario behind the fault tables and the chaos fuzzer.
 
-The chaos and gray experiments' pool jobs (:mod:`~repro.experiments.faults`,
-:mod:`~repro.experiments.graydegrade`, run by
-:meth:`~repro.experiments.runner.ExperimentJob.run` when a job carries
-:class:`ScenarioKnobs`) and the chaos fuzzer
-(:mod:`~repro.experiments.chaosfuzz`) share one stage: the two-gateway
-fabric of :func:`chaos_spec`, tenants outside the gateway racks, and a
-subset of {resilience probe, oracle suite, detector tuning, anti-entropy
-audit, staleness oracle} armed before the fault schedule.
-:func:`build_scenario` sets it in one fixed order — arming order breaks
-engine ties, so it is part of each harness's determinism contract — and
-the two scripted experiments share their row arithmetic
-(:class:`DegradationRow`).
+A pool job with :class:`ScenarioKnobs` — the chaos and gray experiments
+(:mod:`~repro.experiments.faults`, :mod:`~repro.experiments.graydegrade`)
+and every chaos-fuzz trial (:mod:`~repro.experiments.chaosfuzz`) — is
+built by :func:`build_scenario`, called from
+:meth:`~repro.experiments.runner.ExperimentJob.run`: the two-gateway
+fabric of :func:`chaos_spec`, tenants outside the gateway racks, and the
+detector tuning and anti-entropy audit the knobs ask for, armed in one
+fixed order (arming order breaks engine ties).  The two scripted
+experiments share their row arithmetic (:class:`DegradationRow`).
 """
 
 from __future__ import annotations
@@ -21,8 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.faults.oracles import OracleSuite
-from repro.metrics.resilience import ResilienceProbe, ResilienceSummary
+from repro.metrics.resilience import ResilienceSummary
 from repro.net.addresses import pip_pod, pip_rack
 from repro.net.topology import FatTreeSpec
 from repro.transport.flow import FlowSpec
@@ -64,20 +60,12 @@ def random_pair_flows(rng: np.random.Generator, num_flows: int, num_vms: int,
     return flows
 
 
-@dataclass
-class Scenario:
-    """A built fault scenario: the network and whatever was armed on it."""
-
-    network: VirtualNetwork
-    probe: ResilienceProbe | None = None
-    suite: OracleSuite | None = None
-
-
 @dataclass(frozen=True)
 class ScenarioKnobs:
     """What a pool job arms through :func:`build_scenario`, beyond the
     stage itself: detector tuning, the anti-entropy audit and the
-    staleness it promises.  The defaults arm none of them."""
+    staleness it promises (which a run with oracles also checks).  The
+    defaults arm none of them."""
 
     failover: dict[str, Any] | None = None
     anti_entropy_period_ns: int = 0
@@ -86,15 +74,12 @@ class ScenarioKnobs:
 
 def build_scenario(scheme: Any, num_vms: int, *,
                    spec: FatTreeSpec | None = None,
-                   sample_period_ns: int = 0,
-                   oracles: dict[str, Any] | None = None,
                    failover: dict[str, Any] | None = None,
                    anti_entropy_period_ns: int = 0,
                    staleness_bound_ns: int = 0,
-                   staleness_check_ns: int = 0,
-                   **config: Any) -> Scenario:
+                   **config: Any) -> VirtualNetwork:
     """Build the ``spec`` network (default :func:`chaos_spec`) and arm
-    what the harness asks for.
+    what the knobs ask for.
 
     Tenants stay out of the gateway racks (as the paper's dedicated
     gateway ToRs do): a gateway-rack outage then severs only the
@@ -104,15 +89,11 @@ def build_scenario(scheme: Any, num_vms: int, *,
     Args:
         num_vms: VIPs ``0..num_vms-1`` go round-robin over the tenant
             hosts.
-        sample_period_ns: when positive, attach a ``ResilienceProbe``.
-        oracles: ``OracleSuite`` keyword arguments; given, attach one.
         failover: detector tuning; given, start the detector now.
             Otherwise ``FaultSchedule.apply`` starts it, with the
             detector's defaults, for schedules with gateway events.
         anti_entropy_period_ns: when positive, start the audit
             (promising ``staleness_bound_ns``).
-        staleness_bound_ns, staleness_check_ns: when the bound is
-            positive and a suite is attached, arm its staleness oracle.
         config: other ``NetworkConfig`` fields (``seed``).
     """
     if spec is None:
@@ -123,23 +104,12 @@ def build_scenario(scheme: Any, num_vms: int, *,
                    if (pip_pod(pip), pip_rack(pip)) not in gateway_racks]
     for vip in range(num_vms):
         network.database.set(vip, tenant_pips[vip % len(tenant_pips)])
-    scenario = Scenario(network)
-    if sample_period_ns > 0:
-        scenario.probe = ResilienceProbe(network, sample_period_ns)
-    if oracles is not None:
-        # After placement: the suite snapshots what is published so far
-        # and subscribes to every later update.
-        scenario.suite = OracleSuite(network, **oracles)
     if failover is not None:
         network.enable_gateway_failover(**failover)
     if anti_entropy_period_ns > 0:
         network.enable_anti_entropy(anti_entropy_period_ns,
                                     staleness_bound_ns=staleness_bound_ns)
-    if staleness_bound_ns > 0 and scenario.suite is not None:
-        scenario.suite.configure_staleness(
-            staleness_bound_ns, audit_period_ns=anti_entropy_period_ns,
-            check_interval_ns=staleness_check_ns)
-    return scenario
+    return network
 
 
 # ----------------------------------------------------------------------

@@ -80,6 +80,8 @@ class OracleViolation:
 class OracleSuite:
     """Invariant oracles hooked into one network for one run.
 
+    A job run with ``ExperimentJob.run(oracles=...)`` gets one wired
+    as below; build one by hand only for a network made by hand.
     Create the suite *after* VM placement (so the initial mappings are
     snapshot as published) and before traffic starts.  Then::
 

@@ -302,10 +302,6 @@ class FaultSchedule:
                 ends.append(e.at_ns)
         return max(ends, default=None)
 
-    def last_event_ns(self) -> int | None:
-        """Time of the latest event of any kind (migrations included)."""
-        return max((e.at_ns for e in self.events), default=None)
-
     # ------------------------------------------------------------------
     # application
     # ------------------------------------------------------------------

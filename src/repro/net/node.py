@@ -102,11 +102,12 @@ class SwitchStats:
             packets += link.packets - link.lost
             size += link.bytes - link.lost_bytes
         # In flight: pending deliveries to the one receive all its links hold.
-        deliver = link._deliver
-        for _at, callback, args in link.engine.iter_pending():
-            if callback is deliver:
-                packets -= 1
-                size -= args[0]._wire_bytes
+        if link.engine.pending_events:
+            deliver = link._deliver
+            for _at, callback, args in link.engine.iter_pending():
+                if callback is deliver:
+                    packets -= 1
+                    size -= args[0]._wire_bytes
         return packets, size
 
     def refuse(self, packet: Packet) -> None:

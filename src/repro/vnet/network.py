@@ -360,9 +360,5 @@ class VirtualNetwork:
             pods.append(by_switch)
         return pods
 
-    def total_switch_bytes(self) -> int:
-        """Bytes processed by all switches (bandwidth-overhead metric)."""
-        return sum(switch.stats.bytes for switch in self.fabric.switches)
-
     def gateway_pip_set(self) -> set[int]:
         return {gateway.pip for gateway in self.gateways}

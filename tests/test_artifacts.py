@@ -13,7 +13,9 @@ commit d476b08, the parent of the change that folded the fault
 harnesses' private build/arm/play pipelines into
 ``repro.experiments.scenario.build_scenario``: chaos-fuzz trials and a
 shrunk failure must come out of the one builder exactly as they came
-out of the separate ones.  The ``reproducer`` section holds what the
+out of the separate ones.  A trial is now one ``ExperimentJob`` run with
+its oracles attached (``ExperimentJob.run(oracles=...)``), held to the
+same verdicts and counters.  The ``reproducer`` section holds what the
 JSON reproducer file of that time recorded, less its format, version
 and parameters; the failing command line is the reproducer now.
 Re-record it with ``PYTHONPATH=src:tests python tests/test_artifacts.py``

@@ -34,7 +34,7 @@ import pytest
 from bench.__main__ import QUICK_SCALE
 from bench.layers import network_counts
 from bench.workloads import WORKLOADS
-from repro.experiments import chaosfuzz
+from repro.experiments import chaosfuzz, runner
 from repro.experiments.runner import run_flows
 from repro.experiments.scenario import chaos_spec
 from repro.faults.fuzz import cable_targets, generate_schedule
@@ -132,11 +132,11 @@ def test_chaos_fuzz_trial_with_link_faults_equals_the_fully_cabled_one(monkeypat
     trial_seed, events, params = _link_fault_trial()
     results = []
 
-    def recording_run(*args):
-        results.append(run_flows(*args))
+    def recording_run(*args, **kwargs):
+        results.append(run_flows(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(chaosfuzz, "run_flows", recording_run)
+    monkeypatch.setattr(runner, "run_flows", recording_run)
 
     def trial():
         return chaosfuzz.run_one_trial("SwitchV2P", events, params, trial_seed)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.baselines import NoCache
 from repro.core import SwitchV2P
-from repro.experiments import chaosfuzz
+from repro.experiments import runner
 from repro.experiments.chaosfuzz import (
     BUGS,
     ChaosFuzzParams,
@@ -53,13 +53,16 @@ _RECOVERY_KINDS = (FaultKind.SWITCH_RECOVER, FaultKind.LINK_UP,
 # ----------------------------------------------------------------------
 # schedule introspection
 # ----------------------------------------------------------------------
-def test_last_event_ns_counts_migrations():
+def test_the_trial_horizon_counts_migrations():
+    """A trial runs a grace period past its last event of any kind, a
+    migration included, though a migration is no recovery."""
     schedule = (FaultSchedule()
                 .switch_outage("core", 0, usec(10), usec(20))
-                .migrate_vm(usec(90), vip=0, pod=0, rack=0, host_index=0))
-    assert schedule.last_event_ns() == usec(90)
+                .migrate_vm(msec(9), vip=0, pod=0, rack=0, host_index=0))
+    params = ChaosFuzzParams()
+    grace_ns = params.horizon_ns(()) - params.arrival_span_ns
+    assert params.horizon_ns(schedule.events) == msec(9) + grace_ns
     assert schedule.last_recovery_ns() == usec(30)
-    assert FaultSchedule().last_event_ns() is None
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +379,7 @@ def _scheme_without_tag_reset(*args):
 def test_migration_only_chaos_catches_the_two_migration_loop(monkeypatch):
     outcome = _two_migration_trial()
     assert not outcome.failed, outcome.violations
-    monkeypatch.setattr(chaosfuzz, "make_scheme", _scheme_without_tag_reset)
+    monkeypatch.setattr(runner, "make_scheme", _scheme_without_tag_reset)
     outcome = _two_migration_trial()
     assert any(v.oracle == "forwarding-loop" for v in outcome.violations)
 

@@ -27,9 +27,10 @@ import random
 import pytest
 
 from repro.baselines import NoCache
-from repro.experiments import chaosfuzz
+from repro.experiments import runner
 from repro.experiments.chaosfuzz import ChaosFuzzParams, gray_chaos_params, run_chaos_fuzz
 from repro.experiments.runner import build_network, make_scheme, run_flows
+from repro.faults import FaultSchedule
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import Fabric, FatTreeSpec
 from repro.sim.engine import usec
@@ -60,9 +61,10 @@ def counters(network):
 def _chaos(monkeypatch, params, forced):
     """Run the seed-1 trials; return what each trial left behind and
     every value the guard was set to."""
-    trials = []
+    schedules = []
     guards = set()
-    build = chaosfuzz.build_scenario
+    build = runner.build_scenario
+    apply = FaultSchedule.apply
     guard = Fabric.guard
 
     def recording_guard(self):
@@ -70,27 +72,31 @@ def _chaos(monkeypatch, params, forced):
         guards.add(self.switches[0]._guarded)
 
     def recording_build(*args, **kwargs):
-        scenario = build(*args, **kwargs)
+        network = build(*args, **kwargs)
         if forced:
-            force_guard(scenario.network)
-        trials.append(scenario)
-        return scenario
+            force_guard(network)
+        return network
 
-    results = []
+    def recording_apply(self, network):
+        apply(self, network)
+        schedules.append(self)
 
-    def recording_run(*args):
-        results.append(run_flows(*args))
-        return results[-1]
+    runs = []
 
-    monkeypatch.setattr(chaosfuzz, "build_scenario", recording_build)
-    monkeypatch.setattr(chaosfuzz, "run_flows", recording_run)
+    def recording_run(network, *args, **kwargs):
+        runs.append((network, run_flows(network, *args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(runner, "build_scenario", recording_build)
+    monkeypatch.setattr(runner, "run_flows", recording_run)
+    monkeypatch.setattr(FaultSchedule, "apply", recording_apply)
     monkeypatch.setattr(Fabric, "guard", recording_guard)
     result = run_chaos_fuzz(10, 1, params=params, shrink=False)
-    assert len(trials) == len(results) == len(result.outcomes) == 20
+    # Every trial fuzzes at least one event, so each applies a schedule.
+    assert len(schedules) == len(runs) == len(result.outcomes) == 20
     return ([dataclasses.asdict(outcome) for outcome in result.outcomes],
-            [(dataclasses.asdict(run), scenario.suite._schedule.fired,
-              counters(scenario.network))
-             for scenario, run in zip(trials, results)],
+            [(dataclasses.asdict(run), schedule.fired, counters(network))
+             for schedule, (network, run) in zip(schedules, runs)],
             guards)
 
 

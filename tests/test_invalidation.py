@@ -108,3 +108,18 @@ def test_follow_me_not_used_by_switchv2p():
     network.migrate(5, target)
     network.run(until=msec(10))
     assert network.collector.gateway_arrivals > arrivals_before
+
+
+def test_an_invalidation_refused_at_its_first_hop_is_the_tors_drop():
+    """A ToR whose invalidation its own uplink refuses counts the drop,
+    as every other failed transmit a switch makes is counted."""
+    scheme, network = build()
+    fabric = network.fabric
+    tor, target = fabric.tors[(0, 0)], fabric.spines[(1, 0)]
+    uplink = fabric.link_between(tor, fabric.spines[(0, 0)])
+    fabric.set_link_state(uplink, False)
+    scheme._send_invalidation(tor, target.switch_id, (5, 0))
+    assert scheme.invalidation_packets_sent == 1
+    assert (uplink.drops, tor.stats.drops) == (1, 1)
+    network.run(until=usec(10))
+    assert network.collector.drops == 1
